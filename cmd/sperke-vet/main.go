@@ -7,12 +7,10 @@
 //	go run ./cmd/sperke-vet -unused-nolint ./...
 //	go run ./cmd/sperke-vet -list
 //
-// By default the suite is type-resolved: the whole module is parsed
-// and type-checked (pure stdlib, see internal/vet/typed.go), which
-// enables the cross-package checkers (ctxflow, lockscope,
-// streamdiscipline and clockhygiene's taint pass). -untyped falls back
-// to the per-file syntax suite, which is faster but blind across
-// package boundaries.
+// The suite is type-resolved: the whole module is parsed and
+// type-checked (pure stdlib, see internal/vet/typed.go), which enables
+// the cross-package checkers (ctxflow, lockscope, streamdiscipline and
+// clockhygiene's taint pass).
 //
 // It exits 0 when clean, 1 when it finds violations (one
 // "path:line:col: [check] message" line per finding, or a JSON array
@@ -54,11 +52,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list registered checkers and exit")
 	checks := fs.String("checks", "", "comma-separated subset of checkers to run (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (schema: check, path, line, col, message)")
-	unusedNolint := fs.Bool("unused-nolint", false, "report //sperke:nolint comments that suppress nothing (typed, full-suite run)")
-	untyped := fs.Bool("untyped", false, "syntax-only suite: skip the typed load and the cross-package checkers")
+	unusedNolint := fs.Bool("unused-nolint", false, "report //sperke:nolint comments that suppress nothing (full-suite run)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr,
-			"usage: sperke-vet [-list] [-checks a,b] [-json] [-unused-nolint] [-untyped] [packages]\n\npackages are module-relative paths; ./... (the default) means the whole module.\n\n")
+			"usage: sperke-vet [-list] [-checks a,b] [-json] [-unused-nolint] [packages]\n\npackages are module-relative paths; ./... (the default) means the whole module.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -76,8 +73,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *unusedNolint && (*untyped || *checks != "") {
-		fmt.Fprintln(stderr, "sperke-vet: -unused-nolint needs the full typed suite (drop -untyped/-checks)")
+	if *unusedNolint && *checks != "" {
+		fmt.Fprintln(stderr, "sperke-vet: -unused-nolint needs the full suite (drop -checks)")
 		return 2
 	}
 
@@ -92,27 +89,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var diags []vet.Diagnostic
-	var unused []vet.UnusedNolint
-	if *untyped {
-		pkgs, err := vet.Load(root)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		diags = vet.Run(pkgs, analyzers)
-	} else {
-		start := time.Now()
-		m, err := vet.LoadModule(root)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "sperke-vet: typed load of %d packages in %v\n",
-			len(m.Pkgs), time.Since(start).Round(time.Millisecond))
-		res := vet.RunModule(m, analyzers)
-		diags, unused = res.Diags, res.Unused
+	start := time.Now()
+	m, err := vet.LoadModule(root)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
+	fmt.Fprintf(stderr, "sperke-vet: typed load of %d packages in %v\n",
+		len(m.Pkgs), time.Since(start).Round(time.Millisecond))
+	res := vet.RunModule(m, analyzers)
+	diags, unused := res.Diags, res.Unused
 
 	if *unusedNolint {
 		n := 0

@@ -115,9 +115,9 @@ func TestRunUnusedNolint(t *testing.T) {
 		t.Fatalf("-unused-nolint mode leaked diagnostics:\n%s", stdout.String())
 	}
 
-	// -unused-nolint needs the full typed suite.
-	if code := run([]string{"-unused-nolint", "-untyped"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-unused-nolint -untyped exit = %d, want 2", code)
+	// -unused-nolint needs the full suite.
+	if code := run([]string{"-unused-nolint", "-checks", "ctxflow"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-unused-nolint -checks exit = %d, want 2", code)
 	}
 }
 

@@ -5,13 +5,15 @@
 // real HTTP process: its dash.Server bound to a loopback listener, the
 // router reaching it through dash.Client — so node death is an actual
 // connection refusal and re-routed responses proxy writer-first, never
-// materialized at the router. A health layer combines periodic probes
-// with passive per-request error accounting to declare nodes down and
-// up, failing requests over to the next-ranked live edge and, when no
-// edge can serve, to the origin. With replication R>1 every key has R
-// rendezvous owners and served bodies are written through to the other
-// live owners, so killing any one owner costs zero incremental origin
-// fetches. Each edge bounds its in-flight work and sheds the excess
+// materialized at the router. Every request, whichever form and
+// whichever front-door method it came through, takes the one path
+// route → walk → relay → originFallback. A health layer combines
+// periodic probes with passive per-request error accounting to declare
+// nodes down and up, failing requests over to the next-ranked live edge
+// and, when no edge can serve, to the origin. With replication R>1
+// every key has R rendezvous owners and served bodies are written
+// through to the other live owners, so killing any one owner costs zero
+// incremental origin fetches. Each edge bounds its in-flight work and sheds the excess
 // with 503+Retry-After rather than queueing into collapse; shed
 // requests go straight to the origin instead of the next edge, so one
 // hot node's overflow cannot cascade through its peers. Membership is
@@ -92,8 +94,8 @@ func (m *membership) without(name string) *membership {
 // Cluster is the router: it ranks edges per key, skips the ones the
 // health layer has declared down, warms the key's co-owners when R>1,
 // and falls back to the origin when no edge answers. It implements
-// dash.ChunkSource (the front door) and faults.NodeTarget (scripted
-// outages).
+// dash.ChunkSource and dash.ChunkStreamer (the front door) and
+// faults.NodeTarget (scripted outages).
 type Cluster struct {
 	origin dash.ChunkSource
 	front  *dash.Server
@@ -110,7 +112,7 @@ type Cluster struct {
 
 	met      clusterMetrics
 	reg      *obs.Registry
-	copyBufs *obs.BufferPool // proxy copy blocks (wire streaming path)
+	copyBufs *obs.BufferPool // relay copy blocks
 
 	coal  *coalescer // router-level singleflight; nil with WithCoalescing(false)
 	warmQ *warmQueue // background replica-warm / pre-warm queue
@@ -188,13 +190,7 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 	}
 	c.mem.Store(m)
 	if cfg.catalog != nil {
-		store := dash.ChunkSource(c)
-		if cfg.wire {
-			// Only the wire front door advertises the streaming path, so
-			// the in-process form keeps its exact legacy behavior.
-			store = streamFront{c}
-		}
-		c.front = dash.NewServer(cfg.catalog, dash.WithObs(cfg.obs), dash.WithStore(store))
+		c.front = dash.NewServer(cfg.catalog, dash.WithObs(cfg.obs), dash.WithStore(c))
 	}
 	return c, nil
 }
@@ -273,59 +269,72 @@ func (c *Cluster) Replication() int { return c.cfg.replication }
 // over the wire.
 func (c *Cluster) Wire() bool { return c.cfg.wire }
 
-// Chunk implements dash.ChunkSource: route the key to its
-// rendezvous-ranked edges, skipping nodes the health layer holds down,
-// then fall back to the origin. An edge error feeds the passive side
-// of the failure detector and moves on to the next-ranked edge; an
-// edge shed breaks straight to the origin — the other edges are not
-// this key's owners and pushing overflow at them just spreads the
-// overload. A served body is queued for write-through to the key's
-// other live cold owners when replication is on. With coalescing on,
-// a request arriving while the same key is already being fetched
-// attaches to that flight instead of walking at all.
+// Chunk implements dash.ChunkSource: the request path with no writer,
+// so the served body comes back whole.
 func (c *Cluster) Chunk(ctx context.Context, videoID string, quality, tile, index int, layer bool) ([]byte, error) {
-	c.met.requests.Inc()
-	defer c.updateOffload()
-	key := serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer}
-	if c.coal == nil {
-		return c.walkChunk(ctx, key)
-	}
-	f, role := c.coal.enter(key)
-	switch role {
-	case roleFollow:
-		return c.awaitFlight(ctx, key, f)
-	case roleBypass:
-		return c.walkChunk(ctx, key)
-	}
-	var body []byte
-	var err error
-	defer func() { c.coal.finish(key, f, body, err) }()
-	body, err = c.walkChunk(ctx, key)
+	_, body, err := c.route(ctx, nil, serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer})
 	return body, err
 }
 
-// awaitFlight is the coalesced follower's path: wait for the leader's
-// body, or give up when the follower's own caller cancels. A leader
-// failure — which includes the leader's caller canceling — must not
-// poison the herd, so on error the follower falls back to its own
-// ranked walk (the edge stores' singleflight still keeps that cheap).
-func (c *Cluster) awaitFlight(ctx context.Context, key serve.ChunkKey, f *routeFlight) ([]byte, error) {
-	select {
-	case <-ctx.Done():
-		c.coal.detach(f)
-		return nil, ctx.Err()
-	case <-f.done:
-	}
-	if f.err != nil || f.body == nil {
-		return c.walkChunk(ctx, key)
-	}
-	c.met.coalesced.Inc()
-	return f.body, nil
+// StreamChunk implements dash.ChunkStreamer: the same request path
+// with the caller's ResponseWriter as the sink, so a wire edge's body
+// is relayed block by block and never held whole at the router unless
+// replication or coalescing needs it teed on the way past.
+func (c *Cluster) StreamChunk(ctx context.Context, w http.ResponseWriter, videoID string, quality, tile, index int, layer bool) (int64, error) {
+	n, _, err := c.route(ctx, w, serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer})
+	return n, err
 }
 
-// walkChunk is the materialized ranked walk — everything Chunk does
-// after request accounting and coalescing.
-func (c *Cluster) walkChunk(ctx context.Context, key serve.ChunkKey) ([]byte, error) {
+// route is the one entry every chunk request takes: request accounting,
+// then the coalescing role switch. w is where the body goes — nil
+// materializes it for the caller, non-nil streams it there — and is the
+// only thing the two front-door methods differ in. A request arriving
+// while the same key is already being fetched follows that flight
+// instead of walking; a leader failure, which includes the leader's
+// caller canceling, must not poison the herd, so a follower of a failed
+// or body-less flight walks on its own (the edge stores' singleflight
+// still keeps that cheap). It returns the bytes written to w and the
+// body when one was kept whole.
+func (c *Cluster) route(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey) (n int64, body []byte, err error) {
+	c.met.requests.Inc()
+	defer c.updateOffload()
+	if c.coal == nil {
+		return c.walk(ctx, w, key, nil)
+	}
+	f, role := c.coal.enter(key)
+	switch role {
+	case roleBypass:
+		return c.walk(ctx, w, key, nil)
+	case roleFollow:
+		select {
+		case <-ctx.Done():
+			c.coal.detach(f)
+			return 0, nil, ctx.Err()
+		case <-f.done:
+		}
+		if f.err != nil || f.body == nil {
+			return c.walk(ctx, w, key, nil)
+		}
+		c.met.coalesced.Inc()
+		n, err = deliver(w, f.body)
+		return n, f.body, err
+	}
+	defer func() { c.coal.finish(key, f, body, err) }()
+	return c.walk(ctx, w, key, f)
+}
+
+// walk is the ranked walk: try the key's rendezvous-ranked edges in
+// order, skipping nodes the health layer holds down, then fall back to
+// the origin. An edge error feeds the passive side of the failure
+// detector and moves on to the next-ranked edge; an edge shed breaks
+// straight to the origin — the other edges are not this key's owners
+// and pushing overflow at them just spreads the overload. A served body
+// is queued for write-through to the key's other live cold owners when
+// replication is on. The sink decides one thing here: once body bytes
+// are on w the response cannot be repaired, so a failure then aborts
+// instead of failing over. fl is the caller's coalescing flight when it
+// leads one.
+func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
 	m := c.mem.Load()
 	ranked := Rank(key, m.ids)
 	owners := ranked[:min(c.cfg.replication, len(ranked))]
@@ -333,46 +342,43 @@ func (c *Cluster) walkChunk(ctx context.Context, key serve.ChunkKey) ([]byte, er
 		if !c.health.allow(id) {
 			continue
 		}
-		n := m.byID[id]
-		var body []byte
-		var err error
-		if n.client != nil {
-			body, err = c.fetchWire(ctx, n, key)
-		} else {
-			body, err = n.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+		var n int64
+		var targets []*Node
+		st, body, err := m.byID[id].open(ctx, key)
+		if err == nil {
+			targets = c.warmTargets(m, owners, id, key)
+			if st.Body == nil {
+				// An in-process edge answered with its store's own body.
+				n, err = deliver(w, body)
+			} else {
+				n, body, err = c.relay(w, st, len(targets) > 0, key, fl)
+			}
 		}
 		if err == nil {
 			c.health.observe(id, nil)
 			if rank > 0 {
 				c.met.reroutes.Inc()
 			}
-			if targets := c.warmTargets(m, owners, id, key); len(targets) > 0 {
+			if len(targets) > 0 {
 				c.enqueueWarm(warmJob{key: key, body: body, targets: targets})
 			}
 			c.enqueuePrewarms(key)
-			return body, nil
+			return n, body, nil
 		}
 		if ctx.Err() != nil {
 			// The caller left; don't punish the node for it.
-			return nil, err
+			return n, nil, err
 		}
 		if isShed(err) {
 			c.met.sheds.Inc()
 			break
 		}
 		c.health.observe(id, err)
+		if w != nil && n > 0 {
+			return n, nil, err
+		}
 	}
-	c.met.originFallbacks.Inc()
-	body, err := c.origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-	if err != nil {
-		// A failed or canceled fallback synthesized nothing; counting it
-		// as an origin fetch would skew the offload ratio downward.
-		c.met.originChunkErrs.Inc()
-		return nil, err
-	}
-	c.met.originFetches.Inc()
-	c.enqueuePrewarms(key)
-	return body, nil
+	return c.originFallback(ctx, w, key, fl)
 }
 
 // enqueuePrewarms queues crowd-prior warm candidates for the other

@@ -313,7 +313,11 @@ func TestFetchWireRejectsTruncatedBody(t *testing.T) {
 	}
 	defer c.Close()
 	key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
-	_, err = c.fetchWire(context.Background(), c.Node("edge-0"), key)
+	st, _, err := c.Node("edge-0").open(context.Background(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = c.relay(nil, st, false, key, nil)
 	var derr *dash.Error
 	if !errors.As(err, &derr) {
 		t.Fatalf("fetchWire on a truncated body returned %v, want *dash.Error", err)
@@ -341,7 +345,7 @@ func TestProxyBodyRejectsTruncatedStream(t *testing.T) {
 	}
 	defer c.Close()
 	rec := httptest.NewRecorder()
-	_, err = c.streamChunk(context.Background(), rec, v.ID, 0, 0, 0, false)
+	_, err = c.StreamChunk(context.Background(), rec, v.ID, 0, 0, 0, false)
 	var derr *dash.Error
 	if !errors.As(err, &derr) || derr.Kind != dash.KindTransient {
 		t.Fatalf("streamChunk on a truncated edge stream returned %v, want transient *dash.Error", err)

@@ -62,8 +62,7 @@ type TilePrior interface {
 }
 
 // Option configures a Cluster built by New. Nil options are ignored;
-// sizing options treat non-positive values as "keep the default" so a
-// zero Config field bridges cleanly through NewFromConfig.
+// sizing options treat non-positive values as "keep the default".
 type Option func(*config)
 
 // WithNodes sets the initial edge count ("edge-0" … "edge-N-1");
@@ -237,55 +236,4 @@ func WithPrewarm(prior TilePrior, fanout int) Option {
 // place instead of rerouted.
 func WithNodeRetry(p dash.RetryPolicy) Option {
 	return func(c *config) { c.nodeRetry = p }
-}
-
-// Config sizes a cluster. Zero values mean defaults; only Origin is
-// required.
-//
-// Deprecated: build clusters with New(origin, WithNodes(n), ...); the
-// functional options cover everything Config does plus the wire,
-// replication and membership controls. Config remains as a compiling
-// bridge for pre-options call sites via NewFromConfig.
-type Config struct {
-	// Nodes is the edge count; 0 defaults to 3.
-	Nodes int
-	// Origin is the authoritative ChunkSource every edge cache pulls
-	// misses from. Required.
-	Origin dash.ChunkSource
-	// Catalog, when set, gives every node (and the front door) its own
-	// dash.Server so the cluster can be driven over HTTP.
-	Catalog *dash.Catalog
-	// NodeBudgetBytes caps each edge cache; 0 defaults to 64 MiB.
-	NodeBudgetBytes int64
-	// NodeShards sets each edge store's shard count; 0 defaults to 8.
-	NodeShards int
-	// MaxInFlight bounds concurrent admitted requests per edge; beyond
-	// it the edge sheds with 503+Retry-After. 0 defaults to 256.
-	MaxInFlight int
-	// RetryAfter is the backoff hint attached to sheds; 0 defaults to 1s.
-	RetryAfter time.Duration
-	// Health tunes the failure detector (see HealthConfig).
-	Health HealthConfig
-	// Clock drives breaker cooldowns and probe pacing: *sim.Clock for
-	// deterministic tests, nil for a fresh obs.NewWall().
-	Clock obs.Clock
-	// Obs receives cluster.* instruments; nil creates a private registry.
-	Obs *obs.Registry
-}
-
-// NewFromConfig builds a cluster from the legacy Config form.
-//
-// Deprecated: use New with functional options.
-func NewFromConfig(cfg Config) (*Cluster, error) {
-	return New(cfg.Origin,
-		WithNodes(cfg.Nodes),
-		WithCatalog(cfg.Catalog),
-		WithNodeBudget(cfg.NodeBudgetBytes),
-		WithNodeShards(cfg.NodeShards),
-		WithMaxInFlight(cfg.MaxInFlight),
-		WithRetryAfter(cfg.RetryAfter),
-		WithHealth(cfg.Health),
-		WithClock(cfg.Clock),
-		WithObs(cfg.Obs),
-	)
 }

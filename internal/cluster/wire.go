@@ -13,129 +13,14 @@ import (
 	"sperke/internal/serve"
 )
 
-// proxyBlock is the copy-block size the router streams proxied bodies
+// proxyBlock is the copy-block size the router relays edge bodies
 // through. 32 KiB matches io.Copy's internal default; pooling it keeps
-// the streaming path's per-request allocations flat.
+// the relay's per-request allocations flat.
 const proxyBlock = 32 << 10
 
-// streamFront is the front door's chunk store in the wire forms:
-// dash.ChunkSource for the materialized path plus dash.ChunkStreamer,
-// so the dash.Server serves chunk bodies by proxying the winning
-// edge's response straight into the caller's ResponseWriter. The
-// in-process form deliberately does not expose the streamer — its
-// front door keeps the legacy materialized behavior.
-type streamFront struct{ c *Cluster }
-
-func (f streamFront) Chunk(ctx context.Context, videoID string, quality, tile, index int, layer bool) ([]byte, error) {
-	return f.c.Chunk(ctx, videoID, quality, tile, index, layer)
-}
-
-// StreamChunk implements dash.ChunkStreamer.
-func (f streamFront) StreamChunk(ctx context.Context, w http.ResponseWriter, videoID string, quality, tile, index int, layer bool) (int64, error) {
-	return f.c.streamChunk(ctx, w, videoID, quality, tile, index, layer)
-}
-
-// streamChunk is the wire router's serve path: rank the key's edges,
-// open the first live one as a stream, and relay body bytes into the
-// caller's ResponseWriter through a pooled copy block — the router
-// never holds a whole chunk body unless replication or coalescing
-// needs one teed on the way past. Failover before the first body byte
-// behaves exactly like the materialized walk (next edge, shed breaks
-// to origin); a failure mid-body is unrecoverable — bytes are already
-// on the wire — so it feeds the detector and aborts the response.
-// With coalescing on, a request arriving while the same key is in
-// flight is served from the flight's teed body instead of walking.
-func (c *Cluster) streamChunk(ctx context.Context, w http.ResponseWriter, videoID string, quality, tile, index int, layer bool) (int64, error) {
-	c.met.requests.Inc()
-	defer c.updateOffload()
-	key := serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer}
-	if c.coal == nil {
-		n, _, err := c.walkStream(ctx, w, key, nil)
-		return n, err
-	}
-	f, role := c.coal.enter(key)
-	switch role {
-	case roleFollow:
-		return c.serveFlightStream(ctx, w, key, f)
-	case roleBypass:
-		n, _, err := c.walkStream(ctx, w, key, nil)
-		return n, err
-	}
-	var body []byte
-	var n int64
-	var err error
-	defer func() { c.coal.finish(key, f, body, err) }()
-	n, body, err = c.walkStream(ctx, w, key, f)
-	return n, err
-}
-
-// serveFlightStream is the coalesced follower's streaming path: wait
-// for the leader's teed body and write it out whole. A failed leader
-// (including one whose own caller canceled) must not poison the herd,
-// so on error — or when the leader committed to the no-tee form before
-// this follower could be refused — the follower runs its own walk.
-func (c *Cluster) serveFlightStream(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, f *routeFlight) (int64, error) {
-	select {
-	case <-ctx.Done():
-		c.coal.detach(f)
-		return 0, ctx.Err()
-	case <-f.done:
-	}
-	if f.err != nil || f.body == nil {
-		n, _, err := c.walkStream(ctx, w, key, nil)
-		return n, err
-	}
-	c.met.coalesced.Inc()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(f.body)))
-	wn, err := w.Write(f.body)
-	return int64(wn), err
-}
-
-// walkStream is the streaming ranked walk. When the caller is a
-// coalescing flight leader (fl != nil) the served body is teed on the
-// way past and returned for publication to the flight's followers;
-// otherwise the body slice is nil unless replication needed it.
-func (c *Cluster) walkStream(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
-	m := c.mem.Load()
-	ranked := Rank(key, m.ids)
-	owners := ranked[:min(c.cfg.replication, len(ranked))]
-	for rank, id := range ranked {
-		if !c.health.allow(id) {
-			continue
-		}
-		st, err := m.byID[id].openWire(ctx, key)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The caller left; don't punish the node for it.
-				return 0, nil, err
-			}
-			if isShed(err) {
-				c.met.sheds.Inc()
-				break
-			}
-			c.health.observe(id, err)
-			continue
-		}
-		targets := c.warmTargets(m, owners, id, key)
-		written, body, err := c.proxyBody(w, st, targets, key, fl)
-		if err != nil {
-			c.health.observe(id, err)
-			return written, nil, err
-		}
-		c.health.observe(id, nil)
-		if rank > 0 {
-			c.met.reroutes.Inc()
-		}
-		c.enqueuePrewarms(key)
-		return written, body, nil
-	}
-	c.met.originFallbacks.Inc()
-	return c.streamOrigin(ctx, w, key, fl)
-}
-
-// bodySink accumulates a teed body into a pre-sized buffer: the
-// replication copy built on the way past, not router scratch.
+// bodySink accumulates a relayed body into a pre-sized buffer: the
+// copy kept whole for the caller, a replica or a flight's followers,
+// not router scratch.
 type bodySink struct{ buf []byte }
 
 func (b *bodySink) Write(p []byte) (int, error) {
@@ -143,36 +28,56 @@ func (b *bodySink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// proxyBody forwards an opened edge response into the caller's
-// ResponseWriter with Content-Length preserved, streaming through a
-// pooled copy block. The body tees into one exact-size buffer on the
-// way past only when someone needs it whole: the key has other live
-// cold owners (the buffer is queued as their replication write) or
-// coalesced followers are attached to the leader's flight (the buffer
-// is published as their response). A leader with neither commits the
-// flight to the no-tee form first, so the warm-cache fast path stays
-// allocation-flat. A drained stream shorter or longer than the edge's
-// declared Content-Length is a wire fault: the response is already
-// ruined for the caller, so it returns a typed transient error that
-// feeds the failure detector instead of posing as a success.
-func (c *Cluster) proxyBody(w http.ResponseWriter, st dash.ChunkStream, targets []*Node, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
-	defer st.Body.Close()
+// declare sets a body's headers ahead of its first byte; a negative
+// length (an edge that declared none) leaves Content-Length unset.
+func declare(w http.ResponseWriter, length int64) {
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if st.Length >= 0 {
-		w.Header().Set("Content-Length", strconv.FormatInt(st.Length, 10))
+	if length >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
 	}
+}
+
+// deliver hands a body that is already whole to the sink: with no
+// writer the caller takes the slice itself and nothing is written;
+// with one, the body goes out under its exact Content-Length. It
+// reports the bytes written to w.
+func deliver(w http.ResponseWriter, body []byte) (int64, error) {
+	if w == nil {
+		return 0, nil
+	}
+	declare(w, int64(len(body)))
+	n, err := w.Write(body)
+	return int64(n), err
+}
+
+// relay moves one opened edge response to the sink through a pooled
+// copy block and owns the declared-length check. The body is kept
+// whole, in one exact-size buffer filled on the way past, only when
+// someone needs it so: there is no writer (the caller wants the
+// slice), the key has other live cold owners (replicate — the walk
+// queues the buffer as their replication write), or coalesced
+// followers are attached to the leader's flight (the buffer is
+// published as their response). A streaming leader with neither
+// commits the flight to the no-tee form first, so the warm-cache fast
+// path stays allocation-flat. A drained stream shorter or longer than
+// the edge's declared Content-Length is a wire fault — handing short
+// bytes to the caller, or worse a replica's cache, would launder a
+// truncation into a valid-looking chunk — so it returns a typed
+// transient error that feeds the failure detector instead of posing as
+// a success. It reports the bytes copied and the kept body, if any.
+func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, replicate bool, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
+	defer st.Body.Close()
 	dst := io.Writer(w)
-	var warm *bodySink
-	if st.Length >= 0 {
-		tee := len(targets) > 0
-		if !tee && fl != nil && !c.coal.tryNoTee(fl) {
-			// Followers are already waiting on this flight; tee for them.
-			tee = true
+	var kept *bodySink
+	if w == nil || replicate || (fl != nil && !c.coal.tryNoTee(fl)) {
+		kept = &bodySink{buf: make([]byte, 0, max(st.Length, 0))}
+		dst = kept
+		if w != nil {
+			dst = io.MultiWriter(w, kept)
 		}
-		if tee {
-			warm = &bodySink{buf: make([]byte, 0, st.Length)}
-			dst = io.MultiWriter(w, warm)
-		}
+	}
+	if w != nil {
+		declare(w, st.Length)
 	}
 	block := c.copyBufs.Get()
 	n, err := io.CopyBuffer(dst, st.Body, (*block)[:cap(*block)])
@@ -186,13 +91,10 @@ func (c *Cluster) proxyBody(w http.ResponseWriter, st dash.ChunkStream, targets 
 			Err: fmt.Errorf("cluster: edge body length mismatch: copied %d of %d declared bytes", n, st.Length),
 		}
 	}
-	if warm == nil {
+	if kept == nil {
 		return n, nil, nil
 	}
-	if len(targets) > 0 {
-		c.enqueueWarm(warmJob{key: key, body: warm.buf, targets: targets})
-	}
-	return n, warm.buf, nil
+	return n, kept.buf, nil
 }
 
 // chunkSizer and chunkStreamerTo are the origin's optional streaming
@@ -206,75 +108,47 @@ type chunkStreamerTo interface {
 	ChunkTo(ctx context.Context, w io.Writer, videoID string, quality, tile, index int, layer bool) (int64, error)
 }
 
-// streamOrigin is the no-edge-left fallback of the streaming path.
-// When the origin exposes the sized streaming seam — and no coalesced
-// follower needs the body whole — the body streams from the origin's
+// originFallback serves a request no edge could. With a writer, an
+// origin that exposes the sized streaming seam, and no coalesced
+// follower needing the body whole, the body streams from the origin's
 // own sealed allocation with Content-Length declared up front;
-// otherwise the plain ChunkSource form serves (and publishes to the
-// flight's followers). cluster.origin_fetches counts only streams that
-// completed: a failed or canceled fallback synthesized nothing a
-// viewer got, and counting it would skew the offload ratio, so those
-// land under cluster.origin_stream_errors instead.
-func (c *Cluster) streamOrigin(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
-	w.Header().Set("Content-Type", "application/octet-stream")
+// otherwise the plain ChunkSource form serves (and the body is
+// published to the flight's followers). cluster.origin_fetches counts
+// only fetches that completed: a failed or canceled fallback
+// synthesized nothing a viewer got, and counting it would skew the
+// offload ratio, so those land under cluster.origin_errors (no writer)
+// or cluster.origin_stream_errors (writer) instead.
+func (c *Cluster) originFallback(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
+	c.met.originFallbacks.Inc()
+	failed := c.met.originChunkErrs
+	if w != nil {
+		failed = c.met.originStreamErrs
+	}
+	var n int64
+	var body []byte
+	var err error
 	sizer, hasSize := c.origin.(chunkSizer)
 	streamer, hasStream := c.origin.(chunkStreamerTo)
-	if hasSize && hasStream && (fl == nil || c.coal.tryNoTee(fl)) {
-		n, err := sizer.ChunkLen(key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		if err != nil {
-			c.met.originStreamErrs.Inc()
-			return 0, nil, err
+	streamed := w != nil && hasSize && hasStream && (fl == nil || c.coal.tryNoTee(fl))
+	if streamed {
+		var size int
+		if size, err = sizer.ChunkLen(key.Video, key.Quality, key.Tile, key.Index, key.Layer); err == nil {
+			declare(w, int64(size))
+			n, err = streamer.ChunkTo(ctx, w, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 		}
-		w.Header().Set("Content-Length", strconv.Itoa(n))
-		wn, err := streamer.ChunkTo(ctx, w, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		if err != nil {
-			c.met.originStreamErrs.Inc()
-			return wn, nil, err
-		}
-		c.met.originFetches.Inc()
-		c.enqueuePrewarms(key)
-		return wn, nil, nil
+	} else {
+		body, err = c.origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 	}
-	body, err := c.origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 	if err != nil {
-		c.met.originStreamErrs.Inc()
-		return 0, nil, err
+		failed.Inc()
+		return n, nil, err
 	}
 	c.met.originFetches.Inc()
 	c.enqueuePrewarms(key)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	wn, err := w.Write(body)
-	return int64(wn), body, err
-}
-
-// fetchWire serves the materialized ChunkSource contract over the
-// wire: open the edge's stream and drain it into one exact-size
-// buffer. Only the front door's []byte path pays this; the streaming
-// path (streamChunk) never builds the slice. A drained body that
-// disagrees with the edge's declared Content-Length is a wire fault —
-// handing short bytes to the caller (or worse, a replica's cache)
-// would launder a truncation into a valid-looking chunk — so it fails
-// with a typed transient error and lets the ranked walk move on.
-func (c *Cluster) fetchWire(ctx context.Context, n *Node, key serve.ChunkKey) ([]byte, error) {
-	st, err := n.openWire(ctx, key)
-	if err != nil {
-		return nil, err
+	if !streamed {
+		n, err = deliver(w, body)
 	}
-	defer st.Body.Close()
-	sink := &bodySink{}
-	if st.Length >= 0 {
-		sink.buf = make([]byte, 0, st.Length)
-	}
-	if _, err := io.Copy(sink, st.Body); err != nil {
-		return nil, err
-	}
-	if st.Length >= 0 && int64(len(sink.buf)) != st.Length {
-		return nil, &dash.Error{
-			Op: key.String(), Kind: dash.KindTransient,
-			Err: fmt.Errorf("cluster: edge body length mismatch: drained %d of %d declared bytes", len(sink.buf), st.Length),
-		}
-	}
-	return sink.buf, nil
+	return n, body, err
 }
 
 // LoopbackTransport is the in-process wire: an http.RoundTripper that

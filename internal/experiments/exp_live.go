@@ -94,7 +94,10 @@ func SpatialFallback(seed int64) *Table {
 	cond := live.Condition{Up: 1.2e6}
 	plan := live.PlanHorizon(&hint, nil, 0, cond.Up/float64(live.Facebook.IngestBitrate), 160)
 	for _, mode := range []live.UploadMode{live.UploadFixed, live.UploadQualityReduce, live.UploadSpatialFallback} {
-		run := live.MeasureE2EWithFallback(seed+500, live.Facebook, cond, 2*time.Minute, mode, plan)
+		run := live.Measure(seed+500, live.Facebook, live.Opts{
+			Duration: 2 * time.Minute, Cond: cond,
+			Fallback: &live.FallbackOpts{Mode: mode, Plan: plan},
+		})
 		t.AddRow("pipeline (FB, 55% uplink)", mode.String(),
 			fmt.Sprintf("%d skips", run.Result.SkippedSegments),
 			fmt.Sprintf("%.1fs latency", run.Result.MeanLatency.Seconds()),

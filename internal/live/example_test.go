@@ -7,10 +7,10 @@ import (
 	"sperke/internal/live"
 )
 
-// ExampleMeasureE2E reproduces one Table 2 cell: Facebook's
+// ExampleMeasure reproduces one Table 2 cell: Facebook's
 // unconstrained live E2E latency (the paper measures 9.2 s).
-func ExampleMeasureE2E() {
-	r := live.MeasureE2E(42, live.Facebook, live.Condition{}, 2*time.Minute)
+func ExampleMeasure() {
+	r := live.Measure(42, live.Facebook, live.Opts{Duration: 2 * time.Minute})
 	fmt.Printf("Facebook base E2E latency ≈ %.0f s\n", r.MeanLatency.Seconds())
 	// Output:
 	// Facebook base E2E latency ≈ 9 s

@@ -155,27 +155,3 @@ func EvaluateFallback(mode UploadMode, plan HorizonPlan, uplinkFraction float64,
 	}
 	return out
 }
-
-// FallbackRun is the outcome of a broadcast that applied an upload
-// adaptation mode at the pipeline level.
-type FallbackRun struct {
-	Result Result
-	// UploadedFraction is the mean share of the panorama (spatial mode)
-	// or of the source rate (quality mode) that went up the wire.
-	UploadedFraction float64
-}
-
-// MeasureE2EWithFallback runs the live pipeline with the broadcaster
-// applying an upload adaptation mode whenever the configured uplink
-// cannot carry the source rate (§3.4.2).
-//
-// Deprecated: use Measure with Opts{Cond, Fallback}.
-func MeasureE2EWithFallback(seed int64, p Platform, cond Condition,
-	broadcastDur time.Duration, mode UploadMode, plan HorizonPlan) FallbackRun {
-	m := Measure(seed, p, Opts{
-		Duration: broadcastDur,
-		Cond:     cond,
-		Fallback: &FallbackOpts{Mode: mode, Plan: plan},
-	})
-	return FallbackRun{Result: m.Result, UploadedFraction: m.UploadedFraction}
-}

@@ -14,7 +14,7 @@ import (
 
 func cell(t *testing.T, p Platform, cond Condition) Result {
 	t.Helper()
-	return MeasureE2E(42, p, cond, 2*time.Minute)
+	return Measure(42, p, Opts{Duration: 2 * time.Minute, Cond: cond}).Result
 }
 
 var unconstrained = Condition{Up: 0, Down: 0}
@@ -127,8 +127,8 @@ func TestSeverelyConstrainedDownlink(t *testing.T) {
 }
 
 func TestMeasureDeterministic(t *testing.T) {
-	a := MeasureE2E(7, Facebook, Condition{Up: 2e6}, time.Minute)
-	b := MeasureE2E(7, Facebook, Condition{Up: 2e6}, time.Minute)
+	a := Measure(7, Facebook, Opts{Duration: time.Minute, Cond: Condition{Up: 2e6}}).Result
+	b := Measure(7, Facebook, Opts{Duration: time.Minute, Cond: Condition{Up: 2e6}}).Result
 	if a != b {
 		t.Fatalf("same-seed runs differ: %+v vs %+v", a, b)
 	}
@@ -359,8 +359,8 @@ func TestSpreadEmpty(t *testing.T) {
 }
 
 func TestMeasureViewersMatchesSingleViewer(t *testing.T) {
-	// A population of one behaves exactly like MeasureE2E.
-	single := MeasureE2E(42, YouTube, Condition{Down: 2e6}, time.Minute)
+	// A population of one behaves exactly like Measure.
+	single := Measure(42, YouTube, Opts{Duration: time.Minute, Cond: Condition{Down: 2e6}}).Result
 	pop := MeasureViewers(42, YouTube, 0, []float64{2e6}, time.Minute)
 	if len(pop) != 1 {
 		t.Fatal("population size")
@@ -387,7 +387,7 @@ func TestFoVGuidedLiveSavesBandwidthAndCovers(t *testing.T) {
 	sessions := pop.Sessions(rand.New(rand.NewSource(64)), att, dur)
 	heat := hmp.BuildHeatmap(g, proj, sphere.DefaultFoV, Facebook.SegmentDur, dur, sessions)
 
-	full := MeasureE2E(42, Facebook, unconstrained, dur)
+	full := Measure(42, Facebook, Opts{Duration: dur, Cond: unconstrained}).Result
 	guided, stats := MeasureFoVGuidedLive(42, Facebook, g, proj, sphere.DefaultFoV,
 		head, heat, unconstrained, dur)
 
@@ -443,9 +443,9 @@ func TestSpatialFallbackInPipeline(t *testing.T) {
 	cond := Condition{Up: 1.2e6} // ≈55% of Facebook's 2.2 Mbps ingest
 	plan := PlanHorizon(nil, nil, 0, 1.2e6/float64(Facebook.IngestBitrate), 160)
 
-	fixed := MeasureE2EWithFallback(42, Facebook, cond, 2*time.Minute, UploadFixed, plan)
-	spatial := MeasureE2EWithFallback(42, Facebook, cond, 2*time.Minute, UploadSpatialFallback, plan)
-	quality := MeasureE2EWithFallback(42, Facebook, cond, 2*time.Minute, UploadQualityReduce, plan)
+	fixed := Measure(42, Facebook, Opts{Duration: 2 * time.Minute, Cond: cond, Fallback: &FallbackOpts{Mode: UploadFixed, Plan: plan}})
+	spatial := Measure(42, Facebook, Opts{Duration: 2 * time.Minute, Cond: cond, Fallback: &FallbackOpts{Mode: UploadSpatialFallback, Plan: plan}})
+	quality := Measure(42, Facebook, Opts{Duration: 2 * time.Minute, Cond: cond, Fallback: &FallbackOpts{Mode: UploadQualityReduce, Plan: plan}})
 
 	if fixed.Result.SkippedSegments == 0 {
 		t.Fatal("fixed mode skipped nothing on a starved uplink")
@@ -459,7 +459,7 @@ func TestSpatialFallbackInPipeline(t *testing.T) {
 			quality.Result.SkippedSegments, fixed.Result.SkippedSegments)
 	}
 	// Both adaptive modes keep latency near base; fixed inflates.
-	base := MeasureE2E(42, Facebook, Condition{}, 2*time.Minute)
+	base := Measure(42, Facebook, Opts{Duration: 2 * time.Minute, Cond: Condition{}}).Result
 	if spatial.Result.MeanLatency > base.MeanLatency+4*time.Second {
 		t.Fatalf("spatial fallback latency %v far above base %v",
 			spatial.Result.MeanLatency, base.MeanLatency)

@@ -60,9 +60,8 @@ type Measurement struct {
 
 // Measure simulates one live broadcast under the given options and
 // returns the latency statistics of Table 2 plus any fallback
-// accounting. It is the single entry point behind the deprecated
-// MeasureE2E, MeasureE2EResilient and MeasureE2EWithFallback wrappers,
-// and runs the full pipeline either way:
+// accounting. It is the package's single measurement entry point and
+// runs the full pipeline whatever the options:
 //
 //	camera → encoder → upload queue (drop beyond the app's cap) →
 //	ingest → server re-encode → segment packaging → MPD poll or push →

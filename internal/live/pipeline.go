@@ -323,18 +323,6 @@ func (dg *degrader) watch(upload *netem.Path, bytes int64, landed func(netem.Del
 	})
 }
 
-// ResilientRun reports a broadcast run with breaker-driven spatial
-// fallback active.
-type ResilientRun struct {
-	Result Result
-	// DegradedPieces of TotalPieces were uploaded at the fallback
-	// horizon's share rather than the full panorama.
-	DegradedPieces, TotalPieces int
-	// Transitions is the uplink breaker's state-change log; chaos tests
-	// assert it opens and re-closes across an outage.
-	Transitions []transport.BreakerTransition
-}
-
 // runBroadcast drives one broadcast with the given viewers attached and
 // returns the broadcaster-side skip count.
 //
@@ -426,37 +414,6 @@ func runBroadcast(clock *sim.Clock, p Platform, upTrace *netem.BandwidthTrace,
 	return skips
 }
 
-// MeasureE2E simulates one broadcast of the given duration on a
-// platform under a network condition and returns the latency
-// statistics of Table 2.
-//
-// Deprecated: use Measure with Opts{Duration, Cond}; this wrapper
-// remains for existing experiment call sites.
-func MeasureE2E(seed int64, p Platform, cond Condition, broadcastDur time.Duration) Result {
-	return Measure(seed, p, Opts{Duration: broadcastDur, Cond: cond}).Result
-}
-
-// MeasureE2EResilient simulates one broadcast with the breaker-driven
-// spatial fallback active. Traces are passed directly (rather than a
-// Condition) so chaos harnesses can pre-carve fault windows into them,
-// and cfg.ArmFaults can attach a fault plan to the upload path itself.
-//
-// Deprecated: use Measure with Opts{UpTrace, DownTrace, Degrade}.
-func MeasureE2EResilient(seed int64, p Platform, upTrace, downTrace *netem.BandwidthTrace,
-	broadcastDur time.Duration, cfg DegradeConfig) ResilientRun {
-	m := Measure(seed, p, Opts{
-		Duration: broadcastDur,
-		UpTrace:  upTrace, DownTrace: downTrace,
-		Degrade: &cfg,
-	})
-	return ResilientRun{
-		Result:         m.Result,
-		DegradedPieces: m.DegradedPieces,
-		TotalPieces:    m.TotalPieces,
-		Transitions:    m.Transitions,
-	}
-}
-
 // MeasureViewers runs one broadcast with a population of viewers, each
 // behind its own downlink, and returns per-viewer results. The latency
 // heterogeneity across viewers is the raw material of §3.4.2's
@@ -532,7 +489,7 @@ func Table2Cell(p Platform, cond Condition) Result {
 	agg.MinLatency = time.Duration(1<<62 - 1)
 	const runs = 3
 	for i := 0; i < runs; i++ {
-		r := MeasureE2E(int64(1000+i), p, cond, 2*time.Minute)
+		r := Measure(int64(1000+i), p, Opts{Duration: 2 * time.Minute, Cond: cond}).Result
 		agg.MeanLatency += r.MeanLatency
 		agg.Samples += r.Samples
 		agg.SkippedSegments += r.SkippedSegments

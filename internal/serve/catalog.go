@@ -19,7 +19,7 @@ import (
 //	store := serve.NewCatalogStore(catalog, serve.StoreConfig{BudgetBytes: 256 << 20})
 //	srv := dash.NewServer(catalog, dash.WithStore(store))
 func NewCatalogStore(cat *dash.Catalog, cfg StoreConfig) *Store {
-	return NewWriterStore(WriterSynth{
+	return New(WithWriterSynth(WriterSynth{
 		Size: func(key ChunkKey) (int, error) {
 			v, ok := cat.Get(key.Video)
 			if !ok {
@@ -34,7 +34,7 @@ func NewCatalogStore(cat *dash.Catalog, cfg StoreConfig) *Store {
 			}
 			return dash.WriteChunkBody(w, v, key.Quality, key.Tile, key.Index, key.Layer)
 		},
-	}, cfg)
+	}), WithShards(cfg.Shards), WithBudget(cfg.BudgetBytes), WithObs(cfg.Obs))
 }
 
 // Chunk implements dash.ChunkSource over the sharded cache.

@@ -10,19 +10,19 @@ import (
 )
 
 // TestCtxStoreCancelAbortsLoneFlight is the cancellation contract that
-// motivated NewCtxStore: when the only caller interested in a cold key
+// motivated the ctx form: when the only caller interested in a cold key
 // departs, the flight's context is canceled and the synthesis aborts
 // instead of completing into the void. Before the context-aware store,
 // the miss path ran on context.Background and this synth hung forever.
 func TestCtxStoreCancelAbortsLoneFlight(t *testing.T) {
 	entered := make(chan struct{})
 	aborted := make(chan error, 1)
-	st := NewCtxStore(func(ctx context.Context, k ChunkKey) ([]byte, error) {
+	st := formStore("ctx", 0, func(ctx context.Context, k ChunkKey) ([]byte, error) {
 		close(entered)
 		<-ctx.Done()
 		aborted <- ctx.Err()
 		return nil, ctx.Err()
-	}, StoreConfig{})
+	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -57,7 +57,7 @@ func TestCtxStoreFlightSurvivesOneCancel(t *testing.T) {
 	release := make(chan struct{})
 	want := bytes.Repeat([]byte{0xcd}, 256)
 	var flightCanceled atomic.Bool
-	st := NewCtxStore(func(ctx context.Context, k ChunkKey) ([]byte, error) {
+	st := formStore("ctx", 0, func(ctx context.Context, k ChunkKey) ([]byte, error) {
 		close(entered)
 		select {
 		case <-ctx.Done():
@@ -66,7 +66,7 @@ func TestCtxStoreFlightSurvivesOneCancel(t *testing.T) {
 		case <-release:
 			return want, nil
 		}
-	}, StoreConfig{})
+	})
 
 	k := key(2)
 	leaderDone := make(chan error, 1)
@@ -106,14 +106,14 @@ func TestCtxStoreRetryAfterAbandonStartsFresh(t *testing.T) {
 	var calls atomic.Int32
 	entered := make(chan struct{})
 	want := []byte("fresh")
-	st := NewCtxStore(func(ctx context.Context, k ChunkKey) ([]byte, error) {
+	st := formStore("ctx", 0, func(ctx context.Context, k ChunkKey) ([]byte, error) {
 		if calls.Add(1) == 1 {
 			close(entered)
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
 		return want, nil
-	}, StoreConfig{})
+	})
 
 	k := key(3)
 	ctx, cancel := context.WithCancel(context.Background())

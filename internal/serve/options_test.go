@@ -8,75 +8,27 @@ import (
 	"testing"
 )
 
-// optBody is the deterministic test body every synthesis flavor in
-// this file produces, so stores built through different constructors
-// can be compared byte for byte.
+// optBody is the deterministic test body the tests in this file
+// synthesize, so expected bytes can be recomputed from the key.
 func optBody(k ChunkKey) []byte {
 	return []byte(fmt.Sprintf("body:%s", k))
 }
 
-// TestLegacyConstructorsMatchOptions pins the deprecated constructors
-// as exact one-line wrappers: for every synthesis flavor, a store built
-// the legacy way and one built through New with the equivalent option
-// serve identical bytes, share the same shard/budget resolution, and
-// agree on cache residency after the same access sequence.
-func TestLegacyConstructorsMatchOptions(t *testing.T) {
-	cfg := StoreConfig{Shards: 3, BudgetBytes: 1 << 20}
-	synth := func(k ChunkKey) ([]byte, error) { return optBody(k), nil }
-	appendSynth := func(dst []byte, k ChunkKey) ([]byte, error) { return append(dst, optBody(k)...), nil }
-	ws := WriterSynth{
-		Size: func(k ChunkKey) (int, error) { return len(optBody(k)), nil },
-		Write: func(w io.Writer, k ChunkKey) error {
-			_, err := w.Write(optBody(k))
-			return err
-		},
-	}
-	ctxSynth := func(ctx context.Context, k ChunkKey) ([]byte, error) { return optBody(k), nil }
-
-	cases := []struct {
-		name    string
-		legacy  *Store
-		options *Store
-	}{
-		{"synth", NewStore(synth, cfg), New(WithSynth(synth), WithShards(cfg.Shards), WithBudget(cfg.BudgetBytes))},
-		{"append", NewAppendStore(appendSynth, cfg), New(WithAppendSynth(appendSynth), WithShards(cfg.Shards), WithBudget(cfg.BudgetBytes))},
-		{"writer", NewWriterStore(ws, cfg), New(WithWriterSynth(ws), WithShards(cfg.Shards), WithBudget(cfg.BudgetBytes))},
-		{"ctx", NewCtxStore(ctxSynth, cfg), New(WithCtxSynth(ctxSynth), WithShards(cfg.Shards), WithBudget(cfg.BudgetBytes))},
-	}
-	ctx := context.Background()
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got, want := tc.options.Shards(), tc.legacy.Shards(); got != want {
-				t.Fatalf("shard count: options %d, legacy %d", got, want)
-			}
-			for i := 0; i < 32; i++ {
-				k := key(i)
-				a, err := tc.legacy.Get(ctx, k)
-				if err != nil {
-					t.Fatalf("legacy Get(%s): %v", k, err)
-				}
-				b, err := tc.options.Get(ctx, k)
-				if err != nil {
-					t.Fatalf("options Get(%s): %v", k, err)
-				}
-				if !bytes.Equal(a, b) {
-					t.Fatalf("key %s: legacy and options stores serve different bytes", k)
-				}
-				if tc.legacy.Contains(k) != tc.options.Contains(k) {
-					t.Fatalf("key %s: residency diverges between legacy and options stores", k)
-				}
-			}
-			if tc.legacy.Len() != tc.options.Len() || tc.legacy.Bytes() != tc.options.Bytes() {
-				t.Fatalf("occupancy diverges: legacy %d entries/%d bytes, options %d entries/%d bytes",
-					tc.legacy.Len(), tc.legacy.Bytes(), tc.options.Len(), tc.options.Bytes())
-			}
-		})
-	}
+// optWriter is optBody as a writer-form synthesizer.
+var optWriter = WriterSynth{
+	Size: func(k ChunkKey) (int, error) { return len(optBody(k)), nil },
+	Write: func(w io.Writer, k ChunkKey) error {
+		_, err := w.Write(optBody(k))
+		return err
+	},
 }
 
+// optCtx is optBody as a ctx-form synthesizer.
+func optCtx(ctx context.Context, k ChunkKey) ([]byte, error) { return optBody(k), nil }
+
 // TestNewRequiresExactlyOneSynth pins New's construction contract:
-// zero synthesis options panic (matching the legacy constructors'
-// nil-synth panics), and so does stacking two.
+// zero synthesis options panic, and so do both at once or half a
+// writer.
 func TestNewRequiresExactlyOneSynth(t *testing.T) {
 	mustPanic := func(name string, build func()) {
 		defer func() {
@@ -87,59 +39,10 @@ func TestNewRequiresExactlyOneSynth(t *testing.T) {
 		build()
 	}
 	mustPanic("no synth", func() { New(WithShards(4)) })
-	mustPanic("two synths", func() {
-		New(WithSynth(func(k ChunkKey) ([]byte, error) { return nil, nil }),
-			WithCtxSynth(func(ctx context.Context, k ChunkKey) ([]byte, error) { return nil, nil }))
-	})
+	mustPanic("two synths", func() { New(WithWriterSynth(optWriter), WithCtxSynth(optCtx)) })
 	mustPanic("half a writer synth", func() {
-		New(WithWriterSynth(WriterSynth{Size: func(k ChunkKey) (int, error) { return 0, nil }}))
+		New(WithWriterSynth(WriterSynth{Size: optWriter.Size}))
 	})
-}
-
-// TestCtxWriterSynthStreamsExactSize exercises the combined miss path:
-// bodies arrive sealed at their exact size, a length mismatch fails the
-// Get instead of caching a half-built body, and the synthesizer sees
-// the flight's context.
-func TestCtxWriterSynthStreamsExactSize(t *testing.T) {
-	sawCtx := false
-	st := New(WithCtxWriterSynth(CtxWriterSynth{
-		Size: func(k ChunkKey) (int, error) { return len(optBody(k)), nil },
-		Write: func(ctx context.Context, w io.Writer, k ChunkKey) error {
-			if ctx != nil {
-				sawCtx = true
-			}
-			_, err := w.Write(optBody(k))
-			return err
-		},
-	}), WithShards(2))
-	k := key(1)
-	body, err := st.Get(context.Background(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, optBody(k)) {
-		t.Fatalf("body mismatch: got %q", body)
-	}
-	if len(body) != cap(body) {
-		t.Fatalf("body not sealed: len %d cap %d", len(body), cap(body))
-	}
-	if !sawCtx {
-		t.Fatal("synthesizer never saw a flight context")
-	}
-
-	lying := New(WithCtxWriterSynth(CtxWriterSynth{
-		Size: func(k ChunkKey) (int, error) { return 3, nil },
-		Write: func(ctx context.Context, w io.Writer, k ChunkKey) error {
-			_, err := w.Write([]byte("12345"))
-			return err
-		},
-	}))
-	if _, err := lying.Get(context.Background(), k); err == nil {
-		t.Fatal("size/stream mismatch did not fail the Get")
-	}
-	if lying.Contains(k) {
-		t.Fatal("half-built body was cached")
-	}
 }
 
 // TestPutWarmsWithoutSynthesis pins the replication write path: Put
@@ -147,7 +50,7 @@ func TestCtxWriterSynthStreamsExactSize(t *testing.T) {
 // no-op, and the warmed body is exactly what Get returns afterwards.
 func TestPutWarmsWithoutSynthesis(t *testing.T) {
 	synths := 0
-	st := New(WithSynth(func(k ChunkKey) ([]byte, error) {
+	st := New(WithCtxSynth(func(ctx context.Context, k ChunkKey) ([]byte, error) {
 		synths++
 		return optBody(k), nil
 	}), WithShards(2))
@@ -170,7 +73,7 @@ func TestPutWarmsWithoutSynthesis(t *testing.T) {
 		t.Fatalf("warm hit still synthesized %d times", synths)
 	}
 
-	tiny := New(WithSynth(func(k ChunkKey) ([]byte, error) { return optBody(k), nil }), WithShards(1), WithBudget(1))
+	tiny := New(WithCtxSynth(optCtx), WithShards(1), WithBudget(1))
 	if tiny.Put(k, body) {
 		t.Fatal("oversized Put reported residency")
 	}
@@ -181,13 +84,7 @@ func TestPutWarmsWithoutSynthesis(t *testing.T) {
 // streams the same bytes Chunk returns, and a store without a size
 // model refuses ChunkLen.
 func TestChunkLenAndChunkTo(t *testing.T) {
-	st := New(WithWriterSynth(WriterSynth{
-		Size: func(k ChunkKey) (int, error) { return len(optBody(k)), nil },
-		Write: func(w io.Writer, k ChunkKey) error {
-			_, err := w.Write(optBody(k))
-			return err
-		},
-	}))
+	st := New(WithWriterSynth(optWriter))
 	k := key(3)
 	n, err := st.ChunkLen(k.Video, k.Quality, k.Tile, k.Index, k.Layer)
 	if err != nil {
@@ -208,7 +105,7 @@ func TestChunkLenAndChunkTo(t *testing.T) {
 		t.Fatalf("ChunkTo streamed %d bytes %q, want %q", wrote, buf.Bytes(), optBody(k))
 	}
 
-	plain := New(WithSynth(func(k ChunkKey) ([]byte, error) { return optBody(k), nil }))
+	plain := New(WithCtxSynth(optCtx))
 	if _, err := plain.ChunkLen(k.Video, k.Quality, k.Tile, k.Index, k.Layer); err == nil {
 		t.Fatal("store without a size model reported a ChunkLen")
 	}

@@ -7,29 +7,27 @@ import (
 	"hash/crc32"
 	"sync"
 	"testing"
-
-	"sperke/internal/obs"
 )
 
-// appendSynthFor builds a deterministic AppendSynth whose output is a
-// pure function of the key, so tests can recompute the expected body.
-func appendSynthFor(size int) AppendSynth {
-	return func(dst []byte, k ChunkKey) ([]byte, error) {
+// patternBody is a deterministic size-byte body that is a pure function
+// of the key, so tests can recompute the expected bytes.
+func patternBody(size int) CtxSynth {
+	return func(_ context.Context, k ChunkKey) ([]byte, error) {
 		b := byte(k.Index*31 + k.Tile*7 + k.Quality)
-		for i := 0; i < size; i++ {
-			dst = append(dst, b+byte(i))
+		out := make([]byte, size)
+		for i := range out {
+			out[i] = b + byte(i)
 		}
-		return dst, nil
+		return out, nil
 	}
 }
 
 // TestStoreBodiesSealed is the PR 5 aliasing regression test: the
-// cache hands out sealed exact-size copies, so a caller appending to a
-// returned body reallocates instead of scribbling over the next
-// reader's bytes — and the pooled scratch the miss path built into
-// never aliases what Get returns.
+// writer form hands out sealed exact-size bodies, so a caller appending
+// to a returned body reallocates instead of scribbling over the next
+// reader's bytes.
 func TestStoreBodiesSealed(t *testing.T) {
-	st := NewAppendStore(appendSynthFor(512), StoreConfig{Shards: 2, BudgetBytes: 1 << 20})
+	st := formStore("writer", 512, patternBody(512), WithShards(2), WithBudget(1<<20))
 	k := key(3)
 	body, err := st.Get(context.Background(), k)
 	if err != nil {
@@ -42,9 +40,6 @@ func TestStoreBodiesSealed(t *testing.T) {
 
 	// An append through the returned slice must not reach the cache.
 	_ = append(body, 0xde, 0xad)
-	// Neither may an in-place write... (callers must not do this, but
-	// the test needs an untouched pristine copy to prove sealing; write
-	// through a second fetch instead of the one we compare.)
 	again, err := st.Get(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
@@ -53,10 +48,7 @@ func TestStoreBodiesSealed(t *testing.T) {
 		t.Fatal("cached body changed after caller append")
 	}
 
-	// The cold build went through pooled scratch; a second key must not
-	// alias the first body's memory (the first is sealed, the scratch
-	// recycled). Mutating the scratch-built second body's backing array
-	// through append must leave the first intact.
+	// A second key's synthesis must not alias the first body's memory.
 	b2, err := st.Get(context.Background(), key(4))
 	if err != nil {
 		t.Fatal(err)
@@ -67,143 +59,88 @@ func TestStoreBodiesSealed(t *testing.T) {
 	}
 }
 
+// TestCtxStoreRetainsBodyAsReturned pins the ctx form's zero-copy
+// contract: the slice the synth returned IS the cached body, so an edge
+// pulling from an origin store keeps sharing the origin's sealed slice
+// instead of paying a body-sized copy per miss.
+func TestCtxStoreRetainsBodyAsReturned(t *testing.T) {
+	origin := bytes.Repeat([]byte{0x5a}, 256)
+	st := formStore("ctx", len(origin), func(context.Context, ChunkKey) ([]byte, error) { return origin, nil })
+	for pass := 0; pass < 2; pass++ { // the miss, then the hit
+		got, err := st.Get(context.Background(), key(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &got[0] != &origin[0] || len(got) != len(origin) {
+			t.Fatalf("pass %d: ctx form copied the synth's body", pass)
+		}
+	}
+}
+
 // TestConcurrentReadersStableChecksums hammers a store small enough to
-// evict constantly (so the scratch pool recycles under load) with
-// parallel readers, checksumming every body against its expected
-// value. Run under -race this is the aliasing smoking gun: any reader
-// observing a body mid-recycle fails the checksum or trips the race
-// detector.
+// evict constantly with parallel readers, checksumming every body
+// against its expected value. Run under -race this is the aliasing
+// smoking gun: any reader observing a body mid-build fails the checksum
+// or trips the race detector.
 func TestConcurrentReadersStableChecksums(t *testing.T) {
 	const bodySize = 1024
-	synth := appendSynthFor(bodySize)
-	// Budget holds only ~8 of 64 keys: constant eviction + resynthesis.
-	st := NewAppendStore(synth, StoreConfig{Shards: 4, BudgetBytes: 8 * bodySize})
-
+	synth := patternBody(bodySize)
 	wantSum := make(map[ChunkKey]uint32)
 	for i := 0; i < 64; i++ {
-		body, err := synth(nil, key(i))
+		body, err := synth(context.Background(), key(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantSum[key(i)] = crc32.ChecksumIEEE(body)
 	}
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 400; i++ {
-				k := key((g*13 + i*7) % 64)
-				body, err := st.Get(context.Background(), k)
-				if err != nil {
-					errCh <- err
-					return
+	eachForm(t, func(t *testing.T, form string) {
+		// Budget holds only ~8 of 64 keys: constant eviction + resynthesis.
+		st := formStore(form, bodySize, synth, WithShards(4), WithBudget(8*bodySize))
+		var wg sync.WaitGroup
+		errCh := make(chan error, 16)
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 400; i++ {
+					k := key((g*13 + i*7) % 64)
+					body, err := st.Get(context.Background(), k)
+					if err != nil {
+						errCh <- err
+						return
+					}
+					if sum := crc32.ChecksumIEEE(body); sum != wantSum[k] {
+						errCh <- fmt.Errorf("key %+v: checksum %08x, want %08x", k, sum, wantSum[k])
+						return
+					}
 				}
-				if sum := crc32.ChecksumIEEE(body); sum != wantSum[k] {
-					errCh <- fmt.Errorf("key %+v: checksum %08x, want %08x", k, sum, wantSum[k])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-}
-
-// TestAppendStoreMatchesPlainStore: routing synthesis through pooled
-// scratch and sealing must not change a single byte versus the plain
-// Synth path.
-func TestAppendStoreMatchesPlainStore(t *testing.T) {
-	as := appendSynthFor(256)
-	plain := NewStore(func(k ChunkKey) ([]byte, error) { return as(nil, k) }, StoreConfig{Shards: 2})
-	pooled := NewAppendStore(as, StoreConfig{Shards: 2})
-	for i := 0; i < 8; i++ {
-		a, err := plain.Get(context.Background(), key(i))
-		if err != nil {
+			}(g)
+		}
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
 			t.Fatal(err)
 		}
-		b, err := pooled.Get(context.Background(), key(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("key %d: pooled body differs from plain", i)
-		}
-	}
+	})
 }
 
 // TestWarmHitZeroAlloc pins the warm path: a cache hit performs no
 // allocations at all.
 func TestWarmHitZeroAlloc(t *testing.T) {
-	st := NewAppendStore(appendSynthFor(512), StoreConfig{Shards: 2, BudgetBytes: 1 << 20})
-	ctx := context.Background()
-	k := key(1)
-	if _, err := st.Get(ctx, k); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	eachForm(t, func(t *testing.T, form string) {
+		st := formStore(form, 512, patternBody(512), WithShards(2), WithBudget(1<<20))
+		ctx := context.Background()
+		k := key(1)
 		if _, err := st.Get(ctx, k); err != nil {
 			t.Fatal(err)
 		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := st.Get(ctx, k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warm Get: %v allocs/op, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("warm Get: %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestScratchPoolRecycles reads the pool's own counters: the first
-// miss mints a buffer, and later misses recycle it. sync.Pool may shed
-// a Put (GC, or the race detector's deliberate random drops), so
-// recycling is asserted as "a hit within a few cold builds", not on
-// the second one.
-func TestScratchPoolRecycles(t *testing.T) {
-	reg := obs.NewRegistry()
-	st := NewAppendStore(appendSynthFor(128), StoreConfig{Shards: 1, BudgetBytes: 1 << 20, Obs: reg})
-	ctx := context.Background()
-	if _, err := st.Get(ctx, key(0)); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("serve.store.pool_misses").Value(); got != 1 {
-		t.Fatalf("after first cold build: pool_misses = %d, want 1", got)
-	}
-	for i := 1; i < 32 && reg.Counter("serve.store.pool_hits").Value() == 0; i++ {
-		if _, err := st.Get(ctx, key(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if reg.Counter("serve.store.pool_hits").Value() == 0 {
-		t.Fatal("no pool hit across 32 cold builds")
-	}
-}
-
-// TestAppendSynthErrorReturnsScratch: a failed synthesis still repays
-// the pool and caches nothing. Only the error path ever Puts here, so
-// a later pool hit proves the repayment; sync.Pool may shed a Put
-// (GC, race-detector drops), hence the retry loop.
-func TestAppendSynthErrorReturnsScratch(t *testing.T) {
-	reg := obs.NewRegistry()
-	boom := fmt.Errorf("boom")
-	st := NewAppendStore(func(dst []byte, k ChunkKey) ([]byte, error) {
-		return dst, boom
-	}, StoreConfig{Shards: 1, Obs: reg})
-	ctx := context.Background()
-	if _, err := st.Get(ctx, key(0)); err == nil {
-		t.Fatal("error not propagated")
-	}
-	if st.Contains(key(0)) {
-		t.Fatal("failed synthesis cached")
-	}
-	for i := 1; i < 32 && reg.Counter("serve.store.pool_hits").Value() == 0; i++ {
-		if _, err := st.Get(ctx, key(i)); err == nil {
-			t.Fatal("error not propagated")
-		}
-	}
-	if reg.Counter("serve.store.pool_hits").Value() == 0 {
-		t.Fatal("scratch not recycled after error path: no pool hit across 32 failed builds")
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,200 +18,243 @@ func key(i int) ChunkKey {
 	return ChunkKey{Video: "v", Quality: 3, Tile: i % 12, Index: i}
 }
 
+// storeForms are the two miss forms the store knows. Behaviour that
+// belongs to the store rather than to a form — singleflight, eviction,
+// waiter cancellation, reset — is asserted once per form through
+// eachForm, so the two adapters cannot drift apart.
+var storeForms = []string{"writer", "ctx"}
+
+func eachForm(t *testing.T, fn func(t *testing.T, form string)) {
+	for _, form := range storeForms {
+		t.Run(form, func(t *testing.T) { fn(t, form) })
+	}
+}
+
+// formStore builds a store whose misses produce body(ctx, k) — always
+// size bytes long — through the named form. The writer form declares
+// size up front and streams the body; it has no flight context, so body
+// sees a background one there.
+func formStore(form string, size int, body CtxSynth, opts ...Option) *Store {
+	if form == "ctx" {
+		return New(append(opts, WithCtxSynth(body))...)
+	}
+	return New(append(opts, WithWriterSynth(WriterSynth{
+		Size: func(ChunkKey) (int, error) { return size, nil },
+		Write: func(w io.Writer, k ChunkKey) error {
+			b, err := body(context.Background(), k)
+			if err != nil {
+				return err
+			}
+			_, err = w.Write(b)
+			return err
+		},
+	}))...)
+}
+
 // TestConcurrentColdFetchSynthesizesOnce is the singleflight contract:
 // however many goroutines race on one cold key, the body is synthesized
 // exactly once and everyone gets it.
 func TestConcurrentColdFetchSynthesizesOnce(t *testing.T) {
-	var calls int32
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	want := bytes.Repeat([]byte{0xab}, 512)
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
-		if atomic.AddInt32(&calls, 1) == 1 {
-			close(entered)
-		}
-		<-release
-		return want, nil
-	}, StoreConfig{Shards: 4, BudgetBytes: 1 << 20})
+	eachForm(t, func(t *testing.T, form string) {
+		var calls int32
+		entered := make(chan struct{})
+		release := make(chan struct{})
+		want := bytes.Repeat([]byte{0xab}, 512)
+		st := formStore(form, len(want), func(ctx context.Context, k ChunkKey) ([]byte, error) {
+			if atomic.AddInt32(&calls, 1) == 1 {
+				close(entered)
+			}
+			<-release
+			return want, nil
+		}, WithShards(4), WithBudget(1<<20))
 
-	k := key(7)
-	const waiters = 32
-	got := make([][]byte, waiters+1)
-	errs := make([]error, waiters+1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // leader
-		defer wg.Done()
-		got[0], errs[0] = st.Get(context.Background(), k)
-	}()
-	<-entered // leader is inside synth; everyone below must share it
-	for i := 1; i <= waiters; i++ {
+		k := key(7)
+		const waiters = 32
+		got := make([][]byte, waiters+1)
+		errs := make([]error, waiters+1)
+		var wg sync.WaitGroup
 		wg.Add(1)
-		go func(i int) {
+		go func() { // leader
 			defer wg.Done()
-			got[i], errs[i] = st.Get(context.Background(), k)
-		}(i)
-	}
-	close(release)
-	wg.Wait()
+			got[0], errs[0] = st.Get(context.Background(), k)
+		}()
+		<-entered // leader is inside synth; everyone below must share it
+		for i := 1; i <= waiters; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i], errs[i] = st.Get(context.Background(), k)
+			}(i)
+		}
+		close(release)
+		wg.Wait()
 
-	if n := atomic.LoadInt32(&calls); n != 1 {
-		t.Fatalf("synth ran %d times, want 1", n)
-	}
-	for i := range got {
-		if errs[i] != nil {
-			t.Fatalf("Get %d: %v", i, errs[i])
+		if n := atomic.LoadInt32(&calls); n != 1 {
+			t.Fatalf("synth ran %d times, want 1", n)
 		}
-		if !bytes.Equal(got[i], want) {
-			t.Fatalf("Get %d returned wrong body (%d bytes)", i, len(got[i]))
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("Get %d: %v", i, errs[i])
+			}
+			if !bytes.Equal(got[i], want) {
+				t.Fatalf("Get %d returned wrong body (%d bytes)", i, len(got[i]))
+			}
 		}
-	}
-	if !st.Contains(k) {
-		t.Fatal("key not resident after synthesis")
-	}
+		if !st.Contains(k) {
+			t.Fatal("key not resident after synthesis")
+		}
+	})
 }
 
 // TestWaiterContextCancel: a caller waiting on someone else's synthesis
 // unblocks when its own context dies, without disturbing the flight.
 func TestWaiterContextCancel(t *testing.T) {
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
-		close(entered)
-		<-release
-		return []byte("ok"), nil
-	}, StoreConfig{})
+	eachForm(t, func(t *testing.T, form string) {
+		entered := make(chan struct{})
+		release := make(chan struct{})
+		st := formStore(form, 2, func(ctx context.Context, k ChunkKey) ([]byte, error) {
+			close(entered)
+			<-release
+			return []byte("ok"), nil
+		})
 
-	k := key(1)
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, err := st.Get(context.Background(), k)
-		leaderDone <- err
-	}()
-	<-entered
+		k := key(1)
+		leaderDone := make(chan error, 1)
+		go func() {
+			_, err := st.Get(context.Background(), k)
+			leaderDone <- err
+		}()
+		<-entered
 
-	ctx, cancel := context.WithCancel(context.Background())
-	waiterDone := make(chan error, 1)
-	go func() {
-		_, err := st.Get(ctx, k)
-		waiterDone <- err
-	}()
-	cancel()
-	if err := <-waiterDone; err != context.Canceled {
-		t.Fatalf("waiter error = %v, want context.Canceled", err)
-	}
-	close(release)
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader error: %v", err)
-	}
-	if !st.Contains(k) {
-		t.Fatal("flight should have completed and cached despite the canceled waiter")
-	}
+		ctx, cancel := context.WithCancel(context.Background())
+		waiterDone := make(chan error, 1)
+		go func() {
+			_, err := st.Get(ctx, k)
+			waiterDone <- err
+		}()
+		cancel()
+		if err := <-waiterDone; err != context.Canceled {
+			t.Fatalf("waiter error = %v, want context.Canceled", err)
+		}
+		close(release)
+		if err := <-leaderDone; err != nil {
+			t.Fatalf("leader error: %v", err)
+		}
+		if !st.Contains(k) {
+			t.Fatal("flight should have completed and cached despite the canceled waiter")
+		}
+	})
 }
 
 // TestEvictionRespectsBudget pins the LRU byte accounting: the store
 // never holds more than its budget, evicts oldest-first, and re-misses
 // on an evicted key.
 func TestEvictionRespectsBudget(t *testing.T) {
-	var calls int32
-	body := bytes.Repeat([]byte{1}, 300)
-	reg := obs.NewRegistry()
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
-		atomic.AddInt32(&calls, 1)
-		return body, nil
-	}, StoreConfig{Shards: 1, BudgetBytes: 1000, Obs: reg})
+	eachForm(t, func(t *testing.T, form string) {
+		var calls int32
+		body := bytes.Repeat([]byte{1}, 300)
+		reg := obs.NewRegistry()
+		st := formStore(form, len(body), func(ctx context.Context, k ChunkKey) ([]byte, error) {
+			atomic.AddInt32(&calls, 1)
+			return body, nil
+		}, WithShards(1), WithBudget(1000), WithObs(reg))
 
-	ctx := context.Background()
-	for i := 0; i < 4; i++ {
-		if _, err := st.Get(ctx, key(i)); err != nil {
+		ctx := context.Background()
+		for i := 0; i < 4; i++ {
+			if _, err := st.Get(ctx, key(i)); err != nil {
+				t.Fatal(err)
+			}
+			if b := st.Bytes(); b > 1000 {
+				t.Fatalf("resident bytes %d exceed budget after insert %d", b, i)
+			}
+		}
+		// 4×300 = 1200 > 1000: the oldest entry must have gone.
+		if st.Len() != 3 {
+			t.Fatalf("Len = %d, want 3", st.Len())
+		}
+		if st.Contains(key(0)) {
+			t.Fatal("oldest key survived past the budget")
+		}
+		for i := 1; i < 4; i++ {
+			if !st.Contains(key(i)) {
+				t.Fatalf("key %d should be resident", i)
+			}
+		}
+		if ev := reg.Counter("serve.store.evictions").Value(); ev != 1 {
+			t.Fatalf("evictions = %d, want 1", ev)
+		}
+		if g := reg.Gauge("serve.store.bytes").Value(); g != st.Bytes() {
+			t.Fatalf("bytes gauge %d != resident %d", g, st.Bytes())
+		}
+
+		// Touch key(1) so key(2) is the LRU tail, then insert a new key
+		// and check recency is what eviction follows.
+		if _, err := st.Get(ctx, key(1)); err != nil {
 			t.Fatal(err)
 		}
-		if b := st.Bytes(); b > 1000 {
-			t.Fatalf("resident bytes %d exceed budget after insert %d", b, i)
+		if _, err := st.Get(ctx, key(4)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// 4×300 = 1200 > 1000: the oldest entry must have gone.
-	if st.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", st.Len())
-	}
-	if st.Contains(key(0)) {
-		t.Fatal("oldest key survived past the budget")
-	}
-	for i := 1; i < 4; i++ {
-		if !st.Contains(key(i)) {
-			t.Fatalf("key %d should be resident", i)
+		if st.Contains(key(2)) {
+			t.Fatal("LRU tail survived; recency not honored")
 		}
-	}
-	if ev := reg.Counter("serve.store.evictions").Value(); ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
-	}
-	if g := reg.Gauge("serve.store.bytes").Value(); g != st.Bytes() {
-		t.Fatalf("bytes gauge %d != resident %d", g, st.Bytes())
-	}
+		if !st.Contains(key(1)) {
+			t.Fatal("recently used key evicted")
+		}
 
-	// Touch key(1) so key(2) is the LRU tail, then insert a new key and
-	// check recency is what eviction follows.
-	if _, err := st.Get(ctx, key(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Get(ctx, key(4)); err != nil {
-		t.Fatal(err)
-	}
-	if st.Contains(key(2)) {
-		t.Fatal("LRU tail survived; recency not honored")
-	}
-	if !st.Contains(key(1)) {
-		t.Fatal("recently used key evicted")
-	}
-
-	// An evicted key is a fresh miss.
-	before := atomic.LoadInt32(&calls)
-	if _, err := st.Get(ctx, key(0)); err != nil {
-		t.Fatal(err)
-	}
-	if atomic.LoadInt32(&calls) != before+1 {
-		t.Fatal("evicted key did not re-synthesize")
-	}
+		// An evicted key is a fresh miss.
+		before := atomic.LoadInt32(&calls)
+		if _, err := st.Get(ctx, key(0)); err != nil {
+			t.Fatal(err)
+		}
+		if atomic.LoadInt32(&calls) != before+1 {
+			t.Fatal("evicted key did not re-synthesize")
+		}
+	})
 }
 
 // TestOversizedBodyUncacheable: a body larger than a shard's budget
 // slice is served but never cached.
 func TestOversizedBodyUncacheable(t *testing.T) {
-	reg := obs.NewRegistry()
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
-		return make([]byte, 4096), nil
-	}, StoreConfig{Shards: 1, BudgetBytes: 1024, Obs: reg})
-	b, err := st.Get(context.Background(), key(0))
-	if err != nil || len(b) != 4096 {
-		t.Fatalf("Get = %d bytes, %v", len(b), err)
-	}
-	if st.Contains(key(0)) || st.Bytes() != 0 {
-		t.Fatal("oversized body was cached")
-	}
-	if u := reg.Counter("serve.store.uncacheable").Value(); u != 1 {
-		t.Fatalf("uncacheable = %d, want 1", u)
-	}
+	eachForm(t, func(t *testing.T, form string) {
+		reg := obs.NewRegistry()
+		st := formStore(form, 4096, func(ctx context.Context, k ChunkKey) ([]byte, error) {
+			return make([]byte, 4096), nil
+		}, WithShards(1), WithBudget(1024), WithObs(reg))
+		b, err := st.Get(context.Background(), key(0))
+		if err != nil || len(b) != 4096 {
+			t.Fatalf("Get = %d bytes, %v", len(b), err)
+		}
+		if st.Contains(key(0)) || st.Bytes() != 0 {
+			t.Fatal("oversized body was cached")
+		}
+		if u := reg.Counter("serve.store.uncacheable").Value(); u != 1 {
+			t.Fatalf("uncacheable = %d, want 1", u)
+		}
+	})
 }
 
 // TestSynthErrorNotCached: a failed synthesis propagates its error and
 // leaves nothing behind, so the next Get retries.
 func TestSynthErrorNotCached(t *testing.T) {
-	var calls int32
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
-		if atomic.AddInt32(&calls, 1) == 1 {
-			return nil, fmt.Errorf("flaky")
+	eachForm(t, func(t *testing.T, form string) {
+		var calls int32
+		st := formStore(form, 2, func(ctx context.Context, k ChunkKey) ([]byte, error) {
+			if atomic.AddInt32(&calls, 1) == 1 {
+				return nil, fmt.Errorf("flaky")
+			}
+			return []byte("ok"), nil
+		})
+		if _, err := st.Get(context.Background(), key(0)); err == nil {
+			t.Fatal("expected error from first synthesis")
 		}
-		return []byte("ok"), nil
-	}, StoreConfig{})
-	if _, err := st.Get(context.Background(), key(0)); err == nil {
-		t.Fatal("expected error from first synthesis")
-	}
-	if st.Contains(key(0)) {
-		t.Fatal("error result was cached")
-	}
-	if _, err := st.Get(context.Background(), key(0)); err != nil {
-		t.Fatalf("retry failed: %v", err)
-	}
+		if st.Contains(key(0)) {
+			t.Fatal("error result was cached")
+		}
+		if _, err := st.Get(context.Background(), key(0)); err != nil {
+			t.Fatalf("retry failed: %v", err)
+		}
+	})
 }
 
 // TestShardsPowerOfTwo pins the rounding and the shard mask.
@@ -218,7 +262,7 @@ func TestShardsPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 16}, {1, 1}, {3, 4}, {16, 16}, {17, 32},
 	} {
-		st := NewStore(func(ChunkKey) ([]byte, error) { return nil, nil }, StoreConfig{Shards: tc.in})
+		st := formStore("ctx", 0, func(context.Context, ChunkKey) ([]byte, error) { return nil, nil }, WithShards(tc.in))
 		if got := st.Shards(); got != tc.want {
 			t.Errorf("Shards(%d) = %d, want %d", tc.in, got, tc.want)
 		}
@@ -229,33 +273,35 @@ func TestShardsPowerOfTwo(t *testing.T) {
 // a keyspace larger than the budget — run under -race this is the
 // lock-striping soundness check.
 func TestParallelMixedWorkload(t *testing.T) {
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
-		return bytes.Repeat([]byte{byte(k.Index)}, 200), nil
-	}, StoreConfig{Shards: 8, BudgetBytes: 8 * 1024})
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ctx := context.Background()
-			for i := 0; i < 200; i++ {
-				k := key((g*7 + i) % 100)
-				b, err := st.Get(ctx, k)
-				if err != nil {
-					t.Errorf("Get: %v", err)
-					return
+	eachForm(t, func(t *testing.T, form string) {
+		st := formStore(form, 200, func(ctx context.Context, k ChunkKey) ([]byte, error) {
+			return bytes.Repeat([]byte{byte(k.Index)}, 200), nil
+		}, WithShards(8), WithBudget(8*1024))
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				ctx := context.Background()
+				for i := 0; i < 200; i++ {
+					k := key((g*7 + i) % 100)
+					b, err := st.Get(ctx, k)
+					if err != nil {
+						t.Errorf("Get: %v", err)
+						return
+					}
+					if len(b) != 200 || b[0] != byte(k.Index) {
+						t.Errorf("wrong body for %v", k)
+						return
+					}
 				}
-				if len(b) != 200 || b[0] != byte(k.Index) {
-					t.Errorf("wrong body for %v", k)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if b := st.Bytes(); b > 8*1024 {
-		t.Fatalf("resident bytes %d exceed budget", b)
-	}
+			}(g)
+		}
+		wg.Wait()
+		if b := st.Bytes(); b > 8*1024 {
+			t.Fatalf("resident bytes %d exceed budget", b)
+		}
+	})
 }
 
 // TestWaiterCancelWhileLeaderSynthesizes is the regression pin for the
@@ -279,56 +325,58 @@ func TestWaiterCancelWhileLeaderSynthesizes(t *testing.T) {
 		}, context.DeadlineExceeded},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := obs.NewRegistry()
-			entered := make(chan struct{})
-			release := make(chan struct{})
-			st := NewStore(func(k ChunkKey) ([]byte, error) {
-				close(entered)
-				<-release
-				return []byte("ok"), nil
-			}, StoreConfig{Obs: reg})
+			eachForm(t, func(t *testing.T, form string) {
+				reg := obs.NewRegistry()
+				entered := make(chan struct{})
+				release := make(chan struct{})
+				st := formStore(form, 2, func(ctx context.Context, k ChunkKey) ([]byte, error) {
+					close(entered)
+					<-release
+					return []byte("ok"), nil
+				}, WithObs(reg))
 
-			k := key(9)
-			leaderDone := make(chan error, 1)
-			go func() {
-				_, err := st.Get(context.Background(), k)
-				leaderDone <- err
-			}()
-			<-entered // leader is parked inside synth
+				k := key(9)
+				leaderDone := make(chan error, 1)
+				go func() {
+					_, err := st.Get(context.Background(), k)
+					leaderDone <- err
+				}()
+				<-entered // leader is parked inside synth
 
-			ctx, cancel := tc.ctx()
-			defer cancel()
-			waiterDone := make(chan error, 1)
-			go func() {
-				_, err := st.Get(ctx, k)
-				waiterDone <- err
-			}()
-			// The shared counter ticks after the waiter joins the flight
-			// and before it parks in the select; once it reads 1 the
-			// waiter can only be at (or headed into) the select, where
-			// ctx.Done() must win.
-			shared := reg.Counter("serve.store.singleflight_shared")
-			for shared.Value() == 0 {
-				runtime.Gosched()
-			}
-			if tc.name == "cancel" {
-				cancel()
-			}
-			select {
-			case err := <-waiterDone:
-				if err != tc.want {
-					t.Fatalf("waiter error = %v, want %v", err, tc.want)
+				ctx, cancel := tc.ctx()
+				defer cancel()
+				waiterDone := make(chan error, 1)
+				go func() {
+					_, err := st.Get(ctx, k)
+					waiterDone <- err
+				}()
+				// The shared counter ticks after the waiter joins the
+				// flight and before it parks in the select; once it reads
+				// 1 the waiter can only be at (or headed into) the select,
+				// where ctx.Done() must win.
+				shared := reg.Counter("serve.store.singleflight_shared")
+				for shared.Value() == 0 {
+					runtime.Gosched()
 				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("waiter still blocked on the leader's synthesis after its context died")
-			}
-			close(release)
-			if err := <-leaderDone; err != nil {
-				t.Fatalf("leader error: %v", err)
-			}
-			if !st.Contains(k) {
-				t.Fatal("flight should have completed and cached despite the canceled waiter")
-			}
+				if tc.name == "cancel" {
+					cancel()
+				}
+				select {
+				case err := <-waiterDone:
+					if err != tc.want {
+						t.Fatalf("waiter error = %v, want %v", err, tc.want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("waiter still blocked on the leader's synthesis after its context died")
+				}
+				close(release)
+				if err := <-leaderDone; err != nil {
+					t.Fatalf("leader error: %v", err)
+				}
+				if !st.Contains(k) {
+					t.Fatal("flight should have completed and cached despite the canceled waiter")
+				}
+			})
 		})
 	}
 }
@@ -337,35 +385,110 @@ func TestWaiterCancelWhileLeaderSynthesizes(t *testing.T) {
 // tier relies on: Reset empties every shard and zeroes the byte gauge,
 // and the next Get re-misses.
 func TestResetDropsEverything(t *testing.T) {
-	var calls int32
-	reg := obs.NewRegistry()
-	st := NewStore(func(k ChunkKey) ([]byte, error) {
-		atomic.AddInt32(&calls, 1)
-		return bytes.Repeat([]byte{2}, 100), nil
-	}, StoreConfig{Shards: 4, BudgetBytes: 1 << 20, Obs: reg})
-	ctx := context.Background()
-	for i := 0; i < 20; i++ {
-		if _, err := st.Get(ctx, key(i)); err != nil {
+	eachForm(t, func(t *testing.T, form string) {
+		var calls int32
+		reg := obs.NewRegistry()
+		st := formStore(form, 100, func(ctx context.Context, k ChunkKey) ([]byte, error) {
+			atomic.AddInt32(&calls, 1)
+			return bytes.Repeat([]byte{2}, 100), nil
+		}, WithShards(4), WithBudget(1<<20), WithObs(reg))
+		ctx := context.Background()
+		for i := 0; i < 20; i++ {
+			if _, err := st.Get(ctx, key(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st.Len() != 20 || st.Bytes() == 0 {
+			t.Fatalf("warmup: Len=%d Bytes=%d", st.Len(), st.Bytes())
+		}
+		st.Reset()
+		if st.Len() != 0 {
+			t.Fatalf("Len = %d after Reset, want 0", st.Len())
+		}
+		if st.Bytes() != 0 {
+			t.Fatalf("Bytes = %d after Reset, want 0", st.Bytes())
+		}
+		if got := reg.Gauge("serve.store.bytes").Value(); got != 0 {
+			t.Fatalf("bytes gauge = %d after Reset, want 0", got)
+		}
+		if _, err := st.Get(ctx, key(0)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if st.Len() != 20 || st.Bytes() == 0 {
-		t.Fatalf("warmup: Len=%d Bytes=%d", st.Len(), st.Bytes())
-	}
-	st.Reset()
-	if st.Len() != 0 {
-		t.Fatalf("Len = %d after Reset, want 0", st.Len())
-	}
-	if st.Bytes() != 0 {
-		t.Fatalf("Bytes = %d after Reset, want 0", st.Bytes())
-	}
-	if got := reg.Gauge("serve.store.bytes").Value(); got != 0 {
-		t.Fatalf("bytes gauge = %d after Reset, want 0", got)
-	}
-	if _, err := st.Get(ctx, key(0)); err != nil {
-		t.Fatal(err)
-	}
-	if atomic.LoadInt32(&calls) != 21 {
-		t.Fatalf("synth calls = %d, want a re-miss after Reset", calls)
-	}
+		if atomic.LoadInt32(&calls) != 21 {
+			t.Fatalf("synth calls = %d, want a re-miss after Reset", calls)
+		}
+	})
+}
+
+// TestPutDuringFlightKeepsOneEntry is the duplicate-insert regression:
+// a replica warm (Put) landing while a Get flight for the same key is
+// open used to leave two LRU elements for one key — resident bytes and
+// the serve.store.bytes gauge double-counted, and evicting the orphan
+// deleted the live map entry, turning a resident body into a spurious
+// miss. An existing entry wins on both insert paths.
+func TestPutDuringFlightKeepsOneEntry(t *testing.T) {
+	eachForm(t, func(t *testing.T, form string) {
+		body := bytes.Repeat([]byte{7}, 300)
+		entered := make(chan struct{}, 1)
+		release := make(chan struct{})
+		var blocked atomic.Bool
+		blocked.Store(true)
+		reg := obs.NewRegistry()
+		st := formStore(form, len(body), func(ctx context.Context, k ChunkKey) ([]byte, error) {
+			if blocked.Load() {
+				entered <- struct{}{}
+				<-release
+			}
+			return body, nil
+		}, WithShards(1), WithBudget(700), WithObs(reg))
+
+		ctx := context.Background()
+		k := key(0)
+		done := make(chan error, 1)
+		go func() {
+			_, err := st.Get(ctx, k)
+			done <- err
+		}()
+		<-entered
+		if !st.Put(k, body) {
+			t.Fatal("Put during the open flight was rejected")
+		}
+		blocked.Store(false)
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if st.Len() != 1 {
+			t.Fatalf("Len = %d, want 1", st.Len())
+		}
+		if got := st.Bytes(); got != int64(len(body)) {
+			t.Fatalf("Bytes = %d, want %d — the key is counted twice", got, len(body))
+		}
+		if g := reg.Gauge("serve.store.bytes").Value(); g != int64(len(body)) {
+			t.Fatalf("bytes gauge = %d, want %d", g, len(body))
+		}
+
+		// 700-byte budget, 300-byte bodies: two fit, the third evicts the
+		// LRU tail. Touch k so its neighbour is the tail; with an orphan
+		// element for k left on the list, that eviction pressure reaches
+		// the orphan and takes the live map entry with it.
+		if _, err := st.Get(ctx, key(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Get(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Get(ctx, key(2)); err != nil {
+			t.Fatal(err)
+		}
+		if st.Contains(key(1)) {
+			t.Fatal("the neighbour should have been evicted")
+		}
+		if !st.Contains(k) {
+			t.Fatal("eviction pressure removed the live entry instead of its neighbour")
+		}
+		if b := st.Bytes(); b > 700 {
+			t.Fatalf("resident bytes %d exceed the budget", b)
+		}
+	})
 }

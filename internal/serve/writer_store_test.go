@@ -14,58 +14,17 @@ import (
 	"sperke/internal/tiling"
 )
 
-// writerSynthFor mirrors appendSynthFor as a sized streaming
-// synthesizer, so the two miss paths can be compared byte-for-byte.
-func writerSynthFor(size int) WriterSynth {
-	as := appendSynthFor(size)
-	return WriterSynth{
-		Size: func(k ChunkKey) (int, error) { return size, nil },
-		Write: func(w io.Writer, k ChunkKey) error {
-			body, err := as(nil, k)
-			if err != nil {
-				return err
-			}
-			_, err = w.Write(body)
-			return err
-		},
-	}
-}
-
-// TestWriterStoreMatchesAppendStore: streaming a miss into its sealed
-// buffer must not change a single byte versus the scratch-and-seal
-// append path.
-func TestWriterStoreMatchesAppendStore(t *testing.T) {
-	appendStore := NewAppendStore(appendSynthFor(256), StoreConfig{Shards: 2})
-	writerStore := NewWriterStore(writerSynthFor(256), StoreConfig{Shards: 2})
-	for i := 0; i < 8; i++ {
-		a, err := appendStore.Get(context.Background(), key(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := writerStore.Get(context.Background(), key(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("key %d: streamed body differs from append-built", i)
-		}
-		if len(b) != cap(b) {
-			t.Fatalf("key %d: streamed body not sealed: len %d cap %d", i, len(b), cap(b))
-		}
-	}
-}
-
 // TestWriterStoreSizeMismatchFails: a synthesizer whose stream does
 // not match its size report fails the Get and caches nothing — a
 // half-built body must never become the sealed truth.
 func TestWriterStoreSizeMismatchFails(t *testing.T) {
-	short := NewWriterStore(WriterSynth{
+	short := New(WithWriterSynth(WriterSynth{
 		Size: func(k ChunkKey) (int, error) { return 100, nil },
 		Write: func(w io.Writer, k ChunkKey) error {
 			_, err := w.Write(make([]byte, 60))
 			return err
 		},
-	}, StoreConfig{Shards: 1})
+	}), WithShards(1))
 	if _, err := short.Get(context.Background(), key(0)); err == nil {
 		t.Fatal("under-writing synth accepted")
 	}
@@ -73,22 +32,22 @@ func TestWriterStoreSizeMismatchFails(t *testing.T) {
 		t.Fatal("mismatched body cached")
 	}
 
-	long := NewWriterStore(WriterSynth{
+	long := New(WithWriterSynth(WriterSynth{
 		Size: func(k ChunkKey) (int, error) { return 10, nil },
 		Write: func(w io.Writer, k ChunkKey) error {
 			_, err := w.Write(make([]byte, 24))
 			return err
 		},
-	}, StoreConfig{Shards: 1})
+	}), WithShards(1))
 	if _, err := long.Get(context.Background(), key(0)); err == nil {
 		t.Fatal("over-writing synth accepted")
 	}
 
 	boom := fmt.Errorf("boom")
-	failing := NewWriterStore(WriterSynth{
+	failing := New(WithWriterSynth(WriterSynth{
 		Size:  func(k ChunkKey) (int, error) { return 0, boom },
 		Write: func(w io.Writer, k ChunkKey) error { return nil },
-	}, StoreConfig{Shards: 1})
+	}), WithShards(1))
 	if _, err := failing.Get(context.Background(), key(0)); err == nil {
 		t.Fatal("size error not propagated")
 	}
@@ -144,7 +103,7 @@ func TestWriterStoreColdAllocBudget(t *testing.T) {
 	}
 	ctx := context.Background()
 	block := make([]byte, 64)
-	zero := NewWriterStore(WriterSynth{
+	zero := New(WithWriterSynth(WriterSynth{
 		Size: func(k ChunkKey) (int, error) { return 512, nil },
 		Write: func(w io.Writer, k ChunkKey) error {
 			for i := 0; i < 8; i++ {
@@ -154,7 +113,7 @@ func TestWriterStoreColdAllocBudget(t *testing.T) {
 			}
 			return nil
 		},
-	}, StoreConfig{Shards: 1, BudgetBytes: 1})
+	}), WithShards(1), WithBudget(1))
 	// Warm the writer pool.
 	if _, err := zero.Get(ctx, key(0)); err != nil {
 		t.Fatal(err)

@@ -30,10 +30,11 @@ var streamMaterializers = map[string]string{
 // streamStdlibMaterializers are standard-library whole-body readers
 // banned in specific spans, keyed "pkg:Func" → the one span directory
 // the ban covers. The wire cluster's router proxies chunk bodies into
-// the caller's ResponseWriter through a pooled copy buffer
-// (Cluster.proxyBody) or a pre-sized sink (fetchWire); slurping a
-// response body with io.ReadAll would re-materialize every chunk at
-// the router and put per-request allocation back on the hot path.
+// the caller's ResponseWriter — or, when someone needs it whole, a
+// pre-sized sink — through a pooled copy buffer (Cluster.relay);
+// slurping a response body with io.ReadAll would re-materialize every
+// chunk at the router and put per-request allocation back on the hot
+// path.
 // The deprecated ioutil alias forwards to the same function but
 // resolves to its own package object, so it gets its own entry.
 var streamStdlibMaterializers = map[string]string{

@@ -3,9 +3,9 @@ package cluster
 
 import "io"
 
-// fetchWire slurps the edge's response body into one materialized
-// []byte per request — exactly what the router's proxy path exists to
+// relay slurps the edge's response body into one materialized []byte
+// per request — exactly what the router's copy-block relay exists to
 // avoid.
-func fetchWire(body io.Reader) ([]byte, error) {
+func relay(body io.Reader) ([]byte, error) {
 	return io.ReadAll(body)
 }

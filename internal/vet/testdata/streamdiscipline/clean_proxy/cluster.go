@@ -3,8 +3,8 @@ package cluster
 
 import "io"
 
-// proxyBody streams the edge's response into the caller's writer
-// through a reused copy block — no whole-body materialization.
-func proxyBody(w io.Writer, body io.Reader, block []byte) (int64, error) {
+// relay streams the edge's response into the caller's writer through
+// a reused copy block — no whole-body materialization.
+func relay(w io.Writer, body io.Reader, block []byte) (int64, error) {
 	return io.CopyBuffer(w, body, block)
 }
