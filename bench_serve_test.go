@@ -1,8 +1,10 @@
 package sperke_bench
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -78,34 +80,46 @@ func BenchmarkChunkStore(b *testing.B) {
 	})
 }
 
-// BenchmarkAppendChunkBody pins the synthesis chain itself: "fresh"
-// allocates a new body per chunk (the legacy BuildChunkBody shape),
-// "reuse" rebuilds into one recycled buffer — the steady state of the
-// pooled handler scratch path, which must stay at zero allocs/op.
-func BenchmarkAppendChunkBody(b *testing.B) {
+// memoryTransport answers every request with the same in-memory body,
+// so BenchmarkClientFetchChunk measures the client, not a socket.
+type memoryTransport struct{ body []byte }
+
+func (m memoryTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK, Status: "200 OK",
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header), Request: req,
+		Body:          io.NopCloser(bytes.NewReader(m.body)),
+		ContentLength: int64(len(m.body)),
+	}, nil
+}
+
+// BenchmarkClientFetchChunk pins the client layer's fixed cost per
+// chunk: one request, the segment decoded and CRC-checked straight off
+// the response body. B/op must stay at the payload the caller keeps
+// plus request overhead — a second body-sized buffer means the
+// read-all-then-decode shape is back — and allocs/op is gated like
+// every other layer's.
+func BenchmarkClientFetchChunk(b *testing.B) {
 	v := benchVideo()
-	keys := benchKeys(v)
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			k := keys[i%len(keys)]
-			if _, err := dash.BuildChunkBody(v, k.Quality, k.Tile, k.Index, false); err != nil {
-				b.Fatal(err)
-			}
+	body, err := dash.BuildChunkBody(v, 3, 0, 0, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := dash.NewClient("http://mem.bench", dash.WithTransport(memoryTransport{body: body}))
+	ctx := context.Background()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.FetchChunk(ctx, v.ID, 3, 0, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("reuse", func(b *testing.B) {
-		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			k := keys[i%len(keys)]
-			out, err := dash.AppendChunkBody(buf[:0], v, k.Quality, k.Tile, k.Index, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf = out
+		if res.WireBytes != int64(len(body)) {
+			b.Fatalf("WireBytes = %d, want %d", res.WireBytes, len(body))
 		}
-	})
+	}
 }
 
 // discardResponse sinks a response body without buffering it — the

@@ -128,9 +128,7 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 	}
 	cfg := defaultClusterConfig()
 	for _, opt := range opts {
-		if opt != nil {
-			opt(&cfg)
-		}
+		opt(&cfg)
 	}
 	if cfg.wire && cfg.catalog == nil {
 		return nil, errors.New("cluster: the wire forms need a catalog (WithCatalog) — each node serves chunks through its own dash.Server")

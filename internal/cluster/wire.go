@@ -207,8 +207,16 @@ func (t *LoopbackTransport) RoundTrip(req *http.Request) (*http.Response, error)
 			cl = parsed
 		}
 	}
+	// The status line reads as net/http renders it off a socket ("503
+	// Service Unavailable"), so an error quoting it is the same text on
+	// either carrier. The 200 every served chunk gets stays a constant:
+	// building the line costs two allocations.
+	status := "200 OK"
+	if lw.status != http.StatusOK {
+		status = strconv.Itoa(lw.status) + " " + http.StatusText(lw.status)
+	}
 	return &http.Response{
-		Status:        http.StatusText(lw.status),
+		Status:        status,
 		StatusCode:    lw.status,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,

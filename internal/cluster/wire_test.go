@@ -201,6 +201,35 @@ func TestWireRealListeners(t *testing.T) {
 	}
 }
 
+// TestShedReadsTheSameOnBothCarriers: a saturated edge's 503 must
+// reach the router as the same *dash.Error text whether it crossed the
+// in-process loopback transport or a real TCP listener — the loopback
+// carrier used to drop the code from the status line net/http gives.
+func TestShedReadsTheSameOnBothCarriers(t *testing.T) {
+	v := wireVideo()
+	key := wireKeys(v)[0]
+	texts := make(map[string]string)
+	for name, carrier := range map[string]Option{"loopback": WithLoopback(), "tcp": WithWire(true)} {
+		c, err := New(&countingOrigin{}, WithNodes(1), carrier, WithCatalog(wireCatalog(t, v)),
+			WithMaxInFlight(1), WithRetryAfter(2*time.Second), WithClock(sim.NewClock(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.Nodes()[0]
+		n.inflight.Add(1) // the admission slot is taken
+		_, err = n.openWire(context.Background(), key)
+		n.retire()
+		var de *dash.Error
+		if !errors.As(err, &de) || de.Kind != dash.KindOverload {
+			t.Fatalf("%s: shed came back as %v, want a KindOverload *dash.Error", name, err)
+		}
+		texts[name] = err.Error()
+	}
+	if texts["loopback"] != texts["tcp"] {
+		t.Fatalf("the same shed reads differently by carrier:\nloopback: %s\ntcp:      %s", texts["loopback"], texts["tcp"])
+	}
+}
+
 // TestWireReplicationSurvivesOwnerKill is the replication acceptance
 // (E23): with R=2 every served body lands on both rendezvous owners,
 // so killing either one and replaying the whole key set costs exactly

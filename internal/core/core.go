@@ -234,9 +234,7 @@ func WithObserver(fn func(Event)) SessionOption {
 // Options apply on top of cfg, overriding the matching fields.
 func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched transport.Scheduler, opts ...SessionOption) (*Session, error) {
 	for _, opt := range opts {
-		if opt != nil {
-			opt(&cfg)
-		}
+		opt(&cfg)
 	}
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err

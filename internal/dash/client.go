@@ -3,8 +3,10 @@ package dash
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -22,6 +24,10 @@ const DefaultTimeout = 15 * time.Second
 // defaultHTTPClient is shared by all clients without an explicit
 // HTTPClient so connection pooling still works across sessions.
 var defaultHTTPClient = &http.Client{Timeout: DefaultTimeout}
+
+// drainLimit bounds what the client reads past the bytes it wanted to
+// leave a body at EOF, where the transport can reuse the connection.
+const drainLimit = 4 << 10
 
 // RetryPolicy controls the client's bounded-retry loop: exponential
 // backoff with jitter between attempts, a per-attempt timeout, and a
@@ -132,9 +138,7 @@ type Client struct {
 	Obs *obs.Registry
 }
 
-// ClientOption configures a Client at construction. The exported
-// struct fields remain writable for legacy call sites; options are the
-// composable form new code uses.
+// ClientOption configures a Client at construction.
 type ClientOption func(*Client)
 
 // WithTransport routes the client's requests through rt — the seam the
@@ -171,15 +175,11 @@ func WithClientObs(r *obs.Registry) ClientOption {
 	return func(c *Client) { c.Obs = r }
 }
 
-// NewClient builds a client for a server root URL. Options are
-// variadic so every pre-existing NewClient(base) call site compiles
-// unchanged; nil options are ignored.
+// NewClient builds a client for a server root URL.
 func NewClient(baseURL string, opts ...ClientOption) *Client {
 	c := &Client{BaseURL: baseURL}
 	for _, opt := range opts {
-		if opt != nil {
-			opt(c)
-		}
+		opt(c)
 	}
 	return c
 }
@@ -212,30 +212,36 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// getOnce performs a single attempt with its own timeout and classifies
-// any failure.
-func (c *Client) getOnce(ctx context.Context, path string, timeout time.Duration) ([]byte, *Error) {
-	actx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
+// attempt is the client's one HTTP exchange: build the request, send
+// it, classify a non-200 through statusError, and hand a live 200 to
+// consume, which owns the response body from then on. A positive
+// timeout bounds the whole attempt — headers and whatever consume
+// reads. An error from consume is a body that broke in transit or did
+// not decode, so it classifies like any other failed attempt.
+func (c *Client) attempt(ctx context.Context, path string, timeout time.Duration, consume func(*http.Response) error) *Error {
+	actx := ctx
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
-		return nil, &Error{Op: path, Kind: KindFatal, Err: err}
+		return &Error{Op: path, Kind: KindFatal, Err: err}
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return nil, &Error{Op: path, Kind: classifyCtx(ctx, err), Err: err}
+		return &Error{Op: path, Kind: classifyCtx(ctx, err), Err: err}
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, c.statusError(path, resp)
+		derr := c.statusError(path, resp)
+		resp.Body.Close()
+		return derr
 	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		// A body cut mid-segment (server fault, dropped connection) is
-		// worth refetching.
-		return nil, &Error{Op: path, Kind: classifyCtx(ctx, err), Err: err}
+	if err := consume(resp); err != nil {
+		return &Error{Op: path, Kind: classifyCtx(ctx, err), Err: err}
 	}
-	return data, nil
+	return nil
 }
 
 // statusError classifies a non-200 response into the typed taxonomy,
@@ -261,20 +267,28 @@ func (c *Client) statusError(path string, resp *http.Response) *Error {
 	}
 }
 
-// get runs the bounded-retry loop around getOnce.
-func (c *Client) get(ctx context.Context, path string) ([]byte, int, error) {
+// do runs the client's one bounded-retry loop around attempt and
+// reports how many attempts it took. Every retrying method goes through
+// it, so RetryPolicy.MaxAttempts is the total number of requests a call
+// can make — whether an attempt died in the dial, on a 5xx or in a body
+// that failed its CRC. bounded applies the policy's AttemptTimeout;
+// OpenChunk passes false because its body outlives the attempt.
+func (c *Client) do(ctx context.Context, path string, bounded bool, consume func(*http.Response) error) (int, error) {
 	pol := c.Retry.withDefaults()
+	var timeout time.Duration
+	if bounded {
+		timeout = pol.AttemptTimeout
+	}
 	for attempt := 1; ; attempt++ {
 		c.Obs.Counter("dash.client.attempts").Inc()
-		data, derr := c.getOnce(ctx, path, pol.AttemptTimeout)
+		derr := c.attempt(ctx, path, timeout, consume)
 		if derr == nil {
-			c.Obs.Counter("dash.client.bytes_rx").Add(int64(len(data)))
-			return data, attempt, nil
+			return attempt, nil
 		}
 		derr.Attempts = attempt
 		if !derr.Retryable() || attempt >= pol.MaxAttempts {
 			c.Obs.Counter("dash.client.errors." + derr.Kind.String()).Inc()
-			return nil, attempt, derr
+			return attempt, derr
 		}
 		c.Obs.Counter("dash.client.retries").Inc()
 		delay := pol.backoff(attempt)
@@ -287,7 +301,7 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, int, error) {
 		if err := c.sleep(ctx, delay); err != nil {
 			derr.Kind = KindCanceled
 			c.Obs.Counter("dash.client.errors." + derr.Kind.String()).Inc()
-			return nil, attempt, derr
+			return attempt, derr
 		}
 	}
 }
@@ -297,15 +311,22 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, int, error) {
 // duration against now (the client's clock seam, so tests and sim
 // clocks stay deterministic). A date already past means "come back
 // now" and parses as 0, as does garbage — either way the response
-// stays a plain transient failure with no overload hint.
+// stays a plain transient failure with no overload hint. A delay too
+// large for a time.Duration saturates instead of wrapping into a
+// negative or a small bogus floor.
 func parseRetryAfter(v string, now time.Time) time.Duration {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(v); err == nil {
+	// ParseInt clamps an out-of-range value and says so; clamped is what
+	// a delay past int64 seconds should be.
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
 		if secs < 0 {
 			return 0
+		}
+		if secs > int64(math.MaxInt64/time.Second) {
+			return math.MaxInt64
 		}
 		return time.Duration(secs) * time.Second
 	}
@@ -320,10 +341,16 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 // FetchMPD downloads and parses a video's manifest.
 func (c *Client) FetchMPD(ctx context.Context, videoID string) (*MPD, error) {
 	c.Obs.Counter("dash.client.mpd_fetches").Inc()
-	data, _, err := c.get(ctx, mpdPath(videoID))
+	var data []byte
+	_, err := c.do(ctx, mpdPath(videoID), true, func(resp *http.Response) (err error) {
+		defer resp.Body.Close()
+		data, err = io.ReadAll(resp.Body)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
+	c.Obs.Counter("dash.client.bytes_rx").Add(int64(len(data)))
 	return ParseMPD(data)
 }
 
@@ -338,6 +365,45 @@ func (c *Client) FetchLayer(ctx context.Context, videoID string, layer, tile, id
 	return c.fetchSegment(ctx, chunkPath(videoID, layer, tile, idx, true))
 }
 
+// fetchSegment decodes the segment straight off the response body:
+// media.ReadSegment sizes the payload from the header and CRC-checks
+// it, so the one body-sized allocation is the payload the caller keeps.
+// A body that arrives short or fails its CRC is one more attempt.
+func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, error) {
+	start := c.now()
+	var res FetchResult
+	attempts, err := c.do(ctx, path, true, func(resp *http.Response) error {
+		defer resp.Body.Close()
+		var err error
+		if res.Header, res.Payload, err = media.ReadSegment(resp.Body); err != nil {
+			return fmt.Errorf("decoding segment: %w", err)
+		}
+		// A Content-Length body reported EOF with its last byte; a
+		// chunked one needs this read to see its terminator.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
+		return nil
+	})
+	if err != nil {
+		return FetchResult{}, err
+	}
+	res.Attempts = attempts
+	res.WireBytes = int64(media.SegmentLen(res.Header.VideoID, len(res.Payload)))
+	res.Elapsed = c.now().Sub(start)
+	if res.Elapsed < time.Millisecond {
+		// Mocked or coarse clocks can observe zero wall time; a zero
+		// sample would poison downstream bandwidth estimates.
+		res.Elapsed = time.Millisecond
+	}
+	res.ThroughputBPS = float64(res.WireBytes) * 8 / res.Elapsed.Seconds()
+	c.Obs.Counter("dash.client.bytes_rx").Add(res.WireBytes)
+	c.Obs.Counter("dash.client.segment_fetches").Inc()
+	if attempts > 1 {
+		c.Obs.Counter("dash.client.segment_fetches_retried").Inc()
+	}
+	c.Obs.Histogram("dash.client.fetch_ms").Observe(float64(res.Elapsed) / float64(time.Millisecond))
+	return res, nil
+}
+
 // ChunkStream is one opened chunk download: the live response body,
 // ready to stream, plus the wire length from Content-Length (-1 when
 // the server did not declare one). The caller owns closing Body.
@@ -348,129 +414,42 @@ type ChunkStream struct {
 	Attempts int
 }
 
-// openOnce performs a single streaming attempt: headers classified
-// through the same taxonomy as getOnce, but the body is returned live
-// instead of materialized. No per-attempt timeout wraps the request —
-// it would keep ticking under the returned body and cut it mid-copy;
-// the caller's ctx and the http.Client's own Timeout still bound the
-// exchange.
-func (c *Client) openOnce(ctx context.Context, path string) (ChunkStream, *Error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return ChunkStream{}, &Error{Op: path, Kind: KindFatal, Err: err}
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return ChunkStream{}, &Error{Op: path, Kind: classifyCtx(ctx, err), Err: err}
-	}
-	if resp.StatusCode != http.StatusOK {
-		derr := c.statusError(path, resp)
-		resp.Body.Close()
-		return ChunkStream{}, derr
-	}
-	return ChunkStream{Body: resp.Body, Length: resp.ContentLength}, nil
-}
-
 // OpenChunk starts one chunk download and returns the response body
 // without materializing it — the wire cluster's proxy primitive. The
 // bounded-retry loop (same taxonomy and Retry-After floors as the
 // Fetch methods) covers everything up to the response headers; once a
 // 200 arrives the body streams on the caller's context and mid-body
 // failures are the caller's to handle — bytes may already have been
-// forwarded downstream, so nothing can be transparently retried.
+// forwarded downstream, so nothing can be transparently retried. No
+// per-attempt timeout applies — it would keep ticking under the
+// returned body and cut it mid-copy; the caller's ctx and the
+// http.Client's own Timeout still bound the exchange.
 func (c *Client) OpenChunk(ctx context.Context, videoID string, q, tile, idx int, layer bool) (ChunkStream, error) {
-	path := chunkPath(videoID, q, tile, idx, layer)
-	pol := c.Retry.withDefaults()
-	for attempt := 1; ; attempt++ {
-		c.Obs.Counter("dash.client.attempts").Inc()
-		st, derr := c.openOnce(ctx, path)
-		if derr == nil {
-			st.Attempts = attempt
-			c.Obs.Counter("dash.client.opens").Inc()
-			return st, nil
-		}
-		derr.Attempts = attempt
-		if !derr.Retryable() || attempt >= pol.MaxAttempts {
-			c.Obs.Counter("dash.client.errors." + derr.Kind.String()).Inc()
-			return ChunkStream{}, derr
-		}
-		c.Obs.Counter("dash.client.retries").Inc()
-		delay := pol.backoff(attempt)
-		if derr.Kind == KindOverload && derr.RetryAfter > delay {
-			delay = derr.RetryAfter
-			c.Obs.Counter("dash.client.retry_after_floors").Inc()
-		}
-		if err := c.sleep(ctx, delay); err != nil {
-			derr.Kind = KindCanceled
-			c.Obs.Counter("dash.client.errors." + derr.Kind.String()).Inc()
-			return ChunkStream{}, derr
-		}
+	var st ChunkStream
+	attempts, err := c.do(ctx, chunkPath(videoID, q, tile, idx, layer), false, func(resp *http.Response) error {
+		st = ChunkStream{Body: resp.Body, Length: resp.ContentLength}
+		return nil
+	})
+	if err != nil {
+		return ChunkStream{}, err
 	}
+	st.Attempts = attempts
+	c.Obs.Counter("dash.client.opens").Inc()
+	return st, nil
 }
 
 // Ping performs one cheap liveness probe: a single GET /v attempt, no
 // retries — probe loops bring their own pacing, and retrying inside a
 // probe would only blur the failure detector's picture.
 func (c *Client) Ping(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v", nil)
-	if err != nil {
-		return &Error{Op: "/v", Kind: KindFatal, Err: err}
+	derr := c.attempt(ctx, "/v", 0, func(resp *http.Response) error {
+		defer resp.Body.Close()
+		// Drain the (tiny) listing so the connection is reusable.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
+		return nil
+	})
+	if derr != nil {
+		return derr
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return &Error{Op: "/v", Kind: classifyCtx(ctx, err), Err: err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return c.statusError("/v", resp)
-	}
-	// Drain the (tiny) listing so the connection is reusable.
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 	return nil
-}
-
-func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, error) {
-	pol := c.Retry.withDefaults()
-	start := c.now()
-	attempts := 0
-	for {
-		data, n, err := c.get(ctx, path)
-		attempts += n
-		if err != nil {
-			return FetchResult{}, err
-		}
-		h, payload, derr := media.ReadSegment(bytes.NewReader(data))
-		if derr != nil {
-			// The bytes arrived but do not decode — a truncated or corrupt
-			// segment. Refetch within the remaining attempt budget.
-			if attempts < pol.MaxAttempts {
-				if serr := c.sleep(ctx, pol.backoff(attempts)); serr == nil {
-					continue
-				}
-			}
-			return FetchResult{}, &Error{
-				Op: path, Kind: KindTransient, Attempts: attempts,
-				Err: fmt.Errorf("decoding segment: %w", derr),
-			}
-		}
-		elapsed := c.now().Sub(start)
-		if elapsed < time.Millisecond {
-			// Mocked or coarse clocks can observe zero wall time; a zero
-			// sample would poison downstream bandwidth estimates.
-			elapsed = time.Millisecond
-		}
-		c.Obs.Counter("dash.client.segment_fetches").Inc()
-		if attempts > 1 {
-			c.Obs.Counter("dash.client.segment_fetches_retried").Inc()
-		}
-		c.Obs.Histogram("dash.client.fetch_ms").Observe(float64(elapsed) / float64(time.Millisecond))
-		return FetchResult{
-			Header:        h,
-			Payload:       payload,
-			WireBytes:     int64(len(data)),
-			Elapsed:       elapsed,
-			ThroughputBPS: float64(len(data)) * 8 / elapsed.Seconds(),
-			Attempts:      attempts,
-		}, nil
-	}
 }

@@ -31,7 +31,7 @@ func testServer(t *testing.T) (*httptest.Server, *Catalog) {
 	if err := cat.Add(testVideo()); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(cat, nil))
+	srv := httptest.NewServer(NewServer(cat))
 	t.Cleanup(srv.Close)
 	return srv, cat
 }
@@ -207,7 +207,7 @@ func TestServerLayerOnAVCVideoRejected(t *testing.T) {
 	if err := cat.Add(v); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(cat, nil))
+	srv := httptest.NewServer(NewServer(cat))
 	defer srv.Close()
 	c := NewClient(srv.URL)
 	if _, err := c.FetchLayer(context.Background(), "avc-video", 1, 0, 0); err == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -23,7 +24,7 @@ func faultyServer(t *testing.T, in *faults.Injector) (*httptest.Server, *atomic.
 		t.Fatal(err)
 	}
 	var served atomic.Int64
-	inner := http.Handler(NewServer(cat, nil))
+	inner := http.Handler(NewServer(cat))
 	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		served.Add(1)
 		inner.ServeHTTP(w, r)
@@ -91,12 +92,12 @@ func TestClientRefetchesTruncatedSegment(t *testing.T) {
 
 func TestClientRefetchesCorruptSegment(t *testing.T) {
 	// The HTTP layer succeeds but the first body does not decode: valid
-	// status, garbage bytes. fetchSegment must refetch within its budget.
+	// status, garbage bytes. The decode failure is one more attempt.
 	cat := NewCatalog()
 	if err := cat.Add(testVideo()); err != nil {
 		t.Fatal(err)
 	}
-	inner := NewServer(cat, nil)
+	inner := NewServer(cat)
 	var n atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if n.Add(1) == 1 {
@@ -236,7 +237,7 @@ func TestClientRetryAfterFloorsBackoff(t *testing.T) {
 	if err := cat.Add(testVideo()); err != nil {
 		t.Fatal(err)
 	}
-	inner := NewServer(cat, nil)
+	inner := NewServer(cat)
 	var n atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if n.Add(1) == 1 {
@@ -314,6 +315,13 @@ func TestParseRetryAfter(t *testing.T) {
 		{"", 0},
 		{"-1", 0},
 		{"garbage", 0},
+		// Delays past what a time.Duration holds saturate: unchecked,
+		// the first wraps negative (hint dropped) and the second wraps
+		// to ~0.4s (a bogus floor).
+		{"10000000000", math.MaxInt64},
+		{"18446744074", math.MaxInt64},
+		{"99999999999999999999", math.MaxInt64}, // past int64 itself
+		{"-99999999999999999999", 0},
 		{"Wed, 21 Oct 2015 07:28:30 GMT", 30 * time.Second}, // HTTP-date, 30s out
 		{"Wed, 21 Oct 2015 07:28:00 GMT", 0},                // HTTP-date, exactly now
 		{"Wed, 21 Oct 2015 07:20:00 GMT", 0},                // HTTP-date in the past
@@ -323,6 +331,21 @@ func TestParseRetryAfter(t *testing.T) {
 			t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
+}
+
+// FuzzParseRetryAfter: the header is outside input. Whatever it holds,
+// parsing must not panic and must never yield a negative floor.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, s := range []string{"2", " 3 ", "-1", "garbage", "10000000000", "18446744074",
+		"99999999999999999999", "Wed, 21 Oct 2015 07:28:30 GMT", "Wed, 41 Oct 2015 07:28:00 GMT", ""} {
+		f.Add(s)
+	}
+	now := time.Date(2015, 10, 21, 7, 28, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, v string) {
+		if d := parseRetryAfter(v, now); d < 0 {
+			t.Fatalf("parseRetryAfter(%q) = %v, negative", v, d)
+		}
+	})
 }
 
 // TestRetryAfterHTTPDateUpgradesToOverload pins the wire behavior of

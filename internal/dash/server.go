@@ -1,6 +1,7 @@
 package dash
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -207,14 +208,11 @@ func markAborted(w http.ResponseWriter) {
 }
 
 // NewServer builds a server over a catalog. Options (WithLogger,
-// WithObs, WithStore) configure the optional hooks; nil options are
-// ignored so legacy NewServer(catalog, nil) call sites keep compiling.
+// WithObs, WithStore) configure the optional hooks.
 func NewServer(catalog *Catalog, opts ...ServerOption) *Server {
 	s := &Server{Catalog: catalog, Log: slog.Default()}
 	for _, opt := range opts {
-		if opt != nil {
-			opt(s)
-		}
+		opt(s)
 	}
 	return s
 }
@@ -321,15 +319,11 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "dash: video is not SVC encoded", http.StatusBadRequest)
 		return
 	}
-	start := v.ChunkStart(idx)
-	var size int64
-	if isLayer {
-		size = v.LayerBytes(q, tiling.TileID(tile), start)
-	} else {
-		size = v.ChunkBytes(q, tiling.TileID(tile), start)
-	}
-	if size <= 0 {
-		http.Error(w, "dash: empty chunk", http.StatusNotFound)
+	h, seed, size, err := chunkSpec(v, q, tile, idx, isLayer)
+	if err != nil {
+		// The address is in range and the encoding matches, so all that
+		// is left to fail is a size model with nothing at this address.
+		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
 	if s.Store == nil {
@@ -337,9 +331,9 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		// size model, the body streams block by block straight into the
 		// response writer — no body-sized buffer anywhere.
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(media.SegmentLen(v.ID, int(size))))
-		if err := WriteChunkBody(w, v, q, tile, idx, isLayer); err != nil {
-			// The address was fully validated above, so a failure here is
+		w.Header().Set("Content-Length", strconv.Itoa(media.SegmentLen(h.VideoID, int(size))))
+		if err := media.WriteSyntheticSegment(w, h, seed, int(size)); err != nil {
+			// The spec was fully validated above, so a failure here is
 			// the client hanging up mid-stream.
 			markAborted(w)
 			s.Log.Debug("dash: segment write aborted", "video", v.ID, "err", err)
@@ -416,7 +410,7 @@ func retryAfterSeconds(d time.Duration) int {
 // chunkSpec resolves a chunk address against the video's rate model:
 // the segment header, the payload seed and the payload size every
 // synthesis entry point shares. One resolver means the streamed, the
-// appended and the cached forms of a body cannot disagree.
+// built and the cached forms of a body cannot disagree.
 func chunkSpec(v *media.Video, q, tile, idx int, layer bool) (h media.SegmentHeader, seed uint64, size int64, err error) {
 	start := v.ChunkStart(idx)
 	var flags uint8
@@ -464,9 +458,9 @@ func ChunkBodyLen(v *media.Video, q, tile, idx int, layer bool) (int, error) {
 
 // WriteChunkBody streams the wire body of one chunk into w with zero
 // body materialization: peak scratch is media's fixed block size, not
-// the body. This is the primary synthesis form; the byte-slice
-// builders below wrap it, so streamed, appended and cached bodies are
-// byte-identical by construction.
+// the body. This is the one synthesis form; BuildChunkBody runs it into
+// a buffer, so streamed, built and cached bodies are byte-identical by
+// construction.
 func WriteChunkBody(w io.Writer, v *media.Video, q, tile, idx int, layer bool) error {
 	h, seed, size, err := chunkSpec(v, q, tile, idx, layer)
 	if err != nil {
@@ -480,26 +474,19 @@ func WriteChunkBody(w io.Writer, v *media.Video, q, tile, idx int, layer bool) e
 
 // BuildChunkBody synthesizes the wire body of one chunk — the segment
 // container holding a deterministic payload sized by the video's rate
-// model — into a fresh exactly-sized slice. A thin wrapper over
-// AppendChunkBody.
+// model — into a fresh exactly-sized slice: WriteChunkBody into a
+// buffer. Tests and the benchmark use it as the oracle; the serving
+// tiers stream instead.
 func BuildChunkBody(v *media.Video, q, tile, idx int, layer bool) ([]byte, error) {
-	return AppendChunkBody(nil, v, q, tile, idx, layer)
-}
-
-// AppendChunkBody appends the wire body of one chunk to dst and
-// returns the extended slice, allocating only when dst lacks capacity —
-// the appending variant of WriteChunkBody for pooled scratch buffers.
-// On error dst is returned unchanged.
-func AppendChunkBody(dst []byte, v *media.Video, q, tile, idx int, layer bool) ([]byte, error) {
-	h, seed, size, err := chunkSpec(v, q, tile, idx, layer)
+	n, err := ChunkBodyLen(v, q, tile, idx, layer)
 	if err != nil {
-		return dst, err
+		return nil, err
 	}
-	out, err := media.AppendSyntheticSegment(dst, h, seed, int(size))
-	if err != nil {
-		return dst, fmt.Errorf("dash: building chunk body: %w", err)
+	buf := bytes.NewBuffer(make([]byte, 0, n))
+	if err := WriteChunkBody(buf, v, q, tile, idx, layer); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return buf.Bytes(), nil
 }
 
 // chunkPath renders the URL path of a chunk.

@@ -26,29 +26,45 @@ func (b buildSource) Chunk(ctx context.Context, videoID string, quality, tile, i
 	return BuildChunkBody(v, quality, tile, index, layer)
 }
 
-// TestWriteChunkBodyMatchesBuilders: the streaming form is the
-// builders' single source of truth — byte-identical output and an
-// exact length report, for base chunks and SVC layers.
+// TestWriteChunkBodyMatchesBuilders holds the one synthesis chain to
+// its reference — media.WriteSegment over the whole materialized
+// media.SyntheticPayload for the address's spec: the streamed body and
+// the built body are both byte-identical to it, with an exact length
+// report, for base chunks and SVC layers.
 func TestWriteChunkBodyMatchesBuilders(t *testing.T) {
 	v := testVideo()
 	for _, layer := range []bool{false, true} {
-		want, err := BuildChunkBody(v, 2, 5, 3, layer)
+		h, seed, size, err := chunkSpec(v, 2, 5, 3, layer)
 		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := media.WriteSegment(&want, h, media.SyntheticPayload(seed, int(size))); err != nil {
 			t.Fatal(err)
 		}
 		var streamed bytes.Buffer
 		if err := WriteChunkBody(&streamed, v, 2, 5, 3, layer); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(streamed.Bytes(), want) {
-			t.Fatalf("layer=%v: streamed body differs from BuildChunkBody", layer)
+		if !bytes.Equal(streamed.Bytes(), want.Bytes()) {
+			t.Fatalf("layer=%v: streamed body differs from WriteSegment(SyntheticPayload)", layer)
+		}
+		built, err := BuildChunkBody(v, 2, 5, 3, layer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(built, want.Bytes()) {
+			t.Fatalf("layer=%v: built body differs from WriteSegment(SyntheticPayload)", layer)
+		}
+		if len(built) != cap(built) {
+			t.Fatalf("layer=%v: built body has %d spare bytes, want an exact-size slice", layer, cap(built)-len(built))
 		}
 		n, err := ChunkBodyLen(v, 2, 5, 3, layer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != len(want) {
-			t.Fatalf("layer=%v: ChunkBodyLen = %d, body is %d bytes", layer, n, len(want))
+		if n != want.Len() {
+			t.Fatalf("layer=%v: ChunkBodyLen = %d, body is %d bytes", layer, n, want.Len())
 		}
 	}
 
@@ -58,6 +74,9 @@ func TestWriteChunkBodyMatchesBuilders(t *testing.T) {
 	}
 	if _, err := ChunkBodyLen(v, 2, v.Grid.Tiles(), 3, false); err == nil {
 		t.Fatal("out-of-range tile accepted by ChunkBodyLen")
+	}
+	if _, err := BuildChunkBody(v, 2, v.Grid.Tiles(), 3, false); err == nil {
+		t.Fatal("out-of-range tile accepted by BuildChunkBody")
 	}
 }
 

@@ -204,7 +204,7 @@ func TestChaosHTTPFaultBurstAndTruncation(t *testing.T) {
 			faults.Rule{PathContains: "/c/", ErrorProb: 1, ErrorStatus: http.StatusBadGateway, MaxCount: 3},
 			faults.Rule{PathContains: "/c/", TruncateProb: 1, MaxCount: 1},
 		)
-		srv := httptest.NewServer(in.Wrap(dash.NewServer(catalog, nil)))
+		srv := httptest.NewServer(in.Wrap(dash.NewServer(catalog)))
 		defer srv.Close()
 
 		tr := &http.Transport{}

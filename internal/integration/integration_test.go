@@ -68,7 +68,7 @@ func TestLivePipelineOverLoopback(t *testing.T) {
 	go ingest.Serve(ingestLn)
 	defer ingest.Close()
 
-	httpSrv := httptest.NewServer(dash.NewServer(catalog, nil))
+	httpSrv := httptest.NewServer(dash.NewServer(catalog))
 	defer httpSrv.Close()
 
 	// Broadcaster.
@@ -215,7 +215,7 @@ func TestDashClientEndToEndSVC(t *testing.T) {
 	if err := catalog.Add(video); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(dash.NewServer(catalog, nil))
+	srv := httptest.NewServer(dash.NewServer(catalog))
 	defer srv.Close()
 	client := dash.NewClient(srv.URL)
 
@@ -263,7 +263,7 @@ func TestSegmentIntegrityOverHTTP(t *testing.T) {
 	if err := catalog.Add(video); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(dash.NewServer(catalog, nil))
+	srv := httptest.NewServer(dash.NewServer(catalog))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/v/it-live/c/1/2/3")

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"sperke/internal/obs"
@@ -126,17 +125,6 @@ func appendSegmentHeader(dst []byte, h SegmentHeader, payloadLen int, crc uint32
 	return append(dst, h.VideoID...)
 }
 
-// growCap ensures dst has room for n more bytes without changing its
-// length, reallocating exactly once when it does not.
-func growCap(dst []byte, n int) []byte {
-	if cap(dst)-len(dst) >= n {
-		return dst
-	}
-	out := make([]byte, len(dst), len(dst)+n)
-	copy(out, dst)
-	return out
-}
-
 // WriteSegment encodes one segment to w.
 func WriteSegment(w io.Writer, h SegmentHeader, payload []byte) error {
 	if err := validateSegment(h, len(payload)); err != nil {
@@ -151,37 +139,11 @@ func WriteSegment(w io.Writer, h SegmentHeader, payload []byte) error {
 	return err
 }
 
-// AppendSegment appends the wire encoding of one segment to dst and
-// returns the extended slice — the same bytes WriteSegment would emit.
-// On error dst is returned unchanged.
-func AppendSegment(dst []byte, h SegmentHeader, payload []byte) ([]byte, error) {
-	if err := validateSegment(h, len(payload)); err != nil {
-		return dst, err
-	}
-	dst = growCap(dst, SegmentLen(h.VideoID, len(payload)))
-	dst = appendSegmentHeader(dst, h, len(payload), crc32.ChecksumIEEE(payload))
-	return append(dst, payload...), nil
-}
-
 // blockPool recycles the fixed-size scratch blocks of the writer-first
 // synthesis path. Blocks are minted and kept at exactly
 // SyntheticBlockLen, so the pool's resident memory is bounded by the
 // number of concurrent writers, never by body sizes.
 var blockPool = obs.NewSizedBufferPool(nil, "media.block", SyntheticBlockLen, SyntheticBlockLen)
-
-// segWriterPool recycles the slice-backed writers that let the
-// appending builders delegate to the writer-first path without
-// allocating per call.
-var segWriterPool = sync.Pool{New: func() any { return new(sliceWriter) }}
-
-// sliceWriter adapts an append destination to io.Writer. Writes within
-// the buffer's capacity extend it in place; Write never fails.
-type sliceWriter struct{ buf []byte }
-
-func (sw *sliceWriter) Write(p []byte) (int, error) {
-	sw.buf = append(sw.buf, p...)
-	return len(p), nil
-}
 
 // WriteSyntheticSegment streams a segment whose payload is
 // SyntheticPayload(seed, n) into w without ever materializing the
@@ -190,7 +152,7 @@ func (sw *sliceWriter) Write(p []byte) (int, error) {
 // synthetic payload is computable before emission), then the header is
 // emitted and the payload regenerated block by block straight into w.
 // Peak scratch is the fixed block size regardless of n, and the bytes
-// written are exactly AppendSegment(nil, h, SyntheticPayload(seed, n)).
+// written are exactly WriteSegment(w, h, SyntheticPayload(seed, n)).
 func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) error {
 	if n < 0 {
 		return fmt.Errorf("media: negative payload length %d", n)
@@ -236,32 +198,6 @@ func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) err
 		rem -= k
 	}
 	return nil
-}
-
-// AppendSyntheticSegment appends a segment whose payload is
-// SyntheticPayload(seed, n) to dst and returns the extended slice — a
-// thin wrapper over WriteSyntheticSegment writing into dst's spare
-// capacity, so the appending and streaming forms share one encoder and
-// cannot drift. On error dst is returned unchanged. The result is
-// byte-identical to AppendSegment(dst, h, SyntheticPayload(seed, n)).
-func AppendSyntheticSegment(dst []byte, h SegmentHeader, seed uint64, n int) ([]byte, error) {
-	if n < 0 {
-		return dst, fmt.Errorf("media: negative payload length %d", n)
-	}
-	if err := validateSegment(h, n); err != nil {
-		return dst, err
-	}
-	dst = growCap(dst, SegmentLen(h.VideoID, n))
-	sw := segWriterPool.Get().(*sliceWriter)
-	sw.buf = dst
-	err := WriteSyntheticSegment(sw, h, seed, n)
-	out := sw.buf
-	sw.buf = nil
-	segWriterPool.Put(sw)
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
 }
 
 // ReadSegment decodes one segment from r, validating magic, version,
@@ -321,21 +257,10 @@ func SyntheticPayload(seed uint64, n int) []byte {
 	if n <= 0 {
 		return []byte{}
 	}
-	return AppendSyntheticPayload(make([]byte, 0, n), seed, n)
-}
-
-// AppendSyntheticPayload appends SyntheticPayload(seed, n) to dst and
-// returns the extended slice, allocating only when dst lacks capacity.
-func AppendSyntheticPayload(dst []byte, seed uint64, n int) []byte {
-	if n <= 0 {
-		return dst
-	}
-	dst = growCap(dst, n)
-	base := len(dst)
-	dst = dst[:base+n]
+	p := make([]byte, n)
 	s := newSynthStream(seed)
-	s.fill(dst[base:])
-	return dst
+	s.fill(p)
+	return p
 }
 
 // synthStream is the resumable form of the synthetic-payload

@@ -26,11 +26,18 @@ func equivHeader() SegmentHeader {
 	}
 }
 
-// TestWriteSyntheticSegmentEquivalence pins the single-source-of-truth
-// claim of the writer-first refactor: the streaming form, the
-// appending form and the payload-slice form emit byte-identical
-// segments at every size class, and the result round-trips through
-// ReadSegment.
+// referenceSegment is the oracle the writer-first form is held to:
+// WriteSegment over the whole materialized SyntheticPayload.
+func referenceSegment(h SegmentHeader, seed uint64, n int) ([]byte, error) {
+	var buf bytes.Buffer
+	err := WriteSegment(&buf, h, SyntheticPayload(seed, n))
+	return buf.Bytes(), err
+}
+
+// TestWriteSyntheticSegmentEquivalence pins the writer-first form to
+// its reference: streaming a synthetic segment block by block emits
+// exactly WriteSegment over SyntheticPayload at every size class, and
+// the result round-trips through ReadSegment.
 func TestWriteSyntheticSegmentEquivalence(t *testing.T) {
 	h := equivHeader()
 	for _, n := range writerEquivCases {
@@ -38,33 +45,26 @@ func TestWriteSyntheticSegmentEquivalence(t *testing.T) {
 		if err := WriteSyntheticSegment(&streamed, h, 77, n); err != nil {
 			t.Fatalf("n=%d: WriteSyntheticSegment: %v", n, err)
 		}
-		appended, err := AppendSyntheticSegment(nil, h, 77, n)
+		want, err := referenceSegment(h, 77, n)
 		if err != nil {
-			t.Fatalf("n=%d: AppendSyntheticSegment: %v", n, err)
+			t.Fatalf("n=%d: WriteSegment: %v", n, err)
 		}
-		materialized, err := AppendSegment(nil, h, SyntheticPayload(77, n))
-		if err != nil {
-			t.Fatalf("n=%d: AppendSegment: %v", n, err)
-		}
-		if !bytes.Equal(streamed.Bytes(), appended) {
-			t.Fatalf("n=%d: streamed differs from appended", n)
-		}
-		if !bytes.Equal(streamed.Bytes(), materialized) {
-			t.Fatalf("n=%d: streamed differs from AppendSegment(SyntheticPayload)", n)
+		if !bytes.Equal(streamed.Bytes(), want) {
+			t.Fatalf("n=%d: streamed differs from WriteSegment(SyntheticPayload)", n)
 		}
 		got, payload, err := ReadSegment(bytes.NewReader(streamed.Bytes()))
 		if err != nil {
 			t.Fatalf("n=%d: streamed segment does not round-trip: %v", n, err)
 		}
-		if got != h || len(payload) != n {
+		if got != h || !bytes.Equal(payload, SyntheticPayload(77, n)) {
 			t.Fatalf("n=%d: round-trip header/payload mismatch", n)
 		}
 	}
 }
 
-// FuzzSyntheticSegmentForms drives the three synthesis forms with
+// FuzzSyntheticSegmentForms drives the writer and its reference with
 // arbitrary headers, seeds and sizes: they must agree byte-for-byte or
-// all reject the input.
+// both reject the input.
 func FuzzSyntheticSegmentForms(f *testing.F) {
 	f.Add(uint64(42), 1000, uint8(3), uint16(17))
 	f.Add(uint64(0), 0, uint8(0), uint16(0))
@@ -82,22 +82,12 @@ func FuzzSyntheticSegmentForms(f *testing.F) {
 		}
 		var streamed bytes.Buffer
 		werr := WriteSyntheticSegment(&streamed, h, seed, n)
-		appended, aerr := AppendSyntheticSegment(nil, h, seed, n)
-		if (werr == nil) != (aerr == nil) {
-			t.Fatalf("forms disagree on validity: write=%v append=%v", werr, aerr)
+		want, rerr := referenceSegment(h, seed, n)
+		if (werr == nil) != (rerr == nil) {
+			t.Fatalf("forms disagree on validity: writer=%v reference=%v", werr, rerr)
 		}
-		if werr != nil {
-			return
-		}
-		if !bytes.Equal(streamed.Bytes(), appended) {
-			t.Fatal("streamed differs from appended")
-		}
-		materialized, merr := AppendSegment(nil, h, SyntheticPayload(seed, n))
-		if merr != nil {
-			t.Fatalf("AppendSegment rejected what the synthetic forms accepted: %v", merr)
-		}
-		if !bytes.Equal(streamed.Bytes(), materialized) {
-			t.Fatal("streamed differs from AppendSegment(SyntheticPayload)")
+		if werr == nil && !bytes.Equal(streamed.Bytes(), want) {
+			t.Fatal("streamed differs from WriteSegment(SyntheticPayload)")
 		}
 	})
 }
@@ -142,14 +132,8 @@ func TestSegmentTimeBoundsRejected(t *testing.T) {
 		if err := WriteSegment(io.Discard, h, nil); err == nil {
 			t.Errorf("case %d: WriteSegment accepted out-of-range time", i)
 		}
-		if _, err := AppendSegment(nil, h, nil); err == nil {
-			t.Errorf("case %d: AppendSegment accepted out-of-range time", i)
-		}
 		if err := WriteSyntheticSegment(io.Discard, h, 1, 8); err == nil {
 			t.Errorf("case %d: WriteSyntheticSegment accepted out-of-range time", i)
-		}
-		if _, err := AppendSyntheticSegment(nil, h, 1, 8); err == nil {
-			t.Errorf("case %d: AppendSyntheticSegment accepted out-of-range time", i)
 		}
 	}
 

@@ -244,9 +244,7 @@ func WithObs(r *obs.Registry) Option {
 func New(opts ...Option) *Store {
 	var o storeOptions
 	for _, opt := range opts {
-		if opt != nil {
-			opt(&o)
-		}
+		opt(&o)
 	}
 	hasWriter := o.writer.Size != nil || o.writer.Write != nil
 	if hasWriter == (o.ctxSynth != nil) {

@@ -17,14 +17,10 @@ var streamSpans = []string{
 
 // streamMaterializers are the full-body builder entry points, keyed
 // "dir:Func" on the callee's module-relative package directory. The
-// builders stay exported for tests and offline tooling; the serving
-// tiers must not call them.
+// builder stays exported as the oracle tests and the benchmark compare
+// against; the serving tiers must not call it.
 var streamMaterializers = map[string]string{
-	"internal/dash:BuildChunkBody":          "dash.WriteChunkBody",
-	"internal/dash:AppendChunkBody":         "dash.WriteChunkBody",
-	"internal/media:AppendSegment":          "media.WriteSegment",
-	"internal/media:AppendSyntheticSegment": "media.WriteSyntheticSegment",
-	"internal/media:AppendSyntheticPayload": "media.WriteSyntheticSegment",
+	"internal/dash:BuildChunkBody": "dash.WriteChunkBody",
 }
 
 // streamStdlibMaterializers are standard-library whole-body readers
@@ -43,13 +39,8 @@ var streamStdlibMaterializers = map[string]string{
 }
 
 // streamAllowlist names the functions inside the spans that may call a
-// materializer: the dash builders themselves (BuildChunkBody is the
-// documented convenience wrapper over the append form, and the append
-// form is the one place the media appenders are adapted for store
-// callbacks that need an owned []byte).
+// materializer.
 var streamAllowlist = map[string]bool{
-	"internal/dash:BuildChunkBody":  true,
-	"internal/dash:AppendChunkBody": true,
 	// The warm queue's worker is the cluster's sanctioned off-hot-path
 	// consumer: it runs on its own goroutine behind a bounded queue, and
 	// a warm write inherently needs an owned []byte to hand R caches.

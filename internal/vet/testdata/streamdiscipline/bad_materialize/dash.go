@@ -1,12 +1,6 @@
 //sperke:fixture path=internal/dash/body.go
 package dash
 
-// BuildChunkBody and AppendChunkBody mirror the real materializing
-// builders; both are on the streamdiscipline allowlist, so defining
-// one in terms of the other is fine — calling them from a serving hot
-// path is not.
-func BuildChunkBody(n int) []byte { return AppendChunkBody(nil, n) }
-
-func AppendChunkBody(dst []byte, n int) []byte {
-	return append(dst, make([]byte, n)...)
-}
+// BuildChunkBody mirrors the real materializing builder: defining it is
+// fine — calling it from a serving hot path is not.
+func BuildChunkBody(n int) []byte { return make([]byte, n) }
