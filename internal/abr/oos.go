@@ -96,21 +96,20 @@ func PlanOOS(in OOSInput, pol OOSPolicy) []TileQuality {
 	// Fully random head movement (radius ≈ 180) floods the whole sphere —
 	// the §3.1.2 worst case — which MaxRing caps.
 
+	// One distance pass serves every ring; FoV tiles sit at distance 0
+	// and so are in none.
+	dist := tiling.Distances(in.Grid, in.FoVTiles)
 	var plan []TileQuality
-	seen := make(map[tiling.TileID]bool, len(in.FoVTiles))
-	for _, id := range in.FoVTiles {
-		seen[id] = true
-	}
 	for ring := 1; ring <= rings; ring++ {
 		q := in.FoVQuality - ring*pol.drop()
 		if q < 0 {
 			q = 0
 		}
-		for _, id := range tiling.Ring(in.Grid, in.FoVTiles, ring) {
-			if seen[id] {
+		for i, d := range dist {
+			if d != ring {
 				continue
 			}
-			seen[id] = true
+			id := tiling.TileID(i)
 			prob := probForRing(ring, in.Prediction.Radius, tileWidthDeg)
 			tileQ := q
 			if in.Heatmap != nil {

@@ -201,7 +201,7 @@ type Session struct {
 	state       map[int]map[tiling.TileID]*tileState
 	planned     map[int]bool
 	fovQuality  map[int]int
-	visibleEver map[int]map[tiling.TileID]bool
+	visibleEver map[int][]bool // per interval, indexed by tile id
 
 	playIdx      int
 	nextPlayWall time.Duration
@@ -255,7 +255,7 @@ func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched trans
 		state:       make(map[int]map[tiling.TileID]*tileState),
 		planned:     make(map[int]bool),
 		fovQuality:  make(map[int]int),
-		visibleEver: make(map[int]map[tiling.TileID]bool),
+		visibleEver: make(map[int][]bool),
 	}
 	if cfg.EncodedCacheBytes > 0 {
 		s.ccache = player.NewChunkCache(cfg.EncodedCacheBytes)
@@ -898,14 +898,18 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 
 	// Waste accounting input: every tile visible at any of four probe
 	// points during the play span counts as rendered.
-	ever, ok := s.visibleEver[i]
-	if !ok {
-		ever = make(map[tiling.TileID]bool)
+	ever := s.visibleEver[i]
+	if ever == nil {
+		ever = make([]bool, v.Grid.Tiles())
 		s.visibleEver[i] = ever
 	}
 	for k := 0; k < 4; k++ {
-		probe := now + time.Duration(k)*v.ChunkDuration/4
-		for _, id := range tiling.VisibleTiles(v.Grid, s.cfg.Projection, s.head.At(probe), s.cfg.FoV) {
+		probed := visible // the k = 0 probe is the view rendered above
+		if k > 0 {
+			probe := now + time.Duration(k)*v.ChunkDuration/4
+			probed = tiling.VisibleTiles(v.Grid, s.cfg.Projection, s.head.At(probe), s.cfg.FoV)
+		}
+		for _, id := range probed {
 			ever[id] = true
 		}
 	}

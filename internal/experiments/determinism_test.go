@@ -2,6 +2,11 @@ package experiments_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 
 	"sperke/internal/experiments"
@@ -39,6 +44,33 @@ func TestRerunsAreByteIdentical(t *testing.T) {
 	if again := renderAll(t, 7); !bytes.Equal(first, again) {
 		t.Fatalf("rerun diverged from first run (%d vs %d bytes) near:\n%s",
 			len(first), len(again), firstDiff(first, again))
+	}
+}
+
+// TestRunAllGolden pins "E1–E16 stay byte-reproducible" across commits,
+// not just across reruns: the SHA-256 of every table RunAll(7) renders
+// (text then CSV) must equal testdata/runall_seed7.sha256. A change that
+// claims bit-exactness leaves the file alone; a change that means to move
+// an experiment puts the hash this test prints there and says so. amd64
+// only — arm64 may fuse multiply-adds and round differently.
+func TestRunAllGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden is generated on amd64")
+	}
+	const golden = "testdata/runall_seed7.sha256"
+	var buf bytes.Buffer
+	for _, tbl := range experiments.RunAll(7) {
+		tbl.Render(&buf)
+		tbl.RenderCSV(&buf)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	got := hex.EncodeToString(sum[:])
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != strings.TrimSpace(string(want)) {
+		t.Fatalf("RunAll(7) renders %d bytes with SHA-256 %s, golden is %s", buf.Len(), got, strings.TrimSpace(string(want)))
 	}
 }
 

@@ -47,12 +47,14 @@ func BuildHeatmap(g tiling.Grid, p sphere.Projection, fov sphere.FoV, chunkDur, 
 		return h
 	}
 	const probes = 4 // view samples per interval per session
+	// seen marks the tiles already counted for one session in one interval.
+	seen := make([]bool, g.Tiles())
 	for i := 0; i < n; i++ {
 		start := time.Duration(i) * chunkDur
 		var sumVec sphere.Vec3
 		counts := make([]int, g.Tiles())
 		for _, s := range sessions {
-			seen := make(map[tiling.TileID]bool)
+			clear(seen)
 			for k := 0; k < probes; k++ {
 				ts := start + time.Duration(k)*chunkDur/probes
 				view := s.At(ts)
@@ -61,11 +63,11 @@ func BuildHeatmap(g tiling.Grid, p sphere.Projection, fov sphere.FoV, chunkDur, 
 				sumVec.Y += d.Y
 				sumVec.Z += d.Z
 				for _, id := range tiling.VisibleTiles(g, p, view, fov) {
-					seen[id] = true
+					if !seen[id] {
+						seen[id] = true
+						counts[id]++
+					}
 				}
-			}
-			for id := range seen {
-				counts[id]++
 			}
 		}
 		for tile, c := range counts {

@@ -99,13 +99,17 @@ func (l *LinearRegression) Observe(s trace.Sample) {
 	}
 	l.samples = append(l.samples, s)
 	l.unwYaw = append(l.unwYaw, yaw)
-	// Evict samples older than the window.
+	// Evict samples older than the window, compacting in place: slicing
+	// the front off would walk the window out of its backing array and
+	// reallocate it for the whole session.
 	cut := 0
 	for cut < len(l.samples) && l.samples[cut].At < s.At-w {
 		cut++
 	}
-	l.samples = l.samples[cut:]
-	l.unwYaw = l.unwYaw[cut:]
+	if cut > 0 {
+		l.samples = l.samples[:copy(l.samples, l.samples[cut:])]
+		l.unwYaw = l.unwYaw[:copy(l.unwYaw, l.unwYaw[cut:])]
+	}
 }
 
 // Predict implements Predictor.

@@ -1,6 +1,7 @@
 package hmp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -109,6 +110,44 @@ func TestLinearEmptyAndSingleSample(t *testing.T) {
 	pred := p.Predict(time.Second)
 	if pred.View.Yaw != 10 {
 		t.Fatalf("single-sample prediction yaw %v, want 10", pred.View.Yaw)
+	}
+}
+
+// TestLinearObserveSteadyStateAllocs pins the in-place eviction: once
+// the window's backing arrays have grown to fit it, Observe allocates
+// nothing, and the window still holds exactly the last 500 ms — the
+// prediction equals a fresh predictor's that saw only those samples.
+func TestLinearObserveSteadyStateAllocs(t *testing.T) {
+	h := steadyYawTrace(25, 10*time.Second)
+	var p LinearRegression
+	const warm = 100 // 2 s of samples: four windows
+	for _, s := range h.Samples[:warm] {
+		p.Observe(s)
+	}
+	next := warm
+	window, yaws := &p.samples[0], &p.unwYaw[0]
+	allocs := testing.AllocsPerRun(300, func() {
+		p.Observe(h.Samples[next])
+		next++
+	})
+	// AllocsPerRun rounds down, and a window sliding off its array
+	// reallocates only every few dozen calls: also hold it in place.
+	if allocs != 0 || &p.samples[0] != window || &p.unwYaw[0] != yaws {
+		t.Fatalf("Observe in steady state: %v allocs per call, window moved: %v — want 0 and false",
+			allocs, &p.samples[0] != window || &p.unwYaw[0] != yaws)
+	}
+	last := h.Samples[next-1]
+	var fresh LinearRegression
+	for _, s := range h.Samples[:next] {
+		if s.At >= last.At-500*time.Millisecond {
+			fresh.Observe(s)
+		}
+	}
+	// The fresh predictor unwraps yaw from its own first sample, so its
+	// fit runs on yaws whole turns away: equal up to rounding, not bits.
+	at := last.At + time.Second
+	if got, want := p.Predict(at), fresh.Predict(at); sphere.AngularDistance(got.View, want.View) > 1e-6 || math.Abs(got.Radius-want.Radius) > 1e-9 {
+		t.Fatalf("compacted window predicts %+v, the same samples fed fresh predict %+v", got, want)
 	}
 }
 

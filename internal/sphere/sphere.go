@@ -23,7 +23,13 @@ type Orientation struct {
 
 // NormalizeYaw maps any yaw angle into [-180, 180).
 func NormalizeYaw(yaw float64) float64 {
-	y := math.Mod(yaw+180, 360)
+	t := yaw + 180
+	if 0 <= t && t < 360 {
+		// Already normal — nearly every angle a session handles. Mod
+		// returns t itself on this range, so skipping it changes no bit.
+		return t - 180
+	}
+	y := math.Mod(t, 360)
 	if y < 0 {
 		y += 360
 	}

@@ -2,6 +2,7 @@ package sphere
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -17,6 +18,46 @@ func TestNormalizeYaw(t *testing.T) {
 		if got := NormalizeYaw(c.in); !almostEqual(got, c.want, 1e-9) {
 			t.Errorf("NormalizeYaw(%v) = %v, want %v", c.in, got, c.want)
 		}
+	}
+}
+
+// normalizeYawMod is NormalizeYaw as it was before the in-range path:
+// Mod on every angle.
+func normalizeYawMod(yaw float64) float64 {
+	y := math.Mod(yaw+180, 360)
+	if y < 0 {
+		y += 360
+	}
+	return y - 180
+}
+
+// TestNormalizeYawBitIdentical: the in-range path must return the very
+// bits Mod returns, since every head trace, predictor and projection
+// downstream is pinned byte for byte.
+func TestNormalizeYawBitIdentical(t *testing.T) {
+	check := func(yaw float64) {
+		t.Helper()
+		got, want := NormalizeYaw(yaw), normalizeYawMod(yaw)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NormalizeYaw(%v) = %v (%#x), Mod form %v (%#x)",
+				yaw, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, a := range []float64{0, 1e-20, 90, 179.999, 180, 360, 540, 720, 1e15, math.MaxFloat64} {
+		for _, yaw := range []float64{a, -a} {
+			check(yaw)
+			check(math.Nextafter(yaw, math.Inf(1)))
+			check(math.Nextafter(yaw, math.Inf(-1)))
+		}
+	}
+	check(math.Nextafter(180, 0))
+	check(math.Copysign(0, -1))
+	check(math.Inf(1))
+	check(math.Inf(-1))
+	check(math.NaN())
+	rng := rand.New(rand.NewSource(15))
+	for n := 0; n < 200_000; n++ {
+		check(rng.Float64()*1440 - 720)
 	}
 }
 

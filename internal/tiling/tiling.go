@@ -15,7 +15,6 @@ package tiling
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"sperke/internal/sphere"
@@ -83,23 +82,24 @@ func (g Grid) Rect(id TileID) (u0, v0, u1, v1 float64) {
 }
 
 // TileAt returns the tile containing texture coordinates (u, v),
-// clamping coordinates into [0,1).
+// clamping coordinates into [0,1). The result is a tile of the grid
+// for every float: NaN lands in column (row) 0, +Inf in the last.
 func (g Grid) TileAt(u, v float64) TileID {
-	if u < 0 {
-		u = 0
+	return TileID(cell(v, g.Rows)*g.Cols + cell(u, g.Cols))
+}
+
+// cell returns which of n equal cells of [0,1) holds x. The compares
+// run on the scaled float, so no out-of-range or NaN value ever reaches
+// the int conversion (whose result for those is platform-defined).
+func cell(x float64, n int) int {
+	f := x * float64(n)
+	if !(f > 0) {
+		return 0
 	}
-	if v < 0 {
-		v = 0
+	if f >= float64(n) {
+		return n - 1
 	}
-	col := int(u * float64(g.Cols))
-	row := int(v * float64(g.Rows))
-	if col >= g.Cols {
-		col = g.Cols - 1
-	}
-	if row >= g.Rows {
-		row = g.Rows - 1
-	}
-	return TileID(row*g.Cols + col)
+	return int(f)
 }
 
 // Center returns the viewing direction of the tile's center under the
@@ -109,63 +109,82 @@ func (g Grid) Center(id TileID, p sphere.Projection) sphere.Orientation {
 	return p.Inverse((u0+u1)/2, (v0+v1)/2)
 }
 
-// fovSamples controls the sampling density of VisibleTiles. A 17×17
-// lattice over the frustum is dense enough that no tile bigger than
-// FoV/16 can slip between samples; the prototype grids are far coarser
-// than that.
+// fovSamples is the side of the angular lattice VisibleTiles lays over
+// the frustum: samples sit FoV/16 apart and include the frustum's
+// edges and corners. Every tile holding a lattice point is reported; a
+// tile the FoV only grazes between two points (a sliver narrower than
+// FoV/16 in view space) is not. At 100°×90° that pitch is about 6°,
+// against 60°-wide tiles on the 4×6 grid.
 const fovSamples = 17
 
 // VisibleTiles returns the sorted set of tiles that cover any part of
 // the FoV when looking along view, under projection p. The result is
 // the minimal fetch set when head-movement prediction is perfect
-// (§3.1.2, "super chunk" construction).
+// (§3.1.2, "super chunk" construction). An invalid grid has no tiles.
+//
+// Everything that depends only on the FoV (the lattice angles' sines
+// and cosines) or only on the view (the three rotations') is computed
+// once; per sample the same products and sums run in the same order as
+// rotating a freshly built direction, so the set is bit-for-bit the one
+// the unhoisted form (visibleTilesRef in the tests) yields.
 func VisibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphere.FoV) []TileID {
-	seen := make(map[TileID]bool)
+	if g.Validate() != nil {
+		return nil
+	}
+	var sinX, cosX, sinY, cosY [fovSamples]float64
+	for i := range sinX {
+		f := float64(i)/(fovSamples-1) - 0.5
+		sinX[i], cosX[i] = sincos(f * fov.Width)
+		sinY[i], cosY[i] = sincos(f * fov.Height)
+	}
+	sinRoll, cosRoll := sincos(view.Roll)
+	sinPitch, cosPitch := sincos(view.Pitch)
+	sinYaw, cosYaw := sincos(view.Yaw)
+
+	var stack [64]bool // grids up to 64 tiles keep their seen-set off the heap
+	seen := stack[:]
+	if g.Tiles() > len(stack) {
+		seen = make([]bool, g.Tiles())
+	}
+	n := 0
 	for i := 0; i < fovSamples; i++ {
 		for j := 0; j < fovSamples; j++ {
-			// Sample the frustum on a regular angular lattice including
-			// the edges.
-			hx := (float64(i)/(fovSamples-1) - 0.5) * fov.Width
-			hy := (float64(j)/(fovSamples-1) - 0.5) * fov.Height
-			dir := frustumDirection(view, hx, hy)
-			u, v := p.Forward(dir)
-			seen[g.TileAt(u, v)] = true
+			// The direction at view-space angles (hx_i, hy_j), rotated
+			// into world space by roll, pitch, yaw (the inverse order of
+			// sphere.angleInView).
+			d := sphere.Vec3{X: cosY[j] * sinX[i], Y: sinY[j], Z: cosY[j] * cosX[i]}
+			d = rotZ(d, sinRoll, cosRoll)
+			d = rotX(d, sinPitch, cosPitch)
+			d = rotY(d, sinYaw, cosYaw)
+			id := g.TileAt(p.Forward(sphere.FromDirection(d)))
+			if !seen[id] {
+				seen[id] = true
+				n++
+			}
 		}
 	}
-	out := make([]TileID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
+	out := make([]TileID, 0, n)
+	for id := 0; len(out) < n; id++ {
+		if seen[id] {
+			out = append(out, TileID(id))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// frustumDirection returns the world direction at view-space angles
-// (hx, hy) degrees from the view axis, honoring roll.
-func frustumDirection(view sphere.Orientation, hx, hy float64) sphere.Orientation {
-	// Build the direction in view space, then rotate into world space by
-	// applying roll, pitch, yaw (the inverse order of sphere.angleInView).
-	local := sphere.Orientation{Yaw: hx, Pitch: hy}.Direction()
-	v := rotZ(local, view.Roll)
-	v = rotX(v, view.Pitch)
-	v = rotY(v, view.Yaw)
-	return sphere.FromDirection(v)
-}
-
-func rotY(v sphere.Vec3, deg float64) sphere.Vec3 {
-	s, c := sincos(deg)
+// rotY rotates v about the vertical axis by the angle whose sine and
+// cosine are s and c.
+func rotY(v sphere.Vec3, s, c float64) sphere.Vec3 {
 	return sphere.Vec3{X: v.X*c + v.Z*s, Y: v.Y, Z: -v.X*s + v.Z*c}
 }
 
 // rotX applies the pitch rotation convention of sphere.Orientation:
 // rotX(p) maps (0,0,1) to (0, sin p, cos p).
-func rotX(v sphere.Vec3, deg float64) sphere.Vec3 {
-	s, c := sincos(deg)
+func rotX(v sphere.Vec3, s, c float64) sphere.Vec3 {
 	return sphere.Vec3{X: v.X, Y: v.Y*c + v.Z*s, Z: -v.Y*s + v.Z*c}
 }
 
-func rotZ(v sphere.Vec3, deg float64) sphere.Vec3 {
-	s, c := sincos(deg)
+func rotZ(v sphere.Vec3, s, c float64) sphere.Vec3 {
 	return sphere.Vec3{X: v.X*c - v.Y*s, Y: v.X*s + v.Y*c, Z: v.Z}
 }
 
@@ -175,75 +194,55 @@ func sincos(deg float64) (s, c float64) {
 }
 
 // Ring returns the tiles exactly dist grid steps (Chebyshev distance,
-// with yaw wraparound) away from the given tile set. Ring(s, 1) is the
-// first OOS ring around the FoV tiles; Ring(s, 2) the second; and so on.
-// Tiles in the input set are never part of any ring.
+// with yaw wraparound) away from the given tile set, in id order.
+// Ring(s, 1) is the first OOS ring around the FoV tiles; Ring(s, 2) the
+// second; and so on. Tiles in the input set are never part of any ring.
 func Ring(g Grid, set []TileID, dist int) []TileID {
 	if dist <= 0 {
 		return nil
 	}
-	in := make(map[TileID]bool, len(set))
-	for _, id := range set {
-		in[id] = true
-	}
-	// Compute grid distance from the set by BFS over the wrap-aware
-	// neighborhood.
-	distMap := distancesFrom(g, in)
 	var out []TileID
-	for id, d := range distMap {
+	for id, d := range Distances(g, set) {
 		if d == dist {
-			out = append(out, id)
+			out = append(out, TileID(id))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Distances returns each tile's grid distance (Chebyshev steps with yaw
-// wraparound) from the given set. Tiles in the set have distance 0.
-// Used by OOS quality falloff: "the further away they are from X, the
-// lower their qualities will be" (§3.1.1).
-func Distances(g Grid, set []TileID) map[TileID]int {
-	in := make(map[TileID]bool, len(set))
-	for _, id := range set {
-		in[id] = true
+// wraparound) from the given set, indexed by tile id. Tiles in the set
+// have distance 0; when the set holds no tile of the grid every entry
+// is -1. Used by OOS quality falloff: "the further away they are from
+// X, the lower their qualities will be" (§3.1.1).
+func Distances(g Grid, set []TileID) []int {
+	dist := make([]int, g.Tiles())
+	for i := range dist {
+		dist[i] = -1
 	}
-	return distancesFrom(g, in)
-}
-
-func distancesFrom(g Grid, in map[TileID]bool) map[TileID]int {
-	dist := make(map[TileID]int, g.Tiles())
-	var frontier []TileID
-	for id := range in {
-		if g.Valid(id) {
+	// Breadth-first over the wrap-aware neighborhood; queue[head:] is
+	// the frontier.
+	queue := make([]TileID, 0, len(dist))
+	for _, id := range set {
+		if g.Valid(id) && dist[id] < 0 {
 			dist[id] = 0
-			frontier = append(frontier, id)
+			queue = append(queue, id)
 		}
 	}
-	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-	for d := 1; len(frontier) > 0; d++ {
-		var next []TileID
-		for _, id := range frontier {
-			row, col := g.RowCol(id)
-			for dr := -1; dr <= 1; dr++ {
-				for dc := -1; dc <= 1; dc++ {
-					if dr == 0 && dc == 0 {
-						continue
-					}
-					nr := row + dr
-					if nr < 0 || nr >= g.Rows {
-						continue
-					}
-					n := g.Tile(nr, col+dc)
-					if _, ok := dist[n]; !ok {
-						dist[n] = d
-						next = append(next, n)
-					}
+	for head := 0; head < len(queue); head++ {
+		id := queue[head]
+		row, col := g.RowCol(id)
+		for nr := row - 1; nr <= row+1; nr++ {
+			if nr < 0 || nr >= g.Rows {
+				continue
+			}
+			for nc := col - 1; nc <= col+1; nc++ {
+				if n := g.Tile(nr, nc); dist[n] < 0 {
+					dist[n] = dist[id] + 1
+					queue = append(queue, n)
 				}
 			}
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		frontier = next
 	}
 	return dist
 }

@@ -128,7 +128,7 @@ func TestVisibleTilesCoverEveryFoVDirection(t *testing.T) {
 			for j := -4; j <= 4; j++ {
 				hx := float64(i) / 4 * sphere.DefaultFoV.Width / 2 * 0.99
 				hy := float64(j) / 4 * sphere.DefaultFoV.Height / 2 * 0.99
-				dir := frustumDirection(view, hx, hy)
+				dir := frustumDirectionRef(view, hx, hy)
 				u, v := p.Forward(dir)
 				if !set[g.TileAt(u, v)] {
 					t.Fatalf("view %v: direction (%.0f,%.0f) tile %d not in visible set %v",
