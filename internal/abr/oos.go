@@ -99,7 +99,17 @@ func PlanOOS(in OOSInput, pol OOSPolicy) []TileQuality {
 	// One distance pass serves every ring; FoV tiles sit at distance 0
 	// and so are in none.
 	dist := tiling.Distances(in.Grid, in.FoVTiles)
+	// The tiles in rings 1..rings bound the plan: size it once.
 	var plan []TileQuality
+	inRings := 0
+	for _, d := range dist {
+		if d >= 1 && d <= rings {
+			inRings++
+		}
+	}
+	if inRings > 0 {
+		plan = make([]TileQuality, 0, inRings)
+	}
 	for ring := 1; ring <= rings; ring++ {
 		q := in.FoVQuality - ring*pol.drop()
 		if q < 0 {

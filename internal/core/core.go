@@ -176,6 +176,7 @@ type tileState struct {
 	quality int // -1 = not downloaded
 	bytes   int64
 	pending bool // a fetch or upgrade is in flight
+	tracked bool // the session has asked for this tile (see Session.tile)
 	// enc is the encoding the tile was fetched in (hybrid sessions mix
 	// them; otherwise it is the video's encoding).
 	enc media.Encoding
@@ -198,7 +199,10 @@ type Session struct {
 	dsched *player.DecodeScheduler
 	ccache *player.ChunkCache
 
-	state       map[int]map[tiling.TileID]*tileState
+	// state holds every (interval, tile) of the video in one slab,
+	// interval-major; an entry counts only once tracked. The slab never
+	// grows, so fetch callbacks keep pointers into it.
+	state       []tileState
 	planned     map[int]bool
 	fovQuality  map[int]int
 	visibleEver map[int][]bool // per interval, indexed by tile id
@@ -252,7 +256,7 @@ func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched trans
 		sched:       sched,
 		est:         &netem.HarmonicMean{},
 		predictor:   cfg.NewPredictor(),
-		state:       make(map[int]map[tiling.TileID]*tileState),
+		state:       make([]tileState, cfg.Video.NumChunks()*cfg.Video.Grid.Tiles()),
 		planned:     make(map[int]bool),
 		fovQuality:  make(map[int]int),
 		visibleEver: make(map[int][]bool),
@@ -362,18 +366,30 @@ func (s *Session) publishReport() {
 
 // ---- bookkeeping helpers ----
 
+// interval returns the slab's entries for interval i, indexed by tile
+// id, tracked or not.
+func (s *Session) interval(i int) []tileState {
+	n := s.cfg.Video.Grid.Tiles()
+	return s.state[i*n : (i+1)*n]
+}
+
+// tile returns the state of tile id in interval i, tracking it from now
+// on.
 func (s *Session) tile(i int, id tiling.TileID) *tileState {
-	m, ok := s.state[i]
-	if !ok {
-		m = make(map[tiling.TileID]*tileState)
-		s.state[i] = m
-	}
-	ts, ok := m[id]
-	if !ok {
-		ts = &tileState{quality: -1, enc: s.cfg.Video.Encoding}
-		m[id] = ts
+	ts := &s.interval(i)[id]
+	if !ts.tracked {
+		*ts = tileState{quality: -1, enc: s.cfg.Video.Encoding, tracked: true}
 	}
 	return ts
+}
+
+// tracked returns the state of tile id in interval i, or nil if the
+// session never asked for it.
+func (s *Session) tracked(i int, id tiling.TileID) *tileState {
+	if ts := &s.interval(i)[id]; ts.tracked {
+		return ts
+	}
+	return nil
 }
 
 // feedPredictor delivers head samples up to virtual now.
@@ -413,13 +429,20 @@ func (s *Session) intervalReady(i int) bool {
 	if !s.planned[i] {
 		return false
 	}
-	for _, ts := range s.state[i] {
+	// A conjunction over the interval's tracked tiles: the order they
+	// are visited in cannot change it.
+	any := false
+	for _, ts := range s.interval(i) {
+		if !ts.tracked {
+			continue
+		}
 		if ts.pending && ts.quality < 0 {
 			return false
 		}
+		any = true
 	}
 	// At least one tile must exist (planning always creates some).
-	return len(s.state[i]) > 0
+	return any
 }
 
 // ---- planning (the fetching scheduler of Fig. 4) ----
@@ -665,19 +688,28 @@ func (s *Session) submitFetch(i int, id tiling.TileID, q int, class transport.Cl
 				return // best-effort loss: tile stays at its old quality
 			}
 			s.emit(EventFetched, i, id, q, d.Bytes, 0)
-			s.afterTranscode(d.Bytes, func() {
-				if q > ts.quality {
-					ts.quality = q
-					ts.bytes += d.Bytes
-					ts.enc = enc
-					if s.ccache != nil {
-						s.ccache.Put(tiling.ChunkID{Quality: q, Tile: id, Start: v.ChunkStart(i)}, d.Bytes)
-					}
-					s.submitDecode(i, id, q, class == transport.ClassFoV)
-				}
-			})
+			if s.transcodes() {
+				s.clock.After(s.cfg.Cloudlet.TranscodeTime(d.Bytes), func() { s.landFetch(ts, i, id, q, enc, class, d.Bytes) })
+				return
+			}
+			s.landFetch(ts, i, id, q, enc, class, d.Bytes)
 		},
 	})
+}
+
+// landFetch makes a delivered, decodable chunk the tile's copy unless a
+// better one landed first.
+func (s *Session) landFetch(ts *tileState, i int, id tiling.TileID, q int, enc media.Encoding, class transport.Class, bytes int64) {
+	if q <= ts.quality {
+		return
+	}
+	ts.quality = q
+	ts.bytes += bytes
+	ts.enc = enc
+	if s.ccache != nil {
+		s.ccache.Put(tiling.ChunkID{Quality: q, Tile: id, Start: s.cfg.Video.ChunkStart(i)}, bytes)
+	}
+	s.submitDecode(i, id, q, class == transport.ClassFoV)
 }
 
 // ---- part three: incremental upgrades ----
@@ -773,15 +805,22 @@ func (s *Session) executeUpgrade(i int, id tiling.TileID, ts *tileState, target 
 			s.col.Fetched(d.Bytes)
 			if d.OK {
 				s.emit(EventUpgraded, i, id, target, d.Bytes, 0)
-				s.afterTranscode(d.Bytes, func() {
-					ts.quality = target
-					ts.bytes += d.Bytes
-					s.rep.Upgrades++
-					s.submitDecode(i, id, target, true)
-				})
+				if s.transcodes() {
+					s.clock.After(s.cfg.Cloudlet.TranscodeTime(d.Bytes), func() { s.landUpgrade(ts, i, id, target, d.Bytes) })
+					return
+				}
+				s.landUpgrade(ts, i, id, target, d.Bytes)
 			}
 		},
 	})
+}
+
+// landUpgrade raises the tile to a delivered, decodable upgrade.
+func (s *Session) landUpgrade(ts *tileState, i int, id tiling.TileID, target int, bytes int64) {
+	ts.quality = target
+	ts.bytes += bytes
+	s.rep.Upgrades++
+	s.submitDecode(i, id, target, true)
 }
 
 // ---- playback ----
@@ -798,7 +837,8 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 
 	missing := 0
 	for _, id := range visible {
-		st, ok := s.state[i][id]
+		st := s.tracked(i, id)
+		ok := st != nil
 		if ok && st.quality >= 0 && s.ccache != nil {
 			// The encoded copy must still be resident in main memory: a
 			// budget eviction throws the download away (Fig. 4).
@@ -832,7 +872,7 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 	if s.fcache != nil {
 		var redecode time.Duration
 		for _, id := range visible {
-			st := s.state[i][id]
+			st := s.tracked(i, id)
 			if st == nil || st.quality < 0 {
 				continue
 			}
@@ -866,10 +906,10 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 
 	// Render: per-tile qualities and bitrate over the visible tiles.
 	var bits float64
-	var shownQ []int
+	shownQ := make([]int, 0, len(visible))
 	blanks := 0
 	for _, id := range visible {
-		st := s.state[i][id]
+		st := s.tracked(i, id)
 		if st == nil || st.quality < 0 {
 			blanks++
 			continue
@@ -915,24 +955,24 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 	}
 
 	if s.ccache != nil {
-		for id, st := range s.state[i] {
-			if st.quality >= 0 {
-				s.ccache.Remove(tiling.ChunkID{Quality: st.quality, Tile: id, Start: v.ChunkStart(i)})
+		// Removals of distinct keys: the cache ends up the same in any
+		// order.
+		for id, st := range s.interval(i) {
+			if st.tracked && st.quality >= 0 {
+				s.ccache.Remove(tiling.ChunkID{Quality: st.quality, Tile: tiling.TileID(id), Start: v.ChunkStart(i)})
 			}
 		}
 	}
 	s.clock.Schedule(s.nextPlayWall, func() { s.playInterval(i+1, s.nextPlayWall) })
 }
 
-// afterTranscode runs fn once the chunk is decodable: immediately for
-// AVC content, after the cloudlet's SVC→AVC transcoding delay when the
-// §3.1.1 offloading path is configured.
-func (s *Session) afterTranscode(bytes int64, fn func()) {
-	if s.cfg.Cloudlet == nil || s.cfg.Video.Encoding != media.EncodingSVC {
-		fn()
-		return
-	}
-	s.clock.After(s.cfg.Cloudlet.TranscodeTime(bytes), fn)
+// transcodes reports whether a fetched chunk is decodable only after
+// the cloudlet's SVC→AVC transcoding delay (the §3.1.1 offloading
+// path); AVC content, and any content without a cloudlet, lands in the
+// fetch callback itself. The callbacks ask first so that the common
+// case builds no closure per fetch.
+func (s *Session) transcodes() bool {
+	return s.cfg.Cloudlet != nil && s.cfg.Video.Encoding == media.EncodingSVC
 }
 
 // playDur is the actual play duration of interval i (the final
@@ -949,16 +989,15 @@ func (s *Session) playDur(i int) time.Duration {
 // accountWaste charges every fetched-but-never-rendered byte after the
 // session.
 func (s *Session) accountWaste() {
-	for i, tiles := range s.state {
-		ever := s.visibleEver[i]
-		for id, ts := range tiles {
-			if ts.bytes == 0 {
-				continue
-			}
-			if ever == nil || !ever[id] {
-				s.col.Wasted(ts.bytes)
-				s.rep.BytesWasted += ts.bytes
-			}
+	// Integer sums, so the order of the walk does not show in them.
+	n := s.cfg.Video.Grid.Tiles()
+	for k, ts := range s.state {
+		if !ts.tracked || ts.bytes == 0 {
+			continue
+		}
+		if ever := s.visibleEver[k/n]; ever == nil || !ever[k%n] {
+			s.col.Wasted(ts.bytes)
+			s.rep.BytesWasted += ts.bytes
 		}
 	}
 }

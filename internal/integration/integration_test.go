@@ -20,6 +20,7 @@ import (
 	"sperke/internal/media"
 	"sperke/internal/netem"
 	"sperke/internal/rtmp"
+	"sperke/internal/serve"
 	"sperke/internal/tiling"
 )
 
@@ -294,5 +295,24 @@ func TestSegmentIntegrityOverHTTP(t *testing.T) {
 	}
 	if !bytes.Equal(payload, payload2) {
 		t.Fatal("same chunk differs across fetches")
+	}
+}
+
+// TestSessionTracesNegativeDuration: serve.SessionTraces does not
+// validate the video it is handed, and asks trace.Generate for ten
+// seconds more than the video lasts; a duration below -10 s used to
+// reach make with a negative capacity and panic. It now yields the
+// single t=0 sample per session.
+func TestSessionTracesNegativeDuration(t *testing.T) {
+	v := liveVideo(time.Second, 4)
+	v.Duration = -time.Minute
+	traces := serve.SessionTraces(serve.EngineConfig{Video: v, Sessions: 3, BaseSeed: 7})
+	if len(traces) != 3 {
+		t.Fatalf("%d traces, want 3", len(traces))
+	}
+	for i, h := range traces {
+		if len(h.Samples) != 1 || h.Samples[0].At != 0 {
+			t.Fatalf("session %d: %d samples, want the t=0 sample alone", i, len(h.Samples))
+		}
 	}
 }

@@ -65,8 +65,12 @@ func (h *HarmonicMean) Add(bps float64) {
 		w = 5
 	}
 	h.samples = append(h.samples, bps)
-	if len(h.samples) > w {
-		h.samples = h.samples[len(h.samples)-w:]
+	if n := len(h.samples); n > w {
+		// Slide the window down in place: slicing the front off instead
+		// would leave append a shrinking tail and a fresh array every few
+		// samples.
+		copy(h.samples, h.samples[n-w:])
+		h.samples = h.samples[:w]
 	}
 }
 

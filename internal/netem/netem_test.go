@@ -439,3 +439,102 @@ func TestPathZeroJitterDeterministicLatency(t *testing.T) {
 	}
 	clock.Run()
 }
+
+// A sequential client starts its next transfer from the callback of the
+// one that just arrived: the path hands the fired transfer's record to
+// the new one, and each delivery still reports its own transfer.
+func TestPathChainedTransfersReportTheirOwn(t *testing.T) {
+	clock := sim.NewClock(1)
+	p := NewPath(clock, "wifi", Constant(8e6), 10*time.Millisecond, 0)
+	sizes := []int64{1e6, 2e6, 5e5, 3e6}
+	var got []Delivery
+	var next func()
+	next = func() {
+		if len(got) == len(sizes) {
+			return
+		}
+		p.Transfer(sizes[len(got)], Reliable, func(d Delivery) {
+			got = append(got, d)
+			next()
+		})
+	}
+	next()
+	clock.Run()
+	if len(got) != len(sizes) {
+		t.Fatalf("%d deliveries, want %d", len(got), len(sizes))
+	}
+	var at time.Duration
+	for i, d := range got {
+		// 1 MB/s: service lasts bytes µs, then 10 ms of propagation; the
+		// next transfer is submitted on arrival.
+		want := Delivery{Start: at, Service: at, Done: at + time.Duration(sizes[i])*time.Microsecond + 10*time.Millisecond, Bytes: sizes[i], OK: true}
+		if d != want {
+			t.Fatalf("delivery %d = %+v, want %+v", i, d, want)
+		}
+		at = d.Done
+	}
+	if p.BytesMoved() != 1e6+2e6+5e5+3e6 || p.InFlight() != 0 {
+		t.Fatalf("BytesMoved = %d, InFlight = %d after drain", p.BytesMoved(), p.InFlight())
+	}
+}
+
+// Transfers in flight together keep separate records, and a canceled
+// one (which never fires) takes nothing from the others.
+func TestPathOverlappingAndCanceledTransfers(t *testing.T) {
+	clock := sim.NewClock(1)
+	p := NewPath(clock, "wifi", Constant(8e6), 0, 0)
+	var done []int64
+	note := func(d Delivery) { done = append(done, d.Bytes) }
+	p.Transfer(1e6, Reliable, note)
+	p.Transfer(2e6, Reliable, note).Cancel()
+	p.Transfer(3e6, Reliable, note)
+	clock.Run()
+	p.Transfer(4e6, Reliable, note)
+	clock.Run()
+	if len(done) != 3 || done[0] != 1e6 || done[1] != 3e6 || done[2] != 4e6 {
+		t.Fatalf("delivered %v, want [1e6 3e6 4e6]", done)
+	}
+}
+
+// One transfer after another costs the event alone: no closure, no new
+// record.
+func TestPathSequentialTransferAllocs(t *testing.T) {
+	clock := sim.NewClock(1)
+	p := NewPath(clock, "wifi", Constant(8e6), 0, 0)
+	done := func(Delivery) {}
+	p.Transfer(1e3, Reliable, done)
+	clock.Run()
+	if n := testing.AllocsPerRun(200, func() {
+		p.Transfer(1e3, Reliable, done)
+		clock.Run()
+	}); n > 1 {
+		t.Fatalf("a sequential transfer allocates %.0f objects, want 1 (its event)", n)
+	}
+}
+
+// At steady state the window slides in place.
+func TestHarmonicMeanSteadyStateAllocs(t *testing.T) {
+	h := HarmonicMean{Window: 3}
+	ref := []float64{}
+	for i := 1; i <= 50; i++ {
+		bps := float64(i) * 1e6
+		h.Add(bps)
+		if ref = append(ref, bps); len(ref) > 3 {
+			ref = ref[1:]
+		}
+		var inv float64
+		for _, s := range ref {
+			inv += 1 / s
+		}
+		if want := float64(len(ref)) / inv; h.Estimate() != want {
+			t.Fatalf("after %d samples Estimate = %v, want %v", i, h.Estimate(), want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 100; i++ {
+			h.Add(2e6)
+		}
+	}); n != 0 {
+		t.Fatalf("100 Adds allocate %.0f objects at steady state", n)
+	}
+}

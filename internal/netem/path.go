@@ -63,6 +63,51 @@ type Path struct {
 	inFlight   int
 	bytesMoved int64
 	outages    []outage
+	free       *transfer // fired transfers, for the next Transfer to reuse
+}
+
+// transfer is one transfer on its way: what its arrival has to report.
+// A path schedules every arrival as the record's arrive method value,
+// bound once, and takes the record back when it fires, so a client that
+// fetches one chunk after another goes through the same record instead
+// of building a closure per fetch. A canceled transfer never fires and
+// its record is simply dropped.
+type transfer struct {
+	p          *Path
+	arrive     func()
+	now, start time.Duration
+	bytes      int64
+	ok         bool
+	done       func(Delivery)
+	next       *transfer
+}
+
+// schedule delivers the outcome to done at the given virtual time.
+func (p *Path) schedule(at, now, start time.Duration, bytes int64, ok bool, done func(Delivery)) *sim.Event {
+	t := p.free
+	if t == nil {
+		t = &transfer{p: p}
+		t.arrive = t.fire
+	} else {
+		p.free = t.next
+	}
+	t.now, t.start, t.bytes, t.ok, t.done = now, start, bytes, ok, done
+	return p.clock.Schedule(at, t.arrive)
+}
+
+func (t *transfer) fire() {
+	p, now, start, bytes, ok, done := t.p, t.now, t.start, t.bytes, t.ok, t.done
+	// Back on the free list before done runs: done may start the next
+	// transfer.
+	t.done = nil
+	t.next, p.free = p.free, t
+	p.inFlight--
+	if ok {
+		p.bytesMoved += bytes
+	}
+	if done != nil {
+		done(Delivery{Start: now, Service: start, Done: p.clock.Now(), Bytes: bytes, OK: ok})
+	}
 }
 
 // outage is a half-open blackout window [from, to) during which the
@@ -175,12 +220,7 @@ func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) *sim.Event {
 			// The datagram burst enters a dead path and vanishes; the
 			// sender learns of the loss once the window has passed.
 			p.inFlight++
-			return p.clock.Schedule(end, func() {
-				p.inFlight--
-				if done != nil {
-					done(Delivery{Start: now, Service: start, Done: p.clock.Now(), Bytes: bytes, OK: false})
-				}
-			})
+			return p.schedule(end, now, start, bytes, false, done)
 		}
 		// Reliable transfers retransmit until the path heals: service
 		// begins at the window's end.
@@ -211,15 +251,7 @@ func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) *sim.Event {
 	if p.Jitter > 0 {
 		arrival += time.Duration(p.clock.RNG("jitter:" + p.Name).Int63n(int64(p.Jitter)))
 	}
-	return p.clock.Schedule(arrival, func() {
-		p.inFlight--
-		if ok {
-			p.bytesMoved += bytes
-		}
-		if done != nil {
-			done(Delivery{Start: now, Service: start, Done: p.clock.Now(), Bytes: bytes, OK: ok})
-		}
-	})
+	return p.schedule(arrival, now, start, bytes, ok, done)
 }
 
 // EstimateTransferTime predicts how long a reliable transfer of bytes

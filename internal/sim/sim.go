@@ -27,7 +27,6 @@ type Event struct {
 	seq  uint64
 	fn   func()
 	dead bool
-	idx  int
 }
 
 // At reports the virtual time the event is scheduled for.
@@ -48,13 +47,9 @@ func (q eventQueue) Less(i, j int) bool {
 }
 func (q eventQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
 }
 func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*q)
-	*q = append(*q, e)
+	*q = append(*q, x.(*Event))
 }
 func (q *eventQueue) Pop() any {
 	old := *q

@@ -70,10 +70,11 @@ func (a Vec3) Norm() float64 { return math.Sqrt(a.Dot(a)) }
 func (o Orientation) Direction() Vec3 {
 	yaw := o.Yaw * math.Pi / 180
 	pitch := o.Pitch * math.Pi / 180
+	cosPitch := math.Cos(pitch)
 	return Vec3{
-		X: math.Cos(pitch) * math.Sin(yaw),
+		X: cosPitch * math.Sin(yaw),
 		Y: math.Sin(pitch),
-		Z: math.Cos(pitch) * math.Cos(yaw),
+		Z: cosPitch * math.Cos(yaw),
 	}
 }
 

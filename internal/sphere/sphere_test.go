@@ -61,6 +61,44 @@ func TestNormalizeYawBitIdentical(t *testing.T) {
 	}
 }
 
+// directionTwoCos is Direction as it was before it kept cos(pitch) in a
+// variable: the cosine is evaluated once per component.
+func directionTwoCos(o Orientation) Vec3 {
+	yaw := o.Yaw * math.Pi / 180
+	pitch := o.Pitch * math.Pi / 180
+	return Vec3{
+		X: math.Cos(pitch) * math.Sin(yaw),
+		Y: math.Sin(pitch),
+		Z: math.Cos(pitch) * math.Cos(yaw),
+	}
+}
+
+// TestDirectionBitIdentical: evaluating cos(pitch) once changes no bit
+// of the vector, on which AngularDistance, the cube map and every
+// generated head trace depend.
+func TestDirectionBitIdentical(t *testing.T) {
+	check := func(o Orientation) {
+		t.Helper()
+		got, want := o.Direction(), directionTwoCos(o)
+		if math.Float64bits(got.X) != math.Float64bits(want.X) ||
+			math.Float64bits(got.Y) != math.Float64bits(want.Y) ||
+			math.Float64bits(got.Z) != math.Float64bits(want.Z) {
+			t.Fatalf("%+v.Direction() = %+v, two-cosine form %+v", o, got, want)
+		}
+	}
+	edges := []float64{0, math.Copysign(0, -1), 1e-20, 90, -90, 180, -180, 360, 1e15, math.Inf(1), math.NaN()}
+	for _, yaw := range edges {
+		for _, pitch := range edges {
+			check(Orientation{Yaw: yaw, Pitch: pitch})
+			check(Orientation{Yaw: math.Nextafter(yaw, 0), Pitch: math.Nextafter(pitch, 0)})
+		}
+	}
+	rng := rand.New(rand.NewSource(16))
+	for n := 0; n < 200_000; n++ {
+		check(Orientation{Yaw: rng.Float64()*720 - 360, Pitch: rng.Float64()*200 - 100})
+	}
+}
+
 func TestNormalizedClampsPitch(t *testing.T) {
 	o := Orientation{Yaw: 10, Pitch: 120}.Normalized()
 	if o.Pitch != 90 {

@@ -123,13 +123,25 @@ const fovSamples = 17
 // (§3.1.2, "super chunk" construction). An invalid grid has no tiles.
 //
 // Everything that depends only on the FoV (the lattice angles' sines
-// and cosines) or only on the view (the three rotations') is computed
-// once; per sample the same products and sums run in the same order as
-// rotating a freshly built direction, so the set is bit-for-bit the one
-// the unhoisted form (visibleTilesRef in the tests) yields.
+// and cosines), only on the view (the three rotations') or only on the
+// grid (its borders') is computed once; per sample the same products
+// and sums run in the same order as rotating a freshly built direction,
+// and on the equirectangular projection the rotated direction is
+// classified against the borders instead of being turned back into
+// angles, except where it is too close to one to call (borders.tileOf).
+// The set is the one the unhoisted form (visibleTilesRef in the tests)
+// yields, for every input.
 func VisibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphere.FoV) []TileID {
+	out, _ := visibleTiles(g, p, view, fov)
+	return out
+}
+
+// visibleTiles is VisibleTiles plus the number of samples whose tile
+// came from the exact expression (all of them off the equirectangular
+// projection), which the tests read to show the guard band is in use.
+func visibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphere.FoV) (out []TileID, exact int) {
 	if g.Validate() != nil {
-		return nil
+		return nil, 0
 	}
 	var sinX, cosX, sinY, cosY [fovSamples]float64
 	for i := range sinX {
@@ -140,6 +152,10 @@ func VisibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphe
 	sinRoll, cosRoll := sincos(view.Roll)
 	sinPitch, cosPitch := sincos(view.Pitch)
 	sinYaw, cosYaw := sincos(view.Yaw)
+
+	var b borders
+	_, classify := p.(sphere.Equirectangular)
+	classify = classify && b.init(g)
 
 	var stack [64]bool // grids up to 64 tiles keep their seen-set off the heap
 	seen := stack[:]
@@ -156,20 +172,129 @@ func VisibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphe
 			d = rotZ(d, sinRoll, cosRoll)
 			d = rotX(d, sinPitch, cosPitch)
 			d = rotY(d, sinYaw, cosYaw)
-			id := g.TileAt(p.Forward(sphere.FromDirection(d)))
+			id, ok := TileID(0), false
+			if classify {
+				id, ok = b.tileOf(d)
+			}
+			if !ok {
+				id = g.TileAt(p.Forward(sphere.FromDirection(d)))
+				exact++
+			}
 			if !seen[id] {
 				seen[id] = true
 				n++
 			}
 		}
 	}
-	out := make([]TileID, 0, n)
+	out = make([]TileID, 0, n)
 	for id := 0; len(out) < n; id++ {
 		if seen[id] {
 			out = append(out, TileID(id))
 		}
 	}
-	return out
+	return out, exact
+}
+
+// guard is the margin δ a direction must keep from every tile border it
+// is compared with for borders.tileOf to answer. It is measured on the
+// sine of an angle, and |sin a − sin b| ≤ |a − b|, so the angle is at
+// least δ rad (5.7e-8°) from the border: seven orders of magnitude above
+// the rounding of the asin/atan2 → degrees → texture → cell chain
+// (< 1e-13°), which therefore lands on the same side.
+const guard = 1e-9
+
+// maxBorders bounds the rows and columns whose borders fit the
+// stack-resident tables; a grid beyond it takes the exact expression.
+const maxBorders = 64
+
+// borders holds an equirectangular grid's tile borders in the form a
+// direction vector is compared with directly: a row border at pitch θ
+// is the plane Y = sin θ, a column border at yaw φ the half-plane
+// through the vertical axis on which X·cos φ − Z·sin φ (that is
+// ρ·sin(yaw − φ), ρ² = X² + Z²) changes sign.
+type borders struct {
+	rows, cols int
+	sinRow     [maxBorders]float64 // [r], 1 ≤ r < rows: sine of the pitch where row r-1 ends and row r begins
+	sinCol     [maxBorders]float64 // [k], 0 ≤ k < cols: sine and cosine of the
+	cosCol     [maxBorders]float64 // yaw where column k begins
+}
+
+// init fills the tables for g and reports whether g fits them.
+func (b *borders) init(g Grid) bool {
+	if g.Rows > maxBorders || g.Cols > maxBorders {
+		return false
+	}
+	b.rows, b.cols = g.Rows, g.Cols
+	for r := 1; r < g.Rows; r++ {
+		b.sinRow[r], _ = sincos(90 - 180*float64(r)/float64(g.Rows))
+	}
+	for k := 0; k < g.Cols; k++ {
+		b.sinCol[k], b.cosCol[k] = sincos(360*float64(k)/float64(g.Cols) - 180)
+	}
+	return true
+}
+
+// tileOf returns the tile g.TileAt(Equirectangular.Forward(
+// sphere.FromDirection(d))) returns, without the inverse trigonometry,
+// or ok = false when d is not provably inside one tile: d is not a unit
+// vector to 1e-12 (FromDirection divides by the norm; here Y is compared
+// as it is), d is within 1e-3 of a pole (where yaw is ill-conditioned),
+// or d is within guard of a border it is compared with. Every test is
+// written so that a NaN fails it.
+//
+// Rows and columns are both found by bisection, so only the compared
+// borders need the margin: the others lie beyond them.
+func (b *borders) tileOf(d sphere.Vec3) (id TileID, ok bool) {
+	rho2 := d.X*d.X + d.Z*d.Z
+	if !(math.Abs(rho2+d.Y*d.Y-1) <= 1e-12 && rho2 >= 1e-6) {
+		return 0, false
+	}
+	// Pitch falls as the row index grows: row ≥ r iff Y < sinRow[r].
+	row, end := 0, b.rows
+	for end-row > 1 {
+		mid := (row + end) / 2
+		switch m := d.Y - b.sinRow[mid]; {
+		case m < -guard:
+			row = mid
+		case m > guard:
+			end = mid
+		default:
+			return 0, false
+		}
+	}
+	col := 0
+	if b.cols > 1 {
+		// side(k) is positive iff the yaw is past the start of column k by
+		// less than a half turn. Column 0 starts at the seam, so side(0)
+		// picks the half of the frame, and within a half side(k) falls
+		// from positive to negative as k passes the yaw's column.
+		end := (b.cols + 1) / 2
+		switch m := b.side(d, 0); {
+		case m > guard:
+		case m < -guard:
+			col, end = b.cols/2, b.cols
+		default:
+			return 0, false
+		}
+		for end-col > 1 {
+			mid := (col + end) / 2
+			switch m := b.side(d, mid); {
+			case m > guard:
+				col = mid
+			case m < -guard:
+				end = mid
+			default:
+				return 0, false
+			}
+		}
+	}
+	return TileID(row*b.cols + col), true
+}
+
+// side returns ρ·sin(yaw − φ_k) for the direction d: which side of the
+// start of column k it lies on, and by how much.
+func (b *borders) side(d sphere.Vec3, k int) float64 {
+	return d.X*b.cosCol[k] - d.Z*b.sinCol[k]
 }
 
 // rotY rotates v about the vertical axis by the angle whose sine and

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -31,9 +32,13 @@ const SampleRate = 50
 // context's yaw range is enforced throughout. The result reproduces the
 // two properties the paper builds on: short-horizon predictability from
 // recent motion [16, 37] and cross-user correlation through hotspots.
+// A zero or negative dur yields the t = 0 sample alone.
 func Generate(rng *rand.Rand, profile UserProfile, attention *Attention, dur time.Duration) *HeadTrace {
 	dt := time.Second / SampleRate
-	n := int(dur/dt) + 1
+	n := 1 // the t = 0 sample, all there is of a zero or negative duration
+	if dur > 0 {
+		n += int(dur / dt)
+	}
 	h := &HeadTrace{Samples: make([]Sample, 0, n)}
 
 	speed := profile.SpeedScale
@@ -47,7 +52,14 @@ func Generate(rng *rand.Rand, profile UserProfile, attention *Attention, dur tim
 	}
 
 	cur := sphere.Orientation{Yaw: rng.NormFloat64() * 20}
-	target := cur
+	// target moves only on a retarget, a few times a second against 50
+	// samples: setTarget keeps its direction vector beside it so the
+	// per-sample distance below does not rebuild it.
+	var target sphere.Orientation
+	var targetDir sphere.Vec3
+	setTarget := func(o sphere.Orientation) {
+		target, targetDir = o, o.Direction()
+	}
 	state := fixation
 	// Base speeds in degrees/second.
 	pursuitSpeed := 35 * speed
@@ -63,8 +75,9 @@ func Generate(rng *rand.Rand, profile UserProfile, attention *Attention, dur tim
 		return o.Normalized()
 	}
 
+	var hs []Hotspot // retarget's scratch, reused across its calls
 	retarget := func(ts time.Duration) {
-		hs := attention.ActiveHotspots(ts)
+		hs = attention.appendActive(hs[:0], ts)
 		// Engaged viewers follow hotspots; disengaged ones wander.
 		if len(hs) > 0 && rng.Float64() < engage {
 			pick := hs[0]
@@ -84,16 +97,16 @@ func Generate(rng *rand.Rand, profile UserProfile, attention *Attention, dur tim
 				}
 			}
 			// Personal offset around the hotspot.
-			target = clampYaw(sphere.Orientation{
+			setTarget(clampYaw(sphere.Orientation{
 				Yaw:   pick.Center.Yaw + rng.NormFloat64()*8,
 				Pitch: pick.Center.Pitch + rng.NormFloat64()*6,
-			})
+			}))
 			return
 		}
-		target = clampYaw(sphere.Orientation{
+		setTarget(clampYaw(sphere.Orientation{
 			Yaw:   cur.Yaw + rng.NormFloat64()*30,
 			Pitch: rng.NormFloat64() * 15,
-		})
+		}))
 	}
 	retarget(0)
 
@@ -110,10 +123,10 @@ func Generate(rng *rand.Rand, profile UserProfile, attention *Attention, dur tim
 				retarget(ts)
 				// Saccades sometimes go to idiosyncratic directions.
 				if rng.Float64() > engage {
-					target = clampYaw(sphere.Orientation{
+					setTarget(clampYaw(sphere.Orientation{
 						Yaw:   rng.Float64()*2*yawRange - yawRange,
 						Pitch: rng.NormFloat64() * 25,
-					})
+					}))
 				}
 			case r < 0.45:
 				state = pursuit
@@ -124,7 +137,7 @@ func Generate(rng *rand.Rand, profile UserProfile, attention *Attention, dur tim
 		}
 
 		// Advance toward the target.
-		dist := sphere.AngularDistance(cur, target)
+		dist := angleTo(cur, targetDir)
 		var stepDeg float64
 		switch state {
 		case fixation:
@@ -155,6 +168,19 @@ func Generate(rng *rand.Rand, profile UserProfile, attention *Attention, dur tim
 		}
 	}
 	return h
+}
+
+// angleTo is sphere.AngularDistance(o, b), float for float, given b's
+// direction vector instead of b.
+func angleTo(o sphere.Orientation, dir sphere.Vec3) float64 {
+	d := o.Direction().Dot(dir)
+	if d < -1 {
+		d = -1
+	}
+	if d > 1 {
+		d = 1
+	}
+	return math.Acos(d) * 180 / math.Pi
 }
 
 // Population is a set of viewer profiles with realistic diversity.

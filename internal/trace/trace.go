@@ -225,12 +225,17 @@ func GenerateAttention(rng *rand.Rand, dur time.Duration) *Attention {
 // ActiveHotspots returns the hotspots active at ts with their drifted
 // centers.
 func (a *Attention) ActiveHotspots(ts time.Duration) []Hotspot {
-	var out []Hotspot
+	return a.appendActive(nil, ts)
+}
+
+// appendActive appends ActiveHotspots(ts) to dst, for a caller that asks
+// many times and can reuse one buffer.
+func (a *Attention) appendActive(dst []Hotspot, ts time.Duration) []Hotspot {
 	for _, h := range a.Hotspots {
 		if c, ok := h.ActiveAt(ts); ok {
 			h.Center = c
-			out = append(out, h)
+			dst = append(dst, h)
 		}
 	}
-	return out
+	return dst
 }

@@ -183,8 +183,12 @@ type SinglePath struct {
 	Path  *netem.Path
 	Clock Clock
 
-	q      Queue
-	active bool
+	q Queue
+	// cur is the request in flight, nil when the path is idle. One
+	// transfer runs at a time, so its completion is the one method value
+	// done, made on first use, rather than a closure per request.
+	cur  *Request
+	done func(netem.Delivery)
 }
 
 // NewSinglePath creates a single-path scheduler.
@@ -222,7 +226,7 @@ func shed(clock Clock, r *Request) {
 }
 
 func (s *SinglePath) pump() {
-	if s.active {
+	if s.cur != nil {
 		return
 	}
 	r := s.q.Pop()
@@ -233,14 +237,21 @@ func (s *SinglePath) pump() {
 	if r == nil {
 		return
 	}
-	s.active = true
-	s.Path.Transfer(r.Bytes, netem.Reliable, func(d netem.Delivery) {
-		s.active = false
-		if r.OnDone != nil {
-			r.OnDone(d, d.Done <= r.Deadline)
-		}
-		s.pump()
-	})
+	s.cur = r
+	if s.done == nil {
+		s.done = s.delivered
+	}
+	s.Path.Transfer(r.Bytes, netem.Reliable, s.done)
+}
+
+// delivered completes the request in flight and dispatches the next.
+func (s *SinglePath) delivered(d netem.Delivery) {
+	r := s.cur
+	s.cur = nil
+	if r.OnDone != nil {
+		r.OnDone(d, d.Done <= r.Deadline)
+	}
+	s.pump()
 }
 
 // Pending returns the queued (not in-flight) request count.

@@ -154,3 +154,59 @@ func TestQueuePropertyPopOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A completion callback that submits the next request (what a session's
+// planner does) sees the path idle: the new request starts at once and
+// nothing is dispatched twice.
+func TestSinglePathSubmitFromOnDone(t *testing.T) {
+	clock := sim.NewClock(1)
+	path := netem.NewPath(clock, "p", netem.Constant(8e6), 0, 0)
+	s := NewSinglePath(clock, path)
+	var order []tiling.TileID
+	var done []time.Duration
+	mk := func(tile int) *Request {
+		r := req(tile, ClassFoV, false, time.Minute, 1e6)
+		r.OnDone = func(d netem.Delivery, met bool) {
+			order = append(order, r.Chunk.Tile)
+			done = append(done, d.Done)
+		}
+		return r
+	}
+	first := mk(1)
+	inner := first.OnDone
+	first.OnDone = func(d netem.Delivery, met bool) {
+		inner(d, met)
+		s.Submit(mk(3)) // behind tile 2, which is already queued
+	}
+	s.Submit(first)
+	s.Submit(mk(2))
+	clock.Run()
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("delivery order %v, want [1 2 3]", order)
+	}
+	for i, at := range done {
+		if want := time.Duration(i+1) * time.Second; at != want {
+			t.Fatalf("request %d done at %v, want %v: one transfer at a time, back to back", i, at, want)
+		}
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d after drain", s.Pending())
+	}
+}
+
+// Dispatching a request costs the path's event and nothing else here:
+// the completion is one method value for the scheduler's lifetime.
+func TestSinglePathDispatchAllocs(t *testing.T) {
+	clock := sim.NewClock(1)
+	path := netem.NewPath(clock, "p", netem.Constant(8e6), 0, 0)
+	s := NewSinglePath(clock, path)
+	r := req(1, ClassFoV, false, time.Minute, 1e3)
+	s.Submit(r)
+	clock.Run()
+	if n := testing.AllocsPerRun(200, func() {
+		s.Submit(r)
+		clock.Run()
+	}); n > 1 {
+		t.Fatalf("a dispatch allocates %.0f objects, want 1 (the path's event)", n)
+	}
+}
