@@ -116,8 +116,9 @@ func run() error {
 					// this run's viewers will follow (same seeds, same
 					// recipe), so the pre-warm tier sees the correlation
 					// §3.2 measures on real crowds.
-					heat := hmp.BuildHeatmap(video.Grid, sphere.Equirectangular{},
-						sphere.DefaultFoV, video.ChunkDuration, video.Duration,
+					heat := hmp.BuildHeatmap(
+						tiling.NewViewport(video.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
+						video.ChunkDuration, video.Duration,
 						serve.SessionTraces(serve.EngineConfig{
 							Video: video, Sessions: *sessions, BaseSeed: *seed,
 						}))

@@ -1,7 +1,8 @@
 package abr
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"sperke/internal/hmp"
@@ -153,11 +154,11 @@ func PlanOOS(in OOSInput, pol OOSPolicy) []TileQuality {
 		}
 	}
 	// Deterministic order: probability desc, then tile ID.
-	sort.SliceStable(plan, func(i, j int) bool {
-		if plan[i].Probability != plan[j].Probability {
-			return plan[i].Probability > plan[j].Probability
+	slices.SortStableFunc(plan, func(a, b TileQuality) int {
+		if c := cmp.Compare(b.Probability, a.Probability); c != 0 {
+			return c
 		}
-		return plan[i].Tile < plan[j].Tile
+		return cmp.Compare(a.Tile, b.Tile)
 	})
 	// Byte budget: keep the most probable tiles.
 	if pol.BudgetBytes > 0 && in.SizeAt != nil {

@@ -141,7 +141,7 @@ func TestPlanOOSHeatmapPrunesAndPromotes(t *testing.T) {
 		}
 		sessions = append(sessions, h)
 	}
-	heat := hmp.BuildHeatmap(g, p, sphere.DefaultFoV, 2*time.Second, 10*time.Second, sessions)
+	heat := hmp.BuildHeatmap(tiling.NewViewport(g, p, sphere.DefaultFoV), 2*time.Second, 10*time.Second, sessions)
 
 	in := testOOSInput(t, 120)
 	in.Heatmap = heat

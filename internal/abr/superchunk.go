@@ -5,7 +5,6 @@ import (
 
 	"sperke/internal/hmp"
 	"sperke/internal/media"
-	"sperke/internal/sphere"
 	"sperke/internal/tiling"
 )
 
@@ -26,12 +25,11 @@ type SuperChunk struct {
 }
 
 // BuildSuperChunk covers the predicted FoV for one interval.
-func BuildSuperChunk(g tiling.Grid, p sphere.Projection, fov sphere.FoV,
-	pred hmp.Prediction, interval int, chunkDur time.Duration) SuperChunk {
+func BuildSuperChunk(vp tiling.Viewport, pred hmp.Prediction, interval int, chunkDur time.Duration) SuperChunk {
 	return SuperChunk{
 		Interval:   interval,
 		Start:      time.Duration(interval) * chunkDur,
-		Tiles:      tiling.VisibleTiles(g, p, pred.View, fov),
+		Tiles:      vp.Visible(pred.View),
 		Prediction: pred,
 	}
 }
@@ -58,15 +56,15 @@ func (sc SuperChunk) Rate(v *media.Video, q int) float64 {
 // interval in [from, to), each from the predictor's forecast at that
 // interval's midpoint. This is the "sequence of super chunks" §3.1.2
 // reduces FoV-guided VRA to under perfect HMP.
-func BuildSequence(g tiling.Grid, p sphere.Projection, fov sphere.FoV,
-	predict func(at time.Duration) hmp.Prediction, chunkDur time.Duration, from, to int) []SuperChunk {
+func BuildSequence(vp tiling.Viewport, predict func(at time.Duration) hmp.Prediction,
+	chunkDur time.Duration, from, to int) []SuperChunk {
 	if to <= from {
 		return nil
 	}
 	out := make([]SuperChunk, 0, to-from)
 	for i := from; i < to; i++ {
 		mid := time.Duration(i)*chunkDur + chunkDur/2
-		out = append(out, BuildSuperChunk(g, p, fov, predict(mid), i, chunkDur))
+		out = append(out, BuildSuperChunk(vp, predict(mid), i, chunkDur))
 	}
 	return out
 }

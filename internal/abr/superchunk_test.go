@@ -25,7 +25,7 @@ func TestBuildSuperChunkCoversFoV(t *testing.T) {
 	g := tiling.GridCellular
 	p := sphere.Equirectangular{}
 	pred := hmp.Prediction{View: sphere.Orientation{Yaw: 45}, Radius: 10}
-	sc := BuildSuperChunk(g, p, sphere.DefaultFoV, pred, 3, 2*time.Second)
+	sc := BuildSuperChunk(tiling.NewViewport(g, p, sphere.DefaultFoV), pred, 3, 2*time.Second)
 	if sc.Interval != 3 || sc.Start != 6*time.Second {
 		t.Fatalf("interval/start %d/%v", sc.Interval, sc.Start)
 	}
@@ -40,7 +40,7 @@ func TestBuildSuperChunkCoversFoV(t *testing.T) {
 
 func TestSuperChunkSizeMatchesTileSum(t *testing.T) {
 	v := scVideo()
-	sc := BuildSuperChunk(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV,
+	sc := BuildSuperChunk(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
 		hmp.Prediction{}, 2, v.ChunkDuration)
 	var sum int64
 	for _, id := range sc.Tiles {
@@ -60,7 +60,7 @@ func TestSuperChunkSmallerThanPanorama(t *testing.T) {
 	// The point of the construction: a super chunk is the FoV cover, not
 	// the sphere.
 	v := scVideo()
-	sc := BuildSuperChunk(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV,
+	sc := BuildSuperChunk(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
 		hmp.Prediction{}, 0, v.ChunkDuration)
 	if sc.SizeAt(v, 4) >= v.PanoramaBytes(4, 0) {
 		t.Fatal("super chunk not smaller than the panorama")
@@ -74,7 +74,7 @@ func TestBuildSequence(t *testing.T) {
 	predict := func(at time.Duration) hmp.Prediction {
 		return hmp.Prediction{View: sphere.Orientation{Yaw: 20 * at.Seconds()}, Radius: 15}
 	}
-	seq := BuildSequence(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV,
+	seq := BuildSequence(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
 		predict, v.ChunkDuration, 0, 5)
 	if len(seq) != 5 {
 		t.Fatalf("sequence length %d", len(seq))
@@ -101,7 +101,8 @@ func TestBuildSequence(t *testing.T) {
 	if same && len(seq[0].Tiles) == len(seq[4].Tiles) {
 		t.Fatal("160° of pan did not change the cover")
 	}
-	if BuildSequence(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV, predict, v.ChunkDuration, 3, 3) != nil {
+	if BuildSequence(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
+		predict, v.ChunkDuration, 3, 3) != nil {
 		t.Fatal("empty range not nil")
 	}
 }

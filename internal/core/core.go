@@ -188,6 +188,9 @@ type Session struct {
 	cfg   Config
 	head  *trace.HeadTrace
 	sched transport.Scheduler
+	// view is the video's grid seen through the configured FoV: every
+	// planning, upgrade and playback tick asks it which tiles are visible.
+	view tiling.Viewport
 
 	col       qoe.Collector
 	est       netem.ThroughputEstimator
@@ -212,6 +215,9 @@ type Session struct {
 	started      bool
 	ran          bool
 	ctx          context.Context
+
+	// freeFetch lists the fetch records whose request has completed.
+	freeFetch *fetch
 
 	rep Report
 }
@@ -254,6 +260,7 @@ func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched trans
 		cfg:         cfg,
 		head:        head,
 		sched:       sched,
+		view:        tiling.NewViewport(cfg.Video.Grid, cfg.Projection, cfg.FoV),
 		est:         &netem.HarmonicMean{},
 		predictor:   cfg.NewPredictor(),
 		state:       make([]tileState, cfg.Video.NumChunks()*cfg.Video.Grid.Tiles()),
@@ -502,7 +509,7 @@ func (s *Session) planInterval(i int, deadline time.Duration) {
 			fovTiles = append(fovTiles, t)
 		}
 	} else {
-		sc := abr.BuildSuperChunk(v.Grid, s.cfg.Projection, s.cfg.FoV, pred, i, v.ChunkDuration)
+		sc := abr.BuildSuperChunk(s.view, pred, i, v.ChunkDuration)
 		fovTiles = sc.Tiles
 	}
 
@@ -669,45 +676,101 @@ func (s *Session) submitFetch(i int, id tiling.TileID, q int, class transport.Cl
 		s.rep.UrgentFetches++
 		s.emit(EventUrgent, i, id, q, bytes, 0)
 	}
-	s.submit(&transport.Request{
-		Chunk:       tiling.ChunkID{Quality: q, Tile: id, Start: v.ChunkStart(i)},
+	f := s.newFetch(ts, i, enc, false)
+	f.req = transport.Request{
+		Chunk:       tiling.ChunkID{Quality: q, Tile: id, Start: start},
 		Bytes:       bytes,
 		Deadline:    deadline,
 		Class:       class,
 		Urgent:      urgent,
 		Probability: prob,
-		OnDone: func(d netem.Delivery, met bool) {
-			ts.pending = false
-			s.est.Add(d.Throughput())
-			s.rep.BytesFetched += d.Bytes
-			s.col.Fetched(d.Bytes)
-			if !d.OK {
-				s.col.Wasted(d.Bytes)
-				s.rep.BytesWasted += d.Bytes
-				s.emit(EventDropped, i, id, q, d.Bytes, 0)
-				return // best-effort loss: tile stays at its old quality
-			}
-			s.emit(EventFetched, i, id, q, d.Bytes, 0)
-			if s.transcodes() {
-				s.clock.After(s.cfg.Cloudlet.TranscodeTime(d.Bytes), func() { s.landFetch(ts, i, id, q, enc, class, d.Bytes) })
-				return
-			}
-			s.landFetch(ts, i, id, q, enc, class, d.Bytes)
-		},
-	})
+		OnDone:      f.req.OnDone,
+	}
+	s.submit(&f.req)
 }
 
-// landFetch makes a delivered, decodable chunk the tile's copy unless a
-// better one landed first.
-func (s *Session) landFetch(ts *tileState, i int, id tiling.TileID, q int, enc media.Encoding, class transport.Class, bytes int64) {
-	if q <= ts.quality {
+// fetch is one chunk request on its way, with what its completion has
+// to know beyond the request itself. The session owns the records: one
+// is minted when none is free, its OnDone is bound to its done method
+// then and never again, and done hands the record back before it does
+// anything else, so a session holds as many records as it ever had
+// requests outstanding at once. This leans on the transport contract
+// that OnDone is called once and is the scheduler's last touch of the
+// Request (see transport.Request.OnDone).
+type fetch struct {
+	req transport.Request
+	s   *Session
+
+	ts       *tileState
+	interval int
+	enc      media.Encoding // the encoding fetched in; an upgrade keeps the tile's
+	upgrade  bool           // an incremental upgrade (§3.1.2 part three), not a first fetch
+	next     *fetch
+}
+
+// newFetch takes a record off the free list, or mints one, for a
+// request about tile state ts of interval i. The caller fills f.req,
+// keeping its OnDone.
+func (s *Session) newFetch(ts *tileState, i int, enc media.Encoding, upgrade bool) *fetch {
+	f := s.freeFetch
+	if f == nil {
+		f = &fetch{s: s}
+		f.req.OnDone = f.done
+	} else {
+		s.freeFetch = f.next
+	}
+	f.ts, f.interval, f.enc, f.upgrade = ts, i, enc, upgrade
+	return f
+}
+
+// done is every request's OnDone.
+func (f *fetch) done(d netem.Delivery, _ bool) {
+	s, ts, i, enc, upgrade := f.s, f.ts, f.interval, f.enc, f.upgrade
+	id, q, class := f.req.Chunk.Tile, f.req.Chunk.Quality, f.req.Class
+	// The record is free from here on: whatever this delivery makes the
+	// session submit next goes out in it.
+	f.next, s.freeFetch = s.freeFetch, f
+
+	ts.pending = false
+	s.est.Add(d.Throughput())
+	s.rep.BytesFetched += d.Bytes
+	s.col.Fetched(d.Bytes)
+	switch {
+	case !d.OK && upgrade:
+		return // the tile keeps the copy it had
+	case !d.OK:
+		s.col.Wasted(d.Bytes)
+		s.rep.BytesWasted += d.Bytes
+		s.emit(EventDropped, i, id, q, d.Bytes, 0)
+		return // best-effort loss: tile stays at its old quality
+	case upgrade:
+		s.emit(EventUpgraded, i, id, q, d.Bytes, 0)
+	default:
+		s.emit(EventFetched, i, id, q, d.Bytes, 0)
+	}
+	if s.transcodes() {
+		s.clock.After(s.cfg.Cloudlet.TranscodeTime(d.Bytes), func() { s.land(ts, i, id, q, enc, class, d.Bytes, upgrade) })
+		return
+	}
+	s.land(ts, i, id, q, enc, class, d.Bytes, upgrade)
+}
+
+// land makes a delivered, decodable chunk count for its tile: an
+// upgrade raises the tile to q; a first fetch becomes the tile's copy
+// unless a better one landed first.
+func (s *Session) land(ts *tileState, i int, id tiling.TileID, q int, enc media.Encoding, class transport.Class, bytes int64, upgrade bool) {
+	if !upgrade && q <= ts.quality {
 		return
 	}
 	ts.quality = q
 	ts.bytes += bytes
-	ts.enc = enc
-	if s.ccache != nil {
-		s.ccache.Put(tiling.ChunkID{Quality: q, Tile: id, Start: s.cfg.Video.ChunkStart(i)}, bytes)
+	if upgrade {
+		s.rep.Upgrades++
+	} else {
+		ts.enc = enc
+		if s.ccache != nil {
+			s.ccache.Put(tiling.ChunkID{Quality: q, Tile: id, Start: s.cfg.Video.ChunkStart(i)}, bytes)
+		}
 	}
 	s.submitDecode(i, id, q, class == transport.ClassFoV)
 }
@@ -739,7 +802,7 @@ func (s *Session) checkUpgrades() {
 		if prob > 0.99 {
 			prob = 0.99
 		}
-		for _, id := range tiling.VisibleTiles(v.Grid, s.cfg.Projection, pred.View, s.cfg.FoV) {
+		for _, id := range s.view.Visible(pred.View) {
 			ts := s.tile(i, id)
 			if ts.pending {
 				continue
@@ -792,35 +855,16 @@ func (s *Session) executeUpgrade(i int, id tiling.TileID, ts *tileState, target 
 	}
 	ts.pending = true
 	urgent := deadline-s.clock.Now() < v.ChunkDuration
-	s.submit(&transport.Request{
+	f := s.newFetch(ts, i, ts.enc, true)
+	f.req = transport.Request{
 		Chunk:    tiling.ChunkID{Quality: target, Tile: id, Start: v.ChunkStart(i)},
 		Bytes:    bytes,
 		Deadline: deadline,
 		Class:    transport.ClassFoV,
 		Urgent:   urgent,
-		OnDone: func(d netem.Delivery, met bool) {
-			ts.pending = false
-			s.est.Add(d.Throughput())
-			s.rep.BytesFetched += d.Bytes
-			s.col.Fetched(d.Bytes)
-			if d.OK {
-				s.emit(EventUpgraded, i, id, target, d.Bytes, 0)
-				if s.transcodes() {
-					s.clock.After(s.cfg.Cloudlet.TranscodeTime(d.Bytes), func() { s.landUpgrade(ts, i, id, target, d.Bytes) })
-					return
-				}
-				s.landUpgrade(ts, i, id, target, d.Bytes)
-			}
-		},
-	})
-}
-
-// landUpgrade raises the tile to a delivered, decodable upgrade.
-func (s *Session) landUpgrade(ts *tileState, i int, id tiling.TileID, target int, bytes int64) {
-	ts.quality = target
-	ts.bytes += bytes
-	s.rep.Upgrades++
-	s.submitDecode(i, id, target, true)
+		OnDone:   f.req.OnDone,
+	}
+	s.submit(&f.req)
 }
 
 // ---- playback ----
@@ -833,7 +877,7 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 	}
 	now := s.clock.Now()
 	view := s.head.At(now)
-	visible := tiling.VisibleTiles(v.Grid, s.cfg.Projection, view, s.cfg.FoV)
+	visible := s.view.Visible(view)
 
 	missing := 0
 	for _, id := range visible {
@@ -947,7 +991,7 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 		probed := visible // the k = 0 probe is the view rendered above
 		if k > 0 {
 			probe := now + time.Duration(k)*v.ChunkDuration/4
-			probed = tiling.VisibleTiles(v.Grid, s.cfg.Projection, s.head.At(probe), s.cfg.FoV)
+			probed = s.view.Visible(s.head.At(probe))
 		}
 		for _, id := range probed {
 			ever[id] = true

@@ -39,7 +39,7 @@ func HMPAccuracy(seed int64) *Table {
 	// Training crowd.
 	pop := trace.NewPopulation(rng, 20)
 	crowdTraces := pop.Sessions(rng, att, dur)
-	heat := hmp.BuildHeatmap(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV,
+	heat := hmp.BuildHeatmap(tiling.NewViewport(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV),
 		2*time.Second, dur, crowdTraces)
 
 	// Held-out evaluation viewers (same video, fresh individuals).
@@ -116,11 +116,12 @@ func TileCoverage(seed int64) *Table {
 	g := tiling.GridCellular
 	proj := sphere.Equirectangular{}
 	fov := sphere.DefaultFoV
+	vp := tiling.NewViewport(g, proj, fov)
 	rng := rand.New(rand.NewSource(seed))
 	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+3)), dur)
 	pop := trace.NewPopulation(rng, 20)
 	crowd := pop.Sessions(rng, att, dur)
-	heat := hmp.BuildHeatmap(g, proj, fov, 2*time.Second, dur, crowd)
+	heat := hmp.BuildHeatmap(vp, 2*time.Second, dur, crowd)
 	holdout := trace.Generate(rand.New(rand.NewSource(seed+200)),
 		trace.UserProfile{ID: "h", SpeedScale: 1.3}, att, dur)
 
@@ -145,7 +146,7 @@ func TileCoverage(seed int64) *Table {
 				fed++
 			}
 			forecast := pred.Predict(at + horizon)
-			fovTiles := tiling.VisibleTiles(g, proj, forecast.View, fov)
+			fovTiles := vp.Visible(forecast.View)
 			chosen := make(map[tiling.TileID]bool)
 			for _, id := range fovTiles {
 				chosen[id] = true
@@ -160,7 +161,7 @@ func TileCoverage(seed int64) *Table {
 				}
 				chosen[tq.Tile] = true
 			}
-			actual := tiling.VisibleTiles(g, proj, holdout.At(at+horizon), fov)
+			actual := vp.Visible(holdout.At(at + horizon))
 			for _, id := range actual {
 				total++
 				if chosen[id] {

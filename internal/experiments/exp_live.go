@@ -178,16 +178,15 @@ func SperkeLiveComparison(seed int64) *Table {
 		1200 * media.Kbps, 2000 * media.Kbps, 3500 * media.Kbps,
 	}
 	const dur = 2 * time.Minute
-	g := tiling.GridCellular
-	proj := sphere.Equirectangular{}
+	vp := tiling.NewViewport(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV)
 	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+80)), dur)
 	head := trace.Generate(rand.New(rand.NewSource(seed+81)),
 		trace.UserProfile{ID: "viewer", SpeedScale: 1}, att, dur)
 	pop := trace.NewPopulation(rand.New(rand.NewSource(seed+82)), 8)
 	sessions := pop.Sessions(rand.New(rand.NewSource(seed+83)), att, dur)
-	heat := hmp.BuildHeatmap(g, proj, sphere.DefaultFoV, mech.SegmentDur, dur, sessions)
+	heat := hmp.BuildHeatmap(vp, mech.SegmentDur, dur, sessions)
 	cell := func(cond live.Condition) (live.Result, live.FoVLiveStats) {
-		return live.MeasureFoVGuidedLive(seed+1000, mech, g, proj, sphere.DefaultFoV, head, heat, cond, dur)
+		return live.MeasureFoVGuidedLive(seed+1000, mech, vp, head, heat, cond, dur)
 	}
 	base, stats := cell(live.Condition{})
 	up, _ := cell(live.Condition{Up: 0.5e6})

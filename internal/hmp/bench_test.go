@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sperke/internal/sphere"
+	"sperke/internal/tiling"
 )
 
 func BenchmarkLinearObservePredict(b *testing.B) {
@@ -21,9 +22,9 @@ func BenchmarkLinearObservePredict(b *testing.B) {
 
 func BenchmarkBuildHeatmap(b *testing.B) {
 	hm, sessions, _ := buildTestHeatmap(b, 8)
+	vp := tiling.NewViewport(hm.Grid, sphere.Equirectangular{}, sphere.DefaultFoV)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildHeatmap(hm.Grid, sphere.Equirectangular{}, sphere.DefaultFoV,
-			2*time.Second, 30*time.Second, sessions)
+		BuildHeatmap(vp, 2*time.Second, 30*time.Second, sessions)
 	}
 }

@@ -27,9 +27,10 @@ type Heatmap struct {
 }
 
 // BuildHeatmap aggregates a set of sessions (head traces of different
-// users watching the same video) into a heatmap. Intervals are
-// [i·chunkDur, (i+1)·chunkDur).
-func BuildHeatmap(g tiling.Grid, p sphere.Projection, fov sphere.FoV, chunkDur, videoDur time.Duration, sessions []*trace.HeadTrace) *Heatmap {
+// users watching the same video through the viewport vp) into a heatmap
+// over vp's grid. Intervals are [i·chunkDur, (i+1)·chunkDur).
+func BuildHeatmap(vp tiling.Viewport, chunkDur, videoDur time.Duration, sessions []*trace.HeadTrace) *Heatmap {
+	g := vp.Grid()
 	n := int(videoDur / chunkDur)
 	if videoDur%chunkDur != 0 {
 		n++
@@ -62,7 +63,7 @@ func BuildHeatmap(g tiling.Grid, p sphere.Projection, fov sphere.FoV, chunkDur, 
 				sumVec.X += d.X
 				sumVec.Y += d.Y
 				sumVec.Z += d.Z
-				for _, id := range tiling.VisibleTiles(g, p, view, fov) {
+				for _, id := range vp.Visible(view) {
 					if !seen[id] {
 						seen[id] = true
 						counts[id]++

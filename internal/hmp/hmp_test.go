@@ -157,7 +157,7 @@ func buildTestHeatmap(t testing.TB, nUsers int) (*Heatmap, []*trace.HeadTrace, *
 	att := trace.GenerateAttention(rand.New(rand.NewSource(22)), 30*time.Second)
 	pop := trace.NewPopulation(rng, nUsers)
 	sessions := pop.Sessions(rng, att, 30*time.Second)
-	h := BuildHeatmap(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV,
+	h := BuildHeatmap(tiling.NewViewport(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV),
 		2*time.Second, 30*time.Second, sessions)
 	return h, sessions, att
 }
@@ -250,7 +250,7 @@ func TestHeatmapTopTilesAtMatchesTopTiles(t *testing.T) {
 	if h.TopTilesAt(0, 0) != nil {
 		t.Fatal("TopTilesAt(k=0) not nil")
 	}
-	empty := BuildHeatmap(tiling.GridPrototype, sphere.Equirectangular{}, sphere.DefaultFoV,
+	empty := BuildHeatmap(tiling.NewViewport(tiling.GridPrototype, sphere.Equirectangular{}, sphere.DefaultFoV),
 		2*time.Second, 10*time.Second, nil)
 	if empty.TopTilesAt(0, 3) != nil {
 		t.Fatal("empty heatmap TopTilesAt not nil")
@@ -270,7 +270,7 @@ func equalInts(a, b []int) bool {
 }
 
 func TestHeatmapEmptySessions(t *testing.T) {
-	h := BuildHeatmap(tiling.GridPrototype, sphere.Equirectangular{}, sphere.DefaultFoV,
+	h := BuildHeatmap(tiling.NewViewport(tiling.GridPrototype, sphere.Equirectangular{}, sphere.DefaultFoV),
 		2*time.Second, 10*time.Second, nil)
 	if h.Probability(0, 0) != 0 {
 		t.Fatal("empty heatmap has nonzero probability")

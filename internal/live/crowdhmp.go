@@ -122,11 +122,10 @@ func LiveHMPAccuracy(pred *CrowdLivePredictor, target Viewer, fov sphere.FoV,
 // LiveHeatmap builds a tile heatmap from the ahead-viewers' reactions
 // for FoV-guided delivery to lagging viewers: the live analogue of the
 // §3.2 crowd heatmap, with content time as the index.
-func LiveHeatmap(g tiling.Grid, p sphere.Projection, fov sphere.FoV,
-	chunkDur, dur time.Duration, ahead []Viewer) *hmp.Heatmap {
+func LiveHeatmap(vp tiling.Viewport, chunkDur, dur time.Duration, ahead []Viewer) *hmp.Heatmap {
 	traces := make([]*trace.HeadTrace, len(ahead))
 	for i, v := range ahead {
 		traces[i] = v.Trace
 	}
-	return hmp.BuildHeatmap(g, p, fov, chunkDur, dur, traces)
+	return hmp.BuildHeatmap(vp, chunkDur, dur, traces)
 }

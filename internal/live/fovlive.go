@@ -6,7 +6,6 @@ import (
 	"sperke/internal/hmp"
 	"sperke/internal/netem"
 	"sperke/internal/sim"
-	"sperke/internal/sphere"
 	"sperke/internal/tiling"
 	"sperke/internal/trace"
 )
@@ -30,10 +29,11 @@ type FoVLiveStats struct {
 // the viewer's current FoV plus one OOS ring, optionally widened by the
 // crowd heatmap built from lower-latency viewers (§3.4.2). It returns
 // the usual latency Result plus tile statistics.
-func MeasureFoVGuidedLive(seed int64, p Platform, g tiling.Grid, proj sphere.Projection,
-	fov sphere.FoV, head *trace.HeadTrace, heat *hmp.Heatmap,
+func MeasureFoVGuidedLive(seed int64, p Platform, vp tiling.Viewport,
+	head *trace.HeadTrace, heat *hmp.Heatmap,
 	cond Condition, broadcastDur time.Duration) (Result, FoVLiveStats) {
 	clock := sim.NewClock(seed)
+	g := vp.Grid()
 	const propagation = 20 * time.Millisecond
 	var upTrace, downTrace *netem.BandwidthTrace
 	if cond.Up > 0 {
@@ -54,7 +54,7 @@ func MeasureFoVGuidedLive(seed int64, p Platform, g tiling.Grid, proj sphere.Pro
 		// ring; the crowd heatmap adds tiles lagging prediction misses.
 		view := head.At(clock.Now())
 		set := make(map[tiling.TileID]bool)
-		visible := tiling.VisibleTiles(g, proj, view, fov)
+		visible := vp.Visible(view)
 		for _, id := range visible {
 			set[id] = true
 		}
@@ -92,7 +92,7 @@ func MeasureFoVGuidedLive(seed int64, p Platform, g tiling.Grid, proj sphere.Pro
 		stats.Segments++
 		set := fetched[seg.idx]
 		covered := true
-		for _, id := range tiling.VisibleTiles(g, proj, head.At(at), fov) {
+		for _, id := range vp.Visible(head.At(at)) {
 			if !set[id] {
 				covered = false
 				break

@@ -300,7 +300,7 @@ func TestCrowdLiveHMPBeatsStaticAtLongHorizon(t *testing.T) {
 
 func TestLiveHeatmapBuilds(t *testing.T) {
 	viewers, _ := makeLiveViewers(t, 6, 20*time.Second)
-	h := LiveHeatmap(tilingGrid(), sphere.Equirectangular{}, sphere.DefaultFoV,
+	h := LiveHeatmap(tiling.NewViewport(tilingGrid(), sphere.Equirectangular{}, sphere.DefaultFoV),
 		2*time.Second, 20*time.Second, viewers)
 	if h.Intervals() != 10 {
 		t.Fatalf("intervals = %d", h.Intervals())
@@ -385,11 +385,11 @@ func TestFoVGuidedLiveSavesBandwidthAndCovers(t *testing.T) {
 	// Crowd heat from earlier viewers of the same broadcast.
 	pop := trace.NewPopulation(rand.New(rand.NewSource(63)), 8)
 	sessions := pop.Sessions(rand.New(rand.NewSource(64)), att, dur)
-	heat := hmp.BuildHeatmap(g, proj, sphere.DefaultFoV, Facebook.SegmentDur, dur, sessions)
+	vp := tiling.NewViewport(g, proj, sphere.DefaultFoV)
+	heat := hmp.BuildHeatmap(vp, Facebook.SegmentDur, dur, sessions)
 
 	full := Measure(42, Facebook, Opts{Duration: dur, Cond: unconstrained}).Result
-	guided, stats := MeasureFoVGuidedLive(42, Facebook, g, proj, sphere.DefaultFoV,
-		head, heat, unconstrained, dur)
+	guided, stats := MeasureFoVGuidedLive(42, Facebook, vp, head, heat, unconstrained, dur)
 
 	if stats.Segments == 0 {
 		t.Fatal("no segments measured")
@@ -421,10 +421,11 @@ func TestFoVGuidedLiveCrowdWidensCoverage(t *testing.T) {
 		trace.UserProfile{ID: "fast", SpeedScale: 2.0}, att, dur)
 	pop := trace.NewPopulation(rand.New(rand.NewSource(73)), 10)
 	sessions := pop.Sessions(rand.New(rand.NewSource(74)), att, dur)
-	heat := hmp.BuildHeatmap(g, proj, sphere.DefaultFoV, Facebook.SegmentDur, dur, sessions)
+	vp := tiling.NewViewport(g, proj, sphere.DefaultFoV)
+	heat := hmp.BuildHeatmap(vp, Facebook.SegmentDur, dur, sessions)
 
-	_, with := MeasureFoVGuidedLive(7, Facebook, g, proj, sphere.DefaultFoV, head, heat, unconstrained, dur)
-	_, without := MeasureFoVGuidedLive(7, Facebook, g, proj, sphere.DefaultFoV, head, nil, unconstrained, dur)
+	_, with := MeasureFoVGuidedLive(7, Facebook, vp, head, heat, unconstrained, dur)
+	_, without := MeasureFoVGuidedLive(7, Facebook, vp, head, nil, unconstrained, dur)
 	// Crowd pruning trims the blind OOS ring while its favorites keep
 	// coverage from collapsing.
 	if with.FetchShare >= without.FetchShare {

@@ -63,18 +63,18 @@ type Path struct {
 	inFlight   int
 	bytesMoved int64
 	outages    []outage
-	free       *transfer // fired transfers, for the next Transfer to reuse
+	free       *transfer // arrived and cancelled transfers, for the next Transfer to reuse
 }
 
 // transfer is one transfer on its way: what its arrival has to report.
 // A path schedules every arrival as the record's arrive method value,
-// bound once, and takes the record back when it fires, so a client that
-// fetches one chunk after another goes through the same record instead
-// of building a closure per fetch. A canceled transfer never fires and
-// its record is simply dropped.
+// bound once, and takes the record back when it fires or is cancelled,
+// so a client that fetches one chunk after another goes through the
+// same record instead of building a closure per fetch.
 type transfer struct {
 	p          *Path
 	arrive     func()
+	ev         sim.Event // the pending arrival; zero while the record is free
 	now, start time.Duration
 	bytes      int64
 	ok         bool
@@ -82,8 +82,31 @@ type transfer struct {
 	next       *transfer
 }
 
+// Handle refers to one transfer submitted to a Path. The zero Handle
+// refers to nothing.
+type Handle struct {
+	t  *transfer
+	ev sim.Event
+}
+
+// Cancel withdraws a transfer that has not arrived yet: done is never
+// called and the transfer leaves InFlight without counting towards
+// BytesMoved. The link time its bytes reserved stays reserved — a
+// transfer submitted afterwards still queues behind where the cancelled
+// one would have finished, as bytes already handed to a TCP connection
+// are not recalled. Cancelling after arrival, or twice, is a no-op.
+func (h Handle) Cancel() {
+	t := h.t
+	if t == nil || t.ev != h.ev {
+		return // arrived or cancelled, and the record may be another transfer's by now
+	}
+	h.ev.Cancel()
+	t.p.inFlight--
+	t.release()
+}
+
 // schedule delivers the outcome to done at the given virtual time.
-func (p *Path) schedule(at, now, start time.Duration, bytes int64, ok bool, done func(Delivery)) *sim.Event {
+func (p *Path) schedule(at, now, start time.Duration, bytes int64, ok bool, done func(Delivery)) Handle {
 	t := p.free
 	if t == nil {
 		t = &transfer{p: p}
@@ -91,16 +114,23 @@ func (p *Path) schedule(at, now, start time.Duration, bytes int64, ok bool, done
 	} else {
 		p.free = t.next
 	}
+	p.inFlight++
 	t.now, t.start, t.bytes, t.ok, t.done = now, start, bytes, ok, done
-	return p.clock.Schedule(at, t.arrive)
+	t.ev = p.clock.Schedule(at, t.arrive)
+	return Handle{t: t, ev: t.ev}
+}
+
+// release puts the record back on its path's free list.
+func (t *transfer) release() {
+	t.ev, t.done = sim.Event{}, nil
+	t.next, t.p.free = t.p.free, t
 }
 
 func (t *transfer) fire() {
 	p, now, start, bytes, ok, done := t.p, t.now, t.start, t.bytes, t.ok, t.done
 	// Back on the free list before done runs: done may start the next
 	// transfer.
-	t.done = nil
-	t.next, p.free = p.free, t
+	t.release()
 	p.inFlight--
 	if ok {
 		p.bytesMoved += bytes
@@ -207,9 +237,8 @@ func (p *Path) QueueDelay() time.Duration {
 
 // Transfer submits bytes for delivery with the given QoS and calls done
 // with the outcome when the transfer completes (or is dropped). The
-// returned event can be used to cancel a queued transfer; cancellation
-// after completion is a no-op. done may be nil.
-func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) *sim.Event {
+// returned handle cancels a transfer still on its way. done may be nil.
+func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) Handle {
 	now := p.clock.Now()
 	start := now
 	if p.freeAt > start {
@@ -219,7 +248,6 @@ func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) *sim.Event {
 		if qos == BestEffort {
 			// The datagram burst enters a dead path and vanishes; the
 			// sender learns of the loss once the window has passed.
-			p.inFlight++
 			return p.schedule(end, now, start, bytes, false, done)
 		}
 		// Reliable transfers retransmit until the path heals: service
@@ -237,7 +265,6 @@ func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) *sim.Event {
 		finish = p.trace.FinishTime(start, bytes)
 	}
 	p.freeAt = finish
-	p.inFlight++
 
 	ok := true
 	if qos == BestEffort && p.Loss > 0 {

@@ -78,16 +78,22 @@ func (c *PipelineConfig) renderedPixels() int64 {
 	return int64(float64(c.framePixels()) * frac)
 }
 
+// viewport is the configuration's grid seen through its FoV.
+func (c *PipelineConfig) viewport() tiling.Viewport {
+	return tiling.NewViewport(c.Grid, c.Projection, c.FoV)
+}
+
 // decodedTiles returns how many tiles must be decoded per frame: all of
-// them when rendering the panorama, the visible set when FoV-only.
-func (c *PipelineConfig) decodedTiles(view sphere.Orientation) int {
+// them when rendering the panorama, the set visible through vp (the
+// configuration's viewport) when FoV-only.
+func (c *PipelineConfig) decodedTiles(vp *tiling.Viewport, view sphere.Orientation) int {
 	if !c.RenderFoVOnly {
 		return c.Grid.Tiles()
 	}
 	if c.Projection == nil {
 		return c.Grid.Tiles()
 	}
-	return len(tiling.VisibleTiles(c.Grid, c.Projection, view, c.FoV))
+	return len(vp.Visible(view))
 }
 
 // FrameTime returns the wall time one frame takes in this configuration
@@ -98,7 +104,14 @@ func (c *PipelineConfig) decodedTiles(view sphere.Orientation) int {
 // with it, decode runs on the pool concurrently with render, so the
 // frame period is whichever stage is slower.
 func (c *PipelineConfig) FrameTime(view sphere.Orientation) time.Duration {
-	tiles := c.decodedTiles(view)
+	vp := c.viewport()
+	return c.frameTime(&vp, view)
+}
+
+// frameTime is FrameTime with the configuration's viewport built by the
+// caller, so a replay builds it once.
+func (c *PipelineConfig) frameTime(vp *tiling.Viewport, view sphere.Orientation) time.Duration {
+	tiles := c.decodedTiles(vp, view)
 	render := c.Device.RenderTime(c.renderedPixels())
 	if !c.FrameCache {
 		decodeAll := time.Duration(tiles) * c.Device.Decoder.SyncDecodeTime(c.TilePixels())
@@ -131,6 +144,7 @@ func SimulateFPS(cfg PipelineConfig, head *trace.HeadTrace, dur time.Duration) (
 		return FPSResult{}, fmt.Errorf("player: non-positive duration")
 	}
 	minPeriod := time.Duration(float64(time.Second) / cfg.Device.MaxDisplayFPS)
+	vp := cfg.viewport()
 	var t time.Duration
 	frames := 0
 	for t < dur {
@@ -138,7 +152,7 @@ func SimulateFPS(cfg PipelineConfig, head *trace.HeadTrace, dur time.Duration) (
 		if head != nil {
 			view = head.At(t)
 		}
-		ft := cfg.FrameTime(view)
+		ft := cfg.frameTime(&vp, view)
 		if ft < minPeriod {
 			ft = minPeriod
 		}

@@ -18,25 +18,43 @@ import (
 	"time"
 )
 
-// Event is a unit of scheduled work. Events run in timestamp order;
-// events with equal timestamps run in scheduling order (FIFO), which
-// keeps the simulation deterministic without requiring callers to
-// tie-break.
+// Event is a handle on one scheduled callback, returned by Schedule and
+// After. Events run in timestamp order; events with equal timestamps run
+// in scheduling order (FIFO), which keeps the simulation deterministic
+// without requiring callers to tie-break. The zero Event refers to
+// nothing: At reports 0 and Cancel does nothing.
+//
+// The handle is a value, and it stays safe to use for as long as the
+// holder likes: the clock reuses the record behind it once the event has
+// fired or its cancellation has drained, and a handle whose sequence
+// number no longer matches the record's has simply expired.
 type Event struct {
-	at   time.Duration
-	seq  uint64
-	fn   func()
-	dead bool
+	rec *event
+	at  time.Duration
+	seq uint64
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() time.Duration { return e.at }
+// At reports the virtual time the event was scheduled for.
+func (e Event) At() time.Duration { return e.at }
 
 // Cancel prevents a pending event from firing. Cancelling an event that
-// already fired (or was already cancelled) is a no-op.
-func (e *Event) Cancel() { e.dead = true }
+// already fired (or was already cancelled) is a no-op, also when the
+// clock has since reused its record for another event.
+func (e Event) Cancel() {
+	if e.rec != nil && e.rec.seq == e.seq {
+		e.rec.fn = nil
+	}
+}
 
-type eventQueue []*Event
+// event is the clock's record of one scheduled callback. A nil fn marks
+// it cancelled (in the queue) or idle (on the free list).
+type event struct {
+	at  time.Duration
+	seq uint64
+	fn  func()
+}
+
+type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
@@ -49,7 +67,7 @@ func (q eventQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
 }
 func (q *eventQueue) Push(x any) {
-	*q = append(*q, x.(*Event))
+	*q = append(*q, x.(*event))
 }
 func (q *eventQueue) Pop() any {
 	old := *q
@@ -66,6 +84,7 @@ type Clock struct {
 	now    time.Duration
 	seq    uint64
 	queue  eventQueue
+	free   []*event // records whose event fired or drained cancelled
 	rngs   map[string]*rand.Rand
 	seed   int64
 	halted bool
@@ -106,18 +125,24 @@ func (c *Clock) RNG(name string) *rand.Rand {
 // Schedule runs fn at the given absolute virtual time. Scheduling in the
 // past (before Now) is an error in the caller; the kernel panics to
 // surface it immediately rather than silently reordering time.
-func (c *Clock) Schedule(at time.Duration, fn func()) *Event {
+func (c *Clock) Schedule(at time.Duration, fn func()) Event {
 	if at < c.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, c.now))
 	}
-	e := &Event{at: at, seq: c.seq, fn: fn}
+	var e *event
+	if n := len(c.free); n > 0 {
+		e, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		e = new(event)
+	}
+	e.at, e.seq, e.fn = at, c.seq, fn
 	c.seq++
 	heap.Push(&c.queue, e)
-	return e
+	return Event{rec: e, at: at, seq: e.seq}
 }
 
 // After runs fn after delay d, like time.AfterFunc on virtual time.
-func (c *Clock) After(d time.Duration, fn func()) *Event {
+func (c *Clock) After(d time.Duration, fn func()) Event {
 	if d < 0 {
 		d = 0
 	}
@@ -132,16 +157,37 @@ func (c *Clock) Halt() { c.halted = true }
 // cancelled events not yet drained).
 func (c *Clock) Pending() int { return len(c.queue) }
 
+// pop takes the earliest record off the queue and returns its time and
+// callback (nil if the event was cancelled). The record is free again
+// from here on, before the callback runs: the callback's own Schedule
+// reuses it, so a chain of events that each schedule the next lives in
+// one record.
+func (c *Clock) pop() (at time.Duration, fn func()) {
+	e := heap.Pop(&c.queue).(*event)
+	at, fn = e.at, e.fn
+	e.fn = nil
+	c.free = append(c.free, e)
+	return at, fn
+}
+
+// dropCancelled drains cancelled events off the head of the queue, so
+// that the root, if there is one, is the next event to fire.
+func (c *Clock) dropCancelled() {
+	for len(c.queue) > 0 && c.queue[0].fn == nil {
+		c.pop()
+	}
+}
+
 // Step fires the single next event, advancing time to it. It reports
 // whether an event fired.
 func (c *Clock) Step() bool {
 	for len(c.queue) > 0 {
-		e := heap.Pop(&c.queue).(*Event)
-		if e.dead {
+		at, fn := c.pop()
+		if fn == nil {
 			continue
 		}
-		c.now = e.at
-		e.fn()
+		c.now = at
+		fn()
 		return true
 	}
 	return false
@@ -159,11 +205,10 @@ func (c *Clock) Run() {
 func (c *Clock) RunUntil(deadline time.Duration) {
 	c.halted = false
 	for !c.halted {
-		if len(c.queue) == 0 {
-			break
-		}
-		// Peek: the heap root is the earliest event.
-		if c.queue[0].at > deadline {
+		// A cancelled root says nothing about when the next live event is
+		// due; Step would skip it and fire that one whatever its time.
+		c.dropCancelled()
+		if len(c.queue) == 0 || c.queue[0].at > deadline {
 			break
 		}
 		c.Step()

@@ -107,6 +107,27 @@ func TestRunUntilAdvancesToDeadline(t *testing.T) {
 	}
 }
 
+// TestRunUntilStopsAtDeadlineBehindCancelledRoot: a cancelled event at
+// the head of the queue used to pass RunUntil's deadline check on behalf
+// of whatever came next, which Step then fired however late it was due.
+func TestRunUntilStopsAtDeadlineBehindCancelledRoot(t *testing.T) {
+	c := NewClock(1)
+	c.Schedule(time.Second, func() {}).Cancel()
+	fired := false
+	c.Schedule(5*time.Second, func() { fired = true })
+	c.RunUntil(2 * time.Second)
+	if fired {
+		t.Fatal("RunUntil(2s) fired the event scheduled for 5s")
+	}
+	if c.Now() != 2*time.Second {
+		t.Fatalf("Now = %v after RunUntil(2s), want 2s", c.Now())
+	}
+	c.Run()
+	if !fired || c.Now() != 5*time.Second {
+		t.Fatalf("after Run: fired = %v, Now = %v, want true, 5s", fired, c.Now())
+	}
+}
+
 func TestRunForRelative(t *testing.T) {
 	c := NewClock(1)
 	c.RunFor(5 * time.Second)

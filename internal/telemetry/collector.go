@@ -105,7 +105,7 @@ func (c *Collector) Heatmap(videoID string, chunkDur, videoDur time.Duration) (*
 			}
 		}
 	}
-	return hmp.BuildHeatmap(c.Grid, c.Projection, c.FoV, chunkDur, videoDur, sessions), nil
+	return hmp.BuildHeatmap(tiling.NewViewport(c.Grid, c.Projection, c.FoV), chunkDur, videoDur, sessions), nil
 }
 
 func (c *Collector) init() {

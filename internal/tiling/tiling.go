@@ -109,7 +109,7 @@ func (g Grid) Center(id TileID, p sphere.Projection) sphere.Orientation {
 	return p.Inverse((u0+u1)/2, (v0+v1)/2)
 }
 
-// fovSamples is the side of the angular lattice VisibleTiles lays over
+// fovSamples is the side of the angular lattice a Viewport lays over
 // the frustum: samples sit FoV/16 apart and include the frustum's
 // edges and corners. Every tile holding a lattice point is reported; a
 // tile the FoV only grazes between two points (a sliver narrower than
@@ -117,45 +117,84 @@ func (g Grid) Center(id TileID, p sphere.Projection) sphere.Orientation {
 // against 60°-wide tiles on the 4×6 grid.
 const fovSamples = 17
 
-// VisibleTiles returns the sorted set of tiles that cover any part of
-// the FoV when looking along view, under projection p. The result is
-// the minimal fetch set when head-movement prediction is perfect
-// (§3.1.2, "super chunk" construction). An invalid grid has no tiles.
+// Viewport is a tile grid seen through one field of view under one
+// projection: the three things every "which tiles are on screen"
+// question in a session shares, with what depends on them alone — the
+// lattice angles' sines and cosines, the grid's borders — worked out
+// once by NewViewport. It is a plain value of about 2 KB with no
+// pointers into itself: build it where the triple is decided, keep it
+// there, and copy it freely. Visible does not modify it.
+type Viewport struct {
+	g Grid
+	p sphere.Projection
+
+	sinX, cosX, sinY, cosY [fovSamples]float64
+	// classify says b is filled and p is equirectangular, so a sample's
+	// tile can be read off its direction vector (borders.tileOf).
+	classify bool
+	b        borders
+}
+
+// NewViewport returns the viewport of FoV fov on grid g under
+// projection p.
+func NewViewport(g Grid, p sphere.Projection, fov sphere.FoV) Viewport {
+	vp := Viewport{g: g, p: p}
+	for i := range vp.sinX {
+		f := float64(i)/(fovSamples-1) - 0.5
+		vp.sinX[i], vp.cosX[i] = sincos(f * fov.Width)
+		vp.sinY[i], vp.cosY[i] = sincos(f * fov.Height)
+	}
+	if g.Validate() == nil {
+		_, equirect := p.(sphere.Equirectangular)
+		vp.classify = equirect && vp.b.init(g)
+	}
+	return vp
+}
+
+// Grid returns the viewport's tile grid.
+func (vp *Viewport) Grid() Grid { return vp.g }
+
+// Visible returns the sorted set of tiles that cover any part of the
+// FoV when looking along view. The result is the minimal fetch set when
+// head-movement prediction is perfect (§3.1.2, "super chunk"
+// construction). An invalid grid has no tiles.
 //
-// Everything that depends only on the FoV (the lattice angles' sines
-// and cosines), only on the view (the three rotations') or only on the
-// grid (its borders') is computed once; per sample the same products
-// and sums run in the same order as rotating a freshly built direction,
-// and on the equirectangular projection the rotated direction is
-// classified against the borders instead of being turned back into
-// angles, except where it is too close to one to call (borders.tileOf).
-// The set is the one the unhoisted form (visibleTilesRef in the tests)
-// yields, for every input.
+// Per call only the view's three rotations cost trigonometry; per
+// sample the same products and sums run in the same order as rotating a
+// freshly built direction, and on the equirectangular projection the
+// rotated direction is classified against the borders instead of being
+// turned back into angles, except where it is too close to one to call
+// (borders.tileOf). The set is the one the unhoisted form
+// (visibleTilesRef in the tests) yields, for every input.
+func (vp *Viewport) Visible(view sphere.Orientation) []TileID {
+	out, _ := vp.visible(view)
+	return out
+}
+
+// VisibleTiles is NewViewport(g, p, fov).Visible(view), for a caller
+// with one question to ask.
 func VisibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphere.FoV) []TileID {
 	out, _ := visibleTiles(g, p, view, fov)
 	return out
 }
 
-// visibleTiles is VisibleTiles plus the number of samples whose tile
-// came from the exact expression (all of them off the equirectangular
-// projection), which the tests read to show the guard band is in use.
+// visibleTiles is VisibleTiles plus the second result of visible.
 func visibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphere.FoV) (out []TileID, exact int) {
+	vp := NewViewport(g, p, fov)
+	return vp.visible(view)
+}
+
+// visible is Visible plus the number of samples whose tile came from
+// the exact expression (all of them off the equirectangular
+// projection), which the tests read to show the guard band is in use.
+func (vp *Viewport) visible(view sphere.Orientation) (out []TileID, exact int) {
+	g := vp.g
 	if g.Validate() != nil {
 		return nil, 0
-	}
-	var sinX, cosX, sinY, cosY [fovSamples]float64
-	for i := range sinX {
-		f := float64(i)/(fovSamples-1) - 0.5
-		sinX[i], cosX[i] = sincos(f * fov.Width)
-		sinY[i], cosY[i] = sincos(f * fov.Height)
 	}
 	sinRoll, cosRoll := sincos(view.Roll)
 	sinPitch, cosPitch := sincos(view.Pitch)
 	sinYaw, cosYaw := sincos(view.Yaw)
-
-	var b borders
-	_, classify := p.(sphere.Equirectangular)
-	classify = classify && b.init(g)
 
 	var stack [64]bool // grids up to 64 tiles keep their seen-set off the heap
 	seen := stack[:]
@@ -168,16 +207,16 @@ func visibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphe
 			// The direction at view-space angles (hx_i, hy_j), rotated
 			// into world space by roll, pitch, yaw (the inverse order of
 			// sphere.angleInView).
-			d := sphere.Vec3{X: cosY[j] * sinX[i], Y: sinY[j], Z: cosY[j] * cosX[i]}
+			d := sphere.Vec3{X: vp.cosY[j] * vp.sinX[i], Y: vp.sinY[j], Z: vp.cosY[j] * vp.cosX[i]}
 			d = rotZ(d, sinRoll, cosRoll)
 			d = rotX(d, sinPitch, cosPitch)
 			d = rotY(d, sinYaw, cosYaw)
 			id, ok := TileID(0), false
-			if classify {
-				id, ok = b.tileOf(d)
+			if vp.classify {
+				id, ok = vp.b.tileOf(d)
 			}
 			if !ok {
-				id = g.TileAt(p.Forward(sphere.FromDirection(d)))
+				id = g.TileAt(vp.p.Forward(sphere.FromDirection(d)))
 				exact++
 			}
 			if !seen[id] {

@@ -51,7 +51,7 @@ type Failover struct {
 	queues   []Queue
 	active   []int
 	stats    []PathStats
-	wakeup   *sim.Event
+	wakeup   sim.Event // zero when no re-pump is armed
 	met      failoverMetrics
 }
 
@@ -151,8 +151,16 @@ func (f *Failover) maxRetries() int {
 	return f.MaxRetries
 }
 
-// Submit implements Scheduler.
+// Submit implements Scheduler. A reused Request sheds the context of
+// its previous submission here.
 func (f *Failover) Submit(r *Request) {
+	r.ctx = nil
+	r.retries = 0
+	f.enqueue(r)
+}
+
+// enqueue routes a request, new or on a retry, to a path's queue.
+func (f *Failover) enqueue(r *Request) {
 	if len(f.paths) == 0 {
 		return
 	}
@@ -167,7 +175,8 @@ func (f *Failover) Submit(r *Request) {
 // time nobody is waiting for.
 func (f *Failover) SubmitCtx(ctx context.Context, r *Request) {
 	r.ctx = ctx
-	f.Submit(r)
+	r.retries = 0
+	f.enqueue(r)
 }
 
 // syncQueueGauge mirrors the queued (not in-flight) request count into
@@ -200,15 +209,17 @@ func (f *Failover) route(bytes int64) int {
 }
 
 func (f *Failover) pump(i int) {
-	if f.active[i] > 0 {
-		return
-	}
 	// Shed queued requests whose deadline has already passed: delivering
 	// them cannot help anymore, and after an outage a stale request
 	// dispatched as the half-open probe would doom the probe on arrival,
 	// keeping the breaker open indefinitely while fresh requests pile up
-	// behind it.
+	// behind it. The idle check runs again after every shed: the shed
+	// request's OnDone may have submitted another, and that call has
+	// pumped this path.
 	for {
+		if f.active[i] > 0 {
+			return
+		}
 		r := f.queues[i].Peek()
 		if r == nil || (f.Clock.Now() < r.Deadline && !r.canceled()) {
 			break
@@ -279,7 +290,7 @@ func (f *Failover) onDelivery(i int, r *Request, d netem.Delivery) {
 			r.retries++
 			f.stats[i].Retries++
 			f.met.retries.Inc()
-			f.Submit(r)
+			f.enqueue(r)
 			return
 		}
 	} else {
@@ -327,7 +338,7 @@ func (f *Failover) reroute(i int) {
 // parked requests move again once a cooldown expires — without it a
 // total outage would strand the queues forever.
 func (f *Failover) armWakeup() {
-	if f.wakeup != nil && f.wakeup.At() > f.Clock.Now() {
+	if f.wakeup.At() > f.Clock.Now() {
 		return
 	}
 	at := time.Duration(-1)
@@ -347,7 +358,7 @@ func (f *Failover) armWakeup() {
 		return
 	}
 	f.wakeup = f.Clock.Schedule(at, func() {
-		f.wakeup = nil
+		f.wakeup = sim.Event{}
 		for i := range f.paths {
 			f.pump(i)
 		}

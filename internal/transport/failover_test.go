@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -210,5 +211,30 @@ func TestFailoverNegativeMaxRetriesDisables(t *testing.T) {
 	}
 	if len(done) != 1 || done[0] {
 		t.Fatalf("want a single failed completion, got %v", done)
+	}
+}
+
+// A shed request's OnDone may submit at once; that submission pumps the
+// path, and the pump that did the shedding must notice the path is busy
+// instead of dispatching a second transfer behind it.
+func TestFailoverShedThatSubmitsKeepsOneInFlight(t *testing.T) {
+	clock := sim.NewClock(1)
+	path := netem.NewPath(clock, "net", netem.Constant(8e6), 0, 0)
+	f := NewFailover(clock, BreakerConfig{}, path)
+	ctx, cancel := context.WithCancel(context.Background())
+	var done []bool
+	f.Submit(failoverReq(1e5, time.Minute, &done)) // in flight
+	shed := failoverReq(1e5, time.Minute, &done)
+	shed.OnDone = func(netem.Delivery, bool) { f.Submit(failoverReq(1e5, time.Minute, &done)) }
+	f.SubmitCtx(ctx, shed)
+	f.Submit(failoverReq(1e5, time.Minute, &done)) // queued behind it
+	cancel()
+	clock.Step() // the first delivery: sheds, which submits, then pumps
+	if n := path.InFlight(); n != 1 {
+		t.Fatalf("%d transfers in flight after a shed request's OnDone submitted, want 1", n)
+	}
+	clock.Run()
+	if len(done) != 3 || f.TotalStats().Canceled != 1 {
+		t.Fatalf("%d completions, %d canceled, want 3, 1", len(done), f.TotalStats().Canceled)
 	}
 }

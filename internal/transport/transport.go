@@ -49,7 +49,10 @@ type Request struct {
 	// Probability the chunk will be displayed (1 for FoV chunks).
 	Probability float64
 	// OnDone receives the delivery outcome and whether the deadline was
-	// met. May be nil.
+	// met. May be nil. Every scheduler calls it exactly once per
+	// submission — delivered, lost for good, or shed — and it is the
+	// scheduler's last touch of the Request: the callback may overwrite
+	// the struct and submit it again as a new request before it returns.
 	OnDone func(d netem.Delivery, metDeadline bool)
 
 	seq     int             // submission order, for stable tie-breaks
@@ -199,17 +202,23 @@ func NewSinglePath(clock Clock, path *netem.Path) *SinglePath {
 // Name implements Scheduler.
 func (s *SinglePath) Name() string { return "single-path" }
 
-// Submit implements Scheduler.
+// Submit implements Scheduler. A reused Request sheds the context of
+// its previous submission here.
 func (s *SinglePath) Submit(r *Request) {
-	s.q.Push(r)
-	s.pump()
+	r.ctx = nil
+	s.enqueue(r)
 }
 
 // SubmitCtx implements ContextScheduler: the request is shed at
 // dispatch time if ctx has been canceled by then.
 func (s *SinglePath) SubmitCtx(ctx context.Context, r *Request) {
 	r.ctx = ctx
-	s.Submit(r)
+	s.enqueue(r)
+}
+
+func (s *SinglePath) enqueue(r *Request) {
+	s.q.Push(r)
+	s.pump()
 }
 
 // shed completes a request that will never be dispatched with a failed
@@ -226,22 +235,23 @@ func shed(clock Clock, r *Request) {
 }
 
 func (s *SinglePath) pump() {
-	if s.cur != nil {
-		return
+	// The idle check runs again after every shed: the shed request's
+	// OnDone may have submitted another, and that call has dispatched it.
+	for s.cur == nil {
+		r := s.q.Pop()
+		if r == nil {
+			return
+		}
+		if r.canceled() {
+			shed(s.Clock, r)
+			continue
+		}
+		s.cur = r
+		if s.done == nil {
+			s.done = s.delivered
+		}
+		s.Path.Transfer(r.Bytes, netem.Reliable, s.done)
 	}
-	r := s.q.Pop()
-	for r != nil && r.canceled() {
-		shed(s.Clock, r)
-		r = s.q.Pop()
-	}
-	if r == nil {
-		return
-	}
-	s.cur = r
-	if s.done == nil {
-		s.done = s.delivered
-	}
-	s.Path.Transfer(r.Bytes, netem.Reliable, s.done)
 }
 
 // delivered completes the request in flight and dispatches the next.
