@@ -14,6 +14,7 @@ import (
 	"sperke/internal/cluster"
 	"sperke/internal/dash"
 	"sperke/internal/media"
+	"sperke/internal/obs"
 	"sperke/internal/serve"
 	"sperke/internal/tiling"
 )
@@ -119,6 +120,120 @@ func BenchmarkClientFetchChunk(b *testing.B) {
 		if res.WireBytes != int64(len(body)) {
 			b.Fatalf("WireBytes = %d, want %d", res.WireBytes, len(body))
 		}
+	}
+}
+
+// loopbackPair is what BenchmarkBareExchange and TestFetchAllocsOverFloor
+// compare on one listener each, both real loopback TCP: the least a
+// net/http exchange of a body costs — a handler that writes the bytes
+// under their Content-Length, a client that reads them into a buffer
+// the caller keeps — and a warm Sperke fetch of the same bytes: mux,
+// catalog, resident store hit, dash.Client, segment decode and CRC.
+type loopbackPair struct {
+	bare  func() error // one bare exchange
+	fetch func() error // one warm dash.Client.FetchChunk
+	size  int          // the body both move
+	close func()
+}
+
+func newLoopbackPair(tb testing.TB) loopbackPair {
+	tb.Helper()
+	v := benchVideo()
+	catalog := dash.NewCatalog()
+	if err := catalog.Add(v); err != nil {
+		tb.Fatal(err)
+	}
+	// Quality 1 on this video is a 43 KB body, the size the end-to-end
+	// benchmark's serving workloads move.
+	const q = 1
+	body, err := dash.BuildChunkBody(v, q, 0, 0, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	length := []string{fmt.Sprint(len(body))}
+	bareSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header()["Content-Length"] = length
+		w.Write(body)
+	}))
+	store := serve.NewCatalogStore(catalog, serve.StoreConfig{Shards: 16, BudgetBytes: 256 << 20})
+	sperkeSrv := httptest.NewServer(dash.NewServer(catalog, dash.WithStore(store)))
+	// A transport each, so neither side's idle connection is the other's.
+	bareTr, sperkeTr := &http.Transport{}, &http.Transport{}
+	bareClient := &http.Client{Transport: bareTr}
+	client := dash.NewClient(sperkeSrv.URL, dash.WithTransport(sperkeTr))
+	ctx := context.Background()
+	return loopbackPair{
+		size: len(body),
+		bare: func() error {
+			resp, err := bareClient.Get(bareSrv.URL)
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			_, err = io.ReadFull(resp.Body, make([]byte, resp.ContentLength))
+			return err
+		},
+		fetch: func() error {
+			res, err := client.FetchChunk(ctx, v.ID, q, 0, 0)
+			if err == nil && res.WireBytes != int64(len(body)) {
+				err = fmt.Errorf("WireBytes = %d, want %d", res.WireBytes, len(body))
+			}
+			return err
+		},
+		close: func() {
+			bareTr.CloseIdleConnections()
+			sperkeTr.CloseIdleConnections()
+			bareSrv.Close()
+			sperkeSrv.Close()
+		},
+	}
+}
+
+// BenchmarkBareExchange is the floor under every serving number in this
+// file and in bench/: what net/http itself spends, in time and in
+// allocations, moving a chunk-sized body across loopback once. What a
+// Sperke fetch costs above it is Sperke's; the rest moves with the Go
+// release.
+func BenchmarkBareExchange(b *testing.B) {
+	p := newLoopbackPair(b)
+	defer p.close()
+	if err := p.bare(); err != nil { // dial
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(p.size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.bare(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestFetchAllocsOverFloor: a warm FetchChunk allocates at most 20
+// objects more than the bare exchange measured beside it, so a Go
+// upgrade that moves net/http's own count moves both and the margin
+// stays Sperke's. (At go1.24: 69 and 87.)
+func TestFetchAllocsOverFloor(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("net/http pools its buffers, and race-mode sync.Pool drops Puts at random")
+	}
+	p := newLoopbackPair(t)
+	defer p.close()
+	run := func(name string, exchange func() error) float64 {
+		if err := exchange(); err != nil { // dial, fill the store
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(200, func() {
+			if err := exchange(); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		})
+	}
+	floor, fetch := run("bare exchange", p.bare), run("warm fetch", p.fetch)
+	t.Logf("bare exchange %.0f allocs, warm fetch %.0f", floor, fetch)
+	if fetch > floor+20 {
+		t.Fatalf("a warm fetch allocates %.0f objects, %.0f over the bare exchange's %.0f; want at most 20 over", fetch, fetch-floor, floor)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"syscall"
 	"time"
 
+	"sperke/internal/dash"
 	"sperke/internal/sphere"
 	"sperke/internal/telemetry"
 	"sperke/internal/tiling"
@@ -37,7 +38,8 @@ func main() {
 	)
 	c.MaxSessionsPerVideo = *maxSessions
 
-	srv := &http.Server{Addr: *addr, Handler: c}
+	srv := dash.NewHTTPServer(c)
+	srv.Addr = *addr
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

@@ -124,7 +124,7 @@ func run() error {
 		injector = faults.NewInjector(*faultSeed, rules...)
 		handler = injector.Wrap(handler)
 	}
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := dash.NewHTTPServer(handler)
 	go httpSrv.Serve(dashLn)
 	defer httpSrv.Close()
 

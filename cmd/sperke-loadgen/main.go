@@ -162,7 +162,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			httpSrv := &http.Server{Handler: handler}
+			httpSrv := dash.NewHTTPServer(handler)
 			go httpSrv.Serve(ln)
 			defer httpSrv.Close()
 			base = "http://" + ln.Addr().String()

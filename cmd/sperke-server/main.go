@@ -111,7 +111,8 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := dash.NewHTTPServer(mux)
+	srv.Addr = *addr
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

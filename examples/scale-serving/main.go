@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -65,7 +64,7 @@ func run(viewers, workers int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := dash.NewHTTPServer(srv)
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
 	fmt.Printf("origin: %d-shard store, %s\n", store.Shards(), ln.Addr())

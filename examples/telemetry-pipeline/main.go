@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sperke/internal/abr"
+	"sperke/internal/dash"
 	"sperke/internal/hmp"
 	"sperke/internal/sphere"
 	"sperke/internal/telemetry"
@@ -30,7 +31,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	srv := &http.Server{Handler: collector}
+	srv := dash.NewHTTPServer(collector)
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

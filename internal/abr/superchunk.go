@@ -24,12 +24,15 @@ type SuperChunk struct {
 	Prediction hmp.Prediction
 }
 
-// BuildSuperChunk covers the predicted FoV for one interval.
-func BuildSuperChunk(vp tiling.Viewport, pred hmp.Prediction, interval int, chunkDur time.Duration) SuperChunk {
+// BuildSuperChunk covers the predicted FoV for one interval. The cover
+// is appended to tiles[:0], which the super chunk then owns: a caller
+// planning interval after interval hands back the last one's Tiles and
+// nothing is allocated; nil gets a fresh set.
+func BuildSuperChunk(vp tiling.Viewport, pred hmp.Prediction, interval int, chunkDur time.Duration, tiles []tiling.TileID) SuperChunk {
 	return SuperChunk{
 		Interval:   interval,
 		Start:      time.Duration(interval) * chunkDur,
-		Tiles:      vp.Visible(pred.View),
+		Tiles:      vp.AppendVisible(tiles[:0], pred.View),
 		Prediction: pred,
 	}
 }
@@ -64,7 +67,7 @@ func BuildSequence(vp tiling.Viewport, predict func(at time.Duration) hmp.Predic
 	out := make([]SuperChunk, 0, to-from)
 	for i := from; i < to; i++ {
 		mid := time.Duration(i)*chunkDur + chunkDur/2
-		out = append(out, BuildSuperChunk(vp, predict(mid), i, chunkDur))
+		out = append(out, BuildSuperChunk(vp, predict(mid), i, chunkDur, nil))
 	}
 	return out
 }

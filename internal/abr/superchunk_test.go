@@ -25,7 +25,7 @@ func TestBuildSuperChunkCoversFoV(t *testing.T) {
 	g := tiling.GridCellular
 	p := sphere.Equirectangular{}
 	pred := hmp.Prediction{View: sphere.Orientation{Yaw: 45}, Radius: 10}
-	sc := BuildSuperChunk(tiling.NewViewport(g, p, sphere.DefaultFoV), pred, 3, 2*time.Second)
+	sc := BuildSuperChunk(tiling.NewViewport(g, p, sphere.DefaultFoV), pred, 3, 2*time.Second, nil)
 	if sc.Interval != 3 || sc.Start != 6*time.Second {
 		t.Fatalf("interval/start %d/%v", sc.Interval, sc.Start)
 	}
@@ -41,7 +41,7 @@ func TestBuildSuperChunkCoversFoV(t *testing.T) {
 func TestSuperChunkSizeMatchesTileSum(t *testing.T) {
 	v := scVideo()
 	sc := BuildSuperChunk(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
-		hmp.Prediction{}, 2, v.ChunkDuration)
+		hmp.Prediction{}, 2, v.ChunkDuration, nil)
 	var sum int64
 	for _, id := range sc.Tiles {
 		sum += v.FetchBytes(3, id, sc.Start)
@@ -61,7 +61,7 @@ func TestSuperChunkSmallerThanPanorama(t *testing.T) {
 	// the sphere.
 	v := scVideo()
 	sc := BuildSuperChunk(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
-		hmp.Prediction{}, 0, v.ChunkDuration)
+		hmp.Prediction{}, 0, v.ChunkDuration, nil)
 	if sc.SizeAt(v, 4) >= v.PanoramaBytes(4, 0) {
 		t.Fatal("super chunk not smaller than the panorama")
 	}

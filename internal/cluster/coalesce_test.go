@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -445,4 +446,71 @@ func TestChunkOriginFallbackCountsOnSuccessOnly(t *testing.T) {
 	if got := c.met.originChunkErrs.Value(); got != 1 {
 		t.Fatalf("origin_errors = %d, want 1", got)
 	}
+}
+
+// FuzzRelayDeclaredLength: whatever length an edge declares and
+// whatever body follows, relay either moves exactly the declared bytes
+// (all of them when none was declared) or fails with a typed transient
+// *dash.Error and keeps nothing — so a short, long or absurdly declared
+// body is never a success, never a replica's warm write, and never a
+// panic. Through the walk the same body fails over to the origin and
+// queues no warm.
+func FuzzRelayDeclaredLength(f *testing.F) {
+	f.Add(int64(5), []byte("short"), false, false)
+	f.Add(int64(100), []byte("short"), true, true)
+	f.Add(int64(2), []byte("longer than declared"), true, false)
+	f.Add(int64(-1), []byte("no length declared"), false, true)
+	f.Add(int64(0), []byte{}, true, true)
+	f.Add(int64(1)<<62, []byte("x"), true, false)
+	f.Add(int64(-1)<<63, []byte("x"), false, false)
+
+	v := wireVideo()
+	key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
+	f.Fuzz(func(t *testing.T, declared int64, body []byte, replicate, writer bool) {
+		// Two edges that both answer every GET with this length and body.
+		c, err := New(&countingOrigin{}, WithNodes(2), WithReplication(2),
+			WithTransport(&truncatingTransport{declared: declared, body: string(body)}),
+			WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var w http.ResponseWriter
+		rec := httptest.NewRecorder()
+		if writer {
+			w = rec
+		}
+		st := dash.ChunkStream{Body: io.NopCloser(bytes.NewReader(body)), Length: declared}
+		n, kept, err := c.relay(w, st, replicate, key, nil)
+		if declared < 0 || declared == int64(len(body)) {
+			if err != nil || n != int64(len(body)) {
+				t.Fatalf("declared %d, body %d bytes: relayed %d, %v", declared, len(body), n, err)
+			}
+			if (!writer || replicate) && !bytes.Equal(kept, body) {
+				t.Fatalf("declared %d: kept %q of %q", declared, kept, body)
+			}
+			if writer && !bytes.Equal(rec.Body.Bytes(), body) {
+				t.Fatalf("declared %d: wrote %q of %q", declared, rec.Body.Bytes(), body)
+			}
+			return
+		}
+		var derr *dash.Error
+		if !errors.As(err, &derr) || derr.Kind != dash.KindTransient {
+			t.Fatalf("declared %d, body %d bytes: %v, want a transient *dash.Error", declared, len(body), err)
+		}
+		if kept != nil {
+			t.Fatalf("declared %d, body %d bytes: a failed relay kept %d bytes for a replica", declared, len(body), len(kept))
+		}
+
+		// The same exchange seen from the front: neither edge's answer can
+		// be used, so the origin serves and nothing is written through.
+		got, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+		if err != nil || string(got) != string(originBody(key)) {
+			t.Fatalf("declared %d, body %d bytes: Chunk = %q, %v; want the origin's body", declared, len(body), got, err)
+		}
+		c.DrainWarms()
+		if n := c.Warms(); n != 0 {
+			t.Fatalf("declared %d, body %d bytes: %d warm writes of a broken body", declared, len(body), n)
+		}
+	})
 }

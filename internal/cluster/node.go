@@ -154,7 +154,7 @@ func (n *Node) loopbackHost() string { return n.id + ".edge.sperke" }
 // serveOn starts the node's HTTP server on ln and records the runtime
 // so Kill can close it.
 func (n *Node) serveOn(ln net.Listener) {
-	srv := &http.Server{Handler: n.server}
+	srv := dash.NewHTTPServer(n.server)
 	n.rt.Store(&wireRuntime{ln: ln, srv: srv})
 	go func() {
 		// Serve returns on Close with ErrServerClosed; nothing to do —

@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"sperke/internal/serve"
 )
@@ -42,13 +43,6 @@ func rendezvousScore(node string, key serve.ChunkKey) uint64 {
 	return h
 }
 
-// Rank orders nodes for key by rendezvous (highest-random-weight)
-// hashing, best first. The ranking is a pure function of (key, node
-// set): independent of the input order, stable across processes, and
-// minimal-movement under membership change — dropping one node from
-// the set promotes each of its keys to that key's next-ranked node and
-// moves nothing else. Ties (astronomically unlikely with 64-bit
-// scores) break by name so the order stays total.
 // Owners returns the key's R rendezvous owners — the Rank prefix —
 // clamped to the node set. With replication R>1 these are the caches a
 // served body is written through to; removing any single owner leaves
@@ -58,6 +52,13 @@ func Owners(key serve.ChunkKey, nodes []string, r int) []string {
 	return ranked[:min(r, len(ranked))]
 }
 
+// Rank orders nodes for key by rendezvous (highest-random-weight)
+// hashing, best first. The ranking is a pure function of (key, node
+// set): independent of the input order, stable across processes, and
+// minimal-movement under membership change — dropping one node from
+// the set promotes each of its keys to that key's next-ranked node and
+// moves nothing else. Ties (astronomically unlikely with 64-bit
+// scores) break by name so the order stays total.
 func Rank(key serve.ChunkKey, nodes []string) []string {
 	type scored struct {
 		id string
@@ -67,11 +68,11 @@ func Rank(key serve.ChunkKey, nodes []string) []string {
 	for i, id := range nodes {
 		ranked[i] = scored{id: id, s: rendezvousScore(id, key)}
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].s != ranked[j].s {
-			return ranked[i].s > ranked[j].s
+	slices.SortFunc(ranked, func(a, b scored) int {
+		if a.s != b.s {
+			return cmp.Compare(b.s, a.s)
 		}
-		return ranked[i].id < ranked[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	out := make([]string, len(ranked))
 	for i, r := range ranked {

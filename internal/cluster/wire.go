@@ -10,6 +10,7 @@ import (
 	"syscall"
 
 	"sperke/internal/dash"
+	"sperke/internal/media"
 	"sperke/internal/serve"
 )
 
@@ -17,6 +18,10 @@ import (
 // through. 32 KiB matches io.Copy's internal default; pooling it keeps
 // the relay's per-request allocations flat.
 const proxyBlock = 32 << 10
+
+// maxBodyLen is the longest body a chunk can have: the largest payload
+// under the longest video ID.
+var maxBodyLen = int64(media.SegmentLen("", media.MaxPayloadLen) + media.MaxVideoIDLen)
 
 // bodySink accumulates a relayed body into a pre-sized buffer: the
 // copy kept whole for the caller, a replica or a flight's followers,
@@ -31,7 +36,7 @@ func (b *bodySink) Write(p []byte) (int, error) {
 // declare sets a body's headers ahead of its first byte; a negative
 // length (an edge that declared none) leaves Content-Length unset.
 func declare(w http.ResponseWriter, length int64) {
-	w.Header().Set("Content-Type", "application/octet-stream")
+	dash.SetOctetStream(w.Header())
 	if length >= 0 {
 		w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
 	}
@@ -64,9 +69,18 @@ func deliver(w http.ResponseWriter, body []byte) (int64, error) {
 // bytes to the caller, or worse a replica's cache, would launder a
 // truncation into a valid-looking chunk — so it returns a typed
 // transient error that feeds the failure detector instead of posing as
-// a success. It reports the bytes copied and the kept body, if any.
+// a success; so is a declared length no segment can have, refused
+// before the kept copy is sized by it. It reports the bytes copied and
+// the kept body, if any.
 func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, replicate bool, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
 	defer st.Body.Close()
+	if st.Length > maxBodyLen {
+		// Believing it would size the kept copy by a number off the wire.
+		return 0, nil, &dash.Error{
+			Op: key.String(), Kind: dash.KindTransient,
+			Err: fmt.Errorf("cluster: edge declared a %d-byte body, longer than any segment", st.Length),
+		}
+	}
 	dst := io.Writer(w)
 	var kept *bodySink
 	if w == nil || replicate || (fl != nil && !c.coal.tryNoTee(fl)) {

@@ -48,7 +48,7 @@ func wireKeys(v *media.Video) []serve.ChunkKey {
 	return keys
 }
 
-func wireCatalog(t *testing.T, v *media.Video) *dash.Catalog {
+func wireCatalog(t testing.TB, v *media.Video) *dash.Catalog {
 	t.Helper()
 	catalog := dash.NewCatalog()
 	if err := catalog.Add(v); err != nil {

@@ -205,10 +205,18 @@ type Session struct {
 	// state holds every (interval, tile) of the video in one slab,
 	// interval-major; an entry counts only once tracked. The slab never
 	// grows, so fetch callbacks keep pointers into it.
-	state       []tileState
-	planned     map[int]bool
-	fovQuality  map[int]int
-	visibleEver map[int][]bool // per interval, indexed by tile id
+	state      []tileState
+	planned    map[int]bool
+	fovQuality map[int]int
+	// visibleEver is a slab laid out like state: whether the tile was on
+	// screen at any probe of its interval's play span.
+	visibleEver []bool
+	// The tile sets of the three tickers, each rebuilt in place by its
+	// own: the FoV rendered, the super chunk planned (plan.Tiles), the
+	// predicted FoV checked for upgrades. None outlives the tick that
+	// fills it.
+	playTiles, upgradeTiles []tiling.TileID
+	plan                    abr.SuperChunk
 
 	playIdx      int
 	nextPlayWall time.Duration
@@ -255,6 +263,7 @@ func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched trans
 	if sched == nil {
 		return nil, fmt.Errorf("core: session needs a transport scheduler")
 	}
+	cells := cfg.Video.NumChunks() * cfg.Video.Grid.Tiles()
 	s := &Session{
 		clock:       clock,
 		cfg:         cfg,
@@ -263,10 +272,10 @@ func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched trans
 		view:        tiling.NewViewport(cfg.Video.Grid, cfg.Projection, cfg.FoV),
 		est:         &netem.HarmonicMean{},
 		predictor:   cfg.NewPredictor(),
-		state:       make([]tileState, cfg.Video.NumChunks()*cfg.Video.Grid.Tiles()),
+		state:       make([]tileState, cells),
 		planned:     make(map[int]bool),
 		fovQuality:  make(map[int]int),
-		visibleEver: make(map[int][]bool),
+		visibleEver: make([]bool, cells),
 	}
 	if cfg.EncodedCacheBytes > 0 {
 		s.ccache = player.NewChunkCache(cfg.EncodedCacheBytes)
@@ -503,14 +512,16 @@ func (s *Session) planInterval(i int, deadline time.Duration) {
 	// interval displays.
 	pred := s.predictor.Predict(deadline)
 
-	var fovTiles []tiling.TileID
+	// The super chunk (§3.1.2) covers the predicted FoV; a FoV-agnostic
+	// session's is the whole panorama.
+	sc := &s.plan
 	if s.cfg.Mode == FoVAgnostic {
+		*sc = abr.SuperChunk{Interval: i, Start: v.ChunkStart(i), Tiles: sc.Tiles[:0], Prediction: pred}
 		for t := tiling.TileID(0); int(t) < v.Grid.Tiles(); t++ {
-			fovTiles = append(fovTiles, t)
+			sc.Tiles = append(sc.Tiles, t)
 		}
 	} else {
-		sc := abr.BuildSuperChunk(s.view, pred, i, v.ChunkDuration)
-		fovTiles = sc.Tiles
+		*sc = abr.BuildSuperChunk(s.view, pred, i, v.ChunkDuration, sc.Tiles)
 	}
 
 	// Part one: regular VRA over the super chunk.
@@ -525,19 +536,13 @@ func (s *Session) planInterval(i int, deadline time.Duration) {
 		ChunkDuration:      v.ChunkDuration,
 		Ladder:             v.Ladder,
 		LastQuality:        s.lastQuality(i),
-		SizeAt: func(q int) int64 {
-			var sum int64
-			for _, id := range fovTiles {
-				sum += v.FetchBytes(q, id, v.ChunkStart(i))
-			}
-			return sum
-		},
+		SizeAt:             func(q int) int64 { return sc.SizeAt(v, q) },
 	}
 	q := s.cfg.Algorithm.ChooseQuality(ctx)
 	s.fovQuality[i] = q
 	s.emit(EventPlanned, i, -1, q, 0, 0)
 
-	for _, id := range fovTiles {
+	for _, id := range sc.Tiles {
 		s.submitFetch(i, id, q, transport.ClassFoV, false, 1.0, deadline)
 	}
 
@@ -546,11 +551,7 @@ func (s *Session) planInterval(i int, deadline time.Duration) {
 	if s.cfg.Mode == FoVGuided {
 		oosPolicy := s.cfg.OOS
 		if s.cfg.BandwidthBudget > 0 {
-			var fovBytes int64
-			for _, id := range fovTiles {
-				fovBytes += v.FetchBytes(q, id, v.ChunkStart(i))
-			}
-			remaining := int64(s.cfg.BandwidthBudget*v.ChunkDuration.Seconds()/8) - fovBytes
+			remaining := int64(s.cfg.BandwidthBudget*v.ChunkDuration.Seconds()/8) - sc.SizeAt(v, q)
 			if remaining < 0 {
 				remaining = 1 // poorest-effort OOS: effectively nothing fits
 			}
@@ -561,7 +562,7 @@ func (s *Session) planInterval(i int, deadline time.Duration) {
 		plan := abr.PlanOOS(abr.OOSInput{
 			Grid:       v.Grid,
 			Projection: s.cfg.Projection,
-			FoVTiles:   fovTiles,
+			FoVTiles:   sc.Tiles,
 			FoVQuality: q,
 			Prediction: pred,
 			FoV:        s.cfg.FoV,
@@ -802,7 +803,8 @@ func (s *Session) checkUpgrades() {
 		if prob > 0.99 {
 			prob = 0.99
 		}
-		for _, id := range s.view.Visible(pred.View) {
+		s.upgradeTiles = s.view.AppendVisible(s.upgradeTiles[:0], pred.View)
+		for _, id := range s.upgradeTiles {
 			ts := s.tile(i, id)
 			if ts.pending {
 				continue
@@ -877,7 +879,8 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 	}
 	now := s.clock.Now()
 	view := s.head.At(now)
-	visible := s.view.Visible(view)
+	s.playTiles = s.view.AppendVisible(s.playTiles[:0], view)
+	visible := s.playTiles
 
 	missing := 0
 	for _, id := range visible {
@@ -950,7 +953,8 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 
 	// Render: per-tile qualities and bitrate over the visible tiles.
 	var bits float64
-	shownQ := make([]int, 0, len(visible))
+	var shown [64]int // on the stack for any FoV of up to 64 tiles
+	shownQ := shown[:0]
 	blanks := 0
 	for _, id := range visible {
 		st := s.tracked(i, id)
@@ -982,20 +986,14 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 
 	// Waste accounting input: every tile visible at any of four probe
 	// points during the play span counts as rendered.
-	ever := s.visibleEver[i]
-	if ever == nil {
-		ever = make([]bool, v.Grid.Tiles())
-		s.visibleEver[i] = ever
+	n := v.Grid.Tiles()
+	ever := s.visibleEver[i*n : (i+1)*n]
+	for _, id := range visible { // the first probe is the view rendered above
+		ever[id] = true
 	}
-	for k := 0; k < 4; k++ {
-		probed := visible // the k = 0 probe is the view rendered above
-		if k > 0 {
-			probe := now + time.Duration(k)*v.ChunkDuration/4
-			probed = s.view.Visible(s.head.At(probe))
-		}
-		for _, id := range probed {
-			ever[id] = true
-		}
+	for k := 1; k < 4; k++ {
+		probe := now + time.Duration(k)*v.ChunkDuration/4
+		s.view.Mark(s.head.At(probe), ever)
 	}
 
 	if s.ccache != nil {
@@ -1034,12 +1032,11 @@ func (s *Session) playDur(i int) time.Duration {
 // session.
 func (s *Session) accountWaste() {
 	// Integer sums, so the order of the walk does not show in them.
-	n := s.cfg.Video.Grid.Tiles()
 	for k, ts := range s.state {
 		if !ts.tracked || ts.bytes == 0 {
 			continue
 		}
-		if ever := s.visibleEver[k/n]; ever == nil || !ever[k%n] {
+		if !s.visibleEver[k] {
 			s.col.Wasted(ts.bytes)
 			s.rep.BytesWasted += ts.bytes
 		}

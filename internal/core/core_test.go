@@ -688,3 +688,29 @@ func TestMaxStallPlaysWithBlanks(t *testing.T) {
 		t.Fatal("dead link produced no stalls")
 	}
 }
+
+// TestSessionTileSetsAreOwned: a session asks its viewport some 155
+// questions a minute, and the answers land in storage the session
+// already owns — the play, plan and upgrade sets, one visibleEver slab,
+// shownQ on the stack — so what a 60 s session allocates, head trace
+// included, is its fixed furniture plus the per-tick closures. Handing
+// every answer out as a fresh slice made it 615 objects.
+func TestSessionTileSetsAreOwned(t *testing.T) {
+	v := testVideo(media.EncodingAVC)
+	v.Duration = 60 * time.Second
+	allocs := testing.AllocsPerRun(5, func() {
+		clock := sim.NewClock(1)
+		path := netem.NewPath(clock, "net", netem.Constant(25e6), 20*time.Millisecond, 0)
+		s, err := NewSession(clock, Config{Video: v}, testHead(1, 70*time.Second), transport.NewSinglePath(clock, path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := s.Run(); rep.QoE.PlayTime != v.Duration {
+			t.Fatalf("played %v of %v", rep.QoE.PlayTime, v.Duration)
+		}
+	})
+	if allocs > 470 {
+		t.Fatalf("a 60 s session allocates %.0f objects, want at most 470", allocs)
+	}
+	t.Logf("a 60 s session allocates %.0f objects", allocs)
+}

@@ -378,9 +378,13 @@ func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, er
 		if res.Header, res.Payload, err = media.ReadSegment(resp.Body); err != nil {
 			return fmt.Errorf("decoding segment: %w", err)
 		}
-		// A Content-Length body reported EOF with its last byte; a
-		// chunked one needs this read to see its terminator.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
+		// A Content-Length body read to its declared end reported EOF with
+		// its last byte and costs nothing more; a chunked one needs this
+		// read to see its terminator, and one that runs on past the
+		// segment is read to its end if that is near.
+		if resp.ContentLength != int64(media.SegmentLen(res.Header.VideoID, len(res.Payload))) {
+			io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
+		}
 		return nil
 	})
 	if err != nil {

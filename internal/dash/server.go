@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -35,11 +36,16 @@ func NewCatalog() *Catalog {
 	}
 }
 
-// Add registers a video. It returns an error for invalid videos or
-// duplicate IDs.
+// Add registers a video. It returns an error for invalid videos,
+// duplicate IDs, and IDs no client could fetch under: "." and "..",
+// which URL path cleaning removes however they are escaped, and IDs
+// longer than a segment header can carry.
 func (c *Catalog) Add(v *media.Video) error {
 	if err := v.Validate(); err != nil {
 		return err
+	}
+	if v.ID == "." || v.ID == ".." || len(v.ID) > media.MaxVideoIDLen {
+		return fmt.Errorf("dash: video ID %q cannot be served (a dot segment, or longer than %d bytes)", v.ID, media.MaxVideoIDLen)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -84,6 +90,28 @@ func (c *Catalog) liveWindow(id string) ([2]int, bool) {
 	defer c.mu.RUnlock()
 	w, ok := c.windows[id]
 	return w, ok
+}
+
+// The limits NewHTTPServer sets. A client that has not finished its
+// request headers five seconds after connecting is not one of ours (a
+// request is one small packet); an idle connection is kept longer than
+// any client in the tree keeps its end (net/http's default transport 90
+// s, the benchmark's one minute), so it is always the client that
+// retires a connection and never a server that closes one a client is
+// about to reuse.
+const (
+	serverReadHeaderTimeout = 5 * time.Second
+	serverIdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server every listener in the tree
+// serves h on: net/http's zero value waits forever for a request's
+// headers and for the next request on a kept-alive connection, so a
+// peer that connects and goes quiet holds a goroutine and a descriptor
+// until the process exits. The caller sets Addr if it listens by name,
+// and owns Serve, Shutdown and Close.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: serverReadHeaderTimeout, IdleTimeout: serverIdleTimeout}
 }
 
 // ChunkSource serves pre-built chunk bodies. The sharded, singleflight
@@ -289,6 +317,15 @@ func (s *Server) handleMPD(w http.ResponseWriter, r *http.Request) {
 	w.Write(out)
 }
 
+// octetStream is every chunk body's Content-Type header value, shared
+// and never written to: a Header.Set would allocate a one-string slice
+// a response.
+var octetStream = []string{"application/octet-stream"}
+
+// SetOctetStream declares the body of a response with headers h to be a
+// chunk's bytes, without allocating.
+func SetOctetStream(h http.Header) { h["Content-Type"] = octetStream }
+
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	s.met.chunks.Inc()
 	v, ok := s.Catalog.Get(r.PathValue("video"))
@@ -330,7 +367,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		// Writer-first store-less path: Content-Length comes from the
 		// size model, the body streams block by block straight into the
 		// response writer — no body-sized buffer anywhere.
-		w.Header().Set("Content-Type", "application/octet-stream")
+		SetOctetStream(w.Header())
 		w.Header().Set("Content-Length", strconv.Itoa(media.SegmentLen(h.VideoID, int(size))))
 		if err := media.WriteSyntheticSegment(w, h, seed, int(size)); err != nil {
 			// The spec was fully validated above, so a failure here is
@@ -365,7 +402,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		s.writeChunkError(w, r, v.ID, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
+	SetOctetStream(w.Header())
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if _, err := w.Write(body); err != nil {
 		markAborted(w)
@@ -489,17 +526,28 @@ func BuildChunkBody(v *media.Video, q, tile, idx int, layer bool) ([]byte, error
 	return buf.Bytes(), nil
 }
 
-// chunkPath renders the URL path of a chunk.
+// chunkPath renders the URL path of a chunk. The ID travels as one
+// escaped path segment — a slash, percent, question mark or hash in it
+// is part of the name, not of the URL — which the server's mux turns
+// back into the ID.
 func chunkPath(videoID string, q, tile, idx int, layer bool) string {
-	p := fmt.Sprintf("/v/%s/c/%d/%d/%d", videoID, q, tile, idx)
+	b := make([]byte, 0, 96)
+	b = append(b, "/v/"...)
+	b = append(b, url.PathEscape(videoID)...)
+	b = append(b, "/c/"...)
+	b = strconv.AppendInt(b, int64(q), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(tile), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(idx), 10)
 	if layer {
-		p += "?layer=1"
+		b = append(b, "?layer=1"...)
 	}
-	return p
+	return string(b)
 }
 
 // mpdPath renders the URL path of a manifest.
-func mpdPath(videoID string) string { return "/v/" + videoID + "/manifest.mpd" }
+func mpdPath(videoID string) string { return "/v/" + url.PathEscape(videoID) + "/manifest.mpd" }
 
 // ChunkIndexAt converts a media time to a chunk index for a video.
 func ChunkIndexAt(v *media.Video, at time.Duration) int {

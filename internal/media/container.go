@@ -48,6 +48,9 @@ const (
 	segmentMagic   = "SPRK"
 	segmentVersion = 1
 	headerFixedLen = 26
+	// MaxVideoIDLen is the longest video ID a segment header can carry:
+	// its length field is one byte.
+	MaxVideoIDLen = 255
 	// MaxPayloadLen caps a single segment at 64 MiB — far above any
 	// realistic chunk and small enough to reject corrupt length fields
 	// before allocating.
@@ -85,8 +88,8 @@ var (
 // validateSegment checks header and payload bounds shared by every
 // encoder entry point.
 func validateSegment(h SegmentHeader, payloadLen int) error {
-	if len(h.VideoID) == 0 || len(h.VideoID) > 255 {
-		return fmt.Errorf("media: video ID length %d out of range [1,255]", len(h.VideoID))
+	if len(h.VideoID) == 0 || len(h.VideoID) > MaxVideoIDLen {
+		return fmt.Errorf("media: video ID length %d out of range [1,%d]", len(h.VideoID), MaxVideoIDLen)
 	}
 	if payloadLen > MaxPayloadLen {
 		return fmt.Errorf("media: payload %d exceeds max %d", payloadLen, MaxPayloadLen)

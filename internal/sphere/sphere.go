@@ -68,13 +68,14 @@ func (a Vec3) Norm() float64 { return math.Sqrt(a.Dot(a)) }
 // Direction converts the orientation's view axis into a unit vector.
 // Roll does not affect the axis.
 func (o Orientation) Direction() Vec3 {
-	yaw := o.Yaw * math.Pi / 180
-	pitch := o.Pitch * math.Pi / 180
-	cosPitch := math.Cos(pitch)
+	// One argument reduction per angle; math.Sincos returns math.Sin's and
+	// math.Cos's bits (TestSincosIsSinAndCos).
+	sinYaw, cosYaw := math.Sincos(o.Yaw * math.Pi / 180)
+	sinPitch, cosPitch := math.Sincos(o.Pitch * math.Pi / 180)
 	return Vec3{
-		X: cosPitch * math.Sin(yaw),
-		Y: math.Sin(pitch),
-		Z: cosPitch * math.Cos(yaw),
+		X: cosPitch * sinYaw,
+		Y: sinPitch,
+		Z: cosPitch * cosYaw,
 	}
 }
 

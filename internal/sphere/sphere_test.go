@@ -99,6 +99,48 @@ func TestDirectionBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSincosIsSinAndCos pins, on the platform that runs it, what
+// Direction and tiling's lattice tables lean on: math.Sincos returns the
+// bits math.Sin and math.Cos return (a NaN for a NaN), for every
+// argument — both sides of
+// the 2²⁹ switch to Payne–Hanek reduction, the zeros, the non-finite
+// values and arbitrary bit patterns included. Every golden table and
+// every reference tile set in the tree was produced with the two-call
+// form.
+func TestSincosIsSinAndCos(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		s, c := math.Sincos(x)
+		same := func(a, b float64) bool {
+			// A NaN's payload can differ; nothing downstream can see it.
+			return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+		}
+		if !same(s, math.Sin(x)) || !same(c, math.Cos(x)) {
+			t.Fatalf("Sincos(%v [%#x]) = %v, %v; Sin, Cos = %v, %v", x, math.Float64bits(x), s, c, math.Sin(x), math.Cos(x))
+		}
+	}
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+		math.Pi, math.Pi / 2, math.Pi / 4, 1 << 29, 1<<29 - 1, 1<<29 + 1, 1e15, 1e300,
+	} {
+		check(x)
+		check(-x)
+		check(math.Nextafter(x, math.Inf(1)))
+		check(math.Nextafter(x, math.Inf(-1)))
+	}
+	rng := rand.New(rand.NewSource(18))
+	n := 1_000_000
+	if testing.Short() {
+		n = 100_000
+	}
+	for i := 0; i < n; i++ {
+		check((rng.Float64()*720 - 360) * math.Pi / 180) // the angles a session produces
+		check(rng.Float64() * (1 << 31))                 // across the reduction switch
+		check(math.Float64frombits(rng.Uint64()))        // anything at all
+	}
+}
+
 func TestNormalizedClampsPitch(t *testing.T) {
 	o := Orientation{Yaw: 10, Pitch: 120}.Normalized()
 	if o.Pitch != 90 {

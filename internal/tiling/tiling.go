@@ -123,7 +123,7 @@ const fovSamples = 17
 // lattice angles' sines and cosines, the grid's borders — worked out
 // once by NewViewport. It is a plain value of about 2 KB with no
 // pointers into itself: build it where the triple is decided, keep it
-// there, and copy it freely. Visible does not modify it.
+// there, and copy it freely. A query does not modify it.
 type Viewport struct {
 	g Grid
 	p sphere.Projection
@@ -154,21 +154,41 @@ func NewViewport(g Grid, p sphere.Projection, fov sphere.FoV) Viewport {
 // Grid returns the viewport's tile grid.
 func (vp *Viewport) Grid() Grid { return vp.g }
 
-// Visible returns the sorted set of tiles that cover any part of the
-// FoV when looking along view. The result is the minimal fetch set when
-// head-movement prediction is perfect (§3.1.2, "super chunk"
-// construction). An invalid grid has no tiles.
+// Mark sets set[id] for every tile id that covers any part of the FoV
+// when looking along view, and touches no other entry: marking several
+// views into one set yields their union. set must hold an entry per
+// tile of the grid. An invalid grid has no tiles. Mark allocates
+// nothing and keeps nothing between calls; it is the form the other
+// queries are built on, because it is the one a caller who already owns
+// a set can use without a result being made for it.
 //
 // Per call only the view's three rotations cost trigonometry; per
 // sample the same products and sums run in the same order as rotating a
 // freshly built direction, and on the equirectangular projection the
 // rotated direction is classified against the borders instead of being
 // turned back into angles, except where it is too close to one to call
-// (borders.tileOf). The set is the one the unhoisted form
+// (borders.tileOf). The tiles are the ones the unhoisted form
 // (visibleTilesRef in the tests) yields, for every input.
+func (vp *Viewport) Mark(view sphere.Orientation, set []bool) {
+	if vp.g.Validate() == nil {
+		vp.mark(view, set)
+	}
+}
+
+// AppendVisible appends the tiles Mark would mark, in id order, to dst
+// and returns the extended slice. With room in dst it allocates nothing
+// on grids of up to 64 tiles.
+func (vp *Viewport) AppendVisible(dst []TileID, view sphere.Orientation) []TileID {
+	dst, _ = vp.appendVisible(dst, view)
+	return dst
+}
+
+// Visible returns the sorted set of tiles that cover any part of the
+// FoV when looking along view. The result is the minimal fetch set when
+// head-movement prediction is perfect (§3.1.2, "super chunk"
+// construction). An invalid grid has no tiles.
 func (vp *Viewport) Visible(view sphere.Orientation) []TileID {
-	out, _ := vp.visible(view)
-	return out
+	return vp.AppendVisible(nil, view)
 }
 
 // VisibleTiles is NewViewport(g, p, fov).Visible(view), for a caller
@@ -178,30 +198,50 @@ func VisibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphe
 	return out
 }
 
-// visibleTiles is VisibleTiles plus the second result of visible.
+// visibleTiles is VisibleTiles plus the result of mark.
 func visibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphere.FoV) (out []TileID, exact int) {
 	vp := NewViewport(g, p, fov)
-	return vp.visible(view)
+	return vp.appendVisible(nil, view)
 }
 
-// visible is Visible plus the number of samples whose tile came from
-// the exact expression (all of them off the equirectangular
-// projection), which the tests read to show the guard band is in use.
-func (vp *Viewport) visible(view sphere.Orientation) (out []TileID, exact int) {
-	g := vp.g
-	if g.Validate() != nil {
-		return nil, 0
+// appendVisible is AppendVisible plus the result of mark.
+func (vp *Viewport) appendVisible(dst []TileID, view sphere.Orientation) ([]TileID, int) {
+	if vp.g.Validate() != nil {
+		return dst, 0
 	}
+	var stack [64]bool // grids up to 64 tiles keep their seen-set off the heap
+	tiles := vp.g.Tiles()
+	seen := stack[:min(tiles, len(stack))]
+	if tiles > len(stack) {
+		seen = make([]bool, tiles)
+	}
+	exact := vp.mark(view, seen)
+	n := 0
+	for _, in := range seen {
+		if in {
+			n++
+		}
+	}
+	if cap(dst)-len(dst) < n { // one exact-size allocation, when any
+		dst = append(make([]TileID, 0, len(dst)+n), dst...)
+	}
+	for id, in := range seen {
+		if in {
+			dst = append(dst, TileID(id))
+		}
+	}
+	return dst, exact
+}
+
+// mark is Mark on a grid its caller has validated, plus the number of
+// samples whose tile came from the exact expression (all of them off
+// the equirectangular projection), which the tests read to show the
+// guard band is in use.
+func (vp *Viewport) mark(view sphere.Orientation, set []bool) (exact int) {
+	g := vp.g
 	sinRoll, cosRoll := sincos(view.Roll)
 	sinPitch, cosPitch := sincos(view.Pitch)
 	sinYaw, cosYaw := sincos(view.Yaw)
-
-	var stack [64]bool // grids up to 64 tiles keep their seen-set off the heap
-	seen := stack[:]
-	if g.Tiles() > len(stack) {
-		seen = make([]bool, g.Tiles())
-	}
-	n := 0
 	for i := 0; i < fovSamples; i++ {
 		for j := 0; j < fovSamples; j++ {
 			// The direction at view-space angles (hx_i, hy_j), rotated
@@ -219,19 +259,10 @@ func (vp *Viewport) visible(view sphere.Orientation) (out []TileID, exact int) {
 				id = g.TileAt(vp.p.Forward(sphere.FromDirection(d)))
 				exact++
 			}
-			if !seen[id] {
-				seen[id] = true
-				n++
-			}
+			set[id] = true
 		}
 	}
-	out = make([]TileID, 0, n)
-	for id := 0; len(out) < n; id++ {
-		if seen[id] {
-			out = append(out, TileID(id))
-		}
-	}
-	return out, exact
+	return exact
 }
 
 // guard is the margin δ a direction must keep from every tile border it
@@ -352,9 +383,10 @@ func rotZ(v sphere.Vec3, s, c float64) sphere.Vec3 {
 	return sphere.Vec3{X: v.X*c - v.Y*s, Y: v.X*s + v.Y*c, Z: v.Z}
 }
 
+// sincos returns math.Sin and math.Cos of an angle in degrees, bit for
+// bit, from one argument reduction (sphere's TestSincosIsSinAndCos).
 func sincos(deg float64) (s, c float64) {
-	r := deg * math.Pi / 180
-	return math.Sin(r), math.Cos(r)
+	return math.Sincos(deg * math.Pi / 180)
 }
 
 // Ring returns the tiles exactly dist grid steps (Chebyshev distance,

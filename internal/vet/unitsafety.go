@@ -11,7 +11,7 @@ import (
 // in Sperke's degree-valued orientation fields.
 var (
 	trigRadians = map[string]bool{
-		"Sin": true, "Cos": true, "Tan": true,
+		"Sin": true, "Cos": true, "Tan": true, "Sincos": true,
 		"Asin": true, "Acos": true, "Atan": true, "Atan2": true,
 	}
 	trigInverse = map[string]bool{
