@@ -174,8 +174,7 @@ func run() error {
 	}()
 
 	// --- viewer: poll the MPD, fetch new chunks, record E2E latency ---
-	client := dash.NewClient("http://" + dashLn.Addr().String())
-	client.Obs = reg
+	client := dash.NewClient("http://"+dashLn.Addr().String(), dash.WithClientObs(reg))
 	fmt.Printf("live broadcast: %d segments of %v, uplink %s\n",
 		nSegs, *segment, shapingLabel(*uplinkMbps))
 	fetched, attempts := 0, 0

@@ -60,7 +60,6 @@ func run() error {
 	nodes := flag.Int("nodes", 0, "edge nodes in front of the origin (0 = no cluster tier)")
 	wire := flag.Bool("wire", false, "run each edge as a real HTTP process on its own loopback listener")
 	replicas := flag.Int("replicas", 1, "rendezvous owners per chunk key (R>1 = replication)")
-	coalesce := flag.Bool("coalesce", true, "collapse concurrent same-key cold misses at the cluster router")
 	prewarm := flag.Int("prewarm", 0, "crowd-prior pre-warm fanout per served chunk (0 = off; needs -nodes)")
 	addNodeAt := flag.Duration("add-node-at", 0, "grow the cluster by one edge this long into the run (0 = never)")
 	killAt := flag.Duration("kill-at", 0, "crash -kill-node this long into the run (0 = never)")
@@ -108,7 +107,6 @@ func run() error {
 					cluster.WithNodeBudget(int64(*storeMB) << 20 / int64(*nodes)),
 					cluster.WithReplication(*replicas),
 					cluster.WithWire(*wire),
-					cluster.WithCoalescing(*coalesce),
 					cluster.WithObs(reg),
 				}
 				if *prewarm > 0 {
@@ -178,8 +176,7 @@ func run() error {
 					base, store.Shards(), *storeMB)
 			}
 		}
-		client = dash.NewClient(base)
-		client.Obs = reg
+		client = dash.NewClient(base, dash.WithClientObs(reg))
 	}
 
 	mode := core.FoVGuided

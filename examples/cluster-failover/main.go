@@ -35,6 +35,9 @@ func main() {
 	clock := sim.NewClock(7)
 	reg := obs.NewRegistry()
 	org := &origin{}
+	// The failure detector runs at its defaults: a node is down after 3
+	// consecutive failures, sits out a 500ms cooldown, and is back after
+	// 2 clean probes.
 	c, err := cluster.New(org,
 		cluster.WithNodes(3),
 		cluster.WithClock(clock),

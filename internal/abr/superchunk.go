@@ -46,28 +46,3 @@ func (sc SuperChunk) SizeAt(v *media.Video, q int) int64 {
 	}
 	return sum
 }
-
-// Rate returns the super chunk's rate in bits/s at quality q.
-func (sc SuperChunk) Rate(v *media.Video, q int) float64 {
-	if v.ChunkDuration <= 0 {
-		return 0
-	}
-	return float64(sc.SizeAt(v, q)) * 8 / v.ChunkDuration.Seconds()
-}
-
-// BuildSequence covers a whole prediction window: one super chunk per
-// interval in [from, to), each from the predictor's forecast at that
-// interval's midpoint. This is the "sequence of super chunks" §3.1.2
-// reduces FoV-guided VRA to under perfect HMP.
-func BuildSequence(vp tiling.Viewport, predict func(at time.Duration) hmp.Prediction,
-	chunkDur time.Duration, from, to int) []SuperChunk {
-	if to <= from {
-		return nil
-	}
-	out := make([]SuperChunk, 0, to-from)
-	for i := from; i < to; i++ {
-		mid := time.Duration(i)*chunkDur + chunkDur/2
-		out = append(out, BuildSuperChunk(vp, predict(mid), i, chunkDur, nil))
-	}
-	return out
-}

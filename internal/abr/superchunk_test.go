@@ -49,11 +49,6 @@ func TestSuperChunkSizeMatchesTileSum(t *testing.T) {
 	if got := sc.SizeAt(v, 3); got != sum {
 		t.Fatalf("SizeAt = %d, want %d", got, sum)
 	}
-	// Rate is size over the chunk duration.
-	wantRate := float64(sum) * 8 / 2
-	if got := sc.Rate(v, 3); got != wantRate {
-		t.Fatalf("Rate = %v, want %v", got, wantRate)
-	}
 }
 
 func TestSuperChunkSmallerThanPanorama(t *testing.T) {
@@ -64,45 +59,5 @@ func TestSuperChunkSmallerThanPanorama(t *testing.T) {
 		hmp.Prediction{}, 0, v.ChunkDuration, nil)
 	if sc.SizeAt(v, 4) >= v.PanoramaBytes(4, 0) {
 		t.Fatal("super chunk not smaller than the panorama")
-	}
-}
-
-func TestBuildSequence(t *testing.T) {
-	v := scVideo()
-	// A predictor panning rightward: later intervals cover different
-	// tiles.
-	predict := func(at time.Duration) hmp.Prediction {
-		return hmp.Prediction{View: sphere.Orientation{Yaw: 20 * at.Seconds()}, Radius: 15}
-	}
-	seq := BuildSequence(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
-		predict, v.ChunkDuration, 0, 5)
-	if len(seq) != 5 {
-		t.Fatalf("sequence length %d", len(seq))
-	}
-	for i, sc := range seq {
-		if sc.Interval != i {
-			t.Fatalf("interval %d at position %d", sc.Interval, i)
-		}
-		if len(sc.Tiles) == 0 {
-			t.Fatalf("empty cover at %d", i)
-		}
-	}
-	// The pan must move the cover: first and last intervals differ.
-	same := true
-	first := map[tiling.TileID]bool{}
-	for _, id := range seq[0].Tiles {
-		first[id] = true
-	}
-	for _, id := range seq[4].Tiles {
-		if !first[id] {
-			same = false
-		}
-	}
-	if same && len(seq[0].Tiles) == len(seq[4].Tiles) {
-		t.Fatal("160° of pan did not change the cover")
-	}
-	if BuildSequence(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
-		predict, v.ChunkDuration, 3, 3) != nil {
-		t.Fatal("empty range not nil")
 	}
 }

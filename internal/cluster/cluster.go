@@ -114,7 +114,7 @@ type Cluster struct {
 	reg      *obs.Registry
 	copyBufs *obs.BufferPool // relay copy blocks
 
-	coal  *coalescer // router-level singleflight; nil with WithCoalescing(false)
+	coal  *coalescer // router-level singleflight
 	warmQ *warmQueue // background replica-warm / pre-warm queue
 }
 
@@ -163,10 +163,8 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 			originChunkErrs:  cfg.obs.Counter("cluster.origin_errors"),
 		},
 		copyBufs: obs.NewSizedBufferPool(cfg.obs, "cluster.proxy", proxyBlock, proxyBlock),
+		coal:     newCoalescer(),
 		warmQ:    newWarmQueue(),
-	}
-	if cfg.coalesce {
-		c.coal = newCoalescer()
 	}
 	if cfg.loopback {
 		c.loop = NewLoopbackTransport()
@@ -198,10 +196,9 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 // published to the routing table.
 func (c *Cluster) buildNode(id string) (*Node, error) {
 	n := newNode(id, c.origin, c.cfg.catalog, c.cfg.nodeShards,
-		c.cfg.nodeBudget, c.cfg.maxInFlight, c.cfg.retryAfter,
-		c.reg, c.met.originFetches.Inc)
+		c.cfg.nodeBudget, c.cfg.maxInFlight, c.reg, c.met.originFetches.Inc)
 	if c.cfg.wire {
-		if err := n.startWire(c.loop, c.cfg.transport, c.cfg.nodeRetry, c.reg); err != nil {
+		if err := n.startWire(c.loop, c.cfg.transport, c.reg); err != nil {
 			return nil, err
 		}
 	}
@@ -296,9 +293,6 @@ func (c *Cluster) StreamChunk(ctx context.Context, w http.ResponseWriter, videoI
 func (c *Cluster) route(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey) (n int64, body []byte, err error) {
 	c.met.requests.Inc()
 	defer c.updateOffload()
-	if c.coal == nil {
-		return c.walk(ctx, w, key, nil)
-	}
 	f, role := c.coal.enter(key)
 	switch role {
 	case roleBypass:

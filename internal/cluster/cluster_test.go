@@ -40,6 +40,12 @@ func (o *countingOrigin) count() int {
 	return o.calls
 }
 
+// withMaxInFlight and withWarmQueue set the two bounds no exported
+// option reaches, for the tests that need an edge to saturate at one
+// request or the warm queue to overflow at two jobs.
+func withMaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n } }
+func withWarmQueue(n int) Option   { return func(c *config) { c.warmQueueCap = n } }
+
 func fetchKey(t *testing.T, c *Cluster, key serve.ChunkKey) []byte {
 	t.Helper()
 	body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
@@ -125,8 +131,7 @@ func TestNodeShedsWhenSaturated(t *testing.T) {
 		}
 		return originBody(key), nil
 	})
-	c, err := New(origin, WithNodes(1), WithMaxInFlight(1),
-		WithRetryAfter(3*time.Second), WithClock(sim.NewClock(1)))
+	c, err := New(origin, WithNodes(1), withMaxInFlight(1), WithClock(sim.NewClock(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +147,8 @@ func TestNodeShedsWhenSaturated(t *testing.T) {
 	if !errors.As(err, &oe) {
 		t.Fatalf("saturated node returned %v, want *dash.OverloadError", err)
 	}
-	if oe.RetryAfter != 3*time.Second {
-		t.Fatalf("RetryAfter = %v, want the configured 3s", oe.RetryAfter)
+	if oe.RetryAfter != time.Second {
+		t.Fatalf("RetryAfter = %v, want the 1s every shed carries", oe.RetryAfter)
 	}
 	if !errors.Is(err, dash.ErrUnavailable) {
 		t.Fatal("overload error does not match dash.ErrUnavailable")
@@ -168,7 +173,7 @@ func TestClusterShedGoesStraightToOrigin(t *testing.T) {
 		}
 		return originBody(key), nil
 	})
-	c, err := New(origin, WithNodes(1), WithMaxInFlight(1), WithClock(sim.NewClock(1)))
+	c, err := New(origin, WithNodes(1), withMaxInFlight(1), WithClock(sim.NewClock(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func TestHerdColdKeyCoalescesToOneOriginFetch(t *testing.T) {
 	const herd = 8
 	key := serve.ChunkKey{Video: "vid", Quality: 0, Tile: 0, Index: 0}
 	origin := newBlockingOrigin(key)
-	c, err := New(origin, WithNodes(1), WithMaxInFlight(1), WithClock(sim.NewClock(1)))
+	c, err := New(origin, WithNodes(1), withMaxInFlight(1), WithClock(sim.NewClock(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,46 +133,6 @@ func TestHerdColdKeyCoalescesToOneOriginFetch(t *testing.T) {
 	}
 	if got := c.met.sheds.Value(); got != 0 {
 		t.Fatalf("cluster.sheds = %d, want 0 — followers must never reach the saturated edge", got)
-	}
-}
-
-// TestHerdWithoutCoalescingPaysPerShed pins the pre-coalescing
-// behavior the tentpole exists to fix: with the router singleflight
-// disabled, every herd member past the edge's admission bound sheds
-// straight to the origin, costing one synthesis each — the
-// failing-before half of the regression pair.
-func TestHerdWithoutCoalescingPaysPerShed(t *testing.T) {
-	const herd = 5
-	key := serve.ChunkKey{Video: "vid", Quality: 0, Tile: 0, Index: 0}
-	origin := newBlockingOrigin(key)
-	c, err := New(origin, WithNodes(1), WithMaxInFlight(1),
-		WithCoalescing(false), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	errs := make(chan error, herd)
-	fetch := func() {
-		_, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		errs <- err
-	}
-	go fetch()
-	<-origin.arrived // the first request holds the only edge slot
-	for i := 1; i < herd; i++ {
-		go fetch()
-		<-origin.arrived // each follower sheds and lands on the origin
-	}
-	close(origin.release)
-	for i := 0; i < herd; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("herd member failed: %v", err)
-		}
-	}
-	if got := origin.count(); got != herd {
-		t.Fatalf("uncoalesced herd of %d cost %d origin fetches, want one each", herd, got)
-	}
-	if got := c.met.sheds.Value(); got != herd-1 {
-		t.Fatalf("cluster.sheds = %d, want %d", got, herd-1)
 	}
 }
 

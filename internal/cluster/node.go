@@ -41,7 +41,6 @@ type Node struct {
 	down        atomic.Bool
 	inflight    atomic.Int64
 	maxInFlight int64
-	retryAfter  time.Duration
 
 	// Wire lifecycle. addr is recorded at the first bind and reused by
 	// Recover so the node's identity (its address) survives a crash;
@@ -59,6 +58,14 @@ type Node struct {
 
 	met nodeMetrics
 }
+
+// shedRetryAfter is the backoff hint an edge attaches to a shed.
+const shedRetryAfter = time.Second
+
+// nodeRetry is the policy of the router's per-edge clients. Failover is
+// the retry: they take one shot and let the ranked walk move on, so a
+// dead edge costs one connection refusal, not a backoff ladder.
+var nodeRetry = dash.RetryPolicy{MaxAttempts: -1}
 
 // wireRuntime is one incarnation of a node's listening process.
 type wireRuntime struct {
@@ -79,12 +86,11 @@ type nodeMetrics struct {
 // per cache miss, before the origin synthesis runs — the cluster's
 // origin-offload accounting hangs off it.
 func newNode(id string, origin dash.ChunkSource, catalog *dash.Catalog,
-	shards int, budget int64, maxInFlight int, retryAfter time.Duration,
+	shards int, budget int64, maxInFlight int,
 	reg *obs.Registry, onOriginFetch func()) *Node {
 	n := &Node{
 		id:          id,
 		maxInFlight: int64(maxInFlight),
-		retryAfter:  retryAfter,
 		met: nodeMetrics{
 			requests: reg.Counter("cluster.node." + id + ".requests"),
 			misses:   reg.Counter("cluster.node." + id + ".misses"),
@@ -118,8 +124,7 @@ func newNode(id string, origin dash.ChunkSource, catalog *dash.Catalog,
 // applies: an in-process LoopbackTransport (deterministic tests and
 // benchmarks), a caller-supplied RoundTripper (fault injection), or —
 // the default — a real TCP listener on 127.0.0.1.
-func (n *Node) startWire(loop *LoopbackTransport, rt http.RoundTripper,
-	retry dash.RetryPolicy, reg *obs.Registry) error {
+func (n *Node) startWire(loop *LoopbackTransport, rt http.RoundTripper, reg *obs.Registry) error {
 	n.wireMode = true
 	switch {
 	case loop != nil:
@@ -127,11 +132,11 @@ func (n *Node) startWire(loop *LoopbackTransport, rt http.RoundTripper,
 		n.baseURL = "http://" + n.loopbackHost()
 		loop.register(n.loopbackHost(), n)
 		n.client = dash.NewClient(n.baseURL,
-			dash.WithTransport(loop), dash.WithRetry(retry), dash.WithClientObs(reg))
+			dash.WithTransport(loop), dash.WithRetry(nodeRetry), dash.WithClientObs(reg))
 	case rt != nil:
 		n.baseURL = "http://" + n.loopbackHost()
 		n.client = dash.NewClient(n.baseURL,
-			dash.WithTransport(rt), dash.WithRetry(retry), dash.WithClientObs(reg))
+			dash.WithTransport(rt), dash.WithRetry(nodeRetry), dash.WithClientObs(reg))
 	default:
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -141,7 +146,7 @@ func (n *Node) startWire(loop *LoopbackTransport, rt http.RoundTripper,
 		n.baseURL = "http://" + n.addr
 		n.serveOn(ln)
 		n.client = dash.NewClient(n.baseURL,
-			dash.WithRetry(retry), dash.WithClientObs(reg))
+			dash.WithRetry(nodeRetry), dash.WithClientObs(reg))
 	}
 	n.accepting.Store(true)
 	return nil
@@ -296,7 +301,7 @@ func (n *Node) Chunk(ctx context.Context, videoID string, quality, tile, index i
 	if cur := n.inflight.Add(1); cur > n.maxInFlight {
 		n.inflight.Add(-1)
 		n.met.sheds.Inc()
-		return nil, &dash.OverloadError{RetryAfter: n.retryAfter}
+		return nil, &dash.OverloadError{RetryAfter: shedRetryAfter}
 	}
 	defer n.inflight.Add(-1)
 	n.met.requests.Inc()

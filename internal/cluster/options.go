@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"net/http"
-	"time"
 
 	"sperke/internal/dash"
 	"sperke/internal/obs"
@@ -17,35 +16,33 @@ type config struct {
 	catalog     *dash.Catalog
 	nodeBudget  int64
 	nodeShards  int
-	maxInFlight int
-	retryAfter  time.Duration
 	health      HealthConfig
 	clock       obs.Clock
 	obs         *obs.Registry
 	wire        bool
 	loopback    bool
 	transport   http.RoundTripper
-	nodeRetry   dash.RetryPolicy
 
-	coalesce      bool
-	warmQueueCap  int
+	// maxInFlight bounds concurrent admitted requests per edge; beyond
+	// it the edge sheds with 503+Retry-After. warmQueueCap bounds the
+	// background warm queue (replication writes and pre-warms); when it
+	// is full the oldest queued warm is dropped and counted under
+	// cluster.warm_drops, so warming degrades under pressure instead of
+	// the serving path slowing down. Neither has an option.
+	maxInFlight  int
+	warmQueueCap int
+
 	prior         TilePrior
 	prewarmFanout int
 }
 
 func defaultClusterConfig() config {
 	return config{
-		nodes:       3,
-		replication: 1,
-		nodeBudget:  64 << 20,
-		nodeShards:  8,
-		maxInFlight: 256,
-		retryAfter:  time.Second,
-		// Failover is the retry: the router's per-edge clients take one
-		// shot and let the ranked walk move on, so a dead edge costs one
-		// connection refusal, not a backoff ladder.
-		nodeRetry:    dash.RetryPolicy{MaxAttempts: -1},
-		coalesce:     true,
+		nodes:        3,
+		replication:  1,
+		nodeBudget:   64 << 20,
+		nodeShards:   8,
+		maxInFlight:  256,
 		warmQueueCap: 256,
 	}
 }
@@ -61,8 +58,8 @@ type TilePrior interface {
 	TopTilesAt(index, k int) []int
 }
 
-// Option configures a Cluster built by New. Nil options are ignored;
-// sizing options treat non-positive values as "keep the default".
+// Option configures a Cluster built by New; sizing options treat
+// non-positive values as "keep the default".
 type Option func(*config)
 
 // WithNodes sets the initial edge count ("edge-0" … "edge-N-1");
@@ -111,27 +108,6 @@ func WithNodeShards(n int) Option {
 	return func(c *config) {
 		if n > 0 {
 			c.nodeShards = n
-		}
-	}
-}
-
-// WithMaxInFlight bounds concurrent admitted requests per edge; beyond
-// it the edge sheds with 503+Retry-After. Values <= 0 keep the default
-// of 256.
-func WithMaxInFlight(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.maxInFlight = n
-		}
-	}
-}
-
-// WithRetryAfter sets the backoff hint attached to sheds; values <= 0
-// keep the default of 1s.
-func WithRetryAfter(d time.Duration) Option {
-	return func(c *config) {
-		if d > 0 {
-			c.retryAfter = d
 		}
 	}
 }
@@ -188,30 +164,6 @@ func WithTransport(rt http.RoundTripper) Option {
 	}
 }
 
-// WithCoalescing turns the router-level singleflight on or off. On by
-// default: concurrent cold requests for one key — even when the ranked
-// walk would spread them across different edges, or push them onto the
-// origin fallback — collapse into a single upstream fetch, with late
-// arrivals served from the in-flight body (cluster.coalesced counts
-// them). Off exists for measurement: the herd experiments quantify
-// what coalescing saves by disabling it.
-func WithCoalescing(on bool) Option {
-	return func(c *config) { c.coalesce = on }
-}
-
-// WithWarmQueue bounds the background warm queue (replication writes
-// and pre-warms). When full, the oldest queued warm is dropped and
-// counted under cluster.warm_drops — warming degrades under pressure
-// instead of the serving path slowing down. Values <= 0 keep the
-// default of 256.
-func WithWarmQueue(depth int) Option {
-	return func(c *config) {
-		if depth > 0 {
-			c.warmQueueCap = depth
-		}
-	}
-}
-
 // WithPrewarm enables playhead-correlated cache warming: every chunk
 // the cluster serves enqueues warm candidates for the fanout
 // most-probable other tiles at the same chunk index per the crowd
@@ -228,12 +180,4 @@ func WithPrewarm(prior TilePrior, fanout int) Option {
 			c.prewarmFanout = fanout
 		}
 	}
-}
-
-// WithNodeRetry overrides the retry policy of the router's per-node
-// clients. The default is a single attempt — failover is the retry —
-// so only set this when an edge's transient blips should be retried in
-// place instead of rerouted.
-func WithNodeRetry(p dash.RetryPolicy) Option {
-	return func(c *config) { c.nodeRetry = p }
 }

@@ -297,14 +297,14 @@ func newSinkEnv(t *testing.T, v *media.Video, routed, block serve.ChunkKey) *sin
 		arrived: make(chan struct{}, 1),
 		release: make(chan struct{}),
 	}
-	c, err := New(origin, WithNodes(3), WithLoopback(), WithMaxInFlight(1),
+	c, err := New(origin, WithNodes(3), WithLoopback(), withMaxInFlight(1),
 		WithCatalog(catalog), WithClock(sim.NewClock(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cut := &cuttingTransport{inner: c.loop}
 	for _, n := range c.Nodes() {
-		n.client = dash.NewClient(n.baseURL, dash.WithTransport(cut), dash.WithRetry(c.cfg.nodeRetry))
+		n.client = dash.NewClient(n.baseURL, dash.WithTransport(cut), dash.WithRetry(nodeRetry))
 	}
 	ranked := Rank(routed, c.NodeNames())
 	return &sinkEnv{c: c, origin: origin, cut: cut,

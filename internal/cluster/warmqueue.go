@@ -188,7 +188,7 @@ func (c *Cluster) runPrewarm(key serve.ChunkKey) {
 	if len(targets) == 0 {
 		return
 	}
-	if c.coal != nil && c.coal.inFlight(key) {
+	if c.coal.inFlight(key) {
 		// A viewer is fetching this key right now; its flight will warm
 		// the owners on the way past.
 		return

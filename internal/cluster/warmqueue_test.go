@@ -109,7 +109,7 @@ func TestWarmQueueDropsOldestWhenFull(t *testing.T) {
 		return serve.ChunkKey{Video: "vid", Quality: 0, Tile: tile, Index: 0}
 	}
 	origin := newBlockingOrigin(keyAt(0))
-	c, err := New(origin, WithNodes(1), WithWarmQueue(2), WithClock(sim.NewClock(1)))
+	c, err := New(origin, WithNodes(1), withWarmQueue(2), WithClock(sim.NewClock(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,7 +211,7 @@ func TestShedReadsTheSameOnBothCarriers(t *testing.T) {
 	texts := make(map[string]string)
 	for name, carrier := range map[string]Option{"loopback": WithLoopback(), "tcp": WithWire(true)} {
 		c, err := New(&countingOrigin{}, WithNodes(1), carrier, WithCatalog(wireCatalog(t, v)),
-			WithMaxInFlight(1), WithRetryAfter(2*time.Second), WithClock(sim.NewClock(1)))
+			withMaxInFlight(1), WithClock(sim.NewClock(1)))
 		if err != nil {
 			t.Fatal(err)
 		}

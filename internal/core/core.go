@@ -231,20 +231,13 @@ type Session struct {
 }
 
 // SessionOption configures a Session at construction without growing
-// NewSession's positional parameter list — the hooks (metrics, event
-// observers) that used to be Config fields callers had to know about.
+// NewSession's positional parameter list.
 type SessionOption func(*Config)
 
 // WithObs wires the session's player-side components and final report
 // into a metrics registry (equivalent to setting Config.Obs).
 func WithObs(r *obs.Registry) SessionOption {
 	return func(c *Config) { c.Obs = r }
-}
-
-// WithObserver attaches a structured-event observer (equivalent to
-// setting Config.Observer).
-func WithObserver(fn func(Event)) SessionOption {
-	return func(c *Config) { c.Observer = fn }
 }
 
 // NewSession builds a session. head is the viewer's actual head
@@ -331,8 +324,8 @@ func (s *Session) Run() Report { return s.RunContext(context.Background()) }
 
 // RunContext is Run under a caller context: cancellation is observed at
 // the session's planning and playback ticks — the clock halts, pending
-// fetches are shed by context-aware schedulers, and the partial report
-// accumulated so far is returned. The context does not alter any
+// fetches are shed by schedulers that read Request.Ctx, and the partial
+// report accumulated so far is returned. The context does not alter any
 // behaviour while it stays live, so RunContext(Background) is
 // byte-identical to Run.
 func (s *Session) RunContext(ctx context.Context) Report {
@@ -355,7 +348,7 @@ func (s *Session) RunContext(ctx context.Context) Report {
 // event boundaries on the sim thread (sim.Clock itself is not safe for
 // cross-goroutine Halt).
 func (s *Session) canceled() bool {
-	return s.ctx != nil && s.ctx.Err() != nil
+	return s.ctx.Err() != nil
 }
 
 // publishReport mirrors the finished session's report into the metrics
@@ -647,17 +640,6 @@ func (s *Session) pickEncoding(q int, id tiling.TileID, start time.Duration,
 	return enc
 }
 
-// submit hands a request to the transport scheduler under the
-// session's run context, so cancelling RunContext sheds queued fetches
-// on context-aware schedulers.
-func (s *Session) submit(r *transport.Request) {
-	if s.ctx != nil {
-		transport.SubmitContext(s.sched, s.ctx, r)
-		return
-	}
-	s.sched.Submit(r)
-}
-
 func (s *Session) submitFetch(i int, id tiling.TileID, q int, class transport.Class,
 	urgent bool, prob float64, deadline time.Duration) {
 	v := s.cfg.Video
@@ -686,8 +668,9 @@ func (s *Session) submitFetch(i int, id tiling.TileID, q int, class transport.Cl
 		Urgent:      urgent,
 		Probability: prob,
 		OnDone:      f.req.OnDone,
+		Ctx:         s.ctx,
 	}
-	s.submit(&f.req)
+	s.sched.Submit(&f.req)
 }
 
 // fetch is one chunk request on its way, with what its completion has
@@ -865,8 +848,9 @@ func (s *Session) executeUpgrade(i int, id tiling.TileID, ts *tileState, target 
 		Class:    transport.ClassFoV,
 		Urgent:   urgent,
 		OnDone:   f.req.OnDone,
+		Ctx:      s.ctx,
 	}
-	s.submit(&f.req)
+	s.sched.Submit(&f.req)
 }
 
 // ---- playback ----
@@ -1041,18 +1025,4 @@ func (s *Session) accountWaste() {
 			s.rep.BytesWasted += ts.bytes
 		}
 	}
-}
-
-// DebugQualities exposes the per-interval planned FoV quality for
-// debugging and tests.
-func DebugQualities(s *Session) []int {
-	out := make([]int, s.cfg.Video.NumChunks())
-	for i := range out {
-		q, ok := s.fovQuality[i]
-		if !ok {
-			q = -1
-		}
-		out[i] = q
-	}
-	return out
 }

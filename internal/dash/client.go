@@ -17,12 +17,12 @@ import (
 	"sperke/internal/obs"
 )
 
-// DefaultTimeout bounds a whole HTTP exchange when the caller does not
-// supply an HTTPClient — the guard http.DefaultClient lacks.
+// DefaultTimeout bounds a whole HTTP exchange — the guard
+// http.DefaultClient lacks.
 const DefaultTimeout = 15 * time.Second
 
-// defaultHTTPClient is shared by all clients without an explicit
-// HTTPClient so connection pooling still works across sessions.
+// defaultHTTPClient is shared by all clients without a transport of
+// their own so connection pooling still works across sessions.
 var defaultHTTPClient = &http.Client{Timeout: DefaultTimeout}
 
 // drainLimit bounds what the client reads past the bytes it wanted to
@@ -119,23 +119,20 @@ type FetchResult struct {
 // and bounded retries with exponential backoff, and failures carry a
 // typed taxonomy (*Error) so callers can degrade instead of crash.
 type Client struct {
-	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// HTTPClient defaults to a shared client with DefaultTimeout.
-	HTTPClient *http.Client
-	// Retry tunes the retry loop; the zero value uses the defaults
-	// documented on RetryPolicy.
-	Retry RetryPolicy
-	// Now returns wall time; replaceable for tests. Defaults to
-	// time.Now.
-	Now func() time.Time
-	// Sleep pauses between attempts; replaceable for tests. Defaults to
-	// a context-aware sleep that returns early when ctx expires.
-	Sleep func(ctx context.Context, d time.Duration) error
-	// Obs, when set, records fetch counts, attempts, retry/backoff
-	// outcomes, received bytes, error counts by kind, and a per-segment
-	// latency histogram (dash.client.*). Nil disables metrics.
-	Obs *obs.Registry
+	// baseURL is the server root, e.g. "http://127.0.0.1:8080".
+	baseURL string
+	// hc is the shared defaultHTTPClient unless WithTransport replaced it.
+	hc    *http.Client
+	retry RetryPolicy
+	// now and sleep are the client's clock seams, nil outside this
+	// package's tests: wall time, and a pause between attempts that
+	// returns early when ctx expires.
+	now   func() time.Time
+	sleep func(ctx context.Context, d time.Duration) error
+	// obs records fetch counts, attempts, retry/backoff outcomes,
+	// received bytes, error counts by kind, and a per-segment latency
+	// histogram (dash.client.*). Nil disables metrics.
+	obs *obs.Registry
 }
 
 // ClientOption configures a Client at construction.
@@ -144,21 +141,11 @@ type ClientOption func(*Client)
 // WithTransport routes the client's requests through rt — the seam the
 // cluster router and tests use to splice in loopback, httptest or
 // fault-injecting transports without touching global state. The
-// transport rides a private http.Client with DefaultTimeout; combine
-// with WithHTTPClient instead when the whole client needs replacing.
+// transport rides a private http.Client with DefaultTimeout.
 func WithTransport(rt http.RoundTripper) ClientOption {
 	return func(c *Client) {
 		if rt != nil {
-			c.HTTPClient = &http.Client{Transport: rt, Timeout: DefaultTimeout}
-		}
-	}
-}
-
-// WithHTTPClient sets the exact *http.Client used; nil is ignored.
-func WithHTTPClient(hc *http.Client) ClientOption {
-	return func(c *Client) {
-		if hc != nil {
-			c.HTTPClient = hc
+			c.hc = &http.Client{Transport: rt, Timeout: DefaultTimeout}
 		}
 	}
 }
@@ -166,41 +153,34 @@ func WithHTTPClient(hc *http.Client) ClientOption {
 // WithRetry sets the retry policy (zero fields keep the RetryPolicy
 // defaults; MaxAttempts < 0 disables retries entirely).
 func WithRetry(p RetryPolicy) ClientOption {
-	return func(c *Client) { c.Retry = p }
+	return func(c *Client) { c.retry = p }
 }
 
 // WithClientObs wires the client's dash.client.* instruments into a
 // registry.
 func WithClientObs(r *obs.Registry) ClientOption {
-	return func(c *Client) { c.Obs = r }
+	return func(c *Client) { c.obs = r }
 }
 
 // NewClient builds a client for a server root URL.
 func NewClient(baseURL string, opts ...ClientOption) *Client {
-	c := &Client{BaseURL: baseURL}
+	c := &Client{baseURL: baseURL, hc: defaultHTTPClient}
 	for _, opt := range opts {
 		opt(c)
 	}
 	return c
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return defaultHTTPClient
-}
-
-func (c *Client) now() time.Time {
-	if c.Now != nil {
-		return c.Now()
+func (c *Client) wallNow() time.Time {
+	if c.now != nil {
+		return c.now()
 	}
 	return time.Now()
 }
 
-func (c *Client) sleep(ctx context.Context, d time.Duration) error {
-	if c.Sleep != nil {
-		return c.Sleep(ctx, d)
+func (c *Client) pause(ctx context.Context, d time.Duration) error {
+	if c.sleep != nil {
+		return c.sleep(ctx, d)
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -225,11 +205,11 @@ func (c *Client) attempt(ctx context.Context, path string, timeout time.Duration
 		actx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, c.BaseURL+path, nil)
+	req, err := http.NewRequestWithContext(actx, http.MethodGet, c.baseURL+path, nil)
 	if err != nil {
 		return &Error{Op: path, Kind: KindFatal, Err: err}
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		return &Error{Op: path, Kind: classifyCtx(ctx, err), Err: err}
 	}
@@ -257,7 +237,7 @@ func (c *Client) statusError(path string, resp *http.Response) *Error {
 	var retryAfter time.Duration
 	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
 		kind = KindTransient
-		if ra := parseRetryAfter(resp.Header.Get("Retry-After"), c.now()); ra > 0 {
+		if ra := parseRetryAfter(resp.Header.Get("Retry-After"), c.wallNow()); ra > 0 {
 			kind, retryAfter = KindOverload, ra
 		}
 	}
@@ -274,33 +254,33 @@ func (c *Client) statusError(path string, resp *http.Response) *Error {
 // that failed its CRC. bounded applies the policy's AttemptTimeout;
 // OpenChunk passes false because its body outlives the attempt.
 func (c *Client) do(ctx context.Context, path string, bounded bool, consume func(*http.Response) error) (int, error) {
-	pol := c.Retry.withDefaults()
+	pol := c.retry.withDefaults()
 	var timeout time.Duration
 	if bounded {
 		timeout = pol.AttemptTimeout
 	}
 	for attempt := 1; ; attempt++ {
-		c.Obs.Counter("dash.client.attempts").Inc()
+		c.obs.Counter("dash.client.attempts").Inc()
 		derr := c.attempt(ctx, path, timeout, consume)
 		if derr == nil {
 			return attempt, nil
 		}
 		derr.Attempts = attempt
 		if !derr.Retryable() || attempt >= pol.MaxAttempts {
-			c.Obs.Counter("dash.client.errors." + derr.Kind.String()).Inc()
+			c.obs.Counter("dash.client.errors." + derr.Kind.String()).Inc()
 			return attempt, derr
 		}
-		c.Obs.Counter("dash.client.retries").Inc()
+		c.obs.Counter("dash.client.retries").Inc()
 		delay := pol.backoff(attempt)
 		if derr.Kind == KindOverload && derr.RetryAfter > delay {
 			// The shedding server named its price; pay it rather than
 			// hammering a node that is trying to drain.
 			delay = derr.RetryAfter
-			c.Obs.Counter("dash.client.retry_after_floors").Inc()
+			c.obs.Counter("dash.client.retry_after_floors").Inc()
 		}
-		if err := c.sleep(ctx, delay); err != nil {
+		if err := c.pause(ctx, delay); err != nil {
 			derr.Kind = KindCanceled
-			c.Obs.Counter("dash.client.errors." + derr.Kind.String()).Inc()
+			c.obs.Counter("dash.client.errors." + derr.Kind.String()).Inc()
 			return attempt, derr
 		}
 	}
@@ -340,7 +320,7 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 
 // FetchMPD downloads and parses a video's manifest.
 func (c *Client) FetchMPD(ctx context.Context, videoID string) (*MPD, error) {
-	c.Obs.Counter("dash.client.mpd_fetches").Inc()
+	c.obs.Counter("dash.client.mpd_fetches").Inc()
 	var data []byte
 	_, err := c.do(ctx, mpdPath(videoID), true, func(resp *http.Response) (err error) {
 		defer resp.Body.Close()
@@ -350,7 +330,7 @@ func (c *Client) FetchMPD(ctx context.Context, videoID string) (*MPD, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Obs.Counter("dash.client.bytes_rx").Add(int64(len(data)))
+	c.obs.Counter("dash.client.bytes_rx").Add(int64(len(data)))
 	return ParseMPD(data)
 }
 
@@ -370,7 +350,7 @@ func (c *Client) FetchLayer(ctx context.Context, videoID string, layer, tile, id
 // it, so the one body-sized allocation is the payload the caller keeps.
 // A body that arrives short or fails its CRC is one more attempt.
 func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, error) {
-	start := c.now()
+	start := c.wallNow()
 	var res FetchResult
 	attempts, err := c.do(ctx, path, true, func(resp *http.Response) error {
 		defer resp.Body.Close()
@@ -392,19 +372,19 @@ func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, er
 	}
 	res.Attempts = attempts
 	res.WireBytes = int64(media.SegmentLen(res.Header.VideoID, len(res.Payload)))
-	res.Elapsed = c.now().Sub(start)
+	res.Elapsed = c.wallNow().Sub(start)
 	if res.Elapsed < time.Millisecond {
 		// Mocked or coarse clocks can observe zero wall time; a zero
 		// sample would poison downstream bandwidth estimates.
 		res.Elapsed = time.Millisecond
 	}
 	res.ThroughputBPS = float64(res.WireBytes) * 8 / res.Elapsed.Seconds()
-	c.Obs.Counter("dash.client.bytes_rx").Add(res.WireBytes)
-	c.Obs.Counter("dash.client.segment_fetches").Inc()
+	c.obs.Counter("dash.client.bytes_rx").Add(res.WireBytes)
+	c.obs.Counter("dash.client.segment_fetches").Inc()
 	if attempts > 1 {
-		c.Obs.Counter("dash.client.segment_fetches_retried").Inc()
+		c.obs.Counter("dash.client.segment_fetches_retried").Inc()
 	}
-	c.Obs.Histogram("dash.client.fetch_ms").Observe(float64(res.Elapsed) / float64(time.Millisecond))
+	c.obs.Histogram("dash.client.fetch_ms").Observe(float64(res.Elapsed) / float64(time.Millisecond))
 	return res, nil
 }
 
@@ -438,7 +418,7 @@ func (c *Client) OpenChunk(ctx context.Context, videoID string, q, tile, idx int
 		return ChunkStream{}, err
 	}
 	st.Attempts = attempts
-	c.Obs.Counter("dash.client.opens").Inc()
+	c.obs.Counter("dash.client.opens").Inc()
 	return st, nil
 }
 

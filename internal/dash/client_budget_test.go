@@ -166,7 +166,7 @@ func TestOneAttemptBudgetEveryMethod(t *testing.T) {
 					ctx, cancel := context.WithCancel(context.Background())
 					defer cancel()
 					var slept []time.Duration
-					c.Sleep = func(ctx context.Context, d time.Duration) error {
+					c.sleep = func(ctx context.Context, d time.Duration) error {
 						slept = append(slept, d)
 						if sc.cancelDuringSleep {
 							cancel()

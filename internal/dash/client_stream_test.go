@@ -89,7 +89,7 @@ func TestOpenChunkRetriesToHeaders(t *testing.T) {
 	c := NewClient("http://edge.test",
 		WithTransport(&flakyTransport{next: handlerTransport{h: srv}, fails: 2}),
 		WithRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Nanosecond, MaxDelay: time.Nanosecond}))
-	c.Sleep = instantSleep
+	c.sleep = instantSleep
 
 	st, err := c.OpenChunk(context.Background(), v.ID, 0, 0, 0, false)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestOpenChunkRetriesToHeaders(t *testing.T) {
 	c2 := NewClient("http://edge.test",
 		WithTransport(&flakyTransport{next: handlerTransport{h: srv}, fails: 1}),
 		WithRetry(RetryPolicy{MaxAttempts: -1}))
-	c2.Sleep = instantSleep
+	c2.sleep = instantSleep
 	if _, err := c2.OpenChunk(context.Background(), v.ID, 0, 0, 0, false); err == nil {
 		t.Fatal("single-attempt open over a failing transport succeeded")
 	} else {

@@ -238,16 +238,6 @@ func TestLiveWindowEnforced(t *testing.T) {
 	}
 }
 
-func TestChunkIndexAt(t *testing.T) {
-	v := testVideo()
-	if ChunkIndexAt(v, 5*time.Second) != 2 {
-		t.Fatal("bad chunk index")
-	}
-	if ChunkIndexAt(&media.Video{}, time.Second) != 0 {
-		t.Fatal("zero chunk duration not handled")
-	}
-}
-
 func TestServerListsCatalog(t *testing.T) {
 	srv, cat := testServer(t)
 	v2 := testVideo()

@@ -42,7 +42,7 @@ func faultyServer(t *testing.T, in *faults.Injector) (*httptest.Server, *atomic.
 // recording each backoff it would have waited.
 func fastClient(url string, slept *[]time.Duration) *Client {
 	c := NewClient(url)
-	c.Sleep = func(ctx context.Context, d time.Duration) error {
+	c.sleep = func(ctx context.Context, d time.Duration) error {
 		if slept != nil {
 			*slept = append(*slept, d)
 		}
@@ -143,7 +143,7 @@ func TestClientExhaustsRetriesOnPersistent5xx(t *testing.T) {
 	in := faults.NewInjector(1, faults.Rule{ErrorProb: 1})
 	srv, served := faultyServer(t, in)
 	c := fastClient(srv.URL, nil)
-	c.Retry.MaxAttempts = 3
+	c.retry.MaxAttempts = 3
 	_, err := c.FetchChunk(context.Background(), "demo", 0, 0, 0)
 	var de *Error
 	if !errors.As(err, &de) {
@@ -161,9 +161,9 @@ func TestClientCancellationStopsRetries(t *testing.T) {
 	in := faults.NewInjector(1, faults.Rule{ErrorProb: 1})
 	srv, _ := faultyServer(t, in)
 	c := NewClient(srv.URL)
-	c.Retry.BaseDelay = time.Hour // any real backoff would hang the test
+	c.retry.BaseDelay = time.Hour // any real backoff would hang the test
 	ctx, cancel := context.WithCancel(context.Background())
-	c.Sleep = func(ctx context.Context, d time.Duration) error {
+	c.sleep = func(ctx context.Context, d time.Duration) error {
 		cancel()
 		return ctx.Err()
 	}
@@ -204,7 +204,7 @@ func TestClientElapsedFlooredAtMillisecond(t *testing.T) {
 	srv, _ := faultyServer(t, nil)
 	c := NewClient(srv.URL)
 	frozen := time.Unix(1700000000, 0)
-	c.Now = func() time.Time { return frozen } // zero observed wall time
+	c.now = func() time.Time { return frozen } // zero observed wall time
 	res, err := c.FetchChunk(context.Background(), "demo", 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -219,13 +219,13 @@ func TestClientElapsedFlooredAtMillisecond(t *testing.T) {
 
 func TestClientDefaultHTTPClientHasTimeout(t *testing.T) {
 	c := NewClient("http://example.invalid")
-	if got := c.httpClient().Timeout; got != DefaultTimeout {
+	if got := c.hc.Timeout; got != DefaultTimeout {
 		t.Fatalf("default client timeout %v, want %v", got, DefaultTimeout)
 	}
-	override := &http.Client{Timeout: time.Second}
-	c.HTTPClient = override
-	if c.httpClient() != override {
-		t.Fatal("explicit HTTPClient not honored")
+	tr := &http.Transport{}
+	c = NewClient("http://example.invalid", WithTransport(tr))
+	if c.hc.Transport != tr || c.hc.Timeout != DefaultTimeout {
+		t.Fatalf("WithTransport client = %+v, want the given transport under DefaultTimeout", c.hc)
 	}
 }
 
@@ -252,7 +252,7 @@ func TestClientRetryAfterFloorsBackoff(t *testing.T) {
 	var slept []time.Duration
 	c := fastClient(srv.URL, &slept)
 	reg := obs.NewRegistry()
-	c.Obs = reg
+	c.obs = reg
 	res, err := c.FetchChunk(context.Background(), "demo", 0, 0, 0)
 	if err != nil {
 		t.Fatalf("fetch through one shed failed: %v", err)
@@ -280,7 +280,7 @@ func TestClientOverloadExhaustionKeepsKind(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := fastClient(srv.URL, nil)
 	reg := obs.NewRegistry()
-	c.Obs = reg
+	c.obs = reg
 	_, err := c.FetchChunk(context.Background(), "demo", 0, 0, 0)
 	var derr *Error
 	if !errors.As(err, &derr) {
@@ -360,7 +360,7 @@ func TestRetryAfterHTTPDateUpgradesToOverload(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL, WithRetry(RetryPolicy{MaxAttempts: -1}))
-	c.Now = func() time.Time { return now }
+	c.now = func() time.Time { return now }
 	_, err := c.FetchChunk(context.Background(), "v", 0, 0, 0)
 	var derr *Error
 	if !errors.As(err, &derr) {

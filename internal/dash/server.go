@@ -128,7 +128,7 @@ type ChunkSource interface {
 // the caller's ResponseWriter, setting Content-Type and Content-Length
 // itself before the first byte when it knows the length. The wire
 // cluster's router implements it to proxy edge responses without
-// buffering them. A Server whose Store also implements ChunkStreamer
+// buffering them. A Server whose source also implements ChunkStreamer
 // serves chunk bodies through this path; it reports the bytes written
 // so the server can tell a clean failure (nothing sent, map the error
 // to a status) from a poisoned response (bytes on the wire, abandon).
@@ -145,20 +145,16 @@ type ChunkStreamer interface {
 // Segment bodies are the binary container of package media with
 // deterministic synthetic payloads sized by the video's rate model.
 type Server struct {
-	Catalog *Catalog
-	Log     *slog.Logger
-	// Obs, when set before the first request, records request counts,
-	// response bytes, error counts and a per-request latency histogram
-	// (dash.server.*). Nil disables metrics.
-	Obs *obs.Registry
-	// Store, when set before the first request, serves chunk bodies from
-	// a cache instead of re-synthesizing them per request. Nil keeps the
-	// original synthesize-per-request behaviour.
-	Store ChunkSource
-
-	mux  *http.ServeMux
-	once sync.Once
-	met  serverMetrics
+	catalog *Catalog
+	log     *slog.Logger
+	// store serves chunk bodies from a cache; nil synthesizes each
+	// request's body straight into its response.
+	store ChunkSource
+	mux   *http.ServeMux
+	// met holds the dash.server.* instruments: request counts, response
+	// bytes, error counts and a per-request latency histogram. Without a
+	// registry its fields are nil and no-op.
+	met serverMetrics
 }
 
 // ServerOption configures a Server at construction.
@@ -168,21 +164,34 @@ type ServerOption func(*Server)
 func WithLogger(log *slog.Logger) ServerOption {
 	return func(s *Server) {
 		if log != nil {
-			s.Log = log
+			s.log = log
 		}
 	}
 }
 
 // WithObs wires the server's request metrics into a registry.
 func WithObs(r *obs.Registry) ServerOption {
-	return func(s *Server) { s.Obs = r }
+	return func(s *Server) {
+		s.met = serverMetrics{
+			requests:  r.Counter("dash.server.requests"),
+			mpd:       r.Counter("dash.server.mpd_requests"),
+			chunks:    r.Counter("dash.server.chunk_requests"),
+			errors:    r.Counter("dash.server.errors"),
+			canceled:  r.Counter("dash.server.canceled"),
+			bytesTx:   r.Counter("dash.server.bytes_tx"),
+			requestMS: r.Histogram("dash.server.request_ms"),
+		}
+		if r != nil {
+			s.met.wall = obs.NewWall()
+		}
+	}
 }
 
 // WithStore serves chunk bodies through a ChunkSource — typically the
 // sharded cache of internal/serve — instead of synthesizing per
 // request.
 func WithStore(src ChunkSource) ServerOption {
-	return func(s *Server) { s.Store = src }
+	return func(s *Server) { s.store = src }
 }
 
 // serverMetrics caches the server's instruments; nil fields no-op.
@@ -238,43 +247,26 @@ func markAborted(w http.ResponseWriter) {
 // NewServer builds a server over a catalog. Options (WithLogger,
 // WithObs, WithStore) configure the optional hooks.
 func NewServer(catalog *Catalog, opts ...ServerOption) *Server {
-	s := &Server{Catalog: catalog, Log: slog.Default()}
+	s := &Server{catalog: catalog, log: slog.Default(), mux: http.NewServeMux()}
+	s.mux.HandleFunc("GET /v", s.handleList)
+	s.mux.HandleFunc("GET /v/{video}/manifest.mpd", s.handleMPD)
+	s.mux.HandleFunc("GET /v/{video}/c/{quality}/{tile}/{index}", s.handleChunk)
 	for _, opt := range opts {
 		opt(s)
 	}
 	return s
 }
 
-func (s *Server) init() {
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /v", s.handleList)
-	s.mux.HandleFunc("GET /v/{video}/manifest.mpd", s.handleMPD)
-	s.mux.HandleFunc("GET /v/{video}/c/{quality}/{tile}/{index}", s.handleChunk)
-	s.met = serverMetrics{
-		requests:  s.Obs.Counter("dash.server.requests"),
-		mpd:       s.Obs.Counter("dash.server.mpd_requests"),
-		chunks:    s.Obs.Counter("dash.server.chunk_requests"),
-		errors:    s.Obs.Counter("dash.server.errors"),
-		canceled:  s.Obs.Counter("dash.server.canceled"),
-		bytesTx:   s.Obs.Counter("dash.server.bytes_tx"),
-		requestMS: s.Obs.Histogram("dash.server.request_ms"),
-	}
-	if s.Obs != nil {
-		s.met.wall = obs.NewWall()
-	}
-}
-
 // handleList returns the catalog's video IDs, one per line.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, id := range s.Catalog.IDs() {
+	for _, id := range s.catalog.IDs() {
 		fmt.Fprintln(w, id)
 	}
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.once.Do(s.init)
 	if s.met.wall == nil {
 		s.mux.ServeHTTP(w, r)
 		return
@@ -297,12 +289,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMPD(w http.ResponseWriter, r *http.Request) {
 	s.met.mpd.Inc()
-	v, ok := s.Catalog.Get(r.PathValue("video"))
+	v, ok := s.catalog.Get(r.PathValue("video"))
 	if !ok {
 		http.NotFound(w, r)
 		return
 	}
-	win, live := s.Catalog.liveWindow(v.ID)
+	win, live := s.catalog.liveWindow(v.ID)
 	mpd := BuildMPD(v, live, win[0], win[1])
 	if live {
 		// A live manifest's duration reflects what has been produced.
@@ -328,7 +320,7 @@ func SetOctetStream(h http.Header) { h["Content-Type"] = octetStream }
 
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	s.met.chunks.Inc()
-	v, ok := s.Catalog.Get(r.PathValue("video"))
+	v, ok := s.catalog.Get(r.PathValue("video"))
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -344,7 +336,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "dash: chunk out of range", http.StatusNotFound)
 		return
 	}
-	if win, live := s.Catalog.liveWindow(v.ID); live && (idx < win[0] || idx > win[1]) {
+	if win, live := s.catalog.liveWindow(v.ID); live && (idx < win[0] || idx > win[1]) {
 		http.Error(w, "dash: chunk outside live window", http.StatusNotFound)
 		return
 	}
@@ -363,7 +355,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	if s.Store == nil {
+	if s.store == nil {
 		// Writer-first store-less path: Content-Length comes from the
 		// size model, the body streams block by block straight into the
 		// response writer — no body-sized buffer anywhere.
@@ -373,11 +365,11 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 			// The spec was fully validated above, so a failure here is
 			// the client hanging up mid-stream.
 			markAborted(w)
-			s.Log.Debug("dash: segment write aborted", "video", v.ID, "err", err)
+			s.log.Debug("dash: segment write aborted", "video", v.ID, "err", err)
 		}
 		return
 	}
-	if st, ok := s.Store.(ChunkStreamer); ok {
+	if st, ok := s.store.(ChunkStreamer); ok {
 		// Streaming source: the body flows straight from the source into
 		// the response writer — nothing is materialized here. Once bytes
 		// are on the wire (or the client has left) a failure can only be
@@ -386,7 +378,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			if n > 0 || r.Context().Err() != nil {
 				markAborted(w)
-				s.Log.Debug("dash: streamed chunk aborted", "video", v.ID, "err", err)
+				s.log.Debug("dash: streamed chunk aborted", "video", v.ID, "err", err)
 				return
 			}
 			// The streamer may have promised a length before its source
@@ -397,7 +389,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	body, err := s.Store.Chunk(r.Context(), v.ID, q, tile, idx, isLayer)
+	body, err := s.store.Chunk(r.Context(), v.ID, q, tile, idx, isLayer)
 	if err != nil {
 		s.writeChunkError(w, r, v.ID, err)
 		return
@@ -406,7 +398,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if _, err := w.Write(body); err != nil {
 		markAborted(w)
-		s.Log.Debug("dash: segment write aborted", "video", v.ID, "err", err)
+		s.log.Debug("dash: segment write aborted", "video", v.ID, "err", err)
 	}
 }
 
@@ -418,7 +410,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeChunkError(w http.ResponseWriter, r *http.Request, videoID string, err error) {
 	if r.Context().Err() != nil {
 		markAborted(w)
-		s.Log.Debug("dash: chunk request canceled", "video", videoID, "err", err)
+		s.log.Debug("dash: chunk request canceled", "video", videoID, "err", err)
 		return
 	}
 	var oe *OverloadError
@@ -548,11 +540,3 @@ func chunkPath(videoID string, q, tile, idx int, layer bool) string {
 
 // mpdPath renders the URL path of a manifest.
 func mpdPath(videoID string) string { return "/v/" + url.PathEscape(videoID) + "/manifest.mpd" }
-
-// ChunkIndexAt converts a media time to a chunk index for a video.
-func ChunkIndexAt(v *media.Video, at time.Duration) int {
-	if v.ChunkDuration <= 0 {
-		return 0
-	}
-	return int(at / v.ChunkDuration)
-}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -215,6 +216,24 @@ func TestCanceledChunkRequestCountsAsCanceled(t *testing.T) {
 	}
 	if got := reg.Counter("dash.server.requests").Value(); got != 1 {
 		t.Fatalf("requests = %d, want 1", got)
+	}
+}
+
+// TestServerInstrumentsExistAtConstruction: an operator who scrapes
+// /metrics before the first viewer arrives must already see every
+// dash.server.* instrument at zero, not an empty registry.
+func TestServerInstrumentsExistAtConstruction(t *testing.T) {
+	reg := obs.NewRegistry()
+	NewServer(NewCatalog(), WithObs(reg))
+	wantCounters := []string{
+		"dash.server.bytes_tx", "dash.server.canceled", "dash.server.chunk_requests",
+		"dash.server.errors", "dash.server.mpd_requests", "dash.server.requests",
+	}
+	if got := reg.Names("counter"); !reflect.DeepEqual(got, wantCounters) {
+		t.Fatalf("counters before any request = %v, want %v", got, wantCounters)
+	}
+	if got := reg.Names("histogram"); !reflect.DeepEqual(got, []string{"dash.server.request_ms"}) {
+		t.Fatalf("histograms before any request = %v, want [dash.server.request_ms]", got)
 	}
 }
 

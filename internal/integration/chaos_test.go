@@ -209,10 +209,8 @@ func TestChaosHTTPFaultBurstAndTruncation(t *testing.T) {
 
 		tr := &http.Transport{}
 		defer tr.CloseIdleConnections()
-		client := dash.NewClient(srv.URL)
-		client.HTTPClient = &http.Client{Transport: tr, Timeout: 5 * time.Second}
-		client.Retry.MaxAttempts = 8
-		client.Sleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
+		client := dash.NewClient(srv.URL, dash.WithTransport(tr),
+			dash.WithRetry(dash.RetryPolicy{MaxAttempts: 8, BaseDelay: time.Microsecond}))
 
 		mpd, err := client.FetchMPD(context.Background(), video.ID)
 		if err != nil {

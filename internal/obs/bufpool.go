@@ -22,20 +22,15 @@ type BufferPool struct {
 	misses *Counter
 }
 
-// NewBufferPool builds a pool registering <prefix>.pool_hits and
+// NewSizedBufferPool builds a pool registering <prefix>.pool_hits and
 // <prefix>.pool_misses on r (a nil registry disables the counters, not
 // the pool). Buffers whose capacity grew past maxCap are dropped on
 // Put so one oversized body cannot pin memory forever; maxCap <= 0
-// means unlimited.
-func NewBufferPool(r *Registry, prefix string, maxCap int) *BufferPool {
-	return NewSizedBufferPool(r, prefix, 0, maxCap)
-}
-
-// NewSizedBufferPool is NewBufferPool for fixed-size scratch blocks: a
-// pool miss mints a buffer with minCap capacity up front instead of
-// growing a fresh one on first use. Setting maxCap == minCap pins the
-// pool to exactly one block size — what the writer-first streaming
-// path uses, so its resident scratch is blocks, never bodies.
+// means unlimited. A pool miss mints a buffer with minCap capacity up
+// front instead of growing a fresh one on first use. Setting maxCap ==
+// minCap pins the pool to exactly one block size — what the
+// writer-first streaming path uses, so its resident scratch is blocks,
+// never bodies.
 func NewSizedBufferPool(r *Registry, prefix string, minCap, maxCap int) *BufferPool {
 	return &BufferPool{
 		minCap: minCap,

@@ -4,7 +4,7 @@ import "testing"
 
 func TestBufferPoolRecyclesAndCounts(t *testing.T) {
 	r := NewRegistry()
-	p := NewBufferPool(r, "test", 1<<10)
+	p := NewSizedBufferPool(r, "test", 0, 1<<10)
 
 	b := p.Get()
 	if len(*b) != 0 {
@@ -32,7 +32,7 @@ func TestBufferPoolRecyclesAndCounts(t *testing.T) {
 
 func TestBufferPoolDropsOversized(t *testing.T) {
 	r := NewRegistry()
-	p := NewBufferPool(r, "test", 64)
+	p := NewSizedBufferPool(r, "test", 0, 64)
 	b := p.Get()
 	*b = make([]byte, 0, 128) // grew past maxCap
 	p.Put(b)
@@ -50,7 +50,7 @@ func TestBufferPoolNilSafe(t *testing.T) {
 	}
 	p.Put(b)   // must not panic
 	p.Put(nil) // must not panic
-	var q = NewBufferPool(nil, "x", 0)
+	var q = NewSizedBufferPool(nil, "x", 0, 0)
 	q.Put(q.Get()) // nil registry: counters no-op, pool still works
 }
 
@@ -89,7 +89,7 @@ func TestBufferPoolGetPutZeroAlloc(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random; the allocs/op pin holds only without -race")
 	}
-	p := NewBufferPool(nil, "x", 0)
+	p := NewSizedBufferPool(nil, "x", 0, 0)
 	seed := p.Get()
 	*seed = make([]byte, 0, 64)
 	p.Put(seed)

@@ -292,10 +292,10 @@ func (e *Engine) runOne(ctx context.Context, i int) SessionResult {
 // deterministic while still exercising the server's chunk store under
 // genuine concurrency.
 type httpMirror struct {
-	// ctx is the engine run's context. Legacy Submit calls carry no
-	// caller context, so they mirror under it — canceling the run
-	// aborts in-flight mirror HTTP requests instead of leaving them
-	// fetching chunks nobody will record.
+	// ctx is the engine run's context, which is also the one the
+	// session runs — and so submits — under. The mirror fetches under
+	// it: canceling the run aborts in-flight mirror HTTP requests
+	// instead of leaving them fetching chunks nobody will record.
 	ctx    context.Context
 	inner  transport.Scheduler
 	client *dash.Client
@@ -309,23 +309,17 @@ func (m *httpMirror) Name() string { return m.inner.Name() + "+http" }
 
 // Submit implements transport.Scheduler.
 func (m *httpMirror) Submit(r *transport.Request) {
-	m.mirror(m.ctx, r)
+	m.mirror(r)
 	m.inner.Submit(r)
 }
 
-// SubmitCtx implements transport.ContextScheduler.
-func (m *httpMirror) SubmitCtx(ctx context.Context, r *transport.Request) {
-	m.mirror(ctx, r)
-	transport.SubmitContext(m.inner, ctx, r)
-}
-
-func (m *httpMirror) mirror(ctx context.Context, r *transport.Request) {
-	if ctx.Err() != nil {
+func (m *httpMirror) mirror(r *transport.Request) {
+	if m.ctx.Err() != nil {
 		return
 	}
 	idx := int(r.Chunk.Start / m.video.ChunkDuration)
 	start := m.wall.Now()
-	_, err := m.client.FetchChunk(ctx, m.video.ID, r.Chunk.Quality, int(r.Chunk.Tile), idx)
+	_, err := m.client.FetchChunk(m.ctx, m.video.ID, r.Chunk.Quality, int(r.Chunk.Tile), idx)
 	m.met.fetchMS.Observe(float64(m.wall.Now()-start) / float64(time.Millisecond))
 	m.met.fetches.Inc()
 	if err != nil {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"time"
 
 	"sperke/internal/netem"
@@ -29,7 +28,7 @@ type PathStats struct {
 	// before they could be dispatched.
 	Expired int
 	// Canceled counts queued requests shed because their submission
-	// context was canceled before they could be dispatched (SubmitCtx).
+	// context (Request.Ctx) was canceled before they could be dispatched.
 	Canceled int
 }
 
@@ -151,10 +150,10 @@ func (f *Failover) maxRetries() int {
 	return f.MaxRetries
 }
 
-// Submit implements Scheduler. A reused Request sheds the context of
-// its previous submission here.
+// Submit implements Scheduler. A queued request whose context is done
+// by dispatch (or retry) time is shed instead of spending wire time
+// nobody is waiting for.
 func (f *Failover) Submit(r *Request) {
-	r.ctx = nil
 	r.retries = 0
 	f.enqueue(r)
 }
@@ -168,15 +167,6 @@ func (f *Failover) enqueue(r *Request) {
 	f.queues[idx].Push(r)
 	f.pump(idx)
 	f.syncQueueGauge()
-}
-
-// SubmitCtx implements ContextScheduler: a queued request whose context
-// is done by dispatch (or retry) time is shed instead of spending wire
-// time nobody is waiting for.
-func (f *Failover) SubmitCtx(ctx context.Context, r *Request) {
-	r.ctx = ctx
-	r.retries = 0
-	f.enqueue(r)
 }
 
 // syncQueueGauge mirrors the queued (not in-flight) request count into

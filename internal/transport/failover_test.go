@@ -226,7 +226,8 @@ func TestFailoverShedThatSubmitsKeepsOneInFlight(t *testing.T) {
 	f.Submit(failoverReq(1e5, time.Minute, &done)) // in flight
 	shed := failoverReq(1e5, time.Minute, &done)
 	shed.OnDone = func(netem.Delivery, bool) { f.Submit(failoverReq(1e5, time.Minute, &done)) }
-	f.SubmitCtx(ctx, shed)
+	shed.Ctx = ctx
+	f.Submit(shed)
 	f.Submit(failoverReq(1e5, time.Minute, &done)) // queued behind it
 	cancel()
 	clock.Step() // the first delivery: sheds, which submits, then pumps

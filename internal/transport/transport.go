@@ -5,7 +5,9 @@
 // (§3.3) implement. Schedulers hold their own priority queues and keep
 // at most a small number of transfers outstanding per path, so that a
 // newly urgent chunk can overtake queued regular ones instead of
-// drowning behind them.
+// drowning behind them. There is one way in, Scheduler.Submit: what the
+// submitter wants to say about a request — its context included — is a
+// field of the Request.
 package transport
 
 import (
@@ -54,24 +56,28 @@ type Request struct {
 	// scheduler's last touch of the Request: the callback may overwrite
 	// the struct and submit it again as a new request before it returns.
 	OnDone func(d netem.Delivery, metDeadline bool)
+	// Ctx is the submitter's context; nil means Background. SinglePath
+	// and Failover check it at their dispatch points (a sim-clock
+	// scheduler cannot observe cancellation between events): a request
+	// whose context is done by then is shed — completed through OnDone
+	// with a failed delivery — instead of occupying the wire.
+	Ctx context.Context
 
-	seq     int             // submission order, for stable tie-breaks
-	retries int             // redispatches consumed after lost deliveries (Failover)
-	ctx     context.Context // caller's context (SubmitCtx); nil means Background
+	seq     int // submission order, for stable tie-breaks
+	retries int // redispatches consumed after lost deliveries (Failover)
 }
 
-// Context returns the context the request was submitted under;
-// requests submitted through the legacy Submit carry Background.
+// Context returns the submitter's context, Background when Ctx is nil.
 func (r *Request) Context() context.Context {
-	if r.ctx == nil {
+	if r.Ctx == nil {
 		return context.Background()
 	}
-	return r.ctx
+	return r.Ctx
 }
 
 // canceled reports whether the submitter no longer wants the request.
 func (r *Request) canceled() bool {
-	return r.ctx != nil && r.ctx.Err() != nil
+	return r.Ctx != nil && r.Ctx.Err() != nil
 }
 
 // less orders requests by Table 1: urgent before regular, FoV before
@@ -147,29 +153,9 @@ type Scheduler interface {
 	Submit(r *Request)
 }
 
-// ContextScheduler is implemented by schedulers whose submissions honor
-// a caller context: a request whose context is done by the time the
-// scheduler would dispatch it is shed (completed with a failed
-// delivery) instead of occupying the wire. SinglePath and Failover
-// implement it; callers holding only a Scheduler can type-assert, and
-// SubmitContext does exactly that as a convenience.
-type ContextScheduler interface {
-	Scheduler
-	// SubmitCtx enqueues one request under ctx. Cancellation is checked
-	// at dispatch points (sim-clock schedulers cannot observe it between
-	// events); a canceled request completes through OnDone with a failed
-	// delivery.
-	SubmitCtx(ctx context.Context, r *Request)
-}
-
-// SubmitContext submits r under ctx when the scheduler supports
-// contexts and falls back to a plain Submit otherwise — the one-line
-// bridge call sites use while legacy schedulers remain.
+// SubmitContext submits r to s under ctx.
 func SubmitContext(s Scheduler, ctx context.Context, r *Request) {
-	if cs, ok := s.(ContextScheduler); ok {
-		cs.SubmitCtx(ctx, r)
-		return
-	}
+	r.Ctx = ctx
 	s.Submit(r)
 }
 
@@ -202,21 +188,8 @@ func NewSinglePath(clock Clock, path *netem.Path) *SinglePath {
 // Name implements Scheduler.
 func (s *SinglePath) Name() string { return "single-path" }
 
-// Submit implements Scheduler. A reused Request sheds the context of
-// its previous submission here.
+// Submit implements Scheduler.
 func (s *SinglePath) Submit(r *Request) {
-	r.ctx = nil
-	s.enqueue(r)
-}
-
-// SubmitCtx implements ContextScheduler: the request is shed at
-// dispatch time if ctx has been canceled by then.
-func (s *SinglePath) SubmitCtx(ctx context.Context, r *Request) {
-	r.ctx = ctx
-	s.enqueue(r)
-}
-
-func (s *SinglePath) enqueue(r *Request) {
 	s.q.Push(r)
 	s.pump()
 }

@@ -22,7 +22,7 @@ type Submission struct {
 	Urgent   bool
 	Deadline time.Duration // absolute sim time
 	// Canceled submits the request under an already-canceled context, so
-	// a context-aware scheduler sheds it.
+	// a scheduler that reads Request.Ctx sheds it.
 	Canceled bool
 }
 
@@ -38,8 +38,8 @@ type outcome struct {
 // chains in which a request's OnDone submits the scenario's next
 // request at once. The first run gives every submission a fresh Request.
 // In the second each chain has one Request for life: its OnDone
-// overwrites every exported field with garbage, refills the struct and
-// submits it again. Both runs must call OnDone once per submission and
+// overwrites every exported field with garbage (the context with a
+// canceled one), refills the struct and submits it again. Both runs must call OnDone once per submission and
 // report the same deliveries; a scheduler that reads a Request after
 // completing it, or carries state in it from one submission to the
 // next, sees the wrong request's values and diverges.
@@ -72,6 +72,7 @@ func play(t *testing.T, lanes int, subs []Submission, mk func(*sim.Clock) transp
 		next++
 		// Field by field: what a scheduler keeps in the unexported ones is
 		// its own to reset.
+		r.Ctx = nil
 		r.Chunk = tiling.ChunkID{Tile: tiling.TileID(i)}
 		r.Bytes, r.Class, r.Urgent, r.Deadline, r.Probability = sub.Bytes, sub.Class, sub.Urgent, sub.Deadline, 1
 		r.OnDone = func(d netem.Delivery, met bool) {
@@ -81,6 +82,7 @@ func play(t *testing.T, lanes int, subs []Submission, mk func(*sim.Clock) transp
 				submit(new(transport.Request))
 				return
 			}
+			r.Ctx = canceled
 			r.Chunk = tiling.ChunkID{Quality: -1, Tile: -1, Start: -1}
 			r.Bytes, r.Class, r.Urgent, r.Deadline, r.Probability = -1, -1, !r.Urgent, -1, math.NaN()
 			r.OnDone = func(netem.Delivery, bool) {

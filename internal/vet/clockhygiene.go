@@ -40,17 +40,17 @@ var clockAllowlist = map[string]bool{
 	// injected clock.
 	"internal/cluster:wallSleep": true,
 	// openWire is the router's one hop onto the wire client, whose
-	// retry loop is wall-tainted through its default Now/Sleep fields —
+	// retry loop is wall-tainted through its default now/sleep seams —
 	// the same seam shape as serve's httpMirror.mirror: real-network
 	// latency enters here and nowhere else in the cluster.
 	"internal/cluster:Node.openWire": true,
 	// Node.Ping is the other hop onto that client: its probe GET
 	// classifies failures through the client's Retry-After parsing,
-	// which reads the client's Now seam to turn HTTP-date deadlines
+	// which reads the client's now seam to turn HTTP-date deadlines
 	// into durations. Same wall-at-the-wire shape as openWire.
 	"internal/cluster:Node.Ping": true,
 	// The engine's HTTP observation leg calls dash.Client.FetchChunk,
-	// which is wall-tainted through its default Now/Sleep fields; the
+	// which is wall-tainted through its default now/sleep seams; the
 	// mirror is exactly the seam where measured real-network latency
 	// enters, so the taint pass treats it as a barrier.
 	"internal/serve:httpMirror.mirror": true,

@@ -21,9 +21,9 @@ var ctxSpans = []string{
 // context inside the spans — each is a documented seam, not a dropped
 // caller context. Keys are "dir:Func" / "dir:Type.Method".
 var ctxAllowlist = map[string]bool{
-	// Legacy Submit callers never carried a context; Request.Context
-	// materializes the background root for that compatibility path, and
-	// SubmitContext threads the real one.
+	// A Request's context is its Ctx field, which a submitter may leave
+	// nil; Request.Context materializes the background root for that
+	// case.
 	"internal/transport:Request.Context": true,
 	// The store's singleflight runs synthesis on a flight-owned context
 	// that outlives any single caller and is canceled only when every

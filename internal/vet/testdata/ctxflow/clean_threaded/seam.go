@@ -3,15 +3,15 @@ package transport
 
 import "context"
 
-// Request mirrors the real transport seam: legacy submissions carry no
-// context, and Request.Context materializes the Background root for
-// them. The function is on the ctxflow allowlist, so the fixture must
+// Request mirrors the real transport seam: a submitter may leave Ctx
+// nil, and Request.Context materializes the Background root for that
+// case. The function is on the ctxflow allowlist, so the fixture must
 // stay clean.
-type Request struct{ ctx context.Context }
+type Request struct{ Ctx context.Context }
 
 func (r *Request) Context() context.Context {
-	if r.ctx == nil {
+	if r.Ctx == nil {
 		return context.Background()
 	}
-	return r.ctx
+	return r.Ctx
 }
