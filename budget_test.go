@@ -1,0 +1,219 @@
+// Package sperke_bench holds what no single package can state about
+// itself: the margin a warm fetch keeps over net/http's own floor, which
+// takes dash and serve together, and the rule that every Benchmark* in
+// the module has an allocation budget beside it. The budgets themselves
+// are ordinary tests next to the code they constrain; wall-clock claims
+// go through bench/ (see DESIGN.md, "Where a budget lives").
+package sperke_bench
+
+import (
+	"context"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io"
+	"io/fs"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"sperke/internal/dash"
+	"sperke/internal/media"
+	"sperke/internal/obs"
+	"sperke/internal/serve"
+	"sperke/internal/tiling"
+)
+
+func benchVideo() *media.Video {
+	return &media.Video{
+		ID:             "bench",
+		Duration:       20 * time.Second,
+		ChunkDuration:  2 * time.Second,
+		Grid:           tiling.GridPrototype,
+		ProjectionName: "equirectangular",
+		Ladder:         media.DefaultLadder,
+		Encoding:       media.EncodingAVC,
+	}
+}
+
+// loopbackPair is what BenchmarkBareExchange and TestFetchAllocsOverFloor
+// compare on one listener each, both real loopback TCP: the least a
+// net/http exchange of a body costs — a handler that writes the bytes
+// under their Content-Length, a client that reads them into a buffer
+// the caller keeps — and a warm Sperke fetch of the same bytes: mux,
+// catalog, resident store hit, dash.Client, segment decode and CRC.
+type loopbackPair struct {
+	bare  func() error // one bare exchange
+	fetch func() error // one warm dash.Client.FetchChunk
+	size  int          // the body both move
+	close func()
+}
+
+func newLoopbackPair(tb testing.TB) loopbackPair {
+	tb.Helper()
+	v := benchVideo()
+	catalog := dash.NewCatalog()
+	if err := catalog.Add(v); err != nil {
+		tb.Fatal(err)
+	}
+	// Quality 1 on this video is a 43 KB body, the size the end-to-end
+	// benchmark's serving workloads move.
+	const q = 1
+	body, err := dash.BuildChunkBody(v, q, 0, 0, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	length := []string{fmt.Sprint(len(body))}
+	bareSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header()["Content-Length"] = length
+		w.Write(body)
+	}))
+	store := serve.NewCatalogStore(catalog, serve.StoreConfig{Shards: 16, BudgetBytes: 256 << 20})
+	sperkeSrv := httptest.NewServer(dash.NewServer(catalog, dash.WithStore(store)))
+	// A transport each, so neither side's idle connection is the other's.
+	bareTr, sperkeTr := &http.Transport{}, &http.Transport{}
+	bareClient := &http.Client{Transport: bareTr}
+	client := dash.NewClient(sperkeSrv.URL, dash.WithTransport(sperkeTr))
+	ctx := context.Background()
+	return loopbackPair{
+		size: len(body),
+		bare: func() error {
+			resp, err := bareClient.Get(bareSrv.URL)
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			_, err = io.ReadFull(resp.Body, make([]byte, resp.ContentLength))
+			return err
+		},
+		fetch: func() error {
+			res, err := client.FetchChunk(ctx, v.ID, q, 0, 0)
+			if err == nil && res.WireBytes != int64(len(body)) {
+				err = fmt.Errorf("WireBytes = %d, want %d", res.WireBytes, len(body))
+			}
+			return err
+		},
+		close: func() {
+			bareTr.CloseIdleConnections()
+			sperkeTr.CloseIdleConnections()
+			bareSrv.Close()
+			sperkeSrv.Close()
+		},
+	}
+}
+
+// BenchmarkBareExchange is the floor under every serving number in
+// bench/: what net/http itself spends, in time and in
+// allocations, moving a chunk-sized body across loopback once. What a
+// Sperke fetch costs above it is Sperke's; the rest moves with the Go
+// release.
+func BenchmarkBareExchange(b *testing.B) {
+	p := newLoopbackPair(b)
+	defer p.close()
+	if err := p.bare(); err != nil { // dial
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(p.size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.bare(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestFetchAllocsOverFloor: a warm FetchChunk allocates at most 20
+// objects more than the bare exchange measured beside it, so a Go
+// upgrade that moves net/http's own count moves both and the margin
+// stays Sperke's. (At go1.24: 69 and 87.)
+func TestFetchAllocsOverFloor(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("net/http pools its buffers, and race-mode sync.Pool drops Puts at random")
+	}
+	p := newLoopbackPair(t)
+	defer p.close()
+	run := func(name string, exchange func() error) float64 {
+		if err := exchange(); err != nil { // dial, fill the store
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(200, func() {
+			if err := exchange(); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		})
+	}
+	floor, fetch := run("bare exchange", p.bare), run("warm fetch", p.fetch)
+	t.Logf("bare exchange %.0f allocs, warm fetch %.0f", floor, fetch)
+	if fetch > floor+20 {
+		t.Fatalf("a warm fetch allocates %.0f objects, %.0f over the bare exchange's %.0f; want at most 20 over", fetch, fetch-floor, floor)
+	}
+}
+
+// TestEveryBenchmarkHasABudget: a Benchmark* function stays in the
+// module only while a test beside it runs the same body under
+// testing.AllocsPerRun — both take their workload from one unexported
+// function of the package's test files. A benchmark nothing holds to a
+// number is a reading nobody takes: delete it or give it a budget.
+func TestEveryBenchmarkHasABudget(t *testing.T) {
+	// directory → function of its test files → the identifiers in its body
+	funcs := map[string]map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == "." {
+			return err
+		}
+		if d.IsDir() && (path == "bench" || d.Name()[0] == '.' || d.Name() == "testdata") {
+			return filepath.SkipDir // its own module; not Go packages
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(path)
+		if funcs[dir] == nil {
+			funcs[dir] = map[string]map[string]bool{}
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Body != nil {
+				idents := map[string]bool{}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						idents[id.Name] = true
+					}
+					return true
+				})
+				funcs[dir][fn.Name.Name] = idents
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, fns := range funcs {
+		for name, idents := range fns {
+			if !strings.HasPrefix(name, "Benchmark") {
+				continue
+			}
+			budgeted := false
+			for test, testIdents := range fns {
+				shared := false
+				for id := range idents {
+					shared = shared || fns[id] != nil && testIdents[id]
+				}
+				budgeted = budgeted || strings.HasPrefix(test, "Test") && testIdents["AllocsPerRun"] && shared
+			}
+			if !budgeted {
+				t.Errorf("%s: %s shares no body with a test that calls testing.AllocsPerRun", dir, name)
+			}
+		}
+	}
+}

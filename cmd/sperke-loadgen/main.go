@@ -39,36 +39,36 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	sessions := flag.Int("sessions", 8, "number of simulated viewers")
-	workers := flag.Int("workers", 0, "concurrent sessions (0 = GOMAXPROCS)")
-	seed := flag.Int64("seed", 42, "base seed; viewer i uses seed+i")
-	mbps := flag.Float64("bandwidth", 25, "per-viewer emulated link in Mbit/s")
-	dur := flag.Duration("duration", 60*time.Second, "video duration")
-	chunk := flag.Duration("chunk", 2*time.Second, "chunk duration")
-	url := flag.String("url", "", "external origin URL (empty = in-process origin)")
-	noHTTP := flag.Bool("no-http", false, "skip the HTTP leg; pure simulation")
-	storeMB := flag.Int("store-budget-mb", 256, "in-process store byte budget in MiB")
-	storeShards := flag.Int("store-shards", 16, "in-process store shard count")
-	agnostic := flag.Bool("agnostic", false, "stream FoV-agnostic instead of FoV-guided")
-	nodes := flag.Int("nodes", 0, "edge nodes in front of the origin (0 = no cluster tier)")
-	wire := flag.Bool("wire", false, "run each edge as a real HTTP process on its own loopback listener")
-	replicas := flag.Int("replicas", 1, "rendezvous owners per chunk key (R>1 = replication)")
-	prewarm := flag.Int("prewarm", 0, "crowd-prior pre-warm fanout per served chunk (0 = off; needs -nodes)")
-	addNodeAt := flag.Duration("add-node-at", 0, "grow the cluster by one edge this long into the run (0 = never)")
-	killAt := flag.Duration("kill-at", 0, "crash -kill-node this long into the run (0 = never)")
-	recoverAt := flag.Duration("recover-at", 0, "restart the killed node this long into the run (0 = never)")
-	killNode := flag.String("kill-node", "edge-1", "cluster node to crash at -kill-at")
-	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("sperke-loadgen", flag.ExitOnError)
+	sessions := fs.Int("sessions", 8, "number of simulated viewers")
+	workers := fs.Int("workers", 0, "concurrent sessions (0 = GOMAXPROCS)")
+	seed := fs.Int64("seed", 42, "base seed; viewer i uses seed+i")
+	mbps := fs.Float64("bandwidth", 25, "per-viewer emulated link in Mbit/s")
+	dur := fs.Duration("duration", 60*time.Second, "video duration")
+	chunk := fs.Duration("chunk", 2*time.Second, "chunk duration")
+	url := fs.String("url", "", "external origin URL (empty = in-process origin)")
+	noHTTP := fs.Bool("no-http", false, "skip the HTTP leg; pure simulation")
+	storeMB := fs.Int("store-budget-mb", 256, "in-process store byte budget in MiB")
+	storeShards := fs.Int("store-shards", 16, "in-process store shard count")
+	agnostic := fs.Bool("agnostic", false, "stream FoV-agnostic instead of FoV-guided")
+	nodes := fs.Int("nodes", 0, "edge nodes in front of the origin (0 = no cluster tier)")
+	wire := fs.Bool("wire", false, "run each edge as a real HTTP process on its own loopback listener")
+	replicas := fs.Int("replicas", 1, "rendezvous owners per chunk key (R>1 = replication)")
+	prewarm := fs.Int("prewarm", 0, "crowd-prior pre-warm fanout per served chunk (0 = off; needs -nodes)")
+	addNodeAt := fs.Duration("add-node-at", 0, "grow the cluster by one edge this long into the run (0 = never)")
+	killAt := fs.Duration("kill-at", 0, "crash -kill-node this long into the run (0 = never)")
+	recoverAt := fs.Duration("recover-at", 0, "restart the killed node this long into the run (0 = never)")
+	killNode := fs.String("kill-node", "edge-1", "cluster node to crash at -kill-at")
+	fs.Parse(args)
 
 	video := &media.Video{
 		ID:             "demo",
@@ -197,8 +197,7 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("driving %d viewers (%d workers) over a %.0f Mbit/s emulated link each\n",
-		*sessions, effectiveWorkers(*workers, *sessions), *mbps)
+	fmt.Printf("driving %d viewers over a %.0f Mbit/s emulated link each\n", *sessions, *mbps)
 	res := eng.Run(ctx)
 
 	for _, sr := range res.Sessions {
@@ -232,6 +231,9 @@ func run() error {
 		clu.DrainWarms()
 		printClusterSummary(clu, reg)
 	}
+	if res.HTTPErrors > 0 {
+		return fmt.Errorf("%d of %d HTTP fetches failed", res.HTTPErrors, res.HTTPFetches)
+	}
 	return nil
 }
 
@@ -260,14 +262,4 @@ func printClusterSummary(clu *cluster.Cluster, reg *obs.Registry) {
 			reg.Counter("cluster.node."+n.ID()+".sheds").Value(),
 			float64(n.Store().Bytes())/1e6)
 	}
-}
-
-func effectiveWorkers(w, sessions int) int {
-	if w <= 0 {
-		w = serve.DefaultWorkers()
-	}
-	if w > sessions {
-		w = sessions
-	}
-	return w
 }

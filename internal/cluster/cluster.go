@@ -169,7 +169,7 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 	if cfg.loopback {
 		c.loop = NewLoopbackTransport()
 	}
-	c.health = newHealth(cfg.health, cfg.clock, cfg.obs, nil)
+	c.health = newHealth(cfg.health, cfg.clock, cfg.obs)
 	m := &membership{byID: make(map[string]*Node, cfg.nodes)}
 	for i := 0; i < cfg.nodes; i++ {
 		id := fmt.Sprintf("edge-%d", c.nextID.Add(1)-1)

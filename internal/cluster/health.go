@@ -57,7 +57,7 @@ type health struct {
 	// Kept so dynamically added members (Cluster.AddNode) get breakers
 	// built from the same recipe as the founders.
 	cfg   HealthConfig
-	clock transport.Clock
+	clock obs.Clock
 	reg   *obs.Registry
 
 	aliveGauges map[string]*obs.Gauge
@@ -65,22 +65,19 @@ type health struct {
 	ups         *obs.Counter
 }
 
-// newHealth builds the detector with every node believed alive.
-func newHealth(cfg HealthConfig, clock transport.Clock, reg *obs.Registry, ids []string) *health {
-	h := &health{
-		breakers:    make(map[string]*transport.Breaker, len(ids)),
-		last:        make(map[string]transport.BreakerState, len(ids)),
+// newHealth builds the detector with no members; add registers each node
+// as it joins.
+func newHealth(cfg HealthConfig, clock obs.Clock, reg *obs.Registry) *health {
+	return &health{
+		breakers:    make(map[string]*transport.Breaker),
+		last:        make(map[string]transport.BreakerState),
 		cfg:         cfg.withDefaults(),
 		clock:       clock,
 		reg:         reg,
-		aliveGauges: make(map[string]*obs.Gauge, len(ids)),
+		aliveGauges: make(map[string]*obs.Gauge),
 		downs:       reg.Counter("cluster.health.down_transitions"),
 		ups:         reg.Counter("cluster.health.up_transitions"),
 	}
-	for _, id := range ids {
-		h.add(id)
-	}
-	return h
 }
 
 // add registers one node with the detector, believed alive and with a

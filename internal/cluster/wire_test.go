@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 
 	"sperke/internal/dash"
 	"sperke/internal/media"
+	"sperke/internal/obs"
 	"sperke/internal/serve"
 	"sperke/internal/sim"
 	"sperke/internal/tiling"
@@ -479,4 +481,120 @@ func TestWireClusterChaosUnderLoad(t *testing.T) {
 	if got := c.Node(dead).Requests() + c.Node(dead).Misses(); got == 0 {
 		t.Fatal("recovered node never served again")
 	}
+}
+
+// discardResponse sinks a response body without buffering it, so the
+// budgets below count the router and the edge, not a recorder's append
+// loop.
+type discardResponse struct {
+	h http.Header
+	n int64
+}
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) WriteHeader(int)             {}
+func (d *discardResponse) Write(p []byte) (int, error) { d.n += int64(len(p)); return len(p), nil }
+
+// warmFrontDoor is the router's proxy path: three loopback edges in
+// front of a catalog origin, one chunk warm on its owner, and a maker
+// of front-door GETs of that chunk — each with its own request and
+// sink, so several can run side by side. The router holds no cache of
+// its own: every GET rendezvous-routes to the edge, runs the
+// coalescer's enter/finish protocol and streams the edge's body through
+// a pooled copy block, so its cost is one proxied round trip and never
+// body-sized. TestWireFrontDoorAllocBudget holds it to its budgets, one
+// at a time and as a herd; BenchmarkWireColdServeThroughput and
+// BenchmarkWireCoalescedHerd time the same two.
+func warmFrontDoor(tb testing.TB) (newGET func() func(), bodyLen int) {
+	v := wireVideo()
+	catalog := wireCatalog(tb, v)
+	origin := serve.NewCatalogStore(catalog, serve.StoreConfig{Shards: 16, BudgetBytes: 256 << 20})
+	c, err := New(origin, WithNodes(3), WithLoopback(), WithCatalog(catalog))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(c.Close)
+	bodyLen, err = dash.ChunkBodyLen(v, 3, 0, 0, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	front := c.FrontDoor()
+	newGET = func() func() {
+		req := httptest.NewRequest("GET", "/v/wire/c/3/0/0", nil)
+		w := &discardResponse{h: make(http.Header, 4)}
+		return func() {
+			w.n = 0
+			if front.ServeHTTP(w, req); w.n != int64(bodyLen) {
+				tb.Errorf("front door served %d bytes of %d", w.n, bodyLen)
+			}
+		}
+	}
+	newGET()() // warm the owning edge and the copy pool
+	return newGET, bodyLen
+}
+
+// TestWireFrontDoorAllocBudget: a proxied GET costs at most 55 objects,
+// alone or in a herd on one key — a flight costs its leader one struct,
+// and the protocol adds no channel per uncontended GET (followers that
+// do coalesce skip the round trip and read fewer).
+func TestWireFrontDoorAllocBudget(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random; the allocs/op pin holds only without -race")
+	}
+	newGET, _ := warmFrontDoor(t)
+	// AllocsPerRun measures on one P, where the goroutine net/http starts
+	// to watch each request's timeout first runs when this one yields:
+	// without the yield they queue up by the hundred and each costs a
+	// fresh g, with it each reuses the last one's.
+	get := newGET()
+	if n := testing.AllocsPerRun(100, func() { get(); runtime.Gosched() }); n > 55 {
+		t.Fatalf("a proxied GET allocates %.0f objects, want at most 55", n)
+	}
+	const herd = 4
+	start, done := make(chan struct{}), make(chan struct{})
+	defer close(start)
+	for i := 0; i < herd; i++ {
+		get := newGET()
+		go func() {
+			for range start {
+				get()
+				done <- struct{}{}
+			}
+		}()
+	}
+	n := testing.AllocsPerRun(50, func() {
+		for i := 0; i < herd; i++ {
+			start <- struct{}{}
+		}
+		for i := 0; i < herd; i++ {
+			<-done
+		}
+	})
+	if n > herd*55 {
+		t.Fatalf("a herd of %d GETs allocates %.0f objects, want at most %d each", herd, n, 55)
+	}
+}
+
+func BenchmarkWireColdServeThroughput(b *testing.B) {
+	newGET, bodyLen := warmFrontDoor(b)
+	get := newGET()
+	b.SetBytes(int64(bodyLen))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
+	}
+}
+
+func BenchmarkWireCoalescedHerd(b *testing.B) {
+	newGET, bodyLen := warmFrontDoor(b)
+	b.SetBytes(int64(bodyLen))
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		get := newGET()
+		for pb.Next() {
+			get()
+		}
+	})
 }

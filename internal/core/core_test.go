@@ -566,22 +566,38 @@ func TestEventStrings(t *testing.T) {
 	}
 }
 
-// BenchmarkFullSession measures the cost of one complete 30s FoV-guided
-// session on the simulator — the unit every experiment multiplies.
-func BenchmarkFullSession(b *testing.B) {
+// fullSession is one complete 30 s FoV-guided session on the simulator,
+// head trace given — the unit every experiment multiplies.
+func fullSession(tb testing.TB) func() {
 	v := testVideo(media.EncodingAVC)
 	att := trace.GenerateAttention(rand.New(rand.NewSource(2)), 40*time.Second)
 	head := trace.Generate(rand.New(rand.NewSource(1)), trace.UserProfile{ID: "b", SpeedScale: 1}, att, 40*time.Second)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		clock := sim.NewClock(1)
 		path := netem.NewPath(clock, "net", netem.Constant(15e6), 20*time.Millisecond, 0)
 		s, err := NewSession(clock, Config{Video: v, Mode: FoVGuided}, head,
 			transport.NewSinglePath(clock, path))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		s.Run()
+	}
+}
+
+// TestFullSessionAllocs: 292 objects for the 30 s — the session's fixed
+// furniture and its per-tick closures; TestSessionTileSetsAreOwned says
+// what is deliberately not among them.
+func TestFullSessionAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(10, fullSession(t)); n > 292 {
+		t.Fatalf("a 30 s session allocates %.0f objects, want at most 292", n)
+	}
+}
+
+func BenchmarkFullSession(b *testing.B) {
+	session := fullSession(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		session()
 	}
 }
 

@@ -201,28 +201,51 @@ func TestOneAttemptBudgetEveryMethod(t *testing.T) {
 	}
 }
 
-// TestFetchChunkAllocBudget pins decode-from-stream: fetching an N-byte
-// segment allocates the payload the caller keeps plus a fixed
-// per-request overhead — never a second copy of the body, let alone the
-// several an unsized read-all-then-decode makes on the way to N.
-func TestFetchChunkAllocBudget(t *testing.T) {
+// memoryTransport answers every request with the same in-memory body
+// under its Content-Length, so memoryFetch measures the client, not a
+// socket.
+type memoryTransport struct{ body []byte }
+
+func (m memoryTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK, Status: "200 OK",
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header), Request: req,
+		Body:          io.NopCloser(bytes.NewReader(m.body)),
+		ContentLength: int64(len(m.body)),
+	}, nil
+}
+
+// memoryFetch is the client layer's fixed cost per chunk: one request,
+// the segment decoded and CRC-checked straight off the response body.
+// TestFetchChunkAllocBudget holds it to its budgets;
+// BenchmarkClientFetchChunk times it.
+func memoryFetch(tb testing.TB) (fetch func(), bodyLen int) {
 	v := testVideo()
 	body, err := BuildChunkBody(v, 2, 5, 3, false)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	c := NewClient("http://mem.test", WithTransport(bodyFunc(func() io.ReadCloser {
-		return io.NopCloser(bytes.NewReader(body))
-	})))
-	fetch := func() {
-		res, err := c.FetchChunk(context.Background(), v.ID, 2, 5, 3)
+	c := NewClient("http://mem.test", WithTransport(memoryTransport{body: body}))
+	ctx := context.Background()
+	return func() {
+		res, err := c.FetchChunk(ctx, v.ID, 2, 5, 3)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if res.WireBytes != int64(len(body)) {
-			t.Fatalf("WireBytes = %d, want %d", res.WireBytes, len(body))
+			tb.Fatalf("WireBytes = %d, want %d", res.WireBytes, len(body))
 		}
-	}
+	}, len(body)
+}
+
+// TestFetchChunkAllocBudget pins decode-from-stream: fetching an N-byte
+// segment allocates the payload the caller keeps plus a fixed
+// per-request overhead — never a second copy of the body, let alone the
+// several an unsized read-all-then-decode makes on the way to N — in at
+// most 38 objects.
+func TestFetchChunkAllocBudget(t *testing.T) {
+	fetch, bodyLen := memoryFetch(t)
 	fetch() // warm pools
 
 	const iters = 32
@@ -234,8 +257,21 @@ func TestFetchChunkAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perOp := int64(after.TotalAlloc-before.TotalAlloc) / iters
-	if perOp > int64(len(body))+overhead {
-		t.Fatalf("FetchChunk allocates %d B for a %d B body; budget is the body + %d B", perOp, len(body), overhead)
+	if perOp > int64(bodyLen)+overhead {
+		t.Fatalf("FetchChunk allocates %d B for a %d B body; budget is the body + %d B", perOp, bodyLen, overhead)
 	}
-	t.Logf("FetchChunk: %d B/op for a %d B body", perOp, len(body))
+	if n := testing.AllocsPerRun(100, fetch); n > 38 {
+		t.Fatalf("FetchChunk allocates %.0f objects, want at most 38", n)
+	}
+	t.Logf("FetchChunk: %d B/op for a %d B body", perOp, bodyLen)
+}
+
+func BenchmarkClientFetchChunk(b *testing.B) {
+	fetch, bodyLen := memoryFetch(b)
+	b.SetBytes(int64(bodyLen))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fetch()
+	}
 }

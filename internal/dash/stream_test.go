@@ -281,32 +281,40 @@ func (d *discardWriter) Header() http.Header         { return d.h }
 func (d *discardWriter) WriteHeader(int)             {}
 func (d *discardWriter) Write(p []byte) (int, error) { d.n += int64(len(p)); return len(p), nil }
 
-// TestStorelessChunkAllocBudget pins the zero-materialization
-// acceptance bar: a store-less cold chunk response must never allocate
-// a body-sized buffer — per-request allocation stays bounded by mux
-// routing overhead, far under the ~109KB body.
-func TestStorelessChunkAllocBudget(t *testing.T) {
+// storelessGET is the writer-first serving path: one chunk GET through
+// the store-less handler, which regenerates the body block by block
+// straight into the ResponseWriter. TestStorelessChunkAllocBudget holds
+// it to its budgets; BenchmarkColdServeThroughput times it.
+func storelessGET(tb testing.TB) (get func(), w *discardWriter, bodyLen int) {
 	cat := NewCatalog()
 	v := testVideo()
 	if err := cat.Add(v); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := NewServer(cat)
 	req := httptest.NewRequest("GET", "/v/demo/c/2/5/3", nil)
-	w := &discardWriter{h: make(http.Header, 4)}
+	w = &discardWriter{h: make(http.Header, 4)}
 	bodyLen, err := ChunkBodyLen(v, 2, 5, 3, false)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	get = func() { s.ServeHTTP(w, req) }
+	get() // warm the block pool and the mux
+	return get, w, bodyLen
+}
 
-	// Warm the block pool and the mux.
-	s.ServeHTTP(w, req)
+// TestStorelessChunkAllocBudget pins the zero-materialization
+// acceptance bar: a store-less cold chunk response must never allocate
+// a body-sized buffer — per-request allocation stays bounded by mux
+// routing overhead, far under the ~109KB body, and at five objects.
+func TestStorelessChunkAllocBudget(t *testing.T) {
+	get, w, bodyLen := storelessGET(t)
 
 	const iters = 64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < iters; i++ {
-		s.ServeHTTP(w, req)
+		get()
 	}
 	runtime.ReadMemStats(&after)
 	perOp := int64(after.TotalAlloc-before.TotalAlloc) / iters
@@ -315,5 +323,21 @@ func TestStorelessChunkAllocBudget(t *testing.T) {
 	}
 	if w.n == 0 {
 		t.Fatal("no bytes served")
+	}
+	if obs.RaceEnabled {
+		return // race-mode sync.Pool drops Puts at random: the block pool refills
+	}
+	if n := testing.AllocsPerRun(100, get); n > 5 {
+		t.Fatalf("store-less request allocates %.0f objects, want at most 5 (mux routing)", n)
+	}
+}
+
+func BenchmarkColdServeThroughput(b *testing.B) {
+	get, _, bodyLen := storelessGET(b)
+	b.SetBytes(int64(bodyLen))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
 	}
 }

@@ -2,7 +2,7 @@
 // evaluation, plus the quantitative claims woven through its text. Each
 // experiment is a pure function from a seed to a Table whose rows mirror
 // what the paper reports; cmd/sperke-bench renders them and
-// bench_test.go wraps each in a testing.B benchmark.
+// TestRunAllGolden holds the whole suite to its golden output.
 //
 // The experiment IDs match DESIGN.md's per-experiment index: E1..E13
 // for paper artifacts, A1..A3 for ablations of Sperke design choices.

@@ -267,7 +267,7 @@ func Parse(spec string) (*Plan, error) {
 			if len(fields) != 5 {
 				return nil, fmt.Errorf("faults: cliff %q needs a rate", part)
 			}
-			if e.BPS, err = parseRate(fields[4]); err != nil {
+			if e.BPS, err = netem.ParseRate(fields[4]); err != nil {
 				return nil, fmt.Errorf("faults: event %q: %w", part, err)
 			}
 		case e.Kind == KindLossBurst:
@@ -309,7 +309,7 @@ func (p *Plan) Spec() string {
 		s := fmt.Sprintf("%s:%s:%s:%s", e.Kind, path, formatDur(e.At), formatDur(e.Duration))
 		switch e.Kind {
 		case KindCliff:
-			s += ":" + formatRate(e.BPS)
+			s += ":" + netem.FormatRate(e.BPS)
 		case KindLossBurst:
 			s += ":" + strconv.FormatFloat(e.Loss, 'f', -1, 64)
 		}
@@ -352,40 +352,4 @@ func formatDur(d time.Duration) string {
 		return "0"
 	}
 	return d.String()
-}
-
-// parseRate parses "8M", "1.5M", "500k", "2G" or a bare number into
-// bits per second (same grammar as netem trace specs).
-func parseRate(s string) (float64, error) {
-	s = strings.TrimSpace(s)
-	mult := 1.0
-	switch {
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1e9, strings.TrimSuffix(s, "G")
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1e6, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "k"):
-		mult, s = 1e3, strings.TrimSuffix(s, "k")
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("negative rate %q", s)
-	}
-	return v * mult, nil
-}
-
-func formatRate(bps float64) string {
-	switch {
-	case bps >= 1e9 && bps == float64(int64(bps/1e9))*1e9:
-		return strconv.FormatFloat(bps/1e9, 'f', -1, 64) + "G"
-	case bps >= 1e6:
-		return strconv.FormatFloat(bps/1e6, 'f', -1, 64) + "M"
-	case bps >= 1e3:
-		return strconv.FormatFloat(bps/1e3, 'f', -1, 64) + "k"
-	default:
-		return strconv.FormatFloat(bps, 'f', -1, 64)
-	}
 }

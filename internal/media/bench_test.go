@@ -1,42 +1,35 @@
 package media
 
 import (
-	"bytes"
-	"io"
 	"testing"
 	"time"
 
 	"sperke/internal/tiling"
 )
 
-func BenchmarkChunkBytes(b *testing.B) {
+// chunkSizes asks a video for a chunk's size, walking its tiles and
+// intervals — what a session does for every tile of every plan.
+func chunkSizes() func() {
 	v := testVideo(EncodingAVC)
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		v.ChunkBytes(3, tiling.TileID(i%24), time.Duration(i%30)*2*time.Second)
+		i++
 	}
 }
 
-func BenchmarkSegmentWrite(b *testing.B) {
-	h := SegmentHeader{VideoID: "bench", Quality: 3, Tile: 7, Start: 4 * time.Second, Duration: 2 * time.Second}
-	payload := SyntheticPayload(1, 64<<10)
-	b.SetBytes(int64(SegmentLen(h.VideoID, len(payload))))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		WriteSegment(io.Discard, h, payload)
+// TestChunkBytesAllocs: the two FNV hashes behind a size are computed
+// over unboxed values, so asking allocates nothing.
+func TestChunkBytesAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, chunkSizes()); n != 0 {
+		t.Fatalf("ChunkBytes allocates %.0f objects, want 0", n)
 	}
 }
 
-func BenchmarkSegmentRead(b *testing.B) {
-	h := SegmentHeader{VideoID: "bench", Quality: 3, Tile: 7}
-	payload := SyntheticPayload(1, 64<<10)
-	var buf bytes.Buffer
-	WriteSegment(&buf, h, payload)
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
+func BenchmarkChunkBytes(b *testing.B) {
+	size := chunkSizes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ReadSegment(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
+		size()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"sperke/internal/netem"
+	"sperke/internal/obs"
 	"sperke/internal/transport"
 )
 
@@ -16,14 +17,14 @@ import (
 // without the full duplication of ContentAware.DuplicateUrgent.
 type Coded struct {
 	Paths []*netem.Path
-	Clock clockNow
+	Clock obs.Clock
 	// DataFragments (K) and RepairFragments (R); zero values default to
 	// 4 and 1 (25% redundancy).
 	DataFragments, RepairFragments int
 }
 
 // NewCoded builds the scheduler over the given paths.
-func NewCoded(clock clockNow, paths ...*netem.Path) *Coded {
+func NewCoded(clock obs.Clock, paths ...*netem.Path) *Coded {
 	return &Coded{Paths: paths, Clock: clock}
 }
 

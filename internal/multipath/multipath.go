@@ -19,11 +19,9 @@ import (
 	"time"
 
 	"sperke/internal/netem"
+	"sperke/internal/obs"
 	"sperke/internal/transport"
 )
-
-// clockNow abstracts the sim clock.
-type clockNow interface{ Now() time.Duration }
 
 // MPTCPLike is the content-agnostic baseline: each chunk is split
 // across all paths proportionally to their instantaneous rates, and the
@@ -32,14 +30,14 @@ type clockNow interface{ Now() time.Duration }
 // problem measured by [36]).
 type MPTCPLike struct {
 	Paths []*netem.Path
-	Clock clockNow
+	Clock obs.Clock
 	// ReorderPenalty scales the skew between the fastest and slowest
 	// subflow into reassembly delay; 0 defaults to 0.25.
 	ReorderPenalty float64
 }
 
 // NewMPTCPLike builds the baseline over the given paths.
-func NewMPTCPLike(clock clockNow, paths ...*netem.Path) *MPTCPLike {
+func NewMPTCPLike(clock obs.Clock, paths ...*netem.Path) *MPTCPLike {
 	return &MPTCPLike{Paths: paths, Clock: clock}
 }
 
@@ -111,7 +109,7 @@ func (m *MPTCPLike) Submit(r *transport.Request) {
 // paths, and deliver them in different transport-layer QoS" (§3.3).
 type ContentAware struct {
 	Paths []*netem.Path
-	Clock clockNow
+	Clock obs.Clock
 	// DuplicateUrgent, when set, sends urgent chunks on every path at
 	// once and takes the first arrival — the redundancy/network-coding
 	// idea the section closes with [22].
@@ -122,7 +120,7 @@ type ContentAware struct {
 }
 
 // NewContentAware builds the scheduler over the given paths.
-func NewContentAware(clock clockNow, paths ...*netem.Path) *ContentAware {
+func NewContentAware(clock obs.Clock, paths ...*netem.Path) *ContentAware {
 	return &ContentAware{
 		Paths:  paths,
 		Clock:  clock,

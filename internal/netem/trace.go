@@ -264,7 +264,7 @@ func ParseTrace(s string) (*BandwidthTrace, error) {
 				return nil, fmt.Errorf("netem: step %q: %w", part, err)
 			}
 		}
-		bps, err := parseRate(fields[1])
+		bps, err := ParseRate(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("netem: step %q: %w", part, err)
 		}
@@ -273,9 +273,9 @@ func ParseTrace(s string) (*BandwidthTrace, error) {
 	return Steps(steps...)
 }
 
-// parseRate parses "8M", "1.5M", "500k", "2G" or a bare number into
-// bits per second.
-func parseRate(s string) (float64, error) {
+// ParseRate parses "8M", "1.5M", "500k", "2G" or a bare number into
+// bits per second — the rate grammar of trace specs and fault plans.
+func ParseRate(s string) (float64, error) {
 	s = strings.TrimSpace(s)
 	mult := 1.0
 	switch {
@@ -304,12 +304,13 @@ func (tr *BandwidthTrace) Spec() string {
 		if st.start != 0 {
 			start = st.start.String()
 		}
-		parts[i] = start + ":" + formatRate(st.bps)
+		parts[i] = start + ":" + FormatRate(st.bps)
 	}
 	return strings.Join(parts, ",")
 }
 
-func formatRate(bps float64) string {
+// FormatRate renders bits per second the way ParseRate reads them.
+func FormatRate(bps float64) string {
 	switch {
 	case bps >= 1e9 && bps == float64(int64(bps/1e9))*1e9:
 		return strconv.FormatFloat(bps/1e9, 'f', -1, 64) + "G"

@@ -159,10 +159,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 
 var errNilVideo = fmt.Errorf("nil video")
 
-// DefaultWorkers is the worker-pool size used when EngineConfig.Workers
-// is zero.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // Run drives all sessions to completion (or ctx cancellation — each
 // session observes ctx at its planning and playback ticks and returns a
 // partial report) and aggregates the outcome.

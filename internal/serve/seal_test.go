@@ -143,4 +143,7 @@ func TestWarmHitZeroAlloc(t *testing.T) {
 			t.Fatalf("warm Get: %v allocs/op, want 0", allocs)
 		}
 	})
+	if allocs := testing.AllocsPerRun(100, catalogGets(t, 256<<20)); allocs != 0 {
+		t.Fatalf("warm Get of a catalog store: %v allocs/op, want 0", allocs)
+	}
 }

@@ -94,6 +94,40 @@ func TestCatalogStoreStreamedMatchesBuild(t *testing.T) {
 	}
 }
 
+// catalogGets is the chunk store's workload: Gets over every quality-3
+// chunk of a catalog video in turn. A one-byte budget keeps every body
+// uncacheable, so each Get synthesizes; a budget that holds them all
+// makes each a hit once the first round has filled the store.
+// TestWriterStoreColdAllocBudget and TestWarmHitZeroAlloc hold the two
+// to their budgets; BenchmarkChunkStore times them (warm ran ≥ 5× faster
+// than cold when the store went in, ~800× since bodies are sealed).
+func catalogGets(tb testing.TB, budget int64) func() {
+	v := engineVideo()
+	cat := dash.NewCatalog()
+	if err := cat.Add(v); err != nil {
+		tb.Fatal(err)
+	}
+	var keys []ChunkKey
+	for idx := 0; idx < v.NumChunks(); idx++ {
+		for tile := 0; tile < v.Grid.Tiles(); tile++ {
+			keys = append(keys, ChunkKey{Video: v.ID, Quality: 3, Tile: tile, Index: idx})
+		}
+	}
+	st := NewCatalogStore(cat, StoreConfig{Shards: 16, BudgetBytes: budget})
+	ctx := context.Background()
+	i := 0
+	get := func() {
+		if _, err := st.Get(ctx, keys[i%len(keys)]); err != nil {
+			tb.Fatal(err)
+		}
+		i++
+	}
+	for range keys { // fill the store and the writer pool
+		get()
+	}
+	return get
+}
+
 // TestWriterStoreColdAllocBudget pins the streamed miss path's
 // allocation count: the sealed body, the singleflight bookkeeping and
 // nothing else — in particular no scratch buffer and no sealing copy.
@@ -101,30 +135,24 @@ func TestWriterStoreColdAllocBudget(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random; the allocs/op pin holds only without -race")
 	}
-	ctx := context.Background()
-	block := make([]byte, 64)
-	zero := New(WithWriterSynth(WriterSynth{
-		Size: func(k ChunkKey) (int, error) { return 512, nil },
-		Write: func(w io.Writer, k ChunkKey) error {
-			for i := 0; i < 8; i++ {
-				if _, err := w.Write(block); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}), WithShards(1), WithBudget(1))
-	// Warm the writer pool.
-	if _, err := zero.Get(ctx, key(0)); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := zero.Get(ctx, key(1)); err != nil {
-			t.Fatal(err)
-		}
-	})
 	// Sealed body + flight struct + done channel.
-	if allocs > 3 {
+	if allocs := testing.AllocsPerRun(100, catalogGets(t, 1)); allocs > 3 {
 		t.Fatalf("streamed cold Get: %v allocs/op, want <= 3", allocs)
+	}
+}
+
+func BenchmarkChunkStore(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		budget int64
+	}{{"cold", 1}, {"warm", 256 << 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			get := catalogGets(b, bc.budget)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				get()
+			}
+		})
 	}
 }

@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// BenchmarkClockScheduleStep is the event loop of a session at rest:
-// eight events pending, each firing schedules its successor. The clock
-// keeps its records, so the steady state allocates nothing.
-func BenchmarkClockScheduleStep(b *testing.B) {
+// clockStep is the event loop of a session at rest: eight events
+// pending, each firing schedules its successor.
+func clockStep() func() {
 	c := NewClock(1)
 	var tick func()
 	tick = func() { c.After(8*time.Millisecond, tick) }
@@ -16,9 +15,22 @@ func BenchmarkClockScheduleStep(b *testing.B) {
 		c.After(time.Duration(i)*time.Millisecond, tick)
 	}
 	c.Step() // the first firing grows the free list
+	return func() { c.Step() }
+}
+
+// TestClockScheduleStepAllocs: the clock keeps its event records, so
+// the steady state allocates nothing.
+func TestClockScheduleStepAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, clockStep()); n != 0 {
+		t.Fatalf("a Step that schedules its successor allocates %.0f objects, want 0", n)
+	}
+}
+
+func BenchmarkClockScheduleStep(b *testing.B) {
+	step := clockStep()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Step()
+		step()
 	}
 }

@@ -42,14 +42,13 @@ func TestViewportsInterleaved(t *testing.T) {
 }
 
 // TestViewportVisibleAllocs: a query allocates its result and nothing
-// else, and building a viewport allocates nothing at all.
+// else on the 4×6 grid, and one object more on a wide one.
+// (TestVisibleTilesAllocs has the other half: building a viewport
+// allocates nothing at all.)
 func TestViewportVisibleAllocs(t *testing.T) {
-	vp := NewViewport(GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV)
-	view := sphere.Orientation{Yaw: 42, Pitch: 17}
-	if n := testing.AllocsPerRun(100, func() { vp.Visible(view) }); n > 1 {
-		t.Fatalf("Visible allocates %.0f objects, want 1 (the result)", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { VisibleTiles(GridCellular, sphere.Equirectangular{}, view, sphere.DefaultFoV) }); n > 1 {
-		t.Fatalf("VisibleTiles allocates %.0f objects, want 1 (the result)", n)
+	for _, tc := range queryGrids {
+		if n := testing.AllocsPerRun(100, visibleQuery(tc.g)); n > tc.allocs {
+			t.Fatalf("%s: Visible allocates %.0f objects, want at most %.0f", tc.name, n, tc.allocs)
+		}
 	}
 }

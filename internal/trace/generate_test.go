@@ -204,12 +204,27 @@ func TestGenerateNegativeDuration(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerate(b *testing.B) {
+// generateMinute is one viewer's head trace for a minute of video, a
+// new one each call from the same stream of randomness.
+func generateMinute() func() {
 	att := GenerateAttention(rand.New(rand.NewSource(1)), time.Minute)
 	profile := UserProfile{ID: "u", SpeedScale: 1}
 	rng := rand.New(rand.NewSource(2))
+	return func() { Generate(rng, profile, att, time.Minute) }
+}
+
+// TestGenerateAllocs: the trace, its sample slice sized once from the
+// duration, and the retarget scratch as it grows — nothing per sample.
+func TestGenerateAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(20, generateMinute()); n > 4 {
+		t.Fatalf("Generate allocates %.0f objects for a minute of samples, want at most 4", n)
+	}
+}
+
+func BenchmarkGenerate(b *testing.B) {
+	generate := generateMinute()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Generate(rng, profile, att, time.Minute)
+		generate()
 	}
 }

@@ -85,7 +85,7 @@ type BreakerTransition struct {
 // cooldown. Not safe for concurrent use; the scheduler owns it.
 type Breaker struct {
 	cfg   BreakerConfig
-	clock Clock
+	clock obs.Clock
 
 	// Obs, when set, counts state transitions
 	// (transport.breaker.to_{open,half_open,closed}) and mirrors the
@@ -102,7 +102,7 @@ type Breaker struct {
 }
 
 // NewBreaker builds a closed breaker on the given clock.
-func NewBreaker(clock Clock, cfg BreakerConfig) *Breaker {
+func NewBreaker(clock obs.Clock, cfg BreakerConfig) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults(), clock: clock}
 }
 

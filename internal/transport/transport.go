@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sperke/internal/netem"
+	"sperke/internal/obs"
 	"sperke/internal/tiling"
 )
 
@@ -159,18 +160,11 @@ func SubmitContext(s Scheduler, ctx context.Context, r *Request) {
 	s.Submit(r)
 }
 
-// Clock abstracts the time source for deadline checks and breaker
-// cooldowns: *sim.Clock in simulated pipelines, obs.Wall (or anything
-// with a Now) in real-socket ones. Exported so other layers — the
-// edge/origin cluster's health detector reuses Breaker — can name the
-// seam they must satisfy.
-type Clock interface{ Now() time.Duration }
-
 // SinglePath sends everything over one path, reliably, in Table 1
 // order, keeping one transfer in flight so priorities stay live.
 type SinglePath struct {
 	Path  *netem.Path
-	Clock Clock
+	Clock obs.Clock
 
 	q Queue
 	// cur is the request in flight, nil when the path is idle. One
@@ -181,7 +175,7 @@ type SinglePath struct {
 }
 
 // NewSinglePath creates a single-path scheduler.
-func NewSinglePath(clock Clock, path *netem.Path) *SinglePath {
+func NewSinglePath(clock obs.Clock, path *netem.Path) *SinglePath {
 	return &SinglePath{Path: path, Clock: clock}
 }
 
@@ -196,7 +190,7 @@ func (s *SinglePath) Submit(r *Request) {
 
 // shed completes a request that will never be dispatched with a failed
 // zero-service delivery at the current virtual time.
-func shed(clock Clock, r *Request) {
+func shed(clock obs.Clock, r *Request) {
 	if r.OnDone == nil {
 		return
 	}
