@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"sperke/internal/cluster"
 	"sperke/internal/dash"
 	"sperke/internal/media"
 	"sperke/internal/obs"
@@ -40,20 +41,24 @@ func benchVideo() *media.Video {
 	}
 }
 
-// loopbackPair is what BenchmarkBareExchange and TestFetchAllocsOverFloor
-// compare on one listener each, both real loopback TCP: the least a
+// loopbackRig is what BenchmarkBareExchange and TestFetchAllocsOverFloor
+// compare on one listener each, all real loopback TCP: the least a
 // net/http exchange of a body costs — a handler that writes the bytes
 // under their Content-Length, a client that reads them into a buffer
-// the caller keeps — and a warm Sperke fetch of the same bytes: mux,
-// catalog, resident store hit, dash.Client, segment decode and CRC.
-type loopbackPair struct {
-	bare  func() error // one bare exchange
-	fetch func() error // one warm dash.Client.FetchChunk
-	size  int          // the body both move
-	close func()
+// the caller keeps — a warm Sperke fetch of the same bytes: mux,
+// catalog, resident store hit, dash.Client, segment decode and CRC —
+// and the same fetch through a wire cluster's front door, which is that
+// exchange twice (client to router, router to the edge that owns the
+// chunk) with the router's walk and relay between them.
+type loopbackRig struct {
+	bare    func() error // one bare exchange
+	fetch   func() error // one warm dash.Client.FetchChunk
+	proxied func() error // one warm FetchChunk through a 3-edge wire cluster
+	size    int          // the body all three move
+	close   func()
 }
 
-func newLoopbackPair(tb testing.TB) loopbackPair {
+func newLoopbackRig(tb testing.TB) loopbackRig {
 	tb.Helper()
 	v := benchVideo()
 	catalog := dash.NewCatalog()
@@ -78,8 +83,24 @@ func newLoopbackPair(tb testing.TB) loopbackPair {
 	bareTr, sperkeTr := &http.Transport{}, &http.Transport{}
 	bareClient := &http.Client{Transport: bareTr}
 	client := dash.NewClient(sperkeSrv.URL, dash.WithTransport(sperkeTr))
+	clu, err := cluster.New(store, cluster.WithWire(true), cluster.WithNodes(3), cluster.WithCatalog(catalog))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frontSrv := httptest.NewServer(clu.FrontDoor())
+	frontTr := &http.Transport{}
+	frontClient := dash.NewClient(frontSrv.URL, dash.WithTransport(frontTr))
 	ctx := context.Background()
-	return loopbackPair{
+	fetch := func(c *dash.Client) func() error {
+		return func() error {
+			res, err := c.FetchChunk(ctx, v.ID, q, 0, 0)
+			if err == nil && res.WireBytes != int64(len(body)) {
+				err = fmt.Errorf("WireBytes = %d, want %d", res.WireBytes, len(body))
+			}
+			return err
+		}
+	}
+	return loopbackRig{
 		size: len(body),
 		bare: func() error {
 			resp, err := bareClient.Get(bareSrv.URL)
@@ -90,18 +111,19 @@ func newLoopbackPair(tb testing.TB) loopbackPair {
 			_, err = io.ReadFull(resp.Body, make([]byte, resp.ContentLength))
 			return err
 		},
-		fetch: func() error {
-			res, err := client.FetchChunk(ctx, v.ID, q, 0, 0)
-			if err == nil && res.WireBytes != int64(len(body)) {
-				err = fmt.Errorf("WireBytes = %d, want %d", res.WireBytes, len(body))
-			}
-			return err
-		},
+		fetch:   fetch(client),
+		proxied: fetch(frontClient),
 		close: func() {
-			bareTr.CloseIdleConnections()
-			sperkeTr.CloseIdleConnections()
-			bareSrv.Close()
-			sperkeSrv.Close()
+			for _, tr := range []*http.Transport{bareTr, sperkeTr, frontTr} {
+				tr.CloseIdleConnections()
+			}
+			for _, name := range clu.NodeNames() {
+				_ = clu.RemoveNode(name) // closes the node's listener
+			}
+			clu.Close()
+			for _, srv := range []*httptest.Server{bareSrv, sperkeSrv, frontSrv} {
+				srv.Close()
+			}
 		},
 	}
 }
@@ -112,7 +134,7 @@ func newLoopbackPair(tb testing.TB) loopbackPair {
 // Sperke fetch costs above it is Sperke's; the rest moves with the Go
 // release.
 func BenchmarkBareExchange(b *testing.B) {
-	p := newLoopbackPair(b)
+	p := newLoopbackRig(b)
 	defer p.close()
 	if err := p.bare(); err != nil { // dial
 		b.Fatal(err)
@@ -127,15 +149,16 @@ func BenchmarkBareExchange(b *testing.B) {
 	}
 }
 
-// TestFetchAllocsOverFloor: a warm FetchChunk allocates at most 20
-// objects more than the bare exchange measured beside it, so a Go
-// upgrade that moves net/http's own count moves both and the margin
-// stays Sperke's. (At go1.24: 69 and 87.)
+// TestFetchAllocsOverFloor: a warm FetchChunk allocates at most 11
+// objects more than the bare exchange measured beside it, and one
+// proxied through a wire cluster at most 24 more than two of them, so a
+// Go upgrade that moves net/http's own count moves all three and the
+// margins stay Sperke's. (At go1.24: 67, 78 and 158.)
 func TestFetchAllocsOverFloor(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("net/http pools its buffers, and race-mode sync.Pool drops Puts at random")
 	}
-	p := newLoopbackPair(t)
+	p := newLoopbackRig(t)
 	defer p.close()
 	run := func(name string, exchange func() error) float64 {
 		if err := exchange(); err != nil { // dial, fill the store
@@ -147,10 +170,13 @@ func TestFetchAllocsOverFloor(t *testing.T) {
 			}
 		})
 	}
-	floor, fetch := run("bare exchange", p.bare), run("warm fetch", p.fetch)
-	t.Logf("bare exchange %.0f allocs, warm fetch %.0f", floor, fetch)
-	if fetch > floor+20 {
-		t.Fatalf("a warm fetch allocates %.0f objects, %.0f over the bare exchange's %.0f; want at most 20 over", fetch, fetch-floor, floor)
+	floor, fetch, proxied := run("bare exchange", p.bare), run("warm fetch", p.fetch), run("proxied fetch", p.proxied)
+	t.Logf("bare exchange %.0f allocs, warm fetch %.0f, proxied fetch %.0f", floor, fetch, proxied)
+	if fetch > floor+11 {
+		t.Fatalf("a warm fetch allocates %.0f objects, %.0f over the bare exchange's %.0f; want at most 11 over", fetch, fetch-floor, floor)
+	}
+	if proxied > 2*floor+24 {
+		t.Fatalf("a proxied fetch allocates %.0f objects, %.0f over two bare exchanges' %.0f; want at most 24 over", proxied, proxied-2*floor, 2*floor)
 	}
 }
 

@@ -46,12 +46,15 @@ type Node struct {
 	// Recover so the node's identity (its address) survives a crash;
 	// accepting gates the LoopbackTransport the way a live listener
 	// gates a dial; rt holds the current listener+server pair, swapped
-	// atomically so Kill never races a concurrent relisten.
+	// atomically so Kill never races a concurrent relisten; hop is the
+	// router's connection pool to a real listener, nil on the other
+	// carriers.
 	wireMode bool
 	loop     *LoopbackTransport
 	addr     string
 	baseURL  string
 	client   *dash.Client
+	hop      *http.Transport
 	rt       atomic.Pointer[wireRuntime]
 
 	accepting atomic.Bool
@@ -71,6 +74,15 @@ var nodeRetry = dash.RetryPolicy{MaxAttempts: -1}
 type wireRuntime struct {
 	ln  net.Listener
 	srv *http.Server
+}
+
+// close ends the incarnation the way a crash does — Close, not Shutdown:
+// nothing drains. The listener is closed by name as well, because the
+// server only knows it once its Serve goroutine has run, and a node
+// killed before that would keep its port.
+func (rt *wireRuntime) close() {
+	_ = rt.srv.Close()
+	_ = rt.ln.Close()
 }
 
 // nodeMetrics caches the node's instruments; nil fields no-op.
@@ -119,11 +131,22 @@ func newNode(id string, origin dash.ChunkSource, catalog *dash.Catalog,
 	return n
 }
 
+// hopIdleTimeout retires the router's idle connections to an edge before
+// the edge's own idle limit (dash.NewHTTPServer, two minutes) can, so
+// the router never reuses a connection the edge is closing.
+const hopIdleTimeout = 90 * time.Second
+
 // startWire turns the node into an HTTP process and builds the client
 // the router will reach it through. Exactly one of three wire carriers
 // applies: an in-process LoopbackTransport (deterministic tests and
 // benchmarks), a caller-supplied RoundTripper (fault injection), or —
-// the default — a real TCP listener on 127.0.0.1.
+// the default — a real TCP listener on 127.0.0.1 behind a transport of
+// the node's own. That transport talks to one host, so its idle pool is
+// the edge's admission bound — every request the edge can have in
+// flight gets its connection back, where net/http's default keeps two
+// a host and dials for the third — and it asks for no compression: a
+// chunk's bytes do not compress, no server in the tree compresses, and
+// the offer costs every exchange a header map and a line on the wire.
 func (n *Node) startWire(loop *LoopbackTransport, rt http.RoundTripper, reg *obs.Registry) error {
 	n.wireMode = true
 	switch {
@@ -131,12 +154,9 @@ func (n *Node) startWire(loop *LoopbackTransport, rt http.RoundTripper, reg *obs
 		n.loop = loop
 		n.baseURL = "http://" + n.loopbackHost()
 		loop.register(n.loopbackHost(), n)
-		n.client = dash.NewClient(n.baseURL,
-			dash.WithTransport(loop), dash.WithRetry(nodeRetry), dash.WithClientObs(reg))
+		rt = loop
 	case rt != nil:
 		n.baseURL = "http://" + n.loopbackHost()
-		n.client = dash.NewClient(n.baseURL,
-			dash.WithTransport(rt), dash.WithRetry(nodeRetry), dash.WithClientObs(reg))
 	default:
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -145,9 +165,16 @@ func (n *Node) startWire(loop *LoopbackTransport, rt http.RoundTripper, reg *obs
 		n.addr = ln.Addr().String()
 		n.baseURL = "http://" + n.addr
 		n.serveOn(ln)
-		n.client = dash.NewClient(n.baseURL,
-			dash.WithRetry(nodeRetry), dash.WithClientObs(reg))
+		n.hop = &http.Transport{
+			DisableCompression:  true,
+			MaxIdleConns:        int(n.maxInFlight),
+			MaxIdleConnsPerHost: int(n.maxInFlight),
+			IdleConnTimeout:     hopIdleTimeout,
+		}
+		rt = n.hop
 	}
+	n.client = dash.NewClient(n.baseURL,
+		dash.WithTransport(rt), dash.WithRetry(nodeRetry), dash.WithClientObs(reg))
 	n.accepting.Store(true)
 	return nil
 }
@@ -205,8 +232,7 @@ func (n *Node) Kill() {
 	n.accepting.Store(false)
 	n.store.Reset()
 	if rt := n.rt.Swap(nil); rt != nil {
-		// Close (not Shutdown): a crash does not drain gracefully.
-		_ = rt.srv.Close()
+		rt.close()
 	}
 }
 
@@ -228,9 +254,9 @@ func (n *Node) Recover() {
 }
 
 // retire permanently stops the node after removal from the membership:
-// listener closed, loopback host deregistered, gauge dropped. Not
-// idempotent-sensitive — the cluster calls it exactly once, after the
-// node left the routing table.
+// listener closed, the router's idle connections to it closed, loopback
+// host deregistered, gauge dropped. Not idempotent-sensitive — the
+// cluster calls it exactly once, after the node left the routing table.
 func (n *Node) retire() {
 	n.accepting.Store(false)
 	n.down.Store(true)
@@ -239,7 +265,10 @@ func (n *Node) retire() {
 		n.loop.deregister(n.loopbackHost())
 	}
 	if rt := n.rt.Swap(nil); rt != nil {
-		_ = rt.srv.Close()
+		rt.close()
+	}
+	if n.hop != nil {
+		n.hop.CloseIdleConnections()
 	}
 }
 

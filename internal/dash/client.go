@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -17,13 +18,9 @@ import (
 	"sperke/internal/obs"
 )
 
-// DefaultTimeout bounds a whole HTTP exchange — the guard
-// http.DefaultClient lacks.
+// DefaultTimeout bounds an exchange whose body outlives the call that
+// opened it (OpenChunk) or that has no retry policy over it (Ping).
 const DefaultTimeout = 15 * time.Second
-
-// defaultHTTPClient is shared by all clients without a transport of
-// their own so connection pooling still works across sessions.
-var defaultHTTPClient = &http.Client{Timeout: DefaultTimeout}
 
 // drainLimit bounds what the client reads past the bytes it wanted to
 // leave a body at EOF, where the transport can reuse the connection.
@@ -45,8 +42,8 @@ type RetryPolicy struct {
 	// Jitter spreads each backoff uniformly over ±Jitter fraction of its
 	// value; 0 defaults to 0.2. Negative disables jitter.
 	Jitter float64
-	// AttemptTimeout bounds each individual attempt; 0 defaults to 10s.
-	// The caller's context deadline still applies on top.
+	// AttemptTimeout bounds each individual attempt, headers to the last
+	// body byte; 0 defaults to 10s. The caller's context still applies.
 	AttemptTimeout time.Duration
 }
 
@@ -115,24 +112,37 @@ type FetchResult struct {
 }
 
 // Client fetches manifests and segments from a Sperke DASH server,
-// absorbing transient faults: each request gets a per-attempt timeout
-// and bounded retries with exponential backoff, and failures carry a
+// absorbing transient faults: each exchange runs under one deadline,
+// retries are bounded with exponential backoff, and failures carry a
 // typed taxonomy (*Error) so callers can degrade instead of crash.
 type Client struct {
-	// baseURL is the server root, e.g. "http://127.0.0.1:8080".
-	baseURL string
-	// hc is the shared defaultHTTPClient unless WithTransport replaced it.
-	hc    *http.Client
+	// base is the server root, e.g. "http://127.0.0.1:8080", parsed once;
+	// baseErr is why it did not parse, and fails every request.
+	base    url.URL
+	baseErr error
+	// rt carries every exchange: http.DefaultTransport, so connections
+	// pool across sessions, unless WithTransport replaced it.
+	rt    http.RoundTripper
 	retry RetryPolicy
 	// now and sleep are the client's clock seams, nil outside this
 	// package's tests: wall time, and a pause between attempts that
-	// returns early when ctx expires.
-	now   func() time.Time
-	sleep func(ctx context.Context, d time.Duration) error
-	// obs records fetch counts, attempts, retry/backoff outcomes,
-	// received bytes, error counts by kind, and a per-segment latency
-	// histogram (dash.client.*). Nil disables metrics.
-	obs *obs.Registry
+	// returns early when ctx expires. openTimeout is DefaultTimeout
+	// outside them.
+	now         func() time.Time
+	sleep       func(ctx context.Context, d time.Duration) error
+	openTimeout time.Duration
+	met         clientMetrics
+}
+
+// clientMetrics caches the dash.client.* instruments: fetch counts,
+// attempts, retry/backoff outcomes, received bytes, error counts by
+// kind and a per-segment latency histogram. Nil fields no-op.
+type clientMetrics struct {
+	attempts, retries, retryAfterFloors *obs.Counter
+	mpdFetches, segmentFetches, opens   *obs.Counter
+	segmentFetchesRetried, bytesRx      *obs.Counter
+	errors                              [KindOverload + 1]*obs.Counter
+	fetchMS                             *obs.Histogram
 }
 
 // ClientOption configures a Client at construction.
@@ -140,12 +150,12 @@ type ClientOption func(*Client)
 
 // WithTransport routes the client's requests through rt — the seam the
 // cluster router and tests use to splice in loopback, httptest or
-// fault-injecting transports without touching global state. The
-// transport rides a private http.Client with DefaultTimeout.
+// fault-injecting transports without touching global state. The client
+// calls rt.RoundTrip itself: no redirect is followed, no cookie kept.
 func WithTransport(rt http.RoundTripper) ClientOption {
 	return func(c *Client) {
 		if rt != nil {
-			c.hc = &http.Client{Transport: rt, Timeout: DefaultTimeout}
+			c.rt = rt
 		}
 	}
 }
@@ -159,12 +169,32 @@ func WithRetry(p RetryPolicy) ClientOption {
 // WithClientObs wires the client's dash.client.* instruments into a
 // registry.
 func WithClientObs(r *obs.Registry) ClientOption {
-	return func(c *Client) { c.obs = r }
+	return func(c *Client) {
+		c.met = clientMetrics{
+			attempts:              r.Counter("dash.client.attempts"),
+			retries:               r.Counter("dash.client.retries"),
+			retryAfterFloors:      r.Counter("dash.client.retry_after_floors"),
+			mpdFetches:            r.Counter("dash.client.mpd_fetches"),
+			segmentFetches:        r.Counter("dash.client.segment_fetches"),
+			opens:                 r.Counter("dash.client.opens"),
+			segmentFetchesRetried: r.Counter("dash.client.segment_fetches_retried"),
+			bytesRx:               r.Counter("dash.client.bytes_rx"),
+			fetchMS:               r.Histogram("dash.client.fetch_ms"),
+		}
+		for k := range c.met.errors {
+			c.met.errors[k] = r.Counter("dash.client.errors." + ErrorKind(k).String())
+		}
+	}
 }
 
 // NewClient builds a client for a server root URL.
 func NewClient(baseURL string, opts ...ClientOption) *Client {
-	c := &Client{baseURL: baseURL, hc: defaultHTTPClient}
+	c := &Client{rt: http.DefaultTransport, openTimeout: DefaultTimeout}
+	if u, err := url.Parse(strings.TrimSuffix(baseURL, "/")); err != nil {
+		c.baseErr = err
+	} else {
+		c.base = *u
+	}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -192,33 +222,73 @@ func (c *Client) pause(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// attempt is the client's one HTTP exchange: build the request, send
-// it, classify a non-200 through statusError, and hand a live 200 to
-// consume, which owns the response body from then on. A positive
-// timeout bounds the whole attempt — headers and whatever consume
-// reads. An error from consume is a body that broke in transit or did
-// not decode, so it classifies like any other failed attempt.
-func (c *Client) attempt(ctx context.Context, path string, timeout time.Duration, consume func(*http.Response) error) *Error {
-	actx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+// exchange is one attempt in flight: its request's URL, and the response
+// body under the attempt's one deadline, which closing it releases. Once
+// OpenChunk has handed the body to its caller (attempts is set), a read
+// that fails — the deadline passing included — comes back as the typed
+// error a failed attempt would have been.
+type exchange struct {
+	url      url.URL
+	ctx      context.Context // the caller's: its leaving is not our deadline
+	cancel   context.CancelFunc
+	body     io.ReadCloser
+	length   int64            // Content-Length, -1 when none was declared
+	sized    io.LimitedReader // the body up to length, for fetchSegment
+	attempts int
+}
+
+func (x *exchange) Read(p []byte) (int, error) {
+	n, err := x.body.Read(p)
+	if err != nil && err != io.EOF && x.attempts > 0 {
+		err = &Error{Op: x.url.RequestURI(), Kind: classifyCtx(x.ctx, err), Attempts: x.attempts, Err: err}
 	}
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, c.baseURL+path, nil)
+	return n, err
+}
+
+func (x *exchange) Close() error {
+	err := x.body.Close()
+	x.cancel()
+	return err
+}
+
+// attempt is the client's one HTTP exchange: build the request on the
+// parsed base (path is as it goes on the wire; the URL carries it
+// escaped and decoded, so an escaped video ID survives), send it on the
+// transport, classify a non-200 — a redirect included — through
+// statusError, and hand a live 200 to consume, which owns the body from
+// then on. timeout is the exchange's one deadline, headers to the last
+// body byte: closing the body ends it, as does every return that hands
+// no body over. An error from consume is a body that broke in transit or
+// did not decode, so it classifies like any other failed attempt.
+func (c *Client) attempt(ctx context.Context, path string, timeout time.Duration, consume func(*exchange) error) *Error {
+	if c.baseErr != nil {
+		return &Error{Op: path, Kind: KindFatal, Err: c.baseErr}
+	}
+	rawPath, query, _ := strings.Cut(path, "?")
+	decoded, err := url.PathUnescape(rawPath)
 	if err != nil {
 		return &Error{Op: path, Kind: KindFatal, Err: err}
 	}
-	resp, err := c.hc.Do(req)
+	x := &exchange{url: c.base, ctx: ctx}
+	x.url.Path, x.url.RawPath, x.url.RawQuery = c.base.Path+decoded, c.base.EscapedPath()+rawPath, query
+	actx, cancel := context.WithTimeout(ctx, timeout)
+	x.cancel = cancel
+	req := (&http.Request{
+		Method: http.MethodGet, URL: &x.url, Host: c.base.Host, Header: make(http.Header),
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}).WithContext(actx)
+	resp, err := c.rt.RoundTrip(req)
 	if err != nil {
+		cancel()
 		return &Error{Op: path, Kind: classifyCtx(ctx, err), Err: err}
 	}
+	x.body, x.length = resp.Body, resp.ContentLength
 	if resp.StatusCode != http.StatusOK {
 		derr := c.statusError(path, resp)
-		resp.Body.Close()
+		x.Close()
 		return derr
 	}
-	if err := consume(resp); err != nil {
+	if err := consume(x); err != nil {
 		return &Error{Op: path, Kind: classifyCtx(ctx, err), Err: err}
 	}
 	return nil
@@ -251,36 +321,37 @@ func (c *Client) statusError(path string, resp *http.Response) *Error {
 // reports how many attempts it took. Every retrying method goes through
 // it, so RetryPolicy.MaxAttempts is the total number of requests a call
 // can make — whether an attempt died in the dial, on a 5xx or in a body
-// that failed its CRC. bounded applies the policy's AttemptTimeout;
-// OpenChunk passes false because its body outlives the attempt.
-func (c *Client) do(ctx context.Context, path string, bounded bool, consume func(*http.Response) error) (int, error) {
+// that failed its CRC. bounded holds each attempt to the policy's
+// AttemptTimeout; OpenChunk passes false because its body outlives the
+// attempt, and gets DefaultTimeout for the exchange instead.
+func (c *Client) do(ctx context.Context, path string, bounded bool, consume func(*exchange) error) (int, error) {
 	pol := c.retry.withDefaults()
-	var timeout time.Duration
+	timeout := c.openTimeout
 	if bounded {
 		timeout = pol.AttemptTimeout
 	}
 	for attempt := 1; ; attempt++ {
-		c.obs.Counter("dash.client.attempts").Inc()
+		c.met.attempts.Inc()
 		derr := c.attempt(ctx, path, timeout, consume)
 		if derr == nil {
 			return attempt, nil
 		}
 		derr.Attempts = attempt
 		if !derr.Retryable() || attempt >= pol.MaxAttempts {
-			c.obs.Counter("dash.client.errors." + derr.Kind.String()).Inc()
+			c.met.errors[derr.Kind].Inc()
 			return attempt, derr
 		}
-		c.obs.Counter("dash.client.retries").Inc()
+		c.met.retries.Inc()
 		delay := pol.backoff(attempt)
 		if derr.Kind == KindOverload && derr.RetryAfter > delay {
 			// The shedding server named its price; pay it rather than
 			// hammering a node that is trying to drain.
 			delay = derr.RetryAfter
-			c.obs.Counter("dash.client.retry_after_floors").Inc()
+			c.met.retryAfterFloors.Inc()
 		}
 		if err := c.pause(ctx, delay); err != nil {
 			derr.Kind = KindCanceled
-			c.obs.Counter("dash.client.errors." + derr.Kind.String()).Inc()
+			c.met.errors[KindCanceled].Inc()
 			return attempt, derr
 		}
 	}
@@ -320,17 +391,17 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 
 // FetchMPD downloads and parses a video's manifest.
 func (c *Client) FetchMPD(ctx context.Context, videoID string) (*MPD, error) {
-	c.obs.Counter("dash.client.mpd_fetches").Inc()
+	c.met.mpdFetches.Inc()
 	var data []byte
-	_, err := c.do(ctx, mpdPath(videoID), true, func(resp *http.Response) (err error) {
-		defer resp.Body.Close()
-		data, err = io.ReadAll(resp.Body)
+	_, err := c.do(ctx, mpdPath(videoID), true, func(x *exchange) (err error) {
+		defer x.Close()
+		data, err = io.ReadAll(x)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.obs.Counter("dash.client.bytes_rx").Add(int64(len(data)))
+	c.met.bytesRx.Add(int64(len(data)))
 	return ParseMPD(data)
 }
 
@@ -346,24 +417,31 @@ func (c *Client) FetchLayer(ctx context.Context, videoID string, layer, tile, id
 }
 
 // fetchSegment decodes the segment straight off the response body:
-// media.ReadSegment sizes the payload from the header and CRC-checks
-// it, so the one body-sized allocation is the payload the caller keeps.
-// A body that arrives short or fails its CRC is one more attempt.
+// media.ReadSegment sizes the payload from the header once it agrees
+// with the response's Content-Length, and CRC-checks it, so the one
+// body-sized allocation is the payload the caller keeps. A body that
+// arrives short, fails its CRC or is not the length its response
+// declared is one more attempt.
 func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, error) {
 	start := c.wallNow()
 	var res FetchResult
-	attempts, err := c.do(ctx, path, true, func(resp *http.Response) error {
-		defer resp.Body.Close()
+	attempts, err := c.do(ctx, path, true, func(x *exchange) error {
+		defer x.Close()
+		var r io.Reader = x
+		if x.length >= 0 {
+			x.sized = io.LimitedReader{R: x, N: x.length}
+			r = &x.sized
+		}
 		var err error
-		if res.Header, res.Payload, err = media.ReadSegment(resp.Body); err != nil {
+		if res.Header, res.Payload, err = media.ReadSegment(r); err != nil {
 			return fmt.Errorf("decoding segment: %w", err)
 		}
-		// A Content-Length body read to its declared end reported EOF with
-		// its last byte and costs nothing more; a chunked one needs this
-		// read to see its terminator, and one that runs on past the
-		// segment is read to its end if that is near.
-		if resp.ContentLength != int64(media.SegmentLen(res.Header.VideoID, len(res.Payload))) {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
+		// A body under its Content-Length ended where the segment did and
+		// reported EOF with its last byte; a chunked one needs this read to
+		// see its terminator, and one that runs on past the segment is read
+		// to its end if that is near.
+		if x.length < 0 {
+			io.Copy(io.Discard, io.LimitReader(x, drainLimit))
 		}
 		return nil
 	})
@@ -379,12 +457,12 @@ func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, er
 		res.Elapsed = time.Millisecond
 	}
 	res.ThroughputBPS = float64(res.WireBytes) * 8 / res.Elapsed.Seconds()
-	c.obs.Counter("dash.client.bytes_rx").Add(res.WireBytes)
-	c.obs.Counter("dash.client.segment_fetches").Inc()
+	c.met.bytesRx.Add(res.WireBytes)
+	c.met.segmentFetches.Inc()
 	if attempts > 1 {
-		c.obs.Counter("dash.client.segment_fetches_retried").Inc()
+		c.met.segmentFetchesRetried.Inc()
 	}
-	c.obs.Histogram("dash.client.fetch_ms").Observe(float64(res.Elapsed) / float64(time.Millisecond))
+	c.met.fetchMS.Observe(float64(res.Elapsed) / float64(time.Millisecond))
 	return res, nil
 }
 
@@ -404,32 +482,32 @@ type ChunkStream struct {
 // Fetch methods) covers everything up to the response headers; once a
 // 200 arrives the body streams on the caller's context and mid-body
 // failures are the caller's to handle — bytes may already have been
-// forwarded downstream, so nothing can be transparently retried. No
-// per-attempt timeout applies — it would keep ticking under the
-// returned body and cut it mid-copy; the caller's ctx and the
-// http.Client's own Timeout still bound the exchange.
+// forwarded downstream, so nothing can be transparently retried. The
+// exchange's deadline is DefaultTimeout, from the request that reached
+// the headers to the body's Close; the policy's AttemptTimeout is sized
+// for a fetch and would cut a slow copy.
 func (c *Client) OpenChunk(ctx context.Context, videoID string, q, tile, idx int, layer bool) (ChunkStream, error) {
-	var st ChunkStream
-	attempts, err := c.do(ctx, chunkPath(videoID, q, tile, idx, layer), false, func(resp *http.Response) error {
-		st = ChunkStream{Body: resp.Body, Length: resp.ContentLength}
+	var x *exchange
+	attempts, err := c.do(ctx, chunkPath(videoID, q, tile, idx, layer), false, func(opened *exchange) error {
+		x = opened
 		return nil
 	})
 	if err != nil {
 		return ChunkStream{}, err
 	}
-	st.Attempts = attempts
-	c.obs.Counter("dash.client.opens").Inc()
-	return st, nil
+	x.attempts = attempts
+	c.met.opens.Inc()
+	return ChunkStream{Body: x, Length: x.length, Attempts: attempts}, nil
 }
 
 // Ping performs one cheap liveness probe: a single GET /v attempt, no
 // retries — probe loops bring their own pacing, and retrying inside a
 // probe would only blur the failure detector's picture.
 func (c *Client) Ping(ctx context.Context) error {
-	derr := c.attempt(ctx, "/v", 0, func(resp *http.Response) error {
-		defer resp.Body.Close()
+	derr := c.attempt(ctx, "/v", c.openTimeout, func(x *exchange) error {
+		defer x.Close()
 		// Drain the (tiny) listing so the connection is reusable.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
+		io.Copy(io.Discard, io.LimitReader(x, drainLimit))
 		return nil
 	})
 	if derr != nil {

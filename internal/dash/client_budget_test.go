@@ -3,6 +3,7 @@ package dash
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sperke/internal/media"
 	"sperke/internal/obs"
 )
 
@@ -243,7 +245,7 @@ func memoryFetch(tb testing.TB) (fetch func(), bodyLen int) {
 // segment allocates the payload the caller keeps plus a fixed
 // per-request overhead — never a second copy of the body, let alone the
 // several an unsized read-all-then-decode makes on the way to N — in at
-// most 38 objects.
+// most 14 objects.
 func TestFetchChunkAllocBudget(t *testing.T) {
 	fetch, bodyLen := memoryFetch(t)
 	fetch() // warm pools
@@ -260,10 +262,53 @@ func TestFetchChunkAllocBudget(t *testing.T) {
 	if perOp > int64(bodyLen)+overhead {
 		t.Fatalf("FetchChunk allocates %d B for a %d B body; budget is the body + %d B", perOp, bodyLen, overhead)
 	}
-	if n := testing.AllocsPerRun(100, fetch); n > 38 {
-		t.Fatalf("FetchChunk allocates %.0f objects, want at most 38", n)
+	n := testing.AllocsPerRun(100, fetch)
+	t.Logf("FetchChunk: %.0f allocs, %d B/op for a %d B body", n, perOp, bodyLen)
+	if n > 14 {
+		t.Fatalf("FetchChunk allocates %.0f objects, want at most 14", n)
 	}
-	t.Logf("FetchChunk: %d B/op for a %d B body", perOp, bodyLen)
+}
+
+// TestFetchBelievesNoHeaderPastItsResponse: a segment header's payload
+// length is a number off the wire. Thirty bytes whose header declares a
+// 64 MiB payload cost the client next to nothing when the response said
+// Content-Length: 30 — the two disagree, and the fetch fails transient
+// before the payload is allocated — and one bounded block when it
+// declared no length; either way never the 64 MiB.
+func TestFetchBelievesNoHeaderPastItsResponse(t *testing.T) {
+	var lie bytes.Buffer
+	if err := media.WriteSegment(&lie, media.SegmentHeader{VideoID: "x"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	reply := append(lie.Bytes(), 1, 2, 3) // 26-byte header, the ID, three bytes of payload
+	binary.BigEndian.PutUint32(reply[18:], media.MaxPayloadLen)
+	if len(reply) != 30 {
+		t.Fatalf("reply is %d bytes, want 30", len(reply))
+	}
+	for _, tc := range []struct {
+		name   string
+		length int64
+		budget uint64
+	}{
+		{"Content-Length: 30", 30, 64 << 10},
+		{"no Content-Length", -1, 512 << 10},
+	} {
+		c := NewClient("http://mem.test", WithRetry(RetryPolicy{MaxAttempts: -1}),
+			WithTransport(bodyFunc(func() (io.ReadCloser, int64) {
+				return io.NopCloser(bytes.NewReader(reply)), tc.length
+			})))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := c.FetchChunk(context.Background(), "x", 0, 0, 0)
+		runtime.ReadMemStats(&after)
+		var de *Error
+		if !errors.As(err, &de) || de.Kind != KindTransient {
+			t.Fatalf("%s: err = %v, want a transient *Error", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.budget {
+			t.Fatalf("%s: a 30-byte reply cost %d B, want at most %d", tc.name, got, tc.budget)
+		}
+	}
 }
 
 func BenchmarkClientFetchChunk(b *testing.B) {

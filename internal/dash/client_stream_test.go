@@ -169,12 +169,14 @@ func (b *eofBody) Close() error {
 	return nil
 }
 
-// bodyFunc answers every request with a 200 over a fresh body.
-type bodyFunc func() io.ReadCloser
+// bodyFunc answers every request with a 200 over a fresh body and the
+// Content-Length it declares for it (-1 for none).
+type bodyFunc func() (io.ReadCloser, int64)
 
 func (f bodyFunc) RoundTrip(req *http.Request) (*http.Response, error) {
+	body, length := f()
 	return &http.Response{StatusCode: http.StatusOK, Status: "200 OK", Header: make(http.Header),
-		Request: req, Body: f(), ContentLength: -1}, nil
+		Request: req, Body: body, ContentLength: length}, nil
 }
 
 // TestFetchLeavesConnectionReusable: decoding straight off the wire
@@ -194,9 +196,9 @@ func TestFetchLeavesConnectionReusable(t *testing.T) {
 		"eof-after-data": func() io.Reader { return bytes.NewReader(body) },
 	} {
 		var last *eofBody
-		c := NewClient("http://mem.test", WithTransport(bodyFunc(func() io.ReadCloser {
+		c := NewClient("http://mem.test", WithTransport(bodyFunc(func() (io.ReadCloser, int64) {
 			last = &eofBody{r: reader()}
-			return last
+			return last, -1
 		})))
 		res, err := c.FetchChunk(context.Background(), v.ID, 1, 2, 0)
 		if err != nil {

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,8 +43,8 @@ func faultyServer(t *testing.T, in *faults.Injector) (*httptest.Server, *atomic.
 
 // fastClient disables real sleeping so retry tests run instantly,
 // recording each backoff it would have waited.
-func fastClient(url string, slept *[]time.Duration) *Client {
-	c := NewClient(url)
+func fastClient(url string, slept *[]time.Duration, opts ...ClientOption) *Client {
+	c := NewClient(url, opts...)
 	c.sleep = func(ctx context.Context, d time.Duration) error {
 		if slept != nil {
 			*slept = append(*slept, d)
@@ -217,15 +220,129 @@ func TestClientElapsedFlooredAtMillisecond(t *testing.T) {
 	}
 }
 
-func TestClientDefaultHTTPClientHasTimeout(t *testing.T) {
-	c := NewClient("http://example.invalid")
-	if got := c.hc.Timeout; got != DefaultTimeout {
-		t.Fatalf("default client timeout %v, want %v", got, DefaultTimeout)
-	}
+// TestOpenChunkStalledBodyFailsAtDeadline: the body OpenChunk hands
+// over still runs under the exchange's deadline. A server that sends
+// the headers and half the body and then goes quiet costs the reader
+// that deadline and no more, and the read fails typed — transient, ours,
+// because the caller's own context is still live.
+func TestOpenChunkStalledBodyFailsAtDeadline(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "1000")
+		w.Write(make([]byte, 500))
+		w.(http.Flusher).Flush()
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer srv.Close()
+	defer close(release)
 	tr := &http.Transport{}
-	c = NewClient("http://example.invalid", WithTransport(tr))
-	if c.hc.Transport != tr || c.hc.Timeout != DefaultTimeout {
-		t.Fatalf("WithTransport client = %+v, want the given transport under DefaultTimeout", c.hc)
+	defer tr.CloseIdleConnections()
+	c := NewClient(srv.URL, WithTransport(tr))
+	c.openTimeout = 150 * time.Millisecond
+
+	start := time.Now()
+	st, err := c.OpenChunk(context.Background(), "demo", 0, 0, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Body.Close()
+	n, err := io.Copy(io.Discard, st.Body)
+	if held := time.Since(start); held < c.openTimeout || held > 5*time.Second {
+		t.Fatalf("stalled body held the reader %v; the deadline is %v", held, c.openTimeout)
+	}
+	var de *Error
+	if n != 500 || !errors.As(err, &de) || de.Kind != KindTransient || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("read %d bytes, err = %v; want 500 and a transient *Error over context.DeadlineExceeded", n, err)
+	}
+}
+
+// ctxSpy records the context of the last request it carried.
+type ctxSpy struct {
+	next http.RoundTripper
+	last context.Context
+}
+
+func (s *ctxSpy) RoundTrip(req *http.Request) (*http.Response, error) {
+	s.last = req.Context()
+	return s.next.RoundTrip(req)
+}
+
+// TestExchangeDeadlineReleased: the deadline lives exactly as long as
+// the exchange. It is still running while a healthy body is being read
+// and is released by Close; a non-200 and a failed dial release it
+// before the call returns. Nothing is left behind either way — the
+// request's context is done (its timer stopped) and no goroutine
+// outlives the exchange.
+func TestExchangeDeadlineReleased(t *testing.T) {
+	srv, _ := faultyServer(t, nil)
+	tr := &http.Transport{}
+	spy := &ctxSpy{next: tr}
+	policy := WithRetry(RetryPolicy{MaxAttempts: -1})
+	ctx := context.Background()
+	before := runtime.NumGoroutine()
+
+	c := NewClient(srv.URL, WithTransport(spy), policy)
+	st, err := c.OpenChunk(ctx, "demo", 0, 0, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, st.Body); err != nil || spy.last.Err() != nil {
+		t.Fatalf("healthy body: read err %v, exchange context %v before Close; want both nil", err, spy.last.Err())
+	}
+	st.Body.Close()
+	if spy.last.Err() == nil {
+		t.Fatal("healthy body: the exchange's deadline outlived Close")
+	}
+
+	if _, err := c.OpenChunk(ctx, "no-such-video", 0, 0, 0, false); err == nil || spy.last.Err() == nil {
+		t.Fatalf("non-200: err %v, exchange context %v; want an error and a released deadline", err, spy.last.Err())
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close() // nothing listens here now
+	refused := NewClient("http://"+ln.Addr().String(), WithTransport(spy), policy)
+	if _, err := refused.OpenChunk(ctx, "demo", 0, 0, 0, false); err == nil || spy.last.Err() == nil {
+		t.Fatalf("dial error: err %v, exchange context %v; want an error and a released deadline", err, spy.last.Err())
+	}
+	if err := refused.Ping(ctx); err == nil || spy.last.Err() == nil {
+		t.Fatalf("refused ping: err %v, exchange context %v; want an error and a released deadline", err, spy.last.Err())
+	}
+
+	tr.CloseIdleConnections()
+	srv.Close()
+	deadline := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d -> %d after every exchange ended", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestClientRedirectIsFatalNotFollowed: the client speaks to the server
+// it was given. A 3xx is an answer it cannot use — fatal, one request,
+// and the Location is never visited.
+func TestClientRedirectIsFatalNotFollowed(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Redirect(w, r, "/elsewhere", http.StatusFound)
+	}))
+	defer srv.Close()
+	c := fastClient(srv.URL, nil)
+	_, err := c.FetchChunk(context.Background(), "demo", 0, 0, 0)
+	var de *Error
+	if !errors.As(err, &de) || de.Kind != KindFatal || de.Status != http.StatusFound || de.Attempts != 1 {
+		t.Fatalf("err = %v, want a fatal 302 *Error after one attempt", err)
+	}
+	if got := requests.Load(); got != 1 {
+		t.Fatalf("server saw %d requests, want 1 (redirect followed or retried)", got)
 	}
 }
 
@@ -250,9 +367,8 @@ func TestClientRetryAfterFloorsBackoff(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	var slept []time.Duration
-	c := fastClient(srv.URL, &slept)
 	reg := obs.NewRegistry()
-	c.obs = reg
+	c := fastClient(srv.URL, &slept, WithClientObs(reg))
 	res, err := c.FetchChunk(context.Background(), "demo", 0, 0, 0)
 	if err != nil {
 		t.Fatalf("fetch through one shed failed: %v", err)
@@ -278,9 +394,8 @@ func TestClientOverloadExhaustionKeepsKind(t *testing.T) {
 		http.Error(w, "overloaded", http.StatusServiceUnavailable)
 	}))
 	t.Cleanup(srv.Close)
-	c := fastClient(srv.URL, nil)
 	reg := obs.NewRegistry()
-	c.obs = reg
+	c := fastClient(srv.URL, nil, WithClientObs(reg))
 	_, err := c.FetchChunk(context.Background(), "demo", 0, 0, 0)
 	var derr *Error
 	if !errors.As(err, &derr) {

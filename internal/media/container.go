@@ -203,11 +203,23 @@ func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) err
 	return nil
 }
 
+// unsizedFirstLen is the most payload ReadSegment allocates on a
+// header's word alone, when the reader cannot say where the segment
+// ends; past it the payload grows only as bytes arrive.
+const unsizedFirstLen = 256 << 10
+
 // ReadSegment decodes one segment from r, validating magic, version,
-// bounds and payload CRC.
+// bounds and payload CRC. The payload and the ID string are all it
+// allocates that outlives the call. An *io.LimitedReader says where the
+// segment ends — a response body under its Content-Length — and a header
+// declaring a payload that would end anywhere else is refused before
+// the payload is allocated; from any other reader the declared length is
+// believed only as far as unsizedFirstLen ahead of the bytes read.
 func ReadSegment(r io.Reader) (SegmentHeader, []byte, error) {
 	var h SegmentHeader
-	fixed := make([]byte, headerFixedLen)
+	scratch := blockPool.Get()
+	defer blockPool.Put(scratch)
+	fixed := (*scratch)[:headerFixedLen]
 	if _, err := io.ReadFull(r, fixed); err != nil {
 		return h, nil, err
 	}
@@ -226,19 +238,33 @@ func ReadSegment(r io.Reader) (SegmentHeader, []byte, error) {
 	h.Tile = tiling.TileID(binary.BigEndian.Uint16(fixed[8:]))
 	h.Start = time.Duration(binary.BigEndian.Uint32(fixed[10:])) * time.Millisecond
 	h.Duration = time.Duration(binary.BigEndian.Uint32(fixed[14:])) * time.Millisecond
-	payloadLen := binary.BigEndian.Uint32(fixed[18:])
-	if payloadLen > MaxPayloadLen {
-		return h, nil, fmt.Errorf("media: payload length %d exceeds max", payloadLen)
+	declared := binary.BigEndian.Uint32(fixed[18:])
+	if declared > MaxPayloadLen {
+		return h, nil, fmt.Errorf("media: payload length %d exceeds max", declared)
 	}
+	payloadLen := int(declared)
 	wantCRC := binary.BigEndian.Uint32(fixed[22:])
-	id := make([]byte, idLen)
+	id := (*scratch)[headerFixedLen : headerFixedLen+idLen]
 	if _, err := io.ReadFull(r, id); err != nil {
 		return h, nil, err
 	}
 	h.VideoID = string(id)
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return h, nil, err
+	first := min(payloadLen, unsizedFirstLen)
+	if lr, ok := r.(*io.LimitedReader); ok {
+		if lr.N != int64(payloadLen) {
+			return h, nil, fmt.Errorf("media: header declares a %d-byte payload, %d bytes are left to the segment's end", payloadLen, lr.N)
+		}
+		first = payloadLen
+	}
+	payload := make([]byte, first)
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			return h, nil, err
+		}
+		if read = len(payload); read == payloadLen {
+			break
+		}
+		payload = append(payload, make([]byte, min(read, payloadLen-read))...)
 	}
 	if crc32.ChecksumIEEE(payload) != wantCRC {
 		return h, nil, ErrCorrupt

@@ -2,8 +2,10 @@ package media
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"sperke/internal/sphere"
 	"sperke/internal/trace"
 	"strings"
@@ -148,6 +150,57 @@ func TestReadSegmentTruncated(t *testing.T) {
 		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrBadMagic) {
 			t.Fatalf("truncation at %d: unexpected error %v", cut, err)
 		}
+	}
+}
+
+// TestReadSegmentSizing: how far a header's declared payload length is
+// believed depends on what the reader can say about itself. Behind an
+// *io.LimitedReader the segment must end where the limit does — one
+// byte either way is refused, with nothing read past the ID; from a
+// plain reader a payload longer than unsizedFirstLen still decodes, grown
+// as it arrives, and a declared length the bytes never back costs one
+// first block, not the declared size.
+func TestReadSegmentSizing(t *testing.T) {
+	h := SegmentHeader{VideoID: "sized", Quality: 2, Tile: 7}
+	want := SyntheticPayload(9, 2*unsizedFirstLen+12345)
+	var buf bytes.Buffer
+	if err := WriteSegment(&buf, h, want); err != nil {
+		t.Fatal(err)
+	}
+	seg := buf.Bytes()
+
+	for _, off := range []int64{-1, 0, 1} {
+		src := bytes.NewReader(seg)
+		_, payload, err := ReadSegment(&io.LimitedReader{R: src, N: int64(len(seg)) + off})
+		if off == 0 {
+			if err != nil || !bytes.Equal(payload, want) {
+				t.Fatalf("limit at the segment's end: err %v, %d payload bytes of %d", err, len(payload), len(want))
+			}
+			continue
+		}
+		if err == nil || src.Len() != len(want) {
+			t.Fatalf("limit %+d from the segment's end: err %v with %d bytes unread, want a refusal before the payload's %d", off, err, src.Len(), len(want))
+		}
+	}
+
+	got, payload, err := ReadSegment(bytes.NewReader(seg))
+	if err != nil || got != h || !bytes.Equal(payload, want) {
+		t.Fatalf("unsized read: err %v, header %+v, %d payload bytes of %d", err, got, len(payload), len(want))
+	}
+	for _, cut := range []int{len(seg) - 1, len(seg) - len(want) + unsizedFirstLen, len(seg) - len(want) + 1} {
+		if _, _, err := ReadSegment(bytes.NewReader(seg[:cut])); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("unsized read cut at %d: err %v, want an EOF", cut, err)
+		}
+	}
+
+	oversold := bytes.Clone(seg[:len(seg)-len(want)+3])
+	binary.BigEndian.PutUint32(oversold[18:], MaxPayloadLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = ReadSegment(bytes.NewReader(oversold))
+	runtime.ReadMemStats(&after)
+	if err == nil || after.TotalAlloc-before.TotalAlloc > 2*unsizedFirstLen {
+		t.Fatalf("3 bytes under a %d-byte claim: err %v, %d B allocated; want an error and at most one first block", MaxPayloadLen, err, after.TotalAlloc-before.TotalAlloc)
 	}
 }
 

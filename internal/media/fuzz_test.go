@@ -2,6 +2,7 @@ package media
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"sperke/internal/tiling"
@@ -21,6 +22,15 @@ func FuzzReadSegment(f *testing.F) {
 	}
 	f.Add([]byte("SPRK"))
 	f.Add([]byte{})
+	// A well-formed header declaring the largest payload there is, over
+	// three bytes of one.
+	var lie bytes.Buffer
+	if err := WriteSegment(&lie, SegmentHeader{VideoID: "x"}, nil); err != nil {
+		f.Fatal(err)
+	}
+	oversold := append(lie.Bytes(), 1, 2, 3)
+	binary.BigEndian.PutUint32(oversold[18:], MaxPayloadLen)
+	f.Add(oversold)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, payload, err := ReadSegment(bytes.NewReader(data))
 		if err != nil {
