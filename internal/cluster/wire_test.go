@@ -116,6 +116,44 @@ func TestWireClusterServesOverLoopback(t *testing.T) {
 	}
 }
 
+// TestWireFrontDoorHeadOpensNoHop: a HEAD at the front door is answered
+// from the catalog's size model. It is not routed — cluster.requests
+// and every edge's request count stay put, no edge or origin store
+// gains a body — and its Content-Length is the GET's.
+func TestWireFrontDoorHeadOpensNoHop(t *testing.T) {
+	v := wireVideo()
+	catalog := wireCatalog(t, v)
+	reg := obs.NewRegistry()
+	origin := serve.NewCatalogStore(catalog, serve.StoreConfig{})
+	c, err := New(origin, WithNodes(3), WithLoopback(), WithCatalog(catalog), WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	routed := reg.Counter("cluster.requests")
+	atEdges := func() (n int64) {
+		for _, node := range c.Nodes() {
+			n += node.Requests()
+		}
+		return n
+	}
+	rec := httptest.NewRecorder()
+	c.FrontDoor().ServeHTTP(rec, httptest.NewRequest(http.MethodHead, "/v/wire/c/2/5/1", nil))
+	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+		t.Fatalf("HEAD: status %d, %d body bytes", rec.Code, rec.Body.Len())
+	}
+	if routed.Value() != 0 || atEdges() != 0 || origin.Len() != 0 {
+		t.Fatalf("HEAD: cluster.requests %d, edge requests %d, origin bodies %d; want 0 of each", routed.Value(), atEdges(), origin.Len())
+	}
+	get := chunkGET(t, c.FrontDoor(), serve.ChunkKey{Video: v.ID, Quality: 2, Tile: 5, Index: 1})
+	if routed.Value() != 1 || atEdges() != 1 {
+		t.Fatalf("GET: cluster.requests %d, edge requests %d; want 1 and 1", routed.Value(), atEdges())
+	}
+	if h, g := rec.Header().Get("Content-Length"), get.Header().Get("Content-Length"); h != g || g != strconv.Itoa(get.Body.Len()) {
+		t.Fatalf("Content-Length: HEAD %q, GET %q over %d bytes", h, g, get.Body.Len())
+	}
+}
+
 // TestWireKillIsConnectionRefused pins the honest failure mode of the
 // wire form: a killed node's client meets ECONNREFUSED — not a typed
 // in-process sentinel — and the router fails the key over to its

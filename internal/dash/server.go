@@ -355,12 +355,19 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	if s.store == nil {
-		// Writer-first store-less path: Content-Length comes from the
-		// size model, the body streams block by block straight into the
-		// response writer — no body-sized buffer anywhere.
+	if s.store == nil || r.Method == http.MethodHead {
+		// Content-Length comes from the size model. It is all a HEAD
+		// gets — the mux matches one to the GET pattern, and net/http
+		// discards what its handler writes, so nothing is synthesized,
+		// missed into the store or fetched over an edge hop for it.
 		SetOctetStream(w.Header())
 		w.Header().Set("Content-Length", strconv.Itoa(media.SegmentLen(h.VideoID, int(size))))
+		if r.Method == http.MethodHead {
+			return
+		}
+		// Writer-first store-less path: the body streams block by block
+		// straight into the response writer — no body-sized buffer
+		// anywhere.
 		if err := media.WriteSyntheticSegment(w, h, seed, int(size)); err != nil {
 			// The spec was fully validated above, so a failure here is
 			// the client hanging up mid-stream.

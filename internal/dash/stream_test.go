@@ -8,10 +8,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
+	"time"
 
 	"sperke/internal/media"
 	"sperke/internal/obs"
+	"sperke/internal/tiling"
 )
 
 // buildSource is an in-test ChunkSource backed by BuildChunkBody — the
@@ -110,6 +113,38 @@ func TestLayerSeedDistinctFromChunk(t *testing.T) {
 	}
 	if bytes.Equal(layerPayload, fullPayload[:len(layerPayload)]) {
 		t.Fatal("SVC layer payload is a byte-prefix of the full chunk at the same address")
+	}
+}
+
+// TestChunkSeedsStartDistinct: over the whole address space of the
+// benchmark-sized video — five minutes on the 4x6 grid at six
+// qualities, 21,600 chunks and their SVC-layer twins — no two payloads
+// open with the same 16 bytes. The generator is counter-based, every
+// stream a window on one sequence, so seeds that landed on (or a word
+// away from) each other would show here as bodies sharing their head.
+func TestChunkSeedsStartDistinct(t *testing.T) {
+	v := testVideo()
+	v.Duration, v.Grid = 5*time.Minute, tiling.GridCellular
+	heads := make(map[[16]byte]uint64, 2*v.Qualities()*v.Grid.Tiles()*v.NumChunks())
+	for q := 0; q < v.Qualities(); q++ {
+		for tile := 0; tile < v.Grid.Tiles(); tile++ {
+			for idx := 0; idx < v.NumChunks(); idx++ {
+				for _, layer := range []bool{false, true} {
+					_, seed, _, err := chunkSpec(v, q, tile, idx, layer)
+					if err != nil {
+						t.Fatal(err)
+					}
+					head := [16]byte(media.SyntheticPayload(seed, 16))
+					if other, dup := heads[head]; dup {
+						t.Fatalf("seeds %#x and %#x open with the same 16 bytes", other, seed)
+					}
+					heads[head] = seed
+				}
+			}
+		}
+	}
+	if len(heads) != 2*21600 {
+		t.Fatalf("walked %d addresses, want %d", len(heads), 2*21600)
 	}
 }
 
@@ -329,6 +364,43 @@ func TestStorelessChunkAllocBudget(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, get); n > 5 {
 		t.Fatalf("store-less request allocates %.0f objects, want at most 5 (mux routing)", n)
+	}
+}
+
+// TestStorelessHeadWritesNoBody: the mux hands a HEAD to the GET
+// handler, and net/http would discard whatever it wrote. The handler
+// answers from the size model instead: the GET's headers, not one body
+// byte through its writer, nothing body-sized allocated.
+func TestStorelessHeadWritesNoBody(t *testing.T) {
+	cat := NewCatalog()
+	if err := cat.Add(testVideo()); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(cat)
+	serve := func(method string) *discardWriter {
+		w := &discardWriter{h: make(http.Header, 4)}
+		s.ServeHTTP(w, httptest.NewRequest(method, "/v/demo/c/2/5/3", nil))
+		return w
+	}
+	get, head := serve("GET"), serve("HEAD")
+	if get.n == 0 || get.h.Get("Content-Length") != strconv.FormatInt(get.n, 10) {
+		t.Fatalf("GET wrote %d bytes under Content-Length %q", get.n, get.h.Get("Content-Length"))
+	}
+	if !reflect.DeepEqual(head.h, get.h) {
+		t.Fatalf("HEAD headers %v, GET headers %v", head.h, get.h)
+	}
+	if head.n != 0 {
+		t.Fatalf("HEAD pushed %d body bytes through the handler's writer", head.n)
+	}
+	const iters = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < iters; i++ {
+		serve("HEAD")
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := int64(after.TotalAlloc-before.TotalAlloc) / iters; perOp >= get.n/4 {
+		t.Fatalf("HEAD allocates %d B/op against a %d B body", perOp, get.n)
 	}
 }
 

@@ -60,12 +60,16 @@ const (
 	// ~49.7 days would silently wrap and fail to round-trip through
 	// ReadSegment. validateSegment rejects it instead.
 	MaxSegmentTime = time.Duration(math.MaxUint32) * time.Millisecond
-	// SyntheticBlockLen is the fixed scratch size of the writer-first
-	// synthesis path: WriteSyntheticSegment never holds more than one
-	// such block regardless of payload length. A multiple of 8 so block
-	// boundaries stay aligned with the generator's 8-byte words.
+	// SyntheticBlockLen is the fixed scratch size of the streaming
+	// synthesis form: WriteSyntheticSegment never holds more than one
+	// such block regardless of payload length.
 	SyntheticBlockLen = 32 << 10
 )
+
+// A block boundary must fall on a word of the generator (see
+// synthStream.fill): a block size that is not a multiple of 8 would
+// shift every byte after the first block, so it does not compile.
+var _ [0]struct{} = [SyntheticBlockLen % 8]struct{}{}
 
 // SegmentHeader describes one chunk (or one SVC layer of a chunk) on the
 // wire.
@@ -148,20 +152,41 @@ func WriteSegment(w io.Writer, h SegmentHeader, payload []byte) error {
 // number of concurrent writers, never by body sizes.
 var blockPool = obs.NewSizedBufferPool(nil, "media.block", SyntheticBlockLen, SyntheticBlockLen)
 
-// WriteSyntheticSegment streams a segment whose payload is
-// SyntheticPayload(seed, n) into w without ever materializing the
-// payload: the deterministic generator is run once through a CRC-32
-// hasher over a reused SyntheticBlockLen scratch block (the CRC of a
-// synthetic payload is computable before emission), then the header is
-// emitted and the payload regenerated block by block straight into w.
-// Peak scratch is the fixed block size regardless of n, and the bytes
-// written are exactly WriteSegment(w, h, SyntheticPayload(seed, n)).
+// WriteSyntheticSegment writes a segment whose payload is
+// SyntheticPayload(seed, n) into w; the bytes written are exactly
+// WriteSegment(w, h, SyntheticPayload(seed, n)). It is the one producer
+// of a synthetic body and takes one of two shapes, chosen by where it
+// is writing:
+//
+//   - w lends out its spare capacity (AvailableBuffer, as bytes.Buffer
+//     and bufio.Writer do) and the whole segment fits in it: the segment
+//     is built there in one pass — payload generated in place, CRC taken
+//     over those bytes, header back-filled in front — and handed to a
+//     single w.Write, which is the documented use of AvailableBuffer.
+//   - otherwise (a socket, a destination without the room) the CRC
+//     precedes the payload on the wire, so the generator runs twice
+//     through one pooled SyntheticBlockLen block: once under the CRC,
+//     then, after the header, block by block into w. Peak scratch is the
+//     block regardless of n.
+//
+// Neither shape allocates.
 func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) error {
 	if n < 0 {
 		return fmt.Errorf("media: negative payload length %d", n)
 	}
 	if err := validateSegment(h, n); err != nil {
 		return err
+	}
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		if dst, segLen := ab.AvailableBuffer(), SegmentLen(h.VideoID, n); cap(dst) >= segLen {
+			seg := dst[:segLen]
+			payload := seg[segLen-n:]
+			s := newSynthStream(seed)
+			s.fill(payload)
+			appendSegmentHeader(seg[:0], h, n, crc32.ChecksumIEEE(payload))
+			_, err := w.Write(seg)
+			return err
+		}
 	}
 	scratch := blockPool.Get()
 	defer blockPool.Put(scratch)
@@ -171,10 +196,7 @@ func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) err
 	var crc uint32
 	s := newSynthStream(seed)
 	for rem := n; rem > 0; {
-		k := rem
-		if k > len(block) {
-			k = len(block)
-		}
+		k := min(rem, len(block))
 		s.fill(block[:k])
 		crc = crc32.Update(crc, crc32.IEEETable, block[:k])
 		rem -= k
@@ -190,10 +212,7 @@ func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) err
 	// Pass 2: regenerate the payload into w.
 	s = newSynthStream(seed)
 	for rem := n; rem > 0; {
-		k := rem
-		if k > len(block) {
-			k = len(block)
-		}
+		k := min(rem, len(block))
 		s.fill(block[:k])
 		if _, err := w.Write(block[:k]); err != nil {
 			return err
@@ -292,46 +311,61 @@ func SyntheticPayload(seed uint64, n int) []byte {
 	return p
 }
 
-// synthStream is the resumable form of the synthetic-payload
-// generator: consecutive fill calls emit consecutive bytes of the same
-// prefix-stable stream, which is what lets WriteSyntheticSegment
-// regenerate a payload block by block instead of holding it whole.
-// Callers must keep every fill length a multiple of 8 except the last
-// (the word generator has no partial-word carry).
+// synthStream is the synthetic-payload generator, counter-based: word i
+// of a seed's stream is mix64(base + (i+1)·synthGamma), where base is
+// mix64(seed + synthGamma) — splitmix64 run from a mixed seed — written
+// little-endian, the last word truncated to what is left. Its contract,
+// which payload_test.go holds it to:
+//
+//   - deterministic: the stream is a pure function of (seed, word
+//     index), so no word waits on the one before it (fill overlaps four)
+//     and any offset can be reached by arithmetic on x;
+//   - prefix-stable: consecutive fill calls emit consecutive bytes, so
+//     a payload can be produced whole or block by block. Every fill
+//     length but the last must be a multiple of 8 — there is no
+//     partial-word carry;
+//   - seeds are decorrelated before they become a counter: 2k and 2k+1,
+//     a chunk and its SVC-layer twin, and every address of one video
+//     start far apart on the sequence, so no payload is a prefix or a
+//     shifted copy of another.
 type synthStream struct{ x uint64 }
 
-// newSynthStream seeds the stream. The seed is mixed through a
-// splitmix64 finalizer before forcing it odd: seeding xorshift with a
-// raw `seed | 1` collapses seeds 2k and 2k+1 onto the same stream, so
-// distinct chunks could share payload bytes and skew cache-dedup and
-// CRC-based comparisons.
+// synthGamma is splitmix64's increment, the odd 64-bit golden ratio.
+const synthGamma uint64 = 0x9e3779b97f4a7c15
+
+// mix64 is splitmix64's output finalizer.
+func mix64(z uint64) uint64 {
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
 func newSynthStream(seed uint64) synthStream {
-	x := seed + 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	x |= 1 // xorshift state must stay non-zero
-	return synthStream{x: x}
+	return synthStream{x: mix64(seed + synthGamma)}
 }
 
 // fill writes the next len(p) bytes of the stream into p.
 func (s *synthStream) fill(p []byte) {
-	// xorshift64* — tiny, fast, deterministic.
-	x := s.x
-	n := len(p)
-	for i := 0; i < n; i += 8 {
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		v := x * 2685821657736338717
-		if i+8 <= n {
-			binary.LittleEndian.PutUint64(p[i:], v)
-		} else {
-			for j := 0; i+j < n; j++ {
-				p[i+j] = byte(v >> (8 * j))
-			}
+	x, g := s.x, synthGamma // g: a variable's multiples may wrap, a constant's may not
+	for ; len(p) >= 32; p = p[32:] {
+		a, b, c := x+g, x+2*g, x+3*g
+		x += 4 * g
+		binary.LittleEndian.PutUint64(p, mix64(a))
+		binary.LittleEndian.PutUint64(p[8:], mix64(b))
+		binary.LittleEndian.PutUint64(p[16:], mix64(c))
+		binary.LittleEndian.PutUint64(p[24:], mix64(x))
+	}
+	for ; len(p) >= 8; p = p[8:] {
+		x += g
+		binary.LittleEndian.PutUint64(p, mix64(x))
+	}
+	if len(p) > 0 {
+		x += g
+		v := mix64(x)
+		for j := range p {
+			p[j] = byte(v >> (8 * j))
 		}
 	}
 	s.x = x

@@ -83,12 +83,14 @@ func (k ChunkKey) hash() uint64 {
 // WriterSynth is the sized streaming miss form: Size reports the exact
 // byte length of a key's body and Write streams those bytes into w.
 // The store allocates the cached body up front at exactly Size bytes
-// and streams straight into it — no scratch buffer, no post-build
-// copy, one body-sized allocation per miss (the bytes the cache
-// retains, sealed at len == cap). Both functions must be pure, and
-// Write must emit exactly Size bytes; a mismatch fails the Get rather
-// than caching a half-built body. Write takes no context, so a writer
-// flight always runs to completion and pays for no flight context.
+// and hands Write a writer over it that lends the room out
+// (AvailableBuffer), so a synthesizer can build in place — no scratch
+// buffer, no post-build copy, one body-sized allocation per miss (the
+// bytes the cache retains, sealed at len == cap). Both functions must
+// be pure, and Write must emit exactly Size bytes; a mismatch fails the
+// Get rather than caching a half-built body. Write takes no context, so
+// a writer flight always runs to completion and pays for no flight
+// context.
 type WriterSynth struct {
 	Size  func(key ChunkKey) (int, error)
 	Write func(w io.Writer, key ChunkKey) error
@@ -407,8 +409,11 @@ func (s *Store) abandon(sh *shard, key ChunkKey, fl *flight) {
 var writerPool = sync.Pool{New: func() any { return new(sliceWriter) }}
 
 // sliceWriter adapts an append destination to io.Writer; Write never
-// fails.
+// fails. AvailableBuffer lends out the room left, as bytes.Buffer's
+// does, so a synthesizer that looks for it builds the body in place.
 type sliceWriter struct{ buf []byte }
+
+func (sw *sliceWriter) AvailableBuffer() []byte { return sw.buf[len(sw.buf):] }
 
 func (sw *sliceWriter) Write(p []byte) (int, error) {
 	sw.buf = append(sw.buf, p...)
