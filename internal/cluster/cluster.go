@@ -7,10 +7,10 @@
 // connection refusal and re-routed responses proxy writer-first, never
 // materialized at the router. Every request, whichever form and
 // whichever front-door method it came through, takes the one path
-// route → walk → relay → originFallback. A health layer combines
-// periodic probes with passive per-request error accounting to declare
-// nodes down and up, failing requests over to the next-ranked live edge
-// and, when no edge can serve, to the origin. With replication R>1
+// route → walk → relay → originFallback. Each node's failure detector
+// combines periodic probes with passive per-request error accounting to
+// declare it down and up, failing requests over to the next-ranked live
+// edge and, when no edge can serve, to the origin. With replication R>1
 // every key has R rendezvous owners and served bodies are written
 // through to the other live owners, so killing any one owner costs zero
 // incremental origin fetches. Each edge bounds its in-flight work and sheds the excess
@@ -99,9 +99,7 @@ func (m *membership) without(name string) *membership {
 type Cluster struct {
 	origin dash.ChunkSource
 	front  *dash.Server
-	health *health
 	cfg    config
-	loop   *LoopbackTransport // non-nil in the loopback wire form
 
 	mem    atomic.Pointer[membership]
 	memMu  sync.Mutex // serializes membership writers; readers use mem
@@ -133,7 +131,7 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 	if cfg.wire && cfg.catalog == nil {
 		return nil, errors.New("cluster: the wire forms need a catalog (WithCatalog) — each node serves chunks through its own dash.Server")
 	}
-	cfg.health = cfg.health.withDefaults()
+	cfg.detector = cfg.detector.withDefaults()
 	if cfg.clock == nil {
 		cfg.clock = obs.NewWall()
 	}
@@ -143,7 +141,7 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 	c := &Cluster{
 		origin:     origin,
 		cfg:        cfg,
-		probeEvery: cfg.health.ProbeInterval,
+		probeEvery: cfg.detector.ProbeInterval,
 		clock:      cfg.clock,
 		reg:        cfg.obs,
 		met: clusterMetrics{
@@ -167,9 +165,8 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 		warmQ:    newWarmQueue(),
 	}
 	if cfg.loopback {
-		c.loop = NewLoopbackTransport()
+		c.cfg.transport = &LoopbackTransport{c: c}
 	}
-	c.health = newHealth(cfg.health, cfg.clock, cfg.obs)
 	m := &membership{byID: make(map[string]*Node, cfg.nodes)}
 	for i := 0; i < cfg.nodes; i++ {
 		id := fmt.Sprintf("edge-%d", c.nextID.Add(1)-1)
@@ -182,7 +179,9 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 		}
 		m.ids = append(m.ids, id)
 		m.byID[id] = n
-		c.health.add(id)
+	}
+	for _, n := range m.byID {
+		n.join()
 	}
 	c.mem.Store(m)
 	if cfg.catalog != nil {
@@ -193,12 +192,15 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 
 // buildNode constructs (and in the wire forms, starts) one edge. No
 // cluster lock is held — listeners come up before the node is
-// published to the routing table.
+// published to the routing table — and nothing another node of the same
+// name shares is written: a node that loses the race for its name is
+// retired without the winner noticing.
 func (c *Cluster) buildNode(id string) (*Node, error) {
 	n := newNode(id, c.origin, c.cfg.catalog, c.cfg.nodeShards,
 		c.cfg.nodeBudget, c.cfg.maxInFlight, c.reg, c.met.originFetches.Inc)
+	n.health = newHealth(id, c.cfg.detector, c.clock, c.reg)
 	if c.cfg.wire {
-		if err := n.startWire(c.loop, c.cfg.transport, c.reg); err != nil {
+		if err := n.startWire(c.cfg.transport, c.reg); err != nil {
 			return nil, err
 		}
 	}
@@ -230,7 +232,7 @@ func (c *Cluster) AddNode(name string) (*Node, error) {
 		n.retire()
 		return nil, fmt.Errorf("cluster: node %q already exists", name)
 	}
-	c.health.add(name)
+	n.join()
 	c.mem.Store(cur.with(n))
 	c.memMu.Unlock()
 	return n, nil
@@ -250,7 +252,7 @@ func (c *Cluster) RemoveNode(name string) error {
 		c.memMu.Unlock()
 		return fmt.Errorf("cluster: no node %q", name)
 	}
-	c.health.remove(name)
+	n.leave()
 	c.mem.Store(cur.without(name))
 	c.memMu.Unlock()
 	n.retire()
@@ -331,14 +333,15 @@ func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.Chu
 	ranked := Rank(key, m.ids)
 	owners := ranked[:min(c.cfg.replication, len(ranked))]
 	for rank, id := range ranked {
-		if !c.health.allow(id) {
+		edge := m.byID[id]
+		if !edge.health.allow() {
 			continue
 		}
 		var n int64
 		var targets []*Node
-		st, body, err := m.byID[id].open(ctx, key)
+		st, body, err := edge.open(ctx, key)
 		if err == nil {
-			targets = c.warmTargets(m, owners, id, key)
+			targets = coldOwners(m, owners, id, key)
 			if st.Body == nil {
 				// An in-process edge answered with its store's own body.
 				n, err = deliver(w, body)
@@ -347,7 +350,7 @@ func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.Chu
 			}
 		}
 		if err == nil {
-			c.health.observe(id, nil)
+			edge.health.observe(nil)
 			if rank > 0 {
 				c.met.reroutes.Inc()
 			}
@@ -365,12 +368,12 @@ func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.Chu
 			c.met.sheds.Inc()
 			break
 		}
-		c.health.observe(id, err)
+		edge.health.observe(err)
 		if w != nil && n > 0 {
 			return n, nil, err
 		}
 	}
-	return c.originFallback(ctx, w, key, fl)
+	return c.originFallback(ctx, w, key)
 }
 
 // enqueuePrewarms queues crowd-prior warm candidates for the other
@@ -407,21 +410,16 @@ func isShed(err error) bool {
 	return errors.As(err, &de) && de.Kind == dash.KindOverload
 }
 
-// warmTargets returns the key's other owners that are alive and cold —
-// the replicas a just-served body should be written through to. The
-// health check is the non-consuming alive (a warm decision must not
-// eat a half-open breaker's trial admission).
-func (c *Cluster) warmTargets(m *membership, owners []string, served string, key serve.ChunkKey) []*Node {
+// coldOwners returns the key's owners that are alive and cold — the
+// replicas a body should be written through to — leaving out served,
+// the owner a walk just got the body from ("" for a pre-warm, which no
+// edge served). The health check is the non-consuming one: a warm
+// decision must not eat a half-open breaker's trial admission.
+func coldOwners(m *membership, owners []string, served string, key serve.ChunkKey) []*Node {
 	var targets []*Node
 	for _, id := range owners {
-		if id == served {
-			continue
-		}
 		n := m.byID[id]
-		if n == nil || n.Down() || !c.health.alive(id) {
-			continue
-		}
-		if n.store.Contains(key) {
+		if id == served || n.Down() || !n.health.healthy() || n.store.Contains(key) {
 			continue
 		}
 		targets = append(targets, n)
@@ -484,10 +482,9 @@ func (c *Cluster) PrewarmFetches() int64 { return c.met.prewarmFetches.Value() }
 func (c *Cluster) ProbeAll() {
 	m := c.mem.Load()
 	for _, id := range m.ids {
-		if !c.health.allow(id) {
-			continue
+		if n := m.byID[id]; n.health.allow() {
+			n.health.observe(n.Ping())
 		}
-		c.health.observe(id, m.byID[id].Ping())
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -308,6 +309,79 @@ func TestProbesReadmitRecoveredNode(t *testing.T) {
 	}
 	if got := c.reg.Counter("cluster.health.up_transitions").Value(); got != 1 {
 		t.Fatalf("up_transitions = %d, want 1", got)
+	}
+}
+
+// TestReaddedNameStartsAlive: the detector is the node's, so a name
+// removed while held down and added again is a fresh node with a closed
+// breaker — routed to at once, not after its predecessor's cooldown.
+func TestReaddedNameStartsAlive(t *testing.T) {
+	c, err := New(&countingOrigin{}, WithNodes(2), WithClock(sim.NewClock(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.KillNode("edge-1")
+	for i := 0; i < 3; i++ {
+		c.ProbeAll()
+	}
+	if got := c.reg.Gauge("cluster.health.edge-1.alive").Value(); got != 0 {
+		t.Fatal("killed node still alive after 3 failed probes")
+	}
+	if err := c.RemoveNode("edge-1"); err != nil {
+		t.Fatal(err)
+	}
+	readded, err := c.AddNode("edge-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.reg.Gauge("cluster.health.edge-1.alive").Value(); got != 1 {
+		t.Fatal("re-added name inherited its predecessor's open breaker")
+	}
+	keys := testKeys(60)
+	i := slices.IndexFunc(keys, func(k serve.ChunkKey) bool { return Rank(k, c.NodeNames())[0] == "edge-1" })
+	fetchKey(t, c, keys[i])
+	if readded.Requests() != 1 || c.met.reroutes.Value() != 0 {
+		t.Fatalf("first request for a key of the re-added node: node requests %d, reroutes %d; want 1, 0",
+			readded.Requests(), c.met.reroutes.Value())
+	}
+}
+
+// TestRemovedNodeRefusesStaleSnapshot: a request that loaded the
+// membership before RemoveNode still holds the removed node. That node
+// refuses it and ignores its outcome, so a stale walk can neither reach
+// a retired edge nor move the instruments a successor of the same name
+// now owns.
+func TestRemovedNodeRefusesStaleSnapshot(t *testing.T) {
+	c, err := New(&countingOrigin{}, WithNodes(2), WithClock(sim.NewClock(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := c.mem.Load().byID["edge-1"]
+	if err := c.RemoveNode("edge-1"); err != nil {
+		t.Fatal(err)
+	}
+	alive := c.reg.Gauge("cluster.health.edge-1.alive")
+	failStale := func() {
+		for i := 0; i < 3; i++ {
+			if stale.health.allow() {
+				t.Fatal("removed node admitted a request from a stale snapshot")
+			}
+			stale.health.observe(ErrNodeDown)
+		}
+	}
+	failStale()
+	if alive.Value() != 0 {
+		t.Fatal("removed node's alive gauge is not 0")
+	}
+	if _, err := c.AddNode("edge-1"); err != nil {
+		t.Fatal(err)
+	}
+	failStale()
+	if alive.Value() != 1 {
+		t.Fatal("outcomes reported to the removed node took its successor down")
+	}
+	if got := c.reg.Counter("cluster.health.down_transitions").Value(); got != 0 {
+		t.Fatalf("down_transitions = %d, want 0", got)
 	}
 }
 

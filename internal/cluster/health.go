@@ -42,153 +42,106 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	return c
 }
 
-// health is the router's view of which edges can take traffic: one
-// transport.Breaker per node behind a mutex. The breaker is the repo's
-// existing failure-detection state machine — consecutive-failure trip,
-// cooldown, half-open probe admission — so the cluster reuses it
-// rather than growing a parallel one; the mutex is needed because the
-// breaker itself is documented single-owner and here every request
-// goroutine reports into it.
+// health is one node's failure detector: a transport.Breaker — the
+// repo's existing consecutive-failure trip, cooldown and half-open probe
+// admission, reused rather than paralleled — plus the state last
+// mirrored into the cluster.health.* instruments. The mutex is the
+// node's own, needed because the breaker is documented single-owner and
+// here every request goroutine routed to the node reports into it. A
+// re-added name is a fresh Node, so it starts with a fresh breaker and
+// none of its predecessor's failure history.
 type health struct {
-	mu       sync.Mutex
-	breakers map[string]*transport.Breaker
-	last     map[string]transport.BreakerState // last published state
+	mu      sync.Mutex
+	breaker *transport.Breaker
+	last    transport.BreakerState // last published; a fresh breaker is closed
+	gone    bool                   // removed from the membership
 
-	// Kept so dynamically added members (Cluster.AddNode) get breakers
-	// built from the same recipe as the founders.
-	cfg   HealthConfig
-	clock obs.Clock
-	reg   *obs.Registry
-
-	aliveGauges map[string]*obs.Gauge
-	downs       *obs.Counter
-	ups         *obs.Counter
+	alive *obs.Gauge // cluster.health.<id>.alive; set to 1 when the node is published
+	downs *obs.Counter
+	ups   *obs.Counter
 }
 
-// newHealth builds the detector with no members; add registers each node
-// as it joins.
-func newHealth(cfg HealthConfig, clock obs.Clock, reg *obs.Registry) *health {
+func newHealth(id string, cfg HealthConfig, clock obs.Clock, reg *obs.Registry) *health {
 	return &health{
-		breakers:    make(map[string]*transport.Breaker),
-		last:        make(map[string]transport.BreakerState),
-		cfg:         cfg.withDefaults(),
-		clock:       clock,
-		reg:         reg,
-		aliveGauges: make(map[string]*obs.Gauge),
-		downs:       reg.Counter("cluster.health.down_transitions"),
-		ups:         reg.Counter("cluster.health.up_transitions"),
+		breaker: transport.NewBreaker(clock, transport.BreakerConfig{
+			FailureThreshold: cfg.FailThreshold,
+			Cooldown:         cfg.Cooldown,
+			ProbeSuccesses:   cfg.ProbeSuccesses,
+		}),
+		alive: reg.Gauge("cluster.health." + id + ".alive"),
+		downs: reg.Counter("cluster.health.down_transitions"),
+		ups:   reg.Counter("cluster.health.up_transitions"),
 	}
 }
 
-// add registers one node with the detector, believed alive and with a
-// fresh breaker — a re-added name does not inherit its predecessor's
-// failure history. Idempotent for present members.
-func (h *health) add(id string) {
+// remove marks the node as out of the membership: its gauge drops to 0
+// and a request still walking a snapshot taken before the removal is
+// refused here, its outcome ignored.
+func (h *health) remove() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.breakers[id] != nil {
-		return
-	}
-	h.breakers[id] = transport.NewBreaker(h.clock, transport.BreakerConfig{
-		FailureThreshold: h.cfg.FailThreshold,
-		Cooldown:         h.cfg.Cooldown,
-		ProbeSuccesses:   h.cfg.ProbeSuccesses,
-	})
-	delete(h.last, id)
-	g := h.reg.Gauge("cluster.health." + id + ".alive")
-	g.Set(1)
-	h.aliveGauges[id] = g
-}
-
-// remove forgets one node; its gauge drops to 0 and later allow calls
-// for the name refuse.
-func (h *health) remove(id string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if g := h.aliveGauges[id]; g != nil {
-		g.Set(0)
-	}
-	delete(h.breakers, id)
-	delete(h.last, id)
-	delete(h.aliveGauges, id)
+	h.gone = true
+	h.alive.Set(0)
 }
 
 // allow reports whether a request (or probe) may be sent to the node
 // right now: always while believed alive, never during a down node's
 // cooldown, one trial at a time once the cooldown passes.
-func (h *health) allow(id string) bool {
+func (h *health) allow() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	b := h.breakers[id]
-	if b == nil {
+	if h.gone {
 		return false
 	}
-	ok := b.Allow()
-	h.publishLocked(id)
+	ok := h.breaker.Allow()
+	h.publishLocked()
 	return ok
 }
 
 // observe feeds one request or probe outcome into the node's breaker.
-func (h *health) observe(id string, err error) {
+func (h *health) observe(err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	b := h.breakers[id]
-	if b == nil {
+	if h.gone {
 		return
 	}
 	if err != nil {
-		b.OnFailure()
+		h.breaker.OnFailure()
 	} else {
-		b.OnSuccess()
+		h.breaker.OnSuccess()
 	}
-	h.publishLocked(id)
+	h.publishLocked()
 }
 
-// alive reports whether the node is currently believed healthy.
-// Unlike allow it never consumes a half-open breaker's trial
-// admission, so warm decisions and snapshots cannot eat the token a
-// probe needs.
-func (h *health) alive(id string) bool {
+// healthy reports whether the node is currently believed alive. Unlike
+// allow it never consumes a half-open breaker's trial admission, so
+// warm decisions cannot eat the token a probe needs.
+func (h *health) healthy() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	b := h.breakers[id]
-	return b != nil && b.State() == transport.BreakerClosed
-}
-
-// state reports the node's current breaker state.
-func (h *health) state(id string) transport.BreakerState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	b := h.breakers[id]
-	if b == nil {
-		return transport.BreakerOpen
-	}
-	s := b.State()
-	h.publishLocked(id)
-	return s
+	return !h.gone && h.breaker.State() == transport.BreakerClosed
 }
 
 // publishLocked mirrors breaker transitions into the cluster.health.*
 // instruments: down on entering Open, up on returning to Closed. The
 // half-open window keeps the alive gauge at 0 — the node is a suspect
 // on trial, not a member in good standing.
-func (h *health) publishLocked(id string) {
-	s := h.breakers[id].State()
-	prev, seen := h.last[id]
-	if seen && s == prev {
+func (h *health) publishLocked() {
+	s, prev := h.breaker.State(), h.last
+	if s == prev {
 		return
 	}
-	h.last[id] = s
-	switch {
-	case s == transport.BreakerOpen:
-		h.aliveGauges[id].Set(0)
+	h.last = s
+	switch s {
+	case transport.BreakerOpen:
+		h.alive.Set(0)
 		// Re-opening from a failed half-open probe is the same outage
 		// continuing, not a new down transition.
-		if !seen || prev == transport.BreakerClosed {
+		if prev == transport.BreakerClosed {
 			h.downs.Inc()
 		}
-	case s == transport.BreakerClosed && seen && prev != transport.BreakerClosed:
+	case transport.BreakerClosed:
 		h.ups.Inc()
-		h.aliveGauges[id].Set(1)
+		h.alive.Set(1)
 	}
 }

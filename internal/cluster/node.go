@@ -29,33 +29,32 @@ var ErrNodeDown = fmt.Errorf("cluster: node down: %w", dash.ErrUnavailable)
 // cascade from a failed peer is shed, not amplified.
 //
 // In the wire form the node additionally owns a real HTTP process: its
-// dash.Server bound to a loopback listener (or an in-process
-// LoopbackTransport host), with the router reaching it only through a
+// dash.Server bound to a loopback listener (or answering a RoundTripper
+// by host name), with the router reaching it only through a
 // dash.Client. Kill closes the listener — requests meet an actual
 // connection refusal — and Recover re-binds the same address.
 type Node struct {
 	id     string
 	store  *serve.Store
 	server *dash.Server
+	health *health // the router's failure detector for this edge
 
 	down        atomic.Bool
 	inflight    atomic.Int64
 	maxInFlight int64
 
-	// Wire lifecycle. addr is recorded at the first bind and reused by
-	// Recover so the node's identity (its address) survives a crash;
-	// accepting gates the LoopbackTransport the way a live listener
-	// gates a dial; rt holds the current listener+server pair, swapped
-	// atomically so Kill never races a concurrent relisten; hop is the
-	// router's connection pool to a real listener, nil on the other
-	// carriers.
-	wireMode bool
-	loop     *LoopbackTransport
-	addr     string
-	baseURL  string
-	client   *dash.Client
-	hop      *http.Transport
-	rt       atomic.Pointer[wireRuntime]
+	// Wire lifecycle. addr is recorded at the first bind — it is set only
+	// on a real listener — and reused by Recover so the node's identity
+	// (its address) survives a crash; accepting gates the
+	// LoopbackTransport the way a live listener gates a dial; rt holds
+	// the current listener+server pair, swapped atomically so Kill never
+	// races a concurrent relisten; hop is the router's connection pool to
+	// a real listener, nil on the other carriers.
+	addr    string
+	baseURL string
+	client  *dash.Client
+	hop     *http.Transport
+	rt      atomic.Pointer[wireRuntime]
 
 	accepting atomic.Bool
 
@@ -91,7 +90,7 @@ type nodeMetrics struct {
 	misses   *obs.Counter // cache misses = origin fetches from this node
 	sheds    *obs.Counter // requests refused by the admission guard
 	denials  *obs.Counter // requests refused because the node is down
-	up       *obs.Gauge   // 1 while the node process is alive
+	up       *obs.Gauge   // 1 while the node is a member and its process alive
 }
 
 // newNode wires one edge. onOriginFetch (may be nil) is called once
@@ -111,7 +110,6 @@ func newNode(id string, origin dash.ChunkSource, catalog *dash.Catalog,
 			up:       reg.Gauge("cluster.node." + id + ".up"),
 		},
 	}
-	n.met.up.Set(1)
 	// The miss path pulls from the origin on the store's per-flight
 	// context: the singleflight leader synthesizes for every waiter
 	// sharing the flight, and the store cancels the flight only when
@@ -137,27 +135,20 @@ func newNode(id string, origin dash.ChunkSource, catalog *dash.Catalog,
 const hopIdleTimeout = 90 * time.Second
 
 // startWire turns the node into an HTTP process and builds the client
-// the router will reach it through. Exactly one of three wire carriers
-// applies: an in-process LoopbackTransport (deterministic tests and
-// benchmarks), a caller-supplied RoundTripper (fault injection), or —
-// the default — a real TCP listener on 127.0.0.1 behind a transport of
-// the node's own. That transport talks to one host, so its idle pool is
+// the router will reach it through. One of two wire carriers applies: a
+// supplied RoundTripper that finds the node by its synthetic host name
+// (WithTransport's, or WithLoopback's LoopbackTransport), or — the
+// default — a real TCP listener on 127.0.0.1 behind a transport of the
+// node's own. That transport talks to one host, so its idle pool is
 // the edge's admission bound — every request the edge can have in
 // flight gets its connection back, where net/http's default keeps two
 // a host and dials for the third — and it asks for no compression: a
 // chunk's bytes do not compress, no server in the tree compresses, and
 // the offer costs every exchange a header map and a line on the wire.
-func (n *Node) startWire(loop *LoopbackTransport, rt http.RoundTripper, reg *obs.Registry) error {
-	n.wireMode = true
-	switch {
-	case loop != nil:
-		n.loop = loop
-		n.baseURL = "http://" + n.loopbackHost()
-		loop.register(n.loopbackHost(), n)
-		rt = loop
-	case rt != nil:
-		n.baseURL = "http://" + n.loopbackHost()
-	default:
+func (n *Node) startWire(rt http.RoundTripper, reg *obs.Registry) error {
+	if rt != nil {
+		n.baseURL = "http://" + n.id + edgeHostSuffix
+	} else {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return fmt.Errorf("cluster: bind %s: %w", n.id, err)
@@ -179,9 +170,9 @@ func (n *Node) startWire(loop *LoopbackTransport, rt http.RoundTripper, reg *obs
 	return nil
 }
 
-// loopbackHost is the node's synthetic host name on transport-backed
-// wire carriers.
-func (n *Node) loopbackHost() string { return n.id + ".edge.sperke" }
+// edgeHostSuffix follows the node's name in its synthetic host name on
+// the transport-backed wire carriers.
+const edgeHostSuffix = ".edge.sperke"
 
 // serveOn starts the node's HTTP server on ln and records the runtime
 // so Kill can close it.
@@ -245,7 +236,7 @@ func (n *Node) Recover() {
 		return
 	}
 	n.met.up.Set(1)
-	if n.wireMode && n.addr != "" {
+	if n.addr != "" {
 		if err := n.relisten(); err != nil {
 			return
 		}
@@ -253,17 +244,27 @@ func (n *Node) Recover() {
 	n.accepting.Store(true)
 }
 
-// retire permanently stops the node after removal from the membership:
-// listener closed, the router's idle connections to it closed, loopback
-// host deregistered, gauge dropped. Not idempotent-sensitive — the
-// cluster calls it exactly once, after the node left the routing table.
+// join and leave publish the node's entry into and exit from the
+// membership on the instruments it shares, by name, with any other node
+// built under its id — which is why building and retiring a node write
+// neither. After leave the node's detector refuses every request.
+func (n *Node) join() {
+	n.met.up.Set(1)
+	n.health.alive.Set(1)
+}
+
+func (n *Node) leave() {
+	n.met.up.Set(0)
+	n.health.remove()
+}
+
+// retire permanently stops a node that is not, or no longer, in the
+// membership, closing only what the node itself opened: its listener
+// and the router's idle connections to it. The cluster calls it exactly
+// once per node.
 func (n *Node) retire() {
 	n.accepting.Store(false)
 	n.down.Store(true)
-	n.met.up.Set(0)
-	if n.loop != nil {
-		n.loop.deregister(n.loopbackHost())
-	}
 	if rt := n.rt.Swap(nil); rt != nil {
 		rt.close()
 	}

@@ -16,7 +16,7 @@ type config struct {
 	catalog     *dash.Catalog
 	nodeBudget  int64
 	nodeShards  int
-	health      HealthConfig
+	detector    HealthConfig
 	clock       obs.Clock
 	obs         *obs.Registry
 	wire        bool
@@ -114,7 +114,7 @@ func WithNodeShards(n int) Option {
 
 // WithHealth tunes the failure detector (see HealthConfig).
 func WithHealth(h HealthConfig) Option {
-	return func(c *config) { c.health = h }
+	return func(c *config) { c.detector = h }
 }
 
 // WithClock drives breaker cooldowns and probe pacing: *sim.Clock for
@@ -138,10 +138,11 @@ func WithWire(on bool) Option {
 	return func(c *config) { c.wire = on }
 }
 
-// WithLoopback is the wire form without sockets: node clients speak
-// HTTP through an in-process LoopbackTransport that preserves
-// streaming and connection-refused semantics deterministically — what
-// the wire chaos tests and benchmarks run on. Implies WithWire.
+// WithLoopback is the wire form without sockets: WithTransport with the
+// cluster's own LoopbackTransport, which finds each node through the
+// membership and preserves streaming and connection-refused semantics
+// deterministically — what the wire chaos tests and benchmarks run on.
+// Implies WithWire.
 func WithLoopback() Option {
 	return func(c *config) {
 		c.wire = true

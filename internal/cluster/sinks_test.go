@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -17,8 +18,7 @@ import (
 )
 
 // scriptedOrigin is a real catalog store the script can block on one
-// key or fail outright. It forwards the sized streaming seam, so the
-// writer sink's fallback streams from the origin's sealed allocation.
+// key or fail outright, whichever sink the request came through.
 type scriptedOrigin struct {
 	inner   *serve.Store
 	fail    atomic.Bool
@@ -38,15 +38,10 @@ func (o *scriptedOrigin) Chunk(ctx context.Context, videoID string, quality, til
 	return o.inner.Chunk(ctx, videoID, quality, tile, index, layer)
 }
 
-func (o *scriptedOrigin) ChunkLen(videoID string, quality, tile, index int, layer bool) (int, error) {
-	return o.inner.ChunkLen(videoID, quality, tile, index, layer)
-}
-
-func (o *scriptedOrigin) ChunkTo(ctx context.Context, w io.Writer, videoID string, quality, tile, index int, layer bool) (int64, error) {
-	if o.fail.Load() {
-		return 0, errors.New("origin storage offline")
-	}
-	return o.inner.ChunkTo(ctx, w, videoID, quality, tile, index, layer)
+// arm makes fetches of key block until release is closed. The script
+// calls it between steps, with no request in flight.
+func (o *scriptedOrigin) arm(key serve.ChunkKey) {
+	o.block, o.release = key, make(chan struct{})
 }
 
 // cuttingTransport forwards to the cluster's loopback wire but, while
@@ -100,12 +95,12 @@ func counterDelta(before, after map[string]int64) map[string]int64 {
 }
 
 // TestSameScenarioBothSinks drives one scripted sequence — cold miss,
-// warm hit, primary killed, shed, truncated edge body, failing origin —
-// through each sink of the single request path: Chunk (no writer, the
-// body comes back whole) and a front-door GET (the ResponseWriter is
-// the sink). Every served body must equal dash.BuildChunkBody, and
-// every step must move every shared counter by the same amount on both
-// sinks. The one documented difference is where a failed fallback
+// warm hit, primary killed, shed, truncated edge body, a herd with every
+// edge down, failing origin — through each sink of the single request
+// path: Chunk (no writer, the body comes back whole) and a front-door
+// GET (the ResponseWriter is the sink). Every served body must equal
+// dash.BuildChunkBody, and every step must move every shared counter by
+// the same amount on both sinks. The one documented difference is where a failed fallback
 // lands: cluster.origin_errors without a writer,
 // cluster.origin_stream_errors with one (summed here as
 // origin_failures, then checked apart).
@@ -126,12 +121,16 @@ func TestSameScenarioBothSinks(t *testing.T) {
 		t.Fatalf("only %d keys share a primary and a second; the script needs 5", len(owned))
 	}
 	kMain, kBlock, kShed, kCut, kFail := owned[0], owned[1], owned[2], owned[3], owned[4]
+	// The herd's key needs no particular owner: every edge is down by then.
+	kHerd := keys[slices.IndexFunc(keys, func(k serve.ChunkKey) bool { return !slices.Contains(owned[:5], k) })]
+	const herd = 6
 
 	steps := []struct {
 		name    string
 		key     serve.ChunkKey
 		arrange func(t *testing.T, e *sinkEnv)
 		cleanup func(t *testing.T, e *sinkEnv)
+		herd    int // > 0: that many concurrent requests, held at the origin until all have joined
 		fails   bool
 		want    func(e *sinkEnv) map[string]int64
 	}{
@@ -189,6 +188,20 @@ func TestSameScenarioBothSinks(t *testing.T) {
 			},
 		},
 		{
+			// With no edge to ask, the leader's fallback body must reach
+			// its followers on either sink: one origin fetch for the herd.
+			name: "herd, every edge down", key: kHerd, herd: herd,
+			arrange: func(t *testing.T, e *sinkEnv) {
+				for _, id := range e.c.NodeNames() {
+					e.c.KillNode(id)
+				}
+				e.origin.arm(kHerd)
+			},
+			want: func(e *sinkEnv) map[string]int64 {
+				return map[string]int64{"requests": herd, "origin_fallbacks": 1, "origin_fetches": 1, "coalesced": herd - 1}
+			},
+		},
+		{
 			name: "failing origin", key: kFail, fails: true,
 			arrange: func(t *testing.T, e *sinkEnv) {
 				for _, id := range e.c.NodeNames() {
@@ -217,7 +230,9 @@ func TestSameScenarioBothSinks(t *testing.T) {
 				return nil, false
 			}
 			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
-				t.Fatalf("Content-Length %q on a %d-byte body", cl, rec.Body.Len())
+				// Errorf: a herd calls fetch off the test's goroutine.
+				t.Errorf("Content-Length %q on a %d-byte body", cl, rec.Body.Len())
+				return nil, false
 			}
 			return rec.Body.Bytes(), true
 		}},
@@ -233,7 +248,13 @@ func TestSameScenarioBothSinks(t *testing.T) {
 					step.arrange(t, e)
 				}
 				before := sinkCounters(e.c)
-				body, ok := sink.fetch(t, e.c, step.key)
+				var body []byte
+				var ok bool
+				if step.herd > 0 {
+					body, ok = e.fetchHerd(t, sink.fetch, step.key, step.herd)
+				} else {
+					body, ok = sink.fetch(t, e.c, step.key)
+				}
 				if ok == step.fails {
 					t.Fatalf("%s: served = %v, want %v", step.name, ok, !step.fails)
 				}
@@ -285,6 +306,37 @@ type sinkEnv struct {
 	hold    chan error // the shed step's occupying request
 }
 
+// fetchHerd sends n concurrent requests for key, which the script has
+// armed the origin to hold: the leader first, the rest once it is inside
+// the origin, the release once they are all attached to its flight. It
+// reports one body and whether every request was served that same body.
+func (e *sinkEnv) fetchHerd(t *testing.T, fetch func(*testing.T, *Cluster, serve.ChunkKey) ([]byte, bool), key serve.ChunkKey, n int) ([]byte, bool) {
+	t.Helper()
+	type result struct {
+		body []byte
+		ok   bool
+	}
+	results := make(chan result, n)
+	one := func() {
+		body, ok := fetch(t, e.c, key)
+		results <- result{body, ok}
+	}
+	go one()
+	<-e.origin.arrived
+	for i := 1; i < n; i++ {
+		go one()
+	}
+	waitForFollowers(t, e.c, key, n-1)
+	close(e.origin.release)
+	first := <-results
+	for i := 1; i < n; i++ {
+		if r := <-results; !r.ok || string(r.body) != string(first.body) {
+			first.ok = false
+		}
+	}
+	return first.body, first.ok
+}
+
 // newSinkEnv builds the scenario's cluster: three loopback edges that
 // admit one request at a time, over a real catalog store, with every
 // edge client re-pointed through the cutting transport.
@@ -302,7 +354,7 @@ func newSinkEnv(t *testing.T, v *media.Video, routed, block serve.ChunkKey) *sin
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := &cuttingTransport{inner: c.loop}
+	cut := &cuttingTransport{inner: c.cfg.transport}
 	for _, n := range c.Nodes() {
 		n.client = dash.NewClient(n.baseURL, dash.WithTransport(cut), dash.WithRetry(nodeRetry))
 	}

@@ -175,16 +175,7 @@ func (c *Cluster) runWarmJob(j warmJob) {
 func (c *Cluster) runPrewarm(key serve.ChunkKey) {
 	defer c.clearPending(key)
 	m := c.mem.Load()
-	ranked := Rank(key, m.ids)
-	owners := ranked[:min(c.cfg.replication, len(ranked))]
-	var targets []*Node
-	for _, id := range owners {
-		n := m.byID[id]
-		if n == nil || n.Down() || !c.health.alive(id) || n.store.Contains(key) {
-			continue
-		}
-		targets = append(targets, n)
-	}
+	targets := coldOwners(m, Owners(key, m.ids, c.cfg.replication), "", key)
 	if len(targets) == 0 {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 
@@ -111,57 +112,28 @@ func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, replicate bo
 	return n, kept.buf, nil
 }
 
-// chunkSizer and chunkStreamerTo are the origin's optional streaming
-// seam (serve.Store satisfies both): size without synthesis, then a
-// single write from the sealed allocation.
-type chunkSizer interface {
-	ChunkLen(videoID string, quality, tile, index int, layer bool) (int, error)
-}
-
-type chunkStreamerTo interface {
-	ChunkTo(ctx context.Context, w io.Writer, videoID string, quality, tile, index int, layer bool) (int64, error)
-}
-
-// originFallback serves a request no edge could. With a writer, an
-// origin that exposes the sized streaming seam, and no coalesced
-// follower needing the body whole, the body streams from the origin's
-// own sealed allocation with Content-Length declared up front;
-// otherwise the plain ChunkSource form serves (and the body is
-// published to the flight's followers). cluster.origin_fetches counts
+// originFallback serves a request no edge could, in the one form both
+// sinks share: the origin's body comes back whole, is delivered, and is
+// returned for the flight's followers — a herd for one key with every
+// edge down costs the origin one fetch. cluster.origin_fetches counts
 // only fetches that completed: a failed or canceled fallback
 // synthesized nothing a viewer got, and counting it would skew the
 // offload ratio, so those land under cluster.origin_errors (no writer)
 // or cluster.origin_stream_errors (writer) instead.
-func (c *Cluster) originFallback(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
+func (c *Cluster) originFallback(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey) (int64, []byte, error) {
 	c.met.originFallbacks.Inc()
-	failed := c.met.originChunkErrs
-	if w != nil {
-		failed = c.met.originStreamErrs
-	}
-	var n int64
-	var body []byte
-	var err error
-	sizer, hasSize := c.origin.(chunkSizer)
-	streamer, hasStream := c.origin.(chunkStreamerTo)
-	streamed := w != nil && hasSize && hasStream && (fl == nil || c.coal.tryNoTee(fl))
-	if streamed {
-		var size int
-		if size, err = sizer.ChunkLen(key.Video, key.Quality, key.Tile, key.Index, key.Layer); err == nil {
-			declare(w, int64(size))
-			n, err = streamer.ChunkTo(ctx, w, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		}
-	} else {
-		body, err = c.origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-	}
+	body, err := c.origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 	if err != nil {
-		failed.Inc()
-		return n, nil, err
+		if w != nil {
+			c.met.originStreamErrs.Inc()
+		} else {
+			c.met.originChunkErrs.Inc()
+		}
+		return 0, nil, err
 	}
 	c.met.originFetches.Inc()
 	c.enqueuePrewarms(key)
-	if !streamed {
-		n, err = deliver(w, body)
-	}
+	n, err := deliver(w, body)
 	return n, body, err
 }
 
@@ -170,40 +142,17 @@ func (c *Cluster) originFallback(ctx context.Context, w http.ResponseWriter, key
 // node's dash.Server, preserving streaming semantics — the response
 // body is a pipe fed by the handler's goroutine, so bytes reach the
 // reader as the handler writes them, with no sockets or materialized
-// bodies. A request to a killed (or deregistered) node fails the dial
-// the way a closed listener does: ECONNREFUSED. Deterministic wire
-// tests and benchmarks ride it; WithWire(true) uses real listeners
-// instead.
-type LoopbackTransport struct {
-	mu    sync.RWMutex
-	hosts map[string]*Node
-}
-
-// NewLoopbackTransport returns an empty transport; cluster nodes
-// register themselves as they start.
-func NewLoopbackTransport() *LoopbackTransport {
-	return &LoopbackTransport{hosts: make(map[string]*Node)}
-}
-
-func (t *LoopbackTransport) register(host string, n *Node) {
-	t.mu.Lock()
-	t.hosts[host] = n
-	t.mu.Unlock()
-}
-
-func (t *LoopbackTransport) deregister(host string) {
-	t.mu.Lock()
-	delete(t.hosts, host)
-	t.mu.Unlock()
-}
+// bodies. Hosts resolve through the cluster's membership, so a request
+// to a killed or removed node fails the dial the way a closed listener
+// does: ECONNREFUSED. Deterministic wire tests and benchmarks ride it;
+// WithWire(true) uses real listeners instead.
+type LoopbackTransport struct{ c *Cluster }
 
 // RoundTrip implements http.RoundTripper. It returns as soon as the
 // handler commits response headers — the same moment a real client
 // would see them — while the body keeps streaming through the pipe.
 func (t *LoopbackTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	t.mu.RLock()
-	n := t.hosts[req.URL.Host]
-	t.mu.RUnlock()
+	n := t.c.mem.Load().byID[strings.TrimSuffix(req.URL.Host, edgeHostSuffix)]
 	if n == nil || !n.accepting.Load() {
 		return nil, fmt.Errorf("cluster: dial %s: %w", req.URL.Host, syscall.ECONNREFUSED)
 	}

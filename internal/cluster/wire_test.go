@@ -532,6 +532,50 @@ func TestAddNodeMovesOnlyReshardedKeys(t *testing.T) {
 	}
 }
 
+// TestLosingDuplicateLeavesTheWinnerAlone: AddNode builds a node before
+// it takes the membership lock, so two callers adding one name build two
+// nodes and the second is retired. The loser shares its instruments —
+// and on the loopback carrier its host name — with the member that holds
+// the name, and retiring it must write none of them: the member stays
+// up, reachable and warm.
+func TestLosingDuplicateLeavesTheWinnerAlone(t *testing.T) {
+	v := wireVideo()
+	origin := &countingOrigin{}
+	c, err := New(origin,
+		WithNodes(3), WithLoopback(), WithCatalog(wireCatalog(t, v)),
+		WithClock(sim.NewClock(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := wireKeys(v)
+	for _, key := range keys {
+		fetchKey(t, c, key)
+	}
+	// What AddNode("edge-0") does once a concurrent caller has taken the
+	// name between its two checks.
+	loser, err := c.buildNode("edge-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loser.retire()
+
+	for _, name := range []string{"cluster.node.edge-0.up", "cluster.health.edge-0.alive"} {
+		if got := c.reg.Gauge(name).Value(); got != 1 {
+			t.Fatalf("%s = %d after a duplicate of edge-0 was retired, want 1", name, got)
+		}
+	}
+	before := origin.count()
+	for _, key := range keys {
+		fetchKey(t, c, key)
+	}
+	if got := origin.count() - before; got != 0 {
+		t.Fatalf("warm pass cost %d origin fetches after a duplicate of edge-0 was retired, want 0", got)
+	}
+	if got := c.met.reroutes.Value(); got != 0 {
+		t.Fatalf("cluster.reroutes = %d, want 0: edge-0 must still answer for its keys", got)
+	}
+}
+
 // TestWireClusterChaosUnderLoad hammers the over-the-wire cluster from
 // many goroutines through a kill/recover cycle plus a live AddNode and
 // RemoveNode, with the race detector watching. No fetch may fail: the

@@ -5,73 +5,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
 	"sort"
 	"strings"
 )
-
-// Load walks the module tree rooted at root (the directory holding
-// go.mod), parses every .go file, and groups the results by directory.
-// It skips .git, vendor, hidden directories, and testdata trees (which
-// hold this package's deliberately-violating fixtures).
-func Load(root string) ([]*Package, error) {
-	byDir := make(map[string]*Package)
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "vendor" || name == "testdata") {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, p)
-		if err != nil {
-			return err
-		}
-		f, err := ParseFile(p, filepath.ToSlash(rel))
-		if err != nil {
-			return err
-		}
-		dir := f.Dir()
-		pkg := byDir[dir]
-		if pkg == nil {
-			pkg = &Package{Dir: dir}
-			byDir[dir] = pkg
-		}
-		pkg.Files = append(pkg.Files, f)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Package, 0, len(byDir))
-	for _, p := range byDir {
-		sort.Slice(p.Files, func(i, j int) bool { return p.Files[i].Path < p.Files[j].Path })
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
-	return out, nil
-}
-
-// ParseFile parses the file at osPath, recording positions under the
-// module-relative slash path modPath.
-func ParseFile(osPath, modPath string) (*File, error) {
-	src, err := os.ReadFile(osPath)
-	if err != nil {
-		return nil, err
-	}
-	return ParseSource(src, modPath)
-}
 
 // ParseSource parses in-memory source under the given module-relative
 // path — the fixture harness uses it directly.

@@ -7,9 +7,9 @@ import (
 )
 
 // lockSpans are the concurrent packages where holding a mutex across a
-// blocking operation turns one slow peer into a pile-up: the router's
-// health table, the transport scheduler, the store's shards and the
-// serving tiers all sit on request hot paths.
+// blocking operation turns one slow peer into a pile-up: each edge's
+// failure detector, the router's coalescer, the transport scheduler,
+// the store's shards and the serving tiers all sit on request hot paths.
 var lockSpans = []string{
 	"internal/cluster",
 	"internal/transport",

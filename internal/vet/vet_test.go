@@ -2,7 +2,6 @@ package vet
 
 import (
 	"go/token"
-	"strings"
 	"testing"
 )
 
@@ -19,54 +18,6 @@ func runOn(t *testing.T, a *Analyzer, files ...*File) []Diagnostic {
 	t.Helper()
 	pkg := &Package{Dir: files[0].Dir(), Files: files}
 	return Run([]*Package{pkg}, []*Analyzer{a})
-}
-
-func TestLoadWalksModuleAndSkipsTestdata(t *testing.T) {
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs := make(map[string]bool)
-	total := 0
-	for _, p := range pkgs {
-		dirs[p.Dir] = true
-		total += len(p.Files)
-		for _, f := range p.Files {
-			if strings.Contains(f.Path, "testdata") {
-				t.Errorf("Load picked up fixture file %s", f.Path)
-			}
-		}
-	}
-	for _, want := range []string{"internal/vet", "internal/sim", "cmd/sperke-vet"} {
-		if !dirs[want] {
-			t.Errorf("Load missed package %s (have %d packages)", want, len(pkgs))
-		}
-	}
-	if total < 100 {
-		t.Errorf("Load found only %d files, expected the full module", total)
-	}
-}
-
-func TestWholeTreeIsClean(t *testing.T) {
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msgs []string
-	for _, d := range Run(pkgs, Analyzers()) {
-		msgs = append(msgs, d.String())
-	}
-	if len(msgs) > 0 {
-		t.Errorf("sperke-vet must stay clean on the tree; found:\n%s", strings.Join(msgs, "\n"))
-	}
 }
 
 func TestNolintSuppression(t *testing.T) {
