@@ -108,9 +108,8 @@ type Cluster struct {
 	probeEvery time.Duration
 	clock      obs.Clock
 
-	met      clusterMetrics
-	reg      *obs.Registry
-	copyBufs *obs.BufferPool // relay copy blocks
+	met clusterMetrics
+	reg *obs.Registry
 
 	coal  *coalescer // router-level singleflight
 	warmQ *warmQueue // background replica-warm / pre-warm queue
@@ -160,9 +159,8 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 			originStreamErrs: cfg.obs.Counter("cluster.origin_stream_errors"),
 			originChunkErrs:  cfg.obs.Counter("cluster.origin_errors"),
 		},
-		copyBufs: obs.NewSizedBufferPool(cfg.obs, "cluster.proxy", proxyBlock, proxyBlock),
-		coal:     newCoalescer(),
-		warmQ:    newWarmQueue(),
+		coal:  newCoalescer(),
+		warmQ: newWarmQueue(),
 	}
 	if cfg.loopback {
 		c.cfg.transport = &LoopbackTransport{c: c}
@@ -275,8 +273,8 @@ func (c *Cluster) Chunk(ctx context.Context, videoID string, quality, tile, inde
 
 // StreamChunk implements dash.ChunkStreamer: the same request path
 // with the caller's ResponseWriter as the sink, so a wire edge's body
-// is relayed block by block and never held whole at the router unless
-// replication or coalescing needs it teed on the way past.
+// is relayed as it arrives and never held whole at the router unless
+// replication or coalescing needs it kept on the way past.
 func (c *Cluster) StreamChunk(ctx context.Context, w http.ResponseWriter, videoID string, quality, tile, index int, layer bool) (int64, error) {
 	n, _, err := c.route(ctx, w, serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer})
 	return n, err
@@ -324,10 +322,11 @@ func (c *Cluster) route(ctx context.Context, w http.ResponseWriter, key serve.Ch
 // straight to the origin — the other edges are not this key's owners
 // and pushing overflow at them just spreads the overload. A served body
 // is queued for write-through to the key's other live cold owners when
-// replication is on. The sink decides one thing here: once body bytes
+// replication is on. The sink decides two things here: once body bytes
 // are on w the response cannot be repaired, so a failure then aborts
-// instead of failing over. fl is the caller's coalescing flight when it
-// leads one.
+// instead of failing over; and a failed write to w is the viewer's, so
+// it ends the walk without charging the edge. fl is the caller's
+// coalescing flight when it leads one.
 func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
 	m := c.mem.Load()
 	ranked := Rank(key, m.ids)
@@ -360,8 +359,9 @@ func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.Chu
 			c.enqueuePrewarms(key)
 			return n, body, nil
 		}
-		if ctx.Err() != nil {
-			// The caller left; don't punish the node for it.
+		if ctx.Err() != nil || errors.Is(err, dash.ErrViewerGone) {
+			// The caller left, or its writer broke; don't punish the node
+			// for it, and don't fetch a body nobody can take.
 			return n, nil, err
 		}
 		if isShed(err) {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sperke/internal/dash"
+	"sperke/internal/obs"
 	"sperke/internal/serve"
 	"sperke/internal/sim"
 )
@@ -423,6 +424,17 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 	f.Add(int64(0), []byte{}, true, true)
 	f.Add(int64(1)<<62, []byte("x"), true, false)
 	f.Add(int64(-1)<<63, []byte("x"), false, false)
+	// Each side of the smallest and the largest block class, streamed
+	// and kept; a short and a long body at the top; a body of undeclared
+	// length kept past the first block; and a length past the cap.
+	for _, n := range []int{obs.MinBlockLen - 1, obs.MinBlockLen, obs.MinBlockLen + 1, obs.MaxBlockLen - 1, obs.MaxBlockLen, obs.MaxBlockLen + 1} {
+		f.Add(int64(n), make([]byte, n), false, true)
+		f.Add(int64(n), make([]byte, n), true, true)
+	}
+	f.Add(int64(obs.MaxBlockLen+1), make([]byte, obs.MaxBlockLen), false, true)
+	f.Add(int64(obs.MaxBlockLen), make([]byte, obs.MaxBlockLen+1), true, false)
+	f.Add(int64(-1), make([]byte, obs.MinBlockLen+9), false, false)
+	f.Add(maxBodyLen+1, []byte("x"), false, true)
 
 	v := wireVideo()
 	key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}

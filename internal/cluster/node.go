@@ -288,26 +288,21 @@ func (n *Node) Ping() error {
 	return nil
 }
 
-// open asks the edge for the chunk. A wire edge answers with a live
-// response for the router to relay. The in-process edge — no listener,
-// no client; the only form that runs without a catalog, and what the
-// deterministic failover experiment is built on — answers with its
-// store's sealed body directly and a zero ChunkStream.
+// open asks the edge for the chunk. A wire edge answers, through the
+// node's HTTP client, with a live response for the router to relay.
+// The in-process edge — no listener, no client; the only form that runs
+// without a catalog, and what the deterministic failover experiment is
+// built on — answers with its store's sealed body directly and a zero
+// ChunkStream. This is the cluster's one client-facing seam for chunks
+// — the clockhygiene allowlist names it, since the client's retry
+// machinery owns the real backoff timers.
 func (n *Node) open(ctx context.Context, key serve.ChunkKey) (dash.ChunkStream, []byte, error) {
 	if n.client == nil {
 		body, err := n.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 		return dash.ChunkStream{}, body, err
 	}
-	st, err := n.openWire(ctx, key)
+	st, err := n.client.OpenChunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 	return st, nil, err
-}
-
-// openWire opens the chunk as a stream through the node's HTTP client.
-// This is the cluster's one client-facing seam — the clockhygiene
-// allowlist names it, since the client's retry machinery owns the real
-// backoff timers.
-func (n *Node) openWire(ctx context.Context, key serve.ChunkKey) (dash.ChunkStream, error) {
-	return n.client.OpenChunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 }
 
 // Warm hands the node a pre-built body for key — the replication write

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,27 +13,13 @@ import (
 
 	"sperke/internal/dash"
 	"sperke/internal/media"
+	"sperke/internal/obs"
 	"sperke/internal/serve"
 )
-
-// proxyBlock is the copy-block size the router relays edge bodies
-// through. 32 KiB matches io.Copy's internal default; pooling it keeps
-// the relay's per-request allocations flat.
-const proxyBlock = 32 << 10
 
 // maxBodyLen is the longest body a chunk can have: the largest payload
 // under the longest video ID.
 var maxBodyLen = int64(media.SegmentLen("", media.MaxPayloadLen) + media.MaxVideoIDLen)
-
-// bodySink accumulates a relayed body into a pre-sized buffer: the
-// copy kept whole for the caller, a replica or a flight's followers,
-// not router scratch.
-type bodySink struct{ buf []byte }
-
-func (b *bodySink) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	return len(p), nil
-}
 
 // declare sets a body's headers ahead of its first byte; a negative
 // length (an edge that declared none) leaves Content-Length unset.
@@ -53,63 +40,115 @@ func deliver(w http.ResponseWriter, body []byte) (int64, error) {
 	}
 	declare(w, int64(len(body)))
 	n, err := w.Write(body)
-	return int64(n), err
+	if err != nil {
+		return int64(n), viewerGone(err)
+	}
+	return int64(n), nil
 }
 
-// relay moves one opened edge response to the sink through a pooled
-// copy block and owns the declared-length check. The body is kept
-// whole, in one exact-size buffer filled on the way past, only when
-// someone needs it so: there is no writer (the caller wants the
-// slice), the key has other live cold owners (replicate — the walk
-// queues the buffer as their replication write), or coalesced
-// followers are attached to the leader's flight (the buffer is
-// published as their response). A streaming leader with neither
-// commits the flight to the no-tee form first, so the warm-cache fast
-// path stays allocation-flat. A drained stream shorter or longer than
-// the edge's declared Content-Length is a wire fault — handing short
-// bytes to the caller, or worse a replica's cache, would launder a
-// truncation into a valid-looking chunk — so it returns a typed
-// transient error that feeds the failure detector instead of posing as
-// a success; so is a declared length no segment can have, refused
-// before the kept copy is sized by it. It reports the bytes copied and
-// the kept body, if any.
+// viewerGone marks a failed write to the sink: the viewer's
+// ResponseWriter broke, not the edge or origin feeding it, so the walk
+// ends there — nothing is charged to an edge, nothing fails over — and
+// the front door records an abort, not a 5xx.
+func viewerGone(err error) error {
+	return fmt.Errorf("cluster: writing to the viewer: %w: %w", dash.ErrViewerGone, err)
+}
+
+// relay moves one opened edge response to the sink and owns the
+// declared-length check. It streams: each read takes whatever has
+// arrived and is forwarded in one write, so the router never waits for
+// the whole body. The body is kept whole only when someone needs it so:
+// there is no writer (the caller wants the slice), the key has other
+// live cold owners (replicate — the walk queues the buffer as their
+// replication write), or coalesced followers are attached to the
+// leader's flight (the buffer is published as their response). Then the
+// exact-size kept buffer is the block: each read lands in it and that
+// slice is forwarded. A streaming leader with neither commits the
+// flight to the no-tee form first and reads into a pooled block of the
+// declared length's class (obs.Blocks: 32 KiB when none was declared,
+// 256 KiB at most), so a typical chunk crosses in one turn, the
+// warm-cache fast path stays allocation-flat, and the relay's scratch is
+// at most the body's class. A stream shorter or longer than the edge's
+// declared Content-Length is a wire fault — handing short bytes to the
+// caller, or worse a replica's cache, would launder a truncation into a
+// valid-looking chunk — so it returns a typed transient error that
+// feeds the failure detector instead of posing as a success, and no
+// byte past the declared length is forwarded; so is a declared length
+// no segment can have, refused before any block is sized by it. A
+// failed write is the viewer's (viewerGone). It reports the bytes
+// forwarded and the kept body, if any.
 func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, replicate bool, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
 	defer st.Body.Close()
 	if st.Length > maxBodyLen {
-		// Believing it would size the kept copy by a number off the wire.
+		// Believing it would size a block by a number off the wire.
 		return 0, nil, &dash.Error{
 			Op: key.String(), Kind: dash.KindTransient,
 			Err: fmt.Errorf("cluster: edge declared a %d-byte body, longer than any segment", st.Length),
 		}
 	}
-	dst := io.Writer(w)
-	var kept *bodySink
-	if w == nil || replicate || (fl != nil && !c.coal.tryNoTee(fl)) {
-		kept = &bodySink{buf: make([]byte, 0, max(st.Length, 0))}
-		dst = kept
-		if w != nil {
-			dst = io.MultiWriter(w, kept)
-		}
+	// Reads land in buf[len(buf):cap(buf)]; only a kept body advances len.
+	var buf []byte
+	keep := w == nil || replicate || (fl != nil && !c.coal.tryNoTee(fl))
+	if !keep {
+		pool := obs.Blocks.For(int(st.Length))
+		block := pool.Get()
+		defer pool.Put(block)
+		buf = *block
+	} else if st.Length >= 0 {
+		// The spare byte is where the read reporting EOF lands, and where
+		// a body longer than declared shows.
+		buf = make([]byte, 0, st.Length+1)
 	}
 	if w != nil {
 		declare(w, st.Length)
 	}
-	block := c.copyBufs.Get()
-	n, err := io.CopyBuffer(dst, st.Body, (*block)[:cap(*block)])
-	c.copyBufs.Put(block)
-	if err != nil {
-		return n, nil, err
-	}
-	if st.Length >= 0 && n != st.Length {
-		return n, nil, &dash.Error{
-			Op: key.String(), Kind: dash.KindTransient,
-			Err: fmt.Errorf("cluster: edge body length mismatch: copied %d of %d declared bytes", n, st.Length),
+	var n int64
+	for {
+		if len(buf) == cap(buf) {
+			// A kept body of undeclared length outgrew its buffer.
+			buf = slices.Grow(buf, obs.MinBlockLen)
+		}
+		m, err := st.Body.Read(buf[len(buf):cap(buf)])
+		if st.Length >= 0 && n+int64(m) > st.Length {
+			return n, nil, lengthMismatch(key, n+int64(m), st.Length)
+		}
+		if m > 0 {
+			if w != nil {
+				if _, werr := w.Write(buf[len(buf) : len(buf)+m]); werr != nil {
+					return n, nil, viewerGone(werr)
+				}
+			}
+			n += int64(m)
+			if keep {
+				buf = buf[:len(buf)+m]
+			}
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return n, nil, err
 		}
 	}
-	if kept == nil {
+	if st.Length >= 0 && n != st.Length {
+		return n, nil, lengthMismatch(key, n, st.Length)
+	}
+	if !keep {
 		return n, nil, nil
 	}
-	return n, kept.buf, nil
+	// Sealed (len == cap): the body is shared by the caller, followers
+	// and a replica's cache, and the spare byte must not let one
+	// holder's append write into another's.
+	return n, slices.Clip(buf), nil
+}
+
+// lengthMismatch is the typed transient error of a relayed body that
+// disagrees with the edge's declared length.
+func lengthMismatch(key serve.ChunkKey, got, declared int64) error {
+	return &dash.Error{
+		Op: key.String(), Kind: dash.KindTransient,
+		Err: fmt.Errorf("cluster: edge body length mismatch: %d bytes against %d declared", got, declared),
+	}
 }
 
 // originFallback serves a request no edge could, in the one form both

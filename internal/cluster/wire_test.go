@@ -172,7 +172,7 @@ func TestWireKillIsConnectionRefused(t *testing.T) {
 	dead, second := ranked[0], ranked[1]
 	c.KillNode(dead)
 
-	if _, err := c.Node(dead).openWire(context.Background(), key); !errors.Is(err, syscall.ECONNREFUSED) {
+	if _, _, err := c.Node(dead).open(context.Background(), key); !errors.Is(err, syscall.ECONNREFUSED) {
 		t.Fatalf("killed node's wire error = %v, want ECONNREFUSED", err)
 	}
 	body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
@@ -338,7 +338,7 @@ func TestShedReadsTheSameOnBothCarriers(t *testing.T) {
 		}
 		n := c.Nodes()[0]
 		n.inflight.Add(1) // the admission slot is taken
-		_, err = n.openWire(context.Background(), key)
+		_, _, err = n.open(context.Background(), key)
 		n.retire()
 		var de *dash.Error
 		if !errors.As(err, &de) || de.Kind != dash.KindOverload {
@@ -453,7 +453,7 @@ func TestRemoveNodeWithReplicationCostsNoRefetch(t *testing.T) {
 	if len(c.NodeNames()) != 2 {
 		t.Fatalf("membership after removal: %v", c.NodeNames())
 	}
-	if _, err := removed.openWire(context.Background(), keys[0]); !errors.Is(err, syscall.ECONNREFUSED) {
+	if _, _, err := removed.open(context.Background(), keys[0]); !errors.Is(err, syscall.ECONNREFUSED) {
 		t.Fatalf("retired node's wire error = %v, want ECONNREFUSED", err)
 	}
 	before := origin.count()
@@ -664,8 +664,8 @@ func (d *discardResponse) Write(p []byte) (int, error) { d.n += int64(len(p)); r
 // sink, so several can run side by side. The router holds no cache of
 // its own: every GET rendezvous-routes to the edge, runs the
 // coalescer's enter/finish protocol and streams the edge's body through
-// a pooled copy block, so its cost is one proxied round trip and never
-// body-sized. TestWireFrontDoorAllocBudget holds it to its budgets, one
+// a pooled block of its class, so its cost is one proxied round trip and
+// never body-sized. TestWireFrontDoorAllocBudget holds it to its budgets, one
 // at a time and as a herd; BenchmarkWireColdServeThroughput and
 // BenchmarkWireCoalescedHerd time the same two.
 func warmFrontDoor(tb testing.TB) (newGET func() func(), bodyLen int) {

@@ -89,6 +89,12 @@ func Retryable(err error) bool {
 // clients retry elsewhere instead of treating it as a synthesis bug.
 var ErrUnavailable = errors.New("dash: service unavailable")
 
+// ErrViewerGone marks a ChunkStreamer failure on the response writer
+// itself rather than on the chunk's source: the viewer hung up, so
+// nobody is left to answer. The server records it as an abort, never as
+// an error status, however few bytes reached the wire.
+var ErrViewerGone = errors.New("dash: viewer gone")
+
 // OverloadError is what an admission-controlled ChunkSource returns
 // when it sheds a request instead of queueing it: the edge/origin
 // cluster's bounded in-flight guard is the canonical source. The

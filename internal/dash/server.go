@@ -131,7 +131,9 @@ type ChunkSource interface {
 // buffering them. A Server whose source also implements ChunkStreamer
 // serves chunk bodies through this path; it reports the bytes written
 // so the server can tell a clean failure (nothing sent, map the error
-// to a status) from a poisoned response (bytes on the wire, abandon).
+// to a status) from a poisoned response (bytes on the wire, abandon). A
+// write to w that fails is returned wrapping ErrViewerGone, so the
+// server abandons that response too.
 type ChunkStreamer interface {
 	StreamChunk(ctx context.Context, w http.ResponseWriter, videoID string, quality, tile, index int, layer bool) (int64, error)
 }
@@ -379,11 +381,12 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	if st, ok := s.store.(ChunkStreamer); ok {
 		// Streaming source: the body flows straight from the source into
 		// the response writer — nothing is materialized here. Once bytes
-		// are on the wire (or the client has left) a failure can only be
-		// abandoned, not repaired into an error status.
+		// are on the wire (or the client has left, or its writer failed)
+		// a failure can only be abandoned, not repaired into an error
+		// status.
 		n, err := st.StreamChunk(r.Context(), w, v.ID, q, tile, idx, isLayer)
 		if err != nil {
-			if n > 0 || r.Context().Err() != nil {
+			if n > 0 || r.Context().Err() != nil || errors.Is(err, ErrViewerGone) {
 				markAborted(w)
 				s.log.Debug("dash: streamed chunk aborted", "video", v.ID, "err", err)
 				return

@@ -60,16 +60,13 @@ const (
 	// ~49.7 days would silently wrap and fail to round-trip through
 	// ReadSegment. validateSegment rejects it instead.
 	MaxSegmentTime = time.Duration(math.MaxUint32) * time.Millisecond
-	// SyntheticBlockLen is the fixed scratch size of the streaming
-	// synthesis form: WriteSyntheticSegment never holds more than one
-	// such block regardless of payload length.
-	SyntheticBlockLen = 32 << 10
 )
 
 // A block boundary must fall on a word of the generator (see
 // synthStream.fill): a block size that is not a multiple of 8 would
-// shift every byte after the first block, so it does not compile.
-var _ [0]struct{} = [SyntheticBlockLen % 8]struct{}{}
+// shift every byte after the first block, so it does not compile. Every
+// class of obs.Blocks is a multiple of the smallest.
+var _ [0]struct{} = [obs.MinBlockLen % 8]struct{}{}
 
 // SegmentHeader describes one chunk (or one SVC layer of a chunk) on the
 // wire.
@@ -146,28 +143,26 @@ func WriteSegment(w io.Writer, h SegmentHeader, payload []byte) error {
 	return err
 }
 
-// blockPool recycles the fixed-size scratch blocks of the writer-first
-// synthesis path. Blocks are minted and kept at exactly
-// SyntheticBlockLen, so the pool's resident memory is bounded by the
-// number of concurrent writers, never by body sizes.
-var blockPool = obs.NewSizedBufferPool(nil, "media.block", SyntheticBlockLen, SyntheticBlockLen)
-
 // WriteSyntheticSegment writes a segment whose payload is
 // SyntheticPayload(seed, n) into w; the bytes written are exactly
 // WriteSegment(w, h, SyntheticPayload(seed, n)). It is the one producer
-// of a synthetic body and takes one of two shapes, chosen by where it
-// is writing:
+// of a synthetic body. The CRC precedes the payload on the wire, so the
+// whole payload must be generated before the first byte goes out. It
+// takes one of two shapes, chosen by where it is writing:
 //
-//   - w lends out its spare capacity (AvailableBuffer, as bytes.Buffer
-//     and bufio.Writer do) and the whole segment fits in it: the segment
-//     is built there in one pass — payload generated in place, CRC taken
-//     over those bytes, header back-filled in front — and handed to a
-//     single w.Write, which is the documented use of AvailableBuffer.
-//   - otherwise (a socket, a destination without the room) the CRC
-//     precedes the payload on the wire, so the generator runs twice
-//     through one pooled SyntheticBlockLen block: once under the CRC,
-//     then, after the header, block by block into w. Peak scratch is the
-//     block regardless of n.
+//   - the segment fits in room w lends out (AvailableBuffer, as
+//     bytes.Buffer and bufio.Writer do), or in one pooled block of the
+//     smallest class (obs.MinBlockLen): it is built there in one pass —
+//     payload generated in its final position, CRC taken over those
+//     bytes, header back-filled in front — and handed to a single
+//     w.Write, which is the documented use of AvailableBuffer.
+//   - otherwise (a socket, a destination without the room, a segment
+//     longer than the block) the generator runs twice through that one
+//     pooled block: once under the CRC, then, after the header, block
+//     by block into w. Peak scratch is the block regardless of n: a
+//     block of the segment's class would halve the generator's work,
+//     but every pool miss — each GC, and one Put in four under -race —
+//     would then mint a body-sized buffer.
 //
 // Neither shape allocates.
 func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) error {
@@ -177,20 +172,19 @@ func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) err
 	if err := validateSegment(h, n); err != nil {
 		return err
 	}
+	segLen := SegmentLen(h.VideoID, n)
 	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
-		if dst, segLen := ab.AvailableBuffer(), SegmentLen(h.VideoID, n); cap(dst) >= segLen {
-			seg := dst[:segLen]
-			payload := seg[segLen-n:]
-			s := newSynthStream(seed)
-			s.fill(payload)
-			appendSegmentHeader(seg[:0], h, n, crc32.ChecksumIEEE(payload))
-			_, err := w.Write(seg)
-			return err
+		if dst := ab.AvailableBuffer(); cap(dst) >= segLen {
+			return writeBuilt(w, dst[:segLen], h, seed, n)
 		}
 	}
-	scratch := blockPool.Get()
-	defer blockPool.Put(scratch)
-	block := (*scratch)[:SyntheticBlockLen]
+	pool := obs.Blocks.For(obs.MinBlockLen)
+	scratch := pool.Get()
+	defer pool.Put(scratch)
+	block := (*scratch)[:obs.MinBlockLen]
+	if segLen <= len(block) {
+		return writeBuilt(w, block[:segLen], h, seed, n)
+	}
 
 	// Pass 1: CRC of the payload, one block at a time.
 	var crc uint32
@@ -222,6 +216,17 @@ func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) err
 	return nil
 }
 
+// writeBuilt builds the segment into seg, which is exactly its length,
+// and writes it to w in one call.
+func writeBuilt(w io.Writer, seg []byte, h SegmentHeader, seed uint64, n int) error {
+	payload := seg[len(seg)-n:]
+	s := newSynthStream(seed)
+	s.fill(payload)
+	appendSegmentHeader(seg[:0], h, n, crc32.ChecksumIEEE(payload))
+	_, err := w.Write(seg)
+	return err
+}
+
 // unsizedFirstLen is the most payload ReadSegment allocates on a
 // header's word alone, when the reader cannot say where the segment
 // ends; past it the payload grows only as bytes arrive.
@@ -236,8 +241,9 @@ const unsizedFirstLen = 256 << 10
 // believed only as far as unsizedFirstLen ahead of the bytes read.
 func ReadSegment(r io.Reader) (SegmentHeader, []byte, error) {
 	var h SegmentHeader
-	scratch := blockPool.Get()
-	defer blockPool.Put(scratch)
+	pool := obs.Blocks.For(headerFixedLen + MaxVideoIDLen)
+	scratch := pool.Get()
+	defer pool.Put(scratch)
 	fixed := (*scratch)[:headerFixedLen]
 	if _, err := io.ReadFull(r, fixed); err != nil {
 		return h, nil, err

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"sperke/internal/obs"
 )
 
 // The tests in this file hold synthStream to the contract stated beside
@@ -41,7 +43,7 @@ func TestSyntheticPayloadStillDeterministic(t *testing.T) {
 // filled whole, and the counter ends where the whole fill leaves it.
 func TestSynthStreamSplitStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 5, 8, 31, 32, 33, 1000, 4099, SyntheticBlockLen + 21} {
+	for _, n := range []int{0, 5, 8, 31, 32, 33, 1000, 4099, obs.MinBlockLen + 21} {
 		want := SyntheticPayload(123, n)
 		whole := newSynthStream(123)
 		whole.fill(make([]byte, n))

@@ -12,10 +12,23 @@ import (
 	"sperke/internal/tiling"
 )
 
-// writerEquivCases spans the alignment edges of the block generator:
-// empty, sub-word, word-boundary, word+1, one block, and a multi-block
-// body larger than SyntheticBlockLen.
-var writerEquivCases = []int{0, 1, 7, 8, 9, SyntheticBlockLen - 1, SyntheticBlockLen, SyntheticBlockLen + 1, 109_000}
+// writerEquivCases spans the alignment edges of the block generator —
+// empty, sub-word, word-boundary, word+1, a payload one short of,
+// exactly and one past the streaming block — a typical chunk, and every
+// block class's edges (classPayloads).
+var writerEquivCases = append([]int{0, 1, 7, 8, 9, obs.MinBlockLen - 1, obs.MinBlockLen, obs.MinBlockLen + 1, 109_000}, classPayloads()...)
+
+// classPayloads are payload lengths whose equivHeader segment is one
+// byte short of, exactly, and one byte past each block class, and one
+// past the largest class.
+func classPayloads() []int {
+	over := SegmentLen(equivHeader().VideoID, 0)
+	var ns []int
+	for c := obs.MinBlockLen; c <= obs.MaxBlockLen; c <<= 1 {
+		ns = append(ns, c-over-1, c-over, c-over+1)
+	}
+	return append(ns, 2*obs.MaxBlockLen+9)
+}
 
 func equivHeader() SegmentHeader {
 	return SegmentHeader{
@@ -160,7 +173,8 @@ func TestWriteSyntheticSegmentEquivalence(t *testing.T) {
 func FuzzSyntheticSegmentForms(f *testing.F) {
 	f.Add(uint64(42), 1000, uint8(3), uint16(17))
 	f.Add(uint64(0), 0, uint8(0), uint16(0))
-	f.Add(uint64(1<<40), SyntheticBlockLen+5, uint8(255), uint16(65535))
+	f.Add(uint64(1<<40), obs.MinBlockLen+5, uint8(255), uint16(65535))
+	f.Add(uint64(9), obs.MinBlockLen-33, uint8(1), uint16(6))
 	f.Fuzz(func(t *testing.T, seed uint64, n int, q uint8, tile uint16) {
 		if n < 0 || n > 1<<17 {
 			return
@@ -176,17 +190,19 @@ func FuzzSyntheticSegmentForms(f *testing.F) {
 	})
 }
 
-// streamedSegment and inPlaceSegment are the producer's two shapes as
-// the serving tiers meet them: a multi-block body into a destination
-// that cannot lend room, and the same body into a sized buffer, reused.
-// The zero-alloc tests hold each to its budget; BenchmarkWriteSynthetic
-// times them.
-const benchPayloadLen = 3*SyntheticBlockLen + 13
+// streamedSegment and inPlaceSegment are the producer's two
+// destinations as the serving tiers meet them: a typical chunk into a
+// destination that cannot lend room, and the same body into a sized
+// buffer, reused. The zero-alloc tests hold each to its budget;
+// BenchmarkWriteSynthetic times them.
+const benchPayloadLen = 3*obs.MinBlockLen + 13
 
-func streamedSegment(tb testing.TB) func() {
+func streamedSegment(tb testing.TB) func() { return streamedSegmentOf(tb, benchPayloadLen) }
+
+func streamedSegmentOf(tb testing.TB, n int) func() {
 	h := equivHeader()
 	return func() {
-		if err := WriteSyntheticSegment(io.Discard, h, 5, benchPayloadLen); err != nil {
+		if err := WriteSyntheticSegment(io.Discard, h, 5, n); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -206,21 +222,24 @@ func inPlaceSegment(tb testing.TB) func() {
 	}
 }
 
-// TestWriteSyntheticSegmentZeroAlloc pins the streaming shape's scratch
-// budget: once the block pool is warm, streaming a multi-block body
-// allocates nothing at all.
+// TestWriteSyntheticSegmentZeroAlloc pins the pooled shapes' scratch
+// budget: once the block pool is warm, a segment of any class — built
+// in the block when it fits, streamed through it otherwise — goes into
+// a destination that lends nothing without allocating at all.
 func TestWriteSyntheticSegmentZeroAlloc(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random; the allocs/op pin holds only without -race")
 	}
-	stream := streamedSegment(t)
-	stream()
-	allocs := testing.AllocsPerRun(100, stream)
-	t.Logf("streamed into io.Discard: %v allocs/op", allocs)
-	// A GC mid-measurement can empty the block pool and force a one-off
-	// refill; a real per-op allocation would read >= 1.
-	if allocs >= 1 {
-		t.Fatalf("WriteSyntheticSegment: %v allocs/op, want 0 per op", allocs)
+	for _, n := range classPayloads() {
+		stream := streamedSegmentOf(t, n)
+		stream()
+		allocs := testing.AllocsPerRun(100, stream)
+		t.Logf("a %d-byte segment into io.Discard: %v allocs/op", SegmentLen(equivHeader().VideoID, n), allocs)
+		// A GC mid-measurement can empty a block pool and force a one-off
+		// refill; a real per-op allocation would read >= 1.
+		if allocs >= 1 {
+			t.Fatalf("WriteSyntheticSegment(n=%d): %v allocs/op, want 0 per op", n, allocs)
+		}
 	}
 }
 

@@ -28,9 +28,8 @@ type BufferPool struct {
 // Put so one oversized body cannot pin memory forever; maxCap <= 0
 // means unlimited. A pool miss mints a buffer with minCap capacity up
 // front instead of growing a fresh one on first use. Setting maxCap ==
-// minCap pins the pool to exactly one block size — what the
-// writer-first streaming path uses, so its resident scratch is blocks,
-// never bodies.
+// minCap pins the pool to exactly one block size — what each class of
+// Blocks is, so resident scratch is blocks, never bodies.
 func NewSizedBufferPool(r *Registry, prefix string, minCap, maxCap int) *BufferPool {
 	return &BufferPool{
 		minCap: minCap,
@@ -70,4 +69,44 @@ func (p *BufferPool) Put(buf *[]byte) {
 	}
 	*buf = (*buf)[:0]
 	p.pool.Put(buf)
+}
+
+// The block classes: scratch a body moves through comes in power-of-two
+// sizes from MinBlockLen (32 KiB) to MaxBlockLen (256 KiB).
+const (
+	MinBlockLen  = 32 << 10
+	blockClasses = 4
+	MaxBlockLen  = MinBlockLen << (blockClasses - 1)
+)
+
+// BlockPools is a size-classed set of pinned pools: class i holds blocks
+// of exactly MinBlockLen<<i bytes.
+type BlockPools [blockClasses]*BufferPool
+
+// Blocks is the process's one set of block pools, shared by the
+// cluster's relay and the streamed synthesis. Each borrower's scratch is
+// the class of the body it carries: at least MinBlockLen, less than
+// twice the body, and at most MaxBlockLen — so resident scratch is
+// bounded by concurrent borrowers times MaxBlockLen, never by body sizes.
+var Blocks = newBlockPools()
+
+func newBlockPools() *BlockPools {
+	var b BlockPools
+	for i := range b {
+		b[i] = NewSizedBufferPool(nil, "", MinBlockLen<<i, MinBlockLen<<i)
+	}
+	return &b
+}
+
+// For returns the pool of the smallest class that holds n bytes. A
+// length at or under MinBlockLen, or unknown (negative), gets the
+// smallest class; one past MaxBlockLen gets the largest, so a block is
+// never sized by an outside number. Borrow with For(n).Get() through a
+// local and repay with Put on that same local.
+func (b *BlockPools) For(n int) *BufferPool {
+	i := 0
+	for i < len(b)-1 && MinBlockLen<<i < n {
+		i++
+	}
+	return b[i]
 }

@@ -80,6 +80,37 @@ func TestSizedBufferPoolMintsAtMinCap(t *testing.T) {
 	}
 }
 
+// TestBlockClassBound pins the scratch bound Blocks states: the block
+// For(n) hands out holds n (up to MaxBlockLen), is the smallest class
+// that does, is under twice n past MinBlockLen, and is never outside
+// [MinBlockLen, MaxBlockLen] — an unknown, tiny or absurd length
+// included.
+func TestBlockClassBound(t *testing.T) {
+	lens := []int{-1 << 62, -1, 0, 1, 4 << 10}
+	for c := MinBlockLen; c <= MaxBlockLen; c <<= 1 {
+		lens = append(lens, c-1, c, c+1, c+c/2)
+	}
+	lens = append(lens, 300_000, 64<<20, 1<<62)
+	for _, n := range lens {
+		pool := Blocks.For(n)
+		b := pool.Get()
+		c := cap(*b)
+		pool.Put(b)
+		if c < MinBlockLen || c > MaxBlockLen {
+			t.Fatalf("For(%d): a %d-byte block, outside [%d, %d]", n, c, MinBlockLen, MaxBlockLen)
+		}
+		if n <= MaxBlockLen && c < n {
+			t.Fatalf("For(%d): a %d-byte block does not hold it", n, c)
+		}
+		if n > MinBlockLen && c/2 >= n || n <= MinBlockLen && c != MinBlockLen {
+			t.Fatalf("For(%d): a %d-byte block, want under twice the length or the smallest class", n, c)
+		}
+		if n > MaxBlockLen && c != MaxBlockLen {
+			t.Fatalf("For(%d): a %d-byte block, want the largest class", n, c)
+		}
+	}
+}
+
 // TestBufferPoolGetPutZeroAlloc pins the reason the pool traffics in
 // *[]byte: the Get/Put round trip itself must not allocate (interface
 // boxing of a plain []byte would). Shed Puts (GC, race-detector drops)

@@ -39,15 +39,15 @@ var clockAllowlist = map[string]bool{
 	// time; everything else (breaker cooldowns, health state) reads the
 	// injected clock.
 	"internal/cluster:wallSleep": true,
-	// openWire is the router's one hop onto the wire client, whose
+	// Node.open is the router's one hop onto the wire client, whose
 	// retry loop is wall-tainted through its default now/sleep seams —
 	// the same seam shape as serve's httpMirror.mirror: real-network
 	// latency enters here and nowhere else in the cluster.
-	"internal/cluster:Node.openWire": true,
+	"internal/cluster:Node.open": true,
 	// Node.Ping is the other hop onto that client: its probe GET
 	// classifies failures through the client's Retry-After parsing,
 	// which reads the client's now seam to turn HTTP-date deadlines
-	// into durations. Same wall-at-the-wire shape as openWire.
+	// into durations. Same wall-at-the-wire shape as Node.open.
 	"internal/cluster:Node.Ping": true,
 	// The engine's HTTP observation leg calls dash.Client.FetchChunk,
 	// which is wall-tainted through its default now/sleep seams; the

@@ -26,8 +26,9 @@ var streamMaterializers = map[string]string{
 // streamStdlibMaterializers are standard-library whole-body readers
 // banned in specific spans, keyed "pkg:Func" → the one span directory
 // the ban covers. The wire cluster's router proxies chunk bodies into
-// the caller's ResponseWriter — or, when someone needs it whole, a
-// pre-sized sink — through a pooled copy buffer (Cluster.relay);
+// the caller's ResponseWriter a read at a time — through a pooled block
+// of the body's class or, when someone needs it whole, the pre-sized
+// kept buffer (Cluster.relay);
 // slurping a response body with io.ReadAll would re-materialize every
 // chunk at the router and put per-request allocation back on the hot
 // path.
