@@ -4,20 +4,17 @@
 //	go run ./cmd/sperke-vet ./...
 //	go run ./cmd/sperke-vet -checks clockhygiene,maporder ./internal/sim
 //	go run ./cmd/sperke-vet -json ./...
-//	go run ./cmd/sperke-vet -unused-nolint ./...
 //	go run ./cmd/sperke-vet -list
 //
 // The suite is type-resolved: the whole module is parsed and
-// type-checked (pure stdlib, see internal/vet/typed.go), which enables
-// the cross-package checkers (ctxflow, lockscope, streamdiscipline and
-// clockhygiene's taint pass).
+// type-checked (pure stdlib, see internal/vet/typed.go), and every
+// checker is one pass over that load.
 //
 // It exits 0 when clean, 1 when it finds violations (one
 // "path:line:col: [check] message" line per finding, or a JSON array
-// under -json), and 2 on usage, parse, or type-check errors. Findings
-// are suppressed in source with //sperke:nolint(<check>) on or
-// directly above the offending line; -unused-nolint reports waivers
-// that no longer suppress anything so stale ones rot visibly.
+// under -json), and 2 on usage, parse, or type-check errors. The one
+// waiver is a checker's function-keyed allowlist of named seams, in its
+// source.
 package main
 
 import (
@@ -52,10 +49,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list registered checkers and exit")
 	checks := fs.String("checks", "", "comma-separated subset of checkers to run (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (schema: check, path, line, col, message)")
-	unusedNolint := fs.Bool("unused-nolint", false, "report //sperke:nolint comments that suppress nothing (full-suite run)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr,
-			"usage: sperke-vet [-list] [-checks a,b] [-json] [-unused-nolint] [packages]\n\npackages are module-relative paths; ./... (the default) means the whole module.\n\n")
+			"usage: sperke-vet [-list] [-checks a,b] [-json] [packages]\n\npackages are module-relative paths; ./... (the default) means the whole module.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -72,10 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-17s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *unusedNolint && *checks != "" {
-		fmt.Fprintln(stderr, "sperke-vet: -unused-nolint needs the full suite (drop -checks)")
-		return 2
 	}
 
 	root, err := vet.ModuleRoot(".")
@@ -97,27 +89,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "sperke-vet: typed load of %d packages in %v\n",
 		len(m.Pkgs), time.Since(start).Round(time.Millisecond))
-	res := vet.RunModule(m, analyzers)
-	diags, unused := res.Diags, res.Unused
-
-	if *unusedNolint {
-		n := 0
-		for _, u := range unused {
-			if !matchesTarget(u.Path, prefixes) {
-				continue
-			}
-			fmt.Fprintln(stdout, u)
-			n++
-		}
-		if n > 0 {
-			fmt.Fprintf(stderr, "sperke-vet: %d unused nolint waiver(s)\n", n)
-			return 1
-		}
-		return 0
-	}
-
 	var kept []vet.Diagnostic
-	for _, d := range diags {
+	for _, d := range vet.RunModule(m, analyzers) {
 		if matchesTarget(d.Pos.Filename, prefixes) {
 			kept = append(kept, d)
 		}

@@ -9,9 +9,8 @@ import (
 )
 
 // writeTestModule lays out a miniature module with one ctxflow
-// violation and one stale nolint waiver, and chdirs into it for the
-// duration of the test (run() resolves the module from the working
-// directory).
+// violation and chdirs into it for the duration of the test (run()
+// resolves the module from the working directory).
 func writeTestModule(t *testing.T) {
 	t.Helper()
 	dir := t.TempDir()
@@ -23,14 +22,6 @@ import "context"
 
 func refetch(get func(context.Context) error) error {
 	return get(context.Background())
-}
-`,
-		"internal/serve/stale.go": `package serve
-
-import "context"
-
-func threaded(ctx context.Context) context.Context {
-	return ctx //sperke:nolint(ctxflow) — stale: suppresses nothing
 }
 `,
 	}
@@ -101,32 +92,12 @@ func TestRunTextOutputAndExitCodes(t *testing.T) {
 	}
 }
 
-func TestRunUnusedNolint(t *testing.T) {
-	writeTestModule(t)
-	var stdout, stderr strings.Builder
-	code := run([]string{"-unused-nolint", "./..."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "internal/serve/stale.go:6: unused //sperke:nolint(ctxflow)") {
-		t.Fatalf("stale waiver not reported:\n%s", stdout.String())
-	}
-	if strings.Contains(stdout.String(), "bad.go") {
-		t.Fatalf("-unused-nolint mode leaked diagnostics:\n%s", stdout.String())
-	}
-
-	// -unused-nolint needs the full suite.
-	if code := run([]string{"-unused-nolint", "-checks", "ctxflow"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-unused-nolint -checks exit = %d, want 2", code)
-	}
-}
-
 func TestRunList(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit = %d", code)
 	}
-	for _, name := range []string{"clockhygiene", "ctxflow", "lockscope", "streamdiscipline"} {
+	for _, name := range []string{"clockhygiene", "ctxflow", "lockscope", "maporder"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Fatalf("-list missing %s:\n%s", name, stdout.String())
 		}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"sperke/internal/dash"
@@ -238,15 +239,21 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 
 // truncatingTransport answers every chunk GET with a 200 that declares
 // more bytes than it delivers — a server or middlebox cutting the body
-// mid-stream without breaking the connection.
+// mid-stream without breaking the connection. A trickling one hands
+// the body over a byte per read.
 type truncatingTransport struct {
 	declared int64
 	body     string
+	trickle  bool
 }
 
 func (tr *truncatingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	h := make(http.Header)
 	h.Set("Content-Length", fmt.Sprint(tr.declared))
+	var body io.Reader = strings.NewReader(tr.body)
+	if tr.trickle {
+		body = iotest.OneByteReader(body)
+	}
 	return &http.Response{
 		Status:        http.StatusText(http.StatusOK),
 		StatusCode:    http.StatusOK,
@@ -254,7 +261,7 @@ func (tr *truncatingTransport) RoundTrip(req *http.Request) (*http.Response, err
 		ProtoMajor:    1,
 		ProtoMinor:    1,
 		Header:        h,
-		Body:          io.NopCloser(strings.NewReader(tr.body)),
+		Body:          io.NopCloser(body),
 		ContentLength: tr.declared,
 		Request:       req,
 	}, nil

@@ -110,20 +110,24 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 // read, each read reaches the viewer in one write. A 100 KB body fits
 // its 128 KiB block and crosses in one turn (four through a 32 KiB
 // one); a 300 KB body is past the largest class and takes two; kept for
-// a replica, the body is its own block and crosses in one. A kept body
-// is handed out sealed (len == cap), so no two holders share room.
+// a replica, the body is its own block and crosses in one — and over an
+// edge that trickles it a byte per read, in one write per byte,
+// forwarded as each read lands rather than slurped whole first. A kept
+// body is handed out sealed (len == cap), so no two holders share room.
 func TestRelayTurns(t *testing.T) {
 	v := wireVideo()
 	key := wireKeys(v)[0]
 	for _, tc := range []struct {
 		n, replicas, writes int
+		trickle             bool
 	}{
-		{100_000, 1, 1},
-		{300_000, 1, 2},
-		{300_000, 2, 1},
+		{100_000, 1, 1, false},
+		{300_000, 1, 2, false},
+		{300_000, 2, 1, false},
+		{1_000, 2, 1_000, true},
 	} {
 		c, err := New(&countingOrigin{}, WithNodes(tc.replicas), WithReplication(tc.replicas),
-			WithTransport(&truncatingTransport{declared: int64(tc.n), body: strings.Repeat("x", tc.n)}),
+			WithTransport(&truncatingTransport{declared: int64(tc.n), body: strings.Repeat("x", tc.n), trickle: tc.trickle}),
 			WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
 		if err != nil {
 			t.Fatal(err)

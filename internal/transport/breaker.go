@@ -79,6 +79,12 @@ type BreakerTransition struct {
 	From, To BreakerState
 }
 
+// maxTransitions bounds a breaker's state-change log; beyond it the log
+// keeps its first entries and drops the rest (Opened and Reclosed stay
+// exact), so a long-lived breaker on a flapping path cannot grow it
+// without bound.
+const maxTransitions = 1024
+
 // Breaker is a circuit breaker over the sim clock: it tracks
 // consecutive deadline misses and delivery failures on one path, opens
 // when they cross the threshold, and probes for recovery after a
@@ -99,6 +105,8 @@ type Breaker struct {
 	probing     bool
 	openedAt    time.Duration
 	transitions []BreakerTransition
+	// opened and reclosed survive the log's cap.
+	opened, reclosed bool
 }
 
 // NewBreaker builds a closed breaker on the given clock.
@@ -110,7 +118,11 @@ func (b *Breaker) transition(to BreakerState) {
 	if b.state == to {
 		return
 	}
-	b.transitions = append(b.transitions, BreakerTransition{At: b.clock.Now(), From: b.state, To: to})
+	if len(b.transitions) < maxTransitions {
+		b.transitions = append(b.transitions, BreakerTransition{At: b.clock.Now(), From: b.state, To: to})
+	}
+	b.reclosed = b.reclosed || b.opened && to == BreakerClosed
+	b.opened = b.opened || to == BreakerOpen
 	b.state = to
 	b.Obs.Counter("transport.breaker.to_" + to.metricName()).Inc()
 	b.Obs.Gauge("transport.breaker.state").Set(int64(to))
@@ -189,7 +201,8 @@ func (b *Breaker) RetryAt() time.Duration {
 	return b.openedAt + b.cfg.Cooldown
 }
 
-// Transitions returns a copy of the state-change log.
+// Transitions returns a copy of the state-change log: the first
+// maxTransitions state changes.
 func (b *Breaker) Transitions() []BreakerTransition {
 	out := make([]BreakerTransition, len(b.transitions))
 	copy(out, b.transitions)
@@ -199,26 +212,8 @@ func (b *Breaker) Transitions() []BreakerTransition {
 // Opened reports whether the breaker has ever tripped, and Reclosed
 // whether it returned to Closed after tripping — the open-and-re-close
 // cycle chaos tests assert.
-func (b *Breaker) Opened() bool {
-	for _, tr := range b.transitions {
-		if tr.To == BreakerOpen {
-			return true
-		}
-	}
-	return false
-}
+func (b *Breaker) Opened() bool { return b.opened }
 
 // Reclosed reports whether the breaker returned to Closed after having
 // been open.
-func (b *Breaker) Reclosed() bool {
-	opened := false
-	for _, tr := range b.transitions {
-		if tr.To == BreakerOpen {
-			opened = true
-		}
-		if opened && tr.To == BreakerClosed {
-			return true
-		}
-	}
-	return false
-}
+func (b *Breaker) Reclosed() bool { return b.reclosed }

@@ -132,6 +132,42 @@ func TestBreakerTransitionsLog(t *testing.T) {
 	}
 }
 
+// TestBreakerTransitionLogIsBounded: a path that flaps for the life of a
+// long-lived cluster — 10,000 trip/recover cycles, 30,000 state changes
+// — leaves a log of its first maxTransitions entries and nothing after,
+// and the breaker still reports the trip and the re-close.
+func TestBreakerTransitionLogIsBounded(t *testing.T) {
+	clock := sim.NewClock(1)
+	b := NewBreaker(clock, BreakerConfig{FailureThreshold: 1, Cooldown: time.Second})
+	for i := 0; i < 10_000; i++ {
+		b.OnFailure() // closed → open
+		clock.RunUntil(clock.Now() + time.Second)
+		b.Allow()     // open → half-open
+		b.OnSuccess() // half-open → closed
+	}
+	trs := b.Transitions()
+	if len(trs) != maxTransitions {
+		t.Fatalf("log holds %d transitions after 10,000 cycles, want the first %d", len(trs), maxTransitions)
+	}
+	for i, tr := range trs {
+		if want := []BreakerState{BreakerOpen, BreakerHalfOpen, BreakerClosed}[i%3]; tr.To != want {
+			t.Fatalf("transition %d is to %v, want %v", i, tr.To, want)
+		}
+	}
+	// Cycle c trips at c seconds and recovers a cooldown later.
+	last := len(trs) - 1
+	want := time.Duration(last/3) * time.Second
+	if last%3 != 0 {
+		want += time.Second
+	}
+	if trs[last].At != want {
+		t.Fatalf("last kept transition %d is at %v, want %v: the log kept a later cycle", last, trs[last].At, want)
+	}
+	if !b.Opened() || !b.Reclosed() {
+		t.Fatalf("Opened() = %v, Reclosed() = %v after 10,000 cycles; want both true", b.Opened(), b.Reclosed())
+	}
+}
+
 func TestBreakerStateStrings(t *testing.T) {
 	if BreakerClosed.String() != "closed" || BreakerOpen.String() != "open" ||
 		BreakerHalfOpen.String() != "half-open" {

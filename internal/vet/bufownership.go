@@ -14,7 +14,7 @@ import (
 // the pool silently degrades to plain allocation (or worse, the buffer
 // escapes into a cache and is recycled under a reader).
 //
-// Without go/types the checker keys off naming: fields and locals that
+// The checker keys off naming: fields and locals that
 // hold pools are named for it in this codebase (obs.BufferPool users
 // call them `scratch`). Lookups on unrelated types (cache.Get(key),
 // flag.Lookup) don't match the chain-name heuristic or take arguments
@@ -23,13 +23,10 @@ import (
 var BufOwnership = &Analyzer{
 	Name: "bufownership",
 	Doc:  "flag pool/scratch Get() calls with no matching Put on the same pool in the function",
-	CheckFile: func(f *File) []Diagnostic {
-		if f.Test() || inSpan(f.Dir(), []string{"internal/obs"}) {
-			return nil
-		}
+	CheckModule: func(m *Module) []Diagnostic {
 		var out []Diagnostic
-		funcDecls(f, func(name string, fd *ast.FuncDecl) {
-			if fd.Body == nil {
+		eachFunc(m, nil, func(tp *TypedPackage, f *File, name string, fd *ast.FuncDecl) {
+			if fd.Body == nil || inSpan(tp.Dir, []string{"internal/obs"}) {
 				return
 			}
 			// First pass: collect the chains that Put somewhere in

@@ -1,9 +1,5 @@
 package vet
 
-import (
-	"go/ast"
-)
-
 // clockSpans extends the deterministic packages with the real-socket
 // substrates the roadmap routes through injected clocks: rtmp stamps
 // segment arrival times and handshake nonces, netem schedules token
@@ -86,64 +82,13 @@ var randConstructors = map[string]bool{
 
 // ClockHygiene forbids wall-clock reads (time.Now/Sleep/Since/Until/
 // After/Tick) and the globally-seeded math/rand API in deterministic
-// and injected-clock packages, outside the allowlisted seams. Every
-// component in those spans takes a clock (sim.Clock, a Now func field)
-// or an explicit *rand.Rand, so an experiment's output is a pure
-// function of its seed.
+// and injected-clock packages, outside the allowlisted seams — whether
+// used directly or laundered through a helper in another package (the
+// taint pass, taint.go). Every component in those spans takes a clock
+// (sim.Clock, a Now func field) or an explicit *rand.Rand, so an
+// experiment's output is a pure function of its seed.
 var ClockHygiene = &Analyzer{
-	Name: "clockhygiene",
-	Doc:  "forbid wall-clock and global-rand use in deterministic packages outside allowlisted seams",
-	// The typed pass (taint.go) extends the per-file rule across
-	// package boundaries: helpers that launder time.Now through another
-	// package are caught at the call site where taint enters a
-	// deterministic span.
+	Name:        "clockhygiene",
+	Doc:         "forbid wall-clock and global-rand use in deterministic packages outside allowlisted seams",
 	CheckModule: taintDiagnostics,
-	CheckFile: func(f *File) []Diagnostic {
-		if f.Test() || !inSpan(f.Path, clockSpans) {
-			return nil
-		}
-		timeName := importName(f.AST, "time")
-		randName := importName(f.AST, "math/rand")
-		if timeName == "" && randName == "" {
-			return nil
-		}
-		var out []Diagnostic
-		check := func(name string, root ast.Node) {
-			if clockAllowlist[f.Dir()+":"+name] {
-				return
-			}
-			// Inspect selector mentions rather than calls so wall funcs
-			// leaked as values (nowFunc: time.Now) are caught too.
-			ast.Inspect(root, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				id, ok := sel.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				switch {
-				case timeName != "" && id.Name == timeName && clockForbidden[sel.Sel.Name]:
-					out = append(out, f.diag("clockhygiene", sel.Pos(),
-						"%s.%s in deterministic package %s (func %s): inject a clock (sim.Clock or a Now func field) or allowlist the seam",
-						timeName, sel.Sel.Name, f.Dir(), name))
-				case randName != "" && id.Name == randName && !randConstructors[sel.Sel.Name] && ast.IsExported(sel.Sel.Name):
-					out = append(out, f.diag("clockhygiene", sel.Pos(),
-						"globally-seeded %s.%s in deterministic package %s (func %s): use rand.New(rand.NewSource(seed)) and thread the *rand.Rand through",
-						randName, sel.Sel.Name, f.Dir(), name))
-				}
-				return true
-			})
-		}
-		funcDecls(f, func(name string, fd *ast.FuncDecl) { check(name, fd) })
-		// Package-level var initializers can leak the wall clock too
-		// (var epoch = time.Now()).
-		for _, d := range f.AST.Decls {
-			if gd, ok := d.(*ast.GenDecl); ok {
-				check("package-level decl", gd)
-			}
-		}
-		return out
-	},
 }

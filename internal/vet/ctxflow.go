@@ -54,70 +54,46 @@ var CtxFlow = &Analyzer{
 	Doc:  "forbid context.Background/TODO and nil contexts on the delivery path outside allowlisted seams",
 	CheckModule: func(m *Module) []Diagnostic {
 		var out []Diagnostic
-		for _, tp := range m.Pkgs {
-			if !inSpan(tp.Dir, ctxSpans) {
-				continue
-			}
-			check := func(f *File, name string, root ast.Node) {
-				ast.Inspect(root, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := calleeOf(tp.Info, call)
-					if callee == nil {
-						return true
-					}
-					if callee.Pkg() != nil && callee.Pkg().Path() == "context" &&
-						(callee.Name() == "Background" || callee.Name() == "TODO") {
-						out = append(out, f.diag("ctxflow", call.Pos(),
-							"context.%s in delivery package %s (%s): thread the caller's ctx through, or allowlist a named seam",
-							callee.Name(), tp.Dir, name))
-					}
-					sig, _ := callee.Type().(*types.Signature)
-					if sig == nil {
-						return true
-					}
-					for i, arg := range call.Args {
-						if i >= sig.Params().Len() && !sig.Variadic() {
-							break
-						}
-						pi := i
-						if pi >= sig.Params().Len() {
-							pi = sig.Params().Len() - 1
-						}
-						if !isCtxType(sig.Params().At(pi).Type()) {
-							continue
-						}
-						if tv, ok := tp.Info.Types[arg]; ok && tv.IsNil() {
-							out = append(out, f.diag("ctxflow", arg.Pos(),
-								"nil context passed to %s in delivery package %s (%s): pass the caller's ctx",
-								typedDisplayName(callee), tp.Dir, name))
-						}
-					}
+		eachDecl(m, ctxSpans, ctxAllowlist, func(tp *TypedPackage, f *File, name string, d ast.Decl) {
+			ast.Inspect(d, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
-				})
-			}
-			typedFileDecls(tp, func(f *File, name string, fd *ast.FuncDecl) {
-				fn := declFunc(tp.Info, fd)
-				if fn != nil && ctxAllowlist[typedFuncKey(m, fn)] {
-					return
 				}
-				check(f, name, fd)
-			})
-			// Package-level var initializers can mint a background root
-			// too (var rootCtx = context.Background()).
-			for _, f := range tp.Files {
-				if f.Test() {
-					continue
+				callee := calleeOf(tp.Info, call)
+				if callee == nil {
+					return true
 				}
-				for _, d := range f.AST.Decls {
-					if gd, ok := d.(*ast.GenDecl); ok {
-						check(f, "package-level decl", gd)
+				if callee.Pkg() != nil && callee.Pkg().Path() == "context" &&
+					(callee.Name() == "Background" || callee.Name() == "TODO") {
+					out = append(out, f.diag("ctxflow", call.Pos(),
+						"context.%s in delivery package %s (%s): thread the caller's ctx through, or allowlist a named seam",
+						callee.Name(), tp.Dir, name))
+				}
+				sig, _ := callee.Type().(*types.Signature)
+				if sig == nil {
+					return true
+				}
+				for i, arg := range call.Args {
+					if i >= sig.Params().Len() && !sig.Variadic() {
+						break
+					}
+					pi := i
+					if pi >= sig.Params().Len() {
+						pi = sig.Params().Len() - 1
+					}
+					if !isCtxType(sig.Params().At(pi).Type()) {
+						continue
+					}
+					if tv, ok := tp.Info.Types[arg]; ok && tv.IsNil() {
+						out = append(out, f.diag("ctxflow", arg.Pos(),
+							"nil context passed to %s in delivery package %s (%s): pass the caller's ctx",
+							typedDisplayName(callee), tp.Dir, name))
 					}
 				}
-			}
-		}
+				return true
+			})
+		})
 		return out
 	},
 }

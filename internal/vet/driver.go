@@ -3,35 +3,11 @@ package vet
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
 	"strings"
 )
-
-// ParseSource parses in-memory source under the given module-relative
-// path — the fixture harness uses it directly.
-func ParseSource(src []byte, modPath string) (*File, error) {
-	fset := token.NewFileSet()
-	af, err := parseInto(fset, modPath, src)
-	if err != nil {
-		return nil, err
-	}
-	return &File{Path: modPath, Fset: fset, AST: af}, nil
-}
-
-// parseInto parses src into an existing FileSet — the typed loader
-// needs every file of a package (and the whole module) on one set.
-func parseInto(fset *token.FileSet, modPath string, src []byte) (*ast.File, error) {
-	af, err := parser.ParseFile(fset, modPath, src, parser.ParseComments)
-	if err != nil {
-		return nil, fmt.Errorf("vet: parse %s: %w", modPath, err)
-	}
-	return af, nil
-}
 
 // ModuleRoot walks upward from dir to the directory containing go.mod.
 func ModuleRoot(dir string) (string, error) {
@@ -51,108 +27,54 @@ func ModuleRoot(dir string) (string, error) {
 	}
 }
 
-// suppressions indexes //sperke:nolint comments. A nolint comment
-// suppresses matching diagnostics on its own line and on the line
-// directly below it (so it can trail the offending expression or sit
-// on its own line above it). Each comment tracks whether it ever
-// suppressed anything, so a full run can report stale waivers.
-type suppressions struct {
-	// byFile maps path -> line -> comments anchored there.
-	byFile map[string]map[int][]*nolintComment
-	all    []*nolintComment
-}
+// ---- shared walkers and AST helpers for the checkers ----
 
-// nolintComment is one waiver comment; checks containing "*" waives
-// every checker.
-type nolintComment struct {
-	path   string
-	line   int
-	test   bool
-	checks []string
-	used   bool
-}
-
-const nolintPrefix = "//sperke:nolint"
-
-func newSuppressions(files []*File) *suppressions {
-	s := &suppressions{byFile: make(map[string]map[int][]*nolintComment)}
-	for _, f := range files {
-		for _, cg := range f.AST.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, nolintPrefix)
-				if !ok {
-					continue
-				}
-				checks := []string{"*"}
-				if rest, ok := strings.CutPrefix(text, "("); ok {
-					if inner, _, ok := strings.Cut(rest, ")"); ok {
-						checks = strings.Split(inner, ",")
-						for i := range checks {
-							checks[i] = strings.TrimSpace(checks[i])
-						}
-					}
-				}
-				lines := s.byFile[f.Path]
-				if lines == nil {
-					lines = make(map[int][]*nolintComment)
-					s.byFile[f.Path] = lines
-				}
-				nc := &nolintComment{
-					path:   f.Path,
-					line:   f.Fset.Position(c.Pos()).Line,
-					test:   f.Test(),
-					checks: checks,
-				}
-				lines[nc.line] = append(lines[nc.line], nc)
-				s.all = append(s.all, nc)
-			}
-		}
-	}
-	return s
-}
-
-// covers reports whether d is suppressed, marking the suppressing
-// comment used.
-func (s *suppressions) covers(d Diagnostic) bool {
-	lines := s.byFile[d.Pos.Filename]
-	if lines == nil {
-		return false
-	}
-	hit := false
-	for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
-		for _, nc := range lines[line] {
-			for _, c := range nc.checks {
-				if c == "*" || c == d.Check {
-					nc.used = true
-					hit = true
-				}
-			}
-		}
-	}
-	return hit
-}
-
-// unused returns the waivers that never suppressed anything, sorted by
-// position. Test files are exempt: the checkers skip them, so their
-// nolints are documentation, not waivers.
-func (s *suppressions) unused() []UnusedNolint {
-	var out []UnusedNolint
-	for _, nc := range s.all {
-		if nc.used || nc.test {
+// eachFile invokes fn for every non-test file of the module's packages
+// under spans (every package when spans is nil). The typed load excludes
+// test files already; fixture modules may still carry them.
+func eachFile(m *Module, spans []string, fn func(tp *TypedPackage, f *File)) {
+	for _, tp := range m.Pkgs {
+		if spans != nil && !inSpan(tp.Dir, spans) {
 			continue
 		}
-		out = append(out, UnusedNolint{Path: nc.path, Line: nc.line, Checks: nc.checks})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Path != out[j].Path {
-			return out[i].Path < out[j].Path
+		for _, f := range tp.Files {
+			if !f.Test() {
+				fn(tp, f)
+			}
 		}
-		return out[i].Line < out[j].Line
-	})
-	return out
+	}
 }
 
-// ---- shared AST helpers for the checkers ----
+// eachFunc invokes fn for every function declaration eachFile reaches,
+// with its display name: "Name" for functions, "Recv.Name" for methods.
+func eachFunc(m *Module, spans []string, fn func(tp *TypedPackage, f *File, name string, fd *ast.FuncDecl)) {
+	eachFile(m, spans, func(tp *TypedPackage, f *File) {
+		for _, d := range f.AST.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				fn(tp, f, funcDisplayName(fd), fd)
+			}
+		}
+	})
+}
+
+// eachDecl invokes fn for every top-level declaration eachFile reaches
+// that is not an allowlisted function, named as eachFunc names it or
+// "package-level decl" — var initializers can leak what a function body
+// can (var epoch = time.Now()).
+func eachDecl(m *Module, spans []string, allow map[string]bool, fn func(tp *TypedPackage, f *File, name string, d ast.Decl)) {
+	eachFile(m, spans, func(tp *TypedPackage, f *File) {
+		for _, d := range f.AST.Decls {
+			name := "package-level decl"
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				if obj := declFunc(tp.Info, fd); obj != nil && allow[typedFuncKey(m, obj)] {
+					continue
+				}
+				name = funcDisplayName(fd)
+			}
+			fn(tp, f, name, d)
+		}
+	})
+}
 
 // importName returns the local identifier the file binds importPath to:
 // the declared alias, or the base name of the path when unaliased.
@@ -208,18 +130,6 @@ var deterministicSpans = []string{
 	"internal/qoe",
 	"internal/abr",
 	"internal/obs",
-}
-
-// funcDecls invokes fn for every function declaration in the file with
-// a stable display name: "Name" for functions, "Recv.Name" for methods.
-func funcDecls(f *File, fn func(name string, decl *ast.FuncDecl)) {
-	for _, d := range f.AST.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		fn(funcDisplayName(fd), fd)
-	}
 }
 
 // funcDisplayName renders "Name" or "Recv.Name".

@@ -2,7 +2,8 @@ package vet
 
 import (
 	"go/ast"
-	"go/token"
+	"go/constant"
+	"go/types"
 	"strings"
 )
 
@@ -15,9 +16,13 @@ var taxonomySpans = []string{
 	"internal/rtmp",
 }
 
+// errorType is the universe's error interface.
+var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+
 // ErrTaxonomy enforces the delivery path's error discipline:
 //
-//   - fmt.Errorf that embeds an error value must wrap it with %w so
+//   - fmt.Errorf that embeds an error value — an argument whose type
+//     implements error, whatever it is named — must wrap it with %w so
 //     errors.Is/As keep seeing the sentinel or *dash.Error underneath;
 //   - errors.New inside a function body is forbidden — ad-hoc opaque
 //     errors defeat the taxonomy. Package-level sentinel declarations
@@ -25,67 +30,51 @@ var taxonomySpans = []string{
 var ErrTaxonomy = &Analyzer{
 	Name: "errtaxonomy",
 	Doc:  "require %w wrapping and typed sentinels (no in-function errors.New) in dash/transport/rtmp",
-	CheckPackage: func(p *Package) []Diagnostic {
-		if !inSpan(p.Dir, taxonomySpans) {
-			return nil
-		}
+	CheckModule: func(m *Module) []Diagnostic {
 		var out []Diagnostic
-		for _, f := range p.Files {
-			if f.Test() {
-				continue
-			}
-			fmtName := importName(f.AST, "fmt")
-			errorsName := importName(f.AST, "errors")
-			if fmtName == "" && errorsName == "" {
-				continue
-			}
-			funcDecls(f, func(name string, fd *ast.FuncDecl) {
-				ast.Inspect(fd, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if fn, ok := pkgCall(call, errorsName); ok && errorsName != "" && fn == "New" {
-						out = append(out, f.diag("errtaxonomy", call.Pos(),
-							"in-function %s.New in %s (func %s): return a typed taxonomy error (sentinel var or *dash.Error) so callers can errors.Is/As",
-							errorsName, p.Dir, name))
-					}
-					if fn, ok := pkgCall(call, fmtName); ok && fmtName != "" && fn == "Errorf" {
-						if d, bad := errorfWithoutWrap(f, call, fmtName); bad {
-							out = append(out, d)
-						}
-					}
+		eachFunc(m, taxonomySpans, func(tp *TypedPackage, f *File, name string, fd *ast.FuncDecl) {
+			ast.Inspect(fd, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
-				})
+				}
+				callee := calleeOf(tp.Info, call)
+				if callee == nil || callee.Pkg() == nil {
+					return true
+				}
+				switch callee.Pkg().Path() + "." + callee.Name() {
+				case "errors.New":
+					out = append(out, f.diag("errtaxonomy", call.Pos(),
+						"in-function errors.New in %s (func %s): return a typed taxonomy error (sentinel var or *dash.Error) so callers can errors.Is/As",
+						tp.Dir, name))
+				case "fmt.Errorf":
+					if arg := unwrappedCause(tp.Info, call); arg != nil {
+						out = append(out, f.diag("errtaxonomy", arg.Pos(),
+							"fmt.Errorf embeds %q without %%w: wrap the cause so the taxonomy stays inspectable",
+							types.ExprString(arg)))
+					}
+				}
+				return true
 			})
-		}
+		})
 		return out
 	},
 }
 
-// errorfWithoutWrap flags fmt.Errorf calls that pass an error-like
-// argument but whose format string has no %w verb.
-func errorfWithoutWrap(f *File, call *ast.CallExpr, fmtName string) (Diagnostic, bool) {
+// unwrappedCause returns the first error-typed argument of a fmt.Errorf
+// call whose constant format string has no %w verb, or nil.
+func unwrappedCause(info *types.Info, call *ast.CallExpr) ast.Expr {
 	if len(call.Args) < 2 {
-		return Diagnostic{}, false
+		return nil
 	}
-	lit, ok := call.Args[0].(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING || strings.Contains(lit.Value, "%w") {
-		return Diagnostic{}, false
+	format := info.Types[call.Args[0]].Value
+	if format == nil || format.Kind() != constant.String || strings.Contains(constant.StringVal(format), "%w") {
+		return nil
 	}
 	for _, arg := range call.Args[1:] {
-		if name := exprName(arg); errorLikeName(name) {
-			return f.diag("errtaxonomy", arg.Pos(),
-				"%s.Errorf embeds %q without %%w: wrap the cause so the taxonomy stays inspectable",
-				fmtName, name), true
+		if t := info.TypeOf(arg); t != nil && types.Implements(t, errorType) {
+			return arg
 		}
 	}
-	return Diagnostic{}, false
-}
-
-// errorLikeName matches the idiomatic error variable spellings: err,
-// derr, copyErr, e.Err, lastError, ...
-func errorLikeName(name string) bool {
-	lower := strings.ToLower(name)
-	return lower == "err" || strings.HasSuffix(lower, "err") || strings.HasSuffix(lower, "error")
+	return nil
 }

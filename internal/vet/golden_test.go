@@ -5,99 +5,157 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
-// fixtureDirective assigns a fixture a fake module-relative path, since
-// every checker keys off package location. It must be the first line:
+// fixtureDirective assigns a fixture file a fake module-relative path,
+// since every checker keys off package location. It must be the first
+// line:
 //
 //	//sperke:fixture path=internal/sim/bad.go
 var fixtureDirective = regexp.MustCompile(`(?m)^//sperke:fixture path=(\S+)$`)
 
-// TestGoldenFixtures runs every analyzer over its testdata fixtures:
-// files named bad*.go must reproduce their .golden diagnostics exactly
-// (and at least one), files named clean*.go must come back empty. This
-// is the harness ISSUE 3 specifies: one true-positive and one clean
-// fixture per checker, position-accurate.
+// moduleFixtureTrees maps each tree of directory fixtures to the
+// analyzer it exercises. "taint" runs clockhygiene: its fixtures place
+// the laundering helpers outside the clock spans, so every diagnostic
+// they produce comes from taint propagation, not the in-span rule.
+var moduleFixtureTrees = map[string]*Analyzer{
+	"ctxflow":   CtxFlow,
+	"lockscope": LockScope,
+	"taint":     ClockHygiene,
+}
+
+// TestGoldenFixtures runs every analyzer without a module fixture tree
+// over its lone bad*.go/clean*.go fixtures under testdata/<name>/. Each
+// fixture forms a module with the directory's other .go files (the stub
+// packages such fixtures import).
 func TestGoldenFixtures(t *testing.T) {
 	for _, a := range Analyzers() {
-		a := a
-		if a.CheckFile == nil && a.CheckPackage == nil {
-			// Typed-only checkers need a whole mini-module, not a lone
-			// file; their fixtures run under TestTypedGoldenFixtures.
+		if _, ok := moduleFixtureTrees[a.Name]; ok {
 			continue
 		}
 		t.Run(a.Name, func(t *testing.T) {
-			dir := filepath.Join("testdata", a.Name)
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatalf("checker %s has no fixture dir: %v", a.Name, err)
-			}
-			var sawBad, sawClean bool
-			for _, e := range entries {
-				if !strings.HasSuffix(e.Name(), ".go") {
-					continue
-				}
-				base := strings.TrimSuffix(e.Name(), ".go")
-				got := runFixture(t, a, filepath.Join(dir, e.Name()))
-				goldenPath := filepath.Join(dir, base+".golden")
-				if *update {
-					if got == "" {
-						os.Remove(goldenPath)
-					} else if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				want := ""
-				if b, err := os.ReadFile(goldenPath); err == nil {
-					want = string(b)
-				}
-				if got != want {
-					t.Errorf("%s: diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", e.Name(), got, want)
-				}
-				switch {
-				case strings.HasPrefix(base, "bad"):
-					sawBad = true
-					if got == "" {
-						t.Errorf("%s: true-positive fixture produced no diagnostics", e.Name())
-					}
-				case strings.HasPrefix(base, "clean"):
-					sawClean = true
-					if got != "" {
-						t.Errorf("%s: clean fixture produced diagnostics:\n%s", e.Name(), got)
-					}
-				}
-			}
-			if !sawBad || !sawClean {
-				t.Errorf("checker %s needs both a bad*.go and a clean*.go fixture (bad=%v clean=%v)",
-					a.Name, sawBad, sawClean)
-			}
+			checkFixtures(t, a, filepath.Join("testdata", a.Name), false)
 		})
 	}
 }
 
-// runFixture parses one fixture under its directive path and returns
-// the analyzer's findings, one formatted diagnostic per line.
-func runFixture(t *testing.T, a *Analyzer, osPath string) string {
+// TestTypedGoldenFixtures runs the directory fixtures: each bad*/clean*
+// directory under a moduleFixtureTrees tree is a miniature module, one
+// file per package it needs.
+func TestTypedGoldenFixtures(t *testing.T) {
+	names := make([]string, 0, len(moduleFixtureTrees))
+	for n := range moduleFixtureTrees {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			checkFixtures(t, moduleFixtureTrees[name], filepath.Join("testdata", name), true)
+		})
+	}
+}
+
+// checkFixtures is the one harness: it type-checks each fixture in dir
+// with LoadModuleSource and runs it through RunModule. bad* fixtures
+// must reproduce their .golden diagnostics exactly (and at least one),
+// clean* fixtures must come back empty, and dir must hold both kinds.
+// modules selects directory fixtures over lone-file ones.
+func checkFixtures(t *testing.T, a *Analyzer, dir string, modules bool) {
 	t.Helper()
-	src, err := os.ReadFile(osPath)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("checker %s has no fixture dir: %v", a.Name, err)
 	}
-	m := fixtureDirective.FindSubmatch(src)
-	if m == nil {
-		t.Fatalf("%s: missing //sperke:fixture path=... directive", osPath)
+	var fixtures, stubs []string
+	for _, e := range entries {
+		name := e.Name()
+		isFixture := strings.HasPrefix(name, "bad") || strings.HasPrefix(name, "clean")
+		switch {
+		case e.IsDir():
+			if modules && isFixture {
+				fixtures = append(fixtures, name)
+			}
+		case !strings.HasSuffix(name, ".go"):
+		case isFixture && !modules:
+			fixtures = append(fixtures, name)
+		default:
+			stubs = append(stubs, filepath.Join(dir, name))
+		}
 	}
-	f, err := ParseSource(src, string(m[1]))
+	var sawBad, sawClean bool
+	for _, name := range fixtures {
+		files := append([]string{filepath.Join(dir, name)}, stubs...)
+		if modules {
+			files, err = filepath.Glob(filepath.Join(dir, name, "*.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := runFixture(t, a, files)
+		goldenPath := filepath.Join(dir, strings.TrimSuffix(name, ".go")+".golden")
+		if *update {
+			if got == "" {
+				os.Remove(goldenPath)
+			} else if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := ""
+		if b, err := os.ReadFile(goldenPath); err == nil {
+			want = string(b)
+		}
+		if got != want {
+			t.Errorf("%s: diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", name, got, want)
+		}
+		if strings.HasPrefix(name, "bad") {
+			sawBad = true
+			if got == "" {
+				t.Errorf("%s: true-positive fixture produced no diagnostics", name)
+			}
+		} else {
+			sawClean = true
+			if got != "" {
+				t.Errorf("%s: clean fixture produced diagnostics:\n%s", name, got)
+			}
+		}
+	}
+	if !sawBad || !sawClean {
+		t.Errorf("checker %s needs both a bad* and a clean* fixture in %s (bad=%v clean=%v)",
+			a.Name, dir, sawBad, sawClean)
+	}
+}
+
+// runFixture assembles the files into an in-memory module, each under
+// its directive path, and returns the analyzer's findings, one
+// formatted diagnostic per line.
+func runFixture(t *testing.T, a *Analyzer, files []string) string {
+	t.Helper()
+	srcs := make(map[string][]byte)
+	for _, p := range files {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := fixtureDirective.FindSubmatch(src)
+		if m == nil {
+			t.Fatalf("%s: missing //sperke:fixture path=... directive", p)
+		}
+		srcs[string(m[1])] = src
+	}
+	if len(srcs) == 0 {
+		t.Fatalf("%v: empty fixture module", files)
+	}
+	mod, err := LoadModuleSource(srcs)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v: %v", files, err)
 	}
-	pkg := &Package{Dir: f.Dir(), Files: []*File{f}}
 	var sb strings.Builder
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{a}) {
+	for _, d := range RunModule(mod, []*Analyzer{a}) {
 		sb.WriteString(d.String())
 		sb.WriteByte('\n')
 	}

@@ -36,19 +36,14 @@ var LockScope = &Analyzer{
 	CheckModule: func(m *Module) []Diagnostic {
 		var out []Diagnostic
 		chunkSource := lookupChunkSource(m)
-		for _, tp := range m.Pkgs {
-			if !inSpan(tp.Dir, lockSpans) {
-				continue
+		eachFunc(m, lockSpans, func(tp *TypedPackage, f *File, name string, fd *ast.FuncDecl) {
+			if fd.Body == nil {
+				return
 			}
-			typedFileDecls(tp, func(f *File, name string, fd *ast.FuncDecl) {
-				if fd.Body == nil {
-					return
-				}
-				w := &lockWalker{m: m, tp: tp, f: f, fn: name, chunkSource: chunkSource}
-				w.walkBody(fd.Body)
-				out = append(out, w.diags...)
-			})
-		}
+			w := &lockWalker{m: m, tp: tp, f: f, fn: name, chunkSource: chunkSource}
+			w.walkBody(fd.Body)
+			out = append(out, w.diags...)
+		})
 		return out
 	},
 }

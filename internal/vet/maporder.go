@@ -2,7 +2,7 @@ package vet
 
 import (
 	"go/ast"
-	"go/token"
+	"go/types"
 )
 
 // MapOrder pins the PR 2 "byte-identical experiment output" claim at
@@ -11,203 +11,39 @@ import (
 // whatever that slice feeds (rendered tables, serialized snapshots,
 // fetch plans). The finding is waived when the function visibly
 // restores order — a sort.*/slices.* call on the destination slice
-// after the loop.
-//
-// Map typing is inferred without go/types: local idents declared via
-// make(map...), map literals, explicit var/param/result types, plus
-// package-wide struct fields and package-level vars with map types.
-// Indexing a slice-of-maps or map-of-maps resolves to the element.
-// Expressions the checker cannot resolve are skipped, never guessed.
+// after the loop. The ranged expression's type comes from go/types, so
+// a map reached through a field, an index or a call counts the same as
+// a local.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "flag map-range loops that append to slices in deterministic packages without sorting",
-	CheckPackage: func(p *Package) []Diagnostic {
-		if !inSpan(p.Dir, deterministicSpans) {
-			return nil
-		}
-		types := newTypeIndex(p)
+	CheckModule: func(m *Module) []Diagnostic {
 		var out []Diagnostic
-		for _, f := range p.Files {
-			if f.Test() {
-				continue
+		eachFunc(m, deterministicSpans, func(tp *TypedPackage, f *File, name string, fd *ast.FuncDecl) {
+			if fd.Body == nil {
+				return
 			}
-			funcDecls(f, func(name string, fd *ast.FuncDecl) {
-				if fd.Body == nil {
-					return
-				}
-				locals := types.localTypes(fd)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					rng, ok := n.(*ast.RangeStmt)
-					if !ok {
-						return true
-					}
-					if !types.isMap(rng.X, locals) {
-						return true
-					}
-					for _, target := range appendTargets(rng.Body) {
-						if sortedAfter(fd.Body, rng, target) {
-							continue
-						}
-						out = append(out, f.diag("maporder", rng.Pos(),
-							"map iteration order leaks into slice %q (func %s): sort the keys first or sort %q before it is returned/serialized",
-							target, name, target))
-					}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				rng, ok := n.(*ast.RangeStmt)
+				if !ok {
 					return true
-				})
-			})
-		}
-		return out
-	},
-}
-
-// typeIndex carries the package-wide name→type-expression maps the
-// heuristic resolver consults.
-type typeIndex struct {
-	// fields maps struct field names (any struct in the package) to
-	// their declared type expression.
-	fields map[string]ast.Expr
-	// pkgVars maps package-level var names to a type expression, from
-	// either an explicit type or a make/literal initializer.
-	pkgVars map[string]ast.Expr
-}
-
-func newTypeIndex(p *Package) *typeIndex {
-	ti := &typeIndex{fields: make(map[string]ast.Expr), pkgVars: make(map[string]ast.Expr)}
-	for _, f := range p.Files {
-		for _, d := range f.AST.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					st, ok := spec.Type.(*ast.StructType)
-					if !ok {
+				}
+				if _, isMap := tp.Info.TypeOf(rng.X).Underlying().(*types.Map); !isMap {
+					return true
+				}
+				for _, target := range appendTargets(rng.Body) {
+					if sortedAfter(tp.Info, fd.Body, rng, target) {
 						continue
 					}
-					for _, fld := range st.Fields.List {
-						for _, id := range fld.Names {
-							ti.fields[id.Name] = fld.Type
-						}
-					}
-				case *ast.ValueSpec:
-					for i, id := range spec.Names {
-						if spec.Type != nil {
-							ti.pkgVars[id.Name] = spec.Type
-						} else if i < len(spec.Values) {
-							if t := initializerType(spec.Values[i]); t != nil {
-								ti.pkgVars[id.Name] = t
-							}
-						}
-					}
+					out = append(out, f.diag("maporder", rng.Pos(),
+						"map iteration order leaks into slice %q (func %s): sort the keys first or sort %q before it is returned/serialized",
+						target, name, target))
 				}
-			}
-		}
-	}
-	return ti
-}
-
-// localTypes scans a function for idents with locally-evident types:
-// parameters, receivers, var decls, and := from make()/composite
-// literals.
-func (ti *typeIndex) localTypes(fd *ast.FuncDecl) map[string]ast.Expr {
-	locals := make(map[string]ast.Expr)
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			for _, id := range fld.Names {
-				locals[id.Name] = fld.Type
-			}
-		}
-	}
-	addFields(fd.Recv)
-	addFields(fd.Type.Params)
-	addFields(fd.Type.Results)
-	if fd.Body == nil {
-		return locals
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
 				return true
-			}
-			for i, lhs := range n.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if t := initializerType(n.Rhs[i]); t != nil {
-					locals[id.Name] = t
-				}
-			}
-		case *ast.DeclStmt:
-			if gd, ok := n.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok && vs.Type != nil {
-						for _, id := range vs.Names {
-							locals[id.Name] = vs.Type
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	return locals
-}
-
-// initializerType extracts a type expression from make(T, ...) and
-// composite-literal initializers.
-func initializerType(e ast.Expr) ast.Expr {
-	switch e := e.(type) {
-	case *ast.CallExpr:
-		if id, ok := e.Fun.(*ast.Ident); ok && id.Name == "make" && len(e.Args) >= 1 {
-			return e.Args[0]
-		}
-	case *ast.CompositeLit:
-		return e.Type
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return initializerType(e.X)
-		}
-	}
-	return nil
-}
-
-// isMap reports whether expr is map-valued as far as the heuristic
-// resolver can tell.
-func (ti *typeIndex) isMap(expr ast.Expr, locals map[string]ast.Expr) bool {
-	_, ok := ti.resolve(expr, locals).(*ast.MapType)
-	return ok
-}
-
-// resolve maps an expression to a type expression, or nil when unknown.
-func (ti *typeIndex) resolve(expr ast.Expr, locals map[string]ast.Expr) ast.Expr {
-	switch e := expr.(type) {
-	case *ast.ParenExpr:
-		return ti.resolve(e.X, locals)
-	case *ast.Ident:
-		if t, ok := locals[e.Name]; ok {
-			return t
-		}
-		return ti.pkgVars[e.Name]
-	case *ast.SelectorExpr:
-		return ti.fields[e.Sel.Name]
-	case *ast.IndexExpr:
-		switch base := ti.resolve(e.X, locals).(type) {
-		case *ast.ArrayType:
-			return base.Elt
-		case *ast.MapType:
-			return base.Value
-		}
-	case *ast.CompositeLit:
-		return e.Type
-	}
-	return nil
+			})
+		})
+		return out
+	},
 }
 
 // appendTargets returns the names of slices the block grows via
@@ -243,7 +79,7 @@ func appendTargets(body *ast.BlockStmt) []string {
 // sortedAfter reports whether a sort.*/slices.* call whose first
 // argument is the named slice appears after the range loop inside the
 // function body.
-func sortedAfter(body *ast.BlockStmt, rng *ast.RangeStmt, target string) bool {
+func sortedAfter(info *types.Info, body *ast.BlockStmt, rng *ast.RangeStmt, target string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -253,12 +89,8 @@ func sortedAfter(body *ast.BlockStmt, rng *ast.RangeStmt, target string) bool {
 		if !ok || call.Pos() <= rng.End() || len(call.Args) == 0 {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkg, ok := sel.X.(*ast.Ident)
-		if !ok || (pkg.Name != "sort" && pkg.Name != "slices") {
+		callee := calleeOf(info, call)
+		if callee == nil || callee.Pkg() == nil || (callee.Pkg().Path() != "sort" && callee.Pkg().Path() != "slices") {
 			return true
 		}
 		if arg, ok := call.Args[0].(*ast.Ident); ok && arg.Name == target {

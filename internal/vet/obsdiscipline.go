@@ -27,46 +27,45 @@ var obsInstruments = map[string]bool{
 var ObsDiscipline = &Analyzer{
 	Name: "obsdiscipline",
 	Doc:  "metrics instruments must come from registry methods, not struct literals, outside internal/obs",
-	CheckFile: func(f *File) []Diagnostic {
-		if f.Test() || inSpan(f.Path, []string{"internal/obs"}) {
-			return nil
-		}
-		obsName := importName(f.AST, "sperke/internal/obs")
-		if obsName == "" {
-			return nil
-		}
+	CheckModule: func(m *Module) []Diagnostic {
 		var out []Diagnostic
-		flag := func(pos ast.Node, typ string) {
-			if typ == "Wall" {
-				out = append(out, f.diag("obsdiscipline", pos.Pos(),
-					"direct construction of %s.Wall: use %s.NewWall() so the epoch is anchored at creation",
-					obsName, obsName))
+		eachFile(m, nil, func(tp *TypedPackage, f *File) {
+			obsName := importName(f.AST, m.Path+"/internal/obs")
+			if obsName == "" || inSpan(tp.Dir, []string{"internal/obs"}) {
 				return
 			}
-			out = append(out, f.diag("obsdiscipline", pos.Pos(),
-				"direct construction of %s.%s: obtain instruments via the nil-safe registry (%s.NewRegistry / Registry.%s(name))",
-				obsName, typ, obsName, typ))
-		}
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				if sel, ok := n.Type.(*ast.SelectorExpr); ok {
-					if id, ok := sel.X.(*ast.Ident); ok && id.Name == obsName && obsInstruments[sel.Sel.Name] {
-						flag(n, sel.Sel.Name)
-					}
+			flag := func(pos ast.Node, typ string) {
+				if typ == "Wall" {
+					out = append(out, f.diag("obsdiscipline", pos.Pos(),
+						"direct construction of %s.Wall: use %s.NewWall() so the epoch is anchored at creation",
+						obsName, obsName))
+					return
 				}
-			case *ast.CallExpr:
-				id, ok := n.Fun.(*ast.Ident)
-				if !ok || id.Name != "new" || len(n.Args) != 1 {
-					return true
-				}
-				if sel, ok := n.Args[0].(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == obsName && obsInstruments[sel.Sel.Name] {
-						flag(n, sel.Sel.Name)
-					}
-				}
+				out = append(out, f.diag("obsdiscipline", pos.Pos(),
+					"direct construction of %s.%s: obtain instruments via the nil-safe registry (%s.NewRegistry / Registry.%s(name))",
+					obsName, typ, obsName, typ))
 			}
-			return true
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if sel, ok := n.Type.(*ast.SelectorExpr); ok {
+						if id, ok := sel.X.(*ast.Ident); ok && id.Name == obsName && obsInstruments[sel.Sel.Name] {
+							flag(n, sel.Sel.Name)
+						}
+					}
+				case *ast.CallExpr:
+					id, ok := n.Fun.(*ast.Ident)
+					if !ok || id.Name != "new" || len(n.Args) != 1 {
+						return true
+					}
+					if sel, ok := n.Args[0].(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == obsName && obsInstruments[sel.Sel.Name] {
+							flag(n, sel.Sel.Name)
+						}
+					}
+				}
+				return true
+			})
 		})
 		return out
 	},

@@ -8,20 +8,21 @@ import (
 )
 
 // Interprocedural taint: which functions (transitively) read the wall
-// clock or the globally-seeded math/rand state. The per-file
-// clockhygiene checker sees only direct mentions, so a one-line helper
-// launders nondeterminism past it:
+// clock or the globally-seeded math/rand state. A rule that only looked
+// for direct mentions would let a one-line helper launder
+// nondeterminism past it:
 //
 //	package timeutil                       // not a deterministic span
 //	func Stamp() int64 { return time.Now().UnixNano() }
 //
 //	package core                           // deterministic
-//	func tick() int64 { return timeutil.Stamp() }  // invisible per-file
+//	func tick() int64 { return timeutil.Stamp() }  // no time import
 //
 // The taint pass propagates "wall-clock tainted" / "global-rand
-// tainted" facts along the static call graph to a fixed point, so the
-// typed clockhygiene pass can flag the tick → Stamp call site — the
-// point where taint crosses into a deterministic package.
+// tainted" facts along the static call graph to a fixed point, so
+// clockhygiene flags the tick → Stamp call site — the point where taint
+// crosses into a deterministic package — as well as every direct use
+// inside one.
 //
 // Allowlisted seams (clockAllowlist) are taint barriers: obs.NewWall
 // is the designated wall adapter, so calling it is not laundering.
@@ -49,21 +50,14 @@ func (k taintKind) String() string {
 	}
 }
 
-// callEdge is one static call site.
-type callEdge struct {
-	callee *types.Func
-	pos    token.Pos
-	file   *File
-}
-
 // taintFacts is the module's computed taint state.
 type taintFacts struct {
 	// tainted maps each module function to the nondeterminism it
 	// (transitively) touches; absent means clean.
 	tainted map[*types.Func]taintKind
-	// edges lists each module function's static call sites, in source
-	// order per function.
-	edges map[*types.Func][]callEdge
+	// edges lists each module function's static module-internal callees,
+	// in source order per function.
+	edges map[*types.Func][]*types.Func
 }
 
 // Taint computes (once) and returns the module's taint facts.
@@ -75,47 +69,27 @@ func (m *Module) Taint() *taintFacts {
 func buildTaint(m *Module) *taintFacts {
 	tf := &taintFacts{
 		tainted: make(map[*types.Func]taintKind),
-		edges:   make(map[*types.Func][]callEdge),
+		edges:   make(map[*types.Func][]*types.Func),
 	}
 	// Seed direct taint and record static call edges. Function literals
 	// are attributed to their enclosing declaration: a closure that
-	// reads the wall clock taints the function that builds it, which is
-	// how the per-file checker scopes blame too.
-	for _, tp := range m.Pkgs {
-		typedFileDecls(tp, func(f *File, name string, fd *ast.FuncDecl) {
-			fn := declFunc(tp.Info, fd)
-			if fn == nil {
-				return
-			}
-			if clockAllowlist[typedFuncKey(m, fn)] {
-				return // seams neither carry nor propagate taint
-			}
-			ast.Inspect(fd, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.Ident:
-					if k := directTaint(tp.Info.Uses[n]); k != 0 {
-						tf.tainted[fn] |= k
-					}
-				case *ast.CallExpr:
-					callee := calleeOf(tp.Info, n)
-					if callee != nil && callee.Pkg() != nil && m.Internal(callee.Pkg().Path()) {
-						tf.edges[fn] = append(tf.edges[fn], callEdge{callee: callee, pos: n.Pos(), file: f})
-					}
-				}
-				return true
-			})
-		})
-	}
+	// reads the wall clock taints the function that builds it.
+	eachFunc(m, nil, func(tp *TypedPackage, _ *File, _ string, fd *ast.FuncDecl) {
+		fn := declFunc(tp.Info, fd)
+		if fn == nil || clockAllowlist[typedFuncKey(m, fn)] {
+			return // seams neither carry nor propagate taint
+		}
+		taintSites(m, tp.Info, fd,
+			func(_ token.Pos, _ types.Object, k taintKind) { tf.tainted[fn] |= k },
+			func(_ token.Pos, callee *types.Func) { tf.edges[fn] = append(tf.edges[fn], callee) })
+	})
 	// Propagate along call edges to a fixed point. The module's call
 	// graph is small; a few passes settle it.
 	for changed := true; changed; {
 		changed = false
-		for fn, edges := range tf.edges {
-			if clockAllowlist[typedFuncKey(m, fn)] {
-				continue
-			}
-			for _, e := range edges {
-				if k := tf.tainted[e.callee]; k&^tf.tainted[fn] != 0 {
+		for fn, callees := range tf.edges {
+			for _, callee := range callees {
+				if k := tf.tainted[callee]; k&^tf.tainted[fn] != 0 {
 					tf.tainted[fn] |= k
 					changed = true
 				}
@@ -123,6 +97,36 @@ func buildTaint(m *Module) *taintFacts {
 		}
 	}
 	return tf
+}
+
+// taintSites walks root, calling use for every direct nondeterminism
+// reference — anchored at the selector, so time.Now is reported where
+// "time" is written, and a wall func leaked as a value (nowFunc:
+// time.Now) counts too — and call for every static call into the
+// module.
+func taintSites(m *Module, info *types.Info, root ast.Node, use func(token.Pos, types.Object, taintKind), call func(token.Pos, *types.Func)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		var id *ast.Ident
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if callee := calleeOf(info, n); callee != nil && callee.Pkg() != nil && m.Internal(callee.Pkg().Path()) {
+				call(n.Pos(), callee)
+			}
+			return true
+		case *ast.SelectorExpr:
+			id = n.Sel
+		case *ast.Ident:
+			id = n
+		default:
+			return true
+		}
+		obj := info.Uses[id]
+		if k := directTaint(obj); k != 0 {
+			use(n.Pos(), obj, k)
+			return false
+		}
+		return true
+	})
 }
 
 // directTaint classifies one used object as a nondeterminism source:
@@ -153,50 +157,45 @@ func directTaint(obj types.Object) taintKind {
 	return 0
 }
 
-// taintDiagnostics is the typed half of clockhygiene: for every
-// function in a clock-disciplined span, flag calls whose callee lives
-// outside those spans yet is (transitively) tainted — the exact spot
-// where laundered nondeterminism crosses into code that must be a pure
-// function of its seed. Direct in-span mentions stay with the per-file
-// checker, and tainted in-span callees are flagged at their own
-// boundary call, so each launder is reported exactly once.
+// taintDiagnostics is clockhygiene's pass. In every clock-disciplined
+// span, outside the allowlisted seams, it flags each direct wall-clock
+// or global-rand use, and each call whose callee lives outside those
+// spans yet is (transitively) tainted — the exact spot where laundered
+// nondeterminism crosses into code that must be a pure function of its
+// seed. Tainted in-span callees are flagged at their own uses, so each
+// launder is reported exactly once.
 func taintDiagnostics(m *Module) []Diagnostic {
 	tf := m.Taint()
 	var out []Diagnostic
-	for _, tp := range m.Pkgs {
-		if !inSpan(tp.Dir, clockSpans) {
-			continue
-		}
-		typedFileDecls(tp, func(f *File, name string, fd *ast.FuncDecl) {
-			fn := declFunc(tp.Info, fd)
-			if fn == nil || clockAllowlist[typedFuncKey(m, fn)] {
-				return
-			}
-			for _, e := range tf.edges[fn] {
-				k := tf.tainted[e.callee]
-				if k == 0 {
-					continue
+	eachDecl(m, clockSpans, clockAllowlist, func(tp *TypedPackage, f *File, name string, d ast.Decl) {
+		taintSites(m, tp.Info, d,
+			func(pos token.Pos, obj types.Object, k taintKind) {
+				if k == taintRand {
+					out = append(out, f.diag("clockhygiene", pos,
+						"globally-seeded %s.%s in deterministic package %s (func %s): use rand.New(rand.NewSource(seed)) and thread the *rand.Rand through",
+						obj.Pkg().Name(), obj.Name(), tp.Dir, name))
+					return
 				}
-				calleeDir := m.DirOf(e.callee.Pkg().Path())
-				if inSpan(calleeDir, clockSpans) {
-					continue // flagged at its own boundary (or directly per-file)
+				out = append(out, f.diag("clockhygiene", pos,
+					"%s.%s in deterministic package %s (func %s): inject a clock (sim.Clock or a Now func field) or allowlist the seam",
+					obj.Pkg().Name(), obj.Name(), tp.Dir, name))
+			},
+			func(pos token.Pos, callee *types.Func) {
+				k := tf.tainted[callee]
+				if k == 0 || inSpan(m.DirOf(callee.Pkg().Path()), clockSpans) {
+					return
 				}
-				out = append(out, e.file.diag("clockhygiene", e.pos,
+				out = append(out, f.diag("clockhygiene", pos,
 					"call to %s launders %s use into deterministic package %s (func %s): thread an injected clock/rand through, or allowlist a named seam",
-					calleeDisplay(m, e.callee), k, tp.Dir, name))
-			}
-		})
-	}
+					calleeDisplay(callee), k, tp.Dir, name))
+			})
+	})
 	return out
 }
 
 // calleeDisplay renders a cross-package callee as "pkg.Func" or
 // "pkg.Type.Method" using the callee package's base name.
-func calleeDisplay(m *Module, fn *types.Func) string {
+func calleeDisplay(fn *types.Func) string {
 	p := fn.Pkg().Path()
-	base := p
-	if i := strings.LastIndexByte(p, '/'); i >= 0 {
-		base = p[i+1:]
-	}
-	return base + "." + typedDisplayName(fn)
+	return p[strings.LastIndexByte(p, '/')+1:] + "." + typedDisplayName(fn)
 }

@@ -1,6 +1,6 @@
-//sperke:fixture path=internal/sim/clean.go
+//sperke:fixture path=internal/obs/clean.go
 
-package sim
+package obs
 
 import (
 	"math/rand"
@@ -16,7 +16,8 @@ func Draw(c Clock, seed int64) (time.Duration, int) {
 	return c.Now(), rng.Intn(10)
 }
 
-// Epoch is a designated wall seam, waived explicitly.
-func Epoch() time.Time {
-	return time.Now() //sperke:nolint(clockhygiene) — designated wall seam
+// NewWall is the designated wall seam, waived by name on the
+// clockhygiene allowlist.
+func NewWall() time.Time {
+	return time.Now()
 }

@@ -6,6 +6,7 @@ import (
 	"go/build"
 	"go/build/constraint"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
@@ -17,8 +18,8 @@ import (
 	"sync"
 )
 
-// This file is the module-wide, type-resolved layer of the framework:
-// a go/types load of the whole module through a source-order importer.
+// This file is the framework's one source of types: a go/types load of
+// the whole module through a source-order importer.
 // Packages are type-checked in dependency order and each checked
 // package feeds an in-memory importer for its dependents, so the whole
 // load stays pure stdlib — no go/packages, no export data, no shelling
@@ -157,9 +158,9 @@ func LoadModuleSource(srcs map[string][]byte) (*Module, error) {
 // parseShared parses src under the module-relative slash path modPath
 // into the shared FileSet.
 func parseShared(fset *token.FileSet, src []byte, modPath string) (*File, error) {
-	af, err := parseInto(fset, modPath, src)
+	af, err := parser.ParseFile(fset, modPath, src, parser.ParseComments)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("vet: parse %s: %w", modPath, err)
 	}
 	return &File{Path: modPath, Fset: fset, AST: af}, nil
 }
@@ -377,8 +378,7 @@ func buildTagOK(src []byte) bool {
 // ---- shared typed helpers for the checkers ----
 
 // typedFuncKey renders the allowlist key of a function: "dir:Name" or
-// "dir:Recv.Name" with the module-relative package directory — the
-// same scheme the per-file checkers key their seam allowlists on.
+// "dir:Recv.Name" with the module-relative package directory.
 func typedFuncKey(m *Module, fn *types.Func) string {
 	if fn.Pkg() == nil {
 		return ""
@@ -433,16 +433,4 @@ func isCtxType(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// typedFileDecls invokes fn for every function declaration in every
-// file of the package, skipping test files (the typed load excludes
-// them anyway; fixture modules may still carry them).
-func typedFileDecls(tp *TypedPackage, fn func(f *File, name string, fd *ast.FuncDecl)) {
-	for _, f := range tp.Files {
-		if f.Test() {
-			continue
-		}
-		funcDecls(f, func(name string, fd *ast.FuncDecl) { fn(f, name, fd) })
-	}
 }

@@ -112,9 +112,9 @@ func seam() int64 { return obs.NewWall() }
 	}
 }
 
-// TestWholeTreeIsCleanTyped is the typed acceptance gate: the full
-// nine-checker suite over the type-resolved real module reports zero
-// findings and zero stale nolint waivers.
+// TestWholeTreeIsCleanTyped is the acceptance gate: the full
+// eight-checker suite over the type-resolved real module reports zero
+// findings.
 func TestWholeTreeIsCleanTyped(t *testing.T) {
 	root, err := ModuleRoot(".")
 	if err != nil {
@@ -124,50 +124,7 @@ func TestWholeTreeIsCleanTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunModule(m, Analyzers())
-	for _, d := range res.Diags {
+	for _, d := range RunModule(m, Analyzers()) {
 		t.Errorf("%s", d)
-	}
-	for _, u := range res.Unused {
-		t.Errorf("%s", u)
-	}
-}
-
-// TestUnusedNolintReporting: a waiver that suppresses a finding is
-// used; one anchored to clean code is reported stale; test-file
-// waivers are exempt.
-func TestUnusedNolintReporting(t *testing.T) {
-	m, err := LoadModuleSource(map[string][]byte{
-		"internal/serve/s.go": []byte(`package serve
-import "context"
-func root() context.Context {
-	return context.Background() //sperke:nolint(ctxflow) — documented seam
-}
-func clean(ctx context.Context) context.Context {
-	return ctx //sperke:nolint(ctxflow) — stale: nothing to suppress
-}
-`),
-		"internal/serve/s_test.go": []byte(`package serve
-func helper() int {
-	return 0 //sperke:nolint — tests are exempt from staleness
-}
-`),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := RunModule(m, Analyzers())
-	if len(res.Diags) != 0 {
-		t.Fatalf("suppressed run still reported: %v", res.Diags)
-	}
-	if len(res.Unused) != 1 {
-		t.Fatalf("unused waivers = %d, want 1: %v", len(res.Unused), res.Unused)
-	}
-	u := res.Unused[0]
-	if u.Path != "internal/serve/s.go" || u.Line != 7 {
-		t.Fatalf("stale waiver at %s:%d, want internal/serve/s.go:7", u.Path, u.Line)
-	}
-	if got := u.String(); !strings.Contains(got, "ctxflow") {
-		t.Fatalf("stale waiver rendering %q lost its checker list", got)
 	}
 }

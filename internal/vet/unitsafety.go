@@ -38,63 +38,62 @@ var degreeSpans = []string{"internal/sphere", "internal/tiling"}
 var UnitSafety = &Analyzer{
 	Name: "unitsafety",
 	Doc:  "flag math trig applied to degree-named values without an adjacent Pi/180 conversion (and the inverse)",
-	CheckFile: func(f *File) []Diagnostic {
-		if f.Test() {
-			return nil
-		}
-		mathName := importName(f.AST, "math")
-		if mathName == "" {
-			return nil
-		}
+	CheckModule: func(m *Module) []Diagnostic {
 		var out []Diagnostic
-		// Forward: degrees flowing into radian-taking trig.
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := pkgCall(call, mathName)
-			if !ok || !trigRadians[fn] {
-				return true
-			}
-			for _, arg := range call.Args {
-				if mentionsDegreeName(arg) && !mentionsPiAnd180(arg, mathName) {
-					out = append(out, f.diag("unitsafety", arg.Pos(),
-						"degree-valued expression passed to %s.%s without *%s.Pi/180 conversion",
-						mathName, fn, mathName))
-				}
-			}
-			return true
-		})
-		if !inSpan(f.Path, degreeSpans) {
-			return out
-		}
-		// Inverse: radian-returning trig landing in degree-named targets.
-		flag := func(target ast.Expr, value ast.Expr) {
-			if !isDegreeName(exprName(target)) {
+		eachFile(m, nil, func(_ *TypedPackage, f *File) {
+			mathName := importName(f.AST, "math")
+			if mathName == "" {
 				return
 			}
-			if containsInverseTrig(value, mathName) && !mentionsPiAnd180(value, mathName) {
-				out = append(out, f.diag("unitsafety", value.Pos(),
-					"radian result of inverse trig stored in degree-valued %q without *180/%s.Pi conversion",
-					exprName(target), mathName))
-			}
-		}
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) != len(n.Rhs) {
+			// Forward: degrees flowing into radian-taking trig.
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
 				}
-				for i := range n.Lhs {
-					flag(n.Lhs[i], n.Rhs[i])
+				fn, ok := pkgCall(call, mathName)
+				if !ok || !trigRadians[fn] {
+					return true
 				}
-			case *ast.KeyValueExpr:
-				if k, ok := n.Key.(*ast.Ident); ok {
-					flag(k, n.Value)
+				for _, arg := range call.Args {
+					if mentionsDegreeName(arg) && !mentionsPiAnd180(arg, mathName) {
+						out = append(out, f.diag("unitsafety", arg.Pos(),
+							"degree-valued expression passed to %s.%s without *%s.Pi/180 conversion",
+							mathName, fn, mathName))
+					}
+				}
+				return true
+			})
+			if !inSpan(f.Path, degreeSpans) {
+				return
+			}
+			// Inverse: radian-returning trig landing in degree-named targets.
+			flag := func(target ast.Expr, value ast.Expr) {
+				if !isDegreeName(exprName(target)) {
+					return
+				}
+				if containsInverseTrig(value, mathName) && !mentionsPiAnd180(value, mathName) {
+					out = append(out, f.diag("unitsafety", value.Pos(),
+						"radian result of inverse trig stored in degree-valued %q without *180/%s.Pi conversion",
+						exprName(target), mathName))
 				}
 			}
-			return true
+			ast.Inspect(f.AST, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if len(n.Lhs) != len(n.Rhs) {
+						return true
+					}
+					for i := range n.Lhs {
+						flag(n.Lhs[i], n.Rhs[i])
+					}
+				case *ast.KeyValueExpr:
+					if k, ok := n.Key.(*ast.Ident); ok {
+						flag(k, n.Value)
+					}
+				}
+				return true
+			})
 		})
 		return out
 	},

@@ -1,16 +1,15 @@
 // Package vet is Sperke's domain-aware static-analysis framework: a
-// pure-stdlib analyzer suite (go/ast + go/parser for the syntax layer,
-// go/types through a source-order importer for the typed layer — no
-// go/packages either way) that turns the repo's prose invariants into
-// machine-checked CI gates.
+// pure-stdlib analyzer suite over one go/types load of the whole module
+// (a source-order importer, no go/packages — see typed.go) that turns
+// the repo's prose invariants into machine-checked CI gates.
 //
 // The invariants no generic linter knows about:
 //
 //   - experiments are pure functions of their seed — deterministic
 //     packages must not read the wall clock or the global math/rand
 //     state, directly or laundered through helpers in other packages
-//     (checker clockhygiene plus the interprocedural taint pass in
-//     taint.go), and must not let map iteration order leak into
+//     (checker clockhygiene, whose pass is the interprocedural taint
+//     walk in taint.go), and must not let map iteration order leak into
 //     rendered output (checker maporder);
 //   - spherical geometry keeps degrees at API boundaries and radians
 //     inside math/trig calls (checker unitsafety);
@@ -21,23 +20,15 @@
 //   - pooled scratch buffers are returned before functions exit
 //     (checker bufownership);
 //   - contexts thread end-to-end on the delivery path (checker
-//     ctxflow), nothing blocks while a sync mutex is held (checker
-//     lockscope), and serving hot paths stream chunk bodies
-//     writer-first (checker streamdiscipline) — all three resolved
-//     over the whole-module type information (typed.go).
+//     ctxflow), and nothing blocks while a sync mutex is held (checker
+//     lockscope).
 //
-// Run the suite with `go run ./cmd/sperke-vet ./...`. Suppress a
-// finding with a trailing or preceding comment:
-//
-//	t := time.Now() //sperke:nolint(clockhygiene) — wall seam, see doc
-//
-// A bare `//sperke:nolint` suppresses every checker on that line;
-// waivers that stop suppressing anything are reported by the
-// `-unused-nolint` gate. New checkers implement CheckFile,
-// CheckPackage or CheckModule and register themselves in Analyzers;
-// each ships true-positive and clean golden fixtures under
-// testdata/<name>/ (see golden_test.go for single-file syntax
-// fixtures, typed_golden_test.go for mini-module typed fixtures).
+// Run the suite with `go run ./cmd/sperke-vet ./...`. The one waiver is
+// a checker's function-keyed allowlist ("dir:Func" / "dir:Type.Method"):
+// a named seam is exempt from its rule, and the taint pass treats the
+// clock seams as barriers. A new checker is an Analyzer with a
+// CheckModule hook, registered in Analyzers, with true-positive and
+// clean golden fixtures under testdata/<name>/ (see golden_test.go).
 package vet
 
 import (
@@ -87,29 +78,15 @@ func (f *File) diag(check string, pos token.Pos, format string, args ...any) Dia
 	return Diagnostic{Check: check, Pos: p, Message: fmt.Sprintf(format, args...)}
 }
 
-// Package groups the parsed files of one directory.
-type Package struct {
-	// Dir is module-relative, e.g. "internal/dash".
-	Dir   string
-	Files []*File
-}
-
-// Analyzer is one domain check. At least one of the Check hooks is
-// set: CheckFile runs once per file, CheckPackage once per directory
-// with every sibling file in view (for checks that need cross-file
-// context such as struct field types or package-level sentinels), and
-// CheckModule once over the whole type-resolved module (for checks
-// that follow facts across package boundaries — see typed.go). The
-// syntax-only driver (Run) skips CheckModule; the typed driver
-// (RunModule) runs all three, so a checker may pair a per-file syntax
-// rule with a module-wide typed one (clockhygiene does).
+// Analyzer is one domain check: a pass over the whole type-resolved
+// module. Checkers that reason about one file at a time walk each
+// package's Files from inside the hook; the rest follow facts across
+// package boundaries.
 type Analyzer struct {
 	Name string
 	// Doc is a one-line description shown by `sperke-vet -list`.
-	Doc          string
-	CheckFile    func(*File) []Diagnostic
-	CheckPackage func(*Package) []Diagnostic
-	CheckModule  func(*Module) []Diagnostic
+	Doc         string
+	CheckModule func(*Module) []Diagnostic
 }
 
 // Analyzers returns the full checker suite in stable order.
@@ -123,7 +100,6 @@ func Analyzers() []*Analyzer {
 		BufOwnership,
 		CtxFlow,
 		LockScope,
-		StreamDiscipline,
 	}
 }
 
@@ -151,101 +127,13 @@ func ByName(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Run executes the analyzers' syntax-level hooks over the packages,
-// drops findings suppressed by //sperke:nolint comments, and returns
-// the rest sorted by position. CheckModule hooks need type information
-// and only run under the typed driver, RunModule.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+// RunModule runs the analyzers over the type-resolved module and returns
+// their findings sorted by position, then checker name.
+func RunModule(m *Module, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
-	for _, p := range pkgs {
-		sup := newSuppressions(p.Files)
-		for _, a := range analyzers {
-			for _, d := range runSyntax(a, p) {
-				if !sup.covers(d) {
-					out = append(out, d)
-				}
-			}
-		}
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-// runSyntax runs an analyzer's CheckPackage or CheckFile hook on one
-// package.
-func runSyntax(a *Analyzer, p *Package) []Diagnostic {
-	switch {
-	case a.CheckPackage != nil:
-		return a.CheckPackage(p)
-	case a.CheckFile != nil:
-		var ds []Diagnostic
-		for _, f := range p.Files {
-			ds = append(ds, a.CheckFile(f)...)
-		}
-		return ds
-	}
-	return nil
-}
-
-// UnusedNolint is a //sperke:nolint comment that suppressed nothing in
-// a full run — a stale waiver whose violation has since been fixed (or
-// whose checker name is misspelled). Surfacing them keeps the waiver
-// inventory honest: every surviving nolint marks a live, documented
-// seam.
-type UnusedNolint struct {
-	Path   string
-	Line   int
-	Checks []string // ["*"] for a bare //sperke:nolint
-}
-
-func (u UnusedNolint) String() string {
-	if len(u.Checks) == 1 && u.Checks[0] == "*" {
-		return fmt.Sprintf("%s:%d: unused //sperke:nolint", u.Path, u.Line)
-	}
-	return fmt.Sprintf("%s:%d: unused //sperke:nolint(%s)", u.Path, u.Line, strings.Join(u.Checks, ","))
-}
-
-// ModuleResult is one typed run's outcome.
-type ModuleResult struct {
-	Diags []Diagnostic
-	// Unused lists the nolint comments that suppressed nothing. Only
-	// meaningful when the run covered the full analyzer suite — a
-	// subset run trivially leaves other checkers' waivers unused.
-	Unused []UnusedNolint
-}
-
-// RunModule executes the analyzers — syntax hooks and typed
-// CheckModule hooks — over the type-resolved module, applies nolint
-// suppression, and reports both the surviving findings and the
-// waivers that suppressed nothing.
-func RunModule(m *Module, analyzers []*Analyzer) ModuleResult {
-	var all []*File
-	for _, tp := range m.Pkgs {
-		all = append(all, tp.Files...)
-	}
-	sup := newSuppressions(all)
-	var out []Diagnostic
-	keep := func(ds []Diagnostic) {
-		for _, d := range ds {
-			if !sup.covers(d) {
-				out = append(out, d)
-			}
-		}
-	}
 	for _, a := range analyzers {
-		for _, tp := range m.Pkgs {
-			keep(runSyntax(a, &Package{Dir: tp.Dir, Files: tp.Files}))
-		}
-		if a.CheckModule != nil {
-			keep(a.CheckModule(m))
-		}
+		out = append(out, a.CheckModule(m)...)
 	}
-	sortDiagnostics(out)
-	return ModuleResult{Diags: out, Unused: sup.unused()}
-}
-
-// sortDiagnostics orders findings by position, then checker name.
-func sortDiagnostics(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -259,4 +147,5 @@ func sortDiagnostics(out []Diagnostic) {
 		}
 		return a.Check < b.Check
 	})
+	return out
 }

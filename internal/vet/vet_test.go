@@ -5,58 +5,15 @@ import (
 	"testing"
 )
 
-func parse(t *testing.T, path, src string) *File {
+// runSource type-checks a one-file module holding src at the
+// module-relative path and returns the analyzer's findings.
+func runSource(t *testing.T, a *Analyzer, path, src string) []Diagnostic {
 	t.Helper()
-	f, err := ParseSource([]byte(src), path)
+	m, err := LoadModuleSource(map[string][]byte{path: []byte(src)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
-}
-
-func runOn(t *testing.T, a *Analyzer, files ...*File) []Diagnostic {
-	t.Helper()
-	pkg := &Package{Dir: files[0].Dir(), Files: files}
-	return Run([]*Package{pkg}, []*Analyzer{a})
-}
-
-func TestNolintSuppression(t *testing.T) {
-	const src = `package sim
-
-import "time"
-
-func a() time.Time {
-	return time.Now() //sperke:nolint(clockhygiene) — seam
-}
-
-func b() time.Time {
-	//sperke:nolint(clockhygiene)
-	return time.Now()
-}
-
-func c() time.Time {
-	//sperke:nolint
-	return time.Now()
-}
-
-func d() time.Time {
-	//sperke:nolint(unitsafety)
-	return time.Now()
-}
-
-func e() time.Time {
-	return time.Now()
-}
-`
-	ds := runOn(t, ClockHygiene, parse(t, "internal/sim/x.go", src))
-	if len(ds) != 2 {
-		t.Fatalf("want 2 surviving findings (funcs d and e), got %d: %v", len(ds), ds)
-	}
-	for _, d := range ds {
-		if d.Pos.Line != 21 && d.Pos.Line != 25 {
-			t.Errorf("unexpected surviving finding at line %d: %s", d.Pos.Line, d)
-		}
-	}
+	return RunModule(m, []*Analyzer{a})
 }
 
 func TestClockHygieneScopesAndAllowlist(t *testing.T) {
@@ -67,11 +24,11 @@ import "time"
 func f() time.Time { return time.Now() }
 `
 	// Outside the deterministic spans: no findings.
-	if ds := runOn(t, ClockHygiene, parse(t, "internal/media/x.go", src)); len(ds) != 0 {
+	if ds := runSource(t, ClockHygiene, "internal/media/x.go", src); len(ds) != 0 {
 		t.Errorf("non-deterministic package flagged: %v", ds)
 	}
 	// Inside: flagged.
-	if ds := runOn(t, ClockHygiene, parse(t, "internal/qoe/x.go", src)); len(ds) != 1 {
+	if ds := runSource(t, ClockHygiene, "internal/qoe/x.go", src); len(ds) != 1 {
 		t.Errorf("deterministic package not flagged: %v", ds)
 	}
 	// Allowlisted seam (obs.NewWall).
@@ -81,11 +38,11 @@ import "time"
 
 func NewWall() time.Time { return time.Now() }
 `
-	if ds := runOn(t, ClockHygiene, parse(t, "internal/obs/x.go", seam)); len(ds) != 0 {
+	if ds := runSource(t, ClockHygiene, "internal/obs/x.go", seam); len(ds) != 0 {
 		t.Errorf("allowlisted seam flagged: %v", ds)
 	}
 	// Test files are exempt everywhere.
-	if ds := runOn(t, ClockHygiene, parse(t, "internal/qoe/x_test.go", src)); len(ds) != 0 {
+	if ds := runSource(t, ClockHygiene, "internal/qoe/x_test.go", src); len(ds) != 0 {
 		t.Errorf("test file flagged: %v", ds)
 	}
 }
@@ -97,7 +54,7 @@ import stdtime "time"
 
 func f() stdtime.Time { return stdtime.Now() }
 `
-	if ds := runOn(t, ClockHygiene, parse(t, "internal/sim/x.go", src)); len(ds) != 1 {
+	if ds := runSource(t, ClockHygiene, "internal/sim/x.go", src); len(ds) != 1 {
 		t.Errorf("renamed time import not tracked: %v", ds)
 	}
 }
@@ -116,7 +73,7 @@ func keys(m map[int]int) []int {
 	return out
 }
 `
-	if ds := runOn(t, MapOrder, parse(t, "internal/abr/x.go", sorted)); len(ds) != 0 {
+	if ds := runSource(t, MapOrder, "internal/abr/x.go", sorted); len(ds) != 0 {
 		t.Errorf("sorted-after loop flagged: %v", ds)
 	}
 	const sliceRange = `package abr
@@ -129,7 +86,7 @@ func sum(xs []int) int {
 	return len(out)
 }
 `
-	if ds := runOn(t, MapOrder, parse(t, "internal/abr/x.go", sliceRange)); len(ds) != 0 {
+	if ds := runSource(t, MapOrder, "internal/abr/x.go", sliceRange); len(ds) != 0 {
 		t.Errorf("slice range flagged as map: %v", ds)
 	}
 	// Slice-of-maps indexing resolves to a map.
@@ -143,7 +100,7 @@ func all(states []map[int]bool) []int {
 	return out
 }
 `
-	if ds := runOn(t, MapOrder, parse(t, "internal/abr/x.go", indexed)); len(ds) != 1 {
+	if ds := runSource(t, MapOrder, "internal/abr/x.go", indexed); len(ds) != 1 {
 		t.Errorf("slice-of-maps index not resolved: %v", ds)
 	}
 }
@@ -155,11 +112,11 @@ import "errors"
 
 func f() error { return errors.New("ad hoc") }
 `
-	if ds := runOn(t, ErrTaxonomy, parse(t, "internal/transport/x.go", src)); len(ds) != 1 {
+	if ds := runSource(t, ErrTaxonomy, "internal/transport/x.go", src); len(ds) != 1 {
 		t.Errorf("transport ad-hoc error not flagged: %v", ds)
 	}
 	// Outside the taxonomy spans the same code is fine.
-	if ds := runOn(t, ErrTaxonomy, parse(t, "internal/media/x.go", src)); len(ds) != 0 {
+	if ds := runSource(t, ErrTaxonomy, "internal/media/x.go", src); len(ds) != 0 {
 		t.Errorf("non-taxonomy package flagged: %v", ds)
 	}
 }
