@@ -214,8 +214,8 @@ func run(ctx context.Context, args []string) error {
 		float64(a.BytesFetched)/1e6, float64(a.BytesWasted)/1e6)
 	if res.HTTPFetches > 0 {
 		fl := res.FetchLatency
-		fmt.Printf("  HTTP: %d fetches, %d errors; latency ms p50=%.2f p95=%.2f p99=%.2f (window %d)\n",
-			res.HTTPFetches, res.HTTPErrors, fl.P50, fl.P95, fl.P99, fl.Window)
+		fmt.Printf("  HTTP: %d fetches, %d errors; latency ms p50=%.2f p95=%.2f p99=%.2f\n",
+			res.HTTPFetches, res.HTTPErrors, fl.P50, fl.P95, fl.P99)
 	}
 	if store != nil {
 		hits := reg.Counter("serve.store.hits").Value()

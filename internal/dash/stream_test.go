@@ -260,15 +260,16 @@ func TestCanceledChunkRequestCountsAsCanceled(t *testing.T) {
 func TestServerInstrumentsExistAtConstruction(t *testing.T) {
 	reg := obs.NewRegistry()
 	NewServer(NewCatalog(), WithObs(reg))
-	wantCounters := []string{
-		"dash.server.bytes_tx", "dash.server.canceled", "dash.server.chunk_requests",
-		"dash.server.errors", "dash.server.mpd_requests", "dash.server.requests",
+	wantCounters := map[string]int64{
+		"dash.server.bytes_tx": 0, "dash.server.canceled": 0, "dash.server.chunk_requests": 0,
+		"dash.server.errors": 0, "dash.server.mpd_requests": 0, "dash.server.requests": 0,
 	}
-	if got := reg.Names("counter"); !reflect.DeepEqual(got, wantCounters) {
-		t.Fatalf("counters before any request = %v, want %v", got, wantCounters)
+	snap := reg.Snapshot()
+	if !reflect.DeepEqual(snap.Counters, wantCounters) {
+		t.Fatalf("counters before any request = %v, want %v", snap.Counters, wantCounters)
 	}
-	if got := reg.Names("histogram"); !reflect.DeepEqual(got, []string{"dash.server.request_ms"}) {
-		t.Fatalf("histograms before any request = %v, want [dash.server.request_ms]", got)
+	if _, ok := snap.Histograms["dash.server.request_ms"]; !ok || len(snap.Histograms) != 1 {
+		t.Fatalf("histograms before any request = %v, want [dash.server.request_ms]", snap.Histograms)
 	}
 }
 

@@ -2,69 +2,34 @@ package obs
 
 import "sync"
 
-// BufferPool is a sync.Pool of byte buffers with hit/miss accounting —
-// the scratch-buffer seam of the allocation-light serve path (DESIGN.md
-// "Memory discipline"). Borrowers Get a *[]byte, build into
-// `(*buf)[:0]`, store the grown slice back through the pointer, and Put
-// the pointer before returning; the pointer indirection keeps Get and
-// Put themselves allocation-free. Ownership is strictly scoped: a
-// buffer must be Put by the same function that borrowed it (the
-// bufownership checker of internal/vet enforces this), and nothing
-// reachable after Put may alias it.
-//
-// A nil *BufferPool is the disabled pool: Get hands out fresh buffers
-// and Put drops them, so callers never need a nil check.
+// BufferPool is a sync.Pool of byte blocks of one size — the scratch
+// seam of the allocation-light serve path (DESIGN.md "Memory
+// discipline"). Borrowers Get a *[]byte, use `(*buf)[:0]` up to its
+// capacity, and Put the pointer before returning; the pointer
+// indirection keeps Get and Put themselves allocation-free. Ownership is
+// strictly scoped: a block must be Put by the same function that
+// borrowed it (a dropped Put is an allocation, which the allocation
+// budget tests count), and nothing reachable after Put may alias it.
 type BufferPool struct {
-	pool   sync.Pool
-	minCap int
-	maxCap int
-	hits   *Counter
-	misses *Counter
+	pool sync.Pool
+	size int
 }
 
-// NewSizedBufferPool builds a pool registering <prefix>.pool_hits and
-// <prefix>.pool_misses on r (a nil registry disables the counters, not
-// the pool). Buffers whose capacity grew past maxCap are dropped on
-// Put so one oversized body cannot pin memory forever; maxCap <= 0
-// means unlimited. A pool miss mints a buffer with minCap capacity up
-// front instead of growing a fresh one on first use. Setting maxCap ==
-// minCap pins the pool to exactly one block size — what each class of
-// Blocks is, so resident scratch is blocks, never bodies.
-func NewSizedBufferPool(r *Registry, prefix string, minCap, maxCap int) *BufferPool {
-	return &BufferPool{
-		minCap: minCap,
-		maxCap: maxCap,
-		hits:   r.Counter(prefix + ".pool_hits"),
-		misses: r.Counter(prefix + ".pool_misses"),
-	}
-}
-
-// Get returns a pointer to a zero-length buffer, recycling a previously
-// Put one when available (a pool hit) and minting a fresh pointer
-// otherwise (a miss).
+// Get returns a pointer to a zero-length block of capacity size,
+// recycling a previously Put one when available.
 func (p *BufferPool) Get() *[]byte {
-	if p == nil {
-		return new([]byte)
-	}
 	if v := p.pool.Get(); v != nil {
-		p.hits.Inc()
 		return v.(*[]byte)
 	}
-	p.misses.Inc()
-	if p.minCap > 0 {
-		buf := make([]byte, 0, p.minCap)
-		return &buf
-	}
-	return new([]byte)
+	buf := make([]byte, 0, p.size)
+	return &buf
 }
 
-// Put recycles a buffer obtained from Get. The caller must not touch
-// the pointer or any slice aliasing it afterwards.
+// Put recycles a block obtained from Get, and drops any other, so the
+// pool only ever holds blocks of its size. The caller must not touch the
+// pointer or any slice aliasing it afterwards.
 func (p *BufferPool) Put(buf *[]byte) {
-	if p == nil || buf == nil {
-		return
-	}
-	if p.maxCap > 0 && cap(*buf) > p.maxCap {
+	if cap(*buf) != p.size {
 		return
 	}
 	*buf = (*buf)[:0]
@@ -79,8 +44,8 @@ const (
 	MaxBlockLen  = MinBlockLen << (blockClasses - 1)
 )
 
-// BlockPools is a size-classed set of pinned pools: class i holds blocks
-// of exactly MinBlockLen<<i bytes.
+// BlockPools is a size-classed set of pools: class i holds blocks of
+// exactly MinBlockLen<<i bytes.
 type BlockPools [blockClasses]*BufferPool
 
 // Blocks is the process's one set of block pools, shared by the
@@ -93,7 +58,7 @@ var Blocks = newBlockPools()
 func newBlockPools() *BlockPools {
 	var b BlockPools
 	for i := range b {
-		b[i] = NewSizedBufferPool(nil, "", MinBlockLen<<i, MinBlockLen<<i)
+		b[i] = &BufferPool{size: MinBlockLen << i}
 	}
 	return &b
 }

@@ -1,5 +1,5 @@
 // Package obs is Sperke's observability substrate: a pure-stdlib
-// metrics registry (counters, gauges, windowed histograms with
+// metrics registry (counters, gauges, whole-run histograms with
 // p50/p95/p99) plus lightweight span tracing for the pipeline stages of
 // Figs. 2 and 4 (capture → stitch → encode → upload → transcode →
 // fetch → decode → render).
@@ -18,7 +18,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -61,8 +60,8 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous int64 value (queue depth, cache bytes,
-// breaker state). Safe for concurrent use; no-op on a nil receiver.
+// Gauge is an instantaneous int64 value (queue depth, cache bytes).
+// Safe for concurrent use; no-op on a nil receiver.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -123,20 +122,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return lookup(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -144,42 +130,34 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return lookup(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
-// Histogram returns the named histogram with the default window,
-// creating it on first use.
+// Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
+	return lookup(r, r.hists, name, newHistogram)
+}
+
+// lookup returns m[name], creating it with mk under the write lock if a
+// read-locked lookup misses.
+func lookup[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.RLock()
-	h, ok := r.hists[name]
+	v, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return h
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; ok {
-		return h
+	if v, ok = m[name]; ok {
+		return v
 	}
-	h = NewHistogram(DefaultWindow)
-	r.hists[name] = h
-	return h
+	v = mk()
+	m[name] = v
+	return v
 }
 
 // Snapshot is a point-in-time copy of every instrument, shaped for
@@ -213,31 +191,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Stat()
 	}
 	return s
-}
-
-// Names returns the sorted instrument names of one kind ("counter",
-// "gauge", "histogram") — convenient for tests and docs.
-func (r *Registry) Names(kind string) []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []string
-	switch kind {
-	case "counter":
-		for n := range r.counters {
-			out = append(out, n)
-		}
-	case "gauge":
-		for n := range r.gauges {
-			out = append(out, n)
-		}
-	case "histogram":
-		for n := range r.hists {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

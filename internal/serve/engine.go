@@ -88,8 +88,8 @@ type EngineResult struct {
 	// Sessions holds per-viewer results indexed by launch order.
 	Sessions []SessionResult
 	Agg      Aggregate
-	// FetchLatency summarizes HTTP chunk fetch wall latency in
-	// milliseconds (zero when no Client was configured).
+	// FetchLatency summarizes the wall latency of every HTTP chunk fetch
+	// in the run, in milliseconds (zero when no Client was configured).
 	FetchLatency obs.HistogramStat
 	// HTTPFetches and HTTPErrors count the HTTP leg's outcomes.
 	HTTPFetches int64

@@ -94,9 +94,9 @@ type Breaker struct {
 	clock obs.Clock
 
 	// Obs, when set, counts state transitions
-	// (transport.breaker.to_{open,half_open,closed}) and mirrors the
-	// current state in the transport.breaker.state gauge. Set it before
-	// the breaker first trips.
+	// (transport.breaker.to_{open,half_open,closed}); every breaker on a
+	// registry adds to the same counters. Set it before the breaker first
+	// trips.
 	Obs *obs.Registry
 
 	state       BreakerState
@@ -125,7 +125,6 @@ func (b *Breaker) transition(to BreakerState) {
 	b.opened = b.opened || to == BreakerOpen
 	b.state = to
 	b.Obs.Counter("transport.breaker.to_" + to.metricName()).Inc()
-	b.Obs.Gauge("transport.breaker.state").Set(int64(to))
 }
 
 // State reports the current state, promoting Open to HalfOpen once the

@@ -5,9 +5,9 @@ import (
 )
 
 // obsInstruments are the obs types that must be obtained from a
-// Registry (or its constructor), never built directly: struct literals
-// skip registration, so the instrument is invisible to /metrics
-// snapshots, and a literal Registry bypasses its map initialization.
+// Registry (or its constructor), never built directly: a literal skips
+// registration, so /metrics never sees it; a literal Registry lacks its
+// maps and a literal Histogram its Min/Max initialisation.
 var obsInstruments = map[string]bool{
 	"Counter":   true,
 	"Gauge":     true,

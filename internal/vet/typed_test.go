@@ -113,7 +113,7 @@ func seam() int64 { return obs.NewWall() }
 }
 
 // TestWholeTreeIsCleanTyped is the acceptance gate: the full
-// eight-checker suite over the type-resolved real module reports zero
+// seven-checker suite over the type-resolved real module reports zero
 // findings.
 func TestWholeTreeIsCleanTyped(t *testing.T) {
 	root, err := ModuleRoot(".")

@@ -17,8 +17,6 @@
 //     causes with %w (checker errtaxonomy);
 //   - metrics instruments flow through the nil-safe obs.Registry,
 //     never ad-hoc struct literals (checker obsdiscipline);
-//   - pooled scratch buffers are returned before functions exit
-//     (checker bufownership);
 //   - contexts thread end-to-end on the delivery path (checker
 //     ctxflow), and nothing blocks while a sync mutex is held (checker
 //     lockscope).
@@ -97,7 +95,6 @@ func Analyzers() []*Analyzer {
 		ErrTaxonomy,
 		ObsDiscipline,
 		MapOrder,
-		BufOwnership,
 		CtxFlow,
 		LockScope,
 	}
