@@ -53,7 +53,7 @@ type Node struct {
 	addr    string
 	baseURL string
 	client  *dash.Client
-	hop     *http.Transport
+	hop     *hopTransport
 	rt      atomic.Pointer[wireRuntime]
 
 	accepting atomic.Bool
@@ -129,22 +129,13 @@ func newNode(id string, origin dash.ChunkSource, catalog *dash.Catalog,
 	return n
 }
 
-// hopIdleTimeout retires the router's idle connections to an edge before
-// the edge's own idle limit (dash.NewHTTPServer, two minutes) can, so
-// the router never reuses a connection the edge is closing.
-const hopIdleTimeout = 90 * time.Second
-
 // startWire turns the node into an HTTP process and builds the client
 // the router will reach it through. One of two wire carriers applies: a
 // supplied RoundTripper that finds the node by its synthetic host name
 // (WithTransport's, or WithLoopback's LoopbackTransport), or — the
-// default — a real TCP listener on 127.0.0.1 behind a transport of the
-// node's own. That transport talks to one host, so its idle pool is
-// the edge's admission bound — every request the edge can have in
-// flight gets its connection back, where net/http's default keeps two
-// a host and dials for the third — and it asks for no compression: a
-// chunk's bytes do not compress, no server in the tree compresses, and
-// the offer costs every exchange a header map and a line on the wire.
+// default — a real TCP listener on 127.0.0.1 behind a hopTransport of
+// the node's own, whose idle pool is the edge's admission bound: every
+// request the edge can have in flight gets its connection back.
 func (n *Node) startWire(rt http.RoundTripper, reg *obs.Registry) error {
 	if rt != nil {
 		n.baseURL = "http://" + n.id + edgeHostSuffix
@@ -156,12 +147,7 @@ func (n *Node) startWire(rt http.RoundTripper, reg *obs.Registry) error {
 		n.addr = ln.Addr().String()
 		n.baseURL = "http://" + n.addr
 		n.serveOn(ln)
-		n.hop = &http.Transport{
-			DisableCompression:  true,
-			MaxIdleConns:        int(n.maxInFlight),
-			MaxIdleConnsPerHost: int(n.maxInFlight),
-			IdleConnTimeout:     hopIdleTimeout,
-		}
+		n.hop = newHopTransport(n.addr, int(n.maxInFlight))
 		rt = n.hop
 	}
 	n.client = dash.NewClient(n.baseURL,
@@ -214,6 +200,9 @@ func (n *Node) Down() bool { return n.down.Load() }
 // comes back cold), its listener — when it has one — closes so
 // in-flight and future connections meet a real refusal, and every
 // in-process request or probe fails with ErrNodeDown until Recover.
+// Closing the server closes the edge's end of every connection the
+// router holds idle to it; the router is not told, as it would not be of
+// a real crash, and its first reuse finds them closed (hopTransport).
 // Idempotent.
 func (n *Node) Kill() {
 	if n.down.Swap(true) {
@@ -269,7 +258,7 @@ func (n *Node) retire() {
 		rt.close()
 	}
 	if n.hop != nil {
-		n.hop.CloseIdleConnections()
+		n.hop.drop(true)
 	}
 }
 
