@@ -13,10 +13,15 @@ import (
 	"time"
 )
 
-// hopBufLen sizes each pooled connection's read and write buffers: a
-// request line and a response head fit, and a body larger than it is
-// read straight into the relay's block.
-const hopBufLen = 4 << 10
+// hopBufLen sizes the buffers either end of a hop connection keeps: the
+// router's reader and writer, the edge's reader. A request (about 100
+// bytes) and a response head fit, and a body larger than it is read
+// straight into the relay's block. It is small on purpose: the first
+// read after the head hands the relay what the buffer holds of the body,
+// and the relay forwards it at once, so the front door's own head plus
+// that piece must fit net/http's 4 KiB response buffer, or the buffer
+// flushes early and the front door writes three times instead of two.
+const hopBufLen = 1 << 10
 
 // hopExpired is the past deadline a canceled exchange's connection is
 // given, so a read or write blocked on it returns at once.

@@ -126,15 +126,18 @@ func TestHopStaleConnectionRedialsOnce(t *testing.T) {
 	}
 }
 
-// cutConn writes all but the last few bytes of each write once cut is
-// set, then closes: an edge dying mid-body.
+// cutConn, once cut is set, passes a response head through and writes
+// all but the last few bytes of the first write that carries body bytes,
+// then closes: an edge dying mid-body. Through a wrapped connection the
+// edge's head and body arrive as separate writes, since a writev needs
+// the bare *net.TCPConn.
 type cutConn struct {
 	net.Conn
 	cut *atomic.Bool
 }
 
 func (c cutConn) Write(p []byte) (int, error) {
-	if !c.cut.Load() {
+	if !c.cut.Load() || bytes.HasPrefix(p, []byte("HTTP/1.1 ")) {
 		return c.Conn.Write(p)
 	}
 	n, _ := c.Conn.Write(p[:len(p)-5])

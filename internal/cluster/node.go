@@ -47,14 +47,14 @@ type Node struct {
 	// on a real listener — and reused by Recover so the node's identity
 	// (its address) survives a crash; accepting gates the
 	// LoopbackTransport the way a live listener gates a dial; rt holds
-	// the current listener+server pair, swapped atomically so Kill never
-	// races a concurrent relisten; hop is the router's connection pool to
-	// a real listener, nil on the other carriers.
+	// the current incarnation of the edge's server, swapped atomically so
+	// Kill never races a concurrent relisten; hop is the router's
+	// connection pool to a real listener, nil on the other carriers.
 	addr    string
 	baseURL string
 	client  *dash.Client
 	hop     *hopTransport
-	rt      atomic.Pointer[wireRuntime]
+	rt      atomic.Pointer[edgeServer]
 
 	accepting atomic.Bool
 
@@ -68,21 +68,6 @@ const shedRetryAfter = time.Second
 // the retry: they take one shot and let the ranked walk move on, so a
 // dead edge costs one connection refusal, not a backoff ladder.
 var nodeRetry = dash.RetryPolicy{MaxAttempts: -1}
-
-// wireRuntime is one incarnation of a node's listening process.
-type wireRuntime struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// close ends the incarnation the way a crash does — Close, not Shutdown:
-// nothing drains. The listener is closed by name as well, because the
-// server only knows it once its Serve goroutine has run, and a node
-// killed before that would keep its port.
-func (rt *wireRuntime) close() {
-	_ = rt.srv.Close()
-	_ = rt.ln.Close()
-}
 
 // nodeMetrics caches the node's instruments; nil fields no-op.
 type nodeMetrics struct {
@@ -160,16 +145,10 @@ func (n *Node) startWire(rt http.RoundTripper, reg *obs.Registry) error {
 // the transport-backed wire carriers.
 const edgeHostSuffix = ".edge.sperke"
 
-// serveOn starts the node's HTTP server on ln and records the runtime
-// so Kill can close it.
+// serveOn starts the node's edge server on ln and records it so Kill
+// can close it.
 func (n *Node) serveOn(ln net.Listener) {
-	srv := dash.NewHTTPServer(n.server)
-	n.rt.Store(&wireRuntime{ln: ln, srv: srv})
-	go func() {
-		// Serve returns on Close with ErrServerClosed; nothing to do —
-		// Kill/retire own the lifecycle.
-		_ = srv.Serve(ln)
-	}()
+	n.rt.Store(serveEdge(ln, n.server))
 }
 
 // relisten re-binds the node's recorded address after a crash.

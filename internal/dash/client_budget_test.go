@@ -259,7 +259,11 @@ func TestFetchChunkAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perOp := int64(after.TotalAlloc-before.TotalAlloc) / iters
-	if perOp > int64(bodyLen)+overhead {
+	// Under -race, sync.Pool drops Puts at random, so the block pool
+	// refills inside the measured loop and its blocks count as the
+	// fetch's bytes. The object count below is not the pool's and runs
+	// either way.
+	if perOp > int64(bodyLen)+overhead && !obs.RaceEnabled {
 		t.Fatalf("FetchChunk allocates %d B for a %d B body; budget is the body + %d B", perOp, bodyLen, overhead)
 	}
 	n := testing.AllocsPerRun(100, fetch)

@@ -92,26 +92,28 @@ func (c *Catalog) liveWindow(id string) ([2]int, bool) {
 	return w, ok
 }
 
-// The limits NewHTTPServer sets. A client that has not finished its
-// request headers five seconds after connecting is not one of ours (a
-// request is one small packet); an idle connection is kept longer than
-// any client in the tree keeps its end (net/http's default transport 90
-// s, the benchmark's one minute), so it is always the client that
-// retires a connection and never a server that closes one a client is
-// about to reuse.
+// The limits every listener in the tree serves under: NewHTTPServer's,
+// and the wire cluster's edge connection loop's. A client that has not
+// finished its request headers five seconds after connecting is not one
+// of ours (a request is one small packet); an idle connection is kept
+// longer than any client in the tree keeps its end (net/http's default
+// transport 90 s, the benchmark's one minute), so it is always the
+// client that retires a connection and never a server that closes one a
+// client is about to reuse.
 const (
-	serverReadHeaderTimeout = 5 * time.Second
-	serverIdleTimeout       = 2 * time.Minute
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
 )
 
 // NewHTTPServer returns the http.Server every listener in the tree
-// serves h on: net/http's zero value waits forever for a request's
-// headers and for the next request on a kept-alive connection, so a
-// peer that connects and goes quiet holds a goroutine and a descriptor
-// until the process exits. The caller sets Addr if it listens by name,
-// and owns Serve, Shutdown and Close.
+// serves h on, but a wire cluster's edges, which run their own
+// connection loop under the same two limits: net/http's zero value
+// waits forever for a request's headers and for the next request on a
+// kept-alive connection, so a peer that connects and goes quiet holds a
+// goroutine and a descriptor until the process exits. The caller sets
+// Addr if it listens by name, and owns Serve, Shutdown and Close.
 func NewHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: serverReadHeaderTimeout, IdleTimeout: serverIdleTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 }
 
 // ChunkSource serves pre-built chunk bodies. The sharded, singleflight

@@ -16,12 +16,12 @@ import (
 )
 
 // TestQuietPeerIsHungUpOn: a peer that connects, sends half a request
-// line and goes quiet is dropped once the header limit of
-// dash.NewHTTPServer runs out — on the origin's listener as
-// sperke-server builds it and on a wire node of the cluster alike —
-// and the goroutine that served it goes with it. A zero http.Server
-// keeps both for as long as the process lives. The limit is waited out
-// in real time, so -short skips it.
+// line and goes quiet is dropped once the header limit,
+// dash.ReadHeaderTimeout, runs out — on the origin's listener as
+// sperke-server builds it with dash.NewHTTPServer and on a wire node's
+// connection loop alike — and the goroutine that served it goes with
+// it. A zero http.Server keeps both for as long as the process lives.
+// The limit is waited out in real time, so -short skips it.
 func TestQuietPeerIsHungUpOn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the five-second header limit")
@@ -80,9 +80,19 @@ func TestQuietPeerIsHungUpOn(t *testing.T) {
 			}
 		}()
 	}
+	// While the limit runs, each peer holds one serving goroutine; a count
+	// that missed either kind would find nothing to wait for below.
+	deadline := time.Now().Add(time.Second)
+	for servingGoroutines() < before+2 {
+		if time.Now().After(deadline) {
+			t.Errorf("connection goroutines %d -> %d with two quiet peers connected, want +2", before, servingGoroutines())
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	wg.Wait()
 
-	deadline := time.Now().Add(3 * time.Second)
+	deadline = time.Now().Add(3 * time.Second)
 	for servingGoroutines() > before {
 		if time.Now().After(deadline) {
 			t.Fatalf("connection goroutines %d -> %d after both peers were dropped", before, servingGoroutines())
@@ -91,9 +101,11 @@ func TestQuietPeerIsHungUpOn(t *testing.T) {
 	}
 }
 
-// servingGoroutines counts the goroutines net/http has serving a
-// connection, whoever else in the process is running.
+// servingGoroutines counts the goroutines serving a connection — net/http's
+// for the origin, the cluster's connection loop for a wire node —
+// whoever else in the process is running.
 func servingGoroutines() int {
 	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "net/http.(*conn).serve(")
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	return strings.Count(stacks, "net/http.(*conn).serve(") + strings.Count(stacks, "sperke/internal/cluster.(*edgeConn).serve(")
 }

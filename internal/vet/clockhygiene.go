@@ -45,6 +45,10 @@ var clockAllowlist = map[string]bool{
 	// which reads the client's now seam to turn HTTP-date deadlines
 	// into durations. Same wall-at-the-wire shape as Node.open.
 	"internal/cluster:Node.Ping": true,
+	// A wire edge's connection loop puts its idle and header limits on
+	// the socket as read deadlines, which are wall time by nature;
+	// wallDeadline is the one place it reads the clock for them.
+	"internal/cluster:wallDeadline": true,
 	// The engine's HTTP observation leg calls dash.Client.FetchChunk,
 	// which is wall-tainted through its default now/sleep seams; the
 	// mirror is exactly the seam where measured real-network latency

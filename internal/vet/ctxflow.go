@@ -37,6 +37,10 @@ var ctxAllowlist = map[string]bool{
 	// viewer request that enqueued it — cancellation would couple them
 	// back. warmCtx mints that root.
 	"internal/cluster:warmCtx": true,
+	// A wire edge's requests arrive over a socket, from no caller in the
+	// process; edgeCtx mints the root of one edge incarnation's requests,
+	// which Kill and retire cancel.
+	"internal/cluster:edgeCtx": true,
 	// The scheduler contract check submits some requests under a context
 	// that is already canceled; it is the test's own root, not a caller's.
 	"internal/transport/transporttest:play": true,
