@@ -2,12 +2,13 @@
 // pair — in front of one origin ChunkSource, with chunk keys routed by
 // rendezvous hashing so membership changes move only the resharded
 // keys. In the wire forms (WithWire / WithLoopback) every node is a
-// real HTTP process: its dash.Server bound to a loopback listener, the
-// router reaching it through dash.Client — so node death is an actual
-// connection refusal and re-routed responses proxy writer-first, never
-// materialized at the router. Every request, whichever form and
-// whichever front-door method it came through, takes the one path
-// route → walk → relay → originFallback. Each node's failure detector
+// real HTTP process: its dash.Server bound to a loopback listener that
+// the router reaches over a keep-alive hop of its own, or answering an
+// in-process transport the router drives through dash.Client — so node
+// death is an actual connection refusal and re-routed responses proxy
+// writer-first, never materialized at the router. Every request,
+// whichever form and whichever front-door method it came through, takes
+// the one path route → walk → relay → originFallback. Each node's failure detector
 // combines periodic probes with passive per-request error accounting to
 // declare it down and up, failing requests over to the next-ranked live
 // edge and, when no edge can serve, to the origin. With replication R>1
@@ -198,7 +199,7 @@ func (c *Cluster) buildNode(id string) (*Node, error) {
 		c.cfg.nodeBudget, c.cfg.maxInFlight, c.reg, c.met.originFetches.Inc)
 	n.health = newHealth(id, c.cfg.detector, c.clock, c.reg)
 	if c.cfg.wire {
-		if err := n.startWire(c.cfg.transport, c.reg); err != nil {
+		if err := n.startWire(c.cfg.transport); err != nil {
 			return nil, err
 		}
 	}
@@ -475,7 +476,9 @@ func (c *Cluster) PrewarmFetches() int64 { return c.met.prewarmFetches.Value() }
 
 // ProbeAll runs one active probe sweep: every node the detector lets
 // through gets a Ping — a real GET /v in the wire forms — and the
-// outcome feeds the same breakers as passive traffic. Down nodes in
+// outcome feeds the same breakers as passive traffic. Each probe has one
+// ProbeInterval to answer, so an edge that accepts and never answers
+// costs the sweep that long and counts as a failure. Down nodes in
 // cooldown are skipped; once the cooldown passes the breaker admits
 // trial probes, and ProbeSuccesses clean ones in a row re-admit the
 // node.
@@ -483,7 +486,9 @@ func (c *Cluster) ProbeAll() {
 	m := c.mem.Load()
 	for _, id := range m.ids {
 		if n := m.byID[id]; n.health.allow() {
-			n.health.observe(n.Ping())
+			ctx, cancel := probeCtx(c.probeEvery)
+			n.health.observe(n.Ping(ctx))
+			cancel()
 		}
 	}
 }

@@ -334,7 +334,7 @@ func edgeCtx() (context.Context, context.CancelFunc) {
 	return context.WithCancel(context.Background())
 }
 
-// wallDeadline is d from now, for a connection's read deadline — wall
-// time by nature, as a socket's deadline is. The clockhygiene allowlist
-// names it.
+// wallDeadline is d from now, for a connection's deadline — the edge's
+// read limits, the hop's exchange — which is wall time by nature, as a
+// socket's deadline is. The clockhygiene allowlist names it.
 func wallDeadline(d time.Duration) time.Time { return time.Now().Add(d) }

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"sperke/internal/dash"
 )
 
 // hopBufLen sizes the buffers either end of a hop connection keeps: the
@@ -27,22 +29,22 @@ const hopBufLen = 1 << 10
 // given, so a read or write blocked on it returns at once.
 var hopExpired = time.Unix(1, 0)
 
-// hopTransport is the router's keep-alive pool to one real-listener
-// edge, and the http.RoundTripper that edge's dash.Client sends
-// through. An exchange runs on the caller's goroutine from the request's
-// first byte to the body's last: req.Write and one Flush out,
-// http.ReadResponse in — net/http's own codec on a connection the caller
-// holds — so no goroutine is started or woken per exchange, where
-// http.Transport keeps a reader and a writer goroutine per connection
-// and crosses each of them twice.
+// hopTransport is the router's keep-alive pool to one real-listener edge,
+// and get is the one exchange it runs there. An exchange runs on the
+// caller's goroutine from the request's first byte to the body's last:
+// the GET line written into the connection's buffer and one Flush out,
+// http.ReadResponse in — net/http's own parser on a connection the
+// caller holds — so no goroutine is started or woken per exchange, and
+// no http.Request, dash.Client or derived context is built for one.
 //
-// The exchange's one deadline, which the client puts on the request's
-// context, is the connection's; a cancel sets a deadline already past,
-// so a blocked read or write returns. The body hands its connection back
-// only when it was read to EOF, the cancel had not fired and the edge
-// did not say Connection: close; every other ending closes it. The pool
-// is LIFO and holds at most the edge's admission bound, so every request
-// the edge can have in flight finds its connection again.
+// The exchange's one deadline is the socket's: the caller's context
+// deadline or dash.DefaultTimeout from now, whichever comes first. A
+// cancel of the caller's own context sets a deadline already past, so a
+// blocked read or write returns. The body hands its connection back only
+// when it was read to EOF, the cancel had not fired and the edge did not
+// say Connection: close; every other ending closes it. The pool is LIFO
+// and holds at most the edge's admission bound, so every request the
+// edge can have in flight finds its connection again.
 //
 // Nothing ages an idle connection. One the edge closed while it sat idle
 // — its own idle limit, or a crash and restart — fails before the first
@@ -59,86 +61,118 @@ type hopTransport struct {
 	retired bool // retire ran: returning connections are closed
 }
 
-// hopConn is one pooled connection with the buffers it keeps for life.
+// hopConn is one pooled connection with the buffers and the cancel hook
+// it keeps for life.
 type hopConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
+	conn   net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	expire func() // sets hopExpired on conn
 }
 
 func newHopTransport(addr string, maxIdle int) *hopTransport {
 	return &hopTransport{addr: addr, maxIdle: maxIdle}
 }
 
-// RoundTrip implements http.RoundTripper.
-func (t *hopTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	ctx := req.Context()
+// get sends GET path — dash.ChunkPath's, or another path already
+// escaped, so it holds no space, CR or LF — and reads the response head.
+// A 200 comes back as a stream whose body holds the connection until it
+// ends. Everything else is a *dash.Error of one attempt: a non-200 as
+// dash.StatusError classifies it, and a dial or exchange that failed as
+// KindCanceled once ctx is done, KindTransient otherwise; a read of the
+// body that fails comes back the same way.
+func (t *hopTransport) get(ctx context.Context, path string) (dash.ChunkStream, error) {
+	deadline := wallDeadline(dash.DefaultTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
 	pc := t.take()
 	reused := pc != nil
+	var err error
 	if !reused {
-		var err error
-		if pc, err = t.dial(ctx); err != nil {
-			return nil, err
+		if pc, err = t.dial(ctx, deadline); err != nil {
+			return dash.ChunkStream{}, hopError(ctx, path, err)
 		}
 	}
-	resp, stale, err := t.exchange(pc, req)
-	if stale && reused && req.Method == http.MethodGet && req.Body == nil && ctx.Err() == nil {
+	resp, stale, err := t.exchange(ctx, pc, path, deadline)
+	if stale && reused && ctx.Err() == nil {
 		t.drop(false)
-		if pc, err = t.dial(ctx); err != nil {
-			return nil, err
+		if pc, err = t.dial(ctx, deadline); err != nil {
+			return dash.ChunkStream{}, hopError(ctx, path, err)
 		}
-		resp, _, err = t.exchange(pc, req)
+		resp, _, err = t.exchange(ctx, pc, path, deadline)
 	}
-	return resp, err
+	if err != nil {
+		return dash.ChunkStream{}, hopError(ctx, path, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		// wallDeadline(0) is now, against which an HTTP-date Retry-After
+		// is a duration.
+		derr := dash.StatusError(path, resp, wallDeadline(0))
+		derr.Attempts = 1
+		resp.Body.Close()
+		return dash.ChunkStream{}, derr
+	}
+	return dash.ChunkStream{Body: resp.Body, Length: resp.ContentLength, Attempts: 1}, nil
 }
 
-func (t *hopTransport) dial(ctx context.Context) (*hopConn, error) {
-	var d net.Dialer
+func (t *hopTransport) dial(ctx context.Context, deadline time.Time) (*hopConn, error) {
+	d := net.Dialer{Deadline: deadline}
 	conn, err := d.DialContext(ctx, "tcp", t.addr)
 	if err != nil {
 		return nil, err
 	}
-	return &hopConn{conn: conn, br: bufio.NewReaderSize(conn, hopBufLen), bw: bufio.NewWriterSize(conn, hopBufLen)}, nil
+	return &hopConn{
+		conn:   conn,
+		br:     bufio.NewReaderSize(conn, hopBufLen),
+		bw:     bufio.NewWriterSize(conn, hopBufLen),
+		expire: func() { conn.SetDeadline(hopExpired) },
+	}, nil
 }
 
-// exchange sends req on pc and reads the response head, handing pc to
-// the response's body. On failure pc is closed, and stale reports that
-// it failed before the first response byte the way a connection its
-// peer closed does.
-func (t *hopTransport) exchange(pc *hopConn, req *http.Request) (resp *http.Response, stale bool, err error) {
-	ctx := req.Context()
-	deadline, _ := ctx.Deadline() // zero clears the previous exchange's
+// exchange sends GET path on pc under deadline and reads the response
+// head, handing pc to the response's body. On failure pc is closed, and
+// stale reports that it failed before the first response byte the way a
+// connection its peer closed does.
+func (t *hopTransport) exchange(ctx context.Context, pc *hopConn, path string, deadline time.Time) (resp *http.Response, stale bool, err error) {
 	pc.conn.SetDeadline(deadline)
-	stop := context.AfterFunc(ctx, func() { pc.conn.SetDeadline(hopExpired) })
-	err = req.Write(pc.bw)
-	if err == nil {
-		err = pc.bw.Flush()
-	}
+	stop := context.AfterFunc(ctx, pc.expire)
+	pc.bw.WriteString("GET ")
+	pc.bw.WriteString(path)
+	pc.bw.WriteString(" HTTP/1.1\r\nHost: ")
+	pc.bw.WriteString(t.addr)
+	pc.bw.WriteString("\r\n\r\n")
+	err = pc.bw.Flush() // reports the first failed write too
 	if err == nil {
 		_, err = pc.br.Peek(1)
 	}
 	if err != nil {
 		stale = errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) ||
 			errors.Is(err, syscall.EPIPE) || errors.Is(err, net.ErrClosed)
-	} else if resp, err = http.ReadResponse(pc.br, req); err == nil {
-		resp.Body = &hopBody{body: resp.Body, pc: pc, t: t, ctx: ctx, stop: stop, keep: !resp.Close}
+	} else if resp, err = http.ReadResponse(pc.br, nil); err == nil {
+		resp.Body = &hopBody{body: resp.Body, pc: pc, t: t, ctx: ctx, path: path, stop: stop, keep: !resp.Close}
 		return resp, false, nil
 	}
 	stop()
 	pc.conn.Close()
-	return nil, stale, hopErr(ctx, err)
+	return nil, stale, err
 }
 
-// hopErr reads a failure the connection's deadline caused as the
-// context's end that set it.
-func hopErr(ctx context.Context, err error) error {
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		return err
+// hopError is the typed failure of an exchange on path. A failure the
+// connection's deadline caused reads as the end of the context that set
+// it, or as context.DeadlineExceeded when the deadline was
+// dash.DefaultTimeout's.
+func hopError(ctx context.Context, path string, err error) *dash.Error {
+	kind := dash.KindTransient
+	if ctx.Err() != nil {
+		kind = dash.KindCanceled
 	}
-	if cause := context.Cause(ctx); cause != nil {
-		return cause
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		if err = context.Cause(ctx); err == nil {
+			err = context.DeadlineExceeded
+		}
 	}
-	return context.DeadlineExceeded
+	return &dash.Error{Op: path, Kind: kind, Attempts: 1, Err: err}
 }
 
 // take pops the most recently returned idle connection, or nil.
@@ -191,6 +225,7 @@ type hopBody struct {
 	pc   *hopConn  // nil once released
 	t    *hopTransport
 	ctx  context.Context
+	path string
 	stop func() bool // unregisters the cancel; false once it has fired
 	keep bool        // the edge did not say Connection: close
 	err  error       // what reads return once pc is released
@@ -206,7 +241,7 @@ func (b *hopBody) Read(p []byte) (int, error) {
 		// Bytes past the body would be read as the next response.
 		b.release(err, b.stop() && b.keep && b.pc.br.Buffered() == 0)
 	case err != nil:
-		err = hopErr(b.ctx, err)
+		err = hopError(b.ctx, b.path, err)
 		b.stop()
 		b.release(err, false)
 	}

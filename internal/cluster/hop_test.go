@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -147,7 +149,7 @@ func (c cutConn) Write(p []byte) (int, error) {
 
 // TestHopStaleConnectionMidBodyIsNotResent: a reused connection that
 // fails after the response began is no idle connection gone stale, and
-// bytes may already have been relayed; the relay gets the client's typed
+// bytes may already have been relayed; the relay gets the hop's typed
 // transient error and no request is re-sent.
 func TestHopStaleConnectionMidBodyIsNotResent(t *testing.T) {
 	c, _ := newWireCluster(t)
@@ -184,7 +186,8 @@ func TestHopStaleConnectionMidBodyIsNotResent(t *testing.T) {
 // cancel that lands after the body ended, or races its end, never leaves
 // a past deadline on a pooled connection for the next exchange; a
 // connection returned after retire is closed; and once every exchange
-// and the server are closed, no goroutine is left.
+// and the server are closed, no goroutine is left. The cancel hook hangs
+// on the caller's own context: no context is derived per exchange.
 func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	body := bytes.Repeat([]byte("x"), 64<<10)
@@ -217,22 +220,18 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 	}
 	srv.Start()
 	hop := newHopTransport(srv.Listener.Addr().String(), 8)
-	get := func(ctx context.Context, path string) *http.Response {
+	get := func(ctx context.Context, path string) dash.ChunkStream {
 		t.Helper()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+path, nil)
+		st, err := hop.get(ctx, path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := hop.RoundTrip(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+		return st
 	}
-	readAll := func(resp *http.Response) {
+	readAll := func(st dash.ChunkStream) {
 		t.Helper()
-		defer resp.Body.Close()
-		if got, err := io.ReadAll(resp.Body); err != nil || len(got) != len(body) {
+		defer st.Body.Close()
+		if got, err := io.ReadAll(st.Body); err != nil || len(got) != len(body) {
 			t.Fatalf("read %d bytes, err %v; want %d", len(got), err, len(body))
 		}
 	}
@@ -240,24 +239,26 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 	readAll(get(ctx, "/"))
 
 	// A viewer hang-up: the body closed before its end.
-	resp := get(ctx, "/")
-	io.ReadFull(resp.Body, make([]byte, 1<<10))
-	resp.Body.Close()
+	st := get(ctx, "/")
+	io.ReadFull(st.Body, make([]byte, 1<<10))
+	st.Body.Close()
 	if got := hop.idleLen(); got != 0 {
 		t.Fatalf("a body closed before its end left %d idle connections, want 0", got)
 	}
 
 	// A cancel while a read waits on bytes the edge is not sending.
 	cctx, cancel := context.WithCancel(ctx)
-	resp = get(cctx, "/stall")
-	if _, err := io.ReadFull(resp.Body, make([]byte, len(body)/2)); err != nil {
+	st = get(cctx, "/stall")
+	if _, err := io.ReadFull(st.Body, make([]byte, len(body)/2)); err != nil {
 		t.Fatal(err)
 	}
 	time.AfterFunc(10*time.Millisecond, cancel)
-	if _, err := resp.Body.Read(make([]byte, 1)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("blocked read after cancel: err %v, want context.Canceled", err)
+	_, err := st.Body.Read(make([]byte, 1))
+	var de *dash.Error
+	if !errors.As(err, &de) || de.Kind != dash.KindCanceled || !errors.Is(err, context.Canceled) {
+		t.Fatalf("blocked read after cancel: err %v, want a KindCanceled *dash.Error wrapping context.Canceled", err)
 	}
-	resp.Body.Close()
+	st.Body.Close()
 	if got := hop.idleLen(); got != 0 {
 		t.Fatalf("a canceled exchange left %d idle connections, want 0", got)
 	}
@@ -266,10 +267,10 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 	// connection even when the read reaches EOF from bytes already
 	// buffered: the cancel's past deadline may land at any moment.
 	cctx, cancel = context.WithCancel(ctx)
-	resp = get(cctx, "/small")
+	st = get(cctx, "/small")
 	cancel()
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	io.Copy(io.Discard, st.Body)
+	st.Body.Close()
 	if got := hop.idleLen(); got != 0 {
 		t.Fatalf("an exchange canceled before its end left %d idle connections, want 0", got)
 	}
@@ -286,20 +287,20 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 	// next exchange gets a connection with no past deadline on it.
 	for i := 0; i < 50; i++ {
 		cctx, cancel := context.WithCancel(ctx)
-		resp := get(cctx, "/")
+		st := get(cctx, "/")
 		if i%2 == 0 {
 			go cancel()
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		io.Copy(io.Discard, st.Body)
+		st.Body.Close()
 		cancel()
 		readAll(get(ctx, "/"))
 	}
 
 	// A connection returned after retire is closed, not pooled.
-	resp = get(ctx, "/")
+	st = get(ctx, "/")
 	hop.drop(true)
-	readAll(resp)
+	readAll(st)
 	if got := hop.idleLen(); got != 0 {
 		t.Fatalf("retired pool holds %d idle connections, want 0", got)
 	}
@@ -310,6 +311,143 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 
 	srv.Close()
 	waitFor(t, "goroutines back to their baseline", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// TestHopRequestLine: what an edge reads of a hop exchange is a GET of
+// dash.ChunkPath's bytes exactly, over HTTP/1.1, addressed to the edge's
+// own address, with no User-Agent, which nothing reads.
+func TestHopRequestLine(t *testing.T) {
+	type seen struct {
+		method, uri, host, proto string
+		agent                    bool
+	}
+	got := make(chan seen, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, agent := r.Header["User-Agent"]
+		got <- seen{r.Method, r.RequestURI, r.Host, r.Proto, agent}
+		w.Write([]byte("ok"))
+	}))
+	defer srv.Close()
+	addr := srv.Listener.Addr().String()
+	hop := newHopTransport(addr, 1)
+	defer hop.drop(true)
+	path := dash.ChunkPath("x/y 50%?#\r\n", 1, 2, 3, true)
+	st, err := hop.get(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(st.Body)
+	st.Body.Close()
+	if err != nil || string(body) != "ok" {
+		t.Fatalf("body %q, err %v; want \"ok\"", body, err)
+	}
+	if s, want := <-got, (seen{http.MethodGet, path, addr, "HTTP/1.1", false}); s != want {
+		t.Fatalf("the edge read %+v, want %+v", s, want)
+	}
+}
+
+// FuzzHopExchange: whatever bytes an edge answers one hop exchange with,
+// the exchange returns a response or a typed *dash.Error; a response's
+// body yields exactly its declared Content-Length or fails with a typed
+// transient error; the connection is pooled only when the reply ended
+// exactly at the body's end under keep-alive; nothing panics; and no
+// goroutine outlives the exchange. The edge is a loopback listener that
+// reads the request head, writes the reply in one write and closes.
+//
+// A reply that fits the router's buffer (hopBufLen) arrives in it whole,
+// so every byte past the body is one the hop sees, and such a reply is
+// held to the rule both ways for a 200. Past that size a byte past the
+// body can still be in the kernel when the body ends, where nothing sees
+// it without reading on; no edge sends one, so a longer reply is held to
+// the rest of the rule: pooled only after a whole body under keep-alive.
+func FuzzHopExchange(f *testing.F) {
+	for _, seed := range []string{
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+		"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 11\r\n\r\noverloaded\n",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 5\r\n\r\nhello",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2000\r\n\r\n" + strings.Repeat("x", 2000),
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhelloHTTP/1.1 200 OK\r\n",
+		"\x00garbage\r\n\r\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { ln.Close() })
+
+	f.Fuzz(func(t *testing.T, reply []byte) {
+		before := runtime.NumGoroutine()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			// Read the request whole, so the close is a FIN and not a reset.
+			if _, err := http.ReadRequest(bufio.NewReader(conn)); err == nil {
+				conn.Write(reply)
+			}
+		}()
+		hop := newHopTransport(ln.Addr().String(), 1)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+
+		st, err := hop.get(ctx, "/v/fuzz/c/0/0/0")
+		status200 := err == nil
+		if err != nil {
+			if _, ok := err.(*dash.Error); !ok {
+				t.Fatalf("exchange failed with %T %v, want a *dash.Error", err, err)
+			}
+		} else {
+			body, err := io.ReadAll(st.Body)
+			st.Body.Close()
+			var de *dash.Error
+			switch {
+			case err != nil && (!errors.As(err, &de) || de.Kind != dash.KindTransient):
+				t.Fatalf("body read failed with %v, want a transient *dash.Error", err)
+			case err == nil && st.Length >= 0 && int64(len(body)) != st.Length:
+				t.Fatalf("body yielded %d bytes under a declared %d", len(body), st.Length)
+			}
+			status200 = err == nil
+		}
+		pooled := hop.idleLen() == 1
+
+		whole, exact := replyEnds(reply)
+		switch {
+		case pooled && !whole:
+			t.Fatalf("pooled after a reply whose body did not end under keep-alive: %q", reply)
+		case len(reply) <= hopBufLen && pooled && !exact:
+			t.Fatalf("pooled after a reply with bytes past its body: %q", reply)
+		case len(reply) <= hopBufLen && status200 && exact && !pooled:
+			t.Fatalf("not pooled after a 200 that ended at its body's end under keep-alive: %q", reply)
+		}
+		hop.drop(true)
+		cancel()
+		<-served
+		waitFor(t, "goroutines back to their baseline", func() bool { return runtime.NumGoroutine() <= before })
+	})
+}
+
+// replyEnds parses reply as net/http does: whole reports that it is a
+// response whose body ends under keep-alive, exact that nothing follows
+// that end.
+func replyEnds(reply []byte) (whole, exact bool) {
+	r := bytes.NewReader(reply)
+	br := bufio.NewReader(r)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		return false, false
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	whole = err == nil && !resp.Close
+	return whole, whole && br.Buffered() == 0 && r.Len() == 0
 }
 
 // waitFor polls cond for up to three seconds.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync/atomic"
@@ -29,9 +30,10 @@ var ErrNodeDown = fmt.Errorf("cluster: node down: %w", dash.ErrUnavailable)
 // cascade from a failed peer is shed, not amplified.
 //
 // In the wire form the node additionally owns a real HTTP process: its
-// dash.Server bound to a loopback listener (or answering a RoundTripper
-// by host name), with the router reaching it only through a
-// dash.Client. Kill closes the listener — requests meet an actual
+// dash.Server bound to a loopback listener, which the router reaches
+// through the node's own hopTransport, or answering a RoundTripper by
+// host name, which it reaches through a dash.Client over that
+// RoundTripper. Kill closes the listener — requests meet an actual
 // connection refusal — and Recover re-binds the same address.
 type Node struct {
 	id     string
@@ -48,8 +50,9 @@ type Node struct {
 	// (its address) survives a crash; accepting gates the
 	// LoopbackTransport the way a live listener gates a dial; rt holds
 	// the current incarnation of the edge's server, swapped atomically so
-	// Kill never races a concurrent relisten; hop is the router's
-	// connection pool to a real listener, nil on the other carriers.
+	// Kill never races a concurrent relisten. hop is the router's
+	// connection pool to a real listener and client its dash.Client on a
+	// transport-backed carrier: a wire node has exactly one of them.
 	addr    string
 	baseURL string
 	client  *dash.Client
@@ -64,9 +67,11 @@ type Node struct {
 // shedRetryAfter is the backoff hint an edge attaches to a shed.
 const shedRetryAfter = time.Second
 
-// nodeRetry is the policy of the router's per-edge clients. Failover is
-// the retry: they take one shot and let the ranked walk move on, so a
-// dead edge costs one connection refusal, not a backoff ladder.
+// nodeRetry is the policy of the router's per-edge clients on the
+// transport-backed carriers; the hop to a real listener makes the same
+// one attempt. Failover is the retry: they take one shot and let the
+// ranked walk move on, so a dead edge costs one connection refusal, not
+// a backoff ladder.
 var nodeRetry = dash.RetryPolicy{MaxAttempts: -1}
 
 // nodeMetrics caches the node's instruments; nil fields no-op.
@@ -114,16 +119,19 @@ func newNode(id string, origin dash.ChunkSource, catalog *dash.Catalog,
 	return n
 }
 
-// startWire turns the node into an HTTP process and builds the client
-// the router will reach it through. One of two wire carriers applies: a
+// startWire turns the node into an HTTP process and builds what the
+// router will reach it through. One of two wire carriers applies: a
 // supplied RoundTripper that finds the node by its synthetic host name
-// (WithTransport's, or WithLoopback's LoopbackTransport), or — the
-// default — a real TCP listener on 127.0.0.1 behind a hopTransport of
-// the node's own, whose idle pool is the edge's admission bound: every
-// request the edge can have in flight gets its connection back.
-func (n *Node) startWire(rt http.RoundTripper, reg *obs.Registry) error {
+// (WithTransport's, or WithLoopback's LoopbackTransport), driven by a
+// dash.Client; or — the default — a real TCP listener on 127.0.0.1
+// behind a hopTransport of the node's own, whose idle pool is the edge's
+// admission bound: every request the edge can have in flight gets its
+// connection back. The client counts nothing: dash.client.* is the
+// viewer's, on every carrier.
+func (n *Node) startWire(rt http.RoundTripper) error {
 	if rt != nil {
 		n.baseURL = "http://" + n.id + edgeHostSuffix
+		n.client = dash.NewClient(n.baseURL, dash.WithTransport(rt), dash.WithRetry(nodeRetry))
 	} else {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -133,10 +141,7 @@ func (n *Node) startWire(rt http.RoundTripper, reg *obs.Registry) error {
 		n.baseURL = "http://" + n.addr
 		n.serveOn(ln)
 		n.hop = newHopTransport(n.addr, int(n.maxInFlight))
-		rt = n.hop
 	}
-	n.client = dash.NewClient(n.baseURL,
-		dash.WithTransport(rt), dash.WithRetry(nodeRetry), dash.WithClientObs(reg))
 	n.accepting.Store(true)
 	return nil
 }
@@ -241,36 +246,54 @@ func (n *Node) retire() {
 	}
 }
 
+// probeDrainLimit bounds what a probe reads of the /v listing to leave
+// its connection at EOF, where the hop can pool it.
+const probeDrainLimit = 4 << 10
+
 // Ping is the active health probe: nil iff the node can take traffic.
-// In the wire form it is a real GET /v through the node's client — a
-// closed listener fails it the honest way. It deliberately ignores
-// load — an overloaded node is alive, and declaring it dead would
-// amplify the cascade shedding exists to stop.
-func (n *Node) Ping() error {
+// In the wire form it is a real GET /v under ctx, through the node's hop
+// or its client — a closed listener fails it the honest way, and one
+// that accepts and never answers fails when ctx does. It deliberately
+// ignores load — an overloaded node is alive, and declaring it dead
+// would amplify the cascade shedding exists to stop.
+func (n *Node) Ping(ctx context.Context) error {
 	if n.down.Load() {
 		return fmt.Errorf("cluster: probe %s: %w", n.id, ErrNodeDown)
 	}
-	if n.client != nil {
-		return n.client.Ping(probeCtx())
+	switch {
+	case n.hop != nil:
+		st, err := n.hop.get(ctx, "/v")
+		if err != nil {
+			return err
+		}
+		io.Copy(io.Discard, io.LimitReader(st.Body, probeDrainLimit))
+		return st.Body.Close()
+	case n.client != nil:
+		return n.client.Ping(ctx)
 	}
 	return nil
 }
 
-// open asks the edge for the chunk. A wire edge answers, through the
-// node's HTTP client, with a live response for the router to relay.
-// The in-process edge — no listener, no client; the only form that runs
+// open asks the edge for the chunk. A wire edge answers with a live
+// response for the router to relay: on a real listener through the
+// node's hop, on a transport-backed carrier through its dash.Client. The
+// in-process edge — no listener, no client; the only form that runs
 // without a catalog, and what the deterministic failover experiment is
 // built on — answers with its store's sealed body directly and a zero
 // ChunkStream. This is the cluster's one client-facing seam for chunks
 // — the clockhygiene allowlist names it, since the client's retry
 // machinery owns the real backoff timers.
 func (n *Node) open(ctx context.Context, key serve.ChunkKey) (dash.ChunkStream, []byte, error) {
-	if n.client == nil {
-		body, err := n.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		return dash.ChunkStream{}, body, err
+	switch {
+	case n.hop != nil:
+		st, err := n.hop.get(ctx, dash.ChunkPath(key.Video, key.Quality, key.Tile, key.Index, key.Layer))
+		return st, nil, err
+	case n.client != nil:
+		st, err := n.client.OpenChunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+		return st, nil, err
 	}
-	st, err := n.client.OpenChunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-	return st, nil, err
+	body, err := n.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+	return dash.ChunkStream{}, body, err
 }
 
 // Warm hands the node a pre-built body for key — the replication write
@@ -329,8 +352,12 @@ func (n *Node) Hits() int64 { return n.Requests() - n.Misses() }
 // InFlight reports the admission guard's current occupancy.
 func (n *Node) InFlight() int64 { return n.inflight.Load() }
 
-// probeCtx is the root context for router-initiated probes — probes
-// belong to no request, so there is nothing to inherit from. Named (and
-// allowlisted by the ctxflow checker) to keep context.Background out of
-// the rest of the package.
-func probeCtx() context.Context { return context.Background() }
+// probeCtx is the context of one router-initiated probe, bounded by d:
+// probes belong to no request, so there is nothing to inherit from, and
+// the bound keeps one edge that accepts and never answers from stalling
+// a sweep longer than the pause between sweeps. Named (and allowlisted
+// by the ctxflow checker) to keep context.Background out of the rest of
+// the package.
+func probeCtx(d time.Duration) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), d)
+}

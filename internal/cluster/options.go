@@ -131,9 +131,9 @@ func WithObs(r *obs.Registry) Option {
 
 // WithWire(true) puts the cluster over the wire: every node binds its
 // dash.Server to a real loopback listener and the router reaches it
-// through dash.Client — so node death is an actual connection refusal,
-// recovery is a re-bind, and re-routed responses proxy as streams.
-// Requires WithCatalog.
+// over a keep-alive pool of its own (hopTransport) — so node death is an
+// actual connection refusal, recovery is a re-bind, and re-routed
+// responses proxy as streams. Requires WithCatalog.
 func WithWire(on bool) Option {
 	return func(c *config) { c.wire = on }
 }

@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -190,7 +193,7 @@ func TestWireKillIsConnectionRefused(t *testing.T) {
 	}
 	// Recover rebinds (loopback: re-accepts); the probe path comes back.
 	c.RecoverNode(dead)
-	if err := c.Node(dead).Ping(); err != nil {
+	if err := c.Node(dead).Ping(context.Background()); err != nil {
 		t.Fatalf("recovered node's wire probe: %v", err)
 	}
 }
@@ -235,8 +238,160 @@ func TestWireRealListeners(t *testing.T) {
 	if n.Addr() != addr {
 		t.Fatalf("recovered node moved from %s to %s", addr, n.Addr())
 	}
-	if err := n.Ping(); err != nil {
+	if err := n.Ping(context.Background()); err != nil {
 		t.Fatalf("probe after re-bind: %v", err)
+	}
+}
+
+// TestProbeOfWedgedEdgeIsBounded: an edge that accepts connections and
+// never answers — a stopped process, whose kernel still completes the
+// handshake — costs a probe sweep one ProbeInterval, not the hop's 15 s
+// exchange deadline, and its probe counts as a failure against it; a
+// second edge, killed and recovered meanwhile, is re-admitted after
+// ProbeSuccesses sweeps that each probe the wedged one too.
+func TestProbeOfWedgedEdgeIsBounded(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	clock := sim.NewClock(1)
+	reg := obs.NewRegistry()
+	c, err := New(&countingOrigin{}, WithNodes(2), WithWire(true), WithCatalog(wireCatalog(t, wireVideo())),
+		WithObs(reg), WithClock(clock),
+		WithHealth(HealthConfig{FailThreshold: 1, ProbeSuccesses: 2, Cooldown: time.Second, ProbeInterval: interval}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, n := range c.Nodes() {
+			n.retire()
+		}
+	})
+	wedged, revived := c.Node("edge-0"), c.Node("edge-1")
+	// A listener that never accepts holds the wedged edge's port, so its
+	// Recover cannot re-bind: the node is up, and silent.
+	wedged.Kill()
+	hold, err := net.Listen("tcp", wedged.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold.Close()
+	wedged.Recover()
+	revived.Kill()
+
+	alive := func(n *Node) int64 { return reg.Gauge("cluster.health." + n.ID() + ".alive").Value() }
+	sweep := func(i int) {
+		t.Helper()
+		start := time.Now()
+		c.ProbeAll()
+		if took := time.Since(start); took > 2*interval {
+			t.Fatalf("sweep %d took %v with one edge wedged, want at most %v", i, took, 2*interval)
+		}
+		if alive(wedged) != 0 {
+			t.Fatalf("sweep %d: the wedged edge's probe did not count against it", i)
+		}
+	}
+	sweep(0)
+	if alive(revived) != 0 {
+		t.Fatal("the killed edge passed its probe")
+	}
+	revived.Recover()
+	for i := 1; i <= 2; i++ {
+		// Past both breakers' cooldown: each sweep probes both edges.
+		clock.RunUntil(clock.Now() + 2*time.Second)
+		sweep(i)
+	}
+	if alive(revived) != 1 {
+		t.Fatal("the recovered edge was not re-admitted after two clean probes")
+	}
+	if got := reg.Counter("cluster.health.up_transitions").Value(); got != 1 {
+		t.Fatalf("up_transitions = %d, want 1", got)
+	}
+}
+
+// TestWireVideoIDsTravelEscaped: every video ID dash's own round trip
+// holds (its TestVideoIDsTravelEscaped list) crosses the router's hop
+// intact — the request line carries dash.ChunkPath's bytes — so a chunk
+// and a layer fetched through a WithWire(true) front door are the bytes
+// dash.BuildChunkBody makes for that ID.
+func TestWireVideoIDsTravelEscaped(t *testing.T) {
+	ids := []string{
+		"x/y", "50%", "q?layer=1", "h#frag", "a%2Fb",
+		"a b", "demo/c/0/0/0", "../demo", "...", "%2e%2e", "ünï/côdé", "semi;colon,comma", "\x00\n\xff",
+		strings.Repeat("k", 255), strings.Repeat("/", 255),
+	}
+	video := func(id string) *media.Video {
+		v := wireVideo()
+		v.ID, v.Encoding = id, media.EncodingSVC
+		return v
+	}
+	catalog := dash.NewCatalog()
+	for _, id := range append(ids, "demo") {
+		if err := catalog.Add(video(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := New(serve.NewCatalogStore(catalog, serve.StoreConfig{}), WithNodes(3), WithWire(true), WithCatalog(catalog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, n := range c.Nodes() {
+			n.retire()
+		}
+	})
+	for _, id := range ids {
+		for _, layer := range []bool{false, true} {
+			want, err := dash.BuildChunkBody(video(id), 1, 2, 3, layer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			c.FrontDoor().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, dash.ChunkPath(id, 1, 2, 3, layer), nil))
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("%q layer=%v: status %d, %d bytes; want 200 and the %d bytes built for it", id, layer, rec.Code, rec.Body.Len(), len(want))
+			}
+		}
+	}
+}
+
+// TestWireClientCountersAreTheViewers: dash.client.* counts the viewer's
+// exchanges only, on every carrier. A front-door GET from a plain
+// net/http client moves cluster.requests and no dash.client.* counter:
+// the router's hop to an edge is not a dash.Client exchange, whether it
+// is the hop's own or a dash.Client over a transport.
+func TestWireClientCountersAreTheViewers(t *testing.T) {
+	for name, carrier := range map[string]Option{"tcp": WithWire(true), "loopback": WithLoopback()} {
+		reg := obs.NewRegistry()
+		c, err := New(&countingOrigin{}, WithNodes(3), carrier, WithCatalog(wireCatalog(t, wireVideo())), WithObs(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(c.FrontDoor())
+		resp, err := srv.Client().Get(srv.URL + "/v/wire/c/1/2/0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		srv.Close()
+		for _, n := range c.Nodes() {
+			n.retire()
+		}
+		c.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: front door answered %d", name, resp.StatusCode)
+		}
+		if got := reg.Counter("cluster.requests").Value(); got != 1 {
+			t.Fatalf("%s: cluster.requests = %d, want 1", name, got)
+		}
+		// A router's exchange used to move these two; they are read by name
+		// so that a carrier that never registers them still reads 0.
+		for _, counter := range []string{"dash.client.opens", "dash.client.attempts"} {
+			reg.Counter(counter)
+		}
+		for counter, v := range reg.Snapshot().Counters {
+			if strings.HasPrefix(counter, "dash.client.") && v != 0 {
+				t.Errorf("%s: %s = %d after a GET from a plain client, want 0", name, counter, v)
+			}
+		}
 	}
 }
 

@@ -19,7 +19,8 @@ import (
 )
 
 // DefaultTimeout bounds an exchange whose body outlives the call that
-// opened it (OpenChunk) or that has no retry policy over it (Ping).
+// opened it (OpenChunk, and the cluster's hop to a wire edge) or that
+// has no retry policy over it (Ping).
 const DefaultTimeout = 15 * time.Second
 
 // drainLimit bounds what the client reads past the bytes it wanted to
@@ -255,7 +256,7 @@ func (x *exchange) Close() error {
 // parsed base (path is as it goes on the wire; the URL carries it
 // escaped and decoded, so an escaped video ID survives), send it on the
 // transport, classify a non-200 — a redirect included — through
-// statusError, and hand a live 200 to consume, which owns the body from
+// StatusError, and hand a live 200 to consume, which owns the body from
 // then on. timeout is the exchange's one deadline, headers to the last
 // body byte: closing the body ends it, as does every return that hands
 // no body over. An error from consume is a body that broke in transit or
@@ -284,7 +285,7 @@ func (c *Client) attempt(ctx context.Context, path string, timeout time.Duration
 	}
 	x.body, x.length = resp.Body, resp.ContentLength
 	if resp.StatusCode != http.StatusOK {
-		derr := c.statusError(path, resp)
+		derr := StatusError(path, resp, c.wallNow())
 		x.Close()
 		return derr
 	}
@@ -294,20 +295,22 @@ func (c *Client) attempt(ctx context.Context, path string, timeout time.Duration
 	return nil
 }
 
-// statusError classifies a non-200 response into the typed taxonomy,
-// consuming up to 256 bytes of the body for the message. 5xx and 429
-// are transient; a Retry-After on a shed response upgrades the
+// StatusError classifies a non-200 response to GET path into the typed
+// taxonomy, consuming up to 256 bytes of the body for the message. 5xx
+// and 429 are transient; a Retry-After on a shed response upgrades the
 // classification to overload — the server is alive but drowning, and
-// told us when to come back. A method because the HTTP-date form of
-// Retry-After is a deadline, and turning it into a duration needs the
-// client's clock seam. The caller still owns closing resp.Body.
-func (c *Client) statusError(path string, resp *http.Response) *Error {
+// told us when to come back. now is the caller's wall time: the
+// HTTP-date form of Retry-After is a deadline, and turning it into a
+// duration needs a clock. The caller still owns closing resp.Body.
+// Client.attempt and the cluster's hop to a wire edge both classify
+// through it.
+func StatusError(path string, resp *http.Response, now time.Time) *Error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 	kind := KindFatal
 	var retryAfter time.Duration
 	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
 		kind = KindTransient
-		if ra := parseRetryAfter(resp.Header.Get("Retry-After"), c.wallNow()); ra > 0 {
+		if ra := parseRetryAfter(resp.Header.Get("Retry-After"), now); ra > 0 {
 			kind, retryAfter = KindOverload, ra
 		}
 	}
@@ -407,13 +410,13 @@ func (c *Client) FetchMPD(ctx context.Context, videoID string) (*MPD, error) {
 
 // FetchChunk downloads one AVC chunk C(q, tile, index).
 func (c *Client) FetchChunk(ctx context.Context, videoID string, q, tile, idx int) (FetchResult, error) {
-	return c.fetchSegment(ctx, chunkPath(videoID, q, tile, idx, false))
+	return c.fetchSegment(ctx, ChunkPath(videoID, q, tile, idx, false))
 }
 
 // FetchLayer downloads one SVC layer of a chunk — the incremental
 // upgrade primitive of §3.1.1.
 func (c *Client) FetchLayer(ctx context.Context, videoID string, layer, tile, idx int) (FetchResult, error) {
-	return c.fetchSegment(ctx, chunkPath(videoID, layer, tile, idx, true))
+	return c.fetchSegment(ctx, ChunkPath(videoID, layer, tile, idx, true))
 }
 
 // fetchSegment decodes the segment straight off the response body:
@@ -477,7 +480,9 @@ type ChunkStream struct {
 }
 
 // OpenChunk starts one chunk download and returns the response body
-// without materializing it — the wire cluster's proxy primitive. The
+// without materializing it — the proxy primitive of the wire cluster's
+// transport-backed carriers (an edge on a real listener is opened by
+// the cluster's own hop instead). The
 // bounded-retry loop (same taxonomy and Retry-After floors as the
 // Fetch methods) covers everything up to the response headers; once a
 // 200 arrives the body streams on the caller's context and mid-body
@@ -488,7 +493,7 @@ type ChunkStream struct {
 // for a fetch and would cut a slow copy.
 func (c *Client) OpenChunk(ctx context.Context, videoID string, q, tile, idx int, layer bool) (ChunkStream, error) {
 	var x *exchange
-	attempts, err := c.do(ctx, chunkPath(videoID, q, tile, idx, layer), false, func(opened *exchange) error {
+	attempts, err := c.do(ctx, ChunkPath(videoID, q, tile, idx, layer), false, func(opened *exchange) error {
 		x = opened
 		return nil
 	})
@@ -502,7 +507,8 @@ func (c *Client) OpenChunk(ctx context.Context, videoID string, q, tile, idx int
 
 // Ping performs one cheap liveness probe: a single GET /v attempt, no
 // retries — probe loops bring their own pacing, and retrying inside a
-// probe would only blur the failure detector's picture.
+// probe would only blur the failure detector's picture. Its deadline is
+// DefaultTimeout or ctx's, whichever comes first.
 func (c *Client) Ping(ctx context.Context) error {
 	derr := c.attempt(ctx, "/v", c.openTimeout, func(x *exchange) error {
 		defer x.Close()

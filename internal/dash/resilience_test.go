@@ -511,7 +511,7 @@ func TestServerMapsOverloadTo503WithRetryAfter(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewServer(cat, WithStore(overloadedSource{retryAfter: 1500 * time.Millisecond})))
 	t.Cleanup(srv.Close)
-	resp, err := http.Get(srv.URL + chunkPath("demo", 0, 0, 0, false))
+	resp, err := http.Get(srv.URL + ChunkPath("demo", 0, 0, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestServerMapsUnavailableTo503(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewServer(cat, WithStore(downSource{})))
 	t.Cleanup(srv.Close)
-	resp, err := http.Get(srv.URL + chunkPath("demo", 0, 0, 0, false))
+	resp, err := http.Get(srv.URL + ChunkPath("demo", 0, 0, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -530,11 +530,12 @@ func BuildChunkBody(v *media.Video, q, tile, idx int, layer bool) ([]byte, error
 	return buf.Bytes(), nil
 }
 
-// chunkPath renders the URL path of a chunk. The ID travels as one
-// escaped path segment — a slash, percent, question mark or hash in it
-// is part of the name, not of the URL — which the server's mux turns
-// back into the ID.
-func chunkPath(videoID string, q, tile, idx int, layer bool) string {
+// ChunkPath renders the URL path of a chunk as it goes on the wire. The
+// ID travels as one escaped path segment — a slash, percent, question
+// mark or hash in it is part of the name, not of the URL — which the
+// server's mux turns back into the ID; no space, CR or LF survives the
+// escaping, so the path can go into a request line as it is.
+func ChunkPath(videoID string, q, tile, idx int, layer bool) string {
 	b := make([]byte, 0, 96)
 	b = append(b, "/v/"...)
 	b = append(b, url.PathEscape(videoID)...)
