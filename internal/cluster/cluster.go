@@ -266,7 +266,9 @@ func (c *Cluster) Replication() int { return c.cfg.replication }
 func (c *Cluster) Wire() bool { return c.cfg.wire }
 
 // Chunk implements dash.ChunkSource: the request path with no writer,
-// so the served body comes back whole.
+// so the served body comes back whole. On every carrier it is shared —
+// the serving edge's cached slice, or the origin's — and read-only, under
+// serve.Store.Get's contract.
 func (c *Cluster) Chunk(ctx context.Context, videoID string, quality, tile, index int, layer bool) ([]byte, error) {
 	_, body, err := c.route(ctx, nil, serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer})
 	return body, err
@@ -275,7 +277,8 @@ func (c *Cluster) Chunk(ctx context.Context, videoID string, quality, tile, inde
 // StreamChunk implements dash.ChunkStreamer: the same request path
 // with the caller's ResponseWriter as the sink, so a wire edge's body
 // is relayed as it arrives and never held whole at the router unless
-// replication or coalescing needs it kept on the way past.
+// replication or coalescing needs it and the edge holds no copy of its
+// own.
 func (c *Cluster) StreamChunk(ctx context.Context, w http.ResponseWriter, videoID string, quality, tile, index int, layer bool) (int64, error) {
 	n, _, err := c.route(ctx, w, serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer})
 	return n, err
@@ -290,7 +293,7 @@ func (c *Cluster) StreamChunk(ctx context.Context, w http.ResponseWriter, videoI
 // caller canceling, must not poison the herd, so a follower of a failed
 // or body-less flight walks on its own (the edge stores' singleflight
 // still keeps that cheap). It returns the bytes written to w and the
-// body when one was kept whole.
+// whole body when the path needed one.
 func (c *Cluster) route(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey) (n int64, body []byte, err error) {
 	c.met.requests.Inc()
 	defer c.updateOffload()
@@ -346,7 +349,7 @@ func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.Chu
 				// An in-process edge answered with its store's own body.
 				n, err = deliver(w, body)
 			} else {
-				n, body, err = c.relay(w, st, len(targets) > 0, key, fl)
+				n, body, err = c.relay(w, st, body, len(targets) > 0, key, fl)
 			}
 		}
 		if err == nil {

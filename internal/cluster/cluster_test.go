@@ -275,6 +275,48 @@ func TestKillDropsCacheAndRecoverComesBackCold(t *testing.T) {
 	}
 }
 
+// TestKillDuringMissComesBackCold: a node killed while a miss waits on
+// the origin comes back cold. The miss still answers the request it
+// serves, but its body lands in no cache — the store it opened under
+// crashed — and the next request for the key misses again.
+func TestKillDuringMissComesBackCold(t *testing.T) {
+	v := wireVideo()
+	key := wireKeys(v)[0]
+	for _, carrier := range []string{"in-process", "loopback"} {
+		t.Run(carrier, func(t *testing.T) {
+			origin := newBlockingOrigin(key)
+			opts := []Option{WithNodes(1), WithClock(sim.NewClock(1))}
+			if carrier == "loopback" {
+				opts = append(opts, WithLoopback(), WithCatalog(wireCatalog(t, v)))
+			}
+			c, err := New(origin, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			served := make(chan error, 1)
+			go func() {
+				_, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+				served <- err
+			}()
+			<-origin.arrived
+			c.KillNode("edge-0")
+			close(origin.release)
+			if err := <-served; err != nil {
+				t.Fatalf("the request whose miss spanned the kill failed: %v", err)
+			}
+			c.RecoverNode("edge-0")
+			if st := c.Node("edge-0").Store(); st.Contains(key) || st.Len() != 0 || st.Bytes() != 0 {
+				t.Fatalf("the recovered node holds %d bodies (%d bytes): the miss in flight at the kill was cached", st.Len(), st.Bytes())
+			}
+			fetchKey(t, c, key)
+			if got := origin.count(); got != 2 {
+				t.Fatalf("%d origin fetches, want 2: the request after recovery must miss", got)
+			}
+		})
+	}
+}
+
 func TestProbesReadmitRecoveredNode(t *testing.T) {
 	origin := &countingOrigin{}
 	clock := sim.NewClock(1)

@@ -16,9 +16,9 @@ import (
 // the router-level singleflight that closes that gap: the first
 // request for a key becomes the flight leader and does the ranked walk;
 // requests arriving while the flight is open attach as followers and
-// are served from the leader's body — teed on the way past on the
-// streaming path, shared directly on the materialized path — without
-// touching an edge or the origin at all.
+// are served from the leader's body — the serving edge's own slice, or
+// on a wire carrier one teed on the way past when the edge holds none —
+// without touching an edge or the origin at all.
 //
 // The one body-less case: a streaming leader that reaches its copy
 // loop with no followers attached and no replication targets skips the

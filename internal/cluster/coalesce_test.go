@@ -13,6 +13,7 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+	"unsafe"
 
 	"sperke/internal/dash"
 	"sperke/internal/obs"
@@ -282,11 +283,11 @@ func TestFetchWireRejectsTruncatedBody(t *testing.T) {
 	}
 	defer c.Close()
 	key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
-	st, _, err := c.Node("edge-0").open(context.Background(), key)
+	st, held, err := c.Node("edge-0").open(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = c.relay(nil, st, false, key, nil)
+	_, _, err = c.relay(nil, st, held, false, key, nil)
 	var derr *dash.Error
 	if !errors.As(err, &derr) {
 		t.Fatalf("fetchWire on a truncated body returned %v, want *dash.Error", err)
@@ -421,31 +422,35 @@ func TestChunkOriginFallbackCountsOnSuccessOnly(t *testing.T) {
 // (all of them when none was declared) or fails with a typed transient
 // *dash.Error and keeps nothing — so a short, long or absurdly declared
 // body is never a success, never a replica's warm write, and never a
-// panic. Through the walk the same body fails over to the origin and
-// queues no warm.
+// panic, whether or not the edge holds a copy. A body the sink needs is
+// the edge's own slice when the edge holds one of the declared length,
+// and a sealed copy of the relayed bytes otherwise. Through the walk the
+// same body fails over to the origin and queues no warm.
 func FuzzRelayDeclaredLength(f *testing.F) {
-	f.Add(int64(5), []byte("short"), false, false)
-	f.Add(int64(100), []byte("short"), true, true)
-	f.Add(int64(2), []byte("longer than declared"), true, false)
-	f.Add(int64(-1), []byte("no length declared"), false, true)
-	f.Add(int64(0), []byte{}, true, true)
-	f.Add(int64(1)<<62, []byte("x"), true, false)
-	f.Add(int64(-1)<<63, []byte("x"), false, false)
+	f.Add(int64(5), []byte("short"), false, false, true)
+	f.Add(int64(100), []byte("short"), true, true, true)
+	f.Add(int64(2), []byte("longer than declared"), true, false, true)
+	f.Add(int64(-1), []byte("no length declared"), false, true, true)
+	f.Add(int64(0), []byte{}, true, true, false)
+	f.Add(int64(1)<<62, []byte("x"), true, false, false)
+	f.Add(int64(-1)<<63, []byte("x"), false, false, true)
 	// Each side of the smallest and the largest block class, streamed
-	// and kept; a short and a long body at the top; a body of undeclared
-	// length kept past the first block; and a length past the cap.
+	// and kept, with and without an edge copy; a short and a long body at
+	// the top; a body of undeclared length kept past the first block; and
+	// a length past the cap.
 	for _, n := range []int{obs.MinBlockLen - 1, obs.MinBlockLen, obs.MinBlockLen + 1, obs.MaxBlockLen - 1, obs.MaxBlockLen, obs.MaxBlockLen + 1} {
-		f.Add(int64(n), make([]byte, n), false, true)
-		f.Add(int64(n), make([]byte, n), true, true)
+		f.Add(int64(n), make([]byte, n), false, true, false)
+		f.Add(int64(n), make([]byte, n), true, true, false)
+		f.Add(int64(n), make([]byte, n), true, false, true)
 	}
-	f.Add(int64(obs.MaxBlockLen+1), make([]byte, obs.MaxBlockLen), false, true)
-	f.Add(int64(obs.MaxBlockLen), make([]byte, obs.MaxBlockLen+1), true, false)
-	f.Add(int64(-1), make([]byte, obs.MinBlockLen+9), false, false)
-	f.Add(maxBodyLen+1, []byte("x"), false, true)
+	f.Add(int64(obs.MaxBlockLen+1), make([]byte, obs.MaxBlockLen), false, true, true)
+	f.Add(int64(obs.MaxBlockLen), make([]byte, obs.MaxBlockLen+1), true, false, true)
+	f.Add(int64(-1), make([]byte, obs.MinBlockLen+9), false, false, false)
+	f.Add(maxBodyLen+1, []byte("x"), false, true, true)
 
 	v := wireVideo()
 	key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
-	f.Fuzz(func(t *testing.T, declared int64, body []byte, replicate, writer bool) {
+	f.Fuzz(func(t *testing.T, declared int64, body []byte, replicate, writer, held bool) {
 		// Two edges that both answer every GET with this length and body.
 		c, err := New(&countingOrigin{}, WithNodes(2), WithReplication(2),
 			WithTransport(&truncatingTransport{declared: declared, body: string(body)}),
@@ -459,14 +464,31 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 		if writer {
 			w = rec
 		}
+		// The edge's copy, when it holds one, is the body the stream
+		// carries, in a slice of its own.
+		var edge []byte
+		if held {
+			edge = bytes.Clone(body)
+		}
 		st := dash.ChunkStream{Body: io.NopCloser(bytes.NewReader(body)), Length: declared}
-		n, kept, err := c.relay(w, st, replicate, key, nil)
+		n, kept, err := c.relay(w, st, edge, replicate, key, nil)
 		if declared < 0 || declared == int64(len(body)) {
 			if err != nil || n != int64(len(body)) {
 				t.Fatalf("declared %d, body %d bytes: relayed %d, %v", declared, len(body), n, err)
 			}
-			if (!writer || replicate) && !bytes.Equal(kept, body) {
+			switch {
+			case writer && !replicate:
+				if kept != nil {
+					t.Fatalf("declared %d: a streaming relay nobody needed a body from kept %d bytes", declared, len(kept))
+				}
+			case !bytes.Equal(kept, body):
 				t.Fatalf("declared %d: kept %q of %q", declared, kept, body)
+			case held && declared >= 0 && len(body) > 0:
+				if unsafe.SliceData(kept) != unsafe.SliceData(edge) {
+					t.Fatalf("declared %d: the edge held the body, yet the relay kept a copy", declared)
+				}
+			case cap(kept) != len(kept):
+				t.Fatalf("declared %d: a kept copy of len %d has cap %d, want it sealed", declared, len(kept), cap(kept))
 			}
 			if writer && !bytes.Equal(rec.Body.Bytes(), body) {
 				t.Fatalf("declared %d: wrote %q of %q", declared, rec.Body.Bytes(), body)

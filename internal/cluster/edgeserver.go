@@ -193,6 +193,7 @@ func (c *edgeConn) reject(err error) {
 	}
 	text := strconv.Itoa(status) + " " + http.StatusText(status)
 	// The connection closes next whether this reaches the peer or not.
+	_ = c.conn.SetWriteDeadline(wallDeadline(dash.DefaultTimeout))
 	_, _ = fmt.Fprintf(c.conn, "HTTP/1.1 %s\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s", text, len(text), text)
 }
 
@@ -277,11 +278,15 @@ func (c *edgeConn) finish() {
 
 // send writes p to the connection, behind the head and the held body
 // when they are not out yet: one writev on a *net.TCPConn, one write per
-// piece on any other net.Conn. A HEAD's body bytes are dropped.
+// piece on any other net.Conn. A HEAD's body bytes are dropped. The
+// response's writes share one deadline, dash.DefaultTimeout from its
+// first — the bound the hop puts on the router's end of the exchange —
+// so a router that stops reading frees the connection and its goroutine.
 func (c *edgeConn) send(p []byte) {
 	c.out = c.vec[:0]
 	if !c.sent {
 		c.sent = true
+		_ = c.conn.SetWriteDeadline(wallDeadline(dash.DefaultTimeout))
 		c.out = append(c.out, c.writeHead())
 		if !c.headOnly && len(c.held) > 0 {
 			c.out = append(c.out, c.held)

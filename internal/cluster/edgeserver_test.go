@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -343,6 +345,130 @@ func TestEdgePanicClosesOnlyItsConnection(t *testing.T) {
 	}
 	if body, err := exchange("/ok"); err != nil || body != "ok" {
 		t.Fatalf("the next connection after a panic: %q, %v", body, err)
+	}
+}
+
+// deadlineLog records, across the connections of a deadlineListener, how
+// many responses an edge began and which began without a write deadline
+// in (now, now + dash.DefaultTimeout] set since the request was read.
+type deadlineLog struct {
+	mu        sync.Mutex
+	responses int
+	faults    []string
+}
+
+func (l *deadlineLog) fault(format string, args ...any) {
+	l.faults = append(l.faults, fmt.Sprintf(format, args...))
+}
+
+type deadlineListener struct {
+	net.Listener
+	log *deadlineLog
+}
+
+func (l deadlineListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &deadlineConn{Conn: conn, log: l.log}, nil
+}
+
+// deadlineConn is one connection under a deadlineLog. A read ends the
+// response before it, so the next write begins one.
+type deadlineConn struct {
+	net.Conn
+	log       *deadlineLog
+	responded bool // a write came since the last read
+	armed     bool // a write deadline was set since the last read
+}
+
+func (c *deadlineConn) Read(p []byte) (int, error) {
+	c.log.mu.Lock()
+	c.responded, c.armed = false, false
+	c.log.mu.Unlock()
+	return c.Conn.Read(p)
+}
+
+func (c *deadlineConn) SetWriteDeadline(d time.Time) error {
+	now := time.Now()
+	c.log.mu.Lock()
+	if !d.After(now) || d.After(now.Add(dash.DefaultTimeout)) {
+		c.log.fault("write deadline %v from now, want in (0, %v]", d.Sub(now), dash.DefaultTimeout)
+	}
+	c.armed = true
+	c.log.mu.Unlock()
+	return c.Conn.SetWriteDeadline(d)
+}
+
+func (c *deadlineConn) Write(p []byte) (int, error) {
+	c.log.mu.Lock()
+	if !c.responded {
+		c.responded = true
+		c.log.responses++
+		if !c.armed {
+			c.log.fault("response %d began with no write deadline: %.20q", c.log.responses, p)
+		}
+	}
+	c.log.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestEdgeSetsWriteDeadline: every response an edge sends — under a
+// declared length, held and sent at the handler's return, past the hold
+// limit, and a refusal of a malformed request — begins after a write
+// deadline at most dash.DefaultTimeout away, so a router that stops
+// reading cannot pin the connection and its goroutine for good.
+func TestEdgeSetsWriteDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &deadlineLog{}
+	s := serveEdge(deadlineListener{ln, log}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/declared":
+			w.Header().Set("Content-Length", "5")
+			io.WriteString(w, "hello")
+		case "/held":
+			io.WriteString(w, "hello")
+		case "/long":
+			w.Write(make([]byte, edgeBodyLimit+1))
+		}
+	}))
+	defer s.close()
+	exchange := func(requests ...string) {
+		t.Helper()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		br := bufio.NewReader(conn)
+		for _, req := range requests {
+			if _, err := io.WriteString(conn, req); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	get := func(path string) string { return "GET " + path + " HTTP/1.1\r\nHost: edge\r\n\r\n" }
+	exchange(get("/declared"), get("/held"), get("/declared"), get("/long"))
+	exchange("GARBAGE\r\n\r\n")
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if log.responses != 5 {
+		t.Fatalf("the edge began %d responses, want 5", log.responses)
+	}
+	for _, f := range log.faults {
+		t.Error(f)
 	}
 }
 

@@ -163,14 +163,14 @@ func TestHopStaleConnectionMidBodyIsNotResent(t *testing.T) {
 		t.Fatalf("first fetch: %q, %v", body, err)
 	}
 	cut.Store(true)
-	st, _, err := edge.open(ctx, owned[1])
+	st, held, err := edge.open(ctx, owned[1])
 	if err != nil {
 		t.Fatalf("the response head arrived whole, yet open failed: %v", err)
 	}
-	_, _, err = c.relay(nil, st, false, owned[1], nil)
+	_, body, err := c.relay(nil, st, held, false, owned[1], nil)
 	var de *dash.Error
-	if !errors.As(err, &de) || de.Kind != dash.KindTransient {
-		t.Fatalf("relay error = %v, want a transient *dash.Error", err)
+	if !errors.As(err, &de) || de.Kind != dash.KindTransient || body != nil {
+		t.Fatalf("relay = %d bytes, %v; want no body and a transient *dash.Error, though the edge holds it", len(body), err)
 	}
 	if got := accepted.Load(); got != 1 {
 		t.Fatalf("the edge accepted %d connections, want 1: a failure mid-body was re-sent", got)

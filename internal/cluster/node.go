@@ -274,26 +274,40 @@ func (n *Node) Ping(ctx context.Context) error {
 	return nil
 }
 
-// open asks the edge for the chunk. A wire edge answers with a live
-// response for the router to relay: on a real listener through the
-// node's hop, on a transport-backed carrier through its dash.Client. The
+// open asks the edge for the chunk and returns the edge's own sealed
+// body with it, or nil when the edge holds none. A wire edge answers
+// with a live response for the router to relay: on a real listener
+// through the node's hop, on a transport-backed carrier through its
+// dash.Client. By the time its head arrives the edge has finished its
+// store Get — edgeConn sends the head with the first body write, and
+// LoopbackTransport returns at WriteHeader, both after Chunk returned —
+// so the body it is sending is resident, and open reads it from the
+// node's store beside the stream, as coldOwners reads co-owners'. It can
+// be missing: too large to cache, evicted or killed before the head
+// arrived, or a test RoundTripper answering without the store. The
 // in-process edge — no listener, no client; the only form that runs
 // without a catalog, and what the deterministic failover experiment is
-// built on — answers with its store's sealed body directly and a zero
+// built on — answers with its store's sealed body alone and a zero
 // ChunkStream. This is the cluster's one client-facing seam for chunks
 // — the clockhygiene allowlist names it, since the client's retry
 // machinery owns the real backoff timers.
 func (n *Node) open(ctx context.Context, key serve.ChunkKey) (dash.ChunkStream, []byte, error) {
+	var st dash.ChunkStream
+	var err error
 	switch {
 	case n.hop != nil:
-		st, err := n.hop.get(ctx, dash.ChunkPath(key.Video, key.Quality, key.Tile, key.Index, key.Layer))
-		return st, nil, err
+		st, err = n.hop.get(ctx, dash.ChunkPath(key.Video, key.Quality, key.Tile, key.Index, key.Layer))
 	case n.client != nil:
-		st, err := n.client.OpenChunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+		st, err = n.client.OpenChunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+	default:
+		body, err := n.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+		return dash.ChunkStream{}, body, err
+	}
+	if err != nil {
 		return st, nil, err
 	}
-	body, err := n.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-	return dash.ChunkStream{}, body, err
+	body, _ := n.store.Peek(key)
+	return st, body, nil
 }
 
 // Warm hands the node a pre-built body for key — the replication write

@@ -57,27 +57,33 @@ func viewerGone(err error) error {
 // relay moves one opened edge response to the sink and owns the
 // declared-length check. It streams: each read takes whatever has
 // arrived and is forwarded in one write, so the router never waits for
-// the whole body. The body is kept whole only when someone needs it so:
-// there is no writer (the caller wants the slice), the key has other
-// live cold owners (replicate — the walk queues the buffer as their
-// replication write), or coalesced followers are attached to the
-// leader's flight (the buffer is published as their response). Then the
-// exact-size kept buffer is the block: each read lands in it and that
-// slice is forwarded. A streaming leader with neither commits the
-// flight to the no-tee form first and reads into a pooled block of the
-// declared length's class (obs.Blocks: 32 KiB when none was declared,
-// 256 KiB at most), so a typical chunk crosses in one turn, the
-// warm-cache fast path stays allocation-flat, and the relay's scratch is
-// at most the body's class. A stream shorter or longer than the edge's
-// declared Content-Length is a wire fault — handing short bytes to the
-// caller, or worse a replica's cache, would launder a truncation into a
-// valid-looking chunk — so it returns a typed transient error that
-// feeds the failure detector instead of posing as a success, and no
-// byte past the declared length is forwarded; so is a declared length
-// no segment can have, refused before any block is sized by it. A
-// failed write is the viewer's (viewerGone). It reports the bytes
-// forwarded and the kept body, if any.
-func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, replicate bool, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
+// the whole body. A whole body is needed only when there is no writer
+// (the caller wants the slice), the key has other live cold owners
+// (replicate — the walk queues it as their replication write), or
+// coalesced followers are attached to the leader's flight (it is
+// published as their response); a streaming leader with none of these
+// commits the flight to the no-tee form first. A needed body is the
+// edge's own, the sealed slice open read from its store beside the
+// stream, when that is exactly the declared length: the wire bytes then
+// only cross to the writer, so a warm, a follower and a writer-less
+// caller share the serving edge's slice and the router holds no second
+// copy. Only when the edge holds none does the relay keep one: the
+// exact-size kept buffer is then the block, each read lands in it and
+// that slice is forwarded. Every other read goes into a pooled block of
+// the declared length's class (obs.Blocks: 32 KiB when none was
+// declared, 256 KiB at most), so a typical chunk crosses in one turn,
+// the warm-cache fast path stays allocation-flat, and the relay's
+// scratch is at most the body's class. A stream shorter or longer than
+// the edge's declared Content-Length is a wire fault — handing short
+// bytes to the caller, or worse a replica's cache, would launder a
+// truncation into a valid-looking chunk — so it returns a typed
+// transient error that feeds the failure detector instead of posing as
+// a success, returns no body, and forwards no byte past the declared
+// length; so is a declared length no segment can have, refused before
+// any block is sized by it. A failed write is the viewer's
+// (viewerGone). It reports the bytes forwarded and the needed body, if
+// any.
+func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, edge []byte, replicate bool, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
 	defer st.Body.Close()
 	if st.Length > maxBodyLen {
 		// Believing it would size a block by a number off the wire.
@@ -86,9 +92,13 @@ func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, replicate bo
 			Err: fmt.Errorf("cluster: edge declared a %d-byte body, longer than any segment", st.Length),
 		}
 	}
+	if int64(len(edge)) != st.Length {
+		edge = nil
+	}
 	// Reads land in buf[len(buf):cap(buf)]; only a kept body advances len.
 	var buf []byte
-	keep := w == nil || replicate || (fl != nil && !c.coal.tryNoTee(fl))
+	need := w == nil || replicate || (fl != nil && !c.coal.tryNoTee(fl))
+	keep := need && edge == nil
 	if !keep {
 		pool := obs.Blocks.For(int(st.Length))
 		block := pool.Get()
@@ -133,8 +143,11 @@ func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, replicate bo
 	if st.Length >= 0 && n != st.Length {
 		return n, nil, lengthMismatch(key, n, st.Length)
 	}
-	if !keep {
+	switch {
+	case !need:
 		return n, nil, nil
+	case !keep:
+		return n, edge, nil
 	}
 	// Sealed (len == cap): the body is shared by the caller, followers
 	// and a replica's cache, and the spare byte must not let one

@@ -129,13 +129,16 @@ type StoreConfig struct {
 // callers — leader plus waiters — still wanting the result; each
 // departure decrements it under the shard lock, and a cancelable
 // flight's own context is canceled when it reaches zero (see
-// Store.abandon). cancel is nil on a writer-form flight.
+// Store.abandon). cancel is nil on a writer-form flight. resets is the
+// shard's Reset count when the flight opened: one that completes under
+// another count belongs to a cache that is gone, and caches nothing.
 type flight struct {
 	done     chan struct{}
 	body     []byte
 	err      error
 	interest int
 	cancel   context.CancelFunc
+	resets   uint64
 }
 
 // newFlightCtx mints the context a synthesis flight runs on. It is a
@@ -154,8 +157,8 @@ type entry struct {
 	body []byte
 }
 
-// shard is one lock stripe: its own map, LRU list, byte accounting and
-// in-flight synthesis table.
+// shard is one lock stripe: its own map, LRU list, byte accounting,
+// in-flight synthesis table and count of Resets.
 type shard struct {
 	mu       sync.Mutex
 	entries  map[ChunkKey]*list.Element
@@ -163,6 +166,7 @@ type shard struct {
 	bytes    int64
 	budget   int64
 	inflight map[ChunkKey]*flight
+	resets   uint64
 }
 
 // storeMetrics caches the store's instruments; nil fields no-op.
@@ -350,7 +354,7 @@ func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
 			return nil, ctx.Err()
 		}
 	}
-	fl := &flight{done: make(chan struct{}), interest: 1}
+	fl := &flight{done: make(chan struct{}), interest: 1, resets: sh.resets}
 	fctx := ctx // a writer-form miss cannot observe it
 	if s.cancelable {
 		fctx, fl.cancel = newFlightCtx()
@@ -376,7 +380,7 @@ func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
 	if sh.inflight[key] == fl {
 		delete(sh.inflight, key)
 	}
-	if fl.err == nil {
+	if fl.err == nil && fl.resets == sh.resets {
 		s.insertLocked(sh, key, fl.body)
 	}
 	sh.mu.Unlock()
@@ -385,16 +389,17 @@ func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
 }
 
 // abandon releases one caller's interest in a flight. When the last
-// interested caller departs from a cancelable flight that is still in
-// progress, the flight is deregistered (so late arrivals start fresh
-// instead of joining a dying flight) and its context canceled, aborting
-// the synthesis. Writer-form flights are never aborted — their
-// synthesis cannot observe cancellation.
+// interested caller departs from a cancelable flight, its context is
+// canceled, aborting the synthesis, and the flight is deregistered if it
+// still is registered (so late arrivals start fresh instead of joining a
+// dying flight) — a flight Reset orphaned is canceled all the same.
+// Writer-form flights are never aborted — their synthesis cannot observe
+// cancellation.
 func (s *Store) abandon(sh *shard, key ChunkKey, fl *flight) {
 	sh.mu.Lock()
 	fl.interest--
-	dying := fl.cancel != nil && fl.interest == 0 && sh.inflight[key] == fl
-	if dying {
+	dying := fl.cancel != nil && fl.interest == 0
+	if dying && sh.inflight[key] == fl {
 		delete(sh.inflight, key)
 	}
 	sh.mu.Unlock()
@@ -487,9 +492,10 @@ func (s *Store) insertLocked(sh *shard, key ChunkKey, body []byte) bool {
 
 // Reset drops every cached body, returning the store to cold — a
 // crashed-and-restarted edge node models its lost cache with this.
-// In-flight synthesis is untouched: a flight in progress completes,
-// hands its waiters the body, and re-inserts it into the emptied
-// cache.
+// Flights in progress are orphaned: deregistered, so the next Get of
+// their key starts afresh, and, when they complete, they hand their
+// waiters the body and cache nothing — a miss that spans a crash does
+// not land in the restarted cache.
 func (s *Store) Reset() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -497,6 +503,8 @@ func (s *Store) Reset() {
 		sh.entries = make(map[ChunkKey]*list.Element)
 		sh.lru.Init()
 		sh.bytes = 0
+		clear(sh.inflight)
+		sh.resets++
 		sh.mu.Unlock()
 		s.met.bytes.Add(-dropped)
 	}
@@ -504,10 +512,11 @@ func (s *Store) Reset() {
 
 // Put warms the cache with an already-built body for key — the
 // replication write path: a cluster owner that just served a body
-// hands the same sealed slice to the key's other owners, so a warm
-// costs no synthesis and no copy. The body must be immutable and is
-// retained as the shared cached copy (a slice previously returned by
-// Get satisfies the contract). An existing entry wins (see
+// hands the same sealed slice to the key's other owners — its own
+// resident body, whether it answered in process or over a wire — so a
+// warm costs no synthesis and no copy. The body must be immutable and
+// is retained as the shared cached copy (a slice previously returned by
+// Get or Peek satisfies the contract). An existing entry wins (see
 // insertLocked). Reports whether the body went in (false for
 // duplicates and for bodies too large to cache).
 func (s *Store) Put(key ChunkKey, body []byte) bool {
@@ -529,13 +538,24 @@ func (s *Store) ChunkLen(videoID string, quality, tile, index int, layer bool) (
 	return s.size(key)
 }
 
-// Contains reports whether key is resident (without touching LRU
-// order).
-func (s *Store) Contains(key ChunkKey) bool {
+// Peek returns key's resident body and whether there is one. It is a
+// look, not a request: it moves nothing in the LRU order and counts
+// nothing — no hit, no miss, no gauge. The body is the cache's own
+// sealed slice, under Get's immutability contract.
+func (s *Store) Peek(key ChunkKey) ([]byte, bool) {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, ok := sh.entries[key]
+	el, ok := sh.entries[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*entry).body, true
+}
+
+// Contains reports whether key is resident, as Peek does.
+func (s *Store) Contains(key ChunkKey) bool {
+	_, ok := s.Peek(key)
 	return ok
 }
 

@@ -420,6 +420,59 @@ func TestResetDropsEverything(t *testing.T) {
 	})
 }
 
+// TestResetOrphansOpenFlights: a miss in flight across a Reset belongs
+// to the cache Reset dropped. It still hands its caller the body, but
+// caches nothing — the store stays empty, its byte gauge at zero — and
+// the next Get of the key misses afresh instead of joining it.
+func TestResetOrphansOpenFlights(t *testing.T) {
+	eachForm(t, func(t *testing.T, form string) {
+		var calls atomic.Int32
+		entered := make(chan struct{}, 1)
+		release := make(chan struct{})
+		want := bytes.Repeat([]byte{5}, 100)
+		reg := obs.NewRegistry()
+		st := formStore(form, len(want), func(ctx context.Context, k ChunkKey) ([]byte, error) {
+			if calls.Add(1) == 1 {
+				entered <- struct{}{}
+				<-release
+			}
+			return want, nil
+		}, WithShards(4), WithBudget(1<<20), WithObs(reg))
+
+		ctx := context.Background()
+		k := key(3)
+		got := make(chan []byte, 1)
+		go func() {
+			b, err := st.Get(ctx, k)
+			if err != nil {
+				t.Error(err)
+			}
+			got <- b
+		}()
+		<-entered
+		st.Reset()
+		close(release)
+		if b := <-got; !bytes.Equal(b, want) {
+			t.Fatalf("the orphaned flight handed its caller %d bytes, want the %d-byte body", len(b), len(want))
+		}
+		if st.Len() != 0 || st.Bytes() != 0 {
+			t.Fatalf("Len = %d, Bytes = %d after an orphaned flight completed; want 0 and 0", st.Len(), st.Bytes())
+		}
+		if g := reg.Gauge("serve.store.bytes").Value(); g != 0 {
+			t.Fatalf("bytes gauge = %d, want 0", g)
+		}
+		if _, err := st.Get(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+		if n := calls.Load(); n != 2 {
+			t.Fatalf("synth ran %d times, want 2: the Get after the orphaned flight did not miss", n)
+		}
+		if m := reg.Counter("serve.store.misses").Value(); m != 2 {
+			t.Fatalf("serve.store.misses = %d, want 2", m)
+		}
+	})
+}
+
 // TestPutDuringFlightKeepsOneEntry is the duplicate-insert regression:
 // a replica warm (Put) landing while a Get flight for the same key is
 // open used to leave two LRU elements for one key — resident bytes and

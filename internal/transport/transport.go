@@ -68,14 +68,6 @@ type Request struct {
 	retries int // redispatches consumed after lost deliveries (Failover)
 }
 
-// Context returns the submitter's context, Background when Ctx is nil.
-func (r *Request) Context() context.Context {
-	if r.Ctx == nil {
-		return context.Background()
-	}
-	return r.Ctx
-}
-
 // canceled reports whether the submitter no longer wants the request.
 func (r *Request) canceled() bool {
 	return r.Ctx != nil && r.Ctx.Err() != nil

@@ -21,10 +21,6 @@ var ctxSpans = []string{
 // context inside the spans — each is a documented seam, not a dropped
 // caller context. Keys are "dir:Func" / "dir:Type.Method".
 var ctxAllowlist = map[string]bool{
-	// A Request's context is its Ctx field, which a submitter may leave
-	// nil; Request.Context materializes the background root for that
-	// case.
-	"internal/transport:Request.Context": true,
 	// The store's singleflight runs synthesis on a flight-owned context
 	// that outlives any single caller and is canceled only when every
 	// sharing caller has departed — a fresh root by design.

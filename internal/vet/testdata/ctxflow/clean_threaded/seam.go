@@ -1,17 +1,11 @@
-//sperke:fixture path=internal/transport/seam.go
-package transport
+//sperke:fixture path=internal/serve/seam.go
+package serve
 
 import "context"
 
-// Request mirrors the real transport seam: a submitter may leave Ctx
-// nil, and Request.Context materializes the Background root for that
-// case. The function is on the ctxflow allowlist, so the fixture must
-// stay clean.
-type Request struct{ Ctx context.Context }
-
-func (r *Request) Context() context.Context {
-	if r.Ctx == nil {
-		return context.Background()
-	}
-	return r.Ctx
+// newFlightCtx mirrors the real store seam: a synthesis flight runs on a
+// root of its own, canceled when its last caller departs. The function
+// is on the ctxflow allowlist, so the fixture must stay clean.
+func newFlightCtx() (context.Context, context.CancelFunc) {
+	return context.WithCancel(context.Background())
 }
