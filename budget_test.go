@@ -183,15 +183,22 @@ func TestFetchAllocsOverFloor(t *testing.T) {
 }
 
 // TestFetchWritesOverFloor: the write syscalls of each exchange of the
-// rig are literals. A bare exchange and a warm fetch write 3 times: the
-// request once, and the 43 KB response twice, since net/http flushes its
-// 4 KiB buffer and then writes the rest. A proxied fetch writes 5: two
-// requests, the front door's two-write response, and the wire edge's
-// head and body in one writev. Reads depend on how the bytes arrive, so
-// they are logged and bounded. The counts are the process's syscw and
-// syscr from /proc/self/io, so the test skips where that cannot be read.
+// rig are literals, and so are the bytes read() and write() move. A bare
+// exchange and a warm fetch write 3 times: the request once, and the
+// 33 KB response twice, since net/http flushes its 4 KiB buffer and then
+// writes the rest. A proxied fetch writes 4: two requests, the front
+// door's head with what the hop's reader took of the body, and the wire
+// edge's head and body in one writev; the rest of the body crosses the
+// router by splice(2), which is no write. Every byte one side writes the
+// other reads, so each exchange reads and writes its body and a fixed
+// count more — the requests and the heads: 215 bytes bare, 230 warm, and
+// proxied at most 1.5 KiB, with the part of the body the hop's reader
+// took (a copy per byte through the router was a second body). Reads
+// depend on how the bytes arrive, so they are logged and bounded. The
+// counts are the process's syscw, syscr, wchar and rchar from
+// /proc/self/io, so the test skips where that cannot be read.
 func TestFetchWritesOverFloor(t *testing.T) {
-	if _, _, err := procIO(); err != nil {
+	if _, err := procIO(); err != nil {
 		t.Skipf("no per-process syscall counts: %v", err)
 	}
 	p := newLoopbackRig(t)
@@ -202,15 +209,17 @@ func TestFetchWritesOverFloor(t *testing.T) {
 		exchange func() error
 		writes   int64
 		maxReads float64
+		overBody int64 // bytes each exchange reads and writes past its body
+		exact    bool  // overBody is the count, not a bound
 	}{
-		{"bare exchange", p.bare, 3, 6},
-		{"warm fetch", p.fetch, 3, 6},
-		{"proxied fetch", p.proxied, 5, 12},
+		{"bare exchange", p.bare, 3, 6, 215, true},
+		{"warm fetch", p.fetch, 3, 6, 230, true},
+		{"proxied fetch", p.proxied, 4, 11, 1536, false},
 	} {
 		if err := tc.exchange(); err != nil { // dial, fill the store
 			t.Fatal(err)
 		}
-		w0, r0, err := procIO()
+		before, err := procIO()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,51 +228,71 @@ func TestFetchWritesOverFloor(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 		}
-		w1, r1, err := procIO()
+		after, err := procIO()
 		if err != nil {
 			t.Fatal(err)
 		}
-		reads := float64(r1-r0) / n
-		t.Logf("%s: %d writes and %d reads in %d exchanges (%.2f reads each)", tc.name, w1-w0, r1-r0, n, reads)
+		writes, reads := after.syscw-before.syscw, float64(after.syscr-before.syscr)/n
+		body := int64(p.size) * n
+		wchar, rchar := after.wchar-before.wchar-body, after.rchar-before.rchar-body
+		t.Logf("%s: %d writes and %.2f reads each; %.2f and %.2f bytes past the %d-byte body written and read", tc.name, writes/n, reads, float64(wchar)/n, float64(rchar)/n, p.size)
 		// The runtime writes too, to wake its network poller when a new
 		// deadline is due before the one it sleeps to: a few times a run,
 		// a few dozen under -race. One write more per exchange is n more.
-		if w1-w0 < tc.writes*n || w1-w0 >= tc.writes*n+n/4 {
-			t.Errorf("%s: %d writes in %d exchanges, want %d each", tc.name, w1-w0, n, tc.writes)
+		if writes < tc.writes*n || writes >= tc.writes*n+n/4 {
+			t.Errorf("%s: %d writes in %d exchanges, want %d each", tc.name, writes, n, tc.writes)
 		}
 		if reads > tc.maxReads {
 			t.Errorf("%s: %.2f reads per exchange, want at most %.0f", tc.name, reads, tc.maxReads)
 		}
+		// Each of those wake-ups moves 8 bytes each way, and the first
+		// procIO's own read, a few hundred bytes, lands in rchar.
+		const slack = n/4*8 + 512
+		switch {
+		case max(wchar, rchar) > tc.overBody*n+slack:
+			t.Errorf("%s: %.2f bytes written and %.2f read past the body per exchange, want at most %d", tc.name, float64(wchar)/n, float64(rchar)/n, tc.overBody)
+		case tc.exact && min(wchar, rchar) < tc.overBody*n:
+			t.Errorf("%s: %.2f bytes written and %.2f read past the body per exchange, want %d", tc.name, float64(wchar)/n, float64(rchar)/n, tc.overBody)
+		}
 	}
 }
 
-// procIO reads the process's write and read syscall counts.
-func procIO() (writes, reads int64, err error) {
+// ioCounts is the process's read and write syscalls and the bytes they
+// moved, from /proc/self/io.
+type ioCounts struct{ syscr, syscw, rchar, wchar int64 }
+
+// procIO reads the process's syscall and byte counts.
+func procIO() (ioCounts, error) {
+	var c ioCounts
 	b, err := os.ReadFile("/proc/self/io")
 	if err != nil {
-		return 0, 0, err
+		return c, err
 	}
 	found := 0
 	for _, line := range strings.Split(string(b), "\n") {
 		name, value, _ := strings.Cut(line, ": ")
 		var dst *int64
 		switch name {
-		case "syscw":
-			dst = &writes
 		case "syscr":
-			dst = &reads
+			dst = &c.syscr
+		case "syscw":
+			dst = &c.syscw
+		case "rchar":
+			dst = &c.rchar
+		case "wchar":
+			dst = &c.wchar
 		default:
 			continue
 		}
 		if *dst, err = strconv.ParseInt(value, 10, 64); err != nil {
-			return 0, 0, err
+			return c, err
 		}
 		found++
 	}
-	if found != 2 {
-		return 0, 0, fmt.Errorf("/proc/self/io has no syscw and syscr lines")
+	if found != 4 {
+		return c, fmt.Errorf("/proc/self/io lacks a syscr, syscw, rchar or wchar line")
 	}
-	return writes, reads, nil
+	return c, nil
 }
 
 // TestEveryBenchmarkHasABudget: a Benchmark* function stays in the

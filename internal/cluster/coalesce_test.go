@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -426,31 +428,64 @@ func TestChunkOriginFallbackCountsOnSuccessOnly(t *testing.T) {
 // the edge's own slice when the edge holds one of the declared length,
 // and a sealed copy of the relayed bytes otherwise. Through the walk the
 // same body fails over to the origin and queues no warm.
+//
+// Over a hop, the edge is a loopback listener that answers one GET with
+// the declared length (none, and Connection: close, when it is negative)
+// and the body, and closes; the writer is a front door on a real socket,
+// so a body the relay keeps no copy of is handed over by splice. Bytes
+// past the declared length are the start of the reply's next response
+// there, not this one's body: the relay moves exactly the declared bytes,
+// and the viewer gets those and nothing after them. A short body still
+// fails, with no byte past the declared length at the viewer, and the
+// connection is pooled only after a reply whose body ended as declared
+// under keep-alive — exactly at its end when the reply fits the hop's
+// reader, where a byte past it shows (FuzzHopExchange's rule).
 func FuzzRelayDeclaredLength(f *testing.F) {
-	f.Add(int64(5), []byte("short"), false, false, true)
-	f.Add(int64(100), []byte("short"), true, true, true)
-	f.Add(int64(2), []byte("longer than declared"), true, false, true)
-	f.Add(int64(-1), []byte("no length declared"), false, true, true)
-	f.Add(int64(0), []byte{}, true, true, false)
-	f.Add(int64(1)<<62, []byte("x"), true, false, false)
-	f.Add(int64(-1)<<63, []byte("x"), false, false, true)
+	f.Add(int64(5), []byte("short"), false, false, true, false)
+	f.Add(int64(100), []byte("short"), true, true, true, false)
+	f.Add(int64(2), []byte("longer than declared"), true, false, true, false)
+	f.Add(int64(-1), []byte("no length declared"), false, true, true, false)
+	f.Add(int64(0), []byte{}, true, true, false, false)
+	f.Add(int64(1)<<62, []byte("x"), true, false, false, false)
+	f.Add(int64(-1)<<63, []byte("x"), false, false, true, false)
 	// Each side of the smallest and the largest block class, streamed
 	// and kept, with and without an edge copy; a short and a long body at
 	// the top; a body of undeclared length kept past the first block; and
 	// a length past the cap.
 	for _, n := range []int{obs.MinBlockLen - 1, obs.MinBlockLen, obs.MinBlockLen + 1, obs.MaxBlockLen - 1, obs.MaxBlockLen, obs.MaxBlockLen + 1} {
-		f.Add(int64(n), make([]byte, n), false, true, false)
-		f.Add(int64(n), make([]byte, n), true, true, false)
-		f.Add(int64(n), make([]byte, n), true, false, true)
+		f.Add(int64(n), make([]byte, n), false, true, false, false)
+		f.Add(int64(n), make([]byte, n), true, true, false, false)
+		f.Add(int64(n), make([]byte, n), true, false, true, false)
 	}
-	f.Add(int64(obs.MaxBlockLen+1), make([]byte, obs.MaxBlockLen), false, true, true)
-	f.Add(int64(obs.MaxBlockLen), make([]byte, obs.MaxBlockLen+1), true, false, true)
-	f.Add(int64(-1), make([]byte, obs.MinBlockLen+9), false, false, false)
-	f.Add(maxBodyLen+1, []byte("x"), false, true, true)
+	f.Add(int64(obs.MaxBlockLen+1), make([]byte, obs.MaxBlockLen), false, true, true, false)
+	f.Add(int64(obs.MaxBlockLen), make([]byte, obs.MaxBlockLen+1), true, false, true, false)
+	f.Add(int64(-1), make([]byte, obs.MinBlockLen+9), false, false, false, false)
+	f.Add(maxBodyLen+1, []byte("x"), false, true, true, false)
+	// Over a hop: handed over whole, short, long, and past the hop's
+	// reader; kept for a replica; undeclared; refused.
+	f.Add(int64(5), []byte("hello"), false, true, true, true)
+	f.Add(int64(100), []byte("short"), false, true, true, true)
+	f.Add(int64(2), []byte("longer than declared"), false, true, true, true)
+	f.Add(int64(obs.MinBlockLen), make([]byte, obs.MinBlockLen), false, true, true, true)
+	f.Add(int64(obs.MinBlockLen), make([]byte, obs.MinBlockLen/2), false, true, true, true)
+	f.Add(int64(obs.MinBlockLen), make([]byte, obs.MinBlockLen+9), false, true, true, true)
+	f.Add(int64(obs.MinBlockLen), make([]byte, obs.MinBlockLen), true, true, false, true)
+	f.Add(int64(-1), make([]byte, obs.MinBlockLen+9), false, true, true, true)
+	f.Add(maxBodyLen+1, []byte("x"), false, true, true, true)
+
+	edges, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { edges.Close() })
+	// The front door runs each hop case's relay on its own response.
+	relays := make(chan func(http.ResponseWriter), 1)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { (<-relays)(w) }))
+	f.Cleanup(front.Close)
 
 	v := wireVideo()
 	key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
-	f.Fuzz(func(t *testing.T, declared int64, body []byte, replicate, writer, held bool) {
+	f.Fuzz(func(t *testing.T, declared int64, body []byte, replicate, writer, held, hop bool) {
 		// Two edges that both answer every GET with this length and body.
 		c, err := New(&countingOrigin{}, WithNodes(2), WithReplication(2),
 			WithTransport(&truncatingTransport{declared: declared, body: string(body)}),
@@ -459,11 +494,6 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		var w http.ResponseWriter
-		rec := httptest.NewRecorder()
-		if writer {
-			w = rec
-		}
 		// The edge's copy, when it holds one, is the body the stream
 		// carries, in a slice of its own.
 		var edge []byte
@@ -471,9 +501,43 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 			edge = bytes.Clone(body)
 		}
 		st := dash.ChunkStream{Body: io.NopCloser(bytes.NewReader(body)), Length: declared}
-		n, kept, err := c.relay(w, st, edge, replicate, key, nil)
-		if declared < 0 || declared == int64(len(body)) {
-			if err != nil || n != int64(len(body)) {
+		want, ok := body, declared < 0 || declared == int64(len(body))
+		var pool *hopTransport
+		if hop {
+			var served <-chan struct{}
+			pool, st, served = hopStream(t, edges, declared, body)
+			defer func() { pool.drop(true); <-served }()
+			if declared >= 0 && declared < int64(len(body)) {
+				want, ok = body[:declared], true
+			}
+		}
+		var n int64
+		var kept, viewer []byte
+		switch {
+		case writer && hop:
+			done := make(chan struct{})
+			relays <- func(w http.ResponseWriter) {
+				defer close(done)
+				n, kept, err = c.relay(w, st, edge, replicate, key, nil)
+			}
+			_, viewer = rawGET(t, front.Listener.Addr().String(), "/")
+			<-done
+		case writer:
+			rec := httptest.NewRecorder()
+			n, kept, err = c.relay(rec, st, edge, replicate, key, nil)
+			viewer = rec.Body.Bytes()
+		default:
+			n, kept, err = c.relay(nil, st, edge, replicate, key, nil)
+		}
+		pooled := pool != nil && pool.idleLen() == 1
+		if pooled && (!ok || declared < 0) {
+			t.Fatalf("declared %d, body %d bytes: pooled after a reply that did not end under keep-alive", declared, len(body))
+		}
+		if hop && 64+len(body) < hopBufLen && pooled != (declared == int64(len(body))) {
+			t.Fatalf("declared %d, body %d bytes: pooled %v, want it exactly when the body ended at the reply's end", declared, len(body), pooled)
+		}
+		if ok {
+			if err != nil || n != int64(len(want)) {
 				t.Fatalf("declared %d, body %d bytes: relayed %d, %v", declared, len(body), n, err)
 			}
 			switch {
@@ -481,17 +545,17 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 				if kept != nil {
 					t.Fatalf("declared %d: a streaming relay nobody needed a body from kept %d bytes", declared, len(kept))
 				}
-			case !bytes.Equal(kept, body):
-				t.Fatalf("declared %d: kept %q of %q", declared, kept, body)
-			case held && declared >= 0 && len(body) > 0:
+			case !bytes.Equal(kept, want):
+				t.Fatalf("declared %d: kept %q of %q", declared, kept, want)
+			case held && declared == int64(len(body)) && len(body) > 0:
 				if unsafe.SliceData(kept) != unsafe.SliceData(edge) {
 					t.Fatalf("declared %d: the edge held the body, yet the relay kept a copy", declared)
 				}
 			case cap(kept) != len(kept):
 				t.Fatalf("declared %d: a kept copy of len %d has cap %d, want it sealed", declared, len(kept), cap(kept))
 			}
-			if writer && !bytes.Equal(rec.Body.Bytes(), body) {
-				t.Fatalf("declared %d: wrote %q of %q", declared, rec.Body.Bytes(), body)
+			if writer && !bytes.Equal(viewer, want) {
+				t.Fatalf("declared %d: wrote %q of %q", declared, viewer, want)
 			}
 			return
 		}
@@ -501,6 +565,12 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 		}
 		if kept != nil {
 			t.Fatalf("declared %d, body %d bytes: a failed relay kept %d bytes for a replica", declared, len(body), len(kept))
+		}
+		if declared >= 0 && int64(len(viewer)) > declared {
+			t.Fatalf("declared %d: the viewer got %d bytes", declared, len(viewer))
+		}
+		if hop {
+			return
 		}
 
 		// The same exchange seen from the front: neither edge's answer can
@@ -514,4 +584,34 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 			t.Fatalf("declared %d, body %d bytes: %d warm writes of a broken body", declared, len(body), n)
 		}
 	})
+}
+
+// hopStream opens a hop exchange to ln, which answers its one GET with a
+// 200 declaring length — no length, and Connection: close, when it is
+// negative — and body, then closes. served is closed once it has.
+func hopStream(t *testing.T, ln net.Listener, length int64, body []byte) (*hopTransport, dash.ChunkStream, <-chan struct{}) {
+	t.Helper()
+	head := "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n"
+	if length >= 0 {
+		head = fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", length)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// Read the request whole, so the close is a FIN and not a reset.
+		if _, err := http.ReadRequest(bufio.NewReader(conn)); err == nil {
+			conn.Write(append([]byte(head), body...))
+		}
+	}()
+	pool := newHopTransport(ln.Addr().String(), 1)
+	st, err := pool.get(context.Background(), "/v/fuzz/c/0/0/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool, st, served
 }

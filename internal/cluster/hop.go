@@ -17,12 +17,10 @@ import (
 
 // hopBufLen sizes the buffers either end of a hop connection keeps: the
 // router's reader and writer, the edge's reader. A request (about 100
-// bytes) and a response head fit, and a body larger than it is read
-// straight into the relay's block. It is small on purpose: the first
-// read after the head hands the relay what the buffer holds of the body,
-// and the relay forwards it at once, so the front door's own head plus
-// that piece must fit net/http's 4 KiB response buffer, or the buffer
-// flushes early and the front door writes three times instead of two.
+// bytes) and a response head fit. It is small on purpose: what the
+// router's reader takes of a body with the head is the part the process
+// copies, flushed out with the front door's own head, and the rest
+// crosses socket to socket (handOver).
 const hopBufLen = 1 << 10
 
 // hopExpired is the past deadline a canceled exchange's connection is
@@ -40,11 +38,12 @@ var hopExpired = time.Unix(1, 0)
 // The exchange's one deadline is the socket's: the caller's context
 // deadline or dash.DefaultTimeout from now, whichever comes first. A
 // cancel of the caller's own context sets a deadline already past, so a
-// blocked read or write returns. The body hands its connection back only
-// when it was read to EOF, the cancel had not fired and the edge did not
-// say Connection: close; every other ending closes it. The pool is LIFO
-// and holds at most the edge's admission bound, so every request the
-// edge can have in flight finds its connection again.
+// blocked read or write returns — a splice included. The body hands its
+// connection back only when it was read to EOF or handed over whole, the
+// cancel had not fired and the edge did not say Connection: close; every
+// other ending closes it. The pool is LIFO and holds at most the edge's
+// admission bound, so every request the edge can have in flight finds
+// its connection again.
 //
 // Nothing ages an idle connection. One the edge closed while it sat idle
 // — its own idle limit, or a crash and restart — fails before the first
@@ -64,7 +63,7 @@ type hopTransport struct {
 // hopConn is one pooled connection with the buffers and the cancel hook
 // it keeps for life.
 type hopConn struct {
-	conn   net.Conn
+	conn   *net.TCPConn
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	expire func() // sets hopExpired on conn
@@ -118,10 +117,11 @@ func (t *hopTransport) get(ctx context.Context, path string) (dash.ChunkStream, 
 
 func (t *hopTransport) dial(ctx context.Context, deadline time.Time) (*hopConn, error) {
 	d := net.Dialer{Deadline: deadline}
-	conn, err := d.DialContext(ctx, "tcp", t.addr)
+	c, err := d.DialContext(ctx, "tcp", t.addr)
 	if err != nil {
 		return nil, err
 	}
+	conn := c.(*net.TCPConn) // what a "tcp" dial returns
 	return &hopConn{
 		conn:   conn,
 		br:     bufio.NewReaderSize(conn, hopBufLen),
@@ -226,9 +226,57 @@ type hopBody struct {
 	t    *hopTransport
 	ctx  context.Context
 	path string
-	stop func() bool // unregisters the cancel; false once it has fired
-	keep bool        // the edge did not say Connection: close
-	err  error       // what reads return once pc is released
+	stop func() bool      // unregisters the cancel; false once it has fired
+	keep bool             // the edge did not say Connection: close
+	err  error            // what reads return once pc is released
+	lr   io.LimitedReader // handOver's source: the bare socket, as splice needs it
+}
+
+// handOver moves the rest of a body of declared length to w, whose
+// ReadFrom is rf, and ends the exchange. What the reader already holds of
+// the body goes out first, flushed with w's head, so net/http sends the
+// two in one write and skips the 512-byte copy it makes ahead of a
+// ReadFrom of its own. rf then takes the rest straight from the socket
+// through b.lr, and net/http's response hands that to *net.TCPConn's
+// ReadFrom, which splices it edge socket → pipe → viewer socket: no byte
+// past the reader's is copied in the process, and none past length
+// moves. A body the edge ended short returns fewer bytes and no error,
+// for the relay's length check. A transfer that failed is the edge's —
+// the hop's typed error — when the caller left or the edge's socket shows
+// it (edgeFailed); otherwise the viewer's side broke, and the error wraps
+// dash.ErrViewerGone. The connection goes back to the pool on Read's
+// rules: the exact body, the cancel unfired, no Connection: close and
+// nothing left in the reader.
+func (b *hopBody) handOver(w http.ResponseWriter, rf io.ReaderFrom, length int64) (int64, error) {
+	pc := b.pc
+	held, _ := pc.br.Peek(int(min(int64(pc.br.Buffered()), length))) // no more than is buffered: no error
+	m, err := w.Write(held)
+	pc.br.Discard(m)
+	n := int64(m)
+	if err != nil {
+		err = viewerGone(err)
+	} else {
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+		b.lr = io.LimitedReader{R: pc.conn, N: length - n}
+		var rest int64
+		rest, err = rf.ReadFrom(&b.lr)
+		n += rest
+		switch {
+		case err == nil:
+		case b.ctx.Err() != nil || pc.edgeFailed():
+			err = hopError(b.ctx, b.path, err)
+		default:
+			err = viewerGone(err)
+		}
+	}
+	end := err
+	if end == nil {
+		end = io.EOF
+	}
+	b.release(end, b.stop() && err == nil && n == length && b.keep && pc.br.Buffered() == 0)
+	return n, err
 }
 
 func (b *hopBody) Read(p []byte) (int, error) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 	"unsafe"
 
 	"sperke/internal/dash"
@@ -34,20 +36,28 @@ func (w *hangupWriter) Write(p []byte) (int, error) { return 0, syscall.EPIPE }
 // one edge exchange each, trip no breaker, fall back to the origin
 // never, and reach dash.Server as aborts, not 500s. Charged to the edge,
 // they declared all three down and fetched four bodies from the origin
-// for nobody.
+// for nobody. The socket viewer is a real one at a front door on a
+// listener: it reads the head and resets the connection, which over a
+// real-listener edge breaks the body's handover mid-splice.
 func TestViewerHangupIsNotTheEdges(t *testing.T) {
 	v := wireVideo()
-	key := wireKeys(v)[0]
 	const hangups = 4
 	for _, carrier := range []string{"wire", "in-process"} {
-		for _, sink := range []string{"front-door", "StreamChunk"} {
+		for _, sink := range []string{"front-door", "StreamChunk", "socket"} {
 			t.Run(carrier+"/"+sink, func(t *testing.T) {
 				reg := obs.NewRegistry()
 				opts := []Option{WithNodes(3), WithCatalog(wireCatalog(t, v)), WithObs(reg), WithClock(sim.NewClock(1))}
 				if carrier == "wire" {
 					opts = append(opts, WithWire(true))
 				}
-				c, err := New(&countingOrigin{}, opts...)
+				// The socket viewer's chunk must outgrow the kernel buffers
+				// between it and the front door.
+				var origin dash.ChunkSource = &countingOrigin{}
+				key := wireKeys(v)[0]
+				if sink == "socket" {
+					origin, key = catalogOrigin(t), bigKey()
+				}
+				c, err := New(origin, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -57,15 +67,35 @@ func TestViewerHangupIsNotTheEdges(t *testing.T) {
 					}
 					c.Close()
 				}()
-				path := fmt.Sprintf("/v/%s/c/%d/%d/%d", key.Video, key.Quality, key.Tile, key.Index)
+				var addr string
+				returned := make(chan struct{}, 1)
+				if sink == "socket" {
+					addr = serveFrontDoor(t, dash.NewHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						c.FrontDoor().ServeHTTP(w, r)
+						returned <- struct{}{}
+					})))
+				}
 				for i := 0; i < hangups; i++ {
 					w := &hangupWriter{h: make(http.Header)}
-					if sink == "front-door" {
-						c.FrontDoor().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
-						continue
-					}
-					if _, err := c.StreamChunk(context.Background(), w, key.Video, key.Quality, key.Tile, key.Index, key.Layer); !errors.Is(err, dash.ErrViewerGone) {
-						t.Fatalf("hang-up %d: StreamChunk returned %v, want dash.ErrViewerGone", i, err)
+					switch sink {
+					case "front-door":
+						c.FrontDoor().ServeHTTP(w, httptest.NewRequest(http.MethodGet, keyPath(key), nil))
+					case "socket":
+						viewer := stalledViewer(t, addr, keyPath(key))
+						if _, err := http.ReadResponse(bufio.NewReader(viewer), nil); err != nil {
+							t.Fatalf("hang-up %d: %v", i, err)
+						}
+						viewer.SetLinger(0)
+						viewer.Close()
+						select {
+						case <-returned:
+						case <-time.After(10 * time.Second):
+							t.Fatalf("hang-up %d: the front door is still serving a viewer that reset", i)
+						}
+					default:
+						if _, err := c.StreamChunk(context.Background(), w, key.Video, key.Quality, key.Tile, key.Index, key.Layer); !errors.Is(err, dash.ErrViewerGone) {
+							t.Fatalf("hang-up %d: StreamChunk returned %v, want dash.ErrViewerGone", i, err)
+						}
 					}
 				}
 				var exchanges int64
@@ -84,7 +114,7 @@ func TestViewerHangupIsNotTheEdges(t *testing.T) {
 				if got := c.met.originFallbacks.Value(); got != 0 {
 					t.Errorf("cluster.origin_fallbacks = %d, want 0", got)
 				}
-				if sink != "front-door" {
+				if sink == "StreamChunk" {
 					return
 				}
 				if canceled, errs := reg.Counter("dash.server.canceled").Value(), reg.Counter("dash.server.errors").Value(); canceled != hangups || errs != 0 {

@@ -55,34 +55,32 @@ func viewerGone(err error) error {
 }
 
 // relay moves one opened edge response to the sink and owns the
-// declared-length check. It streams: each read takes whatever has
-// arrived and is forwarded in one write, so the router never waits for
-// the whole body. A whole body is needed only when there is no writer
-// (the caller wants the slice), the key has other live cold owners
+// declared-length check. A whole body is needed only when there is no
+// writer (the caller wants the slice), the key has other live cold owners
 // (replicate — the walk queues it as their replication write), or
 // coalesced followers are attached to the leader's flight (it is
 // published as their response); a streaming leader with none of these
 // commits the flight to the no-tee form first. A needed body is the
 // edge's own, the sealed slice open read from its store beside the
-// stream, when that is exactly the declared length: the wire bytes then
-// only cross to the writer, so a warm, a follower and a writer-less
-// caller share the serving edge's slice and the router holds no second
-// copy. Only when the edge holds none does the relay keep one: the
-// exact-size kept buffer is then the block, each read lands in it and
-// that slice is forwarded. Every other read goes into a pooled block of
-// the declared length's class (obs.Blocks: 32 KiB when none was
-// declared, 256 KiB at most), so a typical chunk crosses in one turn,
-// the warm-cache fast path stays allocation-flat, and the relay's
-// scratch is at most the body's class. A stream shorter or longer than
-// the edge's declared Content-Length is a wire fault — handing short
-// bytes to the caller, or worse a replica's cache, would launder a
-// truncation into a valid-looking chunk — so it returns a typed
-// transient error that feeds the failure detector instead of posing as
-// a success, returns no body, and forwards no byte past the declared
-// length; so is a declared length no segment can have, refused before
-// any block is sized by it. A failed write is the viewer's
-// (viewerGone). It reports the bytes forwarded and the needed body, if
-// any.
+// stream, when that is exactly the declared length, so a warm, a follower
+// and a writer-less caller share the serving edge's slice and the router
+// holds no second copy. Only when the edge holds none does the relay keep
+// one (pump).
+//
+// A body the relay keeps no copy of, under a declared length, from a
+// real-listener hop to a sink that implements io.ReaderFrom — the front
+// door's net/http response — is handed over (hopBody.handOver): the
+// router copies the few bytes that came with the edge's head and splice(2)
+// moves the rest between the two sockets. Every other body goes through
+// pump's block loop. A stream shorter or longer than the edge's declared
+// Content-Length is a wire fault — handing short bytes to the caller, or
+// worse a replica's cache, would launder a truncation into a
+// valid-looking chunk — so it returns a typed transient error that feeds
+// the failure detector instead of posing as a success, returns no body,
+// and forwards no byte past the declared length; so is a declared length
+// no segment can have, refused before any block is sized by it. A failed
+// write is the viewer's (viewerGone). It reports the bytes forwarded and
+// the needed body, if any.
 func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, edge []byte, replicate bool, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
 	defer st.Body.Close()
 	if st.Length > maxBodyLen {
@@ -95,10 +93,46 @@ func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, edge []byte,
 	if int64(len(edge)) != st.Length {
 		edge = nil
 	}
-	// Reads land in buf[len(buf):cap(buf)]; only a kept body advances len.
-	var buf []byte
 	need := w == nil || replicate || (fl != nil && !c.coal.tryNoTee(fl))
 	keep := need && edge == nil
+	if w != nil {
+		declare(w, st.Length)
+	}
+	var n int64
+	var kept []byte
+	var err error
+	hop, _ := st.Body.(*hopBody)
+	if rf, ok := w.(io.ReaderFrom); ok && hop != nil && !keep && st.Length >= 0 {
+		n, err = hop.handOver(w, rf, st.Length)
+	} else {
+		n, kept, err = pump(w, st, keep, key)
+	}
+	if err == nil && st.Length >= 0 && n != st.Length {
+		err = lengthMismatch(key, n, st.Length)
+	}
+	switch {
+	case err != nil:
+		return n, nil, err
+	case !need:
+		return n, nil, nil
+	case !keep:
+		return n, edge, nil
+	}
+	return n, kept, nil
+}
+
+// pump is the relay's block loop. It streams: each read takes whatever
+// has arrived and is forwarded in one write, so the router never waits
+// for the whole body. A kept body's exact-size buffer is the block, each
+// read lands in it and that slice is forwarded; it is returned sealed.
+// Every other read goes into a pooled block of the declared length's
+// class (obs.Blocks: 32 KiB when none was declared, 256 KiB at most), so
+// a typical chunk crosses in one turn, the warm-cache fast path stays
+// allocation-flat, and the scratch is at most the body's class. A read
+// that would pass the declared length fails before its bytes go out.
+func pump(w http.ResponseWriter, st dash.ChunkStream, keep bool, key serve.ChunkKey) (int64, []byte, error) {
+	// Reads land in buf[len(buf):cap(buf)]; only a kept body advances len.
+	var buf []byte
 	if !keep {
 		pool := obs.Blocks.For(int(st.Length))
 		block := pool.Get()
@@ -108,9 +142,6 @@ func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, edge []byte,
 		// The spare byte is where the read reporting EOF lands, and where
 		// a body longer than declared shows.
 		buf = make([]byte, 0, st.Length+1)
-	}
-	if w != nil {
-		declare(w, st.Length)
 	}
 	var n int64
 	for {
@@ -140,14 +171,8 @@ func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, edge []byte,
 			return n, nil, err
 		}
 	}
-	if st.Length >= 0 && n != st.Length {
-		return n, nil, lengthMismatch(key, n, st.Length)
-	}
-	switch {
-	case !need:
+	if !keep {
 		return n, nil, nil
-	case !keep:
-		return n, edge, nil
 	}
 	// Sealed (len == cap): the body is shared by the caller, followers
 	// and a replica's cache, and the spare byte must not let one

@@ -107,13 +107,16 @@ const (
 
 // NewHTTPServer returns the http.Server every listener in the tree
 // serves h on, but a wire cluster's edges, which run their own
-// connection loop under the same two limits: net/http's zero value
-// waits forever for a request's headers and for the next request on a
-// kept-alive connection, so a peer that connects and goes quiet holds a
-// goroutine and a descriptor until the process exits. The caller sets
-// Addr if it listens by name, and owns Serve, Shutdown and Close.
+// connection loop under the same limits: net/http's zero value waits
+// forever for a request's headers, for the next request on a kept-alive
+// connection and for a peer to take a response, so a peer that connects
+// and goes quiet, or stops reading, holds a goroutine and a descriptor
+// until the process exits. A response must be written within
+// DefaultTimeout of its request, the bound an edge puts on its own. The
+// caller sets Addr if it listens by name, and owns Serve, Shutdown and
+// Close.
 func NewHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout, WriteTimeout: DefaultTimeout}
 }
 
 // ChunkSource serves pre-built chunk bodies. The sharded, singleflight
@@ -238,6 +241,23 @@ func (w *countingWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// ReadFrom passes io.ReaderFrom through to the wrapped writer, so a body
+// the cluster's relay hands over from a socket reaches net/http's
+// response and, from there, splice(2). A writer without one gets the
+// bytes through a pooled block, never io.Copy's fresh 32 KiB buffer.
+func (w *countingWriter) ReadFrom(src io.Reader) (n int64, err error) {
+	if rf, ok := w.ResponseWriter.(io.ReaderFrom); ok {
+		n, err = rf.ReadFrom(src)
+	} else {
+		pool := obs.Blocks.For(0)
+		block := pool.Get()
+		n, err = io.CopyBuffer(w.ResponseWriter, src, (*block)[:cap(*block)])
+		pool.Put(block)
+	}
+	w.bytes += n
+	return n, err
 }
 
 // markAborted records a client-side abort on w when it is a metrics

@@ -306,6 +306,40 @@ func TestCountingWriterPassesThroughFlusher(t *testing.T) {
 // nonFlusher hides the recorder's Flush method.
 type nonFlusher struct{ http.ResponseWriter }
 
+// readFromRecorder counts the ReadFrom calls that reach it.
+type readFromRecorder struct {
+	httptest.ResponseRecorder
+	readFroms int
+}
+
+func (r *readFromRecorder) ReadFrom(src io.Reader) (int64, error) {
+	r.readFroms++
+	return r.Body.ReadFrom(src)
+}
+
+// TestCountingWriterReadFrom: a body handed to the metrics wrapper's
+// ReadFrom reaches the wrapped writer's own ReadFrom — net/http's, which
+// splices from a socket — or, for a writer without one, its Write; either
+// way every byte counts toward dash.server.bytes_tx.
+func TestCountingWriterReadFrom(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 3*obs.MinBlockLen+1)
+	withReadFrom := &readFromRecorder{ResponseRecorder: *httptest.NewRecorder()}
+	without := httptest.NewRecorder()
+	for _, w := range []http.ResponseWriter{withReadFrom, nonFlusher{without}} {
+		cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
+		n, err := cw.ReadFrom(io.LimitReader(bytes.NewReader(body), int64(len(body))))
+		if err != nil || n != int64(len(body)) || cw.bytes != n {
+			t.Fatalf("%T: ReadFrom moved %d bytes and counted %d, err %v; want %d", w, n, cw.bytes, err, len(body))
+		}
+	}
+	if withReadFrom.readFroms != 1 || !bytes.Equal(withReadFrom.Body.Bytes(), body) {
+		t.Fatalf("%d ReadFrom calls reached the writer with one, want 1 and the body", withReadFrom.readFroms)
+	}
+	if !bytes.Equal(without.Body.Bytes(), body) {
+		t.Fatalf("the writer without ReadFrom got %d bytes of %d", without.Body.Len(), len(body))
+	}
+}
+
 // discardWriter is a body sink with preallocated headers, so the
 // allocation test below measures the handler, not the test harness.
 type discardWriter struct {
