@@ -2,11 +2,10 @@
 // pair — in front of one origin ChunkSource, with chunk keys routed by
 // rendezvous hashing so membership changes move only the resharded
 // keys. In the wire forms (WithWire / WithLoopback) every node is a
-// real HTTP process: its dash.Server bound to a loopback listener that
-// the router reaches over a keep-alive hop of its own, or answering an
-// in-process transport the router drives through dash.Client — so node
-// death is an actual connection refusal and re-routed responses proxy
-// writer-first, never materialized at the router. Every request,
+// real HTTP process: its dash.Server on a listener — loopback TCP, or
+// an in-memory one — that the router reaches over a keep-alive hop of
+// its own, so node death is an actual connection refusal and re-routed
+// responses proxy writer-first, never materialized at the router. Every request,
 // whichever form and whichever front-door method it came through, takes
 // the one path route → walk → relay → originFallback. Each node's failure detector
 // combines periodic probes with passive per-request error accounting to
@@ -128,7 +127,7 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.wire && cfg.catalog == nil {
+	if cfg.net != nil && cfg.catalog == nil {
 		return nil, errors.New("cluster: the wire forms need a catalog (WithCatalog) — each node serves chunks through its own dash.Server")
 	}
 	cfg.detector = cfg.detector.withDefaults()
@@ -163,9 +162,6 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 		coal:  newCoalescer(),
 		warmQ: newWarmQueue(),
 	}
-	if cfg.loopback {
-		c.cfg.transport = &LoopbackTransport{c: c}
-	}
 	m := &membership{byID: make(map[string]*Node, cfg.nodes)}
 	for i := 0; i < cfg.nodes; i++ {
 		id := fmt.Sprintf("edge-%d", c.nextID.Add(1)-1)
@@ -198,8 +194,8 @@ func (c *Cluster) buildNode(id string) (*Node, error) {
 	n := newNode(id, c.origin, c.cfg.catalog, c.cfg.nodeShards,
 		c.cfg.nodeBudget, c.cfg.maxInFlight, c.reg, c.met.originFetches.Inc)
 	n.health = newHealth(id, c.cfg.detector, c.clock, c.reg)
-	if c.cfg.wire {
-		if err := n.startWire(c.cfg.transport); err != nil {
+	if c.cfg.net != nil {
+		if err := n.startWire(c.cfg.net, c.cfg.edge); err != nil {
 			return nil, err
 		}
 	}
@@ -263,7 +259,7 @@ func (c *Cluster) Replication() int { return c.cfg.replication }
 
 // Wire reports whether the cluster's edges are HTTP processes reached
 // over the wire.
-func (c *Cluster) Wire() bool { return c.cfg.wire }
+func (c *Cluster) Wire() bool { return c.cfg.net != nil }
 
 // Chunk implements dash.ChunkSource: the request path with no writer,
 // so the served body comes back whole. On every carrier it is shared —

@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -46,6 +48,38 @@ func (o *countingOrigin) count() int {
 // request or the warm queue to overflow at two jobs.
 func withMaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n } }
 func withWarmQueue(n int) Option   { return func(c *config) { c.warmQueueCap = n } }
+
+// withEdge puts the cluster over the wire with every edge loop answering
+// with what h builds for its node: the fault seam of the wire tests. The
+// carrier is TCP unless WithLoopback is given too.
+func withEdge(h func(*Node) http.Handler) Option {
+	return func(c *config) {
+		WithWire(true)(c)
+		c.edge = h
+	}
+}
+
+// fixedEdge answers every request with a 200 declaring length — none
+// when it is negative — and body, a byte per write when trickle is set,
+// without touching the node's store. The edge loop sends no byte past a
+// declared length, and closes the connection after a body that ends
+// short of it.
+func fixedEdge(length int64, body []byte, trickle bool) func(*Node) http.Handler {
+	return func(*Node) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			if length >= 0 {
+				w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
+			}
+			if !trickle {
+				w.Write(body)
+				return
+			}
+			for i := range body {
+				w.Write(body[i : i+1])
+			}
+		})
+	}
+}
 
 func fetchKey(t *testing.T, c *Cluster, key serve.ChunkKey) []byte {
 	t.Helper()
@@ -276,24 +310,17 @@ func TestKillDropsCacheAndRecoverComesBackCold(t *testing.T) {
 }
 
 // TestKillDuringMissComesBackCold: a node killed while a miss waits on
-// the origin comes back cold. The miss still answers the request it
-// serves, but its body lands in no cache — the store it opened under
-// crashed — and the next request for the key misses again.
+// the origin comes back cold. The request is still served — in process
+// by the miss itself; over a wire, where the kill closed its connection,
+// by the origin fallback, one more origin fetch — but the miss's body
+// lands in no cache, the store it opened under having crashed, and the
+// next request for the key misses again.
 func TestKillDuringMissComesBackCold(t *testing.T) {
-	v := wireVideo()
-	key := wireKeys(v)[0]
-	for _, carrier := range []string{"in-process", "loopback"} {
+	key := wireKeys(wireVideo())[0]
+	for _, carrier := range []string{"in-process", "loopback", "tcp"} {
 		t.Run(carrier, func(t *testing.T) {
 			origin := newBlockingOrigin(key)
-			opts := []Option{WithNodes(1), WithClock(sim.NewClock(1))}
-			if carrier == "loopback" {
-				opts = append(opts, WithLoopback(), WithCatalog(wireCatalog(t, v)))
-			}
-			c, err := New(origin, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+			c := newCarrierCluster(t, carrier, origin, WithNodes(1), WithClock(sim.NewClock(1)))
 			served := make(chan error, 1)
 			go func() {
 				_, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
@@ -310,8 +337,12 @@ func TestKillDuringMissComesBackCold(t *testing.T) {
 				t.Fatalf("the recovered node holds %d bodies (%d bytes): the miss in flight at the kill was cached", st.Len(), st.Bytes())
 			}
 			fetchKey(t, c, key)
-			if got := origin.count(); got != 2 {
-				t.Fatalf("%d origin fetches, want 2: the request after recovery must miss", got)
+			want := 3
+			if carrier == "in-process" {
+				want = 2
+			}
+			if got := origin.count(); got != want {
+				t.Fatalf("%d origin fetches, want %d: the request after recovery must miss", got, want)
 			}
 		})
 	}

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/iotest"
 	"time"
 	"unsafe"
 
@@ -147,44 +146,43 @@ func TestHerdColdKeyCoalescesToOneOriginFetch(t *testing.T) {
 // attached to the flight's teed body — produce byte-identical bodies
 // with declared Content-Length and exactly one origin synthesis.
 func TestWireHerdStreamsColdKeyOnce(t *testing.T) {
-	const herd = 6
-	v := wireVideo()
-	key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
-	origin := newBlockingOrigin(key)
-	c, err := New(origin, WithNodes(2), WithLoopback(),
-		WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	front := c.FrontDoor()
-	recs := make(chan *httptest.ResponseRecorder, herd)
-	get := func() { recs <- chunkGET(t, front, key) }
-	go get()
-	<-origin.arrived
-	for i := 1; i < herd; i++ {
-		go get()
-	}
-	waitForFollowers(t, c, key, herd-1)
-	close(origin.release)
-	want := string(originBody(key))
-	for i := 0; i < herd; i++ {
-		rec := <-recs
-		if rec.Code != http.StatusOK {
-			t.Fatalf("herd GET status %d", rec.Code)
-		}
-		if rec.Body.String() != want {
-			t.Fatalf("herd body %q, want %q", rec.Body.String(), want)
-		}
-		if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(len(want)) {
-			t.Fatalf("Content-Length %q, want %d", cl, len(want))
-		}
-	}
-	if got := origin.count(); got != 1 {
-		t.Fatalf("wire herd of %d cost %d origin fetches, want exactly 1", herd, got)
-	}
-	if got := c.Coalesced(); got != herd-1 {
-		t.Fatalf("cluster.coalesced = %d, want exactly %d", got, herd-1)
+	for _, carrier := range wireCarriers {
+		t.Run(carrier, func(t *testing.T) {
+			const herd = 6
+			v := wireVideo()
+			key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
+			origin := newBlockingOrigin(key)
+			c := newCarrierCluster(t, carrier, origin, WithNodes(2), WithClock(sim.NewClock(1)))
+			front := c.FrontDoor()
+			recs := make(chan *httptest.ResponseRecorder, herd)
+			get := func() { recs <- chunkGET(t, front, key) }
+			go get()
+			<-origin.arrived
+			for i := 1; i < herd; i++ {
+				go get()
+			}
+			waitForFollowers(t, c, key, herd-1)
+			close(origin.release)
+			want := string(originBody(key))
+			for i := 0; i < herd; i++ {
+				rec := <-recs
+				if rec.Code != http.StatusOK {
+					t.Fatalf("herd GET status %d", rec.Code)
+				}
+				if rec.Body.String() != want {
+					t.Fatalf("herd body %q, want %q", rec.Body.String(), want)
+				}
+				if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(len(want)) {
+					t.Fatalf("Content-Length %q, want %d", cl, len(want))
+				}
+			}
+			if got := origin.count(); got != 1 {
+				t.Fatalf("wire herd of %d cost %d origin fetches, want exactly 1", herd, got)
+			}
+			if got := c.Coalesced(); got != herd-1 {
+				t.Fatalf("cluster.coalesced = %d, want exactly %d", got, herd-1)
+			}
+		})
 	}
 }
 
@@ -240,36 +238,6 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	}
 }
 
-// truncatingTransport answers every chunk GET with a 200 that declares
-// more bytes than it delivers — a server or middlebox cutting the body
-// mid-stream without breaking the connection. A trickling one hands
-// the body over a byte per read.
-type truncatingTransport struct {
-	declared int64
-	body     string
-	trickle  bool
-}
-
-func (tr *truncatingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	h := make(http.Header)
-	h.Set("Content-Length", fmt.Sprint(tr.declared))
-	var body io.Reader = strings.NewReader(tr.body)
-	if tr.trickle {
-		body = iotest.OneByteReader(body)
-	}
-	return &http.Response{
-		Status:        http.StatusText(http.StatusOK),
-		StatusCode:    http.StatusOK,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        h,
-		Body:          io.NopCloser(body),
-		ContentLength: tr.declared,
-		Request:       req,
-	}, nil
-}
-
 // TestFetchWireRejectsTruncatedBody: a drained edge body shorter than
 // the declared Content-Length must fail with a typed transient error,
 // not hand short bytes to the caller (or a replica's cache) as a
@@ -277,8 +245,7 @@ func (tr *truncatingTransport) RoundTrip(req *http.Request) (*http.Response, err
 func TestFetchWireRejectsTruncatedBody(t *testing.T) {
 	v := wireVideo()
 	origin := &countingOrigin{}
-	c, err := New(origin, WithNodes(1),
-		WithTransport(&truncatingTransport{declared: 100, body: "short"}),
+	c, err := New(origin, WithNodes(1), WithLoopback(), withEdge(fixedEdge(100, []byte("short"), false)),
 		WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -309,8 +276,7 @@ func TestFetchWireRejectsTruncatedBody(t *testing.T) {
 func TestProxyBodyRejectsTruncatedStream(t *testing.T) {
 	v := wireVideo()
 	origin := &countingOrigin{}
-	c, err := New(origin, WithNodes(1),
-		WithTransport(&truncatingTransport{declared: 100, body: "short"}),
+	c, err := New(origin, WithNodes(1), WithLoopback(), withEdge(fixedEdge(100, []byte("short"), false)),
 		WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -426,8 +392,9 @@ func TestChunkOriginFallbackCountsOnSuccessOnly(t *testing.T) {
 // body is never a success, never a replica's warm write, and never a
 // panic, whether or not the edge holds a copy. A body the sink needs is
 // the edge's own slice when the edge holds one of the declared length,
-// and a sealed copy of the relayed bytes otherwise. Through the walk the
-// same body fails over to the origin and queues no warm.
+// and a sealed copy of the relayed bytes otherwise. Through the walk, from
+// edges whose loops send it short, the same body fails over to the origin
+// and queues no warm.
 //
 // Over a hop, the edge is a loopback listener that answers one GET with
 // the declared length (none, and Connection: close, when it is negative)
@@ -487,8 +454,7 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 	key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
 	f.Fuzz(func(t *testing.T, declared int64, body []byte, replicate, writer, held, hop bool) {
 		// Two edges that both answer every GET with this length and body.
-		c, err := New(&countingOrigin{}, WithNodes(2), WithReplication(2),
-			WithTransport(&truncatingTransport{declared: declared, body: string(body)}),
+		c, err := New(&countingOrigin{}, WithNodes(2), WithReplication(2), WithLoopback(), withEdge(fixedEdge(declared, body, false)),
 			WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
 		if err != nil {
 			t.Fatal(err)
@@ -569,12 +535,14 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 		if declared >= 0 && int64(len(viewer)) > declared {
 			t.Fatalf("declared %d: the viewer got %d bytes", declared, len(viewer))
 		}
-		if hop {
+		if hop || declared < int64(len(body)) {
 			return
 		}
 
-		// The same exchange seen from the front: neither edge's answer can
-		// be used, so the origin serves and nothing is written through.
+		// The same exchange seen from the front, where the edges' loops send
+		// the body short of its declared length (a longer one they cut at
+		// it): neither edge's answer can be used, so the origin serves and
+		// nothing is written through.
 		got, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 		if err != nil || string(got) != string(originBody(key)) {
 			t.Fatalf("declared %d, body %d bytes: Chunk = %q, %v; want the origin's body", declared, len(body), got, err)
@@ -608,7 +576,7 @@ func hopStream(t *testing.T, ln net.Listener, length int64, body []byte) (*hopTr
 			conn.Write(append([]byte(head), body...))
 		}
 	}()
-	pool := newHopTransport(ln.Addr().String(), 1)
+	pool := newHopTransport(tcpNetwork{}, ln.Addr().String(), 1)
 	st, err := pool.get(context.Background(), "/v/fuzz/c/0/0/0")
 	if err != nil {
 		t.Fatal(err)

@@ -31,12 +31,7 @@ func newEdge(tb testing.TB, origin dash.ChunkSource) (*Cluster, *Node) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() {
-		for _, n := range c.Nodes() {
-			n.retire()
-		}
-		c.Close()
-	})
+	tb.Cleanup(c.Close)
 	return c, c.Nodes()[0]
 }
 

@@ -169,9 +169,6 @@ func TestFrontDoorWriteDeadline(t *testing.T) {
 			}
 			viewer.Close()
 			srv.Close()
-			for _, n := range c.Nodes() {
-				n.retire()
-			}
 			c.Close()
 			waitFor(t, "goroutines back to their baseline", func() bool { return runtime.NumGoroutine() <= before })
 		})
@@ -209,17 +206,16 @@ func TestHandoverMovesTheBody(t *testing.T) {
 	}
 }
 
-// restartEdge brings a killed real-listener edge back on its address
-// with h as its handler.
+// restartEdge brings a killed wire edge back on its address with h as
+// its handler.
 func restartEdge(t *testing.T, edge *Node, h http.Handler) {
 	t.Helper()
-	ln, err := net.Listen("tcp", edge.Addr())
+	ln, err := edge.net.listen(edge.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	edge.rt.Store(serveEdge(ln, h))
 	edge.down.Store(false)
-	edge.accepting.Store(true)
 }
 
 // stallingWriter sends the first half of the first Write, reports it on

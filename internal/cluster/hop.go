@@ -27,9 +27,10 @@ const hopBufLen = 1 << 10
 // given, so a read or write blocked on it returns at once.
 var hopExpired = time.Unix(1, 0)
 
-// hopTransport is the router's keep-alive pool to one real-listener edge,
-// and get is the one exchange it runs there. An exchange runs on the
-// caller's goroutine from the request's first byte to the body's last:
+// hopTransport is the router's keep-alive pool to one wire edge, on the
+// edge's network, and get is the one exchange it runs there. An exchange
+// runs on the caller's goroutine from the request's first byte to the
+// body's last:
 // the GET line written into the connection's buffer and one Flush out,
 // http.ReadResponse in — net/http's own parser on a connection the
 // caller holds — so no goroutine is started or woken per exchange, and
@@ -52,6 +53,7 @@ var hopExpired = time.Unix(1, 0)
 // too: a restarted edge costs one dial, not one dead connection per
 // pooled entry, and no failure reaches the health layer.
 type hopTransport struct {
+	net  network
 	addr string
 
 	mu      sync.Mutex
@@ -63,14 +65,14 @@ type hopTransport struct {
 // hopConn is one pooled connection with the buffers and the cancel hook
 // it keeps for life.
 type hopConn struct {
-	conn   *net.TCPConn
+	conn   net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	expire func() // sets hopExpired on conn
 }
 
-func newHopTransport(addr string, maxIdle int) *hopTransport {
-	return &hopTransport{addr: addr, maxIdle: maxIdle}
+func newHopTransport(nw network, addr string, maxIdle int) *hopTransport {
+	return &hopTransport{net: nw, addr: addr, maxIdle: maxIdle}
 }
 
 // get sends GET path — dash.ChunkPath's, or another path already
@@ -116,12 +118,10 @@ func (t *hopTransport) get(ctx context.Context, path string) (dash.ChunkStream, 
 }
 
 func (t *hopTransport) dial(ctx context.Context, deadline time.Time) (*hopConn, error) {
-	d := net.Dialer{Deadline: deadline}
-	c, err := d.DialContext(ctx, "tcp", t.addr)
+	conn, err := t.net.dial(ctx, t.addr, deadline)
 	if err != nil {
 		return nil, err
 	}
-	conn := c.(*net.TCPConn) // what a "tcp" dial returns
 	return &hopConn{
 		conn:   conn,
 		br:     bufio.NewReaderSize(conn, hopBufLen),
@@ -148,7 +148,8 @@ func (t *hopTransport) exchange(ctx context.Context, pc *hopConn, path string, d
 	}
 	if err != nil {
 		stale = errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) ||
-			errors.Is(err, syscall.EPIPE) || errors.Is(err, net.ErrClosed)
+			errors.Is(err, syscall.EPIPE) || errors.Is(err, net.ErrClosed) ||
+			errors.Is(err, io.ErrClosedPipe) // net.Pipe's EPIPE
 	} else if resp, err = http.ReadResponse(pc.br, nil); err == nil {
 		resp.Body = &hopBody{body: resp.Body, pc: pc, t: t, ctx: ctx, path: path, stop: stop, keep: !resp.Close}
 		return resp, false, nil
@@ -277,6 +278,14 @@ func (b *hopBody) handOver(w http.ResponseWriter, rf io.ReaderFrom, length int64
 	}
 	b.release(end, b.stop() && err == nil && n == length && b.keep && pc.br.Buffered() == 0)
 	return n, err
+}
+
+// socket reports whether the body's connection is a TCP socket, which a
+// handover needs: splice moves bytes between sockets, and only a socket
+// shows whose side a failed transfer broke (edgeFailed).
+func (b *hopBody) socket() bool {
+	_, ok := b.pc.conn.(*net.TCPConn)
+	return ok
 }
 
 func (b *hopBody) Read(p []byte) (int, error) {

@@ -33,14 +33,13 @@ func (t *hopTransport) idleLen() int {
 // one.
 func recoverCounting(t *testing.T, edge *Node, wrap func(net.Conn) net.Conn) *atomic.Int64 {
 	t.Helper()
-	ln, err := net.Listen("tcp", edge.Addr())
+	ln, err := edge.net.listen(edge.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	accepted := new(atomic.Int64)
 	edge.serveOn(countingListener{Listener: ln, accepted: accepted, wrap: wrap})
 	edge.down.Store(false)
-	edge.accepting.Store(true)
 	return accepted
 }
 
@@ -60,24 +59,18 @@ func ownedKeys(t *testing.T, c *Cluster, edge *Node, n int) []serve.ChunkKey {
 	return owned
 }
 
-// newWireCluster is a three-edge cluster on real listeners whose
+// newWireCluster is a three-edge cluster on the named wire carrier whose
 // failure detector trips on one failure, so any failure charged to an
 // edge shows as a down transition.
-func newWireCluster(t *testing.T) (*Cluster, *obs.Registry) {
+func newWireCluster(t *testing.T, carrier string) (*Cluster, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	c, err := New(&countingOrigin{}, WithNodes(3), WithWire(true), WithCatalog(wireCatalog(t, wireVideo())),
-		WithObs(reg), WithHealth(HealthConfig{FailThreshold: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for _, n := range c.Nodes() {
-			n.retire()
-		}
-	})
-	return c, reg
+	return newCarrierCluster(t, carrier, &countingOrigin{}, WithNodes(3), WithObs(reg), WithHealth(HealthConfig{FailThreshold: 1})), reg
 }
+
+// wireCarriers are the carriers a wire test runs on: the in-memory one
+// and the TCP one that ships, both under the same hop and edge loop.
+var wireCarriers = []string{"loopback", "tcp"}
 
 // TestHopStaleConnectionRedialsOnce: a crash and restart leaves the
 // router's pool to the edge full of connections the edge closed. The
@@ -85,46 +78,50 @@ func newWireCluster(t *testing.T) (*Cluster, *obs.Registry) {
 // on one fresh dial and drops the rest of the pool with it: one
 // connection accepted, nothing charged to the edge, no failover.
 func TestHopStaleConnectionRedialsOnce(t *testing.T) {
-	c, reg := newWireCluster(t)
-	edge := c.Nodes()[0]
-	owned := ownedKeys(t, c, edge, 8)
-	// Eight exchanges open at once, then all read to the end: eight idle
-	// connections.
-	ctx := context.Background()
-	var streams []dash.ChunkStream
-	for _, key := range owned {
-		st, _, err := edge.open(ctx, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams = append(streams, st)
-	}
-	for _, st := range streams {
-		if _, err := io.Copy(io.Discard, st.Body); err != nil {
-			t.Fatal(err)
-		}
-		st.Body.Close()
-	}
-	if got := edge.hop.idleLen(); got != len(owned) {
-		t.Fatalf("pool holds %d idle connections, want %d", got, len(owned))
-	}
+	for _, carrier := range wireCarriers {
+		t.Run(carrier, func(t *testing.T) {
+			c, reg := newWireCluster(t, carrier)
+			edge := c.Nodes()[0]
+			owned := ownedKeys(t, c, edge, 8)
+			// Eight exchanges open at once, then all read to the end: eight idle
+			// connections.
+			ctx := context.Background()
+			var streams []dash.ChunkStream
+			for _, key := range owned {
+				st, _, err := edge.open(ctx, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streams = append(streams, st)
+			}
+			for _, st := range streams {
+				if _, err := io.Copy(io.Discard, st.Body); err != nil {
+					t.Fatal(err)
+				}
+				st.Body.Close()
+			}
+			if got := edge.hop.idleLen(); got != len(owned) {
+				t.Fatalf("pool holds %d idle connections, want %d", got, len(owned))
+			}
 
-	edge.Kill()
-	accepted := recoverCounting(t, edge, nil)
-	key := owned[0]
-	if rec := chunkGET(t, c.FrontDoor(), key); rec.Code != http.StatusOK || rec.Body.String() != string(originBody(key)) {
-		t.Fatalf("front door answered %d with %q after the restart", rec.Code, rec.Body.String())
-	}
-	if got := accepted.Load(); got != 1 {
-		t.Fatalf("the restarted edge accepted %d connections, want 1", got)
-	}
-	downs := reg.Counter("cluster.health.down_transitions").Value()
-	if downs != 0 || c.met.reroutes.Value() != 0 || c.met.originFallbacks.Value() != 0 {
-		t.Fatalf("down_transitions %d, reroutes %d, origin fallbacks %d; want 0, 0, 0",
-			downs, c.met.reroutes.Value(), c.met.originFallbacks.Value())
-	}
-	if got := edge.hop.idleLen(); got != 1 {
-		t.Fatalf("pool holds %d idle connections, want only the fresh one", got)
+			edge.Kill()
+			accepted := recoverCounting(t, edge, nil)
+			key := owned[0]
+			if rec := chunkGET(t, c.FrontDoor(), key); rec.Code != http.StatusOK || rec.Body.String() != string(originBody(key)) {
+				t.Fatalf("front door answered %d with %q after the restart", rec.Code, rec.Body.String())
+			}
+			if got := accepted.Load(); got != 1 {
+				t.Fatalf("the restarted edge accepted %d connections, want 1", got)
+			}
+			downs := reg.Counter("cluster.health.down_transitions").Value()
+			if downs != 0 || c.met.reroutes.Value() != 0 || c.met.originFallbacks.Value() != 0 {
+				t.Fatalf("down_transitions %d, reroutes %d, origin fallbacks %d; want 0, 0, 0",
+					downs, c.met.reroutes.Value(), c.met.originFallbacks.Value())
+			}
+			if got := edge.hop.idleLen(); got != 1 {
+				t.Fatalf("pool holds %d idle connections, want only the fresh one", got)
+			}
+		})
 	}
 }
 
@@ -152,31 +149,35 @@ func (c cutConn) Write(p []byte) (int, error) {
 // bytes may already have been relayed; the relay gets the hop's typed
 // transient error and no request is re-sent.
 func TestHopStaleConnectionMidBodyIsNotResent(t *testing.T) {
-	c, _ := newWireCluster(t)
-	edge := c.Nodes()[0]
-	owned := ownedKeys(t, c, edge, 2)
-	edge.Kill()
-	var cut atomic.Bool
-	accepted := recoverCounting(t, edge, func(conn net.Conn) net.Conn { return cutConn{conn, &cut} })
-	ctx := context.Background()
-	if _, body, err := c.walk(ctx, nil, owned[0], nil); err != nil || string(body) != string(originBody(owned[0])) {
-		t.Fatalf("first fetch: %q, %v", body, err)
-	}
-	cut.Store(true)
-	st, held, err := edge.open(ctx, owned[1])
-	if err != nil {
-		t.Fatalf("the response head arrived whole, yet open failed: %v", err)
-	}
-	_, body, err := c.relay(nil, st, held, false, owned[1], nil)
-	var de *dash.Error
-	if !errors.As(err, &de) || de.Kind != dash.KindTransient || body != nil {
-		t.Fatalf("relay = %d bytes, %v; want no body and a transient *dash.Error, though the edge holds it", len(body), err)
-	}
-	if got := accepted.Load(); got != 1 {
-		t.Fatalf("the edge accepted %d connections, want 1: a failure mid-body was re-sent", got)
-	}
-	if got := edge.hop.idleLen(); got != 0 {
-		t.Fatalf("pool holds %d idle connections after a body failed, want 0", got)
+	for _, carrier := range wireCarriers {
+		t.Run(carrier, func(t *testing.T) {
+			c, _ := newWireCluster(t, carrier)
+			edge := c.Nodes()[0]
+			owned := ownedKeys(t, c, edge, 2)
+			edge.Kill()
+			var cut atomic.Bool
+			accepted := recoverCounting(t, edge, func(conn net.Conn) net.Conn { return cutConn{conn, &cut} })
+			ctx := context.Background()
+			if _, body, err := c.walk(ctx, nil, owned[0], nil); err != nil || string(body) != string(originBody(owned[0])) {
+				t.Fatalf("first fetch: %q, %v", body, err)
+			}
+			cut.Store(true)
+			st, held, err := edge.open(ctx, owned[1])
+			if err != nil {
+				t.Fatalf("the response head arrived whole, yet open failed: %v", err)
+			}
+			_, body, err := c.relay(nil, st, held, false, owned[1], nil)
+			var de *dash.Error
+			if !errors.As(err, &de) || de.Kind != dash.KindTransient || body != nil {
+				t.Fatalf("relay = %d bytes, %v; want no body and a transient *dash.Error, though the edge holds it", len(body), err)
+			}
+			if got := accepted.Load(); got != 1 {
+				t.Fatalf("the edge accepted %d connections, want 1: a failure mid-body was re-sent", got)
+			}
+			if got := edge.hop.idleLen(); got != 0 {
+				t.Fatalf("pool holds %d idle connections after a body failed, want 0", got)
+			}
+		})
 	}
 }
 
@@ -219,7 +220,7 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 		}
 	}
 	srv.Start()
-	hop := newHopTransport(srv.Listener.Addr().String(), 8)
+	hop := newHopTransport(tcpNetwork{}, srv.Listener.Addr().String(), 8)
 	get := func(ctx context.Context, path string) dash.ChunkStream {
 		t.Helper()
 		st, err := hop.get(ctx, path)
@@ -329,7 +330,7 @@ func TestHopRequestLine(t *testing.T) {
 	}))
 	defer srv.Close()
 	addr := srv.Listener.Addr().String()
-	hop := newHopTransport(addr, 1)
+	hop := newHopTransport(tcpNetwork{}, addr, 1)
 	defer hop.drop(true)
 	path := dash.ChunkPath("x/y 50%?#\r\n", 1, 2, 3, true)
 	st, err := hop.get(context.Background(), path)
@@ -395,7 +396,7 @@ func FuzzHopExchange(f *testing.F) {
 				conn.Write(reply)
 			}
 		}()
-		hop := newHopTransport(ln.Addr().String(), 1)
+		hop := newHopTransport(tcpNetwork{}, ln.Addr().String(), 1)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 

@@ -30,11 +30,10 @@ var ErrNodeDown = fmt.Errorf("cluster: node down: %w", dash.ErrUnavailable)
 // cascade from a failed peer is shed, not amplified.
 //
 // In the wire form the node additionally owns a real HTTP process: its
-// dash.Server bound to a loopback listener, which the router reaches
-// through the node's own hopTransport, or answering a RoundTripper by
-// host name, which it reaches through a dash.Client over that
-// RoundTripper. Kill closes the listener — requests meet an actual
-// connection refusal — and Recover re-binds the same address.
+// edge loop on a listener of the cluster's network, which the router
+// reaches through the node's own hopTransport. Kill closes the listener
+// — requests meet an actual connection refusal — and Recover re-binds
+// the same address.
 type Node struct {
 	id     string
 	store  *serve.Store
@@ -45,34 +44,26 @@ type Node struct {
 	inflight    atomic.Int64
 	maxInFlight int64
 
-	// Wire lifecycle. addr is recorded at the first bind — it is set only
-	// on a real listener — and reused by Recover so the node's identity
-	// (its address) survives a crash; accepting gates the
-	// LoopbackTransport the way a live listener gates a dial; rt holds
-	// the current incarnation of the edge's server, swapped atomically so
+	// Wire lifecycle. addr is recorded at the first bind on net and
+	// reused by Recover so the node's identity (its address) survives a
+	// crash; handler is what the edge loop answers with; rt holds the
+	// current incarnation of the edge's server, swapped atomically so
 	// Kill never races a concurrent relisten. hop is the router's
-	// connection pool to a real listener and client its dash.Client on a
-	// transport-backed carrier: a wire node has exactly one of them.
+	// connection pool to the edge, and makes one attempt: failover is the
+	// retry, so a dead edge costs one connection refusal, not a backoff
+	// ladder.
+	net     network
 	addr    string
 	baseURL string
-	client  *dash.Client
+	handler http.Handler
 	hop     *hopTransport
 	rt      atomic.Pointer[edgeServer]
-
-	accepting atomic.Bool
 
 	met nodeMetrics
 }
 
 // shedRetryAfter is the backoff hint an edge attaches to a shed.
 const shedRetryAfter = time.Second
-
-// nodeRetry is the policy of the router's per-edge clients on the
-// transport-backed carriers; the hop to a real listener makes the same
-// one attempt. Failover is the retry: they take one shot and let the
-// ranked walk move on, so a dead edge costs one connection refusal, not
-// a backoff ladder.
-var nodeRetry = dash.RetryPolicy{MaxAttempts: -1}
 
 // nodeMetrics caches the node's instruments; nil fields no-op.
 type nodeMetrics struct {
@@ -119,46 +110,36 @@ func newNode(id string, origin dash.ChunkSource, catalog *dash.Catalog,
 	return n
 }
 
-// startWire turns the node into an HTTP process and builds what the
-// router will reach it through. One of two wire carriers applies: a
-// supplied RoundTripper that finds the node by its synthetic host name
-// (WithTransport's, or WithLoopback's LoopbackTransport), driven by a
-// dash.Client; or — the default — a real TCP listener on 127.0.0.1
-// behind a hopTransport of the node's own, whose idle pool is the edge's
-// admission bound: every request the edge can have in flight gets its
-// connection back. The client counts nothing: dash.client.* is the
-// viewer's, on every carrier.
-func (n *Node) startWire(rt http.RoundTripper) error {
-	if rt != nil {
-		n.baseURL = "http://" + n.id + edgeHostSuffix
-		n.client = dash.NewClient(n.baseURL, dash.WithTransport(rt), dash.WithRetry(nodeRetry))
-	} else {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fmt.Errorf("cluster: bind %s: %w", n.id, err)
-		}
-		n.addr = ln.Addr().String()
-		n.baseURL = "http://" + n.addr
-		n.serveOn(ln)
-		n.hop = newHopTransport(n.addr, int(n.maxInFlight))
+// startWire turns the node into an HTTP process on nw: its edge loop on
+// a fresh address, answering with its dash.Server or with what edge
+// builds for it (WithTransport), and the router's hopTransport to that
+// address, whose idle pool is the edge's admission bound: every request
+// the edge can have in flight gets its connection back.
+func (n *Node) startWire(nw network, edge func(*Node) http.Handler) error {
+	ln, err := nw.listen("")
+	if err != nil {
+		return fmt.Errorf("cluster: bind %s: %w", n.id, err)
 	}
-	n.accepting.Store(true)
+	n.net, n.addr = nw, ln.Addr().String()
+	n.baseURL = "http://" + n.addr
+	n.handler = n.server
+	if edge != nil {
+		n.handler = edge(n)
+	}
+	n.serveOn(ln)
+	n.hop = newHopTransport(nw, n.addr, int(n.maxInFlight))
 	return nil
 }
-
-// edgeHostSuffix follows the node's name in its synthetic host name on
-// the transport-backed wire carriers.
-const edgeHostSuffix = ".edge.sperke"
 
 // serveOn starts the node's edge server on ln and records it so Kill
 // can close it.
 func (n *Node) serveOn(ln net.Listener) {
-	n.rt.Store(serveEdge(ln, n.server))
+	n.rt.Store(serveEdge(ln, n.handler))
 }
 
 // relisten re-binds the node's recorded address after a crash.
 func (n *Node) relisten() error {
-	ln, err := net.Listen("tcp", n.addr)
+	ln, err := n.net.listen(n.addr)
 	if err != nil {
 		return fmt.Errorf("cluster: rebind %s on %s: %w", n.id, n.addr, err)
 	}
@@ -166,8 +147,8 @@ func (n *Node) relisten() error {
 	return nil
 }
 
-// Addr returns the node's listen address ("127.0.0.1:port") in the
-// real-listener wire form, or "" otherwise.
+// Addr returns the node's listen address in the wire form —
+// "127.0.0.1:port" on TCP, "mem:N" in memory — or "" otherwise.
 func (n *Node) Addr() string { return n.addr }
 
 // BaseURL returns the URL the router's client dials for this node; ""
@@ -193,7 +174,6 @@ func (n *Node) Kill() {
 		return
 	}
 	n.met.up.Set(0)
-	n.accepting.Store(false)
 	n.store.Reset()
 	if rt := n.rt.Swap(nil); rt != nil {
 		rt.close()
@@ -201,20 +181,17 @@ func (n *Node) Kill() {
 }
 
 // Recover restarts a killed node (cold — Kill dropped the cache) and,
-// in the real-listener wire form, re-binds its recorded address. If
-// the port cannot be re-taken the node stays unreachable and the
-// health layer keeps routing around it. Idempotent.
+// in the wire form, re-binds its recorded address. If the address cannot
+// be re-taken the node stays unreachable and the health layer keeps
+// routing around it. Idempotent.
 func (n *Node) Recover() {
 	if !n.down.Swap(false) {
 		return
 	}
 	n.met.up.Set(1)
 	if n.addr != "" {
-		if err := n.relisten(); err != nil {
-			return
-		}
+		_ = n.relisten()
 	}
-	n.accepting.Store(true)
 }
 
 // join and leave publish the node's entry into and exit from the
@@ -233,10 +210,9 @@ func (n *Node) leave() {
 
 // retire permanently stops a node that is not, or no longer, in the
 // membership, closing only what the node itself opened: its listener
-// and the router's idle connections to it. The cluster calls it exactly
-// once per node.
+// and the router's idle connections to it: on RemoveNode, on Close, or
+// for a node that lost its name. Idempotent.
 func (n *Node) retire() {
-	n.accepting.Store(false)
 	n.down.Store(true)
 	if rt := n.rt.Swap(nil); rt != nil {
 		rt.close()
@@ -251,58 +227,45 @@ func (n *Node) retire() {
 const probeDrainLimit = 4 << 10
 
 // Ping is the active health probe: nil iff the node can take traffic.
-// In the wire form it is a real GET /v under ctx, through the node's hop
-// or its client — a closed listener fails it the honest way, and one
-// that accepts and never answers fails when ctx does. It deliberately
-// ignores load — an overloaded node is alive, and declaring it dead
-// would amplify the cascade shedding exists to stop.
+// In the wire form it is a real GET /v under ctx through the node's hop
+// — a closed listener fails it the honest way, and one that accepts and
+// never answers fails when ctx does. It deliberately ignores load — an
+// overloaded node is alive, and declaring it dead would amplify the
+// cascade shedding exists to stop.
 func (n *Node) Ping(ctx context.Context) error {
 	if n.down.Load() {
 		return fmt.Errorf("cluster: probe %s: %w", n.id, ErrNodeDown)
 	}
-	switch {
-	case n.hop != nil:
-		st, err := n.hop.get(ctx, "/v")
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, io.LimitReader(st.Body, probeDrainLimit))
-		return st.Body.Close()
-	case n.client != nil:
-		return n.client.Ping(ctx)
+	if n.hop == nil {
+		return nil
 	}
-	return nil
+	st, err := n.hop.get(ctx, "/v")
+	if err != nil {
+		return err
+	}
+	io.Copy(io.Discard, io.LimitReader(st.Body, probeDrainLimit))
+	return st.Body.Close()
 }
 
 // open asks the edge for the chunk and returns the edge's own sealed
 // body with it, or nil when the edge holds none. A wire edge answers
-// with a live response for the router to relay: on a real listener
-// through the node's hop, on a transport-backed carrier through its
-// dash.Client. By the time its head arrives the edge has finished its
-// store Get — edgeConn sends the head with the first body write, and
-// LoopbackTransport returns at WriteHeader, both after Chunk returned —
-// so the body it is sending is resident, and open reads it from the
-// node's store beside the stream, as coldOwners reads co-owners'. It can
-// be missing: too large to cache, evicted or killed before the head
-// arrived, or a test RoundTripper answering without the store. The
-// in-process edge — no listener, no client; the only form that runs
+// through the node's hop with a live response for the router to relay.
+// By the time its head arrives the edge has finished its store Get —
+// edgeConn sends the head with the first body write, after Chunk
+// returned — so the body it is sending is resident, and open reads it
+// from the node's store beside the stream, as coldOwners reads
+// co-owners'. It can be missing: too large to cache, evicted or killed
+// before the head arrived, or an edge handler answering without the
+// store. The in-process edge — no listener; the only form that runs
 // without a catalog, and what the deterministic failover experiment is
 // built on — answers with its store's sealed body alone and a zero
-// ChunkStream. This is the cluster's one client-facing seam for chunks
-// — the clockhygiene allowlist names it, since the client's retry
-// machinery owns the real backoff timers.
+// ChunkStream.
 func (n *Node) open(ctx context.Context, key serve.ChunkKey) (dash.ChunkStream, []byte, error) {
-	var st dash.ChunkStream
-	var err error
-	switch {
-	case n.hop != nil:
-		st, err = n.hop.get(ctx, dash.ChunkPath(key.Video, key.Quality, key.Tile, key.Index, key.Layer))
-	case n.client != nil:
-		st, err = n.client.OpenChunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-	default:
+	if n.hop == nil {
 		body, err := n.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 		return dash.ChunkStream{}, body, err
 	}
+	st, err := n.hop.get(ctx, dash.ChunkPath(key.Video, key.Quality, key.Tile, key.Index, key.Layer))
 	if err != nil {
 		return st, nil, err
 	}

@@ -19,9 +19,8 @@ type config struct {
 	detector    HealthConfig
 	clock       obs.Clock
 	obs         *obs.Registry
-	wire        bool
-	loopback    bool
-	transport   http.RoundTripper
+	net         network                  // the wire's carrier; nil: in-process edges
+	edge        func(*Node) http.Handler // what each edge loop answers with; nil: the node's dash.Server
 
 	// maxInFlight bounds concurrent admitted requests per edge; beyond
 	// it the edge sheds with 503+Retry-After. warmQueueCap bounds the
@@ -129,38 +128,42 @@ func WithObs(r *obs.Registry) Option {
 	return func(c *config) { c.obs = r }
 }
 
-// WithWire(true) puts the cluster over the wire: every node binds its
-// dash.Server to a real loopback listener and the router reaches it
-// over a keep-alive pool of its own (hopTransport) — so node death is an
-// actual connection refusal, recovery is a re-bind, and re-routed
-// responses proxy as streams. Requires WithCatalog.
+// WithWire(true) puts the cluster over the wire: every node serves its
+// dash.Server on a loopback TCP listener with its own connection loop
+// (edgeServer) and the router reaches it over a keep-alive pool of its
+// own (hopTransport) — so node death is an actual connection refusal,
+// recovery is a re-bind, and re-routed responses proxy as streams.
+// Requires WithCatalog.
 func WithWire(on bool) Option {
-	return func(c *config) { c.wire = on }
-}
-
-// WithLoopback is the wire form without sockets: WithTransport with the
-// cluster's own LoopbackTransport, which finds each node through the
-// membership and preserves streaming and connection-refused semantics
-// deterministically — what the wire chaos tests and benchmarks run on.
-// Implies WithWire.
-func WithLoopback() Option {
 	return func(c *config) {
-		c.wire = true
-		c.loopback = true
+		switch {
+		case !on:
+			c.net = nil
+		case c.net == nil:
+			c.net = tcpNetwork{}
+		}
 	}
 }
 
-// WithTransport overrides the RoundTripper the router's per-node
-// clients ride (node hosts become synthetic names), for fault-wrapped
-// or recording transports in tests. A killed node behind a custom
-// transport still answers — as a 503 from its down handler — rather
-// than refusing the dial; use WithWire or WithLoopback when the
-// listener lifecycle itself is under test. Implies WithWire.
+// WithLoopback is the wire form without sockets: the same edge loop and
+// hop, with each node listening on an in-memory network whose dials are
+// net.Pipe connections — a killed or removed node refuses them with
+// ECONNREFUSED, deterministically and with no port taken. Implies
+// WithWire.
+func WithLoopback() Option {
+	return func(c *config) { c.net = newMemNetwork() }
+}
+
+// WithTransport is WithLoopback with rt behind every edge: each request
+// a node's edge loop reads goes out through rt, addressed to the node's
+// BaseURL, and rt's answer is the edge's — for a harness that serves the
+// nodes' handlers itself, behind its own decorators. A killed node still
+// refuses the dial. A nil rt changes nothing.
 func WithTransport(rt http.RoundTripper) Option {
 	return func(c *config) {
 		if rt != nil {
-			c.wire = true
-			c.transport = rt
+			c.net = newMemNetwork()
+			c.edge = func(n *Node) http.Handler { return forwardTo(rt, n.addr) }
 		}
 	}
 }

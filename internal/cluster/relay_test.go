@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -32,7 +31,8 @@ func (w *hangupWriter) Write(p []byte) (int, error) { return 0, syscall.EPIPE }
 
 // TestViewerHangupIsNotTheEdges: a failed write to the viewer is the
 // sink's failure, not the source's. Four hang-ups through the front
-// door or StreamChunk, over real listeners or in-process edges, cost
+// door or StreamChunk, over real listeners, in-memory ones or in-process
+// edges, cost
 // one edge exchange each, trip no breaker, fall back to the origin
 // never, and reach dash.Server as aborts, not 500s. Charged to the edge,
 // they declared all three down and fetched four bodies from the origin
@@ -42,13 +42,22 @@ func (w *hangupWriter) Write(p []byte) (int, error) { return 0, syscall.EPIPE }
 func TestViewerHangupIsNotTheEdges(t *testing.T) {
 	v := wireVideo()
 	const hangups = 4
-	for _, carrier := range []string{"wire", "in-process"} {
+	for _, carrier := range []string{"wire", "loopback", "in-process"} {
 		for _, sink := range []string{"front-door", "StreamChunk", "socket"} {
+			if carrier == "loopback" && sink == "socket" {
+				// The socket viewer breaks a handover, which needs a TCP hop;
+				// over net.Pipe the edge's own write fails with it and counts
+				// as one more abort, as often as the race goes that way.
+				continue
+			}
 			t.Run(carrier+"/"+sink, func(t *testing.T) {
 				reg := obs.NewRegistry()
 				opts := []Option{WithNodes(3), WithCatalog(wireCatalog(t, v)), WithObs(reg), WithClock(sim.NewClock(1))}
-				if carrier == "wire" {
+				switch carrier {
+				case "wire":
 					opts = append(opts, WithWire(true))
+				case "loopback":
+					opts = append(opts, WithLoopback())
 				}
 				// The socket viewer's chunk must outgrow the kernel buffers
 				// between it and the front door.
@@ -61,12 +70,7 @@ func TestViewerHangupIsNotTheEdges(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer func() {
-					for _, n := range c.Nodes() {
-						n.retire()
-					}
-					c.Close()
-				}()
+				defer c.Close()
 				var addr string
 				returned := make(chan struct{}, 1)
 				if sink == "socket" {
@@ -161,7 +165,7 @@ func TestRelayTurns(t *testing.T) {
 		{1_000, 2, 1_000, true},
 	} {
 		c, err := New(&countingOrigin{}, WithNodes(tc.replicas), WithReplication(tc.replicas),
-			WithTransport(&truncatingTransport{declared: int64(tc.n), body: strings.Repeat("x", tc.n), trickle: tc.trickle}),
+			WithLoopback(), withEdge(fixedEdge(int64(tc.n), bytes.Repeat([]byte("x"), tc.n), tc.trickle)),
 			WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
 		if err != nil {
 			t.Fatal(err)
@@ -198,12 +202,7 @@ func newCarrierCluster(tb testing.TB, carrier string, origin dash.ChunkSource, o
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() {
-		for _, n := range c.Nodes() {
-			n.retire()
-		}
-		c.Close()
-	})
+	tb.Cleanup(c.Close)
 	return c
 }
 
@@ -308,7 +307,7 @@ func TestWriterlessChunkGetsTheServedBody(t *testing.T) {
 }
 
 // TestReplicaWarmWithoutAnEdgeCopy: an edge that answers without holding
-// the body — here a RoundTripper that never touches the node's store —
+// the body — here a handler that never touches the node's store —
 // still gets its co-owner warmed, with a sealed copy of the relayed
 // bytes: the router keeps a body exactly when no edge holds one.
 func TestReplicaWarmWithoutAnEdgeCopy(t *testing.T) {
@@ -318,8 +317,7 @@ func TestReplicaWarmWithoutAnEdgeCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(&countingOrigin{}, WithNodes(2), WithReplication(2),
-		WithTransport(&truncatingTransport{declared: int64(len(want)), body: string(want)}),
+	c, err := New(&countingOrigin{}, WithNodes(2), WithReplication(2), WithLoopback(), withEdge(fixedEdge(int64(len(want)), want, false)),
 		WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
 	if err != nil {
 		t.Fatal(err)

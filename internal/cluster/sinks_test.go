@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"reflect"
 	"slices"
@@ -44,27 +43,25 @@ func (o *scriptedOrigin) arm(key serve.ChunkKey) {
 	o.block, o.release = key, make(chan struct{})
 }
 
-// cuttingTransport forwards to the cluster's loopback wire but, while
-// armed, answers with the edge's real headers and no body: the edge
-// died after promising Content-Length and before its first body byte.
-type cuttingTransport struct {
-	inner http.RoundTripper
-	armed atomic.Bool
+// cuttingEdge serves the node's dash.Server but, while armed, lets the
+// response's head out and none of its body: the edge died after
+// promising Content-Length and before its first body byte.
+type cuttingEdge struct {
+	next  http.Handler
+	armed *atomic.Bool
 }
 
-func (tr *cuttingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := tr.inner.RoundTrip(req)
-	if err != nil || !tr.armed.CompareAndSwap(true, false) {
-		return resp, err
+func (h cuttingEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if h.armed.CompareAndSwap(true, false) {
+		w = headOnly{w}
 	}
-	// Drain the edge's handler so its pipe writer does not block forever.
-	go func(body io.ReadCloser) {
-		io.Copy(io.Discard, body)
-		body.Close()
-	}(resp.Body)
-	resp.Body = io.NopCloser(http.NoBody)
-	return resp, nil
+	h.next.ServeHTTP(w, r)
 }
+
+// headOnly drops every body byte written to it.
+type headOnly struct{ http.ResponseWriter }
+
+func (headOnly) Write(p []byte) (int, error) { return len(p), nil }
 
 // sinkCounters snapshots every counter the two sinks share.
 func sinkCounters(c *Cluster) map[string]int64 {
@@ -98,9 +95,10 @@ func counterDelta(before, after map[string]int64) map[string]int64 {
 // warm hit, primary killed, shed, truncated edge body, a herd with every
 // edge down, failing origin — through each sink of the single request
 // path: Chunk (no writer, the body comes back whole) and a front-door
-// GET (the ResponseWriter is the sink). Every served body must equal
-// dash.BuildChunkBody, and every step must move every shared counter by
-// the same amount on both sinks. The one documented difference is where a failed fallback
+// GET (the ResponseWriter is the sink), each over the in-memory carrier
+// and over TCP. Every served body must equal dash.BuildChunkBody, and
+// every step must move every shared counter by the same amount on every
+// run. The one documented difference is where a failed fallback
 // lands: cluster.origin_errors without a writer,
 // cluster.origin_stream_errors with one (summed here as
 // origin_failures, then checked apart).
@@ -179,7 +177,7 @@ func TestSameScenarioBothSinks(t *testing.T) {
 		},
 		{
 			name: "truncated edge body, rerouted", key: kCut,
-			arrange: func(t *testing.T, e *sinkEnv) { e.cut.armed.Store(true) },
+			arrange: func(t *testing.T, e *sinkEnv) { e.cut.Store(true) },
 			want: func(e *sinkEnv) map[string]int64 {
 				// The primary served (and missed) before its body was cut.
 				return map[string]int64{"requests": 1, "reroutes": 1, "origin_fetches": 2,
@@ -215,33 +213,41 @@ func TestSameScenarioBothSinks(t *testing.T) {
 		},
 	}
 
+	chunk := func(t *testing.T, c *Cluster, key serve.ChunkKey) ([]byte, bool) {
+		body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+		return body, err == nil
+	}
+	frontDoor := func(t *testing.T, c *Cluster, key serve.ChunkKey) ([]byte, bool) {
+		rec := chunkGET(t, c.FrontDoor(), key)
+		if rec.Code != http.StatusOK {
+			return nil, false
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+			// Errorf: a herd calls fetch off the test's goroutine.
+			t.Errorf("Content-Length %q on a %d-byte body", cl, rec.Body.Len())
+			return nil, false
+		}
+		return rec.Body.Bytes(), true
+	}
+	// Each sink runs on the in-memory carrier and again on TCP: the same
+	// hop and edge loop, so the same deltas.
 	sinks := []struct {
-		name string
+		name    string
+		carrier string
+		writer  bool
 		// fetch returns the served body, or ok=false for a failed request.
 		fetch func(t *testing.T, c *Cluster, key serve.ChunkKey) (body []byte, ok bool)
 	}{
-		{"chunk", func(t *testing.T, c *Cluster, key serve.ChunkKey) ([]byte, bool) {
-			body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-			return body, err == nil
-		}},
-		{"front-door", func(t *testing.T, c *Cluster, key serve.ChunkKey) ([]byte, bool) {
-			rec := chunkGET(t, c.FrontDoor(), key)
-			if rec.Code != http.StatusOK {
-				return nil, false
-			}
-			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
-				// Errorf: a herd calls fetch off the test's goroutine.
-				t.Errorf("Content-Length %q on a %d-byte body", cl, rec.Body.Len())
-				return nil, false
-			}
-			return rec.Body.Bytes(), true
-		}},
+		{"chunk", "loopback", false, chunk},
+		{"front-door", "loopback", true, frontDoor},
+		{"chunk-tcp", "tcp", false, chunk},
+		{"front-door-tcp", "tcp", true, frontDoor},
 	}
 
 	deltas := make([][]map[string]int64, len(sinks))
 	for si, sink := range sinks {
 		t.Run(sink.name, func(t *testing.T) {
-			e := newSinkEnv(t, v, kMain, kBlock)
+			e := newSinkEnv(t, sink.carrier, v, kMain, kBlock)
 			defer e.c.Close()
 			for _, step := range steps {
 				if step.arrange != nil {
@@ -277,7 +283,7 @@ func TestSameScenarioBothSinks(t *testing.T) {
 				deltas[si] = append(deltas[si], d)
 			}
 			wantChunkErrs, wantStreamErrs := int64(1), int64(0)
-			if sink.name == "front-door" {
+			if sink.writer {
 				wantChunkErrs, wantStreamErrs = 0, 1
 			}
 			if got := e.c.met.originChunkErrs.Value(); got != wantChunkErrs {
@@ -288,9 +294,11 @@ func TestSameScenarioBothSinks(t *testing.T) {
 			}
 		})
 	}
-	if !reflect.DeepEqual(deltas[0], deltas[1]) {
-		t.Fatalf("the two sinks moved the shared counters differently:\n%s: %v\n%s: %v",
-			sinks[0].name, deltas[0], sinks[1].name, deltas[1])
+	for si := range sinks[1:] {
+		if !reflect.DeepEqual(deltas[0], deltas[si+1]) {
+			t.Fatalf("two sinks moved the shared counters differently:\n%s: %v\n%s: %v",
+				sinks[0].name, deltas[0], sinks[si+1].name, deltas[si+1])
+		}
 	}
 }
 
@@ -300,7 +308,7 @@ func TestSameScenarioBothSinks(t *testing.T) {
 type sinkEnv struct {
 	c       *Cluster
 	origin  *scriptedOrigin
-	cut     *cuttingTransport
+	cut     *atomic.Bool
 	primary *Node
 	second  string
 	hold    chan error // the shed step's occupying request
@@ -337,10 +345,10 @@ func (e *sinkEnv) fetchHerd(t *testing.T, fetch func(*testing.T, *Cluster, serve
 	return first.body, first.ok
 }
 
-// newSinkEnv builds the scenario's cluster: three loopback edges that
-// admit one request at a time, over a real catalog store, with every
-// edge client re-pointed through the cutting transport.
-func newSinkEnv(t *testing.T, v *media.Video, routed, block serve.ChunkKey) *sinkEnv {
+// newSinkEnv builds the scenario's cluster: three edges on the named wire
+// carrier that admit one request at a time, over a real catalog store,
+// each serving through the cutting handler.
+func newSinkEnv(t *testing.T, carrier string, v *media.Video, routed, block serve.ChunkKey) *sinkEnv {
 	t.Helper()
 	catalog := wireCatalog(t, v)
 	origin := &scriptedOrigin{
@@ -349,14 +357,16 @@ func newSinkEnv(t *testing.T, v *media.Video, routed, block serve.ChunkKey) *sin
 		arrived: make(chan struct{}, 1),
 		release: make(chan struct{}),
 	}
-	c, err := New(origin, WithNodes(3), WithLoopback(), withMaxInFlight(1),
-		WithCatalog(catalog), WithClock(sim.NewClock(1)))
+	cut := new(atomic.Bool)
+	opts := []Option{WithNodes(3), withMaxInFlight(1),
+		withEdge(func(n *Node) http.Handler { return cuttingEdge{next: n.server, armed: cut} }),
+		WithCatalog(catalog), WithClock(sim.NewClock(1))}
+	if carrier == "loopback" {
+		opts = append(opts, WithLoopback())
+	}
+	c, err := New(origin, opts...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	cut := &cuttingTransport{inner: c.cfg.transport}
-	for _, n := range c.Nodes() {
-		n.client = dash.NewClient(n.baseURL, dash.WithTransport(cut), dash.WithRetry(nodeRetry))
 	}
 	ranked := Rank(routed, c.NodeNames())
 	return &sinkEnv{c: c, origin: origin, cut: cut,

@@ -222,10 +222,11 @@ func (c *Cluster) DrainWarms() {
 	<-w
 }
 
-// Close stops the warm worker. Queued jobs are abandoned — Close is
-// the cluster's teardown, and a warm that never lands only costs a
-// future cache miss. Idempotent; safe to call on a cluster whose
-// worker never started.
+// Close stops the warm worker and retires every member, closing its
+// listener and the router's connections to it. Queued jobs are
+// abandoned — Close is the cluster's teardown, and a warm that never
+// lands only costs a future cache miss. Idempotent; safe to call on a
+// cluster whose worker never started.
 func (c *Cluster) Close() {
 	q := c.warmQ
 	q.mu.Lock()
@@ -233,6 +234,11 @@ func (c *Cluster) Close() {
 		q.mu.Unlock()
 		return
 	}
+	defer func() {
+		for _, n := range c.Nodes() {
+			n.retire()
+		}
+	}()
 	q.stopped = true
 	started := q.started
 	ws := q.waiters

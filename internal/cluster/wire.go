@@ -2,14 +2,13 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httputil"
 	"slices"
 	"strconv"
-	"strings"
-	"sync"
-	"syscall"
 
 	"sperke/internal/dash"
 	"sperke/internal/media"
@@ -68,7 +67,7 @@ func viewerGone(err error) error {
 // one (pump).
 //
 // A body the relay keeps no copy of, under a declared length, from a
-// real-listener hop to a sink that implements io.ReaderFrom — the front
+// hop over a TCP socket to a sink that implements io.ReaderFrom — the front
 // door's net/http response — is handed over (hopBody.handOver): the
 // router copies the few bytes that came with the edge's head and splice(2)
 // moves the rest between the two sockets. Every other body goes through
@@ -102,7 +101,7 @@ func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, edge []byte,
 	var kept []byte
 	var err error
 	hop, _ := st.Body.(*hopBody)
-	if rf, ok := w.(io.ReaderFrom); ok && hop != nil && !keep && st.Length >= 0 {
+	if rf, ok := w.(io.ReaderFrom); ok && hop != nil && hop.socket() && !keep && st.Length >= 0 {
 		n, err = hop.handOver(w, rf, st.Length)
 	} else {
 		n, kept, err = pump(w, st, keep, key)
@@ -129,7 +128,9 @@ func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, edge []byte,
 // class (obs.Blocks: 32 KiB when none was declared, 256 KiB at most), so
 // a typical chunk crosses in one turn, the warm-cache fast path stays
 // allocation-flat, and the scratch is at most the body's class. A read
-// that would pass the declared length fails before its bytes go out.
+// that would pass the declared length fails before its bytes go out; a
+// body that ends before it (io.ErrUnexpectedEOF off a hop) returns what
+// came, for the relay's length check.
 func pump(w http.ResponseWriter, st dash.ChunkStream, keep bool, key serve.ChunkKey) (int64, []byte, error) {
 	// Reads land in buf[len(buf):cap(buf)]; only a kept body advances len.
 	var buf []byte
@@ -164,7 +165,7 @@ func pump(w http.ResponseWriter, st dash.ChunkStream, keep bool, key serve.Chunk
 				buf = buf[:len(buf)+m]
 			}
 		}
-		if err == io.EOF {
+		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
 			break
 		}
 		if err != nil {
@@ -214,93 +215,10 @@ func (c *Cluster) originFallback(ctx context.Context, w http.ResponseWriter, key
 	return n, body, err
 }
 
-// LoopbackTransport is the in-process wire: an http.RoundTripper that
-// dispatches requests addressed to cluster nodes straight into each
-// node's dash.Server, preserving streaming semantics — the response
-// body is a pipe fed by the handler's goroutine, so bytes reach the
-// reader as the handler writes them, with no sockets or materialized
-// bodies. Hosts resolve through the cluster's membership, so a request
-// to a killed or removed node fails the dial the way a closed listener
-// does: ECONNREFUSED. Deterministic wire tests and benchmarks ride it;
-// WithWire(true) uses real listeners instead.
-type LoopbackTransport struct{ c *Cluster }
-
-// RoundTrip implements http.RoundTripper. It returns as soon as the
-// handler commits response headers — the same moment a real client
-// would see them — while the body keeps streaming through the pipe.
-func (t *LoopbackTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	n := t.c.mem.Load().byID[strings.TrimSuffix(req.URL.Host, edgeHostSuffix)]
-	if n == nil || !n.accepting.Load() {
-		return nil, fmt.Errorf("cluster: dial %s: %w", req.URL.Host, syscall.ECONNREFUSED)
-	}
-	pr, pw := io.Pipe()
-	lw := &loopbackWriter{header: make(http.Header, 4), pw: pw, ready: make(chan struct{})}
-	go func() {
-		n.server.ServeHTTP(lw, req)
-		lw.finish()
-		pw.Close()
-	}()
-	<-lw.ready
-	cl := int64(-1)
-	if v := lw.header.Get("Content-Length"); v != "" {
-		if parsed, perr := strconv.ParseInt(v, 10, 64); perr == nil {
-			cl = parsed
-		}
-	}
-	// The status line reads as net/http renders it off a socket ("503
-	// Service Unavailable"), so an error quoting it is the same text on
-	// either carrier. The 200 every served chunk gets stays a constant:
-	// building the line costs two allocations.
-	status := "200 OK"
-	if lw.status != http.StatusOK {
-		status = strconv.Itoa(lw.status) + " " + http.StatusText(lw.status)
-	}
-	return &http.Response{
-		Status:        status,
-		StatusCode:    lw.status,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        lw.header,
-		Body:          pr,
-		ContentLength: cl,
-		Request:       req,
-	}, nil
-}
-
-// loopbackWriter adapts a node handler's response onto a pipe,
-// releasing the round-trip at WriteHeader time. The header map must
-// not be mutated after the first write — true of the dash handlers,
-// as of any handler correct over a real connection.
-type loopbackWriter struct {
-	header      http.Header
-	status      int
-	wroteHeader bool
-	pw          *io.PipeWriter
-	ready       chan struct{}
-	readyOnce   sync.Once
-}
-
-func (w *loopbackWriter) Header() http.Header { return w.header }
-
-func (w *loopbackWriter) WriteHeader(status int) {
-	if w.wroteHeader {
-		return
-	}
-	w.wroteHeader = true
-	w.status = status
-	w.readyOnce.Do(func() { close(w.ready) })
-}
-
-func (w *loopbackWriter) Write(p []byte) (int, error) {
-	if !w.wroteHeader {
-		w.WriteHeader(http.StatusOK)
-	}
-	return w.pw.Write(p)
-}
-
-// finish covers handlers that return without writing anything, so the
-// round-trip always completes.
-func (w *loopbackWriter) finish() {
-	w.WriteHeader(http.StatusOK)
+// forwardTo is WithTransport's edge handler: each request the edge loop
+// reads is proxied through rt to host.
+func forwardTo(rt http.RoundTripper, host string) http.Handler {
+	return &httputil.ReverseProxy{Transport: rt, Rewrite: func(r *httputil.ProxyRequest) {
+		r.Out.URL.Scheme, r.Out.URL.Host, r.Out.Host = "http", host, host
+	}}
 }

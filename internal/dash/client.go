@@ -19,8 +19,7 @@ import (
 )
 
 // DefaultTimeout bounds an exchange whose body outlives the call that
-// opened it (OpenChunk, and the cluster's hop to a wire edge) or that
-// has no retry policy over it (Ping).
+// opened it: OpenChunk's, and the cluster's hop to a wire edge.
 const DefaultTimeout = 15 * time.Second
 
 // drainLimit bounds what the client reads past the bytes it wanted to
@@ -480,9 +479,8 @@ type ChunkStream struct {
 }
 
 // OpenChunk starts one chunk download and returns the response body
-// without materializing it — the proxy primitive of the wire cluster's
-// transport-backed carriers (an edge on a real listener is opened by
-// the cluster's own hop instead). The
+// without materializing it, for a caller that relays it on (the wire
+// cluster's router opens its edges with its own hop instead). The
 // bounded-retry loop (same taxonomy and Retry-After floors as the
 // Fetch methods) covers everything up to the response headers; once a
 // 200 arrives the body streams on the caller's context and mid-body
@@ -503,21 +501,4 @@ func (c *Client) OpenChunk(ctx context.Context, videoID string, q, tile, idx int
 	x.attempts = attempts
 	c.met.opens.Inc()
 	return ChunkStream{Body: x, Length: x.length, Attempts: attempts}, nil
-}
-
-// Ping performs one cheap liveness probe: a single GET /v attempt, no
-// retries — probe loops bring their own pacing, and retrying inside a
-// probe would only blur the failure detector's picture. Its deadline is
-// DefaultTimeout or ctx's, whichever comes first.
-func (c *Client) Ping(ctx context.Context) error {
-	derr := c.attempt(ctx, "/v", c.openTimeout, func(x *exchange) error {
-		defer x.Close()
-		// Drain the (tiny) listing so the connection is reusable.
-		io.Copy(io.Discard, io.LimitReader(x, drainLimit))
-		return nil
-	})
-	if derr != nil {
-		return derr
-	}
-	return nil
 }

@@ -115,39 +115,6 @@ func TestOpenChunkRetriesToHeaders(t *testing.T) {
 	}
 }
 
-// TestClientPing pins the probe primitive: one attempt, nil on a live
-// server, a typed error through a dead transport, and a typed status
-// error on a non-200.
-func TestClientPing(t *testing.T) {
-	v := testVideo()
-	catalog := NewCatalog()
-	if err := catalog.Add(v); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(catalog)
-	live := NewClient("http://edge.test", WithTransport(handlerTransport{h: srv}))
-	if err := live.Ping(context.Background()); err != nil {
-		t.Fatalf("ping against a live server: %v", err)
-	}
-
-	dead := NewClient("http://edge.test", WithTransport(&flakyTransport{fails: 1 << 30}))
-	if err := dead.Ping(context.Background()); err == nil {
-		t.Fatal("ping through a dead transport returned nil")
-	}
-
-	overloaded := NewClient("http://edge.test", WithTransport(handlerTransport{
-		h: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Retry-After", "2")
-			http.Error(w, "drowning", http.StatusServiceUnavailable)
-		}),
-	}))
-	err := overloaded.Ping(context.Background())
-	var de *Error
-	if !errors.As(err, &de) || de.Kind != KindOverload {
-		t.Fatalf("shed ping classified as %v, want KindOverload", err)
-	}
-}
-
 // eofBody records whether its reader was taken to io.EOF before Close —
 // the transport's condition for returning an HTTP/1 connection to the
 // pool instead of tearing it down.
