@@ -47,7 +47,7 @@ func benchVideo() *media.Video {
 // compare on one listener each, all real loopback TCP: the least a
 // net/http exchange of a body costs — a handler that writes the bytes
 // under their Content-Length, a client that reads them into a buffer
-// the caller keeps — a warm Sperke fetch of the same bytes: mux,
+// the caller keeps — a warm Sperke fetch of the same bytes: routing,
 // catalog, resident store hit, dash.Client, segment decode and CRC —
 // and the same fetch through a wire cluster's front door, which is that
 // exchange twice (client to router, router to the edge that owns the
@@ -151,11 +151,11 @@ func BenchmarkBareExchange(b *testing.B) {
 	}
 }
 
-// TestFetchAllocsOverFloor: a warm FetchChunk allocates at most 11
+// TestFetchAllocsOverFloor: a warm FetchChunk allocates at most 8
 // objects more than the bare exchange measured beside it, and one
-// proxied through a wire cluster at least 18 fewer than two of them, so
+// proxied through a wire cluster at least 28 fewer than two of them, so
 // a Go upgrade that moves net/http's own count moves all three and the
-// margins stay Sperke's. (At go1.24: 67, 78 and 112.)
+// margins stay Sperke's. (At go1.24: 67, 75 and 102.)
 func TestFetchAllocsOverFloor(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("net/http pools its buffers, and race-mode sync.Pool drops Puts at random")
@@ -174,11 +174,11 @@ func TestFetchAllocsOverFloor(t *testing.T) {
 	}
 	floor, fetch, proxied := run("bare exchange", p.bare), run("warm fetch", p.fetch), run("proxied fetch", p.proxied)
 	t.Logf("bare exchange %.0f allocs, warm fetch %.0f, proxied fetch %.0f", floor, fetch, proxied)
-	if fetch > floor+11 {
-		t.Fatalf("a warm fetch allocates %.0f objects, %.0f over the bare exchange's %.0f; want at most 11 over", fetch, fetch-floor, floor)
+	if fetch > floor+8 {
+		t.Fatalf("a warm fetch allocates %.0f objects, %.0f over the bare exchange's %.0f; want at most 8 over", fetch, fetch-floor, floor)
 	}
-	if proxied > 2*floor-18 {
-		t.Fatalf("a proxied fetch allocates %.0f objects against two bare exchanges' %.0f; want at least 18 fewer", proxied, 2*floor)
+	if proxied > 2*floor-28 {
+		t.Fatalf("a proxied fetch allocates %.0f objects against two bare exchanges' %.0f; want at least 28 fewer", proxied, 2*floor)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestFetchWritesOverFloor(t *testing.T) {
 		name     string
 		exchange func() error
 		writes   int64
-		maxReads float64
+		maxReads int64
 		overBody int64 // bytes each exchange reads and writes past its body
 		exact    bool  // overBody is the count, not a bound
 	}{
@@ -239,11 +239,13 @@ func TestFetchWritesOverFloor(t *testing.T) {
 		// The runtime writes too, to wake its network poller when a new
 		// deadline is due before the one it sleeps to: a few times a run,
 		// a few dozen under -race. One write more per exchange is n more.
+		// Each wake-up is a read on the poller's side, so reads get the
+		// same slack.
 		if writes < tc.writes*n || writes >= tc.writes*n+n/4 {
 			t.Errorf("%s: %d writes in %d exchanges, want %d each", tc.name, writes, n, tc.writes)
 		}
-		if reads > tc.maxReads {
-			t.Errorf("%s: %.2f reads per exchange, want at most %.0f", tc.name, reads, tc.maxReads)
+		if after.syscr-before.syscr > tc.maxReads*n+n/4 {
+			t.Errorf("%s: %.2f reads per exchange, want at most %d", tc.name, reads, tc.maxReads)
 		}
 		// Each of those wake-ups moves 8 bytes each way, and the first
 		// procIO's own read, a few hundred bytes, lands in rchar.

@@ -329,9 +329,11 @@ func (c *Cluster) route(ctx context.Context, w http.ResponseWriter, key serve.Ch
 // coalescing flight when it leads one.
 func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
 	m := c.mem.Load()
-	ranked := Rank(key, m.ids)
+	var buf [rankBuf]rankedNode
+	ranked := rankInto(buf[:0], key, m.ids)
 	owners := ranked[:min(c.cfg.replication, len(ranked))]
-	for rank, id := range ranked {
+	for rank, r := range ranked {
+		id := r.id
 		edge := m.byID[id]
 		if !edge.health.allow() {
 			continue
@@ -415,11 +417,11 @@ func isShed(err error) bool {
 // the owner a walk just got the body from ("" for a pre-warm, which no
 // edge served). The health check is the non-consuming one: a warm
 // decision must not eat a half-open breaker's trial admission.
-func coldOwners(m *membership, owners []string, served string, key serve.ChunkKey) []*Node {
+func coldOwners(m *membership, owners []rankedNode, served string, key serve.ChunkKey) []*Node {
 	var targets []*Node
-	for _, id := range owners {
-		n := m.byID[id]
-		if id == served || n.Down() || !n.health.healthy() || n.store.Contains(key) {
+	for _, o := range owners {
+		n := m.byID[o.id]
+		if o.id == served || n.Down() || !n.health.healthy() || n.store.Contains(key) {
 			continue
 		}
 		targets = append(targets, n)

@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"cmp"
-	"slices"
-
-	"sperke/internal/serve"
-)
+import "sperke/internal/serve"
 
 // rendezvousScore folds one node name and one chunk key through FNV-1a
 // into the node's weight for that key. Highest-random-weight routing
@@ -60,23 +55,48 @@ func Owners(key serve.ChunkKey, nodes []string, r int) []string {
 // moves nothing else. Ties (astronomically unlikely with 64-bit
 // scores) break by name so the order stays total.
 func Rank(key serve.ChunkKey, nodes []string) []string {
-	type scored struct {
-		id string
-		s  uint64
-	}
-	ranked := make([]scored, len(nodes))
-	for i, id := range nodes {
-		ranked[i] = scored{id: id, s: rendezvousScore(id, key)}
-	}
-	slices.SortFunc(ranked, func(a, b scored) int {
-		if a.s != b.s {
-			return cmp.Compare(b.s, a.s)
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	ranked := rankInto(make([]rankedNode, 0, len(nodes)), key, nodes)
 	out := make([]string, len(ranked))
 	for i, r := range ranked {
 		out[i] = r.id
 	}
 	return out
+}
+
+// rankedNode is one node and its rendezvous score for a key.
+type rankedNode struct {
+	id    string
+	score uint64
+}
+
+// rankBuf is the node count a router ranks in a stack buffer; a larger
+// set spills to the heap.
+const rankBuf = 8
+
+// rankInto is Rank into dst's storage, which it overwrites: the router
+// ranks every request it walks, into a buffer on its stack.
+func rankInto(dst []rankedNode, key serve.ChunkKey, nodes []string) []rankedNode {
+	dst = dst[:0]
+	for _, id := range nodes {
+		dst = append(dst, rankedNode{id: id, score: rendezvousScore(id, key)})
+	}
+	sortRanked(dst)
+	return dst
+}
+
+// sortRanked puts ranked in Rank's order — higher score first, ties by
+// name — by insertion sort, the fastest sort for a cluster's few nodes.
+func sortRanked(ranked []rankedNode) {
+	for i := 1; i < len(ranked); i++ {
+		r := ranked[i]
+		j := i
+		for ; j > 0; j-- {
+			prev := ranked[j-1]
+			if prev.score > r.score || prev.score == r.score && prev.id <= r.id {
+				break
+			}
+			ranked[j] = prev
+		}
+		ranked[j] = r
+	}
 }

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sperke/internal/serve"
@@ -220,11 +222,75 @@ func rankEight() func() {
 	return func() { Rank(key, nodes) }
 }
 
-// TestRankAllocs: the scored slice and the names handed back; sorting
-// with slices.SortFunc boxes nothing on top.
+// TestRankAllocs: Rank allocates the scored slice and the names handed
+// back; rankInto into a stack buffer, as the router ranks, allocates
+// nothing.
 func TestRankAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, rankEight()); n > 2 {
 		t.Fatalf("Rank allocates %.0f objects, want at most 2", n)
+	}
+	nodes := make([]string, rankBuf)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("edge-%d", i)
+	}
+	key := serve.ChunkKey{Video: "vid", Quality: 2, Tile: 7, Index: 123}
+	if n := testing.AllocsPerRun(100, func() {
+		var buf [rankBuf]rankedNode
+		if ranked := rankInto(buf[:0], key, nodes); len(ranked) != len(nodes) {
+			t.Fatalf("rankInto ranked %d of %d nodes", len(ranked), len(nodes))
+		}
+	}); n != 0 {
+		t.Fatalf("rankInto into a stack buffer allocates %.0f objects, want 0", n)
+	}
+}
+
+// TestRankIntoIsRank: over 0 to 12 nodes — past the router's stack
+// buffer — rankInto orders them as Rank does, and both as a reference
+// sort: higher score first, ties by name. Real scores almost never tie,
+// so sortRanked is also held to the reference on scores drawn from three
+// values, where most do.
+func TestRankIntoIsRank(t *testing.T) {
+	byRank := func(a, b rankedNode) int {
+		if a.score != b.score {
+			return cmp.Compare(b.score, a.score)
+		}
+		return cmp.Compare(a.id, b.id)
+	}
+	rng := rand.New(rand.NewSource(34))
+	keys := testKeys(20)
+	for n := 0; n <= 12; n++ {
+		for trial := 0; trial < 20; trial++ {
+			pool := rng.Perm(64)
+			nodes := make([]string, n)
+			tied := make([]rankedNode, n)
+			for i := range nodes {
+				nodes[i] = fmt.Sprintf("edge-%d", pool[i])
+				tied[i] = rankedNode{id: nodes[i], score: uint64(rng.Intn(3))}
+			}
+			want := slices.Clone(tied)
+			slices.SortFunc(want, byRank)
+			if sortRanked(tied); !slices.Equal(tied, want) {
+				t.Fatalf("%d nodes: sortRanked with tied scores = %v, want %v", n, tied, want)
+			}
+
+			key := keys[trial]
+			var buf [rankBuf]rankedNode
+			ranked := rankInto(buf[:0], key, nodes)
+			ref := make([]rankedNode, n)
+			for i, id := range nodes {
+				ref[i] = rankedNode{id: id, score: rendezvousScore(id, key)}
+			}
+			slices.SortFunc(ref, byRank)
+			rank := Rank(key, nodes)
+			if !slices.Equal(ranked, ref) || len(rank) != n {
+				t.Fatalf("%d nodes, key %v: rankInto = %v, want %v", n, key, ranked, ref)
+			}
+			for i, r := range ranked {
+				if rank[i] != r.id {
+					t.Fatalf("%d nodes, key %v: Rank = %v, rankInto = %v", n, key, rank, ranked)
+				}
+			}
+		}
 	}
 }
 

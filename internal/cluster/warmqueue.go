@@ -175,7 +175,9 @@ func (c *Cluster) runWarmJob(j warmJob) {
 func (c *Cluster) runPrewarm(key serve.ChunkKey) {
 	defer c.clearPending(key)
 	m := c.mem.Load()
-	targets := coldOwners(m, Owners(key, m.ids, c.cfg.replication), "", key)
+	var buf [rankBuf]rankedNode
+	ranked := rankInto(buf[:0], key, m.ids)
+	targets := coldOwners(m, ranked[:min(c.cfg.replication, len(ranked))], "", key)
 	if len(targets) == 0 {
 		return
 	}

@@ -96,7 +96,7 @@ func TestVideoIDsTravelEscaped(t *testing.T) {
 }
 
 // FuzzChunkPathRoundTrip: any (id, q, tile, idx, layer) through
-// ChunkPath, a real listener and the server's mux comes back as the
+// ChunkPath, a real listener and the server's dispatch comes back as the
 // chunk at exactly that address, or as a clean 4xx — never as another
 // chunk (the catalog also holds "demo", which a path that let the ID
 // leak into the URL's structure could reach), never as a panic, a 5xx or

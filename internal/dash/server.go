@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -38,8 +39,8 @@ func NewCatalog() *Catalog {
 
 // Add registers a video. It returns an error for invalid videos,
 // duplicate IDs, and IDs no client could fetch under: "." and "..",
-// which URL path cleaning removes however they are escaped, and IDs
-// longer than a segment header can carry.
+// which url.PathEscape leaves bare and dispatch refuses as dot
+// segments, and IDs longer than a segment header can carry.
 func (c *Catalog) Add(v *media.Video) error {
 	if err := v.Validate(); err != nil {
 		return err
@@ -157,7 +158,6 @@ type Server struct {
 	// store serves chunk bodies from a cache; nil synthesizes each
 	// request's body straight into its response.
 	store ChunkSource
-	mux   *http.ServeMux
 	// met holds the dash.server.* instruments: request counts, response
 	// bytes, error counts and a per-request latency histogram. Without a
 	// registry its fields are nil and no-op.
@@ -216,7 +216,9 @@ type serverMetrics struct {
 // countingWriter captures status and body bytes for metrics. A handler
 // that returns early because the client went away marks the writer
 // aborted instead of writing a status — otherwise the default 200
-// would count a request nobody received as a success.
+// would count a request nobody received as a success. ServeHTTP takes
+// one from countingWriters and puts it back zeroed when it returns, which
+// is safe because net/http forbids using a ResponseWriter after then.
 type countingWriter struct {
 	http.ResponseWriter
 	status  int
@@ -260,6 +262,8 @@ func (w *countingWriter) ReadFrom(src io.Reader) (n int64, err error) {
 	return n, err
 }
 
+var countingWriters = sync.Pool{New: func() any { return new(countingWriter) }}
+
 // markAborted records a client-side abort on w when it is a metrics
 // wrapper; on a bare ResponseWriter there is nothing to record.
 func markAborted(w http.ResponseWriter) {
@@ -271,33 +275,94 @@ func markAborted(w http.ResponseWriter) {
 // NewServer builds a server over a catalog. Options (WithLogger,
 // WithObs, WithStore) configure the optional hooks.
 func NewServer(catalog *Catalog, opts ...ServerOption) *Server {
-	s := &Server{catalog: catalog, log: slog.Default(), mux: http.NewServeMux()}
-	s.mux.HandleFunc("GET /v", s.handleList)
-	s.mux.HandleFunc("GET /v/{video}/manifest.mpd", s.handleMPD)
-	s.mux.HandleFunc("GET /v/{video}/c/{quality}/{tile}/{index}", s.handleChunk)
+	s := &Server{catalog: catalog, log: slog.Default()}
 	for _, opt := range opts {
 		opt(s)
 	}
 	return s
 }
 
-// handleList returns the catalog's video IDs, one per line.
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, id := range s.catalog.IDs() {
-		fmt.Fprintln(w, id)
+// routeKind names what dispatch makes of a request.
+type routeKind uint8
+
+const (
+	routeNotFound routeKind = iota
+	routeNotAllowed
+	routeList
+	routeMPD
+	routeChunk
+)
+
+// route is a dispatched request: its kind and, for a manifest or a
+// chunk, the path's fields decoded. The chunk handler parses quality,
+// tile and index itself, after it has looked the video up.
+type route struct {
+	kind                        routeKind
+	video, quality, tile, index string
+}
+
+// dispatch routes a request by its method and escaped path onto one of
+//
+//	/v
+//	/v/{video}/manifest.mpd
+//	/v/{video}/c/{quality}/{tile}/{index}
+//
+// Each segment is unescaped on its own (url.PathUnescape, kept as sent
+// if it does not parse), the literals too, so an escaped slash is part
+// of a video ID and not a separator. A path that is none of the three is
+// routeNotFound, and so is one that is not clean: an empty, "." or ".."
+// segment. A GET or a HEAD gets its route; any other method on a route
+// gets routeNotAllowed.
+func dispatch(method, path string) route {
+	var seg [6]string
+	n := 0
+	for rest := path; rest != ""; n++ {
+		if rest[0] != '/' || n == len(seg) {
+			return route{}
+		}
+		s := rest[1:]
+		if i := strings.IndexByte(s, '/'); i >= 0 {
+			s, rest = s[:i], s[i:]
+		} else {
+			rest = ""
+		}
+		if s == "" || s == "." || s == ".." {
+			return route{}
+		}
+		if u, err := url.PathUnescape(s); err == nil {
+			s = u
+		}
+		seg[n] = s
 	}
+	var rt route
+	switch {
+	case n == 0 || seg[0] != "v":
+		return route{}
+	case n == 1:
+		rt.kind = routeList
+	case n == 3 && seg[2] == "manifest.mpd":
+		rt = route{kind: routeMPD, video: seg[1]}
+	case n == 6 && seg[2] == "c":
+		rt = route{kind: routeChunk, video: seg[1], quality: seg[3], tile: seg[4], index: seg[5]}
+	default:
+		return route{}
+	}
+	if method != http.MethodGet && method != http.MethodHead {
+		return route{kind: routeNotAllowed}
+	}
+	return rt
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.met.wall == nil {
-		s.mux.ServeHTTP(w, r)
+		s.serve(w, r)
 		return
 	}
 	start := s.met.wall.Now()
-	cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
-	s.mux.ServeHTTP(cw, r)
+	cw := countingWriters.Get().(*countingWriter)
+	*cw = countingWriter{ResponseWriter: w, status: http.StatusOK}
+	s.serve(cw, r)
 	s.met.requests.Inc()
 	s.met.bytesTx.Add(cw.bytes)
 	switch {
@@ -308,12 +373,40 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case cw.status >= 400:
 		s.met.errors.Inc()
 	}
+	*cw = countingWriter{}
+	countingWriters.Put(cw)
 	s.met.requestMS.Observe(float64(s.met.wall.Now()-start) / float64(time.Millisecond))
 }
 
-func (s *Server) handleMPD(w http.ResponseWriter, r *http.Request) {
+// serve answers r with the handler dispatch picks for it.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
+	rt := dispatch(r.Method, r.URL.EscapedPath())
+	switch rt.kind {
+	case routeList:
+		s.handleList(w)
+	case routeMPD:
+		s.handleMPD(w, r, rt.video)
+	case routeChunk:
+		s.handleChunk(w, r, rt)
+	case routeNotAllowed:
+		w.Header().Set("Allow", "GET, HEAD")
+		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+	default:
+		http.NotFound(w, r)
+	}
+}
+
+// handleList returns the catalog's video IDs, one per line.
+func (s *Server) handleList(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	for _, id := range s.catalog.IDs() {
+		fmt.Fprintln(w, id)
+	}
+}
+
+func (s *Server) handleMPD(w http.ResponseWriter, r *http.Request, video string) {
 	s.met.mpd.Inc()
-	v, ok := s.catalog.Get(r.PathValue("video"))
+	v, ok := s.catalog.Get(video)
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -342,16 +435,16 @@ var octetStream = []string{"application/octet-stream"}
 // chunk's bytes, without allocating.
 func SetOctetStream(h http.Header) { h["Content-Type"] = octetStream }
 
-func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request, rt route) {
 	s.met.chunks.Inc()
-	v, ok := s.catalog.Get(r.PathValue("video"))
+	v, ok := s.catalog.Get(rt.video)
 	if !ok {
 		http.NotFound(w, r)
 		return
 	}
-	q, err1 := strconv.Atoi(r.PathValue("quality"))
-	tile, err2 := strconv.Atoi(r.PathValue("tile"))
-	idx, err3 := strconv.Atoi(r.PathValue("index"))
+	q, err1 := strconv.Atoi(rt.quality)
+	tile, err2 := strconv.Atoi(rt.tile)
+	idx, err3 := strconv.Atoi(rt.index)
 	if err1 != nil || err2 != nil || err3 != nil {
 		http.Error(w, "dash: bad chunk address", http.StatusBadRequest)
 		return
@@ -381,8 +474,8 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.store == nil || r.Method == http.MethodHead {
 		// Content-Length comes from the size model. It is all a HEAD
-		// gets — the mux matches one to the GET pattern, and net/http
-		// discards what its handler writes, so nothing is synthesized,
+		// gets — dispatch routes one as a GET, and net/http discards
+		// what its handler writes, so nothing is synthesized,
 		// missed into the store or fetched over an edge hop for it.
 		SetOctetStream(w.Header())
 		w.Header().Set("Content-Length", strconv.Itoa(media.SegmentLen(h.VideoID, int(size))))
@@ -553,7 +646,7 @@ func BuildChunkBody(v *media.Video, q, tile, idx int, layer bool) ([]byte, error
 // ChunkPath renders the URL path of a chunk as it goes on the wire. The
 // ID travels as one escaped path segment — a slash, percent, question
 // mark or hash in it is part of the name, not of the URL — which the
-// server's mux turns back into the ID; no space, CR or LF survives the
+// server's dispatch turns back into the ID; no space, CR or LF survives the
 // escaping, so the path can go into a request line as it is.
 func ChunkPath(videoID string, q, tile, idx int, layer bool) string {
 	b := make([]byte, 0, 96)
