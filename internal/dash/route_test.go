@@ -36,12 +36,12 @@ func (w *hangupWriter) Write(p []byte) (int, error) {
 
 // TestServerCountsEveryRoute pins each dash.server.* counter per route:
 // for one request of every kind a dash.Server answers, the exact delta
-// of requests, chunk_requests, mpd_requests, errors, canceled and
-// bytes_tx. It also checks the two laws the counters keep:
-// chunk_requests + mpd_requests ≤ requests, and canceled ≤
-// chunk_requests. requests = chunk_requests + mpd_requests + errors is
-// not one of them: a chunk 404 counts on both of its right-hand terms,
-// and a list request on none.
+// of requests, chunk_requests, mpd_requests, errors, canceled, bytes_tx,
+// list_requests and unrouted. It also checks the two laws the counters
+// keep: requests = list_requests + mpd_requests + chunk_requests +
+// unrouted, and canceled ≤ chunk_requests. requests = chunk_requests +
+// mpd_requests + errors is not one of them: a chunk 404 counts on both
+// of its right-hand terms, and a list request on none.
 func TestServerCountsEveryRoute(t *testing.T) {
 	cat := NewCatalog()
 	v := testVideo()
@@ -66,7 +66,7 @@ func TestServerCountsEveryRoute(t *testing.T) {
 	const hangupAt = 1000
 	notFound := int64(len("404 page not found\n"))
 
-	type counts struct{ requests, chunks, mpds, errors, canceled, bytesTx int64 }
+	type counts struct{ requests, chunks, mpds, errors, canceled, bytesTx, lists, unrouted int64 }
 	read := func() counts {
 		return counts{
 			reg.Counter("dash.server.requests").Value(),
@@ -75,6 +75,8 @@ func TestServerCountsEveryRoute(t *testing.T) {
 			reg.Counter("dash.server.errors").Value(),
 			reg.Counter("dash.server.canceled").Value(),
 			reg.Counter("dash.server.bytes_tx").Value(),
+			reg.Counter("dash.server.list_requests").Value(),
+			reg.Counter("dash.server.unrouted").Value(),
 		}
 	}
 	for _, tc := range []struct {
@@ -83,17 +85,17 @@ func TestServerCountsEveryRoute(t *testing.T) {
 		status             int  // 0: not checked (the viewer left)
 		want               counts
 	}{
-		{"chunk", "GET", "/v/demo/c/2/5/3", false, 200, counts{1, 1, 0, 0, 0, int64(chunkLen)}},
-		{"chunk HEAD", "HEAD", "/v/demo/c/2/5/3", false, 200, counts{1, 1, 0, 0, 0, 0}},
-		{"unknown video", "GET", "/v/nope/c/2/5/3", false, 404, counts{1, 1, 0, 1, 0, notFound}},
-		{"bad address", "GET", "/v/demo/c/two/5/3", false, 400, counts{1, 1, 0, 1, 0, int64(len("dash: bad chunk address\n"))}},
-		{"out of range", "GET", "/v/demo/c/99/5/3", false, 404, counts{1, 1, 0, 1, 0, int64(len("dash: chunk out of range\n"))}},
-		{"layer on AVC", "GET", "/v/avc/c/2/5/3?layer=1", false, 400, counts{1, 1, 0, 1, 0, int64(len("dash: video is not SVC encoded\n"))}},
-		{"MPD", "GET", "/v/demo/manifest.mpd", false, 200, counts{1, 0, 1, 0, 0, int64(len(mpd))}},
-		{"list", "GET", "/v", false, 200, counts{1, 0, 0, 0, 0, int64(len("avc\ndemo\n"))}},
-		{"unknown path", "GET", "/x", false, 404, counts{1, 0, 0, 1, 0, notFound}},
-		{"DELETE on a chunk", "DELETE", "/v/demo/c/2/5/3", false, 405, counts{1, 0, 0, 1, 0, int64(len("Method Not Allowed\n"))}},
-		{"hang-up mid-body", "GET", "/v/demo/c/2/5/3", true, 0, counts{1, 1, 0, 0, 1, hangupAt}},
+		{"chunk", "GET", "/v/demo/c/2/5/3", false, 200, counts{1, 1, 0, 0, 0, int64(chunkLen), 0, 0}},
+		{"chunk HEAD", "HEAD", "/v/demo/c/2/5/3", false, 200, counts{1, 1, 0, 0, 0, 0, 0, 0}},
+		{"unknown video", "GET", "/v/nope/c/2/5/3", false, 404, counts{1, 1, 0, 1, 0, notFound, 0, 0}},
+		{"bad address", "GET", "/v/demo/c/two/5/3", false, 400, counts{1, 1, 0, 1, 0, int64(len("dash: bad chunk address\n")), 0, 0}},
+		{"out of range", "GET", "/v/demo/c/99/5/3", false, 404, counts{1, 1, 0, 1, 0, int64(len("dash: chunk out of range\n")), 0, 0}},
+		{"layer on AVC", "GET", "/v/avc/c/2/5/3?layer=1", false, 400, counts{1, 1, 0, 1, 0, int64(len("dash: video is not SVC encoded\n")), 0, 0}},
+		{"MPD", "GET", "/v/demo/manifest.mpd", false, 200, counts{1, 0, 1, 0, 0, int64(len(mpd)), 0, 0}},
+		{"list", "GET", "/v", false, 200, counts{1, 0, 0, 0, 0, int64(len("avc\ndemo\n")), 1, 0}},
+		{"unknown path", "GET", "/x", false, 404, counts{1, 0, 0, 1, 0, notFound, 0, 1}},
+		{"DELETE on a chunk", "DELETE", "/v/demo/c/2/5/3", false, 405, counts{1, 0, 0, 1, 0, int64(len("Method Not Allowed\n")), 0, 1}},
+		{"hang-up mid-body", "GET", "/v/demo/c/2/5/3", true, 0, counts{1, 1, 0, 0, 1, hangupAt, 0, 0}},
 	} {
 		before := read()
 		req := httptest.NewRequest(tc.method, tc.path, nil)
@@ -113,12 +115,14 @@ func TestServerCountsEveryRoute(t *testing.T) {
 		got := counts{
 			after.requests - before.requests, after.chunks - before.chunks, after.mpds - before.mpds,
 			after.errors - before.errors, after.canceled - before.canceled, after.bytesTx - before.bytesTx,
+			after.lists - before.lists, after.unrouted - before.unrouted,
 		}
 		if got != tc.want {
 			t.Errorf("%s: deltas %+v, want %+v", tc.name, got, tc.want)
 		}
-		if after.chunks+after.mpds > after.requests {
-			t.Errorf("after %s: chunk_requests %d + mpd_requests %d > requests %d", tc.name, after.chunks, after.mpds, after.requests)
+		if sum := after.lists + after.mpds + after.chunks + after.unrouted; sum != after.requests {
+			t.Errorf("after %s: list_requests %d + mpd_requests %d + chunk_requests %d + unrouted %d = %d, requests %d",
+				tc.name, after.lists, after.mpds, after.chunks, after.unrouted, sum, after.requests)
 		}
 		if after.canceled > after.chunks {
 			t.Errorf("after %s: canceled %d > chunk_requests %d", tc.name, after.canceled, after.chunks)

@@ -181,8 +181,10 @@ func WithObs(r *obs.Registry) ServerOption {
 	return func(s *Server) {
 		s.met = serverMetrics{
 			requests:  r.Counter("dash.server.requests"),
+			list:      r.Counter("dash.server.list_requests"),
 			mpd:       r.Counter("dash.server.mpd_requests"),
 			chunks:    r.Counter("dash.server.chunk_requests"),
+			unrouted:  r.Counter("dash.server.unrouted"),
 			errors:    r.Counter("dash.server.errors"),
 			canceled:  r.Counter("dash.server.canceled"),
 			bytesTx:   r.Counter("dash.server.bytes_tx"),
@@ -202,10 +204,14 @@ func WithStore(src ChunkSource) ServerOption {
 }
 
 // serverMetrics caches the server's instruments; nil fields no-op.
+// Every request counts on exactly one of list, mpd, chunks and unrouted
+// (dispatch's 404 and 405), so they sum to requests.
 type serverMetrics struct {
 	requests  *obs.Counter
+	list      *obs.Counter
 	mpd       *obs.Counter
 	chunks    *obs.Counter
+	unrouted  *obs.Counter
 	errors    *obs.Counter
 	canceled  *obs.Counter
 	bytesTx   *obs.Counter
@@ -389,15 +395,18 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	case routeChunk:
 		s.handleChunk(w, r, rt)
 	case routeNotAllowed:
+		s.met.unrouted.Inc()
 		w.Header().Set("Allow", "GET, HEAD")
 		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
 	default:
+		s.met.unrouted.Inc()
 		http.NotFound(w, r)
 	}
 }
 
 // handleList returns the catalog's video IDs, one per line.
 func (s *Server) handleList(w http.ResponseWriter) {
+	s.met.list.Inc()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	for _, id := range s.catalog.IDs() {
 		fmt.Fprintln(w, id)

@@ -262,7 +262,8 @@ func TestServerInstrumentsExistAtConstruction(t *testing.T) {
 	NewServer(NewCatalog(), WithObs(reg))
 	wantCounters := map[string]int64{
 		"dash.server.bytes_tx": 0, "dash.server.canceled": 0, "dash.server.chunk_requests": 0,
-		"dash.server.errors": 0, "dash.server.mpd_requests": 0, "dash.server.requests": 0,
+		"dash.server.errors": 0, "dash.server.list_requests": 0, "dash.server.mpd_requests": 0,
+		"dash.server.requests": 0, "dash.server.unrouted": 0,
 	}
 	snap := reg.Snapshot()
 	if !reflect.DeepEqual(snap.Counters, wantCounters) {

@@ -324,8 +324,11 @@ func SyntheticPayload(seed uint64, n int) []byte {
 // which payload_test.go holds it to:
 //
 //   - deterministic: the stream is a pure function of (seed, word
-//     index), so no word waits on the one before it (fill overlaps four)
-//     and any offset can be reached by arithmetic on x;
+//     index), so no word waits on the one before it and any offset can
+//     be reached by arithmetic on x. On amd64 with AVX-512, fill hands
+//     all but the last len(p)%256 bytes to fillVector, which computes
+//     eight words per instruction in the lanes of a ZMM register, four
+//     registers at a time; fillLoop, the Go reference, does the rest;
 //   - prefix-stable: consecutive fill calls emit consecutive bytes, so
 //     a payload can be produced whole or block by block. Every fill
 //     length but the last must be a multiple of 8 — there is no
@@ -354,7 +357,29 @@ func newSynthStream(seed uint64) synthStream {
 
 // fill writes the next len(p) bytes of the stream into p.
 func (s *synthStream) fill(p []byte) {
-	x, g := s.x, synthGamma // g: a variable's multiples may wrap, a constant's may not
+	if vectorFill {
+		s.x = fillKernel(s.x, p)
+	} else {
+		s.x = fillLoop(s.x, p)
+	}
+}
+
+// fillKernel is fillLoop with the first len(p)&^255 bytes written by
+// fillVector.
+func fillKernel(x uint64, p []byte) uint64 {
+	if n := len(p) &^ 255; n > 0 {
+		fillVector(x, &p[0], n)
+		x += uint64(n/8) * synthGamma
+		p = p[n:]
+	}
+	return fillLoop(x, p)
+}
+
+// fillLoop writes the len(p) bytes after counter x into p and returns
+// the counter after them. It is the generator's reference, and the only
+// form under -race, off amd64 and on CPUs without AVX-512.
+func fillLoop(x uint64, p []byte) uint64 {
+	g := synthGamma // a variable's multiples may wrap, a constant's may not
 	for ; len(p) >= 32; p = p[32:] {
 		a, b, c := x+g, x+2*g, x+3*g
 		x += 4 * g
@@ -374,5 +399,5 @@ func (s *synthStream) fill(p []byte) {
 			p[j] = byte(v >> (8 * j))
 		}
 	}
-	s.x = x
+	return x
 }

@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // TestSizedBufferPoolMintsAtMinCap: a pool's miss path hands out a
 // block already at its size, and a recycled block comes back empty at
@@ -40,11 +43,12 @@ func TestBufferPoolDropsOversized(t *testing.T) {
 // [MinBlockLen, MaxBlockLen] — an unknown, tiny or absurd length
 // included.
 func TestBlockClassBound(t *testing.T) {
-	lens := []int{-1 << 62, -1, 0, 1, 4 << 10}
+	const absurd = 1 << (strconv.IntSize - 2) // 1<<62 on 64-bit
+	lens := []int{-absurd, -1, 0, 1, 4 << 10}
 	for c := MinBlockLen; c <= MaxBlockLen; c <<= 1 {
 		lens = append(lens, c-1, c, c+1, c+c/2)
 	}
-	lens = append(lens, 300_000, 64<<20, 1<<62)
+	lens = append(lens, 300_000, 64<<20, absurd)
 	for _, n := range lens {
 		pool := Blocks.For(n)
 		b := pool.Get()

@@ -220,7 +220,7 @@ func (p *Population) Sessions(rng *rand.Rand, attention *Attention, dur time.Dur
 	out := make([]*HeadTrace, len(p.Users))
 	for i, u := range p.Users {
 		// Derive a per-user RNG so adding users doesn't shift others.
-		userRNG := rand.New(rand.NewSource(rng.Int63() ^ int64(i*2654435761)))
+		userRNG := rand.New(rand.NewSource(rng.Int63() ^ int64(i)*2654435761))
 		out[i] = Generate(userRNG, u, attention, dur)
 	}
 	return out
