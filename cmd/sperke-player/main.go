@@ -144,7 +144,6 @@ func run() error {
 	var reg *obs.Registry
 	if *metricsJSON != "" {
 		reg = obs.NewRegistry()
-		cfg.Obs = reg
 	}
 	if *timeline {
 		cfg.Observer = func(e core.Event) {
@@ -155,7 +154,7 @@ func run() error {
 			}
 		}
 	}
-	session, err := core.NewSession(clock, cfg, head, sched)
+	session, err := core.NewSession(clock, cfg, head, sched, core.WithObs(reg))
 	if err != nil {
 		return err
 	}

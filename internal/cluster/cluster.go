@@ -343,7 +343,7 @@ func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.Chu
 		st, body, err := edge.open(ctx, key)
 		if err == nil {
 			targets = coldOwners(m, owners, id, key)
-			if st.Body == nil {
+			if st.body == nil {
 				// An in-process edge answered with its store's own body.
 				n, err = deliver(w, body)
 			} else {

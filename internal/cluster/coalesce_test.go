@@ -466,7 +466,7 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 		if held {
 			edge = bytes.Clone(body)
 		}
-		st := dash.ChunkStream{Body: io.NopCloser(bytes.NewReader(body)), Length: declared}
+		st := chunkStream{body: io.NopCloser(bytes.NewReader(body)), length: declared}
 		want, ok := body, declared < 0 || declared == int64(len(body))
 		var pool *hopTransport
 		if hop {
@@ -557,7 +557,7 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 // hopStream opens a hop exchange to ln, which answers its one GET with a
 // 200 declaring length — no length, and Connection: close, when it is
 // negative — and body, then closes. served is closed once it has.
-func hopStream(t *testing.T, ln net.Listener, length int64, body []byte) (*hopTransport, dash.ChunkStream, <-chan struct{}) {
+func hopStream(t *testing.T, ln net.Listener, length int64, body []byte) (*hopTransport, chunkStream, <-chan struct{}) {
 	t.Helper()
 	head := "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n"
 	if length >= 0 {

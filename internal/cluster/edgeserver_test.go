@@ -172,8 +172,8 @@ func TestEdgeHangupMidMissFinishesTheMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(st.Body)
-	st.Body.Close()
+	body, err := io.ReadAll(st.body)
+	st.body.Close()
 	if err != nil || !bytes.Equal(body, originBody(key)) {
 		t.Fatalf("GET after the hang-up: %q, %v", body, err)
 	}

@@ -75,6 +75,15 @@ func newHopTransport(nw network, addr string, maxIdle int) *hopTransport {
 	return &hopTransport{net: nw, addr: addr, maxIdle: maxIdle}
 }
 
+// chunkStream is one chunk the hop opened on a wire edge: the live
+// response body, which its consumer (the relay, or a probe) must close,
+// and the Content-Length the edge declared, -1 for none. The zero value
+// is the in-process edge's answer, which has no body to stream.
+type chunkStream struct {
+	body   io.ReadCloser
+	length int64
+}
+
 // get sends GET path — dash.ChunkPath's, or another path already
 // escaped, so it holds no space, CR or LF — and reads the response head.
 // A 200 comes back as a stream whose body holds the connection until it
@@ -82,7 +91,7 @@ func newHopTransport(nw network, addr string, maxIdle int) *hopTransport {
 // dash.StatusError classifies it, and a dial or exchange that failed as
 // KindCanceled once ctx is done, KindTransient otherwise; a read of the
 // body that fails comes back the same way.
-func (t *hopTransport) get(ctx context.Context, path string) (dash.ChunkStream, error) {
+func (t *hopTransport) get(ctx context.Context, path string) (chunkStream, error) {
 	deadline := wallDeadline(dash.DefaultTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -92,19 +101,19 @@ func (t *hopTransport) get(ctx context.Context, path string) (dash.ChunkStream, 
 	var err error
 	if !reused {
 		if pc, err = t.dial(ctx, deadline); err != nil {
-			return dash.ChunkStream{}, hopError(ctx, path, err)
+			return chunkStream{}, hopError(ctx, path, err)
 		}
 	}
 	resp, stale, err := t.exchange(ctx, pc, path, deadline)
 	if stale && reused && ctx.Err() == nil {
 		t.drop(false)
 		if pc, err = t.dial(ctx, deadline); err != nil {
-			return dash.ChunkStream{}, hopError(ctx, path, err)
+			return chunkStream{}, hopError(ctx, path, err)
 		}
 		resp, _, err = t.exchange(ctx, pc, path, deadline)
 	}
 	if err != nil {
-		return dash.ChunkStream{}, hopError(ctx, path, err)
+		return chunkStream{}, hopError(ctx, path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		// wallDeadline(0) is now, against which an HTTP-date Retry-After
@@ -112,9 +121,9 @@ func (t *hopTransport) get(ctx context.Context, path string) (dash.ChunkStream, 
 		derr := dash.StatusError(path, resp, wallDeadline(0))
 		derr.Attempts = 1
 		resp.Body.Close()
-		return dash.ChunkStream{}, derr
+		return chunkStream{}, derr
 	}
-	return dash.ChunkStream{Body: resp.Body, Length: resp.ContentLength, Attempts: 1}, nil
+	return chunkStream{body: resp.Body, length: resp.ContentLength}, nil
 }
 
 func (t *hopTransport) dial(ctx context.Context, deadline time.Time) (*hopConn, error) {

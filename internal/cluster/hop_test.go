@@ -86,7 +86,7 @@ func TestHopStaleConnectionRedialsOnce(t *testing.T) {
 			// Eight exchanges open at once, then all read to the end: eight idle
 			// connections.
 			ctx := context.Background()
-			var streams []dash.ChunkStream
+			var streams []chunkStream
 			for _, key := range owned {
 				st, _, err := edge.open(ctx, key)
 				if err != nil {
@@ -95,10 +95,10 @@ func TestHopStaleConnectionRedialsOnce(t *testing.T) {
 				streams = append(streams, st)
 			}
 			for _, st := range streams {
-				if _, err := io.Copy(io.Discard, st.Body); err != nil {
+				if _, err := io.Copy(io.Discard, st.body); err != nil {
 					t.Fatal(err)
 				}
-				st.Body.Close()
+				st.body.Close()
 			}
 			if got := edge.hop.idleLen(); got != len(owned) {
 				t.Fatalf("pool holds %d idle connections, want %d", got, len(owned))
@@ -221,7 +221,7 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 	}
 	srv.Start()
 	hop := newHopTransport(tcpNetwork{}, srv.Listener.Addr().String(), 8)
-	get := func(ctx context.Context, path string) dash.ChunkStream {
+	get := func(ctx context.Context, path string) chunkStream {
 		t.Helper()
 		st, err := hop.get(ctx, path)
 		if err != nil {
@@ -229,10 +229,10 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 		}
 		return st
 	}
-	readAll := func(st dash.ChunkStream) {
+	readAll := func(st chunkStream) {
 		t.Helper()
-		defer st.Body.Close()
-		if got, err := io.ReadAll(st.Body); err != nil || len(got) != len(body) {
+		defer st.body.Close()
+		if got, err := io.ReadAll(st.body); err != nil || len(got) != len(body) {
 			t.Fatalf("read %d bytes, err %v; want %d", len(got), err, len(body))
 		}
 	}
@@ -241,8 +241,8 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 
 	// A viewer hang-up: the body closed before its end.
 	st := get(ctx, "/")
-	io.ReadFull(st.Body, make([]byte, 1<<10))
-	st.Body.Close()
+	io.ReadFull(st.body, make([]byte, 1<<10))
+	st.body.Close()
 	if got := hop.idleLen(); got != 0 {
 		t.Fatalf("a body closed before its end left %d idle connections, want 0", got)
 	}
@@ -250,16 +250,16 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 	// A cancel while a read waits on bytes the edge is not sending.
 	cctx, cancel := context.WithCancel(ctx)
 	st = get(cctx, "/stall")
-	if _, err := io.ReadFull(st.Body, make([]byte, len(body)/2)); err != nil {
+	if _, err := io.ReadFull(st.body, make([]byte, len(body)/2)); err != nil {
 		t.Fatal(err)
 	}
 	time.AfterFunc(10*time.Millisecond, cancel)
-	_, err := st.Body.Read(make([]byte, 1))
+	_, err := st.body.Read(make([]byte, 1))
 	var de *dash.Error
 	if !errors.As(err, &de) || de.Kind != dash.KindCanceled || !errors.Is(err, context.Canceled) {
 		t.Fatalf("blocked read after cancel: err %v, want a KindCanceled *dash.Error wrapping context.Canceled", err)
 	}
-	st.Body.Close()
+	st.body.Close()
 	if got := hop.idleLen(); got != 0 {
 		t.Fatalf("a canceled exchange left %d idle connections, want 0", got)
 	}
@@ -270,8 +270,8 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 	cctx, cancel = context.WithCancel(ctx)
 	st = get(cctx, "/small")
 	cancel()
-	io.Copy(io.Discard, st.Body)
-	st.Body.Close()
+	io.Copy(io.Discard, st.body)
+	st.body.Close()
 	if got := hop.idleLen(); got != 0 {
 		t.Fatalf("an exchange canceled before its end left %d idle connections, want 0", got)
 	}
@@ -292,8 +292,8 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 		if i%2 == 0 {
 			go cancel()
 		}
-		io.Copy(io.Discard, st.Body)
-		st.Body.Close()
+		io.Copy(io.Discard, st.body)
+		st.body.Close()
 		cancel()
 		readAll(get(ctx, "/"))
 	}
@@ -337,8 +337,8 @@ func TestHopRequestLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(st.Body)
-	st.Body.Close()
+	body, err := io.ReadAll(st.body)
+	st.body.Close()
 	if err != nil || string(body) != "ok" {
 		t.Fatalf("body %q, err %v; want \"ok\"", body, err)
 	}
@@ -407,14 +407,14 @@ func FuzzHopExchange(f *testing.F) {
 				t.Fatalf("exchange failed with %T %v, want a *dash.Error", err, err)
 			}
 		} else {
-			body, err := io.ReadAll(st.Body)
-			st.Body.Close()
+			body, err := io.ReadAll(st.body)
+			st.body.Close()
 			var de *dash.Error
 			switch {
 			case err != nil && (!errors.As(err, &de) || de.Kind != dash.KindTransient):
 				t.Fatalf("body read failed with %v, want a transient *dash.Error", err)
-			case err == nil && st.Length >= 0 && int64(len(body)) != st.Length:
-				t.Fatalf("body yielded %d bytes under a declared %d", len(body), st.Length)
+			case err == nil && st.length >= 0 && int64(len(body)) != st.length:
+				t.Fatalf("body yielded %d bytes under a declared %d", len(body), st.length)
 			}
 			status200 = err == nil
 		}

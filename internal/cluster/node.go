@@ -243,8 +243,8 @@ func (n *Node) Ping(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	io.Copy(io.Discard, io.LimitReader(st.Body, probeDrainLimit))
-	return st.Body.Close()
+	io.Copy(io.Discard, io.LimitReader(st.body, probeDrainLimit))
+	return st.body.Close()
 }
 
 // open asks the edge for the chunk and returns the edge's own sealed
@@ -259,11 +259,11 @@ func (n *Node) Ping(ctx context.Context) error {
 // store. The in-process edge — no listener; the only form that runs
 // without a catalog, and what the deterministic failover experiment is
 // built on — answers with its store's sealed body alone and a zero
-// ChunkStream.
-func (n *Node) open(ctx context.Context, key serve.ChunkKey) (dash.ChunkStream, []byte, error) {
+// chunkStream.
+func (n *Node) open(ctx context.Context, key serve.ChunkKey) (chunkStream, []byte, error) {
 	if n.hop == nil {
 		body, err := n.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		return dash.ChunkStream{}, body, err
+		return chunkStream{}, body, err
 	}
 	st, err := n.hop.get(ctx, dash.ChunkPath(key.Video, key.Quality, key.Tile, key.Index, key.Layer))
 	if err != nil {

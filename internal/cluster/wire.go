@@ -80,34 +80,34 @@ func viewerGone(err error) error {
 // no segment can have, refused before any block is sized by it. A failed
 // write is the viewer's (viewerGone). It reports the bytes forwarded and
 // the needed body, if any.
-func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, edge []byte, replicate bool, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
-	defer st.Body.Close()
-	if st.Length > maxBodyLen {
+func (c *Cluster) relay(w http.ResponseWriter, st chunkStream, edge []byte, replicate bool, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
+	defer st.body.Close()
+	if st.length > maxBodyLen {
 		// Believing it would size a block by a number off the wire.
 		return 0, nil, &dash.Error{
 			Op: key.String(), Kind: dash.KindTransient,
-			Err: fmt.Errorf("cluster: edge declared a %d-byte body, longer than any segment", st.Length),
+			Err: fmt.Errorf("cluster: edge declared a %d-byte body, longer than any segment", st.length),
 		}
 	}
-	if int64(len(edge)) != st.Length {
+	if int64(len(edge)) != st.length {
 		edge = nil
 	}
 	need := w == nil || replicate || (fl != nil && !c.coal.tryNoTee(fl))
 	keep := need && edge == nil
 	if w != nil {
-		declare(w, st.Length)
+		declare(w, st.length)
 	}
 	var n int64
 	var kept []byte
 	var err error
-	hop, _ := st.Body.(*hopBody)
-	if rf, ok := w.(io.ReaderFrom); ok && hop != nil && hop.socket() && !keep && st.Length >= 0 {
-		n, err = hop.handOver(w, rf, st.Length)
+	hop, _ := st.body.(*hopBody)
+	if rf, ok := w.(io.ReaderFrom); ok && hop != nil && hop.socket() && !keep && st.length >= 0 {
+		n, err = hop.handOver(w, rf, st.length)
 	} else {
 		n, kept, err = pump(w, st, keep, key)
 	}
-	if err == nil && st.Length >= 0 && n != st.Length {
-		err = lengthMismatch(key, n, st.Length)
+	if err == nil && st.length >= 0 && n != st.length {
+		err = lengthMismatch(key, n, st.length)
 	}
 	switch {
 	case err != nil:
@@ -131,18 +131,18 @@ func (c *Cluster) relay(w http.ResponseWriter, st dash.ChunkStream, edge []byte,
 // that would pass the declared length fails before its bytes go out; a
 // body that ends before it (io.ErrUnexpectedEOF off a hop) returns what
 // came, for the relay's length check.
-func pump(w http.ResponseWriter, st dash.ChunkStream, keep bool, key serve.ChunkKey) (int64, []byte, error) {
+func pump(w http.ResponseWriter, st chunkStream, keep bool, key serve.ChunkKey) (int64, []byte, error) {
 	// Reads land in buf[len(buf):cap(buf)]; only a kept body advances len.
 	var buf []byte
 	if !keep {
-		pool := obs.Blocks.For(int(st.Length))
+		pool := obs.Blocks.For(int(st.length))
 		block := pool.Get()
 		defer pool.Put(block)
 		buf = *block
-	} else if st.Length >= 0 {
+	} else if st.length >= 0 {
 		// The spare byte is where the read reporting EOF lands, and where
 		// a body longer than declared shows.
-		buf = make([]byte, 0, st.Length+1)
+		buf = make([]byte, 0, st.length+1)
 	}
 	var n int64
 	for {
@@ -150,9 +150,9 @@ func pump(w http.ResponseWriter, st dash.ChunkStream, keep bool, key serve.Chunk
 			// A kept body of undeclared length outgrew its buffer.
 			buf = slices.Grow(buf, obs.MinBlockLen)
 		}
-		m, err := st.Body.Read(buf[len(buf):cap(buf)])
-		if st.Length >= 0 && n+int64(m) > st.Length {
-			return n, nil, lengthMismatch(key, n+int64(m), st.Length)
+		m, err := st.body.Read(buf[len(buf):cap(buf)])
+		if st.length >= 0 && n+int64(m) > st.length {
+			return n, nil, lengthMismatch(key, n+int64(m), st.length)
 		}
 		if m > 0 {
 			if w != nil {

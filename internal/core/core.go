@@ -112,11 +112,10 @@ type Config struct {
 	// Fig. 4. Chunks evicted before they play are lost and must be
 	// rushed again at play time. 0 means unlimited.
 	EncodedCacheBytes int64
-	// Obs, when set, wires the session's player-side components (chunk
-	// cache, frame cache, decode scheduler) into a metrics registry so
-	// decode-deadline outcomes and cache hit ratios are observable
-	// outside test assertions. Nil disables metrics.
-	Obs *obs.Registry
+	// reg, set by WithObs, wires the session's player-side components
+	// (chunk cache, frame cache, decode scheduler) and its final report
+	// into a metrics registry. Nil disables metrics.
+	reg *obs.Registry
 }
 
 func (c *Config) withDefaults() error {
@@ -234,10 +233,12 @@ type Session struct {
 // NewSession's positional parameter list.
 type SessionOption func(*Config)
 
-// WithObs wires the session's player-side components and final report
-// into a metrics registry (equivalent to setting Config.Obs).
+// WithObs wires the session's player-side components (chunk cache,
+// frame cache, decode scheduler) and its final report into a metrics
+// registry, so decode-deadline outcomes and cache hit ratios are
+// observable outside test assertions.
 func WithObs(r *obs.Registry) SessionOption {
-	return func(c *Config) { c.Obs = r }
+	return func(c *Config) { c.reg = r }
 }
 
 // NewSession builds a session. head is the viewer's actual head
@@ -272,8 +273,8 @@ func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched trans
 	}
 	if cfg.EncodedCacheBytes > 0 {
 		s.ccache = player.NewChunkCache(cfg.EncodedCacheBytes)
-		if cfg.Obs != nil {
-			s.ccache.SetObs(cfg.Obs)
+		if cfg.reg != nil {
+			s.ccache.SetObs(cfg.reg)
 		}
 	}
 	if cfg.Device != nil {
@@ -287,9 +288,9 @@ func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched trans
 		s.pool = codec.NewPool(clock, cfg.Device.Decoder, n)
 		s.fcache = player.NewFrameCache(4 * cfg.Video.Grid.Tiles())
 		s.dsched = player.NewDecodeScheduler(clock, s.pool, s.fcache)
-		if cfg.Obs != nil {
-			s.fcache.SetObs(cfg.Obs)
-			s.dsched.SetObs(cfg.Obs)
+		if cfg.reg != nil {
+			s.fcache.SetObs(cfg.reg)
+			s.dsched.SetObs(cfg.reg)
 		}
 	}
 	return s, nil
@@ -355,7 +356,7 @@ func (s *Session) canceled() bool {
 // registry (core.session.*). Counters add across sessions, so a bench
 // run over many sessions accumulates aggregate totals.
 func (s *Session) publishReport() {
-	r := s.cfg.Obs
+	r := s.cfg.reg
 	if r == nil {
 		return
 	}

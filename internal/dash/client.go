@@ -19,7 +19,8 @@ import (
 )
 
 // DefaultTimeout bounds an exchange whose body outlives the call that
-// opened it: OpenChunk's, and the cluster's hop to a wire edge.
+// opened it, the cluster's hop to a wire edge, and a response's write
+// (NewHTTPServer's WriteTimeout).
 const DefaultTimeout = 15 * time.Second
 
 // drainLimit bounds what the client reads past the bytes it wanted to
@@ -126,12 +127,10 @@ type Client struct {
 	retry RetryPolicy
 	// now and sleep are the client's clock seams, nil outside this
 	// package's tests: wall time, and a pause between attempts that
-	// returns early when ctx expires. openTimeout is DefaultTimeout
-	// outside them.
-	now         func() time.Time
-	sleep       func(ctx context.Context, d time.Duration) error
-	openTimeout time.Duration
-	met         clientMetrics
+	// returns early when ctx expires.
+	now   func() time.Time
+	sleep func(ctx context.Context, d time.Duration) error
+	met   clientMetrics
 }
 
 // clientMetrics caches the dash.client.* instruments: fetch counts,
@@ -139,7 +138,7 @@ type Client struct {
 // kind and a per-segment latency histogram. Nil fields no-op.
 type clientMetrics struct {
 	attempts, retries, retryAfterFloors *obs.Counter
-	mpdFetches, segmentFetches, opens   *obs.Counter
+	mpdFetches, segmentFetches          *obs.Counter
 	segmentFetchesRetried, bytesRx      *obs.Counter
 	errors                              [KindOverload + 1]*obs.Counter
 	fetchMS                             *obs.Histogram
@@ -176,7 +175,6 @@ func WithClientObs(r *obs.Registry) ClientOption {
 			retryAfterFloors:      r.Counter("dash.client.retry_after_floors"),
 			mpdFetches:            r.Counter("dash.client.mpd_fetches"),
 			segmentFetches:        r.Counter("dash.client.segment_fetches"),
-			opens:                 r.Counter("dash.client.opens"),
 			segmentFetchesRetried: r.Counter("dash.client.segment_fetches_retried"),
 			bytesRx:               r.Counter("dash.client.bytes_rx"),
 			fetchMS:               r.Histogram("dash.client.fetch_ms"),
@@ -189,7 +187,7 @@ func WithClientObs(r *obs.Registry) ClientOption {
 
 // NewClient builds a client for a server root URL.
 func NewClient(baseURL string, opts ...ClientOption) *Client {
-	c := &Client{rt: http.DefaultTransport, openTimeout: DefaultTimeout}
+	c := &Client{rt: http.DefaultTransport}
 	if u, err := url.Parse(strings.TrimSuffix(baseURL, "/")); err != nil {
 		c.baseErr = err
 	} else {
@@ -222,44 +220,26 @@ func (c *Client) pause(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// exchange is one attempt in flight: its request's URL, and the response
-// body under the attempt's one deadline, which closing it releases. Once
-// OpenChunk has handed the body to its caller (attempts is set), a read
-// that fails — the deadline passing included — comes back as the typed
-// error a failed attempt would have been.
+// exchange is one attempt in flight: its request's URL, the response
+// body and its declared length, and the reader fetchSegment holds the
+// body to that length with, kept together so an attempt allocates them
+// once.
 type exchange struct {
-	url      url.URL
-	ctx      context.Context // the caller's: its leaving is not our deadline
-	cancel   context.CancelFunc
-	body     io.ReadCloser
-	length   int64            // Content-Length, -1 when none was declared
-	sized    io.LimitedReader // the body up to length, for fetchSegment
-	attempts int
-}
-
-func (x *exchange) Read(p []byte) (int, error) {
-	n, err := x.body.Read(p)
-	if err != nil && err != io.EOF && x.attempts > 0 {
-		err = &Error{Op: x.url.RequestURI(), Kind: classifyCtx(x.ctx, err), Attempts: x.attempts, Err: err}
-	}
-	return n, err
-}
-
-func (x *exchange) Close() error {
-	err := x.body.Close()
-	x.cancel()
-	return err
+	url    url.URL
+	body   io.Reader
+	length int64            // Content-Length, -1 when none was declared
+	sized  io.LimitedReader // the body up to length, for fetchSegment
 }
 
 // attempt is the client's one HTTP exchange: build the request on the
 // parsed base (path is as it goes on the wire; the URL carries it
 // escaped and decoded, so an escaped video ID survives), send it on the
 // transport, classify a non-200 — a redirect included — through
-// StatusError, and hand a live 200 to consume, which owns the body from
-// then on. timeout is the exchange's one deadline, headers to the last
-// body byte: closing the body ends it, as does every return that hands
-// no body over. An error from consume is a body that broke in transit or
-// did not decode, so it classifies like any other failed attempt.
+// StatusError, and hand a live 200 to consume, which reads the body.
+// timeout is the exchange's one deadline, headers to the last body byte;
+// the body is closed and the deadline released before attempt returns.
+// An error from consume is a body that broke in transit or did not
+// decode, so it classifies like any other failed attempt.
 func (c *Client) attempt(ctx context.Context, path string, timeout time.Duration, consume func(*exchange) error) *Error {
 	if c.baseErr != nil {
 		return &Error{Op: path, Kind: KindFatal, Err: c.baseErr}
@@ -269,25 +249,23 @@ func (c *Client) attempt(ctx context.Context, path string, timeout time.Duration
 	if err != nil {
 		return &Error{Op: path, Kind: KindFatal, Err: err}
 	}
-	x := &exchange{url: c.base, ctx: ctx}
+	x := &exchange{url: c.base}
 	x.url.Path, x.url.RawPath, x.url.RawQuery = c.base.Path+decoded, c.base.EscapedPath()+rawPath, query
 	actx, cancel := context.WithTimeout(ctx, timeout)
-	x.cancel = cancel
+	defer cancel()
 	req := (&http.Request{
 		Method: http.MethodGet, URL: &x.url, Host: c.base.Host, Header: make(http.Header),
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 	}).WithContext(actx)
 	resp, err := c.rt.RoundTrip(req)
 	if err != nil {
-		cancel()
 		return &Error{Op: path, Kind: classifyCtx(ctx, err), Err: err}
 	}
-	x.body, x.length = resp.Body, resp.ContentLength
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		derr := StatusError(path, resp, c.wallNow())
-		x.Close()
-		return derr
+		return StatusError(path, resp, c.wallNow())
 	}
+	x.body, x.length = resp.Body, resp.ContentLength
 	if err := consume(x); err != nil {
 		return &Error{Op: path, Kind: classifyCtx(ctx, err), Err: err}
 	}
@@ -320,21 +298,15 @@ func StatusError(path string, resp *http.Response, now time.Time) *Error {
 }
 
 // do runs the client's one bounded-retry loop around attempt and
-// reports how many attempts it took. Every retrying method goes through
-// it, so RetryPolicy.MaxAttempts is the total number of requests a call
-// can make — whether an attempt died in the dial, on a 5xx or in a body
-// that failed its CRC. bounded holds each attempt to the policy's
-// AttemptTimeout; OpenChunk passes false because its body outlives the
-// attempt, and gets DefaultTimeout for the exchange instead.
-func (c *Client) do(ctx context.Context, path string, bounded bool, consume func(*exchange) error) (int, error) {
+// reports how many attempts it took. Every method goes through it, so
+// RetryPolicy.MaxAttempts is the total number of requests a call can
+// make — whether an attempt died in the dial, on a 5xx or in a body that
+// failed its CRC — and the policy's AttemptTimeout bounds each one.
+func (c *Client) do(ctx context.Context, path string, consume func(*exchange) error) (int, error) {
 	pol := c.retry.withDefaults()
-	timeout := c.openTimeout
-	if bounded {
-		timeout = pol.AttemptTimeout
-	}
 	for attempt := 1; ; attempt++ {
 		c.met.attempts.Inc()
-		derr := c.attempt(ctx, path, timeout, consume)
+		derr := c.attempt(ctx, path, pol.AttemptTimeout, consume)
 		if derr == nil {
 			return attempt, nil
 		}
@@ -395,9 +367,8 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 func (c *Client) FetchMPD(ctx context.Context, videoID string) (*MPD, error) {
 	c.met.mpdFetches.Inc()
 	var data []byte
-	_, err := c.do(ctx, mpdPath(videoID), true, func(x *exchange) (err error) {
-		defer x.Close()
-		data, err = io.ReadAll(x)
+	_, err := c.do(ctx, mpdPath(videoID), func(x *exchange) (err error) {
+		data, err = io.ReadAll(x.body)
 		return err
 	})
 	if err != nil {
@@ -427,11 +398,10 @@ func (c *Client) FetchLayer(ctx context.Context, videoID string, layer, tile, id
 func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, error) {
 	start := c.wallNow()
 	var res FetchResult
-	attempts, err := c.do(ctx, path, true, func(x *exchange) error {
-		defer x.Close()
-		var r io.Reader = x
+	attempts, err := c.do(ctx, path, func(x *exchange) error {
+		r := x.body
 		if x.length >= 0 {
-			x.sized = io.LimitedReader{R: x, N: x.length}
+			x.sized = io.LimitedReader{R: x.body, N: x.length}
 			r = &x.sized
 		}
 		var err error
@@ -443,7 +413,7 @@ func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, er
 		// see its terminator, and one that runs on past the segment is read
 		// to its end if that is near.
 		if x.length < 0 {
-			io.Copy(io.Discard, io.LimitReader(x, drainLimit))
+			io.Copy(io.Discard, io.LimitReader(x.body, drainLimit))
 		}
 		return nil
 	})
@@ -466,39 +436,4 @@ func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, er
 	}
 	c.met.fetchMS.Observe(float64(res.Elapsed) / float64(time.Millisecond))
 	return res, nil
-}
-
-// ChunkStream is one opened chunk download: the live response body,
-// ready to stream, plus the wire length from Content-Length (-1 when
-// the server did not declare one). The caller owns closing Body.
-type ChunkStream struct {
-	Body   io.ReadCloser
-	Length int64
-	// Attempts is how many tries reaching the response headers took.
-	Attempts int
-}
-
-// OpenChunk starts one chunk download and returns the response body
-// without materializing it, for a caller that relays it on (the wire
-// cluster's router opens its edges with its own hop instead). The
-// bounded-retry loop (same taxonomy and Retry-After floors as the
-// Fetch methods) covers everything up to the response headers; once a
-// 200 arrives the body streams on the caller's context and mid-body
-// failures are the caller's to handle — bytes may already have been
-// forwarded downstream, so nothing can be transparently retried. The
-// exchange's deadline is DefaultTimeout, from the request that reached
-// the headers to the body's Close; the policy's AttemptTimeout is sized
-// for a fetch and would cut a slow copy.
-func (c *Client) OpenChunk(ctx context.Context, videoID string, q, tile, idx int, layer bool) (ChunkStream, error) {
-	var x *exchange
-	attempts, err := c.do(ctx, ChunkPath(videoID, q, tile, idx, layer), false, func(opened *exchange) error {
-		x = opened
-		return nil
-	})
-	if err != nil {
-		return ChunkStream{}, err
-	}
-	x.attempts = attempts
-	c.met.opens.Inc()
-	return ChunkStream{Body: x, Length: x.length, Attempts: attempts}, nil
 }

@@ -24,6 +24,8 @@ import (
 //	"cut"     a 200 whose body breaks off half way, the way net/http
 //	          reports a connection lost under a declared length
 //	"corrupt" a 200 that arrives whole with a payload byte flipped
+//	"refused" no response: the transport fails before any header, as a
+//	          refused dial does
 type scriptedTransport struct {
 	steps []string
 	good  []byte
@@ -40,6 +42,9 @@ func (s *scriptedTransport) RoundTrip(req *http.Request) (*http.Response, error)
 	}
 	step := s.steps[s.seen]
 	s.seen++
+	if step == "refused" {
+		return nil, errors.New("scriptedTransport: connection refused")
+	}
 	resp := &http.Response{
 		StatusCode: http.StatusOK, Status: "200 OK",
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
@@ -70,11 +75,11 @@ func (s *scriptedTransport) RoundTrip(req *http.Request) (*http.Response, error)
 }
 
 // TestOneAttemptBudgetEveryMethod drives the same scripts through every
-// retrying client method. RetryPolicy.MaxAttempts is a total: the
-// server never sees more requests than that, however the attempts
-// failed — refused by status, cut in transit, or whole but failing the
-// CRC — and the dash.client.* counters move by the same amounts
-// whichever method ran.
+// client method. RetryPolicy.MaxAttempts is a total: the server never
+// sees more requests than that, however the attempts failed — with no
+// response at all, refused by status, cut in transit, or whole but
+// failing the CRC — and the dash.client.* counters move by the same
+// amounts whichever method ran.
 func TestOneAttemptBudgetEveryMethod(t *testing.T) {
 	v := testVideo()
 	chunk, err := BuildChunkBody(v, 1, 2, 0, false)
@@ -89,9 +94,7 @@ func TestOneAttemptBudgetEveryMethod(t *testing.T) {
 		name string
 		good []byte
 		// bodyFaults are the ways a 200's body can fail this method. A
-		// manifest has no checksum, so only transit can break it; a 200
-		// ends OpenChunk's loop with the body still unread, so nothing in
-		// it can.
+		// manifest has no checksum, so only transit can break it.
 		bodyFaults []string
 		call       func(ctx context.Context, c *Client) error
 	}{
@@ -101,13 +104,6 @@ func TestOneAttemptBudgetEveryMethod(t *testing.T) {
 		}},
 		{"FetchMPD", manifest, []string{"cut"}, func(ctx context.Context, c *Client) error {
 			_, err := c.FetchMPD(ctx, v.ID)
-			return err
-		}},
-		{"OpenChunk", chunk, nil, func(ctx context.Context, c *Client) error {
-			st, err := c.OpenChunk(ctx, v.ID, 1, 2, 0, false)
-			if err == nil {
-				st.Body.Close()
-			}
 			return err
 		}},
 	}
@@ -122,6 +118,11 @@ func TestOneAttemptBudgetEveryMethod(t *testing.T) {
 	}{
 		{
 			name: "503,503,200", steps: []string{"503", "503", "200"},
+			requests: 3,
+			counters: map[string]int64{"attempts": 3, "retries": 2},
+		},
+		{
+			name: "refused,refused,200", steps: []string{"refused", "refused", "200"},
 			requests: 3,
 			counters: map[string]int64{"attempts": 3, "retries": 2},
 		},

@@ -3,117 +3,11 @@ package dash
 import (
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"testing/iotest"
-	"time"
 )
-
-// handlerTransport dispatches requests straight into an http.Handler —
-// the WithTransport seam exercised without sockets.
-type handlerTransport struct{ h http.Handler }
-
-func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	t.h.ServeHTTP(rec, req)
-	return rec.Result(), nil
-}
-
-// flakyTransport fails the first n attempts with a transport error.
-type flakyTransport struct {
-	next  http.RoundTripper
-	fails int
-}
-
-func (t *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if t.fails > 0 {
-		t.fails--
-		return nil, errors.New("synthetic connection refused")
-	}
-	return t.next.RoundTrip(req)
-}
-
-func instantSleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
-
-// TestOpenChunkStreamsThroughTransportSeam pins the two new client
-// seams together: a client built over an injected RoundTripper (no
-// sockets, no global state) opens a chunk and receives the exact bytes
-// and Content-Length the server's writer-first path produced, as a
-// stream rather than a materialized slice.
-func TestOpenChunkStreamsThroughTransportSeam(t *testing.T) {
-	v := testVideo()
-	catalog := NewCatalog()
-	if err := catalog.Add(v); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(catalog)
-	c := NewClient("http://edge.test", WithTransport(handlerTransport{h: srv}))
-
-	st, err := c.OpenChunk(context.Background(), v.ID, 1, 2, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Body.Close()
-	want, err := BuildChunkBody(v, 1, 2, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Length != int64(len(want)) {
-		t.Fatalf("ChunkStream.Length = %d, want %d", st.Length, len(want))
-	}
-	got, err := io.ReadAll(st.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("streamed body differs from BuildChunkBody (%d vs %d bytes)", len(got), len(want))
-	}
-	if st.Attempts != 1 {
-		t.Fatalf("clean open took %d attempts", st.Attempts)
-	}
-}
-
-// TestOpenChunkRetriesToHeaders pins the retry contract: transport
-// failures before the response headers are retried under the bounded
-// policy, and the eventual stream reports the attempt count.
-func TestOpenChunkRetriesToHeaders(t *testing.T) {
-	v := testVideo()
-	catalog := NewCatalog()
-	if err := catalog.Add(v); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(catalog)
-	c := NewClient("http://edge.test",
-		WithTransport(&flakyTransport{next: handlerTransport{h: srv}, fails: 2}),
-		WithRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Nanosecond, MaxDelay: time.Nanosecond}))
-	c.sleep = instantSleep
-
-	st, err := c.OpenChunk(context.Background(), v.ID, 0, 0, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Body.Close()
-	if st.Attempts != 3 {
-		t.Fatalf("open took %d attempts, want 3 (two transport failures, then headers)", st.Attempts)
-	}
-
-	// A single-attempt policy surfaces the first failure typed.
-	c2 := NewClient("http://edge.test",
-		WithTransport(&flakyTransport{next: handlerTransport{h: srv}, fails: 1}),
-		WithRetry(RetryPolicy{MaxAttempts: -1}))
-	c2.sleep = instantSleep
-	if _, err := c2.OpenChunk(context.Background(), v.ID, 0, 0, 0, false); err == nil {
-		t.Fatal("single-attempt open over a failing transport succeeded")
-	} else {
-		var de *Error
-		if !errors.As(err, &de) || de.Kind != KindTransient {
-			t.Fatalf("transport failure classified as %v, want KindTransient *Error", err)
-		}
-	}
-}
 
 // eofBody records whether its reader was taken to io.EOF before Close —
 // the transport's condition for returning an HTTP/1 connection to the

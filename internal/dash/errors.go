@@ -76,13 +76,6 @@ func (e *Error) Unwrap() error { return e.Err }
 // Retryable reports whether another attempt could succeed.
 func (e *Error) Retryable() bool { return e.Kind == KindTransient || e.Kind == KindOverload }
 
-// Retryable reports whether err is a dash client failure another
-// attempt could fix.
-func Retryable(err error) bool {
-	var de *Error
-	return errors.As(err, &de) && de.Retryable()
-}
-
 // ErrUnavailable marks a ChunkSource failure meaning "this server
 // cannot serve right now" — a crashed cluster node, a draining
 // process. The server maps anything wrapping it to 503 so resilient

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -134,7 +135,7 @@ func TestClient404IsFatalAndNotRetried(t *testing.T) {
 	if de.Kind != KindFatal || de.Status != http.StatusNotFound {
 		t.Fatalf("error %+v, want fatal 404", de)
 	}
-	if Retryable(err) {
+	if de.Retryable() {
 		t.Fatal("404 classified retryable")
 	}
 	if got := served.Load(); got != 1 {
@@ -220,16 +221,20 @@ func TestClientElapsedFlooredAtMillisecond(t *testing.T) {
 	}
 }
 
-// TestOpenChunkStalledBodyFailsAtDeadline: the body OpenChunk hands
-// over still runs under the exchange's deadline. A server that sends
-// the headers and half the body and then goes quiet costs the reader
-// that deadline and no more, and the read fails typed — transient, ours,
+// TestFetchStalledBodyFailsAtDeadline: the policy's AttemptTimeout
+// holds the body's read, not only the headers. A server that sends the
+// headers and half a segment and then goes quiet costs the fetch that
+// deadline and no more, and the fetch fails typed — transient, ours,
 // because the caller's own context is still live.
-func TestOpenChunkStalledBodyFailsAtDeadline(t *testing.T) {
+func TestFetchStalledBodyFailsAtDeadline(t *testing.T) {
+	body, err := BuildChunkBody(testVideo(), 0, 0, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	release := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Length", "1000")
-		w.Write(make([]byte, 500))
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body[:len(body)/2])
 		w.(http.Flusher).Flush()
 		select {
 		case <-release:
@@ -240,40 +245,53 @@ func TestOpenChunkStalledBodyFailsAtDeadline(t *testing.T) {
 	defer close(release)
 	tr := &http.Transport{}
 	defer tr.CloseIdleConnections()
-	c := NewClient(srv.URL, WithTransport(tr))
-	c.openTimeout = 150 * time.Millisecond
+	const timeout = 150 * time.Millisecond
+	c := NewClient(srv.URL, WithTransport(tr), WithRetry(RetryPolicy{MaxAttempts: -1, AttemptTimeout: timeout}))
 
 	start := time.Now()
-	st, err := c.OpenChunk(context.Background(), "demo", 0, 0, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Body.Close()
-	n, err := io.Copy(io.Discard, st.Body)
-	if held := time.Since(start); held < c.openTimeout || held > 5*time.Second {
-		t.Fatalf("stalled body held the reader %v; the deadline is %v", held, c.openTimeout)
+	_, err = c.FetchChunk(context.Background(), "demo", 0, 0, 0)
+	if held := time.Since(start); held < timeout || held > 5*time.Second {
+		t.Fatalf("stalled body held the fetch %v; the deadline is %v", held, timeout)
 	}
 	var de *Error
-	if n != 500 || !errors.As(err, &de) || de.Kind != KindTransient || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("read %d bytes, err = %v; want 500 and a transient *Error over context.DeadlineExceeded", n, err)
+	if !errors.As(err, &de) || de.Kind != KindTransient || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v; want a transient *Error over context.DeadlineExceeded", err)
 	}
 }
 
-// ctxSpy records the context of the last request it carried.
+// ctxSpy records the context of the last request it carried, and
+// whether that context was still live when the response's body was
+// closed.
 type ctxSpy struct {
-	next http.RoundTripper
-	last context.Context
+	next          http.RoundTripper
+	last          context.Context
+	liveAtBodyEnd bool
 }
 
 func (s *ctxSpy) RoundTrip(req *http.Request) (*http.Response, error) {
-	s.last = req.Context()
-	return s.next.RoundTrip(req)
+	s.last, s.liveAtBodyEnd = req.Context(), false
+	resp, err := s.next.RoundTrip(req)
+	if err == nil {
+		resp.Body = &spiedBody{ReadCloser: resp.Body, spy: s}
+	}
+	return resp, err
+}
+
+type spiedBody struct {
+	io.ReadCloser
+	spy *ctxSpy
+}
+
+func (b *spiedBody) Close() error {
+	b.spy.liveAtBodyEnd = b.spy.last.Err() == nil
+	return b.ReadCloser.Close()
 }
 
 // TestExchangeDeadlineReleased: the deadline lives exactly as long as
-// the exchange. It is still running while a healthy body is being read
-// and is released by Close; a non-200 and a failed dial release it
-// before the call returns. Nothing is left behind either way — the
+// the exchange. It is still running when a healthy body has been read
+// and is released once the fetch returns; a non-200 and a failed dial
+// release it before the call returns too, the dial as a transient
+// failure of one attempt. Nothing is left behind either way — the
 // request's context is done (its timer stopped) and no goroutine
 // outlives the exchange.
 func TestExchangeDeadlineReleased(t *testing.T) {
@@ -285,19 +303,14 @@ func TestExchangeDeadlineReleased(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	c := NewClient(srv.URL, WithTransport(spy), policy)
-	st, err := c.OpenChunk(ctx, "demo", 0, 0, 0, false)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := c.FetchChunk(ctx, "demo", 0, 0, 0); err != nil || !spy.liveAtBodyEnd {
+		t.Fatalf("healthy body: err %v, exchange live at body end = %v; want nil and true", err, spy.liveAtBodyEnd)
 	}
-	if _, err := io.Copy(io.Discard, st.Body); err != nil || spy.last.Err() != nil {
-		t.Fatalf("healthy body: read err %v, exchange context %v before Close; want both nil", err, spy.last.Err())
-	}
-	st.Body.Close()
 	if spy.last.Err() == nil {
-		t.Fatal("healthy body: the exchange's deadline outlived Close")
+		t.Fatal("healthy body: the exchange's deadline outlived the fetch")
 	}
 
-	if _, err := c.OpenChunk(ctx, "no-such-video", 0, 0, 0, false); err == nil || spy.last.Err() == nil {
+	if _, err := c.FetchChunk(ctx, "no-such-video", 0, 0, 0); err == nil || spy.last.Err() == nil {
 		t.Fatalf("non-200: err %v, exchange context %v; want an error and a released deadline", err, spy.last.Err())
 	}
 
@@ -307,8 +320,10 @@ func TestExchangeDeadlineReleased(t *testing.T) {
 	}
 	ln.Close() // nothing listens here now
 	refused := NewClient("http://"+ln.Addr().String(), WithTransport(spy), policy)
-	if _, err := refused.OpenChunk(ctx, "demo", 0, 0, 0, false); err == nil || spy.last.Err() == nil {
-		t.Fatalf("dial error: err %v, exchange context %v; want an error and a released deadline", err, spy.last.Err())
+	_, err = refused.FetchChunk(ctx, "demo", 0, 0, 0)
+	var de *Error
+	if !errors.As(err, &de) || de.Kind != KindTransient || de.Attempts != 1 || spy.last.Err() == nil {
+		t.Fatalf("dial error: err %v, exchange context %v; want a transient *Error of one attempt and a released deadline", err, spy.last.Err())
 	}
 
 	tr.CloseIdleConnections()

@@ -72,8 +72,7 @@ func runGuidedSession(seed int64, v *media.Video, bps float64, oos abr.OOSPolicy
 		Algorithm:      alg,
 		OOS:            oos,
 		EnableUpgrades: upgrades,
-		Obs:            obsReg,
-	}, head, sched)
+	}, head, sched, core.WithObs(obsReg))
 	if err != nil {
 		panic(err)
 	}
@@ -94,8 +93,7 @@ func runGuidedSessionTrace(seed int64, v *media.Video, tr *netem.BandwidthTrace,
 		Video:     v,
 		Mode:      core.FoVGuided,
 		Algorithm: alg,
-		Obs:       obsReg,
-	}, head, sched)
+	}, head, sched, core.WithObs(obsReg))
 	if err != nil {
 		panic(err)
 	}
@@ -194,8 +192,7 @@ func HybridSession(seed int64) *Table {
 			Mode:           core.FoVGuided,
 			EnableUpgrades: true,
 			HybridSVC:      hybrid,
-			Obs:            obsReg,
-		}, head, sched)
+		}, head, sched, core.WithObs(obsReg))
 		if err != nil {
 			panic(err)
 		}
@@ -257,8 +254,7 @@ func PredictionWindowSweep(seed int64) *Table {
 				Mode:             core.FoVGuided,
 				Algorithm:        alg,
 				PredictionWindow: window,
-				Obs:              obsReg,
-			}, head, sched)
+			}, head, sched, core.WithObs(obsReg))
 			if err != nil {
 				panic(err)
 			}

@@ -35,8 +35,7 @@ func sessionUnder(seed int64, mode core.StreamMode, oos abr.OOSPolicy, speedScal
 		Mode:      mode,
 		OOS:       oos,
 		Algorithm: &abr.Fixed{Q: 4}, // equal quality: compare bytes only
-		Obs:       obsReg,
-	}, head, sched)
+	}, head, sched, core.WithObs(obsReg))
 	if err != nil {
 		panic(err)
 	}
@@ -114,8 +113,7 @@ func AblationOOSRing(seed int64) *Table {
 			Mode:           core.FoVGuided,
 			OOS:            abr.OOSPolicy{MaxRing: ring},
 			EnableUpgrades: true,
-			Obs:            obsReg,
-		}, head, sched)
+		}, head, sched, core.WithObs(obsReg))
 		if err != nil {
 			panic(err)
 		}
@@ -155,7 +153,7 @@ func BandwidthSweep(seed int64) *Table {
 			rng := rand.New(rand.NewSource(seed))
 			att := trace.GenerateAttention(rand.New(rand.NewSource(seed+60)), dur)
 			head := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1}, att, dur)
-			s, err := core.NewSession(clock, core.Config{Video: v, Mode: mode, Obs: obsReg}, head, sched)
+			s, err := core.NewSession(clock, core.Config{Video: v, Mode: mode}, head, sched, core.WithObs(obsReg))
 			if err != nil {
 				panic(err)
 			}

@@ -288,7 +288,6 @@ func TestChaosSlowDeviceMetricsObservable(t *testing.T) {
 		Device:            &slow,
 		Decoders:          1,
 		EncodedCacheBytes: 2 << 20, // tight: forces chunk-cache churn
-		Obs:               reg,
 	}
 
 	clock := sim.NewClock(14)
@@ -298,7 +297,7 @@ func TestChaosSlowDeviceMetricsObservable(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	att := trace.GenerateAttention(rand.New(rand.NewSource(514)), dur)
 	head := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1}, att, dur)
-	s, err := core.NewSession(clock, cfg, head, sched)
+	s, err := core.NewSession(clock, cfg, head, sched, core.WithObs(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,23 +60,13 @@ func rotZRef(v sphere.Vec3, deg float64) sphere.Vec3 {
 	return sphere.Vec3{X: v.X*c - v.Y*s, Y: v.X*s + v.Y*c, Z: v.Z}
 }
 
-// tileAtRef clamps before the int conversion, so it is only an oracle
-// for finite coordinates (TestTileAtAlwaysValid covers the rest).
+// tileAtRef clamps in float before the int conversion, since Go leaves
+// converting an out-of-range float to int implementation-defined (386
+// and amd64 disagree). It is only an oracle for finite coordinates
+// (TestTileAtAlwaysValid covers the rest).
 func tileAtRef(g Grid, u, v float64) TileID {
-	if u < 0 {
-		u = 0
-	}
-	if v < 0 {
-		v = 0
-	}
-	col := int(u * float64(g.Cols))
-	row := int(v * float64(g.Rows))
-	if col >= g.Cols {
-		col = g.Cols - 1
-	}
-	if row >= g.Rows {
-		row = g.Rows - 1
-	}
+	col := int(min(max(u, 0)*float64(g.Cols), float64(g.Cols-1)))
+	row := int(min(max(v, 0)*float64(g.Rows), float64(g.Rows-1)))
 	return TileID(row*g.Cols + col)
 }
 

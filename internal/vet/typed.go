@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -12,7 +11,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -83,25 +81,56 @@ func (m *Module) Internal(importPath string) bool {
 }
 
 // LoadModule parses and type-checks every non-test package under root
-// (the directory holding go.mod). Test files are excluded — every
-// shipped checker exempts them — as are testdata, vendor and hidden
-// trees, and files ruled out by their //go:build constraint for the
-// host platform (so internal/obs's race shims don't collide).
+// (the directory holding go.mod): the files moduleFiles selects for the
+// platform the go tool would build for.
 func LoadModule(root string) (*Module, error) {
 	modPath, err := modulePath(root)
 	if err != nil {
 		return nil, err
 	}
+	paths, err := moduleFiles(&build.Default, root)
+	if err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
-	var files []*File
-	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+	files := make([]*File, 0, len(paths))
+	for _, rel := range paths {
+		src, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(rel)))
+		if err != nil {
+			return nil, err
+		}
+		f, err := parseShared(fset, src, rel)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return typeCheckModule(modPath, fset, files)
+}
+
+// moduleFiles lists, as module-relative slash paths, the Go files under
+// root that ctxt builds, tests left out since every shipped checker
+// exempts them. The selection is go/build's own: a //go:build line, a
+// _GOOS or _GOARCH file-name suffix and ctxt's platform decide as they
+// do for the go tool (build.Default reads GOOS and GOARCH from the
+// environment). Like the go tool's ./..., it skips testdata, vendor,
+// hidden and _-prefixed trees and nested modules.
+func moduleFiles(ctxt *build.Context, root string) ([]string, error) {
+	var paths []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "vendor" || name == "testdata") {
+			if p == root {
+				return nil
+			}
+			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+				name == "vendor" || name == "testdata" {
+				return fs.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
 				return fs.SkipDir
 			}
 			return nil
@@ -109,28 +138,17 @@ func LoadModule(root string) (*Module, error) {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		src, err := os.ReadFile(p)
-		if err != nil {
+		if ok, err := ctxt.MatchFile(filepath.Dir(p), name); !ok || err != nil {
 			return err
-		}
-		if !buildTagOK(src) {
-			return nil
 		}
 		rel, err := filepath.Rel(root, p)
 		if err != nil {
 			return err
 		}
-		f, err := parseShared(fset, src, filepath.ToSlash(rel))
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
+		paths = append(paths, filepath.ToSlash(rel))
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return typeCheckModule(modPath, fset, files)
+	return paths, err
 }
 
 // LoadModuleSource type-checks an in-memory module from path → source
@@ -353,26 +371,6 @@ func modulePath(root string) (string, error) {
 		}
 	}
 	return "", fmt.Errorf("vet: no module line in %s/go.mod", root)
-}
-
-// buildTagOK evaluates the file's //go:build constraint (if any) for
-// the host platform with cgo and the race detector off, mirroring what
-// a plain `go build` of the analysis itself would select.
-func buildTagOK(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "//") {
-			if expr, err := constraint.Parse(line); err == nil {
-				return expr.Eval(func(tag string) bool {
-					return tag == runtime.GOOS || tag == runtime.GOARCH ||
-						tag == "gc" || strings.HasPrefix(tag, "go1.")
-				})
-			}
-			continue
-		}
-		break // reached the package clause: no constraint
-	}
-	return true
 }
 
 // ---- shared typed helpers for the checkers ----

@@ -1,6 +1,11 @@
 package vet
 
 import (
+	"go/build"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -46,6 +51,52 @@ func TestLoadModuleTypesWholeTree(t *testing.T) {
 	}
 	if dash.Pkg.Scope().Lookup("ChunkSource") == nil {
 		t.Fatal("dash.ChunkSource not resolved")
+	}
+}
+
+// TestLoadModuleFilesMatchGoList: the loader reads the files the go
+// tool builds. For each platform (unix and not, 64- and 32-bit),
+// moduleFiles selects exactly what
+// `go list -f '{{.GoFiles}}' ./...` lists there: a //go:build line and a
+// _GOOS or _GOARCH file-name suffix rule a file in or out as they do for
+// a build, and a nested module (bench/) is not part of this one.
+func TestLoadModuleFilesMatchGoList(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH to compare with")
+	}
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct{ goos, arch string }{{"linux", "amd64"}, {"linux", "386"}, {"windows", "amd64"}} {
+		goos, arch := p.goos, p.arch
+		cmd := exec.Command(goTool, "list", "-f", `{{$dir := .Dir}}{{range .GoFiles}}{{$dir}}/{{.}}{{"\n"}}{{end}}`, "./...")
+		cmd.Dir = root
+		cmd.Env = append(os.Environ(), "GOOS="+goos, "GOARCH="+arch)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%s/%s: go list: %v", goos, arch, err)
+		}
+		var want []string
+		for _, line := range strings.FieldsFunc(string(out), func(r rune) bool { return r == '\n' }) {
+			rel, err := filepath.Rel(root, line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, filepath.ToSlash(rel))
+		}
+		ctxt := build.Default
+		ctxt.GOOS, ctxt.GOARCH = goos, arch
+		got, err := moduleFiles(&ctxt, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s/%s: loader reads %v\ngo list builds %v", goos, arch, got, want)
+		}
 	}
 }
 
