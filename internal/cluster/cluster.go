@@ -1,11 +1,11 @@
 // Package cluster runs N edge nodes — each a serve.Store + dash.Server
 // pair — in front of one origin ChunkSource, with chunk keys routed by
 // rendezvous hashing so membership changes move only the resharded
-// keys. In the wire forms (WithWire / WithLoopback) every node is a
-// real HTTP process: its dash.Server on a listener — loopback TCP, or
-// an in-memory one — that the router reaches over a keep-alive hop of
-// its own, so node death is an actual connection refusal and re-routed
-// responses proxy writer-first, never materialized at the router. Every request,
+// keys. In the wire forms (WithWire / WithTransport) every node is a
+// real HTTP process: its dash.Server on a loopback TCP listener that
+// the router reaches over a keep-alive hop of its own, so node death is
+// an actual connection refusal and re-routed responses proxy
+// writer-first, never materialized at the router. Every request,
 // whichever form and whichever front-door method it came through, takes
 // the one path route → walk → relay → originFallback. Each node's failure detector
 // combines periodic probes with passive per-request error accounting to
@@ -117,7 +117,7 @@ type Cluster struct {
 
 // New builds a cluster of WithNodes edges named "edge-0" … "edge-N-1"
 // around the required origin. With no options it is three in-process
-// edges; WithWire/WithLoopback put each edge behind its own HTTP
+// edges; WithWire/WithTransport put each edge behind its own HTTP
 // listener and WithReplication(R) gives every key R owners.
 func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 	if origin == nil {
@@ -262,7 +262,7 @@ func (c *Cluster) Replication() int { return c.cfg.replication }
 func (c *Cluster) Wire() bool { return c.cfg.net != nil }
 
 // Chunk implements dash.ChunkSource: the request path with no writer,
-// so the served body comes back whole. On every carrier it is shared —
+// so the served body comes back whole. In either form it is shared —
 // the serving edge's cached slice, or the origin's — and read-only, under
 // serve.Store.Get's contract.
 func (c *Cluster) Chunk(ctx context.Context, videoID string, quality, tile, index int, layer bool) ([]byte, error) {

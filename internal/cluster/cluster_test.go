@@ -50,8 +50,7 @@ func withMaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n 
 func withWarmQueue(n int) Option   { return func(c *config) { c.warmQueueCap = n } }
 
 // withEdge puts the cluster over the wire with every edge loop answering
-// with what h builds for its node: the fault seam of the wire tests. The
-// carrier is TCP unless WithLoopback is given too.
+// with what h builds for its node: the handler seam of the wire tests.
 func withEdge(h func(*Node) http.Handler) Option {
 	return func(c *config) {
 		WithWire(true)(c)
@@ -60,23 +59,16 @@ func withEdge(h func(*Node) http.Handler) Option {
 }
 
 // fixedEdge answers every request with a 200 declaring length — none
-// when it is negative — and body, a byte per write when trickle is set,
-// without touching the node's store. The edge loop sends no byte past a
-// declared length, and closes the connection after a body that ends
-// short of it.
-func fixedEdge(length int64, body []byte, trickle bool) func(*Node) http.Handler {
+// when it is negative — and body, without touching the node's store. The
+// edge loop sends no byte past a declared length, and closes the
+// connection after a body that ends short of it.
+func fixedEdge(length int64, body []byte) func(*Node) http.Handler {
 	return func(*Node) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			if length >= 0 {
 				w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
 			}
-			if !trickle {
-				w.Write(body)
-				return
-			}
-			for i := range body {
-				w.Write(body[i : i+1])
-			}
+			w.Write(body)
 		})
 	}
 }
@@ -317,7 +309,7 @@ func TestKillDropsCacheAndRecoverComesBackCold(t *testing.T) {
 // next request for the key misses again.
 func TestKillDuringMissComesBackCold(t *testing.T) {
 	key := wireKeys(wireVideo())[0]
-	for _, carrier := range []string{"in-process", "loopback", "tcp"} {
+	for _, carrier := range []string{"in-process", "tcp"} {
 		t.Run(carrier, func(t *testing.T) {
 			origin := newBlockingOrigin(key)
 			c := newCarrierCluster(t, carrier, origin, WithNodes(1), WithClock(sim.NewClock(1)))
@@ -462,7 +454,7 @@ func TestConfigRequiresOrigin(t *testing.T) {
 	if _, err := New(nil, WithNodes(3)); err == nil {
 		t.Fatal("New accepted a nil origin")
 	}
-	if _, err := New(&countingOrigin{}, WithLoopback()); err == nil {
+	if _, err := New(&countingOrigin{}, WithWire(true)); err == nil {
 		t.Fatal("New accepted a wire form without a catalog")
 	}
 }

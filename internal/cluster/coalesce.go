@@ -17,7 +17,7 @@ import (
 // request for a key becomes the flight leader and does the ranked walk;
 // requests arriving while the flight is open attach as followers and
 // are served from the leader's body — the serving edge's own slice, or
-// on a wire carrier one teed on the way past when the edge holds none —
+// over the wire one teed on the way past when the edge holds none —
 // without touching an edge or the origin at all.
 //
 // The one body-less case: a streaming leader that reaches its copy

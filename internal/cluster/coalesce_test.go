@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -146,44 +148,42 @@ func TestHerdColdKeyCoalescesToOneOriginFetch(t *testing.T) {
 // attached to the flight's teed body — produce byte-identical bodies
 // with declared Content-Length and exactly one origin synthesis.
 func TestWireHerdStreamsColdKeyOnce(t *testing.T) {
-	for _, carrier := range wireCarriers {
-		t.Run(carrier, func(t *testing.T) {
-			const herd = 6
-			v := wireVideo()
-			key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
-			origin := newBlockingOrigin(key)
-			c := newCarrierCluster(t, carrier, origin, WithNodes(2), WithClock(sim.NewClock(1)))
-			front := c.FrontDoor()
-			recs := make(chan *httptest.ResponseRecorder, herd)
-			get := func() { recs <- chunkGET(t, front, key) }
+	t.Run("tcp", func(t *testing.T) {
+		const herd = 6
+		v := wireVideo()
+		key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
+		origin := newBlockingOrigin(key)
+		c := newCarrierCluster(t, "tcp", origin, WithNodes(2), WithClock(sim.NewClock(1)))
+		front := c.FrontDoor()
+		recs := make(chan *httptest.ResponseRecorder, herd)
+		get := func() { recs <- chunkGET(t, front, key) }
+		go get()
+		<-origin.arrived
+		for i := 1; i < herd; i++ {
 			go get()
-			<-origin.arrived
-			for i := 1; i < herd; i++ {
-				go get()
+		}
+		waitForFollowers(t, c, key, herd-1)
+		close(origin.release)
+		want := string(originBody(key))
+		for i := 0; i < herd; i++ {
+			rec := <-recs
+			if rec.Code != http.StatusOK {
+				t.Fatalf("herd GET status %d", rec.Code)
 			}
-			waitForFollowers(t, c, key, herd-1)
-			close(origin.release)
-			want := string(originBody(key))
-			for i := 0; i < herd; i++ {
-				rec := <-recs
-				if rec.Code != http.StatusOK {
-					t.Fatalf("herd GET status %d", rec.Code)
-				}
-				if rec.Body.String() != want {
-					t.Fatalf("herd body %q, want %q", rec.Body.String(), want)
-				}
-				if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(len(want)) {
-					t.Fatalf("Content-Length %q, want %d", cl, len(want))
-				}
+			if rec.Body.String() != want {
+				t.Fatalf("herd body %q, want %q", rec.Body.String(), want)
 			}
-			if got := origin.count(); got != 1 {
-				t.Fatalf("wire herd of %d cost %d origin fetches, want exactly 1", herd, got)
+			if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(len(want)) {
+				t.Fatalf("Content-Length %q, want %d", cl, len(want))
 			}
-			if got := c.Coalesced(); got != herd-1 {
-				t.Fatalf("cluster.coalesced = %d, want exactly %d", got, herd-1)
-			}
-		})
-	}
+		}
+		if got := origin.count(); got != 1 {
+			t.Fatalf("wire herd of %d cost %d origin fetches, want exactly 1", herd, got)
+		}
+		if got := c.Coalesced(); got != herd-1 {
+			t.Fatalf("cluster.coalesced = %d, want exactly %d", got, herd-1)
+		}
+	})
 }
 
 // TestCanceledLeaderDoesNotPoisonFollowers: the flight leader's caller
@@ -243,15 +243,8 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 // not hand short bytes to the caller (or a replica's cache) as a
 // valid-looking chunk.
 func TestFetchWireRejectsTruncatedBody(t *testing.T) {
-	v := wireVideo()
-	origin := &countingOrigin{}
-	c, err := New(origin, WithNodes(1), WithLoopback(), withEdge(fixedEdge(100, []byte("short"), false)),
-		WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
+	c := newCarrierCluster(t, "tcp", &countingOrigin{}, WithNodes(1), withEdge(fixedEdge(100, []byte("short"))), WithClock(sim.NewClock(1)))
+	key := serve.ChunkKey{Video: wireVideo().ID, Quality: 0, Tile: 0, Index: 0}
 	st, held, err := c.Node("edge-0").open(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
@@ -274,16 +267,9 @@ func TestFetchWireRejectsTruncatedBody(t *testing.T) {
 // response is ruined and must surface as a typed transient error that
 // feeds the failure detector, never as a success.
 func TestProxyBodyRejectsTruncatedStream(t *testing.T) {
-	v := wireVideo()
-	origin := &countingOrigin{}
-	c, err := New(origin, WithNodes(1), WithLoopback(), withEdge(fixedEdge(100, []byte("short"), false)),
-		WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCarrierCluster(t, "tcp", &countingOrigin{}, WithNodes(1), withEdge(fixedEdge(100, []byte("short"))), WithClock(sim.NewClock(1)))
 	rec := httptest.NewRecorder()
-	_, err = c.StreamChunk(context.Background(), rec, v.ID, 0, 0, 0, false)
+	_, err := c.StreamChunk(context.Background(), rec, wireVideo().ID, 0, 0, 0, false)
 	var derr *dash.Error
 	if !errors.As(err, &derr) || derr.Kind != dash.KindTransient {
 		t.Fatalf("streamChunk on a truncated edge stream returned %v, want transient *dash.Error", err)
@@ -307,17 +293,11 @@ func (o *failingOrigin) Chunk(ctx context.Context, videoID string, quality, tile
 // cluster.origin_stream_errors; only completed streams count as
 // fetches.
 func TestStreamOriginFetchCountsOnSuccessOnly(t *testing.T) {
-	v := wireVideo()
-	c, err := New(&failingOrigin{}, WithNodes(2), WithLoopback(),
-		WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCarrierCluster(t, "tcp", &failingOrigin{}, WithNodes(2), WithClock(sim.NewClock(1)))
 	for _, id := range c.NodeNames() {
 		c.KillNode(id)
 	}
-	rec := chunkGET(t, c.FrontDoor(), serve.ChunkKey{Video: v.ID})
+	rec := chunkGET(t, c.FrontDoor(), serve.ChunkKey{Video: wireVideo().ID})
 	if rec.Code == http.StatusOK {
 		t.Fatalf("GET with a dead origin returned %d", rec.Code)
 	}
@@ -338,18 +318,11 @@ func TestStreamOriginFetchCountsOnSuccessOnly(t *testing.T) {
 // TestStreamOriginFetchCountedOnSuccess is the passing half: a
 // completed fallback stream counts exactly once.
 func TestStreamOriginFetchCountedOnSuccess(t *testing.T) {
-	v := wireVideo()
-	origin := &countingOrigin{}
-	c, err := New(origin, WithNodes(2), WithLoopback(),
-		WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCarrierCluster(t, "tcp", &countingOrigin{}, WithNodes(2), WithClock(sim.NewClock(1)))
 	for _, id := range c.NodeNames() {
 		c.KillNode(id)
 	}
-	key := serve.ChunkKey{Video: v.ID}
+	key := serve.ChunkKey{Video: wireVideo().ID}
 	rec := chunkGET(t, c.FrontDoor(), key)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("fallback GET status %d", rec.Code)
@@ -452,14 +425,21 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 
 	v := wireVideo()
 	key := serve.ChunkKey{Video: v.ID, Quality: 0, Tile: 0, Index: 0}
+	// Two edges that both answer every GET with the exec's length and
+	// body, and that no exec's failures hold down for the next.
+	var answer atomic.Pointer[http.Handler]
+	c, err := New(&countingOrigin{}, WithNodes(2), WithReplication(2),
+		withEdge(func(*Node) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { (*answer.Load()).ServeHTTP(w, r) })
+		}),
+		WithCatalog(wireCatalog(f, v)), WithClock(sim.NewClock(1)), WithHealth(HealthConfig{FailThreshold: math.MaxInt}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(c.Close)
 	f.Fuzz(func(t *testing.T, declared int64, body []byte, replicate, writer, held, hop bool) {
-		// Two edges that both answer every GET with this length and body.
-		c, err := New(&countingOrigin{}, WithNodes(2), WithReplication(2), WithLoopback(), withEdge(fixedEdge(declared, body, false)),
-			WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
+		h := fixedEdge(declared, body)(nil)
+		answer.Store(&h)
 		// The edge's copy, when it holds one, is the body the stream
 		// carries, in a slice of its own.
 		var edge []byte

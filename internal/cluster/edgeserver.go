@@ -25,8 +25,8 @@ import (
 // of a request body it reads past the handler to keep the connection.
 const edgeBodyLimit = 64 << 10
 
-// edgeServer is a wire edge's HTTP process on its listener, TCP or in
-// memory: the server half of hopTransport. Each connection is served on one
+// edgeServer is a wire edge's HTTP process on its listener: the server
+// half of hopTransport. Each connection is served on one
 // goroutine — http.ReadRequest in, the handler on that goroutine, the
 // response out — with net/http's own codec on a connection the edge
 // holds: no second goroutine, no hand-written request parsing. A

@@ -23,16 +23,9 @@ import (
 	"sperke/internal/serve"
 )
 
-// newEdge is a one-edge cluster on a real listener in front of origin,
-// retired when the test ends.
-func newEdge(tb testing.TB, origin dash.ChunkSource) (*Cluster, *Node) {
-	tb.Helper()
-	c, err := New(origin, WithNodes(1), WithWire(true), WithCatalog(wireCatalog(tb, wireVideo())))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(c.Close)
-	return c, c.Nodes()[0]
+// newEdge is a one-edge wire cluster's edge, in front of origin.
+func newEdge(tb testing.TB, origin dash.ChunkSource, opts ...Option) *Node {
+	return newCarrierCluster(tb, "tcp", origin, append(opts, WithNodes(1))...).Nodes()[0]
 }
 
 // catalogOrigin synthesizes wireVideo's real chunk bodies, the ones
@@ -68,9 +61,9 @@ func TestEdgeDirectGETIsOneWrite(t *testing.T) {
 	if _, err := syscallWrites(); err != nil {
 		t.Skipf("no per-process syscall counts: %v", err)
 	}
-	_, edge := newEdge(t, catalogOrigin(t))
-	edge.Kill()
-	accepted := recoverCounting(t, edge, nil)
+	f := &faultNet{}
+	edge := newEdge(t, catalogOrigin(t), withFaults(f))
+	accepted := &f.at(edge.Addr()).accepts
 	want, err := dash.BuildChunkBody(wireVideo(), 1, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
@@ -149,9 +142,9 @@ func (o *gateOrigin) Chunk(ctx context.Context, videoID string, quality, tile, i
 // one origin fetch, and the next GET is a hit on a fresh connection.
 func TestEdgeHangupMidMissFinishesTheMiss(t *testing.T) {
 	origin := newGateOrigin()
-	_, edge := newEdge(t, origin)
-	edge.Kill()
-	accepted := recoverCounting(t, edge, nil)
+	f := &faultNet{}
+	edge := newEdge(t, origin, withFaults(f))
+	accepted := &f.at(edge.Addr()).accepts
 	key := wireKeys(wireVideo())[0]
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -224,7 +217,7 @@ func TestEdgeKillEndsTheHandlersContext(t *testing.T) {
 // serves one more GET.
 func TestEdgeProtocol(t *testing.T) {
 	v := wireVideo()
-	_, edge := newEdge(t, catalogOrigin(t))
+	edge := newEdge(t, catalogOrigin(t))
 	chunk := func(q int) string {
 		b, err := dash.BuildChunkBody(v, q, 0, 0, false)
 		if err != nil {
@@ -518,7 +511,7 @@ func FuzzEdgeServe(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	_, edge := newEdge(f, catalogOrigin(f))
+	edge := newEdge(f, catalogOrigin(f))
 	const tail = "GET /v/wire/c/1/0/0 HTTP/1.1\r\nHost: edge\r\n\r\n"
 	want, err := dash.BuildChunkBody(wireVideo(), 1, 0, 0, false)
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"sperke/internal/dash"
-	"sperke/internal/faults"
 	"sperke/internal/obs"
 	"sperke/internal/serve"
 )
@@ -206,94 +205,98 @@ func TestHandoverMovesTheBody(t *testing.T) {
 	}
 }
 
-// restartEdge brings a killed wire edge back on its address with h as
-// its handler.
-func restartEdge(t *testing.T, edge *Node, h http.Handler) {
-	t.Helper()
-	ln, err := edge.net.listen(edge.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	edge.rt.Store(serveEdge(ln, h))
-	edge.down.Store(false)
-}
-
-// stallingWriter sends the first half of the first Write, reports it on
-// sent, and holds the handler until its request's context ends — an
-// edge that dies mid-body when it is killed.
-type stallingWriter struct {
-	http.ResponseWriter
-	ctx  context.Context
-	sent chan<- struct{}
-}
-
-func (w *stallingWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p[:len(p)/2])
-	w.sent <- struct{}{}
-	<-w.ctx.Done()
-	return n, errors.Join(err, w.ctx.Err())
-}
-
-// TestHandoverEdgeFaultIsTheEdges: an edge that ends a handed-over body
-// short — it declared the whole chunk and sent half, or it was killed
-// after half — costs the relay the typed transient length mismatch and
-// the edge one failure on its breaker; one killed with a reset instead
-// costs the hop's typed transient error, which its socket shows. The
-// viewer gets no byte past the declared length, and the hop connection
-// is closed, not pooled.
+// TestHandoverEdgeFaultIsTheEdges is the conn-fault table: a front-door
+// GET on a real socket, whose body the owning edge's script breaks at its
+// middle, or whose hop drips it. An edge that ends the body short — its
+// connection cut there, or closed by a Kill while it stalled there —
+// costs the relay the typed transient length mismatch and the edge one
+// failure on its breaker; one that resets there costs the hop's typed
+// transient error, which its socket shows. A stall that ends, or a hop
+// that reads a few KiB at a time through the block loop, moves the body
+// whole and costs nothing. A stall past the caller's 200 ms deadline
+// returns within 100 ms of it, as the caller's cancellation, charged to
+// nobody. The viewer gets no byte past the declared length, and only a
+// hop connection that carried the whole body is pooled.
 func TestHandoverEdgeFaultIsTheEdges(t *testing.T) {
 	key := bigKey()
-	v := wireVideo()
-	want, err := dash.BuildChunkBody(v, key.Quality, key.Tile, key.Index, key.Layer)
+	want, err := dash.BuildChunkBody(wireVideo(), key.Quality, key.Tile, key.Index, key.Layer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fault := range []string{"truncated", "killed", "reset"} {
-		t.Run(fault, func(t *testing.T) {
+	half := len(want) / 2
+	for _, tc := range []struct {
+		name     string
+		fault    *connFault
+		kill     bool          // Kill the edge once its stall begins
+		drip     int           // the hop reads at most this many bytes at a time
+		deadline time.Duration // the caller's, when it has one
+		kind     dash.ErrorKind
+		mismatch bool
+		whole    bool // served whole, and nothing fails
+	}{
+		{name: "truncated", fault: &connFault{verb: cutAt, at: half}, kind: dash.KindTransient, mismatch: true},
+		{name: "killed", fault: &connFault{verb: stallAt, at: half}, kill: true, kind: dash.KindTransient, mismatch: true},
+		{name: "reset", fault: &connFault{verb: resetAt, at: half}, kind: dash.KindTransient},
+		{name: "stalled", fault: &connFault{verb: stallAt, at: half, stall: 50 * time.Millisecond}, whole: true},
+		{name: "dripped", drip: 4 << 10, whole: true},
+		{name: "past the deadline", fault: &connFault{verb: stallAt, at: half}, deadline: 200 * time.Millisecond, kind: dash.KindCanceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			c := newCarrierCluster(t, "tcp", catalogOrigin(t), WithNodes(3), WithObs(reg), WithHealth(HealthConfig{FailThreshold: 1}))
+			f := &faultNet{scripted: true, drip: tc.drip}
+			c := newCarrierCluster(t, "tcp", catalogOrigin(t), WithNodes(3), WithObs(reg), WithHealth(HealthConfig{FailThreshold: 1}), withFaults(f))
 			edge := c.Node(Rank(key, c.NodeNames())[0])
-			edge.Kill()
-			sent := make(chan struct{}, 1)
-			h := faults.NewInjector(1, faults.Rule{TruncateProb: 1}).Wrap(edge.server)
-			if fault != "truncated" {
-				h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					edge.server.ServeHTTP(&stallingWriter{ResponseWriter: w, ctx: r.Context(), sent: sent}, r)
-				})
+			script := f.at(edge.Addr())
+			if tc.fault != nil {
+				script.then(*tc.fault)
+			}
+			if tc.kill {
 				go func() {
-					<-sent
-					if fault == "reset" {
-						s := edge.rt.Load()
-						s.mu.Lock()
-						for ec := range s.conns {
-							ec.conn.(*net.TCPConn).SetLinger(0)
-						}
-						s.mu.Unlock()
-					}
+					<-script.stalled
 					edge.Kill()
 				}()
 			}
-			restartEdge(t, edge, h)
-			errs := make(chan error, 1)
+			type result struct {
+				took time.Duration
+				err  error
+			}
+			results := make(chan result, 1)
 			front := serveFrontDoor(t, &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				_, _, err := c.walk(r.Context(), w, key, nil)
-				errs <- err
+				ctx, start := r.Context(), time.Now()
+				if tc.deadline > 0 {
+					var cancel context.CancelFunc
+					ctx, cancel = context.WithTimeout(ctx, tc.deadline)
+					defer cancel()
+				}
+				_, _, err := c.walk(ctx, w, key, nil)
+				results <- result{time.Since(start), err}
 			})})
 
 			resp, got := rawGET(t, front, keyPath(key))
-			err := <-errs
+			res := <-results
+			downs, idle := reg.Counter("cluster.health.down_transitions").Value(), edge.hop.idleLen()
+			if tc.whole {
+				if res.err != nil || !bytes.Equal(got, want) || downs != 0 || idle != 1 {
+					t.Fatalf("relay %v, %d of %d bytes at the viewer, %d down transitions, %d idle connections; want the body whole, nothing charged and the connection pooled",
+						res.err, len(got), len(want), downs, idle)
+				}
+				return
+			}
 			var de *dash.Error
-			if !errors.As(err, &de) || de.Kind != dash.KindTransient || (fault == "reset") == strings.Contains(err.Error(), "length mismatch") {
-				t.Fatalf("relay returned %v, want a transient *dash.Error, a length mismatch unless the edge reset", err)
+			if !errors.As(res.err, &de) || de.Kind != tc.kind || tc.mismatch != strings.Contains(res.err.Error(), "length mismatch") {
+				t.Fatalf("relay returned %v, want a %v *dash.Error, a length mismatch: %v", res.err, tc.kind, tc.mismatch)
 			}
 			if resp.ContentLength != int64(len(want)) || len(got) >= len(want) || !bytes.HasPrefix(want, got) {
 				t.Fatalf("the viewer got %d bytes under a declared %d, want fewer, and the chunk's", len(got), resp.ContentLength)
 			}
-			if downs := reg.Counter("cluster.health.down_transitions").Value(); downs != 1 {
-				t.Errorf("down transitions = %d, want the edge's one failure", downs)
+			if charged := tc.kind == dash.KindTransient; (downs == 1) != charged || downs > 1 {
+				t.Errorf("down transitions = %d, want the edge charged: %v", downs, charged)
 			}
-			if idle := edge.hop.idleLen(); idle != 0 {
+			if idle != 0 {
 				t.Errorf("the hop pooled %d connections after a short body, want 0", idle)
+			}
+			if tc.deadline > 0 && (res.took < tc.deadline || res.took >= tc.deadline+100*time.Millisecond || !errors.Is(res.err, context.DeadlineExceeded)) {
+				t.Errorf("the walk returned %v after %v, want context.DeadlineExceeded within 100ms of its %v deadline", res.err, res.took, tc.deadline)
 			}
 		})
 	}

@@ -157,8 +157,7 @@ func (t *hopTransport) exchange(ctx context.Context, pc *hopConn, path string, d
 	}
 	if err != nil {
 		stale = errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) ||
-			errors.Is(err, syscall.EPIPE) || errors.Is(err, net.ErrClosed) ||
-			errors.Is(err, io.ErrClosedPipe) // net.Pipe's EPIPE
+			errors.Is(err, syscall.EPIPE) || errors.Is(err, net.ErrClosed)
 	} else if resp, err = http.ReadResponse(pc.br, nil); err == nil {
 		resp.Body = &hopBody{body: resp.Body, pc: pc, t: t, ctx: ctx, path: path, stop: stop, keep: !resp.Close}
 		return resp, false, nil
@@ -170,17 +169,21 @@ func (t *hopTransport) exchange(ctx context.Context, pc *hopConn, path string, d
 
 // hopError is the typed failure of an exchange on path. A failure the
 // connection's deadline caused reads as the end of the context that set
-// it, or as context.DeadlineExceeded when the deadline was
-// dash.DefaultTimeout's.
+// it — waited for when its deadline has passed, as the socket's timer
+// can fire a moment before the context's — or as
+// context.DeadlineExceeded when the deadline was dash.DefaultTimeout's.
 func hopError(ctx context.Context, path string, err error) *dash.Error {
-	kind := dash.KindTransient
-	if ctx.Err() != nil {
-		kind = dash.KindCanceled
-	}
 	if errors.Is(err, os.ErrDeadlineExceeded) {
+		if d, ok := ctx.Deadline(); ok && !d.After(wallDeadline(0)) {
+			<-ctx.Done()
+		}
 		if err = context.Cause(ctx); err == nil {
 			err = context.DeadlineExceeded
 		}
+	}
+	kind := dash.KindTransient
+	if ctx.Err() != nil {
+		kind = dash.KindCanceled
 	}
 	return &dash.Error{Op: path, Kind: kind, Attempts: 1, Err: err}
 }

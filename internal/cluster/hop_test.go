@@ -28,21 +28,6 @@ func (t *hopTransport) idleLen() int {
 	return len(t.idle)
 }
 
-// recoverCounting brings a killed wire edge back by hand on a listener
-// that counts the connections it accepts; wrap, when not nil, wraps each
-// one.
-func recoverCounting(t *testing.T, edge *Node, wrap func(net.Conn) net.Conn) *atomic.Int64 {
-	t.Helper()
-	ln, err := edge.net.listen(edge.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := new(atomic.Int64)
-	edge.serveOn(countingListener{Listener: ln, accepted: accepted, wrap: wrap})
-	edge.down.Store(false)
-	return accepted
-}
-
 // ownedKeys returns up to n of the wire keys edge is the first-ranked
 // owner of, failing the test when it owns fewer.
 func ownedKeys(t *testing.T, c *Cluster, edge *Node, n int) []serve.ChunkKey {
@@ -59,18 +44,15 @@ func ownedKeys(t *testing.T, c *Cluster, edge *Node, n int) []serve.ChunkKey {
 	return owned
 }
 
-// newWireCluster is a three-edge cluster on the named wire carrier whose
-// failure detector trips on one failure, so any failure charged to an
-// edge shows as a down transition.
-func newWireCluster(t *testing.T, carrier string) (*Cluster, *obs.Registry) {
+// newWireCluster is a three-edge wire cluster with opts whose failure
+// detector trips on one failure, so any failure charged to an edge shows
+// as a down transition.
+func newWireCluster(t *testing.T, opts ...Option) (*Cluster, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	return newCarrierCluster(t, carrier, &countingOrigin{}, WithNodes(3), WithObs(reg), WithHealth(HealthConfig{FailThreshold: 1})), reg
+	opts = append(opts, WithNodes(3), WithObs(reg), WithHealth(HealthConfig{FailThreshold: 1}))
+	return newCarrierCluster(t, "tcp", &countingOrigin{}, opts...), reg
 }
-
-// wireCarriers are the carriers a wire test runs on: the in-memory one
-// and the TCP one that ships, both under the same hop and edge loop.
-var wireCarriers = []string{"loopback", "tcp"}
 
 // TestHopStaleConnectionRedialsOnce: a crash and restart leaves the
 // router's pool to the edge full of connections the edge closed. The
@@ -78,70 +60,52 @@ var wireCarriers = []string{"loopback", "tcp"}
 // on one fresh dial and drops the rest of the pool with it: one
 // connection accepted, nothing charged to the edge, no failover.
 func TestHopStaleConnectionRedialsOnce(t *testing.T) {
-	for _, carrier := range wireCarriers {
-		t.Run(carrier, func(t *testing.T) {
-			c, reg := newWireCluster(t, carrier)
-			edge := c.Nodes()[0]
-			owned := ownedKeys(t, c, edge, 8)
-			// Eight exchanges open at once, then all read to the end: eight idle
-			// connections.
-			ctx := context.Background()
-			var streams []chunkStream
-			for _, key := range owned {
-				st, _, err := edge.open(ctx, key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				streams = append(streams, st)
+	t.Run("tcp", func(t *testing.T) {
+		f := &faultNet{}
+		c, reg := newWireCluster(t, withFaults(f))
+		edge := c.Nodes()[0]
+		owned := ownedKeys(t, c, edge, 8)
+		// Eight exchanges open at once, then all read to the end: eight idle
+		// connections.
+		ctx := context.Background()
+		var streams []chunkStream
+		for _, key := range owned {
+			st, _, err := edge.open(ctx, key)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, st := range streams {
-				if _, err := io.Copy(io.Discard, st.body); err != nil {
-					t.Fatal(err)
-				}
-				st.body.Close()
+			streams = append(streams, st)
+		}
+		for _, st := range streams {
+			if _, err := io.Copy(io.Discard, st.body); err != nil {
+				t.Fatal(err)
 			}
-			if got := edge.hop.idleLen(); got != len(owned) {
-				t.Fatalf("pool holds %d idle connections, want %d", got, len(owned))
-			}
+			st.body.Close()
+		}
+		if got := edge.hop.idleLen(); got != len(owned) {
+			t.Fatalf("pool holds %d idle connections, want %d", got, len(owned))
+		}
 
-			edge.Kill()
-			accepted := recoverCounting(t, edge, nil)
-			key := owned[0]
-			if rec := chunkGET(t, c.FrontDoor(), key); rec.Code != http.StatusOK || rec.Body.String() != string(originBody(key)) {
-				t.Fatalf("front door answered %d with %q after the restart", rec.Code, rec.Body.String())
-			}
-			if got := accepted.Load(); got != 1 {
-				t.Fatalf("the restarted edge accepted %d connections, want 1", got)
-			}
-			downs := reg.Counter("cluster.health.down_transitions").Value()
-			if downs != 0 || c.met.reroutes.Value() != 0 || c.met.originFallbacks.Value() != 0 {
-				t.Fatalf("down_transitions %d, reroutes %d, origin fallbacks %d; want 0, 0, 0",
-					downs, c.met.reroutes.Value(), c.met.originFallbacks.Value())
-			}
-			if got := edge.hop.idleLen(); got != 1 {
-				t.Fatalf("pool holds %d idle connections, want only the fresh one", got)
-			}
-		})
-	}
-}
-
-// cutConn, once cut is set, passes a response head through and writes
-// all but the last few bytes of the first write that carries body bytes,
-// then closes: an edge dying mid-body. Through a wrapped connection the
-// edge's head and body arrive as separate writes, since a writev needs
-// the bare *net.TCPConn.
-type cutConn struct {
-	net.Conn
-	cut *atomic.Bool
-}
-
-func (c cutConn) Write(p []byte) (int, error) {
-	if !c.cut.Load() || bytes.HasPrefix(p, []byte("HTTP/1.1 ")) {
-		return c.Conn.Write(p)
-	}
-	n, _ := c.Conn.Write(p[:len(p)-5])
-	c.Conn.Close()
-	return n, net.ErrClosed
+		edge.Kill()
+		edge.Recover()
+		accepted := &f.at(edge.Addr()).accepts
+		before := accepted.Load()
+		key := owned[0]
+		if rec := chunkGET(t, c.FrontDoor(), key); rec.Code != http.StatusOK || rec.Body.String() != string(originBody(key)) {
+			t.Fatalf("front door answered %d with %q after the restart", rec.Code, rec.Body.String())
+		}
+		if got := accepted.Load() - before; got != 1 {
+			t.Fatalf("the restarted edge accepted %d connections, want 1", got)
+		}
+		downs := reg.Counter("cluster.health.down_transitions").Value()
+		if downs != 0 || c.met.reroutes.Value() != 0 || c.met.originFallbacks.Value() != 0 {
+			t.Fatalf("down_transitions %d, reroutes %d, origin fallbacks %d; want 0, 0, 0",
+				downs, c.met.reroutes.Value(), c.met.originFallbacks.Value())
+		}
+		if got := edge.hop.idleLen(); got != 1 {
+			t.Fatalf("pool holds %d idle connections, want only the fresh one", got)
+		}
+	})
 }
 
 // TestHopStaleConnectionMidBodyIsNotResent: a reused connection that
@@ -149,36 +113,35 @@ func (c cutConn) Write(p []byte) (int, error) {
 // bytes may already have been relayed; the relay gets the hop's typed
 // transient error and no request is re-sent.
 func TestHopStaleConnectionMidBodyIsNotResent(t *testing.T) {
-	for _, carrier := range wireCarriers {
-		t.Run(carrier, func(t *testing.T) {
-			c, _ := newWireCluster(t, carrier)
-			edge := c.Nodes()[0]
-			owned := ownedKeys(t, c, edge, 2)
-			edge.Kill()
-			var cut atomic.Bool
-			accepted := recoverCounting(t, edge, func(conn net.Conn) net.Conn { return cutConn{conn, &cut} })
-			ctx := context.Background()
-			if _, body, err := c.walk(ctx, nil, owned[0], nil); err != nil || string(body) != string(originBody(owned[0])) {
-				t.Fatalf("first fetch: %q, %v", body, err)
-			}
-			cut.Store(true)
-			st, held, err := edge.open(ctx, owned[1])
-			if err != nil {
-				t.Fatalf("the response head arrived whole, yet open failed: %v", err)
-			}
-			_, body, err := c.relay(nil, st, held, false, owned[1], nil)
-			var de *dash.Error
-			if !errors.As(err, &de) || de.Kind != dash.KindTransient || body != nil {
-				t.Fatalf("relay = %d bytes, %v; want no body and a transient *dash.Error, though the edge holds it", len(body), err)
-			}
-			if got := accepted.Load(); got != 1 {
-				t.Fatalf("the edge accepted %d connections, want 1: a failure mid-body was re-sent", got)
-			}
-			if got := edge.hop.idleLen(); got != 0 {
-				t.Fatalf("pool holds %d idle connections after a body failed, want 0", got)
-			}
-		})
-	}
+	t.Run("tcp", func(t *testing.T) {
+		f := &faultNet{scripted: true}
+		c, _ := newWireCluster(t, withFaults(f))
+		edge := c.Nodes()[0]
+		owned := ownedKeys(t, c, edge, 2)
+		script := f.at(edge.Addr())
+		accepted := &script.accepts
+		ctx := context.Background()
+		if _, body, err := c.walk(ctx, nil, owned[0], nil); err != nil || string(body) != string(originBody(owned[0])) {
+			t.Fatalf("first fetch: %q, %v", body, err)
+		}
+		// The edge dies mid-body: all but the last few bytes go out.
+		script.then(connFault{verb: cutAt, at: len(originBody(owned[1])) - 5})
+		st, held, err := edge.open(ctx, owned[1])
+		if err != nil {
+			t.Fatalf("the response head arrived whole, yet open failed: %v", err)
+		}
+		_, body, err := c.relay(nil, st, held, false, owned[1], nil)
+		var de *dash.Error
+		if !errors.As(err, &de) || de.Kind != dash.KindTransient || body != nil {
+			t.Fatalf("relay = %d bytes, %v; want no body and a transient *dash.Error, though the edge holds it", len(body), err)
+		}
+		if got := accepted.Load(); got != 1 {
+			t.Fatalf("the edge accepted %d connections, want 1: a failure mid-body was re-sent", got)
+		}
+		if got := edge.hop.idleLen(); got != 0 {
+			t.Fatalf("pool holds %d idle connections after a body failed, want 0", got)
+		}
+	})
 }
 
 // TestHopCancelClosesAndLeaksNothing: an exchange that ends before its

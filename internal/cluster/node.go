@@ -147,8 +147,8 @@ func (n *Node) relisten() error {
 	return nil
 }
 
-// Addr returns the node's listen address in the wire form —
-// "127.0.0.1:port" on TCP, "mem:N" in memory — or "" otherwise.
+// Addr returns the node's listen address in the wire form,
+// "127.0.0.1:port", or "" otherwise.
 func (n *Node) Addr() string { return n.addr }
 
 // BaseURL returns the URL the router's client dials for this node; ""
@@ -182,16 +182,17 @@ func (n *Node) Kill() {
 
 // Recover restarts a killed node (cold — Kill dropped the cache) and,
 // in the wire form, re-binds its recorded address. If the address cannot
-// be re-taken the node stays unreachable and the health layer keeps
-// routing around it. Idempotent.
+// be re-taken the node stays down, its up gauge at 0, the health layer
+// keeps routing around it, and a later Recover tries again. Idempotent.
 func (n *Node) Recover() {
 	if !n.down.Swap(false) {
 		return
 	}
-	n.met.up.Set(1)
-	if n.addr != "" {
-		_ = n.relisten()
+	if n.addr != "" && n.relisten() != nil {
+		n.down.Store(true)
+		return
 	}
+	n.met.up.Set(1)
 }
 
 // join and leave publish the node's entry into and exit from the

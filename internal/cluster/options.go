@@ -145,24 +145,15 @@ func WithWire(on bool) Option {
 	}
 }
 
-// WithLoopback is the wire form without sockets: the same edge loop and
-// hop, with each node listening on an in-memory network whose dials are
-// net.Pipe connections — a killed or removed node refuses them with
-// ECONNREFUSED, deterministically and with no port taken. Implies
-// WithWire.
-func WithLoopback() Option {
-	return func(c *config) { c.net = newMemNetwork() }
-}
-
-// WithTransport is WithLoopback with rt behind every edge: each request
-// a node's edge loop reads goes out through rt, addressed to the node's
+// WithTransport is WithWire with rt behind every edge: each request a
+// node's edge loop reads goes out through rt, addressed to the node's
 // BaseURL, and rt's answer is the edge's — for a harness that serves the
 // nodes' handlers itself, behind its own decorators. A killed node still
 // refuses the dial. A nil rt changes nothing.
 func WithTransport(rt http.RoundTripper) Option {
 	return func(c *config) {
 		if rt != nil {
-			c.net = newMemNetwork()
+			c.net = tcpNetwork{}
 			c.edge = func(n *Node) http.Handler { return forwardTo(rt, n.addr) }
 		}
 	}

@@ -6,11 +6,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"syscall"
 	"testing"
+	"testing/iotest"
 	"time"
 	"unsafe"
 
@@ -31,8 +33,7 @@ func (w *hangupWriter) Write(p []byte) (int, error) { return 0, syscall.EPIPE }
 
 // TestViewerHangupIsNotTheEdges: a failed write to the viewer is the
 // sink's failure, not the source's. Four hang-ups through the front
-// door or StreamChunk, over real listeners, in-memory ones or in-process
-// edges, cost
+// door or StreamChunk, over real listeners or in-process edges, cost
 // one edge exchange each, trip no breaker, fall back to the origin
 // never, and reach dash.Server as aborts, not 500s. Charged to the edge,
 // they declared all three down and fetched four bodies from the origin
@@ -42,23 +43,12 @@ func (w *hangupWriter) Write(p []byte) (int, error) { return 0, syscall.EPIPE }
 func TestViewerHangupIsNotTheEdges(t *testing.T) {
 	v := wireVideo()
 	const hangups = 4
-	for _, carrier := range []string{"wire", "loopback", "in-process"} {
+	for _, carrier := range []string{"wire", "in-process"} {
 		for _, sink := range []string{"front-door", "StreamChunk", "socket"} {
-			if carrier == "loopback" && sink == "socket" {
-				// The socket viewer breaks a handover, which needs a TCP hop;
-				// over net.Pipe the edge's own write fails with it and counts
-				// as one more abort, as often as the race goes that way.
-				continue
-			}
 			t.Run(carrier+"/"+sink, func(t *testing.T) {
 				reg := obs.NewRegistry()
-				opts := []Option{WithNodes(3), WithCatalog(wireCatalog(t, v)), WithObs(reg), WithClock(sim.NewClock(1))}
-				switch carrier {
-				case "wire":
-					opts = append(opts, WithWire(true))
-				case "loopback":
-					opts = append(opts, WithLoopback())
-				}
+				opts := []Option{WithNodes(3), WithCatalog(wireCatalog(t, v)), WithObs(reg), WithClock(sim.NewClock(1)),
+					WithWire(carrier == "wire")}
 				// The socket viewer's chunk must outgrow the kernel buffers
 				// between it and the front door.
 				var origin dash.ChunkSource = &countingOrigin{}
@@ -144,36 +134,36 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestRelayTurns: over an edge whose body hands over all it holds per
+// TestRelayTurns: over an edge body that hands over all it holds per
 // read, each read reaches the viewer in one write. A 100 KB body fits
 // its 128 KiB block and crosses in one turn (four through a 32 KiB
 // one); a 300 KB body is past the largest class and takes two; kept for
-// a replica, the body is its own block and crosses in one — and over an
-// edge that trickles it a byte per read, in one write per byte,
-// forwarded as each read lands rather than slurped whole first. A kept
-// body is handed out sealed (len == cap), so no two holders share room.
+// a replica, the body is its own block and crosses in one — and over a
+// body that drips a byte per read, in one write per byte, forwarded
+// as each read lands rather than slurped whole first. A kept body is
+// handed out sealed (len == cap), so no two holders share room.
 func TestRelayTurns(t *testing.T) {
-	v := wireVideo()
-	key := wireKeys(v)[0]
+	key := wireKeys(wireVideo())[0]
+	c := new(Cluster) // a relay outside a flight reads nothing of it
 	for _, tc := range []struct {
 		n, replicas, writes int
-		trickle             bool
+		drip                bool
 	}{
 		{100_000, 1, 1, false},
 		{300_000, 1, 2, false},
 		{300_000, 2, 1, false},
 		{1_000, 2, 1_000, true},
 	} {
-		c, err := New(&countingOrigin{}, WithNodes(tc.replicas), WithReplication(tc.replicas),
-			WithLoopback(), withEdge(fixedEdge(int64(tc.n), bytes.Repeat([]byte("x"), tc.n), tc.trickle)),
-			WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
-		if err != nil {
-			t.Fatal(err)
+		body := func() chunkStream {
+			var r io.Reader = bytes.NewReader(bytes.Repeat([]byte("x"), tc.n))
+			if tc.drip {
+				r = iotest.OneByteReader(r)
+			}
+			return chunkStream{body: io.NopCloser(r), length: int64(tc.n)}
 		}
 		w := &writeCounter{h: make(http.Header)}
-		_, err = c.StreamChunk(context.Background(), w, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		kept, kerr := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		c.Close()
+		_, _, err := c.relay(w, body(), nil, tc.replicas > 1, key, nil)
+		_, kept, kerr := c.relay(nil, body(), nil, false, key, nil)
 		if err = errors.Join(err, kerr); err != nil {
 			t.Fatalf("%d bytes, R=%d: %v", tc.n, tc.replicas, err)
 		}
@@ -187,15 +177,12 @@ func TestRelayTurns(t *testing.T) {
 }
 
 // newCarrierCluster is a cluster in front of origin, with wireVideo's
-// catalog, on the named carrier — "in-process", "loopback" or "tcp" (real
+// catalog, on the named carrier — "in-process", or "tcp" (real
 // listeners) — and torn down when the test ends.
 func newCarrierCluster(tb testing.TB, carrier string, origin dash.ChunkSource, opts ...Option) *Cluster {
 	tb.Helper()
 	opts = append(opts, WithCatalog(wireCatalog(tb, wireVideo())))
-	switch carrier {
-	case "loopback":
-		opts = append(opts, WithLoopback())
-	case "tcp":
+	if carrier == "tcp" {
 		opts = append(opts, WithWire(true))
 	}
 	c, err := New(origin, opts...)
@@ -228,7 +215,7 @@ func TestReplicaWarmSharesTheServedBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, carrier := range []string{"in-process", "loopback", "tcp"} {
+	for _, carrier := range []string{"in-process", "tcp"} {
 		t.Run(carrier, func(t *testing.T) {
 			c := newCarrierCluster(t, carrier, catalogOrigin(t), WithNodes(3), WithReplication(2), WithClock(sim.NewClock(1)))
 			if rec := chunkGET(t, c.FrontDoor(), key); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
@@ -250,7 +237,7 @@ func TestReplicaWarmSharesTheServedBody(t *testing.T) {
 	}
 }
 
-// TestWriterlessChunkGetsTheServedBody: Chunk over a wire carrier hands
+// TestWriterlessChunkGetsTheServedBody: Chunk over the wire hands
 // its caller the serving edge's own sealed slice — alone, and as a herd
 // whose followers share the leader's flight — so no caller holds a copy
 // the router made.
@@ -258,52 +245,50 @@ func TestWriterlessChunkGetsTheServedBody(t *testing.T) {
 	const herd = 6
 	v := wireVideo()
 	alone, herded := wireKeys(v)[0], wireKeys(v)[1]
-	for _, carrier := range []string{"loopback", "tcp"} {
-		t.Run(carrier, func(t *testing.T) {
-			origin := newBlockingOrigin(herded)
-			c := newCarrierCluster(t, carrier, origin, WithNodes(3), WithClock(sim.NewClock(1)))
-			owner := func(key serve.ChunkKey) string { return Rank(key, c.NodeNames())[0] }
+	t.Run("tcp", func(t *testing.T) {
+		origin := newBlockingOrigin(herded)
+		c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithClock(sim.NewClock(1)))
+		owner := func(key serve.ChunkKey) string { return Rank(key, c.NodeNames())[0] }
 
-			body := fetchKey(t, c, alone)
-			if unsafe.SliceData(body) != unsafe.SliceData(resident(t, c, owner(alone), alone)) {
-				t.Fatalf("Chunk returned a copy of %s's body, not the body itself", owner(alone))
-			}
+		body := fetchKey(t, c, alone)
+		if unsafe.SliceData(body) != unsafe.SliceData(resident(t, c, owner(alone), alone)) {
+			t.Fatalf("Chunk returned a copy of %s's body, not the body itself", owner(alone))
+		}
 
-			bodies := make(chan []byte, herd)
-			errs := make(chan error, herd)
-			fetch := func() {
-				body, err := c.Chunk(context.Background(), herded.Video, herded.Quality, herded.Tile, herded.Index, herded.Layer)
-				bodies <- body
-				errs <- err
+		bodies := make(chan []byte, herd)
+		errs := make(chan error, herd)
+		fetch := func() {
+			body, err := c.Chunk(context.Background(), herded.Video, herded.Quality, herded.Tile, herded.Index, herded.Layer)
+			bodies <- body
+			errs <- err
+		}
+		go fetch() // the flight leader
+		<-origin.arrived
+		for i := 1; i < herd; i++ {
+			go fetch()
+		}
+		waitForFollowers(t, c, herded, herd-1)
+		close(origin.release)
+		got := make([][]byte, herd)
+		for i := range got {
+			if err := <-errs; err != nil {
+				t.Fatalf("herd member failed: %v", err)
 			}
-			go fetch() // the flight leader
-			<-origin.arrived
-			for i := 1; i < herd; i++ {
-				go fetch()
+			got[i] = <-bodies
+		}
+		served := resident(t, c, owner(herded), herded)
+		for i, body := range got {
+			if unsafe.SliceData(body) != unsafe.SliceData(served) || !bytes.Equal(body, originBody(herded)) {
+				t.Fatalf("herd body %d of %d is not %s's own", i+1, herd, owner(herded))
 			}
-			waitForFollowers(t, c, herded, herd-1)
-			close(origin.release)
-			got := make([][]byte, herd)
-			for i := range got {
-				if err := <-errs; err != nil {
-					t.Fatalf("herd member failed: %v", err)
-				}
-				got[i] = <-bodies
-			}
-			served := resident(t, c, owner(herded), herded)
-			for i, body := range got {
-				if unsafe.SliceData(body) != unsafe.SliceData(served) || !bytes.Equal(body, originBody(herded)) {
-					t.Fatalf("herd body %d of %d is not %s's own", i+1, herd, owner(herded))
-				}
-			}
-			if got := c.Coalesced(); got != herd-1 {
-				t.Fatalf("cluster.coalesced = %d, want exactly %d", got, herd-1)
-			}
-			if got := origin.count(); got != 2 {
-				t.Fatalf("%d origin fetches, want 2: one per key", got)
-			}
-		})
-	}
+		}
+		if got := c.Coalesced(); got != herd-1 {
+			t.Fatalf("cluster.coalesced = %d, want exactly %d", got, herd-1)
+		}
+		if got := origin.count(); got != 2 {
+			t.Fatalf("%d origin fetches, want 2: one per key", got)
+		}
+	})
 }
 
 // TestReplicaWarmWithoutAnEdgeCopy: an edge that answers without holding
@@ -317,12 +302,7 @@ func TestReplicaWarmWithoutAnEdgeCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(&countingOrigin{}, WithNodes(2), WithReplication(2), WithLoopback(), withEdge(fixedEdge(int64(len(want)), want, false)),
-		WithCatalog(wireCatalog(t, v)), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCarrierCluster(t, "tcp", &countingOrigin{}, WithNodes(2), WithReplication(2), withEdge(fixedEdge(int64(len(want)), want)), WithClock(sim.NewClock(1)))
 	if rec := chunkGET(t, c.FrontDoor(), key); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("GET: %d and %d bytes, want 200 and the %d-byte chunk", rec.Code, rec.Body.Len(), len(want))
 	}

@@ -43,26 +43,6 @@ func (o *scriptedOrigin) arm(key serve.ChunkKey) {
 	o.block, o.release = key, make(chan struct{})
 }
 
-// cuttingEdge serves the node's dash.Server but, while armed, lets the
-// response's head out and none of its body: the edge died after
-// promising Content-Length and before its first body byte.
-type cuttingEdge struct {
-	next  http.Handler
-	armed *atomic.Bool
-}
-
-func (h cuttingEdge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if h.armed.CompareAndSwap(true, false) {
-		w = headOnly{w}
-	}
-	h.next.ServeHTTP(w, r)
-}
-
-// headOnly drops every body byte written to it.
-type headOnly struct{ http.ResponseWriter }
-
-func (headOnly) Write(p []byte) (int, error) { return len(p), nil }
-
 // sinkCounters snapshots every counter the two sinks share.
 func sinkCounters(c *Cluster) map[string]int64 {
 	m := map[string]int64{
@@ -95,8 +75,8 @@ func counterDelta(before, after map[string]int64) map[string]int64 {
 // warm hit, primary killed, shed, truncated edge body, a herd with every
 // edge down, failing origin — through each sink of the single request
 // path: Chunk (no writer, the body comes back whole) and a front-door
-// GET (the ResponseWriter is the sink), each over the in-memory carrier
-// and over TCP. Every served body must equal dash.BuildChunkBody, and
+// GET (the ResponseWriter is the sink). Every served body must equal
+// dash.BuildChunkBody, and
 // every step must move every shared counter by the same amount on every
 // run. The one documented difference is where a failed fallback
 // lands: cluster.origin_errors without a writer,
@@ -176,8 +156,10 @@ func TestSameScenarioBothSinks(t *testing.T) {
 			},
 		},
 		{
+			// The edge dies after promising Content-Length and before its
+			// first body byte.
 			name: "truncated edge body, rerouted", key: kCut,
-			arrange: func(t *testing.T, e *sinkEnv) { e.cut.Store(true) },
+			arrange: func(t *testing.T, e *sinkEnv) { e.primaryScript.then(connFault{verb: cutAt, at: 0}) },
 			want: func(e *sinkEnv) map[string]int64 {
 				// The primary served (and missed) before its body was cut.
 				return map[string]int64{"requests": 1, "reroutes": 1, "origin_fetches": 2,
@@ -229,25 +211,20 @@ func TestSameScenarioBothSinks(t *testing.T) {
 		}
 		return rec.Body.Bytes(), true
 	}
-	// Each sink runs on the in-memory carrier and again on TCP: the same
-	// hop and edge loop, so the same deltas.
 	sinks := []struct {
-		name    string
-		carrier string
-		writer  bool
+		name   string
+		writer bool
 		// fetch returns the served body, or ok=false for a failed request.
 		fetch func(t *testing.T, c *Cluster, key serve.ChunkKey) (body []byte, ok bool)
 	}{
-		{"chunk", "loopback", false, chunk},
-		{"front-door", "loopback", true, frontDoor},
-		{"chunk-tcp", "tcp", false, chunk},
-		{"front-door-tcp", "tcp", true, frontDoor},
+		{"chunk-tcp", false, chunk},
+		{"front-door-tcp", true, frontDoor},
 	}
 
 	deltas := make([][]map[string]int64, len(sinks))
 	for si, sink := range sinks {
 		t.Run(sink.name, func(t *testing.T) {
-			e := newSinkEnv(t, sink.carrier, v, kMain, kBlock)
+			e := newSinkEnv(t, v, kMain, kBlock)
 			defer e.c.Close()
 			for _, step := range steps {
 				if step.arrange != nil {
@@ -306,12 +283,12 @@ func TestSameScenarioBothSinks(t *testing.T) {
 // the script steers it with, and the scripted keys' first two ranked
 // edges.
 type sinkEnv struct {
-	c       *Cluster
-	origin  *scriptedOrigin
-	cut     *atomic.Bool
-	primary *Node
-	second  string
-	hold    chan error // the shed step's occupying request
+	c             *Cluster
+	origin        *scriptedOrigin
+	primary       *Node
+	primaryScript *edgeScript
+	second        string
+	hold          chan error // the shed step's occupying request
 }
 
 // fetchHerd sends n concurrent requests for key, which the script has
@@ -345,10 +322,10 @@ func (e *sinkEnv) fetchHerd(t *testing.T, fetch func(*testing.T, *Cluster, serve
 	return first.body, first.ok
 }
 
-// newSinkEnv builds the scenario's cluster: three edges on the named wire
-// carrier that admit one request at a time, over a real catalog store,
-// each serving through the cutting handler.
-func newSinkEnv(t *testing.T, carrier string, v *media.Video, routed, block serve.ChunkKey) *sinkEnv {
+// newSinkEnv builds the scenario's cluster: three wire edges that admit
+// one request at a time, over a real catalog store, on a scripted fault
+// network.
+func newSinkEnv(t *testing.T, v *media.Video, routed, block serve.ChunkKey) *sinkEnv {
 	t.Helper()
 	catalog := wireCatalog(t, v)
 	origin := &scriptedOrigin{
@@ -357,18 +334,12 @@ func newSinkEnv(t *testing.T, carrier string, v *media.Video, routed, block serv
 		arrived: make(chan struct{}, 1),
 		release: make(chan struct{}),
 	}
-	cut := new(atomic.Bool)
-	opts := []Option{WithNodes(3), withMaxInFlight(1),
-		withEdge(func(n *Node) http.Handler { return cuttingEdge{next: n.server, armed: cut} }),
-		WithCatalog(catalog), WithClock(sim.NewClock(1))}
-	if carrier == "loopback" {
-		opts = append(opts, WithLoopback())
-	}
-	c, err := New(origin, opts...)
+	f := &faultNet{scripted: true}
+	c, err := New(origin, WithNodes(3), withMaxInFlight(1), withFaults(f), WithCatalog(catalog), WithClock(sim.NewClock(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked := Rank(routed, c.NodeNames())
-	return &sinkEnv{c: c, origin: origin, cut: cut,
-		primary: c.Node(ranked[0]), second: ranked[1], hold: make(chan error, 1)}
+	primary := c.Node(Rank(routed, c.NodeNames())[0])
+	return &sinkEnv{c: c, origin: origin, primary: primary, primaryScript: f.at(primary.Addr()),
+		second: Rank(routed, c.NodeNames())[1], hold: make(chan error, 1)}
 }

@@ -70,20 +70,14 @@ func chunkGET(t *testing.T, h http.Handler, key serve.ChunkKey) *httptest.Respon
 }
 
 // TestWireClusterServesOverLoopback pins the wire tentpole end to end
-// on the in-memory carrier: the front door proxies each chunk
+// over loopback TCP: the front door proxies each chunk
 // from its rendezvous owner's own HTTP process as a stream
 // (Content-Length forwarded), the owner caches it, and a warm replay
 // never touches the origin.
 func TestWireClusterServesOverLoopback(t *testing.T) {
 	v := wireVideo()
 	origin := &countingOrigin{}
-	c, err := New(origin,
-		WithNodes(3), WithLoopback(), WithCatalog(wireCatalog(t, v)),
-		WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithClock(sim.NewClock(1)))
 	keys := wireKeys(v)
 	for _, key := range keys {
 		rec := chunkGET(t, c.FrontDoor(), key)
@@ -129,7 +123,7 @@ func TestWireFrontDoorHeadOpensNoHop(t *testing.T) {
 	catalog := wireCatalog(t, v)
 	reg := obs.NewRegistry()
 	origin := serve.NewCatalogStore(catalog, serve.StoreConfig{})
-	c, err := New(origin, WithNodes(3), WithLoopback(), WithCatalog(catalog), WithObs(reg))
+	c, err := New(origin, WithNodes(3), WithWire(true), WithCatalog(catalog), WithObs(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,61 +153,54 @@ func TestWireFrontDoorHeadOpensNoHop(t *testing.T) {
 }
 
 // TestWireKillIsConnectionRefused pins the honest failure mode of the
-// wire form, on either carrier: a killed node's hop meets ECONNREFUSED —
+// wire form: a killed node's hop meets ECONNREFUSED —
 // not a typed in-process sentinel — and the router fails the key over to
 // its next-ranked owner.
 func TestWireKillIsConnectionRefused(t *testing.T) {
-	for _, carrier := range wireCarriers {
-		t.Run(carrier, func(t *testing.T) {
-			v := wireVideo()
-			origin := &countingOrigin{}
-			c := newCarrierCluster(t, carrier, origin, WithNodes(3), WithClock(sim.NewClock(1)))
-			key := wireKeys(v)[0]
-			ranked := Rank(key, c.NodeNames())
-			dead, second := ranked[0], ranked[1]
-			c.KillNode(dead)
+	t.Run("tcp", func(t *testing.T) {
+		v := wireVideo()
+		origin := &countingOrigin{}
+		c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithClock(sim.NewClock(1)))
+		key := wireKeys(v)[0]
+		ranked := Rank(key, c.NodeNames())
+		dead, second := ranked[0], ranked[1]
+		c.KillNode(dead)
 
-			if _, _, err := c.Node(dead).open(context.Background(), key); !errors.Is(err, syscall.ECONNREFUSED) {
-				t.Fatalf("killed node's wire error = %v, want ECONNREFUSED", err)
-			}
-			body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-			if err != nil {
-				t.Fatalf("failover fetch: %v", err)
-			}
-			if string(body) != string(originBody(key)) {
-				t.Fatalf("failover body %q, want %q", body, originBody(key))
-			}
-			if !c.Node(second).Store().Contains(key) {
-				t.Fatalf("failover did not land on next-ranked %s", second)
-			}
-			if got := c.met.reroutes.Value(); got != 1 {
-				t.Fatalf("reroutes = %d, want 1", got)
-			}
-			// Recover rebinds the address; the probe path comes back.
-			c.RecoverNode(dead)
-			if err := c.Node(dead).Ping(context.Background()); err != nil {
-				t.Fatalf("recovered node's wire probe: %v", err)
-			}
-		})
-	}
+		if _, _, err := c.Node(dead).open(context.Background(), key); !errors.Is(err, syscall.ECONNREFUSED) {
+			t.Fatalf("killed node's wire error = %v, want ECONNREFUSED", err)
+		}
+		body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+		if err != nil {
+			t.Fatalf("failover fetch: %v", err)
+		}
+		if string(body) != string(originBody(key)) {
+			t.Fatalf("failover body %q, want %q", body, originBody(key))
+		}
+		if !c.Node(second).Store().Contains(key) {
+			t.Fatalf("failover did not land on next-ranked %s", second)
+		}
+		if got := c.met.reroutes.Value(); got != 1 {
+			t.Fatalf("reroutes = %d, want 1", got)
+		}
+		// Recover rebinds the address; the probe path comes back.
+		c.RecoverNode(dead)
+		if err := c.Node(dead).Ping(context.Background()); err != nil {
+			t.Fatalf("recovered node's wire probe: %v", err)
+		}
+	})
 }
 
 // TestWireRealListeners exercises WithWire(true) — actual TCP
 // listeners on loopback: chunks served over real sockets, Kill closes
-// the listener (dial refused), Recover re-binds the same address.
+// the listener (dial refused), Recover re-binds the same address. A
+// Recover that cannot re-take it, as another process holds it, leaves the
+// node down with its up gauge at 0, so the next one, once the address is
+// free, brings its probe back.
 func TestWireRealListeners(t *testing.T) {
 	v := wireVideo()
-	origin := &countingOrigin{}
-	c, err := New(origin,
-		WithNodes(2), WithWire(true), WithCatalog(wireCatalog(t, v)),
-		WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCarrierCluster(t, "tcp", &countingOrigin{}, WithNodes(2), WithClock(sim.NewClock(1)))
 	key := wireKeys(v)[0]
-	top := Rank(key, c.NodeNames())[0]
-	n := c.Node(top)
+	n := c.Node(Rank(key, c.NodeNames())[0])
 	if n.Addr() == "" {
 		t.Fatal("wire node has no listen address")
 	}
@@ -230,12 +217,22 @@ func TestWireRealListeners(t *testing.T) {
 	if _, err := net.Dial("tcp", addr); err == nil {
 		t.Fatal("dialing a killed node's listener succeeded")
 	}
+	squatter, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := c.reg.Gauge("cluster.node." + n.ID() + ".up")
+	n.Recover()
+	if !n.Down() || up.Value() != 0 {
+		t.Fatalf("after a Recover onto a taken address: Down() = %v, up = %d; want true and 0", n.Down(), up.Value())
+	}
+	squatter.Close()
 	n.Recover()
 	if n.Addr() != addr {
 		t.Fatalf("recovered node moved from %s to %s", addr, n.Addr())
 	}
-	if err := n.Ping(context.Background()); err != nil {
-		t.Fatalf("probe after re-bind: %v", err)
+	if err := n.Ping(context.Background()); err != nil || n.Down() || up.Value() != 1 {
+		t.Fatalf("after the second Recover: probe %v, Down() = %v, up = %d; want nil, false and 1", err, n.Down(), up.Value())
 	}
 }
 
@@ -249,23 +246,15 @@ func TestProbeOfWedgedEdgeIsBounded(t *testing.T) {
 	const interval = 200 * time.Millisecond
 	clock := sim.NewClock(1)
 	reg := obs.NewRegistry()
-	c, err := New(&countingOrigin{}, WithNodes(2), WithWire(true), WithCatalog(wireCatalog(t, wireVideo())),
-		WithObs(reg), WithClock(clock),
+	f := &faultNet{scripted: true}
+	c := newCarrierCluster(t, "tcp", &countingOrigin{}, WithNodes(2), withFaults(f), WithObs(reg), WithClock(clock),
 		WithHealth(HealthConfig{FailThreshold: 1, ProbeSuccesses: 2, Cooldown: time.Second, ProbeInterval: interval}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
 	wedged, revived := c.Node("edge-0"), c.Node("edge-1")
-	// A listener that never accepts holds the wedged edge's port, so its
-	// Recover cannot re-bind: the node is up, and silent.
-	wedged.Kill()
-	hold, err := net.Listen("tcp", wedged.Addr())
-	if err != nil {
-		t.Fatal(err)
+	// The wedged edge reads each probe and answers none of the three: the
+	// node is up, and silent.
+	for range 3 {
+		f.at(wedged.Addr()).then(connFault{verb: stallAt, at: beforeHead})
 	}
-	defer hold.Close()
-	wedged.Recover()
 	revived.Kill()
 
 	alive := func(n *Node) int64 { return reg.Gauge("cluster.health." + n.ID() + ".alive").Value() }
@@ -322,7 +311,7 @@ func TestWithTransportForwardsEachEdge(t *testing.T) {
 		}
 		return nil, fmt.Errorf("no node at %s", req.URL.Host)
 	})
-	c = newCarrierCluster(t, "in-process", catalogOrigin(t), WithNodes(3), WithTransport(rt))
+	c = newCarrierCluster(t, "tcp", catalogOrigin(t), WithNodes(3), WithTransport(rt))
 	key := wireKeys(wireVideo())[0]
 	want, err := dash.BuildChunkBody(wireVideo(), key.Quality, key.Tile, key.Index, key.Layer)
 	if err != nil {
@@ -383,59 +372,37 @@ func TestWireVideoIDsTravelEscaped(t *testing.T) {
 }
 
 // TestWireClientCountersAreTheViewers: dash.client.* counts the viewer's
-// exchanges only, on every carrier. A front-door GET from a plain
-// net/http client moves cluster.requests and no dash.client.* counter:
-// the router's hop to an edge is not a dash.Client exchange, whether it
-// is the hop's own or a dash.Client over a transport.
+// exchanges only. A front-door GET from a plain net/http client moves
+// cluster.requests and no dash.client.* counter: the router's hop to an
+// edge is not a dash.Client exchange.
 func TestWireClientCountersAreTheViewers(t *testing.T) {
-	for name, carrier := range map[string]Option{"tcp": WithWire(true), "loopback": WithLoopback()} {
-		reg := obs.NewRegistry()
-		c, err := New(&countingOrigin{}, WithNodes(3), carrier, WithCatalog(wireCatalog(t, wireVideo())), WithObs(reg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(c.FrontDoor())
-		resp, err := srv.Client().Get(srv.URL + "/v/wire/c/1/2/0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		srv.Close()
-		c.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: front door answered %d", name, resp.StatusCode)
-		}
-		if got := reg.Counter("cluster.requests").Value(); got != 1 {
-			t.Fatalf("%s: cluster.requests = %d, want 1", name, got)
-		}
-		// Read by name, so a carrier that never registers it still reads 0.
-		reg.Counter("dash.client.attempts")
-		for counter, v := range reg.Snapshot().Counters {
-			if strings.HasPrefix(counter, "dash.client.") && v != 0 {
-				t.Errorf("%s: %s = %d after a GET from a plain client, want 0", name, counter, v)
-			}
+	reg := obs.NewRegistry()
+	c, err := New(&countingOrigin{}, WithNodes(3), WithWire(true), WithCatalog(wireCatalog(t, wireVideo())), WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.FrontDoor())
+	resp, err := srv.Client().Get(srv.URL + "/v/wire/c/1/2/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	srv.Close()
+	c.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("front door answered %d", resp.StatusCode)
+	}
+	if got := reg.Counter("cluster.requests").Value(); got != 1 {
+		t.Fatalf("cluster.requests = %d, want 1", got)
+	}
+	// Read by name, so a counter the run never registered still reads 0.
+	reg.Counter("dash.client.attempts")
+	for counter, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(counter, "dash.client.") && v != 0 {
+			t.Errorf("%s = %d after a GET from a plain client, want 0", counter, v)
 		}
 	}
-}
-
-// countingListener counts the connections it accepts and, when wrap is
-// set, wraps each one.
-type countingListener struct {
-	net.Listener
-	accepted *atomic.Int64
-	wrap     func(net.Conn) net.Conn
-}
-
-func (l countingListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err == nil {
-		l.accepted.Add(1)
-		if l.wrap != nil {
-			conn = l.wrap(conn)
-		}
-	}
-	return conn, err
 }
 
 // TestWireHopReusesConnections: the router keeps as many idle
@@ -448,12 +415,12 @@ func (l countingListener) Accept() (net.Conn, error) {
 // for its third request on and closed the connection after it: some
 // three hundred.
 func TestWireHopReusesConnections(t *testing.T) {
-	c, _ := newWireCluster(t, "tcp")
+	f := &faultNet{}
+	c, _ := newWireCluster(t, withFaults(f))
 	const atOnce, rounds = 8, 50
 	edge := c.Nodes()[0]
 	owned := ownedKeys(t, c, edge, atOnce)
-	edge.Kill()
-	accepted := recoverCounting(t, edge, nil)
+	accepted := &f.at(edge.Addr()).accepts
 
 	front := c.FrontDoor()
 	for round := 0; round < rounds; round++ {
@@ -480,32 +447,15 @@ func TestWireHopReusesConnections(t *testing.T) {
 	}
 }
 
-// TestShedReadsTheSameOnBothCarriers: a saturated edge's 503 must
-// reach the router as the same *dash.Error text whether it crossed the
-// in-process loopback transport or a real TCP listener — the loopback
-// carrier used to drop the code from the status line net/http gives.
-func TestShedReadsTheSameOnBothCarriers(t *testing.T) {
-	v := wireVideo()
-	key := wireKeys(v)[0]
-	texts := make(map[string]string)
-	for name, carrier := range map[string]Option{"loopback": WithLoopback(), "tcp": WithWire(true)} {
-		c, err := New(&countingOrigin{}, WithNodes(1), carrier, WithCatalog(wireCatalog(t, v)),
-			withMaxInFlight(1), WithClock(sim.NewClock(1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := c.Nodes()[0]
-		n.inflight.Add(1) // the admission slot is taken
-		_, _, err = n.open(context.Background(), key)
-		n.retire()
-		var de *dash.Error
-		if !errors.As(err, &de) || de.Kind != dash.KindOverload {
-			t.Fatalf("%s: shed came back as %v, want a KindOverload *dash.Error", name, err)
-		}
-		texts[name] = err.Error()
-	}
-	if texts["loopback"] != texts["tcp"] {
-		t.Fatalf("the same shed reads differently by carrier:\nloopback: %s\ntcp:      %s", texts["loopback"], texts["tcp"])
+// TestShedReachesOpenAsOverload: a saturated edge's 503 reaches the
+// router's open as a KindOverload *dash.Error.
+func TestShedReachesOpenAsOverload(t *testing.T) {
+	n := newCarrierCluster(t, "tcp", &countingOrigin{}, WithNodes(1), withMaxInFlight(1)).Nodes()[0]
+	n.inflight.Add(1) // the admission slot is taken
+	_, _, err := n.open(context.Background(), wireKeys(wireVideo())[0])
+	var de *dash.Error
+	if !errors.As(err, &de) || de.Kind != dash.KindOverload {
+		t.Fatalf("shed came back as %v, want a KindOverload *dash.Error", err)
 	}
 }
 
@@ -517,110 +467,106 @@ func TestShedReadsTheSameOnBothCarriers(t *testing.T) {
 // until DrainWarms fences the warm queue; after the fence it is exact
 // again.
 func TestWireReplicationSurvivesOwnerKill(t *testing.T) {
-	for _, carrier := range wireCarriers {
-		t.Run(carrier, func(t *testing.T) {
-			v := wireVideo()
-			origin := &countingOrigin{}
-			c := newCarrierCluster(t, carrier, origin, WithNodes(3), WithReplication(2), WithClock(sim.NewClock(1)))
-			keys := wireKeys(v)
-			for _, key := range keys {
-				if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
-					t.Fatalf("warm pass %v: %v", key, err)
+	t.Run("tcp", func(t *testing.T) {
+		v := wireVideo()
+		origin := &countingOrigin{}
+		c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithReplication(2), WithClock(sim.NewClock(1)))
+		keys := wireKeys(v)
+		for _, key := range keys {
+			if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
+				t.Fatalf("warm pass %v: %v", key, err)
+			}
+		}
+		if origin.count() != len(keys) {
+			t.Fatalf("warm pass cost %d origin fetches, want %d", origin.count(), len(keys))
+		}
+		// The replication write-through runs on the warm worker; the fence
+		// turns "eventually both owners hold every key" into an exact
+		// assertion.
+		c.DrainWarms()
+		if got := c.Warms(); got != int64(len(keys)) {
+			t.Fatalf("warms = %d, want one per key = %d", got, len(keys))
+		}
+		for _, key := range keys {
+			for _, id := range Owners(key, c.NodeNames(), 2) {
+				if !c.Node(id).Store().Contains(key) {
+					t.Fatalf("key %v missing from owner %s", key, id)
 				}
 			}
-			if origin.count() != len(keys) {
-				t.Fatalf("warm pass cost %d origin fetches, want %d", origin.count(), len(keys))
-			}
-			// The replication write-through runs on the warm worker; the fence
-			// turns "eventually both owners hold every key" into an exact
-			// assertion.
-			c.DrainWarms()
-			if got := c.Warms(); got != int64(len(keys)) {
-				t.Fatalf("warms = %d, want one per key = %d", got, len(keys))
-			}
-			for _, key := range keys {
-				for _, id := range Owners(key, c.NodeNames(), 2) {
-					if !c.Node(id).Store().Contains(key) {
-						t.Fatalf("key %v missing from owner %s", key, id)
-					}
-				}
-			}
+		}
 
-			const dead = "edge-1"
-			deadOwned := 0
-			for _, key := range keys {
-				if Rank(key, c.NodeNames())[0] == dead {
-					deadOwned++
-				}
+		const dead = "edge-1"
+		deadOwned := 0
+		for _, key := range keys {
+			if Rank(key, c.NodeNames())[0] == dead {
+				deadOwned++
 			}
-			if deadOwned == 0 {
-				t.Fatal("no key's primary owner is the node being killed; scenario asserts nothing")
+		}
+		if deadOwned == 0 {
+			t.Fatal("no key's primary owner is the node being killed; scenario asserts nothing")
+		}
+		c.KillNode(dead)
+		before := origin.count()
+		reroutesBefore := c.met.reroutes.Value()
+		for _, key := range keys {
+			body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+			if err != nil {
+				t.Fatalf("post-kill fetch %v: %v", key, err)
 			}
-			c.KillNode(dead)
-			before := origin.count()
-			reroutesBefore := c.met.reroutes.Value()
-			for _, key := range keys {
-				body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-				if err != nil {
-					t.Fatalf("post-kill fetch %v: %v", key, err)
-				}
-				if string(body) != string(originBody(key)) {
-					t.Fatalf("post-kill body mismatch for %v", key)
-				}
+			if string(body) != string(originBody(key)) {
+				t.Fatalf("post-kill body mismatch for %v", key)
 			}
-			if got := origin.count(); got != before {
-				t.Fatalf("killing a replicated owner cost %d incremental origin fetches, want exactly 0", got-before)
-			}
-			if got := c.met.reroutes.Value() - reroutesBefore; got != int64(deadOwned) {
-				t.Fatalf("post-kill pass rerouted %d keys, want exactly the dead node's %d", got, deadOwned)
-			}
-		})
-	}
+		}
+		if got := origin.count(); got != before {
+			t.Fatalf("killing a replicated owner cost %d incremental origin fetches, want exactly 0", got-before)
+		}
+		if got := c.met.reroutes.Value() - reroutesBefore; got != int64(deadOwned) {
+			t.Fatalf("post-kill pass rerouted %d keys, want exactly the dead node's %d", got, deadOwned)
+		}
+	})
 }
 
 // TestRemoveNodeWithReplicationCostsNoRefetch: draining a member out of
 // a replicated cluster is free for warm keys — the surviving owner
 // already holds every copy — and the retired node's process refuses.
 func TestRemoveNodeWithReplicationCostsNoRefetch(t *testing.T) {
-	for _, carrier := range wireCarriers {
-		t.Run(carrier, func(t *testing.T) {
-			v := wireVideo()
-			origin := &countingOrigin{}
-			c := newCarrierCluster(t, carrier, origin, WithNodes(3), WithReplication(2), WithClock(sim.NewClock(1)))
-			keys := wireKeys(v)
-			for _, key := range keys {
-				if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Fence the async replication writes: removal is only free once the
-			// surviving owner actually holds the copies.
-			c.DrainWarms()
-			const drained = "edge-2"
-			removed := c.Node(drained)
-			if err := c.RemoveNode(drained); err != nil {
+	t.Run("tcp", func(t *testing.T) {
+		v := wireVideo()
+		origin := &countingOrigin{}
+		c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithReplication(2), WithClock(sim.NewClock(1)))
+		keys := wireKeys(v)
+		for _, key := range keys {
+			if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.RemoveNode(drained); err == nil {
-				t.Fatal("second RemoveNode of the same name succeeded")
+		}
+		// Fence the async replication writes: removal is only free once the
+		// surviving owner actually holds the copies.
+		c.DrainWarms()
+		const drained = "edge-2"
+		removed := c.Node(drained)
+		if err := c.RemoveNode(drained); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RemoveNode(drained); err == nil {
+			t.Fatal("second RemoveNode of the same name succeeded")
+		}
+		if len(c.NodeNames()) != 2 {
+			t.Fatalf("membership after removal: %v", c.NodeNames())
+		}
+		if _, _, err := removed.open(context.Background(), keys[0]); !errors.Is(err, syscall.ECONNREFUSED) {
+			t.Fatalf("retired node's wire error = %v, want ECONNREFUSED", err)
+		}
+		before := origin.count()
+		for _, key := range keys {
+			if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
+				t.Fatalf("post-removal fetch %v: %v", key, err)
 			}
-			if len(c.NodeNames()) != 2 {
-				t.Fatalf("membership after removal: %v", c.NodeNames())
-			}
-			if _, _, err := removed.open(context.Background(), keys[0]); !errors.Is(err, syscall.ECONNREFUSED) {
-				t.Fatalf("retired node's wire error = %v, want ECONNREFUSED", err)
-			}
-			before := origin.count()
-			for _, key := range keys {
-				if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
-					t.Fatalf("post-removal fetch %v: %v", key, err)
-				}
-			}
-			if got := origin.count(); got != before {
-				t.Fatalf("removing a replicated member cost %d origin refetches, want exactly 0", got-before)
-			}
-		})
-	}
+		}
+		if got := origin.count(); got != before {
+			t.Fatalf("removing a replicated member cost %d origin refetches, want exactly 0", got-before)
+		}
+	})
 }
 
 // TestAddNodeMovesOnlyReshardedKeys is the live-membership acceptance:
@@ -628,63 +574,61 @@ func TestRemoveNodeWithReplicationCostsNoRefetch(t *testing.T) {
 // the new member — counted precisely by per-node miss counters — and
 // disturbs nothing else.
 func TestAddNodeMovesOnlyReshardedKeys(t *testing.T) {
-	for _, carrier := range wireCarriers {
-		t.Run(carrier, func(t *testing.T) {
-			v := wireVideo()
-			origin := &countingOrigin{}
-			c := newCarrierCluster(t, carrier, origin, WithNodes(3), WithClock(sim.NewClock(1)))
-			keys := wireKeys(v)
-			for _, key := range keys {
-				if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
-					t.Fatal(err)
-				}
-			}
-			oldIDs := c.NodeNames()
-			missesBefore := map[string]int64{}
-			for _, n := range c.Nodes() {
-				missesBefore[n.ID()] = n.Misses()
-			}
-
-			added, err := c.AddNode("")
-			if err != nil {
+	t.Run("tcp", func(t *testing.T) {
+		v := wireVideo()
+		origin := &countingOrigin{}
+		c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithClock(sim.NewClock(1)))
+		keys := wireKeys(v)
+		for _, key := range keys {
+			if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
 				t.Fatal(err)
 			}
-			if added.ID() != "edge-3" {
-				t.Fatalf("auto-assigned name %q, want edge-3", added.ID())
-			}
-			if _, err := c.AddNode("edge-0"); err == nil {
-				t.Fatal("AddNode accepted a duplicate name")
-			}
-			newIDs := c.NodeNames()
-			moved := 0
-			for _, key := range keys {
-				was, now := Rank(key, oldIDs)[0], Rank(key, newIDs)[0]
-				if now != was && now != added.ID() {
-					t.Fatalf("key %v moved %s→%s; only the new node may steal keys", key, was, now)
-				}
-				if now == added.ID() {
-					moved++
-				}
-			}
-			if moved == 0 {
-				t.Fatal("no key resharded onto the new node; the test asserts nothing")
-			}
+		}
+		oldIDs := c.NodeNames()
+		missesBefore := map[string]int64{}
+		for _, n := range c.Nodes() {
+			missesBefore[n.ID()] = n.Misses()
+		}
 
-			for _, key := range keys {
-				if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
-					t.Fatalf("post-add fetch %v: %v", key, err)
-				}
+		added, err := c.AddNode("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if added.ID() != "edge-3" {
+			t.Fatalf("auto-assigned name %q, want edge-3", added.ID())
+		}
+		if _, err := c.AddNode("edge-0"); err == nil {
+			t.Fatal("AddNode accepted a duplicate name")
+		}
+		newIDs := c.NodeNames()
+		moved := 0
+		for _, key := range keys {
+			was, now := Rank(key, oldIDs)[0], Rank(key, newIDs)[0]
+			if now != was && now != added.ID() {
+				t.Fatalf("key %v moved %s→%s; only the new node may steal keys", key, was, now)
 			}
-			if got := added.Misses(); got != int64(moved) {
-				t.Fatalf("new node pulled %d keys from the origin, rendezvous resharded exactly %d", got, moved)
+			if now == added.ID() {
+				moved++
 			}
-			for _, id := range oldIDs {
-				if got := c.Node(id).Misses(); got != missesBefore[id] {
-					t.Fatalf("unmoved member %s refetched %d keys from the origin", id, got-missesBefore[id])
-				}
+		}
+		if moved == 0 {
+			t.Fatal("no key resharded onto the new node; the test asserts nothing")
+		}
+
+		for _, key := range keys {
+			if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
+				t.Fatalf("post-add fetch %v: %v", key, err)
 			}
-		})
-	}
+		}
+		if got := added.Misses(); got != int64(moved) {
+			t.Fatalf("new node pulled %d keys from the origin, rendezvous resharded exactly %d", got, moved)
+		}
+		for _, id := range oldIDs {
+			if got := c.Node(id).Misses(); got != missesBefore[id] {
+				t.Fatalf("unmoved member %s refetched %d keys from the origin", id, got-missesBefore[id])
+			}
+		}
+	})
 }
 
 // TestLosingDuplicateLeavesTheWinnerAlone: AddNode builds a node before
@@ -693,40 +637,38 @@ func TestAddNodeMovesOnlyReshardedKeys(t *testing.T) {
 // the member that holds the name, and retiring it must write none of
 // them: the member stays up, reachable and warm.
 func TestLosingDuplicateLeavesTheWinnerAlone(t *testing.T) {
-	for _, carrier := range wireCarriers {
-		t.Run(carrier, func(t *testing.T) {
-			v := wireVideo()
-			origin := &countingOrigin{}
-			c := newCarrierCluster(t, carrier, origin, WithNodes(3), WithClock(sim.NewClock(1)))
-			keys := wireKeys(v)
-			for _, key := range keys {
-				fetchKey(t, c, key)
-			}
-			// What AddNode("edge-0") does once a concurrent caller has taken the
-			// name between its two checks.
-			loser, err := c.buildNode("edge-0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			loser.retire()
+	t.Run("tcp", func(t *testing.T) {
+		v := wireVideo()
+		origin := &countingOrigin{}
+		c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithClock(sim.NewClock(1)))
+		keys := wireKeys(v)
+		for _, key := range keys {
+			fetchKey(t, c, key)
+		}
+		// What AddNode("edge-0") does once a concurrent caller has taken the
+		// name between its two checks.
+		loser, err := c.buildNode("edge-0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		loser.retire()
 
-			for _, name := range []string{"cluster.node.edge-0.up", "cluster.health.edge-0.alive"} {
-				if got := c.reg.Gauge(name).Value(); got != 1 {
-					t.Fatalf("%s = %d after a duplicate of edge-0 was retired, want 1", name, got)
-				}
+		for _, name := range []string{"cluster.node.edge-0.up", "cluster.health.edge-0.alive"} {
+			if got := c.reg.Gauge(name).Value(); got != 1 {
+				t.Fatalf("%s = %d after a duplicate of edge-0 was retired, want 1", name, got)
 			}
-			before := origin.count()
-			for _, key := range keys {
-				fetchKey(t, c, key)
-			}
-			if got := origin.count() - before; got != 0 {
-				t.Fatalf("warm pass cost %d origin fetches after a duplicate of edge-0 was retired, want 0", got)
-			}
-			if got := c.met.reroutes.Value(); got != 0 {
-				t.Fatalf("cluster.reroutes = %d, want 0: edge-0 must still answer for its keys", got)
-			}
-		})
-	}
+		}
+		before := origin.count()
+		for _, key := range keys {
+			fetchKey(t, c, key)
+		}
+		if got := origin.count() - before; got != 0 {
+			t.Fatalf("warm pass cost %d origin fetches after a duplicate of edge-0 was retired, want 0", got)
+		}
+		if got := c.met.reroutes.Value(); got != 0 {
+			t.Fatalf("cluster.reroutes = %d, want 0: edge-0 must still answer for its keys", got)
+		}
+	})
 }
 
 // TestWireClusterChaosUnderLoad hammers the over-the-wire cluster from
@@ -734,67 +676,65 @@ func TestLosingDuplicateLeavesTheWinnerAlone(t *testing.T) {
 // RemoveNode, with the race detector watching. No fetch may fail: the
 // worst a client sees is a reroute or an origin fallback.
 func TestWireClusterChaosUnderLoad(t *testing.T) {
-	for _, carrier := range wireCarriers {
-		t.Run(carrier, func(t *testing.T) {
-			v := wireVideo()
-			c := newCarrierCluster(t, carrier, &countingOrigin{}, WithNodes(4), WithReplication(2),
-				WithHealth(HealthConfig{FailThreshold: 3, ProbeSuccesses: 2,
-					Cooldown: time.Millisecond, ProbeInterval: time.Millisecond}))
-			keys := wireKeys(v)
-			const (
-				workers = 8
-				rounds  = 10
-				dead    = "edge-1"
-			)
-			var failures atomic.Int64
-			runRound := func() {
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i := w; i < len(keys); i += workers {
-							key := keys[i]
-							if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
-								failures.Add(1)
-							}
+	t.Run("tcp", func(t *testing.T) {
+		v := wireVideo()
+		c := newCarrierCluster(t, "tcp", &countingOrigin{}, WithNodes(4), WithReplication(2),
+			WithHealth(HealthConfig{FailThreshold: 3, ProbeSuccesses: 2,
+				Cooldown: time.Millisecond, ProbeInterval: time.Millisecond}))
+		keys := wireKeys(v)
+		const (
+			workers = 8
+			rounds  = 10
+			dead    = "edge-1"
+		)
+		var failures atomic.Int64
+		runRound := func() {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < len(keys); i += workers {
+						key := keys[i]
+						if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
+							failures.Add(1)
 						}
-					}(w)
-				}
-				wg.Wait()
+					}
+				}(w)
 			}
-			for r := 0; r < rounds; r++ {
-				switch r {
-				case 2:
-					c.KillNode(dead)
-				case 4:
-					if _, err := c.AddNode(""); err != nil {
-						t.Fatalf("AddNode mid-run: %v", err)
-					}
-				case 6:
-					c.RecoverNode(dead)
-					time.Sleep(5 * time.Millisecond)
-					c.ProbeAll()
-					c.ProbeAll()
-				case 8:
-					if err := c.RemoveNode("edge-2"); err != nil {
-						t.Fatalf("RemoveNode mid-run: %v", err)
-					}
+			wg.Wait()
+		}
+		for r := 0; r < rounds; r++ {
+			switch r {
+			case 2:
+				c.KillNode(dead)
+			case 4:
+				if _, err := c.AddNode(""); err != nil {
+					t.Fatalf("AddNode mid-run: %v", err)
 				}
-				runRound()
+			case 6:
+				c.RecoverNode(dead)
+				time.Sleep(5 * time.Millisecond)
 				c.ProbeAll()
+				c.ProbeAll()
+			case 8:
+				if err := c.RemoveNode("edge-2"); err != nil {
+					t.Fatalf("RemoveNode mid-run: %v", err)
+				}
 			}
-			if got := failures.Load(); got != 0 {
-				t.Fatalf("%d fetches failed across the wire chaos run", got)
-			}
-			if got := c.met.reroutes.Value(); got == 0 {
-				t.Fatal("chaos run produced no reroutes; the kill was not exercised")
-			}
-			if got := c.Node(dead).Requests() + c.Node(dead).Misses(); got == 0 {
-				t.Fatal("recovered node never served again")
-			}
-		})
-	}
+			runRound()
+			c.ProbeAll()
+		}
+		if got := failures.Load(); got != 0 {
+			t.Fatalf("%d fetches failed across the wire chaos run", got)
+		}
+		if got := c.met.reroutes.Value(); got == 0 {
+			t.Fatal("chaos run produced no reroutes; the kill was not exercised")
+		}
+		if got := c.Node(dead).Requests() + c.Node(dead).Misses(); got == 0 {
+			t.Fatal("recovered node never served again")
+		}
+	})
 }
 
 // discardResponse sinks a response body without buffering it, so the

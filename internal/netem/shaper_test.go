@@ -9,10 +9,23 @@ import (
 	"time"
 )
 
-// pipeConn adapts an in-memory pipe to net.Conn for shaper tests.
+// testPipe is the two ends of a loopback TCP connection, closed when
+// the test ends.
 func testPipe(t *testing.T) (net.Conn, net.Conn) {
 	t.Helper()
-	a, b := net.Pipe()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		a.Close()
 		b.Close()

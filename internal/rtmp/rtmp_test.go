@@ -71,8 +71,30 @@ func TestReadMessageTruncated(t *testing.T) {
 	}
 }
 
+// connPair is the two ends of a loopback TCP connection, closed when the
+// test ends.
+func connPair(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if client, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if server, err = ln.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
+	return client, server
+}
+
 func TestHandshakeOverPipe(t *testing.T) {
-	client, server := net.Pipe()
+	client, server := connPair(t)
 	defer client.Close()
 	defer server.Close()
 	errc := make(chan error, 1)
@@ -86,7 +108,7 @@ func TestHandshakeOverPipe(t *testing.T) {
 }
 
 func TestHandshakeRejectsWrongVersion(t *testing.T) {
-	client, server := net.Pipe()
+	client, server := connPair(t)
 	defer client.Close()
 	defer server.Close()
 	go func() {
@@ -176,7 +198,7 @@ func TestPublisherToServerEndToEnd(t *testing.T) {
 }
 
 func TestPublisherEmptyStreamName(t *testing.T) {
-	client, server := net.Pipe()
+	client, server := connPair(t)
 	defer client.Close()
 	defer server.Close()
 	if _, err := NewPublisher(client, ""); err == nil {
@@ -320,7 +342,7 @@ func TestServerRejectsNonPublishFirst(t *testing.T) {
 }
 
 func TestPublisherCloseSendsEOS(t *testing.T) {
-	client, server := net.Pipe()
+	client, server := connPair(t)
 	done := make(chan Message, 4)
 	go func() {
 		AcceptHandshake(server)
