@@ -306,6 +306,9 @@ func (c *Client) do(ctx context.Context, path string, consume func(*exchange) er
 	pol := c.retry.withDefaults()
 	for attempt := 1; ; attempt++ {
 		c.met.attempts.Inc()
+		if attempt > 1 {
+			c.met.retries.Inc()
+		}
 		derr := c.attempt(ctx, path, pol.AttemptTimeout, consume)
 		if derr == nil {
 			return attempt, nil
@@ -315,7 +318,6 @@ func (c *Client) do(ctx context.Context, path string, consume func(*exchange) er
 			c.met.errors[derr.Kind].Inc()
 			return attempt, derr
 		}
-		c.met.retries.Inc()
 		delay := pol.backoff(attempt)
 		if derr.Kind == KindOverload && derr.RetryAfter > delay {
 			// The shedding server named its price; pay it rather than
@@ -365,7 +367,6 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 
 // FetchMPD downloads and parses a video's manifest.
 func (c *Client) FetchMPD(ctx context.Context, videoID string) (*MPD, error) {
-	c.met.mpdFetches.Inc()
 	var data []byte
 	_, err := c.do(ctx, mpdPath(videoID), func(x *exchange) (err error) {
 		data, err = io.ReadAll(x.body)
@@ -374,6 +375,7 @@ func (c *Client) FetchMPD(ctx context.Context, videoID string) (*MPD, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.met.mpdFetches.Inc()
 	c.met.bytesRx.Add(int64(len(data)))
 	return ParseMPD(data)
 }

@@ -79,7 +79,8 @@ func (s *scriptedTransport) RoundTrip(req *http.Request) (*http.Response, error)
 // sees more requests than that, however the attempts failed — with no
 // response at all, refused by status, cut in transit, or whole but
 // failing the CRC — and the dash.client.* counters move by the same
-// amounts whichever method ran.
+// amounts whichever method ran. They add up: attempts = retries +
+// mpd_fetches + segment_fetches + Σ errors.*.
 func TestOneAttemptBudgetEveryMethod(t *testing.T) {
 	v := testVideo()
 	chunk, err := BuildChunkBody(v, 1, 2, 0, false)
@@ -135,7 +136,7 @@ func TestOneAttemptBudgetEveryMethod(t *testing.T) {
 			name: "cancel during backoff", steps: []string{"503", "200"}, cancelDuringSleep: true,
 			wantErr: true, wantKind: KindCanceled,
 			requests: 1,
-			counters: map[string]int64{"attempts": 1, "retries": 1, "errors.canceled": 1},
+			counters: map[string]int64{"attempts": 1, "errors.canceled": 1},
 		},
 		{
 			name: "bad,503,503,503,bad", steps: []string{"bad", "503", "503", "503", "bad"},
@@ -194,6 +195,15 @@ func TestOneAttemptBudgetEveryMethod(t *testing.T) {
 						if got := reg.Counter("dash.client." + name).Value(); got != sc.counters[name] {
 							t.Errorf("dash.client.%s = %d, want %d", name, got, sc.counters[name])
 						}
+					}
+					// Every attempt is the first of a call or a retry, and every
+					// call ends in one fetch or one error.
+					ended := reg.Counter("dash.client.mpd_fetches").Value() + reg.Counter("dash.client.segment_fetches").Value()
+					for k := range KindOverload + 1 {
+						ended += reg.Counter("dash.client.errors." + k.String()).Value()
+					}
+					if attempts, retries := reg.Counter("dash.client.attempts").Value(), reg.Counter("dash.client.retries").Value(); attempts != retries+ended {
+						t.Errorf("attempts %d != retries %d + fetches and errors %d", attempts, retries, ended)
 					}
 					if sc.counters["retry_after_floors"] > 0 && (len(slept) != 1 || slept[0] != 2*time.Second) {
 						t.Errorf("backoffs = %v, want exactly the server's [2s]", slept)

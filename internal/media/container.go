@@ -135,7 +135,7 @@ func WriteSegment(w io.Writer, h SegmentHeader, payload []byte) error {
 		return err
 	}
 	buf := appendSegmentHeader(make([]byte, 0, headerFixedLen+len(h.VideoID)),
-		h, len(payload), crc32.ChecksumIEEE(payload))
+		h, len(payload), crcUpdate(0, payload))
 	if _, err := w.Write(buf); err != nil {
 		return err
 	}
@@ -192,7 +192,7 @@ func WriteSyntheticSegment(w io.Writer, h SegmentHeader, seed uint64, n int) err
 	for rem := n; rem > 0; {
 		k := min(rem, len(block))
 		s.fill(block[:k])
-		crc = crc32.Update(crc, crc32.IEEETable, block[:k])
+		crc = crcUpdate(crc, block[:k])
 		rem -= k
 	}
 
@@ -222,9 +222,29 @@ func writeBuilt(w io.Writer, seg []byte, h SegmentHeader, seed uint64, n int) er
 	payload := seg[len(seg)-n:]
 	s := newSynthStream(seed)
 	s.fill(payload)
-	appendSegmentHeader(seg[:0], h, n, crc32.ChecksumIEEE(payload))
+	appendSegmentHeader(seg[:0], h, n, crcUpdate(0, payload))
 	_, err := w.Write(seg)
 	return err
+}
+
+// crcUpdate returns crc32.Update(crc, crc32.IEEETable, p): the one
+// checksum every segment is sealed and verified with. Where vectorCRC
+// holds it hands whole 256-byte blocks to crcVector.
+func crcUpdate(crc uint32, p []byte) uint32 {
+	if vectorCRC {
+		return crcKernel(crc, p)
+	}
+	return crc32.Update(crc, crc32.IEEETable, p)
+}
+
+// crcKernel is crc32.Update with the first len(p)&^255 bytes folded by
+// crcVector.
+func crcKernel(crc uint32, p []byte) uint32 {
+	if n := len(p) &^ 255; n > 0 {
+		crc = crcVector(crc, &p[0], n)
+		p = p[n:]
+	}
+	return crc32.Update(crc, crc32.IEEETable, p)
 }
 
 // unsizedFirstLen is the most payload ReadSegment allocates on a
@@ -291,7 +311,7 @@ func ReadSegment(r io.Reader) (SegmentHeader, []byte, error) {
 		}
 		payload = append(payload, make([]byte, min(read, payloadLen-read))...)
 	}
-	if crc32.ChecksumIEEE(payload) != wantCRC {
+	if crcUpdate(0, payload) != wantCRC {
 		return h, nil, ErrCorrupt
 	}
 	return h, payload, nil

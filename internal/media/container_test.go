@@ -123,16 +123,31 @@ func TestReadSegmentBadVersion(t *testing.T) {
 	}
 }
 
+// TestReadSegmentCorruptPayload: one flipped bit anywhere in the
+// payload, or in the header's CRC field, is ErrCorrupt. The lengths
+// straddle the CRC kernel's 256-byte block, and the flipped payload
+// bytes sit on either side of the first block's end.
 func TestReadSegmentCorruptPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSegment(&buf, SegmentHeader{VideoID: "x"}, []byte("hello world")); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(data)-1] ^= 0xff
-	_, _, err := ReadSegment(bytes.NewReader(data))
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	const id = "x"
+	for _, n := range []int{11, 255, 256, 257, 44_000, 133_000} {
+		var buf bytes.Buffer
+		if err := WriteSegment(&buf, SegmentHeader{VideoID: id}, SyntheticPayload(uint64(n), n)); err != nil {
+			t.Fatal(err)
+		}
+		payloadAt := SegmentLen(id, 0)
+		flips := map[string]int{"CRC field": 22}
+		for name, i := range map[string]int{"first": 0, "255th": 254, "256th": 255, "last": n - 1} {
+			if i < n {
+				flips[name+" payload byte"] = payloadAt + i
+			}
+		}
+		for name, at := range flips {
+			data := bytes.Clone(buf.Bytes())
+			data[at] ^= 0x10
+			if _, _, err := ReadSegment(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%d-byte payload, bit flipped in the %s: err = %v, want ErrCorrupt", n, name, err)
+			}
+		}
 	}
 }
 

@@ -7,14 +7,24 @@ import "sperke/internal/obs"
 // keeps the Go loop.
 var vectorFill = !obs.RaceEnabled && avx512dq()
 
+// CPUID.(7,0) feature bits the kernels need.
+const (
+	avx512F    = 1 << 16 // EBX
+	avx512DQ   = 1 << 17 // EBX: VPMULLQ
+	vpclmulqdq = 1 << 10 // ECX: VPCLMULQDQ on ZMM registers
+)
+
 // avx512dq reports whether the CPU has AVX512F and AVX512DQ (VPMULLQ)
 // and the OS saves the opmask and ZMM state across context switches.
-func avx512dq() bool {
+func avx512dq() bool { return zmmFeatures(avx512F|avx512DQ, 0) }
+
+// zmmFeatures reports whether the OS saves the opmask and ZMM state
+// across context switches and CPUID.(7,0) sets every bit of ebxBits in
+// EBX and of ecxBits in ECX.
+func zmmFeatures(ebxBits, ecxBits uint32) bool {
 	const (
 		osxsave  = 1 << 27 // CPUID.1:ECX
 		zmmState = 0xe6    // XCR0: SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM
-		avx512f  = 1 << 16 // CPUID.(7,0):EBX
-		avx512DQ = 1 << 17
 	)
 	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
 		return false
@@ -25,8 +35,8 @@ func avx512dq() bool {
 	if xcr0, _ := xgetbv(); xcr0&zmmState != zmmState {
 		return false
 	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(avx512f|avx512DQ) == avx512f|avx512DQ
+	_, ebx, ecx, _ := cpuid(7, 0)
+	return ebx&ebxBits == ebxBits && ecx&ecxBits == ecxBits
 }
 
 // fillVector writes the n bytes after counter x to p, n a positive
