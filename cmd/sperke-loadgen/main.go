@@ -226,8 +226,8 @@ func run(ctx context.Context, args []string) error {
 			float64(store.Bytes())/1e6)
 	}
 	if clu != nil {
-		// Fence the async warm tier so the warm/prewarm counters below
-		// are exact, not a snapshot of a still-draining queue.
+		// Fence the pre-warm queue so the prewarm counters below are
+		// exact, not a snapshot of a still-draining queue.
 		clu.DrainWarms()
 		printClusterSummary(clu, reg)
 	}

@@ -47,7 +47,7 @@ type clusterMetrics struct {
 	offload         *obs.Gauge   // cluster.origin_offload_ratio, basis points
 
 	coalesced        *obs.Counter // requests served from another request's in-flight body
-	warmDrops        *obs.Counter // warm jobs dropped by the bounded queue
+	warmDrops        *obs.Counter // pre-warms dropped by the bounded queue
 	prewarms         *obs.Counter // crowd-prior bodies written into edge caches
 	prewarmFetches   *obs.Counter // origin syntheses performed speculatively by the pre-warmer
 	originStreamErrs *obs.Counter // origin-fallback streams that failed (not counted as fetches)
@@ -103,6 +103,7 @@ type Cluster struct {
 
 	mem    atomic.Pointer[membership]
 	memMu  sync.Mutex // serializes membership writers; readers use mem
+	closed bool       // set by Close, under memMu; AddNode refuses after it
 	nextID atomic.Int64
 
 	probeEvery time.Duration
@@ -112,7 +113,7 @@ type Cluster struct {
 	reg *obs.Registry
 
 	coal  *coalescer // router-level singleflight
-	warmQ *warmQueue // background replica-warm / pre-warm queue
+	warmQ *warmQueue // background pre-warm queue
 }
 
 // New builds a cluster of WithNodes edges named "edge-0" … "edge-N-1"
@@ -208,7 +209,7 @@ func (c *Cluster) buildNode(id string) (*Node, error) {
 // hands it finds a live process. An empty name auto-assigns the next
 // "edge-N". The new node starts cold: rendezvous moves exactly the
 // keys whose ownership reshards onto it, and every other key keeps its
-// champion.
+// champion. A closed cluster refuses.
 func (c *Cluster) AddNode(name string) (*Node, error) {
 	if name == "" {
 		name = fmt.Sprintf("edge-%d", c.nextID.Add(1)-1)
@@ -222,10 +223,16 @@ func (c *Cluster) AddNode(name string) (*Node, error) {
 	}
 	c.memMu.Lock()
 	cur := c.mem.Load()
-	if cur.byID[name] != nil {
+	switch {
+	case c.closed:
+		err = errors.New("cluster: AddNode after Close")
+	case cur.byID[name] != nil:
+		err = fmt.Errorf("cluster: node %q already exists", name)
+	}
+	if err != nil {
 		c.memMu.Unlock()
 		n.retire()
-		return nil, fmt.Errorf("cluster: node %q already exists", name)
+		return nil, err
 	}
 	n.join()
 	c.mem.Store(cur.with(n))
@@ -254,6 +261,25 @@ func (c *Cluster) RemoveNode(name string) error {
 	return nil
 }
 
+// Close stops the pre-warm worker and retires every member, closing
+// its listener and the router's connections to it. Queued pre-warms are
+// abandoned — Close is the cluster's teardown, and a warm that never
+// lands only costs a future cache miss. Idempotent; AddNode refuses
+// after it.
+func (c *Cluster) Close() {
+	c.memMu.Lock()
+	if c.closed {
+		c.memMu.Unlock()
+		return
+	}
+	c.closed = true
+	c.memMu.Unlock()
+	c.warmQ.close()
+	for _, n := range c.Nodes() {
+		n.retire()
+	}
+}
+
 // Replication reports R, the configured owners per key.
 func (c *Cluster) Replication() int { return c.cfg.replication }
 
@@ -273,8 +299,7 @@ func (c *Cluster) Chunk(ctx context.Context, videoID string, quality, tile, inde
 // StreamChunk implements dash.ChunkStreamer: the same request path
 // with the caller's ResponseWriter as the sink, so a wire edge's body
 // is relayed as it arrives and never held whole at the router unless
-// replication or coalescing needs it and the edge holds no copy of its
-// own.
+// replication needs it and the edge holds no copy of its own.
 func (c *Cluster) StreamChunk(ctx context.Context, w http.ResponseWriter, videoID string, quality, tile, index int, layer bool) (int64, error) {
 	n, _, err := c.route(ctx, w, serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer})
 	return n, err
@@ -293,26 +318,22 @@ func (c *Cluster) StreamChunk(ctx context.Context, w http.ResponseWriter, videoI
 func (c *Cluster) route(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey) (n int64, body []byte, err error) {
 	c.met.requests.Inc()
 	defer c.updateOffload()
-	f, role := c.coal.enter(key)
-	switch role {
-	case roleBypass:
-		return c.walk(ctx, w, key, nil)
-	case roleFollow:
-		select {
-		case <-ctx.Done():
-			c.coal.detach(f)
-			return 0, nil, ctx.Err()
-		case <-f.done:
-		}
-		if f.err != nil || f.body == nil {
-			return c.walk(ctx, w, key, nil)
-		}
-		c.met.coalesced.Inc()
-		n, err = deliver(w, f.body)
-		return n, f.body, err
+	f, lead := c.coal.enter(key)
+	if lead {
+		defer func() { c.coal.finish(key, f, nil, err) }()
+		return c.walk(ctx, w, key, f)
 	}
-	defer func() { c.coal.finish(key, f, body, err) }()
-	return c.walk(ctx, w, key, f)
+	select {
+	case <-ctx.Done():
+		return 0, nil, ctx.Err()
+	case <-f.done:
+	}
+	if f.err != nil || f.body == nil {
+		return c.walk(ctx, w, key, nil)
+	}
+	c.met.coalesced.Inc()
+	n, err = deliver(w, f.body)
+	return n, f.body, err
 }
 
 // walk is the ranked walk: try the key's rendezvous-ranked edges in
@@ -321,12 +342,16 @@ func (c *Cluster) route(ctx context.Context, w http.ResponseWriter, key serve.Ch
 // detector and moves on to the next-ranked edge; an edge shed breaks
 // straight to the origin — the other edges are not this key's owners
 // and pushing overflow at them just spreads the overload. A served body
-// is queued for write-through to the key's other live cold owners when
-// replication is on. The sink decides two things here: once body bytes
-// are on w the response cannot be repaired, so a failure then aborts
-// instead of failing over; and a failed write to w is the viewer's, so
-// it ends the walk without charging the edge. fl is the caller's
-// coalescing flight when it leads one.
+// is written through to the key's other live cold owners, on this
+// goroutine, when replication is on: the edge's own body as soon as
+// open returns it, a copy the relay kept once the relay ends. The sink
+// decides two things here: once body bytes are on w the response
+// cannot be repaired, so a failure then aborts instead of failing over;
+// and a failed write to w is the viewer's, so it ends the walk without
+// charging the edge. fl is the caller's coalescing flight when it leads
+// one: the walk publishes it as soon as an edge has answered — with the
+// edge's whole body, or none when a wire edge holds no copy — before
+// any byte goes to w.
 func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
 	m := c.mem.Load()
 	var buf [rankBuf]rankedNode
@@ -343,11 +368,19 @@ func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.Chu
 		st, body, err := edge.open(ctx, key)
 		if err == nil {
 			targets = coldOwners(m, owners, id, key)
+			if body != nil {
+				// The edge's own body is whole: warm the co-owners before
+				// the flight closes, so a pre-warm that sees it closed
+				// finds them warm.
+				c.warm(key, body, targets)
+				targets = nil
+			}
+			c.coal.finish(key, fl, body, nil)
 			if st.body == nil {
 				// An in-process edge answered with its store's own body.
 				n, err = deliver(w, body)
 			} else {
-				n, body, err = c.relay(w, st, body, len(targets) > 0, key, fl)
+				n, body, err = relay(w, st, body, len(targets) > 0, key)
 			}
 		}
 		if err == nil {
@@ -355,9 +388,8 @@ func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.Chu
 			if rank > 0 {
 				c.met.reroutes.Inc()
 			}
-			if len(targets) > 0 {
-				c.enqueueWarm(warmJob{key: key, body: body, targets: targets})
-			}
+			// The relay's kept copy, when the edge held none.
+			c.warm(key, body, targets)
 			c.enqueuePrewarms(key)
 			return n, body, nil
 		}
@@ -375,7 +407,16 @@ func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.Chu
 			return n, nil, err
 		}
 	}
-	return c.originFallback(ctx, w, key)
+	return c.originFallback(ctx, w, key, fl)
+}
+
+// warm writes a served body through to the key's cold co-owners.
+func (c *Cluster) warm(key serve.ChunkKey, body []byte, targets []*Node) {
+	for _, t := range targets {
+		if t.Warm(key, body) {
+			c.met.warms.Inc()
+		}
+	}
 }
 
 // enqueuePrewarms queues crowd-prior warm candidates for the other
@@ -396,7 +437,7 @@ func (c *Cluster) enqueuePrewarms(key serve.ChunkKey) {
 		if !c.warmQ.markPending(pk) {
 			continue
 		}
-		c.enqueueWarm(warmJob{key: pk})
+		c.enqueueWarm(pk)
 	}
 }
 
@@ -453,16 +494,16 @@ func (c *Cluster) OffloadCounts() (requests, originFetches int64) {
 	return c.met.requests.Value(), c.met.originFetches.Value()
 }
 
-// Warms reports the cumulative replication writes applied by the warm
-// worker. Asynchronous — call DrainWarms first when asserting exact
-// counts.
+// Warms reports the cumulative replication writes into co-owner
+// caches. Each is applied before the request that served its body
+// returns, so the count is exact without a fence.
 func (c *Cluster) Warms() int64 { return c.met.warms.Value() }
 
 // Coalesced reports requests served from another request's in-flight
 // body by the router-level singleflight.
 func (c *Cluster) Coalesced() int64 { return c.met.coalesced.Value() }
 
-// WarmDrops reports warm jobs the bounded queue discarded under
+// WarmDrops reports pre-warms the bounded queue discarded under
 // pressure.
 func (c *Cluster) WarmDrops() int64 { return c.met.warmDrops.Value() }
 

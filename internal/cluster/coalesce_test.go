@@ -11,6 +11,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,19 +72,30 @@ func (o *blockingOrigin) count() int {
 	return o.calls
 }
 
-// waitForFollowers polls the coalescer until n followers are attached
-// to key's flight — the deterministic "everyone is waiting" barrier
-// the herd tests release against.
+// waitForFollowers polls until key's flight is open and n requests
+// wait on it — the deterministic "everyone is waiting" barrier the herd
+// tests release against. A follower waits in route's select, the one
+// place route parks its own goroutine, so the followers are the
+// goroutines whose stack tops out there, under any runtime frames
+// (gopark, selectgo) a traceback setting shows. The dump cannot tell
+// keys or clusters apart, so the count is of every follower in the
+// process: a caller holds one flight open, in a test that does not run
+// in parallel.
 func waitForFollowers(t *testing.T, c *Cluster, key serve.ChunkKey, n int) {
 	t.Helper()
+	parked := regexp.MustCompile(`(?m)^goroutine \d+ \[select[^\]]*\]:\n(?:runtime\.[^\n]*\n\t[^\n]*\n)*sperke/internal/cluster\.\(\*Cluster\)\.route\(`)
 	deadline := time.Now().Add(10 * time.Second)
+	buf := make([]byte, 1<<20)
 	for {
-		c.coal.mu.Lock()
 		got := 0
-		if f := c.coal.flights[key]; f != nil {
-			got = f.followers
+		if c.coal.inFlight(key) {
+			m := runtime.Stack(buf, true)
+			for m == len(buf) {
+				buf = make([]byte, 2*len(buf))
+				m = runtime.Stack(buf, true)
+			}
+			got = len(parked.FindAllIndex(buf[:m], -1))
 		}
-		c.coal.mu.Unlock()
 		if got == n {
 			return
 		}
@@ -145,8 +158,9 @@ func TestHerdColdKeyCoalescesToOneOriginFetch(t *testing.T) {
 // TestWireHerdStreamsColdKeyOnce is the tentpole acceptance over the
 // wire: concurrent cold GETs for one key through the front door — the
 // leader streaming from its edge's HTTP process, the followers
-// attached to the flight's teed body — produce byte-identical bodies
-// with declared Content-Length and exactly one origin synthesis.
+// attached to its flight served the edge's own body — produce
+// byte-identical bodies with declared Content-Length and exactly one
+// origin synthesis.
 func TestWireHerdStreamsColdKeyOnce(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
 		const herd = 6
@@ -238,6 +252,90 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	}
 }
 
+// stalledWriter is a viewer that stopped reading: its first Write
+// reports on wrote, and every Write blocks until unblock is closed.
+type stalledWriter struct {
+	h       http.Header
+	wrote   chan struct{}
+	unblock chan struct{}
+}
+
+func (w *stalledWriter) Header() http.Header { return w.h }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	select {
+	case w.wrote <- struct{}{}:
+	default:
+	}
+	<-w.unblock
+	return len(p), nil
+}
+
+// TestStalledViewerDoesNotHoldFollowers: a flight leader whose own
+// viewer has stopped reading publishes the body before it writes a byte
+// to that viewer, so a follower attached to the cold flight gets the
+// whole body and returns while the leader is still blocked in Write —
+// on both carriers. A follower that waited for the leader's relay to
+// end would wait as long as the stalled viewer does. With R = 2 the
+// co-owner is warmed before the flight closes, so a pre-warm that finds
+// the flight closed finds the co-owner warm too.
+func TestStalledViewerDoesNotHoldFollowers(t *testing.T) {
+	for _, carrier := range []string{"in-process", "tcp"} {
+		t.Run(carrier, func(t *testing.T) {
+			key := wireKeys(wireVideo())[0]
+			origin := newBlockingOrigin(key)
+			c := newCarrierCluster(t, carrier, origin, WithNodes(2), WithReplication(2), WithClock(sim.NewClock(1)))
+			w := &stalledWriter{h: make(http.Header), wrote: make(chan struct{}, 1), unblock: make(chan struct{})}
+			leader := make(chan error, 1)
+			go func() {
+				_, err := c.StreamChunk(context.Background(), w, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+				leader <- err
+			}()
+			// Cleanups run last-in first-out: the viewer drains before the
+			// cluster closes.
+			t.Cleanup(func() {
+				close(w.unblock)
+				<-leader
+			})
+			<-origin.arrived
+			type result struct {
+				body []byte
+				err  error
+			}
+			follower := make(chan result, 1)
+			go func() {
+				body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+				follower <- result{body, err}
+			}()
+			waitForFollowers(t, c, key, 1)
+			close(origin.release)
+			select {
+			case r := <-follower:
+				if r.err != nil || string(r.body) != string(originBody(key)) {
+					t.Fatalf("follower got %q, %v; want %q", r.body, r.err, originBody(key))
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("the follower is still waiting 2 s after its body was resident: the leader's stalled viewer holds it")
+			}
+			<-w.wrote
+			select {
+			case err := <-leader:
+				t.Fatalf("the leader returned (%v) while its viewer was stalled", err)
+			default:
+			}
+			if got := c.Coalesced(); got != 1 {
+				t.Fatalf("cluster.coalesced = %d, want 1", got)
+			}
+			if got := c.Warms(); got != 1 {
+				t.Fatalf("cluster.warms = %d while the leader's viewer is stalled, want 1", got)
+			}
+			if got := origin.count(); got != 1 {
+				t.Fatalf("%d origin fetches, want 1", got)
+			}
+		})
+	}
+}
+
 // TestFetchWireRejectsTruncatedBody: a drained edge body shorter than
 // the declared Content-Length must fail with a typed transient error,
 // not hand short bytes to the caller (or a replica's cache) as a
@@ -249,7 +347,7 @@ func TestFetchWireRejectsTruncatedBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = c.relay(nil, st, held, false, key, nil)
+	_, _, err = relay(nil, st, held, false, key)
 	var derr *dash.Error
 	if !errors.As(err, &derr) {
 		t.Fatalf("fetchWire on a truncated body returned %v, want *dash.Error", err)
@@ -367,7 +465,7 @@ func TestChunkOriginFallbackCountsOnSuccessOnly(t *testing.T) {
 // the edge's own slice when the edge holds one of the declared length,
 // and a sealed copy of the relayed bytes otherwise. Through the walk, from
 // edges whose loops send it short, the same body fails over to the origin
-// and queues no warm.
+// and warms no replica.
 //
 // Over a hop, the edge is a loopback listener that answers one GET with
 // the declared length (none, and Connection: close, when it is negative)
@@ -441,9 +539,10 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 		h := fixedEdge(declared, body)(nil)
 		answer.Store(&h)
 		// The edge's copy, when it holds one, is the body the stream
-		// carries, in a slice of its own.
+		// carries, in a slice of its own: open hands the relay none of
+		// another length than the declared one.
 		var edge []byte
-		if held {
+		if held && declared == int64(len(body)) {
 			edge = bytes.Clone(body)
 		}
 		st := chunkStream{body: io.NopCloser(bytes.NewReader(body)), length: declared}
@@ -464,16 +563,16 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 			done := make(chan struct{})
 			relays <- func(w http.ResponseWriter) {
 				defer close(done)
-				n, kept, err = c.relay(w, st, edge, replicate, key, nil)
+				n, kept, err = relay(w, st, edge, replicate, key)
 			}
 			_, viewer = rawGET(t, front.Listener.Addr().String(), "/")
 			<-done
 		case writer:
 			rec := httptest.NewRecorder()
-			n, kept, err = c.relay(rec, st, edge, replicate, key, nil)
+			n, kept, err = relay(rec, st, edge, replicate, key)
 			viewer = rec.Body.Bytes()
 		default:
-			n, kept, err = c.relay(nil, st, edge, replicate, key, nil)
+			n, kept, err = relay(nil, st, edge, replicate, key)
 		}
 		pooled := pool != nil && pool.idleLen() == 1
 		if pooled && (!ok || declared < 0) {
@@ -527,7 +626,6 @@ func FuzzRelayDeclaredLength(f *testing.F) {
 		if err != nil || string(got) != string(originBody(key)) {
 			t.Fatalf("declared %d, body %d bytes: Chunk = %q, %v; want the origin's body", declared, len(body), got, err)
 		}
-		c.DrainWarms()
 		if n := c.Warms(); n != 0 {
 			t.Fatalf("declared %d, body %d bytes: %d warm writes of a broken body", declared, len(body), n)
 		}

@@ -130,7 +130,7 @@ func TestHopStaleConnectionMidBodyIsNotResent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("the response head arrived whole, yet open failed: %v", err)
 		}
-		_, body, err := c.relay(nil, st, held, false, owned[1], nil)
+		_, body, err := relay(nil, st, held, false, owned[1])
 		var de *dash.Error
 		if !errors.As(err, &de) || de.Kind != dash.KindTransient || body != nil {
 			t.Fatalf("relay = %d bytes, %v; want no body and a transient *dash.Error, though the edge holds it", len(body), err)

@@ -249,8 +249,9 @@ func (n *Node) Ping(ctx context.Context) error {
 }
 
 // open asks the edge for the chunk and returns the edge's own sealed
-// body with it, or nil when the edge holds none. A wire edge answers
-// through the node's hop with a live response for the router to relay.
+// body with it, or nil when the edge holds none of the length the
+// stream declares. A wire edge answers through the node's hop with a
+// live response for the router to relay.
 // By the time its head arrives the edge has finished its store Get —
 // edgeConn sends the head with the first body write, after Chunk
 // returned — so the body it is sending is resident, and open reads it
@@ -271,6 +272,9 @@ func (n *Node) open(ctx context.Context, key serve.ChunkKey) (chunkStream, []byt
 		return st, nil, err
 	}
 	body, _ := n.store.Peek(key)
+	if int64(len(body)) != st.length {
+		body = nil
+	}
 	return st, body, nil
 }
 

@@ -24,10 +24,10 @@ type config struct {
 
 	// maxInFlight bounds concurrent admitted requests per edge; beyond
 	// it the edge sheds with 503+Retry-After. warmQueueCap bounds the
-	// background warm queue (replication writes and pre-warms); when it
-	// is full the oldest queued warm is dropped and counted under
-	// cluster.warm_drops, so warming degrades under pressure instead of
-	// the serving path slowing down. Neither has an option.
+	// background pre-warm queue; when it is full the oldest queued
+	// pre-warm is dropped and counted under cluster.warm_drops, so
+	// warming degrades under pressure instead of the serving path
+	// slowing down. Neither has an option.
 	maxInFlight  int
 	warmQueueCap int
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"syscall"
 	"testing"
 	"testing/iotest"
@@ -144,7 +145,6 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 // handed out sealed (len == cap), so no two holders share room.
 func TestRelayTurns(t *testing.T) {
 	key := wireKeys(wireVideo())[0]
-	c := new(Cluster) // a relay outside a flight reads nothing of it
 	for _, tc := range []struct {
 		n, replicas, writes int
 		drip                bool
@@ -162,8 +162,8 @@ func TestRelayTurns(t *testing.T) {
 			return chunkStream{body: io.NopCloser(r), length: int64(tc.n)}
 		}
 		w := &writeCounter{h: make(http.Header)}
-		_, _, err := c.relay(w, body(), nil, tc.replicas > 1, key, nil)
-		_, kept, kerr := c.relay(nil, body(), nil, false, key, nil)
+		_, _, err := relay(w, body(), nil, tc.replicas > 1, key)
+		_, kept, kerr := relay(nil, body(), nil, false, key)
 		if err = errors.Join(err, kerr); err != nil {
 			t.Fatalf("%d bytes, R=%d: %v", tc.n, tc.replicas, err)
 		}
@@ -221,7 +221,6 @@ func TestReplicaWarmSharesTheServedBody(t *testing.T) {
 			if rec := chunkGET(t, c.FrontDoor(), key); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
 				t.Fatalf("GET: %d and %d bytes, want 200 and the %d-byte chunk", rec.Code, rec.Body.Len(), len(want))
 			}
-			c.DrainWarms()
 			if got := c.Warms(); got != 1 {
 				t.Fatalf("cluster.warms = %d, want 1", got)
 			}
@@ -306,7 +305,6 @@ func TestReplicaWarmWithoutAnEdgeCopy(t *testing.T) {
 	if rec := chunkGET(t, c.FrontDoor(), key); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("GET: %d and %d bytes, want 200 and the %d-byte chunk", rec.Code, rec.Body.Len(), len(want))
 	}
-	c.DrainWarms()
 	owners := Owners(key, c.NodeNames(), 2)
 	if c.Node(owners[0]).Store().Contains(key) {
 		t.Fatalf("%s holds the body, so this test does not pin the kept copy", owners[0])
@@ -317,6 +315,80 @@ func TestReplicaWarmWithoutAnEdgeCopy(t *testing.T) {
 	}
 	if got := c.Warms(); got != 1 {
 		t.Fatalf("cluster.warms = %d, want 1", got)
+	}
+}
+
+// TestStaleEdgeCopyIsNotServed: a serving edge whose store holds a body
+// of another length than the one its stream declares — a stale copy —
+// hands the walk no body at open. So the flight publishes none: the
+// leader and a follower attached to its flight each get the declared
+// bytes, never the stale slice, and the co-owner is warmed with a
+// sealed copy of the declared bytes, the one the relay keeps.
+func TestStaleEdgeCopyIsNotServed(t *testing.T) {
+	key := wireKeys(wireVideo())[4]
+	want, stale := []byte("the declared body"), []byte("stale")
+	arrived, release := make(chan struct{}, 4), make(chan struct{})
+	answer := fixedEdge(int64(len(want)), want)(nil)
+	edge := func(*Node) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			arrived <- struct{}{}
+			<-release
+			answer.ServeHTTP(w, r)
+		})
+	}
+	origin := &countingOrigin{}
+	c := newCarrierCluster(t, "tcp", origin, WithNodes(2), WithReplication(2), withEdge(edge), WithClock(sim.NewClock(1)))
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(free) // before the cluster closes: cleanups run last-in first-out
+	owners := Owners(key, c.NodeNames(), 2)
+	if !c.Node(owners[0]).Warm(key, stale) {
+		t.Fatalf("%s refused the stale body", owners[0])
+	}
+
+	bodies := make(chan []byte, 2)
+	fetch := func() {
+		body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+		if err != nil {
+			t.Error(err)
+		}
+		bodies <- body
+	}
+	go fetch() // the flight leader
+	<-arrived
+	go fetch()
+	waitForFollowers(t, c, key, 1)
+	free()
+	for i := 0; i < 2; i++ {
+		if body := <-bodies; !bytes.Equal(body, want) {
+			t.Fatalf("Chunk = %q, want the declared %q", body, want)
+		}
+	}
+	if got := c.Coalesced(); got != 0 {
+		t.Fatalf("cluster.coalesced = %d: the flight published a body, and the edge held only a stale one", got)
+	}
+	warmed := resident(t, c, owners[1], key)
+	if !bytes.Equal(warmed, want) || cap(warmed) != len(warmed) {
+		t.Fatalf("%s was warmed with %q (cap %d), want the declared bytes sealed", owners[1], warmed, cap(warmed))
+	}
+	if got := c.Warms(); got != 1 {
+		t.Fatalf("cluster.warms = %d, want 1", got)
+	}
+	if got := origin.count(); got != 0 {
+		t.Fatalf("%d origin fetches, want 0: the edge answered", got)
+	}
+
+	// open itself, and the relay of what it returns.
+	st, held, err := c.Node(owners[0]).open(context.Background(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held != nil {
+		t.Fatalf("open returned the %d-byte stale copy for a %d-byte stream", len(held), st.length)
+	}
+	_, kept, err := relay(nil, st, held, false, key)
+	if err != nil || !bytes.Equal(kept, want) || cap(kept) != len(kept) {
+		t.Fatalf("relay kept %q (cap %d), %v; want the declared bytes sealed", kept, cap(kept), err)
 	}
 }
 
@@ -360,7 +432,6 @@ func TestWireReplicaWarmAllocBudget(t *testing.T) {
 	for i := 0; i < warmup; i++ {
 		get(i)
 	}
-	c.DrainWarms()
 	var bodies int64
 	for _, n := range lens[warmup:] {
 		bodies += n
@@ -370,7 +441,6 @@ func TestWireReplicaWarmAllocBudget(t *testing.T) {
 	for i := warmup; i < len(keys); i++ {
 		get(i)
 	}
-	c.DrainWarms()
 	runtime.ReadMemStats(&after)
 	n := int64(len(keys) - warmup)
 	perFetch := int64(after.TotalAlloc-before.TotalAlloc) / n

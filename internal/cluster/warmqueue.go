@@ -7,39 +7,27 @@ import (
 	"sperke/internal/serve"
 )
 
-// Asynchronous warm tier. Replication warms used to run synchronously
-// on the serving path — the viewer's response did not complete until
-// every co-owner held the copy — which made E23's zero-incremental-
-// origin-fetch property an exact counter equality but put O(R) cache
-// writes inside the serving p99. The warm queue moves those writes
-// (and the crowd-prior pre-warms) onto a single background worker
-// behind a bounded drop-oldest queue: serving enqueues and returns,
-// the worker drains, and overload degrades to dropped warms
-// (cluster.warm_drops) instead of a slower tail. The equality survives
-// in eventual form — DrainWarms blocks until the worker has gone idle
-// over an empty queue, after which every enqueued warm has been
-// applied or dropped, and the counters can be asserted exactly.
+// Asynchronous pre-warm tier. Crowd-prior pre-warms are speculative
+// origin syntheses no viewer is waiting on, so serving must not wait on
+// them either: serving enqueues a predicted key and returns, and a
+// single background worker drains a bounded drop-oldest queue, so
+// overload degrades to dropped pre-warms (cluster.warm_drops) instead
+// of a slower tail. DrainWarms blocks until the worker has gone idle
+// over an empty queue, after which every enqueued pre-warm has been
+// applied or dropped, and the counters can be asserted exactly. Replica
+// warms do not come here: a replica warm is one Store.Put of the served
+// body per cold co-owner, which the serving goroutine does in line.
 
-// warmJob is one unit of background warm work. A replica warm carries
-// the just-served body and its pre-computed targets; a pre-warm
-// carries only the key (body == nil) and resolves owners, fetches the
-// origin, and writes at execution time.
-type warmJob struct {
-	key     serve.ChunkKey
-	body    []byte
-	targets []*Node
-}
-
-// warmQueue is a bounded FIFO drained by one lazily-started worker
-// goroutine. All fields are guarded by mu except the channels, which
-// are only ever touched outside it (the lockscope checker enforces
-// exactly that shape): enqueue appends under mu then signals wake
-// after unlocking, and the worker collects drain waiters under mu but
-// closes them unlocked.
+// warmQueue is a bounded FIFO of pre-warm keys drained by one
+// lazily-started worker goroutine. All fields are guarded by mu except
+// the channels, which are only ever touched outside it (the lockscope
+// checker enforces exactly that shape): enqueue appends under mu then
+// signals wake after unlocking, and the worker collects drain waiters
+// under mu but closes them unlocked.
 type warmQueue struct {
 	mu      sync.Mutex
-	jobs    []warmJob
-	pending map[serve.ChunkKey]struct{} // pre-warm keys queued but not yet executed
+	jobs    []serve.ChunkKey
+	pending map[serve.ChunkKey]struct{} // keys queued but not yet executed
 	waiters []chan struct{}             // DrainWarms callers, released at idle-empty
 	idle    bool                        // worker is parked (or not yet started)
 	started bool
@@ -58,10 +46,10 @@ func newWarmQueue() *warmQueue {
 	}
 }
 
-// enqueueWarm queues a job, dropping the oldest entry when the queue
-// is full, and starts the worker on first use. Jobs enqueued after
-// Close are discarded.
-func (c *Cluster) enqueueWarm(j warmJob) {
+// enqueueWarm queues a pre-warm of key, dropping the oldest entry when
+// the queue is full, and starts the worker on first use. Keys enqueued
+// after Close are discarded.
+func (c *Cluster) enqueueWarm(key serve.ChunkKey) {
 	q := c.warmQ
 	q.mu.Lock()
 	if q.stopped {
@@ -69,16 +57,11 @@ func (c *Cluster) enqueueWarm(j warmJob) {
 		return
 	}
 	if len(q.jobs) >= c.cfg.warmQueueCap {
-		old := q.jobs[0]
-		copy(q.jobs, q.jobs[1:])
-		q.jobs[len(q.jobs)-1] = warmJob{}
-		q.jobs = q.jobs[:len(q.jobs)-1]
-		if old.body == nil {
-			delete(q.pending, old.key)
-		}
+		delete(q.pending, q.jobs[0])
+		q.jobs = append(q.jobs[:0], q.jobs[1:]...)
 		c.met.warmDrops.Inc()
 	}
-	q.jobs = append(q.jobs, j)
+	q.jobs = append(q.jobs, key)
 	start := !q.started
 	q.started = true
 	q.mu.Unlock()
@@ -91,7 +74,7 @@ func (c *Cluster) enqueueWarm(j warmJob) {
 	}
 }
 
-// markPending records a pre-warm key as queued; false means the key is
+// markPending records a key as queued; false means the key is
 // already waiting and the caller should not enqueue a duplicate.
 func (q *warmQueue) markPending(key serve.ChunkKey) bool {
 	q.mu.Lock()
@@ -134,13 +117,11 @@ func (c *Cluster) warmWorker() {
 			}
 			continue
 		}
-		j := q.jobs[0]
-		copy(q.jobs, q.jobs[1:])
-		q.jobs[len(q.jobs)-1] = warmJob{}
-		q.jobs = q.jobs[:len(q.jobs)-1]
+		key := q.jobs[0]
+		q.jobs = append(q.jobs[:0], q.jobs[1:]...)
 		q.idle = false
 		q.mu.Unlock()
-		c.runWarmJob(j)
+		c.runPrewarm(key)
 	}
 }
 
@@ -148,19 +129,6 @@ func releaseWaiters(ws []chan struct{}) {
 	for _, w := range ws {
 		close(w)
 	}
-}
-
-// runWarmJob applies one dequeued job on the worker goroutine.
-func (c *Cluster) runWarmJob(j warmJob) {
-	if j.body != nil {
-		for _, t := range j.targets {
-			if t.Warm(j.key, j.body) {
-				c.met.warms.Inc()
-			}
-		}
-		return
-	}
-	c.runPrewarm(j.key)
 }
 
 // runPrewarm executes one crowd-prior pre-warm: resolve the key's
@@ -182,8 +150,8 @@ func (c *Cluster) runPrewarm(key serve.ChunkKey) {
 		return
 	}
 	if c.coal.inFlight(key) {
-		// A viewer is fetching this key right now; its flight will warm
-		// the owners on the way past.
+		// A viewer is fetching this key right now, and its walk will
+		// warm the owners on the way past.
 		return
 	}
 	body, err := c.origin.Chunk(warmCtx(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
@@ -206,7 +174,7 @@ func (c *Cluster) clearPending(key serve.ChunkKey) {
 }
 
 // DrainWarms blocks until the warm worker has applied (or dropped)
-// every job enqueued before the call — the explicit synchronization
+// every pre-warm enqueued before the call — the explicit synchronization
 // point that turns the async tier's eventual properties back into
 // exact counter equalities for tests and experiment harnesses. Returns
 // immediately when the queue is already drained or the cluster is
@@ -224,39 +192,17 @@ func (c *Cluster) DrainWarms() {
 	<-w
 }
 
-// Close stops the warm worker and retires every member, closing its
-// listener and the router's connections to it. Queued jobs are
-// abandoned — Close is the cluster's teardown, and a warm that never
-// lands only costs a future cache miss. Idempotent; safe to call on a
-// cluster whose worker never started.
-func (c *Cluster) Close() {
-	q := c.warmQ
+// close stops the worker, abandoning whatever is still queued; a
+// worker that has started releases the DrainWarms waiters as it exits,
+// and one that never started has none. Close calls it once.
+func (q *warmQueue) close() {
 	q.mu.Lock()
-	if q.stopped {
-		q.mu.Unlock()
-		return
-	}
-	defer func() {
-		for _, n := range c.Nodes() {
-			n.retire()
-		}
-	}()
 	q.stopped = true
-	started := q.started
-	ws := q.waiters
-	q.waiters = nil
 	q.mu.Unlock()
 	close(q.stop)
-	if !started {
-		// No worker will ever run to release waiters (there can be none,
-		// since DrainWarms returns early on an idle queue, but keep the
-		// invariant explicit).
-		releaseWaiters(ws)
-	}
 }
 
-// warmCtx is the root context for background warm work — replica
-// writes and pre-warm syntheses belong to no viewer request, so there
-// is nothing to inherit from. Named (and allowlisted by the ctxflow
+// warmCtx is the root context of a pre-warm synthesis, which belongs
+// to no viewer request, so there is nothing to inherit from. Named (and allowlisted by the ctxflow
 // checker) to keep context.Background out of the rest of the package.
 func warmCtx() context.Context { return context.Background() }

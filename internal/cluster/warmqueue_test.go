@@ -117,12 +117,12 @@ func TestWarmQueueDropsOldestWhenFull(t *testing.T) {
 	// Occupy the worker: it dequeues tile 0's pre-warm and blocks inside
 	// the origin synthesis, leaving the queue empty.
 	c.warmQ.markPending(keyAt(0))
-	c.enqueueWarm(warmJob{key: keyAt(0)})
+	c.enqueueWarm(keyAt(0))
 	<-origin.arrived
 	// Fill the queue to its cap of 2, then overflow it.
 	for tile := 1; tile <= 3; tile++ {
 		c.warmQ.markPending(keyAt(tile))
-		c.enqueueWarm(warmJob{key: keyAt(tile)})
+		c.enqueueWarm(keyAt(tile))
 	}
 	if got := c.WarmDrops(); got != 1 {
 		t.Fatalf("warm_drops = %d, want 1", got)
@@ -155,7 +155,7 @@ func TestDrainWarmsIdleAndCloseIdempotent(t *testing.T) {
 	c.DrainWarms() // must not block: worker never started
 	c.Close()
 	c.Close() // idempotent
-	c.enqueueWarm(warmJob{key: serve.ChunkKey{Video: "vid"}})
+	c.enqueueWarm(serve.ChunkKey{Video: "vid"})
 	c.DrainWarms() // must not block: queue is stopped
 	if got := c.PrewarmFetches(); got != 0 {
 		t.Fatalf("job enqueued after Close ran anyway (prewarm_fetches = %d)", got)

@@ -55,16 +55,12 @@ func viewerGone(err error) error {
 
 // relay moves one opened edge response to the sink and owns the
 // declared-length check. A whole body is needed only when there is no
-// writer (the caller wants the slice), the key has other live cold owners
-// (replicate — the walk queues it as their replication write), or
-// coalesced followers are attached to the leader's flight (it is
-// published as their response); a streaming leader with none of these
-// commits the flight to the no-tee form first. A needed body is the
-// edge's own, the sealed slice open read from its store beside the
-// stream, when that is exactly the declared length, so a warm, a follower
-// and a writer-less caller share the serving edge's slice and the router
-// holds no second copy. Only when the edge holds none does the relay keep
-// one (pump).
+// writer (the caller wants the slice) or the key has other live cold
+// owners (replicate — the walk writes it through to them). A needed
+// body is the edge's own, the sealed slice open read from its store
+// beside the stream, so a warm and a writer-less caller share the
+// serving edge's slice and the router holds no second copy. Only when
+// the edge holds none does the relay keep one (pump).
 //
 // A body the relay keeps no copy of, under a declared length, from a
 // hop over a TCP socket to a sink that implements io.ReaderFrom — the front
@@ -80,7 +76,7 @@ func viewerGone(err error) error {
 // no segment can have, refused before any block is sized by it. A failed
 // write is the viewer's (viewerGone). It reports the bytes forwarded and
 // the needed body, if any.
-func (c *Cluster) relay(w http.ResponseWriter, st chunkStream, edge []byte, replicate bool, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
+func relay(w http.ResponseWriter, st chunkStream, edge []byte, replicate bool, key serve.ChunkKey) (int64, []byte, error) {
 	defer st.body.Close()
 	if st.length > maxBodyLen {
 		// Believing it would size a block by a number off the wire.
@@ -89,10 +85,7 @@ func (c *Cluster) relay(w http.ResponseWriter, st chunkStream, edge []byte, repl
 			Err: fmt.Errorf("cluster: edge declared a %d-byte body, longer than any segment", st.length),
 		}
 	}
-	if int64(len(edge)) != st.length {
-		edge = nil
-	}
-	need := w == nil || replicate || (fl != nil && !c.coal.tryNoTee(fl))
+	need := w == nil || replicate
 	keep := need && edge == nil
 	if w != nil {
 		declare(w, st.length)
@@ -175,9 +168,9 @@ func pump(w http.ResponseWriter, st chunkStream, keep bool, key serve.ChunkKey) 
 	if !keep {
 		return n, nil, nil
 	}
-	// Sealed (len == cap): the body is shared by the caller, followers
-	// and a replica's cache, and the spare byte must not let one
-	// holder's append write into another's.
+	// Sealed (len == cap): the body is shared by the caller and a
+	// replica's cache, and the spare byte must not let one holder's
+	// append write into another's.
 	return n, slices.Clip(buf), nil
 }
 
@@ -191,14 +184,14 @@ func lengthMismatch(key serve.ChunkKey, got, declared int64) error {
 }
 
 // originFallback serves a request no edge could, in the one form both
-// sinks share: the origin's body comes back whole, is delivered, and is
-// returned for the flight's followers — a herd for one key with every
-// edge down costs the origin one fetch. cluster.origin_fetches counts
-// only fetches that completed: a failed or canceled fallback
+// sinks share: the origin's body comes back whole, is published to the
+// flight fl leads (if any) and then delivered — a herd for one key with
+// every edge down costs the origin one fetch. cluster.origin_fetches
+// counts only fetches that completed: a failed or canceled fallback
 // synthesized nothing a viewer got, and counting it would skew the
 // offload ratio, so those land under cluster.origin_errors (no writer)
 // or cluster.origin_stream_errors (writer) instead.
-func (c *Cluster) originFallback(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey) (int64, []byte, error) {
+func (c *Cluster) originFallback(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
 	c.met.originFallbacks.Inc()
 	body, err := c.origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 	if err != nil {
@@ -210,6 +203,7 @@ func (c *Cluster) originFallback(ctx context.Context, w http.ResponseWriter, key
 		return 0, nil, err
 	}
 	c.met.originFetches.Inc()
+	c.coal.finish(key, fl, body, nil)
 	c.enqueuePrewarms(key)
 	n, err := deliver(w, body)
 	return n, body, err

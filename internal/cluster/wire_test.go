@@ -463,9 +463,8 @@ func TestShedReachesOpenAsOverload(t *testing.T) {
 // (E23): with R=2 every served body lands on both rendezvous owners,
 // so killing either one and replaying the whole key set costs exactly
 // zero incremental origin fetches — an equality on counters, not a
-// bound. Warm writes are asynchronous now, so the equality is eventual
-// until DrainWarms fences the warm queue; after the fence it is exact
-// again.
+// bound. Each warm write lands before the request that served the body
+// returns, so the equality is exact with no fence.
 func TestWireReplicationSurvivesOwnerKill(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
 		v := wireVideo()
@@ -480,10 +479,6 @@ func TestWireReplicationSurvivesOwnerKill(t *testing.T) {
 		if origin.count() != len(keys) {
 			t.Fatalf("warm pass cost %d origin fetches, want %d", origin.count(), len(keys))
 		}
-		// The replication write-through runs on the warm worker; the fence
-		// turns "eventually both owners hold every key" into an exact
-		// assertion.
-		c.DrainWarms()
 		if got := c.Warms(); got != int64(len(keys)) {
 			t.Fatalf("warms = %d, want one per key = %d", got, len(keys))
 		}
@@ -540,9 +535,6 @@ func TestRemoveNodeWithReplicationCostsNoRefetch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Fence the async replication writes: removal is only free once the
-		// surviving owner actually holds the copies.
-		c.DrainWarms()
 		const drained = "edge-2"
 		removed := c.Node(drained)
 		if err := c.RemoveNode(drained); err != nil {
@@ -629,6 +621,38 @@ func TestAddNodeMovesOnlyReshardedKeys(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAddNodeAfterCloseFails: Close retires every member, so an
+// AddNode after it must refuse instead of building, binding and
+// publishing a node nothing would ever retire — and the node it built
+// before it found out must leave no listener open.
+func TestAddNodeAfterCloseFails(t *testing.T) {
+	f := &faultNet{}
+	c, err := New(&countingOrigin{}, WithNodes(2), withFaults(f), WithCatalog(wireCatalog(t, wireVideo())), WithClock(sim.NewClock(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if n, err := c.AddNode(""); err == nil {
+		t.Fatalf("AddNode after Close added %s", n.ID())
+	}
+	if names := c.NodeNames(); len(names) != 2 {
+		t.Fatalf("membership after a refused AddNode: %v", names)
+	}
+	bound := 0
+	f.edges.Range(func(addr, _ any) bool {
+		bound++
+		if conn, err := net.Dial("tcp", addr.(string)); err == nil {
+			conn.Close()
+			t.Errorf("%s still accepts after Close", addr)
+		}
+		return true
+	})
+	if bound != 3 {
+		t.Fatalf("%d listeners were bound, want 3: two members and the refused node", bound)
+	}
+	c.Close()
 }
 
 // TestLosingDuplicateLeavesTheWinnerAlone: AddNode builds a node before

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -542,6 +543,201 @@ func TestPutDuringFlightKeepsOneEntry(t *testing.T) {
 		}
 		if b := st.Bytes(); b > 700 {
 			t.Fatalf("resident bytes %d exceed the budget", b)
+		}
+	})
+}
+
+// TestStoreCountersAddUp pins the store's counter law over one schedule:
+// every Get whose context is live at entry counts exactly once, as a
+// hit, a miss or a singleflight-shared join, so
+//
+//	serve.store.hits + misses + singleflight_shared = live Gets,
+//
+// and serve.store.uncacheable ≤ misses, since only a miss's insert can
+// refuse a body (the schedule has no Put, the other insert). A Get
+// entered with a dead context counts nothing; a join canceled while it
+// waits has already counted; a miss orphaned by Reset counted when it
+// opened. Each step also pins its own deltas, and the law is checked
+// after every step.
+func TestStoreCountersAddUp(t *testing.T) {
+	big := key(99)
+	bodyFor := func(k ChunkKey) []byte {
+		n := 64
+		if k == big {
+			n = 4096 // past the 1 KiB shard budget
+		}
+		return bytes.Repeat([]byte{byte(k.Index)}, n)
+	}
+	type counts struct{ hits, misses, shared, uncacheable int64 }
+	type env struct {
+		st      *Store
+		reg     *obs.Registry
+		arm     func(k ChunkKey) (release func())
+		entered chan ChunkKey
+	}
+	// get runs Get in the background and reports its error on the result.
+	get := func(e *env, ctx context.Context, k ChunkKey) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			body, err := e.st.Get(ctx, k)
+			if err == nil && !bytes.Equal(body, bodyFor(k)) {
+				err = fmt.Errorf("Get(%v) returned %d bytes, want %d", k, len(body), len(bodyFor(k)))
+			}
+			done <- err
+		}()
+		return done
+	}
+	// waitInterest polls until n callers share k's open flight.
+	waitInterest := func(t *testing.T, e *env, k ChunkKey, n int) {
+		t.Helper()
+		sh := e.st.shard(k)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			sh.mu.Lock()
+			got := 0
+			if fl := sh.inflight[k]; fl != nil {
+				got = fl.interest
+			}
+			sh.mu.Unlock()
+			if got == n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d callers share the flight of %v, want %d", got, k, n)
+			}
+		}
+	}
+	must := func(t *testing.T, done <-chan error) {
+		t.Helper()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	steps := []struct {
+		name string
+		// run drives the step and returns its Gets entered with a live
+		// context.
+		run  func(t *testing.T, e *env) int
+		want counts
+	}{
+		{"miss", func(t *testing.T, e *env) int {
+			must(t, get(e, context.Background(), key(1)))
+			return 1
+		}, counts{misses: 1}},
+		{"hit", func(t *testing.T, e *env) int {
+			must(t, get(e, context.Background(), key(1)))
+			return 1
+		}, counts{hits: 1}},
+		{"dead context at entry", func(t *testing.T, e *env) int {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := <-get(e, ctx, key(2)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Get on a dead context returned %v", err)
+			}
+			return 0
+		}, counts{}},
+		{"two joins of an open flight", func(t *testing.T, e *env) int {
+			release := e.arm(key(3))
+			leader := get(e, context.Background(), key(3))
+			<-e.entered
+			a, b := get(e, context.Background(), key(3)), get(e, context.Background(), key(3))
+			waitInterest(t, e, key(3), 3)
+			release()
+			must(t, leader)
+			must(t, a)
+			must(t, b)
+			return 3
+		}, counts{misses: 1, shared: 2}},
+		{"a join canceled while it waits", func(t *testing.T, e *env) int {
+			release := e.arm(key(4))
+			leader := get(e, context.Background(), key(4))
+			<-e.entered
+			ctx, cancel := context.WithCancel(context.Background())
+			joiner := get(e, ctx, key(4))
+			waitInterest(t, e, key(4), 2)
+			cancel()
+			if err := <-joiner; !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled join returned %v", err)
+			}
+			release()
+			must(t, leader)
+			return 2
+		}, counts{misses: 1, shared: 1}},
+		{"Reset mid-flight", func(t *testing.T, e *env) int {
+			// The Get after the Reset opens a flight of its own beside the
+			// orphan instead of joining it.
+			release := e.arm(key(5))
+			orphan := get(e, context.Background(), key(5))
+			<-e.entered
+			e.st.Reset()
+			fresh := get(e, context.Background(), key(5))
+			<-e.entered
+			release()
+			must(t, orphan)
+			must(t, fresh)
+			return 2
+		}, counts{misses: 2}},
+		{"oversized body, twice", func(t *testing.T, e *env) int {
+			must(t, get(e, context.Background(), big))
+			must(t, get(e, context.Background(), big))
+			return 2
+		}, counts{misses: 2, uncacheable: 2}},
+	}
+
+	eachForm(t, func(t *testing.T, form string) {
+		e := &env{reg: obs.NewRegistry(), entered: make(chan ChunkKey, 4)}
+		var mu sync.Mutex
+		gates := map[ChunkKey]chan struct{}{}
+		e.arm = func(k ChunkKey) func() {
+			g := make(chan struct{})
+			mu.Lock()
+			gates[k] = g
+			mu.Unlock()
+			return func() { close(g) }
+		}
+		// synth blocks on k's gate while one is armed, reporting each
+		// arrival on entered.
+		synth := func(k ChunkKey) []byte {
+			mu.Lock()
+			g := gates[k]
+			mu.Unlock()
+			if g != nil {
+				e.entered <- k
+				<-g
+			}
+			return bodyFor(k)
+		}
+		opts := []Option{WithShards(1), WithBudget(1 << 10), WithObs(e.reg)}
+		if form == "ctx" {
+			e.st = New(append(opts, WithCtxSynth(func(_ context.Context, k ChunkKey) ([]byte, error) { return synth(k), nil }))...)
+		} else {
+			e.st = New(append(opts, WithWriterSynth(WriterSynth{
+				Size: func(k ChunkKey) (int, error) { return len(bodyFor(k)), nil },
+				Write: func(w io.Writer, k ChunkKey) error {
+					_, err := w.Write(synth(k))
+					return err
+				},
+			}))...)
+		}
+		read := func() counts {
+			c := func(name string) int64 { return e.reg.Counter("serve.store." + name).Value() }
+			return counts{c("hits"), c("misses"), c("singleflight_shared"), c("uncacheable")}
+		}
+		live := int64(0)
+		for _, step := range steps {
+			before := read()
+			live += int64(step.run(t, e))
+			after := read()
+			d := counts{after.hits - before.hits, after.misses - before.misses, after.shared - before.shared, after.uncacheable - before.uncacheable}
+			if d != step.want {
+				t.Fatalf("%s: deltas %+v, want %+v", step.name, d, step.want)
+			}
+			if sum := after.hits + after.misses + after.shared; sum != live {
+				t.Fatalf("after %s: hits + misses + singleflight_shared = %d, but %d Gets entered live", step.name, sum, live)
+			}
+			if after.uncacheable > after.misses {
+				t.Fatalf("after %s: uncacheable %d > misses %d", step.name, after.uncacheable, after.misses)
+			}
 		}
 	})
 }

@@ -28,10 +28,9 @@ var ctxAllowlist = map[string]bool{
 	// Health probes originate inside the cluster's probe loop, not from
 	// any viewer request; probeCtx mints the root they run under.
 	"internal/cluster:probeCtx": true,
-	// Background warm work (replica writes, crowd-prior pre-warm
-	// syntheses) runs on the warm worker, decoupled by design from the
-	// viewer request that enqueued it — cancellation would couple them
-	// back. warmCtx mints that root.
+	// Crowd-prior pre-warm syntheses run on the warm worker, decoupled
+	// by design from the viewer request that enqueued them —
+	// cancellation would couple them back. warmCtx mints that root.
 	"internal/cluster:warmCtx": true,
 	// A wire edge's requests arrive over a socket, from no caller in the
 	// process; edgeCtx mints the root of one edge incarnation's requests,
