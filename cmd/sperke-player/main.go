@@ -14,7 +14,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -130,9 +129,7 @@ func run() error {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	att := trace.GenerateAttention(rand.New(rand.NewSource(*seed+1)), *dur+10*time.Second)
-	head := trace.Generate(rng, trace.UserProfile{ID: "viewer", SpeedScale: *speed}, att, *dur+10*time.Second)
+	head := trace.Draw(*seed, *seed+1, trace.UserProfile{SpeedScale: *speed}, *dur+10*time.Second)
 
 	cfg := core.Config{
 		Video:           video,

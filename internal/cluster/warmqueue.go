@@ -20,10 +20,11 @@ import (
 
 // warmQueue is a bounded FIFO of pre-warm keys drained by one
 // lazily-started worker goroutine. All fields are guarded by mu except
-// the channels, which are only ever touched outside it (the lockscope
-// checker enforces exactly that shape): enqueue appends under mu then
-// signals wake after unlocking, and the worker collects drain waiters
-// under mu but closes them unlocked.
+// the channels and ctx, which are only ever touched outside it (the
+// lockscope checker enforces exactly that shape): enqueue appends under
+// mu then signals wake after unlocking, and the worker collects drain
+// waiters under mu but closes them unlocked. ctx, the root of every
+// pre-warm synthesis, is canceled by close.
 type warmQueue struct {
 	mu      sync.Mutex
 	jobs    []serve.ChunkKey
@@ -33,16 +34,19 @@ type warmQueue struct {
 	started bool
 	stopped bool
 
-	wake chan struct{} // capacity 1: coalesces enqueue signals
-	stop chan struct{}
+	wake   chan struct{} // capacity 1: coalesces enqueue signals
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 func newWarmQueue() *warmQueue {
+	ctx, cancel := warmCtx()
 	return &warmQueue{
 		pending: make(map[serve.ChunkKey]struct{}),
 		idle:    true,
 		wake:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
+		ctx:     ctx,
+		cancel:  cancel,
 	}
 }
 
@@ -91,9 +95,9 @@ func (q *warmQueue) markPending(key serve.ChunkKey) bool {
 
 // warmWorker is the queue's single consumer. It parks on wake when the
 // queue empties — releasing any drain waiters first, so DrainWarms
-// unblocks exactly at the all-applied point — and exits on stop,
-// abandoning whatever is still queued (Close is a teardown, not a
-// flush).
+// unblocks exactly at the all-applied point — and exits once close
+// cancels the queue's context, abandoning whatever is still queued
+// (Close is a teardown, not a flush).
 func (c *Cluster) warmWorker() {
 	q := c.warmQ
 	for {
@@ -113,7 +117,7 @@ func (c *Cluster) warmWorker() {
 			releaseWaiters(ws)
 			select {
 			case <-q.wake:
-			case <-q.stop:
+			case <-q.ctx.Done():
 			}
 			continue
 		}
@@ -150,11 +154,13 @@ func (c *Cluster) runPrewarm(key serve.ChunkKey) {
 		return
 	}
 	if c.coal.inFlight(key) {
-		// A viewer is fetching this key right now, and its walk will
-		// warm the owners on the way past.
+		// A viewer's walk holds this key's flight open. An edge's whole
+		// body warms the co-owners before the flight closes; a relay's
+		// kept copy warms them only after, so a pre-warm in that window
+		// may repeat the synthesis.
 		return
 	}
-	body, err := c.origin.Chunk(warmCtx(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+	body, err := c.origin.Chunk(c.warmQ.ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 	if err != nil {
 		return
 	}
@@ -192,17 +198,22 @@ func (c *Cluster) DrainWarms() {
 	<-w
 }
 
-// close stops the worker, abandoning whatever is still queued; a
-// worker that has started releases the DrainWarms waiters as it exits,
-// and one that never started has none. Close calls it once.
+// close stops the worker, abandoning whatever is still queued and
+// canceling the synthesis in progress, so a stalled origin cannot hold
+// it past Close; a worker that has started releases the DrainWarms
+// waiters as it exits, and one that never started has none. Close
+// calls it once.
 func (q *warmQueue) close() {
 	q.mu.Lock()
 	q.stopped = true
 	q.mu.Unlock()
-	close(q.stop)
+	q.cancel()
 }
 
-// warmCtx is the root context of a pre-warm synthesis, which belongs
-// to no viewer request, so there is nothing to inherit from. Named (and allowlisted by the ctxflow
+// warmCtx mints the root context of the pre-warm syntheses, which
+// belong to no viewer request, so there is nothing to inherit from;
+// the queue cancels it on Close. Named (and allowlisted by the ctxflow
 // checker) to keep context.Background out of the rest of the package.
-func warmCtx() context.Context { return context.Background() }
+func warmCtx() (context.Context, context.CancelFunc) {
+	return context.WithCancel(context.Background())
+}

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"sperke/internal/hmp"
 	"sperke/internal/serve"
@@ -163,4 +165,41 @@ func TestDrainWarmsIdleAndCloseIdempotent(t *testing.T) {
 	if _, err := c.Chunk(context.Background(), "vid", 0, 0, 0, false); err != nil {
 		t.Fatalf("serving after Close failed: %v", err)
 	}
+}
+
+// TestCloseStopsAStalledPrewarm: Close cancels a pre-warm synthesis the
+// origin has stalled on. The origin holds a pre-warm key until its
+// context ends; after Close, a DrainWarms caller that was waiting on
+// that pre-warm returns, and the warm worker exits with every other
+// goroutine the cluster started.
+func TestCloseStopsAStalledPrewarm(t *testing.T) {
+	before := runtime.NumGoroutine()
+	stalled := serve.ChunkKey{Video: "vid", Quality: 0, Tile: 1, Index: 0}
+	origin := newBlockingOrigin(stalled)
+	origin.honorCtx = true
+	defer close(origin.release)
+	c, err := New(origin, WithNodes(1),
+		WithPrewarm(&fakePrior{tiles: []int{1}}, 1), WithClock(sim.NewClock(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetchKey(t, c, serve.ChunkKey{Video: "vid", Quality: 0, Tile: 0, Index: 0})
+	<-origin.arrived // the worker is inside the stalled pre-warm synthesis
+	drained := make(chan struct{})
+	go func() {
+		c.DrainWarms()
+		close(drained)
+	}()
+	waitFor(t, "the DrainWarms caller to wait on the worker", func() bool {
+		c.warmQ.mu.Lock()
+		defer c.warmQ.mu.Unlock()
+		return len(c.warmQ.waiters) == 1
+	})
+	c.Close()
+	select {
+	case <-drained:
+	case <-time.After(time.Second):
+		t.Fatal("DrainWarms still blocked 1s after Close: the stalled pre-warm outlived the cluster")
+	}
+	waitFor(t, "goroutines back to their baseline", func() bool { return runtime.NumGoroutine() <= before })
 }

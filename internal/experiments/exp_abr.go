@@ -9,10 +9,7 @@ import (
 	"sperke/internal/core"
 	"sperke/internal/media"
 	"sperke/internal/netem"
-	"sperke/internal/sim"
 	"sperke/internal/tiling"
-	"sperke/internal/trace"
-	"sperke/internal/transport"
 )
 
 func init() {
@@ -46,8 +43,9 @@ func SVCUpgrade(seed int64) *Table {
 	}
 
 	// Session level: same viewer, same network, upgrades enabled.
+	w := viewer{link: netem.Constant(15e6), prop: 20 * time.Millisecond, tail: 10 * time.Second, attention: 40, speed: 1}
 	for _, enc := range []media.Encoding{media.EncodingSVC, media.EncodingAVC} {
-		rep := runGuidedSession(seed, expVideo(enc), 15e6, abr.OOSPolicy{}, nil, true)
+		rep := w.run(seed, core.Config{Video: expVideo(enc), Mode: core.FoVGuided, EnableUpgrades: true})
 		t.AddRow(fmt.Sprintf("session (%s): fetched MB / wasted MB / upgrades", enc),
 			fmt.Sprintf("%.1f", float64(rep.BytesFetched)/1e6),
 			fmt.Sprintf("%.1f", float64(rep.BytesWasted)/1e6),
@@ -56,48 +54,11 @@ func SVCUpgrade(seed int64) *Table {
 	return t
 }
 
-// runGuidedSession is the shared session harness for ABR experiments.
-func runGuidedSession(seed int64, v *media.Video, bps float64, oos abr.OOSPolicy,
-	alg abr.Algorithm, upgrades bool) core.Report {
-	clock := sim.NewClock(seed)
-	path := netem.NewPath(clock, "net", netem.Constant(bps), 20*time.Millisecond, 0)
-	sched := transport.NewSinglePath(clock, path)
-	dur := v.Duration + 10*time.Second
-	rng := rand.New(rand.NewSource(seed))
-	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+40)), dur)
-	head := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1}, att, dur)
-	s, err := core.NewSession(clock, core.Config{
-		Video:          v,
-		Mode:           core.FoVGuided,
-		Algorithm:      alg,
-		OOS:            oos,
-		EnableUpgrades: upgrades,
-	}, head, sched, core.WithObs(obsReg))
-	if err != nil {
-		panic(err)
-	}
-	return s.Run()
-}
-
-// runGuidedSessionTrace runs a session on a bandwidth trace.
-func runGuidedSessionTrace(seed int64, v *media.Video, tr *netem.BandwidthTrace,
-	alg abr.Algorithm) core.Report {
-	clock := sim.NewClock(seed)
-	path := netem.NewPath(clock, "net", tr, 30*time.Millisecond, 0)
-	sched := transport.NewSinglePath(clock, path)
-	dur := v.Duration + 20*time.Second
-	rng := rand.New(rand.NewSource(seed))
-	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+41)), dur)
-	head := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1}, att, dur)
-	s, err := core.NewSession(clock, core.Config{
-		Video:     v,
-		Mode:      core.FoVGuided,
-		Algorithm: alg,
-	}, head, sched, core.WithObs(obsReg))
-	if err != nil {
-		panic(err)
-	}
-	return s.Run()
+// lteViewer is the viewer of the LTE-trace experiments (E6, A5): every
+// session of a table plays over the same fluctuating link.
+func lteViewer(seed int64, v *media.Video) viewer {
+	lte := netem.LTETrace(rand.New(rand.NewSource(seed+7)), 8e6, time.Second, v.Duration+30*time.Second)
+	return viewer{link: lte, prop: 30 * time.Millisecond, tail: 20 * time.Second, attention: 41, speed: 1}
 }
 
 // VRAComparison runs §3.1.2 part one: classic VRA algorithms applied to
@@ -114,15 +75,13 @@ func VRAComparison(seed int64) *Table {
 		},
 	}
 	v := expVideo(media.EncodingAVC)
+	w := lteViewer(seed, v)
 	for _, name := range []string{"throughput", "buffer", "mpc"} {
 		alg, err := abr.ByName(name)
 		if err != nil {
 			panic(err)
 		}
-		// Fresh trace per algorithm with the same seed → identical
-		// network.
-		lte := netem.LTETrace(rand.New(rand.NewSource(seed+7)), 8e6, time.Second, v.Duration+30*time.Second)
-		rep := runGuidedSessionTrace(seed, v, lte, alg)
+		rep := w.run(seed, core.Config{Video: v, Mode: core.FoVGuided, Algorithm: alg})
 		m := rep.QoE
 		t.AddRow(name, m.MeanQuality(), m.Stalls, m.StallTime.Round(10*time.Millisecond).String(),
 			m.Switches, m.Score(v.Qualities()-1))
@@ -178,26 +137,7 @@ func HybridSession(seed int64) *Table {
 			"hybrid fetches low-upgrade-probability chunks as AVC, dodging the SVC overhead (§3.1.2)",
 		},
 	}
-	run := func(enc media.Encoding, hybrid bool) core.Report {
-		clock := sim.NewClock(seed)
-		path := netem.NewPath(clock, "net", netem.Constant(15e6), 20*time.Millisecond, 0)
-		sched := transport.NewSinglePath(clock, path)
-		v := expVideo(enc)
-		dur := v.Duration + 10*time.Second
-		rng := rand.New(rand.NewSource(seed))
-		att := trace.GenerateAttention(rand.New(rand.NewSource(seed+44)), dur)
-		head := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1}, att, dur)
-		s, err := core.NewSession(clock, core.Config{
-			Video:          v,
-			Mode:           core.FoVGuided,
-			EnableUpgrades: true,
-			HybridSVC:      hybrid,
-		}, head, sched, core.WithObs(obsReg))
-		if err != nil {
-			panic(err)
-		}
-		return s.Run()
-	}
+	w := viewer{link: netem.Constant(15e6), prop: 20 * time.Millisecond, tail: 10 * time.Second, attention: 44, speed: 1}
 	rows := []struct {
 		name   string
 		enc    media.Encoding
@@ -208,7 +148,7 @@ func HybridSession(seed int64) *Table {
 		{"hybrid", media.EncodingSVC, true},
 	}
 	for _, r := range rows {
-		rep := run(r.enc, r.hybrid)
+		rep := w.run(seed, core.Config{Video: expVideo(r.enc), Mode: core.FoVGuided, EnableUpgrades: true, HybridSVC: r.hybrid})
 		picks := "—"
 		if r.hybrid {
 			picks = fmt.Sprintf("%d/%d", rep.HybridAVCFetches, rep.HybridSVCFetches)
@@ -235,30 +175,19 @@ func PredictionWindowSweep(seed int64) *Table {
 		},
 	}
 	v := expVideo(media.EncodingAVC)
+	w := lteViewer(seed, v)
 	for _, window := range []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second} {
 		for _, name := range []string{"throughput", "buffer"} {
 			alg, err := abr.ByName(name)
 			if err != nil {
 				panic(err)
 			}
-			clock := sim.NewClock(seed)
-			lte := netem.LTETrace(rand.New(rand.NewSource(seed+7)), 8e6, time.Second, v.Duration+30*time.Second)
-			path := netem.NewPath(clock, "net", lte, 30*time.Millisecond, 0)
-			sched := transport.NewSinglePath(clock, path)
-			dur := v.Duration + 20*time.Second
-			rng := rand.New(rand.NewSource(seed))
-			att := trace.GenerateAttention(rand.New(rand.NewSource(seed+41)), dur)
-			head := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1}, att, dur)
-			s, err := core.NewSession(clock, core.Config{
+			rep := w.run(seed, core.Config{
 				Video:            v,
 				Mode:             core.FoVGuided,
 				Algorithm:        alg,
 				PredictionWindow: window,
-			}, head, sched, core.WithObs(obsReg))
-			if err != nil {
-				panic(err)
-			}
-			rep := s.Run()
+			})
 			m := rep.QoE
 			t.AddRow(window.String(), name, m.MeanQuality(), m.Stalls, m.Score(v.Qualities()-1))
 		}

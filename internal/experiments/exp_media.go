@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sperke/internal/media"
@@ -59,9 +58,7 @@ func VersioningOverhead(seed int64) *Table {
 
 	// Client-side dynamics: versioning re-fetches the whole chunk every
 	// time the head crosses one of the 22 yaw cells (every ≈16.4°).
-	rng := rand.New(rand.NewSource(seed))
-	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+5)), avc.Duration)
-	head := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1}, att, avc.Duration)
+	head := trace.Draw(seed, seed+5, trace.UserProfile{SpeedScale: 1}, avc.Duration)
 	delivered, switches := media.OculusScheme.SessionDelivery(avc, 4, head)
 	t.AddRow("versioning delivery (60s session)",
 		fmt.Sprintf("%d version switches", switches),

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sperke/internal/codec"
@@ -63,9 +62,7 @@ func Figure5(seed int64) *Table {
 }
 
 func fig5HeadTrace(seed int64) *trace.HeadTrace {
-	rng := rand.New(rand.NewSource(seed))
-	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+1)), 12*time.Second)
-	return trace.Generate(rng, trace.UserProfile{ID: "bench", SpeedScale: 1}, att, 12*time.Second)
+	return trace.Draw(seed, seed+1, trace.UserProfile{SpeedScale: 1}, 12*time.Second)
 }
 
 // FrameCacheDelta reproduces the §3.5 decoded-frame-cache claim: after

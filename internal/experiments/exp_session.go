@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sperke/internal/abr"
@@ -20,22 +19,24 @@ func init() {
 	register("E16", BandwidthSweep)
 }
 
-// sessionUnder runs one full session for the savings experiments.
-func sessionUnder(seed int64, mode core.StreamMode, oos abr.OOSPolicy, speedScale float64) core.Report {
-	v := expVideo(media.EncodingAVC)
+// viewer is the suite's one simulated viewer: a single-path session
+// over link with one-way delay prop, playing the video plus tail while
+// the head trace.Draw(seed, seed+attention, ...) moves at speed. The
+// values differ between experiments because each table's golden output
+// was generated under its own; changing one changes that table.
+type viewer struct {
+	link       *netem.BandwidthTrace
+	prop, tail time.Duration
+	attention  int64
+	speed      float64
+}
+
+// run plays cfg for the viewer drawn from seed.
+func (w viewer) run(seed int64, cfg core.Config) core.Report {
 	clock := sim.NewClock(seed)
-	path := netem.NewPath(clock, "net", netem.Constant(25e6), 20*time.Millisecond, 0)
-	sched := transport.NewSinglePath(clock, path)
-	dur := v.Duration + 10*time.Second
-	rng := rand.New(rand.NewSource(seed))
-	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+60)), dur)
-	head := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: speedScale}, att, dur)
-	s, err := core.NewSession(clock, core.Config{
-		Video:     v,
-		Mode:      mode,
-		OOS:       oos,
-		Algorithm: &abr.Fixed{Q: 4}, // equal quality: compare bytes only
-	}, head, sched, core.WithObs(obsReg))
+	path := netem.NewPath(clock, "net", w.link, w.prop, 0)
+	head := trace.Draw(seed, seed+w.attention, trace.UserProfile{SpeedScale: w.speed}, cfg.Video.Duration+w.tail)
+	s, err := core.NewSession(clock, cfg, head, transport.NewSinglePath(clock, path), core.WithObs(obsReg))
 	if err != nil {
 		panic(err)
 	}
@@ -72,12 +73,17 @@ func TilingSavings(seed int64) *Table {
 		{"calm", 0.7},
 		{"active", 1.6},
 	}
+	v := expVideo(media.EncodingAVC)
 	for _, vw := range viewers {
-		agnostic := sessionUnder(seed, core.FoVAgnostic, abr.OOSPolicy{}, vw.speed)
+		w := viewer{link: netem.Constant(25e6), prop: 20 * time.Millisecond, tail: 10 * time.Second, attention: 60, speed: vw.speed}
+		run := func(mode core.StreamMode, oos abr.OOSPolicy) core.Report {
+			return w.run(seed, core.Config{Video: v, Mode: mode, OOS: oos, Algorithm: &abr.Fixed{Q: 4}}) // equal quality: compare bytes only
+		}
+		agnostic := run(core.FoVAgnostic, abr.OOSPolicy{})
 		t.AddRow("fov-agnostic (baseline)", vw.name,
 			fmt.Sprintf("%.1f", float64(agnostic.BytesFetched)/1e6), "—", 0.0)
 		for _, p := range policies {
-			guided := sessionUnder(seed, core.FoVGuided, p.oos, vw.speed)
+			guided := run(core.FoVGuided, p.oos)
 			saving := 1 - float64(guided.BytesFetched)/float64(agnostic.BytesFetched)
 			t.AddRow(p.name, vw.name,
 				fmt.Sprintf("%.1f", float64(guided.BytesFetched)/1e6),
@@ -100,24 +106,14 @@ func AblationOOSRing(seed int64) *Table {
 		},
 	}
 	v := expVideo(media.EncodingAVC)
+	w := viewer{link: netem.Constant(12e6), prop: 20 * time.Millisecond, tail: 10 * time.Second, attention: 61, speed: 1.4}
 	for _, ring := range []int{1, 2, 3} {
-		clock := sim.NewClock(seed)
-		path := netem.NewPath(clock, "net", netem.Constant(12e6), 20*time.Millisecond, 0)
-		sched := transport.NewSinglePath(clock, path)
-		dur := v.Duration + 10*time.Second
-		rng := rand.New(rand.NewSource(seed))
-		att := trace.GenerateAttention(rand.New(rand.NewSource(seed+61)), dur)
-		head := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1.4}, att, dur)
-		s, err := core.NewSession(clock, core.Config{
+		rep := w.run(seed, core.Config{
 			Video:          v,
 			Mode:           core.FoVGuided,
 			OOS:            abr.OOSPolicy{MaxRing: ring},
 			EnableUpgrades: true,
-		}, head, sched, core.WithObs(obsReg))
-		if err != nil {
-			panic(err)
-		}
-		rep := s.Run()
+		})
 		m := rep.QoE
 		t.AddRow(ring,
 			fmt.Sprintf("%.1f", float64(rep.BytesFetched)/1e6),
@@ -145,19 +141,9 @@ func BandwidthSweep(seed int64) *Table {
 	v := expVideo(media.EncodingAVC)
 	for _, mbps := range []float64{2, 4, 6, 10, 16, 24, 40} {
 		row := []any{fmt.Sprintf("%.0f Mbps", mbps)}
+		w := viewer{link: netem.Constant(mbps * 1e6), prop: 20 * time.Millisecond, tail: 10 * time.Second, attention: 60, speed: 1}
 		for _, mode := range []core.StreamMode{core.FoVGuided, core.FoVAgnostic} {
-			clock := sim.NewClock(seed)
-			path := netem.NewPath(clock, "net", netem.Constant(mbps*1e6), 20*time.Millisecond, 0)
-			sched := transport.NewSinglePath(clock, path)
-			dur := v.Duration + 10*time.Second
-			rng := rand.New(rand.NewSource(seed))
-			att := trace.GenerateAttention(rand.New(rand.NewSource(seed+60)), dur)
-			head := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1}, att, dur)
-			s, err := core.NewSession(clock, core.Config{Video: v, Mode: mode}, head, sched, core.WithObs(obsReg))
-			if err != nil {
-				panic(err)
-			}
-			rep := s.Run()
+			rep := w.run(seed, core.Config{Video: v, Mode: mode})
 			row = append(row, rep.QoE.MeanQuality(), rep.QoE.Stalls)
 		}
 		t.AddRow(row...)

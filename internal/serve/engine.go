@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -210,20 +209,14 @@ func (e *Engine) Run(ctx context.Context) EngineResult {
 	return res
 }
 
-// sessionTrace builds viewer i's head trace: motion seeded from
-// BaseSeed+i, attention from BaseSeed+i+60, over the video plus a 10s
-// tail. This is THE trace recipe — runOne and SessionTraces both call
-// it, so a crowd prior built from SessionTraces describes exactly the
-// heads the run will simulate.
+// sessionTrace builds viewer i's head trace with trace.Draw, the one
+// simulated-viewer head recipe: motion seeded from BaseSeed+i,
+// attention from BaseSeed+i+60, over the video plus a 10s tail. runOne
+// and SessionTraces both call it, so a crowd prior built from
+// SessionTraces describes exactly the heads the run will simulate.
 func sessionTrace(cfg EngineConfig, i int) *trace.HeadTrace {
 	seed := cfg.BaseSeed + int64(i)
-	dur := cfg.Video.Duration + 10*time.Second
-	rng := rand.New(rand.NewSource(seed))
-	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+60)), dur)
-	return trace.Generate(rng, trace.UserProfile{
-		ID:         fmt.Sprintf("viewer-%d", i),
-		SpeedScale: cfg.SpeedScale,
-	}, att, dur)
+	return trace.Draw(seed, seed+60, trace.UserProfile{SpeedScale: cfg.SpeedScale}, cfg.Video.Duration+10*time.Second)
 }
 
 // SessionTraces regenerates the head traces an engine built from cfg
@@ -249,9 +242,9 @@ func SessionTraces(cfg EngineConfig) []*trace.HeadTrace {
 	return traces
 }
 
-// runOne builds and runs viewer i exactly the way the experiment
-// harness builds single sessions, so engine QoE is comparable with
-// experiment tables at the same seed.
+// runOne builds and runs viewer i. Its head comes from trace.Draw, as
+// every experiment viewer's does; the session is built here, beside
+// the HTTP mirror that wraps its scheduler.
 func (e *Engine) runOne(ctx context.Context, i int) SessionResult {
 	seed := e.cfg.BaseSeed + int64(i)
 	v := e.cfg.Video

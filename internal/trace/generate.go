@@ -170,6 +170,16 @@ func Generate(rng *rand.Rand, profile UserProfile, attention *Attention, dur tim
 	return h
 }
 
+// Draw is the simulated viewer's head recipe: Generate with motion
+// seeded from motion, over an attention schedule seeded from attention
+// and spanning dur. Every synthetic single viewer — the experiment
+// suite's sessions, the serving engine's viewers, sperke-player — draws
+// its head here, so the same two seeds give the same head everywhere.
+func Draw(motion, attention int64, p UserProfile, dur time.Duration) *HeadTrace {
+	return Generate(rand.New(rand.NewSource(motion)), p,
+		GenerateAttention(rand.New(rand.NewSource(attention)), dur), dur)
+}
+
 // angleTo is sphere.AngularDistance(o, b), float for float, given b's
 // direction vector instead of b.
 func angleTo(o sphere.Orientation, dir sphere.Vec3) float64 {

@@ -204,6 +204,25 @@ func TestGenerateNegativeDuration(t *testing.T) {
 	}
 }
 
+// TestDrawIsTheTwoSeedRecipe pins Draw to the spelled-out recipe it
+// names: motion from one seed, attention from the other, both over dur.
+// The paper tables and the engine's crowd prior depend on it drawing
+// exactly these samples.
+func TestDrawIsTheTwoSeedRecipe(t *testing.T) {
+	const dur = 20 * time.Second
+	p := UserProfile{SpeedScale: 1.4}
+	want := Generate(rand.New(rand.NewSource(7)), p, GenerateAttention(rand.New(rand.NewSource(67)), dur), dur)
+	got := Draw(7, 67, p, dur)
+	if len(got.Samples) != len(want.Samples) {
+		t.Fatalf("Draw: %d samples, want %d", len(got.Samples), len(want.Samples))
+	}
+	for i := range want.Samples {
+		if got.Samples[i] != want.Samples[i] {
+			t.Fatalf("Draw sample %d = %+v, want %+v", i, got.Samples[i], want.Samples[i])
+		}
+	}
+}
+
 // generateMinute is one viewer's head trace for a minute of video, a
 // new one each call from the same stream of randomness.
 func generateMinute() func() {

@@ -30,7 +30,8 @@ var ctxAllowlist = map[string]bool{
 	"internal/cluster:probeCtx": true,
 	// Crowd-prior pre-warm syntheses run on the warm worker, decoupled
 	// by design from the viewer request that enqueued them —
-	// cancellation would couple them back. warmCtx mints that root.
+	// cancellation would couple them back. warmCtx mints that root,
+	// which the warm queue cancels on Close.
 	"internal/cluster:warmCtx": true,
 	// A wire edge's requests arrive over a socket, from no caller in the
 	// process; edgeCtx mints the root of one edge incarnation's requests,
