@@ -2,8 +2,7 @@
 // (package internal/vet) over the module tree:
 //
 //	go run ./cmd/sperke-vet ./...
-//	go run ./cmd/sperke-vet -checks clockhygiene,maporder ./internal/sim
-//	go run ./cmd/sperke-vet -json ./...
+//	go run ./cmd/sperke-vet -json ./internal/dash
 //	go run ./cmd/sperke-vet -list
 //
 // The suite is type-resolved: the whole module is parsed and
@@ -12,9 +11,7 @@
 //
 // It exits 0 when clean, 1 when it finds violations (one
 // "path:line:col: [check] message" line per finding, or a JSON array
-// under -json), and 2 on usage, parse, or type-check errors. The one
-// waiver is a checker's function-keyed allowlist of named seams, in its
-// source.
+// under -json), and 2 on usage, parse, or type-check errors.
 package main
 
 import (
@@ -47,22 +44,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sperke-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list registered checkers and exit")
-	checks := fs.String("checks", "", "comma-separated subset of checkers to run (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (schema: check, path, line, col, message)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr,
-			"usage: sperke-vet [-list] [-checks a,b] [-json] [packages]\n\npackages are module-relative paths; ./... (the default) means the whole module.\n\n")
+			"usage: sperke-vet [-list] [-json] [packages]\n\npackages are module-relative paths; ./... (the default) means the whole module.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	analyzers, err := vet.ByName(*checks)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
+	analyzers := vet.Analyzers()
 	if *list {
 		for _, a := range analyzers {
 			fmt.Fprintf(stdout, "%-17s %s\n", a.Name, a.Doc)

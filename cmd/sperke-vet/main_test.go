@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// writeTestModule lays out a miniature module with one ctxflow
+// writeTestModule lays out a miniature module with one errtaxonomy
 // violation and chdirs into it for the duration of the test (run()
 // resolves the module from the working directory).
 func writeTestModule(t *testing.T) {
@@ -16,12 +16,12 @@ func writeTestModule(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
 		"go.mod": "module sperke\n\ngo 1.22\n",
-		"internal/serve/bad.go": `package serve
+		"internal/dash/bad.go": `package dash
 
-import "context"
+import "errors"
 
-func refetch(get func(context.Context) error) error {
-	return get(context.Background())
+func refetch() error {
+	return errors.New("dash: refetch failed")
 }
 `,
 	}
@@ -59,7 +59,7 @@ func TestRunJSONOutput(t *testing.T) {
 		t.Fatalf("findings = %d, want 1: %v", len(findings), findings)
 	}
 	f := findings[0]
-	if f.Check != "ctxflow" || f.Path != "internal/serve/bad.go" || f.Line != 6 || f.Col == 0 || f.Message == "" {
+	if f.Check != "errtaxonomy" || f.Path != "internal/dash/bad.go" || f.Line != 6 || f.Col == 0 || f.Message == "" {
 		t.Fatalf("unexpected finding: %+v", f)
 	}
 }
@@ -71,8 +71,8 @@ func TestRunTextOutputAndExitCodes(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
-	if !strings.Contains(stdout.String(), "internal/serve/bad.go:6:") ||
-		!strings.Contains(stdout.String(), "[ctxflow]") {
+	if !strings.Contains(stdout.String(), "internal/dash/bad.go:6:") ||
+		!strings.Contains(stdout.String(), "[errtaxonomy]") {
 		t.Fatalf("finding not rendered:\n%s", stdout.String())
 	}
 	if !strings.Contains(stderr.String(), "typed load of") {
@@ -82,13 +82,13 @@ func TestRunTextOutputAndExitCodes(t *testing.T) {
 	// A target prefix that excludes the finding exits clean.
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"./internal/dash"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"./internal/serve"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("filtered run exit = %d, want 0\n%s", code, stdout.String())
 	}
 
-	// Unknown checkers are a usage error.
-	if code := run([]string{"-checks", "nope"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("unknown checker exit = %d, want 2", code)
+	// Unknown flags are a usage error.
+	if code := run([]string{"-nope"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("unknown flag exit = %d, want 2", code)
 	}
 }
 
@@ -97,9 +97,11 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit = %d", code)
 	}
-	for _, name := range []string{"clockhygiene", "ctxflow", "lockscope", "maporder"} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Fatalf("-list missing %s:\n%s", name, stdout.String())
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if got := strings.Join(names, ","); got != "errtaxonomy,obsdiscipline" {
+		t.Fatalf("-list names %s, want errtaxonomy,obsdiscipline:\n%s", got, stdout.String())
 	}
 }

@@ -528,7 +528,11 @@ func (c *Cluster) ProbeAll() {
 	m := c.mem.Load()
 	for _, id := range m.ids {
 		if n := m.byID[id]; n.health.allow() {
-			ctx, cancel := probeCtx(c.probeEvery)
+			// Probes belong to no request, so there is nothing to inherit
+			// from; the bound keeps one edge that accepts and never
+			// answers from stalling a sweep longer than the pause between
+			// sweeps (TestProbeOfWedgedEdgeIsBounded).
+			ctx, cancel := context.WithTimeout(context.Background(), c.probeEvery)
 			n.health.observe(n.Ping(ctx))
 			cancel()
 		}
@@ -550,9 +554,9 @@ func (c *Cluster) StartProbes(ctx context.Context) {
 }
 
 // wallSleep blocks for d or until ctx is done. This is the cluster's
-// one real-time wait — probe pacing is inherently wall-clock — and the
-// clockhygiene allowlist names it so nothing else in the package grows
-// a timer.
+// one real-time wait — probe pacing is inherently wall-clock. Health
+// runs on the injected clock, which TestProbesReadmitRecoveredNode and
+// TestClusterFailoverDeterministic pin.
 func wallSleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()

@@ -220,7 +220,7 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 		_, err := c.Chunk(leadCtx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 		leadErr <- err
 	}()
-	<-origin.arrived
+	recv(t, "the leader's origin fetch", origin.arrived)
 	errs := make(chan error, followers)
 	bodies := make(chan []byte, followers)
 	for i := 0; i < followers; i++ {
@@ -232,18 +232,18 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	}
 	waitForFollowers(t, c, key, followers)
 	cancelLead()
-	if err := <-leadErr; err == nil {
+	if err := recv(t, "the canceled leader to return", leadErr); err == nil {
 		t.Fatal("canceled leader returned no error")
 	}
 	// The followers retry on their own; the retry's synthesis blocks on
 	// the origin until released.
-	<-origin.arrived
+	recv(t, "the followers' retried origin fetch", origin.arrived)
 	close(origin.release)
 	for i := 0; i < followers; i++ {
-		if err := <-errs; err != nil {
+		if err := recv(t, "a follower to return", errs); err != nil {
 			t.Fatalf("follower failed after leader cancel: %v", err)
 		}
-		if body := <-bodies; string(body) != string(originBody(key)) {
+		if body := recv(t, "a follower's body", bodies); string(body) != string(originBody(key)) {
 			t.Fatalf("follower body %q, want %q", body, originBody(key))
 		}
 	}

@@ -52,7 +52,11 @@ type edgeServer struct {
 
 // serveEdge starts serving h on ln.
 func serveEdge(ln net.Listener, h http.Handler) *edgeServer {
-	ctx, cancel := edgeCtx()
+	// The root of one edge incarnation's requests: they belong to no
+	// caller in this process — the router is on the far side of a
+	// socket — and end when the incarnation does
+	// (TestEdgeKillEndsTheHandlersContext).
+	ctx, cancel := context.WithCancel(context.Background())
 	s := &edgeServer{ln: ln, handler: h, ctx: ctx, cancel: cancel, conns: make(map[*edgeConn]struct{})}
 	go s.accept()
 	return s
@@ -330,16 +334,7 @@ func (c *edgeConn) writeHead() []byte {
 	return b.Bytes()
 }
 
-// edgeCtx is the root context of one edge incarnation's requests: they
-// belong to no caller in this process — the router is on the far side
-// of a socket — and end when the incarnation does. Named (and
-// allowlisted by the ctxflow checker) to keep context.Background out of
-// the rest of the package.
-func edgeCtx() (context.Context, context.CancelFunc) {
-	return context.WithCancel(context.Background())
-}
-
 // wallDeadline is d from now, for a connection's deadline — the edge's
 // read limits, the hop's exchange — which is wall time by nature, as a
-// socket's deadline is. The clockhygiene allowlist names it.
+// socket's deadline is.
 func wallDeadline(d time.Duration) time.Time { return time.Now().Add(d) }

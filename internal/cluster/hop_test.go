@@ -414,6 +414,21 @@ func replyEnds(reply []byte) (whole, exact bool) {
 	return whole, whole && br.Buffered() == 0 && r.Len() == 0
 }
 
+// recv receives from ch, failing the test if nothing arrives within
+// 10 s, so a wait that would hang fails fast and names what it waited
+// for.
+func recv[T any](t *testing.T, what string, ch <-chan T) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatalf("waited 10s for %s", what)
+	}
+	var zero T
+	return zero
+}
+
 // waitFor polls cond for up to three seconds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()

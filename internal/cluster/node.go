@@ -333,13 +333,3 @@ func (n *Node) Hits() int64 { return n.Requests() - n.Misses() }
 
 // InFlight reports the admission guard's current occupancy.
 func (n *Node) InFlight() int64 { return n.inflight.Load() }
-
-// probeCtx is the context of one router-initiated probe, bounded by d:
-// probes belong to no request, so there is nothing to inherit from, and
-// the bound keeps one edge that accepts and never answers from stalling
-// a sweep longer than the pause between sweeps. Named (and allowlisted
-// by the ctxflow checker) to keep context.Background out of the rest of
-// the package.
-func probeCtx(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
-}

@@ -20,8 +20,9 @@ import (
 
 // warmQueue is a bounded FIFO of pre-warm keys drained by one
 // lazily-started worker goroutine. All fields are guarded by mu except
-// the channels and ctx, which are only ever touched outside it (the
-// lockscope checker enforces exactly that shape): enqueue appends under
+// the channels and ctx, which are only ever touched outside it
+// (TestPrewarmFetchesPredictedNeighbors fails within 10 s if a drain
+// wait or a pre-warm runs under mu): enqueue appends under
 // mu then signals wake after unlocking, and the worker collects drain
 // waiters under mu but closes them unlocked. ctx, the root of every
 // pre-warm synthesis, is canceled by close.
@@ -40,7 +41,10 @@ type warmQueue struct {
 }
 
 func newWarmQueue() *warmQueue {
-	ctx, cancel := warmCtx()
+	// Pre-warm syntheses belong to no viewer request, so there is
+	// nothing to inherit from; close cancels the root
+	// (TestCloseStopsAStalledPrewarm).
+	ctx, cancel := context.WithCancel(context.Background())
 	return &warmQueue{
 		pending: make(map[serve.ChunkKey]struct{}),
 		idle:    true,
@@ -208,12 +212,4 @@ func (q *warmQueue) close() {
 	q.stopped = true
 	q.mu.Unlock()
 	q.cancel()
-}
-
-// warmCtx mints the root context of the pre-warm syntheses, which
-// belong to no viewer request, so there is nothing to inherit from;
-// the queue cancels it on Close. Named (and allowlisted by the ctxflow
-// checker) to keep context.Background out of the rest of the package.
-func warmCtx() (context.Context, context.CancelFunc) {
-	return context.WithCancel(context.Background())
 }

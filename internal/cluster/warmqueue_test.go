@@ -26,6 +26,17 @@ func (p *fakePrior) TopTilesAt(index, k int) []int {
 	return p.tiles[:k]
 }
 
+// drainWarms is c.DrainWarms bounded by recv's 10 s.
+func drainWarms(t *testing.T, c *Cluster) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		c.DrainWarms()
+		close(done)
+	}()
+	recv(t, "DrainWarms to return", done)
+}
+
 // TestPrewarmFetchesPredictedNeighbors is the tentpole's pre-warm
 // acceptance: serving one tile enqueues the crowd prior's neighbor
 // tiles, the worker synthesizes each once into its rendezvous owner
@@ -39,10 +50,18 @@ func TestPrewarmFetchesPredictedNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer func() {
+		// A queue wedged under its lock wedges Close too: after a
+		// failure, report it without waiting for Close.
+		if t.Failed() {
+			go c.Close()
+			return
+		}
+		c.Close()
+	}()
 	key := serve.ChunkKey{Video: "vid", Quality: 0, Tile: 0, Index: 0}
 	fetchKey(t, c, key)
-	c.DrainWarms()
+	drainWarms(t, c)
 	if got := c.PrewarmFetches(); got != 2 {
 		t.Fatalf("prewarm_fetches = %d, want 2", got)
 	}
@@ -71,7 +90,7 @@ func TestPrewarmFetchesPredictedNeighbors(t *testing.T) {
 			t.Fatalf("prewarmed tile %d body %q, want %q", tile, got, originBody(pk))
 		}
 	}
-	c.DrainWarms()
+	drainWarms(t, c)
 	if origin.count() != before {
 		t.Fatalf("serving prewarmed tiles cost %d extra origin calls, want 0", origin.count()-before)
 	}

@@ -13,35 +13,25 @@ import (
 	"sperke/internal/obs"
 )
 
-// representative covers every layer the maporder checker polices:
-// E2 drives the live pipeline and platform sessions, E4 the telemetry
-// crowd path, E8/E9 the ABR planners, E11 tiling claims, E15 the player
-// caches. Together a rerun touches sim, core, abr, qoe and obs.
-var representative = []string{"E2", "E4", "E8", "E9", "E11", "E15"}
-
-// renderAll runs the experiments and renders both the text and CSV
-// forms into one byte stream.
-func renderAll(t *testing.T, seed int64) []byte {
-	t.Helper()
+// renderAll runs every registered experiment and renders both the text
+// and CSV forms into one byte stream.
+func renderAll(seed int64) []byte {
 	var buf bytes.Buffer
-	for _, id := range representative {
-		tbl, err := experiments.Run(id, seed)
-		if err != nil {
-			t.Fatalf("Run(%s): %v", id, err)
-		}
+	for _, tbl := range experiments.RunAll(seed) {
 		tbl.Render(&buf)
 		tbl.RenderCSV(&buf)
 	}
 	return buf.Bytes()
 }
 
-// TestRerunsAreByteIdentical is the maporder determinism regression:
-// the same seed must produce byte-identical rendered output on every
-// run. Any map-iteration-order leak into a table row (what the
-// maporder checker flags statically) shows up here as a diff.
+// TestRerunsAreByteIdentical is the determinism regression on every
+// platform (TestRunAllGolden pins the bytes themselves, on amd64 only):
+// the same seed must render byte-identical output on every run. A
+// map-iteration-order leak into a table row, or a read of the global
+// rand source or the wall clock, shows up here as a diff.
 func TestRerunsAreByteIdentical(t *testing.T) {
-	first := renderAll(t, 7)
-	if again := renderAll(t, 7); !bytes.Equal(first, again) {
+	first := renderAll(7)
+	if again := renderAll(7); !bytes.Equal(first, again) {
 		t.Fatalf("rerun diverged from first run (%d vs %d bytes) near:\n%s",
 			len(first), len(again), firstDiff(first, again))
 	}
@@ -58,19 +48,15 @@ func TestRunAllGolden(t *testing.T) {
 		t.Skip("golden is generated on amd64")
 	}
 	const golden = "testdata/runall_seed7.sha256"
-	var buf bytes.Buffer
-	for _, tbl := range experiments.RunAll(7) {
-		tbl.Render(&buf)
-		tbl.RenderCSV(&buf)
-	}
-	sum := sha256.Sum256(buf.Bytes())
+	out := renderAll(7)
+	sum := sha256.Sum256(out)
 	got := hex.EncodeToString(sum[:])
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != strings.TrimSpace(string(want)) {
-		t.Fatalf("RunAll(7) renders %d bytes with SHA-256 %s, golden is %s", buf.Len(), got, strings.TrimSpace(string(want)))
+		t.Fatalf("RunAll(7) renders %d bytes with SHA-256 %s, golden is %s", len(out), got, strings.TrimSpace(string(want)))
 	}
 }
 
@@ -78,10 +64,10 @@ func TestRunAllGolden(t *testing.T) {
 // registry into the suite must not change a single output byte.
 func TestMetricsAreObservationOnly(t *testing.T) {
 	experiments.SetObs(nil)
-	plain := renderAll(t, 7)
+	plain := renderAll(7)
 	experiments.SetObs(obs.NewRegistry())
 	t.Cleanup(func() { experiments.SetObs(nil) })
-	instrumented := renderAll(t, 7)
+	instrumented := renderAll(7)
 	if !bytes.Equal(plain, instrumented) {
 		t.Fatalf("metrics changed experiment output near:\n%s", firstDiff(plain, instrumented))
 	}

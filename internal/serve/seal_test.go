@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"sync"
 	"testing"
+	"time"
 )
 
 // patternBody is a deterministic size-byte body that is a pure function
@@ -93,6 +94,9 @@ func TestConcurrentReadersStableChecksums(t *testing.T) {
 		}
 		wantSum[key(i)] = crc32.ChecksumIEEE(body)
 	}
+	// One 10 s budget for every form, so a wedged store fails the whole
+	// test within it.
+	deadline := time.Now().Add(10 * time.Second)
 	eachForm(t, func(t *testing.T, form string) {
 		// Budget holds only ~8 of 64 keys: constant eviction + resynthesis.
 		st := formStore(form, bodySize, synth, WithShards(4), WithBudget(8*bodySize))
@@ -116,7 +120,16 @@ func TestConcurrentReadersStableChecksums(t *testing.T) {
 				}
 			}(g)
 		}
-		wg.Wait()
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Until(deadline)):
+			t.Fatal("the 16 readers had not finished 10s into the test")
+		}
 		close(errCh)
 		for err := range errCh {
 			t.Fatal(err)

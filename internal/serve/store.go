@@ -20,7 +20,8 @@
 // Everything in this package is deterministic on the simulation side:
 // per-session QoE is a pure function of the session seed regardless of
 // worker count. The only wall-clock reads are the HTTP fetch-latency
-// measurements, taken through the obs.Wall seam sperke-vet allowlists.
+// measurements, taken through the obs.Wall seam
+// (TestEngineDeterministicAcrossWorkerCounts pins the rest).
 package serve
 
 import (
@@ -100,7 +101,7 @@ type WriterSynth struct {
 // success (the same key always yields the same bytes), but it observes
 // ctx and may abort early with ctx.Err() when every caller sharing the
 // synthesis has departed. The store runs each flight on its own context
-// (see newFlightCtx) so one canceled viewer cannot poison the body
+// (see Store.Get) so one canceled viewer cannot poison the body
 // other viewers are waiting on: the flight is canceled only when its
 // interest count — leader plus waiters — drops to zero. The returned
 // slice is retained as the shared cached copy without a copy — an edge
@@ -139,16 +140,6 @@ type flight struct {
 	interest int
 	cancel   context.CancelFunc
 	resets   uint64
-}
-
-// newFlightCtx mints the context a synthesis flight runs on. It is a
-// fresh root by design — the flight outlives any single caller and is
-// shared by everyone who arrives while it is in progress — and is the
-// allowlisted ctxflow seam for this package: cancellation still
-// reaches the flight, but only when the last interested caller
-// departs.
-func newFlightCtx() (context.Context, context.CancelFunc) {
-	return context.WithCancel(context.Background())
 }
 
 // entry is one cached body on a shard's LRU list.
@@ -357,7 +348,11 @@ func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
 	fl := &flight{done: make(chan struct{}), interest: 1, resets: sh.resets}
 	fctx := ctx // a writer-form miss cannot observe it
 	if s.cancelable {
-		fctx, fl.cancel = newFlightCtx()
+		// A fresh root by design: the flight outlives any single caller
+		// and is shared by everyone who arrives while it is in progress.
+		// Cancellation still reaches it, but only when the last
+		// interested caller departs.
+		fctx, fl.cancel = context.WithCancel(context.Background())
 	}
 	sh.inflight[key] = fl
 	sh.mu.Unlock()

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// The unitsafety checker (internal/vet) guards the degree/radian
-// boundary statically; these tests back it with runtime evidence at the
-// singular points of the sphere — the poles (Pitch ±90), the
-// antimeridian (Yaw ±180), and the acos clamp in AngularDistance.
+// These tests guard the degree/radian boundary at the singular points
+// of the sphere — the poles (Pitch ±90), the antimeridian (Yaw ±180),
+// and the acos clamp in AngularDistance. TestDirection* and
+// TestContains* guard it everywhere else.
 
 func TestPoleRoundTrip(t *testing.T) {
 	for _, pitch := range []float64{90, -90} {

@@ -29,18 +29,16 @@ func ModuleRoot(dir string) (string, error) {
 
 // ---- shared walkers and AST helpers for the checkers ----
 
-// eachFile invokes fn for every non-test file of the module's packages
-// under spans (every package when spans is nil). The typed load excludes
-// test files already; fixture modules may still carry them.
+// eachFile invokes fn for every file of the module's packages under
+// spans (every package when spans is nil). The typed load leaves test
+// files out, so no checker sees them.
 func eachFile(m *Module, spans []string, fn func(tp *TypedPackage, f *File)) {
 	for _, tp := range m.Pkgs {
 		if spans != nil && !inSpan(tp.Dir, spans) {
 			continue
 		}
 		for _, f := range tp.Files {
-			if !f.Test() {
-				fn(tp, f)
-			}
+			fn(tp, f)
 		}
 	}
 }
@@ -53,25 +51,6 @@ func eachFunc(m *Module, spans []string, fn func(tp *TypedPackage, f *File, name
 			if fd, ok := d.(*ast.FuncDecl); ok {
 				fn(tp, f, funcDisplayName(fd), fd)
 			}
-		}
-	})
-}
-
-// eachDecl invokes fn for every top-level declaration eachFile reaches
-// that is not an allowlisted function, named as eachFunc names it or
-// "package-level decl" — var initializers can leak what a function body
-// can (var epoch = time.Now()).
-func eachDecl(m *Module, spans []string, allow map[string]bool, fn func(tp *TypedPackage, f *File, name string, d ast.Decl)) {
-	eachFile(m, spans, func(tp *TypedPackage, f *File) {
-		for _, d := range f.AST.Decls {
-			name := "package-level decl"
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if obj := declFunc(tp.Info, fd); obj != nil && allow[typedFuncKey(m, obj)] {
-					continue
-				}
-				name = funcDisplayName(fd)
-			}
-			fn(tp, f, name, d)
 		}
 	})
 }
@@ -96,19 +75,6 @@ func importName(f *ast.File, importPath string) string {
 	return ""
 }
 
-// pkgCall matches a call to <pkgIdent>.<fn> and returns fn's name.
-func pkgCall(call *ast.CallExpr, pkgIdent string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || id.Name != pkgIdent {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
 // inSpan reports whether the module-relative path (file or dir) lives
 // under one of the listed package spans.
 func inSpan(p string, spans []string) bool {
@@ -118,18 +84,6 @@ func inSpan(p string, spans []string) bool {
 		}
 	}
 	return false
-}
-
-// deterministicSpans are the package trees whose outputs must be pure
-// functions of their inputs: experiment tables, QoE scores, ABR plans
-// and metrics snapshots are all compared byte-for-byte across runs.
-var deterministicSpans = []string{
-	"internal/sim",
-	"internal/experiments",
-	"internal/core",
-	"internal/qoe",
-	"internal/abr",
-	"internal/obs",
 }
 
 // funcDisplayName renders "Name" or "Recv.Name".

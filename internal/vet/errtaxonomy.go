@@ -27,6 +27,12 @@ var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Inter
 //   - errors.New inside a function body is forbidden — ad-hoc opaque
 //     errors defeat the taxonomy. Package-level sentinel declarations
 //     (var ErrX = errors.New(...)) are the taxonomy and stay legal.
+//
+// Only this checker catches a %w turned into %v on a path no test
+// drives to its error: rtmp's client-side version check ("server
+// version %d") or dash.ParseMPD's XML error. The kinds the callers
+// branch on are pinned by TestOneAttemptBudgetEveryMethod (errors.As
+// to *dash.Error) and TestHandshakeRejectsWrongVersion (errors.Is).
 var ErrTaxonomy = &Analyzer{
 	Name: "errtaxonomy",
 	Doc:  "require %w wrapping and typed sentinels (no in-function errors.New) in dash/transport/rtmp",

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -16,46 +15,16 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 // since every checker keys off package location. It must be the first
 // line:
 //
-//	//sperke:fixture path=internal/sim/bad.go
+//	//sperke:fixture path=internal/dash/bad.go
 var fixtureDirective = regexp.MustCompile(`(?m)^//sperke:fixture path=(\S+)$`)
 
-// moduleFixtureTrees maps each tree of directory fixtures to the
-// analyzer it exercises. "taint" runs clockhygiene: its fixtures place
-// the laundering helpers outside the clock spans, so every diagnostic
-// they produce comes from taint propagation, not the in-span rule.
-var moduleFixtureTrees = map[string]*Analyzer{
-	"ctxflow":   CtxFlow,
-	"lockscope": LockScope,
-	"taint":     ClockHygiene,
-}
-
-// TestGoldenFixtures runs every analyzer without a module fixture tree
-// over its lone bad*.go/clean*.go fixtures under testdata/<name>/. Each
-// fixture forms a module with the directory's other .go files (the stub
-// packages such fixtures import).
+// TestGoldenFixtures runs every analyzer over its bad*.go/clean*.go
+// fixtures under testdata/<name>/. Each fixture forms a module with the
+// directory's other .go files (the stub packages such fixtures import).
 func TestGoldenFixtures(t *testing.T) {
 	for _, a := range Analyzers() {
-		if _, ok := moduleFixtureTrees[a.Name]; ok {
-			continue
-		}
 		t.Run(a.Name, func(t *testing.T) {
-			checkFixtures(t, a, filepath.Join("testdata", a.Name), false)
-		})
-	}
-}
-
-// TestTypedGoldenFixtures runs the directory fixtures: each bad*/clean*
-// directory under a moduleFixtureTrees tree is a miniature module, one
-// file per package it needs.
-func TestTypedGoldenFixtures(t *testing.T) {
-	names := make([]string, 0, len(moduleFixtureTrees))
-	for n := range moduleFixtureTrees {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			checkFixtures(t, moduleFixtureTrees[name], filepath.Join("testdata", name), true)
+			checkFixtures(t, a, filepath.Join("testdata", a.Name))
 		})
 	}
 }
@@ -64,8 +33,7 @@ func TestTypedGoldenFixtures(t *testing.T) {
 // with LoadModuleSource and runs it through RunModule. bad* fixtures
 // must reproduce their .golden diagnostics exactly (and at least one),
 // clean* fixtures must come back empty, and dir must hold both kinds.
-// modules selects directory fixtures over lone-file ones.
-func checkFixtures(t *testing.T, a *Analyzer, dir string, modules bool) {
+func checkFixtures(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -74,14 +42,9 @@ func checkFixtures(t *testing.T, a *Analyzer, dir string, modules bool) {
 	var fixtures, stubs []string
 	for _, e := range entries {
 		name := e.Name()
-		isFixture := strings.HasPrefix(name, "bad") || strings.HasPrefix(name, "clean")
 		switch {
-		case e.IsDir():
-			if modules && isFixture {
-				fixtures = append(fixtures, name)
-			}
-		case !strings.HasSuffix(name, ".go"):
-		case isFixture && !modules:
+		case e.IsDir() || !strings.HasSuffix(name, ".go"):
+		case strings.HasPrefix(name, "bad") || strings.HasPrefix(name, "clean"):
 			fixtures = append(fixtures, name)
 		default:
 			stubs = append(stubs, filepath.Join(dir, name))
@@ -89,14 +52,7 @@ func checkFixtures(t *testing.T, a *Analyzer, dir string, modules bool) {
 	}
 	var sawBad, sawClean bool
 	for _, name := range fixtures {
-		files := append([]string{filepath.Join(dir, name)}, stubs...)
-		if modules {
-			files, err = filepath.Glob(filepath.Join(dir, name, "*.go"))
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := runFixture(t, a, files)
+		got := runFixture(t, a, append([]string{filepath.Join(dir, name)}, stubs...))
 		goldenPath := filepath.Join(dir, strings.TrimSuffix(name, ".go")+".golden")
 		if *update {
 			if got == "" {

@@ -24,6 +24,11 @@ var obsInstruments = map[string]bool{
 // r.Histogram(name) for instruments. Composite literals and new() of
 // the instrument types are flagged. (Field mutation is already ruled
 // out by the compiler — the instrument fields are unexported.)
+//
+// Only this checker catches dash.Server's wall built as &obs.Wall{} in
+// place of obs.NewWall(): request_ms then reads from a zero epoch, and
+// no test fails. A literal counter never reaches the registry, which
+// TestServerCountsEveryRoute sees as a missing count.
 var ObsDiscipline = &Analyzer{
 	Name: "obsdiscipline",
 	Doc:  "metrics instruments must come from registry methods, not struct literals, outside internal/obs",

@@ -24,11 +24,6 @@ import (
 // out to the go tool. Standard-library imports are resolved by the
 // stdlib source importer (go/importer "source"), which type-checks
 // them from $GOROOT/src.
-//
-// On top of the typed packages sits a static call graph and an
-// interprocedural taint pass (taint.go) so checkers can follow facts
-// through helpers and across package boundaries instead of pattern-
-// matching one file at a time.
 
 // TypedPackage is one type-checked package of the module: the parsed
 // files (sharing the Module's FileSet), the *types.Package, and the
@@ -53,27 +48,10 @@ type Module struct {
 	Pkgs []*TypedPackage
 
 	byPath map[string]*TypedPackage
-	byDir  map[string]*TypedPackage
-
-	taintOnce sync.Once
-	taintF    *taintFacts
 }
 
 // ByImportPath returns the package with the given import path, or nil.
 func (m *Module) ByImportPath(p string) *TypedPackage { return m.byPath[p] }
-
-// ByDir returns the package in the module-relative directory, or nil.
-func (m *Module) ByDir(dir string) *TypedPackage { return m.byDir[dir] }
-
-// DirOf converts a module-internal import path back to the
-// module-relative directory ("sperke/internal/dash" → "internal/dash",
-// the module path itself → ".").
-func (m *Module) DirOf(importPath string) string {
-	if importPath == m.Path {
-		return "."
-	}
-	return strings.TrimPrefix(importPath, m.Path+"/")
-}
 
 // Internal reports whether the import path belongs to this module.
 func (m *Module) Internal(importPath string) bool {
@@ -199,7 +177,6 @@ func typeCheckModule(modPath string, fset *token.FileSet, files []*File) (*Modul
 		Path:   modPath,
 		Fset:   fset,
 		byPath: make(map[string]*TypedPackage),
-		byDir:  make(map[string]*TypedPackage),
 	}
 	importPathOf := func(dir string) string {
 		if dir == "." {
@@ -248,7 +225,6 @@ func typeCheckModule(modPath string, fset *token.FileSet, files []*File) (*Modul
 		}
 		m.Pkgs = append(m.Pkgs, tp)
 		m.byPath[tp.ImportPath] = tp
-		m.byDir[dir] = tp
 	}
 	return m, nil
 }
@@ -375,32 +351,6 @@ func modulePath(root string) (string, error) {
 
 // ---- shared typed helpers for the checkers ----
 
-// typedFuncKey renders the allowlist key of a function: "dir:Name" or
-// "dir:Recv.Name" with the module-relative package directory.
-func typedFuncKey(m *Module, fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return ""
-	}
-	return m.DirOf(fn.Pkg().Path()) + ":" + typedDisplayName(fn)
-}
-
-// typedDisplayName renders "Name" or "Recv.Name" for a *types.Func,
-// matching funcDisplayName's rendering of the declaration.
-func typedDisplayName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return fn.Name()
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name() + "." + fn.Name()
-	}
-	return fn.Name()
-}
-
 // calleeOf resolves the static callee of a call expression: a direct
 // function call or a method call on a concrete or interface receiver.
 // Calls through function values (fields, locals) return nil — they
@@ -415,20 +365,4 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// declFunc resolves a function declaration to its *types.Func.
-func declFunc(info *types.Info, fd *ast.FuncDecl) *types.Func {
-	fn, _ := info.Defs[fd.Name].(*types.Func)
-	return fn
-}
-
-// isCtxType reports whether t is context.Context.
-func isCtxType(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

@@ -1,32 +1,28 @@
 // Package vet is Sperke's domain-aware static-analysis framework: a
 // pure-stdlib analyzer suite over one go/types load of the whole module
-// (a source-order importer, no go/packages — see typed.go) that turns
-// the repo's prose invariants into machine-checked CI gates.
+// (a source-order importer, no go/packages — see typed.go).
 //
-// The invariants no generic linter knows about:
+// It keeps only the checkers that catch a defect no test fails:
 //
-//   - experiments are pure functions of their seed — deterministic
-//     packages must not read the wall clock or the global math/rand
-//     state, directly or laundered through helpers in other packages
-//     (checker clockhygiene, whose pass is the interprocedural taint
-//     walk in taint.go), and must not let map iteration order leak into
-//     rendered output (checker maporder);
-//   - spherical geometry keeps degrees at API boundaries and radians
-//     inside math/trig calls (checker unitsafety);
-//   - the delivery path returns its typed error taxonomy, wrapping
-//     causes with %w (checker errtaxonomy);
-//   - metrics instruments flow through the nil-safe obs.Registry,
-//     never ad-hoc struct literals (checker obsdiscipline);
-//   - contexts thread end-to-end on the delivery path (checker
-//     ctxflow), and nothing blocks while a sync mutex is held (checker
-//     lockscope).
+//   - errtaxonomy: the delivery path wraps causes with %w and returns
+//     typed sentinels. Turning the %w in rtmp's version check or in
+//     dash.ParseMPD into %v fails no test;
+//   - obsdiscipline: metrics instruments and wall clocks come from the
+//     obs constructors, never struct literals. A dash.Server built on
+//     &obs.Wall{} in place of obs.NewWall() fails no test.
 //
-// Run the suite with `go run ./cmd/sperke-vet ./...`. The one waiver is
-// a checker's function-keyed allowlist ("dir:Func" / "dir:Type.Method"):
-// a named seam is exempt from its rule, and the taint pass treats the
-// clock seams as barriers. A new checker is an Analyzer with a
-// CheckModule hook, registered in Analyzers, with true-positive and
-// clean golden fixtures under testdata/<name>/ (see golden_test.go).
+// Determinism, degrees vs radians, context threading and lock scope are
+// guarded by tests, not checkers: TestRunAllGolden and
+// TestRerunsAreByteIdentical, the sphere and hmp round trips, the
+// cancellation tests in dash, serve and cluster, and the 10 s bounds on
+// the serve and cluster waits a lock-held wait would hang
+// (EXPERIMENTS.md E36 has the mutant table behind that split).
+//
+// Run the suite with `go run ./cmd/sperke-vet ./...`. A new checker is
+// an Analyzer with a CheckModule hook, registered in Analyzers, with
+// true-positive and clean golden fixtures under testdata/<name>/ (see
+// golden_test.go), and a mutant of shipped code that it reports and no
+// test fails.
 package vet
 
 import (
@@ -35,7 +31,6 @@ import (
 	"go/token"
 	"path"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding, anchored to a source position. Pos.Filename
@@ -61,11 +56,6 @@ type File struct {
 	AST  *ast.File
 }
 
-// Test reports whether the file is a _test.go file. Every shipped
-// checker skips tests: they may use wall clocks and ad-hoc errors
-// freely.
-func (f *File) Test() bool { return strings.HasSuffix(f.Path, "_test.go") }
-
 // Dir returns the file's module-relative directory.
 func (f *File) Dir() string { return path.Dir(f.Path) }
 
@@ -89,39 +79,7 @@ type Analyzer struct {
 
 // Analyzers returns the full checker suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		ClockHygiene,
-		UnitSafety,
-		ErrTaxonomy,
-		ObsDiscipline,
-		MapOrder,
-		CtxFlow,
-		LockScope,
-	}
-}
-
-// ByName resolves a subset of Analyzers from comma-separated names.
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return Analyzers(), nil
-	}
-	all := make(map[string]*Analyzer)
-	for _, a := range Analyzers() {
-		all[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		a, ok := all[n]
-		if !ok {
-			return nil, fmt.Errorf("vet: unknown checker %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
+	return []*Analyzer{ErrTaxonomy, ObsDiscipline}
 }
 
 // RunModule runs the analyzers over the type-resolved module and returns
