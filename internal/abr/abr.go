@@ -57,13 +57,13 @@ type Algorithm interface {
 }
 
 // Throughput is rate-based VRA in the FESTIVE tradition [29]: pick the
-// highest quality whose super-chunk rate fits inside a safety fraction
+// highest quality whose super-chunk rate fits inside throughputSafety
 // of estimated bandwidth, moving at most one level per decision to
 // avoid oscillation.
-type Throughput struct {
-	// Safety is the usable fraction of the estimate; 0 defaults to 0.85.
-	Safety float64
-}
+type Throughput struct{}
+
+// throughputSafety is the usable fraction of the bandwidth estimate.
+const throughputSafety = 0.85
 
 // Name implements Algorithm.
 func (t *Throughput) Name() string { return "throughput" }
@@ -73,11 +73,7 @@ func (t *Throughput) ChooseQuality(ctx Context) int {
 	if ctx.qualities() == 0 {
 		return 0
 	}
-	safety := t.Safety
-	if safety <= 0 || safety > 1 {
-		safety = 0.85
-	}
-	budget := ctx.EstimatedBandwidth * safety
+	budget := ctx.EstimatedBandwidth * throughputSafety
 	best := 0
 	for q := 0; q < ctx.qualities(); q++ {
 		rate := float64(ctx.SizeAt(q)) * 8 / ctx.ChunkDuration.Seconds()
@@ -93,33 +89,28 @@ func (t *Throughput) ChooseQuality(ctx Context) int {
 	return best
 }
 
-// Buffer is buffer-based VRA in the BBA tradition [28]: quality is a
+// bufferBased is buffer-based VRA in the BBA tradition [28]: quality is a
 // linear function of buffer occupancy between a reservoir and a
 // cushion. With the short buffers FoV-guided streaming permits (the
 // MaxBuffer ≈ HMP window constraint), the mapping compresses and the
 // algorithm hugs low qualities — exactly the §3.1.2 concern.
-type Buffer struct {
-	// ReservoirFrac and CushionFrac position the linear ramp within
-	// [0, MaxBuffer]; zero values default to 0.2 and 0.9.
-	ReservoirFrac, CushionFrac float64
-}
+type bufferBased struct{}
+
+// The reservoir and cushion position bufferBased's linear ramp as fractions
+// of MaxBuffer.
+const (
+	bufferReservoir = 0.2
+	bufferCushion   = 0.9
+)
 
 // Name implements Algorithm.
-func (b *Buffer) Name() string { return "buffer" }
+func (b *bufferBased) Name() string { return "buffer" }
 
 // ChooseQuality implements Algorithm.
-func (b *Buffer) ChooseQuality(ctx Context) int {
+func (b *bufferBased) ChooseQuality(ctx Context) int {
 	n := ctx.qualities()
 	if n == 0 {
 		return 0
-	}
-	res := b.ReservoirFrac
-	if res <= 0 {
-		res = 0.2
-	}
-	cus := b.CushionFrac
-	if cus <= res {
-		cus = 0.9
 	}
 	maxBuf := ctx.MaxBuffer
 	if maxBuf <= 0 {
@@ -127,12 +118,12 @@ func (b *Buffer) ChooseQuality(ctx Context) int {
 	}
 	occ := float64(ctx.Buffer) / float64(maxBuf)
 	switch {
-	case occ <= res:
+	case occ <= bufferReservoir:
 		return 0
-	case occ >= cus:
+	case occ >= bufferCushion:
 		return n - 1
 	default:
-		frac := (occ - res) / (cus - res)
+		frac := (occ - bufferReservoir) / (bufferCushion - bufferReservoir)
 		q := int(frac * float64(n-1))
 		if q >= n {
 			q = n - 1
@@ -141,39 +132,34 @@ func (b *Buffer) ChooseQuality(ctx Context) int {
 	}
 }
 
-// MPC is a control-theoretic lookahead in the spirit of [44]: simulate
-// the next Horizon chunks for each candidate quality path (restricted to
-// bounded level changes) and pick the first step of the path maximizing
-// a QoE objective of quality reward, switch penalty and predicted stall
-// penalty.
-type MPC struct {
-	// Horizon is the number of future chunks considered; 0 defaults to 3.
-	Horizon int
-	// SwitchPenalty and StallPenalty weight the objective; zero values
-	// default to 1.0 and 8.0.
-	SwitchPenalty, StallPenalty float64
+// mpc is a control-theoretic lookahead in the spirit of [44]: simulate
+// the next mpcHorizon chunks for each candidate quality path (restricted
+// to bounded level changes) and pick the first step of the path
+// maximizing a QoE objective of quality reward, switch penalty and
+// predicted stall penalty (mpcStallPenalty per stalled second).
+type mpc struct {
+	// SwitchPenalty weights level changes in the objective; 0 defaults
+	// to 1.0.
+	SwitchPenalty float64
 }
 
+const (
+	mpcHorizon      = 3
+	mpcStallPenalty = 8.0
+)
+
 // Name implements Algorithm.
-func (m *MPC) Name() string { return "mpc" }
+func (m *mpc) Name() string { return "mpc" }
 
 // ChooseQuality implements Algorithm.
-func (m *MPC) ChooseQuality(ctx Context) int {
+func (m *mpc) ChooseQuality(ctx Context) int {
 	n := ctx.qualities()
 	if n == 0 {
 		return 0
 	}
-	horizon := m.Horizon
-	if horizon <= 0 {
-		horizon = 3
-	}
 	swPen := m.SwitchPenalty
 	if swPen <= 0 {
 		swPen = 1.0
-	}
-	stPen := m.StallPenalty
-	if stPen <= 0 {
-		stPen = 8.0
 	}
 	bw := ctx.EstimatedBandwidth
 	if bw <= 0 {
@@ -182,7 +168,7 @@ func (m *MPC) ChooseQuality(ctx Context) int {
 	// Exhaustive search over quality paths with bounded level changes
 	// (±1 per step after the first), as [44]'s fastMPC table-lookup
 	// approximates. The first step ranges over all qualities; the
-	// branching factor of 3 keeps the search at 3^(horizon-1) per
+	// branching factor of 3 keeps the search at 3^(mpcHorizon-1) per
 	// starting level.
 	bestQ, bestScore := 0, -1e18
 	var walk func(q, prev, step int, buffer, score float64)
@@ -190,7 +176,7 @@ func (m *MPC) ChooseQuality(ctx Context) int {
 		fetchSec := float64(ctx.SizeAt(q)) * 8 / bw
 		buffer -= fetchSec
 		if buffer < 0 {
-			score -= stPen * -buffer // stall seconds
+			score -= mpcStallPenalty * -buffer // stall seconds
 			buffer = 0
 		}
 		buffer += ctx.ChunkDuration.Seconds()
@@ -201,7 +187,7 @@ func (m *MPC) ChooseQuality(ctx Context) int {
 		if prev >= 0 && q != prev {
 			score -= swPen * float64(abs(q-prev)) / float64(n)
 		}
-		if step+1 >= horizon {
+		if step+1 >= mpcHorizon {
 			if score > bestScore {
 				bestScore = score
 				// bestQ is set by the caller of the first step.
@@ -238,9 +224,9 @@ func ByName(name string) (Algorithm, error) {
 	case "throughput":
 		return &Throughput{}, nil
 	case "buffer":
-		return &Buffer{}, nil
+		return &bufferBased{}, nil
 	case "mpc":
-		return &MPC{}, nil
+		return &mpc{}, nil
 	default:
 		return nil, fmt.Errorf("abr: unknown algorithm %q", name)
 	}

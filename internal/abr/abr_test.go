@@ -66,7 +66,7 @@ func TestThroughputGradualUpswitch(t *testing.T) {
 }
 
 func TestBufferMapsOccupancy(t *testing.T) {
-	alg := &Buffer{}
+	alg := &bufferBased{}
 	maxQ := len(media.DefaultLadder) - 1
 	// Below reservoir → 0.
 	if q := alg.ChooseQuality(testCtx(1e9, time.Second, 10*time.Second, -1)); q != 0 {
@@ -87,7 +87,7 @@ func TestBufferHandicappedByShortWindow(t *testing.T) {
 	// The §3.1.2 argument: with MaxBuffer = HMP window (2 s) and a
 	// realistic sustainable buffer around half of it, BBA picks lower
 	// quality than with a 30 s buffer at the same occupancy seconds.
-	alg := &Buffer{}
+	alg := &bufferBased{}
 	short := alg.ChooseQuality(testCtx(1e9, time.Second, 2*time.Second, -1))
 	long := alg.ChooseQuality(testCtx(1e9, 25*time.Second, 30*time.Second, -1))
 	if short >= long {
@@ -96,7 +96,7 @@ func TestBufferHandicappedByShortWindow(t *testing.T) {
 }
 
 func TestMPCAvoidsStalls(t *testing.T) {
-	alg := &MPC{}
+	alg := &mpc{}
 	// Bandwidth only supports q0-q1; a high quality would predict stalls.
 	q := alg.ChooseQuality(testCtx(1e6, 2*time.Second, 10*time.Second, 3))
 	rate := float64(media.DefaultLadder[q].Bitrate) * 0.4
@@ -106,7 +106,7 @@ func TestMPCAvoidsStalls(t *testing.T) {
 }
 
 func TestMPCUsesBandwidthWhenSafe(t *testing.T) {
-	alg := &MPC{}
+	alg := &mpc{}
 	q := alg.ChooseQuality(testCtx(50e6, 8*time.Second, 10*time.Second, 4))
 	if q < 3 {
 		t.Fatalf("MPC chose q%d with 50 Mbps and a full buffer", q)
@@ -114,8 +114,8 @@ func TestMPCUsesBandwidthWhenSafe(t *testing.T) {
 }
 
 func TestMPCSwitchPenaltyStabilizes(t *testing.T) {
-	sticky := &MPC{SwitchPenalty: 50}
-	loose := &MPC{SwitchPenalty: 0.01}
+	sticky := &mpc{SwitchPenalty: 50}
+	loose := &mpc{SwitchPenalty: 0.01}
 	ctx := testCtx(20e6, 6*time.Second, 10*time.Second, 2)
 	qs := sticky.ChooseQuality(ctx)
 	ql := loose.ChooseQuality(ctx)
@@ -128,7 +128,7 @@ func TestMPCSwitchPenaltyStabilizes(t *testing.T) {
 }
 
 func TestMPCZeroBandwidth(t *testing.T) {
-	alg := &MPC{}
+	alg := &mpc{}
 	if q := alg.ChooseQuality(testCtx(0, 5*time.Second, 10*time.Second, 2)); q != 0 {
 		t.Fatalf("q = %d at zero bandwidth", q)
 	}
@@ -148,7 +148,7 @@ func TestByName(t *testing.T) {
 
 func TestEmptyLadderSafe(t *testing.T) {
 	ctx := Context{ChunkDuration: time.Second, SizeAt: func(int) int64 { return 0 }}
-	for _, alg := range []Algorithm{&Throughput{}, &Buffer{}, &MPC{}} {
+	for _, alg := range []Algorithm{&Throughput{}, &bufferBased{}, &mpc{}} {
 		if q := alg.ChooseQuality(ctx); q != 0 {
 			t.Fatalf("%s returned %d on empty ladder", alg.Name(), q)
 		}
@@ -156,7 +156,6 @@ func TestEmptyLadderSafe(t *testing.T) {
 }
 
 func TestDecideUpgradeCore(t *testing.T) {
-	pol := UpgradePolicy{}
 	base := UpgradeRequest{
 		Encoding:           media.EncodingSVC,
 		BytesNeeded:        250_000, // 2 Mbit
@@ -167,39 +166,39 @@ func TestDecideUpgradeCore(t *testing.T) {
 	// 10 Mbps: fetch ≈ 0.2 s, safety 0.3 s < 2 s deadline, and the
 	// deadline is within the 4×fetch=0.8s window? No — 2 s > 0.8 s, but
 	// probability 0.95 ≥ 0.9 → upgrade now.
-	if d := DecideUpgrade(base, 10e6, pol); d != UpgradeNow {
+	if d := DecideUpgrade(base, 10e6); d != UpgradeNow {
 		t.Fatalf("high-probability upgrade = %v, want now", d)
 	}
 	// Lower probability, far deadline → defer.
 	req := base
 	req.DisplayProbability = 0.7
-	if d := DecideUpgrade(req, 10e6, pol); d != UpgradeDefer {
+	if d := DecideUpgrade(req, 10e6); d != UpgradeDefer {
 		t.Fatalf("early upgrade = %v, want defer", d)
 	}
 	// Same but deadline near → now.
 	req.TimeToDeadline = 500 * time.Millisecond
-	if d := DecideUpgrade(req, 10e6, pol); d != UpgradeNow {
+	if d := DecideUpgrade(req, 10e6); d != UpgradeNow {
 		t.Fatalf("near-deadline upgrade = %v, want now", d)
 	}
 	// Probability below floor → skip.
 	req.DisplayProbability = 0.3
-	if d := DecideUpgrade(req, 10e6, pol); d != UpgradeSkip {
+	if d := DecideUpgrade(req, 10e6); d != UpgradeSkip {
 		t.Fatalf("low-probability upgrade = %v, want skip", d)
 	}
 	// Deadline unreachable → skip.
 	req = base
 	req.TimeToDeadline = 50 * time.Millisecond
-	if d := DecideUpgrade(req, 1e6, pol); d != UpgradeSkip {
+	if d := DecideUpgrade(req, 1e6); d != UpgradeSkip {
 		t.Fatalf("unreachable deadline = %v, want skip", d)
 	}
 	// No gain → skip.
 	req = base
 	req.QualityGain = 0
-	if d := DecideUpgrade(req, 10e6, pol); d != UpgradeSkip {
+	if d := DecideUpgrade(req, 10e6); d != UpgradeSkip {
 		t.Fatalf("zero-gain upgrade = %v, want skip", d)
 	}
 	// Zero bandwidth → skip.
-	if d := DecideUpgrade(base, 0, pol); d != UpgradeSkip {
+	if d := DecideUpgrade(base, 0); d != UpgradeSkip {
 		t.Fatalf("zero-bandwidth upgrade = %v, want skip", d)
 	}
 }

@@ -24,41 +24,20 @@ type UpgradeRequest struct {
 	QualityGain int
 }
 
-// UpgradePolicy tunes the two §3.1.2 decisions: whether to upgrade at
-// all, and when.
-type UpgradePolicy struct {
-	// MinProbability is the display-probability floor below which
-	// upgrading is judged a waste; 0 defaults to 0.5.
-	MinProbability float64
-	// SafetyFactor inflates the estimated fetch time when checking the
-	// deadline; 0 defaults to 1.5.
-	SafetyFactor float64
-	// EarlyWindow: upgrading earlier than this multiple of the fetch
-	// time before the deadline is deferred — the HMP may still change
-	// (the "upgrading too early wastes bandwidth" arm); 0 defaults to 4.
-	EarlyWindow float64
-}
-
-func (p UpgradePolicy) minProb() float64 {
-	if p.MinProbability <= 0 {
-		return 0.5
-	}
-	return p.MinProbability
-}
-
-func (p UpgradePolicy) safety() float64 {
-	if p.SafetyFactor <= 0 {
-		return 1.5
-	}
-	return p.SafetyFactor
-}
-
-func (p UpgradePolicy) early() float64 {
-	if p.EarlyWindow <= 0 {
-		return 4
-	}
-	return p.EarlyWindow
-}
+// The two §3.1.2 decisions, whether to upgrade at all and when, turn
+// on three constants.
+const (
+	// upgradeMinProbability is the display-probability floor below which
+	// upgrading is judged a waste.
+	upgradeMinProbability = 0.5
+	// upgradeSafety inflates the estimated fetch time when checking the
+	// deadline.
+	upgradeSafety = 1.5
+	// upgradeEarlyWindow: upgrading earlier than this multiple of the
+	// fetch time before the deadline is deferred — the HMP may still
+	// change (the "upgrading too early wastes bandwidth" arm).
+	upgradeEarlyWindow = 4
+)
 
 // UpgradeDecision is the scheduler's verdict on one upgrade request.
 type UpgradeDecision int
@@ -88,18 +67,18 @@ func (d UpgradeDecision) String() string {
 
 // DecideUpgrade implements the §3.1.2 part-three logic. bandwidth is
 // the current estimate in bits/s.
-func DecideUpgrade(req UpgradeRequest, bandwidth float64, pol UpgradePolicy) UpgradeDecision {
+func DecideUpgrade(req UpgradeRequest, bandwidth float64) UpgradeDecision {
 	if req.QualityGain <= 0 || req.BytesNeeded <= 0 {
 		return UpgradeSkip
 	}
-	if req.DisplayProbability < pol.minProb() {
+	if req.DisplayProbability < upgradeMinProbability {
 		return UpgradeSkip
 	}
 	if bandwidth <= 0 {
 		return UpgradeSkip
 	}
 	fetch := time.Duration(float64(req.BytesNeeded) * 8 / bandwidth * float64(time.Second))
-	needed := time.Duration(float64(fetch) * pol.safety())
+	needed := time.Duration(float64(fetch) * upgradeSafety)
 	if needed > req.TimeToDeadline {
 		// Upgrading too late: the delta cannot arrive before playback.
 		return UpgradeSkip
@@ -107,7 +86,7 @@ func DecideUpgrade(req UpgradeRequest, bandwidth float64, pol UpgradePolicy) Upg
 	// Upgrading too early wastes bandwidth if HMP changes again — defer
 	// until the deadline approaches, unless the prediction is already
 	// near-certain.
-	deferWindow := time.Duration(float64(fetch) * pol.early())
+	deferWindow := time.Duration(float64(fetch) * upgradeEarlyWindow)
 	if req.TimeToDeadline > deferWindow && req.DisplayProbability < 0.9 {
 		return UpgradeDefer
 	}

@@ -413,7 +413,7 @@ func (c *Cluster) walk(ctx context.Context, w http.ResponseWriter, key serve.Chu
 // warm writes a served body through to the key's cold co-owners.
 func (c *Cluster) warm(key serve.ChunkKey, body []byte, targets []*Node) {
 	for _, t := range targets {
-		if t.Warm(key, body) {
+		if t.warm(key, body) {
 			c.met.warms.Inc()
 		}
 	}
@@ -517,7 +517,7 @@ func (c *Cluster) Prewarms() int64 { return c.met.prewarms.Value() }
 func (c *Cluster) PrewarmFetches() int64 { return c.met.prewarmFetches.Value() }
 
 // ProbeAll runs one active probe sweep: every node the detector lets
-// through gets a Ping — a real GET /v in the wire forms — and the
+// through gets a ping — a real GET /v in the wire forms — and the
 // outcome feeds the same breakers as passive traffic. Each probe has one
 // ProbeInterval to answer, so an edge that accepts and never answers
 // costs the sweep that long and counts as a failure. Down nodes in
@@ -533,7 +533,7 @@ func (c *Cluster) ProbeAll() {
 			// answers from stalling a sweep longer than the pause between
 			// sweeps (TestProbeOfWedgedEdgeIsBounded).
 			ctx, cancel := context.WithTimeout(context.Background(), c.probeEvery)
-			n.health.observe(n.Ping(ctx))
+			n.health.observe(n.ping(ctx))
 			cancel()
 		}
 	}
@@ -581,7 +581,7 @@ func (c *Cluster) NodeNames() []string {
 // Unknown names are ignored so wildcard plans stay forgiving.
 func (c *Cluster) KillNode(name string) {
 	if n := c.mem.Load().byID[name]; n != nil {
-		n.Kill()
+		n.kill()
 	}
 }
 
@@ -590,7 +590,7 @@ func (c *Cluster) KillNode(name string) {
 // re-admit it.
 func (c *Cluster) RecoverNode(name string) {
 	if n := c.mem.Load().byID[name]; n != nil {
-		n.Recover()
+		n.recover()
 	}
 }
 

@@ -181,7 +181,7 @@ func TestEdgeHangupMidMissFinishesTheMiss(t *testing.T) {
 	}
 }
 
-// TestEdgeKillEndsTheHandlersContext: Kill while a miss waits on the
+// TestEdgeKillEndsTheHandlersContext: kill while a miss waits on the
 // origin ends the handler's context — the store cancels the flight
 // nobody is left to want, and the origin sees it — closes the router's
 // connection, and every goroutine the cluster started returns.
@@ -199,7 +199,7 @@ func TestEdgeKillEndsTheHandlersContext(t *testing.T) {
 		opened <- err
 	}()
 	<-origin.entered
-	edge.Kill()
+	edge.kill()
 	if err := <-opened; err == nil {
 		t.Fatal("open succeeded across a Kill")
 	}

@@ -14,15 +14,21 @@ import (
 // listeners count, per address, the connections they accept and, when
 // scripted, hand each one to the address's script, so a test breaks a
 // response byte-exactly at the edge's socket and restarts an edge only
-// through Kill and Recover. With drip set, each connection the router
+// through kill and recover. With drip set, each connection the router
 // dials reads at most drip bytes at a time; being no *net.TCPConn, it
-// turns the relay's splice into its block loop.
+// turns the relay's splice into its block loop. A stall set on it holds
+// the next dial.
 type faultNet struct {
 	tcpNetwork
 	scripted bool
 	drip     int
+	stall    atomic.Pointer[dialStall]
 	edges    sync.Map // listen address → *edgeScript
 }
+
+// dialStall holds one dial: began is closed as the dial stalls, and the
+// dial goes on once release is closed.
+type dialStall struct{ began, release chan struct{} }
 
 // withFaults puts the cluster over the wire on f.
 func withFaults(f *faultNet) Option { return func(c *config) { c.net = f } }
@@ -42,6 +48,14 @@ func (f *faultNet) listen(addr string) (net.Listener, error) {
 }
 
 func (f *faultNet) dial(ctx context.Context, addr string, deadline time.Time) (net.Conn, error) {
+	if s := f.stall.Swap(nil); s != nil {
+		close(s.began)
+		select {
+		case <-s.release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	conn, err := f.tcpNetwork.dial(ctx, addr, deadline)
 	if err != nil || f.drip <= 0 {
 		return conn, err

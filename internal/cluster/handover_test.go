@@ -208,7 +208,7 @@ func TestHandoverMovesTheBody(t *testing.T) {
 // TestHandoverEdgeFaultIsTheEdges is the conn-fault table: a front-door
 // GET on a real socket, whose body the owning edge's script breaks at its
 // middle, or whose hop drips it. An edge that ends the body short — its
-// connection cut there, or closed by a Kill while it stalled there —
+// connection cut there, or closed by a kill while it stalled there —
 // costs the relay the typed transient length mismatch and the edge one
 // failure on its breaker; one that resets there costs the hop's typed
 // transient error, which its socket shows. A stall that ends, or a hop
@@ -227,7 +227,7 @@ func TestHandoverEdgeFaultIsTheEdges(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		fault    *connFault
-		kill     bool          // Kill the edge once its stall begins
+		kill     bool          // kill the edge once its stall begins
 		drip     int           // the hop reads at most this many bytes at a time
 		deadline time.Duration // the caller's, when it has one
 		kind     dash.ErrorKind
@@ -253,7 +253,7 @@ func TestHandoverEdgeFaultIsTheEdges(t *testing.T) {
 			if tc.kill {
 				go func() {
 					<-script.stalled
-					edge.Kill()
+					edge.kill()
 				}()
 			}
 			type result struct {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,8 +88,8 @@ func TestHopStaleConnectionRedialsOnce(t *testing.T) {
 			t.Fatalf("pool holds %d idle connections, want %d", got, len(owned))
 		}
 
-		edge.Kill()
-		edge.Recover()
+		edge.kill()
+		edge.recover()
 		accepted := &f.at(edge.Addr()).accepts
 		before := accepted.Load()
 		key := owned[0]
@@ -275,6 +277,52 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 
 	srv.Close()
 	waitFor(t, "goroutines back to their baseline", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// TestHopStalledDialHoldsNoOtherRequest: a dial to an edge that stalls
+// leaves the pool to that edge free. A second request to the same edge
+// dials and completes while the first still waits, and the first
+// completes once its dial goes through.
+func TestHopStalledDialHoldsNoOtherRequest(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("ok"))
+	}))
+	defer srv.Close()
+	f := &faultNet{}
+	stall := &dialStall{began: make(chan struct{}), release: make(chan struct{})}
+	f.stall.Store(stall)
+	var once sync.Once
+	release := func() { once.Do(func() { close(stall.release) }) }
+	defer release()
+	hop := newHopTransport(f, srv.Listener.Addr().String(), 2)
+	fetch := func() error {
+		st, err := hop.get(context.Background(), "/v")
+		if err != nil {
+			return err
+		}
+		defer st.body.Close()
+		if got, err := io.ReadAll(st.body); err != nil || string(got) != "ok" {
+			return fmt.Errorf("read %q, %v", got, err)
+		}
+		return nil
+	}
+	first := make(chan error, 1)
+	go func() { first <- fetch() }()
+	<-stall.began
+	second := make(chan error, 1)
+	go func() { second <- fetch() }()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatalf("second request: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a stalled dial held the second request to the same edge for 10 s")
+	}
+	release()
+	if err := <-first; err != nil {
+		t.Fatalf("first request, after its dial went through: %v", err)
+	}
 }
 
 // TestHopRequestLine: what an edge reads of a hop exchange is a GET of

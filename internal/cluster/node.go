@@ -31,8 +31,8 @@ var ErrNodeDown = fmt.Errorf("cluster: node down: %w", dash.ErrUnavailable)
 //
 // In the wire form the node additionally owns a real HTTP process: its
 // edge loop on a listener of the cluster's network, which the router
-// reaches through the node's own hopTransport. Kill closes the listener
-// — requests meet an actual connection refusal — and Recover re-binds
+// reaches through the node's own hopTransport. kill closes the listener
+// — requests meet an actual connection refusal — and recover re-binds
 // the same address.
 type Node struct {
 	id     string
@@ -45,10 +45,10 @@ type Node struct {
 	maxInFlight int64
 
 	// Wire lifecycle. addr is recorded at the first bind on net and
-	// reused by Recover so the node's identity (its address) survives a
+	// reused by recover so the node's identity (its address) survives a
 	// crash; handler is what the edge loop answers with; rt holds the
 	// current incarnation of the edge's server, swapped atomically so
-	// Kill never races a concurrent relisten. hop is the router's
+	// kill never races a concurrent relisten. hop is the router's
 	// connection pool to the edge, and makes one attempt: failover is the
 	// retry, so a dead edge costs one connection refusal, not a backoff
 	// ladder.
@@ -131,7 +131,7 @@ func (n *Node) startWire(nw network, edge func(*Node) http.Handler) error {
 	return nil
 }
 
-// serveOn starts the node's edge server on ln and records it so Kill
+// serveOn starts the node's edge server on ln and records it so kill
 // can close it.
 func (n *Node) serveOn(ln net.Listener) {
 	n.rt.Store(serveEdge(ln, n.handler))
@@ -161,15 +161,15 @@ func (n *Node) ID() string { return n.id }
 // Down reports whether the node is currently crashed.
 func (n *Node) Down() bool { return n.down.Load() }
 
-// Kill crashes the node: its cache is dropped (a restarted process
+// kill crashes the node: its cache is dropped (a restarted process
 // comes back cold), its listener — when it has one — closes so
 // in-flight and future connections meet a real refusal, and every
-// in-process request or probe fails with ErrNodeDown until Recover.
+// in-process request or probe fails with ErrNodeDown until recover.
 // Closing the server closes the edge's end of every connection the
 // router holds idle to it; the router is not told, as it would not be of
 // a real crash, and its first reuse finds them closed (hopTransport).
 // Idempotent.
-func (n *Node) Kill() {
+func (n *Node) kill() {
 	if n.down.Swap(true) {
 		return
 	}
@@ -180,11 +180,11 @@ func (n *Node) Kill() {
 	}
 }
 
-// Recover restarts a killed node (cold — Kill dropped the cache) and,
+// recover restarts a killed node (cold — kill dropped the cache) and,
 // in the wire form, re-binds its recorded address. If the address cannot
 // be re-taken the node stays down, its up gauge at 0, the health layer
-// keeps routing around it, and a later Recover tries again. Idempotent.
-func (n *Node) Recover() {
+// keeps routing around it, and a later recover tries again. Idempotent.
+func (n *Node) recover() {
 	if !n.down.Swap(false) {
 		return
 	}
@@ -227,13 +227,13 @@ func (n *Node) retire() {
 // its connection at EOF, where the hop can pool it.
 const probeDrainLimit = 4 << 10
 
-// Ping is the active health probe: nil iff the node can take traffic.
+// ping is the active health probe: nil iff the node can take traffic.
 // In the wire form it is a real GET /v under ctx through the node's hop
 // — a closed listener fails it the honest way, and one that accepts and
 // never answers fails when ctx does. It deliberately ignores load — an
 // overloaded node is alive, and declaring it dead would amplify the
 // cascade shedding exists to stop.
-func (n *Node) Ping(ctx context.Context) error {
+func (n *Node) ping(ctx context.Context) error {
 	if n.down.Load() {
 		return fmt.Errorf("cluster: probe %s: %w", n.id, ErrNodeDown)
 	}
@@ -278,10 +278,10 @@ func (n *Node) open(ctx context.Context, key serve.ChunkKey) (chunkStream, []byt
 	return st, body, nil
 }
 
-// Warm hands the node a pre-built body for key — the replication write
+// warm hands the node a pre-built body for key — the replication write
 // path. A down node refuses (its restarted cache must come back cold);
 // a resident key is left alone. Reports whether the body went in.
-func (n *Node) Warm(key serve.ChunkKey, body []byte) bool {
+func (n *Node) warm(key serve.ChunkKey, body []byte) bool {
 	if n.down.Load() {
 		return false
 	}
@@ -330,6 +330,3 @@ func (n *Node) Misses() int64 { return n.met.misses.Value() }
 // Hits reports requests served without an origin fetch (singleflight
 // waiters count as hits: they were served by a peer's synthesis).
 func (n *Node) Hits() int64 { return n.Requests() - n.Misses() }
-
-// InFlight reports the admission guard's current occupancy.
-func (n *Node) InFlight() int64 { return n.inflight.Load() }

@@ -31,7 +31,7 @@ type config struct {
 	maxInFlight  int
 	warmQueueCap int
 
-	prior         TilePrior
+	prior         tilePrior
 	prewarmFanout int
 }
 
@@ -46,12 +46,12 @@ func defaultClusterConfig() config {
 	}
 }
 
-// TilePrior ranks tiles by crowd viewing probability at a chunk index
+// tilePrior ranks tiles by crowd viewing probability at a chunk index
 // — the seam WithPrewarm consumes. hmp.Heatmap satisfies it (chunk
 // index and heatmap interval are the same axis); any other popularity
 // source that can answer "which tiles will viewers at this playhead
 // want" plugs in the same way.
-type TilePrior interface {
+type tilePrior interface {
 	// TopTilesAt returns up to k tile IDs for chunk interval index,
 	// most-viewed first, deterministically ordered.
 	TopTilesAt(index, k int) []int
@@ -168,7 +168,7 @@ func WithTransport(rt http.RoundTripper) Option {
 // cluster.prewarm_fetches, never under cluster.origin_fetches — the
 // offload ratio keeps meaning "viewers served without waiting on the
 // origin". A nil prior or fanout <= 0 leaves pre-warming off.
-func WithPrewarm(prior TilePrior, fanout int) Option {
+func WithPrewarm(prior tilePrior, fanout int) Option {
 	return func(c *config) {
 		if prior != nil && fanout > 0 {
 			c.prior = prior

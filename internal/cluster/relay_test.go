@@ -224,7 +224,7 @@ func TestReplicaWarmSharesTheServedBody(t *testing.T) {
 			if got := c.Warms(); got != 1 {
 				t.Fatalf("cluster.warms = %d, want 1", got)
 			}
-			owners := Owners(key, c.NodeNames(), 2)
+			owners := Rank(key, c.NodeNames())[:2]
 			served, warmed := resident(t, c, owners[0], key), resident(t, c, owners[1], key)
 			if unsafe.SliceData(warmed) != unsafe.SliceData(served) {
 				t.Fatalf("%s was warmed with a copy of %s's body, not the body itself", owners[1], owners[0])
@@ -305,7 +305,7 @@ func TestReplicaWarmWithoutAnEdgeCopy(t *testing.T) {
 	if rec := chunkGET(t, c.FrontDoor(), key); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("GET: %d and %d bytes, want 200 and the %d-byte chunk", rec.Code, rec.Body.Len(), len(want))
 	}
-	owners := Owners(key, c.NodeNames(), 2)
+	owners := Rank(key, c.NodeNames())[:2]
 	if c.Node(owners[0]).Store().Contains(key) {
 		t.Fatalf("%s holds the body, so this test does not pin the kept copy", owners[0])
 	}
@@ -341,8 +341,8 @@ func TestStaleEdgeCopyIsNotServed(t *testing.T) {
 	var once sync.Once
 	free := func() { once.Do(func() { close(release) }) }
 	t.Cleanup(free) // before the cluster closes: cleanups run last-in first-out
-	owners := Owners(key, c.NodeNames(), 2)
-	if !c.Node(owners[0]).Warm(key, stale) {
+	owners := Rank(key, c.NodeNames())[:2]
+	if !c.Node(owners[0]).warm(key, stale) {
 		t.Fatalf("%s refused the stale body", owners[0])
 	}
 

@@ -38,15 +38,6 @@ func rendezvousScore(node string, key serve.ChunkKey) uint64 {
 	return h
 }
 
-// Owners returns the key's R rendezvous owners — the Rank prefix —
-// clamped to the node set. With replication R>1 these are the caches a
-// served body is written through to; removing any single owner leaves
-// the key with R-1 surviving owners, all already warm.
-func Owners(key serve.ChunkKey, nodes []string, r int) []string {
-	ranked := Rank(key, nodes)
-	return ranked[:min(r, len(ranked))]
-}
-
 // Rank orders nodes for key by rendezvous (highest-random-weight)
 // hashing, best first. The ranking is a pure function of (key, node
 // set): independent of the input order, stable across processes, and

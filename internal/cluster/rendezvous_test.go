@@ -186,8 +186,8 @@ func TestOwnersSurviveSingleRemoval(t *testing.T) {
 				}
 			}
 			for _, key := range keys {
-				was := Owners(key, nodes, 2)
-				now := Owners(key, survivors, 2)
+				was := Rank(key, nodes)[:2]
+				now := Rank(key, survivors)[:2]
 				if len(was) != 2 || len(now) != 2 {
 					t.Fatalf("trial %d: owner sets sized %d/%d, want 2/2", trial, len(was), len(now))
 				}

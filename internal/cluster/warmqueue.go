@@ -170,7 +170,7 @@ func (c *Cluster) runPrewarm(key serve.ChunkKey) {
 	}
 	c.met.prewarmFetches.Inc()
 	for _, t := range targets {
-		if t.Warm(key, body) {
+		if t.warm(key, body) {
 			c.met.prewarms.Inc()
 		}
 	}

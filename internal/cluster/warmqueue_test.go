@@ -11,10 +11,10 @@ import (
 	"sperke/internal/sim"
 )
 
-// The crowd heatmap is the production TilePrior — pin the structural
+// The crowd heatmap is the production tilePrior — pin the structural
 // match at compile time so a signature drift in either package fails
 // the build, not a deployment.
-var _ TilePrior = (*hmp.Heatmap)(nil)
+var _ tilePrior = (*hmp.Heatmap)(nil)
 
 // fakePrior predicts the same tile set at every playhead.
 type fakePrior struct{ tiles []int }

@@ -182,18 +182,18 @@ func TestWireKillIsConnectionRefused(t *testing.T) {
 		if got := c.met.reroutes.Value(); got != 1 {
 			t.Fatalf("reroutes = %d, want 1", got)
 		}
-		// Recover rebinds the address; the probe path comes back.
+		// recover rebinds the address; the probe path comes back.
 		c.RecoverNode(dead)
-		if err := c.Node(dead).Ping(context.Background()); err != nil {
+		if err := c.Node(dead).ping(context.Background()); err != nil {
 			t.Fatalf("recovered node's wire probe: %v", err)
 		}
 	})
 }
 
 // TestWireRealListeners exercises WithWire(true) — actual TCP
-// listeners on loopback: chunks served over real sockets, Kill closes
-// the listener (dial refused), Recover re-binds the same address. A
-// Recover that cannot re-take it, as another process holds it, leaves the
+// listeners on loopback: chunks served over real sockets, kill closes
+// the listener (dial refused), recover re-binds the same address. A
+// recover that cannot re-take it, as another process holds it, leaves the
 // node down with its up gauge at 0, so the next one, once the address is
 // free, brings its probe back.
 func TestWireRealListeners(t *testing.T) {
@@ -213,7 +213,7 @@ func TestWireRealListeners(t *testing.T) {
 	}
 
 	addr := n.Addr()
-	n.Kill()
+	n.kill()
 	if _, err := net.Dial("tcp", addr); err == nil {
 		t.Fatal("dialing a killed node's listener succeeded")
 	}
@@ -222,16 +222,16 @@ func TestWireRealListeners(t *testing.T) {
 		t.Fatal(err)
 	}
 	up := c.reg.Gauge("cluster.node." + n.ID() + ".up")
-	n.Recover()
+	n.recover()
 	if !n.Down() || up.Value() != 0 {
 		t.Fatalf("after a Recover onto a taken address: Down() = %v, up = %d; want true and 0", n.Down(), up.Value())
 	}
 	squatter.Close()
-	n.Recover()
+	n.recover()
 	if n.Addr() != addr {
 		t.Fatalf("recovered node moved from %s to %s", addr, n.Addr())
 	}
-	if err := n.Ping(context.Background()); err != nil || n.Down() || up.Value() != 1 {
+	if err := n.ping(context.Background()); err != nil || n.Down() || up.Value() != 1 {
 		t.Fatalf("after the second Recover: probe %v, Down() = %v, up = %d; want nil, false and 1", err, n.Down(), up.Value())
 	}
 }
@@ -255,7 +255,7 @@ func TestProbeOfWedgedEdgeIsBounded(t *testing.T) {
 	for range 3 {
 		f.at(wedged.Addr()).then(connFault{verb: stallAt, at: beforeHead})
 	}
-	revived.Kill()
+	revived.kill()
 
 	alive := func(n *Node) int64 { return reg.Gauge("cluster.health." + n.ID() + ".alive").Value() }
 	sweep := func(i int) {
@@ -273,7 +273,7 @@ func TestProbeOfWedgedEdgeIsBounded(t *testing.T) {
 	if alive(revived) != 0 {
 		t.Fatal("the killed edge passed its probe")
 	}
-	revived.Recover()
+	revived.recover()
 	for i := 1; i <= 2; i++ {
 		// Past both breakers' cooldown: each sweep probes both edges.
 		clock.RunUntil(clock.Now() + 2*time.Second)
@@ -483,7 +483,7 @@ func TestWireReplicationSurvivesOwnerKill(t *testing.T) {
 			t.Fatalf("warms = %d, want one per key = %d", got, len(keys))
 		}
 		for _, key := range keys {
-			for _, id := range Owners(key, c.NodeNames(), 2) {
+			for _, id := range Rank(key, c.NodeNames())[:2] {
 				if !c.Node(id).Store().Contains(key) {
 					t.Fatalf("key %v missing from owner %s", key, id)
 				}

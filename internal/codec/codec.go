@@ -103,7 +103,6 @@ type Pool struct {
 	clock  *sim.Clock
 	spec   DecoderSpec
 	freeAt []time.Duration
-	jobs   int
 }
 
 // NewPool creates a pool of n decoders. n must be positive.
@@ -116,9 +115,6 @@ func NewPool(clock *sim.Clock, spec DecoderSpec, n int) *Pool {
 
 // Size returns the number of decoder instances.
 func (p *Pool) Size() int { return len(p.freeAt) }
-
-// JobsCompleted returns the number of finished decode jobs.
-func (p *Pool) JobsCompleted() int { return p.jobs }
 
 // Submit queues an asynchronous decode of the given pixels and calls
 // done (which may be nil) at its completion time. It returns the
@@ -142,25 +138,11 @@ func (p *Pool) Submit(pixels int64, done func()) time.Duration {
 	finish := start + p.spec.DecodeTime(pixels)
 	p.freeAt[best] = finish
 	p.clock.Schedule(finish, func() {
-		p.jobs++
 		if done != nil {
 			done()
 		}
 	})
 	return finish
-}
-
-// Backlog returns how far ahead of the clock the busiest decoder is
-// booked.
-func (p *Pool) Backlog() time.Duration {
-	now := p.clock.Now()
-	var max time.Duration
-	for _, f := range p.freeAt {
-		if f > now && f-now > max {
-			max = f - now
-		}
-	}
-	return max
 }
 
 // Transcoder models the cloudlet that converts SVC streams to AVC at

@@ -62,10 +62,8 @@ type Config struct {
 	Algorithm abr.Algorithm
 	// OOS parameterizes out-of-sight fetching (part two).
 	OOS abr.OOSPolicy
-	// EnableUpgrades turns on incremental chunk upgrades (part three);
-	// Upgrades tunes them.
+	// EnableUpgrades turns on incremental chunk upgrades (part three).
 	EnableUpgrades bool
-	Upgrades       abr.UpgradePolicy
 	// HybridSVC enables the §3.1.2 closing extension on an SVC video:
 	// the server keeps both SVC and AVC forms of every chunk, and each
 	// fetch picks the cheaper expected encoding — AVC for chunks
@@ -731,7 +729,7 @@ func (f *fetch) done(d netem.Delivery, _ bool) {
 	case upgrade:
 		s.emit(EventUpgraded, i, id, q, d.Bytes, 0)
 	default:
-		s.emit(EventFetched, i, id, q, d.Bytes, 0)
+		s.emit(eventFetched, i, id, q, d.Bytes, 0)
 	}
 	if s.transcodes() {
 		s.clock.After(s.cfg.Cloudlet.TranscodeTime(d.Bytes), func() { s.land(ts, i, id, q, enc, class, d.Bytes, upgrade) })
@@ -814,7 +812,7 @@ func (s *Session) checkUpgrades() {
 				DisplayProbability: prob,
 				QualityGain:        target - ts.quality,
 			}
-			switch abr.DecideUpgrade(req, s.est.Estimate(), s.cfg.Upgrades) {
+			switch abr.DecideUpgrade(req, s.est.Estimate()) {
 			case abr.UpgradeNow:
 				s.executeUpgrade(i, id, ts, target, deadline)
 			case abr.UpgradeDefer:

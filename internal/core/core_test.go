@@ -539,7 +539,7 @@ func TestObserverEventStream(t *testing.T) {
 	if counts[EventPlay] != nChunks {
 		t.Fatalf("play events %d, want %d", counts[EventPlay], nChunks)
 	}
-	if counts[EventFetched] == 0 {
+	if counts[eventFetched] == 0 {
 		t.Fatal("no fetch events")
 	}
 	if counts[EventUpgraded] != rep.Upgrades {
@@ -553,7 +553,7 @@ func TestObserverEventStream(t *testing.T) {
 func TestEventStrings(t *testing.T) {
 	for _, e := range []Event{
 		{Kind: EventPlanned, Interval: 3, Quality: 4},
-		{Kind: EventFetched, Interval: 1, Tile: 5, Quality: 2, Bytes: 100},
+		{Kind: eventFetched, Interval: 1, Tile: 5, Quality: 2, Bytes: 100},
 		{Kind: EventStall, Interval: 2, Dur: time.Second},
 		{Kind: EventPlay, Interval: 2, Quality: 3},
 	} {

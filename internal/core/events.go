@@ -14,8 +14,8 @@ type EventKind int
 const (
 	// EventPlanned: an interval's super chunk and OOS plan were decided.
 	EventPlanned EventKind = iota
-	// EventFetched: a tile chunk arrived.
-	EventFetched
+	// eventFetched: a tile chunk arrived.
+	eventFetched
 	// EventDropped: a best-effort tile chunk was lost in transit.
 	EventDropped
 	// EventUpgraded: an incremental upgrade completed (§3.1.1).

@@ -242,12 +242,12 @@ type exchange struct {
 // decode, so it classifies like any other failed attempt.
 func (c *Client) attempt(ctx context.Context, path string, timeout time.Duration, consume func(*exchange) error) *Error {
 	if c.baseErr != nil {
-		return &Error{Op: path, Kind: KindFatal, Err: c.baseErr}
+		return &Error{Op: path, Kind: kindFatal, Err: c.baseErr}
 	}
 	rawPath, query, _ := strings.Cut(path, "?")
 	decoded, err := url.PathUnescape(rawPath)
 	if err != nil {
-		return &Error{Op: path, Kind: KindFatal, Err: err}
+		return &Error{Op: path, Kind: kindFatal, Err: err}
 	}
 	x := &exchange{url: c.base}
 	x.url.Path, x.url.RawPath, x.url.RawQuery = c.base.Path+decoded, c.base.EscapedPath()+rawPath, query
@@ -283,7 +283,7 @@ func (c *Client) attempt(ctx context.Context, path string, timeout time.Duration
 // through it.
 func StatusError(path string, resp *http.Response, now time.Time) *Error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-	kind := KindFatal
+	kind := kindFatal
 	var retryAfter time.Duration
 	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
 		kind = KindTransient
@@ -314,7 +314,7 @@ func (c *Client) do(ctx context.Context, path string, consume func(*exchange) er
 			return attempt, nil
 		}
 		derr.Attempts = attempt
-		if !derr.Retryable() || attempt >= pol.MaxAttempts {
+		if !derr.retryable() || attempt >= pol.MaxAttempts {
 			c.met.errors[derr.Kind].Inc()
 			return attempt, derr
 		}
@@ -377,7 +377,7 @@ func (c *Client) FetchMPD(ctx context.Context, videoID string) (*MPD, error) {
 	}
 	c.met.mpdFetches.Inc()
 	c.met.bytesRx.Add(int64(len(data)))
-	return ParseMPD(data)
+	return parseMPD(data)
 }
 
 // FetchChunk downloads one AVC chunk C(q, tile, index).

@@ -87,7 +87,7 @@ func TestOneAttemptBudgetEveryMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := BuildMPD(v, false, 0, 0).Marshal()
+	manifest, err := buildMPD(v, false, 0, 0).marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,15 +38,15 @@ func testServer(t *testing.T) (*httptest.Server, *Catalog) {
 
 func TestMPDRoundTrip(t *testing.T) {
 	v := testVideo()
-	m := BuildMPD(v, false, 0, 0)
-	data, err := m.Marshal()
+	m := buildMPD(v, false, 0, 0)
+	data, err := m.marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(data), "<?xml") {
 		t.Fatal("missing XML header")
 	}
-	got, err := ParseMPD(data)
+	got, err := parseMPD(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +59,8 @@ func TestMPDRoundTrip(t *testing.T) {
 	if got.Grid() != v.Grid {
 		t.Fatalf("grid = %v", got.Grid())
 	}
-	if got.ChunkDuration() != 2*time.Second {
-		t.Fatalf("chunk duration = %v", got.ChunkDuration())
+	if got.ChunkMs != 2000 {
+		t.Fatalf("chunk duration = %d ms", got.ChunkMs)
 	}
 	if len(got.Representations) != len(v.Ladder) {
 		t.Fatalf("representations = %d", len(got.Representations))
@@ -77,7 +77,7 @@ func TestParseMPDRejectsGarbage(t *testing.T) {
 		"bad type":   `<MPD type="weird" videoId="x" chunkDurationMs="2000" tileRows="2" tileCols="4"><Representation id="0"/></MPD>`,
 	}
 	for name, data := range cases {
-		if _, err := ParseMPD([]byte(data)); err == nil {
+		if _, err := parseMPD([]byte(data)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

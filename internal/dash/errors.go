@@ -17,9 +17,9 @@ const (
 	// KindTransient marks failures worth retrying: network errors, 5xx
 	// and 429 responses, and truncated or corrupt segment bodies.
 	KindTransient ErrorKind = iota
-	// KindFatal marks failures retrying cannot fix: 4xx responses and
+	// kindFatal marks failures retrying cannot fix: 4xx responses and
 	// malformed requests.
-	KindFatal
+	kindFatal
 	// KindCanceled marks the caller's context expiring; the client stops
 	// retrying immediately.
 	KindCanceled
@@ -33,7 +33,7 @@ func (k ErrorKind) String() string {
 	switch k {
 	case KindTransient:
 		return "transient"
-	case KindFatal:
+	case kindFatal:
 		return "fatal"
 	case KindOverload:
 		return "overload"
@@ -73,8 +73,8 @@ func (e *Error) Error() string {
 
 func (e *Error) Unwrap() error { return e.Err }
 
-// Retryable reports whether another attempt could succeed.
-func (e *Error) Retryable() bool { return e.Kind == KindTransient || e.Kind == KindOverload }
+// retryable reports whether another attempt could succeed.
+func (e *Error) retryable() bool { return e.Kind == KindTransient || e.Kind == KindOverload }
 
 // ErrUnavailable marks a ChunkSource failure meaning "this server
 // cannot serve right now" — a crashed cluster node, a draining
@@ -82,7 +82,7 @@ func (e *Error) Retryable() bool { return e.Kind == KindTransient || e.Kind == K
 // clients retry elsewhere instead of treating it as a synthesis bug.
 var ErrUnavailable = errors.New("dash: service unavailable")
 
-// ErrViewerGone marks a ChunkStreamer failure on the response writer
+// ErrViewerGone marks a chunkStreamer failure on the response writer
 // itself rather than on the chunk's source: the viewer hung up, so
 // nobody is left to answer. The server records it as an abort, never as
 // an error status, however few bytes reached the wire.

@@ -14,7 +14,6 @@ package dash
 import (
 	"encoding/xml"
 	"fmt"
-	"time"
 
 	"sperke/internal/media"
 	"sperke/internal/tiling"
@@ -43,11 +42,11 @@ type MPD struct {
 	FirstChunk int `xml:"firstChunk,attr"`
 	LastChunk  int `xml:"lastChunk,attr"`
 
-	Representations []Representation `xml:"Representation"`
+	Representations []representation `xml:"Representation"`
 }
 
-// Representation is one quality level of the ladder.
-type Representation struct {
+// representation is one quality level of the ladder.
+type representation struct {
 	ID int `xml:"id,attr"`
 	// Name is the human label ("720p").
 	Name   string `xml:"name,attr"`
@@ -57,9 +56,9 @@ type Representation struct {
 	Bandwidth int64 `xml:"bandwidth,attr"`
 }
 
-// BuildMPD renders a video's manifest. For live manifests pass
+// buildMPD renders a video's manifest. For live manifests pass
 // live=true and the current chunk window.
-func BuildMPD(v *media.Video, live bool, firstChunk, lastChunk int) *MPD {
+func buildMPD(v *media.Video, live bool, firstChunk, lastChunk int) *MPD {
 	m := &MPD{
 		Type:       "static",
 		VideoID:    v.ID,
@@ -76,7 +75,7 @@ func BuildMPD(v *media.Video, live bool, firstChunk, lastChunk int) *MPD {
 		m.LastChunk = lastChunk
 	}
 	for i, q := range v.Ladder {
-		m.Representations = append(m.Representations, Representation{
+		m.Representations = append(m.Representations, representation{
 			ID: i, Name: q.Name, Width: q.Width, Height: q.Height,
 			Bandwidth: int64(q.Bitrate),
 		})
@@ -84,8 +83,8 @@ func BuildMPD(v *media.Video, live bool, firstChunk, lastChunk int) *MPD {
 	return m
 }
 
-// Marshal renders the MPD as XML.
-func (m *MPD) Marshal() ([]byte, error) {
+// marshal renders the MPD as XML.
+func (m *MPD) marshal() ([]byte, error) {
 	out, err := xml.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return nil, err
@@ -93,8 +92,8 @@ func (m *MPD) Marshal() ([]byte, error) {
 	return append([]byte(xml.Header), out...), nil
 }
 
-// ParseMPD decodes a manifest and validates its basic invariants.
-func ParseMPD(data []byte) (*MPD, error) {
+// parseMPD decodes a manifest and validates its basic invariants.
+func parseMPD(data []byte) (*MPD, error) {
 	var m MPD
 	if err := xml.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("dash: parsing MPD: %w", err)
@@ -119,11 +118,6 @@ func ParseMPD(data []byte) (*MPD, error) {
 
 // Grid returns the manifest's tile grid.
 func (m *MPD) Grid() tiling.Grid { return tiling.Grid{Rows: m.Rows, Cols: m.Cols} }
-
-// ChunkDuration returns the chunk duration.
-func (m *MPD) ChunkDuration() time.Duration {
-	return time.Duration(m.ChunkMs) * time.Millisecond
-}
 
 // NumChunks returns the number of chunk intervals described.
 func (m *MPD) NumChunks() int {

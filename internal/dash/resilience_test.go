@@ -132,10 +132,10 @@ func TestClient404IsFatalAndNotRetried(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("untyped error: %v", err)
 	}
-	if de.Kind != KindFatal || de.Status != http.StatusNotFound {
+	if de.Kind != kindFatal || de.Status != http.StatusNotFound {
 		t.Fatalf("error %+v, want fatal 404", de)
 	}
-	if de.Retryable() {
+	if de.retryable() {
 		t.Fatal("404 classified retryable")
 	}
 	if got := served.Load(); got != 1 {
@@ -350,7 +350,7 @@ func TestClientRedirectIsFatalNotFollowed(t *testing.T) {
 	c := fastClient(srv.URL, nil)
 	_, err := c.FetchChunk(context.Background(), "demo", 0, 0, 0)
 	var de *Error
-	if !errors.As(err, &de) || de.Kind != KindFatal || de.Status != http.StatusFound || de.Attempts != 1 {
+	if !errors.As(err, &de) || de.Kind != kindFatal || de.Status != http.StatusFound || de.Attempts != 1 {
 		t.Fatalf("err = %v, want a fatal 302 *Error after one attempt", err)
 	}
 	if got := requests.Load(); got != 1 {
@@ -419,7 +419,7 @@ func TestClientOverloadExhaustionKeepsKind(t *testing.T) {
 	if derr.RetryAfter != time.Second {
 		t.Fatalf("RetryAfter = %v, want 1s", derr.RetryAfter)
 	}
-	if !derr.Retryable() {
+	if !derr.retryable() {
 		t.Fatal("overload errors must be retryable")
 	}
 	if got := reg.Counter("dash.client.errors.overload").Value(); got != 1 {

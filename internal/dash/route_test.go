@@ -59,7 +59,7 @@ func TestServerCountsEveryRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpd, err := BuildMPD(v, false, 0, 0).Marshal()
+	mpd, err := buildMPD(v, false, 0, 0).marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,8 +57,8 @@ func (c *Catalog) Add(v *media.Video) error {
 	return nil
 }
 
-// IDs returns the catalog's video IDs in sorted order.
-func (c *Catalog) IDs() []string {
+// ids returns the catalog's video IDs in sorted order.
+func (c *Catalog) ids() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.videos))
@@ -129,18 +129,18 @@ type ChunkSource interface {
 	Chunk(ctx context.Context, videoID string, quality, tile, index int, layer bool) ([]byte, error)
 }
 
-// ChunkStreamer is the streaming counterpart of ChunkSource: instead
+// chunkStreamer is the streaming counterpart of ChunkSource: instead
 // of returning a materialized body it writes the chunk straight into
 // the caller's ResponseWriter, setting Content-Type and Content-Length
 // itself before the first byte when it knows the length. The wire
 // cluster's router implements it to proxy edge responses without
-// buffering them. A Server whose source also implements ChunkStreamer
+// buffering them. A Server whose source also implements chunkStreamer
 // serves chunk bodies through this path; it reports the bytes written
 // so the server can tell a clean failure (nothing sent, map the error
 // to a status) from a poisoned response (bytes on the wire, abandon). A
 // write to w that fails is returned wrapping ErrViewerGone, so the
 // server abandons that response too.
-type ChunkStreamer interface {
+type chunkStreamer interface {
 	StreamChunk(ctx context.Context, w http.ResponseWriter, videoID string, quality, tile, index int, layer bool) (int64, error)
 }
 
@@ -408,7 +408,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleList(w http.ResponseWriter) {
 	s.met.list.Inc()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, id := range s.catalog.IDs() {
+	for _, id := range s.catalog.ids() {
 		fmt.Fprintln(w, id)
 	}
 }
@@ -421,12 +421,12 @@ func (s *Server) handleMPD(w http.ResponseWriter, r *http.Request, video string)
 		return
 	}
 	win, live := s.catalog.liveWindow(v.ID)
-	mpd := BuildMPD(v, live, win[0], win[1])
+	mpd := buildMPD(v, live, win[0], win[1])
 	if live {
 		// A live manifest's duration reflects what has been produced.
 		mpd.DurationMs = int64(win[1]+1) * v.ChunkDuration.Milliseconds()
 	}
-	out, err := mpd.Marshal()
+	out, err := mpd.marshal()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -502,7 +502,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request, rt route) {
 		}
 		return
 	}
-	if st, ok := s.store.(ChunkStreamer); ok {
+	if st, ok := s.store.(chunkStreamer); ok {
 		// Streaming source: the body flows straight from the source into
 		// the response writer — nothing is materialized here. Once bytes
 		// are on the wire (or the client has left, or its writer failed)

@@ -13,17 +13,17 @@ import (
 )
 
 func init() {
-	register("E5", SVCUpgrade)
-	register("E6", VRAComparison)
-	register("A2", AblationHybridSVC)
-	register("A4", HybridSession)
-	register("A5", PredictionWindowSweep)
+	register("E5", svcUpgrade)
+	register("E6", vraComparison)
+	register("A2", ablationHybridSVC)
+	register("A4", hybridSession)
+	register("A5", predictionWindowSweep)
 }
 
-// SVCUpgrade quantifies §3.1.1: the cost of raising an already-fetched
+// svcUpgrade quantifies §3.1.1: the cost of raising an already-fetched
 // chunk to a higher quality under SVC (delta layers) vs AVC (full
 // re-fetch), per chunk and at the session level under HMP error.
-func SVCUpgrade(seed int64) *Table {
+func svcUpgrade(seed int64) *Table {
 	t := &Table{
 		ID:      "E5",
 		Title:   "§3.1.1 — incremental upgrade cost: SVC delta vs AVC re-fetch",
@@ -39,14 +39,14 @@ func SVCUpgrade(seed int64) *Table {
 	for _, up := range [][2]int{{0, 2}, {1, 3}, {2, 4}, {3, 5}, {0, 5}} {
 		s := svc.UpgradeBytes(up[0], up[1], tile, 0)
 		a := avc.UpgradeBytes(up[0], up[1], tile, 0)
-		t.AddRow(fmt.Sprintf("q%d → q%d", up[0], up[1]), kb(s), kb(a), float64(s)/float64(a))
+		t.addRow(fmt.Sprintf("q%d → q%d", up[0], up[1]), kb(s), kb(a), float64(s)/float64(a))
 	}
 
 	// Session level: same viewer, same network, upgrades enabled.
 	w := viewer{link: netem.Constant(15e6), prop: 20 * time.Millisecond, tail: 10 * time.Second, attention: 40, speed: 1}
 	for _, enc := range []media.Encoding{media.EncodingSVC, media.EncodingAVC} {
 		rep := w.run(seed, core.Config{Video: expVideo(enc), Mode: core.FoVGuided, EnableUpgrades: true})
-		t.AddRow(fmt.Sprintf("session (%s): fetched MB / wasted MB / upgrades", enc),
+		t.addRow(fmt.Sprintf("session (%s): fetched MB / wasted MB / upgrades", enc),
 			fmt.Sprintf("%.1f", float64(rep.BytesFetched)/1e6),
 			fmt.Sprintf("%.1f", float64(rep.BytesWasted)/1e6),
 			fmt.Sprintf("%d", rep.Upgrades))
@@ -61,11 +61,11 @@ func lteViewer(seed int64, v *media.Video) viewer {
 	return viewer{link: lte, prop: 30 * time.Millisecond, tail: 20 * time.Second, attention: 41, speed: 1}
 }
 
-// VRAComparison runs §3.1.2 part one: classic VRA algorithms applied to
+// vraComparison runs §3.1.2 part one: classic VRA algorithms applied to
 // super chunks on a fluctuating LTE trace, with the short HMP window
 // bounding the usable buffer — the condition under which the paper
 // argues buffer-based adaptation struggles.
-func VRAComparison(seed int64) *Table {
+func vraComparison(seed int64) *Table {
 	t := &Table{
 		ID:      "E6",
 		Title:   "§3.1.2 — VRA algorithms on super chunks (LTE trace, 2s HMP window)",
@@ -83,16 +83,16 @@ func VRAComparison(seed int64) *Table {
 		}
 		rep := w.run(seed, core.Config{Video: v, Mode: core.FoVGuided, Algorithm: alg})
 		m := rep.QoE
-		t.AddRow(name, m.MeanQuality(), m.Stalls, m.StallTime.Round(10*time.Millisecond).String(),
+		t.addRow(name, m.MeanQuality(), m.Stalls, m.StallTime.Round(10*time.Millisecond).String(),
 			m.Switches, m.Score(v.Qualities()-1))
 	}
 	return t
 }
 
-// AblationHybridSVC sweeps the §3.1.2 hybrid SVC/AVC split: expected
+// ablationHybridSVC sweeps the §3.1.2 hybrid SVC/AVC split: expected
 // delivery bytes per chunk as a function of the upgrade probability,
 // for pure AVC, pure SVC, and the hybrid threshold rule.
-func AblationHybridSVC(seed int64) *Table {
+func ablationHybridSVC(seed int64) *Table {
 	t := &Table{
 		ID:      "A2",
 		Title:   "Ablation — hybrid SVC/AVC: expected bytes per chunk vs upgrade probability",
@@ -120,15 +120,15 @@ func AblationHybridSVC(seed int64) *Table {
 		} else {
 			eHyb = eAVC
 		}
-		t.AddRow(fmt.Sprintf("%.2f", p), kb(eAVC), kb(eSVC), kb(eHyb), pick.String())
+		t.addRow(fmt.Sprintf("%.2f", p), kb(eAVC), kb(eSVC), kb(eHyb), pick.String())
 	}
 	return t
 }
 
-// HybridSession runs the §3.1.2 hybrid extension at session level: the
+// hybridSession runs the §3.1.2 hybrid extension at session level: the
 // same viewer and network under pure AVC, pure SVC, and hybrid
 // per-chunk encoding selection.
-func HybridSession(seed int64) *Table {
+func hybridSession(seed int64) *Table {
 	t := &Table{
 		ID:      "A4",
 		Title:   "Ablation — session-level hybrid SVC/AVC vs pure encodings",
@@ -153,7 +153,7 @@ func HybridSession(seed int64) *Table {
 		if r.hybrid {
 			picks = fmt.Sprintf("%d/%d", rep.HybridAVCFetches, rep.HybridSVCFetches)
 		}
-		t.AddRow(r.name,
+		t.addRow(r.name,
 			fmt.Sprintf("%.1f", float64(rep.BytesFetched)/1e6),
 			fmt.Sprintf("%.1f", float64(rep.BytesWasted)/1e6),
 			rep.Upgrades, picks)
@@ -161,10 +161,10 @@ func HybridSession(seed int64) *Table {
 	return t
 }
 
-// PredictionWindowSweep quantifies the §3.1.2 observation that the HMP
+// predictionWindowSweep quantifies the §3.1.2 observation that the HMP
 // window bounds the usable buffer: each VRA algorithm runs with
 // prediction windows from 1 to 8 seconds on the same LTE trace.
-func PredictionWindowSweep(seed int64) *Table {
+func predictionWindowSweep(seed int64) *Table {
 	t := &Table{
 		ID:      "A5",
 		Title:   "Ablation — HMP prediction window vs VRA behaviour (LTE trace)",
@@ -189,7 +189,7 @@ func PredictionWindowSweep(seed int64) *Table {
 				PredictionWindow: window,
 			})
 			m := rep.QoE
-			t.AddRow(window.String(), name, m.MeanQuality(), m.Stalls, m.Score(v.Qualities()-1))
+			t.addRow(window.String(), name, m.MeanQuality(), m.Stalls, m.Score(v.Qualities()-1))
 		}
 	}
 	return t

@@ -13,14 +13,14 @@ import (
 )
 
 func init() {
-	register("E7", HMPAccuracy)
-	register("A6", TileCoverage)
+	register("E7", hmpAccuracy)
+	register("A6", tileCoverage)
 }
 
-// HMPAccuracy compares the §3.2 predictor family across horizons:
+// hmpAccuracy compares the §3.2 predictor family across horizons:
 // static, linear extrapolation [16, 37], crowd-only, and the proposed
 // data fusion, on held-out viewers of a crowd-annotated video.
-func HMPAccuracy(seed int64) *Table {
+func hmpAccuracy(seed int64) *Table {
 	t := &Table{
 		ID:      "E7",
 		Title:   "§3.2 — HMP accuracy by predictor and horizon (held-out viewers)",
@@ -91,18 +91,18 @@ func HMPAccuracy(seed int64) *Table {
 			if n == 0 {
 				continue
 			}
-			t.AddRow(horizon.String(), p.name, sumErr/float64(n), sumP90/float64(n), sumHit/float64(n))
+			t.addRow(horizon.String(), p.name, sumErr/float64(n), sumP90/float64(n), sumHit/float64(n))
 		}
 	}
 	return t
 }
 
-// TileCoverage is ablation A6: the §3.2 payoff measured operationally.
+// tileCoverage is ablation A6: the §3.2 payoff measured operationally.
 // Each predictor drives the real planning machinery (super chunk + OOS
 // rings, heatmap-weighted) under a fixed tile budget; the score is the
 // fraction of the viewer's actual FoV tiles that were fetched — the
 // quantity that determines blanks and urgent fetches.
-func TileCoverage(seed int64) *Table {
+func tileCoverage(seed int64) *Table {
 	t := &Table{
 		ID:      "A6",
 		Title:   "Ablation — FoV tile coverage at a fixed fetch budget, by predictor",
@@ -177,7 +177,7 @@ func TileCoverage(seed int64) *Table {
 
 	for _, horizon := range []time.Duration{500 * time.Millisecond, 2 * time.Second, 4 * time.Second} {
 		for _, p := range preds {
-			t.AddRow(horizon.String(), p.name,
+			t.addRow(horizon.String(), p.name,
 				fmt.Sprintf("%.2f", coverage(p, horizon, 12)),
 				fmt.Sprintf("%.2f", coverage(p, horizon, 16)))
 		}

@@ -14,16 +14,16 @@ import (
 )
 
 func init() {
-	register("E2", Table2)
-	register("E9", SpatialFallback)
-	register("E10", CrowdLiveHMP)
-	register("E14", SperkeLiveComparison)
-	register("E15", ViewerLatencySpread)
+	register("E2", table2)
+	register("E9", spatialFallback)
+	register("E10", crowdLiveHMP)
+	register("E14", sperkeLiveComparison)
+	register("E15", viewerLatencySpread)
 }
 
-// Table2 reproduces the paper's Table 2: live 360° E2E latency on the
+// table2 reproduces the paper's Table 2: live 360° E2E latency on the
 // three commercial platforms under five network conditions.
-func Table2(seed int64) *Table {
+func table2(seed int64) *Table {
 	t := &Table{
 		ID:      "E2",
 		Title:   "Table 2 — live E2E latency (seconds) under network conditions",
@@ -47,15 +47,15 @@ func Table2(seed int64) *Table {
 			row = append(row, fmt.Sprintf("%.1f", r.MeanLatency.Seconds()))
 		}
 		row = append(row, paper[i])
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	return t
 }
 
-// SpatialFallback evaluates §3.4.2's spatial fall-back against blind
+// spatialFallback evaluates §3.4.2's spatial fall-back against blind
 // quality reduction across uplink fractions, for a concert-like crowd
 // and a dispersed crowd.
-func SpatialFallback(seed int64) *Table {
+func spatialFallback(seed int64) *Table {
 	t := &Table{
 		ID:      "E9",
 		Title:   "§3.4.2 — upload adaptation: FoV quality by mode and uplink fraction",
@@ -83,7 +83,7 @@ func SpatialFallback(seed int64) *Table {
 			fx := live.EvaluateFallback(live.UploadFixed, plan, frac, crowds[crowd], fov)
 			qr := live.EvaluateFallback(live.UploadQualityReduce, plan, frac, crowds[crowd], fov)
 			sf := live.EvaluateFallback(live.UploadSpatialFallback, plan, frac, crowds[crowd], fov)
-			t.AddRow(crowd, fmt.Sprintf("%.0f%%", frac*100),
+			t.addRow(crowd, fmt.Sprintf("%.0f%%", frac*100),
 				fx.MeanFoVQuality, qr.MeanFoVQuality, sf.MeanFoVQuality,
 				fmt.Sprintf("%.0f%%", sf.OutsideHorizonFrac*100))
 		}
@@ -98,7 +98,7 @@ func SpatialFallback(seed int64) *Table {
 			Duration: 2 * time.Minute, Cond: cond,
 			Fallback: &live.FallbackOpts{Mode: mode, Plan: plan},
 		})
-		t.AddRow("pipeline (FB, 55% uplink)", mode.String(),
+		t.addRow("pipeline (FB, 55% uplink)", mode.String(),
 			fmt.Sprintf("%d skips", run.Result.SkippedSegments),
 			fmt.Sprintf("%.1fs latency", run.Result.MeanLatency.Seconds()),
 			fmt.Sprintf("uploads %.0f%%", run.UploadedFraction*100), "—")
@@ -108,10 +108,10 @@ func SpatialFallback(seed int64) *Table {
 	return t
 }
 
-// CrowdLiveHMP evaluates §3.4.2's crowd-sourced live prediction: how
+// crowdLiveHMP evaluates §3.4.2's crowd-sourced live prediction: how
 // well low-latency viewers' reactions predict a high-latency viewer's
 // FoV, versus the static baseline, across prefetch horizons.
-func CrowdLiveHMP(seed int64) *Table {
+func crowdLiveHMP(seed int64) *Table {
 	t := &Table{
 		ID:      "E10",
 		Title:   "§3.4.2 — crowd-sourced live HMP for high-latency viewers",
@@ -136,16 +136,16 @@ func CrowdLiveHMP(seed int64) *Table {
 	pred := &live.CrowdLivePredictor{Ahead: viewers, TargetLatency: target.Latency}
 	for _, h := range []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second} {
 		rep := live.LiveHMPAccuracy(pred, target, sphere.DefaultFoV, dur, h)
-		t.AddRow(h.String(), rep.StaticHit, rep.CrowdHit, rep.CrowdRecovery,
+		t.addRow(h.String(), rep.StaticHit, rep.CrowdHit, rep.CrowdRecovery,
 			fmt.Sprintf("%.0f%%", rep.MovedFrac*100))
 	}
 	return t
 }
 
-// SperkeLiveComparison evaluates the §3.4.2 endgame: a live pipeline
+// sperkeLiveComparison evaluates the §3.4.2 endgame: a live pipeline
 // with SVC ingest (no server re-encode), short segments, and FoV-guided
 // delivery, against the three commercial platforms.
-func SperkeLiveComparison(seed int64) *Table {
+func sperkeLiveComparison(seed int64) *Table {
 	t := &Table{
 		ID:    "E14",
 		Title: "§3.4.2 — Sperke live (SVC ingest + FoV-guided delivery) vs commercial platforms",
@@ -161,7 +161,7 @@ func SperkeLiveComparison(seed int64) *Table {
 		base := live.Table2Cell(p, live.Condition{})
 		up := live.Table2Cell(p, live.Condition{Up: 0.5e6})
 		down := live.Table2Cell(p, live.Condition{Down: 0.5e6})
-		t.AddRow(p.Name,
+		t.addRow(p.Name,
 			fmt.Sprintf("%.1f", base.MeanLatency.Seconds()),
 			fmt.Sprintf("%.1f", up.MeanLatency.Seconds()),
 			fmt.Sprintf("%.1f", down.MeanLatency.Seconds()),
@@ -191,7 +191,7 @@ func SperkeLiveComparison(seed int64) *Table {
 	base, stats := cell(live.Condition{})
 	up, _ := cell(live.Condition{Up: 0.5e6})
 	down, _ := cell(live.Condition{Down: 0.5e6})
-	t.AddRow(mech.Name,
+	t.addRow(mech.Name,
 		fmt.Sprintf("%.1f", base.MeanLatency.Seconds()),
 		fmt.Sprintf("%.1f", up.MeanLatency.Seconds()),
 		fmt.Sprintf("%.1f", down.MeanLatency.Seconds()),
@@ -202,10 +202,10 @@ func SperkeLiveComparison(seed int64) *Table {
 	return t
 }
 
-// ViewerLatencySpread verifies the §3.4.2 premise behind crowd-sourced
+// viewerLatencySpread verifies the §3.4.2 premise behind crowd-sourced
 // live HMP: viewers behind heterogeneous downlinks experience widely
 // different E2E latencies on the same broadcast.
-func ViewerLatencySpread(seed int64) *Table {
+func viewerLatencySpread(seed int64) *Table {
 	t := &Table{
 		ID:      "E15",
 		Title:   "§3.4.2 premise — E2E latency spread across a heterogeneous viewer population",
@@ -219,7 +219,7 @@ func ViewerLatencySpread(seed int64) *Table {
 	for _, p := range live.Platforms {
 		results := live.MeasureViewers(seed, p, 0, downs, 2*time.Minute)
 		s := live.Spread(results)
-		t.AddRow(p.Name, len(results),
+		t.addRow(p.Name, len(results),
 			fmt.Sprintf("%.1f", s.Min.Seconds()),
 			fmt.Sprintf("%.1f", s.Mean.Seconds()),
 			fmt.Sprintf("%.1f", s.Max.Seconds()),

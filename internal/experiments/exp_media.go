@@ -11,8 +11,8 @@ import (
 )
 
 func init() {
-	register("E4", VersioningOverhead)
-	register("E11", Size360)
+	register("E4", versioningOverhead)
+	register("E11", size360)
 }
 
 // expVideo builds the standard 60-second test title used by the storage
@@ -29,10 +29,10 @@ func expVideo(enc media.Encoding) *media.Video {
 	}
 }
 
-// VersioningOverhead quantifies the §2 versioning-vs-tiling trade-off:
+// versioningOverhead quantifies the §2 versioning-vs-tiling trade-off:
 // Oculus-style versioning needs up to 88 versions of the same video on
 // the server, while tiling stores each quality once.
-func VersioningOverhead(seed int64) *Table {
+func versioningOverhead(seed int64) *Table {
 	t := &Table{
 		ID:      "E4",
 		Title:   "§2 — server storage: Oculus-style versioning (88 versions) vs tiling",
@@ -48,11 +48,11 @@ func VersioningOverhead(seed int64) *Table {
 	tiledSVC := svc.TotalBytes()
 	versioned := media.OculusScheme.StorageBytes(avc)
 	gb := func(b int64) string { return fmt.Sprintf("%.2f", float64(b)/1e9) }
-	t.AddRow("tiling (AVC)", fmt.Sprintf("%d qualities × %d tiles", avc.Qualities(), avc.Grid.Tiles()),
+	t.addRow("tiling (AVC)", fmt.Sprintf("%d qualities × %d tiles", avc.Qualities(), avc.Grid.Tiles()),
 		gb(tiledAVC), 1.0)
-	t.AddRow("tiling (SVC)", fmt.Sprintf("%d layers × %d tiles", svc.Qualities(), svc.Grid.Tiles()),
+	t.addRow("tiling (SVC)", fmt.Sprintf("%d layers × %d tiles", svc.Qualities(), svc.Grid.Tiles()),
 		gb(tiledSVC), float64(tiledSVC)/float64(tiledAVC))
-	t.AddRow("versioning (Oculus-style)", fmt.Sprintf("%d versions × %d qualities",
+	t.addRow("versioning (Oculus-style)", fmt.Sprintf("%d versions × %d qualities",
 		media.OculusScheme.Versions(), avc.Qualities()),
 		gb(versioned), media.OculusScheme.StorageRatio(avc))
 
@@ -60,7 +60,7 @@ func VersioningOverhead(seed int64) *Table {
 	// time the head crosses one of the 22 yaw cells (every ≈16.4°).
 	head := trace.Draw(seed, seed+5, trace.UserProfile{SpeedScale: 1}, avc.Duration)
 	delivered, switches := media.OculusScheme.SessionDelivery(avc, 4, head)
-	t.AddRow("versioning delivery (60s session)",
+	t.addRow("versioning delivery (60s session)",
 		fmt.Sprintf("%d version switches", switches),
 		gb(delivered), "—")
 	t.Notes = append(t.Notes,
@@ -68,10 +68,10 @@ func VersioningOverhead(seed int64) *Table {
 	return t
 }
 
-// Size360 reproduces the §1 claim that 360° videos are ≈5× larger than
+// size360 reproduces the §1 claim that 360° videos are ≈5× larger than
 // conventional videos at the same perceived quality, and the §3.4.1
 // live variant (4–5×).
-func Size360(seed int64) *Table {
+func size360(seed int64) *Table {
 	t := &Table{
 		ID:      "E11",
 		Title:   "§1/§3.4.1 — 360° vs conventional video size at equal perceived quality",
@@ -83,13 +83,13 @@ func Size360(seed int64) *Table {
 	}
 	fov := sphere.DefaultFoV
 	frac := fov.SphereFraction()
-	t.AddRow("FoV share of sphere", fmt.Sprintf("%.1f%%", frac*100))
-	t.AddRow("geometric ratio (sphere/FoV)", 1/frac)
+	t.addRow("FoV share of sphere", fmt.Sprintf("%.1f%%", frac*100))
+	t.addRow("geometric ratio (sphere/FoV)", 1/frac)
 	for _, p := range []sphere.Projection{sphere.Equirectangular{}, sphere.CubeMap{}} {
 		// Stored pixels inflate by the projection's oversampling; a
 		// conventional video stores the FoV at 1:1.
 		ratio := (1 / frac) / p.PixelEfficiency() * 1.0
-		t.AddRow(fmt.Sprintf("stored-pixel ratio (%s)", p.Name()), ratio)
+		t.addRow(fmt.Sprintf("stored-pixel ratio (%s)", p.Name()), ratio)
 	}
 	// Byte-level check with the rate model: panorama bytes per chunk vs a
 	// conventional video carrying only FoV-sized content at the same
@@ -98,6 +98,6 @@ func Size360(seed int64) *Table {
 	q := 4 // 1080p-equivalent
 	pan := v.PanoramaBytes(q, 0)
 	conventional := int64(float64(pan) * frac)
-	t.AddRow("rate-model ratio (panorama/FoV bytes)", float64(pan)/float64(conventional))
+	t.addRow("rate-model ratio (panorama/FoV bytes)", float64(pan)/float64(conventional))
 	return t
 }

@@ -12,8 +12,8 @@ import (
 )
 
 func init() {
-	register("E8", MultipathSchedulers)
-	register("E12", Table1Priorities)
+	register("E8", multipathSchedulers)
+	register("E12", table1Priorities)
 }
 
 // mpWorkload drives one scheduler through a 60-interval tiled-video
@@ -88,10 +88,10 @@ func runMultipath(seed int64, build func(clock *sim.Clock, wifi, lte *netem.Path
 	return st
 }
 
-// MultipathSchedulers reproduces §3.3's comparison: content-aware
+// multipathSchedulers reproduces §3.3's comparison: content-aware
 // multipath vs MPTCP-style content-agnostic splitting vs each single
 // path, on a WiFi+LTE pair with asymmetric quality.
-func MultipathSchedulers(seed int64) *Table {
+func multipathSchedulers(seed int64) *Table {
 	t := &Table{
 		ID:      "E8",
 		Title:   "§3.3 — multipath schedulers on WiFi (good) + LTE (lossy)",
@@ -125,7 +125,7 @@ func MultipathSchedulers(seed int64) *Table {
 	}
 	for _, b := range builders {
 		st := runMultipath(seed, b.build)
-		t.AddRow(b.name,
+		t.addRow(b.name,
 			fmt.Sprintf("%d/%d", st.fovMet, st.fovTotal),
 			fmt.Sprintf("%d/%d", st.urgentMet, st.urgents),
 			fmt.Sprintf("%d/%d", st.oosOK, st.oosTotal),
@@ -134,9 +134,9 @@ func MultipathSchedulers(seed int64) *Table {
 	return t
 }
 
-// Table1Priorities demonstrates Table 1: the spatial and temporal
+// table1Priorities demonstrates Table 1: the spatial and temporal
 // priority classes and the delivery order they induce under contention.
-func Table1Priorities(seed int64) *Table {
+func table1Priorities(seed int64) *Table {
 	t := &Table{
 		ID:      "E12",
 		Title:   "Table 1 — spatial & temporal priorities under contention",
@@ -188,7 +188,7 @@ func Table1Priorities(seed int64) *Table {
 		if b.delivered > 0 {
 			mean = b.lateSum / time.Duration(b.delivered)
 		}
-		t.AddRow(b.name, fmt.Sprintf("#%d", i+1),
+		t.addRow(b.name, fmt.Sprintf("#%d", i+1),
 			fmt.Sprintf("%d/%d", b.delivered, b.n),
 			mean.Round(time.Millisecond).String())
 	}

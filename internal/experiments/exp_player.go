@@ -11,15 +11,15 @@ import (
 )
 
 func init() {
-	register("E1", Figure5)
-	register("E13", FrameCacheDelta)
-	register("A3", AblationDecoderPool)
+	register("E1", figure5)
+	register("E13", frameCacheDelta)
+	register("A3", ablationDecoderPool)
 }
 
-// Figure5 reproduces Fig. 5: frames per second of the Sperke player on
+// figure5 reproduces Fig. 5: frames per second of the Sperke player on
 // an SGS7 with a 2K video and 2×4 tiles under the three rendering
 // configurations.
-func Figure5(seed int64) *Table {
+func figure5(seed int64) *Table {
 	t := &Table{
 		ID:      "E1",
 		Title:   "Figure 5 — player FPS on SGS7 (2K video, 2×4 tiles, 8 decoders)",
@@ -44,7 +44,7 @@ func Figure5(seed int64) *Table {
 		if err != nil {
 			panic(err)
 		}
-		t.AddRow(labels[cfgNum-1], fmt.Sprintf("%.0f", res.FPS), paper[cfgNum-1])
+		t.addRow(labels[cfgNum-1], fmt.Sprintf("%.0f", res.FPS), paper[cfgNum-1])
 	}
 	// The §3.5 comparison point: H.265's built-in tiles mechanism, which
 	// parallelizes within one decoder session but cannot skip non-FoV
@@ -57,7 +57,7 @@ func Figure5(seed int64) *Table {
 	if err != nil {
 		panic(err)
 	}
-	t.AddRow("(H.265 built-in tiles, for comparison)", fmt.Sprintf("%.0f", hevc.FPS), "outperformed")
+	t.addRow("(H.265 built-in tiles, for comparison)", fmt.Sprintf("%.0f", hevc.FPS), "outperformed")
 	return t
 }
 
@@ -65,10 +65,10 @@ func fig5HeadTrace(seed int64) *trace.HeadTrace {
 	return trace.Draw(seed, seed+1, trace.UserProfile{SpeedScale: 1}, 12*time.Second)
 }
 
-// FrameCacheDelta reproduces the §3.5 decoded-frame-cache claim: after
+// frameCacheDelta reproduces the §3.5 decoded-frame-cache claim: after
 // an inaccurate HMP, the FoV shifts by decoding only the delta tiles
 // instead of the whole view.
-func FrameCacheDelta(seed int64) *Table {
+func frameCacheDelta(seed int64) *Table {
 	t := &Table{
 		ID:      "E13",
 		Title:   "§3.5 — FoV shift cost with vs without the decoded-frame cache",
@@ -92,26 +92,26 @@ func FrameCacheDelta(seed int64) *Table {
 	warm.Put(player.FrameCacheKey{Tile: g.Tile(0, 2), Interval: 0, Quality: 3})
 	warm.Put(player.FrameCacheKey{Tile: g.Tile(1, 2), Interval: 0, Quality: 3})
 	res := warm.Shift(cfg, old, new, 0, 3)
-	t.AddRow("with frame cache (OOS pre-decoded)", res.DeltaTiles, res.Redecoded,
+	t.addRow("with frame cache (OOS pre-decoded)", res.DeltaTiles, res.Redecoded,
 		fmt.Sprintf("%.1f", float64(res.Stall.Microseconds())/1000))
 
 	// Without cache: every delta tile re-decodes synchronously.
 	cold := player.NewFrameCache(8)
 	res = cold.Shift(cfg, old, new, 0, 3)
-	t.AddRow("without frame cache", res.DeltaTiles, res.Redecoded,
+	t.addRow("without frame cache", res.DeltaTiles, res.Redecoded,
 		fmt.Sprintf("%.1f", float64(res.Stall.Microseconds())/1000))
 
 	// Worst case: the whole FoV re-decodes (cache disabled entirely, as
 	// in configuration 1).
 	res = cold.Shift(cfg, nil, new, 1, 3)
-	t.AddRow("re-decode entire FoV", res.DeltaTiles, res.Redecoded,
+	t.addRow("re-decode entire FoV", res.DeltaTiles, res.Redecoded,
 		fmt.Sprintf("%.1f", float64(res.Stall.Microseconds())/1000))
 	return t
 }
 
-// AblationDecoderPool sweeps the decoder-pool size for configuration 2
+// ablationDecoderPool sweeps the decoder-pool size for configuration 2
 // on both device profiles (§3.5: SGS5 has 8 decoders, SGS7 has 16).
-func AblationDecoderPool(seed int64) *Table {
+func ablationDecoderPool(seed int64) *Table {
 	t := &Table{
 		ID:      "A3",
 		Title:   "Ablation — parallel decoder count vs FPS (config 2)",
@@ -136,7 +136,7 @@ func AblationDecoderPool(seed int64) *Table {
 			if err != nil {
 				panic(err)
 			}
-			t.AddRow(dev.Name, n, fmt.Sprintf("%.0f", res.FPS))
+			t.addRow(dev.Name, n, fmt.Sprintf("%.0f", res.FPS))
 		}
 	}
 	return t

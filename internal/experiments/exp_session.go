@@ -14,9 +14,9 @@ import (
 )
 
 func init() {
-	register("E3", TilingSavings)
-	register("A1", AblationOOSRing)
-	register("E16", BandwidthSweep)
+	register("E3", tilingSavings)
+	register("A1", ablationOOSRing)
+	register("E16", bandwidthSweep)
 }
 
 // viewer is the suite's one simulated viewer: a single-path session
@@ -43,11 +43,11 @@ func (w viewer) run(seed int64, cfg core.Config) core.Report {
 	return s.Run()
 }
 
-// TilingSavings reproduces the §2 bandwidth-saving claims: tiled
+// tilingSavings reproduces the §2 bandwidth-saving claims: tiled
 // FoV-guided streaming vs FoV-agnostic full-panorama delivery, under
 // conservative and aggressive OOS policies and two viewer mobility
 // levels. Prior systems report 45% [16] and 60–80% [37].
-func TilingSavings(seed int64) *Table {
+func tilingSavings(seed int64) *Table {
 	t := &Table{
 		ID:      "E3",
 		Title:   "§2 — bandwidth saving of FoV-guided tiling vs FoV-agnostic delivery",
@@ -80,12 +80,12 @@ func TilingSavings(seed int64) *Table {
 			return w.run(seed, core.Config{Video: v, Mode: mode, OOS: oos, Algorithm: &abr.Fixed{Q: 4}}) // equal quality: compare bytes only
 		}
 		agnostic := run(core.FoVAgnostic, abr.OOSPolicy{})
-		t.AddRow("fov-agnostic (baseline)", vw.name,
+		t.addRow("fov-agnostic (baseline)", vw.name,
 			fmt.Sprintf("%.1f", float64(agnostic.BytesFetched)/1e6), "—", 0.0)
 		for _, p := range policies {
 			guided := run(core.FoVGuided, p.oos)
 			saving := 1 - float64(guided.BytesFetched)/float64(agnostic.BytesFetched)
-			t.AddRow(p.name, vw.name,
+			t.addRow(p.name, vw.name,
 				fmt.Sprintf("%.1f", float64(guided.BytesFetched)/1e6),
 				fmt.Sprintf("%.0f%%", saving*100),
 				guided.QoE.MeanQuality()-agnostic.QoE.MeanQuality())
@@ -94,9 +94,9 @@ func TilingSavings(seed int64) *Table {
 	return t
 }
 
-// AblationOOSRing sweeps the OOS ring width (§3.1.2 part two): wider
+// ablationOOSRing sweeps the OOS ring width (§3.1.2 part two): wider
 // rings waste bytes, narrower rings risk blanks and urgent corrections.
-func AblationOOSRing(seed int64) *Table {
+func ablationOOSRing(seed int64) *Table {
 	t := &Table{
 		ID:      "A1",
 		Title:   "Ablation — OOS ring width vs waste and robustness",
@@ -115,7 +115,7 @@ func AblationOOSRing(seed int64) *Table {
 			EnableUpgrades: true,
 		})
 		m := rep.QoE
-		t.AddRow(ring,
+		t.addRow(ring,
 			fmt.Sprintf("%.1f", float64(rep.BytesFetched)/1e6),
 			fmt.Sprintf("%.0f%%", m.WasteRatio()*100),
 			m.BlankTime.Round(time.Millisecond).String(),
@@ -125,11 +125,11 @@ func AblationOOSRing(seed int64) *Table {
 	return t
 }
 
-// BandwidthSweep produces the crossover figure the §2 argument implies:
+// bandwidthSweep produces the crossover figure the §2 argument implies:
 // mean FoV quality and stalls for FoV-guided vs FoV-agnostic delivery
 // as the access link shrinks. Guided streaming holds quality far longer
 // because the budget concentrates where the user looks.
-func BandwidthSweep(seed int64) *Table {
+func bandwidthSweep(seed int64) *Table {
 	t := &Table{
 		ID:      "E16",
 		Title:   "§2 — FoV quality vs link rate: FoV-guided vs FoV-agnostic",
@@ -146,7 +146,7 @@ func BandwidthSweep(seed int64) *Table {
 			rep := w.run(seed, core.Config{Video: v, Mode: mode})
 			row = append(row, rep.QoE.MeanQuality(), rep.QoE.Stalls)
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	return t
 }

@@ -37,8 +37,8 @@ type Table struct {
 	Notes   []string
 }
 
-// AddRow appends a formatted row; values are Sprint-ed.
-func (t *Table) AddRow(vals ...any) {
+// addRow appends a formatted row; values are Sprint-ed.
+func (t *Table) addRow(vals ...any) {
 	row := make([]string, len(vals))
 	for i, v := range vals {
 		switch x := v.(type) {
@@ -114,13 +114,13 @@ func writeCSVRow(w io.Writer, cells []string) {
 	fmt.Fprintln(w, strings.Join(out, ","))
 }
 
-// Runner produces one experiment's table from a seed.
-type Runner func(seed int64) *Table
+// runner produces one experiment's table from a seed.
+type runner func(seed int64) *Table
 
 // registry maps experiment IDs to runners.
-var registry = map[string]Runner{}
+var registry = map[string]runner{}
 
-func register(id string, r Runner) {
+func register(id string, r runner) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}

@@ -66,7 +66,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 func TestRenderFormatting(t *testing.T) {
 	tbl := &Table{ID: "X", Title: "demo", Columns: []string{"a", "bb"},
 		Notes: []string{"hello"}}
-	tbl.AddRow("v", 3.14159)
+	tbl.addRow("v", 3.14159)
 	var buf bytes.Buffer
 	tbl.Render(&buf)
 	out := buf.String()
@@ -198,7 +198,7 @@ func TestRunAllMatchesIDs(t *testing.T) {
 
 func TestRenderCSV(t *testing.T) {
 	tbl := &Table{ID: "X", Title: "demo", Columns: []string{"a", "b"}}
-	tbl.AddRow("plain", `has "quotes", commas`)
+	tbl.addRow("plain", `has "quotes", commas`)
 	var buf bytes.Buffer
 	tbl.RenderCSV(&buf)
 	out := buf.String()

@@ -19,85 +19,72 @@ import (
 	"sperke/internal/sim"
 )
 
-// Kind is the category of one fault event.
-type Kind int
+// kind is the category of one fault event.
+type kind int
 
 // Fault kinds.
 const (
-	// KindOutage blacks a path out: zero rate over the window, transfers
+	// kindOutage blacks a path out: zero rate over the window, transfers
 	// beginning inside it deferred (reliable) or lost (best-effort).
-	KindOutage Kind = iota
-	// KindCliff caps a path's bandwidth at BPS over the window.
-	KindCliff
-	// KindLossBurst raises a path's loss rate to Loss over the window.
-	KindLossBurst
-	// KindStall freezes a path's queue for Duration starting at At.
-	KindStall
-	// KindNodeOutage crashes a named cluster node at At and restarts it
+	kindOutage kind = iota
+	// kindCliff caps a path's bandwidth at BPS over the window.
+	kindCliff
+	// kindLossBurst raises a path's loss rate to Loss over the window.
+	kindLossBurst
+	// kindStall freezes a path's queue for Duration starting at At.
+	kindStall
+	// kindNodeOutage crashes a named cluster node at At and restarts it
 	// Duration later — the node-loss regime of the edge/origin tier.
-	// Node events are armed with ApplyNodes against a NodeTarget; Apply
+	// Node events are armed with ApplyNodes against a nodeTarget; Apply
 	// skips them (they name nodes, not netem paths).
-	KindNodeOutage
+	kindNodeOutage
 )
 
-var kindNames = map[Kind]string{
-	KindOutage:     "outage",
-	KindCliff:      "cliff",
-	KindLossBurst:  "loss",
-	KindStall:      "stall",
-	KindNodeOutage: "node",
+var kindNames = map[kind]string{
+	kindOutage:     "outage",
+	kindCliff:      "cliff",
+	kindLossBurst:  "loss",
+	kindStall:      "stall",
+	kindNodeOutage: "node",
 }
 
-func (k Kind) String() string {
+func (k kind) String() string {
 	if n, ok := kindNames[k]; ok {
 		return n
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Event is one timed fault.
-type Event struct {
-	Kind Kind
+// event is one timed fault.
+type event struct {
+	Kind kind
 	// Path names the target netem path; "*" (or empty) targets every
 	// path the plan is applied to.
 	Path string
 	// At is when the fault begins; Duration how long it lasts.
 	At       time.Duration
 	Duration time.Duration
-	// BPS is the capped rate during a KindCliff window.
+	// BPS is the capped rate during a kindCliff window.
 	BPS float64
-	// Loss is the loss probability during a KindLossBurst window.
+	// Loss is the loss probability during a kindLossBurst window.
 	Loss float64
 }
 
-func (e Event) matches(name string) bool {
+func (e event) matches(name string) bool {
 	return e.Path == "" || e.Path == "*" || e.Path == name
-}
-
-// NodeOutage builds a node-outage event: node crashes at `at` and
-// restarts at `recoverAt`. Validate rejects recoverAt <= at (model a
-// node that never returns with a recovery past the run's horizon).
-func NodeOutage(node string, at, recoverAt time.Duration) Event {
-	return Event{Kind: KindNodeOutage, Path: node, At: at, Duration: recoverAt - at}
 }
 
 // Plan is a script of fault events replayed against a set of paths.
 // Plans are deterministic: applying the same plan to the same paths on
 // the same clock seed reproduces the same chaos byte for byte.
 type Plan struct {
-	Events []Event
+	Events []event
 }
 
-// Add appends an event and returns the plan for chaining.
-func (p *Plan) Add(e Event) *Plan {
-	p.Events = append(p.Events, e)
-	return p
-}
-
-// Validate checks the plan is applicable: non-negative times, loss in
+// validate checks the plan is applicable: non-negative times, loss in
 // [0,1), positive durations for windowed faults, and no overlapping
 // loss bursts on one path (their restore events would race).
-func (p *Plan) Validate() error {
+func (p *Plan) validate() error {
 	for i, e := range p.Events {
 		if e.At < 0 {
 			return fmt.Errorf("faults: event %d starts at negative time %v", i, e.At)
@@ -105,17 +92,17 @@ func (p *Plan) Validate() error {
 		if e.Duration <= 0 {
 			return fmt.Errorf("faults: event %d has non-positive duration %v", i, e.Duration)
 		}
-		if e.Kind == KindLossBurst && (e.Loss < 0 || e.Loss >= 1) {
+		if e.Kind == kindLossBurst && (e.Loss < 0 || e.Loss >= 1) {
 			return fmt.Errorf("faults: event %d loss %v out of [0,1)", i, e.Loss)
 		}
-		if e.Kind == KindCliff && e.BPS < 0 {
+		if e.Kind == kindCliff && e.BPS < 0 {
 			return fmt.Errorf("faults: event %d negative cliff rate %v", i, e.BPS)
 		}
-		if e.Kind != KindLossBurst {
+		if e.Kind != kindLossBurst {
 			continue
 		}
 		for j, o := range p.Events[:i] {
-			if o.Kind == KindLossBurst && (o.matches(e.Path) || e.matches(o.Path)) &&
+			if o.Kind == kindLossBurst && (o.matches(e.Path) || e.matches(o.Path)) &&
 				e.At < o.At+o.Duration && o.At < e.At+e.Duration {
 				return fmt.Errorf("faults: loss bursts %d and %d overlap on path %q", j, i, e.Path)
 			}
@@ -130,11 +117,11 @@ func (p *Plan) Validate() error {
 // them; loss bursts and stalls are scheduled as clock events. Apply
 // must run before the clock advances past any event start.
 func (p *Plan) Apply(clock *sim.Clock, paths ...*netem.Path) error {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return err
 	}
 	for _, e := range p.Events {
-		if e.Kind == KindNodeOutage {
+		if e.Kind == kindNodeOutage {
 			// Node outages target cluster nodes, not netem paths; arm
 			// them against the cluster with ApplyNodes. Skipping (rather
 			// than erroring) lets one plan script both domains.
@@ -148,19 +135,19 @@ func (p *Plan) Apply(clock *sim.Clock, paths ...*netem.Path) error {
 			matched = true
 			end := e.At + e.Duration
 			switch e.Kind {
-			case KindOutage:
+			case kindOutage:
 				path.AddOutage(e.At, end)
 				path.SetTrace(path.Trace().Clamp(e.At, end, 0))
-			case KindCliff:
+			case kindCliff:
 				path.SetTrace(path.Trace().Clamp(e.At, end, e.BPS))
-			case KindLossBurst:
+			case kindLossBurst:
 				path, loss := path, e.Loss
 				clock.Schedule(e.At, func() {
 					old := path.Loss
 					path.Loss = loss
 					clock.Schedule(end, func() { path.Loss = old })
 				})
-			case KindStall:
+			case kindStall:
 				path, d := path, e.Duration
 				clock.Schedule(e.At, func() { path.Stall(d) })
 			default:
@@ -177,10 +164,10 @@ func (p *Plan) Apply(clock *sim.Clock, paths ...*netem.Path) error {
 	return nil
 }
 
-// NodeTarget is the surface node-outage events drive: a component —
+// nodeTarget is the surface node-outage events drive: a component —
 // canonically the edge/origin cluster — whose named nodes can crash
 // and recover. KillNode and RecoverNode must tolerate repeated calls.
-type NodeTarget interface {
+type nodeTarget interface {
 	// NodeNames lists the target's node names, for eager validation of
 	// the plan's node references.
 	NodeNames() []string
@@ -195,13 +182,13 @@ type NodeTarget interface {
 // events are skipped (arm those with Apply); a node event naming no
 // node of the target is an error, mirroring Apply's unmatched-path
 // check, and "*" (or empty) crashes every node.
-func (p *Plan) ApplyNodes(clock *sim.Clock, target NodeTarget) error {
-	if err := p.Validate(); err != nil {
+func (p *Plan) ApplyNodes(clock *sim.Clock, target nodeTarget) error {
+	if err := p.validate(); err != nil {
 		return err
 	}
 	names := target.NodeNames()
 	for _, e := range p.Events {
-		if e.Kind != KindNodeOutage {
+		if e.Kind != kindNodeOutage {
 			continue
 		}
 		matched := false
@@ -244,7 +231,7 @@ func Parse(spec string) (*Plan, error) {
 		if len(fields) < 4 {
 			return nil, fmt.Errorf("faults: event %q is not kind:path:at:duration[:param]", part)
 		}
-		var e Event
+		var e event
 		found := false
 		for k, n := range kindNames {
 			if n == fields[0] {
@@ -263,14 +250,14 @@ func Parse(spec string) (*Plan, error) {
 			return nil, fmt.Errorf("faults: event %q: %w", part, err)
 		}
 		switch {
-		case e.Kind == KindCliff:
+		case e.Kind == kindCliff:
 			if len(fields) != 5 {
 				return nil, fmt.Errorf("faults: cliff %q needs a rate", part)
 			}
 			if e.BPS, err = netem.ParseRate(fields[4]); err != nil {
 				return nil, fmt.Errorf("faults: event %q: %w", part, err)
 			}
-		case e.Kind == KindLossBurst:
+		case e.Kind == kindLossBurst:
 			if len(fields) != 5 {
 				return nil, fmt.Errorf("faults: loss %q needs a probability", part)
 			}
@@ -280,9 +267,9 @@ func Parse(spec string) (*Plan, error) {
 		case len(fields) != 4:
 			return nil, fmt.Errorf("faults: event %q takes no parameter", part)
 		}
-		plan.Add(e)
+		plan.Events = append(plan.Events, e)
 	}
-	if err := plan.Validate(); err != nil {
+	if err := plan.validate(); err != nil {
 		return nil, err
 	}
 	return plan, nil
@@ -298,41 +285,9 @@ func MustParse(spec string) *Plan {
 	return p
 }
 
-// Spec renders the plan back into Parse's format.
-func (p *Plan) Spec() string {
-	parts := make([]string, len(p.Events))
-	for i, e := range p.Events {
-		path := e.Path
-		if path == "" {
-			path = "*"
-		}
-		s := fmt.Sprintf("%s:%s:%s:%s", e.Kind, path, formatDur(e.At), formatDur(e.Duration))
-		switch e.Kind {
-		case KindCliff:
-			s += ":" + netem.FormatRate(e.BPS)
-		case KindLossBurst:
-			s += ":" + strconv.FormatFloat(e.Loss, 'f', -1, 64)
-		}
-		parts[i] = s
-	}
-	return strings.Join(parts, ",")
-}
-
-// Horizon returns the end time of the last fault in the plan — how long
-// a chaos run must last to replay everything.
-func (p *Plan) Horizon() time.Duration {
-	var h time.Duration
-	for _, e := range p.Events {
-		if end := e.At + e.Duration; end > h {
-			h = end
-		}
-	}
-	return h
-}
-
 // sortedKinds is used by tests to iterate kinds deterministically.
-func sortedKinds() []Kind {
-	ks := make([]Kind, 0, len(kindNames))
+func sortedKinds() []kind {
+	ks := make([]kind, 0, len(kindNames))
 	for k := range kindNames {
 		ks = append(ks, k)
 	}

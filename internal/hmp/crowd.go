@@ -236,12 +236,14 @@ type Fusion struct {
 	SpeedBound float64
 	// Context prunes the yaw range; nil imposes no pruning.
 	Context *trace.Context
-	// CrowdHorizon is where crowd weight reaches 1; 0 defaults to 2 s.
-	CrowdHorizon time.Duration
 
 	last trace.Sample
 	seen bool
 }
+
+// crowdHorizon is the prediction horizon at which Fusion's crowd weight
+// reaches 1.
+const crowdHorizon = 2 * time.Second
 
 // Name implements Predictor.
 func (f *Fusion) Name() string { return "fusion" }
@@ -268,11 +270,7 @@ func (f *Fusion) Predict(at time.Duration) Prediction {
 
 	// Blend toward the crowd as the horizon grows.
 	if f.Heatmap != nil && f.Heatmap.Intervals() > 0 {
-		ch := f.CrowdHorizon
-		if ch <= 0 {
-			ch = 2 * time.Second
-		}
-		w := horizon / ch.Seconds()
+		w := horizon / crowdHorizon.Seconds()
 		if w > 1 {
 			w = 1
 		}

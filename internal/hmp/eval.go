@@ -76,31 +76,6 @@ func insertionSort(a []float64) {
 	}
 }
 
-// EvaluateMany averages Evaluate across several traces (one per user).
-func EvaluateMany(newPred func() Predictor, hs []*trace.HeadTrace, fov sphere.FoV, horizon time.Duration) Accuracy {
-	var agg Accuracy
-	agg.Horizon = horizon
-	var wErr, wP90, wHit float64
-	for _, h := range hs {
-		a := Evaluate(newPred, h, fov, horizon)
-		if a.Samples == 0 {
-			continue
-		}
-		w := float64(a.Samples)
-		wErr += a.MeanError * w
-		wP90 += a.P90Error * w
-		wHit += a.HitRate * w
-		agg.Samples += a.Samples
-	}
-	if agg.Samples > 0 {
-		n := float64(agg.Samples)
-		agg.MeanError = wErr / n
-		agg.P90Error = wP90 / n
-		agg.HitRate = wHit / n
-	}
-	return agg
-}
-
 // LearnSpeedBound estimates a user's head-speed bound from their past
 // sessions (§3.2: "a user's head movement speed can be learned to bound
 // the latency requirement for fetching a distant tile"). It returns the

@@ -365,18 +365,6 @@ func TestEvaluateAccuracyFields(t *testing.T) {
 	}
 }
 
-func TestEvaluateManyAggregates(t *testing.T) {
-	hs := []*trace.HeadTrace{steadyYawTrace(10, 5*time.Second), steadyYawTrace(20, 5*time.Second)}
-	agg := EvaluateMany(func() Predictor { return &Static{} }, hs, sphere.DefaultFoV, 500*time.Millisecond)
-	if agg.Samples == 0 {
-		t.Fatal("no aggregate samples")
-	}
-	single := Evaluate(func() Predictor { return &Static{} }, hs[0], sphere.DefaultFoV, 500*time.Millisecond)
-	if agg.Samples <= single.Samples {
-		t.Fatal("aggregate did not include both traces")
-	}
-}
-
 func TestAccuracyDegradesWithHorizon(t *testing.T) {
 	// Fundamental property (§3.2): prediction gets harder further out.
 	rng := rand.New(rand.NewSource(31))

@@ -40,11 +40,11 @@ type CrowdLivePredictor struct {
 	TargetLatency time.Duration
 }
 
-// PredictContent returns the crowd's mean view direction for the given
+// predictContent returns the crowd's mean view direction for the given
 // content time, computed only from viewers who have already displayed
 // that content at the target's wall clock — i.e. those with strictly
 // lower latency. ok is false when no viewer is far enough ahead.
-func (c *CrowdLivePredictor) PredictContent(content time.Duration) (sphere.Orientation, bool) {
+func (c *CrowdLivePredictor) predictContent(content time.Duration) (sphere.Orientation, bool) {
 	var sum sphere.Vec3
 	n := 0
 	for _, v := range c.Ahead {
@@ -89,7 +89,7 @@ func LiveHMPAccuracy(pred *CrowdLivePredictor, target Viewer, fov sphere.FoV,
 		// predict their view at content+horizon.
 		actual := target.viewAtContent(content + horizon)
 		crowdHit := false
-		if cv, ok := pred.PredictContent(content + horizon); ok {
+		if cv, ok := pred.predictContent(content + horizon); ok {
 			crowdHit = sphere.AngularDistance(cv, actual) <= fov.Width/2
 		}
 		staticHit := sphere.AngularDistance(target.viewAtContent(content), actual) <= fov.Width/2

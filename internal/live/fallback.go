@@ -47,12 +47,12 @@ type HorizonPlan struct {
 	SpanDeg float64
 }
 
-// Fraction returns the uploaded share of the panorama.
-func (h HorizonPlan) Fraction() float64 { return h.SpanDeg / 360 }
+// fraction returns the uploaded share of the panorama.
+func (h HorizonPlan) fraction() float64 { return h.SpanDeg / 360 }
 
-// Covers reports whether a viewer looking at view sees only uploaded
+// covers reports whether a viewer looking at view sees only uploaded
 // content (their FoV falls inside the horizon).
-func (h HorizonPlan) Covers(view sphere.Orientation, fov sphere.FoV) bool {
+func (h HorizonPlan) covers(view sphere.Orientation, fov sphere.FoV) bool {
 	half := h.SpanDeg/2 - fov.Width/2
 	if half < 0 {
 		return false
@@ -145,7 +145,7 @@ func EvaluateFallback(mode UploadMode, plan HorizonPlan, uplinkFraction float64,
 		}
 		covered := 0
 		for _, v := range views {
-			if plan.Covers(v, fov) {
+			if plan.covers(v, fov) {
 				covered++
 			}
 		}

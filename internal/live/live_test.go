@@ -22,8 +22,8 @@ var unconstrained = Condition{Up: 0, Down: 0}
 func TestBaseLatencyOrdering(t *testing.T) {
 	// Table 2 row 1: Facebook < Periscope < YouTube, near 9.2/12.4/22.2s.
 	fb := cell(t, Facebook, unconstrained)
-	ps := cell(t, Periscope, unconstrained)
-	yt := cell(t, YouTube, unconstrained)
+	ps := cell(t, periscope, unconstrained)
+	yt := cell(t, youtube, unconstrained)
 	if !(fb.MeanLatency < ps.MeanLatency && ps.MeanLatency < yt.MeanLatency) {
 		t.Fatalf("ordering: fb=%v ps=%v yt=%v", fb.MeanLatency, ps.MeanLatency, yt.MeanLatency)
 	}
@@ -79,11 +79,11 @@ func TestMildUplinkConstraint(t *testing.T) {
 	// Table 2 row 2 (2 Mbps up): YouTube (ingest below the cap) is flat;
 	// Facebook rises slightly; Periscope rises more.
 	cond := Condition{Up: 2e6}
-	yt0, yt := cell(t, YouTube, unconstrained), cell(t, YouTube, cond)
+	yt0, yt := cell(t, youtube, unconstrained), cell(t, youtube, cond)
 	if d := (yt.MeanLatency - yt0.MeanLatency).Abs(); d > 2*time.Second {
 		t.Fatalf("YouTube at 2Mbps up moved %v, want ≈flat", d)
 	}
-	ps0, ps := cell(t, Periscope, unconstrained), cell(t, Periscope, cond)
+	ps0, ps := cell(t, periscope, unconstrained), cell(t, periscope, cond)
 	fb0, fb := cell(t, Facebook, unconstrained), cell(t, Facebook, cond)
 	psInfl := ps.MeanLatency - ps0.MeanLatency
 	fbInfl := fb.MeanLatency - fb0.MeanLatency
@@ -100,7 +100,7 @@ func TestConstrainedDownlinkAdaptationVsPush(t *testing.T) {
 	if fb.FinalQuality > 2e6 {
 		t.Fatalf("Facebook did not adapt below the 2Mbps link: %v", fb.FinalQuality)
 	}
-	ps0, ps := cell(t, Periscope, unconstrained), cell(t, Periscope, cond)
+	ps0, ps := cell(t, periscope, unconstrained), cell(t, periscope, cond)
 	fb0 := cell(t, Facebook, unconstrained)
 	if (ps.MeanLatency - ps0.MeanLatency) <= (fb.MeanLatency - fb0.MeanLatency) {
 		t.Fatalf("push platform should inflate more than adaptive one at 2Mbps down")
@@ -112,7 +112,7 @@ func TestSeverelyConstrainedDownlink(t *testing.T) {
 	// 144p ≈ 0.2Mbps) recovers; Facebook's 720p floor cannot fit and
 	// stalls accumulate.
 	cond := Condition{Down: 0.5e6}
-	yt := cell(t, YouTube, cond)
+	yt := cell(t, youtube, cond)
 	fb := cell(t, Facebook, cond)
 	if yt.FinalQuality > 0.5e6 {
 		t.Fatalf("YouTube final quality %v does not fit the link", yt.FinalQuality)
@@ -170,21 +170,21 @@ func TestPlanHorizonNarrowsWithUplink(t *testing.T) {
 func TestHorizonCovers(t *testing.T) {
 	plan := HorizonPlan{Center: sphere.Orientation{Yaw: 0}, SpanDeg: 180}
 	fov := sphere.FoV{Width: 100, Height: 90}
-	if !plan.Covers(sphere.Orientation{Yaw: 0}, fov) {
+	if !plan.covers(sphere.Orientation{Yaw: 0}, fov) {
 		t.Fatal("center view not covered")
 	}
-	if !plan.Covers(sphere.Orientation{Yaw: 39}, fov) {
+	if !plan.covers(sphere.Orientation{Yaw: 39}, fov) {
 		t.Fatal("inside-edge view not covered")
 	}
-	if plan.Covers(sphere.Orientation{Yaw: 41}, fov) {
+	if plan.covers(sphere.Orientation{Yaw: 41}, fov) {
 		t.Fatal("outside-edge view covered")
 	}
-	if plan.Covers(sphere.Orientation{Yaw: -180}, fov) {
+	if plan.covers(sphere.Orientation{Yaw: -180}, fov) {
 		t.Fatal("behind view covered")
 	}
 	// A span narrower than the FoV covers nothing fully.
 	slim := HorizonPlan{SpanDeg: 80}
-	if slim.Covers(sphere.Orientation{}, fov) {
+	if slim.covers(sphere.Orientation{}, fov) {
 		t.Fatal("80° span cannot cover a 100° FoV")
 	}
 }
@@ -261,11 +261,11 @@ func makeLiveViewers(t *testing.T, n int, dur time.Duration) ([]Viewer, *trace.A
 func TestCrowdLivePredictorUsesOnlyAheadViewers(t *testing.T) {
 	viewers, _ := makeLiveViewers(t, 10, 30*time.Second)
 	pred := &CrowdLivePredictor{Ahead: viewers, TargetLatency: 0}
-	if _, ok := pred.PredictContent(10 * time.Second); ok {
+	if _, ok := pred.predictContent(10 * time.Second); ok {
 		t.Fatal("predictor used viewers that are not ahead")
 	}
 	pred.TargetLatency = time.Hour
-	if _, ok := pred.PredictContent(10 * time.Second); !ok {
+	if _, ok := pred.predictContent(10 * time.Second); !ok {
 		t.Fatal("predictor found no ahead viewers despite all being ahead")
 	}
 }
@@ -360,8 +360,8 @@ func TestSpreadEmpty(t *testing.T) {
 
 func TestMeasureViewersMatchesSingleViewer(t *testing.T) {
 	// A population of one behaves exactly like Measure.
-	single := Measure(42, YouTube, Opts{Duration: time.Minute, Cond: Condition{Down: 2e6}}).Result
-	pop := MeasureViewers(42, YouTube, 0, []float64{2e6}, time.Minute)
+	single := Measure(42, youtube, Opts{Duration: time.Minute, Cond: Condition{Down: 2e6}}).Result
+	pop := MeasureViewers(42, youtube, 0, []float64{2e6}, time.Minute)
 	if len(pop) != 1 {
 		t.Fatal("population size")
 	}

@@ -83,7 +83,7 @@ func Measure(seed int64, p Platform, o Opts) Measurement {
 		if o.Cond.Up > 0 && o.Cond.Up < float64(p.IngestBitrate) {
 			switch fb.Mode {
 			case UploadSpatialFallback:
-				frac = fb.Plan.Fraction()
+				frac = fb.Plan.fraction()
 			case UploadQualityReduce:
 				// The re-encode is slightly below the link so it actually fits.
 				frac = o.Cond.Up / float64(p.IngestBitrate) * 0.95
@@ -112,10 +112,6 @@ func Measure(seed int64, p Platform, o Opts) Measurement {
 	var armFaults func(*sim.Clock, *netem.Path)
 	if cfg := o.Degrade; cfg != nil {
 		const pieceDur = 250 * time.Millisecond
-		deadline := cfg.PieceDeadline
-		if deadline <= 0 {
-			deadline = 2 * pieceDur
-		}
 		plan := cfg.Plan
 		if plan.SpanDeg <= 0 {
 			plan.SpanDeg = 180
@@ -125,7 +121,7 @@ func Measure(seed int64, p Platform, o Opts) Measurement {
 			clock:    clock,
 			br:       transport.NewBreaker(clock, cfg.Breaker),
 			plan:     plan,
-			deadline: deadline,
+			deadline: 2 * pieceDur,
 			obsReg:   cfg.Obs,
 			tracer:   tracer,
 		}

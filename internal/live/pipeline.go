@@ -240,15 +240,13 @@ func (v *viewerSim) finish() Result {
 // spatial fallback of §3.4.2: consecutive upload-piece timeouts trip
 // the breaker, and while it is not closed the broadcaster uploads only
 // the Plan's horizon share of the panorama, so an outage downgrades
-// quality rather than stalling the broadcast.
+// quality rather than stalling the broadcast. A piece whose upload takes
+// longer than two piece durations counts as a breaker failure.
 type DegradeConfig struct {
 	// Breaker tunes the uplink breaker (zero = defaults).
 	Breaker transport.BreakerConfig
 	// Plan is the horizon uploaded while degraded.
 	Plan HorizonPlan
-	// PieceDeadline is the upload time beyond which a piece counts as a
-	// breaker failure; 0 defaults to 2× the piece duration.
-	PieceDeadline time.Duration
 	// ArmFaults, when set, runs with the clock and the upload path
 	// before the broadcast starts — the hook fault plans attach through.
 	ArmFaults func(clock *sim.Clock, upload *netem.Path)
@@ -292,7 +290,7 @@ func (dg *degrader) pieceBytes(full int64) int64 {
 	}
 	dg.degradedPieces++
 	dg.obsReg.Counter("live.fallback.degraded_pieces").Inc()
-	b := int64(float64(full) * dg.plan.Fraction())
+	b := int64(float64(full) * dg.plan.fraction())
 	if b < 1 {
 		b = 1
 	}

@@ -72,9 +72,9 @@ var (
 		Prebuffer:      4 * time.Second,
 		DownLadder:     []media.Bitrate{1500 * media.Kbps, 2500 * media.Kbps}, // 720p, 1080p
 	}
-	// Periscope: RTMP up and RTMP push down, no download adaptation,
+	// periscope: RTMP up and RTMP push down, no download adaptation,
 	// generous buffering on both sides.
-	Periscope = Platform{
+	periscope = Platform{
 		Name:           "Periscope",
 		IngestBitrate:  2600 * media.Kbps,
 		UploadQueueCap: 8 * time.Second,
@@ -84,9 +84,9 @@ var (
 		PullBased:      false,
 		Prebuffer:      6 * time.Second,
 	}
-	// YouTube: RTMP up at a gentler rate, DASH down with six levels
+	// youtube: RTMP up at a gentler rate, DASH down with six levels
 	// (144p..1080p), big segments and deep player buffer.
-	YouTube = Platform{
+	youtube = Platform{
 		Name:           "YouTube",
 		IngestBitrate:  1800 * media.Kbps,
 		UploadQueueCap: 2500 * time.Millisecond,
@@ -129,7 +129,7 @@ var SperkeLive = Platform{
 
 // Platforms lists the three profiled services in Table 2's column
 // order.
-var Platforms = []Platform{Facebook, Periscope, YouTube}
+var Platforms = []Platform{Facebook, periscope, youtube}
 
 // Condition is one row of Table 2: upload and download bandwidth caps
 // in bits/s (0 = unlimited).

@@ -55,11 +55,11 @@ const (
 	// realistic chunk and small enough to reject corrupt length fields
 	// before allocating.
 	MaxPayloadLen = 64 << 20
-	// MaxSegmentTime is the largest Start or Duration the wire format
+	// maxSegmentTime is the largest Start or Duration the wire format
 	// can carry: both travel as uint32 milliseconds, so anything past
 	// ~49.7 days would silently wrap and fail to round-trip through
 	// ReadSegment. validateSegment rejects it instead.
-	MaxSegmentTime = time.Duration(math.MaxUint32) * time.Millisecond
+	maxSegmentTime = time.Duration(math.MaxUint32) * time.Millisecond
 )
 
 // A block boundary must fall on a word of the generator (see
@@ -101,11 +101,11 @@ func validateSegment(h SegmentHeader, payloadLen int) error {
 	if h.Tile < 0 || h.Tile > 0xffff {
 		return fmt.Errorf("media: tile %d out of range", h.Tile)
 	}
-	if h.Start < 0 || h.Start > MaxSegmentTime {
-		return fmt.Errorf("media: start %v outside [0, %v]", h.Start, MaxSegmentTime)
+	if h.Start < 0 || h.Start > maxSegmentTime {
+		return fmt.Errorf("media: start %v outside [0, %v]", h.Start, maxSegmentTime)
 	}
-	if h.Duration < 0 || h.Duration > MaxSegmentTime {
-		return fmt.Errorf("media: duration %v outside [0, %v]", h.Duration, MaxSegmentTime)
+	if h.Duration < 0 || h.Duration > maxSegmentTime {
+		return fmt.Errorf("media: duration %v outside [0, %v]", h.Duration, maxSegmentTime)
 	}
 	return nil
 }

@@ -276,7 +276,8 @@ func TestVersioningStorageExceedsTiling(t *testing.T) {
 
 func TestVersioningDeliverySmallerThanPanorama(t *testing.T) {
 	v := testVideo(EncodingAVC)
-	d := OculusScheme.DeliveryBytes(v, 4, 0)
+	// A versioning viewer is delivered exactly one version per interval.
+	d := OculusScheme.versionBytes(v, 4, 0)
 	p := v.PanoramaBytes(4, 0)
 	if d >= p {
 		t.Fatalf("versioning delivery %d not below full panorama %d", d, p)
@@ -285,17 +286,17 @@ func TestVersioningDeliverySmallerThanPanorama(t *testing.T) {
 
 func TestVersionForCells(t *testing.T) {
 	s := OculusScheme // 22 × 4
-	y0, p0 := s.VersionFor(sphere.Orientation{Yaw: -180, Pitch: -90})
+	y0, p0 := s.versionFor(sphere.Orientation{Yaw: -180, Pitch: -90})
 	if y0 != 0 || p0 != 0 {
 		t.Fatalf("corner cell = (%d,%d)", y0, p0)
 	}
-	yMax, pMax := s.VersionFor(sphere.Orientation{Yaw: 179.9, Pitch: 90})
+	yMax, pMax := s.versionFor(sphere.Orientation{Yaw: 179.9, Pitch: 90})
 	if yMax != 21 || pMax != 3 {
 		t.Fatalf("far corner = (%d,%d), want (21,3)", yMax, pMax)
 	}
 	// A yaw boundary sits every 360/22 ≈ 16.36°.
-	a, _ := s.VersionFor(sphere.Orientation{Yaw: 0})
-	b, _ := s.VersionFor(sphere.Orientation{Yaw: 17})
+	a, _ := s.versionFor(sphere.Orientation{Yaw: 0})
+	b, _ := s.versionFor(sphere.Orientation{Yaw: 17})
 	if a == b {
 		t.Fatal("17° of yaw did not cross a version boundary")
 	}

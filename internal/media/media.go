@@ -25,12 +25,12 @@ type Bitrate float64
 // Convenience constructors for readable ladders.
 const (
 	Kbps Bitrate = 1e3
-	Mbps Bitrate = 1e6
+	mbps Bitrate = 1e6
 )
 
 func (b Bitrate) String() string {
 	switch {
-	case b >= Mbps:
+	case b >= mbps:
 		return fmt.Sprintf("%.2fMbps", float64(b)/1e6)
 	case b >= Kbps:
 		return fmt.Sprintf("%.1fKbps", float64(b)/1e3)
@@ -101,10 +101,10 @@ func (e Encoding) String() string {
 	return "AVC"
 }
 
-// DefaultSVCOverhead is the per-layer size inflation of SVC relative to
+// svcOverhead is the per-layer size inflation of SVC relative to
 // single-layer AVC at the same quality — around 10% per layer in the
 // H.264/SVC literature the paper builds on [12, 31].
-const DefaultSVCOverhead = 0.10
+const svcOverhead = 0.10
 
 // Video describes one panoramic title: its temporal and spatial
 // chunking (Fig. 2) and its encoding. ProjectionName is informational
@@ -118,9 +118,6 @@ type Video struct {
 	ProjectionName string
 	Ladder         []QualityLevel
 	Encoding       Encoding
-	// SVCOverhead is the per-layer inflation; zero means
-	// DefaultSVCOverhead when Encoding is SVC.
-	SVCOverhead float64
 }
 
 // Validate reports structural problems with the video description.
@@ -162,14 +159,6 @@ func (v *Video) ChunkStart(i int) time.Duration {
 	return time.Duration(i) * v.ChunkDuration
 }
 
-// svcOverhead returns the effective per-layer overhead.
-func (v *Video) svcOverhead() float64 {
-	if v.SVCOverhead > 0 {
-		return v.SVCOverhead
-	}
-	return DefaultSVCOverhead
-}
-
 // fnv64 is an incremental FNV-1a fold with typed mixers, the source of
 // all per-video "content" randomness. The typed methods (rather than a
 // variadic ...any signature) matter: ChunkBytes hashes on every chunk
@@ -200,11 +189,11 @@ func (h fnv64) num(x int64) fnv64 {
 // unit maps a hash to [0,1).
 func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
 
-// TileComplexity returns the relative coding complexity of a tile in
+// tileComplexity returns the relative coding complexity of a tile in
 // [0.6, 1.4], mean ≈ 1 across tiles. Sky tiles compress better than
 // action tiles; the exact map is a deterministic function of the video
 // ID so experiments are reproducible.
-func (v *Video) TileComplexity(tile tiling.TileID) float64 {
+func (v *Video) tileComplexity(tile tiling.TileID) float64 {
 	return 0.6 + 0.8*unit(uint64(newFNV64().str(v.ID).str("tile").num(int64(tile))))
 }
 
@@ -228,7 +217,7 @@ func (v *Video) ChunkBytes(q int, tile tiling.TileID, start time.Duration) int64
 	}
 	mean := float64(v.Ladder[q].Bitrate) * dur.Seconds() / 8 / float64(v.Grid.Tiles())
 	idx := int(start / v.ChunkDuration)
-	size := mean * v.TileComplexity(tile) * v.chunkVariation(idx)
+	size := mean * v.tileComplexity(tile) * v.chunkVariation(idx)
 	if size < 1 {
 		size = 1
 	}
@@ -262,7 +251,7 @@ func (v *Video) LayerBytes(layer int, tile tiling.TileID, start time.Duration) i
 	if delta < 0 {
 		delta = 0
 	}
-	return int64(float64(delta) * (1 + v.svcOverhead()))
+	return int64(float64(delta) * (1 + svcOverhead))
 }
 
 // CumulativeLayerBytes returns the total bytes needed to play the

@@ -35,7 +35,7 @@ func TestVideoValidate(t *testing.T) {
 		t.Fatal("zero chunk duration accepted")
 	}
 	bad = *v
-	bad.Ladder = []QualityLevel{{Bitrate: 2 * Mbps}, {Bitrate: 1 * Mbps}}
+	bad.Ladder = []QualityLevel{{Bitrate: 2 * mbps}, {Bitrate: 1 * mbps}}
 	if bad.Validate() == nil {
 		t.Fatal("non-increasing ladder accepted")
 	}
@@ -123,7 +123,7 @@ func TestTileComplexityMeanNearOne(t *testing.T) {
 	var sum float64
 	n := v.Grid.Tiles()
 	for tile := tiling.TileID(0); int(tile) < n; tile++ {
-		c := v.TileComplexity(tile)
+		c := v.tileComplexity(tile)
 		if c < 0.6 || c > 1.4 {
 			t.Fatalf("complexity %v out of [0.6,1.4]", c)
 		}
@@ -156,7 +156,7 @@ func TestSVCLayerInvariants(t *testing.T) {
 			t.Fatalf("SVC cumulative %d at q%d should exceed AVC %d (overhead)", cum, q, avc)
 		}
 		// But not by more than ~overhead per layer.
-		if float64(cum) > float64(avc)*(1+DefaultSVCOverhead)*1.05 {
+		if float64(cum) > float64(avc)*(1+svcOverhead)*1.05 {
 			t.Fatalf("SVC cumulative %d at q%d exceeds AVC %d by more than overhead bound", cum, q, avc)
 		}
 	}
@@ -249,7 +249,7 @@ func TestBitrateString(t *testing.T) {
 }
 
 func TestBitrateBytesIn(t *testing.T) {
-	if got := (8 * Mbps).BytesIn(time.Second); got != 1e6 {
+	if got := (8 * mbps).BytesIn(time.Second); got != 1e6 {
 		t.Fatalf("8Mbps over 1s = %d bytes, want 1e6", got)
 	}
 }

@@ -35,10 +35,10 @@ var OculusScheme = VersionScheme{
 // Versions returns the number of stored versions per quality level.
 func (s VersionScheme) Versions() int { return s.YawVersions * s.PitchVersions }
 
-// VersionBytes returns the stored size of one version of one chunk
+// versionBytes returns the stored size of one version of one chunk
 // interval at quality q: the HQ region at full rate plus the rest
 // downgraded.
-func (s VersionScheme) VersionBytes(v *Video, q int, start time.Duration) int64 {
+func (s VersionScheme) versionBytes(v *Video, q int, start time.Duration) int64 {
 	pan := float64(v.PanoramaBytes(q, start))
 	return int64(pan*s.HQFraction + pan*(1-s.HQFraction)*s.LQFactor)
 }
@@ -52,16 +52,10 @@ func (s VersionScheme) StorageBytes(v *Video) int64 {
 	for i := 0; i < v.NumChunks(); i++ {
 		start := v.ChunkStart(i)
 		for q := 0; q < len(v.Ladder); q++ {
-			sum += s.VersionBytes(v, q, start) * int64(s.Versions())
+			sum += s.versionBytes(v, q, start) * int64(s.Versions())
 		}
 	}
 	return sum
-}
-
-// DeliveryBytes returns the bytes delivered for one chunk interval when
-// the viewer watches via versioning: exactly one version.
-func (s VersionScheme) DeliveryBytes(v *Video, q int, start time.Duration) int64 {
-	return s.VersionBytes(v, q, start)
 }
 
 // StorageRatio returns versioning storage divided by tiling storage for
@@ -74,10 +68,10 @@ func (s VersionScheme) StorageRatio(v *Video) float64 {
 	return float64(s.StorageBytes(v)) / float64(t)
 }
 
-// VersionFor returns the (yaw, pitch) version cell a viewing direction
+// versionFor returns the (yaw, pitch) version cell a viewing direction
 // selects: versioning players pick the stored version whose high-quality
 // region faces the viewer (§2).
-func (s VersionScheme) VersionFor(o sphere.Orientation) (yawIdx, pitchIdx int) {
+func (s VersionScheme) versionFor(o sphere.Orientation) (yawIdx, pitchIdx int) {
 	o = o.Normalized()
 	yawIdx = int((o.Yaw + 180) / 360 * float64(s.YawVersions))
 	if yawIdx >= s.YawVersions {
@@ -103,13 +97,13 @@ func (s VersionScheme) SessionDelivery(v *Video, q int, head *trace.HeadTrace) (
 		cell := [2]int{-1, -1}
 		for k := 0; k < probes; k++ {
 			ts := start + time.Duration(k)*v.ChunkDuration/probes
-			y, p := s.VersionFor(head.At(ts))
+			y, p := s.versionFor(head.At(ts))
 			if y != cell[0] || p != cell[1] {
 				if cell[0] >= 0 {
 					switches++
 				}
 				cell = [2]int{y, p}
-				bytes += s.VersionBytes(v, q, start)
+				bytes += s.versionBytes(v, q, start)
 			}
 		}
 	}

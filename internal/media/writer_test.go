@@ -280,8 +280,8 @@ func TestSegmentTimeBoundsRejected(t *testing.T) {
 	bad := []SegmentHeader{
 		{VideoID: "x", Duration: -time.Second},
 		{VideoID: "x", Start: -time.Millisecond},
-		{VideoID: "x", Start: MaxSegmentTime + time.Millisecond},
-		{VideoID: "x", Duration: MaxSegmentTime + time.Millisecond},
+		{VideoID: "x", Start: maxSegmentTime + time.Millisecond},
+		{VideoID: "x", Duration: maxSegmentTime + time.Millisecond},
 	}
 	for i, h := range bad {
 		if err := WriteSegment(io.Discard, h, nil); err == nil {
@@ -293,7 +293,7 @@ func TestSegmentTimeBoundsRejected(t *testing.T) {
 	}
 
 	// The boundary itself is representable and must round-trip exactly.
-	h := SegmentHeader{VideoID: "x", Start: MaxSegmentTime, Duration: MaxSegmentTime}
+	h := SegmentHeader{VideoID: "x", Start: maxSegmentTime, Duration: maxSegmentTime}
 	var buf bytes.Buffer
 	if err := WriteSegment(&buf, h, []byte("p")); err != nil {
 		t.Fatalf("max segment time rejected: %v", err)
@@ -302,7 +302,7 @@ func TestSegmentTimeBoundsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Start != MaxSegmentTime || got.Duration != MaxSegmentTime {
+	if got.Start != maxSegmentTime || got.Duration != maxSegmentTime {
 		t.Fatalf("boundary did not round-trip: %+v", got)
 	}
 }

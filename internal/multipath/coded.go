@@ -8,14 +8,14 @@ import (
 	"sperke/internal/transport"
 )
 
-// Coded explores the transport-layer primitive §3.3 closes with:
+// coded explores the transport-layer primitive §3.3 closes with:
 // network-coding-style redundancy [22]. Each chunk is split into K
 // equal fragments plus R coded repair fragments; fragments are sprayed
 // across all paths round-robin, and the chunk completes as soon as any
 // K fragments arrive. Against a lossy or momentarily-slow path this
 // buys deadline robustness for a bounded bandwidth overhead R/K —
 // without the full duplication of ContentAware.DuplicateUrgent.
-type Coded struct {
+type coded struct {
 	Paths []*netem.Path
 	Clock obs.Clock
 	// DataFragments (K) and RepairFragments (R); zero values default to
@@ -23,22 +23,17 @@ type Coded struct {
 	DataFragments, RepairFragments int
 }
 
-// NewCoded builds the scheduler over the given paths.
-func NewCoded(clock obs.Clock, paths ...*netem.Path) *Coded {
-	return &Coded{Paths: paths, Clock: clock}
-}
-
 // Name implements transport.Scheduler.
-func (c *Coded) Name() string { return "coded" }
+func (c *coded) Name() string { return "coded" }
 
-func (c *Coded) k() int {
+func (c *coded) k() int {
 	if c.DataFragments <= 0 {
 		return 4
 	}
 	return c.DataFragments
 }
 
-func (c *Coded) r() int {
+func (c *coded) r() int {
 	if c.RepairFragments < 0 {
 		return 0
 	}
@@ -51,7 +46,7 @@ func (c *Coded) r() int {
 // Submit implements transport.Scheduler. Fragments are sent
 // best-effort: the code, not retransmission, provides reliability —
 // that is the point of the primitive.
-func (c *Coded) Submit(req *transport.Request) {
+func (c *coded) Submit(req *transport.Request) {
 	if len(c.Paths) == 0 {
 		return
 	}

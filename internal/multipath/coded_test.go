@@ -13,7 +13,7 @@ func TestCodedDeliversOnCleanPaths(t *testing.T) {
 	clock := sim.NewClock(1)
 	a := netem.NewPath(clock, "a", netem.Constant(8e6), 5*time.Millisecond, 0)
 	b := netem.NewPath(clock, "b", netem.Constant(8e6), 5*time.Millisecond, 0)
-	c := NewCoded(clock, a, b)
+	c := &coded{Clock: clock, Paths: []*netem.Path{a, b}}
 	var d netem.Delivery
 	calls := 0
 	c.Submit(mkReq(1, transport.ClassFoV, false, 1e6, time.Minute, func(x netem.Delivery, ok bool) {
@@ -43,7 +43,7 @@ func TestCodedSurvivesFragmentLoss(t *testing.T) {
 	clock := sim.NewClock(3)
 	lossy := netem.NewPath(clock, "lossy", netem.Constant(50e6), 0, 0.05)
 	clean := netem.NewPath(clock, "clean", netem.Constant(50e6), 0, 0)
-	c := NewCoded(clock, clean, lossy)
+	c := &coded{Clock: clock, Paths: []*netem.Path{clean, lossy}}
 	c.DataFragments, c.RepairFragments = 4, 2
 	oks, losses := 0, 0
 	for i := 0; i < 100; i++ {
@@ -71,7 +71,7 @@ func TestCodedReportsLossWhenCodeInsufficient(t *testing.T) {
 	// and report OK=false exactly once.
 	clock := sim.NewClock(7)
 	lossy := netem.NewPath(clock, "lossy", netem.Constant(50e6), 0, 0.3)
-	c := NewCoded(clock, lossy)
+	c := &coded{Clock: clock, Paths: []*netem.Path{lossy}}
 	c.DataFragments, c.RepairFragments = 4, 0
 	calls, losses := 0, 0
 	for i := 0; i < 50; i++ {
@@ -94,7 +94,7 @@ func TestCodedReportsLossWhenCodeInsufficient(t *testing.T) {
 func TestCodedRedundancyOverheadBounded(t *testing.T) {
 	clock := sim.NewClock(1)
 	a := netem.NewPath(clock, "a", netem.Constant(100e6), 0, 0)
-	c := NewCoded(clock, a)
+	c := &coded{Clock: clock, Paths: []*netem.Path{a}}
 	c.DataFragments, c.RepairFragments = 4, 1
 	c.Submit(mkReq(1, transport.ClassFoV, false, 1_000_000, time.Hour, nil))
 	clock.Run()
@@ -108,7 +108,7 @@ func TestCodedRedundancyOverheadBounded(t *testing.T) {
 }
 
 func TestCodedDefaults(t *testing.T) {
-	c := &Coded{}
+	c := &coded{}
 	if c.k() != 4 || c.r() != 1 {
 		t.Fatalf("defaults K=%d R=%d, want 4/1", c.k(), c.r())
 	}

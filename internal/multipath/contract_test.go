@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"sperke/internal/netem"
 	"sperke/internal/sim"
 	"sperke/internal/transport"
 	"sperke/internal/transport/transporttest"
@@ -48,7 +49,7 @@ func TestOnDoneContract(t *testing.T) {
 		},
 		"coded": func(c *sim.Clock) transport.Scheduler {
 			wifi, lte := twoPaths(c)
-			return NewCoded(c, wifi, lte)
+			return &coded{Clock: c, Paths: []*netem.Path{wifi, lte}}
 		},
 	} {
 		t.Run(name, func(t *testing.T) { transporttest.CheckOnDoneContract(t, 3, subs, mk) })

@@ -31,10 +31,11 @@ import (
 type MPTCPLike struct {
 	Paths []*netem.Path
 	Clock obs.Clock
-	// ReorderPenalty scales the skew between the fastest and slowest
-	// subflow into reassembly delay; 0 defaults to 0.25.
-	ReorderPenalty float64
 }
+
+// reorderPenalty scales the skew between MPTCPLike's fastest and slowest
+// subflow into reassembly delay.
+const reorderPenalty = 0.25
 
 // NewMPTCPLike builds the baseline over the given paths.
 func NewMPTCPLike(clock obs.Clock, paths ...*netem.Path) *MPTCPLike {
@@ -59,10 +60,6 @@ func (m *MPTCPLike) Submit(r *transport.Request) {
 			rates[i] = 1
 		}
 		total += rates[i]
-	}
-	penalty := m.ReorderPenalty
-	if penalty <= 0 {
-		penalty = 0.25
 	}
 	remaining := len(m.Paths)
 	var firstDone, lastDone time.Duration
@@ -92,7 +89,7 @@ func (m *MPTCPLike) Submit(r *transport.Request) {
 			remaining--
 			if remaining == 0 && r.OnDone != nil {
 				skew := lastDone - firstDone
-				done := lastDone + time.Duration(float64(skew)*penalty)
+				done := lastDone + time.Duration(float64(skew)*reorderPenalty)
 				r.OnDone(netem.Delivery{
 					Start: start, Done: done, Bytes: r.Bytes, OK: allOK,
 				}, done <= r.Deadline)
@@ -242,13 +239,4 @@ func (c *ContentAware) pump(idx int) {
 		}
 		c.pump(idx)
 	})
-}
-
-// Pending returns queued requests across all paths.
-func (c *ContentAware) Pending() int {
-	n := 0
-	for i := range c.queues {
-		n += c.queues[i].Len()
-	}
-	return n
 }

@@ -144,7 +144,7 @@ func TestClampCarvesWindow(t *testing.T) {
 	// A transfer starting in the window finishes against the clamped
 	// schedule: 1 Mbit capacity in the remaining 1s of window, the rest
 	// at 8 Mbit/s.
-	fin := tr.FinishTime(3*time.Second, 1e6) // 8 Mbit total
+	fin := tr.finishTime(3*time.Second, 1e6) // 8 Mbit total
 	want := 4*time.Second + time.Duration(float64(8e6-1e6)/8e6*float64(time.Second))
 	if diff := fin - want; diff < -time.Millisecond || diff > time.Millisecond {
 		t.Fatalf("FinishTime = %v, want ~%v", fin, want)
@@ -157,7 +157,7 @@ func TestClampZeroMakesBlackout(t *testing.T) {
 		t.Fatal("window not blacked out")
 	}
 	// A transfer spanning the blackout stalls through it.
-	fin := tr.FinishTime(0, 2e6) // 16 Mbit: 8 Mbit by 1s, stall, rest after 2s
+	fin := tr.finishTime(0, 2e6) // 16 Mbit: 8 Mbit by 1s, stall, rest after 2s
 	if fin != 3*time.Second {
 		t.Fatalf("FinishTime = %v, want 3s", fin)
 	}

@@ -63,18 +63,17 @@ type Path struct {
 	inFlight   int
 	bytesMoved int64
 	outages    []outage
-	free       *transfer // arrived and cancelled transfers, for the next Transfer to reuse
+	free       *transfer // arrived transfers, for the next Transfer to reuse
 }
 
 // transfer is one transfer on its way: what its arrival has to report.
 // A path schedules every arrival as the record's arrive method value,
-// bound once, and takes the record back when it fires or is cancelled,
-// so a client that fetches one chunk after another goes through the
-// same record instead of building a closure per fetch.
+// bound once, and takes the record back when it fires, so a client
+// that fetches one chunk after another goes through the same record
+// instead of building a closure per fetch.
 type transfer struct {
 	p          *Path
 	arrive     func()
-	ev         sim.Event // the pending arrival; zero while the record is free
 	now, start time.Duration
 	bytes      int64
 	ok         bool
@@ -82,31 +81,8 @@ type transfer struct {
 	next       *transfer
 }
 
-// Handle refers to one transfer submitted to a Path. The zero Handle
-// refers to nothing.
-type Handle struct {
-	t  *transfer
-	ev sim.Event
-}
-
-// Cancel withdraws a transfer that has not arrived yet: done is never
-// called and the transfer leaves InFlight without counting towards
-// BytesMoved. The link time its bytes reserved stays reserved — a
-// transfer submitted afterwards still queues behind where the cancelled
-// one would have finished, as bytes already handed to a TCP connection
-// are not recalled. Cancelling after arrival, or twice, is a no-op.
-func (h Handle) Cancel() {
-	t := h.t
-	if t == nil || t.ev != h.ev {
-		return // arrived or cancelled, and the record may be another transfer's by now
-	}
-	h.ev.Cancel()
-	t.p.inFlight--
-	t.release()
-}
-
 // schedule delivers the outcome to done at the given virtual time.
-func (p *Path) schedule(at, now, start time.Duration, bytes int64, ok bool, done func(Delivery)) Handle {
+func (p *Path) schedule(at, now, start time.Duration, bytes int64, ok bool, done func(Delivery)) {
 	t := p.free
 	if t == nil {
 		t = &transfer{p: p}
@@ -116,13 +92,12 @@ func (p *Path) schedule(at, now, start time.Duration, bytes int64, ok bool, done
 	}
 	p.inFlight++
 	t.now, t.start, t.bytes, t.ok, t.done = now, start, bytes, ok, done
-	t.ev = p.clock.Schedule(at, t.arrive)
-	return Handle{t: t, ev: t.ev}
+	p.clock.Schedule(at, t.arrive)
 }
 
 // release puts the record back on its path's free list.
 func (t *transfer) release() {
-	t.ev, t.done = sim.Event{}, nil
+	t.done = nil
 	t.next, t.p.free = t.p.free, t
 }
 
@@ -225,20 +200,10 @@ func (p *Path) InFlight() int { return p.inFlight }
 // BytesMoved reports the total bytes this path has delivered.
 func (p *Path) BytesMoved() int64 { return p.bytesMoved }
 
-// QueueDelay reports how long a transfer submitted now would wait before
-// its first byte is serviced — the signal multipath schedulers use to
-// pick the less-backed-up path.
-func (p *Path) QueueDelay() time.Duration {
-	if p.freeAt <= p.clock.Now() {
-		return 0
-	}
-	return p.freeAt - p.clock.Now()
-}
-
 // Transfer submits bytes for delivery with the given QoS and calls done
-// with the outcome when the transfer completes (or is dropped). The
-// returned handle cancels a transfer still on its way. done may be nil.
-func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) Handle {
+// with the outcome when the transfer completes (or is dropped). done may
+// be nil.
+func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) {
 	now := p.clock.Now()
 	start := now
 	if p.freeAt > start {
@@ -248,7 +213,8 @@ func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) Handle {
 		if qos == BestEffort {
 			// The datagram burst enters a dead path and vanishes; the
 			// sender learns of the loss once the window has passed.
-			return p.schedule(end, now, start, bytes, false, done)
+			p.schedule(end, now, start, bytes, false, done)
+			return
 		}
 		// Reliable transfers retransmit until the path heals: service
 		// begins at the window's end.
@@ -260,9 +226,9 @@ func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) Handle {
 	case p.trace == nil || math.IsInf(rate, 1):
 		finish = start
 	case qos == Reliable:
-		finish = p.trace.FinishTime(start, p.inflate(bytes))
+		finish = p.trace.finishTime(start, p.inflate(bytes))
 	default:
-		finish = p.trace.FinishTime(start, bytes)
+		finish = p.trace.finishTime(start, bytes)
 	}
 	p.freeAt = finish
 
@@ -278,7 +244,7 @@ func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) Handle {
 	if p.Jitter > 0 {
 		arrival += time.Duration(p.clock.RNG("jitter:" + p.Name).Int63n(int64(p.Jitter)))
 	}
-	return p.schedule(arrival, now, start, bytes, ok, done)
+	p.schedule(arrival, now, start, bytes, ok, done)
 }
 
 // EstimateTransferTime predicts how long a reliable transfer of bytes
@@ -296,7 +262,7 @@ func (p *Path) EstimateTransferTime(bytes int64) time.Duration {
 	if p.trace == nil {
 		return start - now + p.Latency
 	}
-	finish := p.trace.FinishTime(start, p.inflate(bytes))
+	finish := p.trace.finishTime(start, p.inflate(bytes))
 	return finish - now + p.Latency
 }
 

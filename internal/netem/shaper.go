@@ -87,10 +87,3 @@ func (c *RateLimitedConn) waitFor(n int) {
 		c.sleep(wait)
 	}
 }
-
-// SetRate changes the shaping rate at runtime (bits/s; <=0 unlimited).
-func (c *RateLimitedConn) SetRate(bps float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bps = bps
-}

@@ -34,9 +34,9 @@ func Constant(bps float64) *BandwidthTrace {
 	return &BandwidthTrace{steps: []traceStep{{0, bps}}}
 }
 
-// Steps builds a trace from (start, bps) pairs. The first pair must
+// stepTrace builds a trace from (start, bps) pairs. The first pair must
 // start at 0 and starts must be strictly increasing.
-func Steps(pairs ...Step) (*BandwidthTrace, error) {
+func stepTrace(pairs ...Step) (*BandwidthTrace, error) {
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("netem: empty trace")
 	}
@@ -62,10 +62,10 @@ type Step struct {
 	BPS   float64
 }
 
-// MustSteps is Steps that panics on error, for literals in tests and
+// MustSteps is stepTrace that panics on error, for literals in tests and
 // experiment setups.
 func MustSteps(pairs ...Step) *BandwidthTrace {
-	tr, err := Steps(pairs...)
+	tr, err := stepTrace(pairs...)
 	if err != nil {
 		panic(err)
 	}
@@ -82,11 +82,11 @@ func (tr *BandwidthTrace) RateAt(t time.Duration) float64 {
 	return tr.steps[i-1].bps
 }
 
-// FinishTime returns the virtual time at which a transfer of the given
+// finishTime returns the virtual time at which a transfer of the given
 // bytes completes if it starts at start and consumes the full trace
-// rate. If the trace rate drops to zero forever, FinishTime returns a
+// rate. If the trace rate drops to zero forever, finishTime returns a
 // very large time (the transfer stalls indefinitely).
-func (tr *BandwidthTrace) FinishTime(start time.Duration, bytes int64) time.Duration {
+func (tr *BandwidthTrace) finishTime(start time.Duration, bytes int64) time.Duration {
 	const never = time.Duration(1<<62 - 1)
 	if bytes <= 0 {
 		return start
@@ -162,26 +162,6 @@ func (tr *BandwidthTrace) Clamp(from, to time.Duration, bps float64) *BandwidthT
 		out.steps = append(out.steps, traceStep{t, r})
 	}
 	return out
-}
-
-// MeanRate returns the average rate over [from, to].
-func (tr *BandwidthTrace) MeanRate(from, to time.Duration) float64 {
-	if to <= from {
-		return tr.RateAt(from)
-	}
-	var bits float64
-	t := from
-	for t < to {
-		rate := tr.RateAt(t)
-		next := to
-		i := sort.Search(len(tr.steps), func(i int) bool { return tr.steps[i].start > t })
-		if i < len(tr.steps) && tr.steps[i].start < to {
-			next = tr.steps[i].start
-		}
-		bits += rate * (next - t).Seconds()
-		t = next
-	}
-	return bits / (to - from).Seconds()
 }
 
 // LTETrace synthesizes an LTE-like fluctuating trace: a bounded random
@@ -270,7 +250,7 @@ func ParseTrace(s string) (*BandwidthTrace, error) {
 		}
 		steps = append(steps, Step{Start: start, BPS: bps})
 	}
-	return Steps(steps...)
+	return stepTrace(steps...)
 }
 
 // ParseRate parses "8M", "1.5M", "500k", "2G" or a bare number into
@@ -294,31 +274,4 @@ func ParseRate(s string) (float64, error) {
 		return 0, fmt.Errorf("negative rate %q", s)
 	}
 	return v * mult, nil
-}
-
-// Spec renders the trace back into ParseTrace's format.
-func (tr *BandwidthTrace) Spec() string {
-	parts := make([]string, len(tr.steps))
-	for i, st := range tr.steps {
-		start := "0"
-		if st.start != 0 {
-			start = st.start.String()
-		}
-		parts[i] = start + ":" + FormatRate(st.bps)
-	}
-	return strings.Join(parts, ",")
-}
-
-// FormatRate renders bits per second the way ParseRate reads them.
-func FormatRate(bps float64) string {
-	switch {
-	case bps >= 1e9 && bps == float64(int64(bps/1e9))*1e9:
-		return strconv.FormatFloat(bps/1e9, 'f', -1, 64) + "G"
-	case bps >= 1e6:
-		return strconv.FormatFloat(bps/1e6, 'f', -1, 64) + "M"
-	case bps >= 1e3:
-		return strconv.FormatFloat(bps/1e3, 'f', -1, 64) + "k"
-	default:
-		return strconv.FormatFloat(bps, 'f', -1, 64)
-	}
 }

@@ -104,8 +104,8 @@ func bucketValue(i int) float64 {
 	return (edge(i-2) + edge(i-1)) / 2
 }
 
-// Count returns the observation count, summed over the buckets.
-func (h *Histogram) Count() int64 {
+// count returns the observation count, summed over the buckets.
+func (h *Histogram) count() int64 {
 	if h == nil {
 		return 0
 	}
@@ -116,17 +116,9 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by nearest rank — the
-// sample at rank ⌈q·Count⌉, at least 1 — within the bound of the type's
-// doc, or 0 before any observation.
-func (h *Histogram) Quantile(q float64) float64 {
-	if n := h.Count(); n > 0 {
-		return h.quantile(q, n)
-	}
-	return 0
-}
-
-// quantile walks the buckets to the one holding rank ⌈q·n⌉, where n > 0
+// quantile returns the q-quantile (0 ≤ q ≤ 1) by nearest rank — the
+// sample at rank ⌈q·n⌉, at least 1 — within the bound of the type's
+// doc. It walks the buckets to the one holding that rank, where n > 0
 // was counted before the walk.
 func (h *Histogram) quantile(q float64, n int64) float64 {
 	lo, hi := load(&h.min), load(&h.max)
@@ -154,7 +146,7 @@ type HistogramStat struct {
 
 // Stat captures the histogram's statistics.
 func (h *Histogram) Stat() HistogramStat {
-	n := h.Count()
+	n := h.count()
 	if n == 0 {
 		return HistogramStat{}
 	}

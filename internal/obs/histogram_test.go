@@ -36,7 +36,7 @@ func allowedErr(want float64) float64 {
 }
 
 // checkHistogram observes samples into a fresh histogram and holds every
-// quantile, through Quantile and Stat, to the bound against the
+// quantile, through quantile and Stat, to the bound against the
 // reference; Count, Sum, Min and Max must be exact, and a single-valued
 // histogram must read back exactly.
 func checkHistogram(t testing.TB, samples []float64, extraQ ...float64) {
@@ -65,7 +65,7 @@ func checkHistogram(t testing.TB, samples []float64, extraQ ...float64) {
 	check("p95", 0.95, st.P95)
 	check("p99", 0.99, st.P99)
 	for _, q := range append([]float64{0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}, extraQ...) {
-		check("Quantile", q, h.Quantile(q))
+		check("quantile", q, h.quantile(q, h.count()))
 	}
 }
 
@@ -109,11 +109,11 @@ func TestHistogramCoversTheWholeRun(t *testing.T) {
 	for i := 0; i < 2048; i++ {
 		h.Observe(1)
 	}
-	if got := h.Quantile(0.5); math.Abs(got-100) > quantileRelErr*100 {
+	if got := h.quantile(0.5, h.count()); math.Abs(got-100) > quantileRelErr*100 {
 		t.Fatalf("p50 = %v, want 100 within %v: the first 3,000 samples are the majority", got, quantileRelErr*100)
 	}
 	st := h.Stat()
-	if st.Count != 5048 || st.Min != 1 || st.Max != 100 || st.P50 != h.Quantile(0.5) {
+	if st.Count != 5048 || st.Min != 1 || st.Max != 100 || st.P50 != h.quantile(0.5, h.count()) {
 		t.Fatalf("whole-run stat %+v", st)
 	}
 }

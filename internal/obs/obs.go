@@ -1,8 +1,7 @@
 // Package obs is Sperke's observability substrate: a pure-stdlib
 // metrics registry (counters, gauges, whole-run histograms with
 // p50/p95/p99) plus lightweight span tracing for the pipeline stages of
-// Figs. 2 and 4 (capture → stitch → encode → upload → transcode →
-// fetch → decode → render).
+// Figs. 2 and 4 (encode → upload → transcode → fetch).
 //
 // The paper's evaluation is entirely quantitative — Table 2 E2E
 // latency, Figure 5 player FPS, §3.2 telemetry budgets — and this
@@ -25,14 +24,10 @@ import (
 // Pipeline stage names — the span taxonomy of Figs. 2 and 4. Tracers
 // and histograms use these so dashboards and tests agree on naming.
 const (
-	StageCapture   = "capture"
-	StageStitch    = "stitch"
 	StageEncode    = "encode"
 	StageUpload    = "upload"
 	StageTranscode = "transcode"
 	StageFetch     = "fetch"
-	StageDecode    = "decode"
-	StageRender    = "render"
 )
 
 // Counter is a monotonically increasing int64. Safe for concurrent

@@ -37,7 +37,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("shared.counter").Value(); got != workers*perWorker {
 		t.Fatalf("shared counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.Histogram("shared.hist").Count(); got != workers*perWorker {
+	if got := r.Histogram("shared.hist").count(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 	var perWorkerSum int64
@@ -70,7 +70,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	h := r.Histogram("x")
 	h.Observe(1)
-	if h.Count() != 0 || h.Quantile(0.5) != 0 {
+	if h.count() != 0 || h.Stat().P50 != 0 {
 		t.Fatal("nil histogram accumulated")
 	}
 	snap := r.Snapshot()

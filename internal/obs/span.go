@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock is the time source spans read. *sim.Clock satisfies it, so
 // simulated pipelines trace in virtual time; Wall adapts time.Now for
@@ -23,36 +20,16 @@ func NewWall() *Wall { return &Wall{epoch: time.Now()} }
 // Now reports wall time since the epoch.
 func (w *Wall) Now() time.Duration { return time.Since(w.epoch) }
 
-// SpanRecord is one completed span in a tracer's log.
-type SpanRecord struct {
-	Stage string        `json:"stage"`
-	Start time.Duration `json:"start"`
-	End   time.Duration `json:"end"`
-}
-
-// Duration is the span's length.
-func (s SpanRecord) Duration() time.Duration { return s.End - s.Start }
-
-// maxSpans bounds a tracer's in-memory span log; beyond it the log
-// degrades to histograms only (the per-stage *_ms histograms keep
-// recording), so a long-running pipeline cannot grow without bound.
-const maxSpans = 4096
-
 // Tracer records pipeline-stage spans against a Clock. Each completed
-// span lands in the registry histogram "span.<stage>_ms" and, up to
-// maxSpans, in an in-memory log for ordering assertions and timeline
-// dumps. Safe for concurrent use; a nil *Tracer is a no-op.
+// span lands in the registry histogram "span.<stage>_ms". Safe for
+// concurrent use; a nil *Tracer is a no-op.
 type Tracer struct {
 	reg   *Registry
 	clock Clock
-
-	mu    sync.Mutex
-	spans []SpanRecord
 }
 
-// NewTracer builds a tracer recording into reg (nil reg disables
-// histograms but keeps the span log). A nil clock returns a nil,
-// no-op tracer.
+// NewTracer builds a tracer recording into reg (a nil reg records
+// nothing). A nil clock returns a nil, no-op tracer.
 func NewTracer(reg *Registry, clock Clock) *Tracer {
 	if clock == nil {
 		return nil
@@ -98,19 +75,4 @@ func (t *Tracer) Record(stage string, start, end time.Duration) {
 
 func (t *Tracer) record(stage string, start, end time.Duration) {
 	t.reg.Histogram("span." + stage + "_ms").Observe(float64(end-start) / float64(time.Millisecond))
-	t.mu.Lock()
-	if len(t.spans) < maxSpans {
-		t.spans = append(t.spans, SpanRecord{Stage: stage, Start: start, End: end})
-	}
-	t.mu.Unlock()
-}
-
-// Spans returns a copy of the span log in completion order.
-func (t *Tracer) Spans() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.spans...)
 }

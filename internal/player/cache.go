@@ -23,8 +23,7 @@ type ChunkCache struct {
 	lru    *list.List // front = most recent; values are *chunkEntry
 	byID   map[tiling.ChunkID]*list.Element
 
-	evictions int
-	met       chunkCacheMetrics
+	met chunkCacheMetrics
 }
 
 // chunkCacheMetrics caches the instruments SetObs wires; nil fields
@@ -116,7 +115,6 @@ func (c *ChunkCache) evictOldest() {
 	c.lru.Remove(e)
 	delete(c.byID, ent.id)
 	c.used -= ent.bytes
-	c.evictions++
 	c.met.evictions.Inc()
 }
 
@@ -147,37 +145,6 @@ func (c *ChunkCache) Remove(id tiling.ChunkID) {
 	}
 }
 
-// Used returns the cached bytes; Len the entry count; Evictions the
-// number of budget evictions so far.
-func (c *ChunkCache) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
-// Len returns the entry count.
-func (c *ChunkCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// Evictions returns the number of budget evictions so far.
-func (c *ChunkCache) Evictions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
-
-// OverBudget reports whether the cache currently exceeds its byte
-// budget — true only in the keep-one case where a single entry is
-// larger than the entire budget.
-func (c *ChunkCache) OverBudget() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.budget > 0 && c.used > c.budget
-}
-
 // FrameCacheKey identifies a decoded tile for one time interval at one
 // quality.
 type FrameCacheKey struct {
@@ -198,8 +165,7 @@ type FrameCache struct {
 	lru   *list.List
 	byKey map[FrameCacheKey]*list.Element
 
-	hits, misses int
-	met          frameCacheMetrics
+	met frameCacheMetrics
 }
 
 // frameCacheMetrics caches the instruments SetObs wires; nil fields
@@ -261,31 +227,11 @@ func (f *FrameCache) Has(k FrameCacheKey) bool {
 	e, ok := f.byKey[k]
 	if ok {
 		f.lru.MoveToFront(e)
-		f.hits++
 		f.met.hits.Inc()
 		return true
 	}
-	f.misses++
 	f.met.misses.Inc()
 	return false
-}
-
-// Len returns the cached tile count.
-func (f *FrameCache) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lru.Len()
-}
-
-// HitRate returns hits/(hits+misses), 0 before any lookup.
-func (f *FrameCache) HitRate() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	t := f.hits + f.misses
-	if t == 0 {
-		return 0
-	}
-	return float64(f.hits) / float64(t)
 }
 
 // ShiftResult describes the cost of moving the FoV after an HMP error.
@@ -324,6 +270,6 @@ func (f *FrameCache) Shift(cfg PipelineConfig, old, new []tiling.TileID, interva
 	}
 	// Re-decodes block the next frame: they run synchronously because
 	// the frame must display now.
-	res.Stall = time.Duration(res.Redecoded) * cfg.Device.Decoder.SyncDecodeTime(cfg.TilePixels())
+	res.Stall = time.Duration(res.Redecoded) * cfg.Device.Decoder.SyncDecodeTime(cfg.tilePixels())
 	return res
 }

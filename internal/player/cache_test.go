@@ -23,18 +23,20 @@ func TestChunkCachePutHasRemove(t *testing.T) {
 	if c.Has(cid(1, 3, 0)) {
 		t.Fatal("phantom chunk")
 	}
-	if c.Used() != 100 || c.Len() != 1 {
-		t.Fatalf("Used=%d Len=%d", c.Used(), c.Len())
+	if c.used != 100 || c.lru.Len() != 1 {
+		t.Fatalf("Used=%d Len=%d", c.used, c.lru.Len())
 	}
 	c.Remove(cid(1, 2, 0))
-	if c.Has(cid(1, 2, 0)) || c.Used() != 0 || c.Len() != 0 {
+	if c.Has(cid(1, 2, 0)) || c.used != 0 || c.lru.Len() != 0 {
 		t.Fatal("remove failed")
 	}
 	c.Remove(cid(1, 2, 0)) // idempotent
 }
 
 func TestChunkCacheEvictsLRU(t *testing.T) {
+	reg := obs.NewRegistry()
 	c := NewChunkCache(300)
+	c.SetObs(reg)
 	c.Put(cid(0, 0, 0), 100)
 	c.Put(cid(0, 1, 0), 100)
 	c.Put(cid(0, 2, 0), 100)
@@ -47,11 +49,11 @@ func TestChunkCacheEvictsLRU(t *testing.T) {
 	if !c.Has(cid(0, 0, 0)) || !c.Has(cid(0, 3, 0)) {
 		t.Fatal("wrong entry evicted")
 	}
-	if c.Evictions() != 1 {
-		t.Fatalf("Evictions = %d", c.Evictions())
+	if n := reg.Snapshot().Counters["player.chunk_cache.evictions"]; n != 1 {
+		t.Fatalf("evictions = %d", n)
 	}
-	if c.Used() > 300 {
-		t.Fatalf("Used %d exceeds budget", c.Used())
+	if c.used > 300 {
+		t.Fatalf("Used %d exceeds budget", c.used)
 	}
 }
 
@@ -59,15 +61,15 @@ func TestChunkCachePutUpdatesSize(t *testing.T) {
 	c := NewChunkCache(0)
 	c.Put(cid(0, 0, 0), 100)
 	c.Put(cid(0, 0, 0), 250) // same chunk re-put (e.g. upgraded layers)
-	if c.Used() != 250 || c.Len() != 1 {
-		t.Fatalf("Used=%d Len=%d after re-put", c.Used(), c.Len())
+	if c.used != 250 || c.lru.Len() != 1 {
+		t.Fatalf("Used=%d Len=%d after re-put", c.used, c.lru.Len())
 	}
 }
 
 func TestChunkCacheKeepsAtLeastOne(t *testing.T) {
 	c := NewChunkCache(10)
 	c.Put(cid(0, 0, 0), 100) // bigger than budget — still kept (can't evict itself)
-	if c.Len() != 1 {
+	if c.lru.Len() != 1 {
 		t.Fatal("sole oversized entry evicted")
 	}
 }
@@ -87,21 +89,21 @@ func TestFrameCacheLRUEviction(t *testing.T) {
 	if !f.Has(k1) || !f.Has(k3) {
 		t.Fatal("wrong tile evicted")
 	}
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d", f.Len())
+	if f.lru.Len() != 2 {
+		t.Fatalf("Len = %d", f.lru.Len())
 	}
 }
 
 func TestFrameCacheHitRate(t *testing.T) {
+	reg := obs.NewRegistry()
 	f := NewFrameCache(4)
-	if f.HitRate() != 0 {
-		t.Fatal("hit rate before lookups")
-	}
+	f.SetObs(reg)
 	f.Put(FrameCacheKey{Tile: 1})
 	f.Has(FrameCacheKey{Tile: 1}) // hit
 	f.Has(FrameCacheKey{Tile: 9}) // miss
-	if f.HitRate() != 0.5 {
-		t.Fatalf("HitRate = %v, want 0.5", f.HitRate())
+	snap := reg.Snapshot()
+	if h, m := snap.Counters["player.frame_cache.hits"], snap.Counters["player.frame_cache.misses"]; h != 1 || m != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1", h, m)
 	}
 }
 
@@ -109,8 +111,8 @@ func TestFrameCachePutIdempotent(t *testing.T) {
 	f := NewFrameCache(2)
 	f.Put(FrameCacheKey{Tile: 1})
 	f.Put(FrameCacheKey{Tile: 1})
-	if f.Len() != 1 {
-		t.Fatalf("duplicate put created %d entries", f.Len())
+	if f.lru.Len() != 1 {
+		t.Fatalf("duplicate put created %d entries", f.lru.Len())
 	}
 }
 
@@ -130,7 +132,7 @@ func TestShiftDeltaOnly(t *testing.T) {
 	if res.CacheHits != 1 || res.Redecoded != 1 {
 		t.Fatalf("hits=%d redecoded=%d, want 1/1", res.CacheHits, res.Redecoded)
 	}
-	want := cfg.Device.Decoder.SyncDecodeTime(cfg.TilePixels())
+	want := cfg.Device.Decoder.SyncDecodeTime(cfg.tilePixels())
 	if res.Stall != want {
 		t.Fatalf("Stall = %v, want %v", res.Stall, want)
 	}
@@ -154,7 +156,7 @@ func TestShiftWithEmptyCacheRedecodesAll(t *testing.T) {
 	if res.Redecoded != 4 {
 		t.Fatalf("Redecoded = %d, want 4", res.Redecoded)
 	}
-	if res.Stall <= 3*cfg.Device.Decoder.SyncDecodeTime(cfg.TilePixels()) {
+	if res.Stall <= 3*cfg.Device.Decoder.SyncDecodeTime(cfg.tilePixels()) {
 		t.Fatal("full re-decode stall implausibly small")
 	}
 }
@@ -188,11 +190,11 @@ func TestChunkCacheConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 	// Bookkeeping must still be internally consistent.
-	if c.Len() < 0 || c.Used() < 0 {
-		t.Fatalf("corrupted bookkeeping: Len=%d Used=%d", c.Len(), c.Used())
+	if c.lru.Len() < 0 || c.used < 0 {
+		t.Fatalf("corrupted bookkeeping: Len=%d Used=%d", c.lru.Len(), c.used)
 	}
-	if c.Len() == 0 && c.Used() != 0 {
-		t.Fatalf("empty cache reports %d used bytes", c.Used())
+	if c.lru.Len() == 0 && c.used != 0 {
+		t.Fatalf("empty cache reports %d used bytes", c.used)
 	}
 }
 
@@ -217,7 +219,7 @@ func TestFrameCacheConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := f.Len(); n < 0 || n > 64 {
+	if n := f.lru.Len(); n < 0 || n > 64 {
 		t.Fatalf("Len=%d outside [0, slots]", n)
 	}
 }
@@ -225,18 +227,18 @@ func TestFrameCacheConcurrentAccess(t *testing.T) {
 // TestChunkCacheOverBudgetPinned pins down the keep-one eviction
 // semantics: a sole entry larger than the entire budget stays cached
 // (evicting it buys nothing), and the condition is surfaced through
-// OverBudget and the over-budget gauge rather than hidden.
+// the over-budget gauge rather than hidden.
 func TestChunkCacheOverBudgetPinned(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewChunkCache(100)
 	c.SetObs(reg)
 
 	c.Put(cid(0, 0, 0), 250) // oversized: exceeds the whole budget
-	if c.Len() != 1 || c.Used() != 250 {
-		t.Fatalf("oversized sole entry: Len=%d Used=%d, want 1/250", c.Len(), c.Used())
+	if c.lru.Len() != 1 || c.used != 250 {
+		t.Fatalf("oversized sole entry: Len=%d Used=%d, want 1/250", c.lru.Len(), c.used)
 	}
-	if !c.OverBudget() {
-		t.Fatal("OverBudget() false while used > budget")
+	if c.used <= c.budget {
+		t.Fatal("not over budget while used > budget")
 	}
 	snap := reg.Snapshot()
 	if g := snap.Gauges["player.chunk_cache.over_budget"]; g != 1 {
@@ -252,8 +254,8 @@ func TestChunkCacheOverBudgetPinned(t *testing.T) {
 	if c.Has(cid(0, 0, 0)) {
 		t.Fatal("oversized entry survived once eviction had a candidate")
 	}
-	if c.OverBudget() {
-		t.Fatal("OverBudget() stuck after recovery")
+	if c.used > c.budget {
+		t.Fatal("over budget after recovery")
 	}
 	snap = reg.Snapshot()
 	if g := snap.Gauges["player.chunk_cache.over_budget"]; g != 0 {

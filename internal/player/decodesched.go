@@ -66,8 +66,7 @@ type DecodeScheduler struct {
 	seq         int
 	outstanding int
 
-	decoded, missed int
-	met             decodeMetrics
+	met decodeMetrics
 }
 
 // decodeMetrics caches the instruments SetObs wires; nil fields no-op.
@@ -108,10 +107,8 @@ func (s *DecodeScheduler) pump() {
 		s.outstanding++
 		s.pool.Submit(j.Pixels, func() {
 			s.outstanding--
-			s.decoded++
 			missed := s.clock.Now() > j.PlayAt
 			if missed {
-				s.missed++
 				s.met.misses.Inc()
 			} else {
 				s.met.hits.Inc()
@@ -127,11 +124,3 @@ func (s *DecodeScheduler) pump() {
 	}
 	s.met.pending.Set(int64(len(s.queue)))
 }
-
-// Pending returns queued (not yet decoding) jobs.
-func (s *DecodeScheduler) Pending() int { return len(s.queue) }
-
-// Decoded and Missed report completed jobs and those finished after
-// their playback time.
-func (s *DecodeScheduler) Decoded() int { return s.decoded }
-func (s *DecodeScheduler) Missed() int  { return s.missed }

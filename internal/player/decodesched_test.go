@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sperke/internal/codec"
+	"sperke/internal/obs"
 	"sperke/internal/sim"
 	"sperke/internal/tiling"
 )
@@ -82,6 +83,8 @@ func TestDecodeSchedulerFillsPool(t *testing.T) {
 
 func TestDecodeSchedulerMissedDeadlines(t *testing.T) {
 	clock, s, _ := testScheduler(t, 1)
+	reg := obs.NewRegistry()
+	s.SetObs(reg)
 	// 100 ms per job, deadlines at 150 ms: job 1 meets, jobs 2-3 miss.
 	missed := 0
 	for i := 0; i < 3; i++ {
@@ -95,8 +98,9 @@ func TestDecodeSchedulerMissedDeadlines(t *testing.T) {
 	if missed != 2 {
 		t.Fatalf("missed = %d, want 2", missed)
 	}
-	if s.Missed() != 2 || s.Decoded() != 3 {
-		t.Fatalf("Missed=%d Decoded=%d", s.Missed(), s.Decoded())
+	snap := reg.Snapshot()
+	if m, h := snap.Counters["player.decode.deadline_misses"], snap.Counters["player.decode.deadline_hits"]; m != 2 || h != 1 {
+		t.Fatalf("deadline misses/hits = %d/%d, want 2/1", m, h)
 	}
 }
 
@@ -115,11 +119,11 @@ func TestDecodeSchedulerPendingCount(t *testing.T) {
 		s.Submit(job(i, time.Minute, true, nil))
 	}
 	// One outstanding, four queued.
-	if s.Pending() != 4 {
-		t.Fatalf("Pending = %d, want 4", s.Pending())
+	if len(s.queue) != 4 {
+		t.Fatalf("Pending = %d, want 4", len(s.queue))
 	}
 	clock.Run()
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", s.Pending())
+	if len(s.queue) != 0 {
+		t.Fatalf("Pending = %d after drain", len(s.queue))
 	}
 }

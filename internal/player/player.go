@@ -40,8 +40,8 @@ type PipelineConfig struct {
 	Projection    sphere.Projection
 }
 
-// Validate reports configuration problems.
-func (c *PipelineConfig) Validate() error {
+// validate reports configuration problems.
+func (c *PipelineConfig) validate() error {
 	if err := c.Grid.Validate(); err != nil {
 		return err
 	}
@@ -54,8 +54,8 @@ func (c *PipelineConfig) Validate() error {
 	return nil
 }
 
-// TilePixels returns the luma pixels of one tile.
-func (c *PipelineConfig) TilePixels() int64 {
+// tilePixels returns the luma pixels of one tile.
+func (c *PipelineConfig) tilePixels() int64 {
 	return int64(c.FrameWidth) * int64(c.FrameHeight) / int64(c.Grid.Tiles())
 }
 
@@ -96,30 +96,24 @@ func (c *PipelineConfig) decodedTiles(vp *tiling.Viewport, view sphere.Orientati
 	return len(vp.Visible(view))
 }
 
-// FrameTime returns the wall time one frame takes in this configuration
-// for the given view direction.
+// frameTime returns the wall time one frame takes in this configuration
+// for the given view direction, with the configuration's viewport built
+// by the caller, so a replay builds it once.
 //
 // Without the frame cache every tile decode serializes on the render
 // thread (paying submission overhead each time) and render follows;
 // with it, decode runs on the pool concurrently with render, so the
 // frame period is whichever stage is slower.
-func (c *PipelineConfig) FrameTime(view sphere.Orientation) time.Duration {
-	vp := c.viewport()
-	return c.frameTime(&vp, view)
-}
-
-// frameTime is FrameTime with the configuration's viewport built by the
-// caller, so a replay builds it once.
 func (c *PipelineConfig) frameTime(vp *tiling.Viewport, view sphere.Orientation) time.Duration {
 	tiles := c.decodedTiles(vp, view)
 	render := c.Device.RenderTime(c.renderedPixels())
 	if !c.FrameCache {
-		decodeAll := time.Duration(tiles) * c.Device.Decoder.SyncDecodeTime(c.TilePixels())
+		decodeAll := time.Duration(tiles) * c.Device.Decoder.SyncDecodeTime(c.tilePixels())
 		return decodeAll + render
 	}
 	// Async: each decoder handles ⌈tiles/decoders⌉ tiles per frame.
 	waves := (tiles + c.Decoders - 1) / c.Decoders
-	decodeStage := time.Duration(waves) * c.Device.Decoder.DecodeTime(c.TilePixels())
+	decodeStage := time.Duration(waves) * c.Device.Decoder.DecodeTime(c.tilePixels())
 	period := render
 	if decodeStage > period {
 		period = decodeStage
@@ -137,7 +131,7 @@ type FPSResult struct {
 // SimulateFPS replays a head trace through the pipeline for its
 // duration and returns the achieved frame rate.
 func SimulateFPS(cfg PipelineConfig, head *trace.HeadTrace, dur time.Duration) (FPSResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return FPSResult{}, err
 	}
 	if dur <= 0 {
@@ -196,14 +190,14 @@ func Figure5Config(device codec.DeviceProfile, config int) (PipelineConfig, erro
 	return base, nil
 }
 
-// HEVCTilesFrameTime models the §3.5 comparison point: the H.265
+// hevcTilesFrameTime models the §3.5 comparison point: the H.265
 // built-in "tiles" mechanism [40]. HEVC tiles parallelize decoding
 // *within one decoder session* — the bitstream is one panorama, so the
 // whole frame must always be decoded (no FoV-only decode, no per-tile
 // quality) and intra-frame tile parallelism carries a synchronization
 // penalty. It beats serial decoding but cannot skip non-FoV work, which
 // is why it loses to Sperke's independent per-tile streams.
-func (c *PipelineConfig) HEVCTilesFrameTime() time.Duration {
+func (c *PipelineConfig) hevcTilesFrameTime() time.Duration {
 	// Parallel efficiency of intra-frame tile threads (shared entropy
 	// state, loop-filter sync): ~70%.
 	const parallelEff = 0.7
@@ -225,14 +219,14 @@ func (c *PipelineConfig) HEVCTilesFrameTime() time.Duration {
 // SimulateHEVCTilesFPS measures the HEVC-tiles pipeline's frame rate
 // for the same configuration geometry.
 func SimulateHEVCTilesFPS(cfg PipelineConfig, dur time.Duration) (FPSResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return FPSResult{}, err
 	}
 	if dur <= 0 {
 		return FPSResult{}, fmt.Errorf("player: non-positive duration")
 	}
 	minPeriod := time.Duration(float64(time.Second) / cfg.Device.MaxDisplayFPS)
-	ft := cfg.HEVCTilesFrameTime()
+	ft := cfg.hevcTilesFrameTime()
 	if ft < minPeriod {
 		ft = minPeriod
 	}

@@ -102,17 +102,17 @@ func TestSGS5SlowerThanSGS7(t *testing.T) {
 func TestValidateRejectsBadConfigs(t *testing.T) {
 	cfg := fig5(t, 2)
 	cfg.Decoders = 100 // more than the device has
-	if cfg.Validate() == nil {
+	if cfg.validate() == nil {
 		t.Fatal("oversubscribed decoders accepted")
 	}
 	cfg = fig5(t, 2)
 	cfg.FrameWidth = 0
-	if cfg.Validate() == nil {
+	if cfg.validate() == nil {
 		t.Fatal("zero frame width accepted")
 	}
 	cfg = fig5(t, 2)
 	cfg.Grid = tiling.Grid{}
-	if cfg.Validate() == nil {
+	if cfg.validate() == nil {
 		t.Fatal("invalid grid accepted")
 	}
 	if _, err := SimulateFPS(fig5(t, 1), nil, 0); err == nil {
@@ -125,8 +125,9 @@ func TestFrameTimeFoVOnlyDependsOnView(t *testing.T) {
 	// Looking at a pole covers more tiles than looking at the equator on
 	// an equirect grid; decode stage may grow, but render stays
 	// FoV-sized. Just assert both compute and are positive.
-	eq := cfg.FrameTime(sphere.Orientation{})
-	pole := cfg.FrameTime(sphere.Orientation{Pitch: 90})
+	vp := cfg.viewport()
+	eq := cfg.frameTime(&vp, sphere.Orientation{})
+	pole := cfg.frameTime(&vp, sphere.Orientation{Pitch: 90})
 	if eq <= 0 || pole <= 0 {
 		t.Fatal("non-positive frame times")
 	}
@@ -134,8 +135,8 @@ func TestFrameTimeFoVOnlyDependsOnView(t *testing.T) {
 
 func TestTilePixels2K(t *testing.T) {
 	cfg := fig5(t, 1)
-	if cfg.TilePixels() != 2560*1440/8 {
-		t.Fatalf("TilePixels = %d", cfg.TilePixels())
+	if cfg.tilePixels() != 2560*1440/8 {
+		t.Fatalf("TilePixels = %d", cfg.tilePixels())
 	}
 }
 

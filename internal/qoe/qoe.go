@@ -62,14 +62,6 @@ func (m Metrics) MeanQuality() float64 {
 	return m.QualitySum / m.PlayTime.Seconds()
 }
 
-// MeanBitrate returns the mean rendered bitrate in bits/s.
-func (m Metrics) MeanBitrate() float64 {
-	if m.PlayTime <= 0 {
-		return 0
-	}
-	return m.BitsPlayed / m.PlayTime.Seconds()
-}
-
 // StallRatio returns stall time over total session time.
 func (m Metrics) StallRatio() float64 {
 	total := m.PlayTime + m.StallTime
@@ -176,9 +168,6 @@ func (c *Collector) Stall(d time.Duration) {
 	c.m.Stalls++
 	c.m.StallTime += d
 }
-
-// Skip records a chunk skipped at its live deadline.
-func (c *Collector) Skip() { c.m.Skips++ }
 
 // Blank records d of play time with a missing FoV tile.
 func (c *Collector) Blank(d time.Duration) {

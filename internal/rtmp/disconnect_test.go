@@ -34,13 +34,13 @@ func TestServerSurvivesAbruptDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Handshake(conn); err != nil {
+	if err := handshake(conn); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMessage(conn, Message{Type: TypePublish, Payload: []byte("doomed")}); err != nil {
+	if err := writeMessage(conn, message{Type: typePublish, Payload: []byte("doomed")}); err != nil {
 		t.Fatal(err)
 	}
-	partial := []byte{byte(TypeVideo), 0, 0, 0, 0, 0, 0, 64, 0} // declares 16384 bytes
+	partial := []byte{byte(typeVideo), 0, 0, 0, 0, 0, 0, 64, 0} // declares 16384 bytes
 	if _, err := conn.Write(partial); err != nil {
 		t.Fatal(err)
 	}

@@ -31,29 +31,27 @@ import (
 )
 
 // Protocol version, mirroring RTMP's version 3.
-const Version = 3
+const version = 3
 
-// MessageType tags a message.
-type MessageType uint8
+// messageType tags a message.
+type messageType uint8
 
 // Message types (a subset shaped like RTMP's).
 const (
-	// TypePublish starts a named stream; payload is the stream name.
-	TypePublish MessageType = 8
-	// TypeVideo carries one media segment (package media container).
-	TypeVideo MessageType = 9
-	// TypeEOS ends the stream.
-	TypeEOS MessageType = 10
-	// TypeAck is a server acknowledgment (payload: 4-byte sequence).
-	TypeAck MessageType = 3
+	// typePublish starts a named stream; payload is the stream name.
+	typePublish messageType = 8
+	// typeVideo carries one media segment (package media container).
+	typeVideo messageType = 9
+	// typeEOS ends the stream.
+	typeEOS messageType = 10
 )
 
-// MaxPayload bounds a single message (a segment plus slack).
-const MaxPayload = 96 << 20
+// maxPayload bounds a single message (a segment plus slack).
+const maxPayload = 96 << 20
 
-// Message is one protocol message.
-type Message struct {
-	Type MessageType
+// message is one protocol message.
+type message struct {
+	Type messageType
 	// Timestamp is the media timestamp of the payload.
 	Timestamp time.Duration
 	Payload   []byte
@@ -65,22 +63,20 @@ var (
 	ErrPayloadSize  = errors.New("rtmp: payload exceeds maximum")
 )
 
-// wallNow is the package's only wall-clock read. Handshake stamps and
-// the Server's default receive clock route through it, so deterministic
-// harnesses see exactly one seam (Server.Now overrides it per
-// instance).
+// wallNow is the package's only wall-clock read: handshake stamps and
+// the Server's segment receive times.
 func wallNow() time.Time { return time.Now() }
 
 // handshakeMillis is the C1/S1 timestamp: a wall-clock nonce on real
 // deployments, but never a scheduling input.
 func handshakeMillis() uint64 { return uint64(wallNow().UnixMilli()) }
 
-// Handshake performs the client side of the version handshake: send
+// handshake performs the client side of the version handshake: send
 // C0 (version) + C1 (8-byte timestamp + 8 random-ish bytes), expect
 // S0+S1 back.
-func Handshake(rw io.ReadWriter) error {
+func handshake(rw io.ReadWriter) error {
 	var c [17]byte
-	c[0] = Version
+	c[0] = version
 	binary.BigEndian.PutUint64(c[1:], handshakeMillis())
 	if _, err := rw.Write(c[:]); err != nil {
 		return err
@@ -89,31 +85,31 @@ func Handshake(rw io.ReadWriter) error {
 	if _, err := io.ReadFull(rw, s[:]); err != nil {
 		return err
 	}
-	if s[0] != Version {
+	if s[0] != version {
 		return fmt.Errorf("%w: server version %d", ErrBadHandshake, s[0])
 	}
 	return nil
 }
 
-// AcceptHandshake performs the server side.
-func AcceptHandshake(rw io.ReadWriter) error {
+// acceptHandshake performs the server side.
+func acceptHandshake(rw io.ReadWriter) error {
 	var c [17]byte
 	if _, err := io.ReadFull(rw, c[:]); err != nil {
 		return err
 	}
-	if c[0] != Version {
+	if c[0] != version {
 		return fmt.Errorf("%w: client version %d", ErrBadHandshake, c[0])
 	}
 	var s [17]byte
-	s[0] = Version
+	s[0] = version
 	binary.BigEndian.PutUint64(s[1:], handshakeMillis())
 	_, err := rw.Write(s[:])
 	return err
 }
 
-// WriteMessage frames and sends one message.
-func WriteMessage(w io.Writer, m Message) error {
-	if len(m.Payload) > MaxPayload {
+// writeMessage frames and sends one message.
+func writeMessage(w io.Writer, m message) error {
+	if len(m.Payload) > maxPayload {
 		return ErrPayloadSize
 	}
 	var h [9]byte
@@ -130,24 +126,24 @@ func WriteMessage(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadMessage reads one framed message.
-func ReadMessage(r io.Reader) (Message, error) {
+// readMessage reads one framed message.
+func readMessage(r io.Reader) (message, error) {
 	var h [9]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return Message{}, err
+		return message{}, err
 	}
 	n := binary.BigEndian.Uint32(h[5:])
-	if n > MaxPayload {
-		return Message{}, ErrPayloadSize
+	if n > maxPayload {
+		return message{}, ErrPayloadSize
 	}
-	m := Message{
-		Type:      MessageType(h[0]),
+	m := message{
+		Type:      messageType(h[0]),
 		Timestamp: time.Duration(binary.BigEndian.Uint32(h[1:])) * time.Millisecond,
 	}
 	if n > 0 {
 		m.Payload = make([]byte, n)
 		if _, err := io.ReadFull(r, m.Payload); err != nil {
-			return Message{}, err
+			return message{}, err
 		}
 	}
 	return m, nil

@@ -27,11 +27,11 @@ func NewPublisher(conn net.Conn, stream string) (*Publisher, error) {
 	if stream == "" {
 		return nil, fmt.Errorf("rtmp: empty stream name")
 	}
-	if err := Handshake(conn); err != nil {
+	if err := handshake(conn); err != nil {
 		return nil, err
 	}
 	p := &Publisher{conn: conn, bw: bufio.NewWriter(conn)}
-	if err := WriteMessage(p.bw, Message{Type: TypePublish, Payload: []byte(stream)}); err != nil {
+	if err := writeMessage(p.bw, message{Type: typePublish, Payload: []byte(stream)}); err != nil {
 		return nil, err
 	}
 	return p, p.bw.Flush()
@@ -44,7 +44,7 @@ func (p *Publisher) SendSegment(ts time.Duration, h media.SegmentHeader, payload
 	if err := media.WriteSegment(&buf, h, payload); err != nil {
 		return err
 	}
-	if err := WriteMessage(p.bw, Message{Type: TypeVideo, Timestamp: ts, Payload: buf.Bytes()}); err != nil {
+	if err := writeMessage(p.bw, message{Type: typeVideo, Timestamp: ts, Payload: buf.Bytes()}); err != nil {
 		return err
 	}
 	return p.bw.Flush()
@@ -52,30 +52,27 @@ func (p *Publisher) SendSegment(ts time.Duration, h media.SegmentHeader, payload
 
 // Close ends the stream gracefully.
 func (p *Publisher) Close() error {
-	WriteMessage(p.bw, Message{Type: TypeEOS})
+	writeMessage(p.bw, message{Type: typeEOS})
 	p.bw.Flush()
 	return p.conn.Close()
 }
 
-// SegmentHandler receives each segment a publisher pushes: the stream
+// segmentHandler receives each segment a publisher pushes: the stream
 // name, the receive wall time, the media timestamp, and the decoded
 // segment.
-type SegmentHandler func(stream string, receivedAt time.Time, ts time.Duration, h media.SegmentHeader, payload []byte)
+type segmentHandler func(stream string, receivedAt time.Time, ts time.Duration, h media.SegmentHeader, payload []byte)
 
 // Server is the ingest endpoint: it accepts publisher connections and
 // delivers their segments to a handler (the live pipeline's server
 // stage).
 type Server struct {
 	// OnSegment is required.
-	OnSegment SegmentHandler
+	OnSegment segmentHandler
 	// OnPublish, if set, is told when a stream starts.
 	OnPublish func(stream string)
 	// OnEOS, if set, is told when a stream ends.
 	OnEOS func(stream string)
-	// Now stamps segment arrival times; deterministic harnesses inject
-	// a virtual clock here. Nil means wall time.
-	Now func() time.Time
-	Log *slog.Logger
+	Log   *slog.Logger
 
 	mu sync.Mutex
 	ln net.Listener
@@ -113,22 +110,15 @@ func (s *Server) log() *slog.Logger {
 	return slog.Default()
 }
 
-func (s *Server) now() time.Time {
-	if s.Now != nil {
-		return s.Now()
-	}
-	return wallNow()
-}
-
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	if err := AcceptHandshake(conn); err != nil {
+	if err := acceptHandshake(conn); err != nil {
 		s.log().Debug("rtmp: handshake failed", "err", err)
 		return
 	}
 	br := bufio.NewReader(conn)
-	first, err := ReadMessage(br)
-	if err != nil || first.Type != TypePublish || len(first.Payload) == 0 {
+	first, err := readMessage(br)
+	if err != nil || first.Type != typePublish || len(first.Payload) == 0 {
 		s.log().Debug("rtmp: expected publish", "err", err)
 		return
 	}
@@ -137,7 +127,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.OnPublish(stream)
 	}
 	for {
-		m, err := ReadMessage(br)
+		m, err := readMessage(br)
 		if err != nil {
 			if err != io.EOF {
 				s.log().Debug("rtmp: read", "stream", stream, "err", err)
@@ -145,16 +135,16 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		switch m.Type {
-		case TypeVideo:
+		case typeVideo:
 			h, payload, err := media.ReadSegment(bytes.NewReader(m.Payload))
 			if err != nil {
 				s.log().Debug("rtmp: bad segment", "stream", stream, "err", err)
 				continue
 			}
 			if s.OnSegment != nil {
-				s.OnSegment(stream, s.now(), m.Timestamp, h, payload)
+				s.OnSegment(stream, wallNow(), m.Timestamp, h, payload)
 			}
-		case TypeEOS:
+		case typeEOS:
 			if s.OnEOS != nil {
 				s.OnEOS(stream)
 			}

@@ -12,7 +12,7 @@ import (
 
 // patternBody is a deterministic size-byte body that is a pure function
 // of the key, so tests can recompute the expected bytes.
-func patternBody(size int) CtxSynth {
+func patternBody(size int) ctxSynth {
 	return func(_ context.Context, k ChunkKey) ([]byte, error) {
 		b := byte(k.Index*31 + k.Tile*7 + k.Quality)
 		out := make([]byte, size)

@@ -97,7 +97,7 @@ type WriterSynth struct {
 	Write func(w io.Writer, key ChunkKey) error
 }
 
-// CtxSynth is the cancellation-aware miss form: it must be pure on
+// ctxSynth is the cancellation-aware miss form: it must be pure on
 // success (the same key always yields the same bytes), but it observes
 // ctx and may abort early with ctx.Err() when every caller sharing the
 // synthesis has departed. The store runs each flight on its own context
@@ -105,9 +105,9 @@ type WriterSynth struct {
 // other viewers are waiting on: the flight is canceled only when its
 // interest count — leader plus waiters — drops to zero. The returned
 // slice is retained as the shared cached copy without a copy — an edge
-// whose CtxSynth pulls from an origin store keeps sharing the origin's
+// whose ctxSynth pulls from an origin store keeps sharing the origin's
 // sealed slice — so it must be immutable from then on.
-type CtxSynth func(ctx context.Context, key ChunkKey) ([]byte, error)
+type ctxSynth func(ctx context.Context, key ChunkKey) ([]byte, error)
 
 // StoreConfig tunes a Store. The zero value gives 16 shards and a
 // 256 MiB budget with no metrics.
@@ -179,7 +179,7 @@ type Store struct {
 	// miss is the one synthesis form the store knows: build the body
 	// for a cold key and hand back a slice the cache may retain. The two
 	// public forms (WithWriterSynth, WithCtxSynth) are adapters onto it.
-	miss CtxSynth
+	miss ctxSynth
 	// cancelable says miss observes its context, so each flight runs on
 	// its own, canceled when every sharing caller has departed.
 	cancelable bool
@@ -196,7 +196,7 @@ type Option func(*storeOptions)
 type storeOptions struct {
 	cfg      StoreConfig
 	writer   WriterSynth
-	ctxSynth CtxSynth
+	ctxSynth ctxSynth
 }
 
 // WithWriterSynth sets the writer-first miss form: misses allocate the
@@ -214,7 +214,7 @@ func WithWriterSynth(ws WriterSynth) Option {
 // canceled only when the last of them departs, so a canceled viewer
 // aborts an origin fetch nobody else wants without poisoning a body
 // other viewers are waiting on.
-func WithCtxSynth(synth CtxSynth) Option {
+func WithCtxSynth(synth ctxSynth) Option {
 	return func(o *storeOptions) { o.ctxSynth = synth }
 }
 

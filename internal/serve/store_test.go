@@ -35,7 +35,7 @@ func eachForm(t *testing.T, fn func(t *testing.T, form string)) {
 // size bytes long — through the named form. The writer form declares
 // size up front and streams the body; it has no flight context, so body
 // sees a background one there.
-func formStore(form string, size int, body CtxSynth, opts ...Option) *Store {
+func formStore(form string, size int, body ctxSynth, opts ...Option) *Store {
 	if form == "ctx" {
 		return New(append(opts, WithCtxSynth(body))...)
 	}

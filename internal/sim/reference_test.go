@@ -128,10 +128,12 @@ type clockModel interface {
 	RunUntil(deadline time.Duration)
 }
 
-// kept adapts *Clock, whose handles are values, to clockModel.
+// kept adapts *Clock, whose handles are values and whose queue is
+// unexported, to clockModel.
 type kept struct{ *Clock }
 
 func (k kept) Schedule(at time.Duration, fn func()) handle { return k.Clock.Schedule(at, fn) }
+func (k kept) Pending() int                                { return len(k.queue) }
 func (k kept) After(d time.Duration, fn func()) handle     { return k.Clock.After(d, fn) }
 
 // play runs a byte-coded scenario on c and returns everything

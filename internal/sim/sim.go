@@ -99,9 +99,6 @@ func NewClock(seed int64) *Clock {
 // Now reports the current virtual time.
 func (c *Clock) Now() time.Duration { return c.now }
 
-// Seed reports the seed the clock's random streams derive from.
-func (c *Clock) Seed() int64 { return c.seed }
-
 // RNG returns the named deterministic random stream, creating it on
 // first use. Distinct names give independent streams; the same name
 // always gives the same stream for a given clock seed, regardless of the
@@ -152,10 +149,6 @@ func (c *Clock) After(d time.Duration, fn func()) Event {
 // Halt stops the currently executing Run/RunUntil after the current
 // event returns.
 func (c *Clock) Halt() { c.halted = true }
-
-// Pending reports the number of events waiting to fire (including
-// cancelled events not yet drained).
-func (c *Clock) Pending() int { return len(c.queue) }
 
 // pop takes the earliest record off the queue and returns its time and
 // callback (nil if the event was cancelled). The record is free again
@@ -217,6 +210,3 @@ func (c *Clock) RunUntil(deadline time.Duration) {
 		c.now = deadline
 	}
 }
-
-// RunFor advances the clock by d, firing everything that falls inside.
-func (c *Clock) RunFor(d time.Duration) { c.RunUntil(c.now + d) }

@@ -56,22 +56,22 @@ func (Equirectangular) Inverse(u, v float64) Orientation {
 // ∫cos/∫1 = 2/π.
 func (Equirectangular) PixelEfficiency() float64 { return 2 / math.Pi }
 
-// CubeFace identifies one of the six cube-map faces.
-type CubeFace int
+// cubeFace identifies one of the six cube-map faces.
+type cubeFace int
 
 // Cube faces in Facebook layout order.
 const (
-	FaceFront CubeFace = iota
-	FaceBack
-	FaceLeft
-	FaceRight
-	FaceTop
-	FaceBottom
+	faceFront cubeFace = iota
+	faceBack
+	faceLeft
+	faceRight
+	faceTop
+	faceBottom
 )
 
 var faceNames = [...]string{"front", "back", "left", "right", "top", "bottom"}
 
-func (f CubeFace) String() string {
+func (f cubeFace) String() string {
 	if f < 0 || int(f) >= len(faceNames) {
 		return fmt.Sprintf("face(%d)", int(f))
 	}
@@ -88,53 +88,53 @@ func (CubeMap) Name() string { return "cubemap" }
 
 // faceOf returns the dominant axis face for a direction and the in-face
 // coordinates in [-1,1].
-func faceOf(d Vec3) (CubeFace, float64, float64) {
+func faceOf(d Vec3) (cubeFace, float64, float64) {
 	ax, ay, az := math.Abs(d.X), math.Abs(d.Y), math.Abs(d.Z)
 	switch {
 	case az >= ax && az >= ay:
 		if d.Z > 0 {
-			return FaceFront, d.X / az, d.Y / az
+			return faceFront, d.X / az, d.Y / az
 		}
-		return FaceBack, -d.X / az, d.Y / az
+		return faceBack, -d.X / az, d.Y / az
 	case ax >= ay:
 		if d.X > 0 {
-			return FaceRight, -d.Z / ax, d.Y / ax
+			return faceRight, -d.Z / ax, d.Y / ax
 		}
-		return FaceLeft, d.Z / ax, d.Y / ax
+		return faceLeft, d.Z / ax, d.Y / ax
 	default:
 		if d.Y > 0 {
-			return FaceTop, d.X / ay, -d.Z / ay
+			return faceTop, d.X / ay, -d.Z / ay
 		}
-		return FaceBottom, d.X / ay, d.Z / ay
+		return faceBottom, d.X / ay, d.Z / ay
 	}
 }
 
 // faceDirection inverts faceOf for in-face coordinates a,b in [-1,1].
-func faceDirection(f CubeFace, a, b float64) Vec3 {
+func faceDirection(f cubeFace, a, b float64) Vec3 {
 	switch f {
-	case FaceFront:
+	case faceFront:
 		return Vec3{X: a, Y: b, Z: 1}
-	case FaceBack:
+	case faceBack:
 		return Vec3{X: -a, Y: b, Z: -1}
-	case FaceRight:
+	case faceRight:
 		return Vec3{X: 1, Y: b, Z: -a}
-	case FaceLeft:
+	case faceLeft:
 		return Vec3{X: -1, Y: b, Z: a}
-	case FaceTop:
+	case faceTop:
 		return Vec3{X: a, Y: 1, Z: -b}
-	default: // FaceBottom
+	default: // faceBottom
 		return Vec3{X: a, Y: -1, Z: b}
 	}
 }
 
 // atlas positions: column, row for each face in the 3×2 layout.
 var atlasPos = [6][2]int{
-	FaceFront:  {0, 0},
-	FaceBack:   {1, 0},
-	FaceLeft:   {2, 0},
-	FaceRight:  {0, 1},
-	FaceTop:    {1, 1},
-	FaceBottom: {2, 1},
+	faceFront:  {0, 0},
+	faceBack:   {1, 0},
+	faceLeft:   {2, 0},
+	faceRight:  {0, 1},
+	faceTop:    {1, 1},
+	faceBottom: {2, 1},
 }
 
 // Forward implements Projection.
@@ -161,10 +161,10 @@ func (CubeMap) Inverse(u, v float64) Orientation {
 	if row > 1 {
 		row = 1
 	}
-	var face CubeFace
+	var face cubeFace
 	for f, pos := range atlasPos {
 		if pos[0] == col && pos[1] == row {
-			face = CubeFace(f)
+			face = cubeFace(f)
 			break
 		}
 	}

@@ -67,14 +67,14 @@ func TestCubeMapRoundTrip(t *testing.T) {
 func TestCubeMapFaceAssignment(t *testing.T) {
 	cases := []struct {
 		o    Orientation
-		want CubeFace
+		want cubeFace
 	}{
-		{Orientation{}, FaceFront},
-		{Orientation{Yaw: -180}, FaceBack},
-		{Orientation{Yaw: 90}, FaceRight},
-		{Orientation{Yaw: -90}, FaceLeft},
-		{Orientation{Pitch: 90}, FaceTop},
-		{Orientation{Pitch: -90}, FaceBottom},
+		{Orientation{}, faceFront},
+		{Orientation{Yaw: -180}, faceBack},
+		{Orientation{Yaw: 90}, faceRight},
+		{Orientation{Yaw: -90}, faceLeft},
+		{Orientation{Pitch: 90}, faceTop},
+		{Orientation{Pitch: -90}, faceBottom},
 	}
 	for _, c := range cases {
 		f, _, _ := faceOf(c.o.Direction())
@@ -85,11 +85,11 @@ func TestCubeMapFaceAssignment(t *testing.T) {
 }
 
 func TestCubeFaceString(t *testing.T) {
-	if FaceTop.String() != "top" {
-		t.Fatalf("FaceTop = %q", FaceTop.String())
+	if faceTop.String() != "top" {
+		t.Fatalf("FaceTop = %q", faceTop.String())
 	}
-	if CubeFace(99).String() != "face(99)" {
-		t.Fatalf("unknown face = %q", CubeFace(99).String())
+	if cubeFace(99).String() != "face(99)" {
+		t.Fatalf("unknown face = %q", cubeFace(99).String())
 	}
 }
 

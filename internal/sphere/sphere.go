@@ -62,8 +62,8 @@ type Vec3 struct {
 // Dot returns the scalar product a·b.
 func (a Vec3) Dot(b Vec3) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
 
-// Norm returns the Euclidean length.
-func (a Vec3) Norm() float64 { return math.Sqrt(a.Dot(a)) }
+// norm returns the Euclidean length.
+func (a Vec3) norm() float64 { return math.Sqrt(a.Dot(a)) }
 
 // Direction converts the orientation's view axis into a unit vector.
 // Roll does not affect the axis.
@@ -83,7 +83,7 @@ func (o Orientation) Direction() Vec3 {
 // to an orientation with zero roll. The zero vector maps to the zero
 // orientation.
 func FromDirection(v Vec3) Orientation {
-	n := v.Norm()
+	n := v.norm()
 	if n == 0 {
 		return Orientation{}
 	}
@@ -120,11 +120,11 @@ type FoV struct {
 // DefaultFoV is a typical mobile-VR viewport (100° × 90°).
 var DefaultFoV = FoV{Width: 100, Height: 90}
 
-// SolidAngleSr returns the solid angle of the FoV frustum in steradians,
+// solidAngleSr returns the solid angle of the FoV frustum in steradians,
 // computed exactly for a rectangular frustum:
 //
 //	Ω = 4·asin( sin(w/2)·sin(h/2) )
-func (f FoV) SolidAngleSr() float64 {
+func (f FoV) solidAngleSr() float64 {
 	w := f.Width * math.Pi / 360  // half-width in radians
 	h := f.Height * math.Pi / 360 // half-height in radians
 	return 4 * math.Asin(math.Sin(w)*math.Sin(h))
@@ -134,7 +134,7 @@ func (f FoV) SolidAngleSr() float64 {
 // For the default 100°×90° FoV this is ≈ 0.20, which is where the
 // paper's "360° videos are around 5× larger than conventional videos
 // under the same perceived quality" claim comes from (§1).
-func (f FoV) SphereFraction() float64 { return f.SolidAngleSr() / (4 * math.Pi) }
+func (f FoV) SphereFraction() float64 { return f.solidAngleSr() / (4 * math.Pi) }
 
 // Contains reports whether the direction target falls inside the FoV
 // frustum when looking along view. The target is transformed into the

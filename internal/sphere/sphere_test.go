@@ -281,7 +281,7 @@ func TestSphereFractionDefaultNearFifth(t *testing.T) {
 }
 
 func TestSolidAngleFullSphereLimit(t *testing.T) {
-	full := FoV{Width: 180, Height: 180}.SolidAngleSr()
+	full := FoV{Width: 180, Height: 180}.solidAngleSr()
 	if !almostEqual(full, 2*math.Pi, 1e-9) {
 		// A 180×180 frustum is a hemisphere-like wedge: Ω = 4·asin(1·1) = 2π.
 		t.Fatalf("Ω(180,180) = %v, want 2π", full)

@@ -58,8 +58,8 @@ func (c *Collector) maxSessions() int {
 	return c.MaxSessionsPerVideo
 }
 
-// Ingest stores one record (the non-HTTP entry point).
-func (c *Collector) Ingest(rec *Record) error {
+// ingest stores one record (the non-HTTP entry point).
+func (c *Collector) ingest(rec *Record) error {
 	if rec == nil || rec.VideoID == "" {
 		return fmt.Errorf("telemetry: nil or unidentified record")
 	}
@@ -69,7 +69,7 @@ func (c *Collector) Ingest(rec *Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ts := c.traces[rec.VideoID]
-	ts = append(ts, rec.HeadTrace())
+	ts = append(ts, rec.headTrace())
 	if over := len(ts) - c.maxSessions(); over > 0 {
 		ts = ts[over:]
 	}
@@ -81,17 +81,17 @@ func (c *Collector) Ingest(rec *Record) error {
 	return nil
 }
 
-// Sessions returns the stored session count for a video.
-func (c *Collector) Sessions(videoID string) int {
+// sessions returns the stored session count for a video.
+func (c *Collector) sessions(videoID string) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.traces[videoID])
 }
 
-// Heatmap aggregates the stored sessions of a video into a crowd
+// heatmap aggregates the stored sessions of a video into a crowd
 // heatmap over the given chunking. Returns an error when no telemetry
 // exists.
-func (c *Collector) Heatmap(videoID string, chunkDur, videoDur time.Duration) (*hmp.Heatmap, error) {
+func (c *Collector) heatmap(videoID string, chunkDur, videoDur time.Duration) (*hmp.Heatmap, error) {
 	c.mu.RLock()
 	sessions := append([]*trace.HeadTrace(nil), c.traces[videoID]...)
 	c.mu.RUnlock()
@@ -131,7 +131,7 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "telemetry: record/path video mismatch", http.StatusBadRequest)
 		return
 	}
-	if err := c.Ingest(rec); err != nil {
+	if err := c.ingest(rec); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -161,14 +161,14 @@ func (c *Collector) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		}
 		chunkMs = v
 	}
-	heat, err := c.Heatmap(videoID, time.Duration(chunkMs)*time.Millisecond, 0)
+	heat, err := c.heatmap(videoID, time.Duration(chunkMs)*time.Millisecond, 0)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
 	resp := HeatmapResponse{
 		VideoID:   videoID,
-		Sessions:  c.Sessions(videoID),
+		Sessions:  c.sessions(videoID),
 		ChunkMs:   chunkMs,
 		Rows:      c.Grid.Rows,
 		Cols:      c.Grid.Cols,

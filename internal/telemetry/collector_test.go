@@ -54,8 +54,8 @@ func TestCollectorIngestAndStats(t *testing.T) {
 			t.Fatalf("ingest status %d", resp.StatusCode)
 		}
 	}
-	if c.Sessions("vid-9") != 5 {
-		t.Fatalf("Sessions = %d", c.Sessions("vid-9"))
+	if c.sessions("vid-9") != 5 {
+		t.Fatalf("Sessions = %d", c.sessions("vid-9"))
 	}
 	resp, err := http.Get(srv.URL + "/t/vid-9/stats")
 	if err != nil {
@@ -157,11 +157,11 @@ func TestCollectorBoundsSessions(t *testing.T) {
 	c := testCollector()
 	c.MaxSessionsPerVideo = 3
 	for _, rec := range crowdRecords(t, 6) {
-		if err := c.Ingest(rec); err != nil {
+		if err := c.ingest(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Sessions("vid-9"); got != 3 {
+	if got := c.sessions("vid-9"); got != 3 {
 		t.Fatalf("Sessions = %d, want bounded 3", got)
 	}
 }
@@ -170,11 +170,11 @@ func TestCollectorHeatmapMatchesDirectBuild(t *testing.T) {
 	c := testCollector()
 	recs := crowdRecords(t, 6)
 	for _, rec := range recs {
-		if err := c.Ingest(rec); err != nil {
+		if err := c.ingest(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	heat, err := c.Heatmap("vid-9", 2*time.Second, 30*time.Second)
+	heat, err := c.heatmap("vid-9", 2*time.Second, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +188,10 @@ func TestCollectorHeatmapMatchesDirectBuild(t *testing.T) {
 
 func TestIngestValidation(t *testing.T) {
 	c := testCollector()
-	if err := c.Ingest(nil); err == nil {
+	if err := c.ingest(nil); err == nil {
 		t.Fatal("nil record accepted")
 	}
-	if err := c.Ingest(&Record{VideoID: "x"}); err == nil {
+	if err := c.ingest(&Record{VideoID: "x"}); err == nil {
 		t.Fatal("empty record accepted")
 	}
 }
@@ -203,7 +203,7 @@ func TestCollectorConcurrentIngest(t *testing.T) {
 	for _, rec := range recs {
 		rec := rec
 		go func() {
-			c.Ingest(rec)
+			c.ingest(rec)
 			done <- struct{}{}
 		}()
 	}
@@ -211,8 +211,8 @@ func TestCollectorConcurrentIngest(t *testing.T) {
 	for g := 0; g < 2; g++ {
 		go func() {
 			for i := 0; i < 10; i++ {
-				c.Sessions("vid-9")
-				c.Heatmap("vid-9", 2*time.Second, 30*time.Second)
+				c.sessions("vid-9")
+				c.heatmap("vid-9", 2*time.Second, 30*time.Second)
 			}
 			done <- struct{}{}
 		}()
@@ -220,7 +220,7 @@ func TestCollectorConcurrentIngest(t *testing.T) {
 	for i := 0; i < len(recs)+2; i++ {
 		<-done
 	}
-	if c.Sessions("vid-9") != 12 {
-		t.Fatalf("Sessions = %d after concurrent ingest", c.Sessions("vid-9"))
+	if c.sessions("vid-9") != 12 {
+		t.Fatalf("Sessions = %d after concurrent ingest", c.sessions("vid-9"))
 	}
 }

@@ -58,8 +58,8 @@ const (
 	headerFixed   = 16
 	// quantum is the angle resolution: 0.02°, far below sensor noise.
 	quantum = 0.02
-	// MaxSamples bounds one record (an hour at 50 Hz).
-	MaxSamples = 50 * 3600
+	// maxSamples bounds one record (an hour at 50 Hz).
+	maxSamples = 50 * 3600
 )
 
 // Errors.
@@ -81,9 +81,9 @@ func quantize(deg float64) int16 {
 
 func dequantize(q int16) float64 { return float64(q) * quantum }
 
-// EncodedSize returns the wire size of a record with the given ID
+// encodedSize returns the wire size of a record with the given ID
 // lengths and sample count.
-func EncodedSize(videoID, userID string, samples int) int {
+func encodedSize(videoID, userID string, samples int) int {
 	return headerFixed + len(videoID) + len(userID) + 6*samples
 }
 
@@ -95,14 +95,14 @@ func Encode(w io.Writer, r *Record) error {
 	if len(r.UserID) == 0 || len(r.UserID) > 255 {
 		return fmt.Errorf("telemetry: user ID length %d", len(r.UserID))
 	}
-	if len(r.Samples) > MaxSamples {
-		return fmt.Errorf("telemetry: %d samples exceed max %d", len(r.Samples), MaxSamples)
+	if len(r.Samples) > maxSamples {
+		return fmt.Errorf("telemetry: %d samples exceed max %d", len(r.Samples), maxSamples)
 	}
 	interval := r.SampleInterval
 	if interval <= 0 {
 		interval = time.Second / trace.SampleRate
 	}
-	buf := make([]byte, EncodedSize(r.VideoID, r.UserID, len(r.Samples)))
+	buf := make([]byte, encodedSize(r.VideoID, r.UserID, len(r.Samples)))
 	copy(buf, recordMagic)
 	buf[4] = recordVersion
 	buf[5] = uint8(len(r.VideoID))
@@ -179,7 +179,7 @@ func Decode(r io.Reader) (*Record, error) {
 		return nil, fmt.Errorf("telemetry: empty ID")
 	}
 	n := binary.BigEndian.Uint32(fixed[12:])
-	if n > MaxSamples {
+	if n > maxSamples {
 		return nil, fmt.Errorf("telemetry: sample count %d exceeds max", n)
 	}
 	rec := &Record{
@@ -242,7 +242,7 @@ func FromHeadTrace(videoID, userID string, ctx trace.Context, h *trace.HeadTrace
 	return rec
 }
 
-// HeadTrace reconstructs the head trace carried by a record.
-func (r *Record) HeadTrace() *trace.HeadTrace {
+// headTrace reconstructs the head trace carried by a record.
+func (r *Record) headTrace() *trace.HeadTrace {
 	return &trace.HeadTrace{Samples: r.Samples}
 }

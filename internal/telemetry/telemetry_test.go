@@ -33,9 +33,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := Encode(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != EncodedSize(rec.VideoID, rec.UserID, len(rec.Samples)) {
+	if buf.Len() != encodedSize(rec.VideoID, rec.UserID, len(rec.Samples)) {
 		t.Fatalf("encoded %d bytes, EncodedSize says %d", buf.Len(),
-			EncodedSize(rec.VideoID, rec.UserID, len(rec.Samples)))
+			encodedSize(rec.VideoID, rec.UserID, len(rec.Samples)))
 	}
 	got, err := Decode(&buf)
 	if err != nil {
@@ -77,7 +77,7 @@ func TestEncodeValidation(t *testing.T) {
 	if err := Encode(&buf, &Record{VideoID: long, UserID: "u"}); err == nil {
 		t.Fatal("oversized video ID accepted")
 	}
-	big := &Record{VideoID: "v", UserID: "u", Samples: make([]trace.Sample, MaxSamples+1)}
+	big := &Record{VideoID: "v", UserID: "u", Samples: make([]trace.Sample, maxSamples+1)}
 	if err := Encode(&buf, big); err == nil {
 		t.Fatal("oversized sample count accepted")
 	}
@@ -129,7 +129,7 @@ func TestBitrateUnderPaperBudget(t *testing.T) {
 
 func TestHeadTraceReconstruction(t *testing.T) {
 	rec := sampleRecord(t, 100)
-	h := rec.HeadTrace()
+	h := rec.headTrace()
 	if len(h.Samples) != 100 {
 		t.Fatalf("reconstructed %d samples", len(h.Samples))
 	}

@@ -97,7 +97,7 @@ func TestVisibleTilesOnBorders(t *testing.T) {
 
 // exactTile is the expression tileOf stands in for.
 func exactTile(g Grid, d sphere.Vec3) TileID {
-	return g.TileAt(sphere.Equirectangular{}.Forward(sphere.FromDirection(d)))
+	return g.tileAt(sphere.Equirectangular{}.Forward(sphere.FromDirection(d)))
 }
 
 // TestTileOfAgreesWhereItAnswers drives tileOf with vectors rather than

@@ -11,7 +11,7 @@ import (
 	"sperke/internal/sphere"
 )
 
-// The functions below are the bodies VisibleTiles, TileAt and
+// The functions below are the bodies VisibleTiles, tileAt and
 // distancesFrom had before the visibility kernel replaced them, kept
 // verbatim as the oracle: the kernel is licensed by returning exactly
 // what they return, not by being close.
@@ -88,7 +88,7 @@ func distancesRef(g Grid, set []TileID) map[TileID]int {
 	for d := 1; len(frontier) > 0; d++ {
 		var next []TileID
 		for _, id := range frontier {
-			row, col := g.RowCol(id)
+			row, col := g.rowCol(id)
 			for dr := -1; dr <= 1; dr++ {
 				for dc := -1; dc <= 1; dc++ {
 					if dr == 0 && dc == 0 {
@@ -231,7 +231,7 @@ func TestTileAtAlwaysValid(t *testing.T) {
 	}
 	for _, cu := range cases {
 		for _, cv := range cases {
-			id := g.TileAt(cu.x, cv.x)
+			id := g.tileAt(cu.x, cv.x)
 			if !g.Valid(id) {
 				t.Fatalf("TileAt(%v, %v) = %d, not a tile of the grid", cu.x, cv.x, id)
 			}
@@ -242,7 +242,7 @@ func TestTileAtAlwaysValid(t *testing.T) {
 			if cu.last {
 				wantCol = g.Cols - 1
 			}
-			if row, col := g.RowCol(id); row != wantRow || col != wantCol {
+			if row, col := g.rowCol(id); row != wantRow || col != wantCol {
 				t.Fatalf("TileAt(%v, %v) = row %d col %d, want row %d col %d", cu.x, cv.x, row, col, wantRow, wantCol)
 			}
 		}
@@ -283,7 +283,7 @@ func TestTileAtMatchesReference(t *testing.T) {
 	for _, g := range refGrids {
 		check := func(u, v float64) {
 			t.Helper()
-			if got, want := g.TileAt(u, v), tileAtRef(g, u, v); got != want {
+			if got, want := g.tileAt(u, v), tileAtRef(g, u, v); got != want {
 				t.Fatalf("%dx%d TileAt(%v, %v) = %d, reference %d", g.Rows, g.Cols, u, v, got, want)
 			}
 		}

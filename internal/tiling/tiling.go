@@ -63,17 +63,17 @@ func (g Grid) Tile(row, col int) TileID {
 	return TileID(row*g.Cols + col)
 }
 
-// RowCol returns the (row, col) of a tile.
-func (g Grid) RowCol(id TileID) (row, col int) {
+// rowCol returns the (row, col) of a tile.
+func (g Grid) rowCol(id TileID) (row, col int) {
 	return int(id) / g.Cols, int(id) % g.Cols
 }
 
 // Valid reports whether id addresses a tile of this grid.
 func (g Grid) Valid(id TileID) bool { return id >= 0 && int(id) < g.Tiles() }
 
-// Rect returns the tile's texture-space rectangle [u0,u1)×[v0,v1).
-func (g Grid) Rect(id TileID) (u0, v0, u1, v1 float64) {
-	row, col := g.RowCol(id)
+// rect returns the tile's texture-space rectangle [u0,u1)×[v0,v1).
+func (g Grid) rect(id TileID) (u0, v0, u1, v1 float64) {
+	row, col := g.rowCol(id)
 	u0 = float64(col) / float64(g.Cols)
 	u1 = float64(col+1) / float64(g.Cols)
 	v0 = float64(row) / float64(g.Rows)
@@ -81,10 +81,10 @@ func (g Grid) Rect(id TileID) (u0, v0, u1, v1 float64) {
 	return u0, v0, u1, v1
 }
 
-// TileAt returns the tile containing texture coordinates (u, v),
+// tileAt returns the tile containing texture coordinates (u, v),
 // clamping coordinates into [0,1). The result is a tile of the grid
 // for every float: NaN lands in column (row) 0, +Inf in the last.
-func (g Grid) TileAt(u, v float64) TileID {
+func (g Grid) tileAt(u, v float64) TileID {
 	return TileID(cell(v, g.Rows)*g.Cols + cell(u, g.Cols))
 }
 
@@ -105,7 +105,7 @@ func cell(x float64, n int) int {
 // Center returns the viewing direction of the tile's center under the
 // given projection.
 func (g Grid) Center(id TileID, p sphere.Projection) sphere.Orientation {
-	u0, v0, u1, v1 := g.Rect(id)
+	u0, v0, u1, v1 := g.rect(id)
 	return p.Inverse((u0+u1)/2, (v0+v1)/2)
 }
 
@@ -256,7 +256,7 @@ func (vp *Viewport) mark(view sphere.Orientation, set []bool) (exact int) {
 				id, ok = vp.b.tileOf(d)
 			}
 			if !ok {
-				id = g.TileAt(vp.p.Forward(sphere.FromDirection(d)))
+				id = g.tileAt(vp.p.Forward(sphere.FromDirection(d)))
 				exact++
 			}
 			set[id] = true
@@ -304,7 +304,7 @@ func (b *borders) init(g Grid) bool {
 	return true
 }
 
-// tileOf returns the tile g.TileAt(Equirectangular.Forward(
+// tileOf returns the tile g.tileAt(Equirectangular.Forward(
 // sphere.FromDirection(d))) returns, without the inverse trigonometry,
 // or ok = false when d is not provably inside one tile: d is not a unit
 // vector to 1e-12 (FromDirection divides by the norm; here Y is compared
@@ -427,7 +427,7 @@ func Distances(g Grid, set []TileID) []int {
 	}
 	for head := 0; head < len(queue); head++ {
 		id := queue[head]
-		row, col := g.RowCol(id)
+		row, col := g.rowCol(id)
 		for nr := row - 1; nr <= row+1; nr++ {
 			if nr < 0 || nr >= g.Rows {
 				continue
@@ -454,12 +454,4 @@ type ChunkID struct {
 
 func (c ChunkID) String() string {
 	return fmt.Sprintf("C(q=%d, l=%d, t=%v)", c.Quality, c.Tile, c.Start)
-}
-
-// Index returns the chunk's temporal index for a given chunk duration.
-func (c ChunkID) Index(chunkDur time.Duration) int {
-	if chunkDur <= 0 {
-		return 0
-	}
-	return int(c.Start / chunkDur)
 }

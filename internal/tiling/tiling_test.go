@@ -21,7 +21,7 @@ func TestGridValidate(t *testing.T) {
 func TestTileRowColRoundTrip(t *testing.T) {
 	g := Grid{Rows: 4, Cols: 6}
 	for id := TileID(0); int(id) < g.Tiles(); id++ {
-		row, col := g.RowCol(id)
+		row, col := g.rowCol(id)
 		if got := g.Tile(row, col); got != id {
 			t.Fatalf("Tile(RowCol(%d)) = %d", id, got)
 		}
@@ -52,7 +52,7 @@ func TestRectPartitionsUnitSquare(t *testing.T) {
 	g := Grid{Rows: 3, Cols: 5}
 	var area float64
 	for id := TileID(0); int(id) < g.Tiles(); id++ {
-		u0, v0, u1, v1 := g.Rect(id)
+		u0, v0, u1, v1 := g.rect(id)
 		if u0 >= u1 || v0 >= v1 {
 			t.Fatalf("tile %d rect degenerate", id)
 		}
@@ -68,8 +68,8 @@ func TestTileAtMatchesRect(t *testing.T) {
 	f := func(u, v float64) bool {
 		u = frac(u)
 		v = frac(v)
-		id := g.TileAt(u, v)
-		u0, v0, u1, v1 := g.Rect(id)
+		id := g.tileAt(u, v)
+		u0, v0, u1, v1 := g.rect(id)
 		return u >= u0-1e-12 && u < u1+1e-12 && v >= v0-1e-12 && v < v1+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -99,7 +99,7 @@ func TestVisibleTilesForwardView(t *testing.T) {
 	}
 	// The tile containing the exact view center must be present.
 	u, v := p.Forward(sphere.Orientation{})
-	center := g.TileAt(u, v)
+	center := g.tileAt(u, v)
 	found := false
 	for _, id := range tiles {
 		if id == center {
@@ -130,9 +130,9 @@ func TestVisibleTilesCoverEveryFoVDirection(t *testing.T) {
 				hy := float64(j) / 4 * sphere.DefaultFoV.Height / 2 * 0.99
 				dir := frustumDirectionRef(view, hx, hy)
 				u, v := p.Forward(dir)
-				if !set[g.TileAt(u, v)] {
+				if !set[g.tileAt(u, v)] {
 					t.Fatalf("view %v: direction (%.0f,%.0f) tile %d not in visible set %v",
-						view, hx, hy, g.TileAt(u, v), setKeys(set))
+						view, hx, hy, g.tileAt(u, v), setKeys(set))
 				}
 			}
 		}
@@ -155,7 +155,7 @@ func TestVisibleTilesAtPoleCoverAllColumns(t *testing.T) {
 	tiles := VisibleTiles(g, p, sphere.Orientation{Pitch: 90}, sphere.DefaultFoV)
 	cols := make(map[int]bool)
 	for _, id := range tiles {
-		row, col := g.RowCol(id)
+		row, col := g.rowCol(id)
 		if row == 0 {
 			cols[col] = true
 		}
@@ -263,12 +263,6 @@ func TestDistancesMonotoneUnderGrowingSet(t *testing.T) {
 
 func TestChunkIDIndexAndString(t *testing.T) {
 	c := ChunkID{Quality: 2, Tile: 5, Start: 4 * time.Second}
-	if c.Index(2*time.Second) != 2 {
-		t.Fatalf("Index = %d, want 2", c.Index(2*time.Second))
-	}
-	if c.Index(0) != 0 {
-		t.Fatal("Index with zero duration should be 0")
-	}
 	if c.String() == "" {
 		t.Fatal("empty String")
 	}
@@ -280,8 +274,8 @@ func TestCenterInsideTileRect(t *testing.T) {
 	for id := TileID(0); int(id) < g.Tiles(); id++ {
 		o := g.Center(id, p)
 		u, v := p.Forward(o)
-		if g.TileAt(u, v) != id {
-			t.Fatalf("tile %d center maps to tile %d", id, g.TileAt(u, v))
+		if g.tileAt(u, v) != id {
+			t.Fatalf("tile %d center maps to tile %d", id, g.tileAt(u, v))
 		}
 	}
 }

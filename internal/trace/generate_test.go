@@ -46,7 +46,7 @@ func generateRef(rng *rand.Rand, profile UserProfile, attention *Attention, dur 
 	}
 
 	retarget := func(ts time.Duration) {
-		hs := attention.ActiveHotspots(ts)
+		hs := attention.appendActive(nil, ts)
 		// Engaged viewers follow hotspots; disengaged ones wander.
 		if len(hs) > 0 && rng.Float64() < engage {
 			pick := hs[0]

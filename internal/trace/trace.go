@@ -69,9 +69,9 @@ func (h *HeadTrace) At(ts time.Duration) sphere.Orientation {
 	return sphere.Lerp(a.View, b.View, t)
 }
 
-// VelocityAt returns the angular speed in degrees/second around ts,
+// velocityAt returns the angular speed in degrees/second around ts,
 // estimated over a 100 ms window.
-func (h *HeadTrace) VelocityAt(ts time.Duration) float64 {
+func (h *HeadTrace) velocityAt(ts time.Duration) float64 {
 	const w = 50 * time.Millisecond
 	a := h.At(ts - w)
 	b := h.At(ts + w)
@@ -85,7 +85,7 @@ func (h *HeadTrace) VelocityAt(ts time.Duration) float64 {
 func (h *HeadTrace) MaxVelocity() float64 {
 	var vmax float64
 	for ts := time.Duration(0); ts <= h.Duration(); ts += 100 * time.Millisecond {
-		if v := h.VelocityAt(ts); v > vmax {
+		if v := h.velocityAt(ts); v > vmax {
 			vmax = v
 		}
 	}
@@ -120,7 +120,7 @@ type WatchMode int
 
 // Watch modes.
 const (
-	BareSmartphone WatchMode = iota
+	bareSmartphone WatchMode = iota
 	Headset
 )
 
@@ -139,7 +139,7 @@ func (c Context) YawRange() float64 {
 	if c.Pose == Lying {
 		return 110
 	}
-	if c.Pose == Sitting && c.Mode == BareSmartphone {
+	if c.Pose == Sitting && c.Mode == bareSmartphone {
 		return 150
 	}
 	return 180
@@ -169,9 +169,9 @@ type Hotspot struct {
 	Pull float64
 }
 
-// ActiveAt reports whether the hotspot is active at ts and its current
+// activeAt reports whether the hotspot is active at ts and its current
 // center (it drifts while active).
-func (h Hotspot) ActiveAt(ts time.Duration) (sphere.Orientation, bool) {
+func (h Hotspot) activeAt(ts time.Duration) (sphere.Orientation, bool) {
 	if ts < h.Start || ts >= h.Start+h.Duration {
 		return sphere.Orientation{}, false
 	}
@@ -222,17 +222,12 @@ func GenerateAttention(rng *rand.Rand, dur time.Duration) *Attention {
 	return &a
 }
 
-// ActiveHotspots returns the hotspots active at ts with their drifted
-// centers.
-func (a *Attention) ActiveHotspots(ts time.Duration) []Hotspot {
-	return a.appendActive(nil, ts)
-}
-
-// appendActive appends ActiveHotspots(ts) to dst, for a caller that asks
-// many times and can reuse one buffer.
+// appendActive appends the hotspots active at ts, with their drifted
+// centers, to dst, so a caller that asks many times can reuse one
+// buffer.
 func (a *Attention) appendActive(dst []Hotspot, ts time.Duration) []Hotspot {
 	for _, h := range a.Hotspots {
-		if c, ok := h.ActiveAt(ts); ok {
+		if c, ok := h.activeAt(ts); ok {
 			h.Center = c
 			dst = append(dst, h)
 		}

@@ -136,7 +136,7 @@ func TestAttentionSchedulesCoverDuration(t *testing.T) {
 	}
 	// At several probe times there should be at least one active hotspot.
 	for ts := time.Second; ts < 55*time.Second; ts += 5 * time.Second {
-		if len(att.ActiveHotspots(ts)) == 0 {
+		if len(att.appendActive(nil, ts)) == 0 {
 			t.Fatalf("no active hotspot at %v", ts)
 		}
 	}
@@ -149,14 +149,14 @@ func TestHotspotDrift(t *testing.T) {
 		Duration: 10 * time.Second,
 		Drift:    5,
 	}
-	c, ok := h.ActiveAt(2 * time.Second)
+	c, ok := h.activeAt(2 * time.Second)
 	if !ok {
 		t.Fatal("hotspot inactive at 2s")
 	}
 	if c.Yaw < 9.9 || c.Yaw > 10.1 {
 		t.Fatalf("drifted yaw = %v, want 10", c.Yaw)
 	}
-	if _, ok := h.ActiveAt(11 * time.Second); ok {
+	if _, ok := h.activeAt(11 * time.Second); ok {
 		t.Fatal("hotspot active after end")
 	}
 }
@@ -213,7 +213,7 @@ func TestVelocityAtStationaryTrace(t *testing.T) {
 		{At: time.Second, View: sphere.Orientation{Yaw: 45}},
 		{At: 2 * time.Second, View: sphere.Orientation{Yaw: 45}},
 	}}
-	if v := h.VelocityAt(time.Second); v > 1e-9 {
+	if v := h.velocityAt(time.Second); v > 1e-9 {
 		t.Fatalf("stationary velocity = %v", v)
 	}
 }

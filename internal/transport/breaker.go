@@ -16,9 +16,9 @@ const (
 	// BreakerOpen: the path tripped; requests are routed elsewhere until
 	// the cooldown passes.
 	BreakerOpen
-	// BreakerHalfOpen: the cooldown passed; one probe request is allowed
+	// breakerHalfOpen: the cooldown passed; one probe request is allowed
 	// through to test recovery.
-	BreakerHalfOpen
+	breakerHalfOpen
 )
 
 func (s BreakerState) String() string {
@@ -105,8 +105,6 @@ type Breaker struct {
 	probing     bool
 	openedAt    time.Duration
 	transitions []BreakerTransition
-	// opened and reclosed survive the log's cap.
-	opened, reclosed bool
 }
 
 // NewBreaker builds a closed breaker on the given clock.
@@ -121,8 +119,6 @@ func (b *Breaker) transition(to BreakerState) {
 	if len(b.transitions) < maxTransitions {
 		b.transitions = append(b.transitions, BreakerTransition{At: b.clock.Now(), From: b.state, To: to})
 	}
-	b.reclosed = b.reclosed || b.opened && to == BreakerClosed
-	b.opened = b.opened || to == BreakerOpen
 	b.state = to
 	b.Obs.Counter("transport.breaker.to_" + to.metricName()).Inc()
 }
@@ -131,7 +127,7 @@ func (b *Breaker) transition(to BreakerState) {
 // cooldown has passed.
 func (b *Breaker) State() BreakerState {
 	if b.state == BreakerOpen && b.clock.Now() >= b.openedAt+b.cfg.Cooldown {
-		b.transition(BreakerHalfOpen)
+		b.transition(breakerHalfOpen)
 		b.probing = false
 		b.probeOK = 0
 	}
@@ -144,7 +140,7 @@ func (b *Breaker) Allow() bool {
 	switch b.State() {
 	case BreakerClosed:
 		return true
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		if b.probing {
 			return false
 		}
@@ -159,7 +155,7 @@ func (b *Breaker) Allow() bool {
 func (b *Breaker) OnSuccess() {
 	b.probing = false
 	switch b.State() {
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		b.probeOK++
 		if b.probeOK >= b.cfg.ProbeSuccesses {
 			b.consecFails = 0
@@ -174,7 +170,7 @@ func (b *Breaker) OnSuccess() {
 func (b *Breaker) OnFailure() {
 	b.probing = false
 	switch b.State() {
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		// The probe failed: back to a full cooldown.
 		b.open()
 	case BreakerClosed:
@@ -191,9 +187,9 @@ func (b *Breaker) open() {
 	b.transition(BreakerOpen)
 }
 
-// RetryAt reports when an open breaker will allow its next probe (zero
+// retryAt reports when an open breaker will allow its next probe (zero
 // when the breaker is not open).
-func (b *Breaker) RetryAt() time.Duration {
+func (b *Breaker) retryAt() time.Duration {
 	if b.state != BreakerOpen {
 		return 0
 	}
@@ -207,12 +203,3 @@ func (b *Breaker) Transitions() []BreakerTransition {
 	copy(out, b.transitions)
 	return out
 }
-
-// Opened reports whether the breaker has ever tripped, and Reclosed
-// whether it returned to Closed after tripping — the open-and-re-close
-// cycle chaos tests assert.
-func (b *Breaker) Opened() bool { return b.opened }
-
-// Reclosed reports whether the breaker returned to Closed after having
-// been open.
-func (b *Breaker) Reclosed() bool { return b.reclosed }

@@ -135,7 +135,7 @@ func (f *Failover) TotalStats() PathStats {
 func (f *Failover) Pending() int {
 	n := 0
 	for i := range f.queues {
-		n += f.queues[i].Len()
+		n += len(f.queues[i].h)
 	}
 	return n
 }
@@ -191,7 +191,7 @@ func (f *Failover) route(bytes int64) int {
 	}
 	best = 0
 	for i := 1; i < len(f.paths); i++ {
-		if f.breakers[i].RetryAt() < f.breakers[best].RetryAt() {
+		if f.breakers[i].retryAt() < f.breakers[best].retryAt() {
 			best = i
 		}
 	}
@@ -210,7 +210,7 @@ func (f *Failover) pump(i int) {
 		if f.active[i] > 0 {
 			return
 		}
-		r := f.queues[i].Peek()
+		r := f.queues[i].peek()
 		if r == nil || (f.Clock.Now() < r.Deadline && !r.canceled()) {
 			break
 		}
@@ -224,14 +224,14 @@ func (f *Failover) pump(i int) {
 		}
 		shed(f.Clock, r)
 	}
-	if f.queues[i].Len() == 0 {
+	if len(f.queues[i].h) == 0 {
 		return
 	}
 	switch f.breakers[i].State() {
 	case BreakerOpen:
 		f.reroute(i)
 		return
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		if !f.breakers[i].Allow() {
 			return // a probe is already in flight; wait for its verdict
 		}
@@ -295,7 +295,7 @@ func (f *Failover) onDelivery(i int, r *Request, d netem.Delivery) {
 // reroute drains path i's queue onto healthy paths; when none exist the
 // requests stay parked and a wakeup is armed for the earliest probe.
 func (f *Failover) reroute(i int) {
-	if f.queues[i].Len() == 0 {
+	if len(f.queues[i].h) == 0 {
 		return
 	}
 	target, targetT := -1, time.Duration(0)
@@ -335,10 +335,10 @@ func (f *Failover) armWakeup() {
 	for i := range f.breakers {
 		// State() promotes Open→HalfOpen once the cooldown has passed, so a
 		// breaker idle since its trip (empty queue, never pumped) cannot
-		// keep a stale RetryAt in the past and re-arm at the current
+		// keep a stale retryAt in the past and re-arm at the current
 		// instant forever.
 		f.breakers[i].State()
-		if t := f.breakers[i].RetryAt(); t > 0 && (at < 0 || t < at) {
+		if t := f.breakers[i].retryAt(); t > 0 && (at < 0 || t < at) {
 			at = t
 		}
 	}

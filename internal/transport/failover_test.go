@@ -67,7 +67,7 @@ func TestFailoverTripsAndReroutesQueuedRequests(t *testing.T) {
 		f.Submit(failoverReq(1e6, deadline, &done)) // 1s on wifi, 2s on lte
 	}
 	clock.RunUntil(time.Minute)
-	if !f.Breaker(0).Opened() {
+	if !opened(f.Breaker(0)) {
 		t.Fatal("wifi breaker never opened across the outage")
 	}
 	if f.Stats(0).Rerouted == 0 {
@@ -153,10 +153,10 @@ func TestFailoverTotalOutageWakesUpAndRecovers(t *testing.T) {
 	if len(done) != 8 {
 		t.Fatalf("%d completions, want 8", len(done))
 	}
-	if !f.Breaker(0).Opened() && !f.Breaker(1).Opened() {
+	if !opened(f.Breaker(0)) && !opened(f.Breaker(1)) {
 		t.Fatal("no breaker opened during a total outage")
 	}
-	reclosed := f.Breaker(0).Reclosed() || f.Breaker(1).Reclosed()
+	reclosed := reclosed(f.Breaker(0)) || reclosed(f.Breaker(1))
 	if !reclosed {
 		t.Fatal("no breaker re-closed after recovery")
 	}

@@ -125,17 +125,14 @@ func (q *Queue) Pop() *Request {
 	return heap.Pop(&q.h).(*Request)
 }
 
-// Peek returns the highest-priority request without removing it, or
+// peek returns the highest-priority request without removing it, or
 // nil.
-func (q *Queue) Peek() *Request {
+func (q *Queue) peek() *Request {
 	if len(q.h) == 0 {
 		return nil
 	}
 	return q.h[0]
 }
-
-// Len returns the number of queued requests.
-func (q *Queue) Len() int { return len(q.h) }
 
 // Scheduler dispatches chunk requests onto network paths.
 type Scheduler interface {
@@ -222,6 +219,3 @@ func (s *SinglePath) delivered(d netem.Delivery) {
 	}
 	s.pump()
 }
-
-// Pending returns the queued (not in-flight) request count.
-func (s *SinglePath) Pending() int { return s.q.Len() }

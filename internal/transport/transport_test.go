@@ -92,8 +92,8 @@ func TestSinglePathDeliversInPriorityOrder(t *testing.T) {
 			t.Fatalf("delivery order %v, want %v", order, want)
 		}
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", s.Pending())
+	if len(s.q.h) != 0 {
+		t.Fatalf("%d requests queued after drain", len(s.q.h))
 	}
 }
 
@@ -189,8 +189,8 @@ func TestSinglePathSubmitFromOnDone(t *testing.T) {
 			t.Fatalf("request %d done at %v, want %v: one transfer at a time, back to back", i, at, want)
 		}
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", s.Pending())
+	if len(s.q.h) != 0 {
+		t.Fatalf("%d requests queued after drain", len(s.q.h))
 	}
 }
 

@@ -30,7 +30,7 @@ var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Inter
 //
 // Only this checker catches a %w turned into %v on a path no test
 // drives to its error: rtmp's client-side version check ("server
-// version %d") or dash.ParseMPD's XML error. The kinds the callers
+// version %d") or dash.parseMPD's XML error. The kinds the callers
 // branch on are pinned by TestOneAttemptBudgetEveryMethod (errors.As
 // to *dash.Error) and TestHandshakeRejectsWrongVersion (errors.Is).
 var ErrTaxonomy = &Analyzer{
@@ -38,7 +38,7 @@ var ErrTaxonomy = &Analyzer{
 	Doc:  "require %w wrapping and typed sentinels (no in-function errors.New) in dash/transport/rtmp",
 	CheckModule: func(m *Module) []Diagnostic {
 		var out []Diagnostic
-		eachFunc(m, taxonomySpans, func(tp *TypedPackage, f *File, name string, fd *ast.FuncDecl) {
+		eachFunc(m, taxonomySpans, func(tp *TypedPackage, f *file, name string, fd *ast.FuncDecl) {
 			ast.Inspect(fd, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {

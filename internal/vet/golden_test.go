@@ -2,9 +2,11 @@ package vet
 
 import (
 	"flag"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -30,7 +32,7 @@ func TestGoldenFixtures(t *testing.T) {
 }
 
 // checkFixtures is the one harness: it type-checks each fixture in dir
-// with LoadModuleSource and runs it through RunModule. bad* fixtures
+// with loadModuleSource and runs it through RunModule. bad* fixtures
 // must reproduce their .golden diagnostics exactly (and at least one),
 // clean* fixtures must come back empty, and dir must hold both kinds.
 func checkFixtures(t *testing.T, a *Analyzer, dir string) {
@@ -106,7 +108,7 @@ func runFixture(t *testing.T, a *Analyzer, files []string) string {
 	if len(srcs) == 0 {
 		t.Fatalf("%v: empty fixture module", files)
 	}
-	mod, err := LoadModuleSource(srcs)
+	mod, err := loadModuleSource(srcs)
 	if err != nil {
 		t.Fatalf("%v: %v", files, err)
 	}
@@ -116,4 +118,25 @@ func runFixture(t *testing.T, a *Analyzer, files []string) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// loadModuleSource type-checks an in-memory module from path → source
+// mappings, under the real module path "sperke" so module-internal
+// imports ("sperke/internal/...") resolve between the given files.
+func loadModuleSource(srcs map[string][]byte) (*Module, error) {
+	fset := token.NewFileSet()
+	files := make([]*file, 0, len(srcs))
+	paths := make([]string, 0, len(srcs))
+	for p := range srcs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		f, err := parseShared(fset, srcs[p], p)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return typeCheckModule("sperke", fset, files)
 }

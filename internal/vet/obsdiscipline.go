@@ -18,7 +18,7 @@ var obsInstruments = map[string]bool{
 	"Wall": true,
 }
 
-// ObsDiscipline requires metrics instruments to flow through the
+// obsDiscipline requires metrics instruments to flow through the
 // nil-safe registry API outside internal/obs: obs.Default() or
 // obs.NewRegistry() for registries, r.Counter(name)/r.Gauge(name)/
 // r.Histogram(name) for instruments. Composite literals and new() of
@@ -29,12 +29,12 @@ var obsInstruments = map[string]bool{
 // place of obs.NewWall(): request_ms then reads from a zero epoch, and
 // no test fails. A literal counter never reaches the registry, which
 // TestServerCountsEveryRoute sees as a missing count.
-var ObsDiscipline = &Analyzer{
+var obsDiscipline = &Analyzer{
 	Name: "obsdiscipline",
 	Doc:  "metrics instruments must come from registry methods, not struct literals, outside internal/obs",
 	CheckModule: func(m *Module) []Diagnostic {
 		var out []Diagnostic
-		eachFile(m, nil, func(tp *TypedPackage, f *File) {
+		eachFile(m, nil, func(tp *TypedPackage, f *file) {
 			obsName := importName(f.AST, m.Path+"/internal/obs")
 			if obsName == "" || inSpan(tp.Dir, []string{"internal/obs"}) {
 				return

@@ -33,7 +33,7 @@ type TypedPackage struct {
 	Dir string
 	// ImportPath is the full import path, e.g. "sperke/internal/dash".
 	ImportPath string
-	Files      []*File
+	Files      []*file
 	Pkg        *types.Package
 	Info       *types.Info
 }
@@ -50,11 +50,8 @@ type Module struct {
 	byPath map[string]*TypedPackage
 }
 
-// ByImportPath returns the package with the given import path, or nil.
-func (m *Module) ByImportPath(p string) *TypedPackage { return m.byPath[p] }
-
-// Internal reports whether the import path belongs to this module.
-func (m *Module) Internal(importPath string) bool {
+// internal reports whether the import path belongs to this module.
+func (m *Module) internal(importPath string) bool {
 	return importPath == m.Path || strings.HasPrefix(importPath, m.Path+"/")
 }
 
@@ -66,12 +63,12 @@ func LoadModule(root string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	paths, err := moduleFiles(&build.Default, root)
+	paths, err := moduleFiles(&build.Default, root, false)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	files := make([]*File, 0, len(paths))
+	files := make([]*file, 0, len(paths))
 	for _, rel := range paths {
 		src, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(rel)))
 		if err != nil {
@@ -87,13 +84,13 @@ func LoadModule(root string) (*Module, error) {
 }
 
 // moduleFiles lists, as module-relative slash paths, the Go files under
-// root that ctxt builds, tests left out since every shipped checker
-// exempts them. The selection is go/build's own: a //go:build line, a
+// root that ctxt builds: the _test.go files when tests is set, else the
+// rest (the shipped checkers read no test file). The selection is go/build's own: a //go:build line, a
 // _GOOS or _GOARCH file-name suffix and ctxt's platform decide as they
 // do for the go tool (build.Default reads GOOS and GOARCH from the
 // environment). Like the go tool's ./..., it skips testdata, vendor,
 // hidden and _-prefixed trees and nested modules.
-func moduleFiles(ctxt *build.Context, root string) ([]string, error) {
+func moduleFiles(ctxt *build.Context, root string, tests bool) ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -113,7 +110,7 @@ func moduleFiles(ctxt *build.Context, root string) ([]string, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != tests {
 			return nil
 		}
 		if ok, err := ctxt.MatchFile(filepath.Dir(p), name); !ok || err != nil {
@@ -129,45 +126,23 @@ func moduleFiles(ctxt *build.Context, root string) ([]string, error) {
 	return paths, err
 }
 
-// LoadModuleSource type-checks an in-memory module from path → source
-// mappings, under the real module path "sperke" so module-internal
-// imports ("sperke/internal/...") resolve between the given files.
-// The typed fixture harness builds its miniature modules with this.
-func LoadModuleSource(srcs map[string][]byte) (*Module, error) {
-	fset := token.NewFileSet()
-	files := make([]*File, 0, len(srcs))
-	paths := make([]string, 0, len(srcs))
-	for p := range srcs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		f, err := parseShared(fset, srcs[p], p)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return typeCheckModule("sperke", fset, files)
-}
-
 // parseShared parses src under the module-relative slash path modPath
 // into the shared FileSet.
-func parseShared(fset *token.FileSet, src []byte, modPath string) (*File, error) {
+func parseShared(fset *token.FileSet, src []byte, modPath string) (*file, error) {
 	af, err := parser.ParseFile(fset, modPath, src, parser.ParseComments)
 	if err != nil {
 		return nil, fmt.Errorf("vet: parse %s: %w", modPath, err)
 	}
-	return &File{Path: modPath, Fset: fset, AST: af}, nil
+	return &file{Path: modPath, Fset: fset, AST: af}, nil
 }
 
 // typeCheckModule groups files by directory, orders the packages so
 // imports come first, and type-checks each one, feeding every checked
 // package into the importer used for its dependents.
-func typeCheckModule(modPath string, fset *token.FileSet, files []*File) (*Module, error) {
-	byDir := make(map[string][]*File)
+func typeCheckModule(modPath string, fset *token.FileSet, files []*file) (*Module, error) {
+	byDir := make(map[string][]*file)
 	for _, f := range files {
-		byDir[f.Dir()] = append(byDir[f.Dir()], f)
+		byDir[f.dir()] = append(byDir[f.dir()], f)
 	}
 	for _, fs := range byDir {
 		sort.Slice(fs, func(i, j int) bool { return fs[i].Path < fs[j].Path })
@@ -232,7 +207,7 @@ func typeCheckModule(modPath string, fset *token.FileSet, files []*File) (*Modul
 // dependencyOrder topologically sorts the package directories by their
 // module-internal imports (dependencies first). Import cycles are a
 // hard error — the go build would reject them too.
-func dependencyOrder(modPath string, byDir map[string][]*File) ([]string, error) {
+func dependencyOrder(modPath string, byDir map[string][]*file) ([]string, error) {
 	deps := make(map[string][]string, len(byDir))
 	for dir, files := range byDir {
 		seen := map[string]bool{}
@@ -305,7 +280,7 @@ func (mi *moduleImporter) Import(p string) (*types.Package, error) {
 	if tp, ok := mi.module.byPath[p]; ok {
 		return tp.Pkg, nil
 	}
-	if mi.module.Internal(p) {
+	if mi.module.internal(p) {
 		return nil, fmt.Errorf("vet: module package %s not loaded (import cycle or missing files?)", p)
 	}
 	return importStd(p)

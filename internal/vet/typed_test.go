@@ -36,13 +36,13 @@ func TestLoadModuleTypesWholeTree(t *testing.T) {
 		// Dependency order: every module-internal import of tp must
 		// already have been checked.
 		for _, imp := range tp.Pkg.Imports() {
-			if m.Internal(imp.Path()) && !seen[imp.Path()] {
+			if m.internal(imp.Path()) && !seen[imp.Path()] {
 				t.Fatalf("package %s checked before its import %s", tp.Dir, imp.Path())
 			}
 		}
 		seen[tp.ImportPath] = true
 	}
-	dash := m.ByImportPath("sperke/internal/dash")
+	dash := m.byPath["sperke/internal/dash"]
 	if dash == nil || dash.Dir != "internal/dash" {
 		t.Fatalf("internal/dash not loaded: %+v", dash)
 	}
@@ -53,10 +53,11 @@ func TestLoadModuleTypesWholeTree(t *testing.T) {
 
 // TestLoadModuleFilesMatchGoList: the loader reads the files the go
 // tool builds. For each platform (unix and not, 64- and 32-bit),
-// moduleFiles selects exactly what
-// `go list -f '{{.GoFiles}}' ./...` lists there: a //go:build line and a
-// _GOOS or _GOARCH file-name suffix rule a file in or out as they do for
-// a build, and a nested module (bench/) is not part of this one.
+// moduleFiles selects exactly what `go list -f '{{.GoFiles}}' ./...`
+// lists there, and with tests set exactly its TestGoFiles and
+// XTestGoFiles: a //go:build line and a _GOOS or _GOARCH file-name
+// suffix rule a file in or out as they do for a build, and a nested
+// module (bench/) is not part of this one.
 func TestLoadModuleFilesMatchGoList(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -66,33 +67,37 @@ func TestLoadModuleFilesMatchGoList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	each := func(field string) string { return `{{range .` + field + `}}{{$dir}}/{{.}}{{"\n"}}{{end}}` }
+	formats := map[bool]string{false: each("GoFiles"), true: each("TestGoFiles") + each("XTestGoFiles")}
 	for _, p := range []struct{ goos, arch string }{{"linux", "amd64"}, {"linux", "386"}, {"windows", "amd64"}} {
-		goos, arch := p.goos, p.arch
-		cmd := exec.Command(goTool, "list", "-f", `{{$dir := .Dir}}{{range .GoFiles}}{{$dir}}/{{.}}{{"\n"}}{{end}}`, "./...")
-		cmd.Dir = root
-		cmd.Env = append(os.Environ(), "GOOS="+goos, "GOARCH="+arch)
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("%s/%s: go list: %v", goos, arch, err)
-		}
-		var want []string
-		for _, line := range strings.FieldsFunc(string(out), func(r rune) bool { return r == '\n' }) {
-			rel, err := filepath.Rel(root, line)
+		for _, tests := range []bool{false, true} {
+			goos, arch := p.goos, p.arch
+			cmd := exec.Command(goTool, "list", "-f", `{{$dir := .Dir}}`+formats[tests], "./...")
+			cmd.Dir = root
+			cmd.Env = append(os.Environ(), "GOOS="+goos, "GOARCH="+arch)
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%s/%s: go list: %v", goos, arch, err)
+			}
+			var want []string
+			for _, line := range strings.FieldsFunc(string(out), func(r rune) bool { return r == '\n' }) {
+				rel, err := filepath.Rel(root, line)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, filepath.ToSlash(rel))
+			}
+			ctxt := build.Default
+			ctxt.GOOS, ctxt.GOARCH = goos, arch
+			got, err := moduleFiles(&ctxt, root, tests)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, filepath.ToSlash(rel))
-		}
-		ctxt := build.Default
-		ctxt.GOOS, ctxt.GOARCH = goos, arch
-		got, err := moduleFiles(&ctxt, root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slices.Sort(want)
-		slices.Sort(got)
-		if !slices.Equal(got, want) {
-			t.Errorf("%s/%s: loader reads %v\ngo list builds %v", goos, arch, got, want)
+			slices.Sort(want)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s/%s, tests %v: loader reads %v\ngo list builds %v", goos, arch, tests, got, want)
+			}
 		}
 	}
 }

@@ -6,7 +6,7 @@
 //
 //   - errtaxonomy: the delivery path wraps causes with %w and returns
 //     typed sentinels. Turning the %w in rtmp's version check or in
-//     dash.ParseMPD into %v fails no test;
+//     dash.parseMPD into %v fails no test;
 //   - obsdiscipline: metrics instruments and wall clocks come from the
 //     obs constructors, never struct literals. A dash.Server built on
 //     &obs.Wall{} in place of obs.NewWall() fails no test.
@@ -17,6 +17,17 @@
 // cancellation tests in dash, serve and cluster, and the 10 s bounds on
 // the serve and cluster waits a lock-held wait would hang
 // (EXPERIMENTS.md E36 has the mutant table behind that split).
+//
+// One rule is a test, not a checker: TestEveryExportHasACaller
+// type-checks the module with the nested bench/ module as a second root,
+// and then every test file, and fails on each exported package-level
+// name or method of an exported type in internal/* that nothing outside
+// its package references: not shipped code (cmd/, examples/ and bench/
+// included), not another package's tests, not the package's own _test
+// package. A type also counts when another package holds a value of it.
+// Methods that satisfy an interface (or are named String, Error, Unwrap
+// or Is) and Err* sentinels are exempt. The sperke-vet command does not
+// read bench/.
 //
 // Run the suite with `go run ./cmd/sperke-vet ./...`. A new checker is
 // an Analyzer with a CheckModule hook, registered in Analyzers, with
@@ -46,9 +57,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// File is one parsed source file plus the module-relative context the
+// file is one parsed source file plus the module-relative context the
 // domain checkers key off.
-type File struct {
+type file struct {
 	// Path is module-relative and slash-separated, e.g.
 	// "internal/sim/sim.go".
 	Path string
@@ -56,11 +67,11 @@ type File struct {
 	AST  *ast.File
 }
 
-// Dir returns the file's module-relative directory.
-func (f *File) Dir() string { return path.Dir(f.Path) }
+// dir returns the file's module-relative directory.
+func (f *file) dir() string { return path.Dir(f.Path) }
 
 // diag builds a Diagnostic for this file at pos.
-func (f *File) diag(check string, pos token.Pos, format string, args ...any) Diagnostic {
+func (f *file) diag(check string, pos token.Pos, format string, args ...any) Diagnostic {
 	p := f.Fset.Position(pos)
 	p.Filename = f.Path
 	return Diagnostic{Check: check, Pos: p, Message: fmt.Sprintf(format, args...)}
@@ -79,7 +90,7 @@ type Analyzer struct {
 
 // Analyzers returns the full checker suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ErrTaxonomy, ObsDiscipline}
+	return []*Analyzer{ErrTaxonomy, obsDiscipline}
 }
 
 // RunModule runs the analyzers over the type-resolved module and returns

@@ -9,7 +9,7 @@ import (
 // module-relative path and returns the analyzer's findings.
 func runSource(t *testing.T, a *Analyzer, path, src string) []Diagnostic {
 	t.Helper()
-	m, err := LoadModuleSource(map[string][]byte{path: []byte(src)})
+	m, err := loadModuleSource(map[string][]byte{path: []byte(src)})
 	if err != nil {
 		t.Fatal(err)
 	}
