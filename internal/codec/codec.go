@@ -1,8 +1,6 @@
 // Package codec models the client-side decoding hardware Sperke
 // schedules (§3.5): the parallel hardware H.264 decoders of commodity
-// phones (8 on a Samsung Galaxy S5, 16 on an S7), their throughput, and
-// the cloudlet transcoder that converts SVC chunks to AVC for devices
-// without hardware SVC decoders (§3.1.1).
+// phones (8 on a Samsung Galaxy S5, 16 on an S7) and their throughput.
 //
 // The model is deliberately simple — a decoder sustains a pixel rate and
 // each synchronous submission pays a fixed overhead — because that is
@@ -11,12 +9,7 @@
 // whether non-FoV tiles are rendered at all.
 package codec
 
-import (
-	"fmt"
-	"time"
-
-	"sperke/internal/sim"
-)
+import "time"
 
 // DecoderSpec is the throughput model of one hardware decoder.
 type DecoderSpec struct {
@@ -95,79 +88,3 @@ var (
 		MaxDisplayFPS:   60,
 	}
 )
-
-// Pool schedules decode jobs across n parallel decoder instances on the
-// sim clock — the "decoding scheduler" box of Fig. 4. Jobs go to the
-// earliest-free decoder.
-type Pool struct {
-	clock  *sim.Clock
-	spec   DecoderSpec
-	freeAt []time.Duration
-}
-
-// NewPool creates a pool of n decoders. n must be positive.
-func NewPool(clock *sim.Clock, spec DecoderSpec, n int) *Pool {
-	if n <= 0 {
-		panic(fmt.Sprintf("codec: pool size %d", n))
-	}
-	return &Pool{clock: clock, spec: spec, freeAt: make([]time.Duration, n)}
-}
-
-// Size returns the number of decoder instances.
-func (p *Pool) Size() int { return len(p.freeAt) }
-
-// Submit queues an asynchronous decode of the given pixels and calls
-// done (which may be nil) at its completion time. It returns the
-// completion time. The submission overhead is hidden by pipelining:
-// only pure decode time occupies the decoder.
-func (p *Pool) Submit(pixels int64, done func()) time.Duration {
-	now := p.clock.Now()
-	// Earliest-free decoder; ties break to the lowest index for
-	// determinism.
-	best := 0
-	for i, f := range p.freeAt {
-		if f < p.freeAt[best] {
-			best = i
-		}
-		_ = i
-	}
-	start := p.freeAt[best]
-	if start < now {
-		start = now
-	}
-	finish := start + p.spec.DecodeTime(pixels)
-	p.freeAt[best] = finish
-	p.clock.Schedule(finish, func() {
-		if done != nil {
-			done()
-		}
-	})
-	return finish
-}
-
-// Transcoder models the cloudlet that converts SVC streams to AVC at
-// runtime so mobile GPUs can decode them (§3.1.1). It adds a fixed
-// processing latency plus a throughput-limited term.
-type Transcoder struct {
-	// Latency is the per-chunk base processing delay.
-	Latency time.Duration
-	// ByteRate is the transcode throughput in bytes/second.
-	ByteRate float64
-}
-
-// DefaultCloudlet is a LAN cloudlet doing faster-than-realtime
-// transcoding.
-var DefaultCloudlet = Transcoder{
-	Latency:  30 * time.Millisecond,
-	ByteRate: 50 << 20, // 50 MiB/s
-}
-
-// TranscodeTime returns how long converting a chunk of the given size
-// takes.
-func (t Transcoder) TranscodeTime(bytes int64) time.Duration {
-	d := t.Latency
-	if t.ByteRate > 0 && bytes > 0 {
-		d += time.Duration(float64(bytes) / t.ByteRate * float64(time.Second))
-	}
-	return d
-}

@@ -17,12 +17,10 @@ import (
 	"time"
 
 	"sperke/internal/abr"
-	"sperke/internal/codec"
 	"sperke/internal/hmp"
 	"sperke/internal/media"
 	"sperke/internal/netem"
 	"sperke/internal/obs"
-	"sperke/internal/player"
 	"sperke/internal/qoe"
 	"sperke/internal/sim"
 	"sperke/internal/sphere"
@@ -89,30 +87,12 @@ type Config struct {
 	// MaxStall caps one rebuffering wait; after it the interval plays
 	// with blank tiles. Zero defaults to 10 s.
 	MaxStall time.Duration
-	// Cloudlet, when set on an SVC video, models the §3.1.1 offloading
-	// path: phones lack hardware SVC decoders, so a nearby cloudlet
-	// transcodes each delivered SVC chunk to AVC before the player can
-	// decode it, adding its processing time to every delivery.
-	Cloudlet *codec.Transcoder
-	// Device, when set, simulates the client decode stage of Fig. 4:
-	// delivered chunks pass through the device's hardware decoder pool
-	// into the decoded-frame cache before playback; a tile reaching its
-	// play time undecoded costs a synchronous re-decode hiccup (§3.5).
-	Device *codec.DeviceProfile
-	// Decoders bounds the parallel decoder count when Device is set;
-	// 0 uses min(8, the device's hardware decoders).
-	Decoders int
 	// Observer, when set, receives a structured Event for every step of
 	// the session — planning, fetches, upgrades, plays, stalls — for
 	// timelines and debugging. Called synchronously on the sim clock.
 	Observer func(Event)
-	// EncodedCacheBytes bounds the main-memory encoded-chunk cache of
-	// Fig. 4. Chunks evicted before they play are lost and must be
-	// rushed again at play time. 0 means unlimited.
-	EncodedCacheBytes int64
-	// reg, set by WithObs, wires the session's player-side components
-	// (chunk cache, frame cache, decode scheduler) and its final report
-	// into a metrics registry. Nil disables metrics.
+	// reg, set by WithObs, receives the session's final report. Nil
+	// disables metrics.
 	reg *obs.Registry
 }
 
@@ -156,11 +136,6 @@ type Report struct {
 	// UrgentFetches counts HMP corrections that needed a rush fetch
 	// (Table 1 "urgent chunks").
 	UrgentFetches int
-	// SyncRedecodes counts tiles that reached their play time before the
-	// decode pipeline finished them (§3.5); SyncRedecodeTime is the
-	// render hiccup they cost.
-	SyncRedecodes    int
-	SyncRedecodeTime time.Duration
 	// HybridAVCFetches and HybridSVCFetches count per-chunk encoding
 	// decisions in hybrid sessions (§3.1.2 extension).
 	HybridAVCFetches, HybridSVCFetches int
@@ -194,11 +169,6 @@ type Session struct {
 	predictor hmp.Predictor
 	fedIdx    int
 
-	pool   *codec.Pool
-	fcache *player.FrameCache
-	dsched *player.DecodeScheduler
-	ccache *player.ChunkCache
-
 	// state holds every (interval, tile) of the video in one slab,
 	// interval-major; an entry counts only once tracked. The slab never
 	// grows, so fetch callbacks keep pointers into it.
@@ -231,10 +201,8 @@ type Session struct {
 // NewSession's positional parameter list.
 type SessionOption func(*Config)
 
-// WithObs wires the session's player-side components (chunk cache,
-// frame cache, decode scheduler) and its final report into a metrics
-// registry, so decode-deadline outcomes and cache hit ratios are
-// observable outside test assertions.
+// WithObs mirrors the session's final report into a metrics registry
+// (core.session.*), so it is observable outside test assertions.
 func WithObs(r *obs.Registry) SessionOption {
 	return func(c *Config) { c.reg = r }
 }
@@ -269,51 +237,7 @@ func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched trans
 		fovQuality:  make(map[int]int),
 		visibleEver: make([]bool, cells),
 	}
-	if cfg.EncodedCacheBytes > 0 {
-		s.ccache = player.NewChunkCache(cfg.EncodedCacheBytes)
-		if cfg.reg != nil {
-			s.ccache.SetObs(cfg.reg)
-		}
-	}
-	if cfg.Device != nil {
-		n := cfg.Decoders
-		if n <= 0 {
-			n = 8
-		}
-		if n > cfg.Device.HWDecoders {
-			n = cfg.Device.HWDecoders
-		}
-		s.pool = codec.NewPool(clock, cfg.Device.Decoder, n)
-		s.fcache = player.NewFrameCache(4 * cfg.Video.Grid.Tiles())
-		s.dsched = player.NewDecodeScheduler(clock, s.pool, s.fcache)
-		if cfg.reg != nil {
-			s.fcache.SetObs(cfg.reg)
-			s.dsched.SetObs(cfg.reg)
-		}
-	}
 	return s, nil
-}
-
-// tilePixels returns one tile's luma pixels at a ladder quality.
-func (s *Session) tilePixels(q int) int64 {
-	if q < 0 || q >= len(s.cfg.Video.Ladder) {
-		return 0
-	}
-	return int64(s.cfg.Video.Ladder[q].Pixels() / s.cfg.Video.Grid.Tiles())
-}
-
-// submitDecode queues a delivered tile chunk for decoding (Fig. 4's
-// decoding scheduler); a no-op when no device is configured.
-func (s *Session) submitDecode(i int, id tiling.TileID, q int, inFoV bool) {
-	if s.dsched == nil {
-		return
-	}
-	s.dsched.Submit(player.DecodeJob{
-		Key:    player.FrameCacheKey{Tile: id, Interval: i, Quality: q},
-		Pixels: s.tilePixels(q),
-		PlayAt: s.deadlineWall(i),
-		InFoV:  inFoV,
-	})
 }
 
 // Run plays the whole video and returns the report. It drives the
@@ -363,7 +287,6 @@ func (s *Session) publishReport() {
 	r.Counter("core.session.bytes_wasted").Add(s.rep.BytesWasted)
 	r.Counter("core.session.urgent_fetches").Add(int64(s.rep.UrgentFetches))
 	r.Counter("core.session.upgrades").Add(int64(s.rep.Upgrades))
-	r.Counter("core.session.sync_redecodes").Add(int64(s.rep.SyncRedecodes))
 	r.Counter("core.session.stalls").Add(int64(s.rep.QoE.Stalls))
 	r.Histogram("core.session.startup_ms").Observe(
 		float64(s.rep.StartupDelay) / float64(time.Millisecond))
@@ -709,7 +632,7 @@ func (s *Session) newFetch(ts *tileState, i int, enc media.Encoding, upgrade boo
 // done is every request's OnDone.
 func (f *fetch) done(d netem.Delivery, _ bool) {
 	s, ts, i, enc, upgrade := f.s, f.ts, f.interval, f.enc, f.upgrade
-	id, q, class := f.req.Chunk.Tile, f.req.Chunk.Quality, f.req.Class
+	id, q := f.req.Chunk.Tile, f.req.Chunk.Quality
 	// The record is free from here on: whatever this delivery makes the
 	// session submit next goes out in it.
 	f.next, s.freeFetch = s.freeFetch, f
@@ -731,31 +654,19 @@ func (f *fetch) done(d netem.Delivery, _ bool) {
 	default:
 		s.emit(eventFetched, i, id, q, d.Bytes, 0)
 	}
-	if s.transcodes() {
-		s.clock.After(s.cfg.Cloudlet.TranscodeTime(d.Bytes), func() { s.land(ts, i, id, q, enc, class, d.Bytes, upgrade) })
-		return
-	}
-	s.land(ts, i, id, q, enc, class, d.Bytes, upgrade)
-}
-
-// land makes a delivered, decodable chunk count for its tile: an
-// upgrade raises the tile to q; a first fetch becomes the tile's copy
-// unless a better one landed first.
-func (s *Session) land(ts *tileState, i int, id tiling.TileID, q int, enc media.Encoding, class transport.Class, bytes int64, upgrade bool) {
+	// The chunk counts for its tile: an upgrade raises the tile to q; a
+	// first fetch becomes the tile's copy unless a better one landed
+	// first.
 	if !upgrade && q <= ts.quality {
 		return
 	}
 	ts.quality = q
-	ts.bytes += bytes
+	ts.bytes += d.Bytes
 	if upgrade {
 		s.rep.Upgrades++
 	} else {
 		ts.enc = enc
-		if s.ccache != nil {
-			s.ccache.Put(tiling.ChunkID{Quality: q, Tile: id, Start: s.cfg.Video.ChunkStart(i)}, bytes)
-		}
 	}
-	s.submitDecode(i, id, q, class == transport.ClassFoV)
 }
 
 // ---- part three: incremental upgrades ----
@@ -868,20 +779,7 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 	missing := 0
 	for _, id := range visible {
 		st := s.tracked(i, id)
-		ok := st != nil
-		if ok && st.quality >= 0 && s.ccache != nil {
-			// The encoded copy must still be resident in main memory: a
-			// budget eviction throws the download away (Fig. 4).
-			cid := tiling.ChunkID{Quality: st.quality, Tile: id, Start: v.ChunkStart(i)}
-			if !s.ccache.Has(cid) {
-				s.col.Wasted(st.bytes)
-				s.rep.BytesWasted += st.bytes
-				st.quality = -1
-				st.bytes = 0
-				ok = false
-			}
-		}
-		if !ok || st.quality < 0 {
+		if st == nil || st.quality < 0 {
 			if st == nil || !st.pending {
 				// Rush the gap at base quality.
 				s.submitFetch(i, id, 0, transport.ClassFoV, true, 1, now)
@@ -894,31 +792,6 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 		// Wait for the urgent fetches; re-check shortly.
 		s.clock.After(100*time.Millisecond, func() { s.playInterval(i, stallSince) })
 		return
-	}
-
-	// Decode stage (§3.5): tiles that arrived but have not cleared the
-	// decoder pool by play time are decoded synchronously, delaying the
-	// frame — the hiccup the decoded-frame cache exists to avoid.
-	if s.fcache != nil {
-		var redecode time.Duration
-		for _, id := range visible {
-			st := s.tracked(i, id)
-			if st == nil || st.quality < 0 {
-				continue
-			}
-			key := player.FrameCacheKey{Tile: id, Interval: i, Quality: st.quality}
-			if !s.fcache.Has(key) {
-				redecode += s.cfg.Device.Decoder.SyncDecodeTime(s.tilePixels(st.quality))
-				s.fcache.Put(key) // decoded now, synchronously
-				s.rep.SyncRedecodes++
-			}
-		}
-		if redecode > 0 {
-			s.rep.SyncRedecodeTime += redecode
-			s.col.Stall(redecode)
-			s.clock.After(redecode, func() { s.playInterval(i, s.clock.Now()) })
-			return
-		}
 	}
 
 	// Account the wait.
@@ -934,8 +807,7 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 	s.playIdx = i
 	s.nextPlayWall = now + v.ChunkDuration
 
-	// Render: per-tile qualities and bitrate over the visible tiles.
-	var bits float64
+	// Render: per-tile qualities over the visible tiles.
 	var shown [64]int // on the stack for any FoV of up to 64 tiles
 	shownQ := shown[:0]
 	blanks := 0
@@ -946,7 +818,6 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 			continue
 		}
 		shownQ = append(shownQ, st.quality)
-		bits += float64(st.bytes) * 8 / v.ChunkDuration.Seconds()
 	}
 	meanQ := 0.0
 	for _, q := range shownQ {
@@ -958,10 +829,10 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 	playDur := s.playDur(i)
 	s.emit(EventPlay, i, -1, int(meanQ+0.5), 0, playDur)
 	if len(shownQ) > 0 {
-		s.col.PlayTiles(playDur, shownQ, bits)
+		s.col.PlayTiles(playDur, shownQ)
 	} else {
 		// An entirely blank FoV still consumes play time (at quality 0).
-		s.col.Play(playDur, 0, 0)
+		s.col.Play(playDur, 0)
 	}
 	if blanks > 0 && len(visible) > 0 {
 		s.col.Blank(playDur * time.Duration(blanks) / time.Duration(len(visible)))
@@ -979,25 +850,7 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 		s.view.Mark(s.head.At(probe), ever)
 	}
 
-	if s.ccache != nil {
-		// Removals of distinct keys: the cache ends up the same in any
-		// order.
-		for id, st := range s.interval(i) {
-			if st.tracked && st.quality >= 0 {
-				s.ccache.Remove(tiling.ChunkID{Quality: st.quality, Tile: tiling.TileID(id), Start: v.ChunkStart(i)})
-			}
-		}
-	}
 	s.clock.Schedule(s.nextPlayWall, func() { s.playInterval(i+1, s.nextPlayWall) })
-}
-
-// transcodes reports whether a fetched chunk is decodable only after
-// the cloudlet's SVC→AVC transcoding delay (the §3.1.1 offloading
-// path); AVC content, and any content without a cloudlet, lands in the
-// fetch callback itself. The callbacks ask first so that the common
-// case builds no closure per fetch.
-func (s *Session) transcodes() bool {
-	return s.cfg.Cloudlet != nil && s.cfg.Video.Encoding == media.EncodingSVC
 }
 
 // playDur is the actual play duration of interval i (the final

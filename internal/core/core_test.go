@@ -2,15 +2,16 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"sperke/internal/abr"
-	"sperke/internal/codec"
 	"sperke/internal/hmp"
 	"sperke/internal/media"
 	"sperke/internal/multipath"
 	"sperke/internal/netem"
+	"sperke/internal/obs"
 	"sperke/internal/sim"
 	"sperke/internal/sphere"
 	"sperke/internal/tiling"
@@ -249,85 +250,53 @@ func TestCrowdHeatmapReducesFetchVolume(t *testing.T) {
 	}
 }
 
+// TestReportMirrorMatchesReport: with WithObs, every core.session
+// counter equals the Report field it mirrors. An SVC session with
+// upgrades on a link that stalls leaves no mirrored field zero, and a
+// counter the table below does not name fails the test.
+func TestReportMirrorMatchesReport(t *testing.T) {
+	reg := obs.NewRegistry()
+	clock := sim.NewClock(3)
+	path := netem.NewPath(clock, "net", netem.Constant(8e6), 20*time.Millisecond, 0)
+	cfg := Config{Video: testVideo(media.EncodingSVC), Mode: FoVGuided, EnableUpgrades: true}
+	s, err := NewSession(clock, cfg, testHead(3, cfg.Video.Duration+10*time.Second),
+		transport.NewSinglePath(clock, path), WithObs(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := s.Run()
+	want := map[string]int64{
+		"core.session.runs":           1,
+		"core.session.bytes_fetched":  rep.BytesFetched,
+		"core.session.bytes_wasted":   rep.BytesWasted,
+		"core.session.urgent_fetches": int64(rep.UrgentFetches),
+		"core.session.upgrades":       int64(rep.Upgrades),
+		"core.session.stalls":         int64(rep.QoE.Stalls),
+	}
+	got := map[string]int64{}
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "core.session.") {
+			got[name] = v
+		}
+	}
+	for name, w := range want {
+		if w == 0 {
+			t.Errorf("%s: the report's field is 0, so the check proves nothing", name)
+		}
+		if g, ok := got[name]; !ok || g != w {
+			t.Errorf("%s = %d (present %v), report says %d", name, g, ok, w)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("counter %s mirrors no report field this test checks", name)
+		}
+	}
+}
+
 func TestModeString(t *testing.T) {
 	if FoVGuided.String() != "fov-guided" || FoVAgnostic.String() != "fov-agnostic" {
 		t.Fatal("bad mode strings")
-	}
-}
-
-func TestCloudletTranscodingAddsLatencyNotFailure(t *testing.T) {
-	// §3.1.1 offloading: a LAN cloudlet transcodes SVC→AVC per chunk.
-	// A fast cloudlet must not hurt the session; a pathological one
-	// (slower than realtime) must show up as stalls or blanks.
-	base := Config{Video: testVideo(media.EncodingSVC), Mode: FoVGuided}
-	noCloudlet := runSession(t, base, 15e6, 12)
-
-	withFast := base
-	withFast.Cloudlet = &codec.DefaultCloudlet
-	fast := runSession(t, withFast, 15e6, 12)
-	if fast.QoE.Stalls > noCloudlet.QoE.Stalls+1 {
-		t.Fatalf("fast cloudlet added stalls: %d vs %d", fast.QoE.Stalls, noCloudlet.QoE.Stalls)
-	}
-	if fast.QoE.MeanQuality() < noCloudlet.QoE.MeanQuality()-0.5 {
-		t.Fatalf("fast cloudlet collapsed quality: %.2f vs %.2f",
-			fast.QoE.MeanQuality(), noCloudlet.QoE.MeanQuality())
-	}
-
-	withSlow := base
-	withSlow.Cloudlet = &codec.Transcoder{Latency: 3 * time.Second, ByteRate: 1 << 18}
-	slow := runSession(t, withSlow, 15e6, 12)
-	degraded := slow.QoE.Stalls > fast.QoE.Stalls ||
-		slow.QoE.BlankTime > fast.QoE.BlankTime ||
-		slow.QoE.MeanQuality() < fast.QoE.MeanQuality()
-	if !degraded {
-		t.Fatal("a slower-than-realtime cloudlet had no visible effect")
-	}
-}
-
-func TestCloudletIgnoredForAVC(t *testing.T) {
-	cfg := Config{Video: testVideo(media.EncodingAVC), Mode: FoVGuided}
-	cfg.Cloudlet = &codec.Transcoder{Latency: time.Hour} // absurd, must be bypassed
-	rep := runSession(t, cfg, 15e6, 13)
-	if rep.QoE.PlayTime != 30*time.Second || rep.QoE.MeanQuality() <= 0 {
-		t.Fatalf("AVC session routed through the cloudlet: %+v", rep.QoE)
-	}
-}
-
-func TestDecodeStageWithDevice(t *testing.T) {
-	// With the Fig. 4 decode stage enabled on a capable device, the
-	// session plays normally and the decode pipeline is exercised.
-	dev := codec.SGS7
-	cfg := Config{
-		Video:  testVideo(media.EncodingAVC),
-		Mode:   FoVGuided,
-		Device: &dev,
-	}
-	rep := runSession(t, cfg, 15e6, 14)
-	if rep.QoE.PlayTime != 30*time.Second {
-		t.Fatalf("PlayTime = %v with decode stage", rep.QoE.PlayTime)
-	}
-	// A modern pool keeps up: re-decode hiccups should be rare.
-	if rep.SyncRedecodeTime > 2*time.Second {
-		t.Fatalf("sync re-decode time %v on an SGS7", rep.SyncRedecodeTime)
-	}
-
-	// A pathological single slow decoder must show up as hiccups.
-	slow := codec.DeviceProfile{
-		Name:          "potato",
-		HWDecoders:    1,
-		Decoder:       codec.DecoderSpec{PixelRate: 2e6, SubmitOverhead: 5 * time.Millisecond},
-		MaxDisplayFPS: 60,
-	}
-	cfgSlow := cfg
-	cfgSlow.Device = &slow
-	cfgSlow.Decoders = 1
-	repSlow := runSession(t, cfgSlow, 15e6, 14)
-	if repSlow.SyncRedecodes == 0 {
-		t.Fatal("a 2 Mpx/s decoder never fell behind a 4x6-tile 360° stream")
-	}
-	if repSlow.QoE.StallTime <= rep.QoE.StallTime {
-		t.Fatalf("slow decoder stall time %v not above SGS7's %v",
-			repSlow.QoE.StallTime, rep.QoE.StallTime)
 	}
 }
 
@@ -447,8 +416,8 @@ func TestBandwidthBudgetCapsUsage(t *testing.T) {
 
 func TestKitchenSinkLongSession(t *testing.T) {
 	// Everything at once, for five minutes: SVC + hybrid + upgrades +
-	// crowd heatmap + speed bound + bandwidth budget + device decode
-	// stage + content-aware multipath on fluctuating links. The point is
+	// crowd heatmap + speed bound + bandwidth budget + content-aware
+	// multipath on fluctuating links. The point is
 	// robustness: the full feature matrix must compose and finish with a
 	// sane report.
 	v := testVideo(media.EncodingSVC)
@@ -469,7 +438,6 @@ func TestKitchenSinkLongSession(t *testing.T) {
 		v.ChunkDuration, v.Duration, sessions)
 	user := trace.UserProfile{ID: "sink", SpeedScale: 1.2}
 	head := trace.Generate(rand.New(rand.NewSource(95)), user, att, dur)
-	dev := codec.SGS7
 
 	s, err := NewSession(clock, Config{
 		Video:           v,
@@ -479,8 +447,6 @@ func TestKitchenSinkLongSession(t *testing.T) {
 		Heatmap:         heat,
 		SpeedBound:      hmp.LearnSpeedBound(sessions),
 		BandwidthBudget: 10e6,
-		Device:          &dev,
-		Cloudlet:        &codec.DefaultCloudlet,
 		OOS:             abr.OOSPolicy{MaxRing: 2, MinCrowdProb: 0.1},
 	}, head, sched)
 	if err != nil {
@@ -615,40 +581,6 @@ func TestSuperChunkKeepsFoVVarianceLow(t *testing.T) {
 	// 2.0 would mean the super-chunk constraint is broken.
 	if v > 2.0 {
 		t.Fatalf("within-FoV quality variance %v — super chunks not uniform", v)
-	}
-}
-
-func TestEncodedCacheBudget(t *testing.T) {
-	// Fig. 4's main-memory chunk cache: a generous budget changes
-	// nothing; a starved one evicts prefetched chunks before they play,
-	// forcing rush re-fetches and waste.
-	base := Config{Video: testVideo(media.EncodingAVC), Mode: FoVGuided}
-	roomy := base
-	roomy.EncodedCacheBytes = 256 << 20
-	r1 := runSession(t, base, 20e6, 23)
-	r2 := runSession(t, roomy, 20e6, 23)
-	if r1.QoE.PlayTime != r2.QoE.PlayTime {
-		t.Fatalf("roomy cache changed playback: %v vs %v", r2.QoE.PlayTime, r1.QoE.PlayTime)
-	}
-	if r2.BytesFetched > r1.BytesFetched*101/100 {
-		t.Fatalf("roomy cache inflated fetches: %d vs %d", r2.BytesFetched, r1.BytesFetched)
-	}
-
-	starved := base
-	starved.EncodedCacheBytes = 64 << 10 // 64 KiB: a handful of tiles
-	r3 := runSession(t, starved, 20e6, 23)
-	if r3.QoE.PlayTime != 30*time.Second {
-		t.Fatalf("starved cache broke playback: %v", r3.QoE.PlayTime)
-	}
-	if r3.UrgentFetches <= r1.UrgentFetches {
-		t.Fatalf("starved cache caused no rush re-fetches: %d vs %d",
-			r3.UrgentFetches, r1.UrgentFetches)
-	}
-	// Evictions force play-time rushes at base quality: the viewer sees
-	// worse frames than with a healthy cache.
-	if r3.QoE.MeanQuality() >= r1.QoE.MeanQuality() {
-		t.Fatalf("starved cache cost no quality: %.2f vs %.2f",
-			r3.QoE.MeanQuality(), r1.QoE.MeanQuality())
 	}
 }
 

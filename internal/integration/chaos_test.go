@@ -2,24 +2,18 @@ package integration
 
 import (
 	"context"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
 
-	"sperke/internal/codec"
-	"sperke/internal/core"
 	"sperke/internal/dash"
 	"sperke/internal/faults"
 	"sperke/internal/live"
-	"sperke/internal/media"
 	"sperke/internal/netem"
 	"sperke/internal/obs"
 	"sperke/internal/sim"
-	"sperke/internal/tiling"
-	"sperke/internal/trace"
 	"sperke/internal/transport"
 )
 
@@ -253,76 +247,5 @@ func TestChaosHTTPFaultBurstAndTruncation(t *testing.T) {
 			t.Fatalf("goroutines %d -> %d after session teardown", before, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestChaosSlowDeviceMetricsObservable runs a full player session on a
-// pathologically slow device with a tight chunk-cache budget and checks
-// that the stress is visible end-to-end through the metrics registry:
-// decode-deadline misses fire, both caches record hits and misses, and
-// the session report lands in the core.session counters. This is the
-// acceptance path for "cache hit ratios and decode-deadline misses all
-// observable".
-func TestChaosSlowDeviceMetricsObservable(t *testing.T) {
-	reg := obs.NewRegistry()
-	video := &media.Video{
-		ID:             "chaos-device",
-		Duration:       30 * time.Second,
-		ChunkDuration:  2 * time.Second,
-		Grid:           tiling.GridCellular,
-		ProjectionName: "equirectangular",
-		Ladder:         media.DefaultLadder,
-		Encoding:       media.EncodingAVC,
-	}
-	// A 2 Mpx/s single decoder cannot keep up with a 360° tile stream —
-	// the same "potato" profile the core tests use to force hiccups.
-	slow := codec.DeviceProfile{
-		Name:          "potato",
-		HWDecoders:    1,
-		Decoder:       codec.DecoderSpec{PixelRate: 2e6, SubmitOverhead: 5 * time.Millisecond},
-		MaxDisplayFPS: 60,
-	}
-	cfg := core.Config{
-		Video:             video,
-		Mode:              core.FoVGuided,
-		Device:            &slow,
-		Decoders:          1,
-		EncodedCacheBytes: 2 << 20, // tight: forces chunk-cache churn
-	}
-
-	clock := sim.NewClock(14)
-	path := netem.NewPath(clock, "net", netem.Constant(15e6), 20*time.Millisecond, 0)
-	sched := transport.NewSinglePath(clock, path)
-	dur := video.Duration + 10*time.Second
-	rng := rand.New(rand.NewSource(14))
-	att := trace.GenerateAttention(rand.New(rand.NewSource(514)), dur)
-	head := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1}, att, dur)
-	s, err := core.NewSession(clock, cfg, head, sched, core.WithObs(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := s.Run()
-	if rep.QoE.PlayTime == 0 {
-		t.Fatal("session played nothing")
-	}
-
-	snap := reg.Snapshot()
-	if n := snap.Counters["player.decode.deadline_misses"]; n < 1 {
-		t.Fatalf("deadline_misses = %d on a 2 Mpx/s decoder, want >= 1", n)
-	}
-	if h := snap.Counters["player.frame_cache.hits"]; h < 1 {
-		t.Fatalf("frame cache hits = %d, want >= 1", h)
-	}
-	if m := snap.Counters["player.frame_cache.misses"]; m < 1 {
-		t.Fatalf("frame cache misses = %d, want >= 1", m)
-	}
-	if h := snap.Counters["player.chunk_cache.hits"]; h < 1 {
-		t.Fatalf("chunk cache hits = %d, want >= 1", h)
-	}
-	if n := snap.Counters["core.session.runs"]; n != 1 {
-		t.Fatalf("core.session.runs = %d, want 1", n)
-	}
-	if n := snap.Counters["core.session.bytes_fetched"]; n != rep.BytesFetched {
-		t.Fatalf("bytes_fetched counter = %d, report says %d", n, rep.BytesFetched)
 	}
 }

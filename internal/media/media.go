@@ -53,9 +53,6 @@ type QualityLevel struct {
 	Bitrate Bitrate
 }
 
-// Pixels returns the full-panorama pixel count at this level.
-func (q QualityLevel) Pixels() int { return q.Width * q.Height }
-
 // DefaultLadder is a six-level panoramic ladder bracketing the rates the
 // paper observes on commercial platforms (YouTube live offers six levels
 // from 144p to 1080p, §3.4.1; on-demand 360° content goes to 4K).

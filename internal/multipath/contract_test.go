@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"sperke/internal/netem"
 	"sperke/internal/sim"
 	"sperke/internal/transport"
 	"sperke/internal/transport/transporttest"
@@ -14,7 +13,7 @@ import (
 // this package's schedulers. Every completion closure here captures its
 // Request, which is what the check is for: none may look at it again
 // once OnDone has run — not the losing copy of a duplicated urgent
-// chunk, not a late subflow, not a repair fragment after the Kth.
+// chunk, not a late subflow.
 func TestOnDoneContract(t *testing.T) {
 	var subs []transporttest.Submission
 	for i := 0; i < 48; i++ {
@@ -46,10 +45,6 @@ func TestOnDoneContract(t *testing.T) {
 			ca := NewContentAware(c, wifi, lte)
 			ca.DuplicateUrgent = true
 			return ca
-		},
-		"coded": func(c *sim.Clock) transport.Scheduler {
-			wifi, lte := twoPaths(c)
-			return &coded{Clock: c, Paths: []*netem.Path{wifi, lte}}
 		},
 	} {
 		t.Run(name, func(t *testing.T) { transporttest.CheckOnDoneContract(t, 3, subs, mk) })

@@ -1,11 +1,10 @@
-// Package player implements the client-side rendering pipeline of
-// Fig. 4: the decoding scheduler feeding parallel hardware decoders, the
-// encoded-chunk cache in main memory, the decoded-frame cache in video
-// memory (OpenGL FBOs in the prototype), and the projection/display
-// stage. It reproduces the §3.5 measurements: how the pipeline's
-// structure — serial vs parallel decode, cached vs re-decoded frames,
-// all-tile vs FoV-only rendering — determines the achievable frame rate
-// (Figure 5).
+// Package player models the client-side rendering pipeline of Fig. 4 as
+// a per-frame time model: parallel hardware decoders, the decoded-frame
+// cache in video memory (OpenGL FBOs in the prototype), and the
+// projection/display stage. It reproduces the §3.5 measurements: how
+// the pipeline's structure — serial vs parallel decode, cached vs
+// re-decoded frames, all-tile vs FoV-only rendering — determines the
+// achievable frame rate (Figure 5).
 package player
 
 import (

@@ -1,8 +1,7 @@
 // Package qoe accounts the quality-of-experience metrics 360° rate
-// adaptation optimizes (§3.1.2): stalls (rebuffering) for on-demand
-// playback, skips for live playback, the quality level rendered inside
-// the FoV, quality switches, and blank time (a visible tile that was
-// never fetched). A composite score in the spirit of the predictive QoE
+// adaptation optimizes (§3.1.2): stalls (rebuffering), the quality
+// level rendered inside the FoV, quality switches, and blank time (a
+// visible tile that was never fetched). A composite score in the spirit of the predictive QoE
 // model of [14] combines them.
 package qoe
 
@@ -20,16 +19,12 @@ type Metrics struct {
 	StallTime time.Duration
 	// Stalls counts distinct rebuffering events.
 	Stalls int
-	// Skips counts chunks dropped for missing their live deadline.
-	Skips int
 	// BlankTime is play time during which at least one FoV tile had no
 	// data at all (rendered black).
 	BlankTime time.Duration
 	// QualitySum accumulates FoV quality level × seconds; divide by
 	// PlayTime for the mean.
 	QualitySum float64
-	// BitsPlayed accumulates the encoded bits of rendered content.
-	BitsPlayed float64
 	// Switches counts FoV quality level changes ≥ 1 level.
 	Switches int
 	// BytesFetched counts everything downloaded, including waste.
@@ -80,8 +75,8 @@ func (m Metrics) WasteRatio() float64 {
 }
 
 // Score condenses the session into a single comparable number per the
-// structure of predictive QoE models [14]: quality helps; stalls, skips,
-// blank frames and switches hurt. maxQuality normalizes the quality
+// structure of predictive QoE models [14]: quality helps; stalls, blank
+// frames and switches hurt. maxQuality normalizes the quality
 // term; the result is roughly in [0, 100].
 func (m Metrics) Score(maxQuality int) float64 {
 	if maxQuality <= 0 {
@@ -98,11 +93,7 @@ func (m Metrics) Score(maxQuality int) float64 {
 		perMin := float64(m.Switches) / m.PlayTime.Minutes()
 		switches = math.Min(perMin, 30) * 0.5
 	}
-	skips := 0.0
-	if total := m.PlayTime.Seconds(); total > 0 {
-		skips = math.Min(float64(m.Skips)/total*60, 30) * 0.8
-	}
-	s := q - stall - blank - switches - skips
+	s := q - stall - blank - switches
 	if s < 0 {
 		s = 0
 	}
@@ -110,9 +101,9 @@ func (m Metrics) Score(maxQuality int) float64 {
 }
 
 func (m Metrics) String() string {
-	return fmt.Sprintf("play=%v stalls=%d(%v) skips=%d q̄=%.2f switches=%d waste=%.0f%%",
+	return fmt.Sprintf("play=%v stalls=%d(%v) q̄=%.2f switches=%d waste=%.0f%%",
 		m.PlayTime.Round(time.Millisecond), m.Stalls, m.StallTime.Round(time.Millisecond),
-		m.Skips, m.MeanQuality(), m.Switches, m.WasteRatio()*100)
+		m.MeanQuality(), m.Switches, m.WasteRatio()*100)
 }
 
 // Collector accumulates Metrics during a session. The zero value is
@@ -126,7 +117,7 @@ type Collector struct {
 // PlayTiles records d of rendered content from the per-tile quality
 // levels visible in the FoV, capturing both the mean and the within-FoV
 // variance. Missing tiles are not included (account them via Blank).
-func (c *Collector) PlayTiles(d time.Duration, qualities []int, bitrate float64) {
+func (c *Collector) PlayTiles(d time.Duration, qualities []int) {
 	if d <= 0 || len(qualities) == 0 {
 		return
 	}
@@ -141,18 +132,17 @@ func (c *Collector) PlayTiles(d time.Duration, qualities []int, bitrate float64)
 		varSum += diff * diff
 	}
 	c.m.FoVVarianceSum += varSum / float64(len(qualities)) * d.Seconds()
-	c.Play(d, mean, bitrate)
+	c.Play(d, mean)
 }
 
 // Play records d of rendered content at the given mean FoV quality
-// level and encoded bitrate (bits/s).
-func (c *Collector) Play(d time.Duration, fovQuality float64, bitrate float64) {
+// level.
+func (c *Collector) Play(d time.Duration, fovQuality float64) {
 	if d <= 0 {
 		return
 	}
 	c.m.PlayTime += d
 	c.m.QualitySum += fovQuality * d.Seconds()
-	c.m.BitsPlayed += bitrate * d.Seconds()
 	if c.haveLast && math.Abs(fovQuality-c.lastQ) >= 1 {
 		c.m.Switches++
 	}

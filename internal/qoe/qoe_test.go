@@ -18,8 +18,8 @@ func TestZeroMetrics(t *testing.T) {
 
 func TestPlayAccumulates(t *testing.T) {
 	var c Collector
-	c.Play(2*time.Second, 4, 8e6)
-	c.Play(2*time.Second, 2, 4e6)
+	c.Play(2*time.Second, 4)
+	c.Play(2*time.Second, 2)
 	m := c.Metrics()
 	if m.PlayTime != 4*time.Second {
 		t.Fatalf("PlayTime = %v", m.PlayTime)
@@ -27,17 +27,14 @@ func TestPlayAccumulates(t *testing.T) {
 	if q := m.MeanQuality(); q != 3 {
 		t.Fatalf("MeanQuality = %v, want 3", q)
 	}
-	if m.BitsPlayed != 24e6 {
-		t.Fatalf("BitsPlayed = %v, want 24e6", m.BitsPlayed)
-	}
 }
 
 func TestSwitchCounting(t *testing.T) {
 	var c Collector
-	c.Play(time.Second, 3, 1)
-	c.Play(time.Second, 3.2, 1) // < 1 level: no switch
-	c.Play(time.Second, 4.5, 1) // ≥ 1 level: switch
-	c.Play(time.Second, 1, 1)   // switch
+	c.Play(time.Second, 3)
+	c.Play(time.Second, 3.2) // < 1 level: no switch
+	c.Play(time.Second, 4.5) // ≥ 1 level: switch
+	c.Play(time.Second, 1)   // switch
 	if got := c.Metrics().Switches; got != 2 {
 		t.Fatalf("Switches = %d, want 2", got)
 	}
@@ -45,7 +42,7 @@ func TestSwitchCounting(t *testing.T) {
 
 func TestStallRatioAndEvents(t *testing.T) {
 	var c Collector
-	c.Play(8*time.Second, 3, 1)
+	c.Play(8*time.Second, 3)
 	c.Stall(2 * time.Second)
 	c.Stall(0) // ignored
 	m := c.Metrics()
@@ -60,10 +57,10 @@ func TestStallRatioAndEvents(t *testing.T) {
 func TestScoreOrdering(t *testing.T) {
 	// More stalls → lower score; higher quality → higher score.
 	var good, stally, lowq Collector
-	good.Play(time.Minute, 4, 1)
-	stally.Play(time.Minute, 4, 1)
+	good.Play(time.Minute, 4)
+	stally.Play(time.Minute, 4)
 	stally.Stall(10 * time.Second)
-	lowq.Play(time.Minute, 1, 1)
+	lowq.Play(time.Minute, 1)
 	g, s, l := good.Metrics().Score(5), stally.Metrics().Score(5), lowq.Metrics().Score(5)
 	if !(g > s && g > l) {
 		t.Fatalf("score ordering wrong: good=%v stally=%v lowq=%v", g, s, l)
@@ -73,20 +70,10 @@ func TestScoreOrdering(t *testing.T) {
 	}
 }
 
-func TestScoreSkipsPenalty(t *testing.T) {
-	var clean, skippy Collector
-	clean.Play(time.Minute, 3, 1)
-	skippy.Play(time.Minute, 3, 1)
-	skippy.m.Skips = 10
-	if clean.Metrics().Score(5) <= skippy.Metrics().Score(5) {
-		t.Fatal("skips did not lower score")
-	}
-}
-
 func TestBlankPenalty(t *testing.T) {
 	var clean, blank Collector
-	clean.Play(time.Minute, 3, 1)
-	blank.Play(time.Minute, 3, 1)
+	clean.Play(time.Minute, 3)
+	blank.Play(time.Minute, 3)
 	blank.Blank(5 * time.Second)
 	if clean.Metrics().Score(5) <= blank.Metrics().Score(5) {
 		t.Fatal("blank time did not lower score")
@@ -104,7 +91,7 @@ func TestWasteRatio(t *testing.T) {
 
 func TestScoreNeverNegative(t *testing.T) {
 	var c Collector
-	c.Play(time.Second, 0, 0)
+	c.Play(time.Second, 0)
 	c.Stall(time.Hour)
 	if s := c.Metrics().Score(5); s != 0 {
 		t.Fatalf("score = %v, want clamped 0", s)
@@ -113,7 +100,7 @@ func TestScoreNeverNegative(t *testing.T) {
 
 func TestStringNonEmpty(t *testing.T) {
 	var c Collector
-	c.Play(time.Second, 2, 1e6)
+	c.Play(time.Second, 2)
 	if c.Metrics().String() == "" {
 		t.Fatal("empty String")
 	}
@@ -121,7 +108,7 @@ func TestStringNonEmpty(t *testing.T) {
 
 func TestNegativeDurationsIgnored(t *testing.T) {
 	var c Collector
-	c.Play(-time.Second, 5, 1)
+	c.Play(-time.Second, 5)
 	c.Blank(-time.Second)
 	m := c.Metrics()
 	if m.PlayTime != 0 || m.BlankTime != 0 {
@@ -132,12 +119,12 @@ func TestNegativeDurationsIgnored(t *testing.T) {
 func TestPlayTilesVariance(t *testing.T) {
 	var c Collector
 	// Uniform FoV: zero variance.
-	c.PlayTiles(2*time.Second, []int{3, 3, 3, 3}, 1e6)
+	c.PlayTiles(2*time.Second, []int{3, 3, 3, 3})
 	if v := c.Metrics().MeanFoVVariance(); v != 0 {
 		t.Fatalf("uniform FoV variance %v", v)
 	}
 	// Mixed FoV (an OOS tile drifted in): variance appears.
-	c.PlayTiles(2*time.Second, []int{4, 4, 1, 1}, 1e6)
+	c.PlayTiles(2*time.Second, []int{4, 4, 1, 1})
 	m := c.Metrics()
 	if m.MeanFoVVariance() <= 0 {
 		t.Fatal("mixed FoV produced no variance")
@@ -147,8 +134,8 @@ func TestPlayTilesVariance(t *testing.T) {
 		t.Fatalf("mean quality %v, want 2.75", q)
 	}
 	// Degenerate calls are ignored.
-	c.PlayTiles(time.Second, nil, 1)
-	c.PlayTiles(-time.Second, []int{1}, 1)
+	c.PlayTiles(time.Second, nil)
+	c.PlayTiles(-time.Second, []int{1})
 	if c.Metrics().PlayTime != 4*time.Second {
 		t.Fatal("degenerate PlayTiles recorded")
 	}
@@ -162,7 +149,6 @@ func TestPlayTilesVariance(t *testing.T) {
 func TestZeroPlayTimeMeans(t *testing.T) {
 	m := Metrics{
 		QualitySum:     12.5,
-		BitsPlayed:     4e6,
 		FoVVarianceSum: 3.25,
 		BlankTime:      time.Second,
 		Switches:       3,
