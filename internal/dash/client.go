@@ -382,25 +382,25 @@ func (c *Client) FetchMPD(ctx context.Context, videoID string) (*MPD, error) {
 
 // FetchChunk downloads one AVC chunk C(q, tile, index).
 func (c *Client) FetchChunk(ctx context.Context, videoID string, q, tile, idx int) (FetchResult, error) {
-	return c.fetchSegment(ctx, ChunkPath(videoID, q, tile, idx, false))
+	return c.fetchSegment(ctx, videoID, q, tile, idx, false)
 }
 
 // FetchLayer downloads one SVC layer of a chunk — the incremental
 // upgrade primitive of §3.1.1.
 func (c *Client) FetchLayer(ctx context.Context, videoID string, layer, tile, idx int) (FetchResult, error) {
-	return c.fetchSegment(ctx, ChunkPath(videoID, layer, tile, idx, true))
+	return c.fetchSegment(ctx, videoID, layer, tile, idx, true)
 }
 
 // fetchSegment decodes the segment straight off the response body:
 // media.ReadSegment sizes the payload from the header once it agrees
 // with the response's Content-Length, and CRC-checks it, so the one
 // body-sized allocation is the payload the caller keeps. A body that
-// arrives short, fails its CRC or is not the length its response
-// declared is one more attempt.
-func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, error) {
+// arrives short, fails its CRC, is not the length its response declared
+// or is another chunk's segment is one more attempt.
+func (c *Client) fetchSegment(ctx context.Context, videoID string, q, tile, idx int, layer bool) (FetchResult, error) {
 	start := c.wallNow()
 	var res FetchResult
-	attempts, err := c.do(ctx, path, func(x *exchange) error {
+	attempts, err := c.do(ctx, ChunkPath(videoID, q, tile, idx, layer), func(x *exchange) error {
 		r := x.body
 		if x.length >= 0 {
 			x.sized = io.LimitedReader{R: x.body, N: x.length}
@@ -409,6 +409,10 @@ func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, er
 		var err error
 		if res.Header, res.Payload, err = media.ReadSegment(r); err != nil {
 			return fmt.Errorf("decoding segment: %w", err)
+		}
+		if h := res.Header; !namesChunk(h, videoID, q, tile, idx, layer) {
+			return fmt.Errorf("segment is %s q%d tile %d layer %v at %v, not the chunk requested",
+				h.VideoID, h.Quality, h.Tile, h.Flags&media.FlagSVCLayer != 0, h.Start)
 		}
 		// A body under its Content-Length ended where the segment did and
 		// reported EOF with its last byte; a chunked one needs this read to
@@ -438,4 +442,16 @@ func (c *Client) fetchSegment(ctx context.Context, path string) (FetchResult, er
 	}
 	c.met.fetchMS.Observe(float64(res.Elapsed) / float64(time.Millisecond))
 	return res, nil
+}
+
+// namesChunk reports whether h is the header of chunk idx of videoID at
+// quality (or layer) q and tile. The client knows the chunk's index, not
+// its start: the header's Duration and Start travel truncated to whole
+// milliseconds, so chunk idx of a true duration in [Duration,
+// Duration+1ms) starts between idx·Duration and idx·Duration+(idx-1)ms.
+func namesChunk(h media.SegmentHeader, videoID string, q, tile, idx int, layer bool) bool {
+	skew := h.Start - time.Duration(idx)*h.Duration
+	return h.VideoID == videoID && h.Quality == q && int(h.Tile) == tile &&
+		(h.Flags&media.FlagSVCLayer != 0) == layer &&
+		skew >= 0 && skew <= time.Duration(max(idx-1, 0))*time.Millisecond
 }

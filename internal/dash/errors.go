@@ -15,7 +15,8 @@ type ErrorKind int
 // Error kinds.
 const (
 	// KindTransient marks failures worth retrying: network errors, 5xx
-	// and 429 responses, and truncated or corrupt segment bodies.
+	// and 429 responses, truncated or corrupt segment bodies, and the
+	// segment of a chunk other than the one asked for.
 	KindTransient ErrorKind = iota
 	// kindFatal marks failures retrying cannot fix: 4xx responses and
 	// malformed requests.

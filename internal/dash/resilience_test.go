@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sperke/internal/faults"
+	"sperke/internal/media"
 	"sperke/internal/obs"
 )
 
@@ -118,6 +119,89 @@ func TestClientRefetchesCorruptSegment(t *testing.T) {
 	}
 	if res.Attempts != 2 {
 		t.Fatalf("Attempts = %d, want 2", res.Attempts)
+	}
+}
+
+// chunkAddr is one chunk address of a video.
+type chunkAddr struct {
+	v              *media.Video
+	q, tile, index int
+	layer          bool
+}
+
+// misroutedSource answers every chunk address with the body of the
+// address remap names: a CRC-valid segment of another chunk.
+type misroutedSource struct{ remap func(chunkAddr) chunkAddr }
+
+func (s misroutedSource) Chunk(ctx context.Context, videoID string, q, tile, idx int, layer bool) ([]byte, error) {
+	a := s.remap(chunkAddr{testVideo(), q, tile, idx, layer})
+	return BuildChunkBody(a.v, a.q, a.tile, a.index, a.layer)
+}
+
+func TestClientRefetchesWrongChunk(t *testing.T) {
+	other := testVideo()
+	other.ID = "other"
+	for _, tc := range []struct {
+		name  string
+		layer bool
+		remap func(chunkAddr) chunkAddr
+	}{
+		{"next interval", false, func(a chunkAddr) chunkAddr { a.index++; return a }},
+		{"next interval layer", true, func(a chunkAddr) chunkAddr { a.index++; return a }},
+		{"other quality", false, func(a chunkAddr) chunkAddr { a.q++; return a }},
+		{"other tile", false, func(a chunkAddr) chunkAddr { a.tile++; return a }},
+		{"layer for chunk", false, func(a chunkAddr) chunkAddr { a.layer = true; return a }},
+		{"other video", false, func(a chunkAddr) chunkAddr { a.v = other; return a }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cat := NewCatalog()
+			if err := cat.Add(testVideo()); err != nil {
+				t.Fatal(err)
+			}
+			var served atomic.Int64
+			inner := NewServer(cat, WithStore(misroutedSource{tc.remap}))
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				served.Add(1)
+				inner.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			c := fastClient(srv.URL, nil)
+			c.retry.MaxAttempts = 3
+			fetch := c.FetchChunk
+			if tc.layer {
+				fetch = c.FetchLayer
+			}
+			res, err := fetch(context.Background(), "demo", 1, 2, 3)
+			var de *Error
+			if !errors.As(err, &de) {
+				t.Fatalf("got %+v, %v; want a *Error", res.Header, err)
+			}
+			if de.Kind != KindTransient || de.Attempts != 3 || served.Load() != 3 {
+				t.Fatalf("error %+v after %d requests, want transient after 3", de, served.Load())
+			}
+		})
+	}
+}
+
+// A chunk duration that is not a whole number of milliseconds reaches
+// the header truncated, and so does each chunk's start: the last chunk
+// of such a video is still the chunk asked for.
+func TestClientAcceptsTruncatedChunkStart(t *testing.T) {
+	v := testVideo()
+	v.ChunkDuration = 2*time.Second + 700*time.Microsecond
+	cat := NewCatalog()
+	if err := cat.Add(v); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(cat))
+	defer srv.Close()
+	idx := v.NumChunks() - 1
+	res, err := fastClient(srv.URL, nil).FetchChunk(context.Background(), "demo", 0, 0, idx)
+	if err != nil || res.Attempts != 1 {
+		t.Fatalf("chunk %d: %d attempts, %v", idx, res.Attempts, err)
+	}
+	if res.Header.Start == time.Duration(idx)*res.Header.Duration {
+		t.Fatalf("start %v is a whole multiple of %v: nothing was truncated", res.Header.Start, res.Header.Duration)
 	}
 }
 

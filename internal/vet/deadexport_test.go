@@ -21,11 +21,11 @@ import (
 // (its Examples). A type also counts when another package holds a value
 // of it, as a caller of core.NewSession holds a *core.Session. Two
 // things are exempt: a method that satisfies an interface (or is named
-// String, Error, Unwrap or Is), and an Err* sentinel. A name that only
-// its own package uses is unexported; one that only its own tests use
-// goes, with those tests.
+// String, Error, Unwrap or Is), and an Err* sentinel: a var whose type
+// implements error. A name that only its own package uses is unexported;
+// one that only its own tests use goes, with those tests.
 func TestEveryExportHasACaller(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ const (
 // keyed by declaration position: the objects an in-package test check
 // declares are copies of the shipped ones at the same positions.
 type uses struct {
-	m      *Module
+	m      *module
 	from   map[token.Pos]int
 	ifaces map[string][]*types.Interface // by method name
 }
@@ -127,7 +127,7 @@ func loadUses(root string) (*uses, error) {
 			Uses:  make(map[*ast.Ident]types.Object),
 			Defs:  make(map[*ast.Ident]types.Object),
 		}
-		conf := types.Config{Importer: &moduleImporter{module: m}}
+		conf := types.Config{Importer: &moduleImporter{m: m}}
 		if _, err := conf.Check(p, fset, byPkg[p], info); err != nil {
 			return nil, fmt.Errorf("type-checking tests of %s: %w", p, err)
 		}
@@ -280,7 +280,7 @@ func (u *uses) deadExports() []string {
 			if !obj.Exported() {
 				continue
 			}
-			if _, ok := obj.(*types.Var); ok && strings.HasPrefix(name, "Err") {
+			if v, ok := obj.(*types.Var); ok && strings.HasPrefix(name, "Err") && types.Implements(v.Type(), errorType) {
 				continue
 			}
 			pkgName := tp.Pkg.Name() + "." + name

@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// ModuleRoot walks upward from dir to the directory containing go.mod.
-func ModuleRoot(dir string) (string, error) {
+// moduleRoot walks upward from dir to the directory containing go.mod.
+func moduleRoot(dir string) (string, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err
@@ -32,7 +32,7 @@ func ModuleRoot(dir string) (string, error) {
 // eachFile invokes fn for every file of the module's packages under
 // spans (every package when spans is nil). The typed load leaves test
 // files out, so no checker sees them.
-func eachFile(m *Module, spans []string, fn func(tp *TypedPackage, f *file)) {
+func eachFile(m *module, spans []string, fn func(tp *typedPackage, f *file)) {
 	for _, tp := range m.Pkgs {
 		if spans != nil && !inSpan(tp.Dir, spans) {
 			continue
@@ -45,8 +45,8 @@ func eachFile(m *Module, spans []string, fn func(tp *TypedPackage, f *file)) {
 
 // eachFunc invokes fn for every function declaration eachFile reaches,
 // with its display name: "Name" for functions, "Recv.Name" for methods.
-func eachFunc(m *Module, spans []string, fn func(tp *TypedPackage, f *file, name string, fd *ast.FuncDecl)) {
-	eachFile(m, spans, func(tp *TypedPackage, f *file) {
+func eachFunc(m *module, spans []string, fn func(tp *typedPackage, f *file, name string, fd *ast.FuncDecl)) {
+	eachFile(m, spans, func(tp *typedPackage, f *file) {
 		for _, d := range f.AST.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {
 				fn(tp, f, funcDisplayName(fd), fd)

@@ -19,7 +19,7 @@ var taxonomySpans = []string{
 // errorType is the universe's error interface.
 var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
-// ErrTaxonomy enforces the delivery path's error discipline:
+// errTaxonomy enforces the delivery path's error discipline:
 //
 //   - fmt.Errorf that embeds an error value — an argument whose type
 //     implements error, whatever it is named — must wrap it with %w so
@@ -33,12 +33,11 @@ var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Inter
 // version %d") or dash.parseMPD's XML error. The kinds the callers
 // branch on are pinned by TestOneAttemptBudgetEveryMethod (errors.As
 // to *dash.Error) and TestHandshakeRejectsWrongVersion (errors.Is).
-var ErrTaxonomy = &Analyzer{
+var errTaxonomy = &analyzer{
 	Name: "errtaxonomy",
-	Doc:  "require %w wrapping and typed sentinels (no in-function errors.New) in dash/transport/rtmp",
-	CheckModule: func(m *Module) []Diagnostic {
-		var out []Diagnostic
-		eachFunc(m, taxonomySpans, func(tp *TypedPackage, f *file, name string, fd *ast.FuncDecl) {
+	CheckModule: func(m *module) []diagnostic {
+		var out []diagnostic
+		eachFunc(m, taxonomySpans, func(tp *typedPackage, f *file, name string, fd *ast.FuncDecl) {
 			ast.Inspect(fd, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {

@@ -24,7 +24,7 @@ var fixtureDirective = regexp.MustCompile(`(?m)^//sperke:fixture path=(\S+)$`)
 // fixtures under testdata/<name>/. Each fixture forms a module with the
 // directory's other .go files (the stub packages such fixtures import).
 func TestGoldenFixtures(t *testing.T) {
-	for _, a := range Analyzers() {
+	for _, a := range analyzers {
 		t.Run(a.Name, func(t *testing.T) {
 			checkFixtures(t, a, filepath.Join("testdata", a.Name))
 		})
@@ -32,10 +32,10 @@ func TestGoldenFixtures(t *testing.T) {
 }
 
 // checkFixtures is the one harness: it type-checks each fixture in dir
-// with loadModuleSource and runs it through RunModule. bad* fixtures
+// with loadModuleSource and runs it through runModule. bad* fixtures
 // must reproduce their .golden diagnostics exactly (and at least one),
 // clean* fixtures must come back empty, and dir must hold both kinds.
-func checkFixtures(t *testing.T, a *Analyzer, dir string) {
+func checkFixtures(t *testing.T, a *analyzer, dir string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -91,7 +91,7 @@ func checkFixtures(t *testing.T, a *Analyzer, dir string) {
 // runFixture assembles the files into an in-memory module, each under
 // its directive path, and returns the analyzer's findings, one
 // formatted diagnostic per line.
-func runFixture(t *testing.T, a *Analyzer, files []string) string {
+func runFixture(t *testing.T, a *analyzer, files []string) string {
 	t.Helper()
 	srcs := make(map[string][]byte)
 	for _, p := range files {
@@ -113,7 +113,7 @@ func runFixture(t *testing.T, a *Analyzer, files []string) string {
 		t.Fatalf("%v: %v", files, err)
 	}
 	var sb strings.Builder
-	for _, d := range RunModule(mod, []*Analyzer{a}) {
+	for _, d := range runModule(mod, []*analyzer{a}) {
 		sb.WriteString(d.String())
 		sb.WriteByte('\n')
 	}
@@ -123,7 +123,7 @@ func runFixture(t *testing.T, a *Analyzer, files []string) string {
 // loadModuleSource type-checks an in-memory module from path → source
 // mappings, under the real module path "sperke" so module-internal
 // imports ("sperke/internal/...") resolve between the given files.
-func loadModuleSource(srcs map[string][]byte) (*Module, error) {
+func loadModuleSource(srcs map[string][]byte) (*module, error) {
 	fset := token.NewFileSet()
 	files := make([]*file, 0, len(srcs))
 	paths := make([]string, 0, len(srcs))

@@ -29,12 +29,11 @@ var obsInstruments = map[string]bool{
 // place of obs.NewWall(): request_ms then reads from a zero epoch, and
 // no test fails. A literal counter never reaches the registry, which
 // TestServerCountsEveryRoute sees as a missing count.
-var obsDiscipline = &Analyzer{
+var obsDiscipline = &analyzer{
 	Name: "obsdiscipline",
-	Doc:  "metrics instruments must come from registry methods, not struct literals, outside internal/obs",
-	CheckModule: func(m *Module) []Diagnostic {
-		var out []Diagnostic
-		eachFile(m, nil, func(tp *TypedPackage, f *file) {
+	CheckModule: func(m *module) []diagnostic {
+		var out []diagnostic
+		eachFile(m, nil, func(tp *typedPackage, f *file) {
 			obsName := importName(f.AST, m.Path+"/internal/obs")
 			if obsName == "" || inSpan(tp.Dir, []string{"internal/obs"}) {
 				return

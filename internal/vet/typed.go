@@ -25,10 +25,10 @@ import (
 // stdlib source importer (go/importer "source"), which type-checks
 // them from $GOROOT/src.
 
-// TypedPackage is one type-checked package of the module: the parsed
-// files (sharing the Module's FileSet), the *types.Package, and the
+// typedPackage is one type-checked package of the module: the parsed
+// files (sharing the module's FileSet), the *types.Package, and the
 // types.Info recorded while checking it.
-type TypedPackage struct {
+type typedPackage struct {
 	// Dir is module-relative, e.g. "internal/dash".
 	Dir string
 	// ImportPath is the full import path, e.g. "sperke/internal/dash".
@@ -38,27 +38,27 @@ type TypedPackage struct {
 	Info       *types.Info
 }
 
-// Module is the whole-module view the typed checkers run over. Pkgs is
+// module is the whole-module view the typed checkers run over. Pkgs is
 // in dependency order: every package appears after everything it
 // imports.
-type Module struct {
+type module struct {
 	// Path is the module path from go.mod (e.g. "sperke").
 	Path string
 	Fset *token.FileSet
-	Pkgs []*TypedPackage
+	Pkgs []*typedPackage
 
-	byPath map[string]*TypedPackage
+	byPath map[string]*typedPackage
 }
 
 // internal reports whether the import path belongs to this module.
-func (m *Module) internal(importPath string) bool {
+func (m *module) internal(importPath string) bool {
 	return importPath == m.Path || strings.HasPrefix(importPath, m.Path+"/")
 }
 
-// LoadModule parses and type-checks every non-test package under root
+// loadModule parses and type-checks every non-test package under root
 // (the directory holding go.mod): the files moduleFiles selects for the
 // platform the go tool would build for.
-func LoadModule(root string) (*Module, error) {
+func loadModule(root string) (*module, error) {
 	modPath, err := modulePath(root)
 	if err != nil {
 		return nil, err
@@ -139,7 +139,7 @@ func parseShared(fset *token.FileSet, src []byte, modPath string) (*file, error)
 // typeCheckModule groups files by directory, orders the packages so
 // imports come first, and type-checks each one, feeding every checked
 // package into the importer used for its dependents.
-func typeCheckModule(modPath string, fset *token.FileSet, files []*file) (*Module, error) {
+func typeCheckModule(modPath string, fset *token.FileSet, files []*file) (*module, error) {
 	byDir := make(map[string][]*file)
 	for _, f := range files {
 		byDir[f.dir()] = append(byDir[f.dir()], f)
@@ -148,10 +148,10 @@ func typeCheckModule(modPath string, fset *token.FileSet, files []*file) (*Modul
 		sort.Slice(fs, func(i, j int) bool { return fs[i].Path < fs[j].Path })
 	}
 
-	m := &Module{
+	m := &module{
 		Path:   modPath,
 		Fset:   fset,
-		byPath: make(map[string]*TypedPackage),
+		byPath: make(map[string]*typedPackage),
 	}
 	importPathOf := func(dir string) string {
 		if dir == "." {
@@ -167,7 +167,7 @@ func typeCheckModule(modPath string, fset *token.FileSet, files []*file) (*Modul
 
 	for _, dir := range order {
 		group := byDir[dir]
-		imp := &moduleImporter{module: m}
+		imp := &moduleImporter{m: m}
 		var checkErrs []string
 		conf := types.Config{
 			Importer: imp,
@@ -191,7 +191,7 @@ func typeCheckModule(modPath string, fset *token.FileSet, files []*file) (*Modul
 		if err != nil {
 			return nil, fmt.Errorf("vet: type-checking %s: %s", dir, strings.Join(checkErrs, "; "))
 		}
-		tp := &TypedPackage{
+		tp := &typedPackage{
 			Dir:        dir,
 			ImportPath: importPathOf(dir),
 			Files:      group,
@@ -273,14 +273,14 @@ func dependencyOrder(modPath string, byDir map[string][]*file) ([]string, error)
 // checked so far and defers everything else to the shared stdlib
 // source importer.
 type moduleImporter struct {
-	module *Module
+	m *module
 }
 
 func (mi *moduleImporter) Import(p string) (*types.Package, error) {
-	if tp, ok := mi.module.byPath[p]; ok {
+	if tp, ok := mi.m.byPath[p]; ok {
 		return tp.Pkg, nil
 	}
-	if mi.module.internal(p) {
+	if mi.m.internal(p) {
 		return nil, fmt.Errorf("vet: module package %s not loaded (import cycle or missing files?)", p)
 	}
 	return importStd(p)
@@ -288,7 +288,7 @@ func (mi *moduleImporter) Import(p string) (*types.Package, error) {
 
 // The stdlib source importer is shared process-wide: it type-checks
 // each standard package from $GOROOT/src exactly once and serves every
-// subsequent load (fixture modules, CLI runs, tests) from its cache.
+// subsequent load (the tree, the fixture modules) from its cache.
 // It keeps its own FileSet — checkers never render positions of
 // standard-library objects, so the two sets never mix.
 var (

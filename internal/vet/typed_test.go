@@ -8,17 +8,18 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestLoadModuleTypesWholeTree is the typed loader's smoke test: the
 // real module type-checks end to end through the source-order importer,
 // packages come out in dependency order, and lookups resolve.
 func TestLoadModuleTypesWholeTree(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadModule(root)
+	m, err := loadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestLoadModuleFilesMatchGoList(t *testing.T) {
 	if err != nil {
 		t.Skip("no go tool on PATH to compare with")
 	}
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,18 +103,22 @@ func TestLoadModuleFilesMatchGoList(t *testing.T) {
 	}
 }
 
-// TestWholeTreeIsCleanTyped is the acceptance gate: the full suite
-// over the type-resolved real module reports zero findings.
+// TestWholeTreeIsCleanTyped is the checkers' gate: the full suite over
+// the type-resolved real module reports zero findings, each failure one
+// "path:line:col: [check] message" line. It logs how many packages the
+// typed load read and how long the load took.
 func TestWholeTreeIsCleanTyped(t *testing.T) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadModule(root)
+	start := time.Now()
+	m, err := loadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range RunModule(m, Analyzers()) {
+	t.Logf("typed load of %d packages in %v", len(m.Pkgs), time.Since(start).Round(time.Millisecond))
+	for _, d := range runModule(m, analyzers) {
 		t.Errorf("%s", d)
 	}
 }

@@ -26,14 +26,16 @@
 // included), not another package's tests, not the package's own _test
 // package. A type also counts when another package holds a value of it.
 // Methods that satisfy an interface (or are named String, Error, Unwrap
-// or Is) and Err* sentinels are exempt. The sperke-vet command does not
-// read bench/.
+// or Is) and Err* vars of an error type are exempt. The checkers' load
+// does not read bench/.
 //
-// Run the suite with `go run ./cmd/sperke-vet ./...`. A new checker is
-// an Analyzer with a CheckModule hook, registered in Analyzers, with
-// true-positive and clean golden fixtures under testdata/<name>/ (see
-// golden_test.go), and a mutant of shipped code that it reports and no
-// test fails.
+// The checkers run as TestWholeTreeIsCleanTyped, one failure line
+// "path:line:col: [check] message" per finding: `go test ./internal/vet`,
+// and `GOARCH=386 go test ./internal/vet` for the files a 386 build
+// compiles. A new checker is an analyzer with a CheckModule hook, listed
+// in analyzers, with true-positive and clean golden fixtures under
+// testdata/<name>/ (see golden_test.go), and a mutant of shipped code
+// that it reports and no test fails.
 package vet
 
 import (
@@ -44,16 +46,16 @@ import (
 	"sort"
 )
 
-// Diagnostic is one finding, anchored to a source position. Pos.Filename
+// diagnostic is one finding, anchored to a source position. Pos.Filename
 // is the module-relative slash path of the offending file.
-type Diagnostic struct {
+type diagnostic struct {
 	Check   string
 	Pos     token.Position
 	Message string
 }
 
-// String formats the diagnostic the way the CLI prints it.
-func (d Diagnostic) String() string {
+// String formats the diagnostic as the tests report it.
+func (d diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
@@ -70,34 +72,30 @@ type file struct {
 // dir returns the file's module-relative directory.
 func (f *file) dir() string { return path.Dir(f.Path) }
 
-// diag builds a Diagnostic for this file at pos.
-func (f *file) diag(check string, pos token.Pos, format string, args ...any) Diagnostic {
+// diag builds a diagnostic for this file at pos.
+func (f *file) diag(check string, pos token.Pos, format string, args ...any) diagnostic {
 	p := f.Fset.Position(pos)
 	p.Filename = f.Path
-	return Diagnostic{Check: check, Pos: p, Message: fmt.Sprintf(format, args...)}
+	return diagnostic{Check: check, Pos: p, Message: fmt.Sprintf(format, args...)}
 }
 
-// Analyzer is one domain check: a pass over the whole type-resolved
+// analyzer is one domain check: a pass over the whole type-resolved
 // module. Checkers that reason about one file at a time walk each
 // package's Files from inside the hook; the rest follow facts across
 // package boundaries.
-type Analyzer struct {
-	Name string
-	// Doc is a one-line description shown by `sperke-vet -list`.
-	Doc         string
-	CheckModule func(*Module) []Diagnostic
+type analyzer struct {
+	Name        string
+	CheckModule func(*module) []diagnostic
 }
 
-// Analyzers returns the full checker suite in stable order.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{ErrTaxonomy, obsDiscipline}
-}
+// analyzers is the full checker suite in stable order.
+var analyzers = []*analyzer{errTaxonomy, obsDiscipline}
 
-// RunModule runs the analyzers over the type-resolved module and returns
+// runModule runs the checkers over the type-resolved module and returns
 // their findings sorted by position, then checker name.
-func RunModule(m *Module, analyzers []*Analyzer) []Diagnostic {
-	var out []Diagnostic
-	for _, a := range analyzers {
+func runModule(m *module, checkers []*analyzer) []diagnostic {
+	var out []diagnostic
+	for _, a := range checkers {
 		out = append(out, a.CheckModule(m)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
