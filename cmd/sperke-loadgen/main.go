@@ -245,7 +245,7 @@ func printClusterSummary(clu *cluster.Cluster, reg *obs.Registry) {
 		reg.Counter("cluster.sheds").Value(),
 		clu.Warms(),
 		reg.Counter("cluster.origin_fallbacks").Value(),
-		float64(reg.Gauge("cluster.origin_offload_ratio").Value())/100)
+		clu.OffloadPercent())
 	fmt.Printf("    coalesced %d, warm drops %d, prewarms %d (%d origin syntheses)\n",
 		clu.Coalesced(), clu.WarmDrops(), clu.Prewarms(), clu.PrewarmFetches())
 	fmt.Printf("    health: %d down transitions, %d up transitions; origin fetches %d\n",

@@ -98,7 +98,7 @@ func main() {
 			reg.Counter("cluster.reroutes").Value(),
 			org.fetches-prevFetch,
 			reg.Gauge("cluster.health.edge-1.alive").Value(),
-			float64(reg.Gauge("cluster.origin_offload_ratio").Value())/100)
+			c.OffloadPercent())
 		prevFetch = org.fetches
 	}
 
@@ -111,5 +111,5 @@ func main() {
 	}
 	req, fetches := c.OffloadCounts()
 	fmt.Printf("  %d front-door requests, %d origin fetches: the edge tier absorbed %.1f%%\n",
-		req, fetches, 100*float64(req-fetches)/float64(req))
+		req, fetches, c.OffloadPercent())
 }

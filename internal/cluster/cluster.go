@@ -44,14 +44,12 @@ type clusterMetrics struct {
 	warms           *obs.Counter // replication writes into co-owner caches
 	originFallbacks *obs.Counter // requests no edge served
 	originFetches   *obs.Counter // origin syntheses a viewer waited on (fallbacks + edge misses)
-	offload         *obs.Gauge   // cluster.origin_offload_ratio, basis points
+	originErrors    *obs.Counter // origin fallbacks that failed (not counted as fetches)
 
-	coalesced        *obs.Counter // requests served from another request's in-flight body
-	warmDrops        *obs.Counter // pre-warms dropped by the bounded queue
-	prewarms         *obs.Counter // crowd-prior bodies written into edge caches
-	prewarmFetches   *obs.Counter // origin syntheses performed speculatively by the pre-warmer
-	originStreamErrs *obs.Counter // origin-fallback streams that failed (not counted as fetches)
-	originChunkErrs  *obs.Counter // origin-fallback materialized fetches that failed
+	coalesced      *obs.Counter // requests served from another request's in-flight body
+	warmDrops      *obs.Counter // pre-warms dropped by the bounded queue
+	prewarms       *obs.Counter // crowd-prior bodies written into edge caches
+	prewarmFetches *obs.Counter // origin syntheses performed speculatively by the pre-warmer
 }
 
 // membership is one immutable snapshot of the routing table. Routing
@@ -151,14 +149,12 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 			warms:           cfg.obs.Counter("cluster.warms"),
 			originFallbacks: cfg.obs.Counter("cluster.origin_fallbacks"),
 			originFetches:   cfg.obs.Counter("cluster.origin_fetches"),
-			offload:         cfg.obs.Gauge("cluster.origin_offload_ratio"),
+			originErrors:    cfg.obs.Counter("cluster.origin_errors"),
 
-			coalesced:        cfg.obs.Counter("cluster.coalesced"),
-			warmDrops:        cfg.obs.Counter("cluster.warm_drops"),
-			prewarms:         cfg.obs.Counter("cluster.prewarms"),
-			prewarmFetches:   cfg.obs.Counter("cluster.prewarm_fetches"),
-			originStreamErrs: cfg.obs.Counter("cluster.origin_stream_errors"),
-			originChunkErrs:  cfg.obs.Counter("cluster.origin_errors"),
+			coalesced:      cfg.obs.Counter("cluster.coalesced"),
+			warmDrops:      cfg.obs.Counter("cluster.warm_drops"),
+			prewarms:       cfg.obs.Counter("cluster.prewarms"),
+			prewarmFetches: cfg.obs.Counter("cluster.prewarm_fetches"),
 		},
 		coal:  newCoalescer(),
 		warmQ: newWarmQueue(),
@@ -317,7 +313,6 @@ func (c *Cluster) StreamChunk(ctx context.Context, w http.ResponseWriter, videoI
 // whole body when the path needed one.
 func (c *Cluster) route(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey) (n int64, body []byte, err error) {
 	c.met.requests.Inc()
-	defer c.updateOffload()
 	f, lead := c.coal.enter(key)
 	if lead {
 		defer func() { c.coal.finish(key, f, nil, err) }()
@@ -441,14 +436,9 @@ func (c *Cluster) enqueuePrewarms(key serve.ChunkKey) {
 	}
 }
 
-// isShed reports an admission-guard refusal in either its in-process
-// (*dash.OverloadError) or over-the-wire (KindOverload *dash.Error)
-// form.
+// isShed reports an admission guard's refusal: a KindOverload
+// *dash.Error, whether the edge is in process or over the wire.
 func isShed(err error) bool {
-	var oe *dash.OverloadError
-	if errors.As(err, &oe) {
-		return true
-	}
 	var de *dash.Error
 	return errors.As(err, &de) && de.Kind == dash.KindOverload
 }
@@ -470,28 +460,22 @@ func coldOwners(m *membership, owners []rankedNode, served string, key serve.Chu
 	return targets
 }
 
-// updateOffload republishes cluster.origin_offload_ratio: the fraction
-// of front-door requests the edge tier absorbed without an origin
-// synthesis, in basis points (10000 = full offload). Cumulative since
-// start; windowed readings come from OffloadCounts deltas.
-func (c *Cluster) updateOffload() {
-	req := c.met.requests.Value()
-	if req <= 0 {
-		return
-	}
-	fetches := c.met.originFetches.Value()
-	bp := (req - fetches) * 10000 / req
-	if bp < 0 {
-		bp = 0
-	}
-	c.met.offload.Set(bp)
-}
-
 // OffloadCounts returns the cumulative front-door request and origin
-// fetch counters, so callers can compute offload over a window by
-// differencing two snapshots.
+// fetch counters: the edge tier absorbed (requests − originFetches) /
+// requests of the load, cumulatively or over a window between two
+// snapshots.
 func (c *Cluster) OffloadCounts() (requests, originFetches int64) {
 	return c.met.requests.Value(), c.met.originFetches.Value()
+}
+
+// OffloadPercent is the cumulative offload OffloadCounts implies, as a
+// percent truncated to whole basis points (0 before any request).
+func (c *Cluster) OffloadPercent() float64 {
+	req, fetches := c.OffloadCounts()
+	if req <= 0 {
+		return 0
+	}
+	return float64(max(0, (req-fetches)*10000/req)) / 100
 }
 
 // Warms reports the cumulative replication writes into co-owner

@@ -141,9 +141,9 @@ func TestChunkSecondFetchIsEdgeHit(t *testing.T) {
 	if origin.count() != cold {
 		t.Fatalf("warm pass hit the origin %d more times, want 0", origin.count()-cold)
 	}
-	if got := c.met.offload.Value(); got != 5000 {
-		// 60 requests, 30 origin fetches → 50.0% offload in basis points.
-		t.Fatalf("origin_offload_ratio = %d bp, want 5000", got)
+	if got := c.OffloadPercent(); got != 50 {
+		// 60 requests, 30 origin fetches.
+		t.Fatalf("OffloadPercent = %v, want 50", got)
 	}
 }
 
@@ -170,12 +170,12 @@ func TestNodeShedsWhenSaturated(t *testing.T) {
 	}()
 	<-started
 	_, err = n.Chunk(context.Background(), "vid", 1, 1, 1, false)
-	var oe *dash.OverloadError
-	if !errors.As(err, &oe) {
-		t.Fatalf("saturated node returned %v, want *dash.OverloadError", err)
+	var de *dash.Error
+	if !errors.As(err, &de) || de.Kind != dash.KindOverload {
+		t.Fatalf("saturated node returned %v, want a KindOverload *dash.Error", err)
 	}
-	if oe.RetryAfter != time.Second {
-		t.Fatalf("RetryAfter = %v, want the 1s every shed carries", oe.RetryAfter)
+	if de.RetryAfter != time.Second {
+		t.Fatalf("RetryAfter = %v, want the 1s every shed carries", de.RetryAfter)
 	}
 	if !errors.Is(err, dash.ErrUnavailable) {
 		t.Fatal("overload error does not match dash.ErrUnavailable")

@@ -388,8 +388,7 @@ func (o *failingOrigin) Chunk(ctx context.Context, videoID string, quality, tile
 // regression for the wire fallback: a failed origin stream used to
 // increment cluster.origin_fetches before streamOrigin ran, skewing
 // the offload ratio and the E23 equalities. Failures must land under
-// cluster.origin_stream_errors; only completed streams count as
-// fetches.
+// cluster.origin_errors; only completed streams count as fetches.
 func TestStreamOriginFetchCountsOnSuccessOnly(t *testing.T) {
 	c := newCarrierCluster(t, "tcp", &failingOrigin{}, WithNodes(2), WithClock(sim.NewClock(1)))
 	for _, id := range c.NodeNames() {
@@ -405,8 +404,8 @@ func TestStreamOriginFetchCountsOnSuccessOnly(t *testing.T) {
 	if got := c.met.originFetches.Value(); got != 0 {
 		t.Fatalf("origin_fetches = %d after a failed stream, want 0", got)
 	}
-	if got := c.met.originStreamErrs.Value(); got != 1 {
-		t.Fatalf("origin_stream_errors = %d, want 1", got)
+	if got := c.met.originErrors.Value(); got != 1 {
+		t.Fatalf("origin_errors = %d, want 1", got)
 	}
 	if req, fetches := c.OffloadCounts(); req != 1 || fetches != 0 {
 		t.Fatalf("OffloadCounts = (%d, %d), want (1, 0)", req, fetches)
@@ -431,8 +430,8 @@ func TestStreamOriginFetchCountedOnSuccess(t *testing.T) {
 	if got := c.met.originFetches.Value(); got != 1 {
 		t.Fatalf("origin_fetches = %d, want 1", got)
 	}
-	if got := c.met.originStreamErrs.Value(); got != 0 {
-		t.Fatalf("origin_stream_errors = %d, want 0", got)
+	if got := c.met.originErrors.Value(); got != 0 {
+		t.Fatalf("origin_errors = %d, want 0", got)
 	}
 }
 
@@ -451,7 +450,7 @@ func TestChunkOriginFallbackCountsOnSuccessOnly(t *testing.T) {
 	if got := c.met.originFetches.Value(); got != 0 {
 		t.Fatalf("origin_fetches = %d after a failed fallback, want 0", got)
 	}
-	if got := c.met.originChunkErrs.Value(); got != 1 {
+	if got := c.met.originErrors.Value(); got != 1 {
 		t.Fatalf("origin_errors = %d, want 1", got)
 	}
 }

@@ -289,8 +289,9 @@ func (n *Node) warm(key serve.ChunkKey, body []byte) bool {
 }
 
 // Chunk implements dash.ChunkSource. A down node fails immediately
-// with ErrNodeDown; a saturated one sheds with *dash.OverloadError
-// before touching the store, so the refusal costs almost nothing.
+// with ErrNodeDown; a saturated one sheds with a KindOverload
+// *dash.Error before touching the store, so the refusal costs almost
+// nothing.
 func (n *Node) Chunk(ctx context.Context, videoID string, quality, tile, index int, layer bool) ([]byte, error) {
 	if n.down.Load() {
 		n.met.denials.Inc()
@@ -299,7 +300,10 @@ func (n *Node) Chunk(ctx context.Context, videoID string, quality, tile, index i
 	if cur := n.inflight.Add(1); cur > n.maxInFlight {
 		n.inflight.Add(-1)
 		n.met.sheds.Inc()
-		return nil, &dash.OverloadError{RetryAfter: shedRetryAfter}
+		return nil, &dash.Error{
+			Op: dash.ChunkPath(videoID, quality, tile, index, layer), Kind: dash.KindOverload,
+			Attempts: 1, RetryAfter: shedRetryAfter, Err: dash.ErrUnavailable,
+		}
 	}
 	defer n.inflight.Add(-1)
 	n.met.requests.Inc()

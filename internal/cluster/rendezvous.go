@@ -2,40 +2,23 @@ package cluster
 
 import "sperke/internal/serve"
 
-// rendezvousScore folds one node name and one chunk key through FNV-1a
-// into the node's weight for that key. Highest-random-weight routing
-// falls out: every router computes the same scores, so placement needs
-// no coordination, and removing a node from the live set disturbs only
-// the keys that node was winning — every other key keeps its champion.
+// rendezvousScore folds one node name, a 0xff separator and one chunk
+// key (serve.ChunkKey.Fold) through FNV-1a into the node's weight for
+// that key. Highest-random-weight routing falls out: every router
+// computes the same scores, so placement needs no coordination, and
+// removing a node from the live set disturbs only the keys that node
+// was winning — every other key keeps its champion.
 func rendezvousScore(node string, key serve.ChunkKey) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	step := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
 	for i := 0; i < len(node); i++ {
-		step(node[i])
+		h = (h ^ uint64(node[i])) * prime64
 	}
-	step(0xff) // separator: ("ab","c…") must not collide with ("a","bc…")
-	for i := 0; i < len(key.Video); i++ {
-		step(key.Video[i])
-	}
-	for _, v := range [3]int{key.Quality, key.Tile, key.Index} {
-		u := uint64(v)
-		for s := 0; s < 64; s += 8 {
-			step(byte(u >> s))
-		}
-	}
-	if key.Layer {
-		step(1)
-	} else {
-		step(0)
-	}
-	return h
+	// The separator: ("ab","c…") must not collide with ("a","bc…").
+	return key.Fold((h ^ 0xff) * prime64)
 }
 
 // Rank orders nodes for key by rendezvous (highest-random-weight)

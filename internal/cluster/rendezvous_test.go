@@ -3,6 +3,7 @@ package cluster
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -22,6 +23,48 @@ func testKeys(n int) []serve.ChunkKey {
 		}
 	}
 	return keys
+}
+
+// TestPlacementPinned holds rendezvous placement to literal values:
+// placement is promised stable across processes and Go versions, so a
+// changed fold, separator or key field must fail here rather than
+// silently move every key. serve's TestShardHashPinned pins the same
+// keys' shard hashes.
+func TestPlacementPinned(t *testing.T) {
+	nodes := []string{"edge-0", "edge-1", "edge-2", "", "origin.example:8360"}
+	for _, tc := range []struct {
+		key    serve.ChunkKey
+		scores [5]uint64 // one per node, in nodes order
+		rank   []string
+	}{
+		{serve.ChunkKey{},
+			[5]uint64{0x5619fc881f4188e6, 0xe402b46fa3fb43b1, 0xa382b82c0f9bec7c, 0x5b70e0cddf1867aa, 0x56e8315b2e71f80f},
+			[]string{"edge-1", "edge-2", "", "origin.example:8360", "edge-0"}},
+		{serve.ChunkKey{Video: "demo", Quality: 2, Tile: 5, Index: 17},
+			[5]uint64{0x495e3415fda5b649, 0x8bf77ec930ab1ed2, 0xf61e27a56c7f63a7, 0x28beb786194c59c5, 0x66ffff7ae60bd050},
+			[]string{"edge-2", "edge-1", "origin.example:8360", "edge-0", ""}},
+		{serve.ChunkKey{Video: "demo", Quality: 2, Tile: 5, Index: 17, Layer: true},
+			[5]uint64{0x495e3315fda5b496, 0x8bf77fc930ab2085, 0xf61e26a56c7f61f4, 0x28beb686194c5812, 0x6700007ae60bd203},
+			[]string{"edge-2", "edge-1", "origin.example:8360", "edge-0", ""}},
+		{serve.ChunkKey{Video: "a b/%2F?é", Quality: 1, Tile: 3, Index: 4, Layer: true},
+			[5]uint64{0xc182aef25fd8506d, 0x2ff3c04868fe4d6a, 0xd72ca1446729b2b7, 0x5402a2f9c30c7319, 0x2600655681e4fb94},
+			[]string{"edge-2", "edge-0", "", "edge-1", "origin.example:8360"}},
+		{serve.ChunkKey{Video: "neg", Quality: -1, Tile: -7, Index: math.MinInt32},
+			[5]uint64{0x56cff4b669144fd2, 0xf7876a95721bfb1b, 0xc621d05c99df77b0, 0x915b730e1f47760e, 0xa5eb2225ba3a1779},
+			[]string{"edge-1", "edge-2", "origin.example:8360", "", "edge-0"}},
+		{serve.ChunkKey{Video: "big", Quality: math.MaxInt32, Tile: 1 << 20, Index: math.MaxInt32},
+			[5]uint64{0x981a8e7eec4e38e4, 0x76ea3e206dda5e81, 0x25777b206fbac5be, 0x7ee110546c5d19c8, 0xd7b78764470b79e3},
+			[]string{"origin.example:8360", "edge-0", "", "edge-1", "edge-2"}},
+	} {
+		for i, n := range nodes {
+			if got := rendezvousScore(n, tc.key); got != tc.scores[i] {
+				t.Errorf("rendezvousScore(%q, %v) = %#x, want %#x", n, tc.key, got, tc.scores[i])
+			}
+		}
+		if got := Rank(tc.key, nodes); !slices.Equal(got, tc.rank) {
+			t.Errorf("Rank(%v) = %q, want %q", tc.key, got, tc.rank)
+		}
+	}
 }
 
 func TestRankIsDeterministicAndOrderIndependent(t *testing.T) {

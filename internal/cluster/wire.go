@@ -189,17 +189,13 @@ func lengthMismatch(key serve.ChunkKey, got, declared int64) error {
 // every edge down costs the origin one fetch. cluster.origin_fetches
 // counts only fetches that completed: a failed or canceled fallback
 // synthesized nothing a viewer got, and counting it would skew the
-// offload ratio, so those land under cluster.origin_errors (no writer)
-// or cluster.origin_stream_errors (writer) instead.
+// offload ratio, so those land under cluster.origin_errors instead,
+// whichever the sink.
 func (c *Cluster) originFallback(ctx context.Context, w http.ResponseWriter, key serve.ChunkKey, fl *routeFlight) (int64, []byte, error) {
 	c.met.originFallbacks.Inc()
 	body, err := c.origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 	if err != nil {
-		if w != nil {
-			c.met.originStreamErrs.Inc()
-		} else {
-			c.met.originChunkErrs.Inc()
-		}
+		c.met.originErrors.Inc()
 		return 0, nil, err
 	}
 	c.met.originFetches.Inc()

@@ -447,15 +447,16 @@ func TestWireHopReusesConnections(t *testing.T) {
 	}
 }
 
-// TestShedReachesOpenAsOverload: a saturated edge's 503 reaches the
-// router's open as a KindOverload *dash.Error.
+// TestShedReachesOpenAsOverload: a saturated edge's 503 + Retry-After: 1
+// reaches the router's open as the KindOverload *dash.Error the edge
+// shed with in process, hint included.
 func TestShedReachesOpenAsOverload(t *testing.T) {
 	n := newCarrierCluster(t, "tcp", &countingOrigin{}, WithNodes(1), withMaxInFlight(1)).Nodes()[0]
 	n.inflight.Add(1) // the admission slot is taken
 	_, _, err := n.open(context.Background(), wireKeys(wireVideo())[0])
 	var de *dash.Error
-	if !errors.As(err, &de) || de.Kind != dash.KindOverload {
-		t.Fatalf("shed came back as %v, want a KindOverload *dash.Error", err)
+	if !errors.As(err, &de) || de.Kind != dash.KindOverload || de.RetryAfter != time.Second {
+		t.Fatalf("shed came back as %v, want a KindOverload *dash.Error with a 1s hint", err)
 	}
 }
 

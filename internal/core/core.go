@@ -486,7 +486,7 @@ func (s *Session) planInterval(i int, deadline time.Duration) {
 			SpeedBound: s.cfg.SpeedBound,
 			TimeToPlay: deadline - s.clock.Now(),
 			SizeAt: func(tile tiling.TileID, qq int) int64 {
-				return v.FetchBytes(qq, tile, v.ChunkStart(i))
+				return v.FetchBytes(v.Encoding, qq, tile, v.ChunkStart(i))
 			},
 		}, oosPolicy)
 		for _, tq := range plan {
@@ -504,29 +504,6 @@ func (s *Session) lastQuality(i int) int {
 		}
 	}
 	return -1
-}
-
-// fetchCost returns the bytes to fetch a fresh tile-chunk at quality q
-// in a given encoding (hybrid sessions mix encodings per chunk).
-func (s *Session) fetchCost(enc media.Encoding, q int, id tiling.TileID, start time.Duration) int64 {
-	v := s.cfg.Video
-	if enc == media.EncodingSVC {
-		return v.CumulativeLayerBytes(q, id, start)
-	}
-	return v.ChunkBytes(q, id, start)
-}
-
-// upgradeCost returns the bytes to raise a fetched tile-chunk from
-// quality `from` to `to` given the encoding it was fetched in.
-func (s *Session) upgradeCost(enc media.Encoding, from, to int, id tiling.TileID, start time.Duration) int64 {
-	v := s.cfg.Video
-	if to <= from {
-		return 0
-	}
-	if enc == media.EncodingSVC {
-		return v.CumulativeLayerBytes(to, id, start) - v.CumulativeLayerBytes(from, id, start)
-	}
-	return v.ChunkBytes(to, id, start)
 }
 
 // pickEncoding chooses the per-chunk encoding: the video's own in plain
@@ -550,10 +527,10 @@ func (s *Session) pickEncoding(q int, id tiling.TileID, start time.Duration,
 		to = v.Qualities() - 1
 	}
 	enc := abr.HybridChoice(upgradeProb,
-		s.fetchCost(media.EncodingAVC, q, id, start),
-		s.fetchCost(media.EncodingSVC, q, id, start),
-		s.upgradeCost(media.EncodingAVC, q, to, id, start),
-		s.upgradeCost(media.EncodingSVC, q, to, id, start))
+		v.FetchBytes(media.EncodingAVC, q, id, start),
+		v.FetchBytes(media.EncodingSVC, q, id, start),
+		v.UpgradeBytes(media.EncodingAVC, q, to, id, start),
+		v.UpgradeBytes(media.EncodingSVC, q, to, id, start))
 	if enc == media.EncodingAVC {
 		s.rep.HybridAVCFetches++
 	} else {
@@ -572,7 +549,7 @@ func (s *Session) submitFetch(i int, id tiling.TileID, q int, class transport.Cl
 	ts.pending = true
 	start := v.ChunkStart(i)
 	enc := s.pickEncoding(q, id, start, class, prob)
-	bytes := s.fetchCost(enc, q, id, start)
+	bytes := v.FetchBytes(enc, q, id, start)
 	if bytes <= 0 {
 		ts.pending = false
 		return
@@ -718,7 +695,7 @@ func (s *Session) checkUpgrades() {
 			}
 			req := abr.UpgradeRequest{
 				Encoding:           ts.enc,
-				BytesNeeded:        s.upgradeCost(ts.enc, ts.quality, target, id, v.ChunkStart(i)),
+				BytesNeeded:        v.UpgradeBytes(ts.enc, ts.quality, target, id, v.ChunkStart(i)),
 				TimeToDeadline:     deadline - now,
 				DisplayProbability: prob,
 				QualityGain:        target - ts.quality,
@@ -737,7 +714,7 @@ func (s *Session) checkUpgrades() {
 
 func (s *Session) executeUpgrade(i int, id tiling.TileID, ts *tileState, target int, deadline time.Duration) {
 	v := s.cfg.Video
-	bytes := s.upgradeCost(ts.enc, ts.quality, target, id, v.ChunkStart(i))
+	bytes := v.UpgradeBytes(ts.enc, ts.quality, target, id, v.ChunkStart(i))
 	if bytes <= 0 {
 		return
 	}

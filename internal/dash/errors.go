@@ -24,9 +24,10 @@ const (
 	// KindCanceled marks the caller's context expiring; the client stops
 	// retrying immediately.
 	KindCanceled
-	// KindOverload marks a 503/429 carrying a Retry-After hint: the
-	// server shed the request under load. Retryable, but the hint floors
-	// the backoff so shed requests do not hammer a recovering node.
+	// KindOverload marks a shed: an admission guard refused the request
+	// under load, in process (wrapping ErrUnavailable) or as a 503/429
+	// carrying a Retry-After hint. Retryable, but the hint floors the
+	// backoff so shed requests do not hammer a recovering node.
 	KindOverload
 )
 
@@ -43,7 +44,8 @@ func (k ErrorKind) String() string {
 	}
 }
 
-// Error is the typed failure a resilient Client returns.
+// Error is the typed failure a resilient Client returns, and the shed
+// an admission guard returns in process (KindOverload).
 type Error struct {
 	// Op is the request path the failure happened on.
 	Op string
@@ -53,9 +55,9 @@ type Error struct {
 	Status int
 	// Attempts is how many tries the client made before giving up.
 	Attempts int
-	// RetryAfter is the server's Retry-After hint on a KindOverload
+	// RetryAfter is the shedder's Retry-After hint on a KindOverload
 	// failure (zero otherwise). The retry loop uses it as the backoff
-	// floor.
+	// floor, and Server sends it as the Retry-After header.
 	RetryAfter time.Duration
 	// Err is the underlying cause.
 	Err error
@@ -88,25 +90,6 @@ var ErrUnavailable = errors.New("dash: service unavailable")
 // nobody is left to answer. The server records it as an abort, never as
 // an error status, however few bytes reached the wire.
 var ErrViewerGone = errors.New("dash: viewer gone")
-
-// OverloadError is what an admission-controlled ChunkSource returns
-// when it sheds a request instead of queueing it: the edge/origin
-// cluster's bounded in-flight guard is the canonical source. The
-// server maps it to 503 with a Retry-After header carrying the hint;
-// the client turns that into a KindOverload error whose RetryAfter
-// floors the retry backoff.
-type OverloadError struct {
-	// RetryAfter hints when the caller should try again.
-	RetryAfter time.Duration
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("dash: overloaded, retry after %v", e.RetryAfter)
-}
-
-// Is matches ErrUnavailable, so errors.Is(err, ErrUnavailable) covers
-// both the crashed and the saturated flavors of "not now".
-func (e *OverloadError) Is(target error) bool { return target == ErrUnavailable }
 
 // classifyCtx maps a request error to a kind, preferring the caller's
 // context state: a canceled or expired parent context is KindCanceled,

@@ -589,7 +589,7 @@ func TestRetryAfterHTTPDateUpgradesToOverload(t *testing.T) {
 type overloadedSource struct{ retryAfter time.Duration }
 
 func (o overloadedSource) Chunk(ctx context.Context, videoID string, q, tile, idx int, layer bool) ([]byte, error) {
-	return nil, &OverloadError{RetryAfter: o.retryAfter}
+	return nil, &Error{Op: ChunkPath(videoID, q, tile, idx, layer), Kind: KindOverload, RetryAfter: o.retryAfter, Err: ErrUnavailable}
 }
 
 // downSource fails every chunk request as unavailable (a crashed

@@ -547,10 +547,10 @@ func (s *Server) writeChunkError(w http.ResponseWriter, r *http.Request, videoID
 		s.log.Debug("dash: chunk request canceled", "video", videoID, "err", err)
 		return
 	}
-	var oe *OverloadError
+	var de *Error
 	switch {
-	case errors.As(err, &oe):
-		if secs := retryAfterSeconds(oe.RetryAfter); secs > 0 {
+	case errors.As(err, &de) && de.Kind == KindOverload:
+		if secs := retryAfterSeconds(de.RetryAfter); secs > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
 		}
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

@@ -97,6 +97,17 @@ func TestChaosBroadcastSurvivesScriptedPlan(t *testing.T) {
 			t.Fatalf("%s histogram empty — stage span unrecorded", stage)
 		}
 	}
+	// Encode and transcode are fixed delays in the model, so every span
+	// of each must read exactly that delay on the sim clock.
+	for stage, d := range map[string]time.Duration{
+		"span.encode_ms":    live.Facebook.EncodeDelay,
+		"span.transcode_ms": live.Facebook.ReencodeDelay,
+	} {
+		want := float64(d) / float64(time.Millisecond)
+		if h := snap.Histograms[stage]; h.Min != want || h.Max != want {
+			t.Fatalf("%s spans run %v–%v ms, want exactly %v", stage, h.Min, h.Max, want)
+		}
+	}
 }
 
 // TestChaosChunkSessionFailsOver replays a path outage against a

@@ -108,7 +108,7 @@ func Measure(seed int64, p Platform, o Opts) Measurement {
 
 	clock := sim.NewClock(seed)
 	var deg *degrader
-	var tracer *obs.Tracer
+	var reg *obs.Registry
 	var armFaults func(*sim.Clock, *netem.Path)
 	if cfg := o.Degrade; cfg != nil {
 		const pieceDur = 250 * time.Millisecond
@@ -116,24 +116,20 @@ func Measure(seed int64, p Platform, o Opts) Measurement {
 		if plan.SpanDeg <= 0 {
 			plan.SpanDeg = 180
 		}
-		tracer = obs.NewTracer(cfg.Obs, clock)
+		reg = cfg.Obs
 		deg = &degrader{
 			clock:    clock,
 			br:       transport.NewBreaker(clock, cfg.Breaker),
 			plan:     plan,
 			deadline: 2 * pieceDur,
-			obsReg:   cfg.Obs,
-			tracer:   tracer,
+			obsReg:   reg,
 		}
-		deg.br.Obs = cfg.Obs
+		deg.br.Obs = reg
 		armFaults = cfg.ArmFaults
 	}
 	v := newViewerSim(clock, p, downTrace, propagation, dur)
-	if deg != nil {
-		v.obsReg = deg.obsReg
-		v.tracer = tracer
-	}
-	skips := runBroadcast(clock, p, upTrace, propagation, dur, []*viewerSim{v}, deg, tracer, armFaults)
+	v.obsReg = reg
+	skips := runBroadcast(clock, p, upTrace, propagation, dur, []*viewerSim{v}, deg, reg, armFaults)
 	res := v.finish()
 	res.SkippedSegments = skips
 	m.Result = res

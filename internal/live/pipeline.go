@@ -76,11 +76,10 @@ type viewerSim struct {
 	// onDisplay, when set, observes each segment as it starts playing.
 	onDisplay func(seg segment, at time.Duration)
 
-	// obsReg and tracer, when set, record per-segment E2E latency
-	// (live.e2e_ms), rebuffer events, and fetch-stage spans. Both are
-	// nil-safe no-ops by default.
+	// obsReg, when set, records per-segment E2E latency (live.e2e_ms),
+	// rebuffer events, and fetch-stage spans. A nil registry records
+	// nothing.
 	obsReg *obs.Registry
-	tracer *obs.Tracer
 }
 
 func newViewerSim(clock *sim.Clock, p Platform, downTrace *netem.BandwidthTrace,
@@ -177,9 +176,9 @@ func (v *viewerSim) pumpFetch() {
 	if v.sizeOf != nil {
 		bytes = v.sizeOf(seg, rate)
 	}
-	sp := v.tracer.Start(obs.StageFetch)
+	start := v.clock.Now()
 	v.download.Transfer(bytes, netem.Reliable, func(d netem.Delivery) {
-		sp.End()
+		observeSpan(v.obsReg, "span.fetch_ms", start, v.clock.Now())
 		v.est.Add(d.Throughput())
 		v.res.BytesDownloaded += d.Bytes
 		v.fetching = false
@@ -195,9 +194,9 @@ func (v *viewerSim) fetch(seg segment) {
 		rate := v.chooseRate()
 		v.res.FinalQuality = rate
 		bytes := int64(rate * v.p.SegmentDur.Seconds() / 8)
-		sp := v.tracer.Start(obs.StageFetch)
+		start := v.clock.Now()
 		v.download.Transfer(bytes, netem.Reliable, func(d netem.Delivery) {
-			sp.End()
+			observeSpan(v.obsReg, "span.fetch_ms", start, v.clock.Now())
 			v.res.BytesDownloaded += d.Bytes
 			v.onSegmentDownloaded(seg)
 		})
@@ -269,7 +268,6 @@ type degrader struct {
 	deadline time.Duration
 
 	obsReg *obs.Registry
-	tracer *obs.Tracer
 
 	degradedPieces, totalPieces int
 	wasDegraded                 bool
@@ -301,14 +299,13 @@ func (dg *degrader) pieceBytes(full int64) int64 {
 // reports the outcome to the breaker exactly once.
 func (dg *degrader) watch(upload *netem.Path, bytes int64, landed func(netem.Delivery)) {
 	submitted := dg.clock.Now()
-	sp := dg.tracer.Start(obs.StageUpload)
 	reported := false
 	watchdog := dg.clock.After(dg.deadline, func() {
 		reported = true
 		dg.br.OnFailure()
 	})
 	upload.Transfer(bytes, netem.Reliable, func(d netem.Delivery) {
-		sp.End()
+		observeSpan(dg.obsReg, "span.upload_ms", submitted, dg.clock.Now())
 		watchdog.Cancel()
 		if !reported {
 			if d.OK && d.Done-submitted <= dg.deadline {
@@ -319,6 +316,13 @@ func (dg *degrader) watch(upload *netem.Path, bytes int64, landed func(netem.Del
 		}
 		landed(d)
 	})
+}
+
+// observeSpan records one pipeline stage's sim-clock duration, start
+// to end, in milliseconds into the named span.<stage>_ms histogram (a
+// nil reg records nothing).
+func observeSpan(reg *obs.Registry, name string, start, end time.Duration) {
+	reg.Histogram(name).Observe(float64(end-start) / float64(time.Millisecond))
 }
 
 // runBroadcast drives one broadcast with the given viewers attached and
@@ -332,7 +336,7 @@ func (dg *degrader) watch(upload *netem.Path, bytes int64, landed func(netem.Del
 // skips" of §3.4.1.
 func runBroadcast(clock *sim.Clock, p Platform, upTrace *netem.BandwidthTrace,
 	propagation, broadcastDur time.Duration, viewers []*viewerSim, deg *degrader,
-	tracer *obs.Tracer, armFaults func(*sim.Clock, *netem.Path)) (skips int) {
+	reg *obs.Registry, armFaults func(*sim.Clock, *netem.Path)) (skips int) {
 	upload := netem.NewPath(clock, "uplink", upTrace, propagation, 0)
 	if armFaults != nil {
 		armFaults(clock, upload)
@@ -342,7 +346,7 @@ func runBroadcast(clock *sim.Clock, p Platform, upTrace *netem.BandwidthTrace,
 	onIngest := func(seg segment) {
 		ingestAt := clock.Now()
 		clock.After(p.ReencodeDelay, func() {
-			tracer.Record(obs.StageTranscode, ingestAt, clock.Now())
+			observeSpan(reg, "span.transcode_ms", ingestAt, clock.Now())
 			available = append(available, seg)
 			if !p.PullBased {
 				for _, v := range viewers {
@@ -387,7 +391,7 @@ func runBroadcast(clock *sim.Clock, p Platform, upTrace *netem.BandwidthTrace,
 			// The encoder held this piece for EncodeDelay before it became
 			// ready — recorded retroactively since the sim has no explicit
 			// encoder event.
-			tracer.Record(obs.StageEncode, readyAt-p.EncodeDelay, readyAt)
+			observeSpan(reg, "span.encode_ms", readyAt-p.EncodeDelay, readyAt)
 			if queuedMedia > p.UploadQueueCap {
 				degraded[segIdx] = true
 				pieceLanded(segIdx)

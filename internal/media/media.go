@@ -251,11 +251,11 @@ func (v *Video) LayerBytes(layer int, tile tiling.TileID, start time.Duration) i
 	return int64(float64(delta) * (1 + svcOverhead))
 }
 
-// CumulativeLayerBytes returns the total bytes needed to play the
+// cumulativeLayerBytes returns the total bytes needed to play the
 // tile-chunk at quality q under SVC: all layers 0..q (§3.1.1: "when
 // playing a chunk at layer i > 0, the player must have all its layers
 // from 0 to i").
-func (v *Video) CumulativeLayerBytes(q int, tile tiling.TileID, start time.Duration) int64 {
+func (v *Video) cumulativeLayerBytes(q int, tile tiling.TileID, start time.Duration) int64 {
 	var sum int64
 	for l := 0; l <= q && l < len(v.Ladder); l++ {
 		sum += v.LayerBytes(l, tile, start)
@@ -263,17 +263,18 @@ func (v *Video) CumulativeLayerBytes(q int, tile tiling.TileID, start time.Durat
 	return sum
 }
 
-// UpgradeBytes returns the bytes needed to raise an already-fetched
-// tile-chunk from quality `from` to quality `to`.
+// UpgradeBytes returns the bytes needed to raise a tile-chunk fetched
+// in encoding enc from quality `from` to quality `to`. enc is the
+// chunk's own encoding, which a hybrid session picks per chunk.
 //
 // Under SVC this is the enhancement-layer delta; under AVC the chunk
 // must be re-fetched whole at the target quality — the fundamental
 // mismatch §3.1.1 identifies.
-func (v *Video) UpgradeBytes(from, to int, tile tiling.TileID, start time.Duration) int64 {
+func (v *Video) UpgradeBytes(enc Encoding, from, to int, tile tiling.TileID, start time.Duration) int64 {
 	if to <= from {
 		return 0
 	}
-	if v.Encoding == EncodingSVC {
+	if enc == EncodingSVC {
 		var sum int64
 		for l := from + 1; l <= to && l < len(v.Ladder); l++ {
 			sum += v.LayerBytes(l, tile, start)
@@ -284,10 +285,10 @@ func (v *Video) UpgradeBytes(from, to int, tile tiling.TileID, start time.Durati
 }
 
 // FetchBytes returns the bytes to fetch a not-yet-downloaded tile-chunk
-// at quality q under the video's encoding.
-func (v *Video) FetchBytes(q int, tile tiling.TileID, start time.Duration) int64 {
-	if v.Encoding == EncodingSVC {
-		return v.CumulativeLayerBytes(q, tile, start)
+// at quality q in encoding enc.
+func (v *Video) FetchBytes(enc Encoding, q int, tile tiling.TileID, start time.Duration) int64 {
+	if enc == EncodingSVC {
+		return v.cumulativeLayerBytes(q, tile, start)
 	}
 	return v.ChunkBytes(q, tile, start)
 }

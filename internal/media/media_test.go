@@ -146,8 +146,8 @@ func TestSVCLayerInvariants(t *testing.T) {
 	// Cumulative layers are monotonically increasing and exceed the AVC
 	// size at the same quality (the SVC overhead).
 	for q := 1; q < v.Qualities(); q++ {
-		cum := v.CumulativeLayerBytes(q, tile, start)
-		prev := v.CumulativeLayerBytes(q-1, tile, start)
+		cum := v.cumulativeLayerBytes(q, tile, start)
+		prev := v.cumulativeLayerBytes(q-1, tile, start)
 		if cum <= prev {
 			t.Fatalf("cumulative not increasing at layer %d", q)
 		}
@@ -168,15 +168,15 @@ func TestUpgradeBytesSVCvsAVC(t *testing.T) {
 	tile := tiling.TileID(2)
 	// Upgrading 2→4: SVC fetches only layers 3 and 4; AVC re-fetches the
 	// whole q4 chunk. SVC must be cheaper — the §3.1.1 argument.
-	sv := svc.UpgradeBytes(2, 4, tile, 0)
-	av := avc.UpgradeBytes(2, 4, tile, 0)
+	sv := svc.UpgradeBytes(EncodingSVC, 2, 4, tile, 0)
+	av := avc.UpgradeBytes(EncodingAVC, 2, 4, tile, 0)
 	if sv >= av {
 		t.Fatalf("SVC upgrade %d not cheaper than AVC re-fetch %d", sv, av)
 	}
-	if svc.UpgradeBytes(4, 2, tile, 0) != 0 {
+	if svc.UpgradeBytes(EncodingSVC, 4, 2, tile, 0) != 0 {
 		t.Fatal("downgrade should cost 0")
 	}
-	if svc.UpgradeBytes(3, 3, tile, 0) != 0 {
+	if svc.UpgradeBytes(EncodingSVC, 3, 3, tile, 0) != 0 {
 		t.Fatal("no-op upgrade should cost 0")
 	}
 }
@@ -189,11 +189,11 @@ func TestUpgradeBytesProperty(t *testing.T) {
 		from := int(fromRaw) % v.Qualities()
 		to := int(toRaw) % v.Qualities()
 		if from >= to {
-			return v.UpgradeBytes(from, to, 0, 0) == 0
+			return v.UpgradeBytes(EncodingSVC, from, to, 0, 0) == 0
 		}
 		tile := tiling.TileID(int(tileRaw) % v.Grid.Tiles())
-		want := v.CumulativeLayerBytes(to, tile, 0) - v.CumulativeLayerBytes(from, tile, 0)
-		return v.UpgradeBytes(from, to, tile, 0) == want
+		want := v.cumulativeLayerBytes(to, tile, 0) - v.cumulativeLayerBytes(from, tile, 0)
+		return v.UpgradeBytes(EncodingSVC, from, to, tile, 0) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -203,10 +203,10 @@ func TestUpgradeBytesProperty(t *testing.T) {
 func TestFetchBytesByEncoding(t *testing.T) {
 	svc := testVideo(EncodingSVC)
 	avc := testVideo(EncodingAVC)
-	if avc.FetchBytes(3, 0, 0) != avc.ChunkBytes(3, 0, 0) {
+	if avc.FetchBytes(EncodingAVC, 3, 0, 0) != avc.ChunkBytes(3, 0, 0) {
 		t.Fatal("AVC fetch != chunk bytes")
 	}
-	if svc.FetchBytes(3, 0, 0) != svc.CumulativeLayerBytes(3, 0, 0) {
+	if svc.FetchBytes(EncodingSVC, 3, 0, 0) != svc.cumulativeLayerBytes(3, 0, 0) {
 		t.Fatal("SVC fetch != cumulative layers")
 	}
 }
@@ -272,7 +272,7 @@ func TestFetchBytesMonotoneInQuality(t *testing.T) {
 			}
 			tile := tiling.TileID(int(tileRaw) % v.Grid.Tiles())
 			start := time.Duration(startRaw%30) * 2 * time.Second
-			return v.FetchBytes(a, tile, start) <= v.FetchBytes(b, tile, start)
+			return v.FetchBytes(enc, a, tile, start) <= v.FetchBytes(enc, b, tile, start)
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Fatalf("%v: %v", enc, err)

@@ -42,12 +42,21 @@ func NewMPTCPLike(clock obs.Clock, paths ...*netem.Path) *MPTCPLike {
 	return &MPTCPLike{Paths: paths, Clock: clock}
 }
 
+// failNoPath completes a request a scheduler with no paths cannot
+// carry: OnDone sees a failed delivery of its bytes.
+func failNoPath(r *transport.Request) {
+	if r.OnDone != nil {
+		r.OnDone(netem.Delivery{Bytes: r.Bytes, OK: false}, false)
+	}
+}
+
 // Name implements transport.Scheduler.
 func (m *MPTCPLike) Name() string { return "mptcp" }
 
 // Submit implements transport.Scheduler.
 func (m *MPTCPLike) Submit(r *transport.Request) {
 	if len(m.Paths) == 0 {
+		failNoPath(r)
 		return
 	}
 	now := m.Clock.Now()
@@ -182,9 +191,7 @@ func (c *ContentAware) otherPath(avoid int, bytes int64) int {
 // are never left hanging.
 func (c *ContentAware) Submit(r *transport.Request) {
 	if len(c.Paths) == 0 {
-		if r.OnDone != nil {
-			r.OnDone(netem.Delivery{Bytes: r.Bytes, OK: false}, false)
-		}
+		failNoPath(r)
 		return
 	}
 	c.ensure()

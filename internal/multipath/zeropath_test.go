@@ -10,36 +10,45 @@ import (
 )
 
 // TestContentAwareZeroPathsFailsFast is the PR 5 regression test for
-// the bestPath panic: a scheduler with no paths must not crash on
-// Submit, and must fail the request through OnDone rather than drop it
-// silently.
+// the bestPath panic, over every scheduler that takes a path list: one
+// with no paths must not crash on Submit, and must fail the request
+// through OnDone, exactly once, rather than drop it silently.
 func TestContentAwareZeroPathsFailsFast(t *testing.T) {
-	clock := sim.NewClock(1)
-	c := NewContentAware(clock)
+	for _, tc := range []struct {
+		name  string
+		build func(*sim.Clock) transport.Scheduler
+	}{
+		{"content-aware", func(c *sim.Clock) transport.Scheduler { return NewContentAware(c) }},
+		{"mptcp", func(c *sim.Clock) transport.Scheduler { return NewMPTCPLike(c) }},
+		{"failover", func(c *sim.Clock) transport.Scheduler { return transport.NewFailover(c, transport.BreakerConfig{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.build(sim.NewClock(1))
+			calls, okFlag := 0, true
+			s.Submit(mkReq(1, transport.ClassFoV, false, 1e6, time.Second, func(d netem.Delivery, ok bool) {
+				calls++
+				okFlag = ok
+				if d.Bytes != 1e6 {
+					t.Errorf("failed delivery reports %d bytes, want the request size", d.Bytes)
+				}
+				if d.OK {
+					t.Error("zero-path delivery marked OK")
+				}
+			}))
+			if calls != 1 {
+				t.Fatalf("OnDone fired %d times with zero paths, want 1", calls)
+			}
+			if okFlag {
+				t.Fatal("zero-path submit reported success")
+			}
 
-	called, okFlag := false, true
-	c.Submit(mkReq(1, transport.ClassFoV, false, 1e6, time.Second, func(d netem.Delivery, ok bool) {
-		called, okFlag = true, ok
-		if d.Bytes != 1e6 {
-			t.Errorf("failed delivery reports %d bytes, want the request size", d.Bytes)
-		}
-		if d.OK {
-			t.Error("zero-path delivery marked OK")
-		}
-	}))
-	if !called {
-		t.Fatal("OnDone never fired with zero paths")
+			// Urgent and OOS classes go down different routing branches;
+			// none may panic.
+			s.Submit(mkReq(2, transport.ClassOOS, false, 1e5, time.Second, nil))
+			s.Submit(mkReq(3, transport.ClassFoV, true, 1e5, time.Second, nil))
+		})
 	}
-	if okFlag {
-		t.Fatal("zero-path submit reported success")
-	}
-
-	// Urgent and OOS classes go down different routing branches; none
-	// may panic.
-	c.Submit(mkReq(2, transport.ClassOOS, false, 1e5, time.Second, nil))
-	c.Submit(mkReq(3, transport.ClassFoV, true, 1e5, time.Second, nil))
-
-	if c.bestPath(1e6) != -1 {
+	if NewContentAware(sim.NewClock(1)).bestPath(1e6) != -1 {
 		t.Fatal("bestPath with zero paths must return -1")
 	}
 }

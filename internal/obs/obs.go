@@ -1,7 +1,7 @@
 // Package obs is Sperke's observability substrate: a pure-stdlib
 // metrics registry (counters, gauges, whole-run histograms with
-// p50/p95/p99) plus lightweight span tracing for the pipeline stages of
-// Figs. 2 and 4 (encode → upload → transcode → fetch).
+// p50/p95/p99) plus the Clock seam that lets a component time itself
+// in simulated or wall time.
 //
 // The paper's evaluation is entirely quantitative — Table 2 E2E
 // latency, Figure 5 player FPS, §3.2 telemetry budgets — and this
@@ -19,15 +19,6 @@ package obs
 import (
 	"sync"
 	"sync/atomic"
-)
-
-// Pipeline stage names — the span taxonomy of Figs. 2 and 4. Tracers
-// and histograms use these so dashboards and tests agree on naming.
-const (
-	StageEncode    = "encode"
-	StageUpload    = "upload"
-	StageTranscode = "transcode"
-	StageFetch     = "fetch"
 )
 
 // Counter is a monotonically increasing int64. Safe for concurrent

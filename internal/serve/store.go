@@ -52,34 +52,32 @@ func (k ChunkKey) String() string {
 	return fmt.Sprintf("%s/q%d/t%d/i%d(%s)", k.Video, k.Quality, k.Tile, k.Index, form)
 }
 
-// hash folds the key with FNV-1a so shard assignment is stable across
-// processes and Go versions.
-func (k ChunkKey) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	step := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
+// Fold continues the FNV-1a state h over the key's bytes: the video
+// ID, Quality, Tile and Index as eight little-endian bytes each, then
+// a layer byte. It is the one layout of a key for hashing — the
+// store's shard hash starts it from the offset basis, the cluster's
+// rendezvous score from a node name's fold — so placement is stable
+// across processes and Go versions.
+func (k ChunkKey) Fold(h uint64) uint64 {
+	const prime64 = 1099511628211
 	for i := 0; i < len(k.Video); i++ {
-		step(k.Video[i])
+		h = (h ^ uint64(k.Video[i])) * prime64
 	}
 	for _, v := range [3]int{k.Quality, k.Tile, k.Index} {
 		u := uint64(v)
 		for s := 0; s < 64; s += 8 {
-			step(byte(u >> s))
+			h = (h ^ u>>s&0xff) * prime64
 		}
 	}
+	var layer uint64
 	if k.Layer {
-		step(1)
-	} else {
-		step(0)
+		layer = 1
 	}
-	return h
+	return (h ^ layer) * prime64
 }
+
+// hash is the key's shard hash: FNV-1a from its offset basis.
+func (k ChunkKey) hash() uint64 { return k.Fold(14695981039346656037) }
 
 // WriterSynth is the sized streaming miss form: Size reports the exact
 // byte length of a key's body and Write streams those bytes into w.

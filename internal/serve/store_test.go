@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -259,6 +260,34 @@ func TestSynthErrorNotCached(t *testing.T) {
 }
 
 // TestShardsPowerOfTwo pins the rounding and the shard mask.
+// TestShardHashPinned holds each key's shard hash, and its shard in a
+// default 16-shard store, to literal values: a changed fold or key
+// field must fail here rather than silently reshuffle every shard.
+// cluster's TestPlacementPinned pins the same keys' rendezvous
+// placement.
+func TestShardHashPinned(t *testing.T) {
+	st := formStore("ctx", 0, func(context.Context, ChunkKey) ([]byte, error) { return nil, nil })
+	for _, tc := range []struct {
+		key   ChunkKey
+		hash  uint64
+		shard int
+	}{
+		{ChunkKey{}, 0xd4657f55662f817f, 15},
+		{ChunkKey{Video: "demo", Quality: 2, Tile: 5, Index: 17}, 0x28245906189d9060, 0},
+		{ChunkKey{Video: "demo", Quality: 2, Tile: 5, Index: 17, Layer: true}, 0x28245a06189d9213, 3},
+		{ChunkKey{Video: "a b/%2F?é", Quality: 1, Tile: 3, Index: 4, Layer: true}, 0x93fcb1592834b084, 4},
+		{ChunkKey{Video: "neg", Quality: -1, Tile: -7, Index: math.MinInt32}, 0x3db95a318ab79d49, 9},
+		{ChunkKey{Video: "big", Quality: math.MaxInt32, Tile: 1 << 20, Index: math.MaxInt32}, 0xe446ad38c664f0d3, 3},
+	} {
+		if got := tc.key.hash(); got != tc.hash {
+			t.Errorf("%v: hash = %#x, want %#x", tc.key, got, tc.hash)
+		}
+		if st.shard(tc.key) != st.shards[tc.shard] {
+			t.Errorf("%v: not in shard %d of %d", tc.key, tc.shard, st.Shards())
+		}
+	}
+}
+
 func TestShardsPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 16}, {1, 1}, {3, 4}, {16, 16}, {17, 32},

@@ -154,15 +154,16 @@ func (f *Failover) maxRetries() int {
 // by dispatch (or retry) time is shed instead of spending wire time
 // nobody is waiting for.
 func (f *Failover) Submit(r *Request) {
+	if len(f.paths) == 0 {
+		shed(f.Clock, r)
+		return
+	}
 	r.retries = 0
 	f.enqueue(r)
 }
 
 // enqueue routes a request, new or on a retry, to a path's queue.
 func (f *Failover) enqueue(r *Request) {
-	if len(f.paths) == 0 {
-		return
-	}
 	idx := f.route(r.Bytes)
 	f.queues[idx].Push(r)
 	f.pump(idx)
