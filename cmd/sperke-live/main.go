@@ -225,6 +225,9 @@ func run() error {
 		fmt.Printf("faults absorbed: %d errors, %d truncations (%d fetch attempts for %d segments)\n",
 			st.Errors, st.Truncations, attempts, fetched)
 	}
+	if fetched < nSegs {
+		return fmt.Errorf("delivered %d of %d segments", fetched, nSegs)
+	}
 	return nil
 }
 

@@ -157,7 +157,6 @@ func TestEmptyLadderSafe(t *testing.T) {
 
 func TestDecideUpgradeCore(t *testing.T) {
 	base := UpgradeRequest{
-		Encoding:           media.EncodingSVC,
 		BytesNeeded:        250_000, // 2 Mbit
 		TimeToDeadline:     2 * time.Second,
 		DisplayProbability: 0.95,

@@ -42,7 +42,7 @@ func BuildSuperChunk(vp tiling.Viewport, pred hmp.Prediction, interval int, chun
 func (sc SuperChunk) SizeAt(v *media.Video, q int) int64 {
 	var sum int64
 	for _, id := range sc.Tiles {
-		sum += v.FetchBytes(v.Encoding, q, id, sc.Start)
+		sum += v.SpanBytes(v.Encoding, 0, q, id, sc.Start)
 	}
 	return sum
 }

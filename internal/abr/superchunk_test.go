@@ -44,7 +44,7 @@ func TestSuperChunkSizeMatchesTileSum(t *testing.T) {
 		hmp.Prediction{}, 2, v.ChunkDuration, nil)
 	var sum int64
 	for _, id := range sc.Tiles {
-		sum += v.FetchBytes(v.Encoding, 3, id, sc.Start)
+		sum += v.SpanBytes(v.Encoding, 0, 3, id, sc.Start)
 	}
 	if got := sc.SizeAt(v, 3); got != sum {
 		t.Fatalf("SizeAt = %d, want %d", got, sum)

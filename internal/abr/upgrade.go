@@ -10,10 +10,9 @@ import (
 // believes will be displayed at a quality below the FoV target
 // (§3.1.1's out-of-sight chunk that drifted into sight).
 type UpgradeRequest struct {
-	// Encoding determines the upgrade cost model: SVC fetches only the
-	// delta layers; AVC re-fetches the whole chunk.
-	Encoding media.Encoding
-	// BytesNeeded is the delta (SVC) or full re-fetch (AVC) size.
+	// BytesNeeded is what the upgrade fetches: the delta layers (SVC)
+	// or the whole chunk again (AVC), as media.Video.SpanBytes prices
+	// them. It is the upgrade's only cost.
 	BytesNeeded int64
 	// TimeToDeadline is how long until the chunk must be decoded.
 	TimeToDeadline time.Duration

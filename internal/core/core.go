@@ -486,7 +486,7 @@ func (s *Session) planInterval(i int, deadline time.Duration) {
 			SpeedBound: s.cfg.SpeedBound,
 			TimeToPlay: deadline - s.clock.Now(),
 			SizeAt: func(tile tiling.TileID, qq int) int64 {
-				return v.FetchBytes(v.Encoding, qq, tile, v.ChunkStart(i))
+				return v.SpanBytes(v.Encoding, 0, qq, tile, v.ChunkStart(i))
 			},
 		}, oosPolicy)
 		for _, tq := range plan {
@@ -527,10 +527,10 @@ func (s *Session) pickEncoding(q int, id tiling.TileID, start time.Duration,
 		to = v.Qualities() - 1
 	}
 	enc := abr.HybridChoice(upgradeProb,
-		v.FetchBytes(media.EncodingAVC, q, id, start),
-		v.FetchBytes(media.EncodingSVC, q, id, start),
-		v.UpgradeBytes(media.EncodingAVC, q, to, id, start),
-		v.UpgradeBytes(media.EncodingSVC, q, to, id, start))
+		v.SpanBytes(media.EncodingAVC, 0, q, id, start),
+		v.SpanBytes(media.EncodingSVC, 0, q, id, start),
+		v.SpanBytes(media.EncodingAVC, q+1, to, id, start),
+		v.SpanBytes(media.EncodingSVC, q+1, to, id, start))
 	if enc == media.EncodingAVC {
 		s.rep.HybridAVCFetches++
 	} else {
@@ -549,7 +549,7 @@ func (s *Session) submitFetch(i int, id tiling.TileID, q int, class transport.Cl
 	ts.pending = true
 	start := v.ChunkStart(i)
 	enc := s.pickEncoding(q, id, start, class, prob)
-	bytes := v.FetchBytes(enc, q, id, start)
+	bytes := v.SpanBytes(enc, 0, q, id, start)
 	if bytes <= 0 {
 		ts.pending = false
 		return
@@ -558,10 +558,11 @@ func (s *Session) submitFetch(i int, id tiling.TileID, q int, class transport.Cl
 		s.rep.UrgentFetches++
 		s.emit(EventUrgent, i, id, q, bytes, 0)
 	}
-	f := s.newFetch(ts, i, enc, false)
+	f := s.newFetch(ts, i)
 	f.req = transport.Request{
 		Chunk:       tiling.ChunkID{Quality: q, Tile: id, Start: start},
 		Bytes:       bytes,
+		Encoding:    enc,
 		Deadline:    deadline,
 		Class:       class,
 		Urgent:      urgent,
@@ -586,15 +587,13 @@ type fetch struct {
 
 	ts       *tileState
 	interval int
-	enc      media.Encoding // the encoding fetched in; an upgrade keeps the tile's
-	upgrade  bool           // an incremental upgrade (§3.1.2 part three), not a first fetch
 	next     *fetch
 }
 
 // newFetch takes a record off the free list, or mints one, for a
 // request about tile state ts of interval i. The caller fills f.req,
 // keeping its OnDone.
-func (s *Session) newFetch(ts *tileState, i int, enc media.Encoding, upgrade bool) *fetch {
+func (s *Session) newFetch(ts *tileState, i int) *fetch {
 	f := s.freeFetch
 	if f == nil {
 		f = &fetch{s: s}
@@ -602,14 +601,15 @@ func (s *Session) newFetch(ts *tileState, i int, enc media.Encoding, upgrade boo
 	} else {
 		s.freeFetch = f.next
 	}
-	f.ts, f.interval, f.enc, f.upgrade = ts, i, enc, upgrade
+	f.ts, f.interval = ts, i
 	return f
 }
 
-// done is every request's OnDone.
+// done is every request's OnDone. A request that starts above quality
+// 0 is an incremental upgrade (§3.1.2 part three).
 func (f *fetch) done(d netem.Delivery, _ bool) {
-	s, ts, i, enc, upgrade := f.s, f.ts, f.interval, f.enc, f.upgrade
-	id, q := f.req.Chunk.Tile, f.req.Chunk.Quality
+	s, ts, i := f.s, f.ts, f.interval
+	id, q, enc, upgrade := f.req.Chunk.Tile, f.req.Chunk.Quality, f.req.Encoding, f.req.From > 0
 	// The record is free from here on: whatever this delivery makes the
 	// session submit next goes out in it.
 	f.next, s.freeFetch = s.freeFetch, f
@@ -694,8 +694,7 @@ func (s *Session) checkUpgrades() {
 				continue
 			}
 			req := abr.UpgradeRequest{
-				Encoding:           ts.enc,
-				BytesNeeded:        v.UpgradeBytes(ts.enc, ts.quality, target, id, v.ChunkStart(i)),
+				BytesNeeded:        v.SpanBytes(ts.enc, ts.quality+1, target, id, v.ChunkStart(i)),
 				TimeToDeadline:     deadline - now,
 				DisplayProbability: prob,
 				QualityGain:        target - ts.quality,
@@ -714,7 +713,7 @@ func (s *Session) checkUpgrades() {
 
 func (s *Session) executeUpgrade(i int, id tiling.TileID, ts *tileState, target int, deadline time.Duration) {
 	v := s.cfg.Video
-	bytes := v.UpgradeBytes(ts.enc, ts.quality, target, id, v.ChunkStart(i))
+	bytes := v.SpanBytes(ts.enc, ts.quality+1, target, id, v.ChunkStart(i))
 	if bytes <= 0 {
 		return
 	}
@@ -727,10 +726,12 @@ func (s *Session) executeUpgrade(i int, id tiling.TileID, ts *tileState, target 
 	}
 	ts.pending = true
 	urgent := deadline-s.clock.Now() < v.ChunkDuration
-	f := s.newFetch(ts, i, ts.enc, true)
+	f := s.newFetch(ts, i)
 	f.req = transport.Request{
 		Chunk:    tiling.ChunkID{Quality: target, Tile: id, Start: v.ChunkStart(i)},
 		Bytes:    bytes,
+		Encoding: ts.enc,
+		From:     ts.quality + 1,
 		Deadline: deadline,
 		Class:    transport.ClassFoV,
 		Urgent:   urgent,

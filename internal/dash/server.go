@@ -601,8 +601,8 @@ func chunkSpec(v *media.Video, q, tile, idx int, layer bool) (h media.SegmentHea
 	if layer {
 		// The layer flag must reach the seed: without it an SVC layer at
 		// (q,tile,idx) is a byte-prefix of the full chunk at the same
-		// address — the seed-collision class PR 5 fixed for adjacent
-		// seeds, reintroduced through the address space.
+		// address — the collision adjacent payload seeds once had,
+		// reintroduced through the address space.
 		seed ^= 1 << 63
 	}
 	return h, seed, size, nil

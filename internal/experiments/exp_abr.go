@@ -37,8 +37,8 @@ func svcUpgrade(seed int64) *Table {
 	tile := tiling.TileID(7)
 	kb := func(b int64) string { return fmt.Sprintf("%.1f", float64(b)/1e3) }
 	for _, up := range [][2]int{{0, 2}, {1, 3}, {2, 4}, {3, 5}, {0, 5}} {
-		s := svc.UpgradeBytes(media.EncodingSVC, up[0], up[1], tile, 0)
-		a := avc.UpgradeBytes(media.EncodingAVC, up[0], up[1], tile, 0)
+		s := svc.SpanBytes(media.EncodingSVC, up[0]+1, up[1], tile, 0)
+		a := avc.SpanBytes(media.EncodingAVC, up[0]+1, up[1], tile, 0)
 		t.addRow(fmt.Sprintf("q%d → q%d", up[0], up[1]), kb(s), kb(a), float64(s)/float64(a))
 	}
 
@@ -105,10 +105,10 @@ func ablationHybridSVC(seed int64) *Table {
 	avc := expVideo(media.EncodingAVC)
 	tile := tiling.TileID(3)
 	const from, to = 2, 4
-	fetchAVC := avc.FetchBytes(media.EncodingAVC, from, tile, 0)
-	fetchSVC := svc.FetchBytes(media.EncodingSVC, from, tile, 0)
-	upAVC := avc.UpgradeBytes(media.EncodingAVC, from, to, tile, 0)
-	upSVC := svc.UpgradeBytes(media.EncodingSVC, from, to, tile, 0)
+	fetchAVC := avc.SpanBytes(media.EncodingAVC, 0, from, tile, 0)
+	fetchSVC := svc.SpanBytes(media.EncodingSVC, 0, from, tile, 0)
+	upAVC := avc.SpanBytes(media.EncodingAVC, from+1, to, tile, 0)
+	upSVC := svc.SpanBytes(media.EncodingSVC, from+1, to, tile, 0)
 	kb := func(x float64) string { return fmt.Sprintf("%.1f", x/1e3) }
 	for _, p := range []float64{0, 0.05, 0.1, 0.2, 0.4, 0.8} {
 		eAVC := float64(fetchAVC) + p*float64(upAVC)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sperke/internal/codec"
 	"sperke/internal/player"
 	"sperke/internal/tiling"
 	"sperke/internal/trace"
@@ -36,7 +35,7 @@ func figure5(seed int64) *Table {
 		"3. render only FoV tiles with optimization",
 	}
 	for cfgNum := 1; cfgNum <= 3; cfgNum++ {
-		cfg, err := player.Figure5Config(codec.SGS7, cfgNum)
+		cfg, err := player.Figure5Config(player.SGS7, cfgNum)
 		if err != nil {
 			panic(err)
 		}
@@ -49,7 +48,7 @@ func figure5(seed int64) *Table {
 	// The §3.5 comparison point: H.265's built-in tiles mechanism, which
 	// parallelizes within one decoder session but cannot skip non-FoV
 	// decode work.
-	cfg, err := player.Figure5Config(codec.SGS7, 3)
+	cfg, err := player.Figure5Config(player.SGS7, 3)
 	if err != nil {
 		panic(err)
 	}
@@ -77,7 +76,7 @@ func frameCacheDelta(seed int64) *Table {
 			"with the cache, OOS tiles decoded ahead of time absorb the shift (§3.5)",
 		},
 	}
-	cfg, err := player.Figure5Config(codec.SGS7, 2)
+	cfg, err := player.Figure5Config(player.SGS7, 2)
 	if err != nil {
 		panic(err)
 	}
@@ -121,7 +120,7 @@ func ablationDecoderPool(seed int64) *Table {
 		},
 	}
 	head := fig5HeadTrace(seed)
-	for _, dev := range []codec.DeviceProfile{codec.SGS5, codec.SGS7} {
+	for _, dev := range []player.DeviceProfile{player.SGS5, player.SGS7} {
 		for _, n := range []int{1, 2, 4, 8, 16} {
 			if n > dev.HWDecoders {
 				continue

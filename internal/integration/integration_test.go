@@ -228,9 +228,9 @@ func TestDashClientEndToEndSVC(t *testing.T) {
 		t.Fatalf("MPD mismatch: %+v", mpd)
 	}
 
-	// Fetch layers 0..2 of one tile-chunk and compare with a q2 chunk
-	// fetched whole (the server also serves the cumulative form for AVC
-	// clients via the plain chunk route).
+	// Fetch layers 0..2 of one tile-chunk and compare with the q2 chunk
+	// from the plain route, which serves an SVC video's single-layer AVC
+	// copy (the other form a §3.1.2 hybrid session fetches).
 	var layered int64
 	for layer := 0; layer <= 2; layer++ {
 		res, err := client.FetchLayer(context.Background(), video.ID, layer, 3, 1)

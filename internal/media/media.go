@@ -251,46 +251,28 @@ func (v *Video) LayerBytes(layer int, tile tiling.TileID, start time.Duration) i
 	return int64(float64(delta) * (1 + svcOverhead))
 }
 
-// cumulativeLayerBytes returns the total bytes needed to play the
-// tile-chunk at quality q under SVC: all layers 0..q (§3.1.1: "when
-// playing a chunk at layer i > 0, the player must have all its layers
-// from 0 to i").
-func (v *Video) cumulativeLayerBytes(q int, tile tiling.TileID, start time.Duration) int64 {
+// SpanBytes returns the bytes that carry a tile-chunk's qualities
+// from..to, the one byte rule of every fetch. enc is the chunk's own
+// encoding, which a hybrid session picks per chunk. A first fetch
+// spans 0..q; an upgrade of a copy held at h spans h+1..q.
+//
+// Under SVC the span is its layers (§3.1.1: "when playing a chunk at
+// layer i > 0, the player must have all its layers from 0 to i"), so an
+// upgrade costs only the enhancement layers. Under AVC any non-empty
+// span is the whole chunk at quality to — the fundamental mismatch
+// §3.1.1 identifies.
+func (v *Video) SpanBytes(enc Encoding, from, to int, tile tiling.TileID, start time.Duration) int64 {
+	if to < from {
+		return 0
+	}
+	if enc != EncodingSVC {
+		return v.ChunkBytes(to, tile, start)
+	}
 	var sum int64
-	for l := 0; l <= q && l < len(v.Ladder); l++ {
+	for l := from; l <= to && l < len(v.Ladder); l++ {
 		sum += v.LayerBytes(l, tile, start)
 	}
 	return sum
-}
-
-// UpgradeBytes returns the bytes needed to raise a tile-chunk fetched
-// in encoding enc from quality `from` to quality `to`. enc is the
-// chunk's own encoding, which a hybrid session picks per chunk.
-//
-// Under SVC this is the enhancement-layer delta; under AVC the chunk
-// must be re-fetched whole at the target quality — the fundamental
-// mismatch §3.1.1 identifies.
-func (v *Video) UpgradeBytes(enc Encoding, from, to int, tile tiling.TileID, start time.Duration) int64 {
-	if to <= from {
-		return 0
-	}
-	if enc == EncodingSVC {
-		var sum int64
-		for l := from + 1; l <= to && l < len(v.Ladder); l++ {
-			sum += v.LayerBytes(l, tile, start)
-		}
-		return sum
-	}
-	return v.ChunkBytes(to, tile, start)
-}
-
-// FetchBytes returns the bytes to fetch a not-yet-downloaded tile-chunk
-// at quality q in encoding enc.
-func (v *Video) FetchBytes(enc Encoding, q int, tile tiling.TileID, start time.Duration) int64 {
-	if enc == EncodingSVC {
-		return v.cumulativeLayerBytes(q, tile, start)
-	}
-	return v.ChunkBytes(q, tile, start)
 }
 
 // TotalBytes returns the stored size of the entire video at every

@@ -146,8 +146,8 @@ func TestSVCLayerInvariants(t *testing.T) {
 	// Cumulative layers are monotonically increasing and exceed the AVC
 	// size at the same quality (the SVC overhead).
 	for q := 1; q < v.Qualities(); q++ {
-		cum := v.cumulativeLayerBytes(q, tile, start)
-		prev := v.cumulativeLayerBytes(q-1, tile, start)
+		cum := v.SpanBytes(EncodingSVC, 0, q, tile, start)
+		prev := v.SpanBytes(EncodingSVC, 0, q-1, tile, start)
 		if cum <= prev {
 			t.Fatalf("cumulative not increasing at layer %d", q)
 		}
@@ -168,32 +168,34 @@ func TestUpgradeBytesSVCvsAVC(t *testing.T) {
 	tile := tiling.TileID(2)
 	// Upgrading 2→4: SVC fetches only layers 3 and 4; AVC re-fetches the
 	// whole q4 chunk. SVC must be cheaper — the §3.1.1 argument.
-	sv := svc.UpgradeBytes(EncodingSVC, 2, 4, tile, 0)
-	av := avc.UpgradeBytes(EncodingAVC, 2, 4, tile, 0)
+	sv := svc.SpanBytes(EncodingSVC, 3, 4, tile, 0)
+	av := avc.SpanBytes(EncodingAVC, 3, 4, tile, 0)
 	if sv >= av {
 		t.Fatalf("SVC upgrade %d not cheaper than AVC re-fetch %d", sv, av)
 	}
-	if svc.UpgradeBytes(EncodingSVC, 4, 2, tile, 0) != 0 {
-		t.Fatal("downgrade should cost 0")
-	}
-	if svc.UpgradeBytes(EncodingSVC, 3, 3, tile, 0) != 0 {
-		t.Fatal("no-op upgrade should cost 0")
+	for _, enc := range []Encoding{EncodingSVC, EncodingAVC} {
+		if svc.SpanBytes(enc, 5, 2, tile, 0) != 0 {
+			t.Fatalf("%v: downgrade should cost 0", enc)
+		}
+		if svc.SpanBytes(enc, 4, 3, tile, 0) != 0 {
+			t.Fatalf("%v: no-op upgrade should cost 0", enc)
+		}
 	}
 }
 
 func TestUpgradeBytesProperty(t *testing.T) {
-	// Property: for any from<to, SVC upgrade bytes equals cumulative(to) -
-	// cumulative(from).
+	// Property: for any from<to, the SVC upgrade span from+1..to equals
+	// the cumulative span 0..to less 0..from.
 	v := testVideo(EncodingSVC)
 	f := func(fromRaw, toRaw uint8, tileRaw uint8) bool {
 		from := int(fromRaw) % v.Qualities()
 		to := int(toRaw) % v.Qualities()
 		if from >= to {
-			return v.UpgradeBytes(EncodingSVC, from, to, 0, 0) == 0
+			return v.SpanBytes(EncodingSVC, from+1, to, 0, 0) == 0
 		}
 		tile := tiling.TileID(int(tileRaw) % v.Grid.Tiles())
-		want := v.cumulativeLayerBytes(to, tile, 0) - v.cumulativeLayerBytes(from, tile, 0)
-		return v.UpgradeBytes(EncodingSVC, from, to, tile, 0) == want
+		want := v.SpanBytes(EncodingSVC, 0, to, tile, 0) - v.SpanBytes(EncodingSVC, 0, from, tile, 0)
+		return v.SpanBytes(EncodingSVC, from+1, to, tile, 0) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -203,10 +205,14 @@ func TestUpgradeBytesProperty(t *testing.T) {
 func TestFetchBytesByEncoding(t *testing.T) {
 	svc := testVideo(EncodingSVC)
 	avc := testVideo(EncodingAVC)
-	if avc.FetchBytes(EncodingAVC, 3, 0, 0) != avc.ChunkBytes(3, 0, 0) {
+	if avc.SpanBytes(EncodingAVC, 0, 3, 0, 0) != avc.ChunkBytes(3, 0, 0) {
 		t.Fatal("AVC fetch != chunk bytes")
 	}
-	if svc.FetchBytes(EncodingSVC, 3, 0, 0) != svc.cumulativeLayerBytes(3, 0, 0) {
+	var layers int64
+	for l := 0; l <= 3; l++ {
+		layers += svc.LayerBytes(l, 0, 0)
+	}
+	if svc.SpanBytes(EncodingSVC, 0, 3, 0, 0) != layers {
 		t.Fatal("SVC fetch != cumulative layers")
 	}
 }
@@ -272,7 +278,7 @@ func TestFetchBytesMonotoneInQuality(t *testing.T) {
 			}
 			tile := tiling.TileID(int(tileRaw) % v.Grid.Tiles())
 			start := time.Duration(startRaw%30) * 2 * time.Second
-			return v.FetchBytes(enc, a, tile, start) <= v.FetchBytes(enc, b, tile, start)
+			return v.SpanBytes(enc, 0, a, tile, start) <= v.SpanBytes(enc, 0, b, tile, start)
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Fatalf("%v: %v", enc, err)

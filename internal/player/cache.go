@@ -107,6 +107,6 @@ func (f *FrameCache) Shift(cfg PipelineConfig, old, new []tiling.TileID, interva
 	}
 	// Re-decodes block the next frame: they run synchronously because
 	// the frame must display now.
-	res.Stall = time.Duration(res.Redecoded) * cfg.Device.Decoder.SyncDecodeTime(cfg.tilePixels())
+	res.Stall = time.Duration(res.Redecoded) * cfg.Device.Decoder.syncDecodeTime(cfg.tilePixels())
 	return res
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"sperke/internal/codec"
 	"sperke/internal/tiling"
 )
 
@@ -38,7 +37,7 @@ func TestFrameCachePutIdempotent(t *testing.T) {
 }
 
 func TestShiftDeltaOnly(t *testing.T) {
-	cfg, err := Figure5Config(codec.SGS7, 2)
+	cfg, err := Figure5Config(SGS7, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +52,14 @@ func TestShiftDeltaOnly(t *testing.T) {
 	if res.CacheHits != 1 || res.Redecoded != 1 {
 		t.Fatalf("hits=%d redecoded=%d, want 1/1", res.CacheHits, res.Redecoded)
 	}
-	want := cfg.Device.Decoder.SyncDecodeTime(cfg.tilePixels())
+	want := cfg.Device.Decoder.syncDecodeTime(cfg.tilePixels())
 	if res.Stall != want {
 		t.Fatalf("Stall = %v, want %v", res.Stall, want)
 	}
 }
 
 func TestShiftNoChangeNoCost(t *testing.T) {
-	cfg, _ := Figure5Config(codec.SGS7, 2)
+	cfg, _ := Figure5Config(SGS7, 2)
 	f := NewFrameCache(8)
 	res := f.Shift(cfg, []tiling.TileID{1, 2}, []tiling.TileID{1, 2}, 0, 0)
 	if res.DeltaTiles != 0 || res.Stall != 0 {
@@ -71,13 +70,13 @@ func TestShiftNoChangeNoCost(t *testing.T) {
 func TestShiftWithEmptyCacheRedecodesAll(t *testing.T) {
 	// The §3.5 contrast: without cached OOS tiles the whole new FoV
 	// re-decodes, a much longer stall.
-	cfg, _ := Figure5Config(codec.SGS7, 2)
+	cfg, _ := Figure5Config(SGS7, 2)
 	f := NewFrameCache(8)
 	res := f.Shift(cfg, nil, []tiling.TileID{0, 1, 2, 3}, 0, 0)
 	if res.Redecoded != 4 {
 		t.Fatalf("Redecoded = %d, want 4", res.Redecoded)
 	}
-	if res.Stall <= 3*cfg.Device.Decoder.SyncDecodeTime(cfg.tilePixels()) {
+	if res.Stall <= 3*cfg.Device.Decoder.syncDecodeTime(cfg.tilePixels()) {
 		t.Fatal("full re-decode stall implausibly small")
 	}
 }

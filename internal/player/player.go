@@ -5,13 +5,20 @@
 // the pipeline's structure — serial vs parallel decode, cached vs
 // re-decoded frames, all-tile vs FoV-only rendering — determines the
 // achievable frame rate (Figure 5).
+//
+// The decoders are the parallel hardware H.264 decoders of commodity
+// phones (8 on a Samsung Galaxy S5, 16 on an S7). Their model is
+// deliberately simple — a decoder sustains a pixel rate and each
+// synchronous submission pays a fixed overhead — because that is all
+// Figure 5's three configurations differ in: whether decodes serialize
+// on the render thread, run in parallel across the pool, and whether
+// non-FoV tiles are rendered at all.
 package player
 
 import (
 	"fmt"
 	"time"
 
-	"sperke/internal/codec"
 	"sperke/internal/sphere"
 	"sperke/internal/tiling"
 	"sperke/internal/trace"
@@ -19,7 +26,7 @@ import (
 
 // PipelineConfig selects one rendering configuration.
 type PipelineConfig struct {
-	Device codec.DeviceProfile
+	Device DeviceProfile
 	Grid   tiling.Grid
 	// FrameWidth and FrameHeight are the full-panorama luma dimensions
 	// (the §3.5 experiment uses a 2K 2560×1440 source).
@@ -105,14 +112,14 @@ func (c *PipelineConfig) decodedTiles(vp *tiling.Viewport, view sphere.Orientati
 // frame period is whichever stage is slower.
 func (c *PipelineConfig) frameTime(vp *tiling.Viewport, view sphere.Orientation) time.Duration {
 	tiles := c.decodedTiles(vp, view)
-	render := c.Device.RenderTime(c.renderedPixels())
+	render := c.Device.renderTime(c.renderedPixels())
 	if !c.FrameCache {
-		decodeAll := time.Duration(tiles) * c.Device.Decoder.SyncDecodeTime(c.tilePixels())
+		decodeAll := time.Duration(tiles) * c.Device.Decoder.syncDecodeTime(c.tilePixels())
 		return decodeAll + render
 	}
 	// Async: each decoder handles ⌈tiles/decoders⌉ tiles per frame.
 	waves := (tiles + c.Decoders - 1) / c.Decoders
-	decodeStage := time.Duration(waves) * c.Device.Decoder.DecodeTime(c.tilePixels())
+	decodeStage := time.Duration(waves) * c.Device.Decoder.decodeTime(c.tilePixels())
 	period := render
 	if decodeStage > period {
 		period = decodeStage
@@ -161,7 +168,7 @@ func SimulateFPS(cfg PipelineConfig, head *trace.HeadTrace, dur time.Duration) (
 //	1 — render all tiles without optimization (serial decode+render)
 //	2 — render all tiles with optimization (8 parallel decoders + cache)
 //	3 — render only FoV tiles with optimization
-func Figure5Config(device codec.DeviceProfile, config int) (PipelineConfig, error) {
+func Figure5Config(device DeviceProfile, config int) (PipelineConfig, error) {
 	base := PipelineConfig{
 		Device:      device,
 		Grid:        tiling.GridPrototype, // 2×4
@@ -210,7 +217,7 @@ func (c *PipelineConfig) hevcTilesFrameTime() time.Duration {
 	decode := time.Duration(float64(c.framePixels()) /
 		(c.Device.Decoder.PixelRate * float64(threads) * parallelEff) * float64(time.Second))
 	decode += c.Device.Decoder.SubmitOverhead // one session submission per frame
-	render := c.Device.RenderTime(c.renderedPixels())
+	render := c.Device.renderTime(c.renderedPixels())
 	// One decoder session: decode and render serialize on the frame.
 	return decode + render
 }

@@ -4,14 +4,13 @@ import (
 	"testing"
 	"time"
 
-	"sperke/internal/codec"
 	"sperke/internal/sphere"
 	"sperke/internal/tiling"
 )
 
 func fig5(t *testing.T, config int) PipelineConfig {
 	t.Helper()
-	cfg, err := Figure5Config(codec.SGS7, config)
+	cfg, err := Figure5Config(SGS7, config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +47,10 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure5InvalidConfig(t *testing.T) {
-	if _, err := Figure5Config(codec.SGS7, 0); err == nil {
+	if _, err := Figure5Config(SGS7, 0); err == nil {
 		t.Fatal("config 0 accepted")
 	}
-	if _, err := Figure5Config(codec.SGS7, 4); err == nil {
+	if _, err := Figure5Config(SGS7, 4); err == nil {
 		t.Fatal("config 4 accepted")
 	}
 }
@@ -90,7 +89,7 @@ func TestMoreDecodersNeverSlower(t *testing.T) {
 
 func TestSGS5SlowerThanSGS7(t *testing.T) {
 	cfg7 := fig5(t, 2)
-	cfg5, err := Figure5Config(codec.SGS5, 2)
+	cfg5, err := Figure5Config(SGS5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,12 +274,14 @@ func (e *Engine) runOne(ctx context.Context, i int) SessionResult {
 	return SessionResult{Index: i, Seed: seed, Report: s.RunContext(ctx)}
 }
 
-// httpMirror wraps a sim scheduler so every submitted chunk is also
-// fetched from a real DASH origin over HTTP. The mirror fetch happens
-// before the sim submission and its outcome feeds only metrics; QoE
-// timing stays with the emulated path, which keeps the run
-// deterministic while still exercising the server's chunk store under
-// genuine concurrency.
+// httpMirror wraps a sim scheduler so every submitted request is also
+// fetched from a real DASH origin over HTTP, as the request names
+// itself: an SVC request is one layer exchange per layer From through
+// Chunk.Quality, any other one whole-chunk exchange at Chunk.Quality.
+// The mirror fetch happens before the sim submission and its outcome
+// feeds only metrics; QoE timing stays with the emulated path, which
+// keeps the run deterministic while still exercising the server's chunk
+// store under genuine concurrency.
 type httpMirror struct {
 	// ctx is the engine run's context, which is also the one the
 	// session runs — and so submits — under. The mirror fetches under
@@ -303,15 +305,18 @@ func (m *httpMirror) Submit(r *transport.Request) {
 }
 
 func (m *httpMirror) mirror(r *transport.Request) {
-	if m.ctx.Err() != nil {
-		return
+	fetch, from := m.client.FetchChunk, r.Chunk.Quality
+	if r.Encoding == media.EncodingSVC {
+		fetch, from = m.client.FetchLayer, r.From
 	}
 	idx := int(r.Chunk.Start / m.video.ChunkDuration)
-	start := m.wall.Now()
-	_, err := m.client.FetchChunk(m.ctx, m.video.ID, r.Chunk.Quality, int(r.Chunk.Tile), idx)
-	m.met.fetchMS.Observe(float64(m.wall.Now()-start) / float64(time.Millisecond))
-	m.met.fetches.Inc()
-	if err != nil {
-		m.met.errors.Inc()
+	for q := from; q <= r.Chunk.Quality && m.ctx.Err() == nil; q++ {
+		start := m.wall.Now()
+		_, err := fetch(m.ctx, m.video.ID, q, int(r.Chunk.Tile), idx)
+		m.met.fetchMS.Observe(float64(m.wall.Now()-start) / float64(time.Millisecond))
+		m.met.fetches.Inc()
+		if err != nil {
+			m.met.errors.Inc()
+		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -167,7 +168,10 @@ func (p *payloadCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		return resp, err
 	}
-	body, err := io.ReadAll(resp.Body)
+	// The origin declares every chunk's length, so the body is read
+	// into one buffer of that size.
+	body := make([]byte, resp.ContentLength)
+	_, err = io.ReadFull(resp.Body, body)
 	resp.Body.Close()
 	if err != nil {
 		return nil, err
@@ -183,16 +187,22 @@ func (p *payloadCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 
 // inFlight passes requests on and keeps the bytes of those whose
 // delivery has not come back: at the session's end, what it fetched
-// and never saw arrive.
+// and never saw arrive. It also counts the exchanges the HTTP mirror
+// owes the requests: one per AVC request, one per layer of an SVC one.
 type inFlight struct {
-	inner transport.Scheduler
-	bytes int64
+	inner     transport.Scheduler
+	bytes     int64
+	exchanges int64
 }
 
 func (f *inFlight) Name() string { return f.inner.Name() }
 
 func (f *inFlight) Submit(r *transport.Request) {
 	f.bytes += r.Bytes
+	f.exchanges++
+	if r.Encoding == media.EncodingSVC {
+		f.exchanges += int64(r.Chunk.Quality - r.From)
+	}
 	c := *r
 	c.OnDone = func(d netem.Delivery, ok bool) {
 		f.bytes -= c.Bytes
@@ -201,26 +211,32 @@ func (f *inFlight) Submit(r *transport.Request) {
 	f.inner.Submit(&c)
 }
 
-// TestEngineMirrorBytesEqualSessionBytes is the byte law on AVC: the
+// TestEngineMirrorBytesEqualSessionBytes is the byte law: per run, the
 // chunk payload bytes the HTTP mirror fetches equal the Σ of the
 // sessions' Report.BytesFetched plus the bytes of requests still in
-// flight when a session ended. The mirror fetches a chunk when it is
-// asked for; the session counts it when it arrives. Each session is run
-// again in pure simulation, as runOne builds it, to find what it left
-// in flight. The cases are 4 sessions of a 60 s cellular-grid video,
-// with and without upgrades, at five seeds, plus one run that ends with
-// an upgrade in flight. (An SVC video does not obey the law yet: the
-// server answers a whole-chunk request with the AVC size, while the
-// session charges the cumulative layers.)
+// flight when a session ended, and the mirror makes one exchange per
+// AVC request and one per layer an SVC request carries, none failing.
+// The mirror fetches a request when it is submitted; the session counts
+// it when it arrives.
+//
+// Each case is 4 sessions of a 60 s cellular-grid video. The engine
+// rows run AVC and SVC, with and without upgrades, at five seeds; each
+// session is run again in pure simulation, as runOne builds it, to find
+// what it left in flight and which exchanges it asked for. EngineConfig
+// runs no hybrid sessions (§3.1.2), so the hybrid rows build theirs
+// here around the same mirror; they run with upgrades, which re-fetch
+// the AVC-picked tiles whole and the SVC-picked ones by layer. Three
+// runs, one per form, end with bytes in flight.
 func TestEngineMirrorBytesEqualSessionBytes(t *testing.T) {
-	video := func(id string) *media.Video {
+	video := func(id string, enc media.Encoding) *media.Video {
 		v := engineVideo()
-		v.ID, v.Duration, v.Grid = id, time.Minute, tiling.GridCellular
+		v.ID, v.Duration, v.Grid, v.Encoding = id, time.Minute, tiling.GridCellular, enc
 		return v
 	}
-	eng60, tail := video("eng"), video("p")
+	avc, svc := video("eng", media.EncodingAVC), video("svc", media.EncodingSVC)
+	avcTail, svcTail, hybridTail := video("p", media.EncodingAVC), video("r", media.EncodingSVC), video("t", media.EncodingSVC)
 	catalog := dash.NewCatalog()
-	for _, v := range []*media.Video{eng60, tail} {
+	for _, v := range []*media.Video{avc, svc, avcTail, svcTail, hybridTail} {
 		if err := catalog.Add(v); err != nil {
 			t.Fatal(err)
 		}
@@ -232,65 +248,109 @@ func TestEngineMirrorBytesEqualSessionBytes(t *testing.T) {
 	}
 	srv := &http.Server{Handler: dash.NewServer(catalog, dash.WithStore(store))}
 	go srv.Serve(ln)
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() }) // after the parallel cases
 
 	type lawCase struct {
-		v        *media.Video
-		upgrades bool
-		seed     int64
-		inFlight bool // the run must leave bytes in flight
+		v         *media.Video
+		upgrades  bool
+		hybrid    bool
+		seed      int64
+		bandwidth float64 // bits/s; 0 is the engine's default
+		inFlight  bool    // the run must leave bytes in flight
+	}
+	// The AVC run's second session's last upgrade, C(q=5, l=20, t=58s),
+	// is in flight when playback ends. An SVC upgrade carries only its
+	// enhancement layers and lands sooner: the SVC forms leave bytes in
+	// flight on a 5 Mbit/s link.
+	cases := []lawCase{
+		{v: avcTail, upgrades: true, seed: 1, inFlight: true},
+		{v: svcTail, upgrades: true, seed: 1, bandwidth: 5e6, inFlight: true},
+		{v: hybridTail, upgrades: true, hybrid: true, seed: 1, bandwidth: 5e6, inFlight: true},
 	}
 	seeds := []int64{1, 3, 5, 7, 42}
 	if obs.RaceEnabled {
 		// The law is deterministic; what the race build adds is the
-		// concurrent mirror, which one seed covers at a fifth of the cost.
-		seeds = seeds[:1]
+		// concurrent mirror, which the seed-1 rows cover at a fifth of the
+		// cost.
+		cases, seeds = nil, seeds[:1]
 	}
-	var cases []lawCase
-	for _, upgrades := range []bool{false, true} {
-		for _, seed := range seeds {
-			cases = append(cases, lawCase{v: eng60, upgrades: upgrades, seed: seed})
+	for _, seed := range seeds {
+		for _, v := range []*media.Video{avc, svc} {
+			for _, upgrades := range []bool{false, true} {
+				cases = append(cases, lawCase{v: v, upgrades: upgrades, seed: seed})
+			}
 		}
+		cases = append(cases, lawCase{v: svc, upgrades: true, hybrid: true, seed: seed})
 	}
-	// Its second session's last upgrade, C(q=5, l=20, t=58s), is in
-	// flight when playback ends.
-	cases = append(cases, lawCase{v: tail, upgrades: true, seed: 1, inFlight: true})
 
 	for _, c := range cases {
-		counter := &payloadCounter{inner: http.DefaultTransport}
-		eng, err := NewEngine(EngineConfig{
-			Video: c.v, Sessions: 4, Workers: 2, BaseSeed: c.seed, EnableUpgrades: c.upgrades,
-			Client: dash.NewClient("http://"+ln.Addr().String(), dash.WithTransport(counter)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := eng.Run(context.Background())
-		if res.HTTPErrors != 0 {
-			t.Fatalf("%+v: %d HTTP errors", c, res.HTTPErrors)
-		}
-		var left int64
-		for i, sr := range res.Sessions {
-			clock := sim.NewClock(sr.Seed)
-			path := netem.NewPath(clock, "net", netem.Constant(eng.cfg.BandwidthBPS), eng.cfg.Propagation, 0)
-			f := &inFlight{inner: transport.NewSinglePath(clock, path)}
-			s, err := core.NewSession(clock, core.Config{Video: c.v, EnableUpgrades: c.upgrades}, sessionTrace(eng.cfg, i), f)
+		name := fmt.Sprintf("%s,upgrades=%v,hybrid=%v,seed=%d", c.v.ID, c.upgrades, c.hybrid, c.seed)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			reg := obs.NewRegistry()
+			counter := &payloadCounter{inner: http.DefaultTransport}
+			eng, err := NewEngine(EngineConfig{
+				Video: c.v, Sessions: 4, Workers: 2, BaseSeed: c.seed, BandwidthBPS: c.bandwidth,
+				EnableUpgrades: c.upgrades, Obs: reg,
+				Client: dash.NewClient("http://"+ln.Addr().String(), dash.WithTransport(counter), dash.WithClientObs(reg)),
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep := s.Run(); rep != sr.Report {
-				t.Fatalf("video %s upgrades=%v seed %d: session %d does not reproduce its engine report",
-					c.v.ID, c.upgrades, c.seed, i)
+			// session runs viewer i on a fresh clock and path, through f
+			// and, when mirror is set, the engine's HTTP mirror.
+			session := func(i int, f *inFlight, mirror bool) core.Report {
+				clock := sim.NewClock(eng.cfg.BaseSeed + int64(i))
+				path := netem.NewPath(clock, "net", netem.Constant(eng.cfg.BandwidthBPS), eng.cfg.Propagation, 0)
+				f.inner = transport.NewSinglePath(clock, path)
+				var sched transport.Scheduler = f
+				if mirror {
+					sched = &httpMirror{ctx: context.Background(), inner: f, client: eng.cfg.Client,
+						video: c.v, met: &eng.met, wall: obs.NewWall()}
+				}
+				s, err := core.NewSession(clock, core.Config{Video: c.v, EnableUpgrades: c.upgrades, HybridSVC: c.hybrid},
+					sessionTrace(eng.cfg, i), sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s.Run()
 			}
-			left += f.bytes
-		}
-		if c.inFlight && left == 0 {
-			t.Errorf("video %s upgrades=%v seed %d: nothing left in flight", c.v.ID, c.upgrades, c.seed)
-		}
-		if got, want := counter.bytes.Load(), res.Agg.BytesFetched+left; got != want {
-			t.Errorf("video %s upgrades=%v seed %d: mirror fetched %d payload bytes, sessions account %d and left %d in flight",
-				c.v.ID, c.upgrades, c.seed, got, res.Agg.BytesFetched, left)
-		}
+			var res EngineResult
+			if !c.hybrid {
+				res = eng.Run(context.Background())
+			}
+			var fetched, left, exchanges int64
+			for i := 0; i < eng.cfg.Sessions; i++ {
+				f := &inFlight{}
+				rep := session(i, f, c.hybrid)
+				if c.hybrid && (rep.HybridAVCFetches == 0 || rep.HybridSVCFetches == 0) {
+					t.Fatalf("session %d did not mix encodings: AVC=%d SVC=%d",
+						i, rep.HybridAVCFetches, rep.HybridSVCFetches)
+				}
+				if !c.hybrid && rep != res.Sessions[i].Report {
+					t.Fatalf("session %d does not reproduce its engine report", i)
+				}
+				fetched += rep.BytesFetched
+				left += f.bytes
+				exchanges += f.exchanges
+			}
+			if c.inFlight && left == 0 {
+				t.Error("nothing left in flight")
+			}
+			if got, want := counter.bytes.Load(), fetched+left; got != want {
+				t.Errorf("mirror fetched %d payload bytes, sessions account %d and left %d in flight",
+					got, fetched, left)
+			}
+			httpFetches := reg.Counter("serve.engine.http_fetches").Value()
+			segments := reg.Counter("dash.client.segment_fetches").Value()
+			if errs := reg.Counter("serve.engine.http_errors").Value(); errs != 0 {
+				t.Errorf("%d HTTP errors", errs)
+			}
+			if httpFetches != exchanges || segments != exchanges {
+				t.Errorf("%d mirror fetches and %d client segment fetches, requests ask for %d exchanges",
+					httpFetches, segments, exchanges)
+			}
+		})
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"context"
 	"time"
 
+	"sperke/internal/media"
 	"sperke/internal/netem"
 	"sperke/internal/obs"
 	"sperke/internal/tiling"
@@ -41,7 +42,13 @@ func (c Class) String() string {
 // Request is one chunk download.
 type Request struct {
 	Chunk tiling.ChunkID
-	Bytes int64
+	// Bytes is media.Video.SpanBytes of Encoding, From and Chunk. From
+	// is the lowest quality (SVC: layer) the request carries: 0 for a
+	// first fetch, h+1 for an upgrade of a copy held at quality h. The
+	// zero Encoding and From ask for the whole chunk.
+	Bytes    int64
+	Encoding media.Encoding
+	From     int
 	// Deadline is the playback time by which the chunk must arrive.
 	Deadline time.Duration
 	// Class is the spatial priority; Urgent the temporal one (Table 1).
