@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -31,29 +32,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	mode := flag.String("mode", "guided", "streaming mode: guided or agnostic")
-	algo := flag.String("algo", "throughput", "VRA algorithm: throughput, buffer, mpc")
-	netKind := flag.String("net", "const", "network model: const, lte, wifi, spec")
-	traceSpec := flag.String("trace", "", `bandwidth schedule for -net spec, e.g. "0:8M,30s:1.5M"`)
-	mbps := flag.Float64("mbps", 12, "mean bandwidth in Mbit/s")
-	enc := flag.String("encoding", "AVC", "chunk encoding: AVC or SVC")
-	upgrades := flag.Bool("upgrades", false, "enable incremental chunk upgrades (§3.1.1)")
-	dur := flag.Duration("duration", time.Minute, "video duration")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	speed := flag.Float64("headspeed", 1.0, "viewer head-speed scale")
-	multi := flag.Bool("multipath", false, "stream over WiFi+LTE with the content-aware scheduler (§3.3)")
-	faultPlan := flag.String("faults", "", `fault plan against the network, e.g. "outage:wifi:20s:5s,cliff:lte:30s:10s:500k"`)
-	budget := flag.Float64("budget", 0, "user bandwidth budget in Mbit/s (0 = none, §3.1.2)")
-	timeline := flag.Bool("timeline", false, "print the session event timeline")
-	metricsJSON := flag.String("metrics-json", "", `dump a JSON metrics snapshot after the run ("-" = stdout)`)
-	flag.Parse()
+// run plays one session as args configure it and writes its report to
+// w; each call parses its own flag set.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("sperke-player", flag.ExitOnError)
+	mode := fs.String("mode", "guided", "streaming mode: guided or agnostic")
+	algo := fs.String("algo", "throughput", "VRA algorithm: throughput, buffer, mpc")
+	netKind := fs.String("net", "const", "network model: const, lte, wifi, spec")
+	traceSpec := fs.String("trace", "", `bandwidth schedule for -net spec, e.g. "0:8M,30s:1.5M"`)
+	mbps := fs.Float64("mbps", 12, "mean bandwidth in Mbit/s")
+	enc := fs.String("encoding", "AVC", "chunk encoding: AVC or SVC")
+	upgrades := fs.Bool("upgrades", false, "enable incremental chunk upgrades (§3.1.1)")
+	dur := fs.Duration("duration", time.Minute, "video duration")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	speed := fs.Float64("headspeed", 1.0, "viewer head-speed scale")
+	multi := fs.Bool("multipath", false, "stream over WiFi+LTE with the content-aware scheduler (§3.3)")
+	faultPlan := fs.String("faults", "", `fault plan against the network, e.g. "outage:wifi:20s:5s,cliff:lte:30s:10s:500k"`)
+	budget := fs.Float64("budget", 0, "user bandwidth budget in Mbit/s (0 = none, §3.1.2)")
+	timeline := fs.Bool("timeline", false, "print the session event timeline")
+	metricsJSON := fs.String("metrics-json", "", `dump a JSON metrics snapshot after the run ("-" = stdout)`)
+	fs.Parse(args)
 
 	encoding := media.EncodingAVC
 	switch *enc {
@@ -147,7 +151,7 @@ func run() error {
 			switch e.Kind {
 			case core.EventPlanned, core.EventPlay, core.EventStall,
 				core.EventUpgraded, core.EventUrgent, core.EventDropped:
-				fmt.Println(" ", e)
+				fmt.Fprintln(w, " ", e)
 			}
 		}
 	}
@@ -162,24 +166,24 @@ func run() error {
 	if *multi {
 		netLabel = "wifi+lte (content-aware)"
 	}
-	fmt.Printf("session: %s, %s VRA, %s, %s over %s @%.1f Mbps\n",
+	fmt.Fprintf(w, "session: %s, %s VRA, %s, %s over %s @%.1f Mbps\n",
 		streamMode, alg.Name(), encoding, dur, netLabel, *mbps)
-	fmt.Printf("  startup delay     %v\n", rep.StartupDelay.Round(time.Millisecond))
-	fmt.Printf("  play time         %v\n", m.PlayTime.Round(time.Millisecond))
-	fmt.Printf("  stalls            %d (%v)\n", m.Stalls, m.StallTime.Round(time.Millisecond))
-	fmt.Printf("  mean FoV quality  %.2f / %d\n", m.MeanQuality(), video.Qualities()-1)
-	fmt.Printf("  quality switches  %d\n", m.Switches)
-	fmt.Printf("  blank time        %v\n", m.BlankTime.Round(time.Millisecond))
-	fmt.Printf("  bytes fetched     %.1f MB\n", float64(rep.BytesFetched)/1e6)
-	fmt.Printf("  bytes wasted      %.1f MB (%.0f%%)\n", float64(rep.BytesWasted)/1e6, m.WasteRatio()*100)
-	fmt.Printf("  urgent fetches    %d\n", rep.UrgentFetches)
+	fmt.Fprintf(w, "  startup delay     %v\n", rep.StartupDelay.Round(time.Millisecond))
+	fmt.Fprintf(w, "  play time         %v\n", m.PlayTime.Round(time.Millisecond))
+	fmt.Fprintf(w, "  stalls            %d (%v)\n", m.Stalls, m.StallTime.Round(time.Millisecond))
+	fmt.Fprintf(w, "  mean FoV quality  %.2f / %d\n", m.MeanQuality(), video.Qualities()-1)
+	fmt.Fprintf(w, "  quality switches  %d\n", m.Switches)
+	fmt.Fprintf(w, "  blank time        %v\n", m.BlankTime.Round(time.Millisecond))
+	fmt.Fprintf(w, "  bytes fetched     %.1f MB\n", float64(rep.BytesFetched)/1e6)
+	fmt.Fprintf(w, "  bytes wasted      %.1f MB (%.0f%%)\n", float64(rep.BytesWasted)/1e6, m.WasteRatio()*100)
+	fmt.Fprintf(w, "  urgent fetches    %d\n", rep.UrgentFetches)
 	if *upgrades {
-		fmt.Printf("  upgrades          %d now, %d deferred, %d skipped\n",
+		fmt.Fprintf(w, "  upgrades          %d now, %d deferred, %d skipped\n",
 			rep.Upgrades, rep.UpgradesDeferred, rep.UpgradesSkipped)
 	}
-	fmt.Printf("  QoE score         %.1f / 100\n", m.Score(video.Qualities()-1))
+	fmt.Fprintf(w, "  QoE score         %.1f / 100\n", m.Score(video.Qualities()-1))
 	if reg != nil {
-		if err := dumpMetrics(reg, *metricsJSON); err != nil {
+		if err := dumpMetrics(reg, *metricsJSON, w); err != nil {
 			return err
 		}
 	}
@@ -187,10 +191,10 @@ func run() error {
 }
 
 // dumpMetrics writes the registry snapshot as JSON to path ("-" means
-// stdout).
-func dumpMetrics(reg *obs.Registry, path string) error {
+// the report's writer).
+func dumpMetrics(reg *obs.Registry, path string, w io.Writer) error {
 	if path == "-" {
-		return reg.WriteJSON(os.Stdout)
+		return reg.WriteJSON(w)
 	}
 	f, err := os.Create(path)
 	if err != nil {

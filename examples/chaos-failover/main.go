@@ -20,8 +20,9 @@ import (
 	"sperke/internal/transport"
 )
 
+var planSpec = flag.String("plan", "outage:wifi:10s:6s", "fault plan (kind:path:at:duration[:param], comma-separated)")
+
 func main() {
-	planSpec := flag.String("plan", "outage:wifi:10s:6s", "fault plan (kind:path:at:duration[:param], comma-separated)")
 	flag.Parse()
 
 	plan, err := faults.Parse(*planSpec)

@@ -3,7 +3,10 @@
 // viewers driven by the worker-pool session engine; every viewer's QoE
 // is a pure function of its seed (run it twice — the per-viewer numbers
 // repeat exactly), while the store turns the crowd's overlapping
-// FoV-guided access pattern into cache hits.
+// FoV-guided access pattern into cache hits. Stdout carries what the
+// seeds fix; the listener address, wall times, latencies and the
+// hit/join split of the store's cached reads, which depend on goroutine
+// interleaving, go to stderr.
 //
 //	go run ./examples/scale-serving
 //	go run ./examples/scale-serving -viewers 16 -workers 8
@@ -24,10 +27,13 @@ import (
 	"sperke/internal/tiling"
 )
 
+var (
+	viewers = flag.Int("viewers", 8, "concurrent simulated viewers")
+	workers = flag.Int("workers", 4, "worker-pool size")
+	seed    = flag.Int64("seed", 360, "base seed; viewer i uses seed+i")
+)
+
 func main() {
-	viewers := flag.Int("viewers", 8, "concurrent simulated viewers")
-	workers := flag.Int("workers", 4, "worker-pool size")
-	seed := flag.Int64("seed", 360, "base seed; viewer i uses seed+i")
 	flag.Parse()
 	if err := run(*viewers, *workers, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -67,7 +73,8 @@ func run(viewers, workers int, seed int64) error {
 	httpSrv := dash.NewHTTPServer(srv)
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
-	fmt.Printf("origin: %d-shard store, %s\n", store.Shards(), ln.Addr())
+	fmt.Printf("origin: %d-shard store\n", store.Shards())
+	fmt.Fprintf(os.Stderr, "origin listening on %s\n", ln.Addr())
 
 	// 2. A crowd: the engine runs each viewer as a full core.Session on
 	//    its own sim clock, mirroring every planned chunk fetch to the
@@ -88,8 +95,8 @@ func run(viewers, workers int, seed int64) error {
 	res := eng.Run(context.Background())
 
 	// 3. Per-viewer QoE (seed-deterministic) and the serving-side story.
-	fmt.Printf("\n%d viewers, %d workers, %v wall:\n", viewers, workers,
-		res.Wall.Round(time.Millisecond))
+	fmt.Printf("\n%d viewers, %d workers:\n", viewers, workers)
+	fmt.Fprintf(os.Stderr, "%v wall\n", res.Wall.Round(time.Millisecond))
 	for _, sr := range res.Sessions {
 		if sr.Err != nil {
 			return sr.Err
@@ -101,12 +108,15 @@ func run(viewers, workers int, seed int64) error {
 	}
 	fl := res.FetchLatency
 	fmt.Printf("\naggregate: quality %.2f, score %.1f\n", res.Agg.MeanQuality, res.Agg.MeanScore)
-	fmt.Printf("HTTP: %d fetches, %d errors, latency p50 %.2f ms / p95 %.2f / p99 %.2f\n",
-		res.HTTPFetches, res.HTTPErrors, fl.P50, fl.P95, fl.P99)
+	fmt.Printf("HTTP: %d fetches, %d errors\n", res.HTTPFetches, res.HTTPErrors)
+	fmt.Fprintf(os.Stderr, "HTTP latency p50 %.2f ms / p95 %.2f / p99 %.2f\n", fl.P50, fl.P95, fl.P99)
+	// Every distinct chunk is one miss (the budget evicts nothing); a
+	// repeat is a hit, or a singleflight join if it lands mid-synthesis.
 	hits := reg.Counter("serve.store.hits").Value()
+	joins := reg.Counter("serve.store.singleflight_shared").Value()
 	misses := reg.Counter("serve.store.misses").Value()
-	fmt.Printf("store: %d hits / %d misses (%.0f%% hit rate), %.1f MB resident\n",
-		hits, misses, 100*float64(hits)/float64(hits+misses),
-		float64(store.Bytes())/1e6)
+	fmt.Printf("store: %d misses, %d repeats served from memory, %.1f MB resident\n",
+		misses, hits+joins, float64(store.Bytes())/1e6)
+	fmt.Fprintf(os.Stderr, "store: %d hits, %d singleflight joins\n", hits, joins)
 	return nil
 }

@@ -1,7 +1,9 @@
 // Telemetry-pipeline: the §3.2 loop end to end over real HTTP. Player
 // apps record 50 Hz head movement (< 5 Kbps per viewer), upload it to
 // the collector service, and the next viewer's player pulls the
-// aggregated crowd heatmap to guide its OOS tile selection.
+// aggregated crowd heatmap to guide its OOS tile selection. The
+// collector's listener address goes to stderr; stdout is fixed by the
+// seeds.
 //
 //	go run ./examples/telemetry-pipeline
 package main
@@ -13,6 +15,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"sperke/internal/abr"
@@ -35,7 +38,7 @@ func main() {
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
-	fmt.Println("collector running at", base)
+	fmt.Fprintln(os.Stderr, "collector running at", base)
 
 	// 2. Twenty viewers watch "launch-360" and their apps upload
 	//    telemetry. Note the per-record size: the paper's scaling claim.

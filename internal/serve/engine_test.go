@@ -219,7 +219,7 @@ func (f *inFlight) Submit(r *transport.Request) {
 // The mirror fetches a request when it is submitted; the session counts
 // it when it arrives.
 //
-// Each case is 4 sessions of a 60 s cellular-grid video. The engine
+// Each case is 4 sessions of a 20 s cellular-grid video. The engine
 // rows run AVC and SVC, with and without upgrades, at five seeds; each
 // session is run again in pure simulation, as runOne builds it, to find
 // what it left in flight and which exchanges it asked for. EngineConfig
@@ -230,7 +230,7 @@ func (f *inFlight) Submit(r *transport.Request) {
 func TestEngineMirrorBytesEqualSessionBytes(t *testing.T) {
 	video := func(id string, enc media.Encoding) *media.Video {
 		v := engineVideo()
-		v.ID, v.Duration, v.Grid, v.Encoding = id, time.Minute, tiling.GridCellular, enc
+		v.ID, v.Duration, v.Grid, v.Encoding = id, 20*time.Second, tiling.GridCellular, enc
 		return v
 	}
 	avc, svc := video("eng", media.EncodingAVC), video("svc", media.EncodingSVC)
@@ -258,14 +258,15 @@ func TestEngineMirrorBytesEqualSessionBytes(t *testing.T) {
 		bandwidth float64 // bits/s; 0 is the engine's default
 		inFlight  bool    // the run must leave bytes in flight
 	}
-	// The AVC run's second session's last upgrade, C(q=5, l=20, t=58s),
-	// is in flight when playback ends. An SVC upgrade carries only its
-	// enhancement layers and lands sooner: the SVC forms leave bytes in
-	// flight on a 5 Mbit/s link.
+	// When playback ends, three upgrades of the last chunk, C(q=5, l=6,
+	// t=18s) among them, are in flight in the AVC run's third session.
+	// An SVC upgrade carries only its enhancement layer and lands sooner:
+	// the hybrid run leaves one, and the SVC run leaves one on a
+	// 10 Mbit/s link.
 	cases := []lawCase{
 		{v: avcTail, upgrades: true, seed: 1, inFlight: true},
-		{v: svcTail, upgrades: true, seed: 1, bandwidth: 5e6, inFlight: true},
-		{v: hybridTail, upgrades: true, hybrid: true, seed: 1, bandwidth: 5e6, inFlight: true},
+		{v: svcTail, upgrades: true, seed: 1, bandwidth: 10e6, inFlight: true},
+		{v: hybridTail, upgrades: true, hybrid: true, seed: 1, inFlight: true},
 	}
 	seeds := []int64{1, 3, 5, 7, 42}
 	if obs.RaceEnabled {
