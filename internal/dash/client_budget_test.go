@@ -87,7 +87,7 @@ func TestOneAttemptBudgetEveryMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := buildMPD(v, false, 0, 0).marshal()
+	manifest, err := buildMPD(v).marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package dash
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -38,7 +39,7 @@ func testServer(t *testing.T) (*httptest.Server, *Catalog) {
 
 func TestMPDRoundTrip(t *testing.T) {
 	v := testVideo()
-	m := buildMPD(v, false, 0, 0)
+	m := buildMPD(v)
 	data, err := m.marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -215,29 +216,6 @@ func TestServerLayerOnAVCVideoRejected(t *testing.T) {
 	}
 }
 
-func TestLiveWindowEnforced(t *testing.T) {
-	srv, cat := testServer(t)
-	cat.SetLiveWindow("demo", 3, 5)
-	c := NewClient(srv.URL)
-	ctx := context.Background()
-	m, err := c.FetchMPD(ctx, "demo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Type != "dynamic" || m.FirstChunk != 3 || m.LastChunk != 5 {
-		t.Fatalf("live MPD %+v", m)
-	}
-	if _, err := c.FetchChunk(ctx, "demo", 0, 0, 4); err != nil {
-		t.Fatalf("in-window chunk rejected: %v", err)
-	}
-	if _, err := c.FetchChunk(ctx, "demo", 0, 0, 1); err == nil {
-		t.Fatal("expired chunk served")
-	}
-	if _, err := c.FetchChunk(ctx, "demo", 0, 0, 7); err == nil {
-		t.Fatal("future chunk served")
-	}
-}
-
 func TestServerListsCatalog(t *testing.T) {
 	srv, cat := testServer(t)
 	v2 := testVideo()
@@ -259,9 +237,8 @@ func TestServerListsCatalog(t *testing.T) {
 }
 
 func TestServerConcurrentClients(t *testing.T) {
-	// Many viewers fetch MPDs and chunks in parallel while the live
-	// window advances — the catalog's locking must hold up (run under
-	// -race).
+	// Many viewers fetch MPDs and chunks in parallel while videos are
+	// added to the catalog — its locking must hold up (run under -race).
 	srv, cat := testServer(t)
 	c := NewClient(srv.URL)
 	done := make(chan error, 16)
@@ -283,18 +260,18 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 	go func() {
 		for i := 0; i < 50; i++ {
-			cat.SetLiveWindow("demo", 0, i%10)
+			v := testVideo()
+			v.ID = fmt.Sprintf("added-%d", i)
+			if err := cat.Add(v); err != nil {
+				done <- err
+				return
+			}
 		}
-		cat.SetLiveWindow("demo", 0, 9)
 		done <- nil
 	}()
 	for i := 0; i < 9; i++ {
 		if err := <-done; err != nil {
-			// Live-window races can legitimately 404 a chunk mid-update;
-			// only transport-level failures are bugs.
-			if !strings.Contains(err.Error(), "live window") {
-				t.Fatal(err)
-			}
+			t.Fatal(err)
 		}
 	}
 }

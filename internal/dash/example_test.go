@@ -51,5 +51,5 @@ func ExampleNewServer() {
 	// Output:
 	// demo: 10000 ms in 2000 ms chunks, 4x6 tiles, 6 representations
 	// chunk q=3 tile=7 index=2: 44083 payload bytes, 44113 on the wire, 1 attempt
-	// server: 2 requests, 1 chunk, 44957 bytes sent
+	// server: 2 requests, 1 chunk, 44928 bytes sent
 }

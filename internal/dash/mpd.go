@@ -5,10 +5,10 @@
 // chunk), and a fetch client that measures per-transfer throughput for
 // rate adaptation.
 //
-// The download path of commercial live 360° platforms (Facebook,
-// YouTube) is exactly this pull-based DASH pattern: viewers
-// periodically re-fetch the MPD to learn about newly produced chunks
-// and pick a quality per chunk (§3.4.1).
+// Every manifest the server renders is static: the whole video is
+// addressable from the first fetch. The download side of a live
+// broadcast (§3.4.1), where viewers re-fetch a dynamic MPD to learn of
+// new chunks, is modeled by internal/live rather than served here.
 package dash
 
 import (
@@ -19,13 +19,14 @@ import (
 	"sperke/internal/tiling"
 )
 
-// MPD is the manifest describing one (possibly live) tiled 360° video.
+// MPD is the manifest describing one tiled 360° video.
 type MPD struct {
 	XMLName xml.Name `xml:"MPD"`
-	// Type is "static" for on-demand, "dynamic" for live.
+	// Type is "static", the only type the server renders; a fetched
+	// manifest may also be "dynamic" (DASH's live type).
 	Type    string `xml:"type,attr"`
 	VideoID string `xml:"videoId,attr"`
-	// DurationMs is the media duration (grows over time for live).
+	// DurationMs is the media duration.
 	DurationMs int64 `xml:"mediaPresentationDurationMs,attr"`
 	// ChunkMs is the chunk duration in milliseconds.
 	ChunkMs int64 `xml:"chunkDurationMs,attr"`
@@ -37,10 +38,6 @@ type MPD struct {
 	Projection string `xml:"projection,attr"`
 	// Encoding is "AVC" or "SVC" (§3.1.1).
 	Encoding string `xml:"encoding,attr"`
-	// Live window: the oldest and newest available chunk indices
-	// (dynamic only).
-	FirstChunk int `xml:"firstChunk,attr"`
-	LastChunk  int `xml:"lastChunk,attr"`
 
 	Representations []representation `xml:"Representation"`
 }
@@ -56,9 +53,8 @@ type representation struct {
 	Bandwidth int64 `xml:"bandwidth,attr"`
 }
 
-// buildMPD renders a video's manifest. For live manifests pass
-// live=true and the current chunk window.
-func buildMPD(v *media.Video, live bool, firstChunk, lastChunk int) *MPD {
+// buildMPD renders a video's manifest.
+func buildMPD(v *media.Video) *MPD {
 	m := &MPD{
 		Type:       "static",
 		VideoID:    v.ID,
@@ -68,11 +64,6 @@ func buildMPD(v *media.Video, live bool, firstChunk, lastChunk int) *MPD {
 		Cols:       v.Grid.Cols,
 		Projection: v.ProjectionName,
 		Encoding:   v.Encoding.String(),
-	}
-	if live {
-		m.Type = "dynamic"
-		m.FirstChunk = firstChunk
-		m.LastChunk = lastChunk
 	}
 	for i, q := range v.Ladder {
 		m.Representations = append(m.Representations, representation{

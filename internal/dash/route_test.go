@@ -59,7 +59,7 @@ func TestServerCountsEveryRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpd, err := buildMPD(v, false, 0, 0).marshal()
+	mpd, err := buildMPD(v).marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,16 +25,11 @@ import (
 type Catalog struct {
 	mu     sync.RWMutex
 	videos map[string]*media.Video
-	// live windows: videoID → [first, last] available chunk index.
-	windows map[string][2]int
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{
-		videos:  make(map[string]*media.Video),
-		windows: make(map[string][2]int),
-	}
+	return &Catalog{videos: make(map[string]*media.Video)}
 }
 
 // Add registers a video. It returns an error for invalid videos,
@@ -75,22 +70,6 @@ func (c *Catalog) Get(id string) (*media.Video, bool) {
 	defer c.mu.RUnlock()
 	v, ok := c.videos[id]
 	return v, ok
-}
-
-// SetLiveWindow marks a video live with the given available chunk
-// range; the MPD turns dynamic.
-func (c *Catalog) SetLiveWindow(id string, first, last int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.windows[id] = [2]int{first, last}
-}
-
-// liveWindow returns the live window if the video is live.
-func (c *Catalog) liveWindow(id string) ([2]int, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	w, ok := c.windows[id]
-	return w, ok
 }
 
 // The limits every listener in the tree serves under: NewHTTPServer's,
@@ -420,13 +399,7 @@ func (s *Server) handleMPD(w http.ResponseWriter, r *http.Request, video string)
 		http.NotFound(w, r)
 		return
 	}
-	win, live := s.catalog.liveWindow(v.ID)
-	mpd := buildMPD(v, live, win[0], win[1])
-	if live {
-		// A live manifest's duration reflects what has been produced.
-		mpd.DurationMs = int64(win[1]+1) * v.ChunkDuration.Milliseconds()
-	}
-	out, err := mpd.marshal()
+	out, err := buildMPD(v).marshal()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -460,10 +433,6 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request, rt route) {
 	}
 	if q < 0 || q >= v.Qualities() || !v.Grid.Valid(tiling.TileID(tile)) || idx < 0 || idx >= v.NumChunks() {
 		http.Error(w, "dash: chunk out of range", http.StatusNotFound)
-		return
-	}
-	if win, live := s.catalog.liveWindow(v.ID); live && (idx < win[0] || idx > win[1]) {
-		http.Error(w, "dash: chunk outside live window", http.StatusNotFound)
 		return
 	}
 	isLayer := false

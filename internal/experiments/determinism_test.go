@@ -60,8 +60,8 @@ func TestRunAllGolden(t *testing.T) {
 	}
 }
 
-// TestMetricsAreObservationOnly pins the PR 2 claim: wiring an obs
-// registry into the suite must not change a single output byte.
+// TestMetricsAreObservationOnly pins that metrics only observe: wiring
+// an obs registry into the suite must not change a single output byte.
 func TestMetricsAreObservationOnly(t *testing.T) {
 	experiments.SetObs(nil)
 	plain := renderAll(7)

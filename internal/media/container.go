@@ -35,14 +35,9 @@ import (
 //
 // All multi-byte fields are big-endian, per network convention.
 
-// Segment flags.
-const (
-	// FlagSVCLayer marks the payload as one SVC layer rather than a full
-	// single-layer chunk.
-	FlagSVCLayer = 1 << 0
-	// FlagLive marks a segment produced by a live broadcast.
-	FlagLive = 1 << 1
-)
+// FlagSVCLayer, a segment flag, marks the payload as one SVC layer
+// rather than a full single-layer chunk.
+const FlagSVCLayer = 1 << 0
 
 const (
 	segmentMagic   = "SPRK"

@@ -220,11 +220,11 @@ func TestReadSegmentSizing(t *testing.T) {
 }
 
 func TestReadSegmentStream(t *testing.T) {
-	// Multiple segments back to back decode in order — the live push path
-	// relies on this framing.
+	// Multiple segments back to back decode in order: each header's
+	// payload length frames the next.
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {
-		h := SegmentHeader{VideoID: "s", Quality: i, Tile: tiling.TileID(i), Flags: FlagLive}
+		h := SegmentHeader{VideoID: "s", Quality: i, Tile: tiling.TileID(i), Flags: FlagSVCLayer}
 		if err := WriteSegment(&buf, h, SyntheticPayload(uint64(i), 100*i)); err != nil {
 			t.Fatal(err)
 		}

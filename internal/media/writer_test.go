@@ -34,7 +34,7 @@ func equivHeader() SegmentHeader {
 	return SegmentHeader{
 		VideoID:  "writer-equiv",
 		Quality:  4,
-		Flags:    FlagLive,
+		Flags:    FlagSVCLayer,
 		Tile:     9,
 		Start:    6 * time.Second,
 		Duration: 2 * time.Second,

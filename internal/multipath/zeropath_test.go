@@ -9,10 +9,11 @@ import (
 	"sperke/internal/transport"
 )
 
-// TestContentAwareZeroPathsFailsFast is the PR 5 regression test for
-// the bestPath panic, over every scheduler that takes a path list: one
-// with no paths must not crash on Submit, and must fail the request
-// through OnDone, exactly once, rather than drop it silently.
+// TestContentAwareZeroPathsFailsFast pins, over every scheduler that
+// takes a path list, that an empty list is not a panic in path
+// selection: a scheduler with no paths must not crash on Submit, and
+// must fail the request through OnDone, exactly once, rather than drop
+// it silently.
 func TestContentAwareZeroPathsFailsFast(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

@@ -1,10 +1,7 @@
 // Package netem emulates the network paths 360° video streams traverse:
 // time-varying bandwidth, propagation latency, and loss, over the
 // deterministic sim clock. It also provides the bandwidth estimators
-// rate adaptation consumes (§3.1.2 "network bandwidth estimation") and a
-// real net.Conn rate shaper used by loopback integration tests — the
-// stand-in for the `tc` tool the paper's measurement study uses
-// (§3.4.1).
+// rate adaptation consumes (§3.1.2 "network bandwidth estimation").
 package netem
 
 import (

@@ -23,7 +23,7 @@ func patternBody(size int) ctxSynth {
 	}
 }
 
-// TestStoreBodiesSealed is the PR 5 aliasing regression test: the
+// TestStoreBodiesSealed pins that a cached body is never aliased: the
 // writer form hands out sealed exact-size bodies, so a caller appending
 // to a returned body reallocates instead of scribbling over the next
 // reader's bytes.

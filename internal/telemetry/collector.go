@@ -150,13 +150,21 @@ type HeatmapResponse struct {
 	Prob [][]float64 `json:"prob"`
 }
 
+// The heatmap's interval, in milliseconds, runs from one sample period
+// to the longest span a record may cover. With Decode's bound on that
+// span, no heatmap has more than maxSamples intervals.
+const (
+	minChunkMs = int64(time.Second / trace.SampleRate / time.Millisecond)
+	maxChunkMs = int64(maxSpan / time.Millisecond)
+)
+
 func (c *Collector) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	videoID := r.PathValue("video")
 	chunkMs := int64(2000)
 	if q := r.URL.Query().Get("chunkms"); q != "" {
 		v, err := strconv.ParseInt(q, 10, 64)
-		if err != nil || v <= 0 {
-			http.Error(w, "telemetry: bad chunkms", http.StatusBadRequest)
+		if err != nil || v < minChunkMs || v > maxChunkMs {
+			http.Error(w, fmt.Sprintf("telemetry: chunkms must be %d to %d", minChunkMs, maxChunkMs), http.StatusBadRequest)
 			return
 		}
 		chunkMs = v

@@ -126,6 +126,39 @@ func TestCollectorHeatmapNoData(t *testing.T) {
 	}
 }
 
+// TestCollectorHeatmapChunkmsBounds: a heatmap interval runs from one
+// sample period (20 ms) to an hour, the longest span a record covers.
+// Below, an hour-long session at chunkms=1 costs 3.6 million intervals of
+// every tile; above, the interval in nanoseconds overflows.
+func TestCollectorHeatmapChunkmsBounds(t *testing.T) {
+	c := testCollector()
+	if err := c.ingest(&Record{VideoID: "v", UserID: "u", Samples: []trace.Sample{{}, {At: 20 * time.Millisecond}}}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	for _, tc := range []struct {
+		chunkms string
+		want    int
+	}{
+		{"1", http.StatusBadRequest},
+		{"19", http.StatusBadRequest},
+		{"20", http.StatusOK},
+		{"3600000", http.StatusOK},
+		{"3600001", http.StatusBadRequest},
+		{"9223372036854775807", http.StatusBadRequest},
+	} {
+		resp, err := http.Get(srv.URL + "/t/v/heatmap?chunkms=" + tc.chunkms)
+		if err != nil {
+			t.Fatalf("chunkms=%s: %v", tc.chunkms, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("chunkms=%s: status %d, want %d", tc.chunkms, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 func TestCollectorRejectsBadUploads(t *testing.T) {
 	srv := httptest.NewServer(testCollector())
 	defer srv.Close()

@@ -58,7 +58,10 @@ const (
 	headerFixed   = 16
 	// quantum is the angle resolution: 0.02°, far below sensor noise.
 	quantum = 0.02
-	// maxSamples bounds one record (an hour at 50 Hz).
+	// maxSpan bounds the time one record covers, first sample to last,
+	// and maxSamples its sample count: an hour at 50 Hz. Both bound the
+	// heatmap a collector builds from what it accepts.
+	maxSpan    = time.Hour
 	maxSamples = 50 * 3600
 )
 
@@ -101,6 +104,9 @@ func Encode(w io.Writer, r *Record) error {
 	interval := r.SampleInterval
 	if interval <= 0 {
 		interval = time.Second / trace.SampleRate
+	}
+	if err := checkSpan(len(r.Samples), interval); err != nil {
+		return err
 	}
 	buf := make([]byte, encodedSize(r.VideoID, r.UserID, len(r.Samples)))
 	copy(buf, recordMagic)
@@ -187,6 +193,13 @@ func Decode(r io.Reader) (*Record, error) {
 		SampleInterval: time.Duration(binary.BigEndian.Uint16(fixed[10:])) * time.Millisecond,
 		Context:        contextFromByte(fixed[7], float64(fixed[8])/100),
 	}
+	interval := rec.SampleInterval
+	if interval <= 0 {
+		interval = time.Second / trace.SampleRate
+	}
+	if err := checkSpan(int(n), interval); err != nil {
+		return nil, err
+	}
 	ids := make([]byte, vLen+uLen)
 	if _, err := io.ReadFull(r, ids); err != nil {
 		return nil, err
@@ -198,10 +211,6 @@ func Decode(r io.Reader) (*Record, error) {
 		return nil, err
 	}
 	rec.Samples = make([]trace.Sample, n)
-	interval := rec.SampleInterval
-	if interval <= 0 {
-		interval = time.Second / trace.SampleRate
-	}
 	for i := 0; i < int(n); i++ {
 		off := 6 * i
 		rec.Samples[i] = trace.Sample{
@@ -214,6 +223,15 @@ func Decode(r io.Reader) (*Record, error) {
 		}
 	}
 	return rec, nil
+}
+
+// checkSpan refuses a record of n samples, interval apart, that covers
+// more than maxSpan.
+func checkSpan(n int, interval time.Duration) error {
+	if n > 1 && time.Duration(n-1) > maxSpan/interval {
+		return fmt.Errorf("telemetry: %d samples %v apart span more than %v", n, interval, maxSpan)
+	}
+	return nil
 }
 
 // BitrateBPS returns the steady-state upload rate of a session encoded

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -102,6 +104,36 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		if _, err := Decode(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// rawRecord is a wire record of n zero samples intervalMs apart, built
+// byte by byte so that Decode's own bounds are what a test meets.
+func rawRecord(intervalMs uint16, n int) []byte {
+	b := make([]byte, headerFixed+2+6*n)
+	copy(b, recordMagic)
+	b[4] = recordVersion
+	b[5], b[6] = 1, 1
+	binary.BigEndian.PutUint16(b[10:], intervalMs)
+	binary.BigEndian.PutUint32(b[12:], uint32(n))
+	b[16], b[17] = 'v', 'u'
+	return b
+}
+
+// TestDecodeRejectsRecordOverAnHour: a record covers at most an hour,
+// first sample to last, the bound maxSamples states at 50 Hz. Samples a
+// minute apart: 61 span exactly an hour and are read, 62 span 61 minutes
+// and are refused. Encode refuses what Decode would.
+func TestDecodeRejectsRecordOverAnHour(t *testing.T) {
+	if _, err := Decode(bytes.NewReader(rawRecord(60000, 61))); err != nil {
+		t.Fatalf("an hour-long record refused: %v", err)
+	}
+	if rec, err := Decode(bytes.NewReader(rawRecord(60000, 62))); err == nil {
+		t.Fatalf("a record spanning %v accepted", rec.Samples[61].At)
+	}
+	long := &Record{VideoID: "v", UserID: "u", SampleInterval: time.Minute, Samples: make([]trace.Sample, 62)}
+	if err := Encode(io.Discard, long); err == nil {
+		t.Fatal("Encode wrote a record spanning 61 minutes")
 	}
 }
 

@@ -8,12 +8,11 @@ import (
 )
 
 // taxonomySpans are the delivery-path packages that carry a typed error
-// taxonomy (dash.Error kinds, rtmp/transport sentinels). Callers there
+// taxonomy (dash.Error kinds, transport sentinels). Callers there
 // branch on errors.Is/As, so causes must stay inspectable.
 var taxonomySpans = []string{
 	"internal/dash",
 	"internal/transport",
-	"internal/rtmp",
 }
 
 // errorType is the universe's error interface.
@@ -29,10 +28,9 @@ var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Inter
 //     (var ErrX = errors.New(...)) are the taxonomy and stay legal.
 //
 // Only this checker catches a %w turned into %v on a path no test
-// drives to its error: rtmp's client-side version check ("server
-// version %d") or dash.parseMPD's XML error. The kinds the callers
-// branch on are pinned by TestOneAttemptBudgetEveryMethod (errors.As
-// to *dash.Error) and TestHandshakeRejectsWrongVersion (errors.Is).
+// drives to its error: dash.parseMPD's XML error ("parsing MPD"). The
+// kinds the callers branch on are pinned by
+// TestOneAttemptBudgetEveryMethod (errors.As to *dash.Error).
 var errTaxonomy = &analyzer{
 	Name: "errtaxonomy",
 	CheckModule: func(m *module) []diagnostic {

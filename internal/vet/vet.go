@@ -5,8 +5,8 @@
 // It keeps only the checkers that catch a defect no test fails:
 //
 //   - errtaxonomy: the delivery path wraps causes with %w and returns
-//     typed sentinels. Turning the %w in rtmp's version check or in
-//     dash.parseMPD into %v fails no test;
+//     typed sentinels. Turning the %w in dash.parseMPD's XML error
+//     into %v fails no test;
 //   - obsdiscipline: metrics instruments and wall clocks come from the
 //     obs constructors, never struct literals. A dash.Server built on
 //     &obs.Wall{} in place of obs.NewWall() fails no test.
