@@ -26,9 +26,14 @@ type Heatmap struct {
 	center []sphere.Orientation
 }
 
+// Probes is how many views of each session BuildHeatmap asks vp about
+// per interval, evenly spaced from the interval's start.
+const Probes = 4
+
 // BuildHeatmap aggregates a set of sessions (head traces of different
 // users watching the same video through the viewport vp) into a heatmap
-// over vp's grid. Intervals are [i·chunkDur, (i+1)·chunkDur).
+// over vp's grid. Intervals are [i·chunkDur, (i+1)·chunkDur). Its cost
+// is intervals × sessions × Probes viewport queries.
 func BuildHeatmap(vp tiling.Viewport, chunkDur, videoDur time.Duration, sessions []*trace.HeadTrace) *Heatmap {
 	g := vp.Grid()
 	n := int(videoDur / chunkDur)
@@ -47,27 +52,28 @@ func BuildHeatmap(vp tiling.Viewport, chunkDur, videoDur time.Duration, sessions
 	if len(sessions) == 0 {
 		return h
 	}
-	const probes = 4 // view samples per interval per session
-	// seen marks the tiles already counted for one session in one interval.
+	// seen marks the tiles one session's probes cover in one interval;
+	// counts[tile] is how many sessions' probes covered it.
 	seen := make([]bool, g.Tiles())
+	counts := make([]int, g.Tiles())
 	for i := 0; i < n; i++ {
 		start := time.Duration(i) * chunkDur
 		var sumVec sphere.Vec3
-		counts := make([]int, g.Tiles())
+		clear(counts)
 		for _, s := range sessions {
 			clear(seen)
-			for k := 0; k < probes; k++ {
-				ts := start + time.Duration(k)*chunkDur/probes
+			for k := 0; k < Probes; k++ {
+				ts := start + time.Duration(k)*chunkDur/Probes
 				view := s.At(ts)
 				d := view.Direction()
 				sumVec.X += d.X
 				sumVec.Y += d.Y
 				sumVec.Z += d.Z
-				for _, id := range vp.Visible(view) {
-					if !seen[id] {
-						seen[id] = true
-						counts[id]++
-					}
+				vp.Mark(view, seen)
+			}
+			for tile, in := range seen {
+				if in {
+					counts[tile]++
 				}
 			}
 		}

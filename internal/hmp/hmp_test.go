@@ -269,6 +269,19 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
+// TestBuildHeatmapAllocs: one interval of one session costs the
+// heatmap's own tables and the two per-build scratch sets; its Probes
+// viewport queries mark into one of them and allocate nothing.
+func TestBuildHeatmapAllocs(t *testing.T) {
+	vp := tiling.NewViewport(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV)
+	sessions := []*trace.HeadTrace{steadyYawTrace(25, 2*time.Second)}
+	// The Heatmap, prob and its one row, center, seen, counts.
+	const budget = 6
+	if n := testing.AllocsPerRun(100, func() { BuildHeatmap(vp, 2*time.Second, 2*time.Second, sessions) }); n > budget {
+		t.Fatalf("BuildHeatmap of one interval and one session allocates %.0f objects, want at most %d", n, budget)
+	}
+}
+
 func TestHeatmapEmptySessions(t *testing.T) {
 	h := BuildHeatmap(tiling.NewViewport(tiling.GridPrototype, sphere.Equirectangular{}, sphere.DefaultFoV),
 		2*time.Second, 10*time.Second, nil)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -19,7 +20,8 @@ import (
 // selection and long-horizon prediction.
 //
 //	POST /t/{video}                      body: one encoded Record
-//	GET  /t/{video}/heatmap?chunkms=2000 response: JSON tile probabilities
+//	GET  /t/{video}/heatmap?chunkms=2000 response: JSON tile probabilities,
+//	                                     400 past maxHeatmapProbes
 //	GET  /t/{video}/stats                response: JSON session count etc.
 //
 // Safe for concurrent use.
@@ -88,15 +90,38 @@ func (c *Collector) sessions(videoID string) int {
 	return len(c.traces[videoID])
 }
 
+// maxHeatmapProbes bounds the viewport queries one heatmap may cost:
+// intervals × stored sessions × hmp.Probes. On a 2-core box a GET at the
+// cap took 7.2 s of CPU with every view aimed at a tile corner, the
+// costliest view (a ninth of its lattice takes the exact expression);
+// before the cap a thousand hour-long sessions at chunkms=20 would have
+// cost about two CPU-hours. A full store of a thousand sessions is
+// served up to 262 intervals: a ten-minute video at chunkms=2300.
+const maxHeatmapProbes = 1 << 20
+
+// errTooManyProbes is heatmapInput's refusal of a heatmap over the cap.
+var errTooManyProbes = errors.New("telemetry: heatmap exceeds the probe cap")
+
 // heatmap aggregates the stored sessions of a video into a crowd
-// heatmap over the given chunking. Returns an error when no telemetry
-// exists.
+// heatmap over the given chunking, or returns heatmapInput's error.
 func (c *Collector) heatmap(videoID string, chunkDur, videoDur time.Duration) (*hmp.Heatmap, error) {
+	sessions, videoDur, err := c.heatmapInput(videoID, chunkDur, videoDur)
+	if err != nil {
+		return nil, err
+	}
+	return hmp.BuildHeatmap(tiling.NewViewport(c.Grid, c.Projection, c.FoV), chunkDur, videoDur, sessions), nil
+}
+
+// heatmapInput returns the stored sessions of a video and the span a
+// heatmap of them covers: videoDur, or the longest session when
+// videoDur ≤ 0. It refuses, before anything is built, a video with no
+// sessions and a heatmap of more than maxHeatmapProbes queries.
+func (c *Collector) heatmapInput(videoID string, chunkDur, videoDur time.Duration) ([]*trace.HeadTrace, time.Duration, error) {
 	c.mu.RLock()
 	sessions := append([]*trace.HeadTrace(nil), c.traces[videoID]...)
 	c.mu.RUnlock()
 	if len(sessions) == 0 {
-		return nil, fmt.Errorf("telemetry: no sessions for video %q", videoID)
+		return nil, 0, fmt.Errorf("telemetry: no sessions for video %q", videoID)
 	}
 	if videoDur <= 0 {
 		for _, s := range sessions {
@@ -105,7 +130,12 @@ func (c *Collector) heatmap(videoID string, chunkDur, videoDur time.Duration) (*
 			}
 		}
 	}
-	return hmp.BuildHeatmap(tiling.NewViewport(c.Grid, c.Projection, c.FoV), chunkDur, videoDur, sessions), nil
+	intervals := int64((videoDur + chunkDur - 1) / chunkDur)
+	if probes := intervals * int64(len(sessions)) * hmp.Probes; probes > maxHeatmapProbes {
+		return nil, 0, fmt.Errorf("%w: %d intervals × %d sessions × %d probes = %d, cap %d; raise chunkms",
+			errTooManyProbes, intervals, len(sessions), hmp.Probes, probes, maxHeatmapProbes)
+	}
+	return sessions, videoDur, nil
 }
 
 func (c *Collector) init() {
@@ -158,6 +188,10 @@ const (
 	maxChunkMs = int64(maxSpan / time.Millisecond)
 )
 
+// handleHeatmap answers a heatmap at chunkms (default 2000): 404 for a
+// video with no sessions, 400 for chunkms outside minChunkMs..maxChunkMs
+// or a heatmap of more than maxHeatmapProbes viewport queries, which is
+// refused before it is built.
 func (c *Collector) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	videoID := r.PathValue("video")
 	chunkMs := int64(2000)
@@ -171,7 +205,11 @@ func (c *Collector) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	}
 	heat, err := c.heatmap(videoID, time.Duration(chunkMs)*time.Millisecond, 0)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		status := http.StatusNotFound
+		if errors.Is(err, errTooManyProbes) {
+			status = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	resp := HeatmapResponse{

@@ -3,12 +3,16 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"sperke/internal/hmp"
 	"sperke/internal/sphere"
 	"sperke/internal/tiling"
 	"sperke/internal/trace"
@@ -156,6 +160,61 @@ func TestCollectorHeatmapChunkmsBounds(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("chunkms=%s: status %d, want %d", tc.chunkms, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// capCollector stores n sessions of two samples spanning capIntervals
+// intervals of capChunk: at n = capSessions, a heatmap of them at
+// capChunk costs exactly maxHeatmapProbes viewport queries.
+const (
+	capChunk     = 200 * time.Millisecond
+	capIntervals = 1 << 14 // 54.6 minutes: within a record's hour
+	capSessions  = maxHeatmapProbes / (capIntervals * hmp.Probes)
+)
+
+func capCollector(t *testing.T, n int) *Collector {
+	t.Helper()
+	if capSessions*capIntervals*hmp.Probes != maxHeatmapProbes {
+		t.Fatalf("%d sessions × %d intervals × %d probes miss the cap %d", capSessions, capIntervals, hmp.Probes, maxHeatmapProbes)
+	}
+	c := testCollector()
+	for i := 0; i < n; i++ {
+		rec := &Record{VideoID: "v", UserID: fmt.Sprint("u", i), Samples: []trace.Sample{{}, {At: capIntervals * capChunk}}}
+		if err := c.ingest(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// TestCollectorHeatmapAtProbeCap: a heatmap of exactly maxHeatmapProbes
+// queries is admitted. Building it is seconds of CPU on the Go loop, so
+// the test stops at the admission, which is all the cap decides.
+func TestCollectorHeatmapAtProbeCap(t *testing.T) {
+	c := capCollector(t, capSessions)
+	sessions, span, err := c.heatmapInput("v", capChunk, 0)
+	if err != nil || len(sessions) != capSessions || span != capIntervals*capChunk {
+		t.Fatalf("heatmapInput at the cap: %d sessions over %v, %v; want %d over %v, admitted", len(sessions), span, err, capSessions, capIntervals*capChunk)
+	}
+}
+
+// TestCollectorHeatmapOverProbeCap: one session more and the GET is a
+// 400 naming the cap, answered before anything is built.
+func TestCollectorHeatmapOverProbeCap(t *testing.T) {
+	c := capCollector(t, capSessions+1)
+	if _, _, err := c.heatmapInput("v", capChunk, 0); !errors.Is(err, errTooManyProbes) {
+		t.Fatalf("heatmapInput over the cap: %v, want errTooManyProbes", err)
+	}
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/t/v/heatmap?chunkms=" + fmt.Sprint(capChunk.Milliseconds()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte(fmt.Sprint("cap ", maxHeatmapProbes))) {
+		t.Fatalf("over the cap: status %d %q, want 400 naming the cap", resp.StatusCode, body)
 	}
 }
 

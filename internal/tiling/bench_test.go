@@ -2,8 +2,10 @@ package tiling
 
 import (
 	"testing"
+	"time"
 
 	"sperke/internal/sphere"
+	"sperke/internal/trace"
 )
 
 // queryGrids are the grids a viewport query is budgeted and timed on,
@@ -20,14 +22,22 @@ var queryGrids = []struct {
 
 // visibleQuery is one query of a viewport built once, as a session asks
 // it. TestViewportVisibleAllocs holds it to queryGrids' budgets;
-// BenchmarkVisibleTiles times it. One view asked over and over trains
-// the branch predictor: the timing flatters a kernel whose control flow
-// follows the borders (it sold a sweep at 0.50× that head traces ran at
-// 0.79×), so a wall-clock claim goes through bench/'s viewer_sim.
+// BenchmarkVisibleTiles times it. Successive calls walk the views of one
+// drawn head trace, 20 ms apart, as a session's do: one view asked over
+// and over trains the branch predictor and flatters a path whose
+// control flow follows the borders (it sold a sweep at 0.50× that head
+// traces ran at 0.79×). A wall-clock claim still goes through bench/'s
+// viewer_sim.
 func visibleQuery(g Grid) func() {
 	vp := NewViewport(g, sphere.Equirectangular{}, sphere.DefaultFoV)
-	view := sphere.Orientation{Yaw: 42, Pitch: 17}
-	return func() { vp.Visible(view) }
+	head := trace.Draw(1, 61, trace.UserProfile{SpeedScale: 1}, 60*time.Second)
+	n := 0
+	return func() {
+		vp.Visible(head.Samples[n].View)
+		if n++; n == len(head.Samples) {
+			n = 0
+		}
+	}
 }
 
 func BenchmarkVisibleTiles(b *testing.B) {

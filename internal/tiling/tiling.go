@@ -15,6 +15,7 @@ package tiling
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"sperke/internal/sphere"
@@ -236,33 +237,94 @@ func (vp *Viewport) appendVisible(dst []TileID, view sphere.Orientation) ([]Tile
 // mark is Mark on a grid its caller has validated, plus the number of
 // samples whose tile came from the exact expression (all of them off
 // the equirectangular projection), which the tests read to show the
-// guard band is in use.
+// guard band is in use. Where the lattice kernel runs (markLattice:
+// a classifying viewport, at most 64 tiles, a CPU that has it) its
+// answer is the loop's, mask for mask and count for count.
 func (vp *Viewport) mark(view sphere.Orientation, set []bool) (exact int) {
-	g := vp.g
-	sinRoll, cosRoll := sincos(view.Roll)
-	sinPitch, cosPitch := sincos(view.Pitch)
-	sinYaw, cosYaw := sincos(view.Yaw)
+	r := newRotation(view)
+	if vectorMark && vp.classify && vp.g.Tiles() <= 64 {
+		return vp.markKernel(&r, set)
+	}
+	return vp.markLoop(&r, set)
+}
+
+// markLoop is mark one sample at a time: the reference for the kernel
+// and the only path for other grids, projections and CPUs.
+func (vp *Viewport) markLoop(r *rotation, set []bool) (exact int) {
 	for i := 0; i < fovSamples; i++ {
 		for j := 0; j < fovSamples; j++ {
-			// The direction at view-space angles (hx_i, hy_j), rotated
-			// into world space by roll, pitch, yaw (the inverse order of
-			// sphere.angleInView).
-			d := sphere.Vec3{X: vp.cosY[j] * vp.sinX[i], Y: vp.sinY[j], Z: vp.cosY[j] * vp.cosX[i]}
-			d = rotZ(d, sinRoll, cosRoll)
-			d = rotX(d, sinPitch, cosPitch)
-			d = rotY(d, sinYaw, cosYaw)
+			d := vp.direction(r, i, j)
 			id, ok := TileID(0), false
 			if vp.classify {
 				id, ok = vp.b.tileOf(d)
 			}
 			if !ok {
-				id = g.tileAt(vp.p.Forward(sphere.FromDirection(d)))
+				id = vp.exactTile(d)
 				exact++
 			}
 			set[id] = true
 		}
 	}
 	return exact
+}
+
+// markGroups is the number of eight-lane groups markLattice covers the
+// lattice in (latticeSample): 17 rows of two groups, and the last column
+// in three, the third of one lane.
+const markGroups = 2*fovSamples + 3
+
+// latticeSample is the lattice sample (i, j) in lane lane of group g.
+func latticeSample(g, lane int) (i, j int) {
+	if g < 2*fovSamples {
+		return g / 2, g%2*8 + lane
+	}
+	return (g-2*fovSamples)*8 + lane, fovSamples - 1
+}
+
+// markKernel is mark by markLattice: the tiles it classified are set
+// from its mask, and every lane it handed back — not provably inside
+// one tile — from the loop's exact expression on the loop's direction.
+func (vp *Viewport) markKernel(r *rotation, set []bool) (exact int) {
+	var handed [markGroups]uint8
+	for tiles := markLattice(vp, r, &handed); tiles != 0; tiles &= tiles - 1 {
+		set[bits.TrailingZeros64(tiles)] = true
+	}
+	for g, lanes := range handed {
+		for ; lanes != 0; lanes &= lanes - 1 {
+			i, j := latticeSample(g, bits.TrailingZeros8(lanes))
+			set[vp.exactTile(vp.direction(r, i, j))] = true
+			exact++
+		}
+	}
+	return exact
+}
+
+// rotation holds the sines and cosines of a view's roll, pitch and yaw:
+// all the trigonometry a query costs.
+type rotation struct {
+	sinRoll, cosRoll, sinPitch, cosPitch, sinYaw, cosYaw float64
+}
+
+func newRotation(view sphere.Orientation) (r rotation) {
+	r.sinRoll, r.cosRoll = sincos(view.Roll)
+	r.sinPitch, r.cosPitch = sincos(view.Pitch)
+	r.sinYaw, r.cosYaw = sincos(view.Yaw)
+	return r
+}
+
+// direction is lattice sample (i, j): the direction at view-space
+// angles (hx_i, hy_j), rotated into world space by roll, pitch, yaw
+// (the inverse order of sphere.angleInView).
+func (vp *Viewport) direction(r *rotation, i, j int) sphere.Vec3 {
+	d := sphere.Vec3{X: vp.cosY[j] * vp.sinX[i], Y: vp.sinY[j], Z: vp.cosY[j] * vp.cosX[i]}
+	d = rotZ(d, r.sinRoll, r.cosRoll)
+	d = rotX(d, r.sinPitch, r.cosPitch)
+	return rotY(d, r.sinYaw, r.cosYaw)
+}
+
+// exactTile is the tile under direction d by the exact expression.
+func (vp *Viewport) exactTile(d sphere.Vec3) TileID {
+	return vp.g.tileAt(vp.p.Forward(sphere.FromDirection(d)))
 }
 
 // guard is the margin δ a direction must keep from every tile border it
