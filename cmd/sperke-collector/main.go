@@ -31,11 +31,7 @@ func main() {
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	c := telemetry.NewCollector(
-		tiling.Grid{Rows: *rows, Cols: *cols},
-		sphere.Equirectangular{},
-		sphere.DefaultFoV,
-	)
+	c := telemetry.NewCollector(tiling.Grid{Rows: *rows, Cols: *cols}, sphere.DefaultFoV)
 	c.MaxSessionsPerVideo = *maxSessions
 
 	srv := dash.NewHTTPServer(c)

@@ -115,7 +115,7 @@ func run(ctx context.Context, args []string) error {
 					// recipe), so the pre-warm tier sees the correlation
 					// §3.2 measures on real crowds.
 					heat := hmp.BuildHeatmap(
-						tiling.NewViewport(video.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
+						tiling.NewViewport(video.Grid, sphere.DefaultFoV),
 						video.ChunkDuration, video.Duration,
 						serve.SessionTraces(serve.EngineConfig{
 							Video: video, Sessions: *sessions, BaseSeed: *seed,

@@ -70,7 +70,7 @@ func main() {
 			Duration:       *dur,
 			ChunkDuration:  *chunk,
 			Grid:           tiling.GridPrototype,
-			ProjectionName: "cubemap",
+			ProjectionName: "equirectangular",
 			Ladder:         media.LiveLadder,
 			Encoding:       media.EncodingAVC,
 		},

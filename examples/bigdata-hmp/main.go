@@ -42,7 +42,7 @@ func main() {
 	att := trace.GenerateAttention(rand.New(rand.NewSource(4)), dur)
 	pop := trace.NewPopulation(rng, 25)
 	sessions := pop.Sessions(rng, att, dur)
-	heat := hmp.BuildHeatmap(tiling.NewViewport(video.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
+	heat := hmp.BuildHeatmap(tiling.NewViewport(video.Grid, sphere.DefaultFoV),
 		video.ChunkDuration, video.Duration, sessions)
 	fmt.Printf("heatmap built from %d sessions, %d intervals\n", len(sessions), heat.Intervals())
 	top := heat.TopTiles(10*time.Second, 3)

@@ -42,7 +42,7 @@ func main() {
 	_ = rng
 
 	// The crowd heatmap tells the planner where the audience looks.
-	heat := live.LiveHeatmap(tiling.NewViewport(tiling.GridPrototype, sphere.Equirectangular{}, sphere.DefaultFoV),
+	heat := live.LiveHeatmap(tiling.NewViewport(tiling.GridPrototype, sphere.DefaultFoV),
 		2*time.Second, dur, viewers)
 	crowdCenter := heat.CrowdCenter(15 * time.Second)
 	fmt.Printf("crowd center at t=15s: %v\n\n", crowdCenter)

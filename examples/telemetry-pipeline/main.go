@@ -29,7 +29,7 @@ import (
 
 func main() {
 	// 1. The collector service (cmd/sperke-collector in deployment).
-	collector := telemetry.NewCollector(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV)
+	collector := telemetry.NewCollector(tiling.GridCellular, sphere.DefaultFoV)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
@@ -95,16 +95,15 @@ func main() {
 	// 4. The player reconstructs a usable heatmap from the JSON and lets
 	//    it plan OOS fetching for the next session.
 	heat, err := hmp.HeatmapFromProbabilities(
-		tiling.Grid{Rows: hm.Rows, Cols: hm.Cols}, sphere.Equirectangular{},
+		tiling.Grid{Rows: hm.Rows, Cols: hm.Cols},
 		time.Duration(hm.ChunkMs)*time.Millisecond, hm.Prob)
 	if err != nil {
 		panic(err)
 	}
 	view := heat.CrowdCenter(time.Duration(mid) * 2 * time.Second)
-	fovTiles := tiling.VisibleTiles(tiling.GridCellular, sphere.Equirectangular{}, view, sphere.DefaultFoV)
+	fovTiles := tiling.VisibleTiles(tiling.GridCellular, view, sphere.DefaultFoV)
 	plan := abr.PlanOOS(abr.OOSInput{
 		Grid:       tiling.GridCellular,
-		Projection: sphere.Equirectangular{},
 		FoVTiles:   fovTiles,
 		FoVQuality: 4,
 		Prediction: hmp.Prediction{View: view, Radius: 40},

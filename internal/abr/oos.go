@@ -52,8 +52,7 @@ func (p OOSPolicy) drop() int {
 
 // OOSInput gathers what OOS planning consumes.
 type OOSInput struct {
-	Grid       tiling.Grid
-	Projection sphere.Projection
+	Grid tiling.Grid
 	// FoVTiles is the super chunk's tile set (already planned at FoVQuality).
 	FoVTiles   []tiling.TileID
 	FoVQuality int
@@ -145,7 +144,7 @@ func PlanOOS(in OOSInput, pol OOSPolicy) []TileQuality {
 			if in.SpeedBound > 0 && in.TimeToPlay > 0 {
 				// Prune tiles whose centers the user cannot reach in time.
 				reach := in.SpeedBound*in.TimeToPlay.Seconds() + in.FoV.Width/2
-				d := sphere.AngularDistance(in.Prediction.View, in.Grid.Center(id, in.Projection))
+				d := sphere.AngularDistance(in.Prediction.View, in.Grid.Center(id))
 				if d > reach {
 					continue
 				}

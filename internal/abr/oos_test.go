@@ -16,12 +16,10 @@ import (
 func testOOSInput(t testing.TB, radius float64) OOSInput {
 	t.Helper()
 	g := tiling.GridCellular
-	p := sphere.Equirectangular{}
 	view := sphere.Orientation{}
-	fovTiles := tiling.VisibleTiles(g, p, view, sphere.DefaultFoV)
+	fovTiles := tiling.VisibleTiles(g, view, sphere.DefaultFoV)
 	return OOSInput{
 		Grid:       g,
-		Projection: p,
 		FoVTiles:   fovTiles,
 		FoVQuality: 4,
 		Prediction: hmp.Prediction{View: view, Radius: radius},
@@ -132,7 +130,6 @@ func TestPlanOOSProbabilitiesDescend(t *testing.T) {
 func TestPlanOOSHeatmapPrunesAndPromotes(t *testing.T) {
 	// Build a heatmap where everyone looks forward (yaw 0).
 	g := tiling.GridCellular
-	p := sphere.Equirectangular{}
 	var sessions []*trace.HeadTrace
 	for i := 0; i < 8; i++ {
 		h := &trace.HeadTrace{}
@@ -141,7 +138,7 @@ func TestPlanOOSHeatmapPrunesAndPromotes(t *testing.T) {
 		}
 		sessions = append(sessions, h)
 	}
-	heat := hmp.BuildHeatmap(tiling.NewViewport(g, p, sphere.DefaultFoV), 2*time.Second, 10*time.Second, sessions)
+	heat := hmp.BuildHeatmap(tiling.NewViewport(g, sphere.DefaultFoV), 2*time.Second, 10*time.Second, sessions)
 
 	in := testOOSInput(t, 120)
 	in.Heatmap = heat

@@ -23,13 +23,12 @@ func scVideo() *media.Video {
 
 func TestBuildSuperChunkCoversFoV(t *testing.T) {
 	g := tiling.GridCellular
-	p := sphere.Equirectangular{}
 	pred := hmp.Prediction{View: sphere.Orientation{Yaw: 45}, Radius: 10}
-	sc := BuildSuperChunk(tiling.NewViewport(g, p, sphere.DefaultFoV), pred, 3, 2*time.Second, nil)
+	sc := BuildSuperChunk(tiling.NewViewport(g, sphere.DefaultFoV), pred, 3, 2*time.Second, nil)
 	if sc.Interval != 3 || sc.Start != 6*time.Second {
 		t.Fatalf("interval/start %d/%v", sc.Interval, sc.Start)
 	}
-	want := tiling.VisibleTiles(g, p, pred.View, sphere.DefaultFoV)
+	want := tiling.VisibleTiles(g, pred.View, sphere.DefaultFoV)
 	if len(sc.Tiles) != len(want) {
 		t.Fatalf("tiles %d, want %d", len(sc.Tiles), len(want))
 	}
@@ -40,7 +39,7 @@ func TestBuildSuperChunkCoversFoV(t *testing.T) {
 
 func TestSuperChunkSizeMatchesTileSum(t *testing.T) {
 	v := scVideo()
-	sc := BuildSuperChunk(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
+	sc := BuildSuperChunk(tiling.NewViewport(v.Grid, sphere.DefaultFoV),
 		hmp.Prediction{}, 2, v.ChunkDuration, nil)
 	var sum int64
 	for _, id := range sc.Tiles {
@@ -55,7 +54,7 @@ func TestSuperChunkSmallerThanPanorama(t *testing.T) {
 	// The point of the construction: a super chunk is the FoV cover, not
 	// the sphere.
 	v := scVideo()
-	sc := BuildSuperChunk(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
+	sc := BuildSuperChunk(tiling.NewViewport(v.Grid, sphere.DefaultFoV),
 		hmp.Prediction{}, 0, v.ChunkDuration, nil)
 	if sc.SizeAt(v, 4) >= v.PanoramaBytes(4, 0) {
 		t.Fatal("super chunk not smaller than the panorama")

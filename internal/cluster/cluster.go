@@ -19,7 +19,7 @@
 // hot node's overflow cannot cascade through its peers. Membership is
 // live — AddNode/RemoveNode under load — and node crashes and
 // recoveries can be scripted through faults.Plan node-outage events
-// (Cluster implements faults.NodeTarget).
+// (a Cluster is the target faults.Plan.ApplyNodes drives).
 package cluster
 
 import (
@@ -92,8 +92,8 @@ func (m *membership) without(name string) *membership {
 // Cluster is the router: it ranks edges per key, skips the ones the
 // health layer has declared down, warms the key's co-owners when R>1,
 // and falls back to the origin when no edge answers. It implements
-// dash.ChunkSource and dash.ChunkStreamer (the front door) and
-// faults.NodeTarget (scripted outages).
+// dash.ChunkSource and dash.ChunkStreamer (the front door), and it is
+// a target for faults.Plan.ApplyNodes (scripted outages).
 type Cluster struct {
 	origin dash.ChunkSource
 	front  *dash.Server
@@ -552,7 +552,7 @@ func wallSleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// NodeNames implements faults.NodeTarget.
+// NodeNames lists the member nodes, for faults.Plan.ApplyNodes.
 func (c *Cluster) NodeNames() []string {
 	m := c.mem.Load()
 	out := make([]string, len(m.ids))
@@ -560,18 +560,19 @@ func (c *Cluster) NodeNames() []string {
 	return out
 }
 
-// KillNode implements faults.NodeTarget: crash the named node (cache
-// dropped, listener closed, every request denied) until RecoverNode.
-// Unknown names are ignored so wildcard plans stay forgiving.
+// KillNode is the outage faults.Plan.ApplyNodes arms: crash the named
+// node (cache dropped, listener closed, every request denied) until
+// RecoverNode. Unknown names are ignored so wildcard plans stay
+// forgiving.
 func (c *Cluster) KillNode(name string) {
 	if n := c.mem.Load().byID[name]; n != nil {
 		n.kill()
 	}
 }
 
-// RecoverNode implements faults.NodeTarget: restart the named node
-// cold. The health layer still holds it down until probes or traffic
-// re-admit it.
+// RecoverNode is the recovery faults.Plan.ApplyNodes arms: restart the
+// named node cold. The health layer still holds it down until probes or
+// traffic re-admit it.
 func (c *Cluster) RecoverNode(name string) {
 	if n := c.mem.Load().byID[name]; n != nil {
 		n.recover()

@@ -51,10 +51,9 @@ func (m StreamMode) String() string {
 
 // Config describes one streaming session.
 type Config struct {
-	Video      *media.Video
-	Projection sphere.Projection
-	FoV        sphere.FoV
-	Mode       StreamMode
+	Video *media.Video
+	FoV   sphere.FoV
+	Mode  StreamMode
 	// Algorithm is the regular VRA applied to super chunks (§3.1.2 part
 	// one); nil defaults to Throughput.
 	Algorithm abr.Algorithm
@@ -102,9 +101,6 @@ func (c *Config) withDefaults() error {
 	}
 	if err := c.Video.Validate(); err != nil {
 		return err
-	}
-	if c.Projection == nil {
-		c.Projection = sphere.Equirectangular{}
 	}
 	if c.FoV == (sphere.FoV{}) {
 		c.FoV = sphere.DefaultFoV
@@ -229,7 +225,7 @@ func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched trans
 		cfg:         cfg,
 		head:        head,
 		sched:       sched,
-		view:        tiling.NewViewport(cfg.Video.Grid, cfg.Projection, cfg.FoV),
+		view:        tiling.NewViewport(cfg.Video.Grid, cfg.FoV),
 		est:         &netem.HarmonicMean{},
 		predictor:   cfg.NewPredictor(),
 		state:       make([]tileState, cells),
@@ -476,7 +472,6 @@ func (s *Session) planInterval(i int, deadline time.Duration) {
 		}
 		plan := abr.PlanOOS(abr.OOSInput{
 			Grid:       v.Grid,
-			Projection: s.cfg.Projection,
 			FoVTiles:   sc.Tiles,
 			FoVQuality: q,
 			Prediction: pred,

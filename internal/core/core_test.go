@@ -214,7 +214,7 @@ func TestCrowdHeatmapReducesFetchVolume(t *testing.T) {
 	att := trace.GenerateAttention(rand.New(rand.NewSource(522)), dur)
 	pop := trace.NewPopulation(rng, 10)
 	sessions := pop.Sessions(rng, att, dur)
-	heat := hmp.BuildHeatmap(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
+	heat := hmp.BuildHeatmap(tiling.NewViewport(v.Grid, sphere.DefaultFoV),
 		v.ChunkDuration, v.Duration, sessions)
 
 	// The viewer watches the same video (same attention schedule).
@@ -434,7 +434,7 @@ func TestKitchenSinkLongSession(t *testing.T) {
 	att := trace.GenerateAttention(rand.New(rand.NewSource(98)), dur)
 	pop := trace.NewPopulation(rand.New(rand.NewSource(97)), 8)
 	sessions := pop.Sessions(rand.New(rand.NewSource(96)), att, dur)
-	heat := hmp.BuildHeatmap(tiling.NewViewport(v.Grid, sphere.Equirectangular{}, sphere.DefaultFoV),
+	heat := hmp.BuildHeatmap(tiling.NewViewport(v.Grid, sphere.DefaultFoV),
 		v.ChunkDuration, v.Duration, sessions)
 	user := trace.UserProfile{ID: "sink", SpeedScale: 1.2}
 	head := trace.Generate(rand.New(rand.NewSource(95)), user, att, dur)

@@ -33,8 +33,8 @@ type MPD struct {
 	// Tiling geometry.
 	Rows int `xml:"tileRows,attr"`
 	Cols int `xml:"tileCols,attr"`
-	// Projection names the texture mapping ("equirectangular",
-	// "cubemap").
+	// Projection is the video's ProjectionName, an informational label:
+	// tiles are always equirectangular.
 	Projection string `xml:"projection,attr"`
 	// Encoding is "AVC" or "SVC" (§3.1.1).
 	Encoding string `xml:"encoding,attr"`

@@ -39,7 +39,7 @@ func hmpAccuracy(seed int64) *Table {
 	// Training crowd.
 	pop := trace.NewPopulation(rng, 20)
 	crowdTraces := pop.Sessions(rng, att, dur)
-	heat := hmp.BuildHeatmap(tiling.NewViewport(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV),
+	heat := hmp.BuildHeatmap(tiling.NewViewport(tiling.GridCellular, sphere.DefaultFoV),
 		2*time.Second, dur, crowdTraces)
 
 	// Held-out evaluation viewers (same video, fresh individuals).
@@ -114,9 +114,8 @@ func tileCoverage(seed int64) *Table {
 	}
 	const dur = 60 * time.Second
 	g := tiling.GridCellular
-	proj := sphere.Equirectangular{}
 	fov := sphere.DefaultFoV
-	vp := tiling.NewViewport(g, proj, fov)
+	vp := tiling.NewViewport(g, fov)
 	rng := rand.New(rand.NewSource(seed))
 	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+3)), dur)
 	pop := trace.NewPopulation(rng, 20)
@@ -152,7 +151,7 @@ func tileCoverage(seed int64) *Table {
 				chosen[id] = true
 			}
 			plan := abr.PlanOOS(abr.OOSInput{
-				Grid: g, Projection: proj, FoVTiles: fovTiles, FoVQuality: 4,
+				Grid: g, FoVTiles: fovTiles, FoVQuality: 4,
 				Prediction: forecast, FoV: fov, Heatmap: p.heat, At: at + horizon,
 			}, abr.OOSPolicy{MaxRing: 3})
 			for _, tq := range plan {

@@ -178,7 +178,7 @@ func sperkeLiveComparison(seed int64) *Table {
 		1200 * media.Kbps, 2000 * media.Kbps, 3500 * media.Kbps,
 	}
 	const dur = 2 * time.Minute
-	vp := tiling.NewViewport(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV)
+	vp := tiling.NewViewport(tiling.GridCellular, sphere.DefaultFoV)
 	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+80)), dur)
 	head := trace.Generate(rand.New(rand.NewSource(seed+81)),
 		trace.UserProfile{ID: "viewer", SpeedScale: 1}, att, dur)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"sperke/internal/media"
@@ -85,12 +86,15 @@ func size360(seed int64) *Table {
 	frac := fov.SphereFraction()
 	t.addRow("FoV share of sphere", fmt.Sprintf("%.1f%%", frac*100))
 	t.addRow("geometric ratio (sphere/FoV)", 1/frac)
-	for _, p := range []sphere.Projection{sphere.Equirectangular{}, sphere.CubeMap{}} {
-		// Stored pixels inflate by the projection's oversampling; a
-		// conventional video stores the FoV at 1:1.
-		ratio := (1 / frac) / p.PixelEfficiency() * 1.0
-		t.addRow(fmt.Sprintf("stored-pixel ratio (%s)", p.Name()), ratio)
-	}
+	// Stored pixels inflate by the projection's oversampling; a
+	// conventional video stores the FoV at 1:1. An efficiency is the mean,
+	// along one axis of the frame, of the angle a sample spans relative to
+	// the densest one: cos θ down an equirectangular meridian (2/π), and
+	// 1/(1+a²) across a face of Facebook's cube map (§2) at in-face
+	// coordinate a ∈ [-1,1], where a sample sits at angle atan a (π/4).
+	const cubeMapEfficiency = math.Pi / 4
+	t.addRow("stored-pixel ratio (equirectangular)", 1/frac/sphere.Equirectangular{}.PixelEfficiency())
+	t.addRow("stored-pixel ratio (cubemap)", 1/frac/cubeMapEfficiency)
 	// Byte-level check with the rate model: panorama bytes per chunk vs a
 	// conventional video carrying only FoV-sized content at the same
 	// pixel density.

@@ -325,8 +325,7 @@ func (f *Fusion) Predict(at time.Duration) Prediction {
 // collector's JSON heatmap endpoint, so a player can consume crowd
 // intelligence fetched over HTTP (§3.2). Crowd centers are derived as
 // the probability-weighted mean of tile center directions.
-func HeatmapFromProbabilities(g tiling.Grid, p sphere.Projection, chunkDur time.Duration,
-	prob [][]float64) (*Heatmap, error) {
+func HeatmapFromProbabilities(g tiling.Grid, chunkDur time.Duration, prob [][]float64) (*Heatmap, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -349,7 +348,7 @@ func HeatmapFromProbabilities(g tiling.Grid, p sphere.Projection, chunkDur time.
 			if pr < 0 || pr > 1 {
 				return nil, fmt.Errorf("hmp: interval %d tile %d probability %v", i, tile, pr)
 			}
-			d := g.Center(tiling.TileID(tile), p).Direction()
+			d := g.Center(tiling.TileID(tile)).Direction()
 			sum.X += d.X * pr
 			sum.Y += d.Y * pr
 			sum.Z += d.Z * pr

@@ -65,20 +65,30 @@ func (s *Static) Predict(at time.Duration) Prediction {
 	return Prediction{View: s.last.View, Radius: 5 + 20*horizon}
 }
 
+// fitWindow is the span of recent samples LinearRegression fits.
+const fitWindow = 500 * time.Millisecond
+
 // LinearRegression extrapolates yaw and pitch with a least-squares fit
 // over a sliding window of recent samples — the short-horizon technique
 // of [16, 37]. Yaw is unwrapped before fitting so the seam at ±180°
 // doesn't corrupt the slope.
 type LinearRegression struct {
-	// Window is the fit window; 0 defaults to 500 ms.
-	Window time.Duration
 	// Persistence is the motion-persistence constant τ in seconds: the
 	// predictor extrapolates at most τ seconds of motion regardless of
 	// horizon (heads pursue and stop). 0 defaults to 0.7.
 	Persistence float64
 
-	samples []trace.Sample
-	unwYaw  []float64 // unwrapped yaw parallel to samples
+	// ring holds the n samples of the last fitWindow, oldest first from
+	// ring[head], wrapping at its end; its length is a power of two.
+	ring    []fitSample
+	head, n int
+}
+
+// fitSample is an observed sample with its yaw unwrapped against the
+// sample before it.
+type fitSample struct {
+	trace.Sample
+	yaw float64
 }
 
 // Name implements Predictor.
@@ -86,39 +96,41 @@ func (l *LinearRegression) Name() string { return "linear" }
 
 // Observe implements Predictor.
 func (l *LinearRegression) Observe(s trace.Sample) {
-	w := l.Window
-	if w <= 0 {
-		w = 500 * time.Millisecond
-	}
 	// Unwrap the new yaw against the previous one.
 	yaw := s.View.Yaw
-	if n := len(l.samples); n > 0 {
-		prev := l.unwYaw[n-1]
+	if l.n > 0 {
+		prev := l.at(l.n - 1).yaw
 		delta := sphere.NormalizeYaw(yaw - sphere.NormalizeYaw(prev))
 		yaw = prev + delta
 	}
-	l.samples = append(l.samples, s)
-	l.unwYaw = append(l.unwYaw, yaw)
-	// Evict samples older than the window, compacting in place: slicing
-	// the front off would walk the window out of its backing array and
-	// reallocate it for the whole session.
-	cut := 0
-	for cut < len(l.samples) && l.samples[cut].At < s.At-w {
-		cut++
+	if l.n == len(l.ring) {
+		ring := make([]fitSample, max(8, 2*l.n))
+		for i := range l.n {
+			ring[i] = *l.at(i)
+		}
+		l.ring, l.head = ring, 0
 	}
-	if cut > 0 {
-		l.samples = l.samples[:copy(l.samples, l.samples[cut:])]
-		l.unwYaw = l.unwYaw[:copy(l.unwYaw, l.unwYaw[cut:])]
+	*l.at(l.n) = fitSample{s, yaw}
+	l.n++
+	// Evict samples older than the window by moving the head past them.
+	for l.n > 0 && l.at(0).At < s.At-fitWindow {
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.n--
 	}
+}
+
+// at returns the window's i-th sample, oldest first.
+func (l *LinearRegression) at(i int) *fitSample {
+	return &l.ring[(l.head+i)&(len(l.ring)-1)]
 }
 
 // Predict implements Predictor.
 func (l *LinearRegression) Predict(at time.Duration) Prediction {
-	n := len(l.samples)
+	n := l.n
 	if n == 0 {
 		return Prediction{Radius: 180}
 	}
-	last := l.samples[n-1]
+	last := *l.at(n - 1)
 	horizon := (at - last.At).Seconds()
 	if horizon < 0 {
 		horizon = 0
@@ -129,12 +141,13 @@ func (l *LinearRegression) Predict(at time.Duration) Prediction {
 	// Least squares on (t, yaw) and (t, pitch), t relative to the last
 	// sample to keep numbers small.
 	var sumT, sumT2, sumY, sumTY, sumP, sumTP float64
-	for i, s := range l.samples {
+	for i := range n {
+		s := l.at(i)
 		t := (s.At - last.At).Seconds()
 		sumT += t
 		sumT2 += t * t
-		sumY += l.unwYaw[i]
-		sumTY += t * l.unwYaw[i]
+		sumY += s.yaw
+		sumTY += t * s.yaw
 		sumP += s.View.Pitch
 		sumTP += t * s.View.Pitch
 	}
@@ -142,7 +155,7 @@ func (l *LinearRegression) Predict(at time.Duration) Prediction {
 	det := fn*sumT2 - sumT*sumT
 	var yawSlope, yawIc, pitchSlope, pitchIc float64
 	if math.Abs(det) < 1e-12 {
-		yawIc, pitchIc = l.unwYaw[n-1], last.View.Pitch
+		yawIc, pitchIc = last.yaw, last.View.Pitch
 	} else {
 		yawSlope = (fn*sumTY - sumT*sumY) / det
 		yawIc = (sumY - yawSlope*sumT) / fn

@@ -113,10 +113,50 @@ func TestLinearEmptyAndSingleSample(t *testing.T) {
 	}
 }
 
+// TestLinearRingIsTheWindow: after every Observe the ring holds, oldest
+// first, exactly the samples of the last 500 ms, each with the yaw the
+// unwrapping chain over the whole history gives it — what the compacted
+// slices held, so Predict sums the same terms in the same order. The
+// gaps between samples vary from 1 ms to 300 ms, so the window grows
+// past 100 samples, shrinks and wraps around the ring.
+func TestLinearRingIsTheWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var p LinearRegression
+	var history []fitSample
+	at := time.Duration(0)
+	for k := 0; k < 5000; k++ {
+		gap := 300 // half the time; the other half, bursts of 1–5 ms
+		if k%500 >= 250 {
+			gap = 5
+		}
+		at += time.Duration(1+rng.Intn(gap)) * time.Millisecond
+		s := trace.Sample{At: at, View: sphere.Orientation{Yaw: rng.Float64()*360 - 180, Pitch: rng.Float64()*180 - 90}}
+		yaw := s.View.Yaw
+		if k > 0 {
+			prev := history[k-1].yaw
+			yaw = prev + sphere.NormalizeYaw(yaw-sphere.NormalizeYaw(prev))
+		}
+		history = append(history, fitSample{s, yaw})
+		p.Observe(s)
+		first := k
+		for first > 0 && history[first-1].At >= at-fitWindow {
+			first--
+		}
+		if p.n != k+1-first {
+			t.Fatalf("sample %d: the ring holds %d samples, the window %d", k, p.n, k+1-first)
+		}
+		for i := range p.n {
+			if got := *p.at(i); got != history[first+i] {
+				t.Fatalf("sample %d: ring[%d] = %+v, want %+v", k, i, got, history[first+i])
+			}
+		}
+	}
+}
+
 // TestLinearObserveSteadyStateAllocs pins the in-place eviction: once
-// the window's backing arrays have grown to fit it, Observe allocates
-// nothing, and the window still holds exactly the last 500 ms — the
-// prediction equals a fresh predictor's that saw only those samples.
+// the window's ring has grown to fit it, Observe allocates nothing and
+// keeps the ring, and the window still holds exactly the last 500 ms —
+// the prediction equals a fresh predictor's that saw only those samples.
 func TestLinearObserveSteadyStateAllocs(t *testing.T) {
 	h := steadyYawTrace(25, 10*time.Second)
 	var p LinearRegression
@@ -125,16 +165,16 @@ func TestLinearObserveSteadyStateAllocs(t *testing.T) {
 		p.Observe(s)
 	}
 	next := warm
-	window, yaws := &p.samples[0], &p.unwYaw[0]
+	ring := &p.ring[0]
 	allocs := testing.AllocsPerRun(300, func() {
 		p.Observe(h.Samples[next])
 		next++
 	})
-	// AllocsPerRun rounds down, and a window sliding off its array
-	// reallocates only every few dozen calls: also hold it in place.
-	if allocs != 0 || &p.samples[0] != window || &p.unwYaw[0] != yaws {
-		t.Fatalf("Observe in steady state: %v allocs per call, window moved: %v — want 0 and false",
-			allocs, &p.samples[0] != window || &p.unwYaw[0] != yaws)
+	// AllocsPerRun rounds down, and a ring regrown every few dozen calls
+	// would pass it: also hold the ring in place.
+	if allocs != 0 || &p.ring[0] != ring {
+		t.Fatalf("Observe in steady state: %v allocs per call, ring moved: %v — want 0 and false",
+			allocs, &p.ring[0] != ring)
 	}
 	last := h.Samples[next-1]
 	var fresh LinearRegression
@@ -157,7 +197,7 @@ func buildTestHeatmap(t testing.TB, nUsers int) (*Heatmap, []*trace.HeadTrace, *
 	att := trace.GenerateAttention(rand.New(rand.NewSource(22)), 30*time.Second)
 	pop := trace.NewPopulation(rng, nUsers)
 	sessions := pop.Sessions(rng, att, 30*time.Second)
-	h := BuildHeatmap(tiling.NewViewport(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV),
+	h := BuildHeatmap(tiling.NewViewport(tiling.GridCellular, sphere.DefaultFoV),
 		2*time.Second, 30*time.Second, sessions)
 	return h, sessions, att
 }
@@ -250,7 +290,7 @@ func TestHeatmapTopTilesAtMatchesTopTiles(t *testing.T) {
 	if h.TopTilesAt(0, 0) != nil {
 		t.Fatal("TopTilesAt(k=0) not nil")
 	}
-	empty := BuildHeatmap(tiling.NewViewport(tiling.GridPrototype, sphere.Equirectangular{}, sphere.DefaultFoV),
+	empty := BuildHeatmap(tiling.NewViewport(tiling.GridPrototype, sphere.DefaultFoV),
 		2*time.Second, 10*time.Second, nil)
 	if empty.TopTilesAt(0, 3) != nil {
 		t.Fatal("empty heatmap TopTilesAt not nil")
@@ -273,7 +313,7 @@ func equalInts(a, b []int) bool {
 // heatmap's own tables and the two per-build scratch sets; its Probes
 // viewport queries mark into one of them and allocate nothing.
 func TestBuildHeatmapAllocs(t *testing.T) {
-	vp := tiling.NewViewport(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV)
+	vp := tiling.NewViewport(tiling.GridCellular, sphere.DefaultFoV)
 	sessions := []*trace.HeadTrace{steadyYawTrace(25, 2*time.Second)}
 	// The Heatmap, prob and its one row, center, seen, counts.
 	const budget = 6
@@ -283,7 +323,7 @@ func TestBuildHeatmapAllocs(t *testing.T) {
 }
 
 func TestHeatmapEmptySessions(t *testing.T) {
-	h := BuildHeatmap(tiling.NewViewport(tiling.GridPrototype, sphere.Equirectangular{}, sphere.DefaultFoV),
+	h := BuildHeatmap(tiling.NewViewport(tiling.GridPrototype, sphere.DefaultFoV),
 		2*time.Second, 10*time.Second, nil)
 	if h.Probability(0, 0) != 0 {
 		t.Fatal("empty heatmap has nonzero probability")
@@ -423,7 +463,7 @@ func TestHeatmapFromProbabilitiesRoundTrip(t *testing.T) {
 		}
 		prob[i] = row
 	}
-	back, err := HeatmapFromProbabilities(orig.Grid, sphere.Equirectangular{}, orig.ChunkDur, prob)
+	back, err := HeatmapFromProbabilities(orig.Grid, orig.ChunkDur, prob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,17 +494,16 @@ func TestHeatmapFromProbabilitiesRoundTrip(t *testing.T) {
 
 func TestHeatmapFromProbabilitiesValidation(t *testing.T) {
 	g := tiling.GridPrototype
-	p := sphere.Equirectangular{}
-	if _, err := HeatmapFromProbabilities(tiling.Grid{}, p, time.Second, nil); err == nil {
+	if _, err := HeatmapFromProbabilities(tiling.Grid{}, time.Second, nil); err == nil {
 		t.Fatal("invalid grid accepted")
 	}
-	if _, err := HeatmapFromProbabilities(g, p, 0, nil); err == nil {
+	if _, err := HeatmapFromProbabilities(g, 0, nil); err == nil {
 		t.Fatal("zero chunk duration accepted")
 	}
-	if _, err := HeatmapFromProbabilities(g, p, time.Second, [][]float64{{0.5}}); err == nil {
+	if _, err := HeatmapFromProbabilities(g, time.Second, [][]float64{{0.5}}); err == nil {
 		t.Fatal("wrong row width accepted")
 	}
-	if _, err := HeatmapFromProbabilities(g, p, time.Second,
+	if _, err := HeatmapFromProbabilities(g, time.Second,
 		[][]float64{{0, 0, 0, 0, 0, 0, 0, 2}}); err == nil {
 		t.Fatal("out-of-range probability accepted")
 	}

@@ -300,7 +300,7 @@ func TestCrowdLiveHMPBeatsStaticAtLongHorizon(t *testing.T) {
 
 func TestLiveHeatmapBuilds(t *testing.T) {
 	viewers, _ := makeLiveViewers(t, 6, 20*time.Second)
-	h := LiveHeatmap(tiling.NewViewport(tilingGrid(), sphere.Equirectangular{}, sphere.DefaultFoV),
+	h := LiveHeatmap(tiling.NewViewport(tilingGrid(), sphere.DefaultFoV),
 		2*time.Second, 20*time.Second, viewers)
 	if h.Intervals() != 10 {
 		t.Fatalf("intervals = %d", h.Intervals())
@@ -378,14 +378,13 @@ func TestFoVGuidedLiveSavesBandwidthAndCovers(t *testing.T) {
 	// of the panorama while still covering what they look at.
 	const dur = 2 * time.Minute
 	g := tiling.GridCellular
-	proj := sphere.Equirectangular{}
 	att := trace.GenerateAttention(rand.New(rand.NewSource(61)), dur)
 	head := trace.Generate(rand.New(rand.NewSource(62)),
 		trace.UserProfile{ID: "v", SpeedScale: 1}, att, dur)
 	// Crowd heat from earlier viewers of the same broadcast.
 	pop := trace.NewPopulation(rand.New(rand.NewSource(63)), 8)
 	sessions := pop.Sessions(rand.New(rand.NewSource(64)), att, dur)
-	vp := tiling.NewViewport(g, proj, sphere.DefaultFoV)
+	vp := tiling.NewViewport(g, sphere.DefaultFoV)
 	heat := hmp.BuildHeatmap(vp, Facebook.SegmentDur, dur, sessions)
 
 	full := Measure(42, Facebook, Opts{Duration: dur, Cond: unconstrained}).Result
@@ -413,7 +412,6 @@ func TestFoVGuidedLiveSavesBandwidthAndCovers(t *testing.T) {
 func TestFoVGuidedLiveCrowdWidensCoverage(t *testing.T) {
 	const dur = time.Minute
 	g := tiling.GridCellular
-	proj := sphere.Equirectangular{}
 	att := trace.GenerateAttention(rand.New(rand.NewSource(71)), dur)
 	// A fast-moving viewer: own-view prediction misses more; the crowd
 	// tiles recover some coverage.
@@ -421,7 +419,7 @@ func TestFoVGuidedLiveCrowdWidensCoverage(t *testing.T) {
 		trace.UserProfile{ID: "fast", SpeedScale: 2.0}, att, dur)
 	pop := trace.NewPopulation(rand.New(rand.NewSource(73)), 10)
 	sessions := pop.Sessions(rand.New(rand.NewSource(74)), att, dur)
-	vp := tiling.NewViewport(g, proj, sphere.DefaultFoV)
+	vp := tiling.NewViewport(g, sphere.DefaultFoV)
 	heat := hmp.BuildHeatmap(vp, Facebook.SegmentDur, dur, sessions)
 
 	_, with := MeasureFoVGuidedLive(7, Facebook, vp, head, heat, unconstrained, dur)

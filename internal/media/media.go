@@ -104,9 +104,9 @@ func (e Encoding) String() string {
 const svcOverhead = 0.10
 
 // Video describes one panoramic title: its temporal and spatial
-// chunking (Fig. 2) and its encoding. ProjectionName is informational
-// (which projection the texture uses); geometry callers pass the actual
-// sphere.Projection alongside.
+// chunking (Fig. 2) and its encoding. ProjectionName is an informational
+// label carried into the MPD; it selects nothing, since every grid
+// partitions the equirectangular frame (sphere.Equirectangular).
 type Video struct {
 	ID             string
 	Duration       time.Duration

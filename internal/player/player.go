@@ -43,7 +43,6 @@ type PipelineConfig struct {
 	// instead of the whole panorama.
 	RenderFoVOnly bool
 	FoV           sphere.FoV
-	Projection    sphere.Projection
 }
 
 // validate reports configuration problems.
@@ -86,7 +85,7 @@ func (c *PipelineConfig) renderedPixels() int64 {
 
 // viewport is the configuration's grid seen through its FoV.
 func (c *PipelineConfig) viewport() tiling.Viewport {
-	return tiling.NewViewport(c.Grid, c.Projection, c.FoV)
+	return tiling.NewViewport(c.Grid, c.FoV)
 }
 
 // decodedTiles returns how many tiles must be decoded per frame: all of
@@ -94,9 +93,6 @@ func (c *PipelineConfig) viewport() tiling.Viewport {
 // configuration's viewport) when FoV-only.
 func (c *PipelineConfig) decodedTiles(vp *tiling.Viewport, view sphere.Orientation) int {
 	if !c.RenderFoVOnly {
-		return c.Grid.Tiles()
-	}
-	if c.Projection == nil {
 		return c.Grid.Tiles()
 	}
 	return len(vp.Visible(view))
@@ -175,7 +171,6 @@ func Figure5Config(device DeviceProfile, config int) (PipelineConfig, error) {
 		FrameWidth:  2560,
 		FrameHeight: 1440,
 		FoV:         sphere.DefaultFoV,
-		Projection:  sphere.Equirectangular{},
 	}
 	switch config {
 	case 1:

@@ -18,6 +18,10 @@ import (
 	"sperke/internal/transport"
 )
 
+// propagation is the one-way delay of each viewer's emulated access
+// link.
+const propagation = 20 * time.Millisecond
+
 // EngineConfig sizes a concurrent-viewer run. The zero value is not
 // usable: Video is required.
 type EngineConfig struct {
@@ -34,9 +38,8 @@ type EngineConfig struct {
 	// from its own deterministic stream.
 	BaseSeed int64
 	// BandwidthBPS is each viewer's emulated access link (default
-	// 25 Mbit/s); Propagation its one-way delay (default 20ms).
+	// 25 Mbit/s); its one-way delay is propagation.
 	BandwidthBPS float64
-	Propagation  time.Duration
 	// Mode, OOS, EnableUpgrades and SpeedScale shape the sessions the
 	// same way the experiment harness does (SpeedScale defaults to 1).
 	Mode           core.StreamMode
@@ -133,9 +136,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	if cfg.BandwidthBPS <= 0 {
 		cfg.BandwidthBPS = 25e6
-	}
-	if cfg.Propagation <= 0 {
-		cfg.Propagation = 20 * time.Millisecond
 	}
 	if cfg.SpeedScale <= 0 {
 		cfg.SpeedScale = 1
@@ -249,7 +249,7 @@ func (e *Engine) runOne(ctx context.Context, i int) SessionResult {
 	seed := e.cfg.BaseSeed + int64(i)
 	v := e.cfg.Video
 	clock := sim.NewClock(seed)
-	path := netem.NewPath(clock, "net", netem.Constant(e.cfg.BandwidthBPS), e.cfg.Propagation, 0)
+	path := netem.NewPath(clock, "net", netem.Constant(e.cfg.BandwidthBPS), propagation, 0)
 	var sched transport.Scheduler = transport.NewSinglePath(clock, path)
 	if e.cfg.Client != nil {
 		sched = &httpMirror{

@@ -302,7 +302,7 @@ func TestEngineMirrorBytesEqualSessionBytes(t *testing.T) {
 			// and, when mirror is set, the engine's HTTP mirror.
 			session := func(i int, f *inFlight, mirror bool) core.Report {
 				clock := sim.NewClock(eng.cfg.BaseSeed + int64(i))
-				path := netem.NewPath(clock, "net", netem.Constant(eng.cfg.BandwidthBPS), eng.cfg.Propagation, 0)
+				path := netem.NewPath(clock, "net", netem.Constant(eng.cfg.BandwidthBPS), propagation, 0)
 				f.inner = transport.NewSinglePath(clock, path)
 				var sched transport.Scheduler = f
 				if mirror {

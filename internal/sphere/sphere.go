@@ -1,8 +1,8 @@
 // Package sphere implements the spherical geometry that underpins
 // FoV-guided 360° streaming: viewing orientations (yaw/pitch/roll, Fig. 1
 // of the paper), field-of-view frusta, great-circle distances, and the
-// projections used by commercial platforms — equirectangular (YouTube)
-// and cube map (Facebook).
+// equirectangular projection (YouTube's, §2) whose texture space the
+// tile grids partition.
 //
 // All angles are in degrees at the API boundary (matching how headsets
 // and the paper report them) and converted to radians internally.

@@ -74,8 +74,8 @@ func directionTwoCos(o Orientation) Vec3 {
 }
 
 // TestDirectionBitIdentical: evaluating cos(pitch) once changes no bit
-// of the vector, on which AngularDistance, the cube map and every
-// generated head trace depend.
+// of the vector, on which AngularDistance and every generated head
+// trace depend.
 func TestDirectionBitIdentical(t *testing.T) {
 	check := func(o Orientation) {
 		t.Helper()

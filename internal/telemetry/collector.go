@@ -26,11 +26,9 @@ import (
 //
 // Safe for concurrent use.
 type Collector struct {
-	// Grid, Projection and FoV define the tile geometry heatmaps are
-	// computed over.
-	Grid       tiling.Grid
-	Projection sphere.Projection
-	FoV        sphere.FoV
+	// Grid and FoV define the tile geometry heatmaps are computed over.
+	Grid tiling.Grid
+	FoV  sphere.FoV
 	// MaxSessionsPerVideo bounds memory; oldest sessions are dropped
 	// first. 0 defaults to 1000.
 	MaxSessionsPerVideo int
@@ -43,13 +41,12 @@ type Collector struct {
 }
 
 // NewCollector builds a collector with the given geometry.
-func NewCollector(g tiling.Grid, p sphere.Projection, fov sphere.FoV) *Collector {
+func NewCollector(g tiling.Grid, fov sphere.FoV) *Collector {
 	return &Collector{
-		Grid:       g,
-		Projection: p,
-		FoV:        fov,
-		traces:     make(map[string][]*trace.HeadTrace),
-		users:      make(map[string]map[string]bool),
+		Grid:   g,
+		FoV:    fov,
+		traces: make(map[string][]*trace.HeadTrace),
+		users:  make(map[string]map[string]bool),
 	}
 }
 
@@ -109,7 +106,7 @@ func (c *Collector) heatmap(videoID string, chunkDur, videoDur time.Duration) (*
 	if err != nil {
 		return nil, err
 	}
-	return hmp.BuildHeatmap(tiling.NewViewport(c.Grid, c.Projection, c.FoV), chunkDur, videoDur, sessions), nil
+	return hmp.BuildHeatmap(tiling.NewViewport(c.Grid, c.FoV), chunkDur, videoDur, sessions), nil
 }
 
 // heatmapInput returns the stored sessions of a video and the span a

@@ -19,7 +19,7 @@ import (
 )
 
 func testCollector() *Collector {
-	return NewCollector(tiling.GridCellular, sphere.Equirectangular{}, sphere.DefaultFoV)
+	return NewCollector(tiling.GridCellular, sphere.DefaultFoV)
 }
 
 func postRecord(t *testing.T, srv *httptest.Server, rec *Record) *http.Response {

@@ -29,7 +29,7 @@ var queryGrids = []struct {
 // traces ran at 0.79×). A wall-clock claim still goes through bench/'s
 // viewer_sim.
 func visibleQuery(g Grid) func() {
-	vp := NewViewport(g, sphere.Equirectangular{}, sphere.DefaultFoV)
+	vp := NewViewport(g, sphere.DefaultFoV)
 	head := trace.Draw(1, 61, trace.UserProfile{SpeedScale: 1}, 60*time.Second)
 	n := 0
 	return func() {
@@ -55,7 +55,7 @@ func BenchmarkVisibleTiles(b *testing.B) {
 // ringQuery is the two-tile ring around a forward-looking FoV.
 func ringQuery() func() {
 	g := GridCellular
-	fov := VisibleTiles(g, sphere.Equirectangular{}, sphere.Orientation{}, sphere.DefaultFoV)
+	fov := VisibleTiles(g, sphere.Orientation{}, sphere.DefaultFoV)
 	return func() { Ring(g, fov, 2) }
 }
 

@@ -12,10 +12,9 @@ import (
 // absorbs prediction error.
 func ExampleVisibleTiles() {
 	g := tiling.GridCellular // the 4×6 grid of [37]
-	p := sphere.Equirectangular{}
 	view := sphere.Orientation{Yaw: 0, Pitch: 0}
 
-	fov := tiling.VisibleTiles(g, p, view, sphere.DefaultFoV)
+	fov := tiling.VisibleTiles(g, view, sphere.DefaultFoV)
 	ring := tiling.Ring(g, fov, 1)
 	fmt.Printf("FoV tiles: %d of %d\n", len(fov), g.Tiles())
 	fmt.Printf("first OOS ring: %d tiles\n", len(ring))

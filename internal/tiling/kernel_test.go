@@ -106,7 +106,7 @@ func TestMarkKernelMatchesLoop(t *testing.T) {
 		sphere.Orientation{Yaw: inf}, sphere.Orientation{Pitch: -inf}, sphere.Orientation{Yaw: 1e300})
 	for n, g := range kernelGrids {
 		for _, fov := range refFoVs {
-			vp := NewViewport(g, sphere.Equirectangular{}, fov)
+			vp := NewViewport(g, fov)
 			for _, view := range heads {
 				checkKernelMatchesLoop(t, &vp, view)
 			}
@@ -136,7 +136,7 @@ func FuzzMarkKernelMatchesLoop(f *testing.F) {
 	f.Add(-120.0, -89.95, 45.0, uint8(3), uint8(0))
 	f.Add(0.0, 0.0, 0.0, uint8(6), uint8(0)) // 4×6, the centre sample on a tile corner
 	f.Fuzz(func(t *testing.T, yaw, pitch, roll float64, grid, fov uint8) {
-		vp := NewViewport(kernelGrids[int(grid)%len(kernelGrids)], sphere.Equirectangular{}, refFoVs[int(fov)%len(refFoVs)])
+		vp := NewViewport(kernelGrids[int(grid)%len(kernelGrids)], refFoVs[int(fov)%len(refFoVs)])
 		checkKernelMatchesLoop(t, &vp, sphere.Orientation{Yaw: yaw, Pitch: pitch, Roll: roll})
 	})
 }

@@ -18,14 +18,14 @@ import (
 
 // visibleTilesRef recomputes every sine and cosine per sample and
 // collects tiles in a map.
-func visibleTilesRef(g Grid, p sphere.Projection, view sphere.Orientation, fov sphere.FoV) []TileID {
+func visibleTilesRef(g Grid, view sphere.Orientation, fov sphere.FoV) []TileID {
 	seen := make(map[TileID]bool)
 	for i := 0; i < fovSamples; i++ {
 		for j := 0; j < fovSamples; j++ {
 			hx := (float64(i)/(fovSamples-1) - 0.5) * fov.Width
 			hy := (float64(j)/(fovSamples-1) - 0.5) * fov.Height
 			dir := frustumDirectionRef(view, hx, hy)
-			u, v := p.Forward(dir)
+			u, v := sphere.Equirectangular{}.Forward(dir)
 			seen[tileAtRef(g, u, v)] = true
 		}
 	}
@@ -128,15 +128,14 @@ func ringRef(g Grid, set []TileID, dist int) []TileID {
 
 var (
 	refGrids = []Grid{GridPrototype, GridCellular, {Rows: 8, Cols: 12}, {Rows: 1, Cols: 1}, {Rows: 10, Cols: 20}}
-	refProjs = []sphere.Projection{sphere.Equirectangular{}, sphere.CubeMap{}}
 	refFoVs  = []sphere.FoV{sphere.DefaultFoV, {Width: 60, Height: 40}, {Width: 170, Height: 150}}
 )
 
-func checkVisibleMatchesRef(t *testing.T, g Grid, p sphere.Projection, view sphere.Orientation, fov sphere.FoV) {
+func checkVisibleMatchesRef(t *testing.T, g Grid, view sphere.Orientation, fov sphere.FoV) {
 	t.Helper()
-	got, want := VisibleTiles(g, p, view, fov), visibleTilesRef(g, p, view, fov)
+	got, want := VisibleTiles(g, view, fov), visibleTilesRef(g, view, fov)
 	if !slices.Equal(got, want) {
-		t.Fatalf("VisibleTiles(%dx%d, %s, %+v, %+v)\n got %v\nwant %v", g.Rows, g.Cols, p.Name(), view, fov, got, want)
+		t.Fatalf("VisibleTiles(%dx%d, %+v, %+v)\n got %v\nwant %v", g.Rows, g.Cols, view, fov, got, want)
 	}
 }
 
@@ -165,7 +164,7 @@ func TestVisibleTilesMatchesReference(t *testing.T) {
 				if n%3 == 0 {
 					view.Roll = 0 // what head traces mostly produce
 				}
-				checkVisibleMatchesRef(t, refGrids[n%len(refGrids)], refProjs[n/5%len(refProjs)], view, refFoVs[n/10%len(refFoVs)])
+				checkVisibleMatchesRef(t, refGrids[n%len(refGrids)], view, refFoVs[n/10%len(refFoVs)])
 			}
 		})
 	}
@@ -179,13 +178,11 @@ func TestVisibleTilesMatchesReference(t *testing.T) {
 		}
 		edges = append(edges, 1e-20, -1e-20, math.Copysign(0, -1))
 		for n, g := range refGrids {
-			for _, p := range refProjs {
-				fov := refFoVs[n%len(refFoVs)]
-				for _, yaw := range edges {
-					for _, pitch := range edges {
-						checkVisibleMatchesRef(t, g, p, sphere.Orientation{Yaw: yaw, Pitch: pitch}, fov)
-						checkVisibleMatchesRef(t, g, p, sphere.Orientation{Yaw: yaw, Pitch: pitch, Roll: yaw / 2}, fov)
-					}
+			fov := refFoVs[n%len(refFoVs)]
+			for _, yaw := range edges {
+				for _, pitch := range edges {
+					checkVisibleMatchesRef(t, g, sphere.Orientation{Yaw: yaw, Pitch: pitch}, fov)
+					checkVisibleMatchesRef(t, g, sphere.Orientation{Yaw: yaw, Pitch: pitch, Roll: yaw / 2}, fov)
 				}
 			}
 		}
@@ -193,20 +190,16 @@ func TestVisibleTilesMatchesReference(t *testing.T) {
 }
 
 func FuzzVisibleTilesMatchesReference(f *testing.F) {
-	f.Add(uint8(1), false, 42.0, 17.0, 0.0, 100.0, 90.0)
-	f.Add(uint8(0), true, -180.0, 90.0, 180.0, 60.0, 40.0)
-	f.Add(uint8(4), false, 359.99, -100.0, -45.0, 170.0, 150.0)
-	f.Fuzz(func(t *testing.T, grid uint8, cube bool, yaw, pitch, roll, w, h float64) {
+	f.Add(uint8(1), 42.0, 17.0, 0.0, 100.0, 90.0)
+	f.Add(uint8(0), -180.0, 90.0, 180.0, 60.0, 40.0)
+	f.Add(uint8(4), 359.99, -100.0, -45.0, 170.0, 150.0)
+	f.Fuzz(func(t *testing.T, grid uint8, yaw, pitch, roll, w, h float64) {
 		for _, x := range []float64{yaw, pitch, roll, w, h} {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				t.Skip() // tileAtRef is no oracle there; see TestVisibleTilesNonFinite
 			}
 		}
-		var p sphere.Projection = sphere.Equirectangular{}
-		if cube {
-			p = sphere.CubeMap{}
-		}
-		checkVisibleMatchesRef(t, refGrids[int(grid)%len(refGrids)], p,
+		checkVisibleMatchesRef(t, refGrids[int(grid)%len(refGrids)],
 			sphere.Orientation{Yaw: yaw, Pitch: pitch, Roll: roll}, sphere.FoV{Width: w, Height: h})
 	})
 }
@@ -256,21 +249,19 @@ func TestVisibleTilesNonFinite(t *testing.T) {
 	g := GridCellular
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, view := range []sphere.Orientation{{Yaw: bad}, {Pitch: bad}, {Roll: bad}} {
-			for _, p := range refProjs {
-				for _, id := range VisibleTiles(g, p, view, sphere.DefaultFoV) {
-					if !g.Valid(id) {
-						t.Fatalf("VisibleTiles(%s, %+v) holds tile %d", p.Name(), view, id)
-					}
+			for _, id := range VisibleTiles(g, view, sphere.DefaultFoV) {
+				if !g.Valid(id) {
+					t.Fatalf("VisibleTiles(%+v) holds tile %d", view, id)
 				}
 			}
 		}
-		for _, id := range VisibleTiles(g, sphere.Equirectangular{}, sphere.Orientation{}, sphere.FoV{Width: bad, Height: 90}) {
+		for _, id := range VisibleTiles(g, sphere.Orientation{}, sphere.FoV{Width: bad, Height: 90}) {
 			if !g.Valid(id) {
 				t.Fatalf("VisibleTiles(fov width %v) holds tile %d", bad, id)
 			}
 		}
 	}
-	if got := VisibleTiles(Grid{}, sphere.Equirectangular{}, sphere.Orientation{}, sphere.DefaultFoV); got != nil {
+	if got := VisibleTiles(Grid{}, sphere.Orientation{}, sphere.DefaultFoV); got != nil {
 		t.Fatalf("VisibleTiles on the zero grid = %v, want nil", got)
 	}
 }
@@ -305,7 +296,7 @@ func TestTileAtMatchesReference(t *testing.T) {
 func TestVisibleTilesAllocs(t *testing.T) {
 	view := sphere.Orientation{Yaw: 42, Pitch: 17}
 	allocs := testing.AllocsPerRun(100, func() {
-		VisibleTiles(GridCellular, sphere.Equirectangular{}, view, sphere.DefaultFoV)
+		VisibleTiles(GridCellular, view, sphere.DefaultFoV)
 	})
 	if allocs > 1 {
 		t.Fatalf("VisibleTiles allocates %v times per call, want the result only", allocs)

@@ -24,9 +24,10 @@ import (
 // TileID identifies a tile within a Grid, row-major from the top-left.
 type TileID int
 
-// Grid is a Rows×Cols tile partition of the projected frame. The
-// paper's prototype uses 2×4 on a 2K video (§3.5); its cellular study
-// [37] uses 4×6.
+// Grid is a Rows×Cols tile partition of the equirectangular frame
+// (sphere.Equirectangular): rows split pitch from the top, columns yaw
+// from −180°. The paper's prototype uses 2×4 on a 2K video (§3.5); its
+// cellular study [37] uses 4×6.
 type Grid struct {
 	Rows, Cols int
 }
@@ -103,11 +104,10 @@ func cell(x float64, n int) int {
 	return int(f)
 }
 
-// Center returns the viewing direction of the tile's center under the
-// given projection.
-func (g Grid) Center(id TileID, p sphere.Projection) sphere.Orientation {
+// Center returns the viewing direction of the tile's center.
+func (g Grid) Center(id TileID) sphere.Orientation {
 	u0, v0, u1, v1 := g.rect(id)
-	return p.Inverse((u0+u1)/2, (v0+v1)/2)
+	return sphere.Equirectangular{}.Inverse((u0+u1)/2, (v0+v1)/2)
 }
 
 // fovSamples is the side of the angular lattice a Viewport lays over
@@ -118,37 +118,32 @@ func (g Grid) Center(id TileID, p sphere.Projection) sphere.Orientation {
 // against 60°-wide tiles on the 4×6 grid.
 const fovSamples = 17
 
-// Viewport is a tile grid seen through one field of view under one
-// projection: the three things every "which tiles are on screen"
-// question in a session shares, with what depends on them alone — the
-// lattice angles' sines and cosines, the grid's borders — worked out
-// once by NewViewport. It is a plain value of about 2 KB with no
-// pointers into itself: build it where the triple is decided, keep it
-// there, and copy it freely. A query does not modify it.
+// Viewport is a tile grid seen through one field of view: the two
+// things every "which tiles are on screen" question in a session
+// shares, with what depends on them alone — the lattice angles' sines
+// and cosines, the grid's borders — worked out once by NewViewport. It
+// is a plain value of about 2 KB with no pointers into itself: build it
+// where the pair is decided, keep it there, and copy it freely. A query
+// does not modify it.
 type Viewport struct {
 	g Grid
-	p sphere.Projection
 
 	sinX, cosX, sinY, cosY [fovSamples]float64
-	// classify says b is filled and p is equirectangular, so a sample's
-	// tile can be read off its direction vector (borders.tileOf).
+	// classify says b is filled (the grid fits the border tables), so a
+	// sample's tile can be read off its direction vector (borders.tileOf).
 	classify bool
 	b        borders
 }
 
-// NewViewport returns the viewport of FoV fov on grid g under
-// projection p.
-func NewViewport(g Grid, p sphere.Projection, fov sphere.FoV) Viewport {
-	vp := Viewport{g: g, p: p}
+// NewViewport returns the viewport of FoV fov on grid g.
+func NewViewport(g Grid, fov sphere.FoV) Viewport {
+	vp := Viewport{g: g}
 	for i := range vp.sinX {
 		f := float64(i)/(fovSamples-1) - 0.5
 		vp.sinX[i], vp.cosX[i] = sincos(f * fov.Width)
 		vp.sinY[i], vp.cosY[i] = sincos(f * fov.Height)
 	}
-	if g.Validate() == nil {
-		_, equirect := p.(sphere.Equirectangular)
-		vp.classify = equirect && vp.b.init(g)
-	}
+	vp.classify = g.Validate() == nil && vp.b.init(g)
 	return vp
 }
 
@@ -165,11 +160,11 @@ func (vp *Viewport) Grid() Grid { return vp.g }
 //
 // Per call only the view's three rotations cost trigonometry; per
 // sample the same products and sums run in the same order as rotating a
-// freshly built direction, and on the equirectangular projection the
-// rotated direction is classified against the borders instead of being
-// turned back into angles, except where it is too close to one to call
-// (borders.tileOf). The tiles are the ones the unhoisted form
-// (visibleTilesRef in the tests) yields, for every input.
+// freshly built direction, and the rotated direction is classified
+// against the borders instead of being turned back into angles, except
+// where it is too close to one to call or the grid does not fit the
+// border tables (borders.tileOf). The tiles are the ones the unhoisted
+// form (visibleTilesRef in the tests) yields, for every input.
 func (vp *Viewport) Mark(view sphere.Orientation, set []bool) {
 	if vp.g.Validate() == nil {
 		vp.mark(view, set)
@@ -192,16 +187,16 @@ func (vp *Viewport) Visible(view sphere.Orientation) []TileID {
 	return vp.AppendVisible(nil, view)
 }
 
-// VisibleTiles is NewViewport(g, p, fov).Visible(view), for a caller
-// with one question to ask.
-func VisibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphere.FoV) []TileID {
-	out, _ := visibleTiles(g, p, view, fov)
+// VisibleTiles is NewViewport(g, fov).Visible(view), for a caller with
+// one question to ask.
+func VisibleTiles(g Grid, view sphere.Orientation, fov sphere.FoV) []TileID {
+	out, _ := visibleTiles(g, view, fov)
 	return out
 }
 
 // visibleTiles is VisibleTiles plus the result of mark.
-func visibleTiles(g Grid, p sphere.Projection, view sphere.Orientation, fov sphere.FoV) (out []TileID, exact int) {
-	vp := NewViewport(g, p, fov)
+func visibleTiles(g Grid, view sphere.Orientation, fov sphere.FoV) (out []TileID, exact int) {
+	vp := NewViewport(g, fov)
 	return vp.appendVisible(nil, view)
 }
 
@@ -235,8 +230,8 @@ func (vp *Viewport) appendVisible(dst []TileID, view sphere.Orientation) ([]Tile
 }
 
 // mark is Mark on a grid its caller has validated, plus the number of
-// samples whose tile came from the exact expression (all of them off
-// the equirectangular projection), which the tests read to show the
+// samples whose tile came from the exact expression (all of them on a
+// grid beyond the border tables), which the tests read to show the
 // guard band is in use. Where the lattice kernel runs (markLattice:
 // a classifying viewport, at most 64 tiles, a CPU that has it) its
 // answer is the loop's, mask for mask and count for count.
@@ -249,7 +244,7 @@ func (vp *Viewport) mark(view sphere.Orientation, set []bool) (exact int) {
 }
 
 // markLoop is mark one sample at a time: the reference for the kernel
-// and the only path for other grids, projections and CPUs.
+// and the only path for other grids and CPUs.
 func (vp *Viewport) markLoop(r *rotation, set []bool) (exact int) {
 	for i := 0; i < fovSamples; i++ {
 		for j := 0; j < fovSamples; j++ {
@@ -324,7 +319,7 @@ func (vp *Viewport) direction(r *rotation, i, j int) sphere.Vec3 {
 
 // exactTile is the tile under direction d by the exact expression.
 func (vp *Viewport) exactTile(d sphere.Vec3) TileID {
-	return vp.g.tileAt(vp.p.Forward(sphere.FromDirection(d)))
+	return vp.g.tileAt(sphere.Equirectangular{}.Forward(sphere.FromDirection(d)))
 }
 
 // guard is the margin δ a direction must keep from every tile border it
@@ -339,7 +334,7 @@ const guard = 1e-9
 // stack-resident tables; a grid beyond it takes the exact expression.
 const maxBorders = 64
 
-// borders holds an equirectangular grid's tile borders in the form a
+// borders holds a grid's tile borders in the form a
 // direction vector is compared with directly: a row border at pitch θ
 // is the plane Y = sin θ, a column border at yaw φ the half-plane
 // through the vertical axis on which X·cos φ − Z·sin φ (that is

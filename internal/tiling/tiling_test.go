@@ -88,7 +88,7 @@ func frac(x float64) float64 {
 func TestVisibleTilesForwardView(t *testing.T) {
 	g := GridPrototype // 2x4
 	p := sphere.Equirectangular{}
-	tiles := VisibleTiles(g, p, sphere.Orientation{}, sphere.DefaultFoV)
+	tiles := VisibleTiles(g, sphere.Orientation{}, sphere.DefaultFoV)
 	if len(tiles) == 0 {
 		t.Fatal("no visible tiles")
 	}
@@ -121,7 +121,7 @@ func TestVisibleTilesCoverEveryFoVDirection(t *testing.T) {
 	}
 	for _, view := range views {
 		set := make(map[TileID]bool)
-		for _, id := range VisibleTiles(g, p, view, sphere.DefaultFoV) {
+		for _, id := range VisibleTiles(g, view, sphere.DefaultFoV) {
 			set[id] = true
 		}
 		for i := -4; i <= 4; i++ {
@@ -151,8 +151,7 @@ func TestVisibleTilesAtPoleCoverAllColumns(t *testing.T) {
 	// Looking straight up, the FoV surrounds the pole: in equirectangular
 	// space that touches every column of the top row.
 	g := GridCellular
-	p := sphere.Equirectangular{}
-	tiles := VisibleTiles(g, p, sphere.Orientation{Pitch: 90}, sphere.DefaultFoV)
+	tiles := VisibleTiles(g, sphere.Orientation{Pitch: 90}, sphere.DefaultFoV)
 	cols := make(map[int]bool)
 	for _, id := range tiles {
 		row, col := g.rowCol(id)
@@ -162,23 +161,6 @@ func TestVisibleTilesAtPoleCoverAllColumns(t *testing.T) {
 	}
 	if len(cols) != g.Cols {
 		t.Fatalf("pole view covers %d/%d top-row columns", len(cols), g.Cols)
-	}
-}
-
-func TestVisibleTilesCubeMap(t *testing.T) {
-	g := Grid{Rows: 2, Cols: 3} // one tile per cube face
-	p := sphere.CubeMap{}
-	tiles := VisibleTiles(g, p, sphere.Orientation{}, sphere.FoV{Width: 60, Height: 60})
-	// A 60° FoV looking forward fits inside the front face but spills to
-	// adjacent faces only at most; the front-face tile must be present.
-	found := false
-	for _, id := range tiles {
-		if id == 0 { // front face is atlas cell (0,0) = tile 0
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("front face not visible: %v", tiles)
 	}
 }
 
@@ -272,7 +254,7 @@ func TestCenterInsideTileRect(t *testing.T) {
 	g := GridCellular
 	p := sphere.Equirectangular{}
 	for id := TileID(0); int(id) < g.Tiles(); id++ {
-		o := g.Center(id, p)
+		o := g.Center(id)
 		u, v := p.Forward(o)
 		if g.tileAt(u, v) != id {
 			t.Fatalf("tile %d center maps to tile %d", id, g.tileAt(u, v))
