@@ -36,6 +36,7 @@ import (
 	"sperke/internal/serve"
 	"sperke/internal/sphere"
 	"sperke/internal/tiling"
+	"sperke/internal/trace"
 )
 
 func main() {
@@ -69,6 +70,29 @@ func run(ctx context.Context, args []string) error {
 	recoverAt := fs.Duration("recover-at", 0, "restart the killed node this long into the run (0 = never)")
 	killNode := fs.String("kill-node", "edge-1", "cluster node to crash at -kill-at")
 	fs.Parse(args)
+	// Refuse what the run would ignore: a cluster flag without a
+	// cluster, a cluster with no in-process origin to front.
+	if *nodes > 0 && (*url != "" || *noHTTP) {
+		return fmt.Errorf("-nodes fronts the in-process origin; it cannot go with -url or -no-http")
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-prewarm", *prewarm > 0},
+		{"-wire", *wire},
+		{"-replicas", *replicas > 1},
+		{"-add-node-at", *addNodeAt > 0},
+		{"-kill-at", *killAt > 0},
+		{"-recover-at", *recoverAt > 0},
+	} {
+		if f.set && *nodes <= 0 {
+			return fmt.Errorf("%s needs -nodes", f.name)
+		}
+	}
+	if *recoverAt > 0 && (*killAt <= 0 || *recoverAt <= *killAt) {
+		return fmt.Errorf("-recover-at %v needs an earlier -kill-at", *recoverAt)
+	}
 
 	video := &media.Video{
 		ID:             "demo",
@@ -110,17 +134,7 @@ func run(ctx context.Context, args []string) error {
 					cluster.WithObs(reg),
 				}
 				if *prewarm > 0 {
-					// The crowd prior is built from the exact head traces
-					// this run's viewers will follow (same seeds, same
-					// recipe), so the pre-warm tier sees the correlation
-					// §3.2 measures on real crowds.
-					heat := hmp.BuildHeatmap(
-						tiling.NewViewport(video.Grid, sphere.DefaultFoV),
-						video.ChunkDuration, video.Duration,
-						serve.SessionTraces(serve.EngineConfig{
-							Video: video, Sessions: *sessions, BaseSeed: *seed,
-						}))
-					opts = append(opts, cluster.WithPrewarm(heat, *prewarm))
+					opts = append(opts, cluster.WithPrewarm(crowdPrior(video, *sessions, *seed), *prewarm))
 				}
 				var err error
 				clu, err = cluster.New(store, opts...)
@@ -235,6 +249,20 @@ func run(ctx context.Context, args []string) error {
 		return fmt.Errorf("%d of %d HTTP fetches failed", res.HTTPErrors, res.HTTPFetches)
 	}
 	return nil
+}
+
+// heldOutCrowd is what the pre-warm prior learns from: viewers N…2N−1
+// of the recipe whose viewers 0…N−1 the run drives, so no run viewer
+// shares their motion seed (seed+i) or attention seed (seed+i+60).
+func heldOutCrowd(video *media.Video, sessions int, seed int64) []*trace.HeadTrace {
+	return serve.SessionTraces(serve.EngineConfig{Video: video, Sessions: 2 * sessions, BaseSeed: seed})[sessions:]
+}
+
+// crowdPrior builds the pre-warm tier's heatmap from heldOutCrowd: the
+// §3.2 correlation between viewers, not the run's own heads.
+func crowdPrior(video *media.Video, sessions int, seed int64) *hmp.Heatmap {
+	return hmp.BuildHeatmap(tiling.NewViewport(video.Grid, sphere.DefaultFoV),
+		video.ChunkDuration, video.Duration, heldOutCrowd(video, sessions, seed))
 }
 
 func printClusterSummary(clu *cluster.Cluster, reg *obs.Registry) {

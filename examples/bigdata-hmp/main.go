@@ -52,7 +52,7 @@ func main() {
 		heat.Probability(10*time.Second, top[2]))
 
 	// 2. Predictor accuracy for a held-out viewer.
-	user := trace.UserProfile{ID: "newcomer", SpeedScale: 1}
+	user := trace.UserProfile{SpeedScale: 1}
 	holdout := trace.Generate(rand.New(rand.NewSource(5)), user, att, dur)
 	fmt.Println("held-out viewer, 4s prediction horizon:")
 	for _, p := range []struct {

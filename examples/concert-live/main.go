@@ -33,8 +33,7 @@ func main() {
 	var viewers []live.Viewer
 	var views []sphere.Orientation
 	for i := 0; i < 40; i++ {
-		profile := trace.UserProfile{ID: fmt.Sprintf("fan-%d", i), SpeedScale: 1,
-			Context: trace.Context{Engaged: 0.95}}
+		profile := trace.UserProfile{SpeedScale: 1, Context: trace.Context{Engaged: 0.95}}
 		tr := trace.Generate(rand.New(rand.NewSource(int64(100+i))), profile, att, dur)
 		viewers = append(viewers, live.Viewer{Trace: tr, Latency: time.Duration(8+i%20) * time.Second})
 		views = append(views, tr.At(15*time.Second))
@@ -63,7 +62,7 @@ func main() {
 	// second idea).
 	lagger := live.Viewer{
 		Trace: trace.Generate(rand.New(rand.NewSource(999)),
-			trace.UserProfile{ID: "lagger", SpeedScale: 1, Context: trace.Context{Engaged: 0.9}}, att, dur),
+			trace.UserProfile{SpeedScale: 1, Context: trace.Context{Engaged: 0.9}}, att, dur),
 		Latency: 40 * time.Second,
 	}
 	pred := &live.CrowdLivePredictor{Ahead: viewers, TargetLatency: lagger.Latency}

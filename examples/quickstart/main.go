@@ -37,7 +37,7 @@ func main() {
 	//    video's attention hotspots.
 	rng := rand.New(rand.NewSource(7))
 	att := trace.GenerateAttention(rand.New(rand.NewSource(8)), video.Duration+10*time.Second)
-	head := trace.Generate(rng, trace.UserProfile{ID: "alice", SpeedScale: 1}, att,
+	head := trace.Generate(rng, trace.UserProfile{SpeedScale: 1}, att,
 		video.Duration+10*time.Second)
 
 	// 3. Stream twice over the same 20 Mbps link, holding quality at

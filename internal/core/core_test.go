@@ -34,7 +34,7 @@ func testVideo(enc media.Encoding) *media.Video {
 func testHead(seed int64, dur time.Duration) *trace.HeadTrace {
 	rng := rand.New(rand.NewSource(seed))
 	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+500)), dur)
-	return trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1}, att, dur)
+	return trace.Generate(rng, trace.UserProfile{SpeedScale: 1}, att, dur)
 }
 
 // runSession executes a session over a single constant-rate path.
@@ -193,7 +193,7 @@ func TestUrgentFetchesOnHMPCorrections(t *testing.T) {
 		sched := transport.NewSinglePath(clock, path)
 		rng := rand.New(rand.NewSource(99))
 		att := trace.GenerateAttention(rand.New(rand.NewSource(98)), 40*time.Second)
-		head := trace.Generate(rng, trace.UserProfile{ID: "fast", SpeedScale: 2.2}, att, 40*time.Second)
+		head := trace.Generate(rng, trace.UserProfile{SpeedScale: 2.2}, att, 40*time.Second)
 		s, err := NewSession(clock, cfg, head, sched)
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +225,7 @@ func TestCrowdHeatmapReducesFetchVolume(t *testing.T) {
 		path := netem.NewPath(clock, "net", netem.Constant(20e6), 20*time.Millisecond, 0)
 		sched := transport.NewSinglePath(clock, path)
 		head := trace.Generate(rand.New(rand.NewSource(23)),
-			trace.UserProfile{ID: "viewer", SpeedScale: 1}, att, dur)
+			trace.UserProfile{SpeedScale: 1}, att, dur)
 		cfg := Config{
 			Video:   v,
 			Mode:    FoVGuided,
@@ -436,7 +436,7 @@ func TestKitchenSinkLongSession(t *testing.T) {
 	sessions := pop.Sessions(rand.New(rand.NewSource(96)), att, dur)
 	heat := hmp.BuildHeatmap(tiling.NewViewport(v.Grid, sphere.DefaultFoV),
 		v.ChunkDuration, v.Duration, sessions)
-	user := trace.UserProfile{ID: "sink", SpeedScale: 1.2}
+	user := trace.UserProfile{SpeedScale: 1.2}
 	head := trace.Generate(rand.New(rand.NewSource(95)), user, att, dur)
 
 	s, err := NewSession(clock, Config{
@@ -537,7 +537,7 @@ func TestEventStrings(t *testing.T) {
 func fullSession(tb testing.TB) func() {
 	v := testVideo(media.EncodingAVC)
 	att := trace.GenerateAttention(rand.New(rand.NewSource(2)), 40*time.Second)
-	head := trace.Generate(rand.New(rand.NewSource(1)), trace.UserProfile{ID: "b", SpeedScale: 1}, att, 40*time.Second)
+	head := trace.Generate(rand.New(rand.NewSource(1)), trace.UserProfile{SpeedScale: 1}, att, 40*time.Second)
 	return func() {
 		clock := sim.NewClock(1)
 		path := netem.NewPath(clock, "net", netem.Constant(15e6), 20*time.Millisecond, 0)

@@ -31,7 +31,7 @@ func ExampleSession() {
 
 	rng := rand.New(rand.NewSource(1))
 	att := trace.GenerateAttention(rand.New(rand.NewSource(2)), 30*time.Second)
-	head := trace.Generate(rng, trace.UserProfile{ID: "demo", SpeedScale: 1}, att, 30*time.Second)
+	head := trace.Generate(rng, trace.UserProfile{SpeedScale: 1}, att, 30*time.Second)
 
 	session, err := core.NewSession(clock, core.Config{
 		Video: video,

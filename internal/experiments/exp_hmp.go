@@ -122,7 +122,7 @@ func tileCoverage(seed int64) *Table {
 	crowd := pop.Sessions(rng, att, dur)
 	heat := hmp.BuildHeatmap(vp, 2*time.Second, dur, crowd)
 	holdout := trace.Generate(rand.New(rand.NewSource(seed+200)),
-		trace.UserProfile{ID: "h", SpeedScale: 1.3}, att, dur)
+		trace.UserProfile{SpeedScale: 1.3}, att, dur)
 
 	type pd struct {
 		name string

@@ -130,7 +130,7 @@ func crowdLiveHMP(seed int64) *Table {
 		viewers[i] = live.Viewer{Trace: tr, Latency: time.Duration(8+rng.Float64()*30) * time.Second}
 	}
 	target := live.Viewer{
-		Trace:   trace.Generate(rand.New(rand.NewSource(seed+77)), trace.UserProfile{ID: "lagger", SpeedScale: 1}, att, dur),
+		Trace:   trace.Generate(rand.New(rand.NewSource(seed+77)), trace.UserProfile{SpeedScale: 1}, att, dur),
 		Latency: 45 * time.Second,
 	}
 	pred := &live.CrowdLivePredictor{Ahead: viewers, TargetLatency: target.Latency}
@@ -181,7 +181,7 @@ func sperkeLiveComparison(seed int64) *Table {
 	vp := tiling.NewViewport(tiling.GridCellular, sphere.DefaultFoV)
 	att := trace.GenerateAttention(rand.New(rand.NewSource(seed+80)), dur)
 	head := trace.Generate(rand.New(rand.NewSource(seed+81)),
-		trace.UserProfile{ID: "viewer", SpeedScale: 1}, att, dur)
+		trace.UserProfile{SpeedScale: 1}, att, dur)
 	pop := trace.NewPopulation(rand.New(rand.NewSource(seed+82)), 8)
 	sessions := pop.Sessions(rand.New(rand.NewSource(seed+83)), att, dur)
 	heat := hmp.BuildHeatmap(vp, mech.SegmentDur, dur, sessions)

@@ -1,7 +1,6 @@
 package hmp
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -26,14 +25,14 @@ type Heatmap struct {
 	center []sphere.Orientation
 }
 
-// Probes is how many views of each session BuildHeatmap asks vp about
+// probes is how many views of each session BuildHeatmap asks vp about
 // per interval, evenly spaced from the interval's start.
-const Probes = 4
+const probes = 4
 
 // BuildHeatmap aggregates a set of sessions (head traces of different
 // users watching the same video through the viewport vp) into a heatmap
 // over vp's grid. Intervals are [i·chunkDur, (i+1)·chunkDur). Its cost
-// is intervals × sessions × Probes viewport queries.
+// is intervals × sessions × probes viewport queries.
 func BuildHeatmap(vp tiling.Viewport, chunkDur, videoDur time.Duration, sessions []*trace.HeadTrace) *Heatmap {
 	g := vp.Grid()
 	n := int(videoDur / chunkDur)
@@ -62,8 +61,8 @@ func BuildHeatmap(vp tiling.Viewport, chunkDur, videoDur time.Duration, sessions
 		clear(counts)
 		for _, s := range sessions {
 			clear(seen)
-			for k := 0; k < Probes; k++ {
-				ts := start + time.Duration(k)*chunkDur/Probes
+			for k := 0; k < probes; k++ {
+				ts := start + time.Duration(k)*chunkDur/probes
 				view := s.At(ts)
 				d := view.Direction()
 				sumVec.X += d.X
@@ -318,42 +317,4 @@ func (f *Fusion) Predict(at time.Duration) Prediction {
 		}
 	}
 	return Prediction{View: view.Normalized(), Radius: radius}
-}
-
-// HeatmapFromProbabilities reconstructs a heatmap from raw per-interval
-// tile probabilities — the client-side inverse of the telemetry
-// collector's JSON heatmap endpoint, so a player can consume crowd
-// intelligence fetched over HTTP (§3.2). Crowd centers are derived as
-// the probability-weighted mean of tile center directions.
-func HeatmapFromProbabilities(g tiling.Grid, chunkDur time.Duration, prob [][]float64) (*Heatmap, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if chunkDur <= 0 {
-		return nil, fmt.Errorf("hmp: non-positive chunk duration")
-	}
-	h := &Heatmap{
-		Grid:     g,
-		ChunkDur: chunkDur,
-		prob:     make([][]float64, len(prob)),
-		center:   make([]sphere.Orientation, len(prob)),
-	}
-	for i, row := range prob {
-		if len(row) != g.Tiles() {
-			return nil, fmt.Errorf("hmp: interval %d has %d tiles, grid has %d", i, len(row), g.Tiles())
-		}
-		h.prob[i] = append([]float64(nil), row...)
-		var sum sphere.Vec3
-		for tile, pr := range row {
-			if pr < 0 || pr > 1 {
-				return nil, fmt.Errorf("hmp: interval %d tile %d probability %v", i, tile, pr)
-			}
-			d := g.Center(tiling.TileID(tile)).Direction()
-			sum.X += d.X * pr
-			sum.Y += d.Y * pr
-			sum.Z += d.Z * pr
-		}
-		h.center[i] = sphere.FromDirection(sum)
-	}
-	return h, nil
 }

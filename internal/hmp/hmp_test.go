@@ -310,7 +310,7 @@ func equalInts(a, b []int) bool {
 }
 
 // TestBuildHeatmapAllocs: one interval of one session costs the
-// heatmap's own tables and the two per-build scratch sets; its Probes
+// heatmap's own tables and the two per-build scratch sets; its probes
 // viewport queries mark into one of them and allocate nothing.
 func TestBuildHeatmapAllocs(t *testing.T) {
 	vp := tiling.NewViewport(tiling.GridCellular, sphere.DefaultFoV)
@@ -346,7 +346,7 @@ func TestCrowdPredictorTracksCrowd(t *testing.T) {
 	// random (90° mean error) by a wide margin at long horizons.
 	rng := rand.New(rand.NewSource(99))
 	att2 := trace.GenerateAttention(rand.New(rand.NewSource(22)), 30*time.Second) // same video attention
-	holdout := trace.Generate(rng, trace.UserProfile{ID: "x", SpeedScale: 1}, att2, 30*time.Second)
+	holdout := trace.Generate(rng, trace.UserProfile{SpeedScale: 1}, att2, 30*time.Second)
 	_ = sessions
 	acc := Evaluate(func() Predictor { return &Crowd{Heatmap: h} }, holdout, sphere.DefaultFoV, 2*time.Second)
 	if acc.MeanError >= 85 {
@@ -357,7 +357,7 @@ func TestCrowdPredictorTracksCrowd(t *testing.T) {
 func TestFusionBeatsPartsAtLongHorizon(t *testing.T) {
 	h, _, att := buildTestHeatmap(t, 12)
 	rng := rand.New(rand.NewSource(123))
-	user := trace.UserProfile{ID: "holdout", SpeedScale: 1}
+	user := trace.UserProfile{SpeedScale: 1}
 	holdout := trace.Generate(rng, user, att, 30*time.Second)
 
 	horizon := 2 * time.Second
@@ -422,7 +422,7 @@ func TestAccuracyDegradesWithHorizon(t *testing.T) {
 	// Fundamental property (§3.2): prediction gets harder further out.
 	rng := rand.New(rand.NewSource(31))
 	att := trace.GenerateAttention(rand.New(rand.NewSource(32)), 60*time.Second)
-	h := trace.Generate(rng, trace.UserProfile{ID: "u", SpeedScale: 1}, att, 60*time.Second)
+	h := trace.Generate(rng, trace.UserProfile{SpeedScale: 1}, att, 60*time.Second)
 	short := Evaluate(func() Predictor { return &LinearRegression{} }, h, sphere.DefaultFoV, 200*time.Millisecond)
 	long := Evaluate(func() Predictor { return &LinearRegression{} }, h, sphere.DefaultFoV, 2*time.Second)
 	if short.MeanError >= long.MeanError {
@@ -447,64 +447,5 @@ func TestLearnSpeedBound(t *testing.T) {
 	// Learned bounds feed Fusion/OOS pruning: slower user, tighter bound.
 	if LearnSpeedBound([]*trace.HeadTrace{slow}) >= bound {
 		t.Fatal("slow-only bound not below mixed bound")
-	}
-}
-
-func TestHeatmapFromProbabilitiesRoundTrip(t *testing.T) {
-	// Build a heatmap from sessions, export its probabilities (as the
-	// collector's JSON does), reconstruct, and compare behaviour.
-	orig, _, _ := buildTestHeatmap(t, 8)
-	prob := make([][]float64, orig.Intervals())
-	for i := range prob {
-		row := make([]float64, orig.Grid.Tiles())
-		at := time.Duration(i) * orig.ChunkDur
-		for tile := range row {
-			row[tile] = orig.Probability(at, tiling.TileID(tile))
-		}
-		prob[i] = row
-	}
-	back, err := HeatmapFromProbabilities(orig.Grid, orig.ChunkDur, prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < orig.Intervals(); i++ {
-		at := time.Duration(i) * orig.ChunkDur
-		for tile := tiling.TileID(0); int(tile) < orig.Grid.Tiles(); tile++ {
-			if back.Probability(at, tile) != orig.Probability(at, tile) {
-				t.Fatalf("probability drifted at interval %d tile %d", i, tile)
-			}
-		}
-		// Reconstructed crowd centers are probability-weighted tile
-		// centers: close to, though not identical with, the original
-		// sample-mean centers.
-		// Tile granularity on the 4×6 grid is 60°×45°; allow one tile.
-		if d := sphere.AngularDistance(back.CrowdCenter(at), orig.CrowdCenter(at)); d > 45 {
-			t.Fatalf("crowd center drifted %v° at interval %d", d, i)
-		}
-	}
-	// The reconstructed heatmap drives TopTiles identically.
-	a := orig.TopTiles(4*time.Second, 3)
-	b := back.TopTiles(4*time.Second, 3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("TopTiles diverged: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestHeatmapFromProbabilitiesValidation(t *testing.T) {
-	g := tiling.GridPrototype
-	if _, err := HeatmapFromProbabilities(tiling.Grid{}, time.Second, nil); err == nil {
-		t.Fatal("invalid grid accepted")
-	}
-	if _, err := HeatmapFromProbabilities(g, 0, nil); err == nil {
-		t.Fatal("zero chunk duration accepted")
-	}
-	if _, err := HeatmapFromProbabilities(g, time.Second, [][]float64{{0.5}}); err == nil {
-		t.Fatal("wrong row width accepted")
-	}
-	if _, err := HeatmapFromProbabilities(g, time.Second,
-		[][]float64{{0, 0, 0, 0, 0, 0, 0, 2}}); err == nil {
-		t.Fatal("out-of-range probability accepted")
 	}
 }

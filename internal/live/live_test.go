@@ -279,7 +279,7 @@ func TestCrowdLiveHMPBeatsStaticAtLongHorizon(t *testing.T) {
 	// Target: a fresh viewer with the highest latency.
 	rng := rand.New(rand.NewSource(77))
 	target := Viewer{
-		Trace:   trace.Generate(rng, trace.UserProfile{ID: "lagger", SpeedScale: 1}, att, dur),
+		Trace:   trace.Generate(rng, trace.UserProfile{SpeedScale: 1}, att, dur),
 		Latency: 45 * time.Second,
 	}
 	pred := &CrowdLivePredictor{Ahead: viewers, TargetLatency: target.Latency}
@@ -380,7 +380,7 @@ func TestFoVGuidedLiveSavesBandwidthAndCovers(t *testing.T) {
 	g := tiling.GridCellular
 	att := trace.GenerateAttention(rand.New(rand.NewSource(61)), dur)
 	head := trace.Generate(rand.New(rand.NewSource(62)),
-		trace.UserProfile{ID: "v", SpeedScale: 1}, att, dur)
+		trace.UserProfile{SpeedScale: 1}, att, dur)
 	// Crowd heat from earlier viewers of the same broadcast.
 	pop := trace.NewPopulation(rand.New(rand.NewSource(63)), 8)
 	sessions := pop.Sessions(rand.New(rand.NewSource(64)), att, dur)
@@ -416,7 +416,7 @@ func TestFoVGuidedLiveCrowdWidensCoverage(t *testing.T) {
 	// A fast-moving viewer: own-view prediction misses more; the crowd
 	// tiles recover some coverage.
 	head := trace.Generate(rand.New(rand.NewSource(72)),
-		trace.UserProfile{ID: "fast", SpeedScale: 2.0}, att, dur)
+		trace.UserProfile{SpeedScale: 2.0}, att, dur)
 	pop := trace.NewPopulation(rand.New(rand.NewSource(73)), 10)
 	sessions := pop.Sessions(rand.New(rand.NewSource(74)), att, dur)
 	vp := tiling.NewViewport(g, sphere.DefaultFoV)

@@ -4,7 +4,7 @@
 // in simulated or wall time.
 //
 // The paper's evaluation is entirely quantitative — Table 2 E2E
-// latency, Figure 5 player FPS, §3.2 telemetry budgets — and this
+// latency, Figure 5 player FPS — and this
 // package makes those signals visible inside a live run rather than
 // only in test assertions: breaker trips, failover reroutes,
 // decode-deadline misses and cache hit ratios all land here.

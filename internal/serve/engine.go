@@ -212,19 +212,17 @@ func (e *Engine) Run(ctx context.Context) EngineResult {
 // sessionTrace builds viewer i's head trace with trace.Draw, the one
 // simulated-viewer head recipe: motion seeded from BaseSeed+i,
 // attention from BaseSeed+i+60, over the video plus a 10s tail. runOne
-// and SessionTraces both call it, so a crowd prior built from
-// SessionTraces describes exactly the heads the run will simulate.
+// and SessionTraces both call it, so SessionTraces returns exactly the
+// heads the run will simulate.
 func sessionTrace(cfg EngineConfig, i int) *trace.HeadTrace {
 	seed := cfg.BaseSeed + int64(i)
 	return trace.Draw(seed, seed+60, trace.UserProfile{SpeedScale: cfg.SpeedScale}, cfg.Video.Duration+10*time.Second)
 }
 
 // SessionTraces regenerates the head traces an engine built from cfg
-// will drive, without running anything — the input a caller needs to
-// build a crowd heatmap (hmp.BuildHeatmap) that matches the run, e.g.
-// to seed a cache tier's pre-warm prior. Applies the same defaults
-// NewEngine does, so passing the identical cfg yields the identical
-// traces.
+// will drive, without running anything: the viewers a crowd heatmap
+// (hmp.BuildHeatmap) is built from. Applies the same defaults NewEngine
+// does, so passing the identical cfg yields the identical traces.
 func SessionTraces(cfg EngineConfig) []*trace.HeadTrace {
 	if cfg.Video == nil {
 		return nil

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -18,9 +17,9 @@ const (
 	saccade                // fast reorientation
 )
 
-// SampleRate is the generated sensor rate: 50 Hz, the rate the paper's
+// sampleRate is the generated sensor rate: 50 Hz, the rate the paper's
 // app collects (§3.2).
-const SampleRate = 50
+const sampleRate = 50
 
 // Generate synthesizes one viewing session: the user's head trace while
 // watching a video with the given attention schedule.
@@ -34,7 +33,7 @@ const SampleRate = 50
 // recent motion [16, 37] and cross-user correlation through hotspots.
 // A zero or negative dur yields the t = 0 sample alone.
 func Generate(rng *rand.Rand, profile UserProfile, attention *Attention, dur time.Duration) *HeadTrace {
-	dt := time.Second / SampleRate
+	dt := time.Second / sampleRate
 	n := 1 // the t = 0 sample, all there is of a zero or negative duration
 	if dur > 0 {
 		n += int(dur / dt)
@@ -210,16 +209,14 @@ func NewPopulation(rng *rand.Rand, n int) *Population {
 		}
 		ctx := Context{
 			Pose:    Pose(rng.Intn(3)),
-			Mode:    WatchMode(rng.Intn(2)),
-			Mobile:  rng.Float64() < 0.3,
-			Indoors: rng.Float64() < 0.7,
-			Engaged: 0.4 + 0.6*rng.Float64(),
+			headset: rng.Intn(2) == 1,
 		}
-		p.Users[i] = UserProfile{
-			ID:         fmt.Sprintf("user-%03d", i),
-			SpeedScale: speed,
-			Context:    ctx,
-		}
+		// Two draws no field keeps (§3.2's mobility and indoors labels):
+		// they stay so every population keeps its random stream.
+		rng.Float64()
+		rng.Float64()
+		ctx.Engaged = 0.4 + 0.6*rng.Float64()
+		p.Users[i] = UserProfile{SpeedScale: speed, Context: ctx}
 	}
 	return p
 }

@@ -14,7 +14,7 @@ import (
 // sphere.AngularDistance on every sample and sizes the trace without
 // looking at the sign of dur.
 func generateRef(rng *rand.Rand, profile UserProfile, attention *Attention, dur time.Duration) *HeadTrace {
-	dt := time.Second / SampleRate
+	dt := time.Second / sampleRate
 	n := int(dur/dt) + 1
 	h := &HeadTrace{Samples: make([]Sample, 0, n)}
 
@@ -154,7 +154,7 @@ func sameBits(a, b Sample) bool {
 func TestGenerateMatchesReference(t *testing.T) {
 	pick := rand.New(rand.NewSource(16))
 	pop := NewPopulation(pick, 40)
-	pop.Users = append(pop.Users, UserProfile{ID: "zero"}, UserProfile{ID: "lying", SpeedScale: 2.5, Context: Context{Pose: Lying, Engaged: 0.05}})
+	pop.Users = append(pop.Users, UserProfile{}, UserProfile{SpeedScale: 2.5, Context: Context{Pose: Lying, Engaged: 0.05}})
 	for n := 0; n < 1000; n++ {
 		profile := pop.Users[n%len(pop.Users)]
 		dur := time.Duration(pick.Int63n(int64(40 * time.Second)))
@@ -194,7 +194,7 @@ func TestGenerateNegativeDuration(t *testing.T) {
 		if len(att.Hotspots) != 0 {
 			t.Fatalf("GenerateAttention(%v) scheduled %d hotspots", dur, len(att.Hotspots))
 		}
-		h := Generate(rand.New(rand.NewSource(2)), UserProfile{ID: "u", SpeedScale: 1}, att, dur)
+		h := Generate(rand.New(rand.NewSource(2)), UserProfile{SpeedScale: 1}, att, dur)
 		if len(h.Samples) != 1 || h.Samples[0].At != 0 {
 			t.Fatalf("Generate(%v) = %d samples, want the t=0 sample alone", dur, len(h.Samples))
 		}
@@ -227,7 +227,7 @@ func TestDrawIsTheTwoSeedRecipe(t *testing.T) {
 // new one each call from the same stream of randomness.
 func generateMinute() func() {
 	att := GenerateAttention(rand.New(rand.NewSource(1)), time.Minute)
-	profile := UserProfile{ID: "u", SpeedScale: 1}
+	profile := UserProfile{SpeedScale: 1}
 	rng := rand.New(rand.NewSource(2))
 	return func() { Generate(rng, profile, att, time.Minute) }
 }

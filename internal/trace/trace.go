@@ -97,16 +97,16 @@ type Pose int
 
 // Poses the paper's app would label.
 const (
-	Sitting Pose = iota
-	Standing
+	sitting Pose = iota
+	standing
 	Lying
 )
 
 func (p Pose) String() string {
 	switch p {
-	case Sitting:
+	case sitting:
 		return "sitting"
-	case Standing:
+	case standing:
 		return "standing"
 	case Lying:
 		return "lying"
@@ -115,21 +115,10 @@ func (p Pose) String() string {
 	}
 }
 
-// WatchMode distinguishes bare-smartphone from headset viewing (§3.2).
-type WatchMode int
-
-// Watch modes.
-const (
-	bareSmartphone WatchMode = iota
-	Headset
-)
-
 // Context carries the lightweight contextual features of §3.2.
 type Context struct {
 	Pose    Pose
-	Mode    WatchMode
-	Mobile  bool // stationary vs mobile
-	Indoors bool
+	headset bool    // headset vs bare-smartphone viewing
 	Engaged float64 // engagement level in [0,1] from reaction sensing [15]
 }
 
@@ -139,7 +128,7 @@ func (c Context) YawRange() float64 {
 	if c.Pose == Lying {
 		return 110
 	}
-	if c.Pose == Sitting && c.Mode == bareSmartphone {
+	if c.Pose == sitting && !c.headset {
 		return 150
 	}
 	return 180
@@ -147,7 +136,6 @@ func (c Context) YawRange() float64 {
 
 // UserProfile describes one viewer in the population.
 type UserProfile struct {
-	ID string
 	// SpeedScale multiplies the base head-movement speed; learned
 	// per-user in §3.2 to bound fetch latency for distant tiles.
 	SpeedScale float64

@@ -44,20 +44,20 @@ func TestHeadTraceAtInterpolates(t *testing.T) {
 }
 
 func TestGenerateSampleCountAndRate(t *testing.T) {
-	h := genTrace(t, 1, UserProfile{ID: "u", SpeedScale: 1}, 10*time.Second)
-	want := 10*SampleRate + 1
+	h := genTrace(t, 1, UserProfile{SpeedScale: 1}, 10*time.Second)
+	want := 10*sampleRate + 1
 	if len(h.Samples) != want {
 		t.Fatalf("samples = %d, want %d", len(h.Samples), want)
 	}
 	dt := h.Samples[1].At - h.Samples[0].At
-	if dt != time.Second/SampleRate {
-		t.Fatalf("sample interval = %v, want %v", dt, time.Second/SampleRate)
+	if dt != time.Second/sampleRate {
+		t.Fatalf("sample interval = %v, want %v", dt, time.Second/sampleRate)
 	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := genTrace(t, 5, UserProfile{ID: "u", SpeedScale: 1}, 5*time.Second)
-	b := genTrace(t, 5, UserProfile{ID: "u", SpeedScale: 1}, 5*time.Second)
+	a := genTrace(t, 5, UserProfile{SpeedScale: 1}, 5*time.Second)
+	b := genTrace(t, 5, UserProfile{SpeedScale: 1}, 5*time.Second)
 	for i := range a.Samples {
 		if a.Samples[i] != b.Samples[i] {
 			t.Fatal("same-seed traces diverge")
@@ -66,7 +66,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateBoundedVelocity(t *testing.T) {
-	h := genTrace(t, 2, UserProfile{ID: "u", SpeedScale: 1}, 30*time.Second)
+	h := genTrace(t, 2, UserProfile{SpeedScale: 1}, 30*time.Second)
 	v := h.MaxVelocity()
 	if v <= 0 {
 		t.Fatal("trace never moves")
@@ -81,7 +81,7 @@ func TestGenerateShortHorizonPredictability(t *testing.T) {
 	// The core empirical property from [16,37]: over ~500 ms the view
 	// usually moves only a few degrees — last-value prediction is mostly
 	// inside a half-FoV.
-	h := genTrace(t, 3, UserProfile{ID: "u", SpeedScale: 1}, 60*time.Second)
+	h := genTrace(t, 3, UserProfile{SpeedScale: 1}, 60*time.Second)
 	within := 0
 	total := 0
 	for ts := time.Second; ts < 59*time.Second; ts += 200 * time.Millisecond {
@@ -97,15 +97,15 @@ func TestGenerateShortHorizonPredictability(t *testing.T) {
 }
 
 func TestGenerateSpeedScaleMatters(t *testing.T) {
-	slow := genTrace(t, 4, UserProfile{ID: "s", SpeedScale: 0.4}, 60*time.Second)
-	fast := genTrace(t, 4, UserProfile{ID: "f", SpeedScale: 1.6}, 60*time.Second)
+	slow := genTrace(t, 4, UserProfile{SpeedScale: 0.4}, 60*time.Second)
+	fast := genTrace(t, 4, UserProfile{SpeedScale: 1.6}, 60*time.Second)
 	if slow.MaxVelocity() >= fast.MaxVelocity() {
 		t.Fatalf("slow user max %v not below fast user %v", slow.MaxVelocity(), fast.MaxVelocity())
 	}
 }
 
 func TestGenerateLyingYawRestricted(t *testing.T) {
-	p := UserProfile{ID: "lying", SpeedScale: 1, Context: Context{Pose: Lying}}
+	p := UserProfile{SpeedScale: 1, Context: Context{Pose: Lying}}
 	h := genTrace(t, 6, p, 120*time.Second)
 	for _, s := range h.Samples {
 		if s.View.Yaw > 111 || s.View.Yaw < -111 {
@@ -115,13 +115,13 @@ func TestGenerateLyingYawRestricted(t *testing.T) {
 }
 
 func TestContextYawRange(t *testing.T) {
-	if (Context{Pose: Lying}).YawRange() >= (Context{Pose: Standing, Mode: Headset}).YawRange() {
+	if (Context{Pose: Lying}).YawRange() >= (Context{Pose: standing, headset: true}).YawRange() {
 		t.Fatal("lying range not smaller than standing")
 	}
 }
 
 func TestPoseString(t *testing.T) {
-	if Sitting.String() != "sitting" || Lying.String() != "lying" {
+	if sitting.String() != "sitting" || Lying.String() != "lying" {
 		t.Fatal("bad pose strings")
 	}
 	if Pose(9).String() != "pose(9)" {
@@ -185,19 +185,25 @@ func TestCrowdCorrelation(t *testing.T) {
 	}
 }
 
+// TestNewPopulationDiversity also pins the random values NewPopulation
+// draws per user, the two no field keeps included: dropping or
+// reordering one moves every population trace the experiments replay.
 func TestNewPopulationDiversity(t *testing.T) {
-	pop := NewPopulation(rand.New(rand.NewSource(13)), 50)
+	rng := rand.New(rand.NewSource(13))
+	pop := NewPopulation(rng, 50)
+	if got := rng.Int63(); got != 5377631251211792313 {
+		t.Fatalf("after 50 users the stream reads %d, want 5377631251211792313", got)
+	}
+	if u := pop.Users[1]; u.SpeedScale != 0.7699556533369549 || u.Context.Pose != sitting ||
+		u.Context.YawRange() != 150 || u.Context.Engaged != 0.6296962203346301 {
+		t.Fatalf("user 1 = %+v", u)
+	}
 	if len(pop.Users) != 50 {
 		t.Fatalf("population size %d", len(pop.Users))
 	}
 	speeds := map[bool]int{}
-	ids := map[string]bool{}
 	for _, u := range pop.Users {
 		speeds[u.SpeedScale < 0.75]++
-		if ids[u.ID] {
-			t.Fatalf("duplicate user ID %s", u.ID)
-		}
-		ids[u.ID] = true
 		if u.SpeedScale <= 0 {
 			t.Fatal("non-positive speed scale")
 		}
