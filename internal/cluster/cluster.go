@@ -539,7 +539,7 @@ func (c *Cluster) StartProbes(ctx context.Context) {
 
 // wallSleep blocks for d or until ctx is done. This is the cluster's
 // one real-time wait — probe pacing is inherently wall-clock. Health
-// runs on the injected clock, which TestProbesReadmitRecoveredNode and
+// runs on the injected clock, which TestClusterMatchesModel and
 // TestClusterFailoverDeterministic pin.
 func wallSleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)

@@ -72,29 +72,37 @@ func (o *blockingOrigin) count() int {
 	return o.calls
 }
 
+// parkedAt matches a goroutine parked in route's select, a follower,
+// or in Store.Get's, a flight's waiter: its stack tops out there, under
+// any runtime frames (gopark, selectgo) a traceback setting shows.
+var parkedAt = regexp.MustCompile(`(?m)^goroutine \d+ \[select[^\]]*\]:\n(?:runtime\.[^\n]*\n\t[^\n]*\n)*sperke/internal/(cluster\.\(\*Cluster\)\.route|serve\.\(\*Store\)\.Get)\(`)
+
+// parked counts the process's route followers and flight waiters, from
+// a dump of every goroutine into buf (1 MiB holds any test's).
+func parked(buf []byte) (route, store int) {
+	for _, m := range parkedAt.FindAllSubmatch(buf[:runtime.Stack(buf, true)], -1) {
+		if m[1][0] == 'c' {
+			route++
+		} else {
+			store++
+		}
+	}
+	return route, store
+}
+
 // waitForFollowers polls until key's flight is open and n requests
 // wait on it — the deterministic "everyone is waiting" barrier the herd
-// tests release against. A follower waits in route's select, the one
-// place route parks its own goroutine, so the followers are the
-// goroutines whose stack tops out there, under any runtime frames
-// (gopark, selectgo) a traceback setting shows. The dump cannot tell
-// keys or clusters apart, so the count is of every follower in the
-// process: a caller holds one flight open, in a test that does not run
-// in parallel.
+// tests release against. The dump cannot tell keys or clusters apart,
+// so the count is of every follower in the process: a caller holds one
+// flight open, in a test that does not run in parallel.
 func waitForFollowers(t *testing.T, c *Cluster, key serve.ChunkKey, n int) {
 	t.Helper()
-	parked := regexp.MustCompile(`(?m)^goroutine \d+ \[select[^\]]*\]:\n(?:runtime\.[^\n]*\n\t[^\n]*\n)*sperke/internal/cluster\.\(\*Cluster\)\.route\(`)
 	deadline := time.Now().Add(10 * time.Second)
 	buf := make([]byte, 1<<20)
 	for {
 		got := 0
 		if c.coal.inFlight(key) {
-			m := runtime.Stack(buf, true)
-			for m == len(buf) {
-				buf = make([]byte, 2*len(buf))
-				m = runtime.Stack(buf, true)
-			}
-			got = len(parked.FindAllIndex(buf[:m], -1))
+			got, _ = parked(buf)
 		}
 		if got == n {
 			return
@@ -200,142 +208,6 @@ func TestWireHerdStreamsColdKeyOnce(t *testing.T) {
 	})
 }
 
-// TestCanceledLeaderDoesNotPoisonFollowers: the flight leader's caller
-// cancels mid-synthesis. Followers must not inherit the cancellation —
-// they fall back to their own ranked walk and still get bodies, with
-// the edge-store singleflight keeping the retry to one synthesis.
-func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
-	const followers = 3
-	key := serve.ChunkKey{Video: "vid", Quality: 0, Tile: 0, Index: 0}
-	origin := newBlockingOrigin(key)
-	origin.honorCtx = true
-	c, err := New(origin, WithNodes(1), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	leadCtx, cancelLead := context.WithCancel(context.Background())
-	leadErr := make(chan error, 1)
-	go func() {
-		_, err := c.Chunk(leadCtx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		leadErr <- err
-	}()
-	recv(t, "the leader's origin fetch", origin.arrived)
-	errs := make(chan error, followers)
-	bodies := make(chan []byte, followers)
-	for i := 0; i < followers; i++ {
-		go func() {
-			body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-			bodies <- body
-			errs <- err
-		}()
-	}
-	waitForFollowers(t, c, key, followers)
-	cancelLead()
-	if err := recv(t, "the canceled leader to return", leadErr); err == nil {
-		t.Fatal("canceled leader returned no error")
-	}
-	// The followers retry on their own; the retry's synthesis blocks on
-	// the origin until released.
-	recv(t, "the followers' retried origin fetch", origin.arrived)
-	close(origin.release)
-	for i := 0; i < followers; i++ {
-		if err := recv(t, "a follower to return", errs); err != nil {
-			t.Fatalf("follower failed after leader cancel: %v", err)
-		}
-		if body := recv(t, "a follower's body", bodies); string(body) != string(originBody(key)) {
-			t.Fatalf("follower body %q, want %q", body, originBody(key))
-		}
-	}
-	if got := c.Coalesced(); got != 0 {
-		t.Fatalf("cluster.coalesced = %d after a failed flight, want 0", got)
-	}
-}
-
-// stalledWriter is a viewer that stopped reading: its first Write
-// reports on wrote, and every Write blocks until unblock is closed.
-type stalledWriter struct {
-	h       http.Header
-	wrote   chan struct{}
-	unblock chan struct{}
-}
-
-func (w *stalledWriter) Header() http.Header { return w.h }
-func (w *stalledWriter) WriteHeader(int)     {}
-func (w *stalledWriter) Write(p []byte) (int, error) {
-	select {
-	case w.wrote <- struct{}{}:
-	default:
-	}
-	<-w.unblock
-	return len(p), nil
-}
-
-// TestStalledViewerDoesNotHoldFollowers: a flight leader whose own
-// viewer has stopped reading publishes the body before it writes a byte
-// to that viewer, so a follower attached to the cold flight gets the
-// whole body and returns while the leader is still blocked in Write —
-// on both carriers. A follower that waited for the leader's relay to
-// end would wait as long as the stalled viewer does. With R = 2 the
-// co-owner is warmed before the flight closes, so a pre-warm that finds
-// the flight closed finds the co-owner warm too.
-func TestStalledViewerDoesNotHoldFollowers(t *testing.T) {
-	for _, carrier := range []string{"in-process", "tcp"} {
-		t.Run(carrier, func(t *testing.T) {
-			key := wireKeys(wireVideo())[0]
-			origin := newBlockingOrigin(key)
-			c := newCarrierCluster(t, carrier, origin, WithNodes(2), WithReplication(2), WithClock(sim.NewClock(1)))
-			w := &stalledWriter{h: make(http.Header), wrote: make(chan struct{}, 1), unblock: make(chan struct{})}
-			leader := make(chan error, 1)
-			go func() {
-				_, err := c.StreamChunk(context.Background(), w, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-				leader <- err
-			}()
-			// Cleanups run last-in first-out: the viewer drains before the
-			// cluster closes.
-			t.Cleanup(func() {
-				close(w.unblock)
-				<-leader
-			})
-			<-origin.arrived
-			type result struct {
-				body []byte
-				err  error
-			}
-			follower := make(chan result, 1)
-			go func() {
-				body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-				follower <- result{body, err}
-			}()
-			waitForFollowers(t, c, key, 1)
-			close(origin.release)
-			select {
-			case r := <-follower:
-				if r.err != nil || string(r.body) != string(originBody(key)) {
-					t.Fatalf("follower got %q, %v; want %q", r.body, r.err, originBody(key))
-				}
-			case <-time.After(2 * time.Second):
-				t.Fatal("the follower is still waiting 2 s after its body was resident: the leader's stalled viewer holds it")
-			}
-			<-w.wrote
-			select {
-			case err := <-leader:
-				t.Fatalf("the leader returned (%v) while its viewer was stalled", err)
-			default:
-			}
-			if got := c.Coalesced(); got != 1 {
-				t.Fatalf("cluster.coalesced = %d, want 1", got)
-			}
-			if got := c.Warms(); got != 1 {
-				t.Fatalf("cluster.warms = %d while the leader's viewer is stalled, want 1", got)
-			}
-			if got := origin.count(); got != 1 {
-				t.Fatalf("%d origin fetches, want 1", got)
-			}
-		})
-	}
-}
-
 // TestFetchWireRejectsTruncatedBody: a drained edge body shorter than
 // the declared Content-Length must fail with a typed transient error,
 // not hand short bytes to the caller (or a replica's cache) as a
@@ -432,26 +304,6 @@ func TestStreamOriginFetchCountedOnSuccess(t *testing.T) {
 	}
 	if got := c.met.originErrors.Value(); got != 0 {
 		t.Fatalf("origin_errors = %d, want 0", got)
-	}
-}
-
-// TestChunkOriginFallbackCountsOnSuccessOnly covers the materialized
-// path's fallback accounting the same way.
-func TestChunkOriginFallbackCountsOnSuccessOnly(t *testing.T) {
-	c, err := New(&failingOrigin{}, WithNodes(1), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.KillNode("edge-0")
-	if _, err := c.Chunk(context.Background(), "vid", 0, 0, 0, false); err == nil {
-		t.Fatal("Chunk with a dead origin succeeded")
-	}
-	if got := c.met.originFetches.Value(); got != 0 {
-		t.Fatalf("origin_fetches = %d after a failed fallback, want 0", got)
-	}
-	if got := c.met.originErrors.Value(); got != 1 {
-		t.Fatalf("origin_errors = %d, want 1", got)
 	}
 }
 

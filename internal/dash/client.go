@@ -231,6 +231,14 @@ type exchange struct {
 	sized  io.LimitedReader // the body up to length, for fetchSegment
 }
 
+// identity is every request's header: it asks for the body as it is.
+// Sperke never compresses a segment, and a header without
+// Accept-Encoding has http.Transport ask for gzip, at three objects a
+// request. Requests share it, so nothing may write to it: a
+// RoundTripper that adds a header clones the request first, as the
+// http.RoundTripper contract asks.
+var identity = http.Header{"Accept-Encoding": {"identity"}}
+
 // attempt is the client's one HTTP exchange: build the request on the
 // parsed base (path is as it goes on the wire; the URL carries it
 // escaped and decoded, so an escaped video ID survives), send it on the
@@ -254,7 +262,7 @@ func (c *Client) attempt(ctx context.Context, path string, timeout time.Duration
 	actx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	req := (&http.Request{
-		Method: http.MethodGet, URL: &x.url, Host: c.base.Host, Header: make(http.Header),
+		Method: http.MethodGet, URL: &x.url, Host: c.base.Host, Header: identity,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 	}).WithContext(actx)
 	resp, err := c.rt.RoundTrip(req)

@@ -256,7 +256,7 @@ func memoryFetch(tb testing.TB) (fetch func(), bodyLen int) {
 // segment allocates the payload the caller keeps plus a fixed
 // per-request overhead — never a second copy of the body, let alone the
 // several an unsized read-all-then-decode makes on the way to N — in at
-// most 14 objects.
+// most 13 objects.
 func TestFetchChunkAllocBudget(t *testing.T) {
 	fetch, bodyLen := memoryFetch(t)
 	fetch() // warm pools
@@ -279,8 +279,8 @@ func TestFetchChunkAllocBudget(t *testing.T) {
 	}
 	n := testing.AllocsPerRun(100, fetch)
 	t.Logf("FetchChunk: %.0f allocs, %d B/op for a %d B body", n, perOp, bodyLen)
-	if n > 14 {
-		t.Fatalf("FetchChunk allocates %.0f objects, want at most 14", n)
+	if n > 13 {
+		t.Fatalf("FetchChunk allocates %.0f objects, want at most 13", n)
 	}
 }
 

@@ -45,40 +45,6 @@ func TestNewRequiresExactlyOneSynth(t *testing.T) {
 	})
 }
 
-// TestPutWarmsWithoutSynthesis pins the replication write path: Put
-// inserts a pre-built body with no synthesis, a duplicate Put is a
-// no-op, and the warmed body is exactly what Get returns afterwards.
-func TestPutWarmsWithoutSynthesis(t *testing.T) {
-	synths := 0
-	st := New(WithCtxSynth(func(ctx context.Context, k ChunkKey) ([]byte, error) {
-		synths++
-		return optBody(k), nil
-	}), WithShards(2))
-	k := key(7)
-	body := optBody(k)
-	if !st.Put(k, body) {
-		t.Fatal("first Put rejected")
-	}
-	if st.Put(k, body) {
-		t.Fatal("duplicate Put reported an insert")
-	}
-	got, err := st.Get(context.Background(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, body) {
-		t.Fatal("Get returned different bytes than Put stored")
-	}
-	if synths != 0 {
-		t.Fatalf("warm hit still synthesized %d times", synths)
-	}
-
-	tiny := New(WithCtxSynth(optCtx), WithShards(1), WithBudget(1))
-	if tiny.Put(k, body) {
-		t.Fatal("oversized Put reported residency")
-	}
-}
-
 // TestChunkLenAndChunkTo pins the streaming origin seam: ChunkLen
 // reports the sized synth's exact length without synthesizing, ChunkTo
 // streams the same bytes Chunk returns, and a store without a size
