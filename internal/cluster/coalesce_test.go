@@ -73,9 +73,10 @@ func (o *blockingOrigin) count() int {
 }
 
 // parkedAt matches a goroutine parked in route's select, a follower,
-// or in Store.Get's, a flight's waiter: its stack tops out there, under
-// any runtime frames (gopark, selectgo) a traceback setting shows.
-var parkedAt = regexp.MustCompile(`(?m)^goroutine \d+ \[select[^\]]*\]:\n(?:runtime\.[^\n]*\n\t[^\n]*\n)*sperke/internal/(cluster\.\(\*Cluster\)\.route|serve\.\(\*Store\)\.Get)\(`)
+// or in Store.get's, a flight's waiter (behind Get or StreamChunk): its
+// stack tops out there, under any runtime frames (gopark, selectgo) a
+// traceback setting shows.
+var parkedAt = regexp.MustCompile(`(?m)^goroutine \d+ \[select[^\]]*\]:\n(?:runtime\.[^\n]*\n\t[^\n]*\n)*sperke/internal/(cluster\.\(\*Cluster\)\.route|serve\.\(\*Store\)\.get)\(`)
 
 // parked counts the process's route followers and flight waiters, from
 // a dump of every goroutine into buf (1 MiB holds any test's).

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -291,7 +292,12 @@ func (n *Node) warm(key serve.ChunkKey, body []byte) bool {
 // Chunk implements dash.ChunkSource. A down node fails immediately
 // with ErrNodeDown; a saturated one sheds with a KindOverload
 // *dash.Error before touching the store, so the refusal costs almost
-// nothing.
+// nothing. An admitted request holds its in-flight slot while its
+// caller wants it. A miss whose caller leaves frees the slot then,
+// though its goroutine may stay in a synthesis other callers still
+// want, so a walk woken by the cancel that ends that flight finds the
+// slot free whichever goroutine runs first. A hit returns at once and
+// skips that bookkeeping.
 func (n *Node) Chunk(ctx context.Context, videoID string, quality, tile, index int, layer bool) ([]byte, error) {
 	if n.down.Load() {
 		n.met.denials.Inc()
@@ -305,10 +311,31 @@ func (n *Node) Chunk(ctx context.Context, videoID string, quality, tile, index i
 			Attempts: 1, RetryAfter: shedRetryAfter, Err: dash.ErrUnavailable,
 		}
 	}
-	defer n.inflight.Add(-1)
 	n.met.requests.Inc()
-	return n.store.Get(ctx, serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer})
+	key := serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer}
+	if n.store.Contains(key) {
+		defer n.inflight.Add(-1)
+		return n.store.Get(ctx, key)
+	}
+	sl := &slot{n: n}
+	stop := context.AfterFunc(ctx, sl.free)
+	defer func() {
+		stop()
+		sl.free()
+	}()
+	return n.store.Get(ctx, key)
 }
+
+// slot is one admitted miss's claim on its node's in-flight bound. The
+// caller's leaving and the request's return both free it; the Once
+// frees it on whichever comes first and makes the other wait, so the
+// slot is free by the time Chunk returns.
+type slot struct {
+	once sync.Once
+	n    *Node
+}
+
+func (s *slot) free() { s.once.Do(func() { s.n.inflight.Add(-1) }) }
 
 // Handler returns the node's own dash.Server — the edge as an HTTP
 // process, overload and down semantics included (503+Retry-After).

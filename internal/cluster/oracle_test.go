@@ -33,13 +33,20 @@ import (
 // a request a chain of callbacks, placement Rank's and bodies
 // dash.BuildChunkBody's. The origin can hold one key, so requests park
 // mid-flight while the scenario cancels, kills, recovers, adds,
-// removes, sheds, Puts and Resets around them. After every step the
+// removes, sheds, Puts and Resets around them. A pinned read of the
+// origin (StreamChunk) stalls in Write until a later pinned read has
+// settled, so evictions, Resets and misses of its size class run while
+// it holds its body, and the bytes it writes at last must still be
+// dash.BuildChunkBody's: a store that reused a body it had lent out
+// fails here. After every step the
 // cluster must match the model: outcomes and bodies, where goroutines
-// park, the sealed bodies resident in every store (so resident bytes
-// are within budget and the sum of the live entries, one LRU element
-// each), and every counter, the origin store's hits + misses +
-// singleflight_shared equal to its Gets live at entry among them.
-// After Close no goroutine is left.
+// park, the bodies resident in every store (so resident bytes are
+// within budget and the sum of the live entries, one LRU element each;
+// sealed, though a writer-form origin's are read under a pin and
+// Peeked for their seal at the last step only, see checkStore), and
+// every counter, the origin store's hits + misses + singleflight_shared
+// equal to its Gets live at entry among them. After Close no goroutine
+// is left.
 //
 // The model never guesses which of two racing goroutines won, because
 // one key is held at a time, so a release wakes work on that key alone,
@@ -251,8 +258,10 @@ type req struct {
 	body   []byte
 	err    error
 	key    serve.ChunkKey
-	sink   int // 0: Chunk; 1: StreamChunk; 2: StreamChunk to a viewer that stalls; 3: a node's own Chunk
+	sink   int // 0: Chunk; 1: StreamChunk; 2: StreamChunk to a viewer that stalls; 3: a node's own Chunk; 4: a pinned read of the origin
 	cancel context.CancelFunc
+	resume chan struct{} // a pinned read's until closed, which lets its Write go
+	let    bool          // a later pinned read has started: let this one go once that has settled
 	out    chan struct{} // closed once got, gotErr and length hold the cluster's answer
 	got    []byte
 	gotErr error
@@ -371,8 +380,16 @@ func (o *model) nodeChunk(n *mnode, ctx *mctx, k serve.ChunkKey, done func([]byt
 	default:
 		n.inflight++
 		o.counter[p+".requests"]++
+		held := true
+		release := func() {
+			if held {
+				held, n.inflight = false, n.inflight-1
+			}
+		}
+		stop := ctx.after(release) // the slot is the caller's
 		n.store.get(ctx, k, func(b []byte, err error) {
-			n.inflight--
+			stop()
+			release()
 			done(b, err)
 		})
 	}
@@ -521,6 +538,8 @@ type rig struct {
 	oreg    *obs.Registry
 	m       *model
 	live    []*req
+	pinned  []*req // pinned reads the model has finished, stalled in Write
+	final   bool   // the scenario's last settle
 	log     []string
 	stacks  []byte
 	base    int                           // goroutines before the cluster
@@ -528,16 +547,22 @@ type rig struct {
 	unstall atomic.Pointer[chan struct{}] // closed to let them go
 }
 
-// idleViewer has stopped reading until the rig lets it go.
+// idleViewer has stopped reading until the rig lets it go: a pinned
+// read's at its own resume, any other at the step's end.
 type idleViewer struct {
 	*httptest.ResponseRecorder
-	h *rig
+	h      *rig
+	resume chan struct{}
 }
 
 func (v idleViewer) Write(p []byte) (int, error) {
 	v.h.stalled.Add(1)
 	defer v.h.stalled.Add(-1)
-	<-*v.h.unstall.Load()
+	if v.resume != nil {
+		<-v.resume
+	} else {
+		<-*v.h.unstall.Load()
+	}
 	return v.ResponseRecorder.Write(p)
 }
 
@@ -549,12 +574,15 @@ func (h *rig) fatalf(format string, args ...any) {
 func (h *rig) request(k serve.ChunkKey, sink int, node string, canceled bool) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &req{ctx: &mctx{done: canceled}, key: k, sink: sink, cancel: cancel, out: make(chan struct{})}
+	if sink == 4 {
+		r.resume = make(chan struct{})
+	}
 	if canceled {
 		cancel()
 	}
 	h.log = append(h.log, fmt.Sprintf("request %v sink %d node %q canceled %v", k, sink, node, canceled))
 	h.live = append(h.live, r)
-	n, rec := h.c.Node(node), httptest.NewRecorder()
+	n, rec, resume := h.c.Node(node), httptest.NewRecorder(), r.resume
 	go func() {
 		defer close(r.out)
 		switch sink {
@@ -563,17 +591,23 @@ func (h *rig) request(k serve.ChunkKey, sink int, node string, canceled bool) {
 		case 1, 2:
 			w := http.ResponseWriter(rec)
 			if sink == 2 {
-				w = idleViewer{rec, h}
+				w = idleViewer{rec, h, nil}
 			}
 			_, r.gotErr = h.c.StreamChunk(ctx, w, k.Video, k.Quality, k.Tile, k.Index, k.Layer)
 			r.got, r.length = rec.Body.Bytes(), rec.Header().Get("Content-Length")
 		case 3:
 			r.got, r.gotErr = n.Chunk(ctx, k.Video, k.Quality, k.Tile, k.Index, k.Layer)
+		case 4:
+			_, r.gotErr = h.origin.StreamChunk(ctx, idleViewer{rec, h, resume}, k.Video, k.Quality, k.Tile, k.Index, k.Layer)
+			r.got, r.length = rec.Body.Bytes(), rec.Header().Get("Content-Length")
 		}
 	}()
-	if sink == 3 {
+	switch sink {
+	case 3:
 		h.m.nodeChunk(h.m.byID[node], r.ctx, k, r.finish)
-	} else {
+	case 4: // the model's pinned read is a Get
+		h.m.originChunk(r.ctx, k, r.finish)
+	default:
 		h.m.route(r, k)
 	}
 }
@@ -586,6 +620,7 @@ func (h *rig) request(k serve.ChunkKey, sink int, node string, canceled bool) {
 func (h *rig) settle() {
 	deadline := time.Now().Add(10 * time.Second)
 	wait := func(r *req) {
+		h.letGo(r)
 		select {
 		case <-r.out:
 		case <-time.After(time.Until(deadline)):
@@ -603,11 +638,14 @@ func (h *rig) settle() {
 			live = append(live, r)
 		case r.sink == 2 && r.err == nil:
 			stalled = append(stalled, r)
+		case r.sink == 4 && r.err == nil:
+			h.pinned = append(h.pinned, r)
 		default:
 			wait(r)
 		}
 	}
 	h.live = live
+	inWrite := len(stalled) + len(h.pinned)
 	wantRoute, wantStore, wantGate := h.m.following, h.m.waiting, len(h.m.gate)
 	for {
 		route, store := 0, 0
@@ -615,12 +653,12 @@ func (h *rig) settle() {
 			route, store = parked(h.stacks)
 		}
 		gate := int(h.gate.parked.Load())
-		if route == wantRoute && store == wantStore && gate == wantGate && int(h.stalled.Load()) == len(stalled) &&
-			runtime.NumGoroutine() <= h.base+len(live)+len(stalled) {
+		if route == wantRoute && store == wantStore && gate == wantGate && int(h.stalled.Load()) == inWrite &&
+			runtime.NumGoroutine() <= h.base+len(live)+inWrite {
 			break
 		}
 		if time.Now().After(deadline) {
-			h.fatalf("parked: %d in route, %d in Store.Get, %d at the origin, %d in Write, %d goroutines; the model has %d, %d, %d, %d, %d", route, store, gate, h.stalled.Load(), runtime.NumGoroutine(), wantRoute, wantStore, wantGate, len(stalled), h.base+len(live)+len(stalled))
+			h.fatalf("parked: %d in route, %d on a store flight, %d at the origin, %d in Write, %d goroutines; the model has %d, %d, %d, %d, %d", route, store, gate, h.stalled.Load(), runtime.NumGoroutine(), wantRoute, wantStore, wantGate, inWrite, h.base+len(live)+inWrite)
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -636,7 +674,24 @@ func (h *rig) settle() {
 	for _, r := range stalled {
 		wait(r)
 	}
+	kept := h.pinned[:0]
+	for _, r := range h.pinned {
+		if r.let || h.final {
+			wait(r)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	h.pinned = kept
 	h.checkState()
+}
+
+// letGo lets a pinned read's Write go, once.
+func (h *rig) letGo(r *req) {
+	if r.resume != nil {
+		close(r.resume)
+		r.resume = nil
+	}
 }
 
 // errClass sorts an error the way the model tells errors apart.
@@ -649,14 +704,38 @@ func errClass(err error) int {
 	return -1
 }
 
-func (h *rig) checkStore(name string, st *serve.Store, m *mstore) {
+// checkStore compares a store's residents with the model's: each must
+// hold dash.BuildChunkBody's bytes. With peek it Peeks them, which also
+// shows each sealed (len == cap) but hands the body out, so a
+// writer-form origin could never reuse it; that origin's residents are
+// read instead through StreamChunk, a pinned read that leaves the body
+// free for reuse. It reads each shard's oldest first, so the hits,
+// which the model counts as origin Gets, leave the LRU order as it was.
+func (h *rig) checkStore(name string, st *serve.Store, m *mstore, peek bool) {
 	n, sum := 0, int64(0)
 	for _, sh := range m.shards {
-		for k := range sh.at {
-			if body, ok := st.Peek(k); !ok || !bytes.Equal(body, modelBodies()[k]) || len(body) != cap(body) {
-				h.fatalf("%s holds %d bytes of %v (resident %v, cap %d); the model holds dash.BuildChunkBody's, sealed", name, len(body), k, ok, cap(body))
+		var keys []serve.ChunkKey
+		for el := sh.lru.Back(); el != nil; el = el.Prev() {
+			keys = append(keys, el.Value.(*mentry).key)
+		}
+		for _, k := range keys {
+			want := modelBodies()[k]
+			if peek {
+				if body, ok := st.Peek(k); !ok || !bytes.Equal(body, want) || len(body) != cap(body) {
+					h.fatalf("%s holds %d bytes of %v (resident %v, cap %d); the model holds dash.BuildChunkBody's, sealed", name, len(body), k, ok, cap(body))
+				}
+			} else {
+				if !st.Contains(k) {
+					h.fatalf("%s does not hold %v; the model does", name, k)
+				}
+				rec := httptest.NewRecorder()
+				_, err := st.StreamChunk(context.Background(), rec, k.Video, k.Quality, k.Tile, k.Index, k.Layer)
+				h.m.originChunk(&mctx{}, k, func([]byte, error) {})
+				if err != nil || !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) {
+					h.fatalf("%s wrote %d bytes of %v (Content-Length %q, err %v); the model holds dash.BuildChunkBody's", name, rec.Body.Len(), k, rec.Header().Get("Content-Length"), err)
+				}
 			}
-			n, sum = n+1, sum+int64(len(modelBodies()[k]))
+			n, sum = n+1, sum+int64(len(want))
 		}
 	}
 	if budget := 2 * m.shards[0].budget; st.Len() != n || st.Bytes() != sum || sum > budget {
@@ -672,9 +751,9 @@ func (h *rig) checkState() {
 		if n := h.c.Node(id); n.Down() != h.m.byID[id].down {
 			h.fatalf("%s down = %v; the model has %v", id, n.Down(), h.m.byID[id].down)
 		}
-		h.checkStore(id, h.c.Node(id).Store(), h.m.byID[id].store)
+		h.checkStore(id, h.c.Node(id).Store(), h.m.byID[id].store, true)
 	}
-	h.checkStore("the origin", h.origin, h.m.origin)
+	h.checkStore("the origin", h.origin, h.m.origin, h.m.origin.cancelable || h.final)
 	snap, os := h.c.reg.Snapshot(), h.oreg.Snapshot()
 	for _, pair := range [][2]map[string]int64{{snap.Counters, h.m.counter}, {snap.Gauges, h.m.gauge},
 		{os.Counters, h.m.origin.ctr}, {os.Gauges, {"serve.store.bytes": h.origin.Bytes()}}} {
@@ -747,6 +826,10 @@ func playModel(t testing.TB, ops []byte) {
 		g.set(nil)
 		for _, r := range h.live {
 			r.cancel()
+			h.letGo(r)
+		}
+		for _, r := range h.pinned {
+			h.letGo(r)
 		}
 		c.Close()
 	}()
@@ -761,7 +844,7 @@ func playModel(t testing.TB, ops []byte) {
 		return ""
 	}
 	for pc < len(ops) {
-		op := next() % 15
+		op := next() % 16
 		if len(h.live) >= 8 {
 			op = 4
 		}
@@ -793,9 +876,10 @@ func playModel(t testing.TB, ops []byte) {
 			if sink < 3 || node != "" {
 				h.request(k, sink, node, op < 2 && next()%4 == 0)
 			}
-		case 3:
+		case 3: // cancel a live request
 			if r := h.live; len(r) > 0 {
 				i := next() % len(r)
+				h.log = append(h.log, fmt.Sprintf("cancel %v sink %d", r[i].key, r[i].sink))
 				r[i].cancel()
 				r[i].ctx.cancel()
 			}
@@ -887,12 +971,25 @@ func playModel(t testing.TB, ops []byte) {
 			}
 		case 12:
 			clock.RunUntil(clock.Now() + time.Duration(1+next()%3)*250*time.Millisecond)
+		case 15: // a pinned read of the origin, the held key's or not; the pinned reads before it go once it has settled
+			for _, r := range h.pinned {
+				r.let = true
+			}
+			k := modelKeys[next()%len(modelKeys)]
+			if m.held != nil && next()%2 == 0 {
+				k = *m.held
+			}
+			if m.held != nil && k == *m.held && modelBodies()[k] == nil {
+				k = modelKeys[0]
+			}
+			h.request(k, 4, "", false)
 		}
 		h.settle()
 	}
 	h.log = append(h.log, "release and close")
 	g.set(nil)
 	m.release()
+	h.final = true
 	h.settle()
 	c.Close()
 	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
@@ -904,8 +1001,8 @@ func playModel(t testing.TB, ops []byte) {
 
 // TestClusterMatchesModel checks that New refuses a nil origin and a
 // wire without a catalog, then plays seeded scenarios: requests through
-// Chunk, StreamChunk (to a viewer that reads, and to one that stalls)
-// and a node's own Chunk, the origin held or not,
+// Chunk, StreamChunk (to a viewer that reads, and to one that stalls),
+// a node's own Chunk and a pinned read of the origin, the origin held or not,
 // canceled before or while they wait; kills, recoveries, adds (three
 // racing for one name among them), removals, sheds, Puts and Resets
 // mid-flight, probes and clock steps.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -45,7 +46,10 @@ func TestCtxStoreRetainsBodyAsReturned(t *testing.T) {
 // evict constantly with parallel readers, checksumming every body
 // against its expected value. Run under -race this is the aliasing
 // smoking gun: any reader observing a body mid-build fails the checksum
-// or trips the race detector.
+// or trips the race detector. Half the readers read pinned
+// (StreamChunk), yielding mid-write while others miss into free
+// buffers; the rest Get, and check every body they got again at the
+// end, so a body the store reused after lending it out fails too.
 func TestConcurrentReadersStableChecksums(t *testing.T) {
 	const bodySize = 1024
 	synth := patternBody(bodySize)
@@ -69,16 +73,35 @@ func TestConcurrentReadersStableChecksums(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
+				got := make(map[ChunkKey][][]byte)
 				for i := 0; i < 400; i++ {
-					k := key((g*13 + i*7) % 64)
-					body, err := st.Get(context.Background(), k)
-					if err != nil {
-						errCh <- err
-						return
+					k, sum := key((g*13+i*7)%64), uint32(0)
+					if g%2 == 1 {
+						w := &crcViewer{discardViewer: discardViewer{}}
+						if _, err := st.StreamChunk(context.Background(), w, k.Video, k.Quality, k.Tile, k.Index, k.Layer); err != nil {
+							errCh <- err
+							return
+						}
+						sum = w.sum
+					} else {
+						body, err := st.Get(context.Background(), k)
+						if err != nil {
+							errCh <- err
+							return
+						}
+						got[k], sum = append(got[k], body), crc32.ChecksumIEEE(body)
 					}
-					if sum := crc32.ChecksumIEEE(body); sum != wantSum[k] {
+					if sum != wantSum[k] {
 						errCh <- fmt.Errorf("key %+v: checksum %08x, want %08x", k, sum, wantSum[k])
 						return
+					}
+				}
+				for k, bodies := range got {
+					for _, body := range bodies {
+						if crc32.ChecksumIEEE(body) != wantSum[k] {
+							errCh <- fmt.Errorf("key %+v: a body Get returned has changed since", k)
+							return
+						}
 					}
 				}
 			}(g)
@@ -98,6 +121,19 @@ func TestConcurrentReadersStableChecksums(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// crcViewer checksums what a pinned read writes, yielding first so the
+// store runs other readers' misses while the body is pinned.
+type crcViewer struct {
+	discardViewer
+	sum uint32
+}
+
+func (v *crcViewer) Write(p []byte) (int, error) {
+	runtime.Gosched()
+	v.sum = crc32.Update(v.sum, crc32.IEEETable, p)
+	return len(p), nil
 }
 
 // TestWarmHitZeroAlloc pins the warm path: a cache hit performs no

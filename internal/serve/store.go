@@ -7,9 +7,11 @@
 //     its own LRU list and a slice of the global byte budget, plus
 //     singleflight de-duplication so a thundering herd of cold requests
 //     for the same chunk synthesizes its body exactly once. Cached
-//     bodies are served read-only; a writer-form miss streams into an
-//     exact-size allocation, so the cold path allocates only what the
-//     cache retains.
+//     bodies are served read-only. A writer-form miss streams into one
+//     body-sized allocation; a miss written out under a pin
+//     (StreamChunk, ChunkTo) builds instead in the buffer of a body the
+//     store evicted and nobody else holds, when one of its size class
+//     is free.
 //
 //   - Engine, a worker-pool session driver: K simulated viewers (each a
 //     core.Session, optionally doubled by a dash.Client fetching the
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"sperke/internal/obs"
 )
@@ -81,15 +84,16 @@ func (k ChunkKey) hash() uint64 { return k.Fold(14695981039346656037) }
 
 // WriterSynth is the sized streaming miss form: Size reports the exact
 // byte length of a key's body and Write streams those bytes into w.
-// The store allocates the cached body up front at exactly Size bytes
-// and hands Write a writer over it that lends the room out
+// The store allocates the cached body up front at exactly Size bytes,
+// or takes a free buffer of its size class (see Store.StreamChunk), and
+// hands Write a writer over it that lends the room out
 // (AvailableBuffer), so a synthesizer can build in place — no scratch
-// buffer, no post-build copy, one body-sized allocation per miss (the
-// bytes the cache retains, sealed at len == cap). Both functions must
-// be pure, and Write must emit exactly Size bytes; a mismatch fails the
-// Get rather than caching a half-built body. Write takes no context, so
-// a writer flight always runs to completion and pays for no flight
-// context.
+// buffer, no post-build copy, at most one body-sized allocation per
+// miss (the bytes the cache retains, sealed at len == cap). Both
+// functions must be pure, and Write must emit exactly Size bytes; a
+// mismatch fails the Get rather than caching a half-built body. Write
+// takes no context, so a writer flight always runs to completion and
+// pays for no flight context.
 type WriterSynth struct {
 	Size  func(key ChunkKey) (int, error)
 	Write func(w io.Writer, key ChunkKey) error
@@ -131,6 +135,7 @@ type StoreConfig struct {
 // Store.abandon). cancel is nil on a writer-form flight. resets is the
 // shard's Reset count when the flight opened: one that completes under
 // another count belongs to a cache that is gone, and caches nothing.
+// shared records that a waiter joined, so its body left the store.
 type flight struct {
 	done     chan struct{}
 	body     []byte
@@ -138,13 +143,32 @@ type flight struct {
 	interest int
 	cancel   context.CancelFunc
 	resets   uint64
+	shared   bool
 }
 
-// entry is one cached body on a shard's LRU list.
+// entry is one cached body on a shard's LRU list. buf is the whole
+// allocation a pinned miss built body in, kept while the store may
+// reuse it, and nil from the moment body is handed to a caller (Get,
+// Peek, a flight's waiters) or when the store did not build it. pins
+// counts the writes of body in progress; gone marks an entry evicted or
+// Reset. An entry that is gone, unpinned and still holds buf is free
+// (Store.recycle). All three fields change under the shard lock.
 type entry struct {
 	key  ChunkKey
 	body []byte
+	buf  []byte
+	pins int
+	gone bool
 }
+
+// Free buffers wait in one slot per size class: class c holds a buffer
+// of exactly c*classBytes, c from 1 to freeClasses, so at most ~8 MiB
+// sits idle per store. Under GOGC=100 each idle MB costs about two of
+// peak RSS, which is why a slot holds one buffer and not a pool's worth.
+const (
+	classBytes  = 4 << 10
+	freeClasses = 64
+)
 
 // shard is one lock stripe: its own map, LRU list, byte accounting,
 // in-flight synthesis table and count of Resets.
@@ -174,15 +198,13 @@ type storeMetrics struct {
 type Store struct {
 	shards []*shard
 	mask   uint64
-	// miss is the one synthesis form the store knows: build the body
-	// for a cold key and hand back a slice the cache may retain. The two
-	// public forms (WithWriterSynth, WithCtxSynth) are adapters onto it.
+	// miss is the cancellation-aware synthesis (WithCtxSynth): each
+	// flight runs on its own context, canceled when every sharing caller
+	// has departed. Nil on a writer-form store, which builds with ws.
 	miss ctxSynth
-	// cancelable says miss observes its context, so each flight runs on
-	// its own, canceled when every sharing caller has departed.
-	cancelable bool
-	// size, when set, is the size model behind ChunkLen.
-	size func(key ChunkKey) (int, error)
+	ws   WriterSynth
+	// free is the idle buffer of each size class (see classBytes).
+	free [freeClasses]atomic.Pointer[entry]
 	met  storeMetrics
 }
 
@@ -245,15 +267,11 @@ func New(opts ...Option) *Store {
 	if hasWriter == (o.ctxSynth != nil) {
 		panic("serve: New needs exactly one synthesis option (WithWriterSynth or WithCtxSynth)")
 	}
-	s := newStore(o.cfg)
-	switch {
-	case !hasWriter:
-		s.miss, s.cancelable = o.ctxSynth, true
-	case o.writer.Size == nil || o.writer.Write == nil:
+	if hasWriter && (o.writer.Size == nil || o.writer.Write == nil) {
 		panic("serve: WithWriterSynth needs both Size and Write")
-	default:
-		s.miss, s.size = o.writer.build, o.writer.Size
 	}
+	s := newStore(o.cfg)
+	s.miss, s.ws = o.ctxSynth, o.writer
 	return s
 }
 
@@ -317,35 +335,55 @@ func (s *Store) shard(k ChunkKey) *shard { return s.shards[k.hash()&s.mask] }
 // length, or append to it in place; mutating it corrupts the body every
 // later viewer receives. Writer-form bodies are sealed at their exact
 // size (len == cap), so an accidental append reallocates instead of
-// scribbling on cached bytes.
+// scribbling on cached bytes. A body once returned here is never
+// reused: the store keeps it whole for as long as the caller does.
 func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
+	body, _, err := s.get(ctx, key, false)
+	return body, err
+}
+
+// get is Get, and with pin the first half of a pinned write: the body
+// comes back with its entry pinned, or a nil entry when the store will
+// never reuse the body, and the caller writes it out and unpins. A
+// pinned miss builds in a free buffer (see build).
+func (s *Store) get(ctx context.Context, key ChunkKey, pin bool) ([]byte, *entry, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sh := s.shard(key)
 	sh.mu.Lock()
 	if el, ok := sh.entries[key]; ok {
 		sh.lru.MoveToFront(el)
-		body := el.Value.(*entry).body
+		e := el.Value.(*entry)
+		body := e.body
+		switch {
+		case !pin:
+			e.buf, e = nil, nil // handed out: never reused
+		case e.buf == nil:
+			e = nil // never reused, so nothing to pin
+		default:
+			e.pins++
+		}
 		sh.mu.Unlock()
 		s.met.hits.Inc()
-		return body, nil
+		return body, e, nil
 	}
 	if fl, ok := sh.inflight[key]; ok {
 		fl.interest++
+		fl.shared = true
 		sh.mu.Unlock()
 		s.met.shared.Inc()
 		select {
 		case <-fl.done:
-			return fl.body, fl.err
+			return fl.body, nil, fl.err
 		case <-ctx.Done():
 			s.abandon(sh, key, fl)
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 	}
 	fl := &flight{done: make(chan struct{}), interest: 1, resets: sh.resets}
-	fctx := ctx // a writer-form miss cannot observe it
-	if s.cancelable {
+	var fctx context.Context
+	if s.miss != nil {
 		// A fresh root by design: the flight outlives any single caller
 		// and is shared by everyone who arrives while it is in progress.
 		// Cancellation still reaches it, but only when the last
@@ -356,7 +394,8 @@ func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
 	sh.mu.Unlock()
 
 	s.met.misses.Inc()
-	if s.cancelable {
+	var e *entry
+	if s.miss != nil {
 		// Only this form pays for a flight context and its teardown. The
 		// leader's departure is its caller's cancellation: release its
 		// interest then, so a flight nobody wants anymore aborts the
@@ -366,19 +405,62 @@ func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
 		stop()
 		fl.cancel()
 	} else {
-		fl.body, fl.err = s.miss(fctx, key)
+		fl.body, e, fl.err = s.build(key, pin)
 	}
 
 	sh.mu.Lock()
 	if sh.inflight[key] == fl {
 		delete(sh.inflight, key)
 	}
+	var pinned *entry
 	if fl.err == nil && fl.resets == sh.resets {
-		s.insertLocked(sh, key, fl.body)
+		if e != nil && fl.shared {
+			e.buf = nil // the waiters hold it
+		}
+		if e = s.insertLocked(sh, key, fl.body, e); e != nil && e.buf != nil {
+			e.pins, pinned = 1, e
+		}
 	}
 	sh.mu.Unlock()
 	close(fl.done)
-	return fl.body, fl.err
+	return fl.body, pinned, fl.err
+}
+
+// unpin ends a pinned write of e's body. The last pin off an entry that
+// is gone frees its buffer.
+func (s *Store) unpin(key ChunkKey, e *entry) {
+	if e == nil {
+		return
+	}
+	sh := s.shard(key)
+	sh.mu.Lock()
+	e.pins--
+	free := e.pins == 0 && e.gone
+	sh.mu.Unlock()
+	if free {
+		s.recycle(e)
+	}
+}
+
+// dropLocked marks an entry that has left its shard gone, and frees its
+// buffer now if nothing pins it.
+func (s *Store) dropLocked(e *entry) {
+	e.gone = true
+	if e.pins == 0 {
+		s.recycle(e)
+	}
+}
+
+// recycle offers a free entry's buffer to the next pinned miss of its
+// class; a full slot drops it to the collector instead. Nothing refers
+// to e any more: it has left the cache, no write pins it, and no caller
+// was ever handed its body.
+func (s *Store) recycle(e *entry) {
+	if e.buf == nil {
+		return
+	}
+	e.key, e.body = ChunkKey{}, nil
+	s.free[cap(e.buf)/classBytes-1].CompareAndSwap(nil, e)
 }
 
 // abandon releases one caller's interest in a flight. When the last
@@ -418,35 +500,46 @@ func (sw *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// build adapts the writer form onto the store's miss function: one
-// exact-size allocation, filled by the synthesizer's stream, already
-// sealed (len == cap) when it goes into the cache. The context is
-// unused — Write cannot observe one.
-func (ws WriterSynth) build(_ context.Context, key ChunkKey) ([]byte, error) {
-	n, err := ws.Size(key)
+// build runs the writer form for a miss: one allocation, filled by the
+// synthesizer's stream, sealed (len == cap) when it goes into the
+// cache. A pinned miss whose body fits a size class builds in that
+// class's free buffer, or in a fresh buffer rounded up to the class,
+// and returns the entry that keeps the whole buffer for reuse; any
+// other miss allocates exactly the body and returns no entry.
+func (s *Store) build(key ChunkKey, pin bool) ([]byte, *entry, error) {
+	n, err := s.ws.Size(key)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if n < 0 {
-		return nil, fmt.Errorf("serve: sized synth for %s reports negative length %d", key, n)
+		return nil, nil, fmt.Errorf("serve: sized synth for %s reports negative length %d", key, n)
 	}
+	var e *entry
 	sw := writerPool.Get().(*sliceWriter)
-	sw.buf = make([]byte, 0, n)
-	err = ws.Write(sw, key)
+	if c := (n + classBytes - 1) / classBytes; pin && c > 0 && c <= freeClasses {
+		if e = s.free[c-1].Swap(nil); e == nil {
+			e = &entry{buf: make([]byte, 0, c*classBytes)}
+		}
+		sw.buf = e.buf[:0]
+	} else {
+		sw.buf = make([]byte, 0, n)
+	}
+	err = s.ws.Write(sw, key)
 	body := sw.buf
 	sw.buf = nil
 	writerPool.Put(sw)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(body) != n {
-		return nil, fmt.Errorf("serve: sized synth for %s wrote %d bytes, want %d", key, len(body), n)
+		return nil, nil, fmt.Errorf("serve: sized synth for %s wrote %d bytes, want %d", key, len(body), n)
 	}
-	return body, nil
+	return body[:n:n], e, nil
 }
 
-// insertLocked caches a body, evicting the shard's LRU tail past its
-// budget slice, and reports whether it went in. An existing entry wins:
+// insertLocked caches a body in e, or in a new entry when e is nil,
+// evicting the shard's LRU tail past its budget slice, and returns the
+// entry, nil if the body did not go in. An existing entry wins:
 // bodies are pure functions of the key, so there is nothing to replace,
 // and a second LRU element for one key would double-count its bytes and
 // take the live map entry with it when evicted. That happens whenever a
@@ -455,16 +548,20 @@ func (ws WriterSynth) build(_ context.Context, key ChunkKey) ([]byte, error) {
 // the whole slice is served but never cached (keep-zero, matching the
 // player caches' refusal to hold something that would immediately evict
 // everything).
-func (s *Store) insertLocked(sh *shard, key ChunkKey, body []byte) bool {
+func (s *Store) insertLocked(sh *shard, key ChunkKey, body []byte, e *entry) *entry {
 	if _, ok := sh.entries[key]; ok {
-		return false
+		return nil
 	}
 	size := int64(len(body))
 	if size > sh.budget {
 		s.met.uncacheable.Inc()
-		return false
+		return nil
 	}
-	el := sh.lru.PushFront(&entry{key: key, body: body})
+	if e == nil {
+		e = new(entry)
+	}
+	e.key, e.body, e.pins, e.gone = key, body, 0, false
+	el := sh.lru.PushFront(e)
 	sh.entries[key] = el
 	sh.bytes += size
 	s.met.bytes.Add(size)
@@ -479,8 +576,9 @@ func (s *Store) insertLocked(sh *shard, key ChunkKey, body []byte) bool {
 		sh.bytes -= int64(len(ev.body))
 		s.met.bytes.Add(-int64(len(ev.body)))
 		s.met.evictions.Inc()
+		s.dropLocked(ev)
 	}
-	return true
+	return e
 }
 
 // Reset drops every cached body, returning the store to cold — a
@@ -493,6 +591,9 @@ func (s *Store) Reset() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		dropped := sh.bytes
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			s.dropLocked(el.Value.(*entry))
+		}
 		sh.entries = make(map[ChunkKey]*list.Element)
 		sh.lru.Init()
 		sh.bytes = 0
@@ -516,7 +617,7 @@ func (s *Store) Put(key ChunkKey, body []byte) bool {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.insertLocked(sh, key, body)
+	return s.insertLocked(sh, key, body, nil) != nil
 }
 
 // ChunkLen reports the exact body length the store would serve for the
@@ -525,10 +626,10 @@ func (s *Store) Put(key ChunkKey, body []byte) bool {
 // an error.
 func (s *Store) ChunkLen(videoID string, quality, tile, index int, layer bool) (int, error) {
 	key := ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer}
-	if s.size == nil {
+	if s.ws.Size == nil {
 		return 0, fmt.Errorf("serve: store has no size model for %s", key)
 	}
-	return s.size(key)
+	return s.ws.Size(key)
 }
 
 // Peek returns key's resident body and whether there is one. It is a
@@ -543,12 +644,19 @@ func (s *Store) Peek(key ChunkKey) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return el.Value.(*entry).body, true
+	e := el.Value.(*entry)
+	e.buf = nil // handed out
+	return e.body, true
 }
 
-// Contains reports whether key is resident, as Peek does.
+// Contains reports whether key is resident. Like Peek it moves and
+// counts nothing, and as it hands out no body it leaves the body's
+// buffer free for reuse once evicted.
 func (s *Store) Contains(key ChunkKey) bool {
-	_, ok := s.Peek(key)
+	sh := s.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, ok := sh.entries[key]
 	return ok
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -212,6 +213,66 @@ func TestWriterStoreColdAllocBudget(t *testing.T) {
 	t.Logf("cold Get: %v allocs/op", allocs)
 	if allocs > 3 {
 		t.Fatalf("cold Get: %v allocs/op, want <= 3", allocs)
+	}
+}
+
+// discardViewer is a ResponseWriter that takes every byte and keeps
+// none, so a write costs no allocation of its own.
+type discardViewer http.Header
+
+func (d discardViewer) Header() http.Header         { return http.Header(d) }
+func (d discardViewer) Write(p []byte) (int, error) { return len(p), nil }
+func (d discardViewer) WriteHeader(int)             {}
+
+// TestRecycledMissAllocBudget pins the lease: a full writer-form store
+// whose every StreamChunk miss evicts a body it wrote out itself builds
+// the next body of the same size class in the evicted one's buffer, so
+// a warm miss allocates no body bytes — only the flight, the LRU
+// element and the Content-Length header, read from MemStats.TotalAlloc.
+// The same misses through Get, whose bodies leave the store, each
+// allocate a body, so the reading does see one.
+func TestRecycledMissAllocBudget(t *testing.T) {
+	const size, resident, misses = 24 << 10, 4, 64
+	ctx := context.Background()
+	per := func(miss func(k ChunkKey)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range misses {
+			miss(key(i % (2 * resident)))
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / misses
+	}
+	st := New(WithWriterSynth(WriterSynth{
+		Size: func(ChunkKey) (int, error) { return size, nil },
+		Write: func(w io.Writer, k ChunkKey) error { // in place, as the catalog's synthesis builds
+			room := w.(interface{ AvailableBuffer() []byte }).AvailableBuffer()[:size]
+			for i := range room {
+				room[i] = byte(k.Index + i)
+			}
+			_, err := w.Write(room)
+			return err
+		},
+	}), WithShards(1), WithBudget(resident*size))
+	w := discardViewer{}
+	stream := func(k ChunkKey) {
+		if n, err := st.StreamChunk(ctx, w, k.Video, k.Quality, k.Tile, k.Index, k.Layer); err != nil || n != size {
+			t.Fatalf("StreamChunk(%v) wrote %d bytes: %v", k, n, err)
+		}
+	}
+	per(stream) // fill the store and its free buffers
+	streamed := per(stream)
+	t.Logf("warm StreamChunk miss: %d bytes allocated", streamed)
+	if streamed >= 1<<10 {
+		t.Fatalf("warm StreamChunk miss: %d bytes allocated, want under 1 KiB: no %d-byte body", streamed, size)
+	}
+	got := per(func(k ChunkKey) {
+		if _, err := st.Get(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got < size {
+		t.Fatalf("cold Get: %d bytes allocated, want at least the %d-byte body", got, size)
 	}
 }
 
