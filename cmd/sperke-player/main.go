@@ -58,6 +58,9 @@ func run(args []string, w io.Writer) error {
 	timeline := fs.Bool("timeline", false, "print the session event timeline")
 	metricsJSON := fs.String("metrics-json", "", `dump a JSON metrics snapshot after the run ("-" = stdout)`)
 	fs.Parse(args)
+	if *traceSpec != "" && *netKind != "spec" {
+		return fmt.Errorf("-trace needs -net spec; -net %s ignores it", *netKind)
+	}
 
 	encoding := media.EncodingAVC
 	switch *enc {

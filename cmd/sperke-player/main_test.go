@@ -2,13 +2,30 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
+	"strings"
+	"testing"
 )
 
 // play runs sperke-player with args, as its command line would.
 func play(args ...string) {
 	if err := run(args, os.Stdout); err != nil {
 		fmt.Println(err)
+	}
+}
+
+// TestRunRefusesIgnoredFlags: a flag the chosen network model would
+// ignore is refused before anything runs.
+func TestRunRefusesIgnoredFlags(t *testing.T) {
+	for _, args := range []string{"-net const -trace 0:8M", "-trace 0:8M", "-net lte -trace 0:8M,30s:1.5M"} {
+		err := run(strings.Fields(args), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-trace needs -net spec") {
+			t.Errorf("run %s = %v, want an error containing %q", args, err, "-trace needs -net spec")
+		}
+	}
+	if err := run(strings.Fields("-net spec -trace 0:8M -duration 4s"), io.Discard); err != nil {
+		t.Errorf("run -net spec -trace 0:8M = %v", err)
 	}
 }
 

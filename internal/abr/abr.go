@@ -135,17 +135,15 @@ func (b *bufferBased) ChooseQuality(ctx Context) int {
 // mpc is a control-theoretic lookahead in the spirit of [44]: simulate
 // the next mpcHorizon chunks for each candidate quality path (restricted
 // to bounded level changes) and pick the first step of the path
-// maximizing a QoE objective of quality reward, switch penalty and
-// predicted stall penalty (mpcStallPenalty per stalled second).
-type mpc struct {
-	// SwitchPenalty weights level changes in the objective; 0 defaults
-	// to 1.0.
-	SwitchPenalty float64
-}
+// maximizing a QoE objective of quality reward, switch penalty
+// (mpcSwitchPenalty per level changed) and predicted stall penalty
+// (mpcStallPenalty per stalled second).
+type mpc struct{}
 
 const (
-	mpcHorizon      = 3
-	mpcStallPenalty = 8.0
+	mpcHorizon       = 3
+	mpcSwitchPenalty = 1.0
+	mpcStallPenalty  = 8.0
 )
 
 // Name implements Algorithm.
@@ -156,10 +154,6 @@ func (m *mpc) ChooseQuality(ctx Context) int {
 	n := ctx.qualities()
 	if n == 0 {
 		return 0
-	}
-	swPen := m.SwitchPenalty
-	if swPen <= 0 {
-		swPen = 1.0
 	}
 	bw := ctx.EstimatedBandwidth
 	if bw <= 0 {
@@ -185,7 +179,7 @@ func (m *mpc) ChooseQuality(ctx Context) int {
 		}
 		score += float64(q+1) / float64(n)
 		if prev >= 0 && q != prev {
-			score -= swPen * float64(abs(q-prev)) / float64(n)
+			score -= mpcSwitchPenalty * float64(abs(q-prev)) / float64(n)
 		}
 		if step+1 >= mpcHorizon {
 			if score > bestScore {

@@ -113,20 +113,6 @@ func TestMPCUsesBandwidthWhenSafe(t *testing.T) {
 	}
 }
 
-func TestMPCSwitchPenaltyStabilizes(t *testing.T) {
-	sticky := &mpc{SwitchPenalty: 50}
-	loose := &mpc{SwitchPenalty: 0.01}
-	ctx := testCtx(20e6, 6*time.Second, 10*time.Second, 2)
-	qs := sticky.ChooseQuality(ctx)
-	ql := loose.ChooseQuality(ctx)
-	if qs != 2 {
-		t.Fatalf("high switch penalty still moved: q%d", qs)
-	}
-	if ql <= 2 {
-		t.Fatalf("low switch penalty did not exploit bandwidth: q%d", ql)
-	}
-}
-
 func TestMPCZeroBandwidth(t *testing.T) {
 	alg := &mpc{}
 	if q := alg.ChooseQuality(testCtx(0, 5*time.Second, 10*time.Second, 2)); q != 0 {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sperke/internal/hmp"
-	"sperke/internal/sphere"
 	"sperke/internal/tiling"
 )
 
@@ -58,20 +57,11 @@ type OOSInput struct {
 	FoVQuality int
 	// Prediction provides the uncertainty radius that sizes the rings.
 	Prediction hmp.Prediction
-	// FoV is the viewport geometry (used to convert the radius into ring
-	// counts).
-	FoV sphere.FoV
 	// Heatmap, when non-nil, reweights and prunes OOS tiles by crowd
 	// probability (§3.2).
 	Heatmap *hmp.Heatmap
 	// At is the chunk interval start the plan targets.
 	At time.Duration
-	// SpeedBound, if positive, prunes tiles the user cannot physically
-	// reach before the chunk plays (degrees/second; §3.2).
-	SpeedBound float64
-	// TimeToPlay is how far in the future the chunk plays (for the speed
-	// bound pruning).
-	TimeToPlay time.Duration
 	// SizeAt returns the fetch size of one tile-chunk at quality q.
 	SizeAt func(tile tiling.TileID, q int) int64
 }
@@ -79,9 +69,8 @@ type OOSInput struct {
 // PlanOOS selects the out-of-sight tiles to fetch around a super chunk
 // and their qualities. The ring count grows with prediction
 // uncertainty; quality falls with ring distance; the crowd heatmap
-// promotes popular tiles and prunes unpopular ones; the user's speed
-// bound prunes unreachable tiles; and an optional byte budget truncates
-// the plan lowest-probability-first.
+// promotes popular tiles and prunes unpopular ones; and an optional
+// byte budget truncates the plan lowest-probability-first.
 func PlanOOS(in OOSInput, pol OOSPolicy) []TileQuality {
 	if in.FoVQuality < 0 {
 		return nil
@@ -139,14 +128,6 @@ func PlanOOS(in OOSInput, pol OOSPolicy) []TileQuality {
 				// "use the crowd-sourced data to add OOS chunks" (§3.2).
 				if cp > 0.75 && tileQ < in.FoVQuality-1 {
 					tileQ++
-				}
-			}
-			if in.SpeedBound > 0 && in.TimeToPlay > 0 {
-				// Prune tiles whose centers the user cannot reach in time.
-				reach := in.SpeedBound*in.TimeToPlay.Seconds() + in.FoV.Width/2
-				d := sphere.AngularDistance(in.Prediction.View, in.Grid.Center(id))
-				if d > reach {
-					continue
 				}
 			}
 			plan = append(plan, TileQuality{Tile: id, Quality: tileQ, Probability: prob})

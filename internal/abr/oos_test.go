@@ -23,7 +23,6 @@ func testOOSInput(t testing.TB, radius float64) OOSInput {
 		FoVTiles:   fovTiles,
 		FoVQuality: 4,
 		Prediction: hmp.Prediction{View: view, Radius: radius},
-		FoV:        sphere.DefaultFoV,
 		At:         4 * time.Second,
 		SizeAt:     func(tile tiling.TileID, q int) int64 { return int64(1000 * (q + 1)) },
 	}
@@ -154,20 +153,6 @@ func TestPlanOOSHeatmapPrunesAndPromotes(t *testing.T) {
 		if dist[tq.Tile] > 1 && heat.Probability(in.At, tq.Tile) < 0.2 {
 			t.Fatalf("unpopular distant tile %d not pruned", tq.Tile)
 		}
-	}
-}
-
-func TestPlanOOSSpeedBoundPrunes(t *testing.T) {
-	in := testOOSInput(t, 120)
-	in.SpeedBound = 10 // very slow user
-	in.TimeToPlay = 500 * time.Millisecond
-	slow := PlanOOS(in, OOSPolicy{MaxRing: 3})
-	in2 := testOOSInput(t, 120)
-	in2.SpeedBound = 400
-	in2.TimeToPlay = 500 * time.Millisecond
-	fast := PlanOOS(in2, OOSPolicy{MaxRing: 3})
-	if len(slow) >= len(fast) {
-		t.Fatalf("slow user planned %d tiles, fast user %d", len(slow), len(fast))
 	}
 }
 

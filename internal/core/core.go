@@ -52,7 +52,6 @@ func (m StreamMode) String() string {
 // Config describes one streaming session.
 type Config struct {
 	Video *media.Video
-	FoV   sphere.FoV
 	Mode  StreamMode
 	// Algorithm is the regular VRA applied to super chunks (§3.1.2 part
 	// one); nil defaults to Throughput.
@@ -72,8 +71,6 @@ type Config struct {
 	// Heatmap, if set, informs OOS selection with crowd statistics
 	// (§3.2).
 	Heatmap *hmp.Heatmap
-	// SpeedBound, if positive, prunes unreachable OOS tiles (§3.2).
-	SpeedBound float64
 	// BandwidthBudget, if positive, caps the session's planned rate in
 	// bits/s — §3.1.2's "bandwidth budget configured by the user", e.g.
 	// a metered cellular plan. The FoV super chunk is planned within it
@@ -83,9 +80,6 @@ type Config struct {
 	// this is not planned (HMP has nothing to say about it). Zero
 	// defaults to 2 s.
 	PredictionWindow time.Duration
-	// MaxStall caps one rebuffering wait; after it the interval plays
-	// with blank tiles. Zero defaults to 10 s.
-	MaxStall time.Duration
 	// Observer, when set, receives a structured Event for every step of
 	// the session — planning, fetches, upgrades, plays, stalls — for
 	// timelines and debugging. Called synchronously on the sim clock.
@@ -102,9 +96,6 @@ func (c *Config) withDefaults() error {
 	if err := c.Video.Validate(); err != nil {
 		return err
 	}
-	if c.FoV == (sphere.FoV{}) {
-		c.FoV = sphere.DefaultFoV
-	}
 	if c.Algorithm == nil {
 		c.Algorithm = &abr.Throughput{}
 	}
@@ -113,9 +104,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.PredictionWindow <= 0 {
 		c.PredictionWindow = 2 * time.Second
-	}
-	if c.MaxStall <= 0 {
-		c.MaxStall = 10 * time.Second
 	}
 	return nil
 }
@@ -156,12 +144,12 @@ type Session struct {
 	cfg   Config
 	head  *trace.HeadTrace
 	sched transport.Scheduler
-	// view is the video's grid seen through the configured FoV: every
+	// view is the video's grid seen through sphere.DefaultFoV: every
 	// planning, upgrade and playback tick asks it which tiles are visible.
 	view tiling.Viewport
 
 	col       qoe.Collector
-	est       netem.ThroughputEstimator
+	est       netem.HarmonicMean
 	predictor hmp.Predictor
 	fedIdx    int
 
@@ -225,8 +213,7 @@ func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched trans
 		cfg:         cfg,
 		head:        head,
 		sched:       sched,
-		view:        tiling.NewViewport(cfg.Video.Grid, cfg.FoV),
-		est:         &netem.HarmonicMean{},
+		view:        tiling.NewViewport(cfg.Video.Grid, sphere.DefaultFoV),
 		predictor:   cfg.NewPredictor(),
 		state:       make([]tileState, cells),
 		planned:     make(map[int]bool),
@@ -475,11 +462,8 @@ func (s *Session) planInterval(i int, deadline time.Duration) {
 			FoVTiles:   sc.Tiles,
 			FoVQuality: q,
 			Prediction: pred,
-			FoV:        s.cfg.FoV,
 			Heatmap:    s.cfg.Heatmap,
 			At:         contentMid,
-			SpeedBound: s.cfg.SpeedBound,
-			TimeToPlay: deadline - s.clock.Now(),
 			SizeAt: func(tile tiling.TileID, qq int) int64 {
 				return v.SpanBytes(v.Encoding, 0, qq, tile, v.ChunkStart(i))
 			},
@@ -738,6 +722,10 @@ func (s *Session) executeUpgrade(i int, id tiling.TileID, ts *tileState, target 
 
 // ---- playback ----
 
+// maxStall caps one rebuffering wait; after it the interval plays with
+// blank tiles.
+const maxStall = 10 * time.Second
+
 func (s *Session) playInterval(i int, stallSince time.Duration) {
 	v := s.cfg.Video
 	if s.canceled() || i >= v.NumChunks() {
@@ -761,7 +749,7 @@ func (s *Session) playInterval(i int, stallSince time.Duration) {
 		}
 	}
 	stalledFor := now - stallSince
-	if missing > 0 && stalledFor < s.cfg.MaxStall {
+	if missing > 0 && stalledFor < maxStall {
 		// Wait for the urgent fetches; re-check shortly.
 		s.clock.After(100*time.Millisecond, func() { s.playInterval(i, stallSince) })
 		return

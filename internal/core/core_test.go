@@ -416,7 +416,7 @@ func TestBandwidthBudgetCapsUsage(t *testing.T) {
 
 func TestKitchenSinkLongSession(t *testing.T) {
 	// Everything at once, for five minutes: SVC + hybrid + upgrades +
-	// crowd heatmap + speed bound + bandwidth budget + content-aware
+	// crowd heatmap + bandwidth budget + content-aware
 	// multipath on fluctuating links. The point is
 	// robustness: the full feature matrix must compose and finish with a
 	// sane report.
@@ -445,7 +445,6 @@ func TestKitchenSinkLongSession(t *testing.T) {
 		EnableUpgrades:  true,
 		HybridSVC:       true,
 		Heatmap:         heat,
-		SpeedBound:      hmp.LearnSpeedBound(sessions),
 		BandwidthBudget: 10e6,
 		OOS:             abr.OOSPolicy{MaxRing: 2, MinCrowdProb: 0.1},
 	}, head, sched)
@@ -601,7 +600,7 @@ func TestRunIsIdempotent(t *testing.T) {
 
 func TestMaxStallPlaysWithBlanks(t *testing.T) {
 	// A link that dies mid-session: rush fetches cannot complete, so
-	// after MaxStall the interval plays with blank tiles instead of
+	// after maxStall the interval plays with blank tiles instead of
 	// hanging forever.
 	clock := sim.NewClock(31)
 	dead := netem.MustSteps(
@@ -609,11 +608,7 @@ func TestMaxStallPlaysWithBlanks(t *testing.T) {
 		netem.Step{Start: 8 * time.Second, BPS: 0},
 	)
 	path := netem.NewPath(clock, "dying", dead, 20*time.Millisecond, 0)
-	cfg := Config{
-		Video:    testVideo(media.EncodingAVC),
-		Mode:     FoVGuided,
-		MaxStall: 2 * time.Second,
-	}
+	cfg := Config{Video: testVideo(media.EncodingAVC), Mode: FoVGuided}
 	s, err := NewSession(clock, cfg, testHead(31, 40*time.Second), transport.NewSinglePath(clock, path))
 	if err != nil {
 		t.Fatal(err)

@@ -152,7 +152,7 @@ func tileCoverage(seed int64) *Table {
 			}
 			plan := abr.PlanOOS(abr.OOSInput{
 				Grid: g, FoVTiles: fovTiles, FoVQuality: 4,
-				Prediction: forecast, FoV: fov, Heatmap: p.heat, At: at + horizon,
+				Prediction: forecast, Heatmap: p.heat, At: at + horizon,
 			}, abr.OOSPolicy{MaxRing: 3})
 			for _, tq := range plan {
 				if len(chosen) >= budget {

@@ -4,14 +4,15 @@
 // what the paper reports; cmd/sperke-bench renders them and
 // TestRunAllGolden holds the whole suite to its golden output.
 //
-// The experiment IDs match DESIGN.md's per-experiment index: E1..E13
-// for paper artifacts, A1..A3 for ablations of Sperke design choices.
+// The experiment IDs match DESIGN.md's per-experiment index: E1..E16
+// for paper artifacts, A1..A6 for ablations of Sperke design choices.
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"sperke/internal/obs"
@@ -134,17 +135,11 @@ func IDs() []string {
 	for id := range registry {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a[0] != b[0] {
-			return a[0] < b[0] // 'A' < 'E'; flip below
+	slices.SortFunc(out, func(a, b string) int {
+		if c := cmp.Compare(b[0], a[0]); c != 0 { // 'E' before 'A'
+			return c
 		}
-		// Numeric suffix order.
-		return num(a) < num(b)
-	})
-	// Put E-experiments (paper artifacts) before A-ablations.
-	sort.SliceStable(out, func(i, j int) bool {
-		return strings.HasPrefix(out[i], "E") && !strings.HasPrefix(out[j], "E")
+		return cmp.Compare(num(a), num(b))
 	})
 	return out
 }

@@ -230,14 +230,14 @@ func (c *Crowd) Predict(at time.Duration) Prediction {
 
 // Fusion is the §3.2 "data fusion" predictor: short horizons follow the
 // user's own motion (linear extrapolation); long horizons blend toward
-// the crowd; the user's learned speed bound caps the predicted
+// the crowd; the user's speed bound caps the predicted
 // displacement; and the viewing context prunes unreachable directions
 // (a lying viewer will not look 180° behind).
 type Fusion struct {
 	Linear  LinearRegression
 	Heatmap *Heatmap
-	// SpeedBound is the user's learned max head speed in degrees/second
-	// (0 = unknown, no cap).
+	// SpeedBound is the user's max head speed in degrees/second, which
+	// §3.2 proposes learning per user (0 = unknown, no cap).
 	SpeedBound float64
 	// Context prunes the yaw range; nil imposes no pruning.
 	Context *trace.Context

@@ -75,18 +75,3 @@ func insertionSort(a []float64) {
 		}
 	}
 }
-
-// LearnSpeedBound estimates a user's head-speed bound from their past
-// sessions (§3.2: "a user's head movement speed can be learned to bound
-// the latency requirement for fetching a distant tile"). It returns the
-// maximum observed angular speed across sessions, padded by 10% so the
-// bound prunes only genuinely unreachable tiles.
-func LearnSpeedBound(sessions []*trace.HeadTrace) float64 {
-	var vmax float64
-	for _, s := range sessions {
-		if v := s.MaxVelocity(); v > vmax {
-			vmax = v
-		}
-	}
-	return vmax * 1.1
-}

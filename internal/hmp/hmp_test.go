@@ -432,20 +432,3 @@ func TestAccuracyDegradesWithHorizon(t *testing.T) {
 		t.Fatalf("short-horizon hit rate %.2f not above long-horizon %.2f", short.HitRate, long.HitRate)
 	}
 }
-
-func TestLearnSpeedBound(t *testing.T) {
-	if LearnSpeedBound(nil) != 0 {
-		t.Fatal("empty sessions have a speed bound")
-	}
-	slow := steadyYawTrace(10, 5*time.Second)
-	fast := steadyYawTrace(40, 5*time.Second)
-	bound := LearnSpeedBound([]*trace.HeadTrace{slow, fast})
-	// The bound covers the fastest observed session plus padding.
-	if bound < 40 || bound > 55 {
-		t.Fatalf("bound = %v °/s, want ≈44", bound)
-	}
-	// Learned bounds feed Fusion/OOS pruning: slower user, tighter bound.
-	if LearnSpeedBound([]*trace.HeadTrace{slow}) >= bound {
-		t.Fatal("slow-only bound not below mixed bound")
-	}
-}

@@ -39,7 +39,7 @@ func TestChaosBroadcastSurvivesScriptedPlan(t *testing.T) {
 	plan := faults.MustParse("outage:uplink:8s:4s,cliff:uplink:16s:4s:1M")
 	run := live.Measure(5, live.Facebook, live.Opts{
 		Duration: 30 * time.Second,
-		UpTrace:  netem.Constant(8e6), DownTrace: netem.Constant(10e6),
+		Cond:     live.Condition{Up: 8e6, Down: 10e6},
 		Degrade: &live.DegradeConfig{
 			Breaker: transport.BreakerConfig{FailureThreshold: 2, Cooldown: 2 * time.Second},
 			Plan:    live.HorizonPlan{SpanDeg: 180},

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"sperke/internal/hmp"
-	"sperke/internal/netem"
 	"sperke/internal/sim"
 	"sperke/internal/tiling"
 	"sperke/internal/trace"
@@ -34,15 +33,7 @@ func MeasureFoVGuidedLive(seed int64, p Platform, vp tiling.Viewport,
 	cond Condition, broadcastDur time.Duration) (Result, FoVLiveStats) {
 	clock := sim.NewClock(seed)
 	g := vp.Grid()
-	const propagation = 20 * time.Millisecond
-	var upTrace, downTrace *netem.BandwidthTrace
-	if cond.Up > 0 {
-		upTrace = netem.Constant(cond.Up)
-	}
-	if cond.Down > 0 {
-		downTrace = netem.Constant(cond.Down)
-	}
-	v := newViewerSim(clock, p, downTrace, propagation, broadcastDur)
+	v := newViewerSim(clock, p, cond.Down, broadcastDur)
 
 	var stats FoVLiveStats
 	var shareSum float64
@@ -103,7 +94,7 @@ func MeasureFoVGuidedLive(seed int64, p Platform, vp tiling.Viewport,
 		}
 	}
 
-	skips := runBroadcast(clock, p, upTrace, propagation, broadcastDur, []*viewerSim{v}, nil, nil, nil)
+	skips := runBroadcast(clock, p, cond.Up, broadcastDur, []*viewerSim{v}, nil, nil, nil)
 	res := v.finish()
 	res.SkippedSegments = skips
 	if n := len(fetched); n > 0 {

@@ -27,10 +27,6 @@ type Opts struct {
 	Duration time.Duration
 	// Cond supplies constant link rates (0 = unshaped).
 	Cond Condition
-	// UpTrace and DownTrace, when non-nil, override the corresponding
-	// side of Cond with an explicit bandwidth schedule — chaos harnesses
-	// pre-carve fault windows into traces.
-	UpTrace, DownTrace *netem.BandwidthTrace
 	// Degrade, when non-nil, activates the breaker-driven spatial
 	// fallback: upload-piece timeouts trip the uplink breaker, degraded
 	// pieces carry only the fallback horizon's share of the panorama,
@@ -60,8 +56,10 @@ type Measurement struct {
 
 // Measure simulates one live broadcast under the given options and
 // returns the latency statistics of Table 2 plus any fallback
-// accounting. It is the package's single measurement entry point and
-// runs the full pipeline whatever the options:
+// accounting. It is the one-viewer broadcast with upload adaptation;
+// MeasureViewers and MeasureFoVGuidedLive drive the same pipeline for
+// a viewer population and a tile-fetching viewer. Whatever the options,
+// it runs the full pipeline:
 //
 //	camera → encoder → upload queue (drop beyond the app's cap) →
 //	ingest → server re-encode → segment packaging → MPD poll or push →
@@ -72,7 +70,6 @@ type Measurement struct {
 // rate for the static adaptation, then Degrade's breaker narrows
 // pieces dynamically on top of it.
 func Measure(seed int64, p Platform, o Opts) Measurement {
-	const propagation = 20 * time.Millisecond
 	dur := o.Duration
 	if dur <= 0 {
 		dur = 2 * time.Minute
@@ -98,14 +95,6 @@ func Measure(seed int64, p Platform, o Opts) Measurement {
 		}
 		m.UploadedFraction = frac
 	}
-	upTrace, downTrace := o.UpTrace, o.DownTrace
-	if upTrace == nil && o.Cond.Up > 0 {
-		upTrace = netem.Constant(o.Cond.Up)
-	}
-	if downTrace == nil && o.Cond.Down > 0 {
-		downTrace = netem.Constant(o.Cond.Down)
-	}
-
 	clock := sim.NewClock(seed)
 	var deg *degrader
 	var reg *obs.Registry
@@ -127,9 +116,9 @@ func Measure(seed int64, p Platform, o Opts) Measurement {
 		deg.br.Obs = reg
 		armFaults = cfg.ArmFaults
 	}
-	v := newViewerSim(clock, p, downTrace, propagation, dur)
+	v := newViewerSim(clock, p, o.Cond.Down, dur)
 	v.obsReg = reg
-	skips := runBroadcast(clock, p, upTrace, propagation, dur, []*viewerSim{v}, deg, reg, armFaults)
+	skips := runBroadcast(clock, p, o.Cond.Up, dur, []*viewerSim{v}, deg, reg, armFaults)
 	res := v.finish()
 	res.SkippedSegments = skips
 	m.Result = res

@@ -57,7 +57,7 @@ type viewerSim struct {
 	download     *netem.Path
 	broadcastDur time.Duration
 
-	est         *netem.EWMA
+	est         netem.EWMA
 	buffered    []segment
 	stalled     bool
 	started     bool
@@ -82,14 +82,25 @@ type viewerSim struct {
 	obsReg *obs.Registry
 }
 
-func newViewerSim(clock *sim.Clock, p Platform, downTrace *netem.BandwidthTrace,
-	propagation, broadcastDur time.Duration) *viewerSim {
+// propagation is the one-way delay of every simulated uplink and
+// downlink.
+const propagation = 20 * time.Millisecond
+
+// link is the constant bps schedule of a shaped link, or nil (unshaped)
+// when bps is 0.
+func link(bps float64) *netem.BandwidthTrace {
+	if bps <= 0 {
+		return nil
+	}
+	return netem.Constant(bps)
+}
+
+func newViewerSim(clock *sim.Clock, p Platform, downBPS float64, broadcastDur time.Duration) *viewerSim {
 	v := &viewerSim{
 		clock:        clock,
 		p:            p,
-		download:     netem.NewPath(clock, "downlink", downTrace, propagation, 0),
+		download:     netem.NewPath(clock, "downlink", link(downBPS), propagation, 0),
 		broadcastDur: broadcastDur,
-		est:          &netem.EWMA{Alpha: 0.4},
 	}
 	v.res.MinLatency = time.Duration(1<<62 - 1)
 	v.est.Add(1e6) // conservative startup estimate, as real players use
@@ -334,10 +345,9 @@ func observeSpan(reg *obs.Registry, name string, start, end time.Duration) {
 // encoder's rate, the app's queue grows up to its cap and then drops
 // frames — the "degraded video quality exhibiting stall and frame
 // skips" of §3.4.1.
-func runBroadcast(clock *sim.Clock, p Platform, upTrace *netem.BandwidthTrace,
-	propagation, broadcastDur time.Duration, viewers []*viewerSim, deg *degrader,
-	reg *obs.Registry, armFaults func(*sim.Clock, *netem.Path)) (skips int) {
-	upload := netem.NewPath(clock, "uplink", upTrace, propagation, 0)
+func runBroadcast(clock *sim.Clock, p Platform, upBPS float64, broadcastDur time.Duration,
+	viewers []*viewerSim, deg *degrader, reg *obs.Registry, armFaults func(*sim.Clock, *netem.Path)) (skips int) {
+	upload := netem.NewPath(clock, "uplink", link(upBPS), propagation, 0)
 	if armFaults != nil {
 		armFaults(clock, upload)
 	}
@@ -424,20 +434,11 @@ func runBroadcast(clock *sim.Clock, p Platform, upTrace *netem.BandwidthTrace,
 func MeasureViewers(seed int64, p Platform, upBPS float64, downBPS []float64,
 	broadcastDur time.Duration) []Result {
 	clock := sim.NewClock(seed)
-	const propagation = 20 * time.Millisecond
-	var upTrace *netem.BandwidthTrace
-	if upBPS > 0 {
-		upTrace = netem.Constant(upBPS)
-	}
 	viewers := make([]*viewerSim, len(downBPS))
 	for i, bps := range downBPS {
-		var tr *netem.BandwidthTrace
-		if bps > 0 {
-			tr = netem.Constant(bps)
-		}
-		viewers[i] = newViewerSim(clock, p, tr, propagation, broadcastDur)
+		viewers[i] = newViewerSim(clock, p, bps, broadcastDur)
 	}
-	skips := runBroadcast(clock, p, upTrace, propagation, broadcastDur, viewers, nil, nil, nil)
+	skips := runBroadcast(clock, p, upBPS, broadcastDur, viewers, nil, nil, nil)
 	out := make([]Result, len(viewers))
 	for i, v := range viewers {
 		out[i] = v.finish()

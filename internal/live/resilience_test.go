@@ -34,7 +34,7 @@ func TestResilientBroadcastDegradesAcrossUplinkOutage(t *testing.T) {
 		},
 	}
 	run := Measure(7, Facebook, Opts{Duration: 30 * time.Second,
-		UpTrace: netem.Constant(8e6), DownTrace: netem.Constant(10e6), Degrade: &cfg})
+		Cond: Condition{Up: 8e6, Down: 10e6}, Degrade: &cfg})
 
 	opened, reclosed := breakerCycle(run.Transitions)
 	if !opened {
@@ -60,7 +60,7 @@ func TestResilientBroadcastDegradesAcrossUplinkOutage(t *testing.T) {
 
 func TestResilientBroadcastCleanUplinkStaysPristine(t *testing.T) {
 	run := Measure(7, Facebook, Opts{Duration: 20 * time.Second,
-		UpTrace: netem.Constant(8e6), DownTrace: netem.Constant(10e6), Degrade: &DegradeConfig{}})
+		Cond: Condition{Up: 8e6, Down: 10e6}, Degrade: &DegradeConfig{}})
 	if len(run.Transitions) != 0 {
 		t.Fatalf("breaker moved on a healthy uplink: %+v", run.Transitions)
 	}
@@ -82,7 +82,7 @@ func TestResilientFallbackShedsUploadBytes(t *testing.T) {
 	measure := func(spanDeg float64) Measurement {
 		plan := faults.MustParse("outage:uplink:8s:6s")
 		return Measure(7, Facebook, Opts{Duration: 30 * time.Second,
-			UpTrace: netem.Constant(4e6), DownTrace: netem.Constant(10e6),
+			Cond: Condition{Up: 4e6, Down: 10e6},
 			Degrade: &DegradeConfig{
 				Breaker: transport.BreakerConfig{FailureThreshold: 2},
 				Plan:    HorizonPlan{SpanDeg: spanDeg},
@@ -106,7 +106,7 @@ func TestResilientRunIsDeterministic(t *testing.T) {
 	measure := func() Measurement {
 		plan := faults.MustParse("cliff:uplink:5s:10s:500k,outage:uplink:20s:2s")
 		return Measure(11, Facebook, Opts{Duration: 30 * time.Second,
-			UpTrace: netem.Constant(6e6), DownTrace: netem.Constant(10e6),
+			Cond: Condition{Up: 6e6, Down: 10e6},
 			Degrade: &DegradeConfig{
 				ArmFaults: func(clock *sim.Clock, upload *netem.Path) {
 					plan.Apply(clock, upload)

@@ -52,10 +52,7 @@ const (
 type Path struct {
 	Name    string
 	Latency time.Duration // one-way propagation
-	// Jitter adds a uniformly distributed extra delay in [0, Jitter) to
-	// each delivery — queueing noise beyond this flow's own backlog.
-	Jitter time.Duration
-	Loss   float64 // packet loss probability in [0,1)
+	Loss    float64       // packet loss probability in [0,1)
 
 	clock      *sim.Clock
 	trace      *BandwidthTrace
@@ -240,11 +237,7 @@ func (p *Path) Transfer(bytes int64, qos QoS, done func(Delivery)) {
 			ok = false
 		}
 	}
-	arrival := finish + p.Latency
-	if p.Jitter > 0 {
-		arrival += time.Duration(p.clock.RNG("jitter:" + p.Name).Int63n(int64(p.Jitter)))
-	}
-	p.schedule(arrival, now, start, bytes, ok, done)
+	p.schedule(finish+p.Latency, now, start, bytes, ok, done)
 }
 
 // EstimateTransferTime predicts how long a reliable transfer of bytes

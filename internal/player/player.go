@@ -24,13 +24,15 @@ import (
 	"sperke/internal/trace"
 )
 
-// PipelineConfig selects one rendering configuration.
+// framePixels is the full-panorama luma pixel count: the §3.5
+// experiment's 2K 2560×1440 source.
+const framePixels = 2560 * 1440
+
+// PipelineConfig selects one rendering configuration. The viewer's FoV
+// is sphere.DefaultFoV.
 type PipelineConfig struct {
 	Device DeviceProfile
 	Grid   tiling.Grid
-	// FrameWidth and FrameHeight are the full-panorama luma dimensions
-	// (the §3.5 experiment uses a 2K 2560×1440 source).
-	FrameWidth, FrameHeight int
 	// Decoders is how many of the device's hardware decoders the
 	// pipeline uses in parallel.
 	Decoders int
@@ -42,16 +44,12 @@ type PipelineConfig struct {
 	// RenderFoVOnly renders only the tiles inside the current FoV
 	// instead of the whole panorama.
 	RenderFoVOnly bool
-	FoV           sphere.FoV
 }
 
 // validate reports configuration problems.
 func (c *PipelineConfig) validate() error {
 	if err := c.Grid.Validate(); err != nil {
 		return err
-	}
-	if c.FrameWidth <= 0 || c.FrameHeight <= 0 {
-		return fmt.Errorf("player: frame %dx%d", c.FrameWidth, c.FrameHeight)
 	}
 	if c.Decoders <= 0 || c.Decoders > c.Device.HWDecoders {
 		return fmt.Errorf("player: %d decoders outside device range 1..%d", c.Decoders, c.Device.HWDecoders)
@@ -61,12 +59,7 @@ func (c *PipelineConfig) validate() error {
 
 // tilePixels returns the luma pixels of one tile.
 func (c *PipelineConfig) tilePixels() int64 {
-	return int64(c.FrameWidth) * int64(c.FrameHeight) / int64(c.Grid.Tiles())
-}
-
-// framePixels returns the full-panorama pixel count.
-func (c *PipelineConfig) framePixels() int64 {
-	return int64(c.FrameWidth) * int64(c.FrameHeight)
+	return framePixels / int64(c.Grid.Tiles())
 }
 
 // renderedPixels returns how many pixels the render stage touches per
@@ -74,18 +67,14 @@ func (c *PipelineConfig) framePixels() int64 {
 // RenderFoVOnly is set.
 func (c *PipelineConfig) renderedPixels() int64 {
 	if !c.RenderFoVOnly {
-		return c.framePixels()
+		return framePixels
 	}
-	frac := c.FoV.SphereFraction()
-	if frac <= 0 || frac > 1 {
-		frac = 0.2
-	}
-	return int64(float64(c.framePixels()) * frac)
+	return int64(framePixels * sphere.DefaultFoV.SphereFraction())
 }
 
-// viewport is the configuration's grid seen through its FoV.
+// viewport is the configuration's grid seen through the FoV.
 func (c *PipelineConfig) viewport() tiling.Viewport {
-	return tiling.NewViewport(c.Grid, c.FoV)
+	return tiling.NewViewport(c.Grid, sphere.DefaultFoV)
 }
 
 // decodedTiles returns how many tiles must be decoded per frame: all of
@@ -166,11 +155,8 @@ func SimulateFPS(cfg PipelineConfig, head *trace.HeadTrace, dur time.Duration) (
 //	3 — render only FoV tiles with optimization
 func Figure5Config(device DeviceProfile, config int) (PipelineConfig, error) {
 	base := PipelineConfig{
-		Device:      device,
-		Grid:        tiling.GridPrototype, // 2×4
-		FrameWidth:  2560,
-		FrameHeight: 1440,
-		FoV:         sphere.DefaultFoV,
+		Device: device,
+		Grid:   tiling.GridPrototype, // 2×4
 	}
 	switch config {
 	case 1:
@@ -209,7 +195,7 @@ func (c *PipelineConfig) hevcTilesFrameTime() time.Duration {
 	if threads < 1 {
 		threads = 1
 	}
-	decode := time.Duration(float64(c.framePixels()) /
+	decode := time.Duration(framePixels /
 		(c.Device.Decoder.PixelRate * float64(threads) * parallelEff) * float64(time.Second))
 	decode += c.Device.Decoder.SubmitOverhead // one session submission per frame
 	render := c.Device.renderTime(c.renderedPixels())

@@ -105,11 +105,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		t.Fatal("oversubscribed decoders accepted")
 	}
 	cfg = fig5(t, 2)
-	cfg.FrameWidth = 0
-	if cfg.validate() == nil {
-		t.Fatal("zero frame width accepted")
-	}
-	cfg = fig5(t, 2)
 	cfg.Grid = tiling.Grid{}
 	if cfg.validate() == nil {
 		t.Fatal("invalid grid accepted")
@@ -164,7 +159,7 @@ func TestHEVCTilesValidation(t *testing.T) {
 		t.Fatal("zero duration accepted")
 	}
 	bad := cfg
-	bad.FrameWidth = 0
+	bad.Decoders = 0
 	if _, err := SimulateHEVCTilesFPS(bad, time.Second); err == nil {
 		t.Fatal("invalid config accepted")
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"sperke/internal/abr"
 	"sperke/internal/core"
 	"sperke/internal/dash"
 	"sperke/internal/media"
@@ -40,12 +39,10 @@ type EngineConfig struct {
 	// BandwidthBPS is each viewer's emulated access link (default
 	// 25 Mbit/s); its one-way delay is propagation.
 	BandwidthBPS float64
-	// Mode, OOS, EnableUpgrades and SpeedScale shape the sessions the
-	// same way the experiment harness does (SpeedScale defaults to 1).
+	// Mode and EnableUpgrades shape the sessions the same way the
+	// experiment harness does.
 	Mode           core.StreamMode
-	OOS            abr.OOSPolicy
 	EnableUpgrades bool
-	SpeedScale     float64
 	// Client, when set, exercises a real DASH origin: every chunk the
 	// simulated planner fetches is also downloaded over HTTP (hitting
 	// the server's chunk store) and its wall latency recorded. The HTTP
@@ -137,9 +134,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.BandwidthBPS <= 0 {
 		cfg.BandwidthBPS = 25e6
 	}
-	if cfg.SpeedScale <= 0 {
-		cfg.SpeedScale = 1
-	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -216,22 +210,19 @@ func (e *Engine) Run(ctx context.Context) EngineResult {
 // heads the run will simulate.
 func sessionTrace(cfg EngineConfig, i int) *trace.HeadTrace {
 	seed := cfg.BaseSeed + int64(i)
-	return trace.Draw(seed, seed+60, trace.UserProfile{SpeedScale: cfg.SpeedScale}, cfg.Video.Duration+10*time.Second)
+	return trace.Draw(seed, seed+60, trace.UserProfile{}, cfg.Video.Duration+10*time.Second)
 }
 
 // SessionTraces regenerates the head traces an engine built from cfg
 // will drive, without running anything: the viewers a crowd heatmap
-// (hmp.BuildHeatmap) is built from. Applies the same defaults NewEngine
-// does, so passing the identical cfg yields the identical traces.
+// (hmp.BuildHeatmap) is built from. Sessions defaults to 1 as in
+// NewEngine, so passing the identical cfg yields the identical traces.
 func SessionTraces(cfg EngineConfig) []*trace.HeadTrace {
 	if cfg.Video == nil {
 		return nil
 	}
 	if cfg.Sessions <= 0 {
 		cfg.Sessions = 1
-	}
-	if cfg.SpeedScale <= 0 {
-		cfg.SpeedScale = 1
 	}
 	traces := make([]*trace.HeadTrace, cfg.Sessions)
 	for i := range traces {
@@ -263,7 +254,6 @@ func (e *Engine) runOne(ctx context.Context, i int) SessionResult {
 	s, err := core.NewSession(clock, core.Config{
 		Video:          v,
 		Mode:           e.cfg.Mode,
-		OOS:            e.cfg.OOS,
 		EnableUpgrades: e.cfg.EnableUpgrades,
 	}, head, sched, core.WithObs(e.reg))
 	if err != nil {

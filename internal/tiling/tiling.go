@@ -104,12 +104,6 @@ func cell(x float64, n int) int {
 	return int(f)
 }
 
-// Center returns the viewing direction of the tile's center.
-func (g Grid) Center(id TileID) sphere.Orientation {
-	u0, v0, u1, v1 := g.rect(id)
-	return sphere.Equirectangular{}.Inverse((u0+u1)/2, (v0+v1)/2)
-}
-
 // fovSamples is the side of the angular lattice a Viewport lays over
 // the frustum: samples sit FoV/16 apart and include the frustum's
 // edges and corners. Every tile holding a lattice point is reported; a

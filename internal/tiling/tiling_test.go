@@ -254,8 +254,8 @@ func TestCenterInsideTileRect(t *testing.T) {
 	g := GridCellular
 	p := sphere.Equirectangular{}
 	for id := TileID(0); int(id) < g.Tiles(); id++ {
-		o := g.Center(id)
-		u, v := p.Forward(o)
+		u0, v0, u1, v1 := g.rect(id)
+		u, v := p.Forward(p.Inverse((u0+u1)/2, (v0+v1)/2))
 		if g.tileAt(u, v) != id {
 			t.Fatalf("tile %d center maps to tile %d", id, g.tileAt(u, v))
 		}

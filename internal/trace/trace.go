@@ -69,29 +69,6 @@ func (h *HeadTrace) At(ts time.Duration) sphere.Orientation {
 	return sphere.Lerp(a.View, b.View, t)
 }
 
-// velocityAt returns the angular speed in degrees/second around ts,
-// estimated over a 100 ms window.
-func (h *HeadTrace) velocityAt(ts time.Duration) float64 {
-	const w = 50 * time.Millisecond
-	a := h.At(ts - w)
-	b := h.At(ts + w)
-	return sphere.AngularDistance(a, b) / (2 * w.Seconds())
-}
-
-// MaxVelocity returns the peak angular speed over the whole trace,
-// sampled at 100 ms intervals — the per-user speed bound §3.2 proposes
-// learning ("elderly people tend to move their heads slower than
-// teenagers").
-func (h *HeadTrace) MaxVelocity() float64 {
-	var vmax float64
-	for ts := time.Duration(0); ts <= h.Duration(); ts += 100 * time.Millisecond {
-		if v := h.velocityAt(ts); v > vmax {
-			vmax = v
-		}
-	}
-	return vmax
-}
-
 // Pose is the viewer's body position (§3.2 contextual information).
 type Pose int
 
