@@ -235,8 +235,12 @@ func run(ctx context.Context, args []string) error {
 		hits := reg.Counter("serve.store.hits").Value()
 		misses := reg.Counter("serve.store.misses").Value()
 		shared := reg.Counter("serve.store.singleflight_shared").Value()
-		fmt.Printf("  store: %d hits, %d misses, %d singleflight-shared, %d evictions, %.1f MB cached\n",
-			hits, misses, shared, reg.Counter("serve.store.evictions").Value(),
+		tier := "store"
+		if clu != nil {
+			tier = "origin store" // the edges' stores are listed per node below
+		}
+		fmt.Printf("  %s: %d hits, %d misses, %d singleflight-shared, %d evictions, %.1f MB cached\n",
+			tier, hits, misses, shared, reg.Counter("serve.store.evictions").Value(),
 			float64(store.Bytes())/1e6)
 	}
 	if clu != nil {

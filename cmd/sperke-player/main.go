@@ -165,12 +165,15 @@ func run(args []string, w io.Writer) error {
 	rep := session.Run()
 	m := rep.QoE
 
-	netLabel := *netKind
-	if *multi {
-		netLabel = "wifi+lte (content-aware)"
+	link := fmt.Sprintf("%s @%.1f Mbps", *netKind, *mbps)
+	switch {
+	case *multi: // -mbps sets the LTE path's rate
+		link = fmt.Sprintf("wifi+lte (content-aware) @%.1f Mbps", *mbps)
+	case *netKind == "spec": // the schedule sets the rate; -mbps sets nothing
+		link = "spec " + *traceSpec
 	}
-	fmt.Fprintf(w, "session: %s, %s VRA, %s, %s over %s @%.1f Mbps\n",
-		streamMode, alg.Name(), encoding, dur, netLabel, *mbps)
+	fmt.Fprintf(w, "session: %s, %s VRA, %s, %s over %s\n",
+		streamMode, alg.Name(), encoding, dur, link)
 	fmt.Fprintf(w, "  startup delay     %v\n", rep.StartupDelay.Round(time.Millisecond))
 	fmt.Fprintf(w, "  play time         %v\n", m.PlayTime.Round(time.Millisecond))
 	fmt.Fprintf(w, "  stalls            %d (%v)\n", m.Stalls, m.StallTime.Round(time.Millisecond))

@@ -29,6 +29,26 @@ func TestRunRefusesIgnoredFlags(t *testing.T) {
 	}
 }
 
+// TestSpecHeaderNamesTheSchedule: under -net spec the schedule sets the
+// link rate, so the header names it and not -mbps, which only the
+// multipath LTE path reads.
+func TestSpecHeaderNamesTheSchedule(t *testing.T) {
+	for _, tc := range []struct{ args, link string }{
+		{"-net spec -trace 0:2M -duration 4s", " over spec 0:2M\n"},
+		{"-net spec -trace 0:2M -mbps 5 -duration 4s", " over spec 0:2M\n"},
+		{"-multipath -net spec -trace 0:2M -mbps 5 -duration 4s", " over wifi+lte (content-aware) @5.0 Mbps\n"},
+	} {
+		var out strings.Builder
+		if err := run(strings.Fields(tc.args), &out); err != nil {
+			t.Fatalf("run %s = %v", tc.args, err)
+		}
+		header, _, _ := strings.Cut(out.String(), "\n")
+		if !strings.HasSuffix(header+"\n", tc.link) {
+			t.Errorf("run %s header %q, want it to end %q", tc.args, header, tc.link)
+		}
+	}
+}
+
 // The three sessions below pin what the paper's scenarios print: the
 // Fig. 4 session at the defaults, §3.1.1's incremental SVC upgrades
 // and §3.3's content-aware multipath. A change that moves a number

@@ -96,6 +96,7 @@ func (m *membership) without(name string) *membership {
 // a target for faults.Plan.ApplyNodes (scripted outages).
 type Cluster struct {
 	origin dash.ChunkSource
+	pull   pullFunc // the origin read of a body an edge keeps
 	front  *dash.Server
 	cfg    config
 
@@ -138,6 +139,7 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 	}
 	c := &Cluster{
 		origin:     origin,
+		pull:       pullFrom(origin),
 		cfg:        cfg,
 		probeEvery: cfg.detector.ProbeInterval,
 		clock:      cfg.clock,
@@ -188,7 +190,7 @@ func New(origin dash.ChunkSource, opts ...Option) (*Cluster, error) {
 // name shares is written: a node that loses the race for its name is
 // retired without the winner noticing.
 func (c *Cluster) buildNode(id string) (*Node, error) {
-	n := newNode(id, c.origin, c.cfg.catalog, c.cfg.nodeShards,
+	n := newNode(id, c.pull, c.cfg.catalog, c.cfg.nodeShards,
 		c.cfg.nodeBudget, c.cfg.maxInFlight, c.reg, c.met.originFetches.Inc)
 	n.health = newHealth(id, c.cfg.detector, c.clock, c.reg)
 	if c.cfg.net != nil {

@@ -75,10 +75,34 @@ type nodeMetrics struct {
 	up       *obs.Gauge   // 1 while the node is a member and its process alive
 }
 
-// newNode wires one edge. onOriginFetch (may be nil) is called once
-// per cache miss, before the origin synthesis runs — the cluster's
-// origin-offload accounting hangs off it.
-func newNode(id string, origin dash.ChunkSource, catalog *dash.Catalog,
+// pullFunc reads a body from the origin for a caller that keeps it.
+type pullFunc func(ctx context.Context, key serve.ChunkKey) ([]byte, error)
+
+// puller is an origin that serves a body without caching it itself, as
+// serve.Store.Pull does.
+type puller interface {
+	Pull(ctx context.Context, key serve.ChunkKey) ([]byte, error)
+}
+
+// pullFrom is how the edges' misses and the pre-warmer read the origin:
+// the bodies they read go into edge caches, so an origin that can serve
+// without admitting (a serve.Store) keeps no second copy of them, and
+// any other answers through Chunk. The origin fallback keeps Chunk: a
+// body no edge will hold stays cached at the origin.
+func pullFrom(origin dash.ChunkSource) pullFunc {
+	if p, ok := origin.(puller); ok {
+		return p.Pull
+	}
+	return func(ctx context.Context, key serve.ChunkKey) ([]byte, error) {
+		return origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+	}
+}
+
+// newNode wires one edge, whose misses read the origin through pull.
+// onOriginFetch (may be nil) is called once per cache miss, before the
+// origin synthesis runs — the cluster's origin-offload accounting hangs
+// off it.
+func newNode(id string, pull pullFunc, catalog *dash.Catalog,
 	shards int, budget int64, maxInFlight int,
 	reg *obs.Registry, onOriginFetch func()) *Node {
 	n := &Node{
@@ -97,13 +121,14 @@ func newNode(id string, origin dash.ChunkSource, catalog *dash.Catalog,
 	// sharing the flight, and the store cancels the flight only when
 	// the last interested caller departs — so a canceled viewer aborts
 	// an origin fetch nobody else wants, without poisoning a body other
-	// viewers are waiting on.
+	// viewers are waiting on. A store origin serves the pull without
+	// caching the body, so the edges that keep it are its only holders.
 	n.store = serve.New(serve.WithCtxSynth(func(ctx context.Context, key serve.ChunkKey) ([]byte, error) {
 		n.met.misses.Inc()
 		if onOriginFetch != nil {
 			onOriginFetch()
 		}
-		return origin.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+		return pull(ctx, key)
 	}), serve.WithShards(shards), serve.WithBudget(budget))
 	if catalog != nil {
 		n.server = dash.NewServer(catalog, dash.WithObs(reg), dash.WithStore(n))

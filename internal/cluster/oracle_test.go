@@ -45,7 +45,9 @@ import (
 // sealed, though a writer-form origin's are read under a pin and
 // Peeked for their seal at the last step only, see checkStore), and
 // every counter, the origin store's hits + misses + singleflight_shared
-// equal to its Gets live at entry among them. After Close no goroutine
+// equal to its Gets and Pulls live at entry among them. An edge's miss
+// Pulls from the origin, which caches nothing on a flight a Pull leads;
+// an origin fallback and a pinned read admit. After Close no goroutine
 // is left.
 //
 // The model never guesses which of two racing goroutines won, because
@@ -182,7 +184,9 @@ func (s *mstore) insert(k serve.ChunkKey, body []byte) bool {
 	return true
 }
 
-func (s *mstore) get(ctx *mctx, k serve.ChunkKey, done func([]byte, error)) {
+// get is a Get, and without admit a Pull: a flight it leads caches
+// nothing, whoever joins it.
+func (s *mstore) get(ctx *mctx, k serve.ChunkKey, admit bool, done func([]byte, error)) {
 	if ctx.done {
 		done(nil, context.Canceled)
 		return
@@ -220,7 +224,7 @@ func (s *mstore) get(ctx *mctx, k serve.ChunkKey, done func([]byte, error)) {
 		if s.flights[k] == fl {
 			delete(s.flights, k)
 		}
-		if err == nil && fl.resets == s.resets {
+		if admit && err == nil && fl.resets == s.resets {
 			s.insert(k, body)
 		}
 		for _, w := range fl.waiters {
@@ -282,7 +286,7 @@ type model struct {
 	coal           map[serve.ChunkKey]*mwait // each open route flight's follower, nil for none
 	held           *serve.ChunkKey
 	gate           []*func() // the held syntheses, each resuming its flight
-	originGet      int64     // origin Gets live at entry
+	originReads    int64     // origin Gets and Pulls live at entry
 	waiting        int       // callers parked on a store's flight
 	following      int       // callers parked on a route flight
 	counter, gauge map[string]int64
@@ -315,12 +319,13 @@ func (o *model) release() {
 	}
 }
 
-// originChunk is the origin's Chunk: a Get of the origin store.
-func (o *model) originChunk(ctx *mctx, k serve.ChunkKey, done func([]byte, error)) {
+// originRead is a read of the origin store: its Chunk, a Get, or with
+// admit false an edge's Pull.
+func (o *model) originRead(ctx *mctx, k serve.ChunkKey, admit bool, done func([]byte, error)) {
 	if !ctx.done {
-		o.originGet++
+		o.originReads++
 	}
-	o.origin.get(ctx, k, done)
+	o.origin.get(ctx, k, admit, done)
 }
 
 func (o *model) addNode(id string) {
@@ -329,7 +334,7 @@ func (o *model) addNode(id string) {
 	n.store = newMStore(o.budget, true, &o.waiting, func(ctx *mctx, k serve.ChunkKey, done func([]byte, error)) {
 		o.counter["cluster.node."+id+".misses"]++
 		o.counter["cluster.origin_fetches"]++
-		o.originChunk(ctx, k, done)
+		o.originRead(ctx, k, false, done)
 	})
 	o.ids, o.byID[id] = append(o.ids, id), n
 	o.gauge["cluster.node."+id+".up"], o.gauge["cluster.health."+id+".alive"] = 1, 1
@@ -387,7 +392,7 @@ func (o *model) nodeChunk(n *mnode, ctx *mctx, k serve.ChunkKey, done func([]byt
 			}
 		}
 		stop := ctx.after(release) // the slot is the caller's
-		n.store.get(ctx, k, func(b []byte, err error) {
+		n.store.get(ctx, k, true, func(b []byte, err error) {
 			stop()
 			release()
 			done(b, err)
@@ -481,7 +486,7 @@ func (o *model) walk(r *req, k serve.ChunkKey, lead bool, done func([]byte, erro
 
 func (o *model) fallback(r *req, k serve.ChunkKey, lead bool, done func([]byte, error)) {
 	o.counter["cluster.origin_fallbacks"]++
-	o.originChunk(r.ctx, k, func(body []byte, err error) {
+	o.originRead(r.ctx, k, true, func(body []byte, err error) {
 		if err != nil {
 			o.counter["cluster.origin_errors"]++
 			done(nil, err)
@@ -606,7 +611,7 @@ func (h *rig) request(k serve.ChunkKey, sink int, node string, canceled bool) {
 	case 3:
 		h.m.nodeChunk(h.m.byID[node], r.ctx, k, r.finish)
 	case 4: // the model's pinned read is a Get
-		h.m.originChunk(r.ctx, k, r.finish)
+		h.m.originRead(r.ctx, k, true, r.finish)
 	default:
 		h.m.route(r, k)
 	}
@@ -730,7 +735,7 @@ func (h *rig) checkStore(name string, st *serve.Store, m *mstore, peek bool) {
 				}
 				rec := httptest.NewRecorder()
 				_, err := st.StreamChunk(context.Background(), rec, k.Video, k.Quality, k.Tile, k.Index, k.Layer)
-				h.m.originChunk(&mctx{}, k, func([]byte, error) {})
+				h.m.originRead(&mctx{}, k, true, func([]byte, error) {})
 				if err != nil || !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) {
 					h.fatalf("%s wrote %d bytes of %v (Content-Length %q, err %v); the model holds dash.BuildChunkBody's", name, rec.Body.Len(), k, rec.Header().Get("Content-Length"), err)
 				}
@@ -766,8 +771,8 @@ func (h *rig) checkState() {
 		}
 	}
 	gets := os.Counters["serve.store.hits"] + os.Counters["serve.store.misses"] + os.Counters["serve.store.singleflight_shared"]
-	if gets != h.m.originGet {
-		h.fatalf("origin hits + misses + singleflight_shared = %d over %d Gets live at entry", gets, h.m.originGet)
+	if gets != h.m.originReads {
+		h.fatalf("origin hits + misses + singleflight_shared = %d over %d Gets and Pulls live at entry", gets, h.m.originReads)
 	}
 }
 

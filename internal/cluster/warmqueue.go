@@ -143,11 +143,11 @@ func releaseWaiters(ws []chan struct{}) {
 // current live cold owners, synthesize the body from the origin once,
 // and write it into each of them. Owners are resolved at execution
 // time, not enqueue time, so membership churn between the two cannot
-// warm a node that no longer owns the key. The origin fetch is
-// deliberately direct — not through a node store — so node miss
-// counters and cluster.origin_fetches keep meaning "a viewer waited on
-// this synthesis"; speculative fetches count under
-// cluster.prewarm_fetches instead.
+// warm a node that no longer owns the key. The origin fetch is a pull
+// (the edges keep the body) and deliberately direct — not through a
+// node store — so node miss counters and cluster.origin_fetches keep
+// meaning "a viewer waited on this synthesis"; speculative fetches
+// count under cluster.prewarm_fetches instead.
 func (c *Cluster) runPrewarm(key serve.ChunkKey) {
 	defer c.clearPending(key)
 	m := c.mem.Load()
@@ -164,7 +164,7 @@ func (c *Cluster) runPrewarm(key serve.ChunkKey) {
 		// may repeat the synthesis.
 		return
 	}
-	body, err := c.origin.Chunk(c.warmQ.ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+	body, err := c.pull(c.warmQ.ctx, key)
 	if err != nil {
 		return
 	}

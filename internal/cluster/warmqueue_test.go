@@ -119,6 +119,36 @@ func TestPrewarmSkipsServedTileAndDuplicates(t *testing.T) {
 	}
 }
 
+// TestOriginStoreKeepsOnlyFallbacks: an edge's miss and the pre-warmer
+// Pull from a store origin, so the bodies the edges keep are not cached
+// there a second time; a fallback's body, which no edge keeps, is.
+func TestOriginStoreKeepsOnlyFallbacks(t *testing.T) {
+	origin := serve.New(serve.WithCtxSynth(func(_ context.Context, k serve.ChunkKey) ([]byte, error) {
+		return originBody(k), nil
+	}))
+	c, err := New(origin, WithNodes(2),
+		WithPrewarm(&fakePrior{tiles: []int{1, 2}}, 2), WithClock(sim.NewClock(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	key := serve.ChunkKey{Video: "vid", Quality: 0, Tile: 0, Index: 0}
+	fetchKey(t, c, key)
+	drainWarms(t, c)
+	if got := c.PrewarmFetches(); got != 2 || origin.Len() != 0 {
+		t.Fatalf("after a miss and %d pre-warms the origin holds %d bodies, want 2 pre-warms and none", got, origin.Len())
+	}
+	for _, id := range c.NodeNames() {
+		c.KillNode(id)
+	}
+	key.Index = 1
+	fetchKey(t, c, key)
+	drainWarms(t, c)
+	if !origin.Contains(key) || origin.Len() != 1 {
+		t.Fatalf("after a fallback the origin holds %d bodies (the fallback's: %v), want it alone", origin.Len(), origin.Contains(key))
+	}
+}
+
 // TestWarmQueueDropsOldestWhenFull pins the bounded queue's overload
 // behavior: with the worker stuck on one job and the queue at
 // capacity, a new enqueue evicts the OLDEST waiting job — the one

@@ -184,7 +184,8 @@ func lengthMismatch(key serve.ChunkKey, got, declared int64) error {
 }
 
 // originFallback serves a request no edge could, in the one form both
-// sinks share: the origin's body comes back whole, is published to the
+// sinks share: the origin's body comes back whole (through Chunk, so a
+// store origin caches a body no edge keeps), is published to the
 // flight fl leads (if any) and then delivered — a herd for one key with
 // every edge down costs the origin one fetch. cluster.origin_fetches
 // counts only fetches that completed: a failed or canceled fallback

@@ -67,7 +67,7 @@ func (s *Store) ChunkTo(ctx context.Context, w io.Writer, videoID string, qualit
 // writeTo is a pinned read: key's body, hit or miss, goes into w in one
 // write, after hdr's Content-Type and Content-Length when hdr is set.
 func (s *Store) writeTo(ctx context.Context, w io.Writer, hdr http.Header, key ChunkKey) (int64, error) {
-	body, e, err := s.get(ctx, key, true)
+	body, e, err := s.get(ctx, key, true, true)
 	if err != nil {
 		return 0, err
 	}

@@ -26,8 +26,8 @@ func patternBody(size int) ctxSynth {
 
 // TestCtxStoreRetainsBodyAsReturned pins the ctx form's zero-copy
 // contract: the slice the synth returned IS the cached body, so an edge
-// pulling from an origin store keeps sharing the origin's sealed slice
-// instead of paying a body-sized copy per miss.
+// pulling a resident body from an origin store shares the origin's
+// sealed slice instead of paying a body-sized copy per miss.
 func TestCtxStoreRetainsBodyAsReturned(t *testing.T) {
 	origin := bytes.Repeat([]byte{0x5a}, 256)
 	st := formStore("ctx", len(origin), func(context.Context, ChunkKey) ([]byte, error) { return origin, nil })
@@ -155,7 +155,7 @@ func TestWarmHitZeroAlloc(t *testing.T) {
 			t.Fatalf("warm Get: %v allocs/op, want 0", allocs)
 		}
 	})
-	if allocs := testing.AllocsPerRun(100, catalogGets(t, 256<<20)); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, catalogGets(t, 256<<20, (*Store).Get)); allocs != 0 {
 		t.Fatalf("warm Get of a catalog store: %v allocs/op, want 0", allocs)
 	}
 }

@@ -107,8 +107,9 @@ type WriterSynth struct {
 // other viewers are waiting on: the flight is canceled only when its
 // interest count — leader plus waiters — drops to zero. The returned
 // slice is retained as the shared cached copy without a copy — an edge
-// whose ctxSynth pulls from an origin store keeps sharing the origin's
-// sealed slice — so it must be immutable from then on.
+// whose ctxSynth pulls from an origin store (Pull) shares the origin's
+// sealed slice on a hit and, on a miss, holds the only cached copy —
+// so it must be immutable from then on.
 type ctxSynth func(ctx context.Context, key ChunkKey) ([]byte, error)
 
 // StoreConfig tunes a Store. The zero value gives 16 shards and a
@@ -338,15 +339,27 @@ func (s *Store) shard(k ChunkKey) *shard { return s.shards[k.hash()&s.mask] }
 // scribbling on cached bytes. A body once returned here is never
 // reused: the store keeps it whole for as long as the caller does.
 func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
-	body, _, err := s.get(ctx, key, false)
+	body, _, err := s.get(ctx, key, false, true)
+	return body, err
+}
+
+// Pull is Get for a caller that keeps the body itself: a cache tier
+// above this store. A resident body is a hit, as with Get; a miss
+// leads or joins the key's flight, with Get's singleflight, counters
+// and cancellation, but a flight Pull leads caches nothing, so the
+// store holds no second copy of a body the puller keeps. A Get that
+// joins that flight is served and admits nothing either.
+func (s *Store) Pull(ctx context.Context, key ChunkKey) ([]byte, error) {
+	body, _, err := s.get(ctx, key, false, false)
 	return body, err
 }
 
 // get is Get, and with pin the first half of a pinned write: the body
 // comes back with its entry pinned, or a nil entry when the store will
 // never reuse the body, and the caller writes it out and unpins. A
-// pinned miss builds in a free buffer (see build).
-func (s *Store) get(ctx context.Context, key ChunkKey, pin bool) ([]byte, *entry, error) {
+// pinned miss builds in a free buffer (see build). Without admit a miss
+// is served and not cached (Pull).
+func (s *Store) get(ctx context.Context, key ChunkKey, pin, admit bool) ([]byte, *entry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -413,7 +426,7 @@ func (s *Store) get(ctx context.Context, key ChunkKey, pin bool) ([]byte, *entry
 		delete(sh.inflight, key)
 	}
 	var pinned *entry
-	if fl.err == nil && fl.resets == sh.resets {
+	if admit && fl.err == nil && fl.resets == sh.resets {
 		if e != nil && fl.shared {
 			e.buf = nil // the waiters hold it
 		}

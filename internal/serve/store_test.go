@@ -1,10 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
+
+	"sperke/internal/obs"
 )
 
 func key(i int) ChunkKey {
@@ -78,5 +84,96 @@ func TestShardsPowerOfTwo(t *testing.T) {
 		if got := st.Shards(); got != tc.want {
 			t.Errorf("Shards(%d) = %d, want %d", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestPullAdmitsNothing: a Pull miss is served and not cached, so the
+// store stays empty, and a Pull of a resident body is a hit that leaves
+// it resident.
+func TestPullAdmitsNothing(t *testing.T) {
+	eachForm(t, func(t *testing.T, form string) {
+		const size = 512
+		reg := obs.NewRegistry()
+		st := formStore(form, size, patternBody(size), WithObs(reg))
+		ctx := context.Background()
+		want, _ := patternBody(size)(ctx, key(1))
+		for range 2 {
+			if got, err := st.Pull(ctx, key(1)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("Pull miss: %d bytes, %v", len(got), err)
+			}
+			if st.Len() != 0 || st.Bytes() != 0 {
+				t.Fatalf("after a Pull miss the store holds %d bodies in %d bytes, want none", st.Len(), st.Bytes())
+			}
+		}
+		if _, err := st.Get(ctx, key(1)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := st.Pull(ctx, key(1)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Pull hit: %d bytes, %v", len(got), err)
+		}
+		if st.Len() != 1 || st.Bytes() != size {
+			t.Fatalf("after a Pull hit the store holds %d bodies in %d bytes, want 1 in %d", st.Len(), st.Bytes(), size)
+		}
+		c := reg.Snapshot().Counters
+		if c["serve.store.misses"] != 3 || c["serve.store.hits"] != 1 {
+			t.Fatalf("%d misses, %d hits; want 3 and 1", c["serve.store.misses"], c["serve.store.hits"])
+		}
+	})
+}
+
+// TestPullAndGetShareAFlight: a Pull and a Get of one cold key share one
+// synthesis, whichever leads, and the follower counts under
+// singleflight_shared. The leader decides admission: the body is cached
+// when the Get led and not when the Pull did.
+func TestPullAndGetShareAFlight(t *testing.T) {
+	const size = 256
+	for _, tc := range []struct {
+		lead, follow string
+		resident     int
+	}{{"Pull", "Get", 0}, {"Get", "Pull", 1}} {
+		t.Run(tc.lead+"Leads", func(t *testing.T) {
+			eachForm(t, func(t *testing.T, form string) {
+				var synths atomic.Int32
+				entered, release := make(chan struct{}), make(chan struct{})
+				reg := obs.NewRegistry()
+				st := formStore(form, size, func(ctx context.Context, k ChunkKey) ([]byte, error) {
+					if synths.Add(1) == 1 {
+						close(entered)
+					}
+					<-release
+					return patternBody(size)(ctx, k)
+				}, WithObs(reg))
+				read := map[string]func(context.Context, ChunkKey) ([]byte, error){"Pull": st.Pull, "Get": st.Get}
+				shared := reg.Counter("serve.store.singleflight_shared")
+				ctx := context.Background()
+				want, _ := patternBody(size)(ctx, key(2))
+				errs := make(chan error, 2)
+				do := func(name string) {
+					got, err := read[name](ctx, key(2))
+					if err == nil && !bytes.Equal(got, want) {
+						err = fmt.Errorf("%s got %d bytes, not the body", name, len(got))
+					}
+					errs <- err
+				}
+				go do(tc.lead)
+				<-entered
+				go do(tc.follow)
+				for shared.Value() == 0 {
+					runtime.Gosched()
+				}
+				close(release)
+				for range 2 {
+					if err := <-errs; err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n := synths.Load(); n != 1 || shared.Value() != 1 {
+					t.Fatalf("%s then %s: %d syntheses, %d shared; want 1 and 1", tc.lead, tc.follow, n, shared.Value())
+				}
+				if st.Len() != tc.resident {
+					t.Fatalf("%s then %s: %d resident, want %d", tc.lead, tc.follow, st.Len(), tc.resident)
+				}
+			})
+		})
 	}
 }

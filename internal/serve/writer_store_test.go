@@ -167,14 +167,15 @@ func TestHeadThroughStoreIsNoMiss(t *testing.T) {
 	}
 }
 
-// catalogGets is the chunk store's workload: Gets over every quality-3
-// chunk of a catalog video in turn. A one-byte budget keeps every body
-// uncacheable, so each Get synthesizes; a budget that holds them all
-// makes each a hit once the first round has filled the store.
-// TestWriterStoreColdAllocBudget and TestWarmHitZeroAlloc hold the two
-// to their budgets; BenchmarkChunkStore times them (warm ran ≥ 5× faster
-// than cold when the store went in, ~800× since bodies are sealed).
-func catalogGets(tb testing.TB, budget int64) func() {
+// catalogGets is the chunk store's workload: reads (Get, or Pull) over
+// every quality-3 chunk of a catalog video in turn. A one-byte budget
+// keeps every body uncacheable, so each Get synthesizes; a budget that
+// holds them all makes each a hit once the first round has filled the
+// store. TestWriterStoreColdAllocBudget and TestWarmHitZeroAlloc hold
+// the two to their budgets; BenchmarkChunkStore times them (warm ran
+// ≥ 5× faster than cold when the store went in, ~800× since bodies are
+// sealed).
+func catalogGets(tb testing.TB, budget int64, read func(*Store, context.Context, ChunkKey) ([]byte, error)) func() {
 	v := engineVideo()
 	cat := dash.NewCatalog()
 	if err := cat.Add(v); err != nil {
@@ -190,7 +191,7 @@ func catalogGets(tb testing.TB, budget int64) func() {
 	ctx := context.Background()
 	i := 0
 	get := func() {
-		if _, err := st.Get(ctx, keys[i%len(keys)]); err != nil {
+		if _, err := read(st, ctx, keys[i%len(keys)]); err != nil {
 			tb.Fatal(err)
 		}
 		i++
@@ -204,15 +205,25 @@ func catalogGets(tb testing.TB, budget int64) func() {
 // TestWriterStoreColdAllocBudget pins the streamed miss path's
 // allocation count: the sealed body, the singleflight bookkeeping and
 // nothing else — in particular no scratch buffer and no sealing copy.
+// A Pull miss, which a store with room for every body still never
+// caches, allocates no more than a Get miss.
 func TestWriterStoreColdAllocBudget(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random; the allocs/op pin holds only without -race")
 	}
-	// Sealed body + flight struct + done channel.
-	allocs := testing.AllocsPerRun(100, catalogGets(t, 1))
-	t.Logf("cold Get: %v allocs/op", allocs)
-	if allocs > 3 {
-		t.Fatalf("cold Get: %v allocs/op, want <= 3", allocs)
+	get := testing.AllocsPerRun(100, catalogGets(t, 1, (*Store).Get))
+	for _, tc := range []struct {
+		name   string
+		allocs float64
+	}{
+		{"Get", get},
+		{"Pull", testing.AllocsPerRun(100, catalogGets(t, 256<<20, (*Store).Pull))},
+	} {
+		t.Logf("cold %s: %v allocs/op", tc.name, tc.allocs)
+		// Sealed body + flight struct + done channel.
+		if tc.allocs > 3 || tc.allocs > get {
+			t.Errorf("cold %s: %v allocs/op, want <= 3 and <= a cold Get's %v", tc.name, tc.allocs, get)
+		}
 	}
 }
 
@@ -282,7 +293,7 @@ func BenchmarkChunkStore(b *testing.B) {
 		budget int64
 	}{{"cold", 1}, {"warm", 256 << 20}} {
 		b.Run(bc.name, func(b *testing.B) {
-			get := catalogGets(b, bc.budget)
+			get := catalogGets(b, bc.budget, (*Store).Get)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
