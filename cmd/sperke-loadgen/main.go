@@ -8,16 +8,22 @@
 //
 //	sperke-loadgen                      # 8 viewers, in-process origin
 //	sperke-loadgen -sessions 32 -workers 8
-//	sperke-loadgen -url http://host:8360  # aim at an external origin
+//	sperke-loadgen -url http://host:8360  # aim at a sperke-server
 //	sperke-loadgen -no-http             # pure simulation, no HTTP leg
 //	sperke-loadgen -nodes 3             # edge/origin cluster topology
 //	sperke-loadgen -nodes 3 -kill-at 10s -recover-at 20s  # chaos run
 //	sperke-loadgen -nodes 3 -wire -replicas 2  # real listeners, R=2
 //	sperke-loadgen -nodes 3 -add-node-at 15s   # live membership growth
+//
+// Each viewer streams FoV-guided, over a 25 Mbit/s emulated link, a
+// video named demo of 2 s AVC chunks in 4×6 tiles: the grid and chunk
+// length of sperke-server's demo. The in-process origin's store has 16
+// shards, each edge's 8.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -28,7 +34,6 @@ import (
 	"time"
 
 	"sperke/internal/cluster"
-	"sperke/internal/core"
 	"sperke/internal/dash"
 	"sperke/internal/hmp"
 	"sperke/internal/media"
@@ -42,62 +47,66 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
+	if err := run(ctx, os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
+// killNode is the edge -kill-at crashes.
+const killNode = "edge-1"
+
 func run(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("sperke-loadgen", flag.ExitOnError)
+	fs := flag.NewFlagSet("sperke-loadgen", flag.ContinueOnError)
 	sessions := fs.Int("sessions", 8, "number of simulated viewers")
 	workers := fs.Int("workers", 0, "concurrent sessions (0 = GOMAXPROCS)")
 	seed := fs.Int64("seed", 42, "base seed; viewer i uses seed+i")
-	mbps := fs.Float64("bandwidth", 25, "per-viewer emulated link in Mbit/s")
 	dur := fs.Duration("duration", 60*time.Second, "video duration")
-	chunk := fs.Duration("chunk", 2*time.Second, "chunk duration")
 	url := fs.String("url", "", "external origin URL (empty = in-process origin)")
 	noHTTP := fs.Bool("no-http", false, "skip the HTTP leg; pure simulation")
 	storeMB := fs.Int("store-budget-mb", 256, "in-process store byte budget in MiB")
-	storeShards := fs.Int("store-shards", 16, "in-process store shard count")
-	agnostic := fs.Bool("agnostic", false, "stream FoV-agnostic instead of FoV-guided")
 	nodes := fs.Int("nodes", 0, "edge nodes in front of the origin (0 = no cluster tier)")
 	wire := fs.Bool("wire", false, "run each edge as a real HTTP process on its own loopback listener")
 	replicas := fs.Int("replicas", 1, "rendezvous owners per chunk key (R>1 = replication)")
 	prewarm := fs.Int("prewarm", 0, "crowd-prior pre-warm fanout per served chunk (0 = off; needs -nodes)")
 	addNodeAt := fs.Duration("add-node-at", 0, "grow the cluster by one edge this long into the run (0 = never)")
-	killAt := fs.Duration("kill-at", 0, "crash -kill-node this long into the run (0 = never)")
+	killAt := fs.Duration("kill-at", 0, "crash "+killNode+" this long into the run (0 = never)")
 	recoverAt := fs.Duration("recover-at", 0, "restart the killed node this long into the run (0 = never)")
-	killNode := fs.String("kill-node", "edge-1", "cluster node to crash at -kill-at")
-	fs.Parse(args)
-	// Refuse what the run would ignore: a cluster flag without a
-	// cluster, a cluster with no in-process origin to front.
-	if *nodes > 0 && (*url != "" || *noHTTP) {
-		return fmt.Errorf("-nodes fronts the in-process origin; it cannot go with -url or -no-http")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+	// Refuse a number the run would replace with a default, and what the
+	// run would ignore: a cluster flag without a cluster, a cluster with
+	// no in-process origin to front.
+	noCluster := *nodes == 0
 	for _, f := range []struct {
-		name string
-		set  bool
+		bad bool
+		err string
 	}{
-		{"-prewarm", *prewarm > 0},
-		{"-wire", *wire},
-		{"-replicas", *replicas > 1},
-		{"-add-node-at", *addNodeAt > 0},
-		{"-kill-at", *killAt > 0},
-		{"-recover-at", *recoverAt > 0},
+		{*sessions < 1, "-sessions must be at least 1"},
+		{*storeMB < 1, "-store-budget-mb must be at least 1"},
+		{*workers < 0, "-workers must be 0 or more"},
+		{*replicas < 1, "-replicas must be at least 1"},
+		{*prewarm < 0, "-prewarm must be 0 or more"},
+		{*nodes < 0, "-nodes must be 0 or more"},
+		{!noCluster && (*url != "" || *noHTTP), "-nodes fronts the in-process origin; it cannot go with -url or -no-http"},
+		{noCluster && *prewarm > 0, "-prewarm needs -nodes"},
+		{noCluster && *wire, "-wire needs -nodes"},
+		{noCluster && *replicas > 1, "-replicas needs -nodes"},
+		{noCluster && *addNodeAt > 0, "-add-node-at needs -nodes"},
+		{noCluster && *killAt > 0, "-kill-at needs -nodes"},
+		{noCluster && *recoverAt > 0, "-recover-at needs -nodes"},
+		{*recoverAt > 0 && (*killAt <= 0 || *recoverAt <= *killAt), fmt.Sprintf("-recover-at %v needs an earlier -kill-at", *recoverAt)},
 	} {
-		if f.set && *nodes <= 0 {
-			return fmt.Errorf("%s needs -nodes", f.name)
+		if f.bad {
+			return errors.New(f.err)
 		}
-	}
-	if *recoverAt > 0 && (*killAt <= 0 || *recoverAt <= *killAt) {
-		return fmt.Errorf("-recover-at %v needs an earlier -kill-at", *recoverAt)
 	}
 
 	video := &media.Video{
 		ID:             "demo",
 		Duration:       *dur,
-		ChunkDuration:  *chunk,
+		ChunkDuration:  2 * time.Second,
 		Grid:           tiling.GridCellular,
 		ProjectionName: "equirectangular",
 		Ladder:         media.DefaultLadder,
@@ -116,7 +125,7 @@ func run(ctx context.Context, args []string) error {
 				return err
 			}
 			store = serve.NewCatalogStore(catalog, serve.StoreConfig{
-				Shards:      *storeShards,
+				Shards:      16,
 				BudgetBytes: int64(*storeMB) << 20,
 				Obs:         reg,
 			})
@@ -127,7 +136,6 @@ func run(ctx context.Context, args []string) error {
 				opts := []cluster.Option{
 					cluster.WithNodes(*nodes),
 					cluster.WithCatalog(catalog),
-					cluster.WithNodeShards(*storeShards),
 					cluster.WithNodeBudget(int64(*storeMB) << 20 / int64(*nodes)),
 					cluster.WithReplication(*replicas),
 					cluster.WithWire(*wire),
@@ -155,15 +163,14 @@ func run(ctx context.Context, args []string) error {
 					})
 				}
 				if *killAt > 0 {
-					name := *killNode
 					time.AfterFunc(*killAt, func() {
-						fmt.Printf("!! killing %s at +%v\n", name, *killAt)
-						clu.KillNode(name)
+						fmt.Printf("!! killing %s at +%v\n", killNode, *killAt)
+						clu.KillNode(killNode)
 					})
 					if *recoverAt > *killAt {
 						time.AfterFunc(*recoverAt, func() {
-							fmt.Printf("!! recovering %s at +%v\n", name, *recoverAt)
-							clu.RecoverNode(name)
+							fmt.Printf("!! recovering %s at +%v\n", killNode, *recoverAt)
+							clu.RecoverNode(killNode)
 						})
 					}
 				}
@@ -193,25 +200,19 @@ func run(ctx context.Context, args []string) error {
 		client = dash.NewClient(base, dash.WithClientObs(reg))
 	}
 
-	mode := core.FoVGuided
-	if *agnostic {
-		mode = core.FoVAgnostic
-	}
 	eng, err := serve.NewEngine(serve.EngineConfig{
-		Video:        video,
-		Sessions:     *sessions,
-		Workers:      *workers,
-		BaseSeed:     *seed,
-		BandwidthBPS: *mbps * 1e6,
-		Mode:         mode,
-		Client:       client,
-		Obs:          reg,
+		Video:    video,
+		Sessions: *sessions,
+		Workers:  *workers,
+		BaseSeed: *seed,
+		Client:   client,
+		Obs:      reg,
 	})
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("driving %d viewers over a %.0f Mbit/s emulated link each\n", *sessions, *mbps)
+	fmt.Printf("driving %d viewers over a 25 Mbit/s emulated link each\n", *sessions)
 	res := eng.Run(ctx)
 
 	for _, sr := range res.Sessions {

@@ -32,13 +32,21 @@ func TestRunFailsWhenFetchesFail(t *testing.T) {
 	}
 }
 
-// TestRunRefusesIgnoredFlags: a flag the run would not act on is an
-// error returned before any listener or viewer starts. The context is
+// TestRunRefusesIgnoredFlags: a flag the run would not act on, a number
+// it would replace with a default, and a flag it does not have are
+// errors returned before any listener or viewer starts. The context is
 // already cancelled, so whatever the command did start ends at once.
 func TestRunRefusesIgnoredFlags(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, c := range [][2]string{
+		{"-sessions 0", "-sessions must be at least 1"},
+		{"-store-budget-mb 0", "-store-budget-mb must be at least 1"},
+		{"-workers -1", "-workers must be 0 or more"},
+		{"-nodes 3 -replicas 0", "-replicas must be at least 1"},
+		{"-nodes 3 -prewarm -1", "-prewarm must be 0 or more"},
+		{"-nodes -1", "-nodes must be 0 or more"},
+		{"-store-shards 8", "flag provided but not defined: -store-shards"},
 		{"-prewarm 4", "-prewarm needs -nodes"},
 		{"-wire", "-wire needs -nodes"},
 		{"-replicas 2", "-replicas needs -nodes"},

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,7 +33,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -41,7 +42,7 @@ func main() {
 // run plays one session as args configure it and writes its report to
 // w; each call parses its own flag set.
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("sperke-player", flag.ExitOnError)
+	fs := flag.NewFlagSet("sperke-player", flag.ContinueOnError)
 	mode := fs.String("mode", "guided", "streaming mode: guided or agnostic")
 	algo := fs.String("algo", "throughput", "VRA algorithm: throughput, buffer, mpc")
 	netKind := fs.String("net", "const", "network model: const, lte, wifi, spec")
@@ -57,7 +58,9 @@ func run(args []string, w io.Writer) error {
 	budget := fs.Float64("budget", 0, "user bandwidth budget in Mbit/s (0 = none, §3.1.2)")
 	timeline := fs.Bool("timeline", false, "print the session event timeline")
 	metricsJSON := fs.String("metrics-json", "", `dump a JSON metrics snapshot after the run ("-" = stdout)`)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *traceSpec != "" && *netKind != "spec" {
 		return fmt.Errorf("-trace needs -net spec; -net %s ignores it", *netKind)
 	}

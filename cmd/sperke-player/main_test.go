@@ -16,8 +16,12 @@ func play(args ...string) {
 }
 
 // TestRunRefusesIgnoredFlags: a flag the chosen network model would
-// ignore is refused before anything runs.
+// ignore, and a flag the command does not have, are refused before
+// anything runs.
 func TestRunRefusesIgnoredFlags(t *testing.T) {
+	if err := run([]string{"-bandwidth", "5"}, io.Discard); err == nil || !strings.Contains(err.Error(), "not defined: -bandwidth") {
+		t.Errorf("run -bandwidth 5 = %v, want the flag refused", err)
+	}
 	for _, args := range []string{"-net const -trace 0:8M", "-trace 0:8M", "-net lte -trace 0:8M,30s:1.5M"} {
 		err := run(strings.Fields(args), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "-trace needs -net spec") {

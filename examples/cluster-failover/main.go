@@ -42,12 +42,6 @@ func main() {
 		cluster.WithNodes(3),
 		cluster.WithClock(clock),
 		cluster.WithObs(reg),
-		cluster.WithHealth(cluster.HealthConfig{
-			FailThreshold:  3,
-			ProbeSuccesses: 2,
-			Cooldown:       500 * time.Millisecond,
-			ProbeInterval:  250 * time.Millisecond,
-		}),
 	)
 	if err != nil {
 		panic(err)

@@ -31,11 +31,13 @@ func (o *countingOrigin) count() int {
 	return o.calls
 }
 
-// withMaxInFlight and withWarmQueue set the two bounds no exported
-// option reaches, for the tests that need an edge to saturate at one
-// request or the warm queue to overflow at two jobs.
+// withMaxInFlight, withWarmQueue and withNodeShards set the three sizes
+// no exported option reaches, for the tests that need an edge to
+// saturate at one request, the warm queue to overflow at two jobs, or
+// an edge store of the two shards the model harness models.
 func withMaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n } }
 func withWarmQueue(n int) Option   { return func(c *config) { c.warmQueueCap = n } }
+func withNodeShards(n int) Option  { return func(c *config) { c.nodeShards = n } }
 
 // withEdge puts the cluster over the wire with every edge loop answering
 // with what h builds for its node: the handler seam of the wire tests.

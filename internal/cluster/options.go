@@ -15,19 +15,20 @@ type config struct {
 	replication int
 	catalog     *dash.Catalog
 	nodeBudget  int64
-	nodeShards  int
 	detector    HealthConfig
 	clock       obs.Clock
 	obs         *obs.Registry
 	net         network                  // the wire's carrier; nil: in-process edges
 	edge        func(*Node) http.Handler // what each edge loop answers with; nil: the node's dash.Server
 
-	// maxInFlight bounds concurrent admitted requests per edge; beyond
-	// it the edge sheds with 503+Retry-After. warmQueueCap bounds the
-	// background pre-warm queue; when it is full the oldest queued
-	// pre-warm is dropped and counted under cluster.warm_drops, so
-	// warming degrades under pressure instead of the serving path
-	// slowing down. Neither has an option.
+	// nodeShards is each edge store's shard count. maxInFlight bounds
+	// concurrent admitted requests per edge; beyond it the edge sheds
+	// with 503+Retry-After. warmQueueCap bounds the background pre-warm
+	// queue; when it is full the oldest queued pre-warm is dropped and
+	// counted under cluster.warm_drops, so warming degrades under
+	// pressure instead of the serving path slowing down. None has an
+	// option.
+	nodeShards   int
 	maxInFlight  int
 	warmQueueCap int
 
@@ -97,16 +98,6 @@ func WithNodeBudget(b int64) Option {
 	return func(c *config) {
 		if b > 0 {
 			c.nodeBudget = b
-		}
-	}
-}
-
-// WithNodeShards sets each edge store's shard count; values <= 0 keep
-// the default of 8.
-func WithNodeShards(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.nodeShards = n
 		}
 	}
 }

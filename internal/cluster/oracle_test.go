@@ -812,7 +812,7 @@ func playModel(t testing.TB, ops []byte) {
 	}
 	origin := serve.New(synth, serve.WithShards(2), serve.WithBudget(obudget), serve.WithObs(oreg))
 	c, err := New(origin, WithNodes(nodes), WithReplication(repl), withMaxInFlight(maxIn),
-		WithNodeShards(2), WithNodeBudget(budget), WithClock(clock))
+		withNodeShards(2), WithNodeBudget(budget), WithClock(clock))
 	if err != nil {
 		t.Fatal(err)
 	}

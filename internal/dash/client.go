@@ -35,11 +35,10 @@ type RetryPolicy struct {
 	// 0 defaults to 4, negative disables retries (one attempt).
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt; 0 defaults to
-	// 200ms. Each further attempt multiplies it by Multiplier (default
-	// 2) up to MaxDelay (default 5s).
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
+	// 200ms. Each further attempt doubles it, up to MaxDelay (default
+	// 5s).
+	BaseDelay time.Duration
+	MaxDelay  time.Duration
 	// Jitter spreads each backoff uniformly over ±Jitter fraction of its
 	// value; 0 defaults to 0.2. Negative disables jitter.
 	Jitter float64
@@ -61,9 +60,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxDelay == 0 {
 		p.MaxDelay = 5 * time.Second
 	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = 2
-	}
 	if p.Jitter == 0 {
 		p.Jitter = 0.2
 	}
@@ -80,7 +76,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 func (p RetryPolicy) backoff(n int) time.Duration {
 	d := float64(p.BaseDelay)
 	for i := 1; i < n; i++ {
-		d *= p.Multiplier
+		d *= 2
 		if d >= float64(p.MaxDelay) {
 			d = float64(p.MaxDelay)
 			break

@@ -270,7 +270,7 @@ func TestClientCancellationStopsRetries(t *testing.T) {
 
 func TestRetryPolicyBackoffBounds(t *testing.T) {
 	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 400 * time.Millisecond,
-		Multiplier: 2, Jitter: -1}.withDefaults()
+		Jitter: -1}.withDefaults()
 	for i, want := range []time.Duration{
 		100 * time.Millisecond, 200 * time.Millisecond,
 		400 * time.Millisecond, 400 * time.Millisecond,

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/url"
 	"sort"
@@ -133,7 +132,6 @@ type chunkStreamer interface {
 // deterministic synthetic payloads sized by the video's rate model.
 type Server struct {
 	catalog *Catalog
-	log     *slog.Logger
 	// store serves chunk bodies from a cache; nil synthesizes each
 	// request's body straight into its response.
 	store ChunkSource
@@ -145,15 +143,6 @@ type Server struct {
 
 // ServerOption configures a Server at construction.
 type ServerOption func(*Server)
-
-// WithLogger sets the server's logger; nil is ignored.
-func WithLogger(log *slog.Logger) ServerOption {
-	return func(s *Server) {
-		if log != nil {
-			s.log = log
-		}
-	}
-}
 
 // WithObs wires the server's request metrics into a registry.
 func WithObs(r *obs.Registry) ServerOption {
@@ -257,10 +246,10 @@ func markAborted(w http.ResponseWriter) {
 	}
 }
 
-// NewServer builds a server over a catalog. Options (WithLogger,
-// WithObs, WithStore) configure the optional hooks.
+// NewServer builds a server over a catalog. Options (WithObs,
+// WithStore) configure the optional hooks.
 func NewServer(catalog *Catalog, opts ...ServerOption) *Server {
-	s := &Server{catalog: catalog, log: slog.Default()}
+	s := &Server{catalog: catalog}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -467,7 +456,6 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request, rt route) {
 			// The spec was fully validated above, so a failure here is
 			// the client hanging up mid-stream.
 			markAborted(w)
-			s.log.Debug("dash: segment write aborted", "video", v.ID, "err", err)
 		}
 		return
 	}
@@ -481,27 +469,25 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request, rt route) {
 		if err != nil {
 			if n > 0 || r.Context().Err() != nil || errors.Is(err, ErrViewerGone) {
 				markAborted(w)
-				s.log.Debug("dash: streamed chunk aborted", "video", v.ID, "err", err)
 				return
 			}
 			// The streamer may have promised a length before its source
 			// failed; an error body under a stale Content-Length would
 			// truncate or pad on the wire.
 			w.Header().Del("Content-Length")
-			s.writeChunkError(w, r, v.ID, err)
+			writeChunkError(w, r, err)
 		}
 		return
 	}
 	body, err := s.store.Chunk(r.Context(), v.ID, q, tile, idx, isLayer)
 	if err != nil {
-		s.writeChunkError(w, r, v.ID, err)
+		writeChunkError(w, r, err)
 		return
 	}
 	SetOctetStream(w.Header())
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if _, err := w.Write(body); err != nil {
 		markAborted(w)
-		s.log.Debug("dash: segment write aborted", "video", v.ID, "err", err)
 	}
 }
 
@@ -510,10 +496,9 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request, rt route) {
 // is 503 with the Retry-After hint so a resilient client backs off
 // instead of hammering, unavailability is a plain 503, and anything
 // else a 500.
-func (s *Server) writeChunkError(w http.ResponseWriter, r *http.Request, videoID string, err error) {
+func writeChunkError(w http.ResponseWriter, r *http.Request, err error) {
 	if r.Context().Err() != nil {
 		markAborted(w)
-		s.log.Debug("dash: chunk request canceled", "video", videoID, "err", err)
 		return
 	}
 	var de *Error

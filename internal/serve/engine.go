@@ -17,9 +17,11 @@ import (
 	"sperke/internal/transport"
 )
 
-// propagation is the one-way delay of each viewer's emulated access
-// link.
-const propagation = 20 * time.Millisecond
+// Each viewer's emulated access link: its rate and one-way delay.
+const (
+	accessBPS   = 25e6
+	propagation = 20 * time.Millisecond
+)
 
 // EngineConfig sizes a concurrent-viewer run. The zero value is not
 // usable: Video is required.
@@ -36,12 +38,9 @@ type EngineConfig struct {
 	// BaseSeed seeds viewer i with BaseSeed+i, so every session draws
 	// from its own deterministic stream.
 	BaseSeed int64
-	// BandwidthBPS is each viewer's emulated access link (default
-	// 25 Mbit/s); its one-way delay is propagation.
-	BandwidthBPS float64
-	// Mode and EnableUpgrades shape the sessions the same way the
-	// experiment harness does.
-	Mode           core.StreamMode
+	// EnableUpgrades turns on the sessions' incremental upgrades, as
+	// core.Config's does. Every session streams FoV-guided over an
+	// accessBPS link.
 	EnableUpgrades bool
 	// Client, when set, exercises a real DASH origin: every chunk the
 	// simulated planner fetches is also downloaded over HTTP (hitting
@@ -130,9 +129,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	if cfg.Workers > cfg.Sessions {
 		cfg.Workers = cfg.Sessions
-	}
-	if cfg.BandwidthBPS <= 0 {
-		cfg.BandwidthBPS = 25e6
 	}
 	reg := cfg.Obs
 	if reg == nil {
@@ -238,7 +234,7 @@ func (e *Engine) runOne(ctx context.Context, i int) SessionResult {
 	seed := e.cfg.BaseSeed + int64(i)
 	v := e.cfg.Video
 	clock := sim.NewClock(seed)
-	path := netem.NewPath(clock, "net", netem.Constant(e.cfg.BandwidthBPS), propagation, 0)
+	path := netem.NewPath(clock, "net", netem.Constant(accessBPS), propagation, 0)
 	var sched transport.Scheduler = transport.NewSinglePath(clock, path)
 	if e.cfg.Client != nil {
 		sched = &httpMirror{
@@ -253,7 +249,6 @@ func (e *Engine) runOne(ctx context.Context, i int) SessionResult {
 	head := sessionTrace(e.cfg, i)
 	s, err := core.NewSession(clock, core.Config{
 		Video:          v,
-		Mode:           e.cfg.Mode,
 		EnableUpgrades: e.cfg.EnableUpgrades,
 	}, head, sched, core.WithObs(e.reg))
 	if err != nil {

@@ -251,21 +251,20 @@ func TestEngineMirrorBytesEqualSessionBytes(t *testing.T) {
 	t.Cleanup(func() { srv.Close() }) // after the parallel cases
 
 	type lawCase struct {
-		v         *media.Video
-		upgrades  bool
-		hybrid    bool
-		seed      int64
-		bandwidth float64 // bits/s; 0 is the engine's default
-		inFlight  bool    // the run must leave bytes in flight
+		v        *media.Video
+		upgrades bool
+		hybrid   bool
+		seed     int64
+		inFlight bool // the run must leave bytes in flight
 	}
 	// When playback ends, three upgrades of the last chunk, C(q=5, l=6,
 	// t=18s) among them, are in flight in the AVC run's third session.
 	// An SVC upgrade carries only its enhancement layer and lands sooner:
-	// the hybrid run leaves one, and the SVC run leaves one on a
-	// 10 Mbit/s link.
+	// the hybrid run leaves one, and the SVC run at seed 3 leaves one,
+	// C(q=5, l=11, t=18s), in its fourth session.
 	cases := []lawCase{
 		{v: avcTail, upgrades: true, seed: 1, inFlight: true},
-		{v: svcTail, upgrades: true, seed: 1, bandwidth: 10e6, inFlight: true},
+		{v: svcTail, upgrades: true, seed: 3, inFlight: true},
 		{v: hybridTail, upgrades: true, hybrid: true, seed: 1, inFlight: true},
 	}
 	seeds := []int64{1, 3, 5, 7, 42}
@@ -291,7 +290,7 @@ func TestEngineMirrorBytesEqualSessionBytes(t *testing.T) {
 			reg := obs.NewRegistry()
 			counter := &payloadCounter{inner: http.DefaultTransport}
 			eng, err := NewEngine(EngineConfig{
-				Video: c.v, Sessions: 4, Workers: 2, BaseSeed: c.seed, BandwidthBPS: c.bandwidth,
+				Video: c.v, Sessions: 4, Workers: 2, BaseSeed: c.seed,
 				EnableUpgrades: c.upgrades, Obs: reg,
 				Client: dash.NewClient("http://"+ln.Addr().String(), dash.WithTransport(counter), dash.WithClientObs(reg)),
 			})
@@ -302,7 +301,7 @@ func TestEngineMirrorBytesEqualSessionBytes(t *testing.T) {
 			// and, when mirror is set, the engine's HTTP mirror.
 			session := func(i int, f *inFlight, mirror bool) core.Report {
 				clock := sim.NewClock(eng.cfg.BaseSeed + int64(i))
-				path := netem.NewPath(clock, "net", netem.Constant(eng.cfg.BandwidthBPS), propagation, 0)
+				path := netem.NewPath(clock, "net", netem.Constant(accessBPS), propagation, 0)
 				f.inner = transport.NewSinglePath(clock, path)
 				var sched transport.Scheduler = f
 				if mirror {
