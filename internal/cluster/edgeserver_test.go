@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -111,103 +109,16 @@ func TestEdgeDirectGETIsOneWrite(t *testing.T) {
 	}
 }
 
-// gateOrigin answers each fetch once its gate is open, or fails it when
-// the fetch's context ends first, and counts both.
-type gateOrigin struct {
-	entered  chan struct{} // one send per fetch
-	release  chan struct{}
-	fetched  atomic.Int64
-	canceled atomic.Int64
-}
-
-func newGateOrigin() *gateOrigin {
-	return &gateOrigin{entered: make(chan struct{}, 8), release: make(chan struct{})}
-}
-
-func (o *gateOrigin) Chunk(ctx context.Context, videoID string, quality, tile, index int, layer bool) ([]byte, error) {
-	o.entered <- struct{}{}
-	select {
-	case <-o.release:
-		o.fetched.Add(1)
-		return originBody(serve.ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer}), nil
-	case <-ctx.Done():
-		o.canceled.Add(1)
-		return nil, context.Cause(ctx)
-	}
-}
-
-// TestEdgeHangupMidMissFinishesTheMiss: the edge does not watch the
-// router's end while a handler runs. A router that hangs up during a
-// miss leaves it running; once the origin answers, the body is cached on
-// one origin fetch, and the next GET is a hit on a fresh connection.
+// TestEdgeHangupMidMissFinishesTheMiss: a router that hangs up during
+// an edge's miss leaves it running into the edge's store, and pools no
+// connection the late answer could still arrive on.
 func TestEdgeHangupMidMissFinishesTheMiss(t *testing.T) {
-	origin := newGateOrigin()
-	f := &faultNet{}
-	edge := newEdge(t, origin, withFaults(f))
-	accepted := &f.at(edge.Addr()).accepts
-	key := wireKeys(wireVideo())[0]
-
-	ctx, cancel := context.WithCancel(context.Background())
-	opened := make(chan error, 1)
-	go func() {
-		_, _, err := edge.open(ctx, key)
-		opened <- err
-	}()
-	<-origin.entered
-	cancel()
-	if err := <-opened; !errors.Is(err, context.Canceled) {
-		t.Fatalf("open after the router hung up: err %v, want context.Canceled", err)
-	}
-	close(origin.release)
-	waitFor(t, "the miss to land in the edge's store", func() bool { return edge.Store().Contains(key) })
-
-	st, _, err := edge.open(context.Background(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(st.body)
-	st.body.Close()
-	if err != nil || !bytes.Equal(body, originBody(key)) {
-		t.Fatalf("GET after the hang-up: %q, %v", body, err)
-	}
-	if f, c := origin.fetched.Load(), origin.canceled.Load(); f != 1 || c != 0 {
-		t.Fatalf("origin fetched %d and was canceled %d times, want 1 and 0", f, c)
-	}
-	if m, r := edge.Misses(), edge.Requests(); m != 1 || r != 2 {
-		t.Fatalf("edge missed %d of %d requests, want 1 of 2: the second GET was not a hit", m, r)
-	}
-	if got := accepted.Load(); got != 2 {
-		t.Fatalf("the edge accepted %d connections, want 2: the hung-up one, then a fresh one", got)
-	}
+	playSeed(t, "hangup-mid-miss-finishes-the-miss")
 }
 
 // TestEdgeKillEndsTheHandlersContext: kill while a miss waits on the
-// origin ends the handler's context — the store cancels the flight
-// nobody is left to want, and the origin sees it — closes the router's
-// connection, and every goroutine the cluster started returns.
-func TestEdgeKillEndsTheHandlersContext(t *testing.T) {
-	before := runtime.NumGoroutine()
-	origin := newGateOrigin()
-	c, err := New(origin, WithNodes(1), WithWire(true), WithCatalog(wireCatalog(t, wireVideo())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	edge := c.Nodes()[0]
-	opened := make(chan error, 1)
-	go func() {
-		_, _, err := edge.open(context.Background(), wireKeys(wireVideo())[0])
-		opened <- err
-	}()
-	<-origin.entered
-	edge.kill()
-	if err := <-opened; err == nil {
-		t.Fatal("open succeeded across a Kill")
-	}
-	waitFor(t, "the origin fetch to see its context end", func() bool { return origin.canceled.Load() == 1 })
-	edge.retire()
-	c.Close()
-	waitFor(t, "goroutines back to their baseline", func() bool { return runtime.NumGoroutine() <= before })
-}
+// origin ends the handler's context, which frees its admission slot.
+func TestEdgeKillEndsTheHandlersContext(t *testing.T) { playSeed(t, "kill-cancels-the-edge-handler") }
 
 // TestEdgeProtocol: the edge's connection loop speaks HTTP/1.1 as a
 // client of it expects. Every response declares its length; a HEAD gets

@@ -5,8 +5,10 @@ import (
 	"context"
 	"math"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -14,7 +16,9 @@ import (
 // listeners count, per address, the connections they accept and, when
 // scripted, hand each one to the address's script, so a test breaks a
 // response byte-exactly at the edge's socket and restarts an edge only
-// through kill and recover. With drip set, each connection the router
+// through kill and recover. A dial to an address none of its listeners
+// holds is refused, as the kernel refuses it, before another process
+// that took the port can answer. With drip set, each connection the router
 // dials reads at most drip bytes at a time; being no *net.TCPConn, it
 // turns the relay's splice into its block loop. A stall set on it holds
 // the next dial.
@@ -39,15 +43,30 @@ func (f *faultNet) at(addr string) *edgeScript {
 	return s.(*edgeScript)
 }
 
+// listen binds addr, or a fresh address no edge on f has had: one a
+// killed edge still owns would send the router's dials for it to
+// another edge.
 func (f *faultNet) listen(addr string) (net.Listener, error) {
 	ln, err := f.tcpNetwork.listen(addr)
+	for addr == "" && err == nil {
+		if _, had := f.edges.Load(ln.Addr().String()); !had {
+			break
+		}
+		defer ln.Close()
+		ln, err = f.tcpNetwork.listen(addr)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return faultListener{Listener: ln, scripted: f.scripted, s: f.at(ln.Addr().String())}, nil
+	s := f.at(ln.Addr().String())
+	s.open.Add(1)
+	return &faultListener{Listener: ln, scripted: f.scripted, s: s}, nil
 }
 
 func (f *faultNet) dial(ctx context.Context, addr string, deadline time.Time) (net.Conn, error) {
+	if s, ok := f.edges.Load(addr); ok && s.(*edgeScript).open.Load() == 0 {
+		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: os.NewSyscallError("connect", syscall.ECONNREFUSED)}
+	}
 	if s := f.stall.Swap(nil); s != nil {
 		close(s.began)
 		select {
@@ -74,9 +93,15 @@ type faultListener struct {
 	net.Listener
 	scripted bool
 	s        *edgeScript
+	once     sync.Once
 }
 
-func (l faultListener) Accept() (net.Conn, error) {
+func (l *faultListener) Close() error {
+	l.once.Do(func() { l.s.open.Add(-1) })
+	return l.Listener.Close()
+}
+
+func (l *faultListener) Accept() (net.Conn, error) {
 	conn, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err
@@ -93,6 +118,7 @@ func (l faultListener) Accept() (net.Conn, error) {
 // whichever connection each goes out.
 type edgeScript struct {
 	accepts atomic.Int64
+	open    atomic.Int32   // listeners bound here and not closed
 	faults  chan connFault // 8 deep: more than any test queues ahead
 	stalled chan struct{}  // a send, when there is room, as a stall begins
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -100,54 +99,15 @@ func TestPrewarmFetchesPredictedNeighbors(t *testing.T) {
 }
 
 // TestPrewarmSkipsServedTileAndDuplicates: the prior ranks the served
-// tile itself first — it must be skipped, and a key already pending in
-// the queue must not be enqueued twice.
+// tile among its neighbours, and the pre-warmer fetches it no second
+// time, though its owner could not cache it.
 func TestPrewarmSkipsServedTileAndDuplicates(t *testing.T) {
-	origin := &countingOrigin{}
-	c, err := New(origin, WithNodes(1),
-		WithPrewarm(&fakePrior{tiles: []int{0, 1}}, 2), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	key := serve.ChunkKey{Video: "vid", Quality: 0, Tile: 0, Index: 0}
-	fetchKey(t, c, key)
-	fetchKey(t, c, key) // warm replay re-ranks the same neighbors
-	c.DrainWarms()
-	if got := c.PrewarmFetches(); got != 1 {
-		t.Fatalf("prewarm_fetches = %d, want 1 — tile 0 is being served and tile 1 dedupes", got)
-	}
+	playSeed(t, "prewarm-skips-the-served-tile")
 }
 
-// TestOriginStoreKeepsOnlyFallbacks: an edge's miss and the pre-warmer
-// Pull from a store origin, so the bodies the edges keep are not cached
-// there a second time; a fallback's body, which no edge keeps, is.
-func TestOriginStoreKeepsOnlyFallbacks(t *testing.T) {
-	origin := serve.New(serve.WithCtxSynth(func(_ context.Context, k serve.ChunkKey) ([]byte, error) {
-		return originBody(k), nil
-	}))
-	c, err := New(origin, WithNodes(2),
-		WithPrewarm(&fakePrior{tiles: []int{1, 2}}, 2), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	key := serve.ChunkKey{Video: "vid", Quality: 0, Tile: 0, Index: 0}
-	fetchKey(t, c, key)
-	drainWarms(t, c)
-	if got := c.PrewarmFetches(); got != 2 || origin.Len() != 0 {
-		t.Fatalf("after a miss and %d pre-warms the origin holds %d bodies, want 2 pre-warms and none", got, origin.Len())
-	}
-	for _, id := range c.NodeNames() {
-		c.KillNode(id)
-	}
-	key.Index = 1
-	fetchKey(t, c, key)
-	drainWarms(t, c)
-	if !origin.Contains(key) || origin.Len() != 1 {
-		t.Fatalf("after a fallback the origin holds %d bodies (the fallback's: %v), want it alone", origin.Len(), origin.Contains(key))
-	}
-}
+// TestOriginStoreKeepsOnlyFallbacks: an edge's miss and a pre-warm Pull
+// the origin, which keeps no copy of what they fetch.
+func TestOriginStoreKeepsOnlyFallbacks(t *testing.T) { playSeed(t, "prewarm-pulls-the-origin") }
 
 // TestWarmQueueDropsOldestWhenFull pins the bounded queue's overload
 // behavior: with the worker stuck on one job and the queue at
@@ -195,25 +155,10 @@ func TestWarmQueueDropsOldestWhenFull(t *testing.T) {
 	}
 }
 
-// TestDrainWarmsIdleAndCloseIdempotent: DrainWarms on a never-used
-// queue returns immediately, Close is idempotent, and jobs enqueued
-// after Close are discarded rather than leaked to a dead worker.
+// TestDrainWarmsIdleAndCloseIdempotent: DrainWarms returns before the
+// worker has started and after Close, and a second Close is harmless.
 func TestDrainWarmsIdleAndCloseIdempotent(t *testing.T) {
-	c, err := New(&countingOrigin{}, WithNodes(1), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.DrainWarms() // must not block: worker never started
-	c.Close()
-	c.Close() // idempotent
-	c.enqueueWarm(serve.ChunkKey{Video: "vid"})
-	c.DrainWarms() // must not block: queue is stopped
-	if got := c.PrewarmFetches(); got != 0 {
-		t.Fatalf("job enqueued after Close ran anyway (prewarm_fetches = %d)", got)
-	}
-	if _, err := c.Chunk(context.Background(), "vid", 0, 0, 0, false); err != nil {
-		t.Fatalf("serving after Close failed: %v", err)
-	}
+	playSeed(t, "prewarm-drains-idle-and-closes-twice")
 }
 
 // TestCloseStopsAStalledPrewarm: Close cancels a pre-warm synthesis the

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
@@ -69,50 +68,10 @@ func chunkGET(t *testing.T, h http.Handler, key serve.ChunkKey) *httptest.Respon
 	return rec
 }
 
-// TestWireClusterServesOverLoopback pins the wire tentpole end to end
-// over loopback TCP: the front door proxies each chunk
-// from its rendezvous owner's own HTTP process as a stream
-// (Content-Length forwarded), the owner caches it, and a warm replay
-// never touches the origin.
-func TestWireClusterServesOverLoopback(t *testing.T) {
-	v := wireVideo()
-	origin := &countingOrigin{}
-	c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithClock(sim.NewClock(1)))
-	keys := wireKeys(v)
-	for _, key := range keys {
-		rec := chunkGET(t, c.FrontDoor(), key)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET %v: status %d: %s", key, rec.Code, rec.Body.String())
-		}
-		want := originBody(key)
-		if rec.Body.String() != string(want) {
-			t.Fatalf("key %v: body %q, want %q", key, rec.Body.String(), want)
-		}
-		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(want)) {
-			t.Fatalf("key %v: Content-Length %q, want %d", key, got, len(want))
-		}
-	}
-	if origin.count() != len(keys) {
-		t.Fatalf("cold pass cost %d origin fetches, want %d", origin.count(), len(keys))
-	}
-	// Every key lives on exactly its rendezvous owner (R=1).
-	for _, key := range keys {
-		top := Rank(key, c.NodeNames())[0]
-		for _, n := range c.Nodes() {
-			if n.Store().Contains(key) != (n.ID() == top) {
-				t.Fatalf("key %v: cached on %s, rendezvous owner is %s", key, n.ID(), top)
-			}
-		}
-	}
-	for _, key := range keys {
-		if rec := chunkGET(t, c.FrontDoor(), key); rec.Code != http.StatusOK {
-			t.Fatalf("warm GET %v: status %d", key, rec.Code)
-		}
-	}
-	if origin.count() != len(keys) {
-		t.Fatalf("warm pass refetched from the origin (%d total, want %d)", origin.count(), len(keys))
-	}
-}
+// TestWireClusterServesOverLoopback: each model key, streamed from its
+// owner's listener under the edge's Content-Length, lands in its owner's
+// store alone on one origin fetch.
+func TestWireClusterServesOverLoopback(t *testing.T) { playSeed(t, "wire-serves-under-its-length") }
 
 // TestWireFrontDoorHeadOpensNoHop: a HEAD at the front door is answered
 // from the catalog's size model. It is not routed — cluster.requests
@@ -152,42 +111,11 @@ func TestWireFrontDoorHeadOpensNoHop(t *testing.T) {
 	}
 }
 
-// TestWireKillIsConnectionRefused pins the honest failure mode of the
-// wire form: a killed node's hop meets ECONNREFUSED —
-// not a typed in-process sentinel — and the router fails the key over to
-// its next-ranked owner.
+// TestWireKillIsConnectionRefused: a killed edge refuses the dial, which
+// charges it and fails the key over without a denial; recovered, it
+// answers its probe.
 func TestWireKillIsConnectionRefused(t *testing.T) {
-	t.Run("tcp", func(t *testing.T) {
-		v := wireVideo()
-		origin := &countingOrigin{}
-		c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithClock(sim.NewClock(1)))
-		key := wireKeys(v)[0]
-		ranked := Rank(key, c.NodeNames())
-		dead, second := ranked[0], ranked[1]
-		c.KillNode(dead)
-
-		if _, _, err := c.Node(dead).open(context.Background(), key); !errors.Is(err, syscall.ECONNREFUSED) {
-			t.Fatalf("killed node's wire error = %v, want ECONNREFUSED", err)
-		}
-		body, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer)
-		if err != nil {
-			t.Fatalf("failover fetch: %v", err)
-		}
-		if string(body) != string(originBody(key)) {
-			t.Fatalf("failover body %q, want %q", body, originBody(key))
-		}
-		if !c.Node(second).Store().Contains(key) {
-			t.Fatalf("failover did not land on next-ranked %s", second)
-		}
-		if got := c.met.reroutes.Value(); got != 1 {
-			t.Fatalf("reroutes = %d, want 1", got)
-		}
-		// recover rebinds the address; the probe path comes back.
-		c.RecoverNode(dead)
-		if err := c.Node(dead).ping(context.Background()); err != nil {
-			t.Fatalf("recovered node's wire probe: %v", err)
-		}
-	})
+	t.Run("tcp", func(t *testing.T) { playSeed(t, "kill-refuses-the-dial") })
 }
 
 // TestWireRealListeners exercises WithWire(true) — actual TCP
@@ -522,178 +450,28 @@ func TestWireReplicationSurvivesOwnerKill(t *testing.T) {
 	})
 }
 
-// TestRemoveNodeWithReplicationCostsNoRefetch: draining a member out of
-// a replicated cluster is free for warm keys — the surviving owner
-// already holds every copy — and the retired node's process refuses.
+// TestRemoveNodeWithReplicationCostsNoRefetch: with R = 2, removing a
+// warm owner costs no origin fetch, a second RemoveNode of it fails, and
+// its listener closes.
 func TestRemoveNodeWithReplicationCostsNoRefetch(t *testing.T) {
-	t.Run("tcp", func(t *testing.T) {
-		v := wireVideo()
-		origin := &countingOrigin{}
-		c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithReplication(2), WithClock(sim.NewClock(1)))
-		keys := wireKeys(v)
-		for _, key := range keys {
-			if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
-				t.Fatal(err)
-			}
-		}
-		const drained = "edge-2"
-		removed := c.Node(drained)
-		if err := c.RemoveNode(drained); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.RemoveNode(drained); err == nil {
-			t.Fatal("second RemoveNode of the same name succeeded")
-		}
-		if len(c.NodeNames()) != 2 {
-			t.Fatalf("membership after removal: %v", c.NodeNames())
-		}
-		if _, _, err := removed.open(context.Background(), keys[0]); !errors.Is(err, syscall.ECONNREFUSED) {
-			t.Fatalf("retired node's wire error = %v, want ECONNREFUSED", err)
-		}
-		before := origin.count()
-		for _, key := range keys {
-			if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
-				t.Fatalf("post-removal fetch %v: %v", key, err)
-			}
-		}
-		if got := origin.count(); got != before {
-			t.Fatalf("removing a replicated member cost %d origin refetches, want exactly 0", got-before)
-		}
-	})
+	t.Run("tcp", func(t *testing.T) { playSeed(t, "remove-retires-the-edge") })
 }
 
-// TestAddNodeMovesOnlyReshardedKeys is the live-membership acceptance:
-// growing the cluster moves exactly the keys rendezvous reshards onto
-// the new member — counted precisely by per-node miss counters — and
-// disturbs nothing else.
+// TestAddNodeMovesOnlyReshardedKeys: AddNode("") names the next edge,
+// and only the keys that reshard onto it miss again.
 func TestAddNodeMovesOnlyReshardedKeys(t *testing.T) {
-	t.Run("tcp", func(t *testing.T) {
-		v := wireVideo()
-		origin := &countingOrigin{}
-		c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithClock(sim.NewClock(1)))
-		keys := wireKeys(v)
-		for _, key := range keys {
-			if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
-				t.Fatal(err)
-			}
-		}
-		oldIDs := c.NodeNames()
-		missesBefore := map[string]int64{}
-		for _, n := range c.Nodes() {
-			missesBefore[n.ID()] = n.Misses()
-		}
-
-		added, err := c.AddNode("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if added.ID() != "edge-3" {
-			t.Fatalf("auto-assigned name %q, want edge-3", added.ID())
-		}
-		if _, err := c.AddNode("edge-0"); err == nil {
-			t.Fatal("AddNode accepted a duplicate name")
-		}
-		newIDs := c.NodeNames()
-		moved := 0
-		for _, key := range keys {
-			was, now := Rank(key, oldIDs)[0], Rank(key, newIDs)[0]
-			if now != was && now != added.ID() {
-				t.Fatalf("key %v moved %s→%s; only the new node may steal keys", key, was, now)
-			}
-			if now == added.ID() {
-				moved++
-			}
-		}
-		if moved == 0 {
-			t.Fatal("no key resharded onto the new node; the test asserts nothing")
-		}
-
-		for _, key := range keys {
-			if _, err := c.Chunk(context.Background(), key.Video, key.Quality, key.Tile, key.Index, key.Layer); err != nil {
-				t.Fatalf("post-add fetch %v: %v", key, err)
-			}
-		}
-		if got := added.Misses(); got != int64(moved) {
-			t.Fatalf("new node pulled %d keys from the origin, rendezvous resharded exactly %d", got, moved)
-		}
-		for _, id := range oldIDs {
-			if got := c.Node(id).Misses(); got != missesBefore[id] {
-				t.Fatalf("unmoved member %s refetched %d keys from the origin", id, got-missesBefore[id])
-			}
-		}
-	})
+	t.Run("tcp", func(t *testing.T) { playSeed(t, "add-names-the-next-edge") })
 }
 
-// TestAddNodeAfterCloseFails: Close retires every member, so an
-// AddNode after it must refuse instead of building, binding and
-// publishing a node nothing would ever retire — and the node it built
-// before it found out must leave no listener open.
-func TestAddNodeAfterCloseFails(t *testing.T) {
-	f := &faultNet{}
-	c, err := New(&countingOrigin{}, WithNodes(2), withFaults(f), WithCatalog(wireCatalog(t, wireVideo())), WithClock(sim.NewClock(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	if n, err := c.AddNode(""); err == nil {
-		t.Fatalf("AddNode after Close added %s", n.ID())
-	}
-	if names := c.NodeNames(); len(names) != 2 {
-		t.Fatalf("membership after a refused AddNode: %v", names)
-	}
-	bound := 0
-	f.edges.Range(func(addr, _ any) bool {
-		bound++
-		if conn, err := net.Dial("tcp", addr.(string)); err == nil {
-			conn.Close()
-			t.Errorf("%s still accepts after Close", addr)
-		}
-		return true
-	})
-	if bound != 3 {
-		t.Fatalf("%d listeners were bound, want 3: two members and the refused node", bound)
-	}
-	c.Close()
-}
+// TestAddNodeAfterCloseFails: after Close an AddNode refuses, and no
+// listener the cluster bound stays open (every wire scenario ends so).
+func TestAddNodeAfterCloseFails(t *testing.T) { playSeed(t, "wire-add-races") }
 
-// TestLosingDuplicateLeavesTheWinnerAlone: AddNode builds a node before
-// it takes the membership lock, so two callers adding one name build two
-// nodes and the second is retired. The loser shares its instruments with
-// the member that holds the name, and retiring it must write none of
-// them: the member stays up, reachable and warm.
+// TestLosingDuplicateLeavesTheWinnerAlone: three AddNodes race for one
+// name, and the two losers retire without touching the instruments the
+// winner holds by that name.
 func TestLosingDuplicateLeavesTheWinnerAlone(t *testing.T) {
-	t.Run("tcp", func(t *testing.T) {
-		v := wireVideo()
-		origin := &countingOrigin{}
-		c := newCarrierCluster(t, "tcp", origin, WithNodes(3), WithClock(sim.NewClock(1)))
-		keys := wireKeys(v)
-		for _, key := range keys {
-			fetchKey(t, c, key)
-		}
-		// What AddNode("edge-0") does once a concurrent caller has taken the
-		// name between its two checks.
-		loser, err := c.buildNode("edge-0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		loser.retire()
-
-		for _, name := range []string{"cluster.node.edge-0.up", "cluster.health.edge-0.alive"} {
-			if got := c.reg.Gauge(name).Value(); got != 1 {
-				t.Fatalf("%s = %d after a duplicate of edge-0 was retired, want 1", name, got)
-			}
-		}
-		before := origin.count()
-		for _, key := range keys {
-			fetchKey(t, c, key)
-		}
-		if got := origin.count() - before; got != 0 {
-			t.Fatalf("warm pass cost %d origin fetches after a duplicate of edge-0 was retired, want 0", got)
-		}
-		if got := c.met.reroutes.Value(); got != 0 {
-			t.Fatalf("cluster.reroutes = %d, want 0: edge-0 must still answer for its keys", got)
-		}
-	})
+	t.Run("tcp", func(t *testing.T) { playSeed(t, "wire-add-races") })
 }
 
 // TestWireClusterChaosUnderLoad hammers the over-the-wire cluster from

@@ -94,6 +94,14 @@ const (
 // DefaultTimeout of its request, the bound an edge puts on its own. The
 // caller sets Addr if it listens by name, and owns Serve, Shutdown and
 // Close.
+//
+// Shutdown does not drain a pipelined request. net/http marks a
+// connection StateActive only when reading the request took bytes off
+// the wire (its conn.r.remain moved), so a request a client pipelined
+// behind another, already in the connection's buffer, is served while
+// the connection stays StateIdle, and Shutdown, which closes idle
+// connections, can close it mid-response. The viewer sees a short body
+// and retries; a client that sends one request at a time never meets it.
 func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout, WriteTimeout: DefaultTimeout}
 }
