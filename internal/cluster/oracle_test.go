@@ -38,22 +38,24 @@ import (
 // park mid-flight while the scenario cancels, kills, recovers, adds,
 // removes, sheds, Puts and Resets around them. A pinned read of the
 // origin (StreamChunk) stalls in Write until a later pinned read has
-// settled, so evictions, Resets and misses of its size class run while
-// it holds its body, and the bytes it writes at last must still be
-// dash.BuildChunkBody's: a store that reused a body it had lent out
-// fails here. After every step the cluster must match the model:
+// settled, so evictions, Resets and other misses run while it writes,
+// and the bytes it writes at last must still be dash.BuildChunkBody's.
+// After every step the cluster must match the model:
 // outcomes and bodies, where goroutines park, the bodies resident in
 // every store (so resident bytes are within budget and the sum of the
 // live entries, one LRU element each; sealed, though a writer-form
-// origin's are read under a pin and Peeked for their seal at the last
-// step only, see checkStore), and every counter, the origin store's
-// hits + misses + singleflight_shared equal to its Gets and Pulls live
-// at entry among them. An edge's miss Pulls from the origin, which
+// origin's are read through StreamChunk and Peeked for their seal at
+// the last step only, see checkStore), and every counter, the origin
+// store's hits + misses + singleflight_shared equal to its Gets and
+// Pulls live at entry among them. An edge's miss Pulls from the origin, which
 // caches nothing on a flight a Pull leads; an origin fallback and a
 // pinned read admit, on a writer-form origin as its second-sight rule
 // lets them, which a burst of misses at keys no request asks for can
-// switch on and a burst that reads them again off. After Close no
-// goroutine is left.
+// switch on and a burst that reads them again off. A writer-form
+// origin's synthesis parks in Write, after the rule has decided, and a
+// pinned read the rule refuses parks there with no flight, streaming;
+// in a burst whose Write ends a byte short every miss fails, a streamed
+// one after its bytes. After Close no goroutine is left.
 //
 // Three scenario bits widen the cluster.
 //
@@ -159,9 +161,10 @@ func modelBody(k serve.ChunkKey) []byte {
 }
 
 var (
-	errModelShed = &dash.Error{Kind: dash.KindOverload, Err: dash.ErrUnavailable}
-	errModelWire = errors.New("model: the edge's socket failed")
-	errModelGone = fmt.Errorf("model: %w", dash.ErrViewerGone)
+	errModelShed  = &dash.Error{Kind: dash.KindOverload, Err: dash.ErrUnavailable}
+	errModelWire  = errors.New("model: the edge's socket failed")
+	errModelGone  = fmt.Errorf("model: %w", dash.ErrViewerGone)
+	errModelShort = errors.New("model: the origin's Write ended a byte short")
 )
 
 func bodyOf(k serve.ChunkKey) ([]byte, error) {
@@ -342,10 +345,15 @@ func (s *mstore) admits(k serve.ChunkKey, body []byte) bool {
 	return admit
 }
 
-// get is a Get, and without admit a Pull: a flight it leads caches
-// nothing, whoever joins it. A Get's flight caches its body if a caller
-// joined it, on a ctx-form store, or as admits lets it.
-func (s *mstore) get(ctx *mctx, k serve.ChunkKey, admit bool, done func([]byte, error)) {
+// get is a Get, with pin a pinned read, and without admit a Pull: a
+// flight it leads caches nothing, whoever joins it. On a writer-form
+// store a miss whose Size fails opens no flight, and a Get's or pinned
+// read's miss runs admits when it is found; its flight caches its body
+// if admits let it in or a caller joined it, as a ctx-form store's
+// always does. A pinned miss admits refuses opens no flight: it
+// synthesizes alone, caches nothing, and has noted k, so a read of k
+// while it streams is a second sight.
+func (s *mstore) get(ctx *mctx, k serve.ChunkKey, admit, pin bool, done func([]byte, error)) {
 	if ctx.done {
 		done(nil, context.Canceled)
 		return
@@ -373,9 +381,24 @@ func (s *mstore) get(ctx *mctx, k serve.ChunkKey, admit bool, done func([]byte, 
 		})
 		return
 	}
+	s.ctr["serve.store.misses"]++
+	admitted := true
+	if !s.cancelable {
+		body := modelBody(k)
+		if body == nil { // Size fails
+			done(bodyOf(k))
+			return
+		}
+		if admit {
+			admitted = s.admits(k, body)
+		}
+		if pin && !admitted {
+			s.synth(ctx, k, done)
+			return
+		}
+	}
 	fl := &mflight{key: k, interest: 1, resets: s.resets}
 	s.flights[k] = fl
-	s.ctr["serve.store.misses"]++
 	fctx, stop := ctx, func() {}
 	if s.cancelable {
 		fl.ctx = &mctx{}
@@ -386,7 +409,7 @@ func (s *mstore) get(ctx *mctx, k serve.ChunkKey, admit bool, done func([]byte, 
 		if s.flights[k] == fl {
 			delete(s.flights, k)
 		}
-		if admit && err == nil && fl.resets == s.resets && (fl.shared || s.cancelable || s.admits(k, body)) {
+		if admit && err == nil && fl.resets == s.resets && (admitted || fl.shared) {
 			s.insert(k, body)
 		}
 		for _, w := range fl.waiters {
@@ -473,6 +496,7 @@ type model struct {
 	origin         *mstore
 	coal           map[serve.ChunkKey]*rflight
 	held           *serve.ChunkKey
+	short          bool      // a writer-form origin's Write ends a byte short
 	gate           []*func() // the held syntheses, each resuming its flight
 	originReads    int64     // origin Gets and Pulls live at entry
 	waiting        int       // callers parked on a store's flight
@@ -488,7 +512,13 @@ type model struct {
 	worker, wpark bool // started; parked on the held key
 }
 
+// originSynth is the origin's synthesis: a writer-form origin's Write,
+// which parks after the second-sight rule has decided.
 func (o *model) originSynth(ctx *mctx, k serve.ChunkKey, done func([]byte, error)) {
+	if o.short {
+		done(nil, errModelShort)
+		return
+	}
 	if o.held == nil || *o.held != k {
 		done(bodyOf(k))
 		return
@@ -515,13 +545,13 @@ func (o *model) release() {
 	}
 }
 
-// originRead is a read of the origin store: its Chunk, a Get, or with
-// admit false a Pull.
-func (o *model) originRead(ctx *mctx, k serve.ChunkKey, admit bool, done func([]byte, error)) {
+// originRead is a read of the origin store: its Chunk, a Get, with pin
+// a pinned read, or with admit false a Pull.
+func (o *model) originRead(ctx *mctx, k serve.ChunkKey, admit, pin bool, done func([]byte, error)) {
 	if !ctx.done {
 		o.originReads++
 	}
-	o.origin.get(ctx, k, admit, done)
+	o.origin.get(ctx, k, admit, pin, done)
 }
 
 func (o *model) addNode(id string) {
@@ -530,7 +560,7 @@ func (o *model) addNode(id string) {
 	n.store = newMStore(o.budget, true, &o.waiting, func(ctx *mctx, k serve.ChunkKey, done func([]byte, error)) {
 		o.counter["cluster.node."+id+".misses"]++
 		o.counter["cluster.origin_fetches"]++
-		o.originRead(ctx, k, false, done)
+		o.originRead(ctx, k, false, false, done)
 	})
 	o.ids, o.byID[id], o.all = append(o.ids, id), n, append(o.all, n)
 	o.gauge["cluster.node."+id+".up"], o.gauge["cluster.health."+id+".alive"] = 1, 1
@@ -593,7 +623,7 @@ func (o *model) nodeChunk(n *mnode, ctx *mctx, k serve.ChunkKey, done func([]byt
 			}
 		}
 		stop := ctx.after(release) // the slot is the caller's
-		n.store.get(ctx, k, true, func(b []byte, err error) {
+		n.store.get(ctx, k, true, false, func(b []byte, err error) {
 			stop()
 			release()
 			done(b, err)
@@ -834,7 +864,7 @@ func (o *model) walk(r *req, k serve.ChunkKey, fl *rflight, done func([]byte, er
 
 func (o *model) fallback(r *req, k serve.ChunkKey, fl *rflight, done func([]byte, error)) {
 	o.counter["cluster.origin_fallbacks"]++
-	o.originRead(r.ctx, k, true, func(body []byte, err error) {
+	o.originRead(r.ctx, k, true, false, func(body []byte, err error) {
 		if err != nil {
 			o.counter["cluster.origin_errors"]++
 			done(nil, err)
@@ -882,7 +912,7 @@ func (o *model) runWarms() {
 			continue
 		}
 		o.wpark = true
-		o.originRead(o.warmCtx, k, false, func(body []byte, err error) {
+		o.originRead(o.warmCtx, k, false, false, func(body []byte, err error) {
 			o.wpark = false
 			delete(o.pending, k)
 			if err == nil {
@@ -1069,8 +1099,8 @@ func (h *rig) request(k serve.ChunkKey, sink int, node string, canceled bool, fa
 	switch sink {
 	case 3:
 		h.m.nodeChunk(h.m.byID[node], r.ctx, k, r.finish)
-	case 4: // the model's pinned read is a Get
-		h.m.originRead(r.ctx, k, true, r.finish)
+	case 4:
+		h.m.originRead(r.ctx, k, true, true, r.finish)
 	default:
 		h.m.route(r, k)
 	}
@@ -1199,11 +1229,12 @@ func errClass(err error) int {
 
 // checkStore compares a store's residents with the model's: each must
 // hold dash.BuildChunkBody's bytes. With peek it Peeks them, which also
-// shows each sealed (len == cap) but hands the body out, so a
-// writer-form origin could never reuse it; that origin's residents are
-// read instead through StreamChunk, a pinned read that leaves the body
-// free for reuse. It reads each shard's oldest first, so the hits,
-// which the model counts as origin Gets, leave the LRU order as it was.
+// shows each sealed (len == cap). Until the last step a writer-form
+// origin's residents are read instead through StreamChunk, which checks
+// the pinned hit's Content-Length; those reads are hits, which the
+// model counts as origin Gets and which mark each body hit for the
+// second-sight record. It reads each shard's oldest first, so the hits
+// leave the LRU order as it was.
 func (h *rig) checkStore(name string, st *serve.Store, m *mstore, peek bool) {
 	n, sum := 0, int64(0)
 	for _, sh := range m.shards {
@@ -1223,7 +1254,7 @@ func (h *rig) checkStore(name string, st *serve.Store, m *mstore, peek bool) {
 				}
 				rec := httptest.NewRecorder()
 				_, err := st.StreamChunk(context.Background(), rec, k.Video, k.Quality, k.Tile, k.Index, k.Layer)
-				h.m.originRead(&mctx{}, k, true, func([]byte, error) {})
+				h.m.originRead(&mctx{}, k, true, true, func([]byte, error) {})
 				if err != nil || !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) {
 					h.fatalf("%s wrote %d bytes of %v (Content-Length %q, err %v); the model holds dash.BuildChunkBody's", name, rec.Body.Len(), k, rec.Header().Get("Content-Length"), err)
 				}
@@ -1290,12 +1321,18 @@ func playModel(t testing.TB, ops []byte) {
 
 	base := runtime.NumGoroutine()
 	clock, g, v, oreg := &stepClock{}, &gate{}, wireVideo(), obs.NewRegistry()
+	var short atomic.Bool // set through a short burst
 	synth := serve.WithWriterSynth(serve.WriterSynth{
 		Size: func(k serve.ChunkKey) (int, error) {
-			g.wait(context.Background(), k)
 			return dash.ChunkBodyLen(v, k.Quality, k.Tile, k.Index, k.Layer)
 		},
 		Write: func(w io.Writer, k serve.ChunkKey) error {
+			g.wait(context.Background(), k)
+			if short.Load() {
+				body := modelBody(k)
+				_, err := w.Write(body[:len(body)-1])
+				return err
+			}
 			return dash.WriteChunkBody(w, v, k.Quality, k.Tile, k.Index, k.Layer)
 		},
 	})
@@ -1574,10 +1611,13 @@ func playModel(t testing.TB, ops []byte) {
 			fnet.at(c.Node(e.id).Addr()).then(connFault{verb: verb, at: f.at, stall: hold})
 			prewarmFor(k, sink)
 			h.request(k, sink, "", false, f)
-		case 20: // a burst of origin misses: the next burstLen burstKeys, or with an odd argument the last burstLen again, by Get and by ChunkTo in turn
-			if next()%2 == 1 && bursts >= burstLen {
+		case 20: // a burst of origin misses: the next burstLen burstKeys, or with an odd argument the last burstLen again, by Get and by ChunkTo in turn; with the argument's bit 1 set a writer-form origin's Write ends a byte short
+			arg := next()
+			if arg%2 == 1 && bursts >= burstLen {
 				bursts -= burstLen
 			}
+			m.short = arg&2 != 0 && !cancelable
+			short.Store(m.short)
 			for range burstLen {
 				k, pinned := burstKeys[bursts%len(burstKeys)], bursts%2 == 1
 				bursts++
@@ -1590,12 +1630,16 @@ func playModel(t testing.TB, ops []byte) {
 				} else {
 					got, err = origin.Get(context.Background(), k)
 				}
-				m.originRead(&mctx{}, k, true, func([]byte, error) {})
-				if err != nil || !bytes.Equal(got, modelBody(k)) {
-					h.fatalf("burst read %v (pinned %v): %d bytes, %v; want dash.BuildChunkBody's %d", k, pinned, len(got), err, len(modelBody(k)))
+				var want []byte
+				var werr error
+				m.originRead(&mctx{}, k, true, pinned, func(b []byte, err error) { want, werr = b, err })
+				if (err == nil) != (werr == nil) || err == nil && !bytes.Equal(got, want) {
+					h.fatalf("burst read %v (pinned %v): %d bytes, %v; the model has %d bytes, %v", k, pinned, len(got), err, len(want), werr)
 				}
 			}
-			h.log = append(h.log, fmt.Sprintf("burst of %d to %d", bursts-burstLen, bursts))
+			m.short = false
+			short.Store(false)
+			h.log = append(h.log, fmt.Sprintf("burst of %d to %d, short %v", bursts-burstLen, bursts, arg&2 != 0))
 		}
 		h.settle()
 	}

@@ -45,40 +45,72 @@ func (s *Store) Chunk(ctx context.Context, videoID string, quality, tile, index 
 }
 
 // StreamChunk implements dash.Server's streaming seam: it writes the
-// addressed body straight into w under a pin, with Content-Type and
-// Content-Length set first. The store built the body itself, and hands
-// it to no caller, so once the body is evicted or Reset and its last
-// write is done the next pinned miss of its size class builds in the
-// same buffer instead of allocating. A failed write to w is returned
-// wrapping dash.ErrViewerGone.
+// addressed body into w after its Content-Type and Content-Length; a
+// miss the second-sight rule refuses streams from the synthesizer, as
+// the store-less path does. A failed write to w wraps dash.ErrViewerGone.
 func (s *Store) StreamChunk(ctx context.Context, w http.ResponseWriter, videoID string, quality, tile, index int, layer bool) (int64, error) {
 	return s.writeTo(ctx, w, w.Header(), ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer})
 }
 
-// ChunkTo writes the addressed chunk body into w under a pin, as
-// StreamChunk does, for a writer that is not a ResponseWriter: one
-// write of the sealed body, no second body-sized copy anywhere. No
-// serving path calls it — the wire router's origin fallback calls
-// Chunk — and the bench harness's traced origin forwards it.
+// ChunkTo writes the addressed chunk body into w, as StreamChunk does,
+// for a writer that is not a ResponseWriter, with no body-sized copy
+// anywhere. No serving path calls it — the wire router's origin
+// fallback calls Chunk — and the bench harness's traced origin
+// forwards it.
 func (s *Store) ChunkTo(ctx context.Context, w io.Writer, videoID string, quality, tile, index int, layer bool) (int64, error) {
 	return s.writeTo(ctx, w, nil, ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer})
 }
 
-// writeTo is a pinned read: key's body, hit or miss, goes into w in one
-// write, after hdr's Content-Type and Content-Length when hdr is set.
+// writeTo is a pinned read: key's body, hit or miss, goes into w, after
+// hdr's Content-Type and Content-Length when hdr is set.
 func (s *Store) writeTo(ctx context.Context, w io.Writer, hdr http.Header, key ChunkKey) (int64, error) {
-	body, e, err := s.get(ctx, key, true, true)
+	body, stream, err := s.get(ctx, key, true, true)
 	if err != nil {
 		return 0, err
 	}
-	defer s.unpin(key, e)
 	if hdr != nil {
 		dash.SetOctetStream(hdr)
-		hdr.Set("Content-Length", strconv.Itoa(len(body)))
+		hdr.Set("Content-Length", strconv.Itoa(max(stream, len(body)))) // stream is -1 unless body is nil
+	}
+	if stream >= 0 {
+		return s.stream(w, key, stream)
 	}
 	n, err := w.Write(body)
 	if err != nil {
 		return int64(n), fmt.Errorf("serve: writing to the viewer: %w: %w", dash.ErrViewerGone, err)
 	}
 	return int64(n), nil
+}
+
+// stream writes a refused miss of n bytes from the synthesizer into w.
+// A failed write to w wraps dash.ErrViewerGone; a synthesis error is
+// returned as it is, so one before the first byte can be answered with
+// a status; a stream of other than n bytes fails with the count written.
+func (s *Store) stream(w io.Writer, key ChunkKey, n int) (int64, error) {
+	cw := &countWriter{w: w}
+	err := s.ws.Write(cw, key)
+	switch {
+	case cw.err != nil:
+		return cw.n, fmt.Errorf("serve: writing to the viewer: %w: %w", dash.ErrViewerGone, cw.err)
+	case err != nil:
+		return cw.n, err
+	case cw.n != int64(n):
+		return cw.n, fmt.Errorf("serve: sized synth for %s wrote %d bytes, want %d", key, cw.n, n)
+	}
+	return cw.n, nil
+}
+
+// countWriter counts what it writes to w, and stops at w's first error.
+type countWriter struct {
+	w   io.Writer
+	n   int64
+	err error
+}
+
+func (c *countWriter) Write(p []byte) (n int, err error) {
+	if c.err == nil {
+		n, c.err = c.w.Write(p)
+		c.n += int64(n)
+	}
+	return n, c.err
 }

@@ -38,10 +38,6 @@ type EngineConfig struct {
 	// BaseSeed seeds viewer i with BaseSeed+i, so every session draws
 	// from its own deterministic stream.
 	BaseSeed int64
-	// EnableUpgrades turns on the sessions' incremental upgrades, as
-	// core.Config's does. Every session streams FoV-guided over an
-	// accessBPS link.
-	EnableUpgrades bool
 	// Client, when set, exercises a real DASH origin: every chunk the
 	// simulated planner fetches is also downloaded over HTTP (hitting
 	// the server's chunk store) and its wall latency recorded. The HTTP
@@ -247,10 +243,7 @@ func (e *Engine) runOne(ctx context.Context, i int) SessionResult {
 		}
 	}
 	head := sessionTrace(e.cfg, i)
-	s, err := core.NewSession(clock, core.Config{
-		Video:          v,
-		EnableUpgrades: e.cfg.EnableUpgrades,
-	}, head, sched, core.WithObs(e.reg))
+	s, err := core.NewSession(clock, core.Config{Video: v}, head, sched, core.WithObs(e.reg))
 	if err != nil {
 		return SessionResult{Index: i, Seed: seed, Err: fmt.Errorf("serve: session %d: %w", i, err)}
 	}

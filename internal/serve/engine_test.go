@@ -219,14 +219,15 @@ func (f *inFlight) Submit(r *transport.Request) {
 // The mirror fetches a request when it is submitted; the session counts
 // it when it arrives.
 //
-// Each case is 4 sessions of a 20 s cellular-grid video. The engine
-// rows run AVC and SVC, with and without upgrades, at five seeds; each
-// session is run again in pure simulation, as runOne builds it, to find
-// what it left in flight and which exchanges it asked for. EngineConfig
-// runs no hybrid sessions (§3.1.2), so the hybrid rows build theirs
-// here around the same mirror; they run with upgrades, which re-fetch
-// the AVC-picked tiles whole and the SVC-picked ones by layer. Three
-// runs, one per form, end with bytes in flight.
+// Each case is 4 sessions of a 20 s cellular-grid video, AVC and SVC,
+// with and without upgrades, at five seeds. The rows without upgrades
+// run the engine; each session is run again in pure simulation, as
+// runOne builds it, to find what it left in flight and which exchanges
+// it asked for. EngineConfig runs no upgrades and no hybrid sessions
+// (§3.1.2), so those rows build their sessions here around the same
+// mirror; upgrades re-fetch a chunk at a higher quality, a hybrid
+// session's AVC-picked tiles whole and its SVC-picked ones by layer.
+// Three runs, one per form, end with bytes in flight.
 func TestEngineMirrorBytesEqualSessionBytes(t *testing.T) {
 	video := func(id string, enc media.Encoding) *media.Video {
 		v := engineVideo()
@@ -290,8 +291,7 @@ func TestEngineMirrorBytesEqualSessionBytes(t *testing.T) {
 			reg := obs.NewRegistry()
 			counter := &payloadCounter{inner: http.DefaultTransport}
 			eng, err := NewEngine(EngineConfig{
-				Video: c.v, Sessions: 4, Workers: 2, BaseSeed: c.seed,
-				EnableUpgrades: c.upgrades, Obs: reg,
+				Video: c.v, Sessions: 4, Workers: 2, BaseSeed: c.seed, Obs: reg,
 				Client: dash.NewClient("http://"+ln.Addr().String(), dash.WithTransport(counter), dash.WithClientObs(reg)),
 			})
 			if err != nil {
@@ -316,18 +316,18 @@ func TestEngineMirrorBytesEqualSessionBytes(t *testing.T) {
 				return s.Run()
 			}
 			var res EngineResult
-			if !c.hybrid {
+			if !c.upgrades {
 				res = eng.Run(context.Background())
 			}
 			var fetched, left, exchanges int64
 			for i := 0; i < eng.cfg.Sessions; i++ {
 				f := &inFlight{}
-				rep := session(i, f, c.hybrid)
+				rep := session(i, f, c.upgrades)
 				if c.hybrid && (rep.HybridAVCFetches == 0 || rep.HybridSVCFetches == 0) {
 					t.Fatalf("session %d did not mix encodings: AVC=%d SVC=%d",
 						i, rep.HybridAVCFetches, rep.HybridSVCFetches)
 				}
-				if !c.hybrid && rep != res.Sessions[i].Report {
+				if !c.upgrades && rep != res.Sessions[i].Report {
 					t.Fatalf("session %d does not reproduce its engine report", i)
 				}
 				fetched += rep.BytesFetched

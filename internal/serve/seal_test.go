@@ -47,9 +47,10 @@ func TestCtxStoreRetainsBodyAsReturned(t *testing.T) {
 // against its expected value. Run under -race this is the aliasing
 // smoking gun: any reader observing a body mid-build fails the checksum
 // or trips the race detector. Half the readers read pinned
-// (StreamChunk), yielding mid-write while others miss into free
-// buffers; the rest Get, and check every body they got again at the
-// end, so a body the store reused after lending it out fails too.
+// (StreamChunk), yielding mid-write while others miss and evict, and
+// once the store refuses first sights stream their misses; the rest
+// Get, and check every body they got again at the end, so a body the
+// store changed after handing it out fails too.
 func TestConcurrentReadersStableChecksums(t *testing.T) {
 	const bodySize = 1024
 	synth := patternBody(bodySize)
@@ -124,7 +125,7 @@ func TestConcurrentReadersStableChecksums(t *testing.T) {
 }
 
 // crcViewer checksums what a pinned read writes, yielding first so the
-// store runs other readers' misses while the body is pinned.
+// store runs other readers' misses while the body is written.
 type crcViewer struct {
 	discardViewer
 	sum uint32

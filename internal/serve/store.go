@@ -8,13 +8,11 @@
 //     singleflight de-duplication so a thundering herd of cold requests
 //     for the same chunk synthesizes its body exactly once. Cached
 //     bodies are served read-only. A writer-form miss streams into one
-//     body-sized allocation; a miss written out under a pin
-//     (StreamChunk, ChunkTo) builds instead in the buffer of a body the
-//     store evicted and nobody else holds, when one of its size class
-//     is free. A full writer-form shard whose evictions are mostly of
-//     bodies never hit admits a miss only at second sight: a key it
-//     has not missed lately is served and not cached, and a pinned one
-//     hands its buffer back to its class when the write ends.
+//     body-sized allocation. A full writer-form shard whose evictions
+//     are mostly of bodies never hit admits a miss only at second
+//     sight: a key it has not missed lately is served and not cached,
+//     and a read that writes it out (StreamChunk, ChunkTo) streams it
+//     into the reader's writer, building nothing.
 //
 //   - Engine, a worker-pool session driver: K simulated viewers (each a
 //     core.Session, optionally doubled by a dash.Client fetching the
@@ -26,7 +24,7 @@
 // per-session QoE is a pure function of the session seed regardless of
 // worker count. The only wall-clock reads are the HTTP fetch-latency
 // measurements, taken through the obs.Wall seam
-// (TestEngineDeterministicAcrossWorkerCounts pins the rest).
+// (TestEngineDeterministicAcrossWorkerCounts checks the rest).
 package serve
 
 import (
@@ -36,7 +34,6 @@ import (
 	"io"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"sperke/internal/obs"
 )
@@ -87,17 +84,18 @@ func (k ChunkKey) Fold(h uint64) uint64 {
 func (k ChunkKey) hash() uint64 { return k.Fold(14695981039346656037) }
 
 // WriterSynth is the sized streaming miss form: Size reports the exact
-// byte length of a key's body and Write streams those bytes into w.
-// The store allocates the cached body up front at exactly Size bytes,
-// or takes a free buffer of its size class (see Store.StreamChunk), and
-// hands Write a writer over it that lends the room out
-// (AvailableBuffer), so a synthesizer can build in place — no scratch
-// buffer, no post-build copy, at most one body-sized allocation per
-// miss (the bytes the cache retains, sealed at len == cap). Both
+// byte length of a key's body and Write streams those bytes into w. To
+// build a body the store allocates it at exactly Size bytes and hands
+// Write a writer over it that lends the room out (AvailableBuffer), so
+// a synthesizer can build in place — no scratch buffer, no post-build
+// copy, one body-sized allocation per miss (the bytes the cache
+// retains, sealed at len == cap). A miss that StreamChunk or ChunkTo
+// writes out and the second-sight rule refuses is built nowhere: Write
+// gets the reader's own writer, which can be any io.Writer. Both
 // functions must be pure, and Write must emit exactly Size bytes; a
-// mismatch fails the Get rather than caching a half-built body. Write
-// takes no context, so a writer flight always runs to completion and
-// pays for no flight context.
+// mismatch fails the read rather than caching a half-built body or
+// ending a stream short. Write takes no context, so a writer flight
+// always runs to completion and pays for no flight context.
 type WriterSynth struct {
 	Size  func(key ChunkKey) (int, error)
 	Write func(w io.Writer, key ChunkKey) error
@@ -140,7 +138,7 @@ type StoreConfig struct {
 // Store.abandon). cancel is nil on a writer-form flight. resets is the
 // shard's Reset count when the flight opened: one that completes under
 // another count belongs to a cache that is gone, and caches nothing.
-// shared records that a waiter joined, so its body left the store.
+// shared records that a waiter joined: a second sight of the key.
 type flight struct {
 	done     chan struct{}
 	body     []byte
@@ -151,35 +149,13 @@ type flight struct {
 	shared   bool
 }
 
-// entry is one cached body on a shard's LRU list. buf is the whole
-// allocation a pinned miss built body in, kept while the store may
-// reuse it, and nil from the moment body is handed to a caller (Get,
-// Peek, a flight's waiters) or when the store did not build it. pins
-// counts the writes of body in progress; gone marks an entry evicted,
-// Reset or never cached. An entry that is gone, unpinned and still
-// holds buf is free (Store.recycle). hit records a Get, Pull or pinned
-// read served from the entry while resident. All four fields change
-// under the shard lock.
+// entry is one cached body on a shard's LRU list. hit, set under the
+// shard lock, records a read served from it while resident.
 type entry struct {
 	key  ChunkKey
 	body []byte
-	buf  []byte
-	pins int
-	gone bool
 	hit  bool
 }
-
-// Free buffers wait in one slot per size class: class c holds a buffer
-// of exactly c*classBytes, c from 1 to freeClasses, so at most ~8 MiB
-// sits idle per store. Under GOGC=100 each idle MB costs about two of
-// peak RSS, which is why a slot holds one buffer and not a pool's
-// worth; a full origin needs no more, since the misses it does not
-// admit build in their class's buffer and give it back (EXPERIMENTS.md
-// E38, E41).
-const (
-	classBytes  = 4 << 10
-	freeClasses = 64
-)
 
 // The second-sight rule of a writer-form shard (see admitsLocked).
 const (
@@ -245,8 +221,6 @@ type Store struct {
 	// has departed. Nil on a writer-form store, which builds with ws.
 	miss ctxSynth
 	ws   WriterSynth
-	// free is the idle buffer of each size class (see classBytes).
-	free [freeClasses]atomic.Pointer[entry]
 	met  storeMetrics
 }
 
@@ -423,7 +397,13 @@ func (sh *shard) noteLocked(unhit bool) {
 // canceled once every sharing caller has departed, so an origin fetch
 // nobody is waiting on anymore aborts instead of completing into the
 // void; one caller's cancellation never disturbs a flight others still
-// want.
+// want. On a writer-form store the second-sight rule (admitsLocked)
+// decides once, when the miss is found, whether its body is cached; a
+// refused flight a waiter joins is cached all the same, the waiter being
+// a second sight. A refused pinned read (StreamChunk, ChunkTo) opens no
+// flight but notes its key, so a read of the key while it streams is a
+// second sight and leads the one flight later reads join: a herd on a
+// refused first sight synthesizes at most twice.
 //
 // Immutability contract: the returned slice is the cache's own copy,
 // shared by every caller that asks for the same key — it is strictly
@@ -431,8 +411,7 @@ func (sh *shard) noteLocked(unhit bool) {
 // length, or append to it in place; mutating it corrupts the body every
 // later viewer receives. Writer-form bodies are sealed at their exact
 // size (len == cap), so an accidental append reallocates instead of
-// scribbling on cached bytes. A body once returned here is never
-// reused: the store keeps it whole for as long as the caller does.
+// scribbling on cached bytes.
 func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
 	body, _, err := s.get(ctx, key, false, true)
 	return body, err
@@ -449,51 +428,60 @@ func (s *Store) Pull(ctx context.Context, key ChunkKey) ([]byte, error) {
 	return body, err
 }
 
-// get is Get, and with pin the first half of a pinned write: the body
-// comes back with its entry pinned, or a nil entry when the store will
-// never reuse the body, and the caller writes it out and unpins. A
-// pinned miss builds in a free buffer (see build). Without admit a miss
-// is served and not cached (Pull); with it, a writer-form miss nobody
-// joined is cached if the shard's admission rule lets it in
-// (admitsLocked). A pinned miss that is not cached, and that no waiter
-// holds, comes back pinned and gone, so its buffer is free once its
-// write ends.
-func (s *Store) get(ctx context.Context, key ChunkKey, pin, admit bool) ([]byte, *entry, error) {
+// get is Get, Pull without admit, and with pin the lookup of a pinned
+// read (Store.writeTo). stream is -1, or the size of a pinned miss the
+// rule refused, which comes back with no body and opens no flight: the
+// caller streams the body itself (Store.stream).
+func (s *Store) get(ctx context.Context, key ChunkKey, pin, admit bool) (body []byte, stream int, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, -1, err
 	}
 	h := key.hash()
 	sh := s.shards[h&s.mask]
+	var n int
 	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
-		sh.lru.MoveToFront(el)
-		e := el.Value.(*entry)
-		e.hit = true
-		body := e.body
-		switch {
-		case !pin:
-			e.buf, e = nil, nil // handed out: never reused
-		case e.buf == nil:
-			e = nil // never reused, so nothing to pin
-		default:
-			e.pins++
+	for sized := s.miss != nil; ; sized = true { // a ctx-form miss is not sized
+		if el, ok := sh.entries[key]; ok {
+			sh.lru.MoveToFront(el)
+			e := el.Value.(*entry)
+			e.hit = true
+			sh.mu.Unlock()
+			s.met.hits.Inc()
+			return e.body, -1, nil
 		}
+		if fl, ok := sh.inflight[key]; ok {
+			fl.interest++
+			fl.shared = true
+			sh.mu.Unlock()
+			s.met.shared.Inc()
+			select {
+			case <-fl.done:
+				return fl.body, -1, fl.err
+			case <-ctx.Done():
+				s.abandon(sh, key, fl)
+				return nil, -1, ctx.Err()
+			}
+		}
+		if sized {
+			break
+		}
+		// A writer-form miss: size it outside the lock, then look again,
+		// so the rule decides before anything is built or anyone joins.
 		sh.mu.Unlock()
-		s.met.hits.Inc()
-		return body, e, nil
+		if n, err = s.ws.Size(key); err == nil && n < 0 {
+			err = fmt.Errorf("serve: sized synth for %s reports negative length %d", key, n)
+		}
+		if err != nil {
+			s.met.misses.Inc()
+			return nil, -1, err
+		}
+		sh.mu.Lock()
 	}
-	if fl, ok := sh.inflight[key]; ok {
-		fl.interest++
-		fl.shared = true
+	admitted := s.miss != nil || !admit || sh.admitsLocked(h, int64(n))
+	if pin && !admitted {
 		sh.mu.Unlock()
-		s.met.shared.Inc()
-		select {
-		case <-fl.done:
-			return fl.body, nil, fl.err
-		case <-ctx.Done():
-			s.abandon(sh, key, fl)
-			return nil, nil, ctx.Err()
-		}
+		s.met.misses.Inc()
+		return nil, n, nil
 	}
 	fl := &flight{done: make(chan struct{}), interest: 1, resets: sh.resets}
 	var fctx context.Context
@@ -508,7 +496,6 @@ func (s *Store) get(ctx context.Context, key ChunkKey, pin, admit bool) ([]byte,
 	sh.mu.Unlock()
 
 	s.met.misses.Inc()
-	var e *entry
 	if s.miss != nil {
 		// Only this form pays for a flight context and its teardown. The
 		// leader's departure is its caller's cancellation: release its
@@ -519,64 +506,19 @@ func (s *Store) get(ctx context.Context, key ChunkKey, pin, admit bool) ([]byte,
 		stop()
 		fl.cancel()
 	} else {
-		fl.body, e, fl.err = s.build(key, pin)
+		fl.body, fl.err = s.build(key, n)
 	}
 
 	sh.mu.Lock()
 	if sh.inflight[key] == fl {
 		delete(sh.inflight, key)
 	}
-	if e != nil && fl.shared {
-		e.buf = nil // the waiters hold it
-	}
-	cached := admit && fl.err == nil && fl.resets == sh.resets &&
-		(fl.shared || s.miss != nil || sh.admitsLocked(h, int64(len(fl.body)))) &&
-		s.insertLocked(sh, key, fl.body, e) != nil
-	if e != nil && e.buf != nil {
-		e.pins, e.gone = 1, !cached
-	} else {
-		e = nil
+	if admit && fl.err == nil && fl.resets == sh.resets && (admitted || fl.shared) {
+		s.insertLocked(sh, key, fl.body)
 	}
 	sh.mu.Unlock()
 	close(fl.done)
-	return fl.body, e, fl.err
-}
-
-// unpin ends a pinned write of e's body. The last pin off an entry that
-// is gone frees its buffer.
-func (s *Store) unpin(key ChunkKey, e *entry) {
-	if e == nil {
-		return
-	}
-	sh := s.shard(key)
-	sh.mu.Lock()
-	e.pins--
-	free := e.pins == 0 && e.gone
-	sh.mu.Unlock()
-	if free {
-		s.recycle(e)
-	}
-}
-
-// dropLocked marks an entry that has left its shard gone, and frees its
-// buffer now if nothing pins it.
-func (s *Store) dropLocked(e *entry) {
-	e.gone = true
-	if e.pins == 0 {
-		s.recycle(e)
-	}
-}
-
-// recycle offers a free entry's buffer to the next pinned miss of its
-// class; a full slot drops it to the collector instead. Nothing refers
-// to e any more: it has left the cache, no write pins it, and no caller
-// was ever handed its body.
-func (s *Store) recycle(e *entry) {
-	if e.buf == nil {
-		return
-	}
-	e.key, e.body = ChunkKey{}, nil
-	s.free[cap(e.buf)/classBytes-1].CompareAndSwap(nil, e)
+	return fl.body, -1, fl.err
 }
 
 // abandon releases one caller's interest in a flight. When the last
@@ -599,7 +541,7 @@ func (s *Store) abandon(sh *shard, key ChunkKey, fl *flight) {
 	}
 }
 
-// writerPool recycles the slice-backed writers the writer form hands
+// writerPool reuses the slice-backed writers the writer form hands
 // to WriterSynth.Write, keeping the per-miss allocation count at the
 // sealed body alone.
 var writerPool = sync.Pool{New: func() any { return new(sliceWriter) }}
@@ -616,68 +558,45 @@ func (sw *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// build runs the writer form for a miss: one allocation, filled by the
-// synthesizer's stream, sealed (len == cap) when it goes into the
-// cache. A pinned miss whose body fits a size class builds in that
-// class's free buffer, or in a fresh buffer rounded up to the class,
-// and returns the entry that keeps the whole buffer for reuse; any
-// other miss allocates exactly the body and returns no entry.
-func (s *Store) build(key ChunkKey, pin bool) ([]byte, *entry, error) {
-	n, err := s.ws.Size(key)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n < 0 {
-		return nil, nil, fmt.Errorf("serve: sized synth for %s reports negative length %d", key, n)
-	}
-	var e *entry
+// build runs the writer form for a miss of n bytes: one allocation of
+// exactly n, filled by the synthesizer's stream, sealed (len == cap)
+// when it goes into the cache.
+func (s *Store) build(key ChunkKey, n int) ([]byte, error) {
 	sw := writerPool.Get().(*sliceWriter)
-	if c := (n + classBytes - 1) / classBytes; pin && c > 0 && c <= freeClasses {
-		if e = s.free[c-1].Swap(nil); e == nil {
-			e = &entry{buf: make([]byte, 0, c*classBytes)}
-		}
-		sw.buf = e.buf[:0]
-	} else {
-		sw.buf = make([]byte, 0, n)
-	}
-	err = s.ws.Write(sw, key)
+	sw.buf = make([]byte, 0, n)
+	err := s.ws.Write(sw, key)
 	body := sw.buf
 	sw.buf = nil
 	writerPool.Put(sw)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(body) != n {
-		return nil, nil, fmt.Errorf("serve: sized synth for %s wrote %d bytes, want %d", key, len(body), n)
+		return nil, fmt.Errorf("serve: sized synth for %s wrote %d bytes, want %d", key, len(body), n)
 	}
-	return body[:n:n], e, nil
+	return body[:n:n], nil
 }
 
-// insertLocked caches a body in e, or in a new entry when e is nil,
-// evicting the shard's LRU tail past its budget slice, and returns the
-// entry, nil if the body did not go in. An existing entry wins:
-// bodies are pure functions of the key, so there is nothing to replace,
-// and a second LRU element for one key would double-count its bytes and
-// take the live map entry with it when evicted. That happens whenever a
-// Put lands while a flight for the key is open, or an abandoned flight
-// completes beside the fresh one that replaced it. A body larger than
-// the whole slice is served but never cached (keep-zero, matching the
-// player caches' refusal to hold something that would immediately evict
-// everything).
-func (s *Store) insertLocked(sh *shard, key ChunkKey, body []byte, e *entry) *entry {
+// insertLocked caches a body, evicting the shard's LRU tail past its
+// budget slice, and reports whether the body went in. An existing
+// entry wins: bodies are pure functions of the key, so there is nothing
+// to replace, and a second LRU element for one key would double-count
+// its bytes and take the live map entry with it when evicted. That
+// happens whenever a Put lands while a flight for the key is open, or
+// an abandoned flight completes beside the fresh one that replaced it.
+// A body larger than the whole slice is served but never cached
+// (keep-zero, matching the player caches' refusal to hold something
+// that would immediately evict everything).
+func (s *Store) insertLocked(sh *shard, key ChunkKey, body []byte) bool {
 	if _, ok := sh.entries[key]; ok {
-		return nil
+		return false
 	}
 	size := int64(len(body))
 	if size > sh.budget {
 		s.met.uncacheable.Inc()
-		return nil
+		return false
 	}
-	if e == nil {
-		e = new(entry)
-	}
-	e.key, e.body, e.pins, e.gone, e.hit = key, body, 0, false, false
-	el := sh.lru.PushFront(e)
+	el := sh.lru.PushFront(&entry{key: key, body: body})
 	sh.entries[key] = el
 	sh.bytes += size
 	s.met.bytes.Add(size)
@@ -693,26 +612,21 @@ func (s *Store) insertLocked(sh *shard, key ChunkKey, body []byte, e *entry) *en
 		sh.bytes -= int64(len(ev.body))
 		s.met.bytes.Add(-int64(len(ev.body)))
 		s.met.evictions.Inc()
-		s.dropLocked(ev)
 	}
-	return e
+	return true
 }
 
 // Reset drops every cached body, returning the store to cold — a
 // crashed-and-restarted edge node models its lost cache with this. The
 // admission rule's memory goes with them: no key counts as seen, and
-// the eviction record starts empty.
-// Flights in progress are orphaned: deregistered, so the next Get of
-// their key starts afresh, and, when they complete, they hand their
-// waiters the body and cache nothing — a miss that spans a crash does
-// not land in the restarted cache.
+// the eviction record starts empty. Flights in progress are orphaned:
+// deregistered, so the next Get of their key starts afresh, and, when
+// they complete, they hand their waiters the body and cache nothing — a
+// miss that spans a crash does not land in the restarted cache.
 func (s *Store) Reset() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		dropped := sh.bytes
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			s.dropLocked(el.Value.(*entry))
-		}
 		sh.entries = make(map[ChunkKey]*list.Element)
 		sh.lru.Init()
 		sh.bytes = 0
@@ -738,7 +652,7 @@ func (s *Store) Put(key ChunkKey, body []byte) bool {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.insertLocked(sh, key, body, nil) != nil
+	return s.insertLocked(sh, key, body)
 }
 
 // ChunkLen reports the exact body length the store would serve for the
@@ -765,14 +679,10 @@ func (s *Store) Peek(key ChunkKey) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*entry)
-	e.buf = nil // handed out
-	return e.body, true
+	return el.Value.(*entry).body, true
 }
 
-// Contains reports whether key is resident. Like Peek it moves and
-// counts nothing, and as it hands out no body it leaves the body's
-// buffer free for reuse once evicted.
+// Contains reports whether key is resident, moving and counting nothing.
 func (s *Store) Contains(key ChunkKey) bool {
 	sh := s.shard(key)
 	sh.mu.Lock()

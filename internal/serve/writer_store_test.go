@@ -3,12 +3,16 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -235,58 +239,6 @@ func (d discardViewer) Header() http.Header         { return http.Header(d) }
 func (d discardViewer) Write(p []byte) (int, error) { return len(p), nil }
 func (d discardViewer) WriteHeader(int)             {}
 
-// TestRecycledMissAllocBudget pins the lease: a full writer-form store
-// whose every StreamChunk miss evicts a body it wrote out itself builds
-// the next body of the same size class in the evicted one's buffer, so
-// a warm miss allocates no body bytes — only the flight, the LRU
-// element and the Content-Length header, read from MemStats.TotalAlloc.
-// The same misses through Get, whose bodies leave the store, each
-// allocate a body, so the reading does see one.
-func TestRecycledMissAllocBudget(t *testing.T) {
-	const size, resident, misses = 24 << 10, 4, 64
-	ctx := context.Background()
-	per := func(miss func(k ChunkKey)) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := range misses {
-			miss(key(i % (2 * resident)))
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / misses
-	}
-	st := New(WithWriterSynth(WriterSynth{
-		Size: func(ChunkKey) (int, error) { return size, nil },
-		Write: func(w io.Writer, k ChunkKey) error { // in place, as the catalog's synthesis builds
-			room := w.(interface{ AvailableBuffer() []byte }).AvailableBuffer()[:size]
-			for i := range room {
-				room[i] = byte(k.Index + i)
-			}
-			_, err := w.Write(room)
-			return err
-		},
-	}), WithShards(1), WithBudget(resident*size))
-	w := discardViewer{}
-	stream := func(k ChunkKey) {
-		if n, err := st.StreamChunk(ctx, w, k.Video, k.Quality, k.Tile, k.Index, k.Layer); err != nil || n != size {
-			t.Fatalf("StreamChunk(%v) wrote %d bytes: %v", k, n, err)
-		}
-	}
-	per(stream) // fill the store and its free buffers
-	streamed := per(stream)
-	t.Logf("warm StreamChunk miss: %d bytes allocated", streamed)
-	if streamed >= 1<<10 {
-		t.Fatalf("warm StreamChunk miss: %d bytes allocated, want under 1 KiB: no %d-byte body", streamed, size)
-	}
-	got := per(func(k ChunkKey) {
-		if _, err := st.Get(ctx, k); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got < size {
-		t.Fatalf("cold Get: %d bytes allocated, want at least the %d-byte body", got, size)
-	}
-}
-
 func BenchmarkChunkStore(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -315,29 +267,49 @@ func sightSize(k ChunkKey) int {
 }
 
 // sightStore is a one-shard writer-form store with room for the given
-// number of sightBody-byte bodies. A Write of hold's key, when hold is set, waits
-// for release once it has said so on entered.
+// number of sightBody-byte bodies. The first Write of hold's key, when
+// hold is set, waits for release once it has said so on entered.
 func sightStore(reg *obs.Registry, hold *sightHold, bodies int64) *Store {
 	return New(WithWriterSynth(WriterSynth{
 		Size: func(k ChunkKey) (int, error) { return sightSize(k), nil },
 		Write: func(w io.Writer, k ChunkKey) error {
-			if hold != nil && k == hold.key {
+			if hold != nil && k == hold.key && hold.held.CompareAndSwap(false, true) {
 				close(hold.entered)
 				<-hold.release
 			}
-			// In place, as the catalog's synthesis builds: patternBody's bytes.
-			room := w.(interface{ AvailableBuffer() []byte }).AvailableBuffer()[:sightSize(k)]
-			for i := range room {
-				room[i] = byte(k.Index*31+k.Tile*7+k.Quality) + byte(i)
-			}
-			_, err := w.Write(room)
-			return err
+			return writeSight(w, k)
 		},
 	}), WithShards(1), WithBudget(bodies*sightBody), WithObs(reg))
 }
 
+// ramp is two turns of the byte values, so any 256 bytes of patternBody
+// are a slice of it.
+var ramp = func() (b [512]byte) {
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return b
+}()
+
+// writeSight writes patternBody's bytes for k out of ramp, a turn at a
+// time: it needs no AvailableBuffer and allocates nothing, so it
+// streams into any writer as the catalog's synthesis does.
+func writeSight(w io.Writer, k ChunkKey) error {
+	base := int(byte(k.Index*31 + k.Tile*7 + k.Quality))
+	for off, size := 0, sightSize(k); off < size; {
+		start := (base + off) & 255
+		n, err := w.Write(ramp[start : start+min(256, size-off)])
+		if err != nil {
+			return err
+		}
+		off += n
+	}
+	return nil
+}
+
 type sightHold struct {
 	key              ChunkKey
+	held             atomic.Bool
 	entered, release chan struct{}
 }
 
@@ -349,7 +321,7 @@ func getSight(t *testing.T, st *Store, k ChunkKey) {
 	}
 }
 
-// streamSight reads k under a pin and checks the bytes written.
+// streamSight reads k through ChunkTo and checks the bytes written.
 func streamSight(t *testing.T, st *Store, k ChunkKey) {
 	want, _ := patternBody(sightSize(k))(context.Background(), k)
 	var buf bytes.Buffer
@@ -376,10 +348,12 @@ func fillSight(t *testing.T, st *Store, n int, hit bool) {
 // been hit. Once 48 of its last 64 evictions were of bodies never hit,
 // a miss is cached only at second sight: a key missed for the first
 // time is served, exact, and not cached, and evicts nothing; the same
-// key missed again, or a flight a waiter joined, is cached. A pinned first sight gives its buffer back to its size class
-// once written, and so does a pinned read of a body larger than the
-// shard, which is uncacheable as ever. A Reset empties the eviction
-// record. Refused keys that come back switch the rule off.
+// key missed again, or a flight a waiter joined, is cached. A pinned
+// first sight leaves no flight, so a read of the key while it streams
+// is a second sight, which misses again and is cached. A pinned read
+// of a body larger than the shard is admitted, and is uncacheable as
+// ever. A Reset empties the eviction record. Refused keys that come
+// back switch the rule off.
 func TestSecondSightAdmission(t *testing.T) {
 	probe := ChunkKey{Video: "v", Quality: 3, Index: 1000}
 	big := ChunkKey{Video: "v", Quality: 9, Index: 1000}
@@ -391,8 +365,6 @@ func TestSecondSightAdmission(t *testing.T) {
 		resident bool
 		// the counters' moves over the probe
 		misses, evictions, uncacheable, shared int64
-		// the size class whose free slot must hold a buffer afterwards
-		freed int
 	}{
 		{name: "room", fill: 2, resident: true, misses: 1},
 		{name: "full, evictions hit", fill: 52, hit: true, resident: true, misses: 1, evictions: 1},
@@ -401,7 +373,7 @@ func TestSecondSightAdmission(t *testing.T) {
 			getSight(t, st, probe)
 			getSight(t, st, probe)
 		}},
-		{name: "first sight, pinned", fill: 52, misses: 1, freed: sightBody / classBytes, probe: func(t *testing.T, st *Store, _ *sightHold) {
+		{name: "first sight, pinned", fill: 52, misses: 1, probe: func(t *testing.T, st *Store, _ *sightHold) {
 			streamSight(t, st, probe)
 		}},
 		{name: "herd", fill: 52, resident: true, misses: 1, evictions: 1, shared: 1, probe: func(t *testing.T, st *Store, hold *sightHold) {
@@ -420,7 +392,34 @@ func TestSecondSightAdmission(t *testing.T) {
 			getSight(t, st, probe)
 			<-done
 		}},
-		{name: "oversize", fill: 52, misses: 1, uncacheable: 1, freed: 5 * sightBody / classBytes, probe: func(t *testing.T, st *Store, _ *sightHold) {
+		{name: "herd, pinned", fill: 52, resident: true, misses: 2, evictions: 1, probe: func(t *testing.T, st *Store, hold *sightHold) {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				streamSight(t, st, probe)
+			}()
+			<-hold.entered
+			second := make(chan struct{})
+			go func() {
+				defer close(second)
+				streamSight(t, st, probe)
+			}()
+			ended := func() bool {
+				select {
+				case <-second:
+					return true
+				default:
+					return false
+				}
+			}
+			for !ended() && !st.waiting(probe) { // a read that joined a flight would wait on the held one
+				runtime.Gosched()
+			}
+			close(hold.release)
+			<-second
+			<-done
+		}},
+		{name: "oversize", fill: 52, misses: 1, uncacheable: 1, probe: func(t *testing.T, st *Store, _ *sightHold) {
 			streamSight(t, st, big)
 			if st.Contains(big) {
 				t.Error("an oversized body is resident")
@@ -435,7 +434,7 @@ func TestSecondSightAdmission(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			hold := &sightHold{key: probe, entered: make(chan struct{}), release: make(chan struct{})}
-			if tc.name != "herd" {
+			if !strings.HasPrefix(tc.name, "herd") {
 				hold = nil
 			}
 			st := sightStore(reg, hold, 4)
@@ -455,9 +454,6 @@ func TestSecondSightAdmission(t *testing.T) {
 			}
 			if st.Contains(probe) != tc.resident {
 				t.Errorf("probe resident %v, want %v", st.Contains(probe), tc.resident)
-			}
-			if tc.freed > 0 && st.free[tc.freed-1].Load() == nil {
-				t.Errorf("no free buffer of %d KiB after the pinned read", tc.freed*classBytes>>10)
 			}
 		})
 	}
@@ -489,46 +485,31 @@ func TestSecondSightAdmission(t *testing.T) {
 }
 
 // TestSecondSightAllocBudget: once a full writer-form store refuses
-// first sights, a pinned first-sight miss builds in its class's free
-// buffer and gives it back, so it allocates no body bytes, only the
-// flight and the Content-Length header (MemStats.TotalAlloc, as
-// TestRecycledMissAllocBudget reads it). Each key is then Pulled,
-// outside the measured window: a store that cached the first sight
-// would serve the Pull from a body it then handed out and could never
-// reuse, so each of its pinned misses would allocate a body; here the
-// Pull misses and moves neither the table nor the record. A first-sight
-// Get still allocates the body it hands out.
+// first sights, a pinned first-sight miss streams from the synthesizer
+// into the viewer, so it allocates no body bytes, only the flight, the
+// counting writer and the Content-Length header, read from
+// MemStats.TotalAlloc; a store that cached it would allocate the body.
+// A first-sight Get still allocates the body it hands out.
 func TestSecondSightAllocBudget(t *testing.T) {
 	const misses = 64
 	st := sightStore(nil, nil, 4)
 	fillSight(t, st, 52, false)
 	ctx, w, next := context.Background(), discardViewer{}, 2000
-	per := func(miss func(k ChunkKey), then func(k ChunkKey)) uint64 {
-		var sum uint64
+	per := func(miss func(k ChunkKey)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for range misses {
 			next++
-			k := ChunkKey{Video: "v", Quality: 3, Index: next}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			miss(k)
-			runtime.ReadMemStats(&after)
-			sum += after.TotalAlloc - before.TotalAlloc
-			then(k)
+			miss(ChunkKey{Video: "v", Quality: 3, Index: next})
 		}
-		return sum / misses
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / misses
 	}
-	stream := func(k ChunkKey) {
+	streamed := per(func(k ChunkKey) {
 		if n, err := st.StreamChunk(ctx, w, k.Video, k.Quality, k.Tile, k.Index, k.Layer); err != nil || n != sightBody {
 			t.Fatalf("StreamChunk(%v) wrote %d bytes: %v", k, n, err)
 		}
-	}
-	pull := func(k ChunkKey) {
-		if body, err := st.Pull(ctx, k); err != nil || len(body) != sightBody {
-			t.Fatalf("Pull(%v): %d bytes, %v", k, len(body), err)
-		}
-	}
-	stream(ChunkKey{Video: "v", Quality: 3, Index: 1}) // the class's buffer
-	streamed := per(stream, pull)
+	})
 	t.Logf("first-sight StreamChunk miss: %d bytes allocated", streamed)
 	if streamed >= 1<<10 {
 		t.Fatalf("first-sight StreamChunk miss: %d bytes allocated, want under 1 KiB: no %d-byte body", streamed, sightBody)
@@ -537,12 +518,71 @@ func TestSecondSightAllocBudget(t *testing.T) {
 		if body, err := st.Get(ctx, k); err != nil || len(body) != sightBody {
 			t.Fatalf("Get(%v): %d bytes, %v", k, len(body), err)
 		}
-	}, func(ChunkKey) {})
+	})
 	t.Logf("first-sight Get miss: %d bytes allocated", got)
 	if got < sightBody {
 		t.Fatalf("first-sight Get: %d bytes allocated, want at least the %d-byte body", got, sightBody)
 	}
 }
+
+// TestRefusedStreamOutcomes: a pinned first sight the rule refuses
+// streams from the synthesizer into the reader's writer, and each way
+// that stream can go wrong ends as dash.Server needs it to. A stream
+// shorter than Size fails with the bytes it wrote, so the server
+// abandons the response rather than end a short 200; a synthesis error
+// before the first byte is not dash.ErrViewerGone, so the server can
+// still answer it with a status; and a viewer whose write fails is
+// dash.ErrViewerGone. None of them caches anything.
+func TestRefusedStreamOutcomes(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name   string
+		write  func(w io.Writer, k ChunkKey) error
+		viewer io.Writer
+		gone   bool
+		wrote  bool
+	}{
+		{name: "short stream", wrote: true, write: func(w io.Writer, k ChunkKey) error {
+			_, err := w.Write(ramp[:100])
+			return err
+		}},
+		{name: "synthesis error", write: func(io.Writer, ChunkKey) error { return boom }},
+		{name: "viewer gone", gone: true, viewer: brokenWriter{}, write: writeSight},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fail := false
+			st := New(WithWriterSynth(WriterSynth{
+				Size: func(k ChunkKey) (int, error) { return sightSize(k), nil },
+				Write: func(w io.Writer, k ChunkKey) error {
+					if fail {
+						return tc.write(w, k)
+					}
+					return writeSight(w, k)
+				},
+			}), WithShards(1), WithBudget(4*sightBody))
+			fillSight(t, st, 52, false)
+			fail = true
+			k := ChunkKey{Video: "v", Quality: 3, Index: 1000}
+			var buf bytes.Buffer
+			w := tc.viewer
+			if w == nil {
+				w = &buf
+			}
+			n, err := st.ChunkTo(context.Background(), w, k.Video, k.Quality, k.Tile, k.Index, k.Layer)
+			if err == nil || errors.Is(err, dash.ErrViewerGone) != tc.gone || (n > 0) != tc.wrote || n != int64(buf.Len()) {
+				t.Fatalf("ChunkTo wrote %d bytes (%d reached the buffer): %v; want an error, ErrViewerGone %v, bytes written %v", n, buf.Len(), err, tc.gone, tc.wrote)
+			}
+			if st.Contains(k) {
+				t.Fatal("a failed stream's key is resident")
+			}
+		})
+	}
+}
+
+// brokenWriter is a viewer that has hung up.
+type brokenWriter struct{}
+
+func (brokenWriter) Write([]byte) (int, error) { return 0, syscall.EPIPE }
 
 // waiting reports whether a waiter has joined k's flight.
 func (s *Store) waiting(k ChunkKey) bool {
