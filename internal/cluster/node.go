@@ -116,19 +116,18 @@ func newNode(id string, pull pullFunc, catalog *dash.Catalog,
 			up:       reg.Gauge("cluster.node." + id + ".up"),
 		},
 	}
-	// The miss path pulls from the origin on the store's per-flight
-	// context: the singleflight leader synthesizes for every waiter
-	// sharing the flight, and the store cancels the flight only when
-	// the last interested caller departs — so a canceled viewer aborts
-	// an origin fetch nobody else wants, without poisoning a body other
-	// viewers are waiting on. A store origin serves the pull without
-	// caching the body, so the edges that keep it are its only holders.
-	n.store = serve.New(serve.WithCtxSynth(func(ctx context.Context, key serve.ChunkKey) ([]byte, error) {
+	// The miss path pulls from the origin for every caller sharing the
+	// store's flight, and runs to completion whoever still waits: no
+	// caller's context reaches it, so a body the origin was asked for is
+	// cached here, not fetched again by the next viewer. A store origin
+	// serves the pull without caching the body, so the edges that keep
+	// it are its only holders.
+	n.store = serve.New(serve.WithBodySynth(func(key serve.ChunkKey) ([]byte, error) {
 		n.met.misses.Inc()
 		if onOriginFetch != nil {
 			onOriginFetch()
 		}
-		return pull(ctx, key)
+		return pull(context.Background(), key)
 	}), serve.WithShards(shards), serve.WithBudget(budget))
 	if catalog != nil {
 		n.server = dash.NewServer(catalog, dash.WithObs(reg), dash.WithStore(n))
@@ -319,10 +318,9 @@ func (n *Node) warm(key serve.ChunkKey, body []byte) bool {
 // *dash.Error before touching the store, so the refusal costs almost
 // nothing. An admitted request holds its in-flight slot while its
 // caller wants it. A miss whose caller leaves frees the slot then,
-// though its goroutine may stay in a synthesis other callers still
-// want, so a walk woken by the cancel that ends that flight finds the
-// slot free whichever goroutine runs first. A hit returns at once and
-// skips that bookkeeping.
+// though its goroutine stays in the store's flight until that runs to
+// completion, so the slot counts callers, not syntheses. A hit returns
+// at once and skips that bookkeeping.
 func (n *Node) Chunk(ctx context.Context, videoID string, quality, tile, index int, layer bool) ([]byte, error) {
 	if n.down.Load() {
 		n.met.denials.Inc()

@@ -32,8 +32,8 @@ import (
 
 // The model harness: one byte-coded scenario drives a cluster over a
 // real origin store, in process or over the wire, and a naive model of
-// both — a store is a map and an LRU list per shard, a flight an
-// interest count, a request a chain of callbacks, placement Rank's and
+// both — a store is a map and an LRU list per shard, a flight the
+// callers parked on it, a request a chain of callbacks, placement Rank's and
 // bodies dash.BuildChunkBody's. The origin can hold one key, so requests
 // park mid-flight while the scenario cancels, kills, recovers, adds,
 // removes, sheds, Puts and Resets around them. A pinned read of the
@@ -47,8 +47,11 @@ import (
 // origin's are read through StreamChunk and Peeked for their seal at
 // the last step only, see checkStore), and every counter, the origin
 // store's hits + misses + singleflight_shared equal to its Gets and
-// Pulls live at entry among them. An edge's miss Pulls from the origin, which
-// caches nothing on a flight a Pull leads; an origin fallback and a
+// Pulls live at entry among them. No flight is canceled: a caller that
+// leaves one it joined returns at once, and the one that opened it
+// waits for its synthesis. An edge's miss Pulls from the origin, under
+// a context no caller cancels, and the origin caches nothing on a
+// flight a Pull leads; an origin fallback and a
 // pinned read admit, on a writer-form origin as its second-sight rule
 // lets them, which a burst of misses at keys no request asks for can
 // switch on and a burst that reads them again off. A writer-form
@@ -92,8 +95,7 @@ import (
 // walk, leaves out a held key something else waits on (or a stalled
 // viewer's walk would park on), and falls silent while the worker is
 // parked, which no request of that key joins. Over the wire a crash
-// waits while two walks wait on the edge, or while one does and the
-// edge's handlers hold a cancelable origin's flight; a Reset waits while
+// waits while two walks wait on the edge; a Reset waits while
 // the held key's flight is pending in that store, which would leave a
 // release two flights of the key to race; and a reset goes before the
 // head, as a reset can discard what the router has not read.
@@ -249,27 +251,26 @@ type mentry struct {
 }
 
 type mflight struct {
-	key              serve.ChunkKey
-	interest, resets int
-	ctx              *mctx // the flight's own; nil on a writer-form store
-	waiters          []*mwait
-	shared           bool // a waiter joined
+	resets  int
+	waiters []*mwait
+	shared  bool // a waiter joined
 }
 
-// mstore is serve.Store with two shards, as the rig builds every store.
-// A Reset empties a shard's second-sight memory with its bodies.
+// mstore is serve.Store with two shards, as the rig builds every store,
+// in the body form (WithBodySynth) or the writer form. A Reset empties
+// a shard's second-sight memory with its bodies.
 type mstore struct {
-	cancelable bool
-	shards     [2]*mshard
-	flights    map[serve.ChunkKey]*mflight
-	waiting    *int // the model's count of callers parked on flights
-	resets     int
-	synth      func(ctx *mctx, key serve.ChunkKey, done func([]byte, error))
-	ctr        map[string]int64 // serve.store.* counters
+	bodyForm bool
+	shards   [2]*mshard
+	flights  map[serve.ChunkKey]*mflight
+	waiting  *int // the model's count of callers parked on flights
+	resets   int
+	synth    func(key serve.ChunkKey, done func([]byte, error))
+	ctr      map[string]int64 // serve.store.* counters
 }
 
-func newMStore(budget int64, cancelable bool, waiting *int, synth func(*mctx, serve.ChunkKey, func([]byte, error))) *mstore {
-	s := &mstore{cancelable: cancelable, waiting: waiting, synth: synth, ctr: make(map[string]int64)}
+func newMStore(budget int64, bodyForm bool, waiting *int, synth func(serve.ChunkKey, func([]byte, error))) *mstore {
+	s := &mstore{bodyForm: bodyForm, waiting: waiting, synth: synth, ctr: make(map[string]int64)}
 	s.shards = [2]*mshard{{budget: budget / 2}, {budget: budget / 2}}
 	s.reset()
 	return s
@@ -349,8 +350,10 @@ func (s *mstore) admits(k serve.ChunkKey, body []byte) bool {
 // flight it leads caches nothing, whoever joins it. On a writer-form
 // store a miss whose Size fails opens no flight, and a Get's or pinned
 // read's miss runs admits when it is found; its flight caches its body
-// if admits let it in or a caller joined it, as a ctx-form store's
-// always does. A pinned miss admits refuses opens no flight: it
+// if admits let it in or a caller joined it, as a body-form store's
+// always does. A caller that joined a flight leaves it when its context
+// ends; the flight runs on. A pinned miss admits refuses opens no
+// flight: it
 // synthesizes alone, caches nothing, and has noted k, so a read of k
 // while it streams is a second sight.
 func (s *mstore) get(ctx *mctx, k serve.ChunkKey, admit, pin bool, done func([]byte, error)) {
@@ -367,7 +370,6 @@ func (s *mstore) get(ctx *mctx, k serve.ChunkKey, admit, pin bool, done func([]b
 		return
 	}
 	if fl := s.flights[k]; fl != nil {
-		fl.interest++
 		fl.shared = true
 		s.ctr["serve.store.singleflight_shared"]++
 		w := &mwait{done: done}
@@ -375,7 +377,6 @@ func (s *mstore) get(ctx *mctx, k serve.ChunkKey, admit, pin bool, done func([]b
 		ctx.after(func() {
 			if !w.gone {
 				w.gone, *s.waiting = true, *s.waiting-1
-				s.abandon(fl)
 				done(nil, context.Canceled)
 			}
 		})
@@ -383,7 +384,7 @@ func (s *mstore) get(ctx *mctx, k serve.ChunkKey, admit, pin bool, done func([]b
 	}
 	s.ctr["serve.store.misses"]++
 	admitted := true
-	if !s.cancelable {
+	if !s.bodyForm {
 		body := modelBody(k)
 		if body == nil { // Size fails
 			done(bodyOf(k))
@@ -393,19 +394,13 @@ func (s *mstore) get(ctx *mctx, k serve.ChunkKey, admit, pin bool, done func([]b
 			admitted = s.admits(k, body)
 		}
 		if pin && !admitted {
-			s.synth(ctx, k, done)
+			s.synth(k, done)
 			return
 		}
 	}
-	fl := &mflight{key: k, interest: 1, resets: s.resets}
+	fl := &mflight{resets: s.resets}
 	s.flights[k] = fl
-	fctx, stop := ctx, func() {}
-	if s.cancelable {
-		fl.ctx = &mctx{}
-		fctx, stop = fl.ctx, ctx.after(func() { s.abandon(fl) })
-	}
-	s.synth(fctx, k, func(body []byte, err error) {
-		stop()
+	s.synth(k, func(body []byte, err error) {
 		if s.flights[k] == fl {
 			delete(s.flights, k)
 		}
@@ -420,15 +415,6 @@ func (s *mstore) get(ctx *mctx, k serve.ChunkKey, admit, pin bool, done func([]b
 		}
 		done(body, err)
 	})
-}
-
-func (s *mstore) abandon(fl *mflight) {
-	if fl.interest--; s.cancelable && fl.interest == 0 {
-		if s.flights[fl.key] == fl {
-			delete(s.flights, fl.key)
-		}
-		fl.ctx.cancel()
-	}
 }
 
 type mnode struct {
@@ -512,9 +498,9 @@ type model struct {
 	worker, wpark bool // started; parked on the held key
 }
 
-// originSynth is the origin's synthesis: a writer-form origin's Write,
-// which parks after the second-sight rule has decided.
-func (o *model) originSynth(ctx *mctx, k serve.ChunkKey, done func([]byte, error)) {
+// originSynth is the origin's synthesis, which parks on the held key: a
+// writer-form origin's Write, after the second-sight rule has decided.
+func (o *model) originSynth(k serve.ChunkKey, done func([]byte, error)) {
 	if o.short {
 		done(nil, errModelShort)
 		return
@@ -523,18 +509,8 @@ func (o *model) originSynth(ctx *mctx, k serve.ChunkKey, done func([]byte, error
 		done(bodyOf(k))
 		return
 	}
-	stop := func() {}
-	resume := func() {
-		stop()
-		done(bodyOf(k))
-	}
+	resume := func() { done(bodyOf(k)) }
 	o.gate = append(o.gate, &resume)
-	if o.origin.cancelable {
-		stop = ctx.after(func() {
-			o.gate = slices.DeleteFunc(o.gate, func(x *func()) bool { return x == &resume })
-			done(nil, context.Canceled)
-		})
-	}
 }
 
 func (o *model) release() {
@@ -557,10 +533,10 @@ func (o *model) originRead(ctx *mctx, k serve.ChunkKey, admit, pin bool, done fu
 func (o *model) addNode(id string) {
 	n := &mnode{id: id, ictx: &mctx{}, breaker: transport.NewBreaker(o.clock, transport.BreakerConfig{
 		FailureThreshold: 3, Cooldown: 500 * time.Millisecond, ProbeSuccesses: 2})}
-	n.store = newMStore(o.budget, true, &o.waiting, func(ctx *mctx, k serve.ChunkKey, done func([]byte, error)) {
+	n.store = newMStore(o.budget, true, &o.waiting, func(k serve.ChunkKey, done func([]byte, error)) {
 		o.counter["cluster.node."+id+".misses"]++
 		o.counter["cluster.origin_fetches"]++
-		o.originRead(ctx, k, false, false, done)
+		o.originRead(&mctx{}, k, false, false, done)
 	})
 	o.ids, o.byID[id], o.all = append(o.ids, id), n, append(o.all, n)
 	o.gauge["cluster.node."+id+".up"], o.gauge["cluster.health."+id+".alive"] = 1, 1
@@ -696,11 +672,9 @@ func (o *model) crash(n *mnode) {
 }
 
 // crashable reports whether a crash of n leaves nothing to chance: no
-// two walks fail over from it at once, and none while its handlers
-// abandon a cancelable origin's flight a walk it fails may join.
+// two walks fail over from it at once.
 func (o *model) crashable(n *mnode) bool {
-	busy := len(n.exch) + len(n.relays)
-	return !o.wire || busy <= 1 && !(o.origin.cancelable && n.handlers > 0 && busy > 0)
+	return !o.wire || len(n.exch)+len(n.relays) <= 1
 }
 
 func (o *model) route(r *req, k serve.ChunkKey) {
@@ -952,19 +926,13 @@ type heldKey struct {
 	open chan struct{}
 }
 
-// wait blocks a synthesis of the held key until the key is released or
-// ctx is done.
-func (g *gate) wait(ctx context.Context, k serve.ChunkKey) error {
+// wait blocks a synthesis of the held key until the key is released.
+func (g *gate) wait(k serve.ChunkKey) {
 	if h := g.held.Load(); h != nil && h.key == k {
 		g.parked.Add(1)
 		defer g.parked.Add(-1)
-		select {
-		case <-h.open:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+		<-h.open
 	}
-	return nil
 }
 
 // set releases the held key, if any, and holds k, if not nil.
@@ -1277,7 +1245,7 @@ func (h *rig) checkState() {
 		}
 		h.checkStore(id, h.c.Node(id).Store(), h.m.byID[id].store, true)
 	}
-	h.checkStore("the origin", h.origin, h.m.origin, h.m.origin.cancelable || h.final)
+	h.checkStore("the origin", h.origin, h.m.origin, h.m.origin.bodyForm || h.final)
 	snap, os := h.c.reg.Snapshot(), h.oreg.Snapshot()
 	for _, pair := range [][2]map[string]int64{{snap.Counters, h.m.counter}, {snap.Gauges, h.m.gauge},
 		{os.Counters, h.m.origin.ctr}, {os.Gauges, {"serve.store.bytes": h.origin.Bytes()}}} {
@@ -1315,7 +1283,7 @@ func playModel(t testing.TB, ops []byte) {
 	b = next()
 	budget, prewarm := [...]int64{64 << 10, 128 << 10, 256 << 10}[b%3], b/3%2 == 1
 	b = next()
-	cancelable, herd := b%2 == 0, b&4 != 0
+	bodyOrigin, herd := b%2 == 0, b&4 != 0
 	b = next()
 	obudget, burst := [...]int64{96 << 10, 192 << 10}[b%2], b&2 != 0
 
@@ -1327,7 +1295,7 @@ func playModel(t testing.TB, ops []byte) {
 			return dash.ChunkBodyLen(v, k.Quality, k.Tile, k.Index, k.Layer)
 		},
 		Write: func(w io.Writer, k serve.ChunkKey) error {
-			g.wait(context.Background(), k)
+			g.wait(k)
 			if short.Load() {
 				body := modelBody(k)
 				_, err := w.Write(body[:len(body)-1])
@@ -1336,11 +1304,9 @@ func playModel(t testing.TB, ops []byte) {
 			return dash.WriteChunkBody(w, v, k.Quality, k.Tile, k.Index, k.Layer)
 		},
 	})
-	if cancelable {
-		synth = serve.WithCtxSynth(func(ctx context.Context, k serve.ChunkKey) ([]byte, error) {
-			if err := g.wait(ctx, k); err != nil {
-				return nil, err
-			}
+	if bodyOrigin {
+		synth = serve.WithBodySynth(func(k serve.ChunkKey) ([]byte, error) {
+			g.wait(k)
 			return dash.BuildChunkBody(v, k.Quality, k.Tile, k.Index, k.Layer)
 		})
 	}
@@ -1363,13 +1329,13 @@ func playModel(t testing.TB, ops []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.origin = newMStore(obudget, cancelable, &m.waiting, m.originSynth)
+	m.origin = newMStore(obudget, bodyOrigin, &m.waiting, m.originSynth)
 	for ; m.nextID < nodes; m.nextID++ {
 		m.addNode("edge-" + strconv.Itoa(m.nextID))
 	}
 	h := &rig{t: t, c: c, gate: g, origin: origin, oreg: oreg, fnet: fnet, m: m, stacks: make([]byte, 1<<20), base: base,
-		log: []string{fmt.Sprintf("ops %v: %d nodes, R=%d, %d in flight, %d-byte edges, cancelable origin %v, wire %v, pre-warm %v, herds %v, bursts %v",
-			ops, nodes, repl, maxIn, budget, cancelable, wire, prewarm, herd, burst)}}
+		log: []string{fmt.Sprintf("ops %v: %d nodes, R=%d, %d in flight, %d-byte edges, body-form origin %v, wire %v, pre-warm %v, herds %v, bursts %v",
+			ops, nodes, repl, maxIn, budget, bodyOrigin, wire, prewarm, herd, burst)}}
 	unstall := make(chan struct{})
 	h.unstall.Store(&unstall)
 	defer func() { // on a failure too, so no goroutine outlives the scenario
@@ -1616,7 +1582,7 @@ func playModel(t testing.TB, ops []byte) {
 			if arg%2 == 1 && bursts >= burstLen {
 				bursts -= burstLen
 			}
-			m.short = arg&2 != 0 && !cancelable
+			m.short = arg&2 != 0 && !bodyOrigin
 			short.Store(m.short)
 			for range burstLen {
 				k, pinned := burstKeys[bursts%len(burstKeys)], bursts%2 == 1

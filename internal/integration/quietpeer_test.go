@@ -81,8 +81,10 @@ func TestQuietPeerIsHungUpOn(t *testing.T) {
 		}()
 	}
 	// While the limit runs, each peer holds one serving goroutine; a count
-	// that missed either kind would find nothing to wait for below.
-	deadline := time.Now().Add(time.Second)
+	// that missed either kind would find nothing to wait for below. Both
+	// are held until the limit, so each has until a second before it to
+	// appear: under -race on a busy host one can take longer than a second.
+	deadline := time.Now().Add(dash.ReadHeaderTimeout - time.Second)
 	for servingGoroutines() < before+2 {
 		if time.Now().After(deadline) {
 			t.Errorf("connection goroutines %d -> %d with two quiet peers connected, want +2", before, servingGoroutines())

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"sperke/internal/dash"
 )
@@ -87,7 +88,9 @@ func (s *Store) writeTo(ctx context.Context, w io.Writer, hdr http.Header, key C
 // returned as it is, so one before the first byte can be answered with
 // a status; a stream of other than n bytes fails with the count written.
 func (s *Store) stream(w io.Writer, key ChunkKey, n int) (int64, error) {
-	cw := &countWriter{w: w}
+	cw := countPool.Get().(*countWriter)
+	defer func() { *cw = countWriter{}; countPool.Put(cw) }()
+	*cw = countWriter{w: w}
 	err := s.ws.Write(cw, key)
 	switch {
 	case cw.err != nil:
@@ -99,6 +102,10 @@ func (s *Store) stream(w io.Writer, key ChunkKey, n int) (int64, error) {
 	}
 	return cw.n, nil
 }
+
+// countPool reuses stream's counting writers, so a refused pinned read
+// allocates nothing of its own.
+var countPool = sync.Pool{New: func() any { return new(countWriter) }}
 
 // countWriter counts what it writes to w, and stops at w's first error.
 type countWriter struct {

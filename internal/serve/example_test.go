@@ -12,10 +12,10 @@ import (
 // synthesizes the body once, and a repeat is served from memory.
 func ExampleNew() {
 	reg := obs.NewRegistry()
-	synth := func(ctx context.Context, key serve.ChunkKey) ([]byte, error) {
+	synth := func(key serve.ChunkKey) ([]byte, error) {
 		return []byte(key.String()), nil
 	}
-	store := serve.New(serve.WithCtxSynth(synth), serve.WithShards(4), serve.WithBudget(1<<20), serve.WithObs(reg))
+	store := serve.New(serve.WithBodySynth(synth), serve.WithShards(4), serve.WithBudget(1<<20), serve.WithObs(reg))
 	key := serve.ChunkKey{Video: "demo", Quality: 2, Tile: 7, Index: 3}
 	for i := 0; i < 3; i++ {
 		body, err := store.Get(context.Background(), key)

@@ -23,8 +23,8 @@ var optWriter = WriterSynth{
 	},
 }
 
-// optCtx is optBody as a ctx-form synthesizer.
-func optCtx(ctx context.Context, k ChunkKey) ([]byte, error) { return optBody(k), nil }
+// optSynth is optBody as a body-form synthesizer.
+func optSynth(k ChunkKey) ([]byte, error) { return optBody(k), nil }
 
 // TestNewRequiresExactlyOneSynth pins New's construction contract:
 // zero synthesis options panic, and so do both at once or half a
@@ -39,7 +39,7 @@ func TestNewRequiresExactlyOneSynth(t *testing.T) {
 		build()
 	}
 	mustPanic("no synth", func() { New(WithShards(4)) })
-	mustPanic("two synths", func() { New(WithWriterSynth(optWriter), WithCtxSynth(optCtx)) })
+	mustPanic("two synths", func() { New(WithWriterSynth(optWriter), WithBodySynth(optSynth)) })
 	mustPanic("half a writer synth", func() {
 		New(WithWriterSynth(WriterSynth{Size: optWriter.Size}))
 	})
@@ -71,7 +71,7 @@ func TestChunkLenAndChunkTo(t *testing.T) {
 		t.Fatalf("ChunkTo streamed %d bytes %q, want %q", wrote, buf.Bytes(), optBody(k))
 	}
 
-	plain := New(WithCtxSynth(optCtx))
+	plain := New(WithBodySynth(optSynth))
 	if _, err := plain.ChunkLen(k.Video, k.Quality, k.Tile, k.Index, k.Layer); err == nil {
 		t.Fatal("store without a size model reported a ChunkLen")
 	}

@@ -13,8 +13,8 @@ import (
 
 // patternBody is a deterministic size-byte body that is a pure function
 // of the key, so tests can recompute the expected bytes.
-func patternBody(size int) ctxSynth {
-	return func(_ context.Context, k ChunkKey) ([]byte, error) {
+func patternBody(size int) bodySynth {
+	return func(k ChunkKey) ([]byte, error) {
 		b := byte(k.Index*31 + k.Tile*7 + k.Quality)
 		out := make([]byte, size)
 		for i := range out {
@@ -24,20 +24,20 @@ func patternBody(size int) ctxSynth {
 	}
 }
 
-// TestCtxStoreRetainsBodyAsReturned pins the ctx form's zero-copy
+// TestCtxStoreRetainsBodyAsReturned pins the body form's zero-copy
 // contract: the slice the synth returned IS the cached body, so an edge
 // pulling a resident body from an origin store shares the origin's
 // sealed slice instead of paying a body-sized copy per miss.
 func TestCtxStoreRetainsBodyAsReturned(t *testing.T) {
 	origin := bytes.Repeat([]byte{0x5a}, 256)
-	st := formStore("ctx", len(origin), func(context.Context, ChunkKey) ([]byte, error) { return origin, nil })
+	st := formStore("ctx", len(origin), func(ChunkKey) ([]byte, error) { return origin, nil })
 	for pass := 0; pass < 2; pass++ { // the miss, then the hit
 		got, err := st.Get(context.Background(), key(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if &got[0] != &origin[0] || len(got) != len(origin) {
-			t.Fatalf("pass %d: ctx form copied the synth's body", pass)
+			t.Fatalf("pass %d: body form copied the synth's body", pass)
 		}
 	}
 }
@@ -56,7 +56,7 @@ func TestConcurrentReadersStableChecksums(t *testing.T) {
 	synth := patternBody(bodySize)
 	wantSum := make(map[ChunkKey]uint32)
 	for i := 0; i < 64; i++ {
-		body, err := synth(context.Background(), key(i))
+		body, err := synth(key(i))
 		if err != nil {
 			t.Fatal(err)
 		}

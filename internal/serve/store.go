@@ -94,25 +94,21 @@ func (k ChunkKey) hash() uint64 { return k.Fold(14695981039346656037) }
 // gets the reader's own writer, which can be any io.Writer. Both
 // functions must be pure, and Write must emit exactly Size bytes; a
 // mismatch fails the read rather than caching a half-built body or
-// ending a stream short. Write takes no context, so a writer flight
-// always runs to completion and pays for no flight context.
+// ending a stream short. Write takes no context: a flight runs to
+// completion (see Get).
 type WriterSynth struct {
 	Size  func(key ChunkKey) (int, error)
 	Write func(w io.Writer, key ChunkKey) error
 }
 
-// ctxSynth is the cancellation-aware miss form: it must be pure on
-// success (the same key always yields the same bytes), but it observes
-// ctx and may abort early with ctx.Err() when every caller sharing the
-// synthesis has departed. The store runs each flight on its own context
-// (see Store.Get) so one canceled viewer cannot poison the body
-// other viewers are waiting on: the flight is canceled only when its
-// interest count — leader plus waiters — drops to zero. The returned
-// slice is retained as the shared cached copy without a copy — an edge
-// whose ctxSynth pulls from an origin store (Pull) shares the origin's
-// sealed slice on a hit and, on a miss, holds the only cached copy —
-// so it must be immutable from then on.
-type ctxSynth func(ctx context.Context, key ChunkKey) ([]byte, error)
+// bodySynth is the body miss form: it returns a key's whole body and
+// must be pure on success (the same key always yields the same bytes).
+// It takes no context, as a flight runs to completion (see Get). The
+// returned slice is retained as the shared cached copy without a copy —
+// an edge whose bodySynth pulls from an origin store (Pull) shares the
+// origin's sealed slice on a hit and, on a miss, holds the only cached
+// copy — so it must be immutable from then on.
+type bodySynth func(key ChunkKey) ([]byte, error)
 
 // StoreConfig tunes a Store. The zero value gives 16 shards and a
 // 256 MiB budget with no metrics.
@@ -130,23 +126,18 @@ type StoreConfig struct {
 	Obs *obs.Registry
 }
 
-// flight is one in-progress synthesis; concurrent callers for the same
-// key wait on done instead of synthesizing again. interest counts the
-// callers — leader plus waiters — still wanting the result; each
-// departure decrements it under the shard lock, and a cancelable
-// flight's own context is canceled when it reaches zero (see
-// Store.abandon). cancel is nil on a writer-form flight. resets is the
-// shard's Reset count when the flight opened: one that completes under
-// another count belongs to a cache that is gone, and caches nothing.
-// shared records that a waiter joined: a second sight of the key.
+// flight is one in-progress synthesis, run to completion by the caller
+// that opened it; concurrent callers for the same key wait on done
+// instead of synthesizing again. resets is the shard's Reset count when
+// the flight opened: one that completes under another count belongs to
+// a cache that is gone, and caches nothing. shared records that a
+// waiter joined: a second sight of the key.
 type flight struct {
-	done     chan struct{}
-	body     []byte
-	err      error
-	interest int
-	cancel   context.CancelFunc
-	resets   uint64
-	shared   bool
+	done   chan struct{}
+	body   []byte
+	err    error
+	resets uint64
+	shared bool
 }
 
 // entry is one cached body on a shard's LRU list. hit, set under the
@@ -216,23 +207,22 @@ type storeMetrics struct {
 type Store struct {
 	shards []*shard
 	mask   uint64
-	// miss is the cancellation-aware synthesis (WithCtxSynth): each
-	// flight runs on its own context, canceled when every sharing caller
-	// has departed. Nil on a writer-form store, which builds with ws.
-	miss ctxSynth
+	// miss is the body form's synthesis (WithBodySynth); nil on a
+	// writer-form store, which builds with ws.
+	miss bodySynth
 	ws   WriterSynth
 	met  storeMetrics
 }
 
 // Option configures a Store built by New. Exactly one synthesis option
-// (WithWriterSynth or WithCtxSynth) must be supplied; the sizing
+// (WithWriterSynth or WithBodySynth) must be supplied; the sizing
 // options are orthogonal and optional. Nil options are ignored.
 type Option func(*storeOptions)
 
 type storeOptions struct {
-	cfg      StoreConfig
-	writer   WriterSynth
-	ctxSynth ctxSynth
+	cfg    StoreConfig
+	writer WriterSynth
+	body   bodySynth
 }
 
 // WithWriterSynth sets the writer-first miss form: misses allocate the
@@ -244,14 +234,11 @@ func WithWriterSynth(ws WriterSynth) Option {
 	return func(o *storeOptions) { o.writer = ws }
 }
 
-// WithCtxSynth sets the cancellation-aware miss form. Misses
-// synthesize on a per-flight context: the flight is shared
-// singleflight-style by every concurrent caller for the key, and is
-// canceled only when the last of them departs, so a canceled viewer
-// aborts an origin fetch nobody else wants without poisoning a body
-// other viewers are waiting on.
-func WithCtxSynth(synth ctxSynth) Option {
-	return func(o *storeOptions) { o.ctxSynth = synth }
+// WithBodySynth sets the body miss form: a miss caches the body the
+// synthesizer returns, as it is. A cluster edge pulls its misses from
+// the origin this way.
+func WithBodySynth(synth bodySynth) Option {
+	return func(o *storeOptions) { o.body = synth }
 }
 
 // WithShards sets the shard count (rounded up to a power of two);
@@ -280,14 +267,14 @@ func New(opts ...Option) *Store {
 		opt(&o)
 	}
 	hasWriter := o.writer.Size != nil || o.writer.Write != nil
-	if hasWriter == (o.ctxSynth != nil) {
-		panic("serve: New needs exactly one synthesis option (WithWriterSynth or WithCtxSynth)")
+	if hasWriter == (o.body != nil) {
+		panic("serve: New needs exactly one synthesis option (WithWriterSynth or WithBodySynth)")
 	}
 	if hasWriter && (o.writer.Size == nil || o.writer.Write == nil) {
 		panic("serve: WithWriterSynth needs both Size and Write")
 	}
 	s := newStore(o.cfg)
-	s.miss, s.ws = o.ctxSynth, o.writer
+	s.miss, s.ws = o.body, o.writer
 	if hasWriter {
 		for _, sh := range s.shards {
 			n := minSeen
@@ -391,19 +378,17 @@ func (sh *shard) noteLocked(unhit bool) {
 }
 
 // Get returns the body for key, synthesizing it on a miss. Concurrent
-// callers for the same cold key share one synthesis (singleflight); the
-// non-leading callers block until the leader finishes or their context
-// expires. On a cancelable store (WithCtxSynth) the flight itself is
-// canceled once every sharing caller has departed, so an origin fetch
-// nobody is waiting on anymore aborts instead of completing into the
-// void; one caller's cancellation never disturbs a flight others still
-// want. On a writer-form store the second-sight rule (admitsLocked)
-// decides once, when the miss is found, whether its body is cached; a
-// refused flight a waiter joins is cached all the same, the waiter being
-// a second sight. A refused pinned read (StreamChunk, ChunkTo) opens no
-// flight but notes its key, so a read of the key while it streams is a
-// second sight and leads the one flight later reads join: a herd on a
-// refused first sight synthesizes at most twice.
+// callers for the same cold key share one synthesis (singleflight). No
+// flight is canceled: the caller that opens one runs it to completion
+// whatever its context does meanwhile, and a caller that joined one
+// returns ctx.Err() as soon as its own context ends. On a writer-form
+// store the second-sight rule (admitsLocked) decides once, when the
+// miss is found, whether its body is cached; a refused flight a waiter
+// joins is cached all the same, the waiter being a second sight. A
+// refused pinned read (StreamChunk, ChunkTo) opens no flight but notes
+// its key, so a read of the key while it streams is a second sight and
+// leads the one flight later reads join: a herd on a refused first
+// sight synthesizes at most twice.
 //
 // Immutability contract: the returned slice is the cache's own copy,
 // shared by every caller that asks for the same key — it is strictly
@@ -419,10 +404,11 @@ func (s *Store) Get(ctx context.Context, key ChunkKey) ([]byte, error) {
 
 // Pull is Get for a caller that keeps the body itself: a cache tier
 // above this store. A resident body is a hit, as with Get; a miss
-// leads or joins the key's flight, with Get's singleflight, counters
-// and cancellation, but a flight Pull leads caches nothing, so the
-// store holds no second copy of a body the puller keeps. A Get that
-// joins that flight is served and admits nothing either.
+// leads or joins the key's flight, which runs to completion, with
+// Get's singleflight and counters, but a flight Pull leads caches
+// nothing, so the store holds no second copy of a body the puller
+// keeps. A Get that joins that flight is served and admits nothing
+// either.
 func (s *Store) Pull(ctx context.Context, key ChunkKey) ([]byte, error) {
 	body, _, err := s.get(ctx, key, false, false)
 	return body, err
@@ -440,7 +426,7 @@ func (s *Store) get(ctx context.Context, key ChunkKey, pin, admit bool) (body []
 	sh := s.shards[h&s.mask]
 	var n int
 	sh.mu.Lock()
-	for sized := s.miss != nil; ; sized = true { // a ctx-form miss is not sized
+	for sized := s.miss != nil; ; sized = true { // a body-form miss is not sized
 		if el, ok := sh.entries[key]; ok {
 			sh.lru.MoveToFront(el)
 			e := el.Value.(*entry)
@@ -450,7 +436,6 @@ func (s *Store) get(ctx context.Context, key ChunkKey, pin, admit bool) (body []
 			return e.body, -1, nil
 		}
 		if fl, ok := sh.inflight[key]; ok {
-			fl.interest++
 			fl.shared = true
 			sh.mu.Unlock()
 			s.met.shared.Inc()
@@ -458,7 +443,6 @@ func (s *Store) get(ctx context.Context, key ChunkKey, pin, admit bool) (body []
 			case <-fl.done:
 				return fl.body, -1, fl.err
 			case <-ctx.Done():
-				s.abandon(sh, key, fl)
 				return nil, -1, ctx.Err()
 			}
 		}
@@ -483,28 +467,13 @@ func (s *Store) get(ctx context.Context, key ChunkKey, pin, admit bool) (body []
 		s.met.misses.Inc()
 		return nil, n, nil
 	}
-	fl := &flight{done: make(chan struct{}), interest: 1, resets: sh.resets}
-	var fctx context.Context
-	if s.miss != nil {
-		// A fresh root by design: the flight outlives any single caller
-		// and is shared by everyone who arrives while it is in progress.
-		// Cancellation still reaches it, but only when the last
-		// interested caller departs.
-		fctx, fl.cancel = context.WithCancel(context.Background())
-	}
+	fl := &flight{done: make(chan struct{}), resets: sh.resets}
 	sh.inflight[key] = fl
 	sh.mu.Unlock()
 
 	s.met.misses.Inc()
 	if s.miss != nil {
-		// Only this form pays for a flight context and its teardown. The
-		// leader's departure is its caller's cancellation: release its
-		// interest then, so a flight nobody wants anymore aborts the
-		// synthesis instead of running to completion at the origin.
-		stop := context.AfterFunc(ctx, func() { s.abandon(sh, key, fl) })
-		fl.body, fl.err = s.miss(fctx, key)
-		stop()
-		fl.cancel()
+		fl.body, fl.err = s.miss(key)
 	} else {
 		fl.body, fl.err = s.build(key, n)
 	}
@@ -519,26 +488,6 @@ func (s *Store) get(ctx context.Context, key ChunkKey, pin, admit bool) (body []
 	sh.mu.Unlock()
 	close(fl.done)
 	return fl.body, -1, fl.err
-}
-
-// abandon releases one caller's interest in a flight. When the last
-// interested caller departs from a cancelable flight, its context is
-// canceled, aborting the synthesis, and the flight is deregistered if it
-// still is registered (so late arrivals start fresh instead of joining a
-// dying flight) — a flight Reset orphaned is canceled all the same.
-// Writer-form flights are never aborted — their synthesis cannot observe
-// cancellation.
-func (s *Store) abandon(sh *shard, key ChunkKey, fl *flight) {
-	sh.mu.Lock()
-	fl.interest--
-	dying := fl.cancel != nil && fl.interest == 0
-	if dying && sh.inflight[key] == fl {
-		delete(sh.inflight, key)
-	}
-	sh.mu.Unlock()
-	if dying {
-		fl.cancel()
-	}
 }
 
 // writerPool reuses the slice-backed writers the writer form hands
@@ -582,8 +531,7 @@ func (s *Store) build(key ChunkKey, n int) ([]byte, error) {
 // entry wins: bodies are pure functions of the key, so there is nothing
 // to replace, and a second LRU element for one key would double-count
 // its bytes and take the live map entry with it when evicted. That
-// happens whenever a Put lands while a flight for the key is open, or
-// an abandoned flight completes beside the fresh one that replaced it.
+// happens whenever a Put lands while a flight for the key is open.
 // A body larger than the whole slice is served but never cached
 // (keep-zero, matching the player caches' refusal to hold something
 // that would immediately evict everything).
@@ -619,9 +567,9 @@ func (s *Store) insertLocked(sh *shard, key ChunkKey, body []byte) bool {
 // Reset drops every cached body, returning the store to cold — a
 // crashed-and-restarted edge node models its lost cache with this. The
 // admission rule's memory goes with them: no key counts as seen, and
-// the eviction record starts empty. Flights in progress are orphaned:
-// deregistered, so the next Get of their key starts afresh, and, when
-// they complete, they hand their waiters the body and cache nothing — a
+// the eviction record starts empty. Flights in progress run to
+// completion, orphaned: deregistered, so the next Get of their key
+// starts afresh, they hand their waiters the body and cache nothing — a
 // miss that spans a crash does not land in the restarted cache.
 func (s *Store) Reset() {
 	for _, sh := range s.shards {
@@ -657,8 +605,8 @@ func (s *Store) Put(key ChunkKey, body []byte) bool {
 
 // ChunkLen reports the exact body length the store would serve for the
 // addressed chunk without synthesizing it. Only a writer-form store
-// (WithWriterSynth) carries a size model; a WithCtxSynth store returns
-// an error.
+// (WithWriterSynth) carries a size model; a WithBodySynth store
+// returns an error.
 func (s *Store) ChunkLen(videoID string, quality, tile, index int, layer bool) (int, error) {
 	key := ChunkKey{Video: videoID, Quality: quality, Tile: tile, Index: index, Layer: layer}
 	if s.ws.Size == nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -17,7 +18,9 @@ func key(i int) ChunkKey {
 	return ChunkKey{Video: "v", Quality: 3, Tile: i % 12, Index: i}
 }
 
-// storeForms are the two miss forms the store knows.
+// storeForms are the two miss forms the store knows: "writer"
+// (WithWriterSynth) and "ctx" (WithBodySynth), the label its subtests
+// have always run under.
 var storeForms = []string{"writer", "ctx"}
 
 func eachForm(t *testing.T, fn func(t *testing.T, form string)) {
@@ -26,18 +29,17 @@ func eachForm(t *testing.T, fn func(t *testing.T, form string)) {
 	}
 }
 
-// formStore builds a store whose misses produce body(ctx, k) — always
-// size bytes long — through the named form. The writer form declares
-// size up front and streams the body; it has no flight context, so body
-// sees a background one there.
-func formStore(form string, size int, body ctxSynth, opts ...Option) *Store {
+// formStore builds a store whose misses produce body(k) — always size
+// bytes long — through the named form. The writer form declares size up
+// front and streams the body.
+func formStore(form string, size int, body bodySynth, opts ...Option) *Store {
 	if form == "ctx" {
-		return New(append(opts, WithCtxSynth(body))...)
+		return New(append(opts, WithBodySynth(body))...)
 	}
 	return New(append(opts, WithWriterSynth(WriterSynth{
 		Size: func(ChunkKey) (int, error) { return size, nil },
 		Write: func(w io.Writer, k ChunkKey) error {
-			b, err := body(context.Background(), k)
+			b, err := body(k)
 			if err != nil {
 				return err
 			}
@@ -53,7 +55,7 @@ func formStore(form string, size int, body ctxSynth, opts ...Option) *Store {
 // cluster's TestPlacementPinned pins the same keys' rendezvous
 // placement.
 func TestShardHashPinned(t *testing.T) {
-	st := formStore("ctx", 0, func(context.Context, ChunkKey) ([]byte, error) { return nil, nil })
+	st := formStore("ctx", 0, func(ChunkKey) ([]byte, error) { return nil, nil })
 	for _, tc := range []struct {
 		key   ChunkKey
 		hash  uint64
@@ -80,7 +82,7 @@ func TestShardsPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 16}, {1, 1}, {3, 4}, {16, 16}, {17, 32},
 	} {
-		st := formStore("ctx", 0, func(context.Context, ChunkKey) ([]byte, error) { return nil, nil }, WithShards(tc.in))
+		st := formStore("ctx", 0, func(ChunkKey) ([]byte, error) { return nil, nil }, WithShards(tc.in))
 		if got := st.Shards(); got != tc.want {
 			t.Errorf("Shards(%d) = %d, want %d", tc.in, got, tc.want)
 		}
@@ -96,7 +98,7 @@ func TestPullAdmitsNothing(t *testing.T) {
 		reg := obs.NewRegistry()
 		st := formStore(form, size, patternBody(size), WithObs(reg))
 		ctx := context.Background()
-		want, _ := patternBody(size)(ctx, key(1))
+		want, _ := patternBody(size)(key(1))
 		for range 2 {
 			if got, err := st.Pull(ctx, key(1)); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("Pull miss: %d bytes, %v", len(got), err)
@@ -136,17 +138,17 @@ func TestPullAndGetShareAFlight(t *testing.T) {
 				var synths atomic.Int32
 				entered, release := make(chan struct{}), make(chan struct{})
 				reg := obs.NewRegistry()
-				st := formStore(form, size, func(ctx context.Context, k ChunkKey) ([]byte, error) {
+				st := formStore(form, size, func(k ChunkKey) ([]byte, error) {
 					if synths.Add(1) == 1 {
 						close(entered)
 					}
 					<-release
-					return patternBody(size)(ctx, k)
+					return patternBody(size)(k)
 				}, WithObs(reg))
 				read := map[string]func(context.Context, ChunkKey) ([]byte, error){"Pull": st.Pull, "Get": st.Get}
 				shared := reg.Counter("serve.store.singleflight_shared")
 				ctx := context.Background()
-				want, _ := patternBody(size)(ctx, key(2))
+				want, _ := patternBody(size)(key(2))
 				errs := make(chan error, 2)
 				do := func(name string) {
 					got, err := read[name](ctx, key(2))
@@ -176,4 +178,54 @@ func TestPullAndGetShareAFlight(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestFlightRunsToCompletion: no flight is canceled. A caller that
+// joined a flight returns its context's error as soon as that context
+// ends; the caller that opened it, whose context ended first, still gets
+// the body once the synthesis returns, and the body is cached, so the
+// next Get is a hit and nothing synthesizes again.
+func TestFlightRunsToCompletion(t *testing.T) {
+	eachForm(t, func(t *testing.T, form string) {
+		const size = 256
+		var synths atomic.Int32
+		entered, release := make(chan struct{}), make(chan struct{})
+		reg := obs.NewRegistry()
+		st := formStore(form, size, func(k ChunkKey) ([]byte, error) {
+			if synths.Add(1) == 1 {
+				close(entered)
+			}
+			<-release
+			return patternBody(size)(k)
+		}, WithObs(reg))
+		get := func(ctx context.Context, out chan<- error) {
+			_, err := st.Get(ctx, key(3))
+			out <- err
+		}
+		leadCtx, leave := context.WithCancel(context.Background())
+		waitCtx, hangUp := context.WithCancel(context.Background())
+		led, joined := make(chan error, 1), make(chan error, 1)
+		go get(leadCtx, led)
+		<-entered
+		leave()
+		go get(waitCtx, joined)
+		for reg.Counter("serve.store.singleflight_shared").Value() == 0 {
+			runtime.Gosched()
+		}
+		hangUp()
+		if err := <-joined; !errors.Is(err, context.Canceled) {
+			t.Fatalf("a waiter whose context ended got %v, want context.Canceled", err)
+		}
+		close(release)
+		if err := <-led; err != nil {
+			t.Fatalf("the flight's opener got %v after its context ended, want the body", err)
+		}
+		if got, err := st.Get(context.Background(), key(3)); err != nil || len(got) != size {
+			t.Fatalf("Get after the flight: %d bytes, %v", len(got), err)
+		}
+		c := reg.Snapshot().Counters
+		if n := synths.Load(); n != 1 || c["serve.store.misses"] != 1 || c["serve.store.hits"] != 1 {
+			t.Fatalf("%d syntheses, %d misses, %d hits; want 1, 1 and 1", n, c["serve.store.misses"], c["serve.store.hits"])
+		}
+	})
 }

@@ -315,7 +315,7 @@ type sightHold struct {
 
 // getSight Gets k and checks the bytes served.
 func getSight(t *testing.T, st *Store, k ChunkKey) {
-	want, _ := patternBody(sightSize(k))(context.Background(), k)
+	want, _ := patternBody(sightSize(k))(k)
 	if got, err := st.Get(context.Background(), k); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("Get(%v): %d bytes, %v; want the %d-byte body", k, len(got), err, len(want))
 	}
@@ -323,7 +323,7 @@ func getSight(t *testing.T, st *Store, k ChunkKey) {
 
 // streamSight reads k through ChunkTo and checks the bytes written.
 func streamSight(t *testing.T, st *Store, k ChunkKey) {
-	want, _ := patternBody(sightSize(k))(context.Background(), k)
+	want, _ := patternBody(sightSize(k))(k)
 	var buf bytes.Buffer
 	if _, err := st.ChunkTo(context.Background(), &buf, k.Video, k.Quality, k.Tile, k.Index, k.Layer); err != nil || !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("ChunkTo(%v): %d bytes, %v; want the %d-byte body", k, buf.Len(), err, len(want))
@@ -486,10 +486,11 @@ func TestSecondSightAdmission(t *testing.T) {
 
 // TestSecondSightAllocBudget: once a full writer-form store refuses
 // first sights, a pinned first-sight miss streams from the synthesizer
-// into the viewer, so it allocates no body bytes, only the flight, the
-// counting writer and the Content-Length header, read from
-// MemStats.TotalAlloc; a store that cached it would allocate the body.
-// A first-sight Get still allocates the body it hands out.
+// into the viewer, so it allocates no body bytes, only the
+// Content-Length header, read from MemStats.TotalAlloc; a store that
+// cached it would allocate the body. Through ChunkTo, which sets no
+// header, it allocates nothing at all. A first-sight Get still
+// allocates the body it hands out.
 func TestSecondSightAllocBudget(t *testing.T) {
 	const misses = 64
 	st := sightStore(nil, nil, 4)
@@ -513,6 +514,18 @@ func TestSecondSightAllocBudget(t *testing.T) {
 	t.Logf("first-sight StreamChunk miss: %d bytes allocated", streamed)
 	if streamed >= 1<<10 {
 		t.Fatalf("first-sight StreamChunk miss: %d bytes allocated, want under 1 KiB: no %d-byte body", streamed, sightBody)
+	}
+	if !obs.RaceEnabled { // race-mode sync.Pool drops Puts at random
+		refused := testing.AllocsPerRun(misses, func() {
+			next++
+			if n, err := st.ChunkTo(ctx, io.Discard, "v", 3, 0, next, false); err != nil || n != sightBody {
+				t.Fatalf("ChunkTo of index %d wrote %d bytes: %v", next, n, err)
+			}
+		})
+		t.Logf("first-sight ChunkTo miss: %v allocs", refused)
+		if refused != 0 {
+			t.Fatalf("first-sight ChunkTo miss: %v allocs, want 0", refused)
+		}
 	}
 	got := per(func(k ChunkKey) {
 		if body, err := st.Get(ctx, k); err != nil || len(body) != sightBody {
