@@ -153,9 +153,9 @@ func BenchmarkBareExchange(b *testing.B) {
 
 // TestFetchAllocsOverFloor: a warm FetchChunk allocates at most 8
 // objects more than the bare exchange measured beside it, and one
-// proxied through a wire cluster at least 28 fewer than two of them, so
+// proxied through a wire cluster at least 44 fewer than two of them, so
 // a Go upgrade that moves net/http's own count moves all three and the
-// margins stay Sperke's. (At go1.24: 67, 71 and 98.)
+// margins stay Sperke's. (At go1.24: 67, 71 and 88.)
 func TestFetchAllocsOverFloor(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("net/http pools its buffers, and race-mode sync.Pool drops Puts at random")
@@ -177,8 +177,8 @@ func TestFetchAllocsOverFloor(t *testing.T) {
 	if fetch > floor+8 {
 		t.Fatalf("a warm fetch allocates %.0f objects, %.0f over the bare exchange's %.0f; want at most 8 over", fetch, fetch-floor, floor)
 	}
-	if proxied > 2*floor-28 {
-		t.Fatalf("a proxied fetch allocates %.0f objects against two bare exchanges' %.0f; want at least 28 fewer", proxied, 2*floor)
+	if proxied > 2*floor-44 {
+		t.Fatalf("a proxied fetch allocates %.0f objects against two bare exchanges' %.0f; want at least 44 fewer", proxied, 2*floor)
 	}
 }
 

@@ -345,7 +345,7 @@ func hopStream(t *testing.T, ln net.Listener, length int64, body []byte) (*hopTr
 		}
 	}()
 	pool := newHopTransport(tcpNetwork{}, ln.Addr().String(), 1)
-	st, err := pool.get(context.Background(), "/v/fuzz/c/0/0/0")
+	st, err := pool.get(context.Background(), hopTarget{path: "/v/fuzz/c/0/0/0"})
 	if err != nil {
 		t.Fatal(err)
 	}

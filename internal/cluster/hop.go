@@ -2,17 +2,23 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"sperke/internal/dash"
+	"sperke/internal/serve"
 )
 
 // hopBufLen sizes the buffers either end of a hop connection keeps: the
@@ -30,11 +36,10 @@ var hopExpired = time.Unix(1, 0)
 // hopTransport is the router's keep-alive pool to one wire edge, on the
 // edge's network, and get is the one exchange it runs there. An exchange
 // runs on the caller's goroutine from the request's first byte to the
-// body's last:
-// the GET line written into the connection's buffer and one Flush out,
-// http.ReadResponse in — net/http's own parser on a connection the
-// caller holds — so no goroutine is started or woken per exchange, and
-// no http.Request, dash.Client or derived context is built for one.
+// body's last: the GET line rendered into the connection's buffer and
+// one Flush out, the head read in place (readHead: every peer is an
+// edgeServer) — so no goroutine is started or woken per exchange, and no
+// http.Request, http.Response, dash.Client or derived context is built.
 //
 // The exchange's one deadline is the socket's: the caller's context
 // deadline or dash.DefaultTimeout from now, whichever comes first. A
@@ -84,14 +89,27 @@ type chunkStream struct {
 	length int64
 }
 
-// get sends GET path — dash.ChunkPath's, or another path already
-// escaped, so it holds no space, CR or LF — and reads the response head.
-// A 200 comes back as a stream whose body holds the connection until it
-// ends. Everything else is a *dash.Error of one attempt: a non-200 as
-// dash.StatusError classifies it, and a dial or exchange that failed as
-// KindCanceled once ctx is done, KindTransient otherwise; a read of the
-// body that fails comes back the same way.
-func (t *hopTransport) get(ctx context.Context, path string) (chunkStream, error) {
+// hopTarget is what an exchange GETs: path, escaped (no space, CR or
+// LF), or when that is empty dash.ChunkPath of key; appendTo renders it.
+type hopTarget struct {
+	path string
+	key  serve.ChunkKey
+}
+
+func (r hopTarget) appendTo(b []byte) []byte {
+	if k := r.key; r.path == "" {
+		return dash.AppendChunkPath(b, k.Video, k.Quality, k.Tile, k.Index, k.Layer)
+	}
+	return append(b, r.path...)
+}
+
+// get sends GET tg and reads the response head. A 200 comes back as a
+// stream whose body holds the connection until it ends. Everything else
+// is a *dash.Error of one attempt: a non-200 as dash.StatusError
+// classifies it, and a dial or exchange that failed, or a head outside
+// readHead's grammar, as KindCanceled once ctx is done, KindTransient
+// otherwise; a read of the body that fails comes back the same way.
+func (t *hopTransport) get(ctx context.Context, tg hopTarget) (chunkStream, error) {
 	deadline := wallDeadline(dash.DefaultTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -101,29 +119,30 @@ func (t *hopTransport) get(ctx context.Context, path string) (chunkStream, error
 	var err error
 	if !reused {
 		if pc, err = t.dial(ctx, deadline); err != nil {
-			return chunkStream{}, hopError(ctx, path, err)
+			return chunkStream{}, hopError(ctx, tg, err)
 		}
 	}
-	resp, stale, err := t.exchange(ctx, pc, path, deadline)
+	b, stale, err := t.exchange(ctx, pc, tg, deadline)
 	if stale && reused && ctx.Err() == nil {
 		t.drop(false)
 		if pc, err = t.dial(ctx, deadline); err != nil {
-			return chunkStream{}, hopError(ctx, path, err)
+			return chunkStream{}, hopError(ctx, tg, err)
 		}
-		resp, _, err = t.exchange(ctx, pc, path, deadline)
+		b, _, err = t.exchange(ctx, pc, tg, deadline)
 	}
 	if err != nil {
-		return chunkStream{}, hopError(ctx, path, err)
+		return chunkStream{}, hopError(ctx, tg, err)
 	}
-	if resp.StatusCode != http.StatusOK {
+	if b.status != http.StatusOK {
 		// wallDeadline(0) is now, against which an HTTP-date Retry-After
 		// is a duration.
-		derr := dash.StatusError(path, resp, wallDeadline(0))
+		resp := &http.Response{StatusCode: b.status, Status: strconv.Itoa(b.status) + " " + http.StatusText(b.status), Header: http.Header{"Retry-After": b.retryAfter}, Body: b}
+		derr := dash.StatusError(string(tg.appendTo(nil)), resp, wallDeadline(0))
 		derr.Attempts = 1
-		resp.Body.Close()
+		b.Close()
 		return chunkStream{}, derr
 	}
-	return chunkStream{body: resp.Body, length: resp.ContentLength}, nil
+	return chunkStream{body: b, length: b.length}, nil
 }
 
 func (t *hopTransport) dial(ctx context.Context, deadline time.Time) (*hopConn, error) {
@@ -139,15 +158,16 @@ func (t *hopTransport) dial(ctx context.Context, deadline time.Time) (*hopConn, 
 	}, nil
 }
 
-// exchange sends GET path on pc under deadline and reads the response
-// head, handing pc to the response's body. On failure pc is closed, and
-// stale reports that it failed before the first response byte the way a
-// connection its peer closed does.
-func (t *hopTransport) exchange(ctx context.Context, pc *hopConn, path string, deadline time.Time) (resp *http.Response, stale bool, err error) {
+// exchange sends GET tg on pc under deadline, the path rendered straight
+// into pc's writer, and reads the response head, handing pc to the body:
+// pc.br under the declared length, or to the close without one. On
+// failure pc is closed, and stale reports that it failed before the
+// first response byte the way a connection its peer closed does.
+func (t *hopTransport) exchange(ctx context.Context, pc *hopConn, tg hopTarget, deadline time.Time) (b *hopBody, stale bool, err error) {
 	pc.conn.SetDeadline(deadline)
 	stop := context.AfterFunc(ctx, pc.expire)
 	pc.bw.WriteString("GET ")
-	pc.bw.WriteString(path)
+	pc.bw.Write(tg.appendTo(pc.bw.AvailableBuffer()))
 	pc.bw.WriteString(" HTTP/1.1\r\nHost: ")
 	pc.bw.WriteString(t.addr)
 	pc.bw.WriteString("\r\n\r\n")
@@ -155,24 +175,24 @@ func (t *hopTransport) exchange(ctx context.Context, pc *hopConn, path string, d
 	if err == nil {
 		_, err = pc.br.Peek(1)
 	}
+	b = &hopBody{pc: pc, t: t, ctx: ctx, tg: tg, stop: stop}
 	if err != nil {
 		stale = errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) ||
 			errors.Is(err, syscall.EPIPE) || errors.Is(err, net.ErrClosed)
-	} else if resp, err = http.ReadResponse(pc.br, nil); err == nil {
-		resp.Body = &hopBody{body: resp.Body, pc: pc, t: t, ctx: ctx, path: path, stop: stop, keep: !resp.Close}
-		return resp, false, nil
+	} else if err = b.readHead(pc.br); err == nil {
+		return b, false, nil
 	}
 	stop()
 	pc.conn.Close()
 	return nil, stale, err
 }
 
-// hopError is the typed failure of an exchange on path. A failure the
+// hopError is the typed failure of an exchange of tg. A failure the
 // connection's deadline caused reads as the end of the context that set
 // it — waited for when its deadline has passed, as the socket's timer
 // can fire a moment before the context's — or as
 // context.DeadlineExceeded when the deadline was dash.DefaultTimeout's.
-func hopError(ctx context.Context, path string, err error) *dash.Error {
+func hopError(ctx context.Context, tg hopTarget, err error) *dash.Error {
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		if d, ok := ctx.Deadline(); ok && !d.After(wallDeadline(0)) {
 			<-ctx.Done()
@@ -185,7 +205,7 @@ func hopError(ctx context.Context, path string, err error) *dash.Error {
 	if ctx.Err() != nil {
 		kind = dash.KindCanceled
 	}
-	return &dash.Error{Op: path, Kind: kind, Attempts: 1, Err: err}
+	return &dash.Error{Op: string(tg.appendTo(nil)), Kind: kind, Attempts: 1, Err: err}
 }
 
 // take pops the most recently returned idle connection, or nil.
@@ -231,18 +251,78 @@ func (t *hopTransport) drop(retire bool) {
 
 // hopBody is a response body holding its exchange's connection until
 // the body ends: read to EOF, it goes back to the pool if it can carry
-// another exchange; failed or closed early, it is closed. Like any
-// response body it is read and closed by one goroutine.
+// another exchange; failed, short or closed early, it is closed. Like
+// any response body it is read and closed by one goroutine.
 type hopBody struct {
-	body io.Reader // http.ReadResponse's, reading pc.br
-	pc   *hopConn  // nil once released
+	lr   io.LimitedReader // pc.br under the body's length; handOver's bare socket, as splice needs it
+	pc   *hopConn         // nil once released
 	t    *hopTransport
 	ctx  context.Context
-	path string
-	stop func() bool      // unregisters the cancel; false once it has fired
-	keep bool             // the edge did not say Connection: close
-	err  error            // what reads return once pc is released
-	lr   io.LimitedReader // handOver's source: the bare socket, as splice needs it
+	tg   hopTarget
+	stop func() bool // unregisters the cancel; false once it has fired
+	err  error       // what reads return once pc is released
+
+	// The head, as readHead reads it.
+	status     int
+	length     int64    // the declared Content-Length; -1 for none
+	close      bool     // Connection: close
+	retryAfter []string // a non-200's
+}
+
+// errHead is a response head outside readHead's grammar.
+var errHead = errors.New("cluster: edge response head outside the hop's grammar")
+
+// readHead reads the grammar edgeConn.writeHead and reject emit, in
+// place in br's buffer: "HTTP/1.1 <3 digits> <reason>", header lines and
+// a blank line, each ending in CRLF. Matched case-insensitively: one
+// Content-Length of digits only, Connection: close, Retry-After; any
+// other header of token name and valid value is skipped. Anything else —
+// a Transfer-Encoding, a status net/http reads as bodiless (1xx, 204,
+// 304), a line past the buffer — is errHead: what readHead accepts,
+// net/http reads the same way (FuzzHopExchange). The body is br's next
+// length bytes, or all of it to the close.
+func (b *hopBody) readHead(br *bufio.Reader) error {
+	b.length, b.lr = -1, io.LimitedReader{R: br, N: math.MaxInt64}
+	for first := true; ; first = false {
+		line, err := br.ReadSlice('\n')
+		switch {
+		case err == bufio.ErrBufferFull || err == nil && !bytes.HasSuffix(line, []byte("\r\n")):
+			return errHead
+		case err != nil || len(line) == 2 && !first:
+			return err
+		case first:
+			if len(line) < 14 || string(line[:9]) != "HTTP/1.1 " || len(line) > 14 && line[12] != ' ' {
+				return errHead
+			}
+			code, err := strconv.ParseUint(string(line[9:12]), 10, 64)
+			if b.status = int(code); err != nil || code/100 == 1 || code == http.StatusNoContent || code == http.StatusNotModified {
+				return errHead
+			}
+			continue
+		}
+		name, value, ok := bytes.Cut(line[:len(line)-2], []byte(":"))
+		ok = ok && len(name) > 0 && !slices.ContainsFunc(name, nonToken) && !bytes.EqualFold(name, []byte("Transfer-Encoding")) &&
+			!slices.ContainsFunc(value, func(c byte) bool { return c < ' ' && c != '\t' || c == 0x7f })
+		value = bytes.Trim(value, " \t")
+		switch {
+		case bytes.EqualFold(name, []byte("Content-Length")):
+			n, err := strconv.ParseUint(string(value), 10, 63)
+			ok = ok && b.length < 0 && err == nil
+			b.length, b.lr.N = int64(n), int64(n)
+		case bytes.EqualFold(name, []byte("Connection")):
+			ok, b.close = ok && bytes.EqualFold(value, []byte("close")), true
+		case bytes.EqualFold(name, []byte("Retry-After")) && b.status != http.StatusOK:
+			b.retryAfter = append(b.retryAfter, string(value))
+		}
+		if !ok {
+			return errHead
+		}
+	}
+}
+
+// nonToken reports a byte no header name may hold: all but RFC 9110's tchar.
+func nonToken(c byte) bool {
+	return !('a' <= c|0x20 && c|0x20 <= 'z' || '0' <= c && c <= '9' || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0)
 }
 
 // handOver moves the rest of a body of declared length to w, whose
@@ -279,7 +359,7 @@ func (b *hopBody) handOver(w http.ResponseWriter, rf io.ReaderFrom, length int64
 		switch {
 		case err == nil:
 		case b.ctx.Err() != nil || pc.edgeFailed():
-			err = hopError(b.ctx, b.path, err)
+			err = hopError(b.ctx, b.tg, err)
 		default:
 			err = viewerGone(err)
 		}
@@ -288,7 +368,7 @@ func (b *hopBody) handOver(w http.ResponseWriter, rf io.ReaderFrom, length int64
 	if end == nil {
 		end = io.EOF
 	}
-	b.release(end, b.stop() && err == nil && n == length && b.keep && pc.br.Buffered() == 0)
+	b.release(end, b.stop() && err == nil && n == length && !b.close && pc.br.Buffered() == 0)
 	return n, err
 }
 
@@ -304,13 +384,16 @@ func (b *hopBody) Read(p []byte) (int, error) {
 	if b.pc == nil {
 		return 0, b.err
 	}
-	n, err := b.body.Read(p)
+	n, err := b.lr.Read(p)
+	if err == io.EOF && b.length >= 0 && b.lr.N > 0 {
+		err = io.ErrUnexpectedEOF // the edge closed before the body's end
+	}
 	switch {
 	case err == io.EOF:
 		// Bytes past the body would be read as the next response.
-		b.release(err, b.stop() && b.keep && b.pc.br.Buffered() == 0)
+		b.release(err, b.stop() && b.length >= 0 && !b.close && b.pc.br.Buffered() == 0)
 	case err != nil:
-		err = hopError(b.ctx, b.path, err)
+		err = hopError(b.ctx, b.tg, err)
 		b.stop()
 		b.release(err, false)
 	}

@@ -10,7 +10,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -188,7 +190,7 @@ func TestHopCancelClosesAndLeaksNothing(t *testing.T) {
 	hop := newHopTransport(tcpNetwork{}, srv.Listener.Addr().String(), 8)
 	get := func(ctx context.Context, path string) chunkStream {
 		t.Helper()
-		st, err := hop.get(ctx, path)
+		st, err := hop.get(ctx, hopTarget{path: path})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +298,7 @@ func TestHopStalledDialHoldsNoOtherRequest(t *testing.T) {
 	defer release()
 	hop := newHopTransport(f, srv.Listener.Addr().String(), 2)
 	fetch := func() error {
-		st, err := hop.get(context.Background(), "/v")
+		st, err := hop.get(context.Background(), hopTarget{path: "/v"})
 		if err != nil {
 			return err
 		}
@@ -343,8 +345,9 @@ func TestHopRequestLine(t *testing.T) {
 	addr := srv.Listener.Addr().String()
 	hop := newHopTransport(tcpNetwork{}, addr, 1)
 	defer hop.drop(true)
-	path := dash.ChunkPath("x/y 50%?#\r\n", 1, 2, 3, true)
-	st, err := hop.get(context.Background(), path)
+	key := serve.ChunkKey{Video: "x/y 50%?#\r\n", Quality: 1, Tile: 2, Index: 3, Layer: true}
+	path := dash.ChunkPath(key.Video, key.Quality, key.Tile, key.Index, key.Layer)
+	st, err := hop.get(context.Background(), hopTarget{key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,6 +369,12 @@ func TestHopRequestLine(t *testing.T) {
 // goroutine outlives the exchange. The edge is a loopback listener that
 // reads the request head, writes the reply in one write and closes.
 //
+// net/http is the head reader's twin: http.ReadResponse reads the same
+// bytes. Every head readHead accepts, net/http reads with the same
+// status, the same declared length and the same keep-alive; a head
+// net/http reads and readHead refuses must be one hopRefusals names; and
+// the live exchange ends as readHead read the head.
+//
 // A reply that fits the router's buffer (hopBufLen) arrives in it whole,
 // so every byte past the body is one the hop sees, and such a reply is
 // held to the rule both ways for a 200. Past that size a byte past the
@@ -383,8 +392,23 @@ func FuzzHopExchange(f *testing.F) {
 		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhelloHTTP/1.1 200 OK\r\n",
 		"\x00garbage\r\n\r\n",
 		"",
+		"HTTP/1.1 200 OK\r\nconnection: CLOSE\r\ncontent-length: 5\r\n\r\nhello",
+		"HTTP/1.1 200\r\nContent-Type: video/iso.segment\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nhello",
+		"HTTP/1.1 200 OK\r\n\r\nhello",
+		"HTTP/1.1 400 Bad Request\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 15\r\nConnection: close\r\n\r\n400 Bad Request",
+		"HTTP/1.1 200 OK\r\nContent-Length: 9223372036854775808\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-A: a\x01b\r\nContent-Length: 5\r\n\r\nhello",
+		"HTTP/1.1 200 OK\r\nContent-Length: 10\r\nContent-Length: 5\r\n\r\nhello",
 	} {
 		f.Add([]byte(seed))
+	}
+	for _, r := range hopRefusals {
+		resp, err := http.ReadResponse(bufio.NewReader(strings.NewReader(r.seed)), nil)
+		if err != nil || readHeadOf([]byte(r.seed)) == nil || !r.is(headLines([]byte(r.seed)), resp) {
+			f.Fatalf("refusal %q: net/http reads its seed (%v), readHead refuses it and the entry names it; want all three", r.why, err)
+		}
+		f.Add([]byte(r.seed))
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -393,6 +417,19 @@ func FuzzHopExchange(f *testing.F) {
 	f.Cleanup(func() { ln.Close() })
 
 	f.Fuzz(func(t *testing.T, reply []byte) {
+		var head hopBody
+		herr := head.readHead(bufio.NewReaderSize(bytes.NewReader(reply), hopBufLen))
+		resp, nerr := http.ReadResponse(bufio.NewReader(bytes.NewReader(reply)), nil)
+		switch {
+		case herr == nil && nerr != nil:
+			t.Fatalf("readHead reads a head net/http refuses (%v): %q", nerr, reply)
+		case herr == nil && (head.status != resp.StatusCode || head.length != resp.ContentLength || (head.length >= 0 && !head.close) == resp.Close):
+			t.Fatalf("readHead reads status %d, length %d, close %t; net/http %d, %d, close %t: %q",
+				head.status, head.length, head.close, resp.StatusCode, resp.ContentLength, resp.Close, reply)
+		case herr != nil && nerr == nil && !slices.ContainsFunc(hopRefusals, func(r hopRefusal) bool { return r.is(headLines(reply), resp) }):
+			t.Fatalf("readHead refuses (%v) a head net/http reads, and no entry of hopRefusals names it: %q", herr, reply)
+		}
+
 		before := runtime.NumGoroutine()
 		served := make(chan struct{})
 		go func() {
@@ -411,16 +448,22 @@ func FuzzHopExchange(f *testing.F) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 
-		st, err := hop.get(ctx, "/v/fuzz/c/0/0/0")
+		st, err := hop.get(ctx, hopTarget{path: "/v/fuzz/c/0/0/0"})
+		de, isDash := err.(*dash.Error)
+		switch {
+		case err != nil && !isDash:
+			t.Fatalf("exchange failed with %T %v, want a *dash.Error", err, err)
+		case herr == nil && head.status == http.StatusOK && (err != nil || st.length != head.length):
+			t.Fatalf("readHead read a 200 of length %d, yet the exchange returned length %d, %v", head.length, st.length, err)
+		case herr == nil && head.status != http.StatusOK && (err == nil || de.Status != head.status):
+			t.Fatalf("readHead read a %d, yet the exchange returned %v", head.status, err)
+		case herr != nil && (err == nil || de.Status != 0 || de.Kind != dash.KindTransient):
+			t.Fatalf("readHead refused the head (%v), yet the exchange returned %v", herr, err)
+		}
 		status200 := err == nil
-		if err != nil {
-			if _, ok := err.(*dash.Error); !ok {
-				t.Fatalf("exchange failed with %T %v, want a *dash.Error", err, err)
-			}
-		} else {
+		if err == nil {
 			body, err := io.ReadAll(st.body)
 			st.body.Close()
-			var de *dash.Error
 			switch {
 			case err != nil && (!errors.As(err, &de) || de.Kind != dash.KindTransient):
 				t.Fatalf("body read failed with %v, want a transient *dash.Error", err)
@@ -447,6 +490,97 @@ func FuzzHopExchange(f *testing.F) {
 	})
 }
 
+// hopRefusal is a form of response head net/http reads and readHead
+// refuses, with a seed of that form and why no edge sends one: a hop's
+// head is edgeConn.writeHead's or reject's. is reports the form, given
+// the head's lines (headLines) and net/http's reading of it.
+type hopRefusal struct {
+	seed, why string
+	is        func(head []string, resp *http.Response) bool
+}
+
+var hopRefusals = []hopRefusal{{
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+	"writeHead sends a body under its Content-Length, or with Connection: close to the close; never chunked",
+	func(h []string, _ *http.Response) bool { return len(headerValues(h, "Transfer-Encoding")) > 0 },
+}, {
+	"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+	"writeHead and reject write an HTTP/1.1 status line",
+	func(h []string, _ *http.Response) bool { return !strings.HasPrefix(h[0], "HTTP/1.1 ") },
+}, {
+	"HTTP/1.1  200 OK\r\nContent-Length: 5\r\n\r\nhello",
+	"writeHead and reject write the status as its three digits, after one space",
+	func(h []string, _ *http.Response) bool { return !statusLine.MatchString(h[0]) },
+}, {
+	"HTTP/1.1 204 No Content\r\n\r\n",
+	"the edge's handler answers a GET that has no conditional header, so never with 1xx, 204 or 304",
+	func(_ []string, resp *http.Response) bool {
+		return resp.StatusCode/100 == 1 || resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusNotModified
+	},
+}, {
+	"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello",
+	"writeHead deletes the handler's Content-Length and writes the one it declares",
+	func(h []string, _ *http.Response) bool { return len(headerValues(h, "Content-Length")) > 1 },
+}, {
+	"HTTP/1.1 200 OK\r\nX-A: a\r\n b\r\nContent-Length: 5\r\n\r\nhello",
+	"http.Header.Write, which writes the handler's headers, turns a newline in a value into a space, so no line is continued",
+	func(h []string, _ *http.Response) bool {
+		return slices.ContainsFunc(h[1:], func(l string) bool { return l != "" && (l[0] == ' ' || l[0] == '\t') })
+	},
+}, {
+	"HTTP/1.1 200 OK\r\nX A: b\r\nContent-Length: 5\r\n\r\nhello",
+	"http.Header.Write drops a header whose name is not a token",
+	func(h []string, _ *http.Response) bool {
+		return slices.ContainsFunc(h[1:], func(l string) bool { name, _, _ := strings.Cut(l, ":"); return strings.Contains(name, " ") })
+	},
+}, {
+	"HTTP/1.1 200 OK\nContent-Length: 5\n\nhello",
+	"writeHead, http.Header.Write and reject end every line with CRLF",
+	func(h []string, _ *http.Response) bool {
+		return slices.ContainsFunc(h, func(l string) bool { return !strings.HasSuffix(l, "\r") })
+	},
+}, {
+	"HTTP/1.1 200 OK\r\nX-Long: " + strings.Repeat("x", hopBufLen) + "\r\nContent-Length: 5\r\n\r\nhello",
+	"an edge's head lines are its status line and its handler's few short headers, far shorter than hopBufLen",
+	func(h []string, _ *http.Response) bool {
+		return slices.ContainsFunc(h, func(l string) bool { return len(l)+1 > hopBufLen })
+	},
+}, {
+	"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 5\r\n\r\nhello",
+	"writeHead writes Connection only as Connection: close, and the edge's handler sets none",
+	func(h []string, _ *http.Response) bool {
+		return slices.ContainsFunc(headerValues(h, "Connection"), func(v string) bool { return !strings.EqualFold(v, "close") })
+	},
+}}
+
+// statusLine is the status line readHead reads, its LF cut.
+var statusLine = regexp.MustCompile(`^HTTP/1\.1 [0-9]{3}( |\r?$)`)
+
+// headLines splits a reply's head into lines, each without its LF, up to
+// and with the blank line that ends it.
+func headLines(reply []byte) []string {
+	var head []string
+	for _, l := range strings.SplitAfter(string(reply), "\n") {
+		l = strings.TrimSuffix(l, "\n")
+		if head = append(head, l); len(head) > 1 && (l == "" || l == "\r") {
+			break
+		}
+	}
+	return head
+}
+
+// headerValues are the values, trimmed, of the header lines in head
+// whose name is name in any case.
+func headerValues(head []string, name string) []string {
+	var vs []string
+	for _, l := range head[1:] {
+		if n, v, ok := strings.Cut(l, ":"); ok && strings.EqualFold(n, name) {
+			vs = append(vs, strings.Trim(v, " \t\r"))
+		}
+	}
+	return vs
+}
+
 // replyEnds parses reply as net/http does: whole reports that it is a
 // response whose body ends under keep-alive, exact that nothing follows
 // that end.
@@ -460,6 +594,78 @@ func replyEnds(reply []byte) (whole, exact bool) {
 	_, err = io.Copy(io.Discard, resp.Body)
 	whole = err == nil && !resp.Close
 	return whole, whole && br.Buffered() == 0 && r.Len() == 0
+}
+
+// readHeadOf is readHead's error on reply.
+func readHeadOf(reply []byte) error {
+	var b hopBody
+	return b.readHead(bufio.NewReaderSize(bytes.NewReader(reply), hopBufLen))
+}
+
+// TestHopExchangeAllocBudget: the router's side of a pooled 200 exchange
+// allocates 6 objects — the cancel hook's 5 on a fresh request context
+// (context.AfterFunc's record and its stop function, the context's child
+// map and its entry, its done channel) and the body — with the head read
+// in place and the request line rendered into the connection's writer.
+// The edge is a loop that reads each request head and writes one fixed
+// reply, allocating nothing; the fresh context's own 2 objects are the
+// caller's, and are measured apart.
+func TestHopExchangeAllocBudget(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	reply := []byte("HTTP/1.1 200 OK\r\nContent-Type: video/iso.segment\r\nContent-Length: 5\r\n\r\nhello")
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		for {
+			for line := []byte(nil); len(line) != 2; {
+				if line, err = br.ReadSlice('\n'); err != nil {
+					return
+				}
+			}
+			if _, err := conn.Write(reply); err != nil {
+				return
+			}
+		}
+	}()
+	hop := newHopTransport(tcpNetwork{}, ln.Addr().String(), 1)
+	defer hop.drop(true)
+	tg := hopTarget{key: serve.ChunkKey{Video: "wire", Quality: 3, Tile: 7, Index: 12}}
+	buf := make([]byte, 16)
+	exchange := func(ctx context.Context) {
+		st, err := hop.get(ctx, tg)
+		n := 0
+		for err == nil {
+			var m int
+			m, err = st.body.Read(buf[n:])
+			n += m
+		}
+		if err != io.EOF || n != 5 || hop.idleLen() != 1 {
+			t.Fatalf("exchange read %d bytes, ended with %v, left %d idle connections; want 5, EOF, 1", n, err, hop.idleLen())
+		}
+	}
+	exchange(context.Background()) // dial
+	base := context.Background()
+	fresh := testing.AllocsPerRun(100, func() {
+		_, cancel := context.WithCancel(base)
+		cancel()
+	})
+	got := testing.AllocsPerRun(100, func() {
+		ctx, cancel := context.WithCancel(base)
+		exchange(ctx)
+		cancel()
+	}) - fresh
+	t.Logf("a pooled 200 exchange allocates %.0f objects past its fresh context's %.0f", got, fresh)
+	if got > 6 {
+		t.Fatalf("a pooled 200 exchange allocates %.0f objects, want at most 6", got)
+	}
 }
 
 // recv receives from ch, failing the test if nothing arrives within

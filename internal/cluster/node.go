@@ -265,7 +265,7 @@ func (n *Node) ping(ctx context.Context) error {
 	if n.hop == nil {
 		return nil
 	}
-	st, err := n.hop.get(ctx, "/v")
+	st, err := n.hop.get(ctx, hopTarget{path: "/v"})
 	if err != nil {
 		return err
 	}
@@ -292,7 +292,7 @@ func (n *Node) open(ctx context.Context, key serve.ChunkKey) (chunkStream, []byt
 		body, err := n.Chunk(ctx, key.Video, key.Quality, key.Tile, key.Index, key.Layer)
 		return chunkStream{}, body, err
 	}
-	st, err := n.hop.get(ctx, dash.ChunkPath(key.Video, key.Quality, key.Tile, key.Index, key.Layer))
+	st, err := n.hop.get(ctx, hopTarget{key: key})
 	if err != nil {
 		return st, nil, err
 	}

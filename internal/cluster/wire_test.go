@@ -586,7 +586,7 @@ func warmFrontDoor(tb testing.TB) (newGET func() func(), bodyLen int) {
 	return newGET, bodyLen
 }
 
-// TestWireFrontDoorAllocBudget: a proxied GET costs at most 26 objects —
+// TestWireFrontDoorAllocBudget: a proxied GET costs at most 16 objects —
 // the router's hop and the edge's loop both counted — alone or in a herd
 // on one key: a flight costs its leader one struct, and the protocol adds
 // no channel per uncontended GET (followers that do coalesce skip the
@@ -598,8 +598,8 @@ func TestWireFrontDoorAllocBudget(t *testing.T) {
 	newGET, _ := warmFrontDoor(t)
 	get := newGET()
 	one := testing.AllocsPerRun(100, get)
-	if one > 26 {
-		t.Fatalf("a proxied GET allocates %.0f objects, want at most 26", one)
+	if one > 16 {
+		t.Fatalf("a proxied GET allocates %.0f objects, want at most 16", one)
 	}
 	const herd = 4
 	start, done := make(chan struct{}), make(chan struct{})
@@ -622,8 +622,8 @@ func TestWireFrontDoorAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("a proxied GET allocates %.0f objects, a herd of %d %.0f", one, herd, n)
-	if n > herd*26 {
-		t.Fatalf("a herd of %d GETs allocates %.0f objects, want at most %d each", herd, n, 26)
+	if n > herd*16 {
+		t.Fatalf("a herd of %d GETs allocates %.0f objects, want at most %d each", herd, n, 16)
 	}
 }
 

@@ -620,7 +620,12 @@ func BuildChunkBody(v *media.Video, q, tile, idx int, layer bool) ([]byte, error
 // server's dispatch turns back into the ID; no space, CR or LF survives the
 // escaping, so the path can go into a request line as it is.
 func ChunkPath(videoID string, q, tile, idx int, layer bool) string {
-	b := make([]byte, 0, 96)
+	return string(AppendChunkPath(make([]byte, 0, 96), videoID, q, tile, idx, layer))
+}
+
+// AppendChunkPath appends ChunkPath's bytes to b, for a caller that
+// writes the path into a buffer of its own.
+func AppendChunkPath(b []byte, videoID string, q, tile, idx int, layer bool) []byte {
 	b = append(b, "/v/"...)
 	b = append(b, url.PathEscape(videoID)...)
 	b = append(b, "/c/"...)
@@ -632,7 +637,7 @@ func ChunkPath(videoID string, q, tile, idx int, layer bool) string {
 	if layer {
 		b = append(b, "?layer=1"...)
 	}
-	return string(b)
+	return b
 }
 
 // mpdPath renders the URL path of a manifest.
