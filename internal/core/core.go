@@ -153,6 +153,9 @@ type Session struct {
 	predictor hmp.Predictor
 	fedIdx    int
 
+	// chunks is the video's NumChunks, read once: the loops over its
+	// intervals do not ask again.
+	chunks int
 	// state holds every (interval, tile) of the video in one slab,
 	// interval-major; an entry counts only once tracked. The slab never
 	// grows, so fetch callbacks keep pointers into it.
@@ -207,8 +210,10 @@ func NewSession(clock *sim.Clock, cfg Config, head *trace.HeadTrace, sched trans
 	if sched == nil {
 		return nil, fmt.Errorf("core: session needs a transport scheduler")
 	}
-	cells := cfg.Video.NumChunks() * cfg.Video.Grid.Tiles()
+	chunks := cfg.Video.NumChunks()
+	cells := chunks * cfg.Video.Grid.Tiles()
 	s := &Session{
+		chunks:      chunks,
 		clock:       clock,
 		cfg:         cfg,
 		head:        head,
@@ -328,7 +333,7 @@ func (s *Session) deadlineWall(i int) time.Duration {
 // consecutive planned intervals whose FoV tiles all arrived.
 func (s *Session) bufferLevel() time.Duration {
 	n := 0
-	for i := s.playIdx; i < s.cfg.Video.NumChunks(); i++ {
+	for i := s.playIdx; i < s.chunks; i++ {
 		if !s.intervalReady(i) {
 			break
 		}
@@ -369,7 +374,7 @@ func (s *Session) schedulePlanner() {
 			s.clock.Halt()
 			return
 		}
-		if s.playIdx >= s.cfg.Video.NumChunks() {
+		if s.playIdx >= s.chunks {
 			return // session over
 		}
 		s.planAhead()
@@ -386,7 +391,7 @@ func (s *Session) schedulePlanner() {
 func (s *Session) planAhead() {
 	v := s.cfg.Video
 	now := s.clock.Now()
-	for i := s.playIdx; i < v.NumChunks(); i++ {
+	for i := s.playIdx; i < s.chunks; i++ {
 		if s.planned[i] {
 			continue
 		}
@@ -632,7 +637,7 @@ func (s *Session) checkUpgrades() {
 	now := s.clock.Now()
 	s.feedPredictor()
 	horizon := 2 * v.ChunkDuration
-	for i := s.playIdx; i < v.NumChunks(); i++ {
+	for i := s.playIdx; i < s.chunks; i++ {
 		deadline := s.deadlineWall(i)
 		if deadline <= now {
 			continue
@@ -728,7 +733,7 @@ const maxStall = 10 * time.Second
 
 func (s *Session) playInterval(i int, stallSince time.Duration) {
 	v := s.cfg.Video
-	if s.canceled() || i >= v.NumChunks() {
+	if s.canceled() || i >= s.chunks {
 		s.clock.Halt()
 		return
 	}

@@ -549,12 +549,16 @@ func fullSession(tb testing.TB) func() {
 	}
 }
 
-// TestFullSessionAllocs: 292 objects for the 30 s — the session's fixed
+// TestFullSessionAllocs: 266 objects for the 30 s — the session's fixed
 // furniture and its per-tick closures; TestSessionTileSetsAreOwned says
-// what is deliberately not among them.
+// what is deliberately not among them. The video's rateModel is built
+// by the first session and read by every later one, so it is not among
+// them either.
 func TestFullSessionAllocs(t *testing.T) {
-	if n := testing.AllocsPerRun(10, fullSession(t)); n > 292 {
-		t.Fatalf("a 30 s session allocates %.0f objects, want at most 292", n)
+	n := testing.AllocsPerRun(10, fullSession(t))
+	t.Logf("a 30 s session allocates %.0f objects (budget 266)", n)
+	if n > 266 {
+		t.Fatalf("a 30 s session allocates %.0f objects, want at most 266", n)
 	}
 }
 

@@ -13,8 +13,9 @@ package media
 
 import (
 	"fmt"
-	"math"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"sperke/internal/tiling"
 )
@@ -115,6 +116,12 @@ type Video struct {
 	ProjectionName string
 	Ladder         []QualityLevel
 	Encoding       Encoding
+
+	// rates is the *rateModel built on first use, read and written
+	// atomically: sessions and server handlers share one *Video. It is
+	// a bare pointer, not an atomic.Pointer, so a Video stays copyable
+	// by value; a copy whose ID, grid or durations change builds its own.
+	rates unsafe.Pointer
 }
 
 // Validate reports structural problems with the video description.
@@ -143,12 +150,17 @@ func (v *Video) Validate() error {
 func (v *Video) Qualities() int { return len(v.Ladder) }
 
 // NumChunks returns how many chunk intervals the video spans (the last
-// may be partial).
+// may be partial). The ceiling is taken in integers, so it is exact for
+// every Duration, not only for those a float64 holds exactly.
 func (v *Video) NumChunks() int {
 	if v.ChunkDuration <= 0 {
 		return 0
 	}
-	return int(math.Ceil(float64(v.Duration) / float64(v.ChunkDuration)))
+	n := v.Duration / v.ChunkDuration
+	if v.Duration%v.ChunkDuration > 0 {
+		n++
+	}
+	return int(n)
 }
 
 // ChunkStart returns the start time of chunk interval i.
@@ -157,12 +169,12 @@ func (v *Video) ChunkStart(i int) time.Duration {
 }
 
 // fnv64 is an incremental FNV-1a fold with typed mixers, the source of
-// all per-video "content" randomness. The typed methods (rather than a
-// variadic ...any signature) matter: ChunkBytes hashes on every chunk
-// request, and interface boxing of the video ID was two heap
-// allocations per call on the serving hot path. Each part is folded
-// byte-wise and terminated with a 0xff sentinel so "ab","c" and
-// "a","bc" hash differently.
+// all per-video "content" randomness. It runs once per tile and once per
+// chunk interval, when a video's rateModel is built (and for the rare
+// factor past what the model keeps), not on every size asked; the typed
+// methods (rather than a variadic ...any signature) keep even that free
+// of interface boxing. Each part is folded byte-wise and terminated with
+// a 0xff sentinel so "ab","c" and "a","bc" hash differently.
 type fnv64 uint64
 
 func newFNV64() fnv64 { return 14695981039346656037 }
@@ -200,11 +212,54 @@ func (v *Video) chunkVariation(idx int) float64 {
 	return 0.8 + 0.4*unit(uint64(newFNV64().str(v.ID).str("time").num(int64(idx))))
 }
 
+// maxKept bounds each of a rateModel's tables. A factor past it (a grid
+// of more tiles, a video of more intervals) is hashed when asked.
+const maxKept = 4096
+
+// rateModel keeps a video's size factors: tileComplexity of each tile
+// and chunkVariation of each chunk interval, hashed once and read on
+// every size asked after. It records the fields it was built from, and
+// a video whose fields no longer match builds a new one.
+type rateModel struct {
+	id                      string
+	grid                    tiling.Grid
+	duration, chunkDuration time.Duration
+	tiles, chunks           []float64
+}
+
+// model returns v's rateModel, building it on first use. Goroutines
+// that race on a first use each build the same factors; the last store
+// wins and every reader sees a whole model.
+func (v *Video) model() *rateModel {
+	m := (*rateModel)(atomic.LoadPointer(&v.rates))
+	if m != nil && m.id == v.ID && m.grid == v.Grid && m.duration == v.Duration && m.chunkDuration == v.ChunkDuration {
+		return m
+	}
+	tiles := min(max(v.Grid.Tiles(), 0), maxKept)
+	f := make([]float64, tiles+min(max(v.NumChunks(), 0), maxKept))
+	m = &rateModel{id: v.ID, grid: v.Grid, duration: v.Duration, chunkDuration: v.ChunkDuration,
+		tiles: f[:tiles:tiles], chunks: f[tiles:]}
+	for i := range m.tiles {
+		m.tiles[i] = v.tileComplexity(tiling.TileID(i))
+	}
+	for i := range m.chunks {
+		m.chunks[i] = v.chunkVariation(i)
+	}
+	atomic.StorePointer(&v.rates, unsafe.Pointer(m))
+	return m
+}
+
 // ChunkBytes returns the size in bytes of chunk C(q, l, t) under
 // single-layer (AVC) coding: the tile's share of the full-panorama rate
 // at quality q, over one chunk duration, scaled by the tile's complexity
 // and the interval's activity.
 func (v *Video) ChunkBytes(q int, tile tiling.TileID, start time.Duration) int64 {
+	return v.chunkBytes(v.model(), q, tile, start)
+}
+
+// chunkBytes is ChunkBytes over the factors m keeps: the one size
+// formula every size of the video goes through.
+func (v *Video) chunkBytes(m *rateModel, q int, tile tiling.TileID, start time.Duration) int64 {
 	if q < 0 || q >= len(v.Ladder) || !v.Grid.Valid(tile) {
 		return 0
 	}
@@ -214,7 +269,18 @@ func (v *Video) ChunkBytes(q int, tile tiling.TileID, start time.Duration) int64
 	}
 	mean := float64(v.Ladder[q].Bitrate) * dur.Seconds() / 8 / float64(v.Grid.Tiles())
 	idx := int(start / v.ChunkDuration)
-	size := mean * v.tileComplexity(tile) * v.chunkVariation(idx)
+	var complexity, variation float64
+	if int(tile) < len(m.tiles) {
+		complexity = m.tiles[tile]
+	} else {
+		complexity = v.tileComplexity(tile)
+	}
+	if idx < len(m.chunks) {
+		variation = m.chunks[idx]
+	} else {
+		variation = v.chunkVariation(idx)
+	}
+	size := mean * complexity * variation
 	if size < 1 {
 		size = 1
 	}
@@ -238,13 +304,17 @@ func (v *Video) chunkDurAt(start time.Duration) time.Duration {
 // enhancement from rung i-1 to rung i, inflated by the SVC overhead
 // (Fig. 3, right).
 func (v *Video) LayerBytes(layer int, tile tiling.TileID, start time.Duration) int64 {
+	return v.layerBytes(v.model(), layer, tile, start)
+}
+
+func (v *Video) layerBytes(m *rateModel, layer int, tile tiling.TileID, start time.Duration) int64 {
 	if layer < 0 || layer >= len(v.Ladder) {
 		return 0
 	}
 	if layer == 0 {
-		return v.ChunkBytes(0, tile, start)
+		return v.chunkBytes(m, 0, tile, start)
 	}
-	delta := v.ChunkBytes(layer, tile, start) - v.ChunkBytes(layer-1, tile, start)
+	delta := v.chunkBytes(m, layer, tile, start) - v.chunkBytes(m, layer-1, tile, start)
 	if delta < 0 {
 		delta = 0
 	}
@@ -265,12 +335,13 @@ func (v *Video) SpanBytes(enc Encoding, from, to int, tile tiling.TileID, start 
 	if to < from {
 		return 0
 	}
+	m := v.model()
 	if enc != EncodingSVC {
-		return v.ChunkBytes(to, tile, start)
+		return v.chunkBytes(m, to, tile, start)
 	}
 	var sum int64
 	for l := from; l <= to && l < len(v.Ladder); l++ {
-		sum += v.LayerBytes(l, tile, start)
+		sum += v.layerBytes(m, l, tile, start)
 	}
 	return sum
 }

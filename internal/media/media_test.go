@@ -1,6 +1,8 @@
 package media
 
 import (
+	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -54,6 +56,43 @@ func TestNumChunksCeil(t *testing.T) {
 	v.Duration = 61 * time.Second
 	if got := v.NumChunks(); got != 31 {
 		t.Fatalf("NumChunks(61s) = %d, want 31 (partial chunk)", got)
+	}
+}
+
+// TestNumChunksExact: the integer ceiling, on exact multiples, a partial
+// last chunk, non-positive durations, and (on a 64-bit int) a duration
+// past 2^53 ns, where the float64 ceiling it replaced rounded a partial
+// last chunk away.
+func TestNumChunksExact(t *testing.T) {
+	type row struct {
+		d, chunk time.Duration
+		want     int64
+	}
+	rows := []row{
+		{2 * time.Second, 2 * time.Second, 1},
+		{60 * time.Second, 2 * time.Second, 30},
+		{59 * time.Second, 2 * time.Second, 30},
+		{60*time.Second + 1, 2 * time.Second, 31},
+		{1, 2 * time.Second, 1},
+		{0, 2 * time.Second, 0},
+		{-3 * time.Second, 2 * time.Second, -1}, // math.Ceil(-1.5), as before
+		{60 * time.Second, 0, 0},
+		{60 * time.Second, -time.Second, 0},
+		{2*time.Second - 1, 1000003, 2000},
+		{2 * time.Second, 1000003, 2000},
+	}
+	if strconv.IntSize == 64 {
+		rows = append(rows,
+			row{1<<53 + 1, 2, 1<<52 + 1},
+			row{1<<62 + 1, 1 << 31, 1<<31 + 1},
+			row{math.MaxInt64, time.Nanosecond, math.MaxInt64},
+		)
+	}
+	for _, r := range rows {
+		v := Video{Duration: r.d, ChunkDuration: r.chunk}
+		if got := v.NumChunks(); int64(got) != r.want {
+			t.Errorf("NumChunks(%d ns over %d ns chunks) = %d, want %d", int64(r.d), int64(r.chunk), got, r.want)
+		}
 	}
 }
 

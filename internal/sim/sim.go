@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -29,7 +28,8 @@ import (
 // fired or its cancellation has drained, and a handle whose sequence
 // number no longer matches the record's has simply expired.
 type Event struct {
-	rec *event
+	c   *Clock
+	rec int // index in c.recs
 	at  time.Duration
 	seq uint64
 }
@@ -41,41 +41,32 @@ func (e Event) At() time.Duration { return e.at }
 // already fired (or was already cancelled) is a no-op, also when the
 // clock has since reused its record for another event.
 func (e Event) Cancel() {
-	if e.rec != nil && e.rec.seq == e.seq {
-		e.rec.fn = nil
+	if e.c != nil {
+		if r := &e.c.recs[e.rec]; r.seq == e.seq {
+			r.fn = nil
+		}
 	}
 }
 
 // event is the clock's record of one scheduled callback. A nil fn marks
 // it cancelled (in the queue) or idle (on the free list).
 type event struct {
-	at  time.Duration
 	seq uint64
 	fn  func()
 }
 
-type eventQueue []*event
+// entry is one queued event: its time and sequence number, the queue's
+// order, and the index of its record in Clock.recs. It holds no
+// pointer, so the sifts that move entries take no GC write barrier.
+type entry struct {
+	at  time.Duration
+	seq uint64
+	rec int
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-}
-func (q *eventQueue) Push(x any) {
-	*q = append(*q, x.(*event))
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+// before is the queue's order: time, then scheduling order.
+func (e entry) before(o entry) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // Clock is a virtual clock driving a discrete-event simulation. The zero
@@ -83,8 +74,9 @@ func (q *eventQueue) Pop() any {
 type Clock struct {
 	now    time.Duration
 	seq    uint64
-	queue  eventQueue
-	free   []*event // records whose event fired or drained cancelled
+	queue  []entry // a binary min-heap in entry.before order
+	recs   []event // every record the clock has made
+	free   []int   // indices in recs of records whose event fired or drained cancelled
 	rngs   map[string]*rand.Rand
 	seed   int64
 	halted bool
@@ -126,16 +118,63 @@ func (c *Clock) Schedule(at time.Duration, fn func()) Event {
 	if at < c.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, c.now))
 	}
-	var e *event
+	var i int
 	if n := len(c.free); n > 0 {
-		e, c.free = c.free[n-1], c.free[:n-1]
+		i, c.free = c.free[n-1], c.free[:n-1]
 	} else {
-		e = new(event)
+		i = len(c.recs)
+		c.recs = append(c.recs, event{})
 	}
-	e.at, e.seq, e.fn = at, c.seq, fn
+	seq := c.seq
 	c.seq++
-	heap.Push(&c.queue, e)
-	return Event{rec: e, at: at, seq: e.seq}
+	c.recs[i] = event{seq: seq, fn: fn}
+	c.push(entry{at: at, seq: seq, rec: i})
+	return Event{c: c, rec: i, at: at, seq: seq}
+}
+
+// push adds x to the queue, sifting it up from the bottom.
+func (c *Clock) push(x entry) {
+	q := append(c.queue, x)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+	c.queue = q
+}
+
+// popRoot removes and returns the queue's earliest entry, sifting the
+// last one down from the root into the hole it leaves.
+func (c *Clock) popRoot() entry {
+	q := c.queue
+	root, n := q[0], len(q)-1
+	x := q[n]
+	q = q[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && q[r].before(q[l]) {
+			l = r
+		}
+		if !q[l].before(x) {
+			break
+		}
+		q[i] = q[l]
+		i = l
+	}
+	if n > 0 {
+		q[i] = x
+	}
+	c.queue = q
+	return root
 }
 
 // After runs fn after delay d, like time.AfterFunc on virtual time.
@@ -156,17 +195,18 @@ func (c *Clock) Halt() { c.halted = true }
 // reuses it, so a chain of events that each schedule the next lives in
 // one record.
 func (c *Clock) pop() (at time.Duration, fn func()) {
-	e := heap.Pop(&c.queue).(*event)
-	at, fn = e.at, e.fn
+	x := c.popRoot()
+	e := &c.recs[x.rec]
+	fn = e.fn
 	e.fn = nil
-	c.free = append(c.free, e)
-	return at, fn
+	c.free = append(c.free, x.rec)
+	return x.at, fn
 }
 
 // dropCancelled drains cancelled events off the head of the queue, so
 // that the root, if there is one, is the next event to fire.
 func (c *Clock) dropCancelled() {
-	for len(c.queue) > 0 && c.queue[0].fn == nil {
+	for len(c.queue) > 0 && c.recs[c.queue[0].rec].fn == nil {
 		c.pop()
 	}
 }

@@ -11,7 +11,6 @@
 package transport
 
 import (
-	"container/heap"
 	"context"
 	"time"
 
@@ -98,38 +97,59 @@ func (r *Request) less(o *Request) bool {
 // Queue is a priority queue of requests in Table 1 order. The zero
 // value is ready to use.
 type Queue struct {
-	h   reqHeap
+	h   []*Request // a binary min-heap in Request.less order
 	seq int
 }
 
-type reqHeap []*Request
-
-func (h reqHeap) Len() int           { return len(h) }
-func (h reqHeap) Less(i, j int) bool { return h[i].less(h[j]) }
-func (h reqHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *reqHeap) Push(x any)        { *h = append(*h, x.(*Request)) }
-func (h *reqHeap) Pop() any {
-	old := *h
-	n := len(old)
-	r := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return r
-}
-
-// Push enqueues a request.
+// Push enqueues a request, sifting it up from the bottom.
 func (q *Queue) Push(r *Request) {
 	r.seq = q.seq
 	q.seq++
-	heap.Push(&q.h, r)
+	h := append(q.h, r)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !r.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = r
+	q.h = h
 }
 
-// Pop removes and returns the highest-priority request, or nil.
+// Pop removes and returns the highest-priority request, or nil. The
+// last request sifts down from the root into the hole it leaves.
 func (q *Queue) Pop() *Request {
-	if len(q.h) == 0 {
+	h := q.h
+	if len(h) == 0 {
 		return nil
 	}
-	return heap.Pop(&q.h).(*Request)
+	root, n := h[0], len(h)-1
+	x := h[n]
+	h[n] = nil
+	h = h[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && h[r].less(h[l]) {
+			l = r
+		}
+		if !h[l].less(x) {
+			break
+		}
+		h[i] = h[l]
+		i = l
+	}
+	if n > 0 {
+		h[i] = x
+	}
+	q.h = h
+	return root
 }
 
 // peek returns the highest-priority request without removing it, or

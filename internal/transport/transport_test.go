@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -155,6 +156,102 @@ func TestQueuePropertyPopOrder(t *testing.T) {
 	}
 }
 
+// queueRef is the oracle for Queue: an arrival-ordered list whose Pop
+// takes the least request by less, the first-arrived among equals. Its
+// order comes from the requests' Table 1 fields alone, not from the
+// sequence numbers Queue stamps on them.
+type queueRef []*Request
+
+func (q *queueRef) Pop() *Request {
+	best := -1
+	for i, r := range *q {
+		if best < 0 || table1Less(r, (*q)[best]) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	r := (*q)[best]
+	*q = append((*q)[:best], (*q)[best+1:]...)
+	return r
+}
+
+// table1Less is less with the sequence numbers taken out of it.
+func table1Less(a, b *Request) bool {
+	x, y := *a, *b
+	x.seq, y.seq = 0, 0
+	return x.less(&y)
+}
+
+// checkQueueMatchesRef plays a byte-coded run of pushes and pops on a
+// Queue and on queueRef and fails at the first pop where they differ.
+// A byte's low two bits pick the op: a push of a new request (0, 1), whose
+// urgency, class and deadline (one of eight, so ties are common) come
+// from the byte's other bits; a pop (2); or a push again of the request
+// popped last (3), as a completion callback resubmits its struct.
+func checkQueueMatchesRef(t *testing.T, ops []byte) {
+	t.Helper()
+	var (
+		q    Queue
+		ref  queueRef
+		last *Request
+		n    int
+	)
+	pop := func(step int) {
+		got, want := q.Pop(), ref.Pop()
+		if got != want {
+			t.Fatalf("ops %v, step %d: Pop = %+v, reference %+v", ops, step, got, want)
+		}
+		if got != nil {
+			last = got
+		}
+	}
+	for i, b := range ops {
+		switch b % 4 {
+		case 0, 1:
+			r := req(n, Class(b>>2&1), b>>3&1 == 1, time.Duration(b>>5)*time.Second, 1)
+			n++
+			q.Push(r)
+			ref = append(ref, r)
+		case 2:
+			pop(i)
+		case 3:
+			if last != nil {
+				q.Push(last)
+				ref = append(ref, last)
+				last = nil
+			}
+		}
+	}
+	for len(ref) > 0 || len(q.h) > 0 {
+		pop(len(ops))
+	}
+}
+
+// TestQueueMatchesReference: seeded runs of interleaved pushes and pops
+// pop in the reference's order, not only a whole queue drained at once.
+func TestQueueMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	for i := 0; i < 2000; i++ {
+		ops := make([]byte, 1+rng.Intn(120))
+		rng.Read(ops)
+		checkQueueMatchesRef(t, ops)
+	}
+}
+
+func FuzzQueueMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 2, 8, 2, 2})           // two regular, pop one, an urgent overtakes the other
+	f.Add([]byte{0, 4, 0, 4, 2, 3, 2, 2, 2})  // FoV and OOS ties, the popped FoV resubmitted behind its twin
+	f.Add([]byte{224, 32, 0, 2, 96, 2, 2, 2}) // deadlines out of arrival order, popped between pushes
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			t.Skip()
+		}
+		checkQueueMatchesRef(t, ops)
+	})
+}
+
 // A completion callback that submits the next request (what a session's
 // planner does) sees the path idle: the new request starts at once and
 // nothing is dispatched twice.
@@ -203,10 +300,12 @@ func TestSinglePathDispatchAllocs(t *testing.T) {
 	r := req(1, ClassFoV, false, time.Minute, 1e3)
 	s.Submit(r)
 	clock.Run()
-	if n := testing.AllocsPerRun(200, func() {
+	n := testing.AllocsPerRun(200, func() {
 		s.Submit(r)
 		clock.Run()
-	}); n > 1 {
+	})
+	t.Logf("a dispatch allocates %.0f objects (budget 1)", n)
+	if n > 1 {
 		t.Fatalf("a dispatch allocates %.0f objects, want 1 (the path's event)", n)
 	}
 }
